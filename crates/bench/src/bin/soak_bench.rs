@@ -19,8 +19,8 @@
 //! tap crashes at 40% of the rung's duration and cold-recovers at 60%
 //! (scaled per rung, so every run loses and rebuilds its state mid-soak).
 //! The flatness gate therefore also proves that crash/recovery leaves no
-//! memory behind — freed window slices and arena handles must return to
-//! the pool, not leak into the peaks of the longer rungs.
+//! memory behind — the cleared reorder run and flow table must not leak
+//! into the peaks of the longer rungs.
 //!
 //! Knobs: `RLIR_SOAK_BASE_MS` (base simulated duration, default 120),
 //! `RLIR_SOAK_MULTIPLIERS` (comma list, default `1,10,100`),

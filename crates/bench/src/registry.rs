@@ -602,21 +602,21 @@ pub fn build_registry() -> ScenarioRegistry<RunContext> {
 
     reg.register(
         "plane_scale",
-        "NEW: fleet-scale plane — every (switch, port) of the k=8 fat-tree tapped under one shared-arena budget",
+        "NEW: fleet-scale plane — every (switch, port) of the k=8 fat-tree tapped under one plane-wide budget",
         |ctx, _runner| {
             let base = PlaneScaleConfig::fleet(ctx.scale.base_seed, ctx.scale.fattree_duration);
             let all = base.all_ports();
             println!(
-                "== plane_scale: shared-arena plane, 1 -> {all} taps on the k={} fat-tree ==",
+                "== plane_scale: one budget, 1 -> {all} taps on the k={} fat-tree ==",
                 base.base.k
             );
             println!(
                 "  {:>6} {:>9} {:>10} {:>8} {:>8} {:>13} {:>12}",
                 "taps", "metered", "estimated", "shed", "late", "peak pending", "state bytes"
             );
-            // Deterministic series (no wall-clock — scripts/plane_bench.sh
-            // times the same curve): tap counts from one port to all of
-            // them, stride-spread over the fabric.
+            // Deterministic series (no wall-clock — the ledger's fleet_e2e
+            // times the all-ports run): tap counts from one port to all
+            // of them, stride-spread over the fabric.
             let counts = [1, all / 32, all / 8, all / 2, all];
             let mut rows = Vec::new();
             for &taps in &counts {

@@ -22,6 +22,7 @@
 
 use crate::plane::{DrainMode, MeasurementPlane};
 use rlir_net::time::SimTime;
+use rlir_rli::snapshot_at;
 use rlir_sim::{FaultEvent, HopEvent, HopSink, StopFlag};
 use serde::{Deserialize, Serialize};
 
@@ -155,9 +156,7 @@ impl EpochDetector {
     ) -> Option<Detection> {
         let mut eligible: Vec<(usize, f64)> = Vec::new();
         for idx in 0..plane.tap_count() {
-            let snap = plane
-                .epoch_series(idx)
-                .find(|s| s.epoch == epoch)
+            let snap = snapshot_at(plane.epoch_series(idx), epoch)
                 .filter(|s| s.estimated >= self.cfg.min_packets);
             if let Some(mean) = snap.and_then(|s| s.est_mean()) {
                 eligible.push((idx, mean));

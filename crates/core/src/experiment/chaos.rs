@@ -23,7 +23,7 @@
 
 use super::fattree::{run_fattree_faulted, FatTreeExpConfig};
 use crate::detect::DetectorConfig;
-use crate::plane::{DrainMode, MeasurementPlane, PlaneConfig, StateLayout, TapPoint, TapSpec};
+use crate::plane::{DrainMode, MeasurementPlane, PlaneConfig, TapPoint, TapSpec};
 use rlir_net::clock::ClockModel;
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
@@ -408,7 +408,6 @@ fn probe_run(with_flood: bool) -> Vec<(u64, u64)> {
         drain: DrainMode::Streaming {
             reorder_window: SimDuration::from_micros(10),
         },
-        layout: StateLayout::SharedArena,
         epoch: Some(SimDuration::from_micros(500)),
         pending_budget: Some(128),
     });

@@ -23,8 +23,7 @@ use crate::detect::{ClosedLoopSink, Detection, DetectorConfig};
 use crate::fabric::{build_network, FatTreeFabric};
 use crate::localization::SegmentObservation;
 use crate::plane::{
-    DrainMode, MeasurementPlane, PlaneConfig, StateLayout, TapPoint, TapSpec, TenantReport,
-    TruthRef,
+    DrainMode, MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TenantReport, TruthRef,
 };
 use rlir_net::clock::ClockModel;
 use rlir_net::fxhash::FxHashMap;
@@ -152,12 +151,6 @@ pub struct FatTreeExpConfig {
     /// are untouched.
     #[serde(default)]
     pub shards: Option<usize>,
-    /// Run the measurement plane in the pre-PR-8 per-tap state layout
-    /// ([`StateLayout::PerTap`]: private flow table + reorder heap per
-    /// tap) instead of the shared-arena default. Differential testing
-    /// only.
-    #[serde(default)]
-    pub per_tap_plane: bool,
     /// Tenant assignment for the plane's taps: `Some((w1, w2))` places the
     /// segment-1 taps in tenant 0 with weight `w1` and the segment-2 taps
     /// in tenant 1 with weight `w2` — weighted guaranteed shares of
@@ -193,7 +186,6 @@ impl FatTreeExpConfig {
             buffered_oracle: false,
             plane_budget: None,
             shards: None,
-            per_tap_plane: false,
             tenant_split: None,
         }
     }
@@ -701,11 +693,6 @@ fn attach_rlir_taps<'a>(
             DrainMode::BufferedSort
         } else {
             DrainMode::default()
-        },
-        layout: if cfg.per_tap_plane {
-            StateLayout::PerTap
-        } else {
-            StateLayout::SharedArena
         },
         epoch: cfg.epoch,
         pending_budget: cfg.plane_budget,

@@ -26,7 +26,7 @@
 //!   ingest path, scored against a two-capture-point external ground
 //!   truth and re-verified in-run against the Vec-ingest oracle.
 //! * [`plane_scale`] — the fleet-scale plane harness: every `(switch,
-//!   port)` of the fabric tapped at once under one shared-arena budget,
+//!   port)` of the fabric tapped at once under one plane-wide budget,
 //!   reporting plane overhead and state bytes versus tap count.
 //! * [`faults`] — the closed-loop robustness sweep: mid-run switch
 //!   degradation at scripted onsets, detected online with engine

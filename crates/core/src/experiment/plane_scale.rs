@@ -4,11 +4,10 @@
 //! receivers at cores and the destination ToR. This one asks the opposite
 //! question: what does the *measurement plane itself* cost when an
 //! operator taps **every `(switch, port)` of a k-ary fat-tree** under one
-//! fixed memory budget? That is the regime PR 8's shared state exists
-//! for: one plane-wide [`rlir_rli::FlowArena`] holds every tap's flow
-//! accumulators, one shared calendar wheel holds every tap's reorder
-//! window, and [`PlaneConfig::pending_budget`] is the single allocation
-//! authority across all of them.
+//! fixed memory budget? Every tap owns its flow table and reorder run,
+//! and [`PlaneConfig::pending_budget`] is the single allocation authority
+//! across all of them — so fixed traffic must cost about the same state
+//! however many taps watch it.
 //!
 //! The harness reuses the fat-tree workload generators
 //! ([`measured_traces`] / [`background_injections`]) plus the ToR-uplink
@@ -16,9 +15,9 @@
 //! [`TapPoint::PortDeparture`] taps spread evenly across the fabric's
 //! ports (`n = ` all of them for the headline point). Delivered gating is
 //! deliberate: reconstructing upstream crossing times from delivery
-//! records is the plane's worst case — every observation rides the shared
-//! reorder wheel, so the wheel, the arena, and the budget are all on the
-//! hot path at fleet width.
+//! records is the plane's worst case — every observation waits in a
+//! reorder run, so the window and the budget are both on the hot path at
+//! fleet width.
 //!
 //! Every tap listens to the union of reference streams (the mixed-receiver
 //! idiom of the naive demux ablation), so every tap estimates — this is a
@@ -31,7 +30,7 @@
 
 use crate::deployment::Deployment;
 use crate::fabric::{build_network, FatTreeFabric};
-use crate::plane::{MeasurementPlane, PlaneConfig, StateLayout, TapPoint, TapSpec, TruthRef};
+use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
 use rlir_net::clock::ClockModel;
 use rlir_net::packet::{Packet, ReferenceInfo, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
@@ -49,7 +48,7 @@ const MIXED: SenderId = SenderId(u16::MAX);
 /// Configuration of one fleet-scale plane run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PlaneScaleConfig {
-    /// Fabric, workload, plane budget and state layout. The harness runs
+    /// Fabric, workload and plane budget. The harness runs
     /// a single simulation phase on this fabric; the RLIR deployment
     /// fields (`demux`, `anomaly`, …) are ignored.
     pub base: FatTreeExpConfig,
@@ -125,9 +124,8 @@ pub struct PlaneScaleOutcome {
     /// samples plus a final pre-drain probe).
     pub peak_state_bytes: usize,
     /// Order-sensitive digest of every tap's flow rows and epoch series
-    /// (floats folded via `to_bits`) — the bench's in-run byte-identity
-    /// witness between [`StateLayout::SharedArena`] and
-    /// [`StateLayout::PerTap`].
+    /// (floats folded via `to_bits`) — a byte-identity witness for
+    /// anything that must not move the plane's output.
     pub report_digest: u64,
     /// The mid-run probes, in time order.
     pub samples: Vec<StateSample>,
@@ -222,14 +220,9 @@ pub fn run_plane_scale(cfg: &PlaneScaleConfig) -> PlaneScaleOutcome {
         }
     }
 
-    // The plane: one delivered-gated tap per selected port, all riding
-    // the shared arena + wheel under one budget.
+    // The plane: one delivered-gated tap per selected port, all under
+    // one budget.
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        layout: if base.per_tap_plane {
-            StateLayout::PerTap
-        } else {
-            StateLayout::SharedArena
-        },
         epoch: base.epoch,
         pending_budget: base.plane_budget,
         ..PlaneConfig::default()
@@ -273,7 +266,7 @@ pub fn run_plane_scale(cfg: &PlaneScaleConfig) -> PlaneScaleOutcome {
     let samples = std::mem::take(&mut sink.samples);
 
     // Final pre-drain probe: flow state only grows, so the peak is here
-    // or at a mid-run sample with a fuller wheel.
+    // or at a mid-run sample with fuller windows.
     let final_bytes = plane.approx_state_bytes();
     let peak_state_bytes = samples
         .iter()
@@ -378,32 +371,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_layout_matches_per_tap_oracle() {
-        let cfg = quick(43);
-        let shared = run_plane_scale(&cfg);
-        let mut oracle_cfg = cfg.clone();
-        oracle_cfg.base.per_tap_plane = true;
-        let oracle = run_plane_scale(&oracle_cfg);
-        // Same observations, same estimates, same shedding decisions —
-        // the budget sheds identically only if both layouts agree on the
-        // plane-wide pending count at every single observation.
-        assert_eq!(shared.metered, oracle.metered);
-        assert_eq!(shared.estimated, oracle.estimated);
-        assert_eq!(shared.refs_accepted, oracle.refs_accepted);
-        assert_eq!(shared.shed, oracle.shed);
-        assert_eq!(shared.peak_pending_total, oracle.peak_pending_total);
-        assert_eq!(
-            shared.report_digest, oracle.report_digest,
-            "per-tap flow rows / epoch series must be byte-identical"
-        );
-        assert!(shared.shed > 0, "the quick budget must actually bind");
-    }
-
-    #[test]
     fn fleet_memory_is_sublinear_in_tap_count() {
         // The acceptance claim: at fixed traffic, peak plane memory grows
         // sublinearly in tap count, because the budget caps the pending
-        // component plane-wide no matter how many taps feed the wheel.
+        // component plane-wide no matter how many taps buffer it.
         let run_at = |n: usize| {
             let mut cfg = quick(47);
             cfg.taps = Some(n);
@@ -413,7 +384,7 @@ mod tests {
         let dense = run_at(72);
         assert!(sparse.peak_state_bytes > 0);
         // 8x the taps must cost well under 8x the bytes (measured ~1x:
-        // the pending pool is shared and budget-capped).
+        // the pending population is budget-capped plane-wide).
         assert!(
             dense.peak_state_bytes < sparse.peak_state_bytes * 3,
             "taps 9 -> 72 grew state {} -> {} bytes: not sublinear",

@@ -18,29 +18,43 @@
 //! regular packets it meters ([`TapSpec::meter`]), and — simulation only —
 //! which ground-truth span to score against ([`TruthRef`]).
 //!
-//! ## Streaming, bounded-memory ordering
+//! ## One reorder window: a sorted run per tap
 //!
 //! Receivers require time-ordered input, but taps reconstructing upstream
 //! crossings from [`HopKind::Deliver`] events see observations *out of*
 //! observation-time order (a packet delivered late may have crossed the tap
-//! early). The plane's default drain is **streaming**
-//! ([`DrainMode::Streaming`]): out-of-order observations wait in a bounded
-//! reorder window keyed by `(observation time, tie, packet id)` and are fed
-//! to the receiver as soon as the engine's event-time **watermark**
-//! ([`HopSink::on_watermark`]) passes `observation time + window`. Because
-//! an observation's lag behind the watermark is bounded by the packet's
+//! early). Every unordered tap therefore owns one append-only **run** of
+//! pending observations, each keyed `(observation time, tie, packet id)` —
+//! unique per tap. Observing is a `Vec::push`. When the engine's
+//! event-time **watermark** ([`HopSink::on_watermark`]) has advanced half
+//! a window past the last flush, each run is sorted (what the previous
+//! flush left behind is already in order, so this is about one merge
+//! pass), split at `watermark − window`, and the prefix is fed to the
+//! tap's own [`RliReceiver`] — and through it the tap's own
+//! [`FlowTable`](rlir_rli::FlowTable) — as one batch. Because an
+//! observation's lag behind the watermark is bounded by the packet's
 //! residence time downstream of the tap (see the watermark contract in
 //! `rlir-sim`), a window wider than the worst-case downstream residence
-//! yields exactly the total order the old post-hoc sort produced — with
-//! peak memory O(window), not O(run), and estimates available *while the
+//! yields exactly the total order a whole-run sort produces — with peak
+//! memory O(window), not O(run), and estimates available *while the
 //! simulation runs*. Observations that still arrive late (window too small
 //! for the workload) are counted in [`TapReport::late`], never fed out of
 //! order.
 //!
-//! The pre-streaming behaviour — buffer everything, sort once at
-//! [`MeasurementPlane::finish`] — is retained as the differential oracle
-//! behind [`DrainMode::BufferedSort`]; `tests/epoch_streaming_differential.rs`
-//! pins the two paths byte-identical.
+//! That run is the plane's only reorder structure. The plane-wide
+//! [`PlaneConfig::pending_budget`], the tenant shares and the per-tap
+//! [`TapSpec::max_buffer`] all count run lengths; a crashed tap's run is
+//! simply cleared. (Earlier revisions kept a per-tap binary heap, then a
+//! plane-wide calendar wheel over a shared flow arena whose geometry only
+//! [`MeasurementPlane::with_config`] sized — `MeasurementPlane::new()` got
+//! an un-sized 1 ms wheel under a 4 ms window. Both are gone, and the
+//! mis-sizing with them.)
+//!
+//! [`DrainMode::BufferedSort`] is the same run never flushed before
+//! [`MeasurementPlane::finish`]: the differential oracle
+//! `tests/epoch_streaming_differential.rs` and
+//! `tests/reorder_window_properties.rs` pin the streaming drain against,
+//! byte for byte.
 //!
 //! Taps whose feed is already time-ordered (live [`TapPoint::NodeArrival`]
 //! taps, delivery-sorted tandem feeds) can set [`TapSpec::ordered`] and
@@ -77,16 +91,11 @@ use rlir_net::packet::{ReferenceInfo, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
 use rlir_rli::{
-    merge_epoch_series, EpochSnapshot, FlowArena, Interpolator, ReceiverConfig, ReceiverReport,
+    merge_epoch_series, snapshot_at, EpochSnapshot, Interpolator, ReceiverConfig, ReceiverReport,
     RliReceiver,
 };
 use rlir_sim::pipeline::Delivery;
-use rlir_sim::{
-    CalendarQueue, EventSchedule, FaultEvent, FaultKind, Hop, HopEvent, HopKind, HopSink, NodeId,
-    PortId,
-};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use rlir_sim::{FaultEvent, FaultKind, Hop, HopEvent, HopKind, HopSink, NodeId, PortId};
 
 /// Where on the hop-event stream a tap sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,10 +171,9 @@ pub enum DrainMode {
         /// input.
         reorder_window: SimDuration,
     },
-    /// The pre-streaming differential oracle: buffer every observation and
-    /// sort once at [`MeasurementPlane::finish`]. O(run) memory,
-    /// delivery-gated output timing — kept behind this flag for the
-    /// byte-identity tests and benchmarks.
+    /// The differential oracle: the same per-tap run, never flushed
+    /// before [`MeasurementPlane::finish`] — buffer every observation, sort
+    /// once. O(run) memory, no admission control, nothing is ever late.
     BufferedSort,
 }
 
@@ -181,29 +189,6 @@ impl Default for DrainMode {
             reorder_window: DEFAULT_REORDER_WINDOW,
         }
     }
-}
-
-/// How the plane lays out its hot per-tap state.
-///
-/// The fleet-scale question: with an RLI instance at *every* router
-/// (§3's deployment model), does plane state grow with tap count or with
-/// live observations? [`StateLayout::SharedArena`] — the default — pools
-/// flow accumulators into one plane-wide [`FlowArena`] keyed `(tap, flow)`
-/// and all streaming reorder windows into one shared calendar wheel keyed
-/// `(at, tie, id, tap)`, so fixed traffic costs the same no matter how
-/// many taps watch it. [`StateLayout::PerTap`] is the original private
-/// `FlowTable` + `BinaryHeap`-per-tap layout, retained as the
-/// differential oracle: `tests/plane_arena_differential.rs` pins the two
-/// byte-identical per tap.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum StateLayout {
-    /// One shared flow arena + one shared reorder wheel across all taps
-    /// (the fleet-scale default).
-    #[default]
-    SharedArena,
-    /// A private flow table and reorder heap per tap (the pre-PR-8
-    /// layout; differential oracle).
-    PerTap,
 }
 
 /// Which tenant a tap belongs to (an operator-assigned opaque id).
@@ -229,8 +214,6 @@ pub type TenantId = u32;
 pub struct PlaneConfig {
     /// Drain strategy for buffered taps.
     pub drain: DrainMode,
-    /// Hot-state layout across taps (see [`StateLayout`]).
-    pub layout: StateLayout,
     /// Epoch width: when set, every tap's receiver additionally aggregates
     /// per-epoch [`EpochSnapshot`]s and the report carries per-tap latency
     /// time-series. `None` keeps whole-run aggregates only.
@@ -336,67 +319,25 @@ enum Payload {
     },
 }
 
-/// A pending observation in the reorder window, min-ordered by
-/// `(observation time, tie, packet id)` — the exact total order the
-/// buffered-sort oracle produces.
+/// A pending observation in a tap's reorder run, fed in ascending
+/// `(observation time, tie, packet id)` order — unique per tap, and the
+/// exact total order the buffered-sort oracle produces.
 struct PendingObs {
     key: (SimTime, u64, u64),
-    payload: Payload,
-}
-
-impl PartialEq for PendingObs {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for PendingObs {}
-impl PartialOrd for PendingObs {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingObs {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
-/// Tie key of a shared-wheel entry: `(tie, packet id, tap)`. With the
-/// wheel's time dimension in front, entries drain in `(at, tie, id, tap)`
-/// order — whose per-tap projection is exactly the per-tap heap's
-/// `(at, tie, id)` order, so the shared drain feeds every receiver the
-/// byte-identical sequence.
-type WheelKey = (u64, u64, u32);
-
-/// What the shared reorder wheel moves: the owning tap plus the payload
-/// (time and tie live in the wheel's own key). `generation` stamps the
-/// tap's crash epoch at push time: a [`tap_down`] bumps the tap's
-/// generation and the wheel's stale entries — already accounted as
-/// [`TapReport::lost_window_obs`] — are discarded lazily at pop, without
-/// an O(wheel) sweep on the fault path.
-///
-/// [`tap_down`]: MeasurementPlane::tap_down
-struct WheelObs {
-    tap: u32,
-    generation: u32,
     payload: Payload,
 }
 
 struct TapState<'a> {
     spec: TapSpec<'a>,
     rx: RliReceiver,
-    /// Streaming mode, [`StateLayout::PerTap`]: the private reorder heap.
-    window: BinaryHeap<Reverse<PendingObs>>,
-    /// Streaming mode, [`StateLayout::SharedArena`]: this tap's share of
-    /// the wheel's population (drives the per-tap `max_buffer` cap and
-    /// `peak_pending` exactly as `window.len()` does in the per-tap
-    /// layout).
-    pending: usize,
-    /// Oracle mode: the unbounded buffered-sort backlog.
-    backlog: Vec<((SimTime, u64, u64), Payload)>,
+    /// The reorder run: observations in arrival order behind the sorted
+    /// tail the last flush retained. Bounded by the window under
+    /// [`DrainMode::Streaming`]; the whole run under the oracle, which
+    /// never flushes before [`MeasurementPlane::finish`].
+    window: Vec<PendingObs>,
     /// Observations with `at` below this are late (window too small).
     flushed_to: SimTime,
-    /// High-water mark of buffered observations (window or backlog).
+    /// High-water mark of buffered observations.
     peak_pending: usize,
     /// Observations that arrived after their window was flushed.
     late: u64,
@@ -411,9 +352,6 @@ struct TapState<'a> {
     /// True between a [`FaultKind::TapDown`] and its matching `TapUp`:
     /// the measurement instance is crashed and observes nothing.
     down: bool,
-    /// Crash epoch; bumped at every `TapDown` so stale shared-wheel
-    /// entries can be recognized and discarded lazily.
-    generation: u32,
     /// After a recovery, observations before this time are discarded
     /// (cold restart resumes on a clean epoch boundary). `ZERO` for taps
     /// that never crashed — a no-op bound.
@@ -421,21 +359,13 @@ struct TapState<'a> {
     /// The epoch index recovery resumed at (last outage wins); drives
     /// [`TapReport::recovered_epochs`].
     resume_epoch: Option<u64>,
-    /// Observations destroyed by outages: window/backlog entries freed at
+    /// Observations destroyed by outages: window entries freed at
     /// crash, receiver buffer destroyed by the cold reset, and stream
     /// observations that arrived while the tap was down (or before its
     /// post-recovery resume boundary).
     lost_window_obs: u64,
     /// Completed `TapDown` transitions.
     outages: u32,
-}
-
-impl TapState<'_> {
-    fn note_pending(&mut self, len: usize) {
-        if len > self.peak_pending {
-            self.peak_pending = len;
-        }
-    }
 }
 
 /// Plane-wide pending-observation accounting (streaming drain only): the
@@ -510,7 +440,7 @@ pub struct TapReport {
     pub dropped_metered: u64,
     /// The tenant this tap drew budget from.
     pub tenant: TenantId,
-    /// Observations destroyed by tap outages: buffered window/backlog
+    /// Observations destroyed by tap outages: buffered window
     /// entries freed at crash time, receiver-internal buffer destroyed by
     /// the cold restart, and stream observations that arrived while the
     /// tap was down or before its post-recovery epoch boundary. The
@@ -667,10 +597,7 @@ pub fn localize_epoch_series(
             let segs: Vec<SegmentObservation> = series
                 .iter()
                 .filter_map(|(name, s)| {
-                    let snap = s
-                        .iter()
-                        .find(|e| e.epoch == epoch)
-                        .filter(|e| e.estimated > 0)?;
+                    let snap = snapshot_at(s, epoch).filter(|e| e.estimated > 0)?;
                     Some(SegmentObservation {
                         name: (*name).to_string(),
                         est_mean_ns: snap.est_mean()?,
@@ -719,12 +646,6 @@ pub struct MeasurementPlane<'a> {
     totals: PendingTotals,
     /// Per-tenant budget state, in first-seen order (see [`TenantId`]).
     tenants: Vec<TenantState>,
-    /// [`StateLayout::SharedArena`]: the plane-wide flow-accumulator store
-    /// (one arena tap handle per plane tap, same index).
-    arena: FlowArena,
-    /// [`StateLayout::SharedArena`]: the shared reorder wheel replacing
-    /// every per-tap heap — the watermark drain is one keyed pass.
-    wheel: CalendarQueue<WheelObs, WheelKey>,
     /// Routing indices: which taps observe each point. Built at attach
     /// time so an event consults only its matching taps — O(matches), not
     /// O(taps) — which is what lets an all-ports deployment scale.
@@ -746,26 +667,8 @@ impl<'a> MeasurementPlane<'a> {
 
     /// An empty plane with an explicit configuration.
     pub fn with_config(cfg: PlaneConfig) -> Self {
-        // Size the shared wheel's rotation to the reorder window:
-        // observations are pushed up to a full window past the watermark,
-        // so the default 1 ms rotation would send most of a 4 ms window
-        // to the overflow heap and the wheel would degenerate into the
-        // very per-tap BinaryHeap it replaces. Keep 1024 buckets and
-        // widen them until one rotation covers ~2 windows.
-        let wheel = match cfg.drain {
-            DrainMode::Streaming { reorder_window } => {
-                let window_ns = reorder_window.as_nanos().max(1);
-                let mut bucket_ns_log2 = 10u32; // 1 µs, the default geometry
-                while (1u64 << (bucket_ns_log2 + 10)) < window_ns.saturating_mul(2) {
-                    bucket_ns_log2 += 1;
-                }
-                CalendarQueue::with_geometry(bucket_ns_log2.min(39), 10)
-            }
-            DrainMode::BufferedSort => CalendarQueue::default(),
-        };
         MeasurementPlane {
             cfg,
-            wheel,
             ..Self::default()
         }
     }
@@ -829,10 +732,6 @@ impl<'a> MeasurementPlane<'a> {
         };
         self.has_live_taps |= !spec.delivered_only;
         let idx = self.taps.len() as u32;
-        if self.cfg.layout == StateLayout::SharedArena {
-            let handle = self.arena.register_tap(spec.track_quantile);
-            debug_assert_eq!(handle, idx, "arena handle is the tap index");
-        }
         // Route the tap: which event lookups reach it (mirrors the match
         // arms in `on_hop` exactly; `Delivery` taps observe deliveries at
         // their node regardless of the delivered_only flag).
@@ -851,9 +750,7 @@ impl<'a> MeasurementPlane<'a> {
         self.taps.push(TapState {
             spec,
             rx,
-            window: BinaryHeap::new(),
-            pending: 0,
-            backlog: Vec::new(),
+            window: Vec::new(),
             flushed_to: SimTime::ZERO,
             peak_pending: 0,
             late: 0,
@@ -862,7 +759,6 @@ impl<'a> MeasurementPlane<'a> {
             drops_by_epoch: FxHashMap::default(),
             tenant_slot,
             down: false,
-            generation: 0,
             resume_at: SimTime::ZERO,
             resume_epoch: None,
             lost_window_obs: 0,
@@ -886,7 +782,7 @@ impl<'a> MeasurementPlane<'a> {
     /// The per-epoch snapshots tap `idx` has produced *so far* — a
     /// streaming consumer can read the series mid-run, before
     /// [`MeasurementPlane::finish`].
-    pub fn epoch_series(&self, idx: usize) -> impl Iterator<Item = &EpochSnapshot> {
+    pub fn epoch_series(&self, idx: usize) -> &[EpochSnapshot] {
         self.taps[idx].rx.epoch_snapshots()
     }
 
@@ -929,23 +825,17 @@ impl<'a> MeasurementPlane<'a> {
         });
     }
 
-    /// Route one observation into tap `idx` at observation time `at` with
+    /// Route one observation into `tap` at observation time `at` with
     /// tie-break key `(tie, id)`.
-    #[allow(clippy::too_many_arguments)]
     fn observe(
-        taps: &mut [TapState<'a>],
+        tap: &mut TapState<'a>,
         cfg: PlaneConfig,
         totals: &mut PendingTotals,
         tenants: &mut [TenantState],
-        arena: &mut FlowArena,
-        wheel: &mut CalendarQueue<WheelObs, WheelKey>,
-        idx: usize,
         at: SimTime,
         tie: u64,
         ev: &HopEvent<'_>,
     ) {
-        let drain = cfg.drain;
-        let tap = &mut taps[idx];
         let payload = match ev.packet.reference_info() {
             Some(info) => {
                 let mapped = match &tap.spec.ref_map {
@@ -993,26 +883,23 @@ impl<'a> MeasurementPlane<'a> {
             return;
         }
         if tap.spec.ordered {
-            feed_into(cfg.layout, arena, &mut tap.rx, idx as u32, at, &payload);
+            feed(&mut tap.rx, at, &payload);
             return;
         }
-        match drain {
-            DrainMode::Streaming { .. } => {
-                if at < tap.flushed_to {
-                    // The window for this observation time already closed:
-                    // feeding it would hand the receiver time-travelling
-                    // input. Count it and move on.
-                    tap.late += 1;
-                    return;
-                }
-                let slot = tap.tenant_slot;
-                if let Payload::Regular { .. } = payload {
-                    tenants[slot].offered += 1;
-                }
-                let buffered = match cfg.layout {
-                    StateLayout::SharedArena => tap.pending,
-                    StateLayout::PerTap => tap.window.len(),
-                };
+        // Admission is the streaming drain's business: the oracle is
+        // O(run) by design, never flushes (so nothing is ever late) and
+        // keeps no plane-wide books.
+        if let DrainMode::Streaming { .. } = cfg.drain {
+            if at < tap.flushed_to {
+                // The window for this observation time already closed:
+                // feeding it would hand the receiver time-travelling
+                // input. Count it and move on.
+                tap.late += 1;
+                return;
+            }
+            let slot = tap.tenant_slot;
+            if let Payload::Regular { .. } = payload {
+                tenants[slot].offered += 1;
                 // Hierarchical budget: a tenant under its guaranteed
                 // share is always admitted; one at-or-over its share may
                 // borrow free headroom only while every other tenant's
@@ -1029,115 +916,58 @@ impl<'a> MeasurementPlane<'a> {
                         totals.pending + reserved >= cap
                     }
                 });
-                if buffered >= tap.spec.max_buffer || over_budget {
-                    if let Payload::Regular { .. } = payload {
-                        // Per-window cap or exhausted budget share: shed
-                        // the observation but keep the books honest — it
-                        // was seen at the point and will never be
-                        // estimated.
-                        tap.shed += 1;
-                        tenants[slot].shed += 1;
-                        tap.rx.on_shed(at);
-                        return;
-                    }
-                    // References are always admitted (see TapSpec docs).
+                if tap.window.len() >= tap.spec.max_buffer || over_budget {
+                    // Per-window cap or exhausted budget share: shed the
+                    // observation but keep the books honest — it was seen
+                    // at the point and will never be estimated. References
+                    // are always admitted (see TapSpec docs).
+                    tap.shed += 1;
+                    tenants[slot].shed += 1;
+                    tap.rx.on_shed(at);
+                    return;
                 }
-                if let Payload::Regular { .. } = payload {
-                    tenants[slot].admitted += 1;
-                }
-                let len = match cfg.layout {
-                    StateLayout::SharedArena => {
-                        wheel.push_keyed(
-                            at,
-                            (tie, ev.packet.id.0, idx as u32),
-                            WheelObs {
-                                tap: idx as u32,
-                                generation: tap.generation,
-                                payload,
-                            },
-                        );
-                        tap.pending += 1;
-                        tap.pending
-                    }
-                    StateLayout::PerTap => {
-                        tap.window.push(Reverse(PendingObs {
-                            key: (at, tie, ev.packet.id.0),
-                            payload,
-                        }));
-                        tap.window.len()
-                    }
-                };
-                totals.pending += 1;
-                if totals.pending > totals.peak {
-                    totals.peak = totals.pending;
-                }
-                tenants[slot].pending += 1;
-                if tenants[slot].pending > tenants[slot].peak_pending {
-                    tenants[slot].peak_pending = tenants[slot].pending;
-                }
-                tap.note_pending(len);
+                tenants[slot].admitted += 1;
             }
-            DrainMode::BufferedSort => {
-                tap.backlog.push(((at, tie, ev.packet.id.0), payload));
-                let len = tap.backlog.len();
-                tap.note_pending(len);
-            }
+            totals.pending += 1;
+            totals.peak = totals.peak.max(totals.pending);
+            let t = &mut tenants[slot];
+            t.pending += 1;
+            t.peak_pending = t.peak_pending.max(t.pending);
         }
+        tap.window.push(PendingObs {
+            key: (at, tie, ev.packet.id.0),
+            payload,
+        });
+        tap.peak_pending = tap.peak_pending.max(tap.window.len());
     }
 
-    /// Pop-and-feed every pending observation strictly below `bound`, in
-    /// `(at, tie, id)` order ([`StateLayout::PerTap`] streaming drain).
+    /// Sort the tap's run into `(at, tie, id)` order and feed its receiver
+    /// everything strictly below `bound` (`None`: everything) as one
+    /// batch; what stays behind is the sorted tail the next flush extends.
     fn flush_tap(
         tap: &mut TapState<'a>,
         totals: &mut PendingTotals,
         tenants: &mut [TenantState],
-        bound: SimTime,
+        bound: Option<SimTime>,
     ) {
-        while let Some(Reverse(top)) = tap.window.peek() {
-            if top.key.0 >= bound {
-                break;
+        if !tap.window.is_empty() {
+            // Stable on purpose, though keys are unique: the run is a
+            // sorted tail plus arrivals in near-order, which the merge
+            // sort's run detection finishes in about one pass.
+            tap.window.sort_by_key(|obs| obs.key);
+            let n = match bound {
+                Some(b) => tap.window.partition_point(|obs| obs.key.0 < b),
+                None => tap.window.len(),
+            };
+            for obs in tap.window.drain(..n) {
+                feed(&mut tap.rx, obs.key.0, &obs.payload);
             }
-            let Reverse(obs) = tap.window.pop().expect("peeked");
-            totals.pending = totals.pending.saturating_sub(1);
+            totals.pending = totals.pending.saturating_sub(n);
             let t = &mut tenants[tap.tenant_slot];
-            t.pending = t.pending.saturating_sub(1);
-            feed(&mut tap.rx, obs.key.0, &obs.payload);
+            t.pending = t.pending.saturating_sub(n);
         }
-        if bound > tap.flushed_to {
-            tap.flushed_to = bound;
-        }
-    }
-
-    /// Single-pass shared-wheel drain ([`StateLayout::SharedArena`]): pop
-    /// every entry strictly below `bound` in global `(at, tie, id, tap)`
-    /// order — each tap sees exactly its per-tap `(at, tie, id)` sequence —
-    /// then advance every unordered tap's lateness bound.
-    fn flush_wheel(&mut self, bound: SimTime) {
-        while self.wheel.peek_at().is_some_and(|t| t < bound) {
-            let (at, _, obs) = self.wheel.pop_keyed().expect("peeked");
-            let tap = &mut self.taps[obs.tap as usize];
-            if obs.generation != tap.generation {
-                // Pushed before a crash of this tap: its pending count was
-                // already zeroed (and the loss accounted) at TapDown time.
-                continue;
-            }
-            tap.pending -= 1;
-            self.totals.pending = self.totals.pending.saturating_sub(1);
-            let t = &mut self.tenants[tap.tenant_slot];
-            t.pending = t.pending.saturating_sub(1);
-            feed_into(
-                StateLayout::SharedArena,
-                &mut self.arena,
-                &mut tap.rx,
-                obs.tap,
-                at,
-                &obs.payload,
-            );
-        }
-        for tap in &mut self.taps {
-            if !tap.spec.ordered && bound > tap.flushed_to {
-                tap.flushed_to = bound;
-            }
+        if let Some(b) = bound {
+            tap.flushed_to = tap.flushed_to.max(b);
         }
     }
 
@@ -1150,51 +980,31 @@ impl<'a> MeasurementPlane<'a> {
         }
     }
 
-    /// Crash every tap at `node`: its reorder-window slice is discarded
-    /// (shared-wheel entries lazily, via the generation stamp), its
-    /// shared-arena flow handles are freed back to the [`FlowArena`], and
-    /// its receiver is cold-reset — everything destroyed is accounted in
-    /// [`TapReport::lost_window_obs`]. Until the matching
+    /// Crash every tap at `node`: its reorder run is cleared and its
+    /// receiver cold-reset (flow table included) — everything destroyed is
+    /// accounted in [`TapReport::lost_window_obs`], and the state is gone
+    /// from [`approx_state_bytes`](MeasurementPlane::approx_state_bytes)
+    /// before this returns. Until the matching
     /// [`tap_up`](MeasurementPlane::tap_up), crossings at the point are
     /// counted as lost, never observed. Delivered automatically from
     /// scripted [`FaultKind::TapDown`] events via [`HopSink::on_fault`];
     /// public so harnesses can drive outages directly.
     pub fn tap_down(&mut self, at: SimTime, node: NodeId) {
         let _ = at; // the crash takes effect immediately; time is in the script
-        let streaming = matches!(self.cfg.drain, DrainMode::Streaming { .. });
-        for idx in 0..self.taps.len() {
-            if self.taps[idx].spec.point.node() != node || self.taps[idx].down {
+        for tap in &mut self.taps {
+            if tap.spec.point.node() != node || tap.down {
                 continue;
             }
-            let tap = &mut self.taps[idx];
             tap.down = true;
             tap.outages += 1;
-            tap.generation = tap.generation.wrapping_add(1);
-            let freed = if streaming {
-                match self.cfg.layout {
-                    StateLayout::SharedArena => std::mem::take(&mut tap.pending),
-                    StateLayout::PerTap => {
-                        let n = tap.window.len();
-                        tap.window.clear();
-                        n
-                    }
-                }
-            } else {
-                let n = tap.backlog.len();
-                tap.backlog.clear();
-                n
-            };
+            let freed = tap.window.len();
+            tap.window.clear();
             let destroyed = tap.rx.reset_cold();
             tap.lost_window_obs += freed as u64 + destroyed;
-            let slot = tap.tenant_slot;
-            if streaming {
-                self.totals.pending = self.totals.pending.saturating_sub(freed);
-                let t = &mut self.tenants[slot];
-                t.pending = t.pending.saturating_sub(freed);
-            }
-            if self.cfg.layout == StateLayout::SharedArena {
-                self.arena.release_tap(idx as u32);
-            }
+            // Saturating: the oracle keeps no plane-wide books to debit.
+            self.totals.pending = self.totals.pending.saturating_sub(freed);
+            let t = &mut self.tenants[tap.tenant_slot];
+            t.pending = t.pending.saturating_sub(freed);
         }
     }
 
@@ -1233,12 +1043,8 @@ impl<'a> MeasurementPlane<'a> {
         let Some(epoch_ns) = self.cfg.epoch_ns() else {
             return Vec::new();
         };
-        let per_tap: Vec<Vec<EpochSnapshot>> = self
-            .taps
-            .iter()
-            .map(|t| t.rx.epoch_snapshots().cloned().collect())
-            .collect();
-        let slices: Vec<&[EpochSnapshot]> = per_tap.iter().map(Vec::as_slice).collect();
+        let slices: Vec<&[EpochSnapshot]> =
+            self.taps.iter().map(|t| t.rx.epoch_snapshots()).collect();
         merge_epoch_series(&slices, epoch_ns)
     }
 
@@ -1249,77 +1055,32 @@ impl<'a> MeasurementPlane<'a> {
         let Some(epoch_ns) = self.cfg.epoch_ns() else {
             return Vec::new();
         };
-        let per_tap: Vec<(&str, Vec<EpochSnapshot>)> = self
+        let series: Vec<(&str, &[EpochSnapshot])> = self
             .taps
             .iter()
-            .map(|t| {
-                (
-                    t.spec.name.as_str(),
-                    t.rx.epoch_snapshots().cloned().collect(),
-                )
-            })
-            .collect();
-        let series: Vec<(&str, &[EpochSnapshot])> = per_tap
-            .iter()
-            .map(|(name, s)| (*name, s.as_slice()))
+            .map(|t| (t.spec.name.as_str(), t.rx.epoch_snapshots()))
             .collect();
         localize_epoch_series(&series, epoch_ns, cfg)
     }
 
-    /// Approximate bytes of plane hot state right now: flow accumulators
-    /// plus buffered observations (windows or backlogs). Diagnostic — the
-    /// bench's sublinearity witness, not an allocator.
+    /// Approximate bytes of plane hot state right now: every tap's flow
+    /// accumulators plus its buffered observations. Diagnostic — the
+    /// fleet harness's sublinearity witness, not an allocator.
     pub fn approx_state_bytes(&self) -> usize {
         let obs = std::mem::size_of::<PendingObs>();
-        let wheel_entry =
-            std::mem::size_of::<WheelObs>() + std::mem::size_of::<(u64, WheelKey, u64)>();
-        let mut bytes = match self.cfg.layout {
-            StateLayout::SharedArena => self.arena.approx_bytes() + self.wheel.len() * wheel_entry,
-            StateLayout::PerTap => self
-                .taps
-                .iter()
-                .map(|t| t.rx.flows().approx_bytes() + t.window.len() * obs)
-                .sum(),
-        };
-        for t in &self.taps {
-            bytes += t.backlog.capacity() * obs;
-        }
-        bytes
+        self.taps
+            .iter()
+            .map(|t| t.rx.flows().approx_bytes() + t.window.len() * obs)
+            .sum()
     }
 
     /// Drain every tap (deterministic order) and finish every receiver.
     pub fn finish(mut self) -> PlaneReport {
         let epoch_ns = self.cfg.epoch_ns();
         let peak_pending_total = self.totals.peak;
-        let layout = self.cfg.layout;
-        // Drain what is still pending. The shared wheel drains globally
-        // keyed (per-tap projection identical to per-tap pops); backlogs
-        // are inherently per-tap in both layouts.
-        if let DrainMode::Streaming { .. } = self.cfg.drain {
-            if layout == StateLayout::SharedArena {
-                self.flush_wheel(SimTime::MAX);
-            }
+        for tap in &mut self.taps {
+            Self::flush_tap(tap, &mut self.totals, &mut self.tenants, None);
         }
-        let mut arena = std::mem::take(&mut self.arena);
-        for (i, t) in self.taps.iter_mut().enumerate() {
-            match self.cfg.drain {
-                DrainMode::Streaming { .. } => {
-                    while let Some(Reverse(obs)) = t.window.pop() {
-                        feed(&mut t.rx, obs.key.0, &obs.payload);
-                    }
-                }
-                DrainMode::BufferedSort => {
-                    t.backlog.sort_by_key(|(key, _)| *key);
-                    let backlog = std::mem::take(&mut t.backlog);
-                    for ((at, _, _), payload) in &backlog {
-                        feed_into(layout, &mut arena, &mut t.rx, i as u32, *at, payload);
-                    }
-                }
-            }
-        }
-        // Under the shared layout every estimate landed in the arena; tear
-        // it apart into per-tap tables bit-identical to private ones.
-        let mut tables = (layout == StateLayout::SharedArena).then(|| arena.into_tables());
         let tenants = self
             .tenants
             .iter()
@@ -1336,12 +1097,8 @@ impl<'a> MeasurementPlane<'a> {
         let taps = self
             .taps
             .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
+            .map(|t| {
                 let mut report = t.rx.finish();
-                if let Some(tables) = tables.as_mut() {
-                    report.flows = std::mem::take(&mut tables[i]);
-                }
                 if let (Some(e), false) = (epoch_ns, t.drops_by_epoch.is_empty()) {
                     // Join the plane's downstream-death counts into the
                     // receiver's epoch series (dense union of the ranges).
@@ -1398,29 +1155,6 @@ fn feed(rx: &mut RliReceiver, at: SimTime, payload: &Payload) {
     }
 }
 
-/// [`feed`] with the per-flow aggregation routed by layout: under
-/// [`StateLayout::SharedArena`] reference-closed estimates land in the
-/// plane-wide arena under this tap's handle; under
-/// [`StateLayout::PerTap`] in the receiver's private table.
-fn feed_into(
-    layout: StateLayout,
-    arena: &mut FlowArena,
-    rx: &mut RliReceiver,
-    tap: u32,
-    at: SimTime,
-    payload: &Payload,
-) {
-    match payload {
-        Payload::Reference(info) => match layout {
-            StateLayout::SharedArena => rx.on_reference_record(at, info, |flow, est, truth| {
-                arena.record(tap, flow, est, truth)
-            }),
-            StateLayout::PerTap => rx.on_reference(at, info),
-        },
-        Payload::Regular { flow, truth } => rx.on_regular(at, *flow, *truth),
-    }
-}
-
 impl HopSink for MeasurementPlane<'_> {
     fn on_watermark(&mut self, watermark: SimTime) {
         self.watermark = watermark;
@@ -1435,14 +1169,9 @@ impl HopSink for MeasurementPlane<'_> {
                 .as_nanos()
                 .saturating_sub(reorder_window.as_nanos()),
         );
-        match self.cfg.layout {
-            StateLayout::SharedArena => self.flush_wheel(bound),
-            StateLayout::PerTap => {
-                for tap in &mut self.taps {
-                    if !tap.spec.ordered {
-                        Self::flush_tap(tap, &mut self.totals, &mut self.tenants, bound);
-                    }
-                }
+        for tap in &mut self.taps {
+            if !tap.spec.ordered {
+                Self::flush_tap(tap, &mut self.totals, &mut self.tenants, Some(bound));
             }
         }
         self.next_flush = watermark + SimDuration::from_nanos(reorder_window.as_nanos() / 2 + 1);
@@ -1459,13 +1188,10 @@ impl HopSink for MeasurementPlane<'_> {
                 if let Some(idxs) = self.live_arrival.get(&ev.node) {
                     for &i in idxs {
                         Self::observe(
-                            &mut self.taps,
+                            &mut self.taps[i as usize],
                             self.cfg,
                             &mut self.totals,
                             &mut self.tenants,
-                            &mut self.arena,
-                            &mut self.wheel,
-                            i as usize,
                             ev.at,
                             tie,
                             ev,
@@ -1482,13 +1208,10 @@ impl HopSink for MeasurementPlane<'_> {
                 if let Some(idxs) = self.live_departure.get(&(ev.node, port)) {
                     for &i in idxs {
                         Self::observe(
-                            &mut self.taps,
+                            &mut self.taps[i as usize],
                             self.cfg,
                             &mut self.totals,
                             &mut self.tenants,
-                            &mut self.arena,
-                            &mut self.wheel,
-                            i as usize,
                             ev.at,
                             tie,
                             ev,
@@ -1531,13 +1254,10 @@ impl HopSink for MeasurementPlane<'_> {
                     };
                     if let Some(at) = at {
                         Self::observe(
-                            &mut self.taps,
+                            &mut self.taps[i as usize],
                             self.cfg,
                             &mut self.totals,
                             &mut self.tenants,
-                            &mut self.arena,
-                            &mut self.wheel,
-                            i as usize,
                             at,
                             delivered,
                             ev,
@@ -1761,7 +1481,6 @@ mod tests {
         for drain in [DrainMode::default(), DrainMode::BufferedSort] {
             let mut plane = MeasurementPlane::with_config(PlaneConfig {
                 drain,
-                epoch: None,
                 ..PlaneConfig::default()
             });
             let mut spec = TapSpec::new("mid", TapPoint::NodeArrival(1), SenderId(1));
@@ -1871,7 +1590,7 @@ mod tests {
         // Watermark far past the window: everything flushes, the estimate
         // exists mid-run.
         plane.on_watermark(SimTime::from_nanos(5_000));
-        let estimated: u64 = plane.epoch_series(idx).map(|e| e.estimated).sum();
+        let estimated: u64 = plane.epoch_series(idx).iter().map(|e| e.estimated).sum();
         assert_eq!(estimated, 1, "estimate must be produced before finish");
         let rep = plane.finish();
         assert_eq!(rep.taps[0].report.counters.estimated, 1);
@@ -2041,5 +1760,54 @@ mod tests {
             "exactly the epoch-1 anomaly must be flagged"
         );
         assert_eq!(epochs[1].start.as_nanos(), 10_000);
+    }
+
+    #[test]
+    fn epoch_localization_on_offset_and_gapped_series_matches_a_linear_scan() {
+        // Series that start at different epochs and skip some: the lookup
+        // must find exactly the snapshots a per-epoch linear scan finds.
+        let snap = |epoch: u64, est: f64| {
+            let mut s = EpochSnapshot::empty(epoch, 1_000);
+            for _ in 0..10 {
+                s.est.push(est);
+            }
+            s.estimated = 10;
+            s
+        };
+        let a = vec![snap(3, 100.0), snap(4, 100.0), snap(7, 100.0)];
+        let b = vec![snap(4, 110.0), snap(5, 90.0), snap(7, 105.0)];
+        let c = vec![snap(5, 95.0), snap(6, 100.0), snap(7, 2_000.0)];
+        let series: Vec<(&str, &[EpochSnapshot])> =
+            vec![("a", &a), ("b", &b), ("c", &c), ("d", &[])];
+        let cfg = LocalizerConfig {
+            factor: 3.0,
+            min_packets: 5,
+        };
+        let got = localize_epoch_series(&series, 1_000, &cfg);
+        let render = |e: &EpochFindings| {
+            let names: Vec<&str> = e.findings.iter().map(|f| f.name.as_str()).collect();
+            (e.epoch, e.start.as_nanos(), names.join(","))
+        };
+        let want: Vec<(u64, u64, String)> = (3..=7u64)
+            .map(|epoch| {
+                let segs: Vec<SegmentObservation> = series
+                    .iter()
+                    .filter_map(|(name, s)| {
+                        let snap = s.iter().find(|e| e.epoch == epoch)?;
+                        Some(SegmentObservation {
+                            name: (*name).to_string(),
+                            est_mean_ns: snap.est_mean()?,
+                            true_mean_ns: f64::NAN,
+                            packets: snap.estimated,
+                        })
+                    })
+                    .collect();
+                let names: Vec<String> =
+                    localize(&segs, &cfg).into_iter().map(|f| f.name).collect();
+                (epoch, epoch * 1_000, names.join(","))
+            })
+            .collect();
+        assert_eq!(got.iter().map(render).collect::<Vec<_>>(), want);
+        assert_eq!(want[4].2, "c", "the epoch-7 outlier must be the finding");
     }
 }

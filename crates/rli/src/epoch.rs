@@ -18,7 +18,6 @@
 use rlir_net::time::SimTime;
 use rlir_stats::StreamingStats;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// One epoch's aggregate: estimate/truth moments plus counter deltas.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -111,14 +110,23 @@ pub fn merge_epoch_series(series: &[&[EpochSnapshot]], epoch_ns: u64) -> Vec<Epo
     out
 }
 
+/// The snapshot of `epoch` in a series sorted by epoch index (dense or
+/// gapped) — a binary search, so per-epoch walks over many series stay
+/// O(epochs · log epochs) instead of O(epochs²).
+pub fn snapshot_at(series: &[EpochSnapshot], epoch: u64) -> Option<&EpochSnapshot> {
+    let i = series.partition_point(|s| s.epoch < epoch);
+    series.get(i).filter(|s| s.epoch == epoch)
+}
+
 /// The receiver-internal epoch accumulator: a dense window of snapshots
-/// indexed by epoch, grown on demand as observation times advance.
+/// indexed by epoch, grown on demand as observation times advance and
+/// held contiguously so mid-run queries borrow the series as a slice.
 #[derive(Debug, Clone)]
 pub(crate) struct EpochTracker {
     epoch_ns: u64,
     /// Epoch index of `snaps[0]`.
     first: u64,
-    snaps: VecDeque<EpochSnapshot>,
+    snaps: Vec<EpochSnapshot>,
 }
 
 impl EpochTracker {
@@ -127,37 +135,38 @@ impl EpochTracker {
         EpochTracker {
             epoch_ns,
             first: 0,
-            snaps: VecDeque::new(),
+            snaps: Vec::new(),
         }
     }
 
     /// The snapshot covering observation time `at`, created if absent.
     pub(crate) fn snap(&mut self, at: SimTime) -> &mut EpochSnapshot {
         let e = at.as_nanos() / self.epoch_ns;
+        let epoch_ns = self.epoch_ns;
         if self.snaps.is_empty() {
             self.first = e;
-            self.snaps.push_back(EpochSnapshot::empty(e, self.epoch_ns));
         }
-        while e < self.first {
-            self.first -= 1;
-            self.snaps
-                .push_front(EpochSnapshot::empty(self.first, self.epoch_ns));
+        if e < self.first {
+            // Observation times only run backwards by a reorder window,
+            // so front growth is rare and short.
+            let fill = (e..self.first).map(|i| EpochSnapshot::empty(i, epoch_ns));
+            self.snaps.splice(0..0, fill);
+            self.first = e;
         }
         while self.first + self.snaps.len() as u64 <= e {
             let next = self.first + self.snaps.len() as u64;
-            self.snaps
-                .push_back(EpochSnapshot::empty(next, self.epoch_ns));
+            self.snaps.push(EpochSnapshot::empty(next, epoch_ns));
         }
         &mut self.snaps[(e - self.first) as usize]
     }
 
     /// Snapshots accumulated so far, in epoch order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &EpochSnapshot> {
-        self.snaps.iter()
+    pub(crate) fn as_slice(&self) -> &[EpochSnapshot] {
+        &self.snaps
     }
 
     pub(crate) fn into_vec(self) -> Vec<EpochSnapshot> {
-        self.snaps.into()
+        self.snaps
     }
 }
 
@@ -223,5 +232,19 @@ mod tests {
         assert!(merged[2].is_empty());
         assert_eq!(merged[3].est_mean(), Some(50.0));
         assert!(merge_epoch_series(&[], 10).is_empty());
+    }
+
+    #[test]
+    fn snapshot_at_finds_exactly_what_a_linear_scan_finds() {
+        // Offset (starts at 7) and gapped (no 9, no 11..=13) series.
+        let series: Vec<EpochSnapshot> = [7u64, 8, 10, 14]
+            .iter()
+            .map(|&e| EpochSnapshot::empty(e, 10))
+            .collect();
+        for epoch in 0..20 {
+            let scan = series.iter().find(|s| s.epoch == epoch).map(|s| s.epoch);
+            assert_eq!(snapshot_at(&series, epoch).map(|s| s.epoch), scan);
+        }
+        assert!(snapshot_at(&[], 3).is_none());
     }
 }

@@ -265,205 +265,14 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         (count > 0).then(|| sum / count as f64)
     }
 
-    /// Rebuild a table from accumulator rows in their original insertion
-    /// order (the inverse of tearing one apart — used by [`FlowArena`] to
-    /// hand each tap back a table bit-identical to the one it would have
-    /// grown privately).
-    pub fn from_rows(
-        quantile_p: Option<f64>,
-        rows: Vec<(FlowKey, FlowAccumulator)>,
-        estimates: u64,
-    ) -> Self {
-        let mut index = HashMap::with_capacity_and_hasher(rows.len(), S::default());
-        for (i, (flow, _)) in rows.iter().enumerate() {
-            index.insert(*flow, i as u32);
-        }
-        FlowTable {
-            index,
-            accs: rows,
-            estimates,
-            quantile_p,
-        }
-    }
-
     /// Approximate heap footprint of this table in bytes (index capacity +
-    /// accumulator rows). Diagnostic only — used to compare plane state
-    /// layouts, not for allocation decisions.
+    /// accumulator rows). Diagnostic only — feeds the plane's state
+    /// estimate, not allocation decisions.
     pub fn approx_bytes(&self) -> usize {
         let row = std::mem::size_of::<(FlowKey, FlowAccumulator)>();
         // Hashbrown stores key+value+1 control byte per slot.
         let slot = std::mem::size_of::<(FlowKey, u32)>() + 1;
         self.accs.capacity() * row + self.index.capacity() * slot
-    }
-}
-
-/// One flow's state inside a [`FlowArena`]: which tap it belongs to, its
-/// key, and the same [`FlowAccumulator`] a private [`FlowTable`] would hold.
-#[derive(Debug, Clone)]
-struct ArenaEntry {
-    tap: u32,
-    flow: FlowKey,
-    acc: FlowAccumulator,
-}
-
-/// Per-tap bookkeeping the arena keeps so it can reconstitute each tap's
-/// [`FlowTable`] exactly.
-#[derive(Debug, Clone, Copy, Default)]
-struct ArenaTapMeta {
-    estimates: u64,
-    quantile_p: Option<f64>,
-    flows: u32,
-}
-
-/// A plane-wide arena of flow accumulators shared by every tap.
-///
-/// The fleet-scale layout: instead of each tap owning a private
-/// [`FlowTable`] (a hash map plus a `Vec` of ~300-byte accumulator rows,
-/// each with its own capacity slack), all taps share **one** contiguous
-/// entry store plus one `(tap, flow) → u32` handle map on the packed
-/// FxHash path. Memory then scales with *live flows across the plane*
-/// rather than `taps × per-table fixed cost`, and a point-in-time
-/// snapshot query can walk one `Vec` instead of T tables.
-///
-/// `record` performs the exact sequence of accumulator operations
-/// [`FlowTable::record`] performs, and [`FlowArena::into_tables`] rebuilds
-/// each tap's table with rows in per-tap insertion order — so reports,
-/// quantiles, and merge behavior are bit-identical to the per-tap layout
-/// (pinned by the plane's differential tests).
-#[derive(Debug, Clone, Default)]
-pub struct FlowArena {
-    index: HashMap<(u32, FlowKey), u32, FxBuildHasher>,
-    entries: Vec<ArenaEntry>,
-    taps: Vec<ArenaTapMeta>,
-}
-
-impl FlowArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register a tap and return its handle. `quantile_p` mirrors
-    /// [`FlowTable::with_quantile`] for that tap's flows.
-    pub fn register_tap(&mut self, quantile_p: Option<f64>) -> u32 {
-        if let Some(p) = quantile_p {
-            assert!(p > 0.0 && p < 1.0, "quantile must be in (0,1)");
-        }
-        self.taps.push(ArenaTapMeta {
-            quantile_p,
-            ..ArenaTapMeta::default()
-        });
-        (self.taps.len() - 1) as u32
-    }
-
-    /// Number of registered taps.
-    pub fn tap_count(&self) -> usize {
-        self.taps.len()
-    }
-
-    /// Record one estimate for `tap` — the shared-store twin of
-    /// [`FlowTable::record`], operation-for-operation.
-    #[inline]
-    pub fn record(&mut self, tap: u32, flow: FlowKey, est_ns: f64, truth_ns: Option<f64>) {
-        let meta = &mut self.taps[tap as usize];
-        let slot = *self.index.entry((tap, flow)).or_insert_with(|| {
-            let qp = meta.quantile_p;
-            meta.flows += 1;
-            self.entries.push(ArenaEntry {
-                tap,
-                flow,
-                acc: FlowAccumulator {
-                    est_q: qp.map(P2Quantile::new),
-                    truth_q: qp.map(P2Quantile::new),
-                    ..FlowAccumulator::default()
-                },
-            });
-            (self.entries.len() - 1) as u32
-        });
-        let acc = &mut self.entries[slot as usize].acc;
-        acc.est.push(est_ns);
-        if let Some(q) = acc.est_q.as_mut() {
-            q.push(est_ns);
-        }
-        if let Some(t) = truth_ns {
-            acc.truth.push(t);
-            if let Some(q) = acc.truth_q.as_mut() {
-                q.push(t);
-            }
-        }
-        self.taps[tap as usize].estimates += 1;
-    }
-
-    /// One tap's flow count so far.
-    pub fn flow_count(&self, tap: u32) -> usize {
-        self.taps[tap as usize].flows as usize
-    }
-
-    /// One tap's estimate count so far.
-    pub fn estimate_count(&self, tap: u32) -> u64 {
-        self.taps[tap as usize].estimates
-    }
-
-    /// Total entries across all taps.
-    pub fn total_flows(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Approximate heap footprint in bytes: the shared handle map plus the
-    /// contiguous entry store. The per-tap metadata is `O(taps)` words.
-    pub fn approx_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<ArenaEntry>();
-        let slot = std::mem::size_of::<((u32, FlowKey), u32)>() + 1;
-        self.entries.capacity() * entry
-            + self.index.capacity() * slot
-            + self.taps.capacity() * std::mem::size_of::<ArenaTapMeta>()
-    }
-
-    /// Release every flow owned by `tap` back to the arena: entries are
-    /// dropped, the handle map is rebuilt over the survivors, and the
-    /// tap's metadata is zeroed so it restarts cold (its registration and
-    /// quantile configuration survive). Returns how many flow entries
-    /// were freed.
-    ///
-    /// This is the crash path for a downed measurement tap: O(total
-    /// flows) — a compacting sweep, acceptable for a rare fault event —
-    /// and it preserves the *other* taps' per-tap insertion order, so
-    /// their [`into_tables`](FlowArena::into_tables) output is unchanged.
-    pub fn release_tap(&mut self, tap: u32) -> usize {
-        let meta = &mut self.taps[tap as usize];
-        meta.flows = 0;
-        meta.estimates = 0;
-        let before = self.entries.len();
-        self.entries.retain(|e| e.tap != tap);
-        let freed = before - self.entries.len();
-        if freed > 0 {
-            self.index.clear();
-            for (slot, e) in self.entries.iter().enumerate() {
-                self.index.insert((e.tap, e.flow), slot as u32);
-            }
-        }
-        freed
-    }
-
-    /// Tear the arena apart into one [`FlowTable`] per registered tap, rows
-    /// in per-tap insertion order — each table identical to what the tap
-    /// would have built privately.
-    pub fn into_tables(self) -> Vec<FlowTable> {
-        let mut rows: Vec<Vec<(FlowKey, FlowAccumulator)>> = self
-            .taps
-            .iter()
-            .map(|m| Vec::with_capacity(m.flows as usize))
-            .collect();
-        // `entries` is globally insertion-ordered, so a stable single pass
-        // partitions it into per-tap insertion order.
-        for e in self.entries {
-            rows[e.tap as usize].push((e.flow, e.acc));
-        }
-        self.taps
-            .into_iter()
-            .zip(rows)
-            .map(|(m, r)| FlowTable::from_rows(m.quantile_p, r, m.estimates))
-            .collect()
     }
 }
 
@@ -622,96 +431,5 @@ mod tests {
         for w in rows.windows(2) {
             assert!(w[0].flow < w[1].flow);
         }
-    }
-
-    /// The same interleaved record stream through a shared arena and
-    /// through private per-tap tables must yield bit-identical reports.
-    #[test]
-    fn arena_matches_private_tables() {
-        let mut arena = FlowArena::new();
-        let t0 = arena.register_tap(None);
-        let t1 = arena.register_tap(Some(0.9));
-        let mut p0: FlowTable = FlowTable::new();
-        let mut p1: FlowTable = FlowTable::with_quantile(0.9);
-        // Deterministic interleaving across taps and flows, truth sometimes
-        // absent — exercise every accumulator path.
-        for i in 0..200u32 {
-            let flow = fk((i % 7) as u8 + 1);
-            let est = (i as f64) * 3.5 + 1.0;
-            let truth = (i % 3 != 0).then_some(est * 1.1);
-            if i % 2 == 0 {
-                arena.record(t0, flow, est, truth);
-                p0.record(flow, est, truth);
-            } else {
-                arena.record(t1, flow, est, truth);
-                p1.record(flow, est, truth);
-            }
-        }
-        assert_eq!(arena.flow_count(t0), p0.flow_count());
-        assert_eq!(arena.estimate_count(t1), p1.estimate_count());
-        let tables = arena.into_tables();
-        assert_eq!(tables.len(), 2);
-        for (shared, private) in tables.iter().zip([&p0, &p1]) {
-            assert_eq!(shared.quantile_p(), private.quantile_p());
-            assert_eq!(shared.estimate_count(), private.estimate_count());
-            let (a, b) = (shared.report(1), private.report(1));
-            assert_eq!(a.len(), b.len());
-            for (ra, rb) in a.iter().zip(&b) {
-                assert_eq!(ra.flow, rb.flow);
-                assert_eq!(ra.packets, rb.packets);
-                assert_eq!(ra.est_mean.to_bits(), rb.est_mean.to_bits());
-                assert_eq!(ra.est_std.map(f64::to_bits), rb.est_std.map(f64::to_bits));
-                assert_eq!(
-                    ra.est_quantile.map(f64::to_bits),
-                    rb.est_quantile.map(f64::to_bits)
-                );
-                assert_eq!(
-                    ra.true_mean.map(f64::to_bits),
-                    rb.true_mean.map(f64::to_bits)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn from_rows_round_trips() {
-        let mut t: FlowTable = FlowTable::with_quantile(0.5);
-        for i in 1..=5u8 {
-            t.record(fk(i), i as f64, Some(i as f64 * 2.0));
-        }
-        let rebuilt: FlowTable =
-            FlowTable::from_rows(t.quantile_p(), t.accs.clone(), t.estimate_count());
-        assert_eq!(rebuilt.flow_count(), t.flow_count());
-        assert_eq!(rebuilt.get(&fk(3)).unwrap().est.count(), 1);
-        assert!(rebuilt.approx_bytes() > 0);
-    }
-
-    #[test]
-    fn arena_memory_is_shared_not_per_tap() {
-        // Fixed total flow population spread over many taps: the arena's
-        // footprint must track entries, not tap count. 256 taps with one
-        // flow each must not cost more than ~2x 1 tap with 256 flows.
-        let mut wide = FlowArena::new();
-        for i in 0..256u32 {
-            let tap = wide.register_tap(None);
-            wide.record(tap, fk((i % 200) as u8), 1.0, None);
-        }
-        let mut narrow = FlowArena::new();
-        let tap = narrow.register_tap(None);
-        for i in 0..256u32 {
-            narrow.record(
-                tap,
-                FlowKey::tcp(
-                    Ipv4Addr::new(10, (i >> 8) as u8, i as u8, 1),
-                    1000 + i as u16,
-                    Ipv4Addr::new(10, 1, 0, 1),
-                    80,
-                ),
-                1.0,
-                None,
-            );
-        }
-        assert_eq!(wide.total_flows(), 256);
-        assert!(wide.approx_bytes() < narrow.approx_bytes() * 2);
     }
 }

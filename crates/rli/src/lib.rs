@@ -29,8 +29,8 @@ pub mod policy;
 pub mod receiver;
 pub mod sender;
 
-pub use epoch::{merge_epoch_series, EpochSnapshot};
-pub use flowstats::{FlowAccumulator, FlowArena, FlowReport, FlowTable, SipFlowTable};
+pub use epoch::{merge_epoch_series, snapshot_at, EpochSnapshot};
+pub use flowstats::{FlowAccumulator, FlowReport, FlowTable, SipFlowTable};
 pub use interpolate::{DelaySample, Interpolator, Segment};
 pub use policy::{
     AdaptiveConfig, AdaptivePolicy, InjectionPolicy, Policy, PolicyKind, StaticPolicy,

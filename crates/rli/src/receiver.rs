@@ -189,24 +189,6 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
     /// A reference packet arrived: if it is ours, close the current
     /// interpolation interval and estimate everything buffered inside it.
     pub fn on_reference(&mut self, at: SimTime, info: &ReferenceInfo) {
-        // Split the borrow: route estimates into our own table while the
-        // rest of the receiver mutates through `on_reference_record`.
-        let mut flows = std::mem::take(&mut self.flows);
-        self.on_reference_record(at, info, |flow, est, truth| flows.record(flow, est, truth));
-        self.flows = flows;
-    }
-
-    /// [`RliReceiver::on_reference`] with the per-flow aggregation routed
-    /// through `record` instead of this receiver's private [`FlowTable`] —
-    /// the hook a shared-arena measurement plane uses to keep flow state in
-    /// one plane-wide store. Every other effect (counters, epochs, the
-    /// per-packet estimate log) is identical.
-    pub fn on_reference_record(
-        &mut self,
-        at: SimTime,
-        info: &ReferenceInfo,
-        mut record: impl FnMut(rlir_net::FlowKey, f64, Option<f64>),
-    ) {
         if info.sender != self.cfg.sender {
             self.counters.refs_foreign += 1;
             return;
@@ -223,7 +205,7 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
             let segment = self.cfg.interpolator.segment(left, right);
             for p in self.buffer.drain(..) {
                 let est = segment.estimate_at(p.at);
-                record(p.flow, est, p.truth_ns);
+                self.flows.record(p.flow, est, p.truth_ns);
                 if let Some(t) = self.epochs.as_mut() {
                     // The estimate belongs to the epoch the packet crossed
                     // the observation point in, not the closing ref's.
@@ -317,8 +299,8 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
     /// The per-epoch snapshots accumulated so far (empty unless
     /// [`ReceiverConfig::epoch_ns`] is set) — a streaming consumer can read
     /// the series mid-run, before [`RliReceiver::finish`].
-    pub fn epoch_snapshots(&self) -> impl Iterator<Item = &EpochSnapshot> {
-        self.epochs.iter().flat_map(|t| t.iter())
+    pub fn epoch_snapshots(&self) -> &[EpochSnapshot] {
+        self.epochs.as_ref().map_or(&[], EpochTracker::as_slice)
     }
 }
 
@@ -500,7 +482,10 @@ mod tests {
                                                              // Closing ref arrives in epoch 5 — estimates still land in 1 and 2.
         r.on_reference(SimTime::from_nanos(500), &ref_info(1, 400)); // delay 100
                                                                      // Mid-run visibility: snapshots exist before finish.
-        assert_eq!(r.epoch_snapshots().map(|e| e.estimated).sum::<u64>(), 2);
+        assert_eq!(
+            r.epoch_snapshots().iter().map(|e| e.estimated).sum::<u64>(),
+            2
+        );
         let rep = r.finish();
         assert_eq!(rep.epochs.len(), 5); // dense epochs 1..=5
         assert_eq!(rep.epochs[0].epoch, 1);
@@ -551,7 +536,7 @@ mod tests {
         r.on_reference(SimTime::from_nanos(100), &ref_info(0, 0));
         r.on_regular(SimTime::from_nanos(150), fk(1), None);
         r.on_reference(SimTime::from_nanos(200), &ref_info(1, 100));
-        assert_eq!(r.epoch_snapshots().count(), 0);
+        assert!(r.epoch_snapshots().is_empty());
         assert!(r.finish().epochs.is_empty());
     }
 

@@ -1,0 +1,384 @@
+//! Property tests for the plane's one reorder structure: the per-tap
+//! sorted run.
+//!
+//! Random per-tap disorder (equal-`at` ties, observations landing one
+//! nanosecond either side of a flush bound) against random watermark
+//! schedules (small steps, and sprints that close windows early) under
+//! random budget / `max_buffer` caps and tenant weights, with tap 0
+//! crashing and recovering mid-run. The plane is driven event by event, so
+//! the test learns what was admitted the only way an outside observer can:
+//! [`MeasurementPlane::approx_state_bytes`] grows by one buffered
+//! observation exactly when a reorder run does.
+//!
+//! The oracle is [`DrainMode::BufferedSort`] — same run, never flushed
+//! before `finish()` — fed only the survivors, which the test sorts by
+//! `(at, tie, id)` itself first (the oracle shares the run's sort, so a
+//! sort that did nothing would otherwise go unnoticed):
+//!
+//! * a tap that never crashed must report bit-for-bit what the oracle
+//!   reports for its admitted observations (flow rows incl. the
+//!   order-sensitive P² tail, per-epoch moments), so nothing late or shed
+//!   was ever fed and what was fed arrived in `(at, tie, id)` order;
+//! * a crashed tap restarts cold, so its flow table and its epochs from
+//!   the resume boundary on equal the oracle's over the survivors admitted
+//!   since its last crash;
+//! * every observation is admitted, late, shed or lost — the books close;
+//! * per tenant `offered == admitted + shed`;
+//! * a `tap_down` frees the tap's run before it returns.
+
+use proptest::prelude::*;
+use rlir::plane::{DrainMode, MeasurementPlane, PlaneConfig, PlaneReport, TapPoint, TapSpec};
+use rlir_net::packet::{Packet, SenderId};
+use rlir_net::time::{SimDuration, SimTime};
+use rlir_net::FlowKey;
+use rlir_rli::{EpochSnapshot, FlowTable};
+use rlir_sim::{Hop, HopEvent, HopKind, HopSink, NodeId};
+use std::net::Ipv4Addr;
+
+const TAPS: usize = 3;
+/// The host-facing node every synthetic delivery happens at.
+const HOST: NodeId = 99;
+
+fn tap_node(tap: usize) -> NodeId {
+    10 + tap
+}
+
+fn flow(i: u8) -> FlowKey {
+    FlowKey::tcp(
+        Ipv4Addr::new(10, 0, 0, i),
+        4000 + i as u16,
+        Ipv4Addr::new(10, 9, 0, 1),
+        80,
+    )
+}
+
+/// One crossing of a tap's node, reported by a later delivery.
+#[derive(Debug, Clone, Copy)]
+struct Obs {
+    tap: usize,
+    at: u64,
+    delivered: u64,
+    id: u64,
+    reference: bool,
+    flow: u8,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Obs(Obs),
+    Watermark(u64),
+    Down(u64),
+    Up(u64),
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Knobs {
+    window: u64,
+    epoch: u64,
+    budget: Option<usize>,
+    max_buffer: usize,
+    weights: (u64, u64),
+}
+
+/// Turn raw draws into a schedule. Watermarks only move forward and no
+/// observation time exceeds the watermark it is reported under (the
+/// engine's contract); everything else is fair game.
+fn schedule(raw: &[(u8, u64, u64, u8)], window: u64) -> Vec<Step> {
+    let mut clock = 2 * window;
+    let mut down = false;
+    let mut steps = Vec::with_capacity(raw.len());
+    for (i, &(op, x, y, tap)) in raw.iter().enumerate() {
+        let tap = tap as usize % TAPS;
+        let obs = |at: u64| {
+            Step::Obs(Obs {
+                tap,
+                at,
+                delivered: clock,
+                // Later arrivals carry smaller ids, so the id component of
+                // the key runs against arrival order too.
+                id: (raw.len() - i) as u64,
+                reference: y % 5 == 0,
+                flow: (y % 4) as u8,
+            })
+        };
+        steps.push(match op {
+            // Mostly inside the window, some behind it; quantized so
+            // equal observation times are common.
+            0..=81 => obs(clock.saturating_sub(x % (window + window / 4)) & !7),
+            82..=92 => {
+                clock += x % (window / 4) + 1;
+                Step::Watermark(clock)
+            }
+            93..=94 => {
+                clock += 2 * window + x % window;
+                Step::Watermark(clock)
+            }
+            // On, one below and one above where a flush bound falls.
+            95..=97 => obs((clock - window + y % 3).saturating_sub(1)),
+            _ => {
+                // Tap 0 only, so taps 1 and 2 stay whole-run comparable.
+                // The clock moves first: nothing observed before a crash
+                // can share a timestamp with the recovery.
+                clock += 1;
+                down = !down;
+                if down {
+                    Step::Down(clock)
+                } else {
+                    Step::Up(clock)
+                }
+            }
+        });
+    }
+    steps
+}
+
+fn plane<'a>(drain: DrainMode, k: &Knobs, budget: Option<usize>) -> MeasurementPlane<'a> {
+    let mut plane = MeasurementPlane::with_config(PlaneConfig {
+        drain,
+        epoch: Some(SimDuration::from_nanos(k.epoch)),
+        pending_budget: budget,
+    });
+    plane.set_tenant_weight(0, k.weights.0);
+    plane.set_tenant_weight(1, k.weights.1);
+    for tap in 0..TAPS {
+        let mut spec = TapSpec::new(
+            format!("t{tap}"),
+            TapPoint::NodeArrival(tap_node(tap)),
+            SenderId(1),
+        );
+        spec.delivered_only = true;
+        spec.tenant = (tap % 2) as u32;
+        spec.max_buffer = k.max_buffer;
+        // P² is order-sensitive: equal tails mean equal feed order.
+        spec.track_quantile = (tap == 1).then_some(0.9);
+        plane.attach(spec);
+    }
+    plane
+}
+
+fn offer(plane: &mut MeasurementPlane<'_>, o: &Obs) {
+    let at = SimTime::from_nanos(o.at);
+    let sent = SimTime::from_nanos(o.at.saturating_sub(40 + o.id % 50));
+    let packet = if o.reference {
+        Packet::reference(o.id, flow(9), SenderId(1), o.id as u32, sent)
+    } else {
+        Packet::regular(o.id, flow(o.flow), 700, sent)
+    };
+    let hops = [Hop {
+        node: tap_node(o.tap),
+        port: 0,
+        arrived: at,
+        departed: at + SimDuration::from_nanos(1),
+    }];
+    plane.on_hop(&HopEvent {
+        kind: HopKind::Deliver,
+        node: HOST,
+        at: SimTime::from_nanos(o.delivered),
+        packet: &packet,
+        injected_node: tap_node(o.tap),
+        injected_at: sent,
+        hops: &hops,
+    });
+}
+
+fn flow_bits(flows: &FlowTable) -> Vec<u64> {
+    let mut bits = vec![flows.flow_count() as u64, flows.estimate_count()];
+    for row in flows.report(1) {
+        bits.extend([
+            row.packets,
+            row.est_mean.to_bits(),
+            row.est_std.unwrap_or(f64::NAN).to_bits(),
+            row.true_mean.unwrap_or(f64::NAN).to_bits(),
+            row.true_std.unwrap_or(f64::NAN).to_bits(),
+            row.est_quantile.unwrap_or(f64::NAN).to_bits(),
+            row.true_quantile.unwrap_or(f64::NAN).to_bits(),
+        ]);
+    }
+    bits
+}
+
+/// What feeding decides, per epoch from `from` on (shed observations only
+/// ever add to `regulars_seen` / `unestimated`, which the oracle never saw).
+fn epoch_bits(epochs: &[EpochSnapshot], from: u64) -> Vec<u64> {
+    epochs
+        .iter()
+        .filter(|e| e.epoch >= from && (e.estimated > 0 || e.refs_accepted > 0))
+        .flat_map(|e| {
+            [
+                e.epoch,
+                e.refs_accepted,
+                e.estimated,
+                e.est_mean().unwrap_or(f64::NAN).to_bits(),
+                e.true_mean().unwrap_or(f64::NAN).to_bits(),
+            ]
+        })
+        .collect()
+}
+
+fn check(steps: &[Step], k: &Knobs) -> Result<(), TestCaseError> {
+    let mut streaming = plane(
+        DrainMode::Streaming {
+            reorder_window: SimDuration::from_nanos(k.window),
+        },
+        k,
+        k.budget,
+    );
+    // Admitted observations, stamped with how often their tap had crashed.
+    let mut admitted: Vec<(Obs, u32)> = Vec::new();
+    let mut offered = [0u64; TAPS];
+    let mut regulars_admitted = [0u64; 2];
+    let mut crashes = 0u32;
+    let mut last_up = None;
+    // Tap 0's admissions since the last watermark: certainly still buffered.
+    let mut fresh = 0usize;
+    let mut watermark = 0u64;
+    let uncapped = k.budget.is_none() && k.max_buffer >= 1 << 22;
+    for step in steps {
+        match *step {
+            Step::Obs(o) => {
+                let before = streaming.approx_state_bytes();
+                offer(&mut streaming, &o);
+                let after = streaming.approx_state_bytes();
+                prop_assert!(after >= before, "an observation shrank the state");
+                offered[o.tap] += 1;
+                // No flush bound ever exceeds `watermark - window`, so
+                // with nothing to shed it an observation at or above that
+                // is admitted — including one exactly on the bound.
+                prop_assert!(
+                    after > before || !uncapped || o.tap == 0 || o.at + k.window < watermark,
+                    "in-window observation refused: at {} under watermark {watermark}",
+                    o.at
+                );
+                if after > before {
+                    admitted.push((o, if o.tap == 0 { crashes } else { 0 }));
+                    regulars_admitted[o.tap % 2] += u64::from(!o.reference);
+                    fresh += usize::from(o.tap == 0);
+                }
+            }
+            Step::Watermark(t) => {
+                streaming.on_watermark(SimTime::from_nanos(t));
+                watermark = t;
+                fresh = 0;
+            }
+            Step::Down(t) => {
+                let before = streaming.approx_state_bytes();
+                streaming.tap_down(SimTime::from_nanos(t), tap_node(0));
+                let after = streaming.approx_state_bytes();
+                prop_assert!(
+                    after <= before && (fresh == 0 || after < before),
+                    "tap_down left the crashed run behind: {before} -> {after} B, {fresh} buffered"
+                );
+                crashes += 1;
+                fresh = 0;
+            }
+            Step::Up(t) => {
+                streaming.tap_up(SimTime::from_nanos(t), tap_node(0));
+                last_up = Some(t);
+            }
+        }
+    }
+    let got: PlaneReport = streaming.finish();
+
+    // The oracle sees only survivors: what was admitted, and on the
+    // crashed tap only since its last crash.
+    let mut oracle = plane(DrainMode::BufferedSort, k, None);
+    admitted.sort_by_key(|(o, _)| (o.at, o.delivered, o.id));
+    for (o, stamp) in &admitted {
+        if o.tap != 0 || *stamp == crashes {
+            offer(&mut oracle, o);
+        }
+    }
+    let want = oracle.finish();
+
+    for (tap, (g, w)) in got.taps.iter().zip(&want.taps).enumerate() {
+        prop_assert_eq!(
+            flow_bits(&g.report.flows),
+            flow_bits(&w.report.flows),
+            "tap {}: flow rows drifted from the buffered-sort oracle",
+            tap
+        );
+        let n_admitted = admitted.iter().filter(|(o, _)| o.tap == tap).count() as u64;
+        let refused = offered[tap] - n_admitted;
+        if tap == 0 && crashes > 0 {
+            prop_assert_eq!(g.outages, crashes);
+            // A tap still down at the end recovered nothing to compare.
+            let still_down = steps
+                .iter()
+                .rev()
+                .find_map(|s| match s {
+                    Step::Down(_) => Some(true),
+                    Step::Up(_) => Some(false),
+                    _ => None,
+                })
+                .unwrap_or(false);
+            if let (false, Some(up)) = (still_down, last_up) {
+                let resume = up.div_ceil(k.epoch);
+                prop_assert_eq!(
+                    epoch_bits(g.epochs(), resume),
+                    epoch_bits(w.epochs(), resume),
+                    "tap 0: post-recovery epochs drifted from the oracle"
+                );
+            }
+            // Lost = crossings while down or before the resume boundary
+            // (refused) + what the crashes destroyed (admitted earlier).
+            let destroyed_at_most = admitted
+                .iter()
+                .filter(|(o, stamp)| o.tap == 0 && *stamp < crashes)
+                .count() as u64;
+            let books = g.late + g.shed + g.lost_window_obs;
+            prop_assert!(
+                refused <= books && books <= refused + destroyed_at_most,
+                "tap 0 books: refused {refused}, late+shed+lost {books}, destroyable {destroyed_at_most}"
+            );
+        } else {
+            prop_assert_eq!(
+                epoch_bits(g.epochs(), 0),
+                epoch_bits(w.epochs(), 0),
+                "tap {}: epoch moments drifted from the oracle",
+                tap
+            );
+            let (gc, wc) = (g.report.counters, w.report.counters);
+            prop_assert_eq!(gc.estimated, wc.estimated);
+            prop_assert_eq!(gc.refs_accepted, wc.refs_accepted);
+            // Shed observations are seen-but-unestimated; late ones are
+            // counted by the plane and never reach the receiver at all.
+            prop_assert_eq!(gc.regulars_seen, wc.regulars_seen + g.shed);
+            prop_assert_eq!(gc.unestimated, wc.unestimated + g.shed);
+            prop_assert_eq!(g.lost_window_obs, 0);
+            prop_assert_eq!(
+                refused,
+                g.late + g.shed,
+                "tap {}: refused observations must be late or shed",
+                tap
+            );
+        }
+    }
+    for t in &got.tenants {
+        prop_assert_eq!(
+            t.offered,
+            t.admitted + t.shed,
+            "tenant {} books do not balance",
+            t.id
+        );
+        prop_assert_eq!(t.admitted, regulars_admitted[t.id as usize]);
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn streaming_window_equals_buffered_sort_on_survivors(
+        raw in proptest::collection::vec((0u8..100, 0u64..100_000, 0u64..1_000, 0u8..3), 60..500),
+        window in 64u64..600,
+        epoch in 100u64..1_500,
+        budget in 0usize..64,
+        max_buffer in 0usize..32,
+        weights in (1u64..5, 1u64..5),
+    ) {
+        // A third of the cases run uncapped on either axis.
+        let budget = (budget >= 20).then(|| budget - 16);
+        let max_buffer = if max_buffer < 10 { 1 << 22 } else { max_buffer - 8 };
+        let k = Knobs { window, epoch, budget, max_buffer, weights };
+        check(&schedule(&raw, window), &k)?;
+    }
+}

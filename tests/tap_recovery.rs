@@ -1,19 +1,20 @@
 //! Tap crash/recovery: scripted `TapDown`/`TapUp` faults against the
 //! fat-tree measurement plane.
 //!
-//! A downed tap discards its reorder-window slice and arena flow handles
-//! and cold-resets its receiver; everything destroyed (plus every
+//! A downed tap discards its reorder run and cold-resets its receiver
+//! (flow table included); everything destroyed (plus every
 //! crossing while down) is accounted in `lost_window_obs`, and after
 //! `TapUp` estimation resumes at the next epoch boundary so the restarted
 //! instance produces clean whole-epoch snapshots. These tests pin the
-//! accounting, the cross-layout agreement (SharedArena vs PerTap see the
-//! same crossings and lose the same windows), the sharded-engine digest
+//! accounting, the cross-drain agreement (the streaming window and the
+//! buffered-sort oracle absorb the same outages and recover the same
+//! epochs; the oracle's O(run) backlog loses more), the sharded-engine digest
 //! match under tap faults, and that an outage leaves no state behind
 //! (peaks no worse than the fault-free run).
 
 use rlir::experiment::{run_fattree_faulted, FatTreeExpConfig, FatTreeOutcome};
 use rlir_net::time::{SimDuration, SimTime};
-use rlir_rli::PolicyKind;
+use rlir_rli::{EpochSnapshot, PolicyKind};
 use rlir_sim::{FaultEvent, FaultKind, FaultScript};
 use rlir_topo::FatTree;
 
@@ -98,29 +99,54 @@ fn outage_is_absorbed_and_accounted() {
 }
 
 #[test]
-fn layouts_agree_on_what_an_outage_destroys() {
+fn drains_agree_on_what_an_outage_destroys() {
     let base = cfg(31);
     let (script, _) = outage_script(&base);
-    let shared = run_fattree_faulted(&base, Some(&script), None);
-    let mut per_tap = base.clone();
-    per_tap.per_tap_plane = true;
-    let split = run_fattree_faulted(&per_tap, Some(&script), None);
+    let streaming = run_fattree_faulted(&base, Some(&script), None).outcome;
+    let mut oracle_cfg = base.clone();
+    oracle_cfg.buffered_oracle = true;
+    let oracle = run_fattree_faulted(&oracle_cfg, Some(&script), None).outcome;
 
-    // Different internal state layouts, same observable history: both see
-    // the same crossings while up and lose the same windows while down.
-    assert_eq!(
-        shared.outcome.tap_outages, split.outcome.tap_outages,
-        "layouts disagree on outage count"
+    // One reorder run, drained two ways: both see the same outages and
+    // the same recoveries.
+    assert_eq!(streaming.late, 0, "window must cover the lag");
+    assert_eq!(streaming.tap_outages, oracle.tap_outages);
+    assert_eq!(streaming.recovered_epochs, oracle.recovered_epochs);
+    // Both lose every crossing while down and before the resume
+    // boundary; at the crash itself the oracle's run holds everything
+    // since t = 0 where the streaming window holds only its tail.
+    assert!(
+        oracle.lost_window_obs > streaming.lost_window_obs,
+        "oracle lost {} <= streaming {}",
+        oracle.lost_window_obs,
+        streaming.lost_window_obs
     );
-    assert_eq!(
-        shared.outcome.lost_window_obs, split.outcome.lost_window_obs,
-        "layouts disagree on what the outage destroyed"
-    );
-    assert_eq!(
-        shared.outcome.recovered_epochs, split.outcome.recovered_epochs,
-        "layouts disagree on recovery"
-    );
-    assert_eq!(digest(&shared.outcome), digest(&split.outcome));
+    // From the recovery boundary on (TapUp at 20 ms = epoch 20) the two
+    // cold-restarted instances are fed the identical sequence: every
+    // tap's epoch series agrees bit for bit, crashed or not.
+    let tail = |series: &[EpochSnapshot]| {
+        series
+            .iter()
+            .filter(|e| e.epoch >= 20)
+            .fold(0u64, |mut h, e| {
+                for bits in [
+                    e.epoch,
+                    e.refs_accepted,
+                    e.regulars_seen,
+                    e.estimated,
+                    e.unestimated,
+                    e.est_mean().unwrap_or(f64::NAN).to_bits(),
+                    e.true_mean().unwrap_or(f64::NAN).to_bits(),
+                ] {
+                    h = fold(h, bits);
+                }
+                h
+            })
+    };
+    assert_eq!(streaming.segment_epochs.len(), oracle.segment_epochs.len());
+    for ((name, s), (_, o)) in streaming.segment_epochs.iter().zip(&oracle.segment_epochs) {
+        assert_eq!(tail(s), tail(o), "{name}: post-recovery epochs diverged");
+    }
 }
 
 #[test]

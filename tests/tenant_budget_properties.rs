@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use rlir::plane::{
-    DrainMode, MeasurementPlane, PlaneConfig, PlaneReport, StateLayout, TapPoint, TapSpec, TruthRef,
+    DrainMode, MeasurementPlane, PlaneConfig, PlaneReport, TapPoint, TapSpec, TruthRef,
 };
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
@@ -93,7 +93,6 @@ fn storm(
         drain: DrainMode::Streaming {
             reorder_window: SimDuration::from_micros(window_us),
         },
-        layout: StateLayout::SharedArena,
         epoch: Some(SimDuration::from_micros(500)),
         pending_budget: Some(budget),
     });

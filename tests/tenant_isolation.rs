@@ -17,7 +17,7 @@
 
 use rlir::experiment::{run_fattree, FatTreeExpConfig};
 use rlir::plane::{
-    DrainMode, MeasurementPlane, PlaneConfig, PlaneReport, StateLayout, TapPoint, TapSpec, TruthRef,
+    DrainMode, MeasurementPlane, PlaneConfig, PlaneReport, TapPoint, TapSpec, TruthRef,
 };
 use rlir_net::clock::ClockModel;
 use rlir_net::packet::{Packet, SenderId};
@@ -109,7 +109,6 @@ fn run(with_flood: bool, budget: Option<usize>, w0: u64, w1: u64) -> PlaneReport
         drain: DrainMode::Streaming {
             reorder_window: SimDuration::from_micros(10),
         },
-        layout: StateLayout::SharedArena,
         epoch: Some(SimDuration::from_micros(500)),
         pending_budget: budget,
     });
@@ -193,7 +192,6 @@ fn sole_tenants_weight_is_inert() {
             drain: DrainMode::Streaming {
                 reorder_window: SimDuration::from_micros(10),
             },
-            layout: StateLayout::SharedArena,
             epoch: Some(SimDuration::from_micros(500)),
             pending_budget: Some(64),
         });
