@@ -6,17 +6,20 @@
 //! [`run_network_sharded`] at shards ∈ {1, 2, 4} and reports best-of-N
 //! wall-clock, events/sec, safe-horizon window count and stall count per
 //! shard point as JSON on stdout; `scripts/shard_bench.sh` captures it
-//! into `BENCH_shard.json`. An order-*sensitive* digest of the merged
+//! into `BENCH_shard.json`. A `"sequential"` row times the same workload
+//! through [`run_network_streamed_opts`], so what the keyed core costs at
+//! one shard is a committed number (its tie order differs, so its stream
+//! is not compared). An order-*sensitive* digest of the merged
 //! hop/watermark/delivery stream asserts in-run that every shard count
 //! reproduced the 1-shard stream byte for byte — the property
 //! `tests/shard_determinism.rs` proves under proptest, re-checked here on
 //! the exact workload being timed.
 //!
-//! On one vCPU the expected result is honest overhead, not speedup: the
-//! windowed merge and per-shard bookkeeping cost something, and the
-//! barrier-stepped workers only pay off with real cores. The stall count
-//! says how often a shard hit the safe horizon with work still pending —
-//! the quantity that bounds multi-core scaling.
+//! On a one- or two-vCPU host the expected multi-shard result is honest
+//! overhead, not speedup: the window logs, the merge and the barriers cost
+//! something and only pay off with real cores (the JSON carries the host's
+//! `cpus`). The stall count says how often a shard sat a window out at the
+//! safe horizon — the quantity that bounds multi-core scaling.
 //!
 //! Knobs: `RLIR_SHARDBENCH_MS` (trace duration, default 40),
 //! `RLIR_SHARDBENCH_REPS` (best-of, default 3), `RLIR_SHARDBENCH_K`
@@ -27,7 +30,8 @@ use rlir::fabric::{build_network, FatTreeFabric};
 use rlir_net::packet::Packet;
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_sim::{
-    run_network_sharded, HopEvent, HopSink, RunOptions, ShardPlan, ShardRunStats, StreamedDelivery,
+    run_network_sharded, run_network_streamed_opts, HopEvent, HopSink, RunOptions, ShardPlan,
+    ShardRunStats, StreamedDelivery,
 };
 use rlir_topo::{FatTree, TopoId};
 use std::time::Instant;
@@ -97,6 +101,20 @@ fn main() {
     injections.extend(background_injections(&cfg, &tree));
     let plan = ShardPlan::new(tree.pod_partition());
 
+    // The baseline: the same injections through the sequential engine.
+    let mut sequential_ns = u128::MAX;
+    let mut sequential_events = 0;
+    for _ in 0..reps {
+        let net = build_network(&tree, cfg.queue, cfg.link_delay, &[]);
+        let inj = injections.clone();
+        let mut sink = Digest::default();
+        let start = Instant::now();
+        let stats =
+            run_network_streamed_opts(net, &fabric, inj, &mut sink, RunOptions::default(), |_| {});
+        sequential_ns = sequential_ns.min(start.elapsed().as_nanos());
+        sequential_events = stats.events;
+    }
+
     let mut points: Vec<Point> = Vec::new();
     for shards in [1usize, 2, 4] {
         let mut best_ns = u128::MAX;
@@ -160,6 +178,15 @@ fn main() {
     println!("  \"deliveries\": {},", base.stats.stats.delivered);
     println!("  \"windows\": {},", base.windows);
     println!("  \"byte_identical\": true,");
+    println!(
+        "  \"cpus\": {},",
+        std::thread::available_parallelism().map_or(0, |n| n.get())
+    );
+    println!(
+        "  \"sequential\": {{ \"wall_ms\": {:.3}, \"events_per_sec\": {:.0} }},",
+        sequential_ns as f64 / 1e6,
+        sequential_events as f64 / (sequential_ns as f64 / 1e9)
+    );
     println!("  \"points\": [");
     for (i, p) in points.iter().enumerate() {
         let comma = if i + 1 < points.len() { "," } else { "" };

@@ -35,7 +35,9 @@
 //!   over a topology-supplied node partition, each shard owning its own
 //!   scheduler/slab/fault cursor, with cross-shard packets handed off at
 //!   window barriers and the merged stream byte-identical for any shard
-//!   count.
+//!   count. One per-hop cascade: a single shard emits in place, several
+//!   log their windows for the coordinator to merge; ingest is pulled
+//!   from an [`InjectionSource`] a window at a time.
 //! * [`source`] — pull-based [`InjectionSource`]s: the engine's streaming
 //!   ingest path (O(source buffer), not O(run)), with the sorted-Vec
 //!   adapter kept byte-identical to the old collect-then-sort ingest as

@@ -530,9 +530,11 @@ impl StreamedDelivery<'_> {
 /// one *fused* value of this struct. Every field a consumer can observe
 /// through the merged event stream is **shard-count invariant** — counted
 /// at emission, so `delivered`, `queue_drops`, `route_drops`, `injected`,
-/// `events`, `fault_drops` and the final `network` (each switch taken from
-/// the shard that owned it) are byte-identical for any shard count,
-/// including under a mid-run [`StopFlag`] truncation. The two capacity
+/// `events` and `fault_drops` are byte-identical for any shard count,
+/// including under a mid-run [`StopFlag`] truncation; so is the final
+/// `network` (each switch taken from the shard that owned it) of a run
+/// that was not truncated — after a stop, several shards have finished
+/// the stopped window where one shard stopped on the spot. The two capacity
 /// diagnostics are genuinely per-shard quantities and fuse differently:
 /// `peak_live_slots` is the **max** over the shards' peaks (each shard owns
 /// its own slab, so the fleet-wide bound is the largest single arena) and

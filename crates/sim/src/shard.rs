@@ -10,28 +10,42 @@
 //! `min(pending event time) + L`, where the lookahead `L` is the minimum
 //! link latency on any inter-group edge — conservative-window PDES with
 //! the window width the topology guarantees. Packets crossing a shard
-//! boundary are handed off as timestamped injections into the destination
-//! shard's mailbox at the window barrier (their arrival is provably `≥`
-//! the horizon, so they never belong to the window that produced them).
+//! boundary are posted to the destination shard's mailbox at the window
+//! barrier (their arrival is provably `≥` the horizon, so they never
+//! belong to the window that produced them).
 //!
 //! # Byte-identical for any shard count
 //!
 //! The sequential engine breaks same-time ties by global push order
 //! (`seq`), which is unreproducible under partitioning: a shard cannot
-//! know how its pushes interleave with another's. The sharded engine
-//! instead keys every scheduler entry by `(ordinal, progress)` — the
-//! packet's index in the globally time-sorted injection list and its hop
-//! counter — a **partition-independent** total order `(time, tie, id)`.
-//! Per-shard pops therefore drain in globally keyed order restricted to
-//! the shard, and the coordinator's k-way merge of the per-window unit
-//! streams *is* the global keyed order. Everything observable — the full
-//! [`HopEvent`] + watermark sequence, deliveries, drop/queue counters,
-//! fault semantics, [`StopFlag`] truncation — is emitted from the merged
-//! stream and counted at emission, so an N-shard run is byte-identical to
-//! the 1-shard run through this entry point (pinned by
-//! `tests/shard_determinism.rs` and asserted in-run by `shard_bench`).
-//! Only the capacity diagnostics (`peak_live_slots`, `hop_allocations`)
-//! are per-shard quantities; see [`NetworkRunStats`].
+//! know how its pushes interleave with another's. The keyed core instead
+//! keys every scheduler entry by `(ordinal, progress)` — the packet's
+//! position in the time-ordered injection stream and its hop counter — a
+//! **partition-independent** total order `(time, tie, id)`. Per-shard pops
+//! therefore drain in globally keyed order restricted to the shard, and a
+//! k-way merge of the per-window unit streams *is* the global keyed order.
+//!
+//! # One unit, two outputs; ordinals are a pull counter
+//!
+//! There is one per-hop cascade, [`ShardWorker::unit`], written against
+//! [`UnitOut`]. With one effective shard the output is the run's
+//! [`Emitter`]: events, watermarks, deliveries and counters reach `sink`,
+//! `on_delivery` and the stats as the unit runs, borrowed from the live
+//! slab slot. With several, each worker fills a [`WindowLog`] and the
+//! coordinator replays the logs, merged by key, into the same `Emitter`
+//! at the barrier. Everything observable is emitted and counted there —
+//! including fault notifications and [`StopFlag`] truncation — and the
+//! window sequence is computed alike at every shard count, so an N-shard
+//! run is byte-identical to the 1-shard run (pinned by
+//! `tests/shard_determinism.rs`, asserted in-run by `shard_bench`). Only
+//! the capacity diagnostics (`peak_live_slots`, `hop_allocations`) are
+//! per-shard quantities; see [`NetworkRunStats`].
+//!
+//! A packet's ordinal is the number of injections pulled from the
+//! [`InjectionSource`] before it, so ingest streams: one shard pulls an
+//! injection when it is due against its scheduler head; the N-shard
+//! coordinator pulls, before each window, the injections earlier than its
+//! horizon and posts them to the owning shards.
 //!
 //! Same-time arrivals at one node from *different* upstream queues are
 //! real in fat-tree workloads, and there the keyed order genuinely
@@ -40,23 +54,24 @@
 //! identity baseline. On tie-free workloads the keyed and sequential
 //! engines coincide exactly (differentially pinned in the test suite).
 
-use crate::fault::{FaultScript, FaultState, StopFlag};
+use crate::fault::{FaultEvent, FaultScript, FaultState, StopFlag};
 use crate::network::{
     Forwarder, Hop, HopEvent, HopKind, HopSink, Network, NetworkRunStats, NodeId, RouteDecision,
     RunOptions, SchedulerKind, StreamedDelivery,
 };
 use crate::queue::Verdict;
 use crate::sched::{CalendarQueue, EventSchedule, HeapSchedule};
-use crate::slab::{PacketSlab, SlotId};
+use crate::slab::{FlightState, PacketSlab, SlotId};
+use crate::source::{InjectionSource, SortedVecSource};
 use rlir_net::packet::Packet;
 use rlir_net::time::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, MutexGuard};
 
 /// Partition-independent scheduler tie key: `(packet ordinal, hop
-/// progress)`. The ordinal is the packet's index in the globally
-/// time-sorted injection list (unique per packet); progress is its hop
-/// counter, strictly increasing along the packet's life, so
+/// progress)`. The ordinal is the packet's position in the time-ordered
+/// injection stream (unique per packet); progress is its hop counter,
+/// strictly increasing along the packet's life, so
 /// `(at, ordinal, progress)` is a total order over engine units that no
 /// partition can perturb.
 type ShardKey = (u64, u32);
@@ -82,9 +97,17 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// A plan from an explicit node → group map (indices must be dense
-    /// enough that `max(group) + 1` is the group count).
-    pub fn new(groups: Vec<usize>) -> Self {
+    /// A plan from an explicit node → group map. Group ids are labels,
+    /// ranked densely in id order: only *inhabited* groups count towards
+    /// the shard cap, and a sparse labelling (`[0, 5]`) runs exactly like
+    /// the dense one (`[0, 1]`).
+    pub fn new(mut groups: Vec<usize>) -> Self {
+        let mut ids = groups.clone();
+        ids.sort_unstable();
+        ids.dedup();
+        for g in &mut groups {
+            *g = ids.binary_search(g).expect("every id was collected");
+        }
         ShardPlan { groups }
     }
 
@@ -96,7 +119,7 @@ impl ShardPlan {
         }
     }
 
-    /// The node → group map.
+    /// The node → group map, group ids dense from 0.
     pub fn groups(&self) -> &[usize] {
         &self.groups
     }
@@ -149,16 +172,9 @@ impl ShardRunStats {
     }
 }
 
-/// One globally-time-sorted injection owned by a shard.
-#[derive(Debug, Clone, Copy)]
-struct Injection {
-    node: NodeId,
-    packet: Packet,
-    ord: u64,
-}
-
-/// A packet crossing a shard boundary: everything the destination shard
-/// needs to re-seed it as a timestamped keyed injection.
+/// A keyed unit posted to a shard's mailbox: a packet crossing a shard
+/// boundary mid-flight, or (progress 0, no hops yet) an injection the
+/// coordinator stamped for this shard.
 #[derive(Debug)]
 struct Handoff {
     /// Arrival time at the destination node (≥ the producing window's
@@ -174,6 +190,83 @@ struct Handoff {
     hops: Vec<Hop>,
 }
 
+/// Where [`ShardWorker::unit`] writes what one unit produces, in order:
+/// `begin`, its hop events (views of the live slab slot, whose hop record
+/// only appends within a unit; a `Deliver` event is the delivery), `end`.
+trait UnitOut {
+    /// Whether the run was asked to stop before its next unit.
+    fn stopped(&self) -> bool;
+    /// A unit starts at `at` (progress 0: the packet is being injected).
+    fn begin(&mut self, at: SimTime, ord: u64, prog: u32);
+    fn hop(&mut self, ev: &HopEvent<'_>);
+    /// The packet dies in this unit *because of* an injected fault.
+    fn fault_drop(&mut self);
+    /// The unit is over; `st` is about to be recycled or rescheduled.
+    fn end(&mut self, st: &FlightState);
+}
+
+/// Emit now — the run's one observable output. Everything `sink`,
+/// `on_delivery` and the fused stats ever see passes through here in
+/// keyed order, from the only shard as it runs or replayed from the window
+/// logs, so it is shard-count invariant. Never leaves the calling thread.
+struct Emitter<'a, S, D> {
+    sink: &'a mut S,
+    on_delivery: &'a mut D,
+    stop: Option<&'a StopFlag>,
+    /// Scripted transitions still to be shown to the sink. Every shard
+    /// advances its own replicated `FaultState` for the network effects;
+    /// the notification happens once, here, where the sequential engine
+    /// delivers it: before the callbacks of the first unit that reached it.
+    script: &'a [FaultEvent],
+    watermark: Option<SimTime>,
+    stats: NetworkRunStats,
+}
+
+impl<S: HopSink, D: FnMut(&StreamedDelivery<'_>)> UnitOut for Emitter<'_, S, D> {
+    fn stopped(&self) -> bool {
+        self.stop.is_some_and(StopFlag::is_set)
+    }
+
+    fn begin(&mut self, at: SimTime, _ord: u64, prog: u32) {
+        while let Some((ev, rest)) = self.script.split_first().filter(|(ev, _)| ev.at <= at) {
+            self.script = rest;
+            self.sink.on_fault(ev);
+        }
+        if self.watermark.is_none_or(|w| at > w) {
+            self.sink.on_watermark(at);
+            self.watermark = Some(at);
+        }
+        self.stats.events += 1;
+        self.stats.injected += u64::from(prog == 0);
+    }
+
+    fn hop(&mut self, ev: &HopEvent<'_>) {
+        self.sink.on_hop(ev);
+        match ev.kind {
+            HopKind::QueueDrop { .. } => self.stats.queue_drops[ev.node] += 1,
+            HopKind::RouteDrop => self.stats.route_drops[ev.node] += 1,
+            HopKind::Deliver => {
+                self.stats.delivered += 1;
+                (self.on_delivery)(&StreamedDelivery {
+                    packet: ev.packet,
+                    injected_node: ev.injected_node,
+                    injected_at: ev.injected_at,
+                    delivered_node: ev.node,
+                    delivered_at: ev.at,
+                    hops: ev.hops,
+                });
+            }
+            _ => {}
+        }
+    }
+
+    fn fault_drop(&mut self) {
+        self.stats.fault_drops += 1;
+    }
+
+    fn end(&mut self, _st: &FlightState) {}
+}
+
 /// One logged hop event, a deferred [`HopEvent`]: the packet snapshot at
 /// emission time plus the length of the hop-record prefix visible then
 /// (hops only append within a unit, so a prefix length into the unit's
@@ -187,37 +280,136 @@ struct LoggedEvent {
     hops_len: u32,
 }
 
-/// A delivery produced by a unit (emitted after the unit's hop events,
-/// exactly like the sequential engine's callback position).
-#[derive(Debug, Clone, Copy)]
-struct DeliveryRec {
-    packet: Packet,
-    node: u32,
-    at: u64,
-}
-
-/// One engine unit (= one `arrive` cascade) a shard processed, with its
-/// event/hop ranges into the shard's per-window log buffers.
-#[derive(Debug, Clone, Copy)]
+/// One engine unit (= one `arrive` cascade) in a [`WindowLog`]. Its events
+/// and sealed hop record run from the previous unit's ends to its own.
+#[derive(Debug, Clone, Copy, Default)]
 struct Unit {
-    at: u64,
-    ord: u64,
-    prog: u32,
-    injected: bool,
+    /// `(time, ordinal, progress)`.
+    key: (u64, u64, u32),
     fault_drop: bool,
     injected_node: u32,
     injected_at: u64,
-    ev_start: u32,
     ev_end: u32,
-    hop_start: u32,
     hop_end: u32,
-    delivery: Option<DeliveryRec>,
 }
 
-impl Unit {
-    #[inline]
-    fn key(&self) -> (u64, u64, u32) {
-        (self.at, self.ord, self.prog)
+/// Emit later: one window of one shard's units in keyed order, which the
+/// coordinator merges with the other shards' and replays at the barrier.
+#[derive(Default)]
+struct WindowLog {
+    units: Vec<Unit>,
+    events: Vec<LoggedEvent>,
+    /// Sealed hop records of this window's units.
+    arena: Vec<Hop>,
+}
+
+impl WindowLog {
+    fn clear(&mut self) {
+        self.units.clear();
+        self.events.clear();
+        self.arena.clear();
+    }
+
+    fn open(&mut self) -> &mut Unit {
+        self.units.last_mut().expect("a unit is open")
+    }
+
+    /// Replay unit `i` into `out`: the calls, in the order, `out` would
+    /// have received had it been the worker's own output.
+    fn replay(&self, i: usize, out: &mut impl UnitOut) {
+        let u = &self.units[i];
+        let (ev0, hop0) = match i.checked_sub(1) {
+            Some(prev) => (self.units[prev].ev_end, self.units[prev].hop_end),
+            None => (0, 0),
+        };
+        let (injected_node, injected_at) =
+            (u.injected_node as usize, SimTime::from_nanos(u.injected_at));
+        out.begin(SimTime::from_nanos(u.key.0), u.key.1, u.key.2);
+        if u.fault_drop {
+            out.fault_drop();
+        }
+        let hops = &self.arena[hop0 as usize..u.hop_end as usize];
+        for e in &self.events[ev0 as usize..u.ev_end as usize] {
+            out.hop(&HopEvent {
+                kind: e.kind,
+                node: e.node as usize,
+                at: SimTime::from_nanos(e.at),
+                packet: &e.packet,
+                injected_node,
+                injected_at,
+                hops: &hops[..e.hops_len as usize],
+            });
+        }
+    }
+}
+
+impl UnitOut for WindowLog {
+    /// A worker always finishes its window; truncation happens at replay.
+    fn stopped(&self) -> bool {
+        false
+    }
+
+    fn begin(&mut self, at: SimTime, ord: u64, prog: u32) {
+        let key = (at.as_nanos(), ord, prog);
+        self.units.push(Unit {
+            key,
+            ..Unit::default()
+        });
+    }
+
+    fn hop(&mut self, ev: &HopEvent<'_>) {
+        self.events.push(LoggedEvent {
+            kind: ev.kind,
+            node: ev.node as u32,
+            at: ev.at.as_nanos(),
+            packet: *ev.packet,
+            hops_len: ev.hops.len() as u32,
+        });
+    }
+
+    fn fault_drop(&mut self) {
+        self.open().fault_drop = true;
+    }
+
+    fn end(&mut self, st: &FlightState) {
+        self.arena.extend_from_slice(st.hops());
+        let (ev_end, hop_end) = (self.events.len() as u32, self.arena.len() as u32);
+        let u = self.open();
+        (u.injected_node, u.injected_at) = (st.injected_node as u32, st.injected_at.as_nanos());
+        (u.ev_end, u.hop_end) = (ev_end, hop_end);
+    }
+}
+
+/// The injection stream with its ordinals: a packet's ordinal is the count
+/// of injections pulled before it. Each pull is checked against the source
+/// contract as the sequential engine checks it — a misordered source would
+/// put `Arrive` events behind the watermark, so it fails loudly instead.
+struct Ingest<I> {
+    source: I,
+    next_ord: u64,
+    last_at: SimTime,
+    n_nodes: usize,
+}
+
+impl<I: InjectionSource> Ingest<I> {
+    fn peek(&mut self) -> Option<u64> {
+        self.source.peek().map(SimTime::as_nanos)
+    }
+
+    fn pull(&mut self) -> (NodeId, Packet, u64) {
+        let (node, packet) = self.source.next_injection().expect("peeked non-empty");
+        assert!(node < self.n_nodes, "injection at unknown node {node}");
+        let at = packet.created_at;
+        assert!(
+            at >= self.last_at,
+            "injection source went backwards: {} after {}",
+            at.as_nanos(),
+            self.last_at.as_nanos()
+        );
+        self.last_at = at;
+        let ord = self.next_ord;
+        self.next_ord += 1;
+        (node, packet, ord)
     }
 }
 
@@ -229,20 +421,14 @@ enum ShardSched {
 }
 
 impl ShardSched {
-    /// Build the scheduler for one shard. The adaptive calendar geometry
-    /// is derived from *this shard's own* injection spacing — a global
-    /// span would over-bucket sparse shards (the core shard sees no
-    /// injections at all and gets the default geometry).
-    fn for_shard(kind: SchedulerKind, injections: &[Injection]) -> Self {
+    /// One shard's scheduler. The adaptive calendar geometry comes from
+    /// the source's span/len hints (`events`: this shard's even share) —
+    /// speed only, never the keyed order; a hint-less source gets the
+    /// default geometry, as in the sequential engine.
+    fn new(kind: SchedulerKind, span_ns: u64, events: usize) -> Self {
         match kind {
             SchedulerKind::Calendar => {
-                let span = match (injections.first(), injections.last()) {
-                    (Some(first), Some(last)) => {
-                        last.packet.created_at.as_nanos() - first.packet.created_at.as_nanos()
-                    }
-                    _ => 0,
-                };
-                ShardSched::Calendar(CalendarQueue::for_spacing(span, injections.len()))
+                ShardSched::Calendar(CalendarQueue::for_spacing(span_ns, events))
             }
             SchedulerKind::CalendarFixed {
                 bucket_ns_log2,
@@ -280,7 +466,8 @@ impl ShardSched {
 /// One shard: a full clone of the network (it only *reads and writes*
 /// the queues of nodes it owns; fault transitions are replicated so every
 /// clone's owned nodes carry the right state), its own slab, keyed
-/// scheduler, fault cursor and per-window log buffers.
+/// scheduler and fault cursor. Its units write to whatever [`UnitOut`]
+/// the caller passes in.
 struct ShardWorker<'a, F> {
     shard: usize,
     network: Network,
@@ -288,240 +475,180 @@ struct ShardWorker<'a, F> {
     shard_of: &'a [usize],
     slab: PacketSlab,
     schedule: ShardSched,
-    injections: Vec<Injection>,
-    next_inj: usize,
     faults: Option<FaultState<'a>>,
-    /// Handoffs routed to this shard at the last barrier, seeded into the
+    /// Units posted to this shard since its last window, seeded into the
     /// slab + scheduler at the next window start.
     inbox: Vec<Handoff>,
+    /// Earliest `at` in `inbox`, kept at push.
+    inbox_min: Option<u64>,
     /// Handoffs this shard produced during the current window.
     outbox: Vec<Handoff>,
-    /// Units processed this window, in keyed order.
-    units: Vec<Unit>,
-    /// Hop events logged this window (`Unit` ranges index into this).
-    events: Vec<LoggedEvent>,
-    /// Sealed hop records of this window's units (`Unit` ranges).
-    arena: Vec<Hop>,
 }
 
 impl<F: Forwarder> ShardWorker<'_, F> {
-    /// Earliest pending unit time across this shard's three sources
-    /// (injection stream, scheduler, un-seeded inbox) — the coordinator
-    /// min-reduces this into the global window start.
+    fn post(&mut self, h: Handoff) {
+        self.inbox_min = Some(self.inbox_min.map_or(h.at, |m| m.min(h.at)));
+        self.inbox.push(h);
+    }
+
+    /// Earliest pending unit time in this shard (scheduler or un-seeded
+    /// inbox) — min-reduced with the source head into the window start.
     fn next_time(&mut self) -> Option<u64> {
-        let mut t = self
-            .injections
-            .get(self.next_inj)
-            .map(|i| i.packet.created_at.as_nanos());
-        if let Some((at, _)) = self.schedule.peek_key() {
-            let a = at.as_nanos();
-            t = Some(t.map_or(a, |x| x.min(a)));
-        }
-        for h in &self.inbox {
-            t = Some(t.map_or(h.at, |x| x.min(h.at)));
-        }
-        t
+        let head = self.schedule.peek_key().map(|(at, _)| at.as_nanos());
+        head.into_iter().chain(self.inbox_min).min()
     }
 
     /// Process every unit with `at < horizon` (all remaining units when
-    /// `None`), filling the per-window log buffers.
-    fn run_window(&mut self, horizon: Option<u64>) {
-        self.units.clear();
-        self.events.clear();
-        self.arena.clear();
-        for h in std::mem::take(&mut self.inbox) {
+    /// `None`) in keyed order, or until `out` says stop. With an `ingest`
+    /// (the only shard) injections are pulled from it as they come due;
+    /// without one they were posted to the inbox.
+    fn run_window<I: InjectionSource>(
+        &mut self,
+        out: &mut impl UnitOut,
+        horizon: Option<u64>,
+        mut ingest: Option<&mut Ingest<I>>,
+    ) {
+        self.inbox_min = None;
+        for h in self.inbox.drain(..) {
             let slot = self.slab.insert_with_hops(
                 h.packet,
                 h.injected_node as usize,
                 SimTime::from_nanos(h.injected_at),
                 &h.hops,
             );
-            self.schedule.push_keyed(
-                SimTime::from_nanos(h.at),
-                (h.ord, h.prog),
-                ShardEvent { node: h.node, slot },
-            );
+            let event = ShardEvent { node: h.node, slot };
+            self.schedule
+                .push_keyed(SimTime::from_nanos(h.at), (h.ord, h.prog), event);
         }
-        loop {
+        while !out.stopped() {
             // Merge the injection stream against the scheduler head by
-            // full key — injections carry progress 0, scheduled events
-            // progress ≥ 1, so keys never collide.
-            let inj = self
-                .injections
-                .get(self.next_inj)
-                .map(|i| (i.packet.created_at.as_nanos(), i.ord, 0u32));
+            // full key — injections carry progress 0, scheduled events of
+            // the same packet progress ≥ 1, so keys never collide.
+            let inj = ingest
+                .as_deref_mut()
+                .and_then(|i| Some((i.peek()?, i.next_ord, 0u32)));
             let sch = self
                 .schedule
                 .peek_key()
                 .map(|(at, (o, p))| (at.as_nanos(), o, p));
-            let (key, from_inj) = match (inj, sch) {
-                (Some(i), Some(s)) => {
-                    if i <= s {
-                        (i, true)
-                    } else {
-                        (s, false)
-                    }
-                }
-                (Some(i), None) => (i, true),
-                (None, Some(s)) => (s, false),
+            let (at, from_inj) = match (inj, sch) {
+                (Some(i), Some(s)) if i <= s => (i.0, true),
+                (Some(i), None) => (i.0, true),
+                (_, Some(s)) => (s.0, false),
                 (None, None) => break,
             };
-            if horizon.is_some_and(|h| key.0 >= h) {
+            if horizon.is_some_and(|h| at >= h) {
                 break;
             }
             if from_inj {
-                let i = self.injections[self.next_inj];
-                self.next_inj += 1;
-                let at = i.packet.created_at;
-                let slot = self.slab.insert(i.packet, i.node, at);
-                self.unit(at, i.ord, 0, true, i.node, slot);
+                let (node, packet, ord) = ingest.as_deref_mut().expect("peeked").pull();
+                let at = packet.created_at;
+                let slot = self.slab.insert(packet, node, at);
+                self.unit(out, at, ord, 0, node, slot);
             } else {
                 let (at, (ord, prog), ev) = self.schedule.pop_keyed().expect("peeked non-empty");
-                self.unit(at, ord, prog, false, ev.node as usize, ev.slot);
+                self.unit(out, at, ord, prog, ev.node as usize, ev.slot);
             }
         }
     }
 
-    /// Log one deferred hop event for the live packet in `slot`.
-    #[inline]
-    fn log(&mut self, kind: HopKind, node: usize, at: SimTime, slot: SlotId) {
+    /// Hand `out` one hop event for the live packet in `slot`.
+    fn hop(&self, out: &mut impl UnitOut, kind: HopKind, node: usize, at: SimTime, slot: SlotId) {
         let st = self.slab.get(slot);
-        self.events.push(LoggedEvent {
+        out.hop(&HopEvent {
             kind,
-            node: node as u32,
-            at: at.as_nanos(),
-            packet: st.packet,
-            hops_len: st.hops().len() as u32,
+            node,
+            at,
+            packet: &st.packet,
+            injected_node: st.injected_node,
+            injected_at: st.injected_at,
+            hops: st.hops(),
         });
     }
 
-    /// Seal the unit's hop record into the arena (called once per unit,
-    /// after its last event is logged and before any release).
-    #[inline]
-    fn seal(&mut self, slot: SlotId) {
-        let st = self.slab.get(slot);
-        self.arena.extend_from_slice(st.hops());
-    }
-
-    /// One engine unit: the exact `SlabEngine::arrive` cascade, with hop
-    /// events logged instead of emitted and cross-shard forwards turned
-    /// into handoffs. Counter updates (drops/delivered/events/injected)
-    /// happen at *emission* on the coordinator, derived from the log, so
-    /// truncation by a [`StopFlag`] is unit-exact for every shard count.
+    /// One engine unit: the exact `SlabEngine::arrive` cascade, keyed,
+    /// with everything observable written to `out` and cross-shard forwards
+    /// turned into handoffs.
     fn unit(
         &mut self,
+        out: &mut impl UnitOut,
         at: SimTime,
         ord: u64,
         prog: u32,
-        injected: bool,
         node: usize,
         slot: SlotId,
     ) {
         if let Some(fs) = self.faults.as_mut() {
             fs.advance(at, &mut self.network);
         }
-        let ev_start = self.events.len() as u32;
-        let hop_start = self.arena.len() as u32;
-        let (injected_node, injected_at) = {
-            let st = self.slab.get(slot);
-            (st.injected_node as u32, st.injected_at.as_nanos())
-        };
-        let mut fault_drop = false;
-        let mut delivery = None;
-        self.log(HopKind::Arrive, node, at, slot);
+        out.begin(at, ord, prog);
+        self.hop(out, HopKind::Arrive, node, at, slot);
+        // Whether the packet leaves this shard's slab with this unit.
+        let mut done = true;
         if self.faults.as_ref().is_some_and(|f| f.lossy(node)) {
-            fault_drop = true;
-            self.log(HopKind::RouteDrop, node, at, slot);
-            self.seal(slot);
-            self.slab.release(slot);
+            out.fault_drop();
+            self.hop(out, HopKind::RouteDrop, node, at, slot);
         } else {
             let mut decision = self.forwarder.route(node, &self.slab.get(slot).packet);
-            let mut blackholed = false;
             if let (RouteDecision::Forward(chosen), Some(fs)) = (decision, self.faults.as_ref()) {
                 if fs.is_dead(node, chosen) {
+                    let packet = &self.slab.get(slot).packet;
                     let dead = fs.dead_ports(node);
-                    decision = match self.forwarder.reroute(
-                        node,
-                        &self.slab.get(slot).packet,
-                        chosen,
-                        &dead,
-                    ) {
+                    decision = match self.forwarder.reroute(node, packet, chosen, &dead) {
                         RouteDecision::Forward(alt) if !fs.is_dead(node, alt) => {
                             RouteDecision::Forward(alt)
                         }
                         RouteDecision::Deliver => RouteDecision::Deliver,
                         _ => {
-                            blackholed = true;
+                            out.fault_drop();
                             RouteDecision::Drop
                         }
                     };
                 }
             }
-            if blackholed {
-                fault_drop = true;
-            }
             match decision {
-                RouteDecision::Drop => {
-                    self.log(HopKind::RouteDrop, node, at, slot);
-                    self.seal(slot);
-                    self.slab.release(slot);
-                }
-                RouteDecision::Deliver => delivery = Some(self.deliver(at, node, slot)),
+                RouteDecision::Drop => self.hop(out, HopKind::RouteDrop, node, at, slot),
+                RouteDecision::Deliver => self.hop(out, HopKind::Deliver, node, at, slot),
                 RouteDecision::Forward(port_id) => {
                     self.forwarder
                         .on_forward(node, port_id, self.slab.packet_mut(slot));
-                    let verdict = {
-                        let port = &mut self.network.nodes[node].ports[port_id];
-                        port.queue.offer(at, &self.slab.get(slot).packet)
-                    };
-                    match verdict {
+                    let port = &mut self.network.nodes[node].ports[port_id];
+                    let (link_to, link_delay) = (port.link_to, port.link_delay);
+                    match port.queue.offer(at, &self.slab.get(slot).packet) {
                         Verdict::Dropped => {
-                            self.log(HopKind::QueueDrop { port: port_id }, node, at, slot);
-                            self.seal(slot);
-                            self.slab.release(slot);
+                            self.hop(out, HopKind::QueueDrop { port: port_id }, node, at, slot);
                         }
                         Verdict::Departs(departed) => {
-                            self.log(HopKind::Enqueue { port: port_id }, node, at, slot);
-                            self.slab.push_hop(
-                                slot,
-                                Hop {
-                                    node,
-                                    port: port_id,
-                                    arrived: at,
-                                    departed,
-                                },
-                            );
-                            self.log(
-                                HopKind::Dequeue {
-                                    port: port_id,
-                                    arrived: at,
-                                },
+                            self.hop(out, HopKind::Enqueue { port: port_id }, node, at, slot);
+                            let hop = Hop {
                                 node,
+                                port: port_id,
+                                arrived: at,
                                 departed,
-                                slot,
-                            );
-                            let port = &self.network.nodes[node].ports[port_id];
-                            let (link_to, link_delay) = (port.link_to, port.link_delay);
+                            };
+                            self.slab.push_hop(slot, hop);
+                            let dequeue = HopKind::Dequeue {
+                                port: port_id,
+                                arrived: at,
+                            };
+                            self.hop(out, dequeue, node, departed, slot);
+                            let arrives = departed + link_delay;
                             match link_to {
                                 Some(next) if self.shard_of[next] == self.shard => {
-                                    self.schedule.push_keyed(
-                                        departed + link_delay,
-                                        (ord, prog + 1),
-                                        ShardEvent {
-                                            node: next as u32,
-                                            slot,
-                                        },
-                                    );
-                                    self.seal(slot);
+                                    let event = ShardEvent {
+                                        node: next as u32,
+                                        slot,
+                                    };
+                                    self.schedule.push_keyed(arrives, (ord, prog + 1), event);
+                                    done = false;
                                 }
                                 Some(next) => {
                                     // Crossing the shard boundary: copy the
                                     // flight state out and recycle the slot
                                     // here; the destination re-seeds it.
-                                    self.seal(slot);
                                     let st = self.slab.get(slot);
                                     self.outbox.push(Handoff {
-                                        at: (departed + link_delay).as_nanos(),
+                                        at: arrives.as_nanos(),
                                         ord,
                                         prog: prog + 1,
                                         node: next as u32,
@@ -530,262 +657,107 @@ impl<F: Forwarder> ShardWorker<'_, F> {
                                         injected_at: st.injected_at.as_nanos(),
                                         hops: st.hops().to_vec(),
                                     });
-                                    self.slab.release(slot);
                                 }
-                                None => {
-                                    delivery =
-                                        Some(self.deliver(departed + link_delay, node, slot));
-                                }
+                                None => self.hop(out, HopKind::Deliver, node, arrives, slot),
                             }
                         }
                     }
                 }
             }
         }
-        self.units.push(Unit {
-            at: at.as_nanos(),
-            ord,
-            prog,
-            injected,
-            fault_drop,
-            injected_node,
-            injected_at,
-            ev_start,
-            ev_end: self.events.len() as u32,
-            hop_start,
-            hop_end: self.arena.len() as u32,
-            delivery,
-        });
-    }
-
-    /// Log the `Deliver` event, seal and recycle; the delivery callback
-    /// itself runs on the coordinator at emission.
-    fn deliver(&mut self, delivered_at: SimTime, node: usize, slot: SlotId) -> DeliveryRec {
-        self.log(HopKind::Deliver, node, delivered_at, slot);
-        self.seal(slot);
-        let st = self.slab.get(slot);
-        let rec = DeliveryRec {
-            packet: st.packet,
-            node: node as u32,
-            at: delivered_at.as_nanos(),
-        };
-        self.slab.release(slot);
-        rec
+        out.end(self.slab.get(slot));
+        if done {
+            self.slab.release(slot);
+        }
     }
 }
 
-/// Coordinator emission state: the fused stats are counted *here*, from
-/// the merged stream, so every stream-observable field is shard-count
-/// invariant even under mid-run truncation.
-struct EmitState {
-    stats: NetworkRunStats,
-    watermark: Option<u64>,
-    windows: u64,
-    stalls: u64,
-    /// Next undelivered fault-script index for the *coordinator's* sink
-    /// notifications. Each shard advances its own replicated `FaultState`
-    /// for network effects; sink delivery happens once, here, from the
-    /// merged stream — at the same point in the observable order as the
-    /// sequential engine's in-line delivery.
-    fault_next: usize,
+/// A worker thread's shard and the log its windows fill.
+type Logged<'a, F> = Mutex<(ShardWorker<'a, F>, WindowLog)>;
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("a shard worker panicked")
 }
 
-/// The windowed coordinator: compute the global safe horizon, run every
-/// shard to it (`run_all` is the inline or threaded executor), k-way
-/// merge the per-shard unit logs in `(time, ordinal, progress)` order,
-/// emit, and route the produced handoffs for the next window.
-#[allow(clippy::too_many_arguments)]
-fn drive_windows<F, S, D>(
-    workers: &[Mutex<ShardWorker<'_, F>>],
+/// The N-shard coordinator: compute the global safe horizon, stamp and
+/// post the injections that fall before it, run every shard to it
+/// (`run_all` steps the worker threads through one barrier pair), replay
+/// the per-shard window logs merged in `(time, ordinal, progress)` order
+/// into `out`, and route the produced handoffs for the next window.
+/// Returns `(windows, stalls)`.
+fn drive_windows<F: Forwarder, I: InjectionSource>(
+    workers: &[Logged<'_, F>],
     shard_of: &[usize],
     lookahead: Option<u64>,
-    stop: Option<&StopFlag>,
-    faults: Option<&FaultScript>,
-    sink: &mut S,
-    on_delivery: &mut D,
-    st: &mut EmitState,
+    ingest: &mut Ingest<I>,
+    out: &mut impl UnitOut,
     run_all: &mut dyn FnMut(Option<u64>),
-) where
-    F: Forwarder,
-    S: HopSink,
-    D: FnMut(&StreamedDelivery<'_>),
-{
-    'run: loop {
-        if stop.is_some_and(StopFlag::is_set) {
+) -> (u64, u64) {
+    let (mut windows, mut stalls) = (0u64, 0u64);
+    let mut cursors = vec![0usize; workers.len()];
+    let mut routed: Vec<Handoff> = Vec::new();
+    // Held whenever the workers are parked at the start barrier.
+    let mut guards: Vec<_> = workers.iter().map(lock).collect();
+    'run: while !out.stopped() {
+        let pending = guards.iter_mut().filter_map(|g| g.0.next_time());
+        let Some(t0) = pending.chain(ingest.peek()).min() else {
             break;
+        };
+        // The horizon is *exclusive* and at least one tick wide (a zero
+        // lookahead collapsed to one shard), so the t0 unit is always
+        // processed: every window makes progress.
+        let horizon = lookahead.map(|l| t0.saturating_add(l));
+        windows += 1;
+        while ingest.peek().is_some_and(|t| horizon.is_none_or(|h| t < h)) {
+            let (node, packet, ord) = ingest.pull();
+            let at = packet.created_at.as_nanos();
+            guards[shard_of[node]].0.post(Handoff {
+                at,
+                ord,
+                prog: 0,
+                node: node as u32,
+                packet,
+                injected_node: node as u32,
+                injected_at: at,
+                hops: Vec::new(),
+            });
         }
-        let mut t_min: Option<u64> = None;
-        for w in workers {
-            if let Some(t) = w.lock().expect("worker poisoned").next_time() {
-                t_min = Some(t_min.map_or(t, |x| x.min(t)));
-            }
-        }
-        let Some(t0) = t_min else { break };
-        // The horizon is *exclusive* and at least one tick wide, so the
-        // t0 unit is always processed: every window makes progress.
-        let horizon = lookahead.map(|l| t0.saturating_add(l.max(1)));
-        st.windows += 1;
+        drop(guards);
         run_all(horizon);
+        guards = workers.iter().map(lock).collect();
 
-        let mut guards: Vec<_> = workers
-            .iter()
-            .map(|w| w.lock().expect("worker poisoned"))
-            .collect();
-        if guards.len() > 1 {
-            st.stalls += guards.iter().filter(|g| g.units.is_empty()).count() as u64;
-        }
-        let mut cursors = vec![0usize; guards.len()];
+        stalls += guards.iter().filter(|g| g.1.units.is_empty()).count() as u64;
+        cursors.fill(0);
         loop {
-            let mut best: Option<((u64, u64, u32), usize)> = None;
-            for (i, g) in guards.iter().enumerate() {
-                if let Some(u) = g.units.get(cursors[i]) {
-                    let k = u.key();
-                    if best.is_none_or(|(bk, _)| k < bk) {
-                        best = Some((k, i));
-                    }
-                }
-            }
-            let Some((_, i)) = best else { break };
-            if stop.is_some_and(StopFlag::is_set) {
+            let heads = guards.iter().zip(&cursors).enumerate();
+            let next = heads.filter_map(|(i, (g, &c))| Some((g.1.units.get(c)?.key, i)));
+            let Some((_, i)) = next.min() else { break };
+            if out.stopped() {
                 break 'run;
             }
-            let g = &guards[i];
-            let u = g.units[cursors[i]];
+            guards[i].1.replay(cursors[i], out);
             cursors[i] += 1;
-            // Deliver scripted fault transitions that became due, exactly
-            // where the sequential engine does: before the watermark/hop
-            // callbacks of the first unit whose processing time reached
-            // them. The merged stream *is* the sequential processing
-            // order, so the sink observes the same interleaving.
-            if let Some(script) = faults {
-                let evs = script.events();
-                while let Some(ev) = evs.get(st.fault_next) {
-                    if ev.at.as_nanos() > u.at {
-                        break;
-                    }
-                    st.fault_next += 1;
-                    sink.on_fault(ev);
-                }
-            }
-            if st.watermark.is_none_or(|w| u.at > w) {
-                sink.on_watermark(SimTime::from_nanos(u.at));
-                st.watermark = Some(u.at);
-            }
-            st.stats.events += 1;
-            if u.injected {
-                st.stats.injected += 1;
-            }
-            if u.fault_drop {
-                st.stats.fault_drops += 1;
-            }
-            let hops = &g.arena[u.hop_start as usize..u.hop_end as usize];
-            for e in &g.events[u.ev_start as usize..u.ev_end as usize] {
-                match e.kind {
-                    HopKind::QueueDrop { .. } => st.stats.queue_drops[e.node as usize] += 1,
-                    HopKind::RouteDrop => st.stats.route_drops[e.node as usize] += 1,
-                    _ => {}
-                }
-                sink.on_hop(&HopEvent {
-                    kind: e.kind,
-                    node: e.node as usize,
-                    at: SimTime::from_nanos(e.at),
-                    packet: &e.packet,
-                    injected_node: u.injected_node as usize,
-                    injected_at: SimTime::from_nanos(u.injected_at),
-                    hops: &hops[..e.hops_len as usize],
-                });
-            }
-            if let Some(d) = u.delivery {
-                st.stats.delivered += 1;
-                on_delivery(&StreamedDelivery {
-                    packet: &d.packet,
-                    injected_node: u.injected_node as usize,
-                    injected_at: SimTime::from_nanos(u.injected_at),
-                    delivered_node: d.node as usize,
-                    delivered_at: SimTime::from_nanos(d.at),
-                    hops,
-                });
-            }
         }
         // Route this window's handoffs; their arrival times are ≥ the
         // horizon (lookahead bound), so they belong to later windows.
-        let mut routed = Vec::new();
         for g in guards.iter_mut() {
-            routed.append(&mut g.outbox);
+            routed.append(&mut g.0.outbox);
         }
-        for h in routed {
+        for h in routed.drain(..) {
             debug_assert!(
                 horizon.is_none_or(|hz| h.at >= hz),
                 "handoff inside its own window breaks the lookahead bound"
             );
-            guards[shard_of[h.node as usize]].inbox.push(h);
+            guards[shard_of[h.node as usize]].0.post(h);
         }
     }
+    (windows, stalls)
 }
 
-/// [`run_network_sharded`] over a pull-based
-/// [`InjectionSource`](crate::source::InjectionSource).
-///
-/// **The sharded engine materializes the source.** Its determinism
-/// contract tags every injection with a globally unique ordinal (its
-/// index in the time-sorted injection order) so that N shards draining
-/// their own queues reproduce the one-shard drain exactly; assigning
-/// those ordinals — and pre-partitioning each injection to the shard
-/// that owns its entry node — requires seeing the whole stream before
-/// the first window runs. So this entry drains the source into a `Vec`
-/// and delegates: O(run) ingest memory, unlike the sequential
-/// [`run_network_streamed_source`](crate::network::run_network_streamed_source)
-/// path, which stays O(source buffer). Use the sequential entry when
-/// ingest memory matters more than shard parallelism; when both matter,
-/// split the capture externally and hand each shard-sized piece to its
-/// own run. The observable stream is byte-identical to handing the same
-/// injections to [`run_network_sharded`] directly, for any shard count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_sharded_source<F: Forwarder + Sync>(
-    network: Network,
-    forwarder: &F,
-    mut source: impl crate::source::InjectionSource,
-    sink: &mut impl HopSink,
-    opts: RunOptions<'_>,
-    plan: &ShardPlan,
-    shards: usize,
-    on_delivery: impl FnMut(&StreamedDelivery<'_>),
-) -> ShardRunStats {
-    let mut injections = Vec::new();
-    while source.peek().is_some() {
-        injections.push(source.next_injection().expect("source peeked non-empty"));
-    }
-    run_network_sharded(
-        network,
-        forwarder,
-        injections,
-        sink,
-        opts,
-        plan,
-        shards,
-        on_delivery,
-    )
-}
-
-/// Run the network sharded by `plan`, byte-identical to the same call
-/// with `shards == 1` — see the module docs for the determinism argument
-/// and [`NetworkRunStats`] for which fused fields are shard-count
-/// invariant.
-///
-/// Ingest is materialized: the whole injection stream is collected,
-/// stably time-sorted and pre-partitioned per shard before the first
-/// window runs (the per-injection global ordinal the determinism
-/// argument rests on is an index into that sorted order). Streamed
-/// sources go through [`run_network_sharded_source`], which documents
-/// the memory consequence.
-///
-/// The effective shard count is `shards` capped by the plan's group
-/// count; if any inter-group link has zero latency the partition admits
-/// no conservative lookahead and the run collapses to one shard (one
-/// unbounded window). With one effective shard everything runs inline on
-/// the calling thread; otherwise persistent worker threads process
-/// windows between barriers while the caller's thread merges and emits —
-/// `sink`, `on_delivery` and `stop` never leave the calling thread.
+/// Run the network sharded by `plan` over an iterator of injections:
+/// [`run_network_sharded_source`] behind a [`SortedVecSource`] (stable
+/// sort by injection time, same-time injections keep their list order),
+/// as the sequential engine's iterator entries wrap its source core.
 #[allow(clippy::too_many_arguments)]
 pub fn run_network_sharded<F: Forwarder + Sync>(
     network: Network,
@@ -795,80 +767,102 @@ pub fn run_network_sharded<F: Forwarder + Sync>(
     opts: RunOptions<'_>,
     plan: &ShardPlan,
     shards: usize,
+    on_delivery: impl FnMut(&StreamedDelivery<'_>),
+) -> ShardRunStats {
+    let source = SortedVecSource::new(injections);
+    run_network_sharded_source(
+        network,
+        forwarder,
+        source,
+        sink,
+        opts,
+        plan,
+        shards,
+        on_delivery,
+    )
+}
+
+/// Run the network sharded by `plan`, pulling injections from `source` as
+/// the run reaches them — byte-identical to the same call with
+/// `shards == 1`; see the module docs for the determinism argument and
+/// [`NetworkRunStats`] for which fused fields are shard-count invariant.
+///
+/// Ordinals are a pull counter, so nothing is materialized: with one
+/// effective shard an injection is pulled when it is due and its events
+/// reach `sink` as they happen; with several, each window first pulls the
+/// injections earlier than its horizon. A raised [`StopFlag`] leaves the
+/// rest of the source unpulled (pass it by `&mut` to keep it). The source
+/// contract — known entry node, non-decreasing time — is asserted per pull.
+///
+/// The effective shard count is `shards` capped by the plan's group
+/// count; if any inter-group link has zero latency the partition admits
+/// no conservative lookahead and the run collapses to one shard (one
+/// unbounded window). With one effective shard everything runs inline on
+/// the calling thread; otherwise persistent worker threads process
+/// windows between barriers while the caller's thread pulls, merges and
+/// emits — `source`, `sink`, `on_delivery` and `stop` never leave it.
+/// After a truncation the returned `network`'s queue counters cover what
+/// the shards had processed: up to the stop at one shard, to the end of
+/// the stopped window at several.
+#[allow(clippy::too_many_arguments)]
+pub fn run_network_sharded_source<F: Forwarder + Sync>(
+    network: Network,
+    forwarder: &F,
+    source: impl InjectionSource,
+    sink: &mut impl HopSink,
+    opts: RunOptions<'_>,
+    plan: &ShardPlan,
+    shards: usize,
     mut on_delivery: impl FnMut(&StreamedDelivery<'_>),
 ) -> ShardRunStats {
     let n = network.nodes.len();
-    assert_eq!(
-        plan.groups().len(),
-        n,
-        "shard plan covers {} nodes, network has {n}",
-        plan.groups().len()
-    );
-    let mut groups = plan.groups().to_vec();
+    let groups = plan.groups();
+    assert_eq!(groups.len(), n, "shard plan and network differ in size");
     // Lookahead: minimum latency of any inter-group link. Zero admits no
-    // conservative window — collapse to one group; absent (no inter-group
+    // conservative window — collapse to one shard; absent (no inter-group
     // edges) the window is unbounded.
     let mut lookahead: Option<u64> = None;
     for (id, node) in network.nodes.iter().enumerate() {
         for p in &node.ports {
-            if let Some(next) = p.link_to {
-                if groups[id] != groups[next] {
-                    let d = p.link_delay.as_nanos();
-                    lookahead = Some(lookahead.map_or(d, |l| l.min(d)));
-                }
+            if p.link_to.is_some_and(|next| groups[id] != groups[next]) {
+                let d = p.link_delay.as_nanos();
+                lookahead = Some(lookahead.map_or(d, |l| l.min(d)));
             }
         }
     }
-    if lookahead == Some(0) {
-        groups = vec![0; n];
-        lookahead = None;
-    }
     let n_groups = groups.iter().max().map_or(1, |&m| m + 1);
-    let s = shards.max(1).min(n_groups);
-    let group_shard: Vec<usize> = (0..n_groups).map(|g| g % s).collect();
-    let shard_of: Vec<usize> = groups.iter().map(|&g| group_shard[g]).collect();
+    let (s, lookahead) = match lookahead {
+        Some(0) => (1, None),
+        l => (shards.max(1).min(n_groups), l),
+    };
+    let shard_of: Vec<usize> = groups.iter().map(|&g| g % s).collect();
 
-    let mut inj: Vec<(NodeId, Packet)> = injections.into_iter().collect();
-    for (node, _) in &inj {
-        assert!(*node < n, "injection at unknown node {node}");
-    }
-    // The same stable time sort the sequential entry performs; the index
-    // in this order is the packet's globally unique ordinal.
-    inj.sort_by_key(|(_, p)| p.created_at);
-    let mut per_shard: Vec<Vec<Injection>> = (0..s).map(|_| Vec::new()).collect();
-    for (ord, &(node, packet)) in inj.iter().enumerate() {
-        per_shard[shard_of[node]].push(Injection {
-            node,
-            packet,
-            ord: ord as u64,
-        });
-    }
-
-    let workers: Vec<Mutex<ShardWorker<'_, F>>> = per_shard
-        .into_iter()
-        .enumerate()
-        .map(|(i, injections)| {
-            let schedule = ShardSched::for_shard(opts.scheduler, &injections);
-            Mutex::new(ShardWorker {
-                shard: i,
-                network: network.clone(),
-                forwarder,
-                shard_of: &shard_of,
-                slab: PacketSlab::new(),
-                schedule,
-                injections,
-                next_inj: 0,
-                faults: opts.faults.map(FaultState::new),
-                inbox: Vec::new(),
-                outbox: Vec::new(),
-                units: Vec::new(),
-                events: Vec::new(),
-                arena: Vec::new(),
-            })
-        })
-        .collect();
-
-    let mut st = EmitState {
+    let span = source.span_hint().unwrap_or(0);
+    let per_shard = source.len_hint().unwrap_or(0) / s;
+    let worker = |shard: usize, network: Network| ShardWorker {
+        shard,
+        network,
+        forwarder,
+        shard_of: &shard_of,
+        slab: PacketSlab::new(),
+        schedule: ShardSched::new(opts.scheduler, span, per_shard),
+        faults: opts.faults.map(FaultState::new),
+        inbox: Vec::new(),
+        inbox_min: None,
+        outbox: Vec::new(),
+    };
+    let mut ingest = Ingest {
+        source,
+        next_ord: 0,
+        last_at: SimTime::ZERO,
+        n_nodes: n,
+    };
+    let mut out = Emitter {
+        sink,
+        on_delivery: &mut on_delivery,
+        stop: opts.stop,
+        script: opts.faults.map_or(&[][..], FaultScript::events),
+        watermark: None,
         stats: NetworkRunStats {
             delivered: 0,
             queue_drops: vec![0; n],
@@ -880,33 +874,40 @@ pub fn run_network_sharded<F: Forwarder + Sync>(
             fault_drops: 0,
             network: Network::default(),
         },
-        watermark: None,
-        windows: 0,
-        stalls: 0,
-        fault_next: 0,
     };
 
-    if s == 1 {
-        drive_windows(
-            &workers,
-            &shard_of,
-            lookahead,
-            opts.stop,
-            opts.faults,
-            sink,
-            &mut on_delivery,
-            &mut st,
-            &mut |h| workers[0].lock().expect("worker poisoned").run_window(h),
-        );
+    let (mut windows, mut shard_stalls) = (0u64, 0u64);
+    let mut ran: Vec<ShardWorker<'_, F>> = if s == 1 {
+        let mut w = worker(0, network);
+        while !out.stopped() {
+            let Some(t0) = w.next_time().into_iter().chain(ingest.peek()).min() else {
+                break;
+            };
+            windows += 1;
+            let horizon = lookahead.map(|l| t0.saturating_add(l));
+            w.run_window(&mut out, horizon, Some(&mut ingest));
+        }
+        vec![w]
     } else {
+        let workers: Vec<Logged<'_, F>> = (0..s)
+            .map(|i| Mutex::new((worker(i, network.clone()), WindowLog::default())))
+            .collect();
         // Horizon mailbox: a finite horizon is its own value; UNBOUNDED
         // encodes `None`; SHUTDOWN ends the worker loops.
         const UNBOUNDED: u64 = u64::MAX - 1;
         const SHUTDOWN: u64 = u64::MAX;
-        let start = Barrier::new(s + 1);
-        let done = Barrier::new(s + 1);
+        let (start, done) = (Barrier::new(s + 1), Barrier::new(s + 1));
         let horizon = AtomicU64::new(0);
-        std::thread::scope(|scope| {
+        /// Releases the parked workers when the coordinator is done — or
+        /// unwinds: a sink or source that panics must not hang the run.
+        struct Shutdown<'a>(&'a AtomicU64, &'a Barrier);
+        impl Drop for Shutdown<'_> {
+            fn drop(&mut self) {
+                self.0.store(SHUTDOWN, Ordering::Release);
+                self.1.wait();
+            }
+        }
+        (windows, shard_stalls) = std::thread::scope(|scope| {
             for w in &workers {
                 scope.spawn(|| loop {
                     start.wait();
@@ -914,57 +915,55 @@ pub fn run_network_sharded<F: Forwarder + Sync>(
                     if h == SHUTDOWN {
                         break;
                     }
-                    w.lock()
-                        .expect("worker poisoned")
-                        .run_window((h != UNBOUNDED).then_some(h));
+                    {
+                        let (worker, log) = &mut *lock(w);
+                        log.clear();
+                        // The coordinator posted this window's injections.
+                        let no_ingest = None::<&mut Ingest<SortedVecSource>>;
+                        worker.run_window(log, (h != UNBOUNDED).then_some(h), no_ingest);
+                    }
                     done.wait();
                 });
             }
+            let _shutdown = Shutdown(&horizon, &start);
+            let mut run_all = |h: Option<u64>| {
+                horizon.store(h.unwrap_or(UNBOUNDED), Ordering::Release);
+                start.wait();
+                done.wait();
+            };
             drive_windows(
                 &workers,
                 &shard_of,
                 lookahead,
-                opts.stop,
-                opts.faults,
-                sink,
-                &mut on_delivery,
-                &mut st,
-                &mut |h| {
-                    horizon.store(h.unwrap_or(UNBOUNDED), Ordering::Release);
-                    start.wait();
-                    done.wait();
-                },
-            );
-            horizon.store(SHUTDOWN, Ordering::Release);
-            start.wait();
+                &mut ingest,
+                &mut out,
+                &mut run_all,
+            )
         });
-    }
+        let unwrap = |m: Mutex<_>| m.into_inner().expect("a shard worker panicked");
+        workers.into_iter().map(|m| unwrap(m).0).collect()
+    };
 
-    let mut workers: Vec<ShardWorker<'_, F>> = workers
-        .into_iter()
-        .map(|m| m.into_inner().expect("worker poisoned"))
-        .collect();
-    // Fused final network: each switch's queue state from the shard that
-    // owned (and therefore exclusively mutated) it.
-    let mut fused = std::mem::take(&mut workers[0].network);
-    for (node, &sh) in shard_of.iter().enumerate() {
-        if sh != 0 {
-            fused.nodes[node] = workers[sh].network.nodes[node].clone();
-        }
-    }
-    st.stats.network = fused;
-
-    ShardRunStats {
-        stats: st.stats,
+    let mut run = ShardRunStats {
+        stats: out.stats,
         shards: s,
-        windows: st.windows,
-        shard_stalls: st.stalls,
+        windows,
+        shard_stalls,
     }
     .merged(
-        workers
-            .iter()
+        ran.iter()
             .map(|w| (w.slab.peak_live(), w.slab.hop_allocations())),
-    )
+    );
+    // Fused final network: each switch's queue state from the shard that
+    // owned (and therefore exclusively mutated) it.
+    let mut fused = std::mem::take(&mut ran[0].network);
+    for (node, &sh) in shard_of.iter().enumerate() {
+        if sh != 0 {
+            fused.nodes[node] = ran[sh].network.nodes[node].clone();
+        }
+    }
+    run.stats.network = fused;
+    run
 }
 
 #[cfg(test)]
@@ -1042,8 +1041,15 @@ mod tests {
     }
 
     fn sharded_digest(shards: usize, injections: &[(NodeId, Packet)]) -> (u64, ShardRunStats) {
+        planned_digest(&ShardPlan::new(vec![0, 1]), shards, injections)
+    }
+
+    fn planned_digest(
+        plan: &ShardPlan,
+        shards: usize,
+        injections: &[(NodeId, Packet)],
+    ) -> (u64, ShardRunStats) {
         let mut sink = Digest::default();
-        let plan = ShardPlan::new(vec![0, 1]);
         let mut deliveries = Vec::new();
         let out = run_network_sharded(
             tandem(),
@@ -1051,7 +1057,7 @@ mod tests {
             injections.iter().copied(),
             &mut sink,
             RunOptions::default(),
-            &plan,
+            plan,
             shards,
             |d| deliveries.push((d.packet.id.0, d.delivered_at.as_nanos())),
         );
@@ -1065,10 +1071,8 @@ mod tests {
 
     #[test]
     fn streamed_source_entry_is_byte_identical_for_any_shard_count() {
-        // The sharded engine materializes the source (ordinal assignment
-        // needs the whole stream); what must NOT change is the observable
-        // output — same digest as the iterator entry, for every shard
-        // count.
+        // The iterator entry is the source entry behind a sorted Vec: same
+        // digest through either, for every shard count.
         let injections: Vec<(NodeId, Packet)> = (0..600)
             .map(|i| (i as usize % 2, pkt(i, (i % 7) * 900)))
             .collect();
@@ -1174,6 +1178,20 @@ mod tests {
         assert_eq!(seq_sink.0, sh_sink.0, "tie-free streams must coincide");
         assert_eq!(seq.delivered, sharded.stats.delivered);
         assert_eq!(seq.events, sharded.stats.events);
+    }
+
+    #[test]
+    fn shard_count_caps_at_inhabited_groups() {
+        // Group ids are labels: `[0, 5]` is two groups, not six.
+        let injections: Vec<(NodeId, Packet)> = (0..40)
+            .map(|i| (0usize, pkt(i, (i * 313) % 7_000)))
+            .collect();
+        let (dense_digest, dense) = sharded_digest(6, &injections);
+        let (digest, sparse) = planned_digest(&ShardPlan::new(vec![0, 5]), 6, &injections);
+        assert_eq!(sparse.shards, 2, "four of six requested shards own no node");
+        assert_eq!(digest, dense_digest);
+        assert_eq!(sparse.windows, dense.windows);
+        assert_eq!(sparse.shard_stalls, dense.shard_stalls);
     }
 
     #[test]

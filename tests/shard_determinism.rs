@@ -9,7 +9,14 @@
 //! closed-loop detector truncates the run via [`StopFlag`]. These tests
 //! drive a k=4 fat-tree partitioned by pod at 1, 2 and 4 shards (plus a
 //! deliberately oversubscribed request) and compare order-sensitive
-//! digests of everything the stream exposes.
+//! digests of everything the stream exposes — down to every field of
+//! every hop record visible at each event, because one shard hands the
+//! sink the live slab slot while several hand it a logged copy.
+//!
+//! The second half pins the ingest contract: ordinals are a pull counter,
+//! so a run pulls its source only as far as it has got (a window's
+//! horizon at most), whatever the shard count, and a misordered source
+//! fails loudly.
 //!
 //! The per-shard capacity counters (`peak_live_slots`, `hop_allocations`)
 //! are *documented* as shard-count-dependent and are excluded — see the
@@ -24,10 +31,12 @@ use rlir_net::packet::Packet;
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
 use rlir_sim::{
-    run_network_sharded, FaultEvent, FaultKind, FaultScript, HopEvent, HopKind, HopSink,
-    QueueConfig, RunOptions, ShardPlan, StopFlag, StreamedDelivery,
+    run_network_sharded, run_network_sharded_source, FaultEvent, FaultKind, FaultScript, Hop,
+    HopEvent, HopKind, HopSink, InjectionSource, QueueConfig, RunOptions, ShardPlan, StopFlag,
+    StreamedDelivery,
 };
 use rlir_topo::FatTree;
+use std::cell::Cell;
 
 const K: usize = 4;
 
@@ -38,25 +47,50 @@ fn mix(h: u64, v: u64) -> u64 {
     x ^ (x >> 27)
 }
 
+/// Fold a hop record field for field.
+fn mix_hops(mut h: u64, hops: &[Hop]) -> u64 {
+    h = mix(h, hops.len() as u64);
+    for hop in hops {
+        for v in [
+            hop.node as u64,
+            hop.port as u64,
+            hop.arrived.as_nanos(),
+            hop.departed.as_nanos(),
+        ] {
+            h = mix(h, v);
+        }
+    }
+    h
+}
+
 /// Order-sensitive digest of the full observable stream: hop events
-/// (kind, node, timestamp, packet id, marks, hop-record length),
+/// (kind, node, timestamp, packet id, marks, the visible hop record),
 /// watermarks, and deliveries.
 #[derive(Default)]
-struct Digest {
+struct Digest<'a> {
     h: u64,
     hops: u64,
     marks: u64,
     deliveries: u64,
+    watermark: u64,
+    /// The run's source pull counter, when the test watches ingest.
+    pulled: Option<&'a Cell<usize>>,
+    /// `(pulls so far, watermark)` at the first `Deliver` event.
+    first_deliver: Option<(usize, u64)>,
 }
 
-impl Digest {
+impl Digest<'_> {
     fn fold(&mut self, v: u64) {
         self.h = mix(self.h, v);
     }
 }
 
-impl HopSink for Digest {
+impl HopSink for Digest<'_> {
     fn on_hop(&mut self, ev: &HopEvent<'_>) {
+        if ev.kind == HopKind::Deliver && self.first_deliver.is_none() {
+            let pulled = self.pulled.map_or(0, Cell::get);
+            self.first_deliver = Some((pulled, self.watermark));
+        }
         self.hops += 1;
         let kind = match ev.kind {
             HopKind::Arrive => 1,
@@ -73,12 +107,34 @@ impl HopSink for Digest {
         self.fold(ev.at.as_nanos());
         self.fold(ev.packet.id.0);
         self.fold(ev.packet.mark as u64);
-        self.fold(ev.hops.len() as u64);
+        self.h = mix_hops(self.h, ev.hops);
     }
 
     fn on_watermark(&mut self, watermark: SimTime) {
         self.marks += 1;
+        self.watermark = watermark.as_nanos();
         self.fold(0xABCD ^ watermark.as_nanos());
+    }
+}
+
+/// A streaming source that is not one of the engine's `Vec` adapters: it
+/// serves a time-ordered slice and counts its pulls where the sink can
+/// read them mid-run. No hints, like a capture of unknown length.
+struct CountingSource<'a> {
+    items: &'a [(usize, Packet)],
+    pulled: &'a Cell<usize>,
+}
+
+impl InjectionSource for CountingSource<'_> {
+    fn peek(&mut self) -> Option<SimTime> {
+        let next = self.items.get(self.pulled.get())?;
+        Some(next.1.created_at)
+    }
+
+    fn next_injection(&mut self) -> Option<(usize, Packet)> {
+        let next = *self.items.get(self.pulled.get())?;
+        self.pulled.set(self.pulled.get() + 1);
+        Some(next)
     }
 }
 
@@ -162,11 +218,119 @@ struct RunOutput {
     fault_drops: u64,
     shards: usize,
     windows: u64,
+    /// Injections pulled by the end of a [`Fabric::streamed`] run.
+    pulled: usize,
+    first_deliver: Option<(usize, u64)>,
 }
 
-/// One sharded run over the k=4 fat-tree; `stop_after` raises the
-/// [`StopFlag`] from inside the delivery callback after that many
-/// deliveries — the closed-loop detector's exact mechanism.
+/// Link latency of [`run_sharded`]'s fabric — with the pod partition, the
+/// lookahead.
+const LINK_NS: u64 = 1_000;
+
+/// The fabric a run goes through and the entry point it is handed to.
+struct Fabric {
+    queue: QueueConfig,
+    link_delay: SimDuration,
+    /// `None`: the fat-tree's pod partition.
+    plan: Option<ShardPlan>,
+    /// Pull from a [`CountingSource`] through the source entry instead of
+    /// handing the list to the iterator entry.
+    streamed: bool,
+}
+
+impl Fabric {
+    fn pods(queue: QueueConfig) -> Self {
+        Fabric {
+            queue,
+            link_delay: SimDuration::from_nanos(LINK_NS),
+            plan: None,
+            streamed: false,
+        }
+    }
+
+    fn streamed(self) -> Self {
+        Fabric {
+            streamed: true,
+            ..self
+        }
+    }
+
+    /// One sharded run over the k=4 fat-tree; `stop_after` raises the
+    /// [`StopFlag`] from inside the delivery callback after that many
+    /// deliveries — the closed-loop detector's exact mechanism.
+    fn run(
+        &self,
+        injections: &[(usize, Packet)],
+        script: Option<&FaultScript>,
+        shards: usize,
+        stop_after: Option<u64>,
+    ) -> RunOutput {
+        let tree = FatTree::new(K, HashAlgo::default());
+        let fabric = FatTreeFabric::new(&tree, true);
+        let network = build_network(&tree, self.queue, self.link_delay, &[]);
+        let plan = match &self.plan {
+            Some(plan) => plan.clone(),
+            None => ShardPlan::new(tree.pod_partition()),
+        };
+        let pulled = Cell::new(0);
+        let mut sink = Digest {
+            pulled: Some(&pulled),
+            ..Digest::default()
+        };
+        let stop = StopFlag::new();
+        let opts = RunOptions {
+            faults: script,
+            stop: Some(&stop),
+            ..RunOptions::default()
+        };
+        let mut dd = 0u64;
+        let mut seen = 0u64;
+        let on_delivery = |d: &StreamedDelivery<'_>| {
+            seen += 1;
+            dd = mix(dd, d.packet.id.0);
+            dd = mix(dd, d.delivered_node as u64);
+            dd = mix(dd, d.delivered_at.as_nanos());
+            dd = mix_hops(dd, d.hops);
+            if stop_after.is_some_and(|n| seen >= n) {
+                stop.request_stop();
+            }
+        };
+        let out = if self.streamed {
+            let source = CountingSource {
+                items: injections,
+                pulled: &pulled,
+            };
+            run_network_sharded_source(
+                network,
+                &fabric,
+                source,
+                &mut sink,
+                opts,
+                &plan,
+                shards,
+                on_delivery,
+            )
+        } else {
+            run_network_sharded(
+                network,
+                &fabric,
+                injections.iter().copied(),
+                &mut sink,
+                opts,
+                &plan,
+                shards,
+                on_delivery,
+            )
+        };
+        sink.deliveries = seen;
+        RunOutput {
+            pulled: pulled.get(),
+            first_deliver: sink.first_deliver,
+            ..RunOutput::of(&sink, dd, &out)
+        }
+    }
+}
+
 fn run_sharded(
     queue: QueueConfig,
     injections: &[(usize, Packet)],
@@ -174,52 +338,28 @@ fn run_sharded(
     shards: usize,
     stop_after: Option<u64>,
 ) -> RunOutput {
-    let tree = FatTree::new(K, HashAlgo::default());
-    let fabric = FatTreeFabric::new(&tree, true);
-    let network = build_network(&tree, queue, SimDuration::from_micros(1), &[]);
-    let plan = ShardPlan::new(tree.pod_partition());
-    let mut sink = Digest::default();
-    let stop = StopFlag::new();
-    let mut dd = 0u64;
-    let mut seen = 0u64;
-    let out = run_network_sharded(
-        network,
-        &fabric,
-        injections.iter().copied(),
-        &mut sink,
-        RunOptions {
-            faults: script,
-            stop: Some(&stop),
-            ..RunOptions::default()
-        },
-        &plan,
-        shards,
-        |d: &StreamedDelivery<'_>| {
-            seen += 1;
-            dd = mix(dd, d.packet.id.0);
-            dd = mix(dd, d.delivered_node as u64);
-            dd = mix(dd, d.delivered_at.as_nanos());
-            dd = mix(dd, d.hops.len() as u64);
-            if stop_after.is_some_and(|n| seen >= n) {
-                stop.request_stop();
-            }
-        },
-    );
-    sink.deliveries = seen;
-    RunOutput {
-        digest: sink.h,
-        hops: sink.hops,
-        marks: sink.marks,
-        deliveries: sink.deliveries,
-        delivery_digest: dd,
-        delivered: out.stats.delivered,
-        events: out.stats.events,
-        injected: out.stats.injected,
-        queue_drops: out.stats.queue_drops.iter().sum(),
-        route_drops: out.stats.route_drops.iter().sum(),
-        fault_drops: out.stats.fault_drops,
-        shards: out.shards,
-        windows: out.windows,
+    Fabric::pods(queue).run(injections, script, shards, stop_after)
+}
+
+impl RunOutput {
+    fn of(sink: &Digest<'_>, dd: u64, out: &rlir_sim::ShardRunStats) -> Self {
+        RunOutput {
+            digest: sink.h,
+            hops: sink.hops,
+            marks: sink.marks,
+            deliveries: sink.deliveries,
+            delivery_digest: dd,
+            delivered: out.stats.delivered,
+            events: out.stats.events,
+            injected: out.stats.injected,
+            queue_drops: out.stats.queue_drops.iter().sum(),
+            route_drops: out.stats.route_drops.iter().sum(),
+            fault_drops: out.stats.fault_drops,
+            shards: out.shards,
+            windows: out.windows,
+            pulled: 0,
+            first_deliver: None,
+        }
     }
 }
 
@@ -324,6 +464,154 @@ proptest! {
             );
             prop_assert_eq!(one.deliveries, stop_after);
         }
+    }
+}
+
+proptest! {
+    /// The two entry points are one engine: a tie-heavy list (every
+    /// injection collides with others in time) handed to the iterator
+    /// entry and pulled through the source entry digests identically, at
+    /// one shard (emitted in place) and at several (logged and replayed).
+    #[test]
+    fn iterator_and_source_entries_agree_on_ties(
+        seed in 0u64..1_000,
+        n in 40u64..160,
+        spacing in prop_oneof![Just(0u64), Just(40u64)],
+        burst in 2u64..12,
+        shards in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
+        raw_faults in proptest::collection::vec(
+            (0u8..6, 0u64..64, 0u64..120_000, 1u64..4_000), 0..6),
+    ) {
+        let tree = FatTree::new(K, HashAlgo::default());
+        let injections = workload(&tree, n, spacing, burst, seed);
+        let script = fault_script(&tree, &raw_faults);
+        let listed = Fabric::pods(shallow()).run(&injections, Some(&script), shards, None);
+        let pulled = Fabric::pods(shallow())
+            .streamed()
+            .run(&injections, Some(&script), shards, None);
+        assert_identical(&listed, &pulled)?;
+        prop_assert_eq!(listed.windows, pulled.windows);
+        prop_assert_eq!(pulled.pulled as u64, n);
+    }
+}
+
+/// A calm stream long enough that the first delivery comes early in it.
+fn long_stream(tree: &FatTree) -> Vec<(usize, Packet)> {
+    workload(tree, 400, 700, 1, 11)
+}
+
+/// Ingest streams at every shard count: when the sink sees its first
+/// delivery, the source has been pulled no further than the horizon of
+/// the window that delivery was processed in.
+#[test]
+fn source_is_pulled_no_further_than_the_window_horizon() {
+    let tree = FatTree::new(K, HashAlgo::default());
+    let injections = long_stream(&tree);
+    let fabric = Fabric::pods(QueueConfig::oc192()).streamed();
+    for shards in [1usize, 2, 4] {
+        let out = fabric.run(&injections, None, shards, None);
+        assert_eq!(out.shards, shards);
+        let (pulled, watermark) = out.first_deliver.expect("the run delivers");
+        // The delivering unit ran at `watermark`, inside a window that
+        // started no later: its horizon is at most one lookahead past it.
+        let within_horizon = injections
+            .iter()
+            .filter(|(_, p)| p.created_at.as_nanos() < watermark + LINK_NS)
+            .count();
+        assert!(
+            pulled <= within_horizon && pulled < injections.len(),
+            "{shards} shard(s): {pulled} of {} pulled at the first delivery, \
+             {within_horizon} lie before the horizon",
+            injections.len()
+        );
+        assert_eq!(out.pulled, injections.len(), "the run drains the source");
+    }
+}
+
+/// A raised [`StopFlag`] stops the pulling too — and the truncated stream,
+/// counters and window count are the same however many shards ran.
+#[test]
+fn stop_flag_leaves_the_source_undrained() {
+    let tree = FatTree::new(K, HashAlgo::default());
+    let injections = long_stream(&tree);
+    let fabric = Fabric::pods(shallow()).streamed();
+    let one = fabric.run(&injections, None, 1, Some(10));
+    assert_eq!(one.deliveries, 10);
+    assert!(one.pulled < injections.len(), "1 shard drained the source");
+    for shards in [2usize, 4] {
+        let many = fabric.run(&injections, None, shards, Some(10));
+        assert_identical(&one, &many).unwrap();
+        assert_eq!(many.windows, one.windows, "shards={shards}");
+        assert!(many.pulled < injections.len(), "shards={shards}");
+    }
+}
+
+/// One unbounded window is no reason to buffer the run: under
+/// [`ShardPlan::single`] and under a zero-latency collapse the first
+/// delivery reaches the sink before the source is exhausted.
+#[test]
+fn one_unbounded_window_still_streams() {
+    let tree = FatTree::new(K, HashAlgo::default());
+    let injections = long_stream(&tree);
+    let single = Fabric {
+        plan: Some(ShardPlan::single(tree.len())),
+        ..Fabric::pods(QueueConfig::oc192()).streamed()
+    };
+    let collapsed = Fabric {
+        link_delay: SimDuration::from_nanos(0),
+        ..Fabric::pods(QueueConfig::oc192()).streamed()
+    };
+    for (name, fabric) in [("single plan", single), ("zero-latency links", collapsed)] {
+        let out = fabric.run(&injections, None, 4, None);
+        assert_eq!((out.shards, out.windows), (1, 1), "{name}");
+        let (pulled, _) = out.first_deliver.expect("the run delivers");
+        assert!(
+            pulled < injections.len(),
+            "{name}: the whole source was pulled before the first delivery"
+        );
+        assert_eq!(out.delivered, injections.len() as u64, "{name}");
+    }
+}
+
+/// Run a source that breaks the contract at its last record and return
+/// the panic message, at one shard (the worker pulls) and two (the
+/// coordinator pulls, with worker threads parked at the barrier).
+fn panic_of(bad: (usize, Packet)) -> Vec<String> {
+    let tree = FatTree::new(K, HashAlgo::default());
+    let mut injections = workload(&tree, 20, 700, 1, 3);
+    injections.push(bad);
+    [1usize, 2]
+        .into_iter()
+        .map(|shards| {
+            let run = std::panic::AssertUnwindSafe(|| {
+                Fabric::pods(QueueConfig::oc192())
+                    .streamed()
+                    .run(&injections, None, shards, None)
+            });
+            let payload = std::panic::catch_unwind(run).err().expect("the run panics");
+            payload
+                .downcast_ref::<String>()
+                .expect("a formatted panic")
+                .clone()
+        })
+        .collect()
+}
+
+#[test]
+fn a_source_going_backwards_fails_loudly() {
+    let tree = FatTree::new(K, HashAlgo::default());
+    let early = workload(&tree, 1, 0, 1, 3)[0];
+    for msg in panic_of(early) {
+        assert!(msg.contains("injection source went backwards"), "{msg}");
+    }
+}
+
+#[test]
+fn a_source_naming_an_unknown_node_fails_loudly() {
+    let tree = FatTree::new(K, HashAlgo::default());
+    let (_, late) = workload(&tree, 30, 700, 1, 3)[29];
+    for msg in panic_of((tree.len(), late)) {
+        assert!(msg.contains("injection at unknown node"), "{msg}");
     }
 }
 
