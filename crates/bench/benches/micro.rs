@@ -430,7 +430,7 @@ fn bench_flow_table(c: &mut Criterion) {
     });
     group.bench_function("siphash_sparse_seed_record_100k", |b| {
         // The seed's layout: SipHash table whose buckets hold the whole
-        // ~300-byte accumulator.
+        // accumulator inline.
         b.iter(|| {
             let mut t: HashMap<FlowKey, FlowAccumulator> = HashMap::new();
             for i in 0..n {

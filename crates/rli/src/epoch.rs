@@ -85,29 +85,27 @@ impl EpochSnapshot {
     }
 }
 
+/// How many epochs one observation may extend a dense series by, in either
+/// direction. A dense series costs a snapshot per epoch it spans, so a
+/// single wild timestamp (a capture record with a flipped high bit still
+/// decodes) must not be able to size it; at millisecond epochs this is
+/// still a minute of silence.
+pub const MAX_EPOCH_GAP: u64 = 1 << 16;
+
 /// Merge several per-instance epoch series into one dense segment-level
 /// series (union of the epoch ranges; gaps filled with empty snapshots).
+///
+/// The union grows the way a receiver's own series does, in the order the
+/// snapshots are given: one that lies more than [`MAX_EPOCH_GAP`] epochs
+/// outside the union so far is left out instead of being bridged.
 pub fn merge_epoch_series(series: &[&[EpochSnapshot]], epoch_ns: u64) -> Vec<EpochSnapshot> {
-    let lo = series
-        .iter()
-        .filter_map(|s| s.first().map(|e| e.epoch))
-        .min();
-    let hi = series
-        .iter()
-        .filter_map(|s| s.last().map(|e| e.epoch))
-        .max();
-    let (Some(lo), Some(hi)) = (lo, hi) else {
-        return Vec::new();
-    };
-    let mut out: Vec<EpochSnapshot> = (lo..=hi)
-        .map(|e| EpochSnapshot::empty(e, epoch_ns))
-        .collect();
-    for s in series {
-        for snap in *s {
-            out[(snap.epoch - lo) as usize].merge(snap);
+    let mut union = EpochTracker::new(epoch_ns);
+    for snap in series.iter().copied().flatten() {
+        if let Some(slot) = union.epoch(snap.epoch) {
+            slot.merge(snap);
         }
     }
-    out
+    union.into_vec()
 }
 
 /// The snapshot of `epoch` in a series sorted by epoch index (dense or
@@ -127,6 +125,18 @@ pub(crate) struct EpochTracker {
     /// Epoch index of `snaps[0]`.
     first: u64,
     snaps: Vec<EpochSnapshot>,
+    /// The epoch hit last: observation times in `lo_ns..hi_ns` belong to
+    /// `snaps[index]`. Consecutive observations mostly share an epoch, so
+    /// they cost two compares instead of a 64-bit division. Empty
+    /// (`lo_ns == hi_ns`) until the first hit.
+    cursor: Cursor,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    lo_ns: u64,
+    hi_ns: u64,
+    index: usize,
 }
 
 impl EpochTracker {
@@ -136,28 +146,66 @@ impl EpochTracker {
             epoch_ns,
             first: 0,
             snaps: Vec::new(),
+            cursor: Cursor::default(),
         }
     }
 
-    /// The snapshot covering observation time `at`, created if absent.
-    pub(crate) fn snap(&mut self, at: SimTime) -> &mut EpochSnapshot {
-        let e = at.as_nanos() / self.epoch_ns;
+    /// The snapshot covering observation time `at`, created if absent —
+    /// or `None` when `at` lies more than [`MAX_EPOCH_GAP`] epochs outside
+    /// the series, which then stays as it is. The series only ever grows,
+    /// so a time that has a snapshot keeps having one.
+    #[inline]
+    pub(crate) fn snap(&mut self, at: SimTime) -> Option<&mut EpochSnapshot> {
+        let t = at.as_nanos();
+        if !(self.cursor.lo_ns <= t && t < self.cursor.hi_ns) {
+            let e = t / self.epoch_ns;
+            let index = self.grow_to(e)?;
+            let lo_ns = e * self.epoch_ns;
+            self.cursor = Cursor {
+                lo_ns,
+                hi_ns: lo_ns.saturating_add(self.epoch_ns),
+                index,
+            };
+        }
+        Some(&mut self.snaps[self.cursor.index])
+    }
+
+    /// The snapshot of epoch `e`, under the same growth rule as
+    /// [`snap`](Self::snap).
+    pub(crate) fn epoch(&mut self, e: u64) -> Option<&mut EpochSnapshot> {
+        let index = self.grow_to(e)?;
+        Some(&mut self.snaps[index])
+    }
+
+    /// Index of epoch `e`'s snapshot, growing the series densely up to it.
+    fn grow_to(&mut self, e: u64) -> Option<usize> {
         let epoch_ns = self.epoch_ns;
         if self.snaps.is_empty() {
             self.first = e;
+            self.snaps.push(EpochSnapshot::empty(e, epoch_ns));
         }
+        let last = self.first + (self.snaps.len() as u64 - 1);
         if e < self.first {
+            let fill = self.first - e;
+            if fill > MAX_EPOCH_GAP {
+                return None;
+            }
             // Observation times only run backwards by a reorder window,
             // so front growth is rare and short.
-            let fill = (e..self.first).map(|i| EpochSnapshot::empty(i, epoch_ns));
-            self.snaps.splice(0..0, fill);
+            self.snaps.splice(
+                0..0,
+                (e..self.first).map(|i| EpochSnapshot::empty(i, epoch_ns)),
+            );
             self.first = e;
+            self.cursor.index += fill as usize;
+        } else if e > last {
+            if e - last > MAX_EPOCH_GAP {
+                return None;
+            }
+            self.snaps
+                .extend((last + 1..=e).map(|i| EpochSnapshot::empty(i, epoch_ns)));
         }
-        while self.first + self.snaps.len() as u64 <= e {
-            let next = self.first + self.snaps.len() as u64;
-            self.snaps.push(EpochSnapshot::empty(next, epoch_ns));
-        }
-        &mut self.snaps[(e - self.first) as usize]
+        Some((e - self.first) as usize)
     }
 
     /// Snapshots accumulated so far, in epoch order.
@@ -177,9 +225,9 @@ mod tests {
     #[test]
     fn tracker_grows_dense_in_both_directions() {
         let mut t = EpochTracker::new(1000);
-        t.snap(SimTime::from_nanos(5_500)).estimated += 1;
-        t.snap(SimTime::from_nanos(7_100)).estimated += 1;
-        t.snap(SimTime::from_nanos(3_000)).estimated += 1; // front growth
+        t.snap(SimTime::from_nanos(5_500)).unwrap().estimated += 1;
+        t.snap(SimTime::from_nanos(7_100)).unwrap().estimated += 1;
+        t.snap(SimTime::from_nanos(3_000)).unwrap().estimated += 1; // front growth
         let v = t.into_vec();
         assert_eq!(v.len(), 5); // epochs 3..=7, dense
         assert_eq!(v[0].epoch, 3);
@@ -190,6 +238,106 @@ mod tests {
             assert_eq!(v[gap].estimated, 0, "gap epochs stay empty");
             assert!(v[gap].is_empty());
         }
+    }
+
+    /// The tracker before it had a cursor or a bound: one division per
+    /// call, dense growth in a loop.
+    fn snap_by_division(
+        first: &mut u64,
+        snaps: &mut Vec<EpochSnapshot>,
+        at: u64,
+        epoch_ns: u64,
+    ) -> usize {
+        let e = at / epoch_ns;
+        if snaps.is_empty() {
+            *first = e;
+        }
+        if e < *first {
+            snaps.splice(0..0, (e..*first).map(|i| EpochSnapshot::empty(i, epoch_ns)));
+            *first = e;
+        }
+        while *first + snaps.len() as u64 <= e {
+            let next = *first + snaps.len() as u64;
+            snaps.push(EpochSnapshot::empty(next, epoch_ns));
+        }
+        (e - *first) as usize
+    }
+
+    #[test]
+    fn cursor_returns_the_snapshot_the_division_path_returns() {
+        // A random walk of observation times: mostly small forward steps
+        // (cursor hits), backward steps up to a window (hits, misses and
+        // front growth early on), the odd sprint over several epochs.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for epoch_ns in [1u64, 7, 1_000, 4_096] {
+            let window = 3 * epoch_ns + 1;
+            let mut t = EpochTracker::new(epoch_ns);
+            let (mut first, mut oracle) = (0u64, Vec::new());
+            let mut at = 50 * epoch_ns;
+            for step in 0..20_000u64 {
+                at = match rand() % 16 {
+                    0..=9 => at + rand() % (epoch_ns / 4 + 1),
+                    10..=13 => at.saturating_sub(rand() % window),
+                    14 => at + rand() % window,
+                    _ => at + rand() % (9 * epoch_ns),
+                };
+                let i = snap_by_division(&mut first, &mut oracle, at, epoch_ns);
+                oracle[i].estimated += step;
+                let snap = t.snap(SimTime::from_nanos(at)).expect("inside the bound");
+                assert_eq!((snap.epoch, snap.start), (oracle[i].epoch, oracle[i].start));
+                snap.estimated += step;
+            }
+            let got = t.into_vec();
+            assert_eq!(got.len(), oracle.len());
+            for (g, w) in got.iter().zip(&oracle) {
+                assert_eq!((g.epoch, g.estimated), (w.epoch, w.estimated));
+            }
+        }
+    }
+
+    #[test]
+    fn a_wild_timestamp_is_refused_not_bridged() {
+        let mut t = EpochTracker::new(5_000_000); // 5 ms
+        t.snap(SimTime::from_nanos(12_000_000)).unwrap().estimated += 1;
+        // `ts_sec = u32::MAX`: about 10^12 epochs ahead.
+        let wild = SimTime::from_nanos(u32::MAX as u64 * 1_000_000_000);
+        assert!(t.snap(wild).is_none());
+        assert!(t.snap(SimTime::from_nanos(u64::MAX)).is_none());
+        // The series is as it was, and still takes what is near it — up to
+        // the bound exactly, in both directions.
+        assert_eq!(t.as_slice().len(), 1);
+        t.snap(SimTime::from_nanos(13_000_000)).unwrap().estimated += 1;
+        assert_eq!(t.as_slice()[0].estimated, 2);
+        let edge = (2 + MAX_EPOCH_GAP) * 5_000_000;
+        assert!(t.snap(SimTime::from_nanos(edge + 5_000_000)).is_none());
+        assert_eq!(
+            t.snap(SimTime::from_nanos(edge)).unwrap().epoch,
+            2 + MAX_EPOCH_GAP
+        );
+        assert_eq!(t.as_slice().len() as u64, MAX_EPOCH_GAP + 1);
+
+        let mut back = EpochTracker::new(10);
+        back.snap(wild).unwrap().estimated += 1;
+        assert!(back.snap(SimTime::from_nanos(12)).is_none());
+        assert_eq!(back.into_vec().len(), 1);
+    }
+
+    #[test]
+    fn series_merge_leaves_a_far_away_snapshot_out() {
+        let near = vec![EpochSnapshot::empty(2, 10), EpochSnapshot::empty(3, 10)];
+        let mut wild = EpochSnapshot::empty(1 << 40, 10);
+        wild.dropped_after_metering = 1;
+        let merged = merge_epoch_series(&[&near, &[wild.clone()]], 10);
+        assert_eq!(merged.len(), 2);
+        // First come, first kept: the order of the series decides.
+        let merged = merge_epoch_series(&[&[wild], &near], 10);
+        assert_eq!((merged.len(), merged[0].epoch), (1, 1 << 40));
     }
 
     #[test]

@@ -15,7 +15,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 
-/// Estimated and true delay statistics for one flow.
+/// Estimated and true delay moments for one flow: the row every table
+/// keeps per flow (96 bytes with its key).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FlowAccumulator {
     /// Interpolated (estimated) per-packet delays.
@@ -23,11 +24,39 @@ pub struct FlowAccumulator {
     /// Ground-truth per-packet delays (absent in a real deployment; present
     /// in simulation for evaluation).
     pub truth: StreamingStats,
-    /// Optional streaming tail-quantile tracker over estimated delays
-    /// (enabled via [`FlowTable::with_quantile`]; O(1) memory per flow).
-    pub est_q: Option<P2Quantile>,
+}
+
+/// One flow's streaming tail-quantile trackers, kept out of line from its
+/// [`FlowAccumulator`] and only by tables built
+/// [`with_quantile`](FlowTable::with_quantile).
+#[derive(Debug, Clone)]
+struct FlowTails {
+    /// Tracker over estimated delays.
+    est: P2Quantile,
     /// Matching tracker over true delays.
-    pub truth_q: Option<P2Quantile>,
+    truth: P2Quantile,
+}
+
+impl FlowTails {
+    fn new(p: f64) -> Self {
+        FlowTails {
+            est: P2Quantile::new(p),
+            truth: P2Quantile::new(p),
+        }
+    }
+
+    /// Trackers standing in for tails that are lost (P² markers cannot be
+    /// merged): they report `None` and ignore what is pushed.
+    fn poisoned(p: f64) -> Self {
+        let mut tails = FlowTails::new(p);
+        tails.poison();
+        tails
+    }
+
+    fn poison(&mut self) {
+        self.est.poison();
+        self.truth.poison();
+    }
 }
 
 /// Per-flow report row.
@@ -60,10 +89,12 @@ pub struct FlowReport {
 /// Aggregates per-packet estimates by flow key.
 ///
 /// Layout is a dense index map: the hash table holds only compact
-/// `key → u32` slots while the (large) accumulators live contiguously in a
-/// `Vec`. Hot-path `record` calls therefore probe small buckets and write
-/// one cache line, instead of probing ~300-byte buckets as the seed's
-/// direct `HashMap<FlowKey, FlowAccumulator>` did.
+/// `key → u32` slots, the 96-byte `(key, moments)` rows live contiguously
+/// in a `Vec`, and a table that tracks a quantile keeps the two 104-byte
+/// P² trackers of each flow in a second `Vec` under the same slot. Hot-path
+/// `record` calls therefore probe small buckets and write two cache lines
+/// of row (plus the trackers where they exist); a table without a quantile
+/// pays no tail bytes at all.
 ///
 /// Generic over the table's hash builder, defaulting to FxHash — the
 /// fastest choice for the simulated hot path. Instantiate as
@@ -72,7 +103,10 @@ pub struct FlowReport {
 #[derive(Debug, Clone, Default)]
 pub struct FlowTable<S: BuildHasher = FxBuildHasher> {
     index: HashMap<FlowKey, u32, S>,
-    accs: Vec<(FlowKey, FlowAccumulator)>,
+    rows: Vec<(FlowKey, FlowAccumulator)>,
+    /// `tails[slot]` belongs to `rows[slot]`; empty unless `quantile_p`
+    /// is set.
+    tails: Vec<FlowTails>,
     estimates: u64,
     quantile_p: Option<f64>,
 }
@@ -106,26 +140,21 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     #[inline]
     pub fn record(&mut self, flow: FlowKey, est_ns: f64, truth_ns: Option<f64>) {
         let slot = *self.index.entry(flow).or_insert_with(|| {
-            let qp = self.quantile_p;
-            self.accs.push((
-                flow,
-                FlowAccumulator {
-                    est_q: qp.map(P2Quantile::new),
-                    truth_q: qp.map(P2Quantile::new),
-                    ..FlowAccumulator::default()
-                },
-            ));
-            (self.accs.len() - 1) as u32
-        });
-        let acc = &mut self.accs[slot as usize].1;
+            self.rows.push((flow, FlowAccumulator::default()));
+            if let Some(p) = self.quantile_p {
+                self.tails.push(FlowTails::new(p));
+            }
+            (self.rows.len() - 1) as u32
+        }) as usize;
+        let acc = &mut self.rows[slot].1;
         acc.est.push(est_ns);
-        if let Some(q) = acc.est_q.as_mut() {
-            q.push(est_ns);
-        }
         if let Some(t) = truth_ns {
             acc.truth.push(t);
-            if let Some(q) = acc.truth_q.as_mut() {
-                q.push(t);
+        }
+        if let Some(tails) = self.tails.get_mut(slot) {
+            tails.est.push(est_ns);
+            if let Some(t) = truth_ns {
+                tails.truth.push(t);
             }
         }
         self.estimates += 1;
@@ -133,7 +162,7 @@ impl<S: BuildHasher + Default> FlowTable<S> {
 
     /// Number of flows with at least one estimate.
     pub fn flow_count(&self) -> usize {
-        self.accs.len()
+        self.rows.len()
     }
 
     /// Total per-packet estimates recorded.
@@ -143,28 +172,39 @@ impl<S: BuildHasher + Default> FlowTable<S> {
 
     /// Access one flow's accumulator.
     pub fn get(&self, flow: &FlowKey) -> Option<&FlowAccumulator> {
-        self.index.get(flow).map(|&i| &self.accs[i as usize].1)
+        self.index.get(flow).map(|&i| &self.rows[i as usize].1)
     }
 
     /// Merge another table into this one (parallel experiment shards).
     ///
     /// Counts, means and variances merge exactly; P² quantile trackers are
     /// *not* mergeable, so when both sides contributed observations to a
-    /// flow its quantile trackers are dropped (use per-shard tables if you
-    /// need sharded quantiles).
+    /// flow its trackers are poisoned and report `None` (use per-shard
+    /// tables if you need sharded quantiles). Tails are only ever kept by
+    /// a table that tracks a quantile itself, and a flow arriving from a
+    /// table that tracks none, or another one, arrives without a tail.
     pub fn merge(&mut self, other: FlowTable<S>) {
-        for (k, v) in other.accs {
+        let same_quantile = other.quantile_p == self.quantile_p;
+        let mut incoming = other.tails.into_iter();
+        for (k, v) in other.rows {
+            let tails = incoming.next().filter(|_| same_quantile);
             match self.index.entry(k) {
                 std::collections::hash_map::Entry::Vacant(e) => {
-                    self.accs.push((k, v));
-                    e.insert((self.accs.len() - 1) as u32);
+                    self.rows.push((k, v));
+                    if let Some(p) = self.quantile_p {
+                        self.tails
+                            .push(tails.unwrap_or_else(|| FlowTails::poisoned(p)));
+                    }
+                    e.insert((self.rows.len() - 1) as u32);
                 }
                 std::collections::hash_map::Entry::Occupied(e) => {
-                    let acc = &mut self.accs[*e.get() as usize].1;
+                    let slot = *e.get() as usize;
+                    let acc = &mut self.rows[slot].1;
                     acc.est.merge(&v.est);
                     acc.truth.merge(&v.truth);
-                    acc.est_q = None;
-                    acc.truth_q = None;
+                    if let Some(tails) = self.tails.get_mut(slot) {
+                        tails.poison();
+                    }
                 }
             }
         }
@@ -175,16 +215,18 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     /// estimates, sorted by flow key for determinism.
     pub fn report(&self, min_packets: u64) -> Vec<FlowReport> {
         let mut rows: Vec<FlowReport> = self
-            .accs
+            .rows
             .iter()
-            .filter(|(_, acc)| acc.est.count() >= min_packets.max(1))
-            .map(|(flow, acc)| {
+            .enumerate()
+            .filter(|(_, (_, acc))| acc.est.count() >= min_packets.max(1))
+            .map(|(slot, (flow, acc))| {
                 let est_mean = acc.est.mean().expect("count >= 1");
                 let true_mean = acc.truth.mean();
                 let est_std = acc.est.std_dev().filter(|_| acc.est.count() >= 2);
                 let true_std = acc.truth.std_dev().filter(|_| acc.truth.count() >= 2);
-                let est_quantile = acc.est_q.as_ref().and_then(|q| q.estimate());
-                let true_quantile = acc.truth_q.as_ref().and_then(|q| q.estimate());
+                let tails = self.tails.get(slot);
+                let est_quantile = tails.and_then(|t| t.est.estimate());
+                let true_quantile = tails.and_then(|t| t.truth.estimate());
                 FlowReport {
                     flow: *flow,
                     packets: acc.est.count(),
@@ -240,7 +282,7 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     /// "we observed the average latencies as 3.0µs and 83µs").
     pub fn average_true_delay_ns(&self) -> Option<f64> {
         let mut all = StreamingStats::new();
-        for (_, acc) in &self.accs {
+        for (_, acc) in &self.rows {
             if let Some(m) = acc.truth.mean() {
                 all.push(m);
             }
@@ -251,7 +293,7 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     /// Packet-weighted mean of all *estimated* delays across every flow
     /// (segment-level aggregate used by the localization reports).
     pub fn aggregate_est_mean(&self) -> Option<f64> {
-        let (sum, count) = self.accs.iter().fold((0.0, 0u64), |(s, c), (_, acc)| {
+        let (sum, count) = self.rows.iter().fold((0.0, 0u64), |(s, c), (_, acc)| {
             (s + acc.est.sum(), c + acc.est.count())
         });
         (count > 0).then(|| sum / count as f64)
@@ -259,20 +301,23 @@ impl<S: BuildHasher + Default> FlowTable<S> {
 
     /// Packet-weighted mean of all *true* delays across every flow.
     pub fn aggregate_true_mean(&self) -> Option<f64> {
-        let (sum, count) = self.accs.iter().fold((0.0, 0u64), |(s, c), (_, acc)| {
+        let (sum, count) = self.rows.iter().fold((0.0, 0u64), |(s, c), (_, acc)| {
             (s + acc.truth.sum(), c + acc.truth.count())
         });
         (count > 0).then(|| sum / count as f64)
     }
 
-    /// Approximate heap footprint of this table in bytes (index capacity +
-    /// accumulator rows). Diagnostic only — feeds the plane's state
-    /// estimate, not allocation decisions.
+    /// Approximate heap footprint of this table in bytes: allocated
+    /// capacity × element size of the rows, the tails and the index.
+    /// Diagnostic only — feeds the plane's state estimate, not allocation
+    /// decisions.
     pub fn approx_bytes(&self) -> usize {
-        let row = std::mem::size_of::<(FlowKey, FlowAccumulator)>();
+        use std::mem::size_of;
         // Hashbrown stores key+value+1 control byte per slot.
-        let slot = std::mem::size_of::<(FlowKey, u32)>() + 1;
-        self.accs.capacity() * row + self.index.capacity() * slot
+        let slot = size_of::<(FlowKey, u32)>() + 1;
+        self.rows.capacity() * size_of::<(FlowKey, FlowAccumulator)>()
+            + self.tails.capacity() * size_of::<FlowTails>()
+            + self.index.capacity() * slot
     }
 }
 
@@ -410,7 +455,7 @@ mod tests {
         let mut a: FlowTable = FlowTable::with_quantile(0.5);
         let mut b: FlowTable = FlowTable::with_quantile(0.5);
         a.record(fk(1), 1.0, None);
-        b.record(fk(1), 2.0, None); // same flow → trackers dropped
+        b.record(fk(1), 2.0, None); // same flow → trackers poisoned
         b.record(fk(2), 3.0, None); // new flow → tracker kept
         a.merge(b);
         let rows = a.report(1);
@@ -419,6 +464,66 @@ mod tests {
         assert!(r1.est_quantile.is_none(), "conflicting tracker must drop");
         assert!(r2.est_quantile.is_some(), "unique tracker survives merge");
         assert_eq!(r1.packets, 2, "counts still merge exactly");
+        // A poisoned tracker stays poisoned under later estimates.
+        a.record(fk(1), 3.0, None);
+        assert!(a.report(1)[0].est_quantile.is_none());
+    }
+
+    #[test]
+    fn merge_keeps_tails_only_between_tables_tracking_the_same_quantile() {
+        let mut tracked: FlowTable = FlowTable::with_quantile(0.5);
+        let mut plain: FlowTable = FlowTable::new();
+        let mut other_p: FlowTable = FlowTable::with_quantile(0.9);
+        tracked.record(fk(1), 1.0, None);
+        plain.record(fk(2), 2.0, None);
+        other_p.record(fk(3), 3.0, None);
+        // Into a tracking table: foreign flows arrive with lost tails, and
+        // every row still has its tail slot.
+        tracked.merge(plain.clone());
+        tracked.merge(other_p.clone());
+        assert_eq!(tracked.tails.len(), tracked.rows.len());
+        let rows = tracked.report(1);
+        assert_eq!(rows[0].est_quantile, Some(1.0));
+        assert!(rows[1].est_quantile.is_none() && rows[2].est_quantile.is_none());
+        tracked.record(fk(4), 4.0, None);
+        assert_eq!(tracked.report(1)[3].est_quantile, Some(4.0));
+        // Into a plain table: no tail bytes appear.
+        plain.merge(other_p);
+        assert!(plain.tails.is_empty());
+        assert!(plain.report(1).iter().all(|r| r.est_quantile.is_none()));
+    }
+
+    #[test]
+    fn row_fits_in_96_bytes() {
+        assert!(std::mem::size_of::<(FlowKey, FlowAccumulator)>() <= 96);
+        assert!(std::mem::size_of::<FlowTails>() <= 208);
+    }
+
+    #[test]
+    fn approx_bytes_counts_the_capacity_of_every_vec() {
+        use std::mem::size_of;
+        let mut plain: FlowTable = FlowTable::new();
+        let mut tracked: FlowTable = FlowTable::with_quantile(0.99);
+        assert_eq!((plain.approx_bytes(), tracked.approx_bytes()), (0, 0));
+        let mut last = 0;
+        for i in 0..200 {
+            plain.record(fk(i), 1.0, Some(1.0));
+            tracked.record(fk(i), 1.0, Some(1.0));
+            let rows = plain.rows.capacity() * size_of::<(FlowKey, FlowAccumulator)>();
+            let index = plain.index.capacity() * (size_of::<(FlowKey, u32)>() + 1);
+            assert_eq!(plain.approx_bytes(), rows + index);
+            assert!(plain.tails.capacity() == 0, "no quantile, no tail bytes");
+            // Same insertions, same growth: the tracking table is larger by
+            // exactly its tail Vec.
+            assert!(tracked.tails.capacity() >= tracked.rows.len());
+            assert_eq!(
+                tracked.approx_bytes(),
+                plain.approx_bytes() + tracked.tails.capacity() * size_of::<FlowTails>()
+            );
+            assert!(plain.approx_bytes() >= last, "a table never shrinks");
+            last = plain.approx_bytes();
+        }
+        assert!(last >= 200 * (96 + 21), "200 flows need 200 rows");
     }
 
     #[test]

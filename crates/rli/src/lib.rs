@@ -29,7 +29,7 @@ pub mod policy;
 pub mod receiver;
 pub mod sender;
 
-pub use epoch::{merge_epoch_series, snapshot_at, EpochSnapshot};
+pub use epoch::{merge_epoch_series, snapshot_at, EpochSnapshot, MAX_EPOCH_GAP};
 pub use flowstats::{FlowAccumulator, FlowReport, FlowTable, SipFlowTable};
 pub use interpolate::{DelaySample, Interpolator, Segment};
 pub use policy::{

@@ -91,12 +91,21 @@ pub struct ReceiverCounters {
     /// Regular packets that could not be estimated (before the first
     /// reference, after the last, or over the buffer cap).
     pub unestimated: u64,
+    /// Packets (regular, shed or reference) observed more than
+    /// [`MAX_EPOCH_GAP`](crate::MAX_EPOCH_GAP) epochs outside the epoch
+    /// series — one wild timestamp must not size a dense series. They count
+    /// in every other counter and in the per-flow table as usual, and
+    /// appear in no [`EpochSnapshot`]. Always zero without epochs.
+    pub outside_epochs: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     at: SimTime,
     flow: rlir_net::FlowKey,
+    /// Whether `at` has a snapshot in the epoch series (decided once, on
+    /// arrival, so an epoch's `regulars_seen` and `estimated` agree).
+    in_epochs: bool,
     truth_ns: Option<f64>,
 }
 
@@ -166,24 +175,43 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
     /// A regular packet arrived: buffer it for interpolation.
     pub fn on_regular(&mut self, at: SimTime, flow: rlir_net::FlowKey, truth: Option<SimDuration>) {
         self.counters.regulars_seen += 1;
-        if let Some(t) = self.epochs.as_mut() {
-            t.snap(at).regulars_seen += 1;
-        }
+        let in_epochs = self.arrive(at, |snap| snap.regulars_seen += 1);
         if self.left.is_none() {
             // Before the first reference there is no bracket; RLI cannot
             // estimate these packets.
-            self.count_unestimated(at);
+            self.count_unestimated(at, in_epochs);
             return;
         }
         if self.buffer.len() >= self.cfg.max_buffer {
-            self.count_unestimated(at);
+            self.count_unestimated(at, in_epochs);
             return;
         }
         self.buffer.push(Pending {
             at,
             flow,
+            in_epochs,
             truth_ns: truth.map(|d| d.as_nanos() as f64),
         });
+    }
+
+    /// First touch of a packet observed at `at`: apply `count` to its
+    /// epoch's snapshot, or book the packet as outside the series. Returns
+    /// whether it has a snapshot (never, without epochs).
+    #[inline]
+    fn arrive(&mut self, at: SimTime, count: impl FnOnce(&mut EpochSnapshot)) -> bool {
+        let Some(tracker) = self.epochs.as_mut() else {
+            return false;
+        };
+        match tracker.snap(at) {
+            Some(snap) => {
+                count(snap);
+                true
+            }
+            None => {
+                self.counters.outside_epochs += 1;
+                false
+            }
+        }
     }
 
     /// A reference packet arrived: if it is ours, close the current
@@ -194,9 +222,7 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
             return;
         }
         self.counters.refs_accepted += 1;
-        if let Some(t) = self.epochs.as_mut() {
-            t.snap(at).refs_accepted += 1;
-        }
+        self.arrive(at, |snap| snap.refs_accepted += 1);
         let rx_local = self.cfg.clock.observe(at);
         let delay_ns = rx_local.signed_delta_nanos(info.tx_timestamp) as f64;
         let right = DelaySample::new(at, delay_ns);
@@ -206,10 +232,9 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
             for p in self.buffer.drain(..) {
                 let est = segment.estimate_at(p.at);
                 self.flows.record(p.flow, est, p.truth_ns);
-                if let Some(t) = self.epochs.as_mut() {
-                    // The estimate belongs to the epoch the packet crossed
-                    // the observation point in, not the closing ref's.
-                    let snap = t.snap(p.at);
+                // The estimate belongs to the epoch the packet crossed
+                // the observation point in, not the closing ref's.
+                if let Some(snap) = snap_of(&mut self.epochs, p.at, p.in_epochs) {
                     snap.est.push(est);
                     if let Some(truth) = p.truth_ns {
                         snap.truth.push(truth);
@@ -239,16 +264,14 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
     /// when memory pressure drops observations.
     pub fn on_shed(&mut self, at: SimTime) {
         self.counters.regulars_seen += 1;
-        if let Some(t) = self.epochs.as_mut() {
-            t.snap(at).regulars_seen += 1;
-        }
-        self.count_unestimated(at);
+        let in_epochs = self.arrive(at, |snap| snap.regulars_seen += 1);
+        self.count_unestimated(at, in_epochs);
     }
 
-    fn count_unestimated(&mut self, at: SimTime) {
+    fn count_unestimated(&mut self, at: SimTime, in_epochs: bool) {
         self.counters.unestimated += 1;
-        if let Some(t) = self.epochs.as_mut() {
-            t.snap(at).unestimated += 1;
+        if let Some(snap) = snap_of(&mut self.epochs, at, in_epochs) {
+            snap.unestimated += 1;
         }
     }
 
@@ -266,7 +289,7 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
     pub fn reset_cold(&mut self) -> u64 {
         let dropped = self.buffer.len() as u64;
         for p in std::mem::take(&mut self.buffer) {
-            self.count_unestimated(p.at);
+            self.count_unestimated(p.at, p.in_epochs);
         }
         self.left = None;
         self.flows = match self.flows.quantile_p() {
@@ -281,7 +304,7 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
     /// unestimable. Returns the per-flow table and final counters.
     pub fn finish(mut self) -> ReceiverReport<S> {
         for p in std::mem::take(&mut self.buffer) {
-            self.count_unestimated(p.at);
+            self.count_unestimated(p.at, p.in_epochs);
         }
         ReceiverReport {
             flows: self.flows,
@@ -302,6 +325,19 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
     pub fn epoch_snapshots(&self) -> &[EpochSnapshot] {
         self.epochs.as_ref().map_or(&[], EpochTracker::as_slice)
     }
+}
+
+/// The snapshot of a packet that [arrived](RliReceiver::arrive) at `at`.
+#[inline]
+fn snap_of(
+    epochs: &mut Option<EpochTracker>,
+    at: SimTime,
+    in_epochs: bool,
+) -> Option<&mut EpochSnapshot> {
+    if !in_epochs {
+        return None;
+    }
+    epochs.as_mut()?.snap(at)
 }
 
 /// Final output of a receiver.
@@ -528,6 +564,38 @@ mod tests {
         assert_eq!(rep.epochs[3].unestimated, 1);
         let per_epoch: u64 = rep.epochs.iter().map(|e| e.unestimated).sum();
         assert_eq!(per_epoch, rep.counters.unestimated, "epochs must tally");
+    }
+
+    #[test]
+    fn a_wild_timestamp_stays_in_the_flow_table_and_out_of_the_epochs() {
+        let mut cfg = ReceiverConfig::for_sender(SenderId(1));
+        cfg.epoch_ns = Some(5_000_000);
+        let mut r: RliReceiver = RliReceiver::new(cfg);
+        let ms = |n: u64| SimTime::from_nanos(n * 1_000_000);
+        r.on_reference(ms(1), &ref_info(0, 0));
+        r.on_regular(ms(2), fk(1), None);
+        // A record whose `ts_sec` lost a high bit: u32::MAX seconds.
+        let wild = SimTime::from_nanos(u32::MAX as u64 * 1_000_000_000);
+        r.on_regular(wild, fk(2), None);
+        // One that is refused on arrival and would fit once the series has
+        // grown stays out of the epochs for good.
+        let far = ms(5 * (crate::MAX_EPOCH_GAP + 2));
+        r.on_regular(far, fk(3), None);
+        r.on_regular(ms(5 * crate::MAX_EPOCH_GAP), fk(3), None);
+        r.on_shed(wild);
+        r.on_reference(wild, &ref_info(1, 500_000));
+        r.on_regular(wild, fk(1), None); // stranded after the last reference
+        let rep = r.finish();
+        assert_eq!(rep.counters.outside_epochs, 5);
+        assert_eq!(rep.counters.estimated, 4);
+        assert_eq!(rep.counters.unestimated, 2);
+        assert_eq!(rep.flows.flow_count(), 3, "every estimate reaches its flow");
+        assert_eq!(rep.epochs.len() as u64, crate::MAX_EPOCH_GAP + 1);
+        for e in &rep.epochs {
+            assert_eq!(e.regulars_seen, e.estimated + e.unestimated);
+        }
+        let seen: u64 = rep.epochs.iter().map(|e| e.regulars_seen).sum();
+        assert_eq!(seen, 2);
     }
 
     #[test]

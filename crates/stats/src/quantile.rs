@@ -9,18 +9,28 @@
 
 use serde::{Deserialize, Serialize};
 
+/// `count` of a tracker whose estimate was given up (see
+/// [`P2Quantile::poison`]).
+const POISONED: u64 = u64::MAX;
+
 /// Streaming estimator of a single quantile using the P² algorithm.
+///
+/// One tracker per flow per tap makes its size a per-flow cost, so only
+/// what the algorithm cannot recompute is stored (104 bytes): the five
+/// marker heights, the three *middle* marker positions and desired
+/// positions, the count and `p`. The outer markers sit at ranks 1 and
+/// `count` by construction, their desired positions are never read, and
+/// the per-observation increments are a function of `p`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct P2Quantile {
     p: f64,
     // Marker heights (estimates of the quantile positions).
     q: [f64; 5],
-    // Marker positions (1-based observation ranks).
-    n: [f64; 5],
-    // Desired marker positions.
-    np: [f64; 5],
-    // Desired position increments per observation.
-    dn: [f64; 5],
+    // Positions of markers 1..=3 (1-based observation ranks); marker 0 is
+    // at rank 1 and marker 4 at rank `count`.
+    n: [f64; 3],
+    // Desired positions of markers 1..=3.
+    np: [f64; 3],
     count: u64,
 }
 
@@ -31,9 +41,8 @@ impl P2Quantile {
         P2Quantile {
             p,
             q: [0.0; 5],
-            n: [1.0, 2.0, 3.0, 4.0, 5.0],
-            np: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-            dn: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
+            n: [2.0, 3.0, 4.0],
+            np: [1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p],
             count: 0,
         }
     }
@@ -53,9 +62,21 @@ impl P2Quantile {
         self.p
     }
 
-    /// Observations seen.
+    /// Observations seen (0 once poisoned).
     pub fn count(&self) -> u64 {
-        self.count
+        if self.count == POISONED {
+            0
+        } else {
+            self.count
+        }
+    }
+
+    /// Give the estimate up for good: [`estimate`](Self::estimate) reports
+    /// `None` from here on and further observations are ignored. P² markers
+    /// cannot be merged, so this is what a caller folding two trackers'
+    /// streams into one is left with.
+    pub fn poison(&mut self) {
+        self.count = POISONED;
     }
 
     /// Add one observation.
@@ -67,6 +88,9 @@ impl P2Quantile {
             if self.count == 5 {
                 self.q.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
             }
+            return;
+        }
+        if self.count == POISONED {
             return;
         }
         self.count += 1;
@@ -89,50 +113,30 @@ impl P2Quantile {
             k
         };
 
-        // Increment positions of markers above the cell.
-        for i in (k + 1)..5 {
-            self.n[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.np[i] += self.dn[i];
-        }
+        // Increment positions of the middle markers above the cell.
+        self.n[0] += f64::from(k < 1);
+        self.n[1] += f64::from(k < 2);
+        self.n[2] += f64::from(k < 3);
+        let p = self.p;
+        self.np[0] += p / 2.0;
+        self.np[1] += p;
+        self.np[2] += (1.0 + p) / 2.0;
 
-        // Adjust the three middle markers if they are off their desired
-        // positions by at least one.
-        for i in 1..4 {
-            let d = self.np[i] - self.n[i];
-            if (d >= 1.0 && self.n[i + 1] - self.n[i] > 1.0)
-                || (d <= -1.0 && self.n[i - 1] - self.n[i] < -1.0)
-            {
-                let d = d.signum();
-                let qp = self.parabolic(i, d);
-                self.q[i] = if self.q[i - 1] < qp && qp < self.q[i + 1] {
-                    qp
-                } else {
-                    self.linear(i, d)
-                };
-                self.n[i] += d;
-            }
-        }
+        // Adjust the three middle markers, in order, if they are off their
+        // desired positions by at least one. The outer markers sit at
+        // ranks 1 and `count`.
+        let [q0, q1, q2, q3, q4] = &mut self.q;
+        let [n1, n2, n3] = &mut self.n;
+        adjust((*q0, q1, *q2), (1.0, n1, *n2), self.np[0]);
+        adjust((*q1, q2, *q3), (*n1, n2, *n3), self.np[1]);
+        adjust((*q2, q3, *q4), (*n2, n3, self.count as f64), self.np[2]);
     }
 
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let (qm, qi, qp) = (self.q[i - 1], self.q[i], self.q[i + 1]);
-        let (nm, ni, np) = (self.n[i - 1], self.n[i], self.n[i + 1]);
-        qi + d / (np - nm)
-            * ((ni - nm + d) * (qp - qi) / (np - ni) + (np - ni - d) * (qi - qm) / (ni - nm))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = (i as f64 + d) as usize;
-        self.q[i] + d * (self.q[j] - self.q[i]) / (self.n[j] - self.n[i])
-    }
-
-    /// Current quantile estimate (`None` before any observation). With
-    /// fewer than five observations, falls back to the exact order
-    /// statistic of the buffered values.
+    /// Current quantile estimate (`None` before any observation, and once
+    /// [poisoned](Self::poison)). With fewer than five observations, falls
+    /// back to the exact order statistic of the buffered values.
     pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 {
+        if self.count == 0 || self.count == POISONED {
             return None;
         }
         if self.count < 5 {
@@ -142,6 +146,28 @@ impl P2Quantile {
             return Some(v[rank - 1]);
         }
         Some(self.q[2])
+    }
+}
+
+/// One marker's P² adjustment: `(below, this, above)` heights and
+/// positions, and the position this marker should be at.
+#[inline(always)]
+fn adjust((qm, qi, qp): (f64, &mut f64, f64), (nm, ni, np): (f64, &mut f64, f64), desired: f64) {
+    let d = desired - *ni;
+    if (d >= 1.0 && np - *ni > 1.0) || (d <= -1.0 && nm - *ni < -1.0) {
+        let d = d.signum();
+        let parabolic = *qi
+            + d / (np - nm)
+                * ((*ni - nm + d) * (qp - *qi) / (np - *ni)
+                    + (np - *ni - d) * (*qi - qm) / (*ni - nm));
+        *qi = if qm < parabolic && parabolic < qp {
+            parabolic
+        } else {
+            // Linear towards the neighbour on `d`'s side.
+            let (qj, nj) = if d > 0.0 { (qp, np) } else { (qm, nm) };
+            *qi + d * (qj - *qi) / (nj - *ni)
+        };
+        *ni += d;
     }
 }
 
@@ -238,6 +264,25 @@ mod tests {
             q.push(7.5);
         }
         assert_eq!(q.estimate(), Some(7.5));
+    }
+
+    #[test]
+    fn tracker_fits_in_104_bytes() {
+        assert!(std::mem::size_of::<P2Quantile>() <= 104);
+    }
+
+    #[test]
+    fn poisoned_tracker_reports_nothing_and_ignores_pushes() {
+        for warm in [0, 3, 50] {
+            let mut q = P2Quantile::p99();
+            for i in 0..warm {
+                q.push(i as f64);
+            }
+            q.poison();
+            assert_eq!((q.estimate(), q.count()), (None, 0));
+            q.push(1.0);
+            assert_eq!((q.estimate(), q.count()), (None, 0));
+        }
     }
 
     #[test]
