@@ -60,6 +60,25 @@
 //! taps, delivery-sorted tandem feeds) can set [`TapSpec::ordered`] and
 //! stream straight into the receiver with no buffering at all.
 //!
+//! ## What an observation touches
+//!
+//! A tap is stored as two records. The **hot** one (`HotTap`, at most two
+//! cache lines, all taps contiguous) holds exactly what admitting an
+//! observation reads and writes: the point (the routing indices already
+//! tell live from delivered-gated), the `ordered` / `down` flags, which
+//! truth to compute, whether a meter or a reference map exists, the tenant
+//! slot, the `flushed_to` / `resume_at` bounds, the buffer cap, the pending
+//! peak and the run itself. The **cold** one (`ColdTap`: the [`TapSpec`]
+//! with its strings and closures, the [`RliReceiver`], the loss / outage
+//! counters, the per-epoch drop map) is reached only by closures, sheds,
+//! faults, flushes, ordered feeds and [`MeasurementPlane::finish`].
+//!
+//! A run entry (`PendingObs`) is six
+//! `u64` words — the `(at, tie, id)` key, then the packed 5-tuple or
+//! [`ReferenceInfo`], a tag word (kind bit, truth-present bit, protocol and
+//! ports or sender and sequence) and the truth — written straight from the
+//! event and decoded once, at flush.
+//!
 //! ## Live taps and drop awareness
 //!
 //! [`TapSpec::new`] defaults to a **live** tap (`delivered_only = false`):
@@ -89,13 +108,14 @@ use rlir_net::clock::ClockModel;
 use rlir_net::fxhash::FxHashMap;
 use rlir_net::packet::{ReferenceInfo, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
-use rlir_net::FlowKey;
+use rlir_net::{FlowKey, Protocol};
 use rlir_rli::{
     merge_epoch_series, snapshot_at, EpochSnapshot, Interpolator, ReceiverConfig, ReceiverReport,
     RliReceiver,
 };
 use rlir_sim::pipeline::Delivery;
 use rlir_sim::{FaultEvent, FaultKind, Hop, HopEvent, HopKind, HopSink, NodeId, PortId};
+use std::net::Ipv4Addr;
 
 /// Where on the hop-event stream a tap sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -310,7 +330,8 @@ impl<'a> TapSpec<'a> {
     }
 }
 
-/// One buffered observation, keyed for the deterministic drain order.
+/// What a run entry decodes to at flush.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Payload {
     Reference(ReferenceInfo),
     Regular {
@@ -319,26 +340,153 @@ enum Payload {
     },
 }
 
+/// Tag-word bit: the entry is a reference (clear: a regular).
+const TAG_REFERENCE: u64 = 1 << 63;
+/// Tag-word bit: the truth word holds a value. A bit, not a sentinel in
+/// the truth word: every `u64` is a truth a saturated clock can produce.
+const TAG_HAS_TRUTH: u64 = 1 << 62;
+/// Tag-word bits 40–41: which [`Protocol`] variant a regular's protocol
+/// number (bits 32–39) came from — `Other(6)` is not `Tcp`.
+const TAG_PROTO_UDP: u64 = 1 << 40;
+const TAG_PROTO_OTHER: u64 = 2 << 40;
+
 /// A pending observation in a tap's reorder run, fed in ascending
 /// `(observation time, tie, packet id)` order — unique per tap, and the
-/// exact total order the buffered-sort oracle produces.
+/// exact total order the buffered-sort oracle produces. Six plain words,
+/// so a push is six stores from the event and a flush decodes it once.
+#[derive(Clone, Copy)]
 struct PendingObs {
-    key: (SimTime, u64, u64),
-    payload: Payload,
+    at: u64,
+    tie: u64,
+    id: u64,
+    /// Regular: `src << 32 | dst`. Reference: the transmit timestamp, ns.
+    body: u64,
+    /// Kind and truth-present bits, then — regular: protocol variant,
+    /// protocol number, source port, destination port; reference:
+    /// `sender << 32 | seq`.
+    tag: u64,
+    /// Regular with [`TAG_HAS_TRUTH`]: the truth, ns. Otherwise zero.
+    truth: u64,
 }
 
-struct TapState<'a> {
-    spec: TapSpec<'a>,
-    rx: RliReceiver,
+impl PendingObs {
+    #[inline]
+    fn regular(at: SimTime, tie: u64, id: u64, flow: &FlowKey, truth: Option<SimDuration>) -> Self {
+        let proto = match flow.proto {
+            Protocol::Tcp => 0,
+            Protocol::Udp => TAG_PROTO_UDP,
+            Protocol::Other(n) => TAG_PROTO_OTHER | (n as u64) << 32,
+        };
+        let (has_truth, truth) = match truth {
+            Some(d) => (TAG_HAS_TRUTH, d.as_nanos()),
+            None => (0, 0),
+        };
+        PendingObs {
+            at: at.as_nanos(),
+            tie,
+            id,
+            body: (u32::from(flow.src) as u64) << 32 | u32::from(flow.dst) as u64,
+            tag: has_truth | proto | (flow.sport as u64) << 16 | flow.dport as u64,
+            truth,
+        }
+    }
+
+    #[inline]
+    fn reference(at: SimTime, tie: u64, id: u64, info: &ReferenceInfo) -> Self {
+        PendingObs {
+            at: at.as_nanos(),
+            tie,
+            id,
+            body: info.tx_timestamp.as_nanos(),
+            tag: TAG_REFERENCE | (info.sender.0 as u64) << 32 | info.seq as u64,
+            truth: 0,
+        }
+    }
+
+    #[inline]
+    fn payload(&self) -> Payload {
+        if self.tag & TAG_REFERENCE != 0 {
+            return Payload::Reference(ReferenceInfo {
+                sender: SenderId((self.tag >> 32) as u16),
+                seq: self.tag as u32,
+                tx_timestamp: SimTime::from_nanos(self.body),
+            });
+        }
+        let proto = match self.tag & (TAG_PROTO_UDP | TAG_PROTO_OTHER) {
+            0 => Protocol::Tcp,
+            TAG_PROTO_UDP => Protocol::Udp,
+            _ => Protocol::Other((self.tag >> 32) as u8),
+        };
+        Payload::Regular {
+            flow: FlowKey {
+                src: Ipv4Addr::from((self.body >> 32) as u32),
+                dst: Ipv4Addr::from(self.body as u32),
+                proto,
+                sport: (self.tag >> 16) as u16,
+                dport: self.tag as u16,
+            },
+            truth: (self.tag & TAG_HAS_TRUTH != 0).then(|| SimDuration::from_nanos(self.truth)),
+        }
+    }
+
+    #[inline]
+    fn key(&self) -> (u64, u64, u64) {
+        (self.at, self.tie, self.id)
+    }
+}
+
+/// Which ground truth a tap computes per regular ([`TruthRef`] without the
+/// node list, which stays in the cold [`TapSpec`]).
+#[derive(Clone, Copy)]
+enum TruthKind {
+    NoTruth,
+    SinceInjection,
+    SinceArrivalAt,
+}
+
+/// What admitting an observation reads and writes (see the module docs);
+/// the flags and bounds are copies of the [`TapSpec`] fields, fixed at
+/// attach.
+struct HotTap {
     /// The reorder run: observations in arrival order behind the sorted
     /// tail the last flush retained. Bounded by the window under
     /// [`DrainMode::Streaming`]; the whole run under the oracle, which
     /// never flushes before [`MeasurementPlane::finish`].
     window: Vec<PendingObs>,
+    point: TapPoint,
     /// Observations with `at` below this are late (window too small).
     flushed_to: SimTime,
+    /// After a recovery, observations before this time are discarded
+    /// (cold restart resumes on a clean epoch boundary). `ZERO` for taps
+    /// that never crashed — a no-op bound.
+    resume_at: SimTime,
+    max_buffer: usize,
     /// High-water mark of buffered observations.
     peak_pending: usize,
+    /// Index into the plane's tenant table (resolved at attach).
+    tenant_slot: u32,
+    truth: TruthKind,
+    ordered: bool,
+    /// True between a [`FaultKind::TapDown`] and its matching `TapUp`:
+    /// the measurement instance is crashed and observes nothing.
+    down: bool,
+    has_meter: bool,
+    has_ref_map: bool,
+}
+
+impl HotTap {
+    #[inline]
+    fn push(&mut self, obs: PendingObs) {
+        self.window.push(obs);
+        self.peak_pending = self.peak_pending.max(self.window.len());
+    }
+}
+
+/// The rest of a tap: what closures, sheds, faults, flushes, ordered feeds
+/// and `finish()` reach.
+struct ColdTap<'a> {
+    spec: TapSpec<'a>,
+    rx: RliReceiver,
     /// Observations that arrived after their window was flushed.
     late: u64,
     /// Regular observations shed by the per-window buffer cap.
@@ -347,15 +495,6 @@ struct TapState<'a> {
     dropped_metered: u64,
     /// Per-epoch downstream deaths (epoch index → count).
     drops_by_epoch: FxHashMap<u64, u64>,
-    /// Index into the plane's tenant table (resolved at attach).
-    tenant_slot: usize,
-    /// True between a [`FaultKind::TapDown`] and its matching `TapUp`:
-    /// the measurement instance is crashed and observes nothing.
-    down: bool,
-    /// After a recovery, observations before this time are discarded
-    /// (cold restart resumes on a clean epoch boundary). `ZERO` for taps
-    /// that never crashed — a no-op bound.
-    resume_at: SimTime,
     /// The epoch index recovery resumed at (last outage wins); drives
     /// [`TapReport::recovered_epochs`].
     resume_epoch: Option<u64>,
@@ -366,6 +505,16 @@ struct TapState<'a> {
     lost_window_obs: u64,
     /// Completed `TapDown` transitions.
     outages: u32,
+}
+
+/// What [`MeasurementPlane::admit`] decided about one observation.
+enum Admission {
+    /// Lost, late or shed: counted, nothing to store.
+    Refused,
+    /// An ordered tap: feed the receiver now.
+    Ordered,
+    /// Append to the tap's run.
+    Buffered,
 }
 
 /// Plane-wide pending-observation accounting (streaming drain only): the
@@ -618,6 +767,10 @@ pub fn localize_epoch_series(
         .collect()
 }
 
+/// Candidate crossing code: the tap observed the packet at the event
+/// itself, not at one of its recorded hops. Sorts before every hop.
+const AT_EVENT: u32 = 0;
+
 /// Synthetic node ids for the two-switch tandem feed
 /// ([`MeasurementPlane::observe_tandem`]).
 pub const TANDEM_SW1: NodeId = 0;
@@ -630,7 +783,10 @@ pub const TANDEM_SW2: NodeId = 1;
 #[derive(Default)]
 pub struct MeasurementPlane<'a> {
     cfg: PlaneConfig,
-    taps: Vec<TapState<'a>>,
+    /// Hot records, contiguous, in attachment order.
+    taps: Vec<HotTap>,
+    /// Cold records, same index as `taps`.
+    cold: Vec<ColdTap<'a>>,
     live_seq: u64,
     /// Whether any tap is live (`!delivered_only`). Arrive/dequeue events
     /// dominate the engine's stream; when every tap is delivered-gated
@@ -654,8 +810,10 @@ pub struct MeasurementPlane<'a> {
     gated_arrival: FxHashMap<NodeId, Vec<u32>>,
     gated_departure: FxHashMap<(NodeId, PortId), Vec<u32>>,
     deliver_at: FxHashMap<NodeId, Vec<u32>>,
-    /// Reused candidate buffer for multi-index events (deliver/drop).
-    scratch: Vec<u32>,
+    /// Reused candidate buffer for multi-index events (deliver/drop):
+    /// `(tap, crossing)`, the crossing being [`AT_EVENT`] or one more than
+    /// the index of the matching hop.
+    scratch: Vec<(u32, u32)>,
 }
 
 impl<'a> MeasurementPlane<'a> {
@@ -746,20 +904,32 @@ impl<'a> MeasurementPlane<'a> {
                 self.gated_departure.entry((n, p)).or_default().push(idx)
             }
         }
-        let tenant_slot = self.tenant_slot(spec.tenant);
-        self.taps.push(TapState {
+        let tenant_slot = self.tenant_slot(spec.tenant) as u32;
+        self.taps.push(HotTap {
+            window: Vec::new(),
+            point: spec.point,
+            flushed_to: SimTime::ZERO,
+            resume_at: SimTime::ZERO,
+            max_buffer: spec.max_buffer,
+            peak_pending: 0,
+            tenant_slot,
+            truth: match spec.truth {
+                TruthRef::NoTruth => TruthKind::NoTruth,
+                TruthRef::SinceInjection => TruthKind::SinceInjection,
+                TruthRef::SinceArrivalAt(_) => TruthKind::SinceArrivalAt,
+            },
+            ordered: spec.ordered,
+            down: false,
+            has_meter: spec.meter.is_some(),
+            has_ref_map: spec.ref_map.is_some(),
+        });
+        self.cold.push(ColdTap {
             spec,
             rx,
-            window: Vec::new(),
-            flushed_to: SimTime::ZERO,
-            peak_pending: 0,
             late: 0,
             shed: 0,
             dropped_metered: 0,
             drops_by_epoch: FxHashMap::default(),
-            tenant_slot,
-            down: false,
-            resume_at: SimTime::ZERO,
             resume_epoch: None,
             lost_window_obs: 0,
             outages: 0,
@@ -776,14 +946,14 @@ impl<'a> MeasurementPlane<'a> {
     /// (e.g. an online detector) label findings without waiting for
     /// [`MeasurementPlane::finish`].
     pub fn tap_name(&self, idx: usize) -> &str {
-        &self.taps[idx].spec.name
+        &self.cold[idx].spec.name
     }
 
     /// The per-epoch snapshots tap `idx` has produced *so far* — a
     /// streaming consumer can read the series mid-run, before
     /// [`MeasurementPlane::finish`].
     pub fn epoch_series(&self, idx: usize) -> &[EpochSnapshot] {
-        self.taps[idx].rx.epoch_snapshots()
+        self.cold[idx].rx.epoch_snapshots()
     }
 
     /// Feed one tandem-pipeline delivery (the two-switch topology of
@@ -825,10 +995,12 @@ impl<'a> MeasurementPlane<'a> {
         });
     }
 
-    /// Route one observation into `tap` at observation time `at` with
+    /// Route one observation into a tap at observation time `at` with
     /// tie-break key `(tie, id)`.
+    #[allow(clippy::too_many_arguments)]
     fn observe(
-        tap: &mut TapState<'a>,
+        tap: &mut HotTap,
+        cold: &mut ColdTap<'a>,
         cfg: PlaneConfig,
         totals: &mut PendingTotals,
         tenants: &mut [TenantState],
@@ -836,55 +1008,79 @@ impl<'a> MeasurementPlane<'a> {
         tie: u64,
         ev: &HopEvent<'_>,
     ) {
-        let payload = match ev.packet.reference_info() {
+        match ev.packet.reference_info() {
             Some(info) => {
-                let mapped = match &tap.spec.ref_map {
-                    Some(f) => f(info),
-                    None => Some(*info),
+                // The flag first: a tap without a map never reads `cold`.
+                let mapped = if tap.has_ref_map {
+                    cold.spec.ref_map.as_ref().and_then(|f| f(info))
+                } else {
+                    Some(*info)
                 };
-                match mapped {
-                    Some(info) => Payload::Reference(info),
-                    None => return,
+                let Some(info) = mapped else { return };
+                match Self::admit(tap, cold, cfg, totals, tenants, at, false) {
+                    Admission::Refused => {}
+                    Admission::Ordered => cold.rx.on_reference(at, &info),
+                    Admission::Buffered => {
+                        tap.push(PendingObs::reference(at, tie, ev.packet.id.0, &info))
+                    }
                 }
             }
             None if ev.packet.is_regular() => {
-                if let Some(meter) = &tap.spec.meter {
-                    if !meter(ev) {
-                        return;
-                    }
+                if tap.has_meter && !cold.spec.meter.as_ref().is_some_and(|m| m(ev)) {
+                    return;
                 }
-                let truth = match &tap.spec.truth {
-                    TruthRef::NoTruth => None,
-                    TruthRef::SinceInjection => Some(at.saturating_since(ev.injected_at)),
-                    TruthRef::SinceArrivalAt(nodes) => ev
-                        .hops
-                        .iter()
-                        .find(|h| nodes.contains(&h.node))
-                        .map(|h| at.saturating_since(h.arrived)),
+                let truth = match tap.truth {
+                    TruthKind::NoTruth => None,
+                    TruthKind::SinceInjection => Some(at.saturating_since(ev.injected_at)),
+                    TruthKind::SinceArrivalAt => match &cold.spec.truth {
+                        TruthRef::SinceArrivalAt(nodes) => ev
+                            .hops
+                            .iter()
+                            .find(|h| nodes.contains(&h.node))
+                            .map(|h| at.saturating_since(h.arrived)),
+                        _ => None,
+                    },
                 };
-                Payload::Regular {
-                    flow: ev.packet.flow,
-                    truth,
+                let flow = &ev.packet.flow;
+                match Self::admit(tap, cold, cfg, totals, tenants, at, true) {
+                    Admission::Refused => {}
+                    Admission::Ordered => cold.rx.on_regular(at, *flow, truth),
+                    Admission::Buffered => {
+                        tap.push(PendingObs::regular(at, tie, ev.packet.id.0, flow, truth))
+                    }
                 }
             }
             // Cross traffic is invisible to the measurement plane.
-            None => return,
-        };
+            None => {}
+        }
+    }
+
+    /// Decide what happens to an observation the tap's meter / reference
+    /// map let through, and keep the books of whatever is refused.
+    #[inline]
+    fn admit(
+        tap: &mut HotTap,
+        cold: &mut ColdTap<'a>,
+        cfg: PlaneConfig,
+        totals: &mut PendingTotals,
+        tenants: &mut [TenantState],
+        at: SimTime,
+        regular: bool,
+    ) -> Admission {
         if tap.down {
             // The measurement instance is crashed: the crossing happened,
             // nothing observed it. Accounted, never estimated.
-            tap.lost_window_obs += 1;
-            return;
+            cold.lost_window_obs += 1;
+            return Admission::Refused;
         }
         if at < tap.resume_at {
             // Recovered mid-epoch: discard until the resume boundary so
             // the cold restart produces clean whole-epoch snapshots.
-            tap.lost_window_obs += 1;
-            return;
+            cold.lost_window_obs += 1;
+            return Admission::Refused;
         }
-        if tap.spec.ordered {
-            feed(&mut tap.rx, at, &payload);
-            return;
+        if tap.ordered {
+            return Admission::Ordered;
         }
         // Admission is the streaming drain's business: the oracle is
         // O(run) by design, never flushes (so nothing is ever late) and
@@ -894,11 +1090,11 @@ impl<'a> MeasurementPlane<'a> {
                 // The window for this observation time already closed:
                 // feeding it would hand the receiver time-travelling
                 // input. Count it and move on.
-                tap.late += 1;
-                return;
+                cold.late += 1;
+                return Admission::Refused;
             }
-            let slot = tap.tenant_slot;
-            if let Payload::Regular { .. } = payload {
+            let slot = tap.tenant_slot as usize;
+            if regular {
                 tenants[slot].offered += 1;
                 // Hierarchical budget: a tenant under its guaranteed
                 // share is always admitted; one at-or-over its share may
@@ -916,15 +1112,15 @@ impl<'a> MeasurementPlane<'a> {
                         totals.pending + reserved >= cap
                     }
                 });
-                if tap.window.len() >= tap.spec.max_buffer || over_budget {
+                if tap.window.len() >= tap.max_buffer || over_budget {
                     // Per-window cap or exhausted budget share: shed the
                     // observation but keep the books honest — it was seen
                     // at the point and will never be estimated. References
                     // are always admitted (see TapSpec docs).
-                    tap.shed += 1;
+                    cold.shed += 1;
                     tenants[slot].shed += 1;
-                    tap.rx.on_shed(at);
-                    return;
+                    cold.rx.on_shed(at);
+                    return Admission::Refused;
                 }
                 tenants[slot].admitted += 1;
             }
@@ -934,18 +1130,15 @@ impl<'a> MeasurementPlane<'a> {
             t.pending += 1;
             t.peak_pending = t.peak_pending.max(t.pending);
         }
-        tap.window.push(PendingObs {
-            key: (at, tie, ev.packet.id.0),
-            payload,
-        });
-        tap.peak_pending = tap.peak_pending.max(tap.window.len());
+        Admission::Buffered
     }
 
     /// Sort the tap's run into `(at, tie, id)` order and feed its receiver
     /// everything strictly below `bound` (`None`: everything) as one
     /// batch; what stays behind is the sorted tail the next flush extends.
     fn flush_tap(
-        tap: &mut TapState<'a>,
+        tap: &mut HotTap,
+        cold: &mut ColdTap<'a>,
         totals: &mut PendingTotals,
         tenants: &mut [TenantState],
         bound: Option<SimTime>,
@@ -954,16 +1147,20 @@ impl<'a> MeasurementPlane<'a> {
             // Stable on purpose, though keys are unique: the run is a
             // sorted tail plus arrivals in near-order, which the merge
             // sort's run detection finishes in about one pass.
-            tap.window.sort_by_key(|obs| obs.key);
+            tap.window.sort_by_key(PendingObs::key);
             let n = match bound {
-                Some(b) => tap.window.partition_point(|obs| obs.key.0 < b),
+                Some(b) => tap.window.partition_point(|obs| obs.at < b.as_nanos()),
                 None => tap.window.len(),
             };
             for obs in tap.window.drain(..n) {
-                feed(&mut tap.rx, obs.key.0, &obs.payload);
+                let at = SimTime::from_nanos(obs.at);
+                match obs.payload() {
+                    Payload::Reference(info) => cold.rx.on_reference(at, &info),
+                    Payload::Regular { flow, truth } => cold.rx.on_regular(at, flow, truth),
+                }
             }
             totals.pending = totals.pending.saturating_sub(n);
-            let t = &mut tenants[tap.tenant_slot];
+            let t = &mut tenants[tap.tenant_slot as usize];
             t.pending = t.pending.saturating_sub(n);
         }
         if let Some(b) = bound {
@@ -971,12 +1168,12 @@ impl<'a> MeasurementPlane<'a> {
         }
     }
 
-    /// Count a metered packet of live tap `idx` that died downstream after
+    /// Count a metered packet of a live tap that died downstream after
     /// crossing the tap at `at`.
-    fn note_drop(tap: &mut TapState<'a>, epoch_ns: Option<u64>, at: SimTime) {
-        tap.dropped_metered += 1;
+    fn note_drop(cold: &mut ColdTap<'a>, epoch_ns: Option<u64>, at: SimTime) {
+        cold.dropped_metered += 1;
         if let Some(e) = epoch_ns {
-            *tap.drops_by_epoch.entry(at.as_nanos() / e).or_insert(0) += 1;
+            *cold.drops_by_epoch.entry(at.as_nanos() / e).or_insert(0) += 1;
         }
     }
 
@@ -991,19 +1188,19 @@ impl<'a> MeasurementPlane<'a> {
     /// public so harnesses can drive outages directly.
     pub fn tap_down(&mut self, at: SimTime, node: NodeId) {
         let _ = at; // the crash takes effect immediately; time is in the script
-        for tap in &mut self.taps {
-            if tap.spec.point.node() != node || tap.down {
+        for (tap, cold) in self.taps.iter_mut().zip(&mut self.cold) {
+            if tap.point.node() != node || tap.down {
                 continue;
             }
             tap.down = true;
-            tap.outages += 1;
+            cold.outages += 1;
             let freed = tap.window.len();
             tap.window.clear();
-            let destroyed = tap.rx.reset_cold();
-            tap.lost_window_obs += freed as u64 + destroyed;
+            let destroyed = cold.rx.reset_cold();
+            cold.lost_window_obs += freed as u64 + destroyed;
             // Saturating: the oracle keeps no plane-wide books to debit.
             self.totals.pending = self.totals.pending.saturating_sub(freed);
-            let t = &mut self.tenants[tap.tenant_slot];
+            let t = &mut self.tenants[tap.tenant_slot as usize];
             t.pending = t.pending.saturating_sub(freed);
         }
     }
@@ -1018,8 +1215,8 @@ impl<'a> MeasurementPlane<'a> {
     /// [`tap_down`](MeasurementPlane::tap_down).
     pub fn tap_up(&mut self, at: SimTime, node: NodeId) {
         let epoch_ns = self.cfg.epoch_ns();
-        for tap in &mut self.taps {
-            if tap.spec.point.node() != node || !tap.down {
+        for (tap, cold) in self.taps.iter_mut().zip(&mut self.cold) {
+            if tap.point.node() != node || !tap.down {
                 continue;
             }
             tap.down = false;
@@ -1029,7 +1226,7 @@ impl<'a> MeasurementPlane<'a> {
             };
             tap.resume_at = SimTime::from_nanos(resume_ns);
             if let Some(e) = epoch_ns {
-                tap.resume_epoch = Some(resume_ns / e);
+                cold.resume_epoch = Some(resume_ns / e);
             }
         }
     }
@@ -1044,7 +1241,7 @@ impl<'a> MeasurementPlane<'a> {
             return Vec::new();
         };
         let slices: Vec<&[EpochSnapshot]> =
-            self.taps.iter().map(|t| t.rx.epoch_snapshots()).collect();
+            self.cold.iter().map(|t| t.rx.epoch_snapshots()).collect();
         merge_epoch_series(&slices, epoch_ns)
     }
 
@@ -1056,7 +1253,7 @@ impl<'a> MeasurementPlane<'a> {
             return Vec::new();
         };
         let series: Vec<(&str, &[EpochSnapshot])> = self
-            .taps
+            .cold
             .iter()
             .map(|t| (t.spec.name.as_str(), t.rx.epoch_snapshots()))
             .collect();
@@ -1070,7 +1267,8 @@ impl<'a> MeasurementPlane<'a> {
         let obs = std::mem::size_of::<PendingObs>();
         self.taps
             .iter()
-            .map(|t| t.rx.flows().approx_bytes() + t.window.len() * obs)
+            .zip(&self.cold)
+            .map(|(t, c)| c.rx.flows().approx_bytes() + t.window.len() * obs)
             .sum()
     }
 
@@ -1078,8 +1276,8 @@ impl<'a> MeasurementPlane<'a> {
     pub fn finish(mut self) -> PlaneReport {
         let epoch_ns = self.cfg.epoch_ns();
         let peak_pending_total = self.totals.peak;
-        for tap in &mut self.taps {
-            Self::flush_tap(tap, &mut self.totals, &mut self.tenants, None);
+        for (tap, cold) in self.taps.iter_mut().zip(&mut self.cold) {
+            Self::flush_tap(tap, cold, &mut self.totals, &mut self.tenants, None);
         }
         let tenants = self
             .tenants
@@ -1097,7 +1295,8 @@ impl<'a> MeasurementPlane<'a> {
         let taps = self
             .taps
             .into_iter()
-            .map(|t| {
+            .zip(self.cold)
+            .map(|(hot, t)| {
                 let mut report = t.rx.finish();
                 if let (Some(e), false) = (epoch_ns, t.drops_by_epoch.is_empty()) {
                     // Join the plane's downstream-death counts into the
@@ -1128,7 +1327,7 @@ impl<'a> MeasurementPlane<'a> {
                     point: t.spec.point,
                     sender: t.spec.sender,
                     report,
-                    peak_pending: t.peak_pending,
+                    peak_pending: hot.peak_pending,
                     late: t.late,
                     shed: t.shed,
                     dropped_metered: t.dropped_metered,
@@ -1148,10 +1347,15 @@ impl<'a> MeasurementPlane<'a> {
     }
 }
 
-fn feed(rx: &mut RliReceiver, at: SimTime, payload: &Payload) {
-    match payload {
-        Payload::Reference(info) => rx.on_reference(at, info),
-        Payload::Regular { flow, truth } => rx.on_regular(at, *flow, *truth),
+/// When a candidate tap observed the event's packet: at the event itself
+/// ([`AT_EVENT`]: a delivery tap, or an arrival tap at the drop node), or at
+/// hop `crossing − 1` — on arrival, or for an egress tap on departure.
+#[inline]
+fn crossing_time(point: TapPoint, crossing: u32, ev: &HopEvent<'_>) -> SimTime {
+    match (crossing.checked_sub(1), point) {
+        (None, _) => ev.at,
+        (Some(k), TapPoint::PortDeparture(..)) => ev.hops[k as usize].departed,
+        (Some(k), _) => ev.hops[k as usize].arrived,
     }
 }
 
@@ -1169,9 +1373,9 @@ impl HopSink for MeasurementPlane<'_> {
                 .as_nanos()
                 .saturating_sub(reorder_window.as_nanos()),
         );
-        for tap in &mut self.taps {
-            if !tap.spec.ordered {
-                Self::flush_tap(tap, &mut self.totals, &mut self.tenants, Some(bound));
+        for (tap, cold) in self.taps.iter_mut().zip(&mut self.cold) {
+            if !tap.ordered {
+                Self::flush_tap(tap, cold, &mut self.totals, &mut self.tenants, Some(bound));
             }
         }
         self.next_flush = watermark + SimDuration::from_nanos(reorder_window.as_nanos() / 2 + 1);
@@ -1189,6 +1393,7 @@ impl HopSink for MeasurementPlane<'_> {
                     for &i in idxs {
                         Self::observe(
                             &mut self.taps[i as usize],
+                            &mut self.cold[i as usize],
                             self.cfg,
                             &mut self.totals,
                             &mut self.tenants,
@@ -1209,6 +1414,7 @@ impl HopSink for MeasurementPlane<'_> {
                     for &i in idxs {
                         Self::observe(
                             &mut self.taps[i as usize],
+                            &mut self.cold[i as usize],
                             self.cfg,
                             &mut self.totals,
                             &mut self.tenants,
@@ -1221,48 +1427,38 @@ impl HopSink for MeasurementPlane<'_> {
             }
             HopKind::Deliver => {
                 let delivered = ev.at.as_nanos();
-                // Candidates from the routing indices; sorted+deduped tap
-                // ids reproduce the old full scan's attachment order.
+                // Candidates from the routing indices, each with the
+                // crossing that matched; sorted by tap id and deduplicated
+                // on it, they come out in attachment order with the first
+                // matching hop of each.
                 let mut cand = std::mem::take(&mut self.scratch);
                 cand.clear();
                 if let Some(v) = self.deliver_at.get(&ev.node) {
-                    cand.extend_from_slice(v);
+                    cand.extend(v.iter().map(|&t| (t, AT_EVENT)));
                 }
-                for h in ev.hops {
+                for (h, crossing) in ev.hops.iter().zip(AT_EVENT + 1..) {
                     if let Some(v) = self.gated_arrival.get(&h.node) {
-                        cand.extend_from_slice(v);
+                        cand.extend(v.iter().map(|&t| (t, crossing)));
                     }
                     if let Some(v) = self.gated_departure.get(&(h.node, h.port)) {
-                        cand.extend_from_slice(v);
+                        cand.extend(v.iter().map(|&t| (t, crossing)));
                     }
                 }
                 cand.sort_unstable();
-                cand.dedup();
-                for &i in &cand {
-                    let spec = &self.taps[i as usize].spec;
-                    let at = match spec.point {
-                        TapPoint::Delivery(n) if n == ev.node => Some(ev.at),
-                        TapPoint::NodeArrival(n) if spec.delivered_only => {
-                            ev.hops.iter().find(|h| h.node == n).map(|h| h.arrived)
-                        }
-                        TapPoint::PortDeparture(n, p) if spec.delivered_only => ev
-                            .hops
-                            .iter()
-                            .find(|h| h.node == n && h.port == p)
-                            .map(|h| h.departed),
-                        _ => None,
-                    };
-                    if let Some(at) = at {
-                        Self::observe(
-                            &mut self.taps[i as usize],
-                            self.cfg,
-                            &mut self.totals,
-                            &mut self.tenants,
-                            at,
-                            delivered,
-                            ev,
-                        );
-                    }
+                cand.dedup_by_key(|c| c.0);
+                for &(i, crossing) in &cand {
+                    let i = i as usize;
+                    let at = crossing_time(self.taps[i].point, crossing, ev);
+                    Self::observe(
+                        &mut self.taps[i],
+                        &mut self.cold[i],
+                        self.cfg,
+                        &mut self.totals,
+                        &mut self.tenants,
+                        at,
+                        delivered,
+                        ev,
+                    );
                 }
                 self.scratch = cand;
             }
@@ -1280,48 +1476,33 @@ impl HopSink for MeasurementPlane<'_> {
                 // The drop node itself counts: arrival there precedes the
                 // fatal queue. Upstream crossings come from the hops.
                 if let Some(v) = self.live_arrival.get(&ev.node) {
-                    cand.extend_from_slice(v);
+                    cand.extend(v.iter().map(|&t| (t, AT_EVENT)));
                 }
-                for h in ev.hops {
+                for (h, crossing) in ev.hops.iter().zip(AT_EVENT + 1..) {
                     if let Some(v) = self.live_arrival.get(&h.node) {
-                        cand.extend_from_slice(v);
+                        cand.extend(v.iter().map(|&t| (t, crossing)));
                     }
                     if let Some(v) = self.live_departure.get(&(h.node, h.port)) {
-                        cand.extend_from_slice(v);
+                        cand.extend(v.iter().map(|&t| (t, crossing)));
                     }
                 }
                 cand.sort_unstable();
-                cand.dedup();
-                for &i in &cand {
+                cand.dedup_by_key(|c| c.0);
+                for &(i, crossing) in &cand {
                     let i = i as usize;
-                    let spec = &self.taps[i].spec;
-                    // Where (and when) did this live tap observe the dying
-                    // packet?
-                    let at = match spec.point {
-                        TapPoint::NodeArrival(n) if n == ev.node => Some(ev.at),
-                        TapPoint::NodeArrival(n) => {
-                            ev.hops.iter().find(|h| h.node == n).map(|h| h.arrived)
-                        }
-                        TapPoint::PortDeparture(n, p) => ev
-                            .hops
-                            .iter()
-                            .find(|h| h.node == n && h.port == p)
-                            .map(|h| h.departed),
-                        // Dropped packets are never delivered.
-                        TapPoint::Delivery(_) => None,
-                    };
-                    let Some(at) = at else { continue };
-                    if self.taps[i].down {
+                    let tap = &self.taps[i];
+                    if tap.down {
                         // A crashed instance never observed the crossing;
                         // there is no estimate to attribute the death to.
                         continue;
                     }
-                    if let Some(meter) = &self.taps[i].spec.meter {
-                        if !meter(ev) {
-                            continue;
-                        }
+                    if tap.has_meter && !self.cold[i].spec.meter.as_ref().is_some_and(|m| m(ev)) {
+                        continue;
                     }
-                    Self::note_drop(&mut self.taps[i], epoch_ns, at);
+                    // Where (and when) this live tap observed the dying
+                    // packet.
+                    let at = crossing_time(tap.point, crossing, ev);
+                    Self::note_drop(&mut self.cold[i], epoch_ns, at);
                 }
                 self.scratch = cand;
             }
@@ -1345,6 +1526,7 @@ impl HopSink for MeasurementPlane<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rlir_net::packet::Packet;
     use std::net::Ipv4Addr;
 
@@ -1809,5 +1991,89 @@ mod tests {
             .collect();
         assert_eq!(got.iter().map(render).collect::<Vec<_>>(), want);
         assert_eq!(want[4].2, "c", "the epoch-7 outlier must be the finding");
+    }
+
+    #[test]
+    fn pending_obs_is_48_bytes() {
+        // Six words: what `plane.bytes_per_pending` and the 1.5-window
+        // bound on a run's footprint are quoted against.
+        assert_eq!(std::mem::size_of::<PendingObs>(), 48);
+        assert_eq!(std::mem::align_of::<PendingObs>(), 8);
+    }
+
+    #[test]
+    fn hot_tap_record_fits_two_cache_lines() {
+        assert!(
+            std::mem::size_of::<HotTap>() <= 128,
+            "HotTap grew to {} bytes",
+            std::mem::size_of::<HotTap>()
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn regular_entries_round_trip_every_flow_key_and_truth(
+            addrs in (any::<u32>(), any::<u32>()),
+            ports in (any::<u16>(), any::<u16>()),
+            // 0 / 1: the named variants; otherwise `Other(n)` for every n,
+            // the non-canonical `Other(6)` and `Other(17)` included.
+            proto in (0u8..6, any::<u8>()),
+            truth in 0u8..4,
+            key in (any::<u64>(), any::<u64>(), any::<u64>()),
+        ) {
+            let proto = match proto {
+                (0, _) => Protocol::Tcp,
+                (1, _) => Protocol::Udp,
+                (2, _) => Protocol::Other(6),
+                (3, _) => Protocol::Other(17),
+                (_, n) => Protocol::Other(n),
+            };
+            let flow = FlowKey {
+                src: Ipv4Addr::from(addrs.0),
+                dst: Ipv4Addr::from(addrs.1),
+                proto,
+                sport: ports.0,
+                dport: ports.1,
+            };
+            // No value of the truth word means "absent": both ends of the
+            // range are truths.
+            let truth = match truth {
+                0 => None,
+                1 => Some(SimDuration::ZERO),
+                2 => Some(SimDuration::from_nanos(u64::MAX)),
+                _ => Some(SimDuration::from_nanos(key.2 ^ key.0)),
+            };
+            let (at, tie, id) = key;
+            let obs = PendingObs::regular(SimTime::from_nanos(at), tie, id, &flow, truth);
+            prop_assert_eq!(obs.key(), key);
+            prop_assert_eq!(obs.payload(), Payload::Regular { flow, truth });
+            // The derived equality tells `Other(6)` from `Tcp`; so must the
+            // entry.
+            for named in [Protocol::Tcp, Protocol::Udp] {
+                if proto != named {
+                    let other = FlowKey { proto: named, ..flow };
+                    let named = PendingObs::regular(SimTime::from_nanos(at), tie, id, &other, truth);
+                    prop_assert_ne!(obs.payload(), named.payload());
+                }
+            }
+        }
+
+        #[test]
+        fn reference_entries_round_trip_every_reference_info(
+            sender in any::<u16>(),
+            seq in any::<u32>(),
+            tx in any::<u64>(),
+            key in (any::<u64>(), any::<u64>(), any::<u64>()),
+        ) {
+            let info = ReferenceInfo {
+                sender: SenderId(sender),
+                seq,
+                tx_timestamp: SimTime::from_nanos(tx),
+            };
+            let (at, tie, id) = key;
+            let obs = PendingObs::reference(SimTime::from_nanos(at), tie, id, &info);
+            prop_assert_eq!(obs.key(), key);
+            prop_assert_eq!(obs.payload(), Payload::Reference(info));
+        }
     }
 }

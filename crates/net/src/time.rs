@@ -161,13 +161,15 @@ impl SimDuration {
     }
 
     /// Serialisation time of `bytes` at `rate_bps` bits per second, rounded up
-    /// so that back-to-back packets never overlap on the wire.
+    /// so that back-to-back packets never overlap on the wire. Saturates at
+    /// `u64::MAX` ns (a 4 GiB packet below ≈ 2 bit/s), like every other
+    /// operation on simulated time.
     #[inline]
     pub fn transmission(bytes: u32, rate_bps: u64) -> Self {
         debug_assert!(rate_bps > 0, "link rate must be positive");
         let bits = bytes as u128 * 8;
         let ns = (bits * 1_000_000_000).div_ceil(rate_bps as u128);
-        SimDuration(ns as u64)
+        SimDuration(u64::try_from(ns).unwrap_or(u64::MAX))
     }
 
     /// Scale by a non-negative factor, rounding to the nearest nanosecond.
@@ -332,6 +334,17 @@ mod tests {
         // 1 byte at 3 bps = 8/3 s ≈ 2.666..s, must round *up*.
         let d = SimDuration::transmission(1, 3);
         assert_eq!(d.as_nanos(), 2_666_666_667);
+    }
+
+    #[test]
+    fn transmission_saturates_instead_of_wrapping() {
+        // u32::MAX bytes at 1 bit/s is ≈ 3.4e19 ns, past u64::MAX: the
+        // unchecked cast used to wrap it to ≈ 1.6e19.
+        let d = SimDuration::transmission(u32::MAX, 1);
+        assert_eq!(d.as_nanos(), u64::MAX);
+        // The largest value that still fits is returned exactly.
+        let d = SimDuration::transmission(u32::MAX, 2);
+        assert_eq!(d.as_nanos(), u32::MAX as u64 * 4_000_000_000);
     }
 
     #[test]

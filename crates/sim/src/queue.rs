@@ -14,6 +14,13 @@
 //!
 //! Arrivals must be offered in non-decreasing time order (FIFO links deliver
 //! in order; the multi-stream merge is the caller's job).
+//!
+//! A [`FifoQueue`] is one flat 128-byte record — configuration, three
+//! clocks, the backlog peak and the per-class counters — and `offer` reads
+//! nothing else: the transmission time is computed, not looked up. (An
+//! earlier revision memoized it per packet size in a 16 KiB table behind
+//! each port; on a k = 8 fabric that was 8.9 MB of tables whose one load per
+//! packet missed cache more than the division it saved.)
 
 use rlir_net::packet::{Packet, PacketKind};
 use rlir_net::time::{SimDuration, SimTime};
@@ -87,22 +94,20 @@ pub enum Verdict {
     Dropped,
 }
 
-/// Packet sizes below this get their transmission time memoized (covers
-/// standard MTUs; larger sizes fall back to the exact computation). Zeroed
-/// lazily-filled slots keep construction nearly free (calloc'd pages), and
-/// 16 KiB per queue stays cheap even for fat-tree fabrics with hundreds of
-/// ports.
-const TX_CACHE_SIZES: usize = 2048;
+/// Sizes below this have `size · 8·10⁹` inside a `u64` (2³⁰ · 8·10⁹ ≈
+/// 0.47 · 2⁶⁴), so their transmission time is one 64-bit `div_ceil`.
+const TX_U64_SIZES: u32 = 1 << 30;
 
 /// Analytic drop-tail FIFO with fixed processing delay.
 ///
-/// The `offer` fast path is division-free: per-size transmission times are
-/// memoized exactly (the seed recomputed a `u128` `div_ceil` per packet),
-/// and backlog conversion runs in 64-bit arithmetic whenever it cannot
-/// overflow (always, for sub-second backlogs). Every returned value is
-/// bit-identical to the seed implementation — see
-/// [`baseline::SeedFifoQueue`], the frozen original kept for differential
-/// benchmarks.
+/// The whole queue is 128 bytes of plain words — no table behind a
+/// pointer — so an `offer` touches two cache lines however many ports the
+/// fabric has. Transmission times are one 64-bit `div_ceil` (the seed
+/// computed a `u128` one per packet) and backlog conversion runs in 64-bit
+/// arithmetic whenever it cannot overflow (always, for sub-second
+/// backlogs). Every returned value is bit-identical to the seed
+/// implementation — see [`baseline::SeedFifoQueue`], the frozen original
+/// the differential tests compare against.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FifoQueue {
     cfg: QueueConfig,
@@ -111,9 +116,6 @@ pub struct FifoQueue {
     busy: SimDuration,
     peak_backlog_bytes: u64,
     classes: [ClassCounters; 3],
-    /// Lazily filled exact transmission times, indexed by packet size.
-    /// `0` marks an uncomputed slot (no positive size serialises in 0 ns).
-    tx_cache: Vec<u64>,
 }
 
 impl FifoQueue {
@@ -127,7 +129,6 @@ impl FifoQueue {
             busy: SimDuration::ZERO,
             peak_backlog_bytes: 0,
             classes: [ClassCounters::default(); 3],
-            tx_cache: vec![0; TX_CACHE_SIZES],
         }
     }
 
@@ -138,23 +139,18 @@ impl FifoQueue {
 
     /// Change the per-packet processing delay mid-run — the fault plane's
     /// switch-degradation knob. Safe at any point between offers: the
-    /// memoized transmission times depend only on the rate, and the
     /// processing delay is read fresh on every [`Self::offer`].
     pub fn set_processing_delay(&mut self, delay: SimDuration) {
         self.cfg.processing_delay = delay;
     }
 
-    /// Exact transmission time of `size` bytes, memoized per size.
+    /// Exact transmission time of `size` bytes: what
+    /// [`QueueConfig::transmission`] returns, in 64-bit arithmetic where
+    /// the product fits.
     #[inline]
-    fn tx_ns(&mut self, size: u32) -> SimDuration {
-        if size == 0 {
-            return SimDuration::ZERO;
-        }
-        if let Some(slot) = self.tx_cache.get_mut(size as usize) {
-            if *slot == 0 {
-                *slot = self.cfg.transmission(size).as_nanos();
-            }
-            SimDuration::from_nanos(*slot)
+    fn tx_ns(&self, size: u32) -> SimDuration {
+        if size < TX_U64_SIZES {
+            SimDuration::from_nanos((size as u64 * 8_000_000_000).div_ceil(self.cfg.rate_bps))
         } else {
             self.cfg.transmission(size)
         }
@@ -256,6 +252,11 @@ impl FifoQueue {
         (self.busy.as_nanos() as f64 / horizon.as_nanos() as f64).min(1.0)
     }
 
+    /// Total time the server has spent transmitting.
+    pub fn busy(&self) -> SimDuration {
+        self.busy
+    }
+
     /// Largest instantaneous backlog observed at any accept, in bytes.
     pub fn peak_backlog(&self) -> u64 {
         self.peak_backlog_bytes
@@ -270,11 +271,12 @@ impl FifoQueue {
 /// The seed repository's queue implementation, frozen verbatim.
 ///
 /// [`SeedFifoQueue`] recomputes a `u128` `div_ceil` transmission time and a
-/// `u128` backlog conversion on every offer — the per-packet arithmetic the
-/// optimized [`FifoQueue`] eliminates. It produces bit-identical verdicts
-/// and departure times (asserted by the differential tests below) and
-/// exists so the benchmarks can measure the pre-optimization pipeline
-/// without checking out an old commit.
+/// `u128` backlog conversion on every offer — the per-packet arithmetic
+/// [`FifoQueue`] does in 64 bits. It produces bit-identical verdicts and
+/// departure times (asserted by the differential test below and the
+/// edge-size proptest in `tests/properties.rs`) and exists so the
+/// benchmarks can measure the pre-optimization pipeline without checking
+/// out an old commit.
 pub mod baseline {
     use super::{class_index, ClassCounters, QueueConfig, Verdict};
     use rlir_net::packet::Packet;
@@ -349,6 +351,11 @@ pub mod baseline {
                 return 0.0;
             }
             (self.busy.as_nanos() as f64 / horizon.as_nanos() as f64).min(1.0)
+        }
+
+        /// Total time the server has spent transmitting.
+        pub fn busy(&self) -> SimDuration {
+            self.busy
         }
     }
 }
@@ -498,9 +505,15 @@ mod tests {
     }
 
     #[test]
+    fn queue_is_two_cache_lines() {
+        // One per port of a fabric, touched on every hop.
+        assert_eq!(std::mem::size_of::<FifoQueue>(), 128);
+    }
+
+    #[test]
     fn optimized_queue_matches_seed_baseline_exactly() {
-        // Differential check: cached/64-bit arithmetic must reproduce the
-        // seed's u128 math bit for bit, across rates that stress rounding.
+        // Differential check: 64-bit arithmetic must reproduce the seed's
+        // u128 math bit for bit, across rates that stress rounding.
         let flow = FlowKey::udp(Ipv4Addr::new(1, 1, 1, 1), 1, Ipv4Addr::new(2, 2, 2, 2), 2);
         for rate in [1_000_000u64, 9_953_000_000, 8_000_000_000, 123_456_789] {
             let qc = QueueConfig {

@@ -7,6 +7,7 @@ use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::wire::{decode_reference_packet, encode_reference_packet};
 use rlir_net::{FlowKey, HashAlgo, Ipv4Prefix, PrefixTrie, Protocol};
 use rlir_rli::{DelaySample, Interpolator};
+use rlir_sim::queue::baseline::SeedFifoQueue;
 use rlir_sim::{FifoQueue, QueueConfig, Verdict};
 use rlir_stats::{Ecdf, StreamingStats};
 use rlir_topo::{FatTree, Role};
@@ -190,6 +191,46 @@ proptest! {
         let accepted_bytes: u64 = q.regular().bytes;
         let offered_bytes: u64 = sorted.iter().map(|(_, s)| *s as u64).sum();
         prop_assert!(accepted_bytes <= offered_bytes);
+    }
+
+    #[test]
+    fn fifo_queue_matches_the_seed_oracle_at_edge_sizes_and_rates(
+        rate in prop_oneof![Just(1u64), Just(9_953_000_000), Just(1_800_000_000_000)],
+        capacity in prop_oneof![Just(64u64 * 1024), Just(1 << 33)],
+        processing_ns in prop_oneof![Just(0u64), Just(100)],
+        // (size index, gap mantissa, gap decimal exponent): gaps from 0 ns
+        // to 10^16 ns, so every rate sees both back-to-back and idle offers.
+        offers in proptest::collection::vec((0usize..8, 0u64..1_000, 0u32..14), 1..120),
+    ) {
+        // 2048 is where the deleted memo table ended, 2^30 where the
+        // 64-bit product stops fitting.
+        const SIZES: [u32; 8] = [0, 1, 2047, 2048, 65_535, (1 << 30) - 1, 1 << 30, u32::MAX];
+        let cfg = QueueConfig {
+            rate_bps: rate,
+            capacity_bytes: capacity,
+            processing_delay: SimDuration::from_nanos(processing_ns),
+        };
+        let mut q = FifoQueue::new(cfg);
+        let mut seed = SeedFifoQueue::new(cfg);
+        let flow = FlowKey::udp(Ipv4Addr::new(1, 1, 1, 1), 1, Ipv4Addr::new(2, 2, 2, 2), 2);
+        let mut at = SimTime::ZERO;
+        let mut seed_peak = 0u64;
+        for (i, &(size, mantissa, exp)) in offers.iter().enumerate() {
+            at += SimDuration::from_nanos(mantissa * 10u64.pow(exp));
+            let p = Packet::regular(i as u64, flow, SIZES[size], at);
+            // The oracle keeps no backlog peak: what it would have seen.
+            let seed_backlog = seed.backlog_bytes(at + cfg.processing_delay) + p.size as u64;
+            let want = seed.offer(at, &p);
+            if want != Verdict::Dropped {
+                seed_peak = seed_peak.max(seed_backlog);
+            }
+            prop_assert_eq!(q.offer(at, &p), want, "offer {} of {} B at {}", i, p.size, at);
+            prop_assert_eq!(q.busy(), seed.busy());
+            prop_assert_eq!(q.peak_backlog(), seed_peak);
+            prop_assert_eq!(q.backlog_bytes(at), seed.backlog_bytes(at));
+        }
+        prop_assert_eq!(q.regular().drops, seed.regular().drops);
+        prop_assert_eq!(q.regular().bytes, seed.regular().bytes);
     }
 
     // ---- rlir-topo -------------------------------------------------------

@@ -25,9 +25,16 @@
 //! * every observation is admitted, late, shed or lost — the books close;
 //! * per tenant `offered == admitted + shed`;
 //! * a `tap_down` frees the tap's run before it returns.
+//!
+//! Half the cases give tap 2 everything that lives in the cold half of a
+//! tap record — a meter, a reference map and a `SinceArrivalAt` node list —
+//! so the reads an observation makes there are held to the same oracle, and
+//! to what the test itself knows was filtered and how long each packet took.
 
 use proptest::prelude::*;
-use rlir::plane::{DrainMode, MeasurementPlane, PlaneConfig, PlaneReport, TapPoint, TapSpec};
+use rlir::plane::{
+    DrainMode, MeasurementPlane, PlaneConfig, PlaneReport, TapPoint, TapSpec, TruthRef,
+};
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
@@ -38,6 +45,10 @@ use std::net::Ipv4Addr;
 const TAPS: usize = 3;
 /// The host-facing node every synthetic delivery happens at.
 const HOST: NodeId = 99;
+/// The untapped node every packet enters at, 40–89 ns before its tap.
+const ENTRY: NodeId = 5;
+/// The flow tap 2's meter refuses when [`Knobs::cold_fields`] is on.
+const UNMETERED_FLOW: u8 = 3;
 
 fn tap_node(tap: usize) -> NodeId {
     10 + tap
@@ -78,6 +89,21 @@ struct Knobs {
     budget: Option<usize>,
     max_buffer: usize,
     weights: (u64, u64),
+    /// Tap 2 meters (all but [`UNMETERED_FLOW`]), maps references (drops
+    /// every fourth sequence number) and scores since [`ENTRY`].
+    cold_fields: bool,
+}
+
+/// Whether tap 2's meter or reference map turns the observation away
+/// before admission is ever considered.
+fn filtered(o: &Obs, k: &Knobs) -> bool {
+    k.cold_fields
+        && o.tap == 2
+        && if o.reference {
+            o.id.is_multiple_of(4)
+        } else {
+            o.flow == UNMETERED_FLOW
+        }
 }
 
 /// Turn raw draws into a schedule. Watermarks only move forward and no
@@ -151,6 +177,11 @@ fn plane<'a>(drain: DrainMode, k: &Knobs, budget: Option<usize>) -> MeasurementP
         spec.max_buffer = k.max_buffer;
         // P² is order-sensitive: equal tails mean equal feed order.
         spec.track_quantile = (tap == 1).then_some(0.9);
+        if k.cold_fields && tap == 2 {
+            spec.truth = TruthRef::SinceArrivalAt(vec![ENTRY]);
+            spec.meter = Some(Box::new(|ev| ev.packet.flow != flow(UNMETERED_FLOW)));
+            spec.ref_map = Some(Box::new(|info| (info.seq % 4 != 0).then_some(*info)));
+        }
         plane.attach(spec);
     }
     plane
@@ -164,12 +195,20 @@ fn offer(plane: &mut MeasurementPlane<'_>, o: &Obs) {
     } else {
         Packet::regular(o.id, flow(o.flow), 700, sent)
     };
-    let hops = [Hop {
-        node: tap_node(o.tap),
-        port: 0,
-        arrived: at,
-        departed: at + SimDuration::from_nanos(1),
-    }];
+    let hops = [
+        Hop {
+            node: ENTRY,
+            port: 0,
+            arrived: sent,
+            departed: sent,
+        },
+        Hop {
+            node: tap_node(o.tap),
+            port: 0,
+            arrived: at,
+            departed: at + SimDuration::from_nanos(1),
+        },
+    ];
     plane.on_hop(&HopEvent {
         kind: HopKind::Deliver,
         node: HOST,
@@ -240,6 +279,10 @@ fn check(steps: &[Step], k: &Knobs) -> Result<(), TestCaseError> {
                 offer(&mut streaming, &o);
                 let after = streaming.approx_state_bytes();
                 prop_assert!(after >= before, "an observation shrank the state");
+                if filtered(&o, k) {
+                    prop_assert_eq!(after, before, "a filtered observation was stored");
+                    continue;
+                }
                 offered[o.tap] += 1;
                 // No flush bound ever exceeds `watermark - window`, so
                 // with nothing to shed it an observation at or above that
@@ -353,6 +396,24 @@ fn check(steps: &[Step], k: &Knobs) -> Result<(), TestCaseError> {
             );
         }
     }
+    if k.cold_fields {
+        // Equal to the oracle is not enough where both sides read the same
+        // cold fields: hold tap 2 to what the test knows.
+        let flows = &got.taps[2].report.flows;
+        prop_assert!(flows.get(&flow(UNMETERED_FLOW)).is_none());
+        for row in flows.report(1) {
+            // Every estimate is scored, with the entry-to-tap time.
+            let truth = row
+                .true_mean
+                .expect("SinceArrivalAt([ENTRY]) scores every packet");
+            prop_assert!((40.0..90.0).contains(&truth), "truth {}", truth);
+        }
+        let refs = admitted.iter().filter(|(o, _)| o.tap == 2 && o.reference);
+        prop_assert_eq!(
+            got.taps[2].report.counters.refs_accepted,
+            refs.count() as u64
+        );
+    }
     for t in &got.tenants {
         prop_assert_eq!(
             t.offered,
@@ -373,12 +434,14 @@ proptest! {
         epoch in 100u64..1_500,
         budget in 0usize..64,
         max_buffer in 0usize..32,
-        weights in (1u64..5, 1u64..5),
+        // One argument: the vendored proptest takes at most six.
+        weights_and_cold_fields in ((1u64..5, 1u64..5), any::<bool>()),
     ) {
+        let (weights, cold_fields) = weights_and_cold_fields;
         // A third of the cases run uncapped on either axis.
         let budget = (budget >= 20).then(|| budget - 16);
         let max_buffer = if max_buffer < 10 { 1 << 22 } else { max_buffer - 8 };
-        let k = Knobs { window, epoch, budget, max_buffer, weights };
+        let k = Knobs { window, epoch, budget, max_buffer, weights, cold_fields };
         check(&schedule(&raw, window), &k)?;
     }
 }
