@@ -7,9 +7,9 @@
 //! [`FifoQueue`]s, links with propagation delay, a pluggable [`Forwarder`]
 //! (implemented by `rlir-topo`), and per-packet hop-by-hop ground truth.
 //!
-//! Events are drained in (time, sequence) order from a bucketed
-//! [`CalendarQueue`](crate::sched::CalendarQueue) (heap fallback for
-//! far-future events; the original `BinaryHeap` is kept behind
+//! Events are drained in (time, sequence) order from a
+//! [`CalendarQueue`](crate::sched::CalendarQueue) sized at the fabric's
+//! grain (the original `BinaryHeap` is kept behind
 //! [`SchedulerKind::Heap`] as the differential oracle), so the simulation is
 //! deterministic and every queue sees time-ordered arrivals.
 //!
@@ -49,7 +49,7 @@
 
 use crate::fault::{DeadPorts, FaultScript, FaultState, StopFlag};
 use crate::queue::{FifoQueue, QueueConfig, Verdict};
-use crate::sched::{CalendarQueue, EventSchedule, HeapSchedule};
+use crate::sched::{fabric_geometry, CalendarQueue, EventSchedule, HeapSchedule, SchedStats};
 use crate::slab::{PacketSlab, SlotId};
 use crate::source::{InjectionSource, SortedVecSource};
 use rlir_net::packet::Packet;
@@ -122,6 +122,15 @@ impl Network {
     pub fn add_port(&mut self, node: NodeId, port: Port) -> PortId {
         self.nodes[node].ports.push(port);
         self.nodes[node].ports.len() - 1
+    }
+
+    /// Every switch-to-switch link as `(from, to, port)` — the ports whose
+    /// departures are scheduled (a host-facing one delivers in place).
+    pub(crate) fn links(&self) -> impl Iterator<Item = (NodeId, NodeId, &Port)> {
+        self.nodes.iter().enumerate().flat_map(|(from, node)| {
+            let ports = node.ports.iter();
+            ports.filter_map(move |p| Some((from, p.link_to?, p)))
+        })
     }
 
     /// Look up a node id by name.
@@ -423,23 +432,65 @@ pub struct NetworkRun {
 /// Which event scheduler drives the run (see [`crate::sched`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// Bucketed calendar queue with heap fallback, its geometry picked
-    /// adaptively from the injected workload's event spacing (the default;
-    /// see [`CalendarQueue::for_spacing`]).
+    /// Calendar queue at the fabric's grain (the default): bucket width
+    /// from the network's minimum switch-to-switch link delay, wheel span
+    /// from its longest per-hop residence; see [`fabric_geometry`].
     #[default]
     Calendar,
-    /// Calendar queue with an explicit geometry — the configuration
-    /// override for workloads whose hop-event density differs wildly from
-    /// their injection density.
+    /// Calendar queue with an explicit geometry — any geometry drains in
+    /// the same order; one that ignores the fabric only costs speed.
     CalendarFixed {
         /// `log2` of the bucket width in nanoseconds.
         bucket_ns_log2: u32,
-        /// `log2` of the bucket count per rotation.
+        /// `log2` of the bucket count of the wheel.
         buckets_log2: u32,
     },
     /// The original binary heap — differential oracle / benchmark baseline.
     Heap,
 }
+
+impl SchedulerKind {
+    /// `(bucket_ns_log2, buckets_log2)` of the calendar this kind runs on
+    /// `network`; `None` is the heap.
+    pub(crate) fn geometry(self, network: &Network) -> Option<(u32, u32)> {
+        match self {
+            SchedulerKind::Calendar => {
+                // Residence at a port: processing, a full buffer's drain,
+                // the link (a fault script that slows a switch mid-run only
+                // sends more pushes to the overflow heap).
+                let residence = |(_, _, p): (_, _, &Port)| {
+                    let cfg = p.queue.config();
+                    let buffer = u32::try_from(cfg.capacity_bytes).unwrap_or(u32::MAX);
+                    (cfg.processing_delay + cfg.transmission(buffer) + p.link_delay).as_nanos()
+                };
+                let lookahead = network.links().map(|(_, _, p)| p.link_delay.as_nanos());
+                let residence = network.links().map(residence).max();
+                Some(fabric_geometry(lookahead.min(), residence.unwrap_or(0)))
+            }
+            SchedulerKind::CalendarFixed {
+                bucket_ns_log2,
+                buckets_log2,
+            } => Some((bucket_ns_log2, buckets_log2)),
+            SchedulerKind::Heap => None,
+        }
+    }
+}
+
+/// Evaluate `$run` with `$queue` bound to a constructor of the scheduler
+/// `$kind` asks for on `$network` — once per implementation, so the engine
+/// loops are monomorphic in their queue.
+macro_rules! with_scheduler {
+    ($kind:expr, $network:expr, |$queue:ident| $run:expr) => {
+        if let Some((width, buckets)) = $kind.geometry($network) {
+            let $queue = || CalendarQueue::with_geometry(width, buckets);
+            $run
+        } else {
+            let $queue = HeapSchedule::new;
+            $run
+        }
+    };
+}
+pub(crate) use with_scheduler;
 
 /// Which in-flight representation drives the run (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -466,6 +517,8 @@ struct SlotEvent {
 }
 
 const _: () = assert!(std::mem::size_of::<SlotEvent>() == 8);
+// … which makes the scheduler entry around it three words.
+const _: () = assert!(std::mem::size_of::<crate::sched::Entry<SlotEvent>>() == 24);
 
 /// The moving oracle's event: everything a packet is, carried by value.
 #[derive(Debug)]
@@ -539,9 +592,10 @@ impl StreamedDelivery<'_> {
 /// `peak_live_slots` is the **max** over the shards' peaks (each shard owns
 /// its own slab, so the fleet-wide bound is the largest single arena) and
 /// `hop_allocations` is the **sum** (every shard's allocations are real
-/// work done); both legitimately vary with the shard count and are
-/// excluded from the determinism digests.
-#[derive(Debug, Clone)]
+/// work done); `sched` sums the shards' queue counters the same way. All
+/// three legitimately vary with the shard count and are excluded from the
+/// determinism digests.
+#[derive(Debug, Clone, Default)]
 pub struct NetworkRunStats {
     /// Packets delivered (each was handed to the callback exactly once).
     pub delivered: u64,
@@ -562,6 +616,10 @@ pub struct NetworkRunStats {
     /// in-flight) thanks to slot recycling. Sharded runs fuse this as the
     /// sum over shards; see [`crate::shard::ShardRunStats::merged`].
     pub hop_allocations: u64,
+    /// Scheduler traffic counters, summed over the shards' queues — a
+    /// diagnostic like the two above: it varies with the scheduler kind and
+    /// the shard count and is excluded from the determinism digests.
+    pub sched: SchedStats,
     /// Packets dropped *because of* an injected fault (loss-burst deaths
     /// and dead-link blackholes) — a subset of the route drops. Zero for
     /// runs without a [`FaultScript`].
@@ -636,19 +694,21 @@ pub fn run_network_engine(
     engine: EngineKind,
 ) -> NetworkRun {
     match engine {
-        EngineKind::MovingOracle => run_moving(network, forwarder, injections, sink, scheduler),
+        EngineKind::MovingOracle => with_scheduler!(scheduler, &network, |queue| {
+            run_core(network, forwarder, injections, sink, queue())
+        }),
         EngineKind::Slab => {
             let mut deliveries: Vec<NetDelivery> = Vec::new();
-            let stats = run_slab(
+            let stats = run_network_streamed_source(
                 network,
                 forwarder,
-                injections,
+                SortedVecSource::new(injections),
                 sink,
                 RunOptions {
                     scheduler,
                     ..RunOptions::default()
                 },
-                &mut |d| deliveries.push(d.to_owned()),
+                |d| deliveries.push(d.to_owned()),
             );
             deliveries.sort_by_key(|d| (d.delivered_at, d.packet.id));
             NetworkRun {
@@ -692,19 +752,13 @@ pub fn run_network_streamed_sched(
     injections: impl IntoIterator<Item = (NodeId, Packet)>,
     sink: &mut impl HopSink,
     scheduler: SchedulerKind,
-    mut on_delivery: impl FnMut(&StreamedDelivery<'_>),
+    on_delivery: impl FnMut(&StreamedDelivery<'_>),
 ) -> NetworkRunStats {
-    run_slab(
-        network,
-        forwarder,
-        injections,
-        sink,
-        RunOptions {
-            scheduler,
-            ..RunOptions::default()
-        },
-        &mut on_delivery,
-    )
+    let opts = RunOptions {
+        scheduler,
+        ..RunOptions::default()
+    };
+    run_network_streamed_opts(network, forwarder, injections, sink, opts, on_delivery)
 }
 
 /// Run-shaping options for [`run_network_streamed_opts`] — the
@@ -732,9 +786,10 @@ pub fn run_network_streamed_opts(
     injections: impl IntoIterator<Item = (NodeId, Packet)>,
     sink: &mut impl HopSink,
     opts: RunOptions<'_>,
-    mut on_delivery: impl FnMut(&StreamedDelivery<'_>),
+    on_delivery: impl FnMut(&StreamedDelivery<'_>),
 ) -> NetworkRunStats {
-    run_slab(network, forwarder, injections, sink, opts, &mut on_delivery)
+    let source = SortedVecSource::new(injections);
+    run_network_streamed_source(network, forwarder, source, sink, opts, on_delivery)
 }
 
 /// [`run_network_streamed_opts`] over a pull-based [`InjectionSource`]
@@ -757,71 +812,10 @@ pub fn run_network_streamed_source(
     opts: RunOptions<'_>,
     mut on_delivery: impl FnMut(&StreamedDelivery<'_>),
 ) -> NetworkRunStats {
-    run_slab_source(
-        network,
-        forwarder,
-        &mut source,
-        sink,
-        opts,
-        &mut on_delivery,
-    )
-}
-
-/// Slab-engine entry for `IntoIterator` injections: wrap them in a
-/// [`SortedVecSource`] (stable sort by injection time, so same-time
-/// injections keep their list order — exactly the moving oracle's
-/// sequence-number tie-breaking) and drive the source-based core. Pending
-/// injections live only in the source: they enter the slab — and count
-/// against its peak — at injection time, not before.
-fn run_slab(
-    network: Network,
-    forwarder: &impl Forwarder,
-    injections: impl IntoIterator<Item = (NodeId, Packet)>,
-    sink: &mut impl HopSink,
-    opts: RunOptions<'_>,
-    on_delivery: &mut impl FnMut(&StreamedDelivery<'_>),
-) -> NetworkRunStats {
-    let mut source = SortedVecSource::new(injections);
-    run_slab_source(network, forwarder, &mut source, sink, opts, on_delivery)
-}
-
-/// Slab-engine core over any [`InjectionSource`]: pick the scheduler
-/// geometry from the source's span/len hints (the sorted-Vec adapter
-/// reports exactly what the old collect-then-sort path measured from the
-/// sorted ends; hint-less streaming sources get `for_spacing(0, 0)` — the
-/// default geometry), then drive the merge loop.
-fn run_slab_source(
-    network: Network,
-    forwarder: &impl Forwarder,
-    source: &mut impl InjectionSource,
-    sink: &mut impl HopSink,
-    opts: RunOptions<'_>,
-    on_delivery: &mut impl FnMut(&StreamedDelivery<'_>),
-) -> NetworkRunStats {
-    match opts.scheduler {
-        SchedulerKind::Calendar => {
-            let span = source.span_hint().unwrap_or(0);
-            let events = source.len_hint().unwrap_or(0);
-            let sched = CalendarQueue::for_spacing(span, events);
-            drive_slab(network, forwarder, source, sink, sched, opts, on_delivery)
-        }
-        SchedulerKind::CalendarFixed {
-            bucket_ns_log2,
-            buckets_log2,
-        } => {
-            let sched = CalendarQueue::with_geometry(bucket_ns_log2, buckets_log2);
-            drive_slab(network, forwarder, source, sink, sched, opts, on_delivery)
-        }
-        SchedulerKind::Heap => drive_slab(
-            network,
-            forwarder,
-            source,
-            sink,
-            HeapSchedule::new(),
-            opts,
-            on_delivery,
-        ),
-    }
+    with_scheduler!(opts.scheduler, &network, |queue| {
+        let (source, on_delivery) = (&mut source, &mut on_delivery);
+        drive_slab(network, forwarder, source, sink, queue(), opts, on_delivery)
+    })
 }
 
 /// Mutable engine state shared by the injection and scheduled-arrival
@@ -1037,11 +1031,12 @@ fn drive_slab<F: Forwarder, S: HopSink, D: FnMut(&StreamedDelivery<'_>)>(
         if opts.stop.is_some_and(StopFlag::is_set) {
             break;
         }
-        let due = match (source.peek(), schedule.peek_at()) {
-            (Some(t), Some(head)) => t <= head,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
+        // Only an entry due by the injection's time is looked at, so the
+        // calendar's cursor never passes the clock.
+        let due = match source.peek() {
+            Some(t) => schedule.peek_due(t).is_none_or(|(head, _)| t <= head),
+            None if schedule.is_empty() => break,
+            None => false,
         };
         if due {
             let (node, packet) = source.next_injection().expect("source peeked non-empty");
@@ -1071,53 +1066,14 @@ fn drive_slab<F: Forwarder, S: HopSink, D: FnMut(&StreamedDelivery<'_>)>(
         events: eng.events,
         peak_live_slots: eng.slab.peak_live(),
         hop_allocations: eng.slab.hop_allocations(),
+        sched: schedule.stats(),
         fault_drops: eng.faults.map_or(0, |f| f.fault_drops),
         network: eng.network,
     }
 }
 
-/// The retained pre-slab engine (see [`EngineKind::MovingOracle`]),
-/// byte-for-byte the PR 4 implementation — including its pre-collection of
-/// the injections for the adaptive calendar geometry, which the slab path
-/// folds into the slab-fill pass instead.
-fn run_moving(
-    network: Network,
-    forwarder: &impl Forwarder,
-    injections: impl IntoIterator<Item = (NodeId, Packet)>,
-    sink: &mut impl HopSink,
-    scheduler: SchedulerKind,
-) -> NetworkRun {
-    match scheduler {
-        SchedulerKind::Calendar => {
-            // Adaptive geometry: size buckets from the observed injection
-            // spacing (injections undercount hop events by the mean path
-            // length, but are the only spacing evidence available before
-            // the run; `for_spacing` folds that in).
-            let injections: Vec<(NodeId, Packet)> = injections.into_iter().collect();
-            let (mut lo, mut hi) = (u64::MAX, 0u64);
-            for (_, p) in &injections {
-                let t = p.created_at.as_nanos();
-                lo = lo.min(t);
-                hi = hi.max(t);
-            }
-            let span = hi.saturating_sub(if lo == u64::MAX { 0 } else { lo });
-            let sched = CalendarQueue::for_spacing(span, injections.len());
-            run_core(network, forwarder, injections, sink, sched)
-        }
-        SchedulerKind::CalendarFixed {
-            bucket_ns_log2,
-            buckets_log2,
-        } => run_core(
-            network,
-            forwarder,
-            injections,
-            sink,
-            CalendarQueue::with_geometry(bucket_ns_log2, buckets_log2),
-        ),
-        SchedulerKind::Heap => run_core(network, forwarder, injections, sink, HeapSchedule::new()),
-    }
-}
-
+/// The retained pre-slab engine (see [`EngineKind::MovingOracle`]), the
+/// PR 4 implementation: every injection is pushed up front.
 fn run_core(
     mut network: Network,
     forwarder: &impl Forwarder,

@@ -1,213 +1,242 @@
 //! Event schedulers for the network engine.
 //!
-//! The engine needs one operation pair — `push(at, item)` / `pop() → min by
-//! (at, key, seq)` — with FIFO tie-breaking among equal timestamps (`seq` is
-//! the push order) refined by an optional caller-supplied **tie key** `K`.
-//! The default `K = ()` is zero-cost and reduces the order to the historical
-//! `(at, seq)`; the pod-sharded engine (`crate::shard`) instead keys entries
-//! by `(packet ordinal, hop progress)`, a *partition-independent* total
-//! order, so N shards draining their own queues reproduce exactly the
-//! one-shard drain. Two implementations share the contract:
+//! The engine needs one operation pair — `push(at, tie, item)` /
+//! `pop() → min by (at, tie)` — over one 24-byte entry whose `(at, tie)` is
+//! compared as a single `u128`. The `tie` makes equal timestamps a total
+//! order: the sequential engine uses the push sequence
+//! ([`EventSchedule::push`], FIFO among equal times); the keyed core
+//! (`crate::shard`) packs `(packet ordinal, hop progress)` into it, a
+//! *partition-independent* order, so N shards draining their own queues
+//! reproduce exactly the one-shard drain. Entries with equal `at` carry
+//! distinct ties. Two implementations share the contract:
 //!
 //! * [`HeapSchedule`] — the original `BinaryHeap<Reverse<…>>`, kept as the
 //!   differential oracle and benchmark baseline.
-//! * [`CalendarQueue`] — a bucketed calendar queue keyed on [`SimTime`]:
-//!   near-future events land in fixed-width time buckets (O(1) push, cheap
-//!   in-bucket ordering), far-future events fall back to a heap that is
-//!   drained into the wheel one rotation at a time. Event-driven causality
-//!   (a handler never schedules into the past) keeps the cursor monotonic.
+//! * [`CalendarQueue`] — a calendar queue at the fabric's grain
+//!   ([`fabric_geometry`]): buckets no wider than the network's lookahead,
+//!   a wheel that spans its longest residence. The cursor follows the
+//!   engine's clock ([`EventSchedule::peek_due`]), so nothing handled in a
+//!   bucket schedules into it: opening one swaps its `Vec` in, sorts it
+//!   once and pops from the end. A push at or behind the open bucket anyway
+//!   (zero-latency link, coarse `CalendarFixed` geometry) goes to a side
+//!   heap, so correctness never rests on the bound; [`SchedStats`] counts
+//!   how often each path ran.
 //!
-//! `tests` + the workspace property suite pin the two implementations to
-//! identical `(time, key, seq)` drain orders, including same-timestamp ties.
+//! `tests` + `tests/scheduler_equivalence.rs` pin the two implementations
+//! to identical `(time, tie)` drain orders, including same-timestamp ties.
 
 use rlir_net::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// One scheduled entry; ordered by `(at, key, seq)` so equal timestamps
-/// drain in key order, and — among equal keys, which with the default
-/// `K = ()` means *all* equal timestamps — in push (FIFO) order.
-struct Entry<T, K = ()> {
+/// One scheduled entry — 24 bytes around an 8-byte item (pinned where the
+/// engines define theirs) — ordered by `(at, tie)`.
+pub(crate) struct Entry<T> {
     at: u64,
-    key: K,
-    seq: u64,
+    tie: u64,
     item: T,
 }
 
-impl<T, K: Ord> PartialEq for Entry<T, K> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, &self.key, self.seq) == (other.at, &other.key, other.seq)
+impl<T> Entry<T> {
+    /// `(at, tie)` as one word: the whole comparison is a `u128` compare.
+    #[inline]
+    fn key(&self) -> u128 {
+        (self.at as u128) << 64 | self.tie as u128
+    }
+
+    fn unpack(self) -> (SimTime, u64, T) {
+        (SimTime::from_nanos(self.at), self.tie, self.item)
     }
 }
-impl<T, K: Ord> Eq for Entry<T, K> {}
-impl<T, K: Ord> PartialOrd for Entry<T, K> {
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl<T> Eq for Entry<T> {}
+impl<T> PartialOrd for Entry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<T, K: Ord> Ord for Entry<T, K> {
+impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, &self.key, self.seq).cmp(&(other.at, &other.key, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
-/// The scheduler contract of the event engine, generic over a tie key `K`
-/// (default `()`: plain `(at, seq)` FIFO order, the single-engine
-/// behaviour).
-pub trait EventSchedule<T, K: Copy + Ord + Default = ()> {
-    /// Schedule `item` at `at` with the default key. Ties drain in push
-    /// order (among equal keys).
-    fn push(&mut self, at: SimTime, item: T) {
-        self.push_keyed(at, K::default(), item);
+/// Deterministic scheduler traffic counters — what the calendar's geometry
+/// is judged by. A diagnostic like `hop_allocations`: it varies with the
+/// scheduler kind and the shard count and is excluded from determinism
+/// digests. [`HeapSchedule`] counts pushes and pops only.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedStats {
+    /// Entries pushed.
+    pub pushes: u64,
+    /// Entries popped.
+    pub pops: u64,
+    /// Pushes at or behind the open bucket, which took the side heap: zero
+    /// when the width is within the lookahead and the cursor on the clock.
+    pub same_bucket_pushes: u64,
+    /// Pushes beyond the wheel's span, parked in the overflow heap.
+    pub overflow_pushes: u64,
+    /// Buckets opened (swapped in and sorted).
+    pub buckets_opened: u64,
+    /// Most entries any bucket held when it was opened.
+    pub longest_bucket: u64,
+}
+
+impl SchedStats {
+    /// Fold another queue's counters in: counts add, `longest_bucket` maxes.
+    pub fn absorb(&mut self, other: &SchedStats) {
+        self.pushes += other.pushes;
+        self.pops += other.pops;
+        self.same_bucket_pushes += other.same_bucket_pushes;
+        self.overflow_pushes += other.overflow_pushes;
+        self.buckets_opened += other.buckets_opened;
+        self.longest_bucket = self.longest_bucket.max(other.longest_bucket);
     }
-    /// Schedule `item` at `at` under tie key `key`.
-    fn push_keyed(&mut self, at: SimTime, key: K, item: T);
-    /// Remove and return the earliest entry (smallest `(at, key, seq)`).
+}
+
+/// The scheduler contract of the event engine.
+pub trait EventSchedule<T> {
+    /// Schedule `item` at `at`, tied by push order: equal timestamps drain
+    /// FIFO. One queue uses either this or [`Self::push_keyed`], not both.
+    fn push(&mut self, at: SimTime, item: T) {
+        self.push_keyed(at, self.stats().pushes, item);
+    }
+    /// Schedule `item` at `at` under a caller-chosen `tie`, distinct among
+    /// entries with equal `at`.
+    fn push_keyed(&mut self, at: SimTime, tie: u64, item: T);
+    /// Remove and return the earliest entry (smallest `(at, tie)`).
     fn pop(&mut self) -> Option<(SimTime, T)> {
         self.pop_keyed().map(|(at, _, item)| (at, item))
     }
-    /// Remove and return the earliest entry together with its key.
-    fn pop_keyed(&mut self) -> Option<(SimTime, K, T)>;
-    /// Timestamp of the earliest entry without removing it (`&mut` because
-    /// the calendar queue may need to advance its cursor to find it). The
-    /// slab engine merges the time-sorted injection stream against this,
-    /// so pending injections never occupy scheduler or slab space.
-    fn peek_at(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(at, _)| at)
-    }
-    /// Timestamp and key of the earliest entry without removing it — the
-    /// sharded engine's injection merge compares full keys, not just times.
-    fn peek_key(&mut self) -> Option<(SimTime, K)>;
+    /// Remove and return the earliest entry together with its tie.
+    fn pop_keyed(&mut self) -> Option<(SimTime, u64, T)>;
+    /// Time and tie of the earliest entry if it is due at or before `now`,
+    /// the time of the unit the caller handles next if nothing is (`&mut`:
+    /// the calendar moves its cursor up to `now`, no further). The engines
+    /// merge their time-sorted injection stream against this, so pending
+    /// injections occupy no scheduler or slab space.
+    fn peek_due(&mut self, now: SimTime) -> Option<(SimTime, u64)>;
     /// Number of scheduled entries.
     fn len(&self) -> usize;
     /// Whether the schedule is empty.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
+    /// Traffic counters so far.
+    fn stats(&self) -> SchedStats;
 }
 
 /// The original binary-heap scheduler (differential oracle / benchmark
 /// baseline).
-pub struct HeapSchedule<T, K = ()> {
-    heap: BinaryHeap<Reverse<Entry<T, K>>>,
-    seq: u64,
+pub struct HeapSchedule<T> {
+    heap: BinaryHeap<Reverse<Entry<T>>>,
+    pushes: u64,
 }
 
-impl<T, K: Ord> HeapSchedule<T, K> {
+impl<T> HeapSchedule<T> {
     /// An empty schedule.
     pub fn new() -> Self {
         HeapSchedule {
             heap: BinaryHeap::new(),
-            seq: 0,
+            pushes: 0,
         }
     }
 }
 
-impl<T, K: Ord> Default for HeapSchedule<T, K> {
+impl<T> Default for HeapSchedule<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T, K: Copy + Ord + Default> EventSchedule<T, K> for HeapSchedule<T, K> {
-    fn push_keyed(&mut self, at: SimTime, key: K, item: T) {
-        self.heap.push(Reverse(Entry {
-            at: at.as_nanos(),
-            key,
-            seq: self.seq,
-            item,
-        }));
-        self.seq += 1;
+impl<T> EventSchedule<T> for HeapSchedule<T> {
+    fn push_keyed(&mut self, at: SimTime, tie: u64, item: T) {
+        let at = at.as_nanos();
+        self.heap.push(Reverse(Entry { at, tie, item }));
+        self.pushes += 1;
     }
 
-    fn pop_keyed(&mut self) -> Option<(SimTime, K, T)> {
-        self.heap
-            .pop()
-            .map(|Reverse(e)| (SimTime::from_nanos(e.at), e.key, e.item))
+    fn pop_keyed(&mut self) -> Option<(SimTime, u64, T)> {
+        self.heap.pop().map(|Reverse(e)| e.unpack())
     }
 
-    fn peek_key(&mut self) -> Option<(SimTime, K)> {
-        self.heap
-            .peek()
-            .map(|Reverse(e)| (SimTime::from_nanos(e.at), e.key))
+    fn peek_due(&mut self, now: SimTime) -> Option<(SimTime, u64)> {
+        let Reverse(e) = self.heap.peek()?;
+        (e.at <= now.as_nanos()).then_some((SimTime::from_nanos(e.at), e.tie))
     }
 
     fn len(&self) -> usize {
         self.heap.len()
     }
-}
 
-/// Default bucket width: 2¹⁰ ns ≈ 1 µs — on the same order as one MTU
-/// serialisation at 10 Gb/s, so a bucket holds a handful of events under
-/// load.
-const DEFAULT_BUCKET_NS_LOG2: u32 = 10;
-/// Default wheel size: 2¹⁰ buckets ⇒ a ~1 ms rotation, comfortably wider
-/// than any per-hop delay (queueing caps at ~420 µs for the default 512 KiB
-/// buffer) so in-flight events essentially never hit the overflow heap.
-const DEFAULT_BUCKETS_LOG2: u32 = 10;
-
-/// Bucketed calendar queue keyed on [`SimTime`], with a heap fallback for
-/// events beyond the current rotation.
-///
-/// The wheel covers `[rotation_start, rotation_start + nbuckets·width)`.
-/// Pops drain bucket by bucket; the bucket under the cursor is held in a
-/// small heap (`active`) so same-bucket pushes interleave correctly. When a
-/// rotation is exhausted the wheel advances — jumping straight to the
-/// overflow minimum's rotation when the intervening ones are empty — and
-/// overflow entries that now fall inside the new rotation are distributed
-/// into their buckets.
-pub struct CalendarQueue<T, K = ()> {
-    /// Per-bucket unordered entry lists for the current rotation.
-    wheel: Vec<Vec<Entry<T, K>>>,
-    /// The bucket currently being drained, ordered.
-    active: BinaryHeap<Reverse<Entry<T, K>>>,
-    /// Exclusive time bound of the active bucket.
-    active_end: u64,
-    /// Next wheel index the cursor will open.
-    cursor: usize,
-    /// Start time of the current rotation (multiple of the bucket width).
-    rotation_start: u64,
-    /// Far-future entries (at ≥ rotation end when pushed).
-    overflow: BinaryHeap<Reverse<Entry<T, K>>>,
-    bucket_ns_log2: u32,
-    len: usize,
-    seq: u64,
-}
-
-impl<T, K: Ord> CalendarQueue<T, K> {
-    /// An empty queue with the default geometry (1 µs × 1024 buckets).
-    pub fn new() -> Self {
-        Self::with_geometry(DEFAULT_BUCKET_NS_LOG2, DEFAULT_BUCKETS_LOG2)
-    }
-
-    /// An empty queue sized for a workload of `events` initial events
-    /// spread over `span_ns` of simulated time.
-    ///
-    /// The bucket width targets ~4 mean inter-event gaps, so a bucket holds
-    /// a handful of entries under load (initial events undercount total
-    /// scheduler traffic by the mean path length; the 4× headroom absorbs
-    /// that). Clamped to [2⁶, 2¹⁴] ns — below 64 ns rotations get too short
-    /// and everything overflows, above 16 µs the in-bucket heaps dominate —
-    /// and falls back to the default geometry when the workload gives no
-    /// spacing evidence (fewer than 2 events, or zero span).
-    pub fn for_spacing(span_ns: u64, events: usize) -> Self {
-        if events < 2 || span_ns == 0 {
-            return Self::new();
+    fn stats(&self) -> SchedStats {
+        SchedStats {
+            pushes: self.pushes,
+            pops: self.pushes - self.heap.len() as u64,
+            ..SchedStats::default()
         }
-        let spacing = (span_ns / events as u64).max(1);
-        let target = spacing.saturating_mul(4);
-        // ceil(log2(target)): width of target minus 1 for exact powers.
-        let log2 = u64::BITS - target.leading_zeros() - u32::from(target.is_power_of_two());
-        Self::with_geometry(log2.clamp(6, 14), DEFAULT_BUCKETS_LOG2)
     }
+}
 
-    /// `log2` of the bucket width in nanoseconds.
-    pub fn bucket_ns_log2(&self) -> u32 {
-        self.bucket_ns_log2
-    }
+/// Bucket width for a fabric that offers no lookahead to size it by:
+/// 2¹⁰ ns ≈ 1 µs, about one MTU serialisation at 10 Gb/s.
+const DEFAULT_BUCKET_NS_LOG2: u32 = 10;
 
+/// Calendar geometry `(bucket_ns_log2, buckets_log2)` at a fabric's grain.
+///
+/// `lookahead_ns` is the minimum switch-to-switch link delay: every push
+/// lands at least that far after the unit that made it, so a bucket of the
+/// largest power of two ≤ it is never pushed into while it is drained
+/// (1 µs links → 512 ns buckets). `residence_ns` is the longest a packet
+/// stays at one hop (processing, deepest queue drain, link): a wheel
+/// spanning it keeps pushes out of the overflow heap. Speed only — any
+/// geometry drains in the same order. Clamped to [2⁶, 2³⁰] ns × [2⁶, 2¹⁶]
+/// buckets; with no lookahead (no such link, or a zero-latency one) 2¹⁰ ns.
+pub fn fabric_geometry(lookahead_ns: Option<u64>, residence_ns: u64) -> (u32, u32) {
+    let width = match lookahead_ns {
+        Some(l) if l > 0 => l.ilog2().clamp(6, 30),
+        _ => DEFAULT_BUCKET_NS_LOG2,
+    };
+    // The residence in buckets, plus the open bucket and the partial one
+    // at the far end; `clamp` before the power of two so it cannot overflow.
+    let buckets = ((residence_ns >> width) + 2).clamp(1 << 6, 1 << 16);
+    (width, buckets.next_power_of_two().ilog2())
+}
+
+/// Calendar queue keyed on [`SimTime`]: a wheel of fixed-width time buckets
+/// sliding with the cursor, a heap for pushes beyond its span.
+///
+/// Bucket `b` covers `[b·width, (b+1)·width)`. The wheel holds the buckets
+/// `(open, open + nbuckets)`, unordered; entries beyond wait in `overflow`
+/// and move into the wheel as the cursor brings their bucket inside. The
+/// bucket under the cursor is `active`, sorted descending and popped from
+/// the end; pushes at or behind it go to `side`.
+pub struct CalendarQueue<T> {
+    /// Unordered entry lists of the buckets after `open`, indexed by
+    /// bucket number mod the wheel size.
+    wheel: Vec<Vec<Entry<T>>>,
+    /// The open bucket's entries, sorted descending.
+    active: Vec<Entry<T>>,
+    /// Entries pushed at or behind the open bucket.
+    side: BinaryHeap<Reverse<Entry<T>>>,
+    /// Entries pushed `nbuckets` or more beyond the open bucket.
+    overflow: BinaryHeap<Reverse<Entry<T>>>,
+    /// Number of the open bucket (the cursor). Bucket 0 starts open.
+    open: u64,
+    /// Entries in `wheel`.
+    in_wheel: usize,
+    bucket_ns_log2: u32,
+    stats: SchedStats,
+}
+
+impl<T> CalendarQueue<T> {
     /// An empty queue with `2^bucket_ns_log2` ns buckets and
-    /// `2^buckets_log2` of them per rotation.
+    /// `2^buckets_log2` of them in the wheel.
     pub fn with_geometry(bucket_ns_log2: u32, buckets_log2: u32) -> Self {
         assert!(
             bucket_ns_log2 < 40 && buckets_log2 <= 20,
@@ -215,116 +244,134 @@ impl<T, K: Ord> CalendarQueue<T, K> {
         );
         CalendarQueue {
             wheel: (0..1usize << buckets_log2).map(|_| Vec::new()).collect(),
-            active: BinaryHeap::new(),
-            active_end: 1u64 << bucket_ns_log2,
-            cursor: 0,
-            rotation_start: 0,
+            active: Vec::new(),
+            side: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
+            open: 0,
+            in_wheel: 0,
             bucket_ns_log2,
-            len: 0,
-            seq: 0,
+            stats: SchedStats::default(),
         }
     }
 
+    /// Wheel slot of bucket `b`.
     #[inline]
-    fn rotation_span(&self) -> u64 {
-        (self.wheel.len() as u64) << self.bucket_ns_log2
+    fn slot(&self, b: u64) -> usize {
+        (b & (self.wheel.len() as u64 - 1)) as usize
     }
 
-    #[inline]
-    fn rotation_end(&self) -> u64 {
-        self.rotation_start + self.rotation_span()
-    }
-
-    /// Open the next non-empty bucket (or rotate) until `active` is
-    /// populated or the queue is exhausted.
-    fn refill_active(&mut self) {
-        while self.active.is_empty() {
-            if self.cursor < self.wheel.len() {
-                // Skip empty buckets without touching the heap.
-                let bucket = &mut self.wheel[self.cursor];
-                self.cursor += 1;
-                self.active_end =
-                    self.rotation_start + ((self.cursor as u64) << self.bucket_ns_log2);
-                if !bucket.is_empty() {
-                    self.active = bucket.drain(..).map(Reverse).collect();
-                }
-                continue;
+    /// Move the cursor to bucket `b` — every bucket in `(open, b)` is
+    /// empty — and bring in the overflow entries the wheel now covers (bucket
+    /// `b`'s own among them, when the cursor jumps to the overflow minimum).
+    fn advance(&mut self, b: u64) {
+        self.open = b;
+        let nbuckets = self.wheel.len() as u64;
+        while let Some(Reverse(e)) = self.overflow.peek() {
+            let eb = e.at >> self.bucket_ns_log2;
+            if eb - b >= nbuckets {
+                break;
             }
-            // Rotation exhausted: everything left lives in the overflow.
-            let Some(Reverse(min)) = self.overflow.peek() else {
-                return; // queue empty
-            };
-            // Jump directly to the rotation containing the overflow minimum
-            // (skipping empty rotations keeps sparse schedules O(log n)).
-            let span = self.rotation_span();
-            self.rotation_start = (min.at / span) * span;
-            self.cursor = 0;
-            let end = self.rotation_end();
-            while let Some(Reverse(e)) = self.overflow.peek() {
-                if e.at >= end {
-                    break;
-                }
-                let Reverse(e) = self.overflow.pop().expect("peeked");
-                let idx = ((e.at - self.rotation_start) >> self.bucket_ns_log2) as usize;
-                self.wheel[idx].push(e);
-            }
+            let Reverse(e) = self.overflow.pop().expect("peeked");
+            let slot = self.slot(eb);
+            self.wheel[slot].push(e);
+            self.in_wheel += 1;
         }
     }
-}
 
-impl<T, K: Ord> Default for CalendarQueue<T, K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T, K: Copy + Ord + Default> EventSchedule<T, K> for CalendarQueue<T, K> {
-    fn push_keyed(&mut self, at: SimTime, key: K, item: T) {
-        let t = at.as_nanos();
-        let e = Entry {
-            at: t,
-            key,
-            seq: self.seq,
-            item,
-        };
-        self.seq += 1;
-        self.len += 1;
-        if t < self.active_end {
-            // In (or before) the bucket being drained. Causality makes
-            // "before" impossible mid-run, but the heap handles it anyway —
-            // pushes that precede the first pop land here too.
-            self.active.push(Reverse(e));
-        } else if t < self.rotation_end() {
-            let idx = ((t - self.rotation_start) >> self.bucket_ns_log2) as usize;
-            self.wheel[idx].push(e);
+    /// Bring the earliest entry to the end of `active`, opening buckets up
+    /// to number `limit` and no further; `false` when nothing is pending at
+    /// or before it. An empty wheel jumps straight to the overflow minimum.
+    fn settle(&mut self, limit: u64) -> bool {
+        if let Some(Reverse(s)) = self.side.peek() {
+            // Below everything in `active`: appending keeps it descending.
+            if self.active.last().is_none_or(|a| s.key() < a.key()) {
+                let Reverse(s) = self.side.pop().expect("peeked");
+                self.active.push(s);
+            }
+        }
+        if !self.active.is_empty() {
+            return true;
+        }
+        if limit <= self.open {
+            return false;
+        }
+        let next = if self.in_wheel > 0 {
+            let mut b = self.open + 1;
+            while b <= limit && self.wheel[self.slot(b)].is_empty() {
+                b += 1;
+            }
+            b
+        } else if let Some(Reverse(min)) = self.overflow.peek() {
+            min.at >> self.bucket_ns_log2
         } else {
+            return false;
+        };
+        // Nothing due leaves the cursor with the clock, in bucket `limit`.
+        self.advance(next.min(limit));
+        if next > limit {
+            return false;
+        }
+        let slot = self.slot(next);
+        // `active` is empty: the swap hands its capacity to the slot.
+        std::mem::swap(&mut self.active, &mut self.wheel[slot]);
+        self.in_wheel -= self.active.len();
+        self.active.sort_unstable_by_key(|e| Reverse(e.key()));
+        self.stats.buckets_opened += 1;
+        self.stats.longest_bucket = self.stats.longest_bucket.max(self.active.len() as u64);
+        true
+    }
+}
+
+impl<T> EventSchedule<T> for CalendarQueue<T> {
+    fn push_keyed(&mut self, at: SimTime, tie: u64, item: T) {
+        let at = at.as_nanos();
+        let e = Entry { at, tie, item };
+        self.stats.pushes += 1;
+        let b = at >> self.bucket_ns_log2;
+        if b <= self.open {
+            self.stats.same_bucket_pushes += 1;
+            self.side.push(Reverse(e));
+        } else if b - self.open < self.wheel.len() as u64 {
+            let slot = self.slot(b);
+            self.wheel[slot].push(e);
+            self.in_wheel += 1;
+        } else {
+            self.stats.overflow_pushes += 1;
             self.overflow.push(Reverse(e));
         }
     }
 
-    fn pop_keyed(&mut self) -> Option<(SimTime, K, T)> {
-        self.refill_active();
-        let Reverse(e) = self.active.pop()?;
-        self.len -= 1;
-        Some((SimTime::from_nanos(e.at), e.key, e.item))
+    fn pop_keyed(&mut self) -> Option<(SimTime, u64, T)> {
+        self.settle(u64::MAX)
+            .then(|| self.active.pop().expect("settled").unpack())
     }
 
-    fn peek_key(&mut self) -> Option<(SimTime, K)> {
-        self.refill_active();
-        self.active
-            .peek()
-            .map(|Reverse(e)| (SimTime::from_nanos(e.at), e.key))
+    fn peek_due(&mut self, now: SimTime) -> Option<(SimTime, u64)> {
+        let now = now.as_nanos();
+        let settled = self.settle(now >> self.bucket_ns_log2);
+        let e = settled.then(|| self.active.last()).flatten()?;
+        (e.at <= now).then_some((SimTime::from_nanos(e.at), e.tie))
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.in_wheel + self.active.len() + self.side.len() + self.overflow.len()
+    }
+
+    fn stats(&self) -> SchedStats {
+        SchedStats {
+            pops: self.stats.pushes - self.len() as u64,
+            ..self.stats
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ns(t: u64) -> SimTime {
+        SimTime::from_nanos(t)
+    }
 
     /// Drain a schedule fully, returning `(time, payload)` pairs.
     fn drain(s: &mut impl EventSchedule<u32>) -> Vec<(u64, u32)> {
@@ -337,14 +384,18 @@ mod tests {
 
     type Drained = Vec<(u64, u32)>;
 
-    fn both(pushes: &[(u64, u32)]) -> (Drained, Drained) {
+    /// The same pushes through the heap and through `cal`, both drained.
+    fn both_with(mut cal: CalendarQueue<u32>, pushes: &[(u64, u32)]) -> (Drained, Drained) {
         let mut heap = HeapSchedule::new();
-        let mut cal = CalendarQueue::new();
         for &(t, v) in pushes {
-            heap.push(SimTime::from_nanos(t), v);
-            cal.push(SimTime::from_nanos(t), v);
+            heap.push(ns(t), v);
+            cal.push(ns(t), v);
         }
         (drain(&mut heap), drain(&mut cal))
+    }
+
+    fn both(pushes: &[(u64, u32)]) -> (Drained, Drained) {
+        both_with(CalendarQueue::with_geometry(10, 10), pushes)
     }
 
     #[test]
@@ -356,24 +407,27 @@ mod tests {
 
     #[test]
     fn keyed_ties_drain_in_key_order_on_both_impls() {
-        // Same timestamp, keys pushed out of order: the key beats push
-        // order; equal keys keep FIFO; keys survive the overflow path.
-        let pushes: &[(u64, (u64, u32), u32)] = &[
-            (10, (7, 0), 0),
-            (10, (2, 1), 1),
-            (10, (2, 0), 2),
-            (5, (9, 9), 3),
-            (10, (7, 0), 4),
-            (2_500_000, (1, 0), 5),
-            (10, (0, 3), 6),
+        // Same timestamp, ties pushed out of order: the tie beats push
+        // order, and survives the side heap (bucket 0 starts open), the
+        // wheel and the overflow path.
+        let pushes: &[(u64, u64, u32)] = &[
+            (10, 7 << 20, 0),
+            (10, 2 << 20 | 1, 1),
+            (10, 2 << 20, 2),
+            (5, 9 << 20 | 9, 3),
+            (5_000, 7 << 20 | 1, 4),
+            (5_000, 1 << 20, 5),
+            (2_500_000, 8 << 20, 6),
+            (2_500_000, 1 << 20 | 3, 7),
+            (10, 3, 8),
         ];
-        let mut heap: HeapSchedule<u32, (u64, u32)> = HeapSchedule::new();
-        let mut cal: CalendarQueue<u32, (u64, u32)> = CalendarQueue::new();
+        let mut heap: HeapSchedule<u32> = HeapSchedule::new();
+        let mut cal: CalendarQueue<u32> = CalendarQueue::with_geometry(10, 10);
         let mut h = Vec::new();
         let mut c = Vec::new();
         for &(t, k, v) in pushes {
-            heap.push_keyed(SimTime::from_nanos(t), k, v);
-            cal.push_keyed(SimTime::from_nanos(t), k, v);
+            heap.push_keyed(ns(t), k, v);
+            cal.push_keyed(ns(t), k, v);
         }
         while let Some((at, k, v)) = heap.pop_keyed() {
             h.push((at.as_nanos(), k, v));
@@ -383,12 +437,16 @@ mod tests {
         }
         assert_eq!(h, c);
         let order: Vec<u32> = h.iter().map(|&(.., v)| v).collect();
-        assert_eq!(order, vec![3, 6, 2, 1, 0, 4, 5]);
+        assert_eq!(order, vec![3, 8, 2, 1, 0, 5, 4, 7, 6]);
+        let stats = cal.stats();
+        assert_eq!((stats.pushes, stats.pops), (9, 9));
+        assert_eq!(stats.same_bucket_pushes, 5);
+        assert_eq!(stats.overflow_pushes, 2);
     }
 
     #[test]
     fn far_future_events_take_the_overflow_path() {
-        // Default rotation is ~1 ms; push events many rotations out.
+        // The default wheel spans ~1 ms; push events many spans out.
         let pushes: Vec<(u64, u32)> = (0..100)
             .map(|i| ((i * 7_777_777) % 1_000_000_000, i as u32))
             .collect();
@@ -399,13 +457,13 @@ mod tests {
 
     #[test]
     fn interleaved_push_pop_stays_ordered() {
-        let mut cal: CalendarQueue<u32> = CalendarQueue::new();
+        let mut cal: CalendarQueue<u32> = CalendarQueue::with_geometry(10, 10);
         let mut heap: HeapSchedule<u32> = HeapSchedule::new();
         // Seed both, then pop one / push two in lockstep (event-driven shape:
         // new events never precede the one just popped).
         for t in [5u64, 3, 9] {
-            cal.push(SimTime::from_nanos(t), 0);
-            heap.push(SimTime::from_nanos(t), 0);
+            cal.push(ns(t), 0);
+            heap.push(ns(t), 0);
         }
         let mut got = Vec::new();
         let mut next = 1u32;
@@ -417,8 +475,8 @@ mod tests {
             if next <= 40 {
                 // Two children per pop: one nearby, one far future.
                 for dt in [17u64, 2_500_000] {
-                    cal.push(SimTime::from_nanos(t.as_nanos() + dt), next);
-                    heap.push(SimTime::from_nanos(t.as_nanos() + dt), next);
+                    cal.push(ns(t.as_nanos() + dt), next);
+                    heap.push(ns(t.as_nanos() + dt), next);
                     next += 1;
                 }
             }
@@ -431,100 +489,143 @@ mod tests {
 
     #[test]
     fn peek_matches_next_pop() {
-        let mut cal: CalendarQueue<u32> = CalendarQueue::new();
+        let mut cal: CalendarQueue<u32> = CalendarQueue::with_geometry(10, 10);
         let mut heap: HeapSchedule<u32> = HeapSchedule::new();
-        assert_eq!(cal.peek_at(), None);
-        assert_eq!(heap.peek_at(), None);
+        let end = ns(u64::MAX);
+        assert_eq!(cal.peek_due(end), None);
+        assert_eq!(heap.peek_due(end), None);
         // Spread over near buckets and the overflow path.
         for &(t, v) in &[(900u64, 1u32), (3, 2), (5_000_000, 3), (3, 4)] {
-            cal.push(SimTime::from_nanos(t), v);
-            heap.push(SimTime::from_nanos(t), v);
+            cal.push(ns(t), v);
+            heap.push(ns(t), v);
         }
         loop {
-            let (pc, ph) = (cal.peek_at(), heap.peek_at());
+            let (pc, ph) = (cal.peek_due(end), heap.peek_due(end));
             assert_eq!(pc, ph);
-            let (c, h) = (cal.pop(), heap.pop());
+            let (c, h) = (cal.pop_keyed(), heap.pop_keyed());
             assert_eq!(c, h);
-            let Some((at, _)) = c else { break };
-            assert_eq!(pc, Some(at), "peek must name the popped time");
+            let Some((at, tie, _)) = c else { break };
+            assert_eq!(pc, Some((at, tie)), "peek must name the popped entry");
         }
     }
 
     #[test]
     fn len_tracks_pushes_and_pops() {
-        let mut cal: CalendarQueue<u32> = CalendarQueue::new();
+        let mut cal: CalendarQueue<u32> = CalendarQueue::with_geometry(10, 10);
         assert!(cal.is_empty());
-        cal.push(SimTime::from_nanos(1), 1u32);
-        cal.push(SimTime::from_nanos(2_000_000_000), 2);
+        cal.push(ns(1), 1u32);
+        cal.push(ns(5_000), 2);
+        cal.push(ns(2_000_000_000), 3);
+        assert_eq!(cal.len(), 3);
+        cal.pop();
         assert_eq!(cal.len(), 2);
         cal.pop();
-        assert_eq!(cal.len(), 1);
         cal.pop();
         assert!(cal.is_empty());
         assert!(cal.pop().is_none());
     }
 
     #[test]
-    fn adaptive_geometry_tracks_spacing() {
-        // Dense workload → fine buckets; sparse → coarse; both clamped.
-        assert_eq!(
-            CalendarQueue::<u32>::for_spacing(1_000, 1_000).bucket_ns_log2(),
-            6
-        );
-        // 1 ms over 1000 events → 1 µs spacing → 4 µs target → 2^12.
-        assert_eq!(
-            CalendarQueue::<u32>::for_spacing(1_000_000, 1_000).bucket_ns_log2(),
-            12
-        );
-        assert_eq!(
-            CalendarQueue::<u32>::for_spacing(u64::MAX / 2, 2).bucket_ns_log2(),
-            14
-        );
-        // Exact power-of-two target stays exact: 256 ns spacing → 1024 ns.
-        assert_eq!(
-            CalendarQueue::<u32>::for_spacing(256_000, 1_000).bucket_ns_log2(),
-            10
-        );
-        // No spacing evidence → default geometry.
-        assert_eq!(
-            CalendarQueue::<u32>::for_spacing(0, 50).bucket_ns_log2(),
-            DEFAULT_BUCKET_NS_LOG2
-        );
-        assert_eq!(
-            CalendarQueue::<u32>::for_spacing(1_000, 1).bucket_ns_log2(),
-            DEFAULT_BUCKET_NS_LOG2
-        );
+    fn fabric_geometry_tracks_the_fabric() {
+        // 1 µs links, 512 KiB at ~10 Gb/s: 512 ns buckets, 1024 of them
+        // (≈ 524 µs) over the ≈ 423 µs residence.
+        assert_eq!(fabric_geometry(Some(1_000), 423_400), (9, 10));
+        // Width: the largest power of two ≤ the lookahead, exact powers
+        // included, clamped at both ends.
+        assert_eq!(fabric_geometry(Some(1_024), 423_400).0, 10);
+        assert_eq!(fabric_geometry(Some(1_023), 423_400).0, 9);
+        assert_eq!(fabric_geometry(Some(3), 423_400).0, 6);
+        assert_eq!(fabric_geometry(Some(u64::MAX), 423_400).0, 30);
+        // No lookahead evidence → the default width.
+        for none in [None, Some(0)] {
+            assert_eq!(fabric_geometry(none, 423_400).0, DEFAULT_BUCKET_NS_LOG2);
+        }
+        // Wheel: the residence in buckets, rounded up, clamped.
+        assert_eq!(fabric_geometry(Some(1_000), 0).1, 6);
+        assert_eq!(fabric_geometry(Some(1_000), 600_000).1, 11);
+        assert_eq!(fabric_geometry(Some(1_000), u64::MAX).1, 16);
+        // Every answer is a geometry `with_geometry` accepts.
+        let (w, k) = fabric_geometry(Some(u64::MAX), u64::MAX);
+        CalendarQueue::<u32>::with_geometry(w, k);
     }
 
     #[test]
-    fn adaptive_geometries_drain_like_the_heap() {
-        // The same push sequence through every adaptively-picked geometry
-        // must drain byte-identically to the heap oracle.
+    fn fabric_geometries_drain_like_the_heap() {
+        // The same push sequence through fabric-derived geometries — right
+        // for it, far too fine, far too coarse — drains like the heap.
         let pushes: Vec<(u64, u32)> = (0..300)
             .map(|i| ((i * 104_729) % 2_000_000, i as u32))
             .collect();
-        for (span, events) in [(2_000_000u64, 300usize), (1_000, 300), (u64::MAX / 2, 2)] {
-            let mut cal = CalendarQueue::for_spacing(span, events);
-            let mut heap = HeapSchedule::new();
-            for &(t, v) in &pushes {
-                cal.push(SimTime::from_nanos(t), v);
-                heap.push(SimTime::from_nanos(t), v);
-            }
-            assert_eq!(drain(&mut cal), drain(&mut heap), "span {span}");
+        for (lookahead, residence) in [
+            (Some(1_000), 423_400),
+            (Some(70), 10),
+            (Some(u64::MAX), u64::MAX),
+            (None, 0),
+        ] {
+            let (w, k) = fabric_geometry(lookahead, residence);
+            let (h, c) = both_with(CalendarQueue::with_geometry(w, k), &pushes);
+            assert_eq!(h, c, "lookahead {lookahead:?} residence {residence}");
         }
     }
 
     #[test]
     fn tiny_geometry_still_correct() {
-        // 2-ns buckets, 4 per rotation: everything exercises the overflow
-        // and rotation-jump paths.
-        let mut cal = CalendarQueue::with_geometry(1, 2);
-        let mut heap = HeapSchedule::new();
-        let pushes: Vec<u64> = (0..200).map(|i| (i * 37) % 500).collect();
-        for (i, &t) in pushes.iter().enumerate() {
-            cal.push(SimTime::from_nanos(t), i as u32);
-            heap.push(SimTime::from_nanos(t), i as u32);
-        }
-        assert_eq!(drain(&mut cal), drain(&mut heap));
+        // 2-ns buckets, 4 in the wheel: everything exercises the overflow
+        // and cursor-jump paths.
+        let pushes: Vec<(u64, u32)> = (0..200).map(|i| ((i * 37) % 500, i as u32)).collect();
+        let (h, c) = both_with(CalendarQueue::with_geometry(1, 2), &pushes);
+        assert_eq!(h, c);
+    }
+
+    #[test]
+    fn the_cursor_follows_the_clock() {
+        // 512-ns buckets; every push lands ≥ 512 ns after the unit that
+        // made it, and the caller merges an outside stream with `peek_due`.
+        let mut cal: CalendarQueue<u32> = CalendarQueue::with_geometry(9, 10);
+        cal.push(ns(100_000), 0);
+        // The head is far ahead of the clock: not due, and the bucket that
+        // holds it stays closed…
+        assert_eq!(cal.peek_due(ns(1_000)), None);
+        assert_eq!(cal.stats().buckets_opened, 0);
+        // …so a push between the clock and the head takes the wheel.
+        cal.push(ns(1_600), 1);
+        assert_eq!(cal.peek_due(ns(1_500)), None);
+        assert_eq!(cal.peek_due(ns(1_600)), Some((ns(1_600), 1)));
+        assert_eq!(cal.pop(), Some((ns(1_600), 1)));
+        assert_eq!(cal.stats().same_bucket_pushes, 0);
+        // An unbounded peek moves the cursor to the head; a push behind it
+        // then takes the side heap and still drains first.
+        assert_eq!(cal.peek_due(ns(u64::MAX)), Some((ns(100_000), 0)));
+        cal.push(ns(50_000), 2);
+        assert_eq!(cal.stats().same_bucket_pushes, 1);
+        assert_eq!(drain(&mut cal), vec![(50_000, 2), (100_000, 0)]);
+        let stats = cal.stats();
+        assert_eq!((stats.pushes, stats.pops), (3, 3));
+        assert_eq!(stats.buckets_opened, 2);
+        assert_eq!(stats.longest_bucket, 1);
+        assert_eq!(stats.overflow_pushes, 0);
+    }
+
+    #[test]
+    fn absorbed_counters_add_and_the_longest_bucket_is_a_max() {
+        let mut a = SchedStats {
+            pushes: 5,
+            pops: 4,
+            same_bucket_pushes: 1,
+            overflow_pushes: 2,
+            buckets_opened: 3,
+            longest_bucket: 7,
+        };
+        a.absorb(&SchedStats {
+            pushes: 10,
+            pops: 10,
+            same_bucket_pushes: 0,
+            overflow_pushes: 1,
+            buckets_opened: 6,
+            longest_bucket: 4,
+        });
+        let sums = (a.pushes, a.pops, a.same_bucket_pushes, a.overflow_pushes);
+        assert_eq!(sums, (15, 14, 1, 3));
+        assert_eq!((a.buckets_opened, a.longest_bucket), (9, 7));
     }
 }

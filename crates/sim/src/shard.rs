@@ -19,11 +19,14 @@
 //! The sequential engine breaks same-time ties by global push order
 //! (`seq`), which is unreproducible under partitioning: a shard cannot
 //! know how its pushes interleave with another's. The keyed core instead
-//! keys every scheduler entry by `(ordinal, progress)` — the packet's
-//! position in the time-ordered injection stream and its hop counter — a
-//! **partition-independent** total order `(time, tie, id)`. Per-shard pops
+//! ties every scheduler entry by `(ordinal, progress)` — the packet's
+//! position in the time-ordered injection stream and its hop counter,
+//! packed into the scheduler's one `u64` tie (`pack_key`) — a
+//! **partition-independent** total order `(time, tie)`. Per-shard pops
 //! therefore drain in globally keyed order restricted to the shard, and a
 //! k-way merge of the per-window unit streams *is* the global keyed order.
+//! Every shard's queue has the whole fabric's geometry
+//! (`sched::fabric_geometry`); a source's hints play no part.
 //!
 //! # One unit, two outputs; ordinals are a pull counter
 //!
@@ -31,15 +34,17 @@
 //! [`UnitOut`]. With one effective shard the output is the run's
 //! [`Emitter`]: events, watermarks, deliveries and counters reach `sink`,
 //! `on_delivery` and the stats as the unit runs, borrowed from the live
-//! slab slot. With several, each worker fills a [`WindowLog`] and the
-//! coordinator replays the logs, merged by key, into the same `Emitter`
-//! at the barrier. Everything observable is emitted and counted there —
-//! including fault notifications and [`StopFlag`] truncation — and the
-//! window sequence is computed alike at every shard count, so an N-shard
-//! run is byte-identical to the 1-shard run (pinned by
-//! `tests/shard_determinism.rs`, asserted in-run by `shard_bench`). Only
-//! the capacity diagnostics (`peak_live_slots`, `hop_allocations`) are
-//! per-shard quantities; see [`NetworkRunStats`].
+//! slab slot, and the run is one loop (`ShardWorker::run_alone`) that
+//! only *counts* the windows a coordinator would have opened — a unit at
+//! or past the horizon opens the next. With several, each worker fills a
+//! [`WindowLog`] and the coordinator replays the logs, merged by key, into
+//! the same `Emitter` at the barrier. Everything observable is emitted and
+//! counted there — including fault notifications and [`StopFlag`]
+//! truncation — and the window sequence is computed alike at every shard
+//! count, so an N-shard run is byte-identical to the 1-shard run (pinned
+//! by `tests/shard_determinism.rs`, asserted in-run by `shard_bench`).
+//! Only the diagnostics (`peak_live_slots`, `hop_allocations`, the `sched`
+//! counters) are per-shard quantities; see [`NetworkRunStats`].
 //!
 //! A packet's ordinal is the number of injections pulled from the
 //! [`InjectionSource`] before it, so ingest streams: one shard pulls an
@@ -56,11 +61,11 @@
 
 use crate::fault::{FaultEvent, FaultScript, FaultState, StopFlag};
 use crate::network::{
-    Forwarder, Hop, HopEvent, HopKind, HopSink, Network, NetworkRunStats, NodeId, RouteDecision,
-    RunOptions, SchedulerKind, StreamedDelivery,
+    with_scheduler, Forwarder, Hop, HopEvent, HopKind, HopSink, Network, NetworkRunStats, NodeId,
+    RouteDecision, RunOptions, StreamedDelivery,
 };
 use crate::queue::Verdict;
-use crate::sched::{CalendarQueue, EventSchedule, HeapSchedule};
+use crate::sched::{CalendarQueue, EventSchedule, HeapSchedule, SchedStats};
 use crate::slab::{FlightState, PacketSlab, SlotId};
 use crate::source::{InjectionSource, SortedVecSource};
 use rlir_net::packet::Packet;
@@ -68,13 +73,34 @@ use rlir_net::time::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard};
 
-/// Partition-independent scheduler tie key: `(packet ordinal, hop
-/// progress)`. The ordinal is the packet's position in the time-ordered
+/// Low bits of the packed tie that hold the hop progress; the ordinal
+/// takes the 44 above them (1.7 · 10¹³ injections, a million hops each).
+const PROGRESS_BITS: u32 = 20;
+
+/// Partition-independent scheduler tie: `(packet ordinal, hop progress)`
+/// packed into one word, ordinal above progress, so ties compare as the
+/// pair does. The ordinal is the packet's position in the time-ordered
 /// injection stream (unique per packet); progress is its hop counter,
-/// strictly increasing along the packet's life, so
-/// `(at, ordinal, progress)` is a total order over engine units that no
-/// partition can perturb.
-type ShardKey = (u64, u32);
+/// strictly increasing along the packet's life, so `(at, tie)` is a total
+/// order over engine units that no partition can perturb. A field that
+/// does not fit panics, never wraps into the other.
+fn pack_key(ordinal: u64, progress: u32) -> u64 {
+    assert!(
+        ordinal >> (u64::BITS - PROGRESS_BITS) == 0,
+        "packet ordinal {ordinal} overflows the packed scheduler key"
+    );
+    assert!(
+        progress >> PROGRESS_BITS == 0,
+        "hop progress {progress} overflows the packed scheduler key (forwarding loop?)"
+    );
+    ordinal << PROGRESS_BITS | u64::from(progress)
+}
+
+/// The `(ordinal, progress)` a tie was packed from.
+fn unpack_key(tie: u64) -> (u64, u32) {
+    let progress = tie & ((1 << PROGRESS_BITS) - 1);
+    (tie >> PROGRESS_BITS, progress as u32)
+}
 
 /// What a shard's scheduler moves: slot handle + next node, like the
 /// sequential engine's event, private to this shard's slab.
@@ -147,13 +173,13 @@ pub struct ShardRunStats {
 }
 
 impl ShardRunStats {
-    /// Fold each shard's slab capacity diagnostics — `(peak_live_slots,
-    /// hop_allocations)` pairs — into the fused [`NetworkRunStats`].
+    /// Fold each shard's diagnostics — `(peak_live_slots, hop_allocations,
+    /// scheduler counters)` — into the fused [`NetworkRunStats`].
     ///
     /// Every stream-observable field of the fused stats is shard-count
     /// invariant and needs no aggregation rule: all shards emit the same
-    /// merged stream. The two slab diagnostics are the exception, and
-    /// this is their one documented fusion:
+    /// merged stream. The diagnostics are the exception, and this is
+    /// their one documented fusion:
     ///
     /// * [`NetworkRunStats::peak_live_slots`] — **max** of the per-shard
     ///   peaks. Each shard owns an independent slab (its own memory
@@ -163,10 +189,13 @@ impl ShardRunStats {
     /// * [`NetworkRunStats::hop_allocations`] — **sum** over shards.
     ///   Every shard's hop-storage (re)allocations really happened, so
     ///   the run-wide allocator pressure is their total.
-    pub fn merged(mut self, per_shard: impl IntoIterator<Item = (usize, u64)>) -> Self {
-        for (peak_live_slots, hop_allocations) in per_shard {
+    /// * [`NetworkRunStats::sched`] — [`SchedStats::absorb`] over the
+    ///   shards' queues, for the same reason.
+    pub fn merged(mut self, per_shard: impl IntoIterator<Item = (usize, u64, SchedStats)>) -> Self {
+        for (peak_live_slots, hop_allocations, sched) in per_shard {
             self.stats.peak_live_slots = self.stats.peak_live_slots.max(peak_live_slots);
             self.stats.hop_allocations += hop_allocations;
+            self.stats.sched.absorb(&sched);
         }
         self
     }
@@ -180,8 +209,7 @@ struct Handoff {
     /// Arrival time at the destination node (≥ the producing window's
     /// horizon, by the lookahead bound).
     at: u64,
-    ord: u64,
-    prog: u32,
+    tie: u64,
     /// Destination node.
     node: u32,
     packet: Packet,
@@ -197,7 +225,7 @@ trait UnitOut {
     /// Whether the run was asked to stop before its next unit.
     fn stopped(&self) -> bool;
     /// A unit starts at `at` (progress 0: the packet is being injected).
-    fn begin(&mut self, at: SimTime, ord: u64, prog: u32);
+    fn begin(&mut self, at: SimTime, tie: u64);
     fn hop(&mut self, ev: &HopEvent<'_>);
     /// The packet dies in this unit *because of* an injected fault.
     fn fault_drop(&mut self);
@@ -227,7 +255,7 @@ impl<S: HopSink, D: FnMut(&StreamedDelivery<'_>)> UnitOut for Emitter<'_, S, D> 
         self.stop.is_some_and(StopFlag::is_set)
     }
 
-    fn begin(&mut self, at: SimTime, _ord: u64, prog: u32) {
+    fn begin(&mut self, at: SimTime, tie: u64) {
         while let Some((ev, rest)) = self.script.split_first().filter(|(ev, _)| ev.at <= at) {
             self.script = rest;
             self.sink.on_fault(ev);
@@ -237,7 +265,7 @@ impl<S: HopSink, D: FnMut(&StreamedDelivery<'_>)> UnitOut for Emitter<'_, S, D> 
             self.watermark = Some(at);
         }
         self.stats.events += 1;
-        self.stats.injected += u64::from(prog == 0);
+        self.stats.injected += u64::from(unpack_key(tie).1 == 0);
     }
 
     fn hop(&mut self, ev: &HopEvent<'_>) {
@@ -284,8 +312,8 @@ struct LoggedEvent {
 /// and sealed hop record run from the previous unit's ends to its own.
 #[derive(Debug, Clone, Copy, Default)]
 struct Unit {
-    /// `(time, ordinal, progress)`.
-    key: (u64, u64, u32),
+    /// `(time, tie)`.
+    key: (u64, u64),
     fault_drop: bool,
     injected_node: u32,
     injected_at: u64,
@@ -324,7 +352,7 @@ impl WindowLog {
         };
         let (injected_node, injected_at) =
             (u.injected_node as usize, SimTime::from_nanos(u.injected_at));
-        out.begin(SimTime::from_nanos(u.key.0), u.key.1, u.key.2);
+        out.begin(SimTime::from_nanos(u.key.0), u.key.1);
         if u.fault_drop {
             out.fault_drop();
         }
@@ -349,10 +377,9 @@ impl UnitOut for WindowLog {
         false
     }
 
-    fn begin(&mut self, at: SimTime, ord: u64, prog: u32) {
-        let key = (at.as_nanos(), ord, prog);
+    fn begin(&mut self, at: SimTime, tie: u64) {
         self.units.push(Unit {
-            key,
+            key: (at.as_nanos(), tie),
             ..Unit::default()
         });
     }
@@ -386,6 +413,7 @@ impl UnitOut for WindowLog {
 /// put `Arrive` events behind the watermark, so it fails loudly instead.
 struct Ingest<I> {
     source: I,
+    /// Ordinal of the next injection.
     next_ord: u64,
     last_at: SimTime,
     n_nodes: usize,
@@ -396,6 +424,7 @@ impl<I: InjectionSource> Ingest<I> {
         self.source.peek().map(SimTime::as_nanos)
     }
 
+    /// The next injection and its tie (progress 0).
     fn pull(&mut self) -> (NodeId, Packet, u64) {
         let (node, packet) = self.source.next_injection().expect("peeked non-empty");
         assert!(node < self.n_nodes, "injection at unknown node {node}");
@@ -407,59 +436,9 @@ impl<I: InjectionSource> Ingest<I> {
             self.last_at.as_nanos()
         );
         self.last_at = at;
-        let ord = self.next_ord;
+        let tie = pack_key(self.next_ord, 0);
         self.next_ord += 1;
-        (node, packet, ord)
-    }
-}
-
-/// Keyed scheduler selected per shard. An enum (not a generic) so the
-/// worker type is uniform across scheduler kinds and threads.
-enum ShardSched {
-    Calendar(CalendarQueue<ShardEvent, ShardKey>),
-    Heap(HeapSchedule<ShardEvent, ShardKey>),
-}
-
-impl ShardSched {
-    /// One shard's scheduler. The adaptive calendar geometry comes from
-    /// the source's span/len hints (`events`: this shard's even share) —
-    /// speed only, never the keyed order; a hint-less source gets the
-    /// default geometry, as in the sequential engine.
-    fn new(kind: SchedulerKind, span_ns: u64, events: usize) -> Self {
-        match kind {
-            SchedulerKind::Calendar => {
-                ShardSched::Calendar(CalendarQueue::for_spacing(span_ns, events))
-            }
-            SchedulerKind::CalendarFixed {
-                bucket_ns_log2,
-                buckets_log2,
-            } => ShardSched::Calendar(CalendarQueue::with_geometry(bucket_ns_log2, buckets_log2)),
-            SchedulerKind::Heap => ShardSched::Heap(HeapSchedule::new()),
-        }
-    }
-
-    #[inline]
-    fn push_keyed(&mut self, at: SimTime, key: ShardKey, item: ShardEvent) {
-        match self {
-            ShardSched::Calendar(q) => q.push_keyed(at, key, item),
-            ShardSched::Heap(q) => q.push_keyed(at, key, item),
-        }
-    }
-
-    #[inline]
-    fn pop_keyed(&mut self) -> Option<(SimTime, ShardKey, ShardEvent)> {
-        match self {
-            ShardSched::Calendar(q) => q.pop_keyed(),
-            ShardSched::Heap(q) => q.pop_keyed(),
-        }
-    }
-
-    #[inline]
-    fn peek_key(&mut self) -> Option<(SimTime, ShardKey)> {
-        match self {
-            ShardSched::Calendar(q) => q.peek_key(),
-            ShardSched::Heap(q) => q.peek_key(),
-        }
+        (node, packet, tie)
     }
 }
 
@@ -468,13 +447,13 @@ impl ShardSched {
 /// clone's owned nodes carry the right state), its own slab, keyed
 /// scheduler and fault cursor. Its units write to whatever [`UnitOut`]
 /// the caller passes in.
-struct ShardWorker<'a, F> {
+struct ShardWorker<'a, F, Q> {
     shard: usize,
     network: Network,
     forwarder: &'a F,
     shard_of: &'a [usize],
     slab: PacketSlab,
-    schedule: ShardSched,
+    schedule: Q,
     faults: Option<FaultState<'a>>,
     /// Units posted to this shard since its last window, seeded into the
     /// slab + scheduler at the next window start.
@@ -485,7 +464,7 @@ struct ShardWorker<'a, F> {
     outbox: Vec<Handoff>,
 }
 
-impl<F: Forwarder> ShardWorker<'_, F> {
+impl<F: Forwarder, Q: EventSchedule<ShardEvent>> ShardWorker<'_, F, Q> {
     fn post(&mut self, h: Handoff) {
         self.inbox_min = Some(self.inbox_min.map_or(h.at, |m| m.min(h.at)));
         self.inbox.push(h);
@@ -494,20 +473,15 @@ impl<F: Forwarder> ShardWorker<'_, F> {
     /// Earliest pending unit time in this shard (scheduler or un-seeded
     /// inbox) — min-reduced with the source head into the window start.
     fn next_time(&mut self) -> Option<u64> {
-        let head = self.schedule.peek_key().map(|(at, _)| at.as_nanos());
+        let head = self.schedule.peek_due(SimTime::from_nanos(u64::MAX));
+        let head = head.map(|(at, _)| at.as_nanos());
         head.into_iter().chain(self.inbox_min).min()
     }
 
-    /// Process every unit with `at < horizon` (all remaining units when
-    /// `None`) in keyed order, or until `out` says stop. With an `ingest`
-    /// (the only shard) injections are pulled from it as they come due;
-    /// without one they were posted to the inbox.
-    fn run_window<I: InjectionSource>(
-        &mut self,
-        out: &mut impl UnitOut,
-        horizon: Option<u64>,
-        mut ingest: Option<&mut Ingest<I>>,
-    ) {
+    /// One window of an N-shard run: seed the inbox, then process every
+    /// unit with `at < horizon` (all remaining units when `None`) in keyed
+    /// order. The coordinator posted this window's injections.
+    fn run_window(&mut self, out: &mut impl UnitOut, horizon: Option<u64>) {
         self.inbox_min = None;
         for h in self.inbox.drain(..) {
             let slot = self.slab.insert_with_hops(
@@ -518,38 +492,55 @@ impl<F: Forwarder> ShardWorker<'_, F> {
             );
             let event = ShardEvent { node: h.node, slot };
             self.schedule
-                .push_keyed(SimTime::from_nanos(h.at), (h.ord, h.prog), event);
+                .push_keyed(SimTime::from_nanos(h.at), h.tie, event);
         }
+        // A finite horizon is ≥ 1: the lookahead behind it is.
+        let last = SimTime::from_nanos(horizon.map_or(u64::MAX, |h| h - 1));
+        while self.schedule.peek_due(last).is_some() {
+            let (at, tie, ev) = self.schedule.pop_keyed().expect("peeked non-empty");
+            self.unit(out, at, tie, ev.node as usize, ev.slot);
+        }
+    }
+
+    /// The whole run at one shard, as one loop: pull an injection when it
+    /// is due against the scheduler head by full key — injections carry
+    /// progress 0, scheduled events of the same packet progress ≥ 1, so
+    /// keys never collide — until both run dry or `out` says stop. The
+    /// windows the N-shard coordinator would have opened are only counted
+    /// (and returned): a unit at or past the horizon opens the next one.
+    fn run_alone<I: InjectionSource>(
+        &mut self,
+        out: &mut impl UnitOut,
+        ingest: &mut Ingest<I>,
+        lookahead: Option<u64>,
+    ) -> u64 {
+        let mut windows = 0u64;
+        let mut horizon = Some(0u64);
         while !out.stopped() {
-            // Merge the injection stream against the scheduler head by
-            // full key — injections carry progress 0, scheduled events of
-            // the same packet progress ≥ 1, so keys never collide.
-            let inj = ingest
-                .as_deref_mut()
-                .and_then(|i| Some((i.peek()?, i.next_ord, 0u32)));
-            let sch = self
-                .schedule
-                .peek_key()
-                .map(|(at, (o, p))| (at.as_nanos(), o, p));
-            let (at, from_inj) = match (inj, sch) {
-                (Some(i), Some(s)) if i <= s => (i.0, true),
-                (Some(i), None) => (i.0, true),
-                (_, Some(s)) => (s.0, false),
-                (None, None) => break,
+            let inject = match ingest.peek() {
+                Some(t) => {
+                    let head = self.schedule.peek_due(SimTime::from_nanos(t));
+                    let inj = (t, pack_key(ingest.next_ord, 0));
+                    head.is_none_or(|(at, tie)| inj <= (at.as_nanos(), tie))
+                }
+                None if self.schedule.is_empty() => break,
+                None => false,
             };
-            if horizon.is_some_and(|h| at >= h) {
-                break;
-            }
-            if from_inj {
-                let (node, packet, ord) = ingest.as_deref_mut().expect("peeked").pull();
+            let (at, tie, node, slot) = if inject {
+                let (node, packet, tie) = ingest.pull();
                 let at = packet.created_at;
-                let slot = self.slab.insert(packet, node, at);
-                self.unit(out, at, ord, 0, node, slot);
+                (at, tie, node, self.slab.insert(packet, node, at))
             } else {
-                let (at, (ord, prog), ev) = self.schedule.pop_keyed().expect("peeked non-empty");
-                self.unit(out, at, ord, prog, ev.node as usize, ev.slot);
+                let (at, tie, ev) = self.schedule.pop_keyed().expect("non-empty");
+                (at, tie, ev.node as usize, ev.slot)
+            };
+            if horizon.is_some_and(|h| at.as_nanos() >= h) {
+                windows += 1;
+                horizon = window_horizon(at.as_nanos(), lookahead);
             }
+            self.unit(out, at, tie, node, slot);
         }
+        windows
     }
 
     /// Hand `out` one hop event for the live packet in `slot`.
@@ -569,19 +560,11 @@ impl<F: Forwarder> ShardWorker<'_, F> {
     /// One engine unit: the exact `SlabEngine::arrive` cascade, keyed,
     /// with everything observable written to `out` and cross-shard forwards
     /// turned into handoffs.
-    fn unit(
-        &mut self,
-        out: &mut impl UnitOut,
-        at: SimTime,
-        ord: u64,
-        prog: u32,
-        node: usize,
-        slot: SlotId,
-    ) {
+    fn unit(&mut self, out: &mut impl UnitOut, at: SimTime, tie: u64, node: usize, slot: SlotId) {
         if let Some(fs) = self.faults.as_mut() {
             fs.advance(at, &mut self.network);
         }
-        out.begin(at, ord, prog);
+        out.begin(at, tie);
         self.hop(out, HopKind::Arrive, node, at, slot);
         // Whether the packet leaves this shard's slab with this unit.
         let mut done = true;
@@ -633,13 +616,15 @@ impl<F: Forwarder> ShardWorker<'_, F> {
                             };
                             self.hop(out, dequeue, node, departed, slot);
                             let arrives = departed + link_delay;
+                            let (ord, prog) = unpack_key(tie);
+                            let next_tie = pack_key(ord, prog + 1);
                             match link_to {
                                 Some(next) if self.shard_of[next] == self.shard => {
                                     let event = ShardEvent {
                                         node: next as u32,
                                         slot,
                                     };
-                                    self.schedule.push_keyed(arrives, (ord, prog + 1), event);
+                                    self.schedule.push_keyed(arrives, next_tie, event);
                                     done = false;
                                 }
                                 Some(next) => {
@@ -649,8 +634,7 @@ impl<F: Forwarder> ShardWorker<'_, F> {
                                     let st = self.slab.get(slot);
                                     self.outbox.push(Handoff {
                                         at: arrives.as_nanos(),
-                                        ord,
-                                        prog: prog + 1,
+                                        tie: next_tie,
                                         node: next as u32,
                                         packet: st.packet,
                                         injected_node: st.injected_node as u32,
@@ -673,7 +657,21 @@ impl<F: Forwarder> ShardWorker<'_, F> {
 }
 
 /// A worker thread's shard and the log its windows fill.
-type Logged<'a, F> = Mutex<(ShardWorker<'a, F>, WindowLog)>;
+type Logged<'a, F, Q> = Mutex<(ShardWorker<'a, F, Q>, WindowLog)>;
+
+/// Horizon mailbox of the worker threads: a finite horizon is its own
+/// value, below these two; `UNBOUNDED` is `None`, `SHUTDOWN` ends the loops.
+const UNBOUNDED: u64 = u64::MAX - 1;
+const SHUTDOWN: u64 = u64::MAX;
+
+/// Exclusive end of the safe-horizon window that opens at `t0`: `None` is
+/// unbounded — no inter-group link, or a window reaching the end of time,
+/// which an exclusive bound could never close over a unit at `u64::MAX`
+/// (no progress). There simulated time has saturated and the shard-count
+/// identity of the window *count* is not claimed.
+fn window_horizon(t0: u64, lookahead: Option<u64>) -> Option<u64> {
+    t0.checked_add(lookahead?).filter(|&h| h < UNBOUNDED)
+}
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().expect("a shard worker panicked")
@@ -685,8 +683,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// the per-shard window logs merged in `(time, ordinal, progress)` order
 /// into `out`, and route the produced handoffs for the next window.
 /// Returns `(windows, stalls)`.
-fn drive_windows<F: Forwarder, I: InjectionSource>(
-    workers: &[Logged<'_, F>],
+fn drive_windows<F: Forwarder, Q: EventSchedule<ShardEvent>, I: InjectionSource>(
+    workers: &[Logged<'_, F, Q>],
     shard_of: &[usize],
     lookahead: Option<u64>,
     ingest: &mut Ingest<I>,
@@ -706,15 +704,14 @@ fn drive_windows<F: Forwarder, I: InjectionSource>(
         // The horizon is *exclusive* and at least one tick wide (a zero
         // lookahead collapsed to one shard), so the t0 unit is always
         // processed: every window makes progress.
-        let horizon = lookahead.map(|l| t0.saturating_add(l));
+        let horizon = window_horizon(t0, lookahead);
         windows += 1;
         while ingest.peek().is_some_and(|t| horizon.is_none_or(|h| t < h)) {
-            let (node, packet, ord) = ingest.pull();
+            let (node, packet, tie) = ingest.pull();
             let at = packet.created_at.as_nanos();
             guards[shard_of[node]].0.post(Handoff {
                 at,
-                ord,
-                prog: 0,
+                tie,
                 node: node as u32,
                 packet,
                 injected_node: node as u32,
@@ -813,7 +810,37 @@ pub fn run_network_sharded_source<F: Forwarder + Sync>(
     opts: RunOptions<'_>,
     plan: &ShardPlan,
     shards: usize,
+    on_delivery: impl FnMut(&StreamedDelivery<'_>),
+) -> ShardRunStats {
+    // Every shard's queue gets the same geometry, the whole fabric's.
+    with_scheduler!(opts.scheduler, &network, |queue| {
+        run_keyed(
+            network,
+            forwarder,
+            source,
+            sink,
+            opts,
+            plan,
+            shards,
+            on_delivery,
+            queue,
+        )
+    })
+}
+
+/// [`run_network_sharded_source`] over the scheduler `queue` builds, one
+/// per shard.
+#[allow(clippy::too_many_arguments)]
+fn run_keyed<F: Forwarder + Sync, Q: EventSchedule<ShardEvent> + Send>(
+    network: Network,
+    forwarder: &F,
+    source: impl InjectionSource,
+    sink: &mut impl HopSink,
+    opts: RunOptions<'_>,
+    plan: &ShardPlan,
+    shards: usize,
     mut on_delivery: impl FnMut(&StreamedDelivery<'_>),
+    queue: impl Fn() -> Q,
 ) -> ShardRunStats {
     let n = network.nodes.len();
     let groups = plan.groups();
@@ -821,15 +848,8 @@ pub fn run_network_sharded_source<F: Forwarder + Sync>(
     // Lookahead: minimum latency of any inter-group link. Zero admits no
     // conservative window — collapse to one shard; absent (no inter-group
     // edges) the window is unbounded.
-    let mut lookahead: Option<u64> = None;
-    for (id, node) in network.nodes.iter().enumerate() {
-        for p in &node.ports {
-            if p.link_to.is_some_and(|next| groups[id] != groups[next]) {
-                let d = p.link_delay.as_nanos();
-                lookahead = Some(lookahead.map_or(d, |l| l.min(d)));
-            }
-        }
-    }
+    let inter_group = network.links().filter(|&(a, b, _)| groups[a] != groups[b]);
+    let lookahead = inter_group.map(|(_, _, p)| p.link_delay.as_nanos()).min();
     let n_groups = groups.iter().max().map_or(1, |&m| m + 1);
     let (s, lookahead) = match lookahead {
         Some(0) => (1, None),
@@ -837,15 +857,13 @@ pub fn run_network_sharded_source<F: Forwarder + Sync>(
     };
     let shard_of: Vec<usize> = groups.iter().map(|&g| g % s).collect();
 
-    let span = source.span_hint().unwrap_or(0);
-    let per_shard = source.len_hint().unwrap_or(0) / s;
     let worker = |shard: usize, network: Network| ShardWorker {
         shard,
         network,
         forwarder,
         shard_of: &shard_of,
         slab: PacketSlab::new(),
-        schedule: ShardSched::new(opts.scheduler, span, per_shard),
+        schedule: queue(),
         faults: opts.faults.map(FaultState::new),
         inbox: Vec::new(),
         inbox_min: None,
@@ -864,38 +882,20 @@ pub fn run_network_sharded_source<F: Forwarder + Sync>(
         script: opts.faults.map_or(&[][..], FaultScript::events),
         watermark: None,
         stats: NetworkRunStats {
-            delivered: 0,
             queue_drops: vec![0; n],
             route_drops: vec![0; n],
-            injected: 0,
-            events: 0,
-            peak_live_slots: 0,
-            hop_allocations: 0,
-            fault_drops: 0,
-            network: Network::default(),
+            ..NetworkRunStats::default()
         },
     };
 
-    let (mut windows, mut shard_stalls) = (0u64, 0u64);
-    let mut ran: Vec<ShardWorker<'_, F>> = if s == 1 {
+    let (mut ran, windows, shard_stalls) = if s == 1 {
         let mut w = worker(0, network);
-        while !out.stopped() {
-            let Some(t0) = w.next_time().into_iter().chain(ingest.peek()).min() else {
-                break;
-            };
-            windows += 1;
-            let horizon = lookahead.map(|l| t0.saturating_add(l));
-            w.run_window(&mut out, horizon, Some(&mut ingest));
-        }
-        vec![w]
+        let windows = w.run_alone(&mut out, &mut ingest, lookahead);
+        (vec![w], windows, 0)
     } else {
-        let workers: Vec<Logged<'_, F>> = (0..s)
+        let workers: Vec<Logged<'_, F, Q>> = (0..s)
             .map(|i| Mutex::new((worker(i, network.clone()), WindowLog::default())))
             .collect();
-        // Horizon mailbox: a finite horizon is its own value; UNBOUNDED
-        // encodes `None`; SHUTDOWN ends the worker loops.
-        const UNBOUNDED: u64 = u64::MAX - 1;
-        const SHUTDOWN: u64 = u64::MAX;
         let (start, done) = (Barrier::new(s + 1), Barrier::new(s + 1));
         let horizon = AtomicU64::new(0);
         /// Releases the parked workers when the coordinator is done — or
@@ -907,7 +907,7 @@ pub fn run_network_sharded_source<F: Forwarder + Sync>(
                 self.1.wait();
             }
         }
-        (windows, shard_stalls) = std::thread::scope(|scope| {
+        let (windows, shard_stalls) = std::thread::scope(|scope| {
             for w in &workers {
                 scope.spawn(|| loop {
                     start.wait();
@@ -918,9 +918,7 @@ pub fn run_network_sharded_source<F: Forwarder + Sync>(
                     {
                         let (worker, log) = &mut *lock(w);
                         log.clear();
-                        // The coordinator posted this window's injections.
-                        let no_ingest = None::<&mut Ingest<SortedVecSource>>;
-                        worker.run_window(log, (h != UNBOUNDED).then_some(h), no_ingest);
+                        worker.run_window(log, (h != UNBOUNDED).then_some(h));
                     }
                     done.wait();
                 });
@@ -941,7 +939,8 @@ pub fn run_network_sharded_source<F: Forwarder + Sync>(
             )
         });
         let unwrap = |m: Mutex<_>| m.into_inner().expect("a shard worker panicked");
-        workers.into_iter().map(|m| unwrap(m).0).collect()
+        let ran = workers.into_iter().map(|m| unwrap(m).0).collect();
+        (ran, windows, shard_stalls)
     };
 
     let mut run = ShardRunStats {
@@ -950,10 +949,10 @@ pub fn run_network_sharded_source<F: Forwarder + Sync>(
         windows,
         shard_stalls,
     }
-    .merged(
-        ran.iter()
-            .map(|w| (w.slab.peak_live(), w.slab.hop_allocations())),
-    );
+    .merged(ran.iter().map(|w| {
+        let slab = &w.slab;
+        (slab.peak_live(), slab.hop_allocations(), w.schedule.stats())
+    }));
     // Fused final network: each switch's queue state from the shard that
     // owned (and therefore exclusively mutated) it.
     let mut fused = std::mem::take(&mut ran[0].network);
@@ -1106,15 +1105,14 @@ mod tests {
     #[test]
     fn merged_takes_max_of_peaks_and_sums_allocations() {
         let stats = NetworkRunStats {
-            delivered: 0,
-            queue_drops: vec![],
-            route_drops: vec![],
-            injected: 0,
-            events: 0,
             peak_live_slots: 3,
             hop_allocations: 5,
-            fault_drops: 0,
-            network: tandem(),
+            ..NetworkRunStats::default()
+        };
+        let queue = |pushes, longest_bucket| SchedStats {
+            pushes,
+            longest_bucket,
+            ..SchedStats::default()
         };
         let fused = ShardRunStats {
             stats,
@@ -1122,10 +1120,16 @@ mod tests {
             windows: 0,
             shard_stalls: 0,
         }
-        .merged([(7, 10), (2, 1), (4, 100)]);
-        // Max of per-shard peaks (independent pools), sum of allocations.
+        .merged([
+            (7, 10, queue(30, 4)),
+            (2, 1, queue(20, 9)),
+            (4, 100, queue(10, 2)),
+        ]);
+        // Max of per-shard peaks (independent pools), sum of allocations;
+        // the queues' counters add, their longest bucket is a max.
         assert_eq!(fused.stats.peak_live_slots, 7);
         assert_eq!(fused.stats.hop_allocations, 5 + 10 + 1 + 100);
+        assert_eq!(fused.stats.sched, queue(60, 9));
     }
 
     #[test]
@@ -1192,6 +1196,70 @@ mod tests {
         assert_eq!(digest, dense_digest);
         assert_eq!(sparse.windows, dense.windows);
         assert_eq!(sparse.shard_stalls, dense.shard_stalls);
+    }
+
+    #[test]
+    fn packed_keys_round_trip_and_order_like_the_pair() {
+        let max_ord = (1u64 << (u64::BITS - PROGRESS_BITS)) - 1;
+        let max_prog = (1u32 << PROGRESS_BITS) - 1;
+        let pairs = [
+            (0, 0),
+            (0, 1),
+            (0, max_prog),
+            (1, 0),
+            (7, 3),
+            (max_ord, 0),
+            (max_ord, max_prog),
+        ];
+        for w in pairs.windows(2) {
+            assert!(pack_key(w[0].0, w[0].1) < pack_key(w[1].0, w[1].1));
+        }
+        for (ord, prog) in pairs {
+            assert_eq!(unpack_key(pack_key(ord, prog)), (ord, prog));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "packet ordinal")]
+    fn an_ordinal_too_wide_for_the_key_is_a_checked_failure() {
+        pack_key(1 << (u64::BITS - PROGRESS_BITS), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "hop progress")]
+    fn a_progress_too_wide_for_the_key_is_a_checked_failure() {
+        // One hop past the last progress must not carry into the ordinal.
+        let (ord, prog) = unpack_key(pack_key(5, (1 << PROGRESS_BITS) - 1));
+        pack_key(ord, prog + 1);
+    }
+
+    #[test]
+    fn windows_reaching_the_end_of_time_are_unbounded() {
+        assert_eq!(window_horizon(10, Some(1_000)), Some(1_010));
+        assert_eq!(window_horizon(10, None), None);
+        // An exclusive horizon can never hold a unit at u64::MAX, and the
+        // two largest values are the worker mailbox's own.
+        assert_eq!(window_horizon(u64::MAX - 5, Some(1_000)), None);
+        assert_eq!(window_horizon(u64::MAX - 1_000, Some(1_000)), None);
+        assert_eq!(
+            window_horizon(u64::MAX - 1_002, Some(1_000)),
+            Some(u64::MAX - 2)
+        );
+        // So a run whose units sit there finishes, at any shard count,
+        // instead of opening windows without progress. (Handoffs made in
+        // that last window get one more: the window *count* is only
+        // shard-count invariant below the end of time.)
+        let injections = vec![
+            (0usize, pkt(0, 10)),
+            (0, pkt(1, u64::MAX - 5)),
+            (0, pkt(2, u64::MAX)),
+        ];
+        let (_, one) = sharded_digest(1, &injections);
+        let (_, two) = sharded_digest(2, &injections);
+        for run in [&one, &two] {
+            assert_eq!(run.stats.injected, 3);
+            assert_eq!(run.stats.delivered, 3);
+        }
     }
 
     #[test]

@@ -25,11 +25,11 @@
 //!   exactly the moving oracle's sequence-number tie-breaking). The
 //!   engine asserts monotonicity (debug builds assert per pull).
 //! * [`span_hint`](InjectionSource::span_hint) /
-//!   [`len_hint`](InjectionSource::len_hint) feed
-//!   `CalendarQueue::for_spacing` the same geometry evidence the sorted
-//!   Vec's ends used to provide. Sources that cannot know them up front
-//!   return `None` and the scheduler falls back to its default geometry
-//!   (identical to `for_spacing(0, 0)`).
+//!   [`len_hint`](InjectionSource::len_hint) are vestigial: they fed the
+//!   calendar's old injection-spacing geometry, which now comes from the
+//!   fabric (`sched::fabric_geometry`), and no engine reads them. They stay
+//!   because the ledger's adapters implement and forward them: delete them
+//!   with the next `[benchmark]` PR, the only kind that may edit `ledger/`.
 
 use crate::network::NodeId;
 use rlir_net::packet::Packet;
@@ -48,14 +48,14 @@ pub trait InjectionSource {
     /// method-resolution clash.
     fn next_injection(&mut self) -> Option<(NodeId, Packet)>;
 
-    /// Total number of injections, if known up front — calendar-geometry
-    /// evidence only, never used for control flow.
+    /// Total number of injections, if known up front. Unused by the
+    /// engines (see the module docs); never used for control flow.
     fn len_hint(&self) -> Option<usize> {
         None
     }
 
     /// `last.created_at - first.created_at` in nanoseconds, if known up
-    /// front — calendar-geometry evidence only.
+    /// front. Unused by the engines (see the module docs).
     fn span_hint(&self) -> Option<u64> {
         None
     }

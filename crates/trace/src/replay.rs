@@ -200,9 +200,10 @@ impl<R: Read> PcapReplaySource<R> {
         self
     }
 
-    /// Provide calendar-geometry evidence (record count / capture span in
-    /// nanoseconds) known out-of-band, e.g. recorded next to the capture.
-    /// Purely a scheduler hint; never affects results.
+    /// Record count / capture span in nanoseconds known out-of-band, e.g.
+    /// recorded next to the capture. Never affects results — and, since the
+    /// calendar's geometry comes from the fabric, nothing reads them: kept
+    /// for the ledger, which calls this (see `rlir_sim::source`).
     pub fn with_hints(mut self, len: usize, span_ns: u64) -> Self {
         self.len_hint = Some(len);
         self.span_hint = Some(span_ns);
