@@ -73,11 +73,43 @@
 //! counters, the per-epoch drop map) is reached only by closures, sheds,
 //! faults, flushes, ordered feeds and [`MeasurementPlane::finish`].
 //!
-//! A run entry (`PendingObs`) is six
-//! `u64` words — the `(at, tie, id)` key, then the packed 5-tuple or
-//! [`ReferenceInfo`], a tag word (kind bit, truth-present bit, protocol and
-//! ports or sender and sequence) and the truth — written straight from the
-//! event and decoded once, at flush.
+//! ## One record per event, one entry per tap
+//!
+//! A delivery is observed by every tap on the packet's path — about five
+//! on a fat-tree with all ports tapped — and what those observations share
+//! (which packet, which flow or reference, the tie) is stored once. The
+//! first tap that buffers a hop event appends an **event record**
+//! (`EventRecord`, four `u64` words: tie, packet id, the packed 5-tuple or
+//! [`ReferenceInfo`], a tag word with the kind bit and protocol and ports
+//! or sender and sequence) to one plane-wide FIFO; each tap's run then
+//! holds a three-word **entry** (`WindowEntry`: observation time, truth,
+//! and the record's position in the stream of records with the
+//! truth-present bit). An event no tap buffers — filtered, late, shed,
+//! lost, or fed straight to an ordered tap — makes no record. A tap with a
+//! [`TapSpec::ref_map`] keeps a record of its own per mapped reference,
+//! since what the map returns is that tap's alone. A flush sorts entries
+//! by observation time and reads a record only to break a tie on it by
+//! `(tie, id)` and to decode what it feeds, so the feed order is exactly
+//! `(at, tie, id)`.
+//!
+//! Records are reclaimed from the front of the FIFO. About every 256
+//! records (when an event's shared record is made: every earlier event's
+//! entries exist by then) and at every watermark flush, the plane notes
+//! `(latest observation time of any entry so far, where the FIFO ends)`;
+//! once all unordered taps have been flushed beyond that time, no entry is
+//! left that names a record before that end, and the front is freed up to
+//! it. So records live about as long as entries do — between one and one
+//! and a half windows past their event — and a live
+//! [`TapPoint::PortDeparture`] tap, whose `Dequeue` events are stamped
+//! with a departure time ahead of the watermark, merely holds the front
+//! back until the watermark catches up. A crashed tap's entries are freed
+//! at once and their records by the next flush past them; under
+//! [`DrainMode::BufferedSort`] nothing is flushed and records stay, like
+//! the runs, until [`MeasurementPlane::finish`]. The split pays off when
+//! more than `32 / 24` taps buffer an event; a lone tap pays 56 bytes an
+//! observation where a self-contained entry was 48
+//! ([`PlaneReport::records_made`] and [`PlaneReport::peak_records`] say
+//! which case a run was).
 //!
 //! ## Live taps and drop awareness
 //!
@@ -115,6 +147,7 @@ use rlir_rli::{
 };
 use rlir_sim::pipeline::Delivery;
 use rlir_sim::{FaultEvent, FaultKind, Hop, HopEvent, HopKind, HopSink, NodeId, PortId};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 /// Where on the hop-event stream a tap sits.
@@ -340,71 +373,62 @@ enum Payload {
     },
 }
 
-/// Tag-word bit: the entry is a reference (clear: a regular).
+/// Tag-word bit: the record is a reference (clear: a regular).
 const TAG_REFERENCE: u64 = 1 << 63;
-/// Tag-word bit: the truth word holds a value. A bit, not a sentinel in
-/// the truth word: every `u64` is a truth a saturated clock can produce.
-const TAG_HAS_TRUTH: u64 = 1 << 62;
 /// Tag-word bits 40–41: which [`Protocol`] variant a regular's protocol
 /// number (bits 32–39) came from — `Other(6)` is not `Tcp`.
 const TAG_PROTO_UDP: u64 = 1 << 40;
 const TAG_PROTO_OTHER: u64 = 2 << 40;
+/// Entry `rec`-word bit: the truth word holds a value. A bit, not a
+/// sentinel in the truth word: every `u64` is a truth a saturated clock can
+/// produce.
+const ENTRY_HAS_TRUTH: u64 = 1 << 63;
 
-/// A pending observation in a tap's reorder run, fed in ascending
-/// `(observation time, tie, packet id)` order — unique per tap, and the
-/// exact total order the buffered-sort oracle produces. Six plain words,
-/// so a push is six stores from the event and a flush decodes it once.
+/// What every tap buffering one hop event shares: the `(tie, packet id)`
+/// that breaks an observation-time tie, and the packed 5-tuple or
+/// [`ReferenceInfo`]. Four plain words, written once per event and read at
+/// flush; when it was observed and how long it took are per tap and live in
+/// the [`WindowEntry`].
 #[derive(Clone, Copy)]
-struct PendingObs {
-    at: u64,
+struct EventRecord {
     tie: u64,
     id: u64,
     /// Regular: `src << 32 | dst`. Reference: the transmit timestamp, ns.
     body: u64,
-    /// Kind and truth-present bits, then — regular: protocol variant,
-    /// protocol number, source port, destination port; reference:
-    /// `sender << 32 | seq`.
+    /// Kind bit, then — regular: protocol variant, protocol number, source
+    /// port, destination port; reference: `sender << 32 | seq`.
     tag: u64,
-    /// Regular with [`TAG_HAS_TRUTH`]: the truth, ns. Otherwise zero.
-    truth: u64,
 }
 
-impl PendingObs {
+impl EventRecord {
     #[inline]
-    fn regular(at: SimTime, tie: u64, id: u64, flow: &FlowKey, truth: Option<SimDuration>) -> Self {
+    fn regular(tie: u64, id: u64, flow: &FlowKey) -> Self {
         let proto = match flow.proto {
             Protocol::Tcp => 0,
             Protocol::Udp => TAG_PROTO_UDP,
             Protocol::Other(n) => TAG_PROTO_OTHER | (n as u64) << 32,
         };
-        let (has_truth, truth) = match truth {
-            Some(d) => (TAG_HAS_TRUTH, d.as_nanos()),
-            None => (0, 0),
-        };
-        PendingObs {
-            at: at.as_nanos(),
+        EventRecord {
             tie,
             id,
             body: (u32::from(flow.src) as u64) << 32 | u32::from(flow.dst) as u64,
-            tag: has_truth | proto | (flow.sport as u64) << 16 | flow.dport as u64,
-            truth,
+            tag: proto | (flow.sport as u64) << 16 | flow.dport as u64,
         }
     }
 
     #[inline]
-    fn reference(at: SimTime, tie: u64, id: u64, info: &ReferenceInfo) -> Self {
-        PendingObs {
-            at: at.as_nanos(),
+    fn reference(tie: u64, id: u64, info: &ReferenceInfo) -> Self {
+        EventRecord {
             tie,
             id,
             body: info.tx_timestamp.as_nanos(),
             tag: TAG_REFERENCE | (info.sender.0 as u64) << 32 | info.seq as u64,
-            truth: 0,
         }
     }
 
+    /// What one tap's entry for this record feeds its receiver.
     #[inline]
-    fn payload(&self) -> Payload {
+    fn payload(&self, truth: Option<SimDuration>) -> Payload {
         if self.tag & TAG_REFERENCE != 0 {
             return Payload::Reference(ReferenceInfo {
                 sender: SenderId((self.tag >> 32) as u16),
@@ -425,13 +449,160 @@ impl PendingObs {
                 sport: (self.tag >> 16) as u16,
                 dport: self.tag as u16,
             },
-            truth: (self.tag & TAG_HAS_TRUTH != 0).then(|| SimDuration::from_nanos(self.truth)),
+            truth,
+        }
+    }
+}
+
+/// One tap's pending observation of an event: when the tap saw it, how
+/// long it had taken, and which [`EventRecord`] says what it was. Fed in
+/// ascending `(at, tie, packet id)` order — unique per tap, and the exact
+/// total order the buffered-sort oracle produces.
+#[derive(Clone, Copy)]
+struct WindowEntry {
+    at: u64,
+    /// With [`ENTRY_HAS_TRUTH`]: the truth, ns. Otherwise zero.
+    truth: u64,
+    /// The record's position in the plane's stream of records (see
+    /// [`Records`]), and the [`ENTRY_HAS_TRUTH`] bit.
+    rec: u64,
+}
+
+impl WindowEntry {
+    #[inline]
+    fn truth(&self) -> Option<SimDuration> {
+        (self.rec & ENTRY_HAS_TRUTH != 0).then(|| SimDuration::from_nanos(self.truth))
+    }
+}
+
+/// The plane-wide FIFO of [`EventRecord`]s, oldest first. A record is
+/// named by its position in the whole stream of records ever made, so
+/// reclaiming the front never renumbers what the entries hold.
+#[derive(Default)]
+struct Records {
+    fifo: VecDeque<EventRecord>,
+    /// Records reclaimed so far: the stream position of `fifo`'s front.
+    base: u64,
+    /// High-water mark of `fifo.len()`.
+    peak: usize,
+    /// Latest observation time of any entry made so far, ns.
+    max_at: u64,
+    /// `(max_at then, stream position)` pairs, both ascending: every entry
+    /// naming a record before the position was observed no later than the
+    /// time, so once every tap is flushed past the time the records before
+    /// the position have no entry left. About one pair per
+    /// [`RECLAIM_GRAIN`] records, and one per flush for the records since
+    /// the last pair.
+    checkpoints: VecDeque<(u64, u64)>,
+}
+
+/// Records per reclamation checkpoint. A coarser grain frees records
+/// later: the last-hop departures a delivery reports run ahead of the
+/// watermark by that queue's residence, and a whole flush interval vouched
+/// for by its latest entry would wait half a window more than most of its
+/// records need. 16 bytes per 256 records is what the finer grain costs.
+const RECLAIM_GRAIN: u64 = 256;
+
+impl Records {
+    /// Records ever made (the stream position the next one gets).
+    #[inline]
+    fn made(&self) -> u64 {
+        self.base + self.fifo.len() as u64
+    }
+
+    /// Append a record only the calling tap will name (a mapped
+    /// reference). Never a checkpoint: the event's shared record may lie
+    /// before it with sharers still to come.
+    #[inline]
+    fn push_own(&mut self, rec: EventRecord) -> u64 {
+        let pos = self.made();
+        self.fifo.push_back(rec);
+        self.peak = self.peak.max(self.fifo.len());
+        pos
+    }
+
+    /// Append the record every tap buffering the current event shares.
+    #[inline]
+    fn push_shared(&mut self, rec: EventRecord) -> u64 {
+        let pos = self.made();
+        let last = self.checkpoints.back().map_or(self.base, |&(_, p)| p);
+        if pos - last >= RECLAIM_GRAIN {
+            // Every earlier record is an earlier event's, or a mapping
+            // tap's own for this one: all their entries are made — and in
+            // `max_at` — by now.
+            self.checkpoints.push_back((self.max_at, pos));
+        }
+        self.push_own(rec)
+    }
+
+    /// An entry observing record `rec` at `at`. Every entry is made here,
+    /// which is what lets `max_at` vouch for all of them.
+    #[inline]
+    fn entry(&mut self, at: SimTime, truth: Option<SimDuration>, rec: u64) -> WindowEntry {
+        self.max_at = self.max_at.max(at.as_nanos());
+        let (has_truth, truth) = match truth {
+            Some(d) => (ENTRY_HAS_TRUTH, d.as_nanos()),
+            None => (0, 0),
+        };
+        WindowEntry {
+            at: at.as_nanos(),
+            truth,
+            rec: rec | has_truth,
         }
     }
 
+    /// The record `entry` names. An entry outliving its record is a bug in
+    /// the reclamation rule, and panics here rather than read a neighbour.
     #[inline]
-    fn key(&self) -> (u64, u64, u64) {
-        (self.at, self.tie, self.id)
+    fn get(&self, entry: &WindowEntry) -> &EventRecord {
+        let pos = entry.rec & !ENTRY_HAS_TRUTH;
+        let i = pos
+            .checked_sub(self.base)
+            .expect("window entry names a reclaimed record");
+        &self.fifo[i as usize]
+    }
+
+    /// Called with every unordered tap flushed to `bound`, between events:
+    /// free the front up to the last checkpoint whose entries all lay
+    /// below `bound` — they were just fed, or freed earlier.
+    fn reclaim(&mut self, bound: SimTime) {
+        let made = self.made();
+        if self.checkpoints.back().is_none_or(|&(_, pos)| pos < made) {
+            self.checkpoints.push_back((self.max_at, made));
+        }
+        let mut free_to = self.base;
+        while let Some(&(max_at, pos)) = self.checkpoints.front() {
+            if max_at >= bound.as_nanos() {
+                break;
+            }
+            free_to = pos;
+            self.checkpoints.pop_front();
+        }
+        self.fifo.drain(..(free_to - self.base) as usize);
+        self.base = free_to;
+    }
+}
+
+/// One hop event on its way through the taps at its point: the tie every
+/// observation of it carries, and the record they share — made by the
+/// first tap that buffers it, so an event nobody buffers costs nothing.
+struct EventSlot {
+    tie: u64,
+    rec: Option<u64>,
+}
+
+impl EventSlot {
+    fn new(tie: u64) -> Self {
+        EventSlot { tie, rec: None }
+    }
+
+    /// The event's shared record, made from the tie on first use.
+    #[inline]
+    fn shared(&mut self, records: &mut Records, make: impl FnOnce(u64) -> EventRecord) -> u64 {
+        let tie = self.tie;
+        *self
+            .rec
+            .get_or_insert_with(|| records.push_shared(make(tie)))
     }
 }
 
@@ -452,7 +623,7 @@ struct HotTap {
     /// tail the last flush retained. Bounded by the window under
     /// [`DrainMode::Streaming`]; the whole run under the oracle, which
     /// never flushes before [`MeasurementPlane::finish`].
-    window: Vec<PendingObs>,
+    window: Vec<WindowEntry>,
     point: TapPoint,
     /// Observations with `at` below this are late (window too small).
     flushed_to: SimTime,
@@ -476,8 +647,8 @@ struct HotTap {
 
 impl HotTap {
     #[inline]
-    fn push(&mut self, obs: PendingObs) {
-        self.window.push(obs);
+    fn push(&mut self, entry: WindowEntry) {
+        self.window.push(entry);
         self.peak_pending = self.peak_pending.max(self.window.len());
     }
 }
@@ -677,6 +848,15 @@ pub struct PlaneReport {
     /// harness's flat-memory witness alongside the engine's
     /// `peak_live_slots`.
     pub peak_pending_total: usize,
+    /// Event records made: one per hop event that at least one tap
+    /// buffered (plus one per reference a [`TapSpec::ref_map`] tap
+    /// buffered). Buffered observations ÷ this is how many taps shared a
+    /// record — what the record / entry split of the window pays off by.
+    /// Diagnostic, in both drain modes.
+    pub records_made: u64,
+    /// High-water mark of event records held at once — O(reorder window)
+    /// under [`DrainMode::Streaming`], `records_made` under the oracle.
+    pub peak_records: usize,
 }
 
 impl PlaneReport {
@@ -800,6 +980,8 @@ pub struct MeasurementPlane<'a> {
     next_flush: SimTime,
     /// Plane-wide pending accounting for the global budget.
     totals: PendingTotals,
+    /// What the taps' window entries point into.
+    records: Records,
     /// Per-tenant budget state, in first-seen order (see [`TenantId`]).
     tenants: Vec<TenantState>,
     /// Routing indices: which taps observe each point. Built at attach
@@ -996,7 +1178,7 @@ impl<'a> MeasurementPlane<'a> {
     }
 
     /// Route one observation into a tap at observation time `at` with
-    /// tie-break key `(tie, id)`.
+    /// tie-break key `(slot.tie, id)`.
     #[allow(clippy::too_many_arguments)]
     fn observe(
         tap: &mut HotTap,
@@ -1004,10 +1186,12 @@ impl<'a> MeasurementPlane<'a> {
         cfg: PlaneConfig,
         totals: &mut PendingTotals,
         tenants: &mut [TenantState],
+        records: &mut Records,
         at: SimTime,
-        tie: u64,
+        slot: &mut EventSlot,
         ev: &HopEvent<'_>,
     ) {
+        let id = ev.packet.id.0;
         match ev.packet.reference_info() {
             Some(info) => {
                 // The flag first: a tap without a map never reads `cold`.
@@ -1021,7 +1205,14 @@ impl<'a> MeasurementPlane<'a> {
                     Admission::Refused => {}
                     Admission::Ordered => cold.rx.on_reference(at, &info),
                     Admission::Buffered => {
-                        tap.push(PendingObs::reference(at, tie, ev.packet.id.0, &info))
+                        // What a map returns is the tap's own business: its
+                        // record is not the event's.
+                        let rec = if tap.has_ref_map {
+                            records.push_own(EventRecord::reference(slot.tie, id, &info))
+                        } else {
+                            slot.shared(records, |tie| EventRecord::reference(tie, id, &info))
+                        };
+                        tap.push(records.entry(at, None, rec))
                     }
                 }
             }
@@ -1046,7 +1237,8 @@ impl<'a> MeasurementPlane<'a> {
                     Admission::Refused => {}
                     Admission::Ordered => cold.rx.on_regular(at, *flow, truth),
                     Admission::Buffered => {
-                        tap.push(PendingObs::regular(at, tie, ev.packet.id.0, flow, truth))
+                        let rec = slot.shared(records, |tie| EventRecord::regular(tie, id, flow));
+                        tap.push(records.entry(at, truth, rec))
                     }
                 }
             }
@@ -1141,20 +1333,27 @@ impl<'a> MeasurementPlane<'a> {
         cold: &mut ColdTap<'a>,
         totals: &mut PendingTotals,
         tenants: &mut [TenantState],
+        records: &Records,
         bound: Option<SimTime>,
     ) {
         if !tap.window.is_empty() {
             // Stable on purpose, though keys are unique: the run is a
             // sorted tail plus arrivals in near-order, which the merge
-            // sort's run detection finishes in about one pass.
-            tap.window.sort_by_key(PendingObs::key);
+            // sort's run detection finishes in about one pass. Only an
+            // `at` tie reads the records.
+            tap.window.sort_by(|a, b| {
+                a.at.cmp(&b.at).then_with(|| {
+                    let (ra, rb) = (records.get(a), records.get(b));
+                    (ra.tie, ra.id).cmp(&(rb.tie, rb.id))
+                })
+            });
             let n = match bound {
                 Some(b) => tap.window.partition_point(|obs| obs.at < b.as_nanos()),
                 None => tap.window.len(),
             };
             for obs in tap.window.drain(..n) {
                 let at = SimTime::from_nanos(obs.at);
-                match obs.payload() {
+                match records.get(&obs).payload(obs.truth()) {
                     Payload::Reference(info) => cold.rx.on_reference(at, &info),
                     Payload::Regular { flow, truth } => cold.rx.on_regular(at, flow, truth),
                 }
@@ -1166,6 +1365,34 @@ impl<'a> MeasurementPlane<'a> {
         if let Some(b) = bound {
             tap.flushed_to = tap.flushed_to.max(b);
         }
+    }
+
+    /// The streaming drain's scan, every half window of watermark: flush
+    /// every unordered tap to `watermark − window`, then free the event
+    /// records nothing names any more. Out of line: the engine calls
+    /// [`HopSink::on_watermark`] per event, and all but one call in
+    /// thousands is the two compares in front of this.
+    #[inline(never)]
+    fn flush_windows(&mut self, watermark: SimTime, reorder_window: SimDuration) {
+        let bound = SimTime::from_nanos(
+            watermark
+                .as_nanos()
+                .saturating_sub(reorder_window.as_nanos()),
+        );
+        for (tap, cold) in self.taps.iter_mut().zip(&mut self.cold) {
+            if !tap.ordered {
+                Self::flush_tap(
+                    tap,
+                    cold,
+                    &mut self.totals,
+                    &mut self.tenants,
+                    &self.records,
+                    Some(bound),
+                );
+            }
+        }
+        self.records.reclaim(bound);
+        self.next_flush = watermark + SimDuration::from_nanos(reorder_window.as_nanos() / 2 + 1);
     }
 
     /// Count a metered packet of a live tap that died downstream after
@@ -1181,7 +1408,8 @@ impl<'a> MeasurementPlane<'a> {
     /// receiver cold-reset (flow table included) — everything destroyed is
     /// accounted in [`TapReport::lost_window_obs`], and the state is gone
     /// from [`approx_state_bytes`](MeasurementPlane::approx_state_bytes)
-    /// before this returns. Until the matching
+    /// before this returns (the event records its entries named go with
+    /// the next flush past them, like everyone else's). Until the matching
     /// [`tap_up`](MeasurementPlane::tap_up), crossings at the point are
     /// counted as lost, never observed. Delivered automatically from
     /// scripted [`FaultKind::TapDown`] events via [`HopSink::on_fault`];
@@ -1261,15 +1489,21 @@ impl<'a> MeasurementPlane<'a> {
     }
 
     /// Approximate bytes of plane hot state right now: every tap's flow
-    /// accumulators plus its buffered observations. Diagnostic — the
-    /// fleet harness's sublinearity witness, not an allocator.
+    /// accumulators and window entries, plus the event records those
+    /// entries share. O(taps) — lengths only, the FIFO is never walked.
+    /// Not counted: the receivers' interpolation buffers, the epoch
+    /// series, and `Vec` / `VecDeque` capacity beyond the length.
+    /// Diagnostic — the fleet harness's sublinearity witness, not an
+    /// allocator.
     pub fn approx_state_bytes(&self) -> usize {
-        let obs = std::mem::size_of::<PendingObs>();
-        self.taps
+        let entry = std::mem::size_of::<WindowEntry>();
+        let windows: usize = self
+            .taps
             .iter()
             .zip(&self.cold)
-            .map(|(t, c)| c.rx.flows().approx_bytes() + t.window.len() * obs)
-            .sum()
+            .map(|(t, c)| c.rx.flows().approx_bytes() + t.window.len() * entry)
+            .sum();
+        windows + self.records.fifo.len() * std::mem::size_of::<EventRecord>()
     }
 
     /// Drain every tap (deterministic order) and finish every receiver.
@@ -1277,7 +1511,14 @@ impl<'a> MeasurementPlane<'a> {
         let epoch_ns = self.cfg.epoch_ns();
         let peak_pending_total = self.totals.peak;
         for (tap, cold) in self.taps.iter_mut().zip(&mut self.cold) {
-            Self::flush_tap(tap, cold, &mut self.totals, &mut self.tenants, None);
+            Self::flush_tap(
+                tap,
+                cold,
+                &mut self.totals,
+                &mut self.tenants,
+                &self.records,
+                None,
+            );
         }
         let tenants = self
             .tenants
@@ -1343,6 +1584,8 @@ impl<'a> MeasurementPlane<'a> {
             tenants,
             epoch_ns,
             peak_pending_total,
+            records_made: self.records.made(),
+            peak_records: self.records.peak,
         }
     }
 }
@@ -1360,25 +1603,15 @@ fn crossing_time(point: TapPoint, crossing: u32, ev: &HopEvent<'_>) -> SimTime {
 }
 
 impl HopSink for MeasurementPlane<'_> {
+    #[inline]
     fn on_watermark(&mut self, watermark: SimTime) {
         self.watermark = watermark;
         let DrainMode::Streaming { reorder_window } = self.cfg.drain else {
             return;
         };
-        if watermark < self.next_flush {
-            return;
+        if watermark >= self.next_flush {
+            self.flush_windows(watermark, reorder_window);
         }
-        let bound = SimTime::from_nanos(
-            watermark
-                .as_nanos()
-                .saturating_sub(reorder_window.as_nanos()),
-        );
-        for (tap, cold) in self.taps.iter_mut().zip(&mut self.cold) {
-            if !tap.ordered {
-                Self::flush_tap(tap, cold, &mut self.totals, &mut self.tenants, Some(bound));
-            }
-        }
-        self.next_flush = watermark + SimDuration::from_nanos(reorder_window.as_nanos() / 2 + 1);
     }
 
     fn on_hop(&mut self, ev: &HopEvent<'_>) {
@@ -1388,7 +1621,7 @@ impl HopSink for MeasurementPlane<'_> {
                     return; // every tap is delivered-gated: nothing to do
                 }
                 self.live_seq += 1;
-                let tie = self.live_seq;
+                let mut slot = EventSlot::new(self.live_seq);
                 if let Some(idxs) = self.live_arrival.get(&ev.node) {
                     for &i in idxs {
                         Self::observe(
@@ -1397,8 +1630,9 @@ impl HopSink for MeasurementPlane<'_> {
                             self.cfg,
                             &mut self.totals,
                             &mut self.tenants,
+                            &mut self.records,
                             ev.at,
-                            tie,
+                            &mut slot,
                             ev,
                         );
                     }
@@ -1409,7 +1643,7 @@ impl HopSink for MeasurementPlane<'_> {
                     return;
                 }
                 self.live_seq += 1;
-                let tie = self.live_seq;
+                let mut slot = EventSlot::new(self.live_seq);
                 if let Some(idxs) = self.live_departure.get(&(ev.node, port)) {
                     for &i in idxs {
                         Self::observe(
@@ -1418,15 +1652,16 @@ impl HopSink for MeasurementPlane<'_> {
                             self.cfg,
                             &mut self.totals,
                             &mut self.tenants,
+                            &mut self.records,
                             ev.at,
-                            tie,
+                            &mut slot,
                             ev,
                         );
                     }
                 }
             }
             HopKind::Deliver => {
-                let delivered = ev.at.as_nanos();
+                let mut slot = EventSlot::new(ev.at.as_nanos());
                 // Candidates from the routing indices, each with the
                 // crossing that matched; sorted by tap id and deduplicated
                 // on it, they come out in attachment order with the first
@@ -1455,8 +1690,9 @@ impl HopSink for MeasurementPlane<'_> {
                         self.cfg,
                         &mut self.totals,
                         &mut self.tenants,
+                        &mut self.records,
                         at,
-                        delivered,
+                        &mut slot,
                         ev,
                     );
                 }
@@ -1993,12 +2229,340 @@ mod tests {
         assert_eq!(want[4].2, "c", "the epoch-7 outlier must be the finding");
     }
 
+    /// A delivered-gated `NodeArrival(node)` tap scoring nothing.
+    fn gated_tap(name: &str, node: NodeId) -> TapSpec<'static> {
+        let mut spec = TapSpec::new(name, TapPoint::NodeArrival(node), SenderId(1));
+        spec.truth = TruthRef::NoTruth;
+        spec.delivered_only = true;
+        spec
+    }
+
+    fn crossed(node: NodeId, at_ns: u64) -> Hop {
+        Hop {
+            node,
+            port: 0,
+            arrived: SimTime::from_nanos(at_ns),
+            departed: SimTime::from_nanos(at_ns),
+        }
+    }
+
+    fn streaming(window_ns: u64) -> PlaneConfig {
+        PlaneConfig {
+            drain: DrainMode::Streaming {
+                reorder_window: SimDuration::from_nanos(window_ns),
+            },
+            ..PlaneConfig::default()
+        }
+    }
+
     #[test]
-    fn pending_obs_is_48_bytes() {
-        // Six words: what `plane.bytes_per_pending` and the 1.5-window
-        // bound on a run's footprint are quoted against.
-        assert_eq!(std::mem::size_of::<PendingObs>(), 48);
-        assert_eq!(std::mem::align_of::<PendingObs>(), 8);
+    fn equal_time_equal_delivery_ties_feed_in_packet_id_order() {
+        // Two references cross the tap at the same instant and are
+        // delivered at the same instant: only the packet id orders them.
+        // The receiver interpolates from the one fed last, so the estimate
+        // tells which that was — and must not depend on which delivery the
+        // engine happened to report first (the order their records land in).
+        for drain in [DrainMode::default(), DrainMode::BufferedSort] {
+            for first_reported in [3u64, 9] {
+                let mut plane = MeasurementPlane::with_config(PlaneConfig {
+                    drain,
+                    ..PlaneConfig::default()
+                });
+                plane.attach(gated_tap("mid", 1));
+                // id 3 took 200 ns to the tap, id 9 took 100 ns.
+                let tx = |id: u64| SimTime::from_nanos(if id == 3 { 0 } else { 100 });
+                let both_at = [crossed(1, 200)];
+                for id in [first_reported, 12 - first_reported] {
+                    let r = Packet::reference(id, fk(9), SenderId(1), id as u32, tx(id));
+                    plane.on_hop(&deliver_ev(&r, &both_at, 2, 500));
+                }
+                let p = Packet::regular(20, fk(1), 700, SimTime::ZERO);
+                plane.on_hop(&deliver_ev(&p, &[crossed(1, 250)], 2, 600));
+                let close = Packet::reference(21, fk(9), SenderId(1), 30, SimTime::from_nanos(200));
+                plane.on_hop(&deliver_ev(&close, &[crossed(1, 300)], 2, 700));
+                let rep = plane.finish();
+                let acc = rep.taps[0].report.flows.get(&fk(1)).expect("metered");
+                // Fed 3 then 9: left is 9's 100 ns @200, right 100 ns @300.
+                assert_eq!(
+                    acc.est.mean(),
+                    Some(100.0),
+                    "{drain:?}, id {first_reported} reported first"
+                );
+                assert_eq!(rep.records_made, 4);
+            }
+        }
+    }
+
+    #[test]
+    fn several_taps_share_one_record_and_a_mapped_reference_gets_its_own() {
+        let mut plane = MeasurementPlane::new();
+        for node in [1, 2, 3] {
+            plane.attach(gated_tap("shared", node));
+        }
+        let mut mapped = gated_tap("mapped", 3);
+        mapped.ref_map = Some(Box::new(|info| Some(*info)));
+        plane.attach(mapped);
+        let path = [crossed(1, 100), crossed(2, 200), crossed(3, 300)];
+        let entry = std::mem::size_of::<WindowEntry>();
+        let record = std::mem::size_of::<EventRecord>();
+        let empty = plane.approx_state_bytes();
+
+        let p = Packet::regular(1, fk(1), 700, SimTime::ZERO);
+        plane.on_hop(&deliver_ev(&p, &path, 9, 400));
+        assert_eq!(
+            plane.records.made(),
+            1,
+            "four taps, one regular: one record"
+        );
+        assert_eq!(plane.approx_state_bytes(), empty + 4 * entry + record);
+
+        let r = Packet::reference(2, fk(9), SenderId(1), 0, SimTime::ZERO);
+        plane.on_hop(&deliver_ev(&r, &path, 9, 500));
+        assert_eq!(plane.records.made(), 3, "the mapping tap keeps its own");
+        assert_eq!(plane.approx_state_bytes(), empty + 8 * entry + 3 * record);
+
+        let rep = plane.finish();
+        assert_eq!((rep.records_made, rep.peak_records), (3, 3));
+        for tap in &rep.taps {
+            assert_eq!(tap.report.counters.refs_accepted, 1);
+            assert_eq!(tap.report.counters.regulars_seen, 1);
+        }
+    }
+
+    #[test]
+    fn filtered_and_refused_observations_make_no_record() {
+        let mut plane = MeasurementPlane::with_config(streaming(100));
+        let mut metered = gated_tap("metered", 1);
+        metered.meter = Some(Box::new(|ev| ev.packet.flow != fk(2)));
+        metered.ref_map = Some(Box::new(|_| None));
+        plane.attach(metered);
+        let mut full = gated_tap("full", 2);
+        full.max_buffer = 0;
+        plane.attach(full);
+        plane.attach(gated_tap("crashed", 3));
+        plane.tap_down(SimTime::ZERO, 3);
+        plane.on_watermark(SimTime::from_nanos(10_000));
+        let before = plane.approx_state_bytes();
+
+        let unmetered = Packet::regular(1, fk(2), 700, SimTime::ZERO);
+        plane.on_hop(&deliver_ev(&unmetered, &[crossed(1, 9_990)], 9, 10_000));
+        let unmapped = Packet::reference(2, fk(9), SenderId(1), 0, SimTime::ZERO);
+        plane.on_hop(&deliver_ev(&unmapped, &[crossed(1, 9_990)], 9, 10_000));
+        let late = Packet::regular(3, fk(1), 700, SimTime::ZERO);
+        plane.on_hop(&deliver_ev(&late, &[crossed(1, 50)], 9, 10_000));
+        let shed = Packet::regular(4, fk(1), 700, SimTime::ZERO);
+        plane.on_hop(&deliver_ev(&shed, &[crossed(2, 9_990)], 9, 10_000));
+        let lost = Packet::regular(5, fk(1), 700, SimTime::ZERO);
+        plane.on_hop(&deliver_ev(&lost, &[crossed(3, 9_990)], 9, 10_000));
+
+        assert_eq!(plane.approx_state_bytes(), before);
+        let rep = plane.finish();
+        assert_eq!((rep.records_made, rep.peak_records), (0, 0));
+        assert_eq!(
+            (
+                rep.taps[0].late,
+                rep.taps[1].shed,
+                rep.taps[2].lost_window_obs
+            ),
+            (1, 1, 1)
+        );
+    }
+
+    #[test]
+    fn peak_records_track_the_window_not_the_run() {
+        // One delivery every 100 ns that crossed two taps 250 and 150 ns
+        // earlier, the watermark on its heels.
+        let run = |deliveries: u64| {
+            let mut plane = MeasurementPlane::with_config(streaming(1_000));
+            plane.attach(gated_tap("a", 1));
+            plane.attach(gated_tap("b", 2));
+            for i in 0..deliveries {
+                let now = 1_000 + i * 100;
+                plane.on_watermark(SimTime::from_nanos(now));
+                let p = Packet::regular(i, fk(1), 700, SimTime::ZERO);
+                let path = [crossed(1, now - 250), crossed(2, now - 150)];
+                plane.on_hop(&deliver_ev(&p, &path, 9, now));
+            }
+            let rep = plane.finish();
+            assert_eq!(rep.taps[0].late + rep.taps[1].late, 0);
+            (rep.records_made, rep.peak_records, rep.peak_pending_total)
+        };
+        let (made, peak, pending) = run(400);
+        let (made_10x, peak_10x, pending_10x) = run(4_000);
+        assert_eq!((made, made_10x), (400, 4_000));
+        assert_eq!(peak, peak_10x);
+        assert_eq!(pending, pending_10x);
+        // 1.5 windows of deliveries plus the half-window flush grain.
+        assert!((10..=21).contains(&peak), "peak records {peak}");
+    }
+
+    #[test]
+    fn entries_just_ahead_of_the_watermark_do_not_cost_half_a_window_of_records() {
+        // A delivery is reported when the packet joins its last queue, so
+        // the last hop's departure runs a little ahead of the watermark. A
+        // checkpoint per flush alone would be vouched for by a time just
+        // past that flush's watermark, and wait for the next flush but one.
+        let (window, spacing, ahead) = (100_000u64, 10u64, 50u64);
+        let mut plane = MeasurementPlane::with_config(streaming(window));
+        let mut egress = gated_tap("last-hop", 1);
+        egress.point = TapPoint::PortDeparture(1, 0);
+        plane.attach(egress);
+        for i in 0..60_000u64 {
+            let now = window + i * spacing;
+            plane.on_watermark(SimTime::from_nanos(now));
+            let p = Packet::regular(i, fk(1), 700, SimTime::ZERO);
+            plane.on_hop(&deliver_ev(&p, &[crossed(1, now + ahead)], 9, now + ahead));
+        }
+        let rep = plane.finish();
+        assert_eq!(rep.taps[0].late, 0);
+        // One and a half windows of deliveries, plus the grain.
+        let bound = (window + window / 2 + ahead) / spacing + 2 * RECLAIM_GRAIN;
+        assert!(
+            (rep.peak_records as u64) < bound,
+            "peak records {} over {bound}",
+            rep.peak_records
+        );
+        // One tap: a record per entry, freed at most a grain later.
+        assert!(rep.peak_records as u64 <= rep.peak_pending_total as u64 + RECLAIM_GRAIN);
+    }
+
+    #[test]
+    fn departures_ahead_of_the_watermark_hold_their_records() {
+        // A live egress tap hears of a departure when the packet is
+        // dequeued, stamped with the time its last bit will have left: up
+        // to 3 windows past the watermark here, so flushes come and go
+        // while the entry waits. Its record must wait with it — and the
+        // records of the gated tap's deliveries queued behind it.
+        let outcome = |drain: DrainMode| {
+            let mut plane = MeasurementPlane::with_config(PlaneConfig {
+                drain,
+                ..PlaneConfig::default()
+            });
+            let mut live = TapSpec::new("egress", TapPoint::PortDeparture(1, 0), SenderId(1));
+            live.truth = TruthRef::SinceInjection;
+            plane.attach(live);
+            plane.attach(gated_tap("mid", 2));
+            for i in 0..600u64 {
+                let now = 1_000 + i * 50;
+                plane.on_watermark(SimTime::from_nanos(now));
+                let ahead = (i * 7 % 13) * 100;
+                let packet = if i % 10 == 0 {
+                    Packet::reference(i, fk(9), SenderId(1), i as u32, SimTime::from_nanos(now))
+                } else {
+                    Packet::regular(i, fk((i % 3) as u8), 700, SimTime::from_nanos(now))
+                };
+                plane.on_hop(&HopEvent {
+                    kind: HopKind::Dequeue {
+                        port: 0,
+                        arrived: SimTime::from_nanos(now),
+                    },
+                    node: 1,
+                    at: SimTime::from_nanos(now + ahead),
+                    packet: &packet,
+                    injected_node: 0,
+                    injected_at: packet.created_at,
+                    hops: &[],
+                });
+                plane.on_hop(&deliver_ev(&packet, &[crossed(2, now - 30)], 9, now));
+            }
+            let rep = plane.finish();
+            let taps: Vec<_> = rep
+                .taps
+                .iter()
+                .map(|t| {
+                    let c = t.report.counters;
+                    let est = t.report.flows.aggregate_est_mean().map(f64::to_bits);
+                    (c.refs_accepted, c.estimated, est, t.late)
+                })
+                .collect();
+            (taps, rep.records_made, rep.peak_records)
+        };
+        let window = DrainMode::Streaming {
+            reorder_window: SimDuration::from_nanos(400),
+        };
+        let (streamed, made, peak) = outcome(window);
+        let (oracle, oracle_made, oracle_peak) = outcome(DrainMode::BufferedSort);
+        assert_eq!(streamed, oracle);
+        assert_eq!(streamed[0].3 + streamed[1].3, 0, "nothing may be late");
+        assert_eq!((made, oracle_made, oracle_peak), (1_200, 1_200, 1_200));
+        assert!(peak < 200, "records must still be reclaimed: peak {peak}");
+    }
+
+    #[test]
+    fn a_crashed_taps_records_go_with_the_next_flush_past_them() {
+        let mut plane = MeasurementPlane::with_config(streaming(100));
+        plane.attach(gated_tap("crashes", 1));
+        plane.attach(gated_tap("survives", 2));
+        let empty = plane.approx_state_bytes();
+        let entry = std::mem::size_of::<WindowEntry>();
+        let record = std::mem::size_of::<EventRecord>();
+        plane.on_watermark(SimTime::from_nanos(1_000));
+        for i in 0..5u64 {
+            let r = Packet::reference(i, fk(9), SenderId(1), i as u32, SimTime::ZERO);
+            plane.on_hop(&deliver_ev(&r, &[crossed(1, 990 + i)], 9, 1_000));
+        }
+        let kept = Packet::reference(7, fk(9), SenderId(1), 7, SimTime::ZERO);
+        plane.on_hop(&deliver_ev(&kept, &[crossed(2, 2_000)], 9, 2_000));
+        assert_eq!(plane.approx_state_bytes(), empty + 6 * (entry + record));
+        plane.tap_down(SimTime::from_nanos(1_000), 1);
+        // The entries are freed at once; the records wait for the sweep.
+        assert_eq!(plane.approx_state_bytes(), empty + entry + 6 * record);
+        // Flushed to 1 000: past the crashed tap's five, short of the sixth.
+        plane.on_watermark(SimTime::from_nanos(1_100));
+        assert_eq!(plane.records.fifo.len(), 6, "one checkpoint covers all six");
+        let newer = Packet::reference(8, fk(9), SenderId(1), 8, SimTime::ZERO);
+        plane.on_hop(&deliver_ev(&newer, &[crossed(2, 2_000)], 9, 2_000));
+        plane.on_watermark(SimTime::from_nanos(2_050));
+        assert_eq!(plane.records.fifo.len(), 7);
+        plane.on_watermark(SimTime::from_nanos(2_200));
+        assert_eq!(plane.records.fifo.len(), 0);
+        assert_eq!(plane.approx_state_bytes(), empty);
+        let rep = plane.finish();
+        assert_eq!(rep.taps[0].lost_window_obs, 5);
+        assert_eq!(rep.taps[1].report.counters.refs_accepted, 2);
+    }
+
+    #[test]
+    fn a_mapped_reference_between_two_sharers_does_not_free_their_record() {
+        // One reference crosses a plain tap, a mapping tap and a second
+        // plain tap. The mapping tap's own record lands between the first
+        // sharer's entry and the second's — a checkpoint taken there would
+        // vouch for the shared record with a time the second entry exceeds.
+        let mut plane = MeasurementPlane::with_config(streaming(100));
+        plane.attach(gated_tap("first", 1));
+        let mut mapped = gated_tap("mapped", 2);
+        mapped.ref_map = Some(Box::new(|info| Some(*info)));
+        plane.attach(mapped);
+        plane.attach(gated_tap("last", 3));
+        plane.on_watermark(SimTime::from_nanos(1_000));
+        // Fill the FIFO so the mapping tap's record is the one a grain ends on.
+        for i in 0..RECLAIM_GRAIN - 1 {
+            let p = Packet::regular(i, fk(1), 700, SimTime::ZERO);
+            plane.on_hop(&deliver_ev(&p, &[crossed(1, 1_000)], 9, 1_000));
+        }
+        let r = Packet::reference(9_000, fk(9), SenderId(1), 0, SimTime::ZERO);
+        let path = [crossed(1, 1_000), crossed(2, 1_000), crossed(3, 1_400)];
+        plane.on_hop(&deliver_ev(&r, &path, 9, 1_400));
+        assert_eq!(plane.records.made(), RECLAIM_GRAIN + 1);
+        // Flushed to 1 200: past everything but the last tap's entry.
+        plane.on_watermark(SimTime::from_nanos(1_300));
+        assert_eq!(plane.taps[2].window.len(), 1);
+        plane.on_watermark(SimTime::from_nanos(2_000));
+        let rep = plane.finish();
+        for tap in &rep.taps {
+            assert_eq!(tap.report.counters.refs_accepted, 1, "{}", tap.name);
+        }
+    }
+
+    #[test]
+    fn window_entry_is_24_bytes_and_event_record_32() {
+        // Three words per tap and four per event: what
+        // `plane.bytes_per_pending` and the 1.5-window bound on a run's
+        // footprint are quoted against.
+        assert_eq!(std::mem::size_of::<WindowEntry>(), 24);
+        assert_eq!(std::mem::align_of::<WindowEntry>(), 8);
+        assert_eq!(std::mem::size_of::<EventRecord>(), 32);
+        assert_eq!(std::mem::align_of::<EventRecord>(), 8);
     }
 
     #[test]
@@ -2008,6 +2572,28 @@ mod tests {
             "HotTap grew to {} bytes",
             std::mem::size_of::<HotTap>()
         );
+    }
+
+    /// Store `rec` behind `reclaimed` earlier records and one entry for
+    /// it, and read back what a flush would feed: `(at, tie, id)` and the
+    /// payload.
+    fn round_trip(
+        reclaimed: u64,
+        rec: EventRecord,
+        at: u64,
+        truth: Option<SimDuration>,
+    ) -> ((u64, u64, u64), Payload) {
+        let mut records = Records {
+            base: reclaimed,
+            ..Records::default()
+        };
+        let pos = records.push_shared(rec);
+        let entry = records.entry(SimTime::from_nanos(at), truth, pos);
+        let stored = records.get(&entry);
+        (
+            (entry.at, stored.tie, stored.id),
+            stored.payload(entry.truth()),
+        )
     }
 
     proptest! {
@@ -2020,6 +2606,8 @@ mod tests {
             proto in (0u8..6, any::<u8>()),
             truth in 0u8..4,
             key in (any::<u64>(), any::<u64>(), any::<u64>()),
+            // Every stream position an entry can name: 63 bits.
+            reclaimed in 0u64..(1 << 63) - 1,
         ) {
             let proto = match proto {
                 (0, _) => Protocol::Tcp,
@@ -2044,16 +2632,15 @@ mod tests {
                 _ => Some(SimDuration::from_nanos(key.2 ^ key.0)),
             };
             let (at, tie, id) = key;
-            let obs = PendingObs::regular(SimTime::from_nanos(at), tie, id, &flow, truth);
-            prop_assert_eq!(obs.key(), key);
-            prop_assert_eq!(obs.payload(), Payload::Regular { flow, truth });
+            let got = round_trip(reclaimed, EventRecord::regular(tie, id, &flow), at, truth);
+            prop_assert_eq!(got, (key, Payload::Regular { flow, truth }));
             // The derived equality tells `Other(6)` from `Tcp`; so must the
-            // entry.
+            // record.
             for named in [Protocol::Tcp, Protocol::Udp] {
                 if proto != named {
                     let other = FlowKey { proto: named, ..flow };
-                    let named = PendingObs::regular(SimTime::from_nanos(at), tie, id, &other, truth);
-                    prop_assert_ne!(obs.payload(), named.payload());
+                    let named = round_trip(reclaimed, EventRecord::regular(tie, id, &other), at, truth);
+                    prop_assert_ne!(got.1, named.1);
                 }
             }
         }
@@ -2064,6 +2651,7 @@ mod tests {
             seq in any::<u32>(),
             tx in any::<u64>(),
             key in (any::<u64>(), any::<u64>(), any::<u64>()),
+            reclaimed in 0u64..(1 << 63) - 1,
         ) {
             let info = ReferenceInfo {
                 sender: SenderId(sender),
@@ -2071,9 +2659,8 @@ mod tests {
                 tx_timestamp: SimTime::from_nanos(tx),
             };
             let (at, tie, id) = key;
-            let obs = PendingObs::reference(SimTime::from_nanos(at), tie, id, &info);
-            prop_assert_eq!(obs.key(), key);
-            prop_assert_eq!(obs.payload(), Payload::Reference(info));
+            let got = round_trip(reclaimed, EventRecord::reference(tie, id, &info), at, None);
+            prop_assert_eq!(got, (key, Payload::Reference(info)));
         }
     }
 }

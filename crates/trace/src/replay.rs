@@ -230,14 +230,24 @@ impl<R: Read> PcapReplaySource<R> {
         }
     }
 
+    /// Whether a buffered record at `at_ns` can be released: nothing still
+    /// unread can precede it, or nothing is left to read. Saturating — a
+    /// `u64::MAX` window asks for a full sort, and nothing is then
+    /// releasable before the capture ends.
+    fn releasable(&self, at_ns: u64) -> bool {
+        self.exhausted || at_ns.saturating_add(self.reorder_ns) <= self.newest_read
+    }
+
     /// Read records until the heap minimum is safe to release (every
     /// record that could still precede it has been read) or the file ends.
     fn refill(&mut self) {
         while !self.exhausted {
-            if let Some(Reverse(min)) = self.heap.peek() {
-                if min.at_ns + self.reorder_ns <= self.newest_read {
-                    break;
-                }
+            if self
+                .heap
+                .peek()
+                .is_some_and(|Reverse(min)| self.releasable(min.at_ns))
+            {
+                break;
             }
             match self.records.next() {
                 Some(Ok(rec)) => {
@@ -362,11 +372,7 @@ impl<R: Read> InjectionSource for PcapReplaySource<R> {
             self.refill();
             self.shed_late();
             match self.heap.peek() {
-                // The minimum is releasable once nothing still unread can
-                // precede it (or nothing is left to read).
-                Some(Reverse(b))
-                    if self.exhausted || b.at_ns + self.reorder_ns <= self.newest_read =>
-                {
+                Some(Reverse(b)) if self.releasable(b.at_ns) => {
                     return Some(SimTime::from_nanos(b.at_ns));
                 }
                 // Shedding exposed a not-yet-releasable minimum, or the
@@ -507,6 +513,20 @@ mod tests {
         assert_eq!(src.late_dropped(), 1);
         assert_eq!(src.emitted(), 3);
         assert_eq!(src.records_read(), 4);
+    }
+
+    #[test]
+    fn an_unbounded_window_is_a_full_sort_not_an_overflow() {
+        let packets = vec![pkt(0, 500, 1), pkt(1, 100, 1), pkt(2, 300, 1)];
+        let bytes = capture(&packets);
+        let mut src = PcapReplaySource::new(
+            PcapRecords::new(bytes.as_slice()).unwrap(),
+            EntryMap::Fixed(0),
+            u64::MAX,
+        );
+        let times: Vec<u64> = drain(&mut src).iter().map(|&(_, _, t)| t).collect();
+        assert_eq!(times, vec![100, 300, 500]);
+        assert_eq!(src.late_dropped(), 0);
     }
 
     #[test]

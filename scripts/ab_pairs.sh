@@ -12,8 +12,11 @@
 # per side that builds it. Prints every run, then per workload and
 # end-to-end metric each side's median and quartiles, the ratio of the
 # medians, and how many pairs the change won (ties count for neither) —
-# the table choosing-metrics §8 asks a claimed gain for. Exit 1 if any run
-# reported `correct: false` or a failed operation.
+# the table choosing-metrics §8 asks a claimed gain for. A metric every run
+# of a side reported the same value of (`peak_state_bytes`, `ok_share` at a
+# fixed seed) is a count, not a sample: its row is marked `exact` and shows
+# the two values and their difference instead. Exit 1 if any run reported
+# `correct: false` or a failed operation.
 #
 # The host is shared: run nothing else beside it.
 set -euo pipefail
@@ -88,6 +91,12 @@ for workload, sides in by_workload.items():
         name, higher = metric["name"], metric["better"] == "higher"
         a = [p["metrics"][name]["value"] for p, _ in pairs]
         b = [c["metrics"][name]["value"] for _, c in pairs]
+        if len(pairs) > 1 and len(set(a)) == 1 and len(set(b)) == 1:
+            num = lambda v: str(int(v)) if float(v).is_integer() else f"{v:.10g}"
+            diff = b[0] - a[0]
+            rel = f" ({diff / a[0]:+.2%})" if a[0] else ""
+            print(f"{name:<18}{num(a[0]):>40}{num(b[0]):>40}{num(diff) + rel:>25}   exact")
+            continue
         wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
         fmt = lambda q: " / ".join(f"{v:.6g}" for v in q)
         qa, qb = quartiles(a), quartiles(b)

@@ -30,6 +30,12 @@
 //! tap record — a meter, a reference map and a `SinceArrivalAt` node list —
 //! so the reads an observation makes there are held to the same oracle, and
 //! to what the test itself knows was filtered and how long each packet took.
+//!
+//! A second property puts a live egress tap and two delivered-gated taps on
+//! one plane: departures stamped ahead of the watermark and deliveries that
+//! both gated taps buffer share the plane's event records, and each tap
+//! must still report what a plane of its own reports when fed that tap's
+//! observations already in `(at, tie, id)` order.
 
 use proptest::prelude::*;
 use rlir::plane::{
@@ -426,7 +432,218 @@ fn check(steps: &[Step], k: &Knobs) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The node whose port 0 the mixed case's live tap sits on.
+const EGRESS: NodeId = 20;
+
+/// One engine event of the mixed live / delivered-gated case.
+#[derive(Debug, Clone, Copy)]
+enum Mixed {
+    /// The packet's last bit leaves [`EGRESS`] at `at` — the engine says so
+    /// at dequeue, ahead of the watermark.
+    Departure {
+        at: u64,
+        id: u64,
+        flow: u8,
+    },
+    /// A delivery that crossed gated taps 1 and 2 at `crossed`.
+    Delivery {
+        crossed: [u64; 2],
+        delivered: u64,
+        id: u64,
+        flow: u8,
+    },
+    Watermark(u64),
+}
+
+/// Every fifth packet is a reference.
+fn mixed_packet(id: u64, flow_id: u8, sent: u64) -> Packet {
+    let sent = SimTime::from_nanos(sent);
+    if id.is_multiple_of(5) {
+        Packet::reference(id, flow(9), SenderId(1), id as u32, sent)
+    } else {
+        Packet::regular(id, flow(flow_id), 700, sent)
+    }
+}
+
+fn offer_mixed(plane: &mut MeasurementPlane<'_>, ev: &Mixed) {
+    match *ev {
+        Mixed::Departure { at, id, flow } => {
+            let packet = mixed_packet(id, flow, at.saturating_sub(60 + id % 50));
+            plane.on_hop(&HopEvent {
+                kind: HopKind::Dequeue {
+                    port: 0,
+                    arrived: packet.created_at,
+                },
+                node: EGRESS,
+                at: SimTime::from_nanos(at),
+                packet: &packet,
+                injected_node: EGRESS,
+                injected_at: packet.created_at,
+                hops: &[],
+            });
+        }
+        Mixed::Delivery {
+            crossed,
+            delivered,
+            id,
+            flow,
+        } => {
+            let first = crossed[0].min(crossed[1]);
+            let packet = mixed_packet(id, flow, first.saturating_sub(40 + id % 50));
+            let hops = [1, 2].map(|tap| Hop {
+                node: tap_node(tap),
+                port: 0,
+                arrived: SimTime::from_nanos(crossed[tap - 1]),
+                departed: SimTime::from_nanos(crossed[tap - 1] + 1),
+            });
+            plane.on_hop(&HopEvent {
+                kind: HopKind::Deliver,
+                node: HOST,
+                at: SimTime::from_nanos(delivered),
+                packet: &packet,
+                injected_node: ENTRY,
+                injected_at: packet.created_at,
+                hops: &hops,
+            });
+        }
+        Mixed::Watermark(t) => plane.on_watermark(SimTime::from_nanos(t)),
+    }
+}
+
+/// A plane holding the mixed case's taps `which` (0: the live egress tap).
+fn mixed_plane<'a>(drain: DrainMode, epoch: u64, which: &[usize]) -> MeasurementPlane<'a> {
+    let mut plane = MeasurementPlane::with_config(PlaneConfig {
+        drain,
+        epoch: Some(SimDuration::from_nanos(epoch)),
+        pending_budget: None,
+    });
+    for &tap in which {
+        let point = match tap {
+            0 => TapPoint::PortDeparture(EGRESS, 0),
+            _ => TapPoint::NodeArrival(tap_node(tap)),
+        };
+        let mut spec = TapSpec::new(format!("t{tap}"), point, SenderId(1));
+        spec.delivered_only = tap != 0;
+        spec.track_quantile = Some(0.9);
+        plane.attach(spec);
+    }
+    plane
+}
+
+fn check_mixed(raw: &[(u8, u64, u64)], window: u64, epoch: u64) -> Result<(), TestCaseError> {
+    let mut clock = 2 * window;
+    let mut events = Vec::with_capacity(raw.len());
+    for (i, &(op, x, y)) in raw.iter().enumerate() {
+        // Smaller ids later, so the id runs against the order records are made in.
+        let id = (raw.len() - i) as u64;
+        let flow = (y % 4) as u8;
+        // Quantized, so equal times are common; still inside the window
+        // after rounding down.
+        let back = |v: u64| (clock - v % (window - 8)) & !7;
+        events.push(match op {
+            0..=29 => Mixed::Departure {
+                at: (clock + x % (2 * window)) & !7,
+                id,
+                flow,
+            },
+            30..=84 => Mixed::Delivery {
+                crossed: [back(x), back(y)],
+                delivered: clock,
+                id,
+                flow,
+            },
+            85..=96 => {
+                clock += x % (window / 4) + 1;
+                Mixed::Watermark(clock)
+            }
+            _ => {
+                clock += 2 * window + x % window;
+                Mixed::Watermark(clock)
+            }
+        });
+    }
+
+    let mut streaming = mixed_plane(
+        DrainMode::Streaming {
+            reorder_window: SimDuration::from_nanos(window),
+        },
+        epoch,
+        &[0, 1, 2],
+    );
+    let mut made = 0u64;
+    for ev in &events {
+        let before = streaming.approx_state_bytes();
+        offer_mixed(&mut streaming, ev);
+        if !matches!(ev, Mixed::Watermark(_)) {
+            made += 1;
+            prop_assert!(
+                streaming.approx_state_bytes() > before,
+                "an in-window observation was refused: {:?}",
+                ev
+            );
+        }
+    }
+    let got = streaming.finish();
+    prop_assert_eq!(got.records_made, made, "one record per buffered event");
+    prop_assert!(got.peak_records as u64 <= made);
+
+    for (tap, g) in got.taps.iter().enumerate() {
+        // The tap's own observations, in the order it must be fed them.
+        let mut own: Vec<(u64, u64, u64, &Mixed)> = events
+            .iter()
+            .enumerate()
+            .filter_map(|(i, ev)| match *ev {
+                // A live tap's tie is the order the engine reported in.
+                Mixed::Departure { at, id, .. } if tap == 0 => Some((at, i as u64, id, ev)),
+                Mixed::Delivery {
+                    crossed,
+                    delivered,
+                    id,
+                    ..
+                } if tap != 0 => Some((crossed[tap - 1], delivered, id, ev)),
+                _ => None,
+            })
+            .collect();
+        own.sort_by_key(|&(at, tie, id, _)| (at, tie, id));
+        let mut oracle = mixed_plane(DrainMode::BufferedSort, epoch, &[tap]);
+        for (_, _, _, ev) in &own {
+            offer_mixed(&mut oracle, ev);
+        }
+        let want = oracle.finish();
+        let w = &want.taps[0];
+        prop_assert_eq!(g.late + g.shed + g.lost_window_obs, 0);
+        prop_assert_eq!(
+            flow_bits(&g.report.flows),
+            flow_bits(&w.report.flows),
+            "tap {}: flow rows drifted from its own pre-sorted oracle",
+            tap
+        );
+        prop_assert_eq!(
+            epoch_bits(g.epochs(), 0),
+            epoch_bits(w.epochs(), 0),
+            "tap {}: epoch moments drifted",
+            tap
+        );
+        let (gc, wc) = (g.report.counters, w.report.counters);
+        prop_assert_eq!(
+            (gc.regulars_seen, gc.refs_accepted, gc.estimated),
+            (wc.regulars_seen, wc.refs_accepted, wc.estimated)
+        );
+        prop_assert_eq!(gc.regulars_seen + gc.refs_accepted, own.len() as u64);
+    }
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn live_and_gated_taps_share_one_planes_records(
+        raw in proptest::collection::vec((0u8..100, 0u64..100_000, 0u64..100_000), 60..500),
+        window in 64u64..600,
+        epoch in 100u64..1_500,
+    ) {
+        check_mixed(&raw, window, epoch)?;
+    }
+
     #[test]
     fn streaming_window_equals_buffered_sort_on_survivors(
         raw in proptest::collection::vec((0u8..100, 0u64..100_000, 0u64..1_000, 0u8..3), 60..500),

@@ -282,6 +282,31 @@ fn same_timestamp_records_preserve_write_order() {
 }
 
 #[test]
+fn an_unbounded_reorder_window_sorts_the_whole_capture() {
+    // `u64::MAX` is the natural "full sort" window. Unchecked, `at + window`
+    // panics in debug and wraps in release, where the wrapped sum releases
+    // 500 first and late-drops the two records behind it.
+    let packets: Vec<Packet> = [500u64, 100, 300]
+        .iter()
+        .enumerate()
+        .map(|(i, t)| Packet::regular(i as u64, flow(1), 700, SimTime::from_nanos(*t)))
+        .collect();
+    let bytes = capture(&packets);
+    let mut src = PcapReplaySource::new(
+        PcapRecords::new(bytes.as_slice()).expect("header"),
+        EntryMap::Fixed(0),
+        u64::MAX,
+    );
+    let mut times = Vec::new();
+    while src.peek().is_some() {
+        let (_, p) = src.next_injection().expect("peeked");
+        times.push(p.created_at.as_nanos());
+    }
+    assert_eq!(times, vec![100, 300, 500]);
+    assert_eq!(src.late_dropped(), 0);
+}
+
+#[test]
 fn nanosecond_precision_survives_second_rollover() {
     // Timestamps straddling the pcap sec/nsec field split: the sub-second
     // part rolls over at 1e9 and must reassemble to the exact nanosecond.
