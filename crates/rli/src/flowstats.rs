@@ -10,6 +10,7 @@
 
 use rlir_net::fxhash::FxBuildHasher;
 use rlir_net::FlowKey;
+use rlir_stats::quantile::nearest_rank_of_few;
 use rlir_stats::{relative_error, P2Quantile, StreamingStats};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -26,9 +27,18 @@ pub struct FlowAccumulator {
     pub truth: StreamingStats,
 }
 
-/// One flow's streaming tail-quantile trackers, kept out of line from its
-/// [`FlowAccumulator`] and only by tables built
-/// [`with_quantile`](FlowTable::with_quantile).
+/// Samples a flow's tail holds as they came before it is given trackers.
+const YOUNG_SAMPLES: usize = 4;
+
+/// A flow's tail before its fifth estimate (64 bytes): its first four
+/// estimated delays, then its first four true delays. How many of each are
+/// set is the row's own `est.count()` / `truth.count()`.
+type YoungTail = [f64; 2 * YOUNG_SAMPLES];
+
+/// A flow's tail from its fifth estimate on (208 bytes): one P² tracker
+/// per side, made by replaying the [`YoungTail`] — P² only stores its first
+/// five observations, so the trackers are the ones the flow would have had
+/// from its first packet.
 #[derive(Debug, Clone)]
 struct FlowTails {
     /// Tracker over estimated delays.
@@ -37,25 +47,183 @@ struct FlowTails {
     truth: P2Quantile,
 }
 
-impl FlowTails {
-    fn new(p: f64) -> Self {
-        FlowTails {
-            est: P2Quantile::new(p),
-            truth: P2Quantile::new(p),
+/// Reference of a row whose tail is lost (P² markers cannot be merged, so
+/// a flow two merged tables both observed has none): it holds no storage,
+/// reports `None` and ignores what is pushed.
+const NO_TAIL: u32 = u32::MAX;
+/// Set in a reference into [`TailStore::grown`], clear in one into
+/// [`TailStore::young`].
+const GROWN: u32 = 1 << 31;
+
+/// A reference, decoded.
+enum Tail {
+    Young(usize),
+    Grown(usize),
+    Lost,
+}
+
+fn tail_at(r: u32) -> Tail {
+    if r & GROWN == 0 {
+        Tail::Young(r as usize)
+    } else if r != NO_TAIL {
+        Tail::Grown((r & !GROWN) as usize)
+    } else {
+        Tail::Lost
+    }
+}
+
+/// Store `value` in a free slot of `slots` — the one freed last — or in a
+/// new one, and return its index.
+fn place<T>(slots: &mut Vec<T>, free: &mut Vec<u32>, value: T) -> u32 {
+    match free.pop() {
+        Some(i) => {
+            slots[i as usize] = value;
+            i
+        }
+        None => {
+            slots.push(value);
+            (slots.len() - 1) as u32
+        }
+    }
+}
+
+const _: () = {
+    use std::mem::size_of;
+    assert!(size_of::<(FlowKey, FlowAccumulator)>() == 96);
+    assert!(size_of::<YoungTail>() == 64);
+    assert!(size_of::<FlowTails>() == 208);
+};
+
+/// The tails of a table built [`with_quantile`](FlowTable::with_quantile):
+/// one 32-bit reference per row into one of two size classes, each with a
+/// LIFO free list. Empty in any other table.
+#[derive(Debug, Clone, Default)]
+struct TailStore {
+    /// `refs[slot]` names the tail of `rows[slot]`: a `young` index, a
+    /// `grown` index with [`GROWN`] set, or [`NO_TAIL`].
+    refs: Vec<u32>,
+    young: Vec<YoungTail>,
+    young_free: Vec<u32>,
+    grown: Vec<FlowTails>,
+    grown_free: Vec<u32>,
+    /// Rows whose reference is [`NO_TAIL`].
+    lost: usize,
+}
+
+impl TailStore {
+    fn add_young(&mut self, samples: YoungTail) -> u32 {
+        place(&mut self.young, &mut self.young_free, samples)
+    }
+
+    fn add_grown(&mut self, tails: FlowTails) -> u32 {
+        let i = place(&mut self.grown, &mut self.grown_free, tails);
+        assert!(i < GROWN, "grown index runs into the class bit");
+        i | GROWN
+    }
+
+    /// Give a new row the tail `r` refers to.
+    fn attach(&mut self, r: u32) {
+        self.refs.push(r);
+        self.lost += usize::from(r == NO_TAIL);
+    }
+
+    /// Copy the tail of `from`'s row `slot` into this store.
+    fn adopt(&mut self, from: &TailStore, slot: usize) -> u32 {
+        match tail_at(from.refs[slot]) {
+            Tail::Young(i) => self.add_young(from.young[i]),
+            Tail::Grown(i) => self.add_grown(from.grown[i].clone()),
+            Tail::Lost => NO_TAIL,
         }
     }
 
-    /// Trackers standing in for tails that are lost (P² markers cannot be
-    /// merged): they report `None` and ignore what is pushed.
-    fn poisoned(p: f64) -> Self {
-        let mut tails = FlowTails::new(p);
-        tails.poison();
-        tails
+    /// Give up the tail of `rows[slot]`: its storage goes back to its free
+    /// list.
+    fn lose(&mut self, slot: usize) {
+        match tail_at(std::mem::replace(&mut self.refs[slot], NO_TAIL)) {
+            Tail::Young(i) => self.young_free.push(i as u32),
+            Tail::Grown(i) => self.grown_free.push(i as u32),
+            Tail::Lost => return,
+        }
+        self.lost += 1;
     }
 
-    fn poison(&mut self) {
-        self.est.poison();
-        self.truth.poison();
+    /// Push one estimate (and its truth) onto the tail of `rows[slot]`,
+    /// a row that held `n_est` estimates and `n_truth` truths before it.
+    #[inline]
+    fn push(
+        &mut self,
+        slot: usize,
+        p: f64,
+        (n_est, n_truth): (u64, u64),
+        est: f64,
+        truth: Option<f64>,
+    ) {
+        match tail_at(self.refs[slot]) {
+            Tail::Grown(i) => {
+                let tails = &mut self.grown[i];
+                tails.est.push(est);
+                if let Some(t) = truth {
+                    tails.truth.push(t);
+                }
+            }
+            Tail::Young(i) if (n_est as usize) < YOUNG_SAMPLES => {
+                // `n_truth <= n_est`: no row has more truths than estimates.
+                let samples = &mut self.young[i];
+                samples[n_est as usize] = est;
+                if let Some(t) = truth {
+                    samples[YOUNG_SAMPLES + n_truth as usize] = t;
+                }
+            }
+            Tail::Young(i) => {
+                // The fifth estimate: replay the stored samples into fresh
+                // trackers and hand the young slot back.
+                let samples = self.young[i];
+                self.young_free.push(i as u32);
+                let (ests, truths) = samples.split_at(YOUNG_SAMPLES);
+                let mut tails = FlowTails {
+                    est: P2Quantile::new(p),
+                    truth: P2Quantile::new(p),
+                };
+                ests.iter().chain(&[est]).for_each(|&x| tails.est.push(x));
+                truths[..n_truth as usize]
+                    .iter()
+                    .chain(truth.as_ref())
+                    .for_each(|&x| tails.truth.push(x));
+                self.refs[slot] = self.add_grown(tails);
+            }
+            Tail::Lost => {}
+        }
+    }
+
+    /// The `(estimated, true)` `p`-quantiles of `rows[slot]`, a row of
+    /// `n_est` estimates and `n_truth` truths: a young flow answers from
+    /// its samples by the rule a tracker applies below five.
+    fn estimates(
+        &self,
+        slot: usize,
+        p: f64,
+        (n_est, n_truth): (u64, u64),
+    ) -> (Option<f64>, Option<f64>) {
+        match tail_at(self.refs[slot]) {
+            Tail::Young(i) => {
+                let (ests, truths) = self.young[i].split_at(YOUNG_SAMPLES);
+                (
+                    nearest_rank_of_few(p, &ests[..n_est as usize]),
+                    nearest_rank_of_few(p, &truths[..n_truth as usize]),
+                )
+            }
+            Tail::Grown(i) => (self.grown[i].est.estimate(), self.grown[i].truth.estimate()),
+            Tail::Lost => (None, None),
+        }
+    }
+
+    /// Allocated capacity × element size over every vector of the store.
+    fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.refs.capacity() + self.young_free.capacity() + self.grown_free.capacity())
+            * size_of::<u32>()
+            + self.young.capacity() * size_of::<YoungTail>()
+            + self.grown.capacity() * size_of::<FlowTails>()
     }
 }
 
@@ -89,12 +257,18 @@ pub struct FlowReport {
 /// Aggregates per-packet estimates by flow key.
 ///
 /// Layout is a dense index map: the hash table holds only compact
-/// `key → u32` slots, the 96-byte `(key, moments)` rows live contiguously
-/// in a `Vec`, and a table that tracks a quantile keeps the two 104-byte
-/// P² trackers of each flow in a second `Vec` under the same slot. Hot-path
-/// `record` calls therefore probe small buckets and write two cache lines
-/// of row (plus the trackers where they exist); a table without a quantile
-/// pays no tail bytes at all.
+/// `key → u32` slots and the 96-byte `(key, moments)` rows live
+/// contiguously in a `Vec`. A table that tracks a quantile adds a sparse
+/// tail store: one 32-bit reference per row into one of two size classes —
+/// a 64-byte *young* slot holding the flow's first four samples of each
+/// side as they came, taken from a free list when the flow is created, and
+/// the 208-byte *grown* pair of P² trackers made at the flow's fifth
+/// estimate by replaying those samples (the young slot goes back to its
+/// free list) — so a mouse flow never pays for trackers it cannot use, and
+/// a flow whose tail is lost to a merge conflict holds no tail storage.
+/// Hot-path `record` calls therefore probe small buckets and write two
+/// cache lines of row (plus the tail where one exists); a table without a
+/// quantile pays no tail bytes at all.
 ///
 /// Generic over the table's hash builder, defaulting to FxHash — the
 /// fastest choice for the simulated hot path. Instantiate as
@@ -104,9 +278,8 @@ pub struct FlowReport {
 pub struct FlowTable<S: BuildHasher = FxBuildHasher> {
     index: HashMap<FlowKey, u32, S>,
     rows: Vec<(FlowKey, FlowAccumulator)>,
-    /// `tails[slot]` belongs to `rows[slot]`; empty unless `quantile_p`
-    /// is set.
-    tails: Vec<FlowTails>,
+    /// Empty unless `quantile_p` is set.
+    tails: TailStore,
     estimates: u64,
     quantile_p: Option<f64>,
 }
@@ -141,21 +314,20 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     pub fn record(&mut self, flow: FlowKey, est_ns: f64, truth_ns: Option<f64>) {
         let slot = *self.index.entry(flow).or_insert_with(|| {
             self.rows.push((flow, FlowAccumulator::default()));
-            if let Some(p) = self.quantile_p {
-                self.tails.push(FlowTails::new(p));
+            if self.quantile_p.is_some() {
+                let young = self.tails.add_young([0.0; 2 * YOUNG_SAMPLES]);
+                self.tails.attach(young);
             }
             (self.rows.len() - 1) as u32
         }) as usize;
         let acc = &mut self.rows[slot].1;
+        if let Some(p) = self.quantile_p {
+            let held = (acc.est.count(), acc.truth.count());
+            self.tails.push(slot, p, held, est_ns, truth_ns);
+        }
         acc.est.push(est_ns);
         if let Some(t) = truth_ns {
             acc.truth.push(t);
-        }
-        if let Some(tails) = self.tails.get_mut(slot) {
-            tails.est.push(est_ns);
-            if let Some(t) = truth_ns {
-                tails.truth.push(t);
-            }
         }
         self.estimates += 1;
     }
@@ -179,21 +351,25 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     ///
     /// Counts, means and variances merge exactly; P² quantile trackers are
     /// *not* mergeable, so when both sides contributed observations to a
-    /// flow its trackers are poisoned and report `None` (use per-shard
-    /// tables if you need sharded quantiles). Tails are only ever kept by
-    /// a table that tracks a quantile itself, and a flow arriving from a
-    /// table that tracks none, or another one, arrives without a tail.
+    /// flow its tail is given up — the flow reports `None` and its tail
+    /// storage is freed (use per-shard tables if you need sharded
+    /// quantiles). Tails are only ever kept by a table that tracks a
+    /// quantile itself, and a flow arriving from a table that tracks none,
+    /// or another one, arrives without a tail.
     pub fn merge(&mut self, other: FlowTable<S>) {
+        let tracking = self.quantile_p.is_some();
         let same_quantile = other.quantile_p == self.quantile_p;
-        let mut incoming = other.tails.into_iter();
-        for (k, v) in other.rows {
-            let tails = incoming.next().filter(|_| same_quantile);
+        for (theirs, (k, v)) in other.rows.into_iter().enumerate() {
             match self.index.entry(k) {
                 std::collections::hash_map::Entry::Vacant(e) => {
                     self.rows.push((k, v));
-                    if let Some(p) = self.quantile_p {
-                        self.tails
-                            .push(tails.unwrap_or_else(|| FlowTails::poisoned(p)));
+                    if tracking {
+                        let tail = if same_quantile {
+                            self.tails.adopt(&other.tails, theirs)
+                        } else {
+                            NO_TAIL
+                        };
+                        self.tails.attach(tail);
                     }
                     e.insert((self.rows.len() - 1) as u32);
                 }
@@ -202,8 +378,8 @@ impl<S: BuildHasher + Default> FlowTable<S> {
                     let acc = &mut self.rows[slot].1;
                     acc.est.merge(&v.est);
                     acc.truth.merge(&v.truth);
-                    if let Some(tails) = self.tails.get_mut(slot) {
-                        tails.poison();
+                    if tracking {
+                        self.tails.lose(slot);
                     }
                 }
             }
@@ -224,9 +400,13 @@ impl<S: BuildHasher + Default> FlowTable<S> {
                 let true_mean = acc.truth.mean();
                 let est_std = acc.est.std_dev().filter(|_| acc.est.count() >= 2);
                 let true_std = acc.truth.std_dev().filter(|_| acc.truth.count() >= 2);
-                let tails = self.tails.get(slot);
-                let est_quantile = tails.and_then(|t| t.est.estimate());
-                let true_quantile = tails.and_then(|t| t.truth.estimate());
+                let (est_quantile, true_quantile) = match self.quantile_p {
+                    Some(p) => {
+                        let held = (acc.est.count(), acc.truth.count());
+                        self.tails.estimates(slot, p, held)
+                    }
+                    None => (None, None),
+                };
                 FlowReport {
                     flow: *flow,
                     packets: acc.est.count(),
@@ -307,16 +487,29 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         (count > 0).then(|| sum / count as f64)
     }
 
+    /// How many flows hold a young tail, a grown tail, and none (lost to
+    /// a merge conflict): `(young, grown, none)`. All zero in a table that
+    /// tracks no quantile; O(1), kept as the store changes.
+    pub fn tail_counts(&self) -> (usize, usize, usize) {
+        let tails = &self.tails;
+        (
+            tails.young.len() - tails.young_free.len(),
+            tails.grown.len() - tails.grown_free.len(),
+            tails.lost,
+        )
+    }
+
     /// Approximate heap footprint of this table in bytes: allocated
-    /// capacity × element size of the rows, the tails and the index.
-    /// Diagnostic only — feeds the plane's state estimate, not allocation
-    /// decisions.
+    /// capacity × element size of the rows, the index and every vector of
+    /// the tail store — references, young slots, grown trackers and both
+    /// free lists, live or recycled alike. Diagnostic only — feeds the
+    /// plane's state estimate, not allocation decisions.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         // Hashbrown stores key+value+1 control byte per slot.
         let slot = size_of::<(FlowKey, u32)>() + 1;
         self.rows.capacity() * size_of::<(FlowKey, FlowAccumulator)>()
-            + self.tails.capacity() * size_of::<FlowTails>()
+            + self.tails.approx_bytes()
             + self.index.capacity() * slot
     }
 }
@@ -370,8 +563,13 @@ mod tests {
         t.record(fk(2), 10.0, Some(10.0)); // single-packet flow excluded
         let errs = t.std_relative_errors(1);
         assert_eq!(errs.len(), 1);
-        // est std = 50, true std = 60 → rel err = 1/6.
-        assert!((errs[0] - 50.0_f64 / 60.0 * 0.2).abs() < 1e-9 || errs[0] > 0.0);
+        // Population std 50 against 60 (sample: 70.7 against 84.9) — 5 : 6
+        // under either definition → rel err = 1/6.
+        assert!(
+            (errs[0] - 1.0 / 6.0).abs() < 1e-9,
+            "std rel err {}",
+            errs[0]
+        );
         let mean_errs = t.mean_relative_errors(1);
         assert_eq!(mean_errs.len(), 2);
     }
@@ -478,10 +676,11 @@ mod tests {
         plain.record(fk(2), 2.0, None);
         other_p.record(fk(3), 3.0, None);
         // Into a tracking table: foreign flows arrive with lost tails, and
-        // every row still has its tail slot.
+        // every row still has its reference.
         tracked.merge(plain.clone());
         tracked.merge(other_p.clone());
-        assert_eq!(tracked.tails.len(), tracked.rows.len());
+        assert_eq!(tracked.tails.refs.len(), tracked.rows.len());
+        assert_eq!(tracked.tail_counts(), (1, 0, 2));
         let rows = tracked.report(1);
         assert_eq!(rows[0].est_quantile, Some(1.0));
         assert!(rows[1].est_quantile.is_none() && rows[2].est_quantile.is_none());
@@ -489,7 +688,8 @@ mod tests {
         assert_eq!(tracked.report(1)[3].est_quantile, Some(4.0));
         // Into a plain table: no tail bytes appear.
         plain.merge(other_p);
-        assert!(plain.tails.is_empty());
+        assert_eq!(plain.tails.approx_bytes(), 0);
+        assert_eq!(plain.tail_counts(), (0, 0, 0));
         assert!(plain.report(1).iter().all(|r| r.est_quantile.is_none()));
     }
 
@@ -497,6 +697,128 @@ mod tests {
     fn row_fits_in_96_bytes() {
         assert!(std::mem::size_of::<(FlowKey, FlowAccumulator)>() <= 96);
         assert!(std::mem::size_of::<FlowTails>() <= 208);
+    }
+
+    /// The first `n` estimates of a flow, the first `truths` of them with a
+    /// truth — recorded into a tracking table, and pushed into the pair of
+    /// trackers a dense table would have held from the first packet.
+    fn tracked_flow(n: usize, truths: usize) -> (FlowTable, FlowTails) {
+        let mut table: FlowTable = FlowTable::with_quantile(0.9);
+        let mut dense = FlowTails {
+            est: P2Quantile::new(0.9),
+            truth: P2Quantile::new(0.9),
+        };
+        for i in 0..n {
+            let est = ((i * 37) % 11) as f64;
+            let truth = (i < truths).then_some(est + 0.5);
+            table.record(fk(1), est, truth);
+            dense.est.push(est);
+            truth.into_iter().for_each(|t| dense.truth.push(t));
+        }
+        (table, dense)
+    }
+
+    #[test]
+    fn a_flow_graduates_exactly_at_its_fifth_estimate() {
+        // Fewer truths than estimates is the case an index slip gets wrong.
+        for truths in [0, 2, 4] {
+            for n in 1..=12 {
+                let (table, dense) = tracked_flow(n, truths);
+                let want = if n < 5 { (1, 0, 0) } else { (0, 1, 0) };
+                assert_eq!(table.tail_counts(), want, "{n} estimates");
+                let r = table.report(1)[0];
+                assert_eq!(
+                    (r.est_quantile, r.true_quantile),
+                    (dense.est.estimate(), dense.truth.estimate()),
+                    "{n} estimates, {truths} truths"
+                );
+                if n >= 5 {
+                    assert_eq!(table.tails.young_free, [0], "the young slot is free again");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_freed_young_slot_is_the_next_one_handed_out() {
+        // Freed by graduation: flow 1 took slot 0, flow 2 slot 1.
+        let mut t: FlowTable = FlowTable::with_quantile(0.5);
+        for i in 0..4 {
+            t.record(fk(1), i as f64, None);
+        }
+        t.record(fk(2), 1.0, None);
+        assert_eq!(t.tails.refs, [0, 1]);
+        t.record(fk(1), 4.0, None);
+        assert_eq!(
+            (t.tails.refs[0], &t.tails.young_free[..]),
+            (GROWN, &[0][..])
+        );
+        t.record(fk(3), 7.0, None);
+        assert_eq!((t.tails.refs[2], t.tails.young.len()), (0, 2));
+        assert_eq!(t.report(1)[2].est_quantile, Some(7.0), "no stale sample");
+        // Freed by a merge conflict: flow 2 gives slot 1 up.
+        let mut other: FlowTable = FlowTable::with_quantile(0.5);
+        other.record(fk(2), 2.0, None);
+        t.merge(other);
+        assert_eq!(
+            (t.tails.refs[1], &t.tails.young_free[..]),
+            (NO_TAIL, &[1][..])
+        );
+        t.record(fk(4), 9.0, None);
+        assert_eq!((t.tails.refs[3], t.tails.young.len()), (1, 2));
+        assert_eq!(t.tail_counts(), (2, 1, 1));
+    }
+
+    #[test]
+    fn a_conflict_on_a_grown_flow_returns_its_slot() {
+        let (mut t, _) = tracked_flow(8, 8);
+        let (other, _) = tracked_flow(1, 1);
+        assert_eq!(t.tail_counts(), (0, 1, 0));
+        t.merge(other);
+        assert_eq!(t.tail_counts(), (0, 0, 1));
+        assert_eq!(
+            (t.tails.refs[0], &t.tails.grown_free[..]),
+            (NO_TAIL, &[0][..])
+        );
+        // Lost for good: later estimates reach the moments only.
+        t.record(fk(1), 3.0, Some(3.0));
+        let r = t.report(1)[0];
+        assert_eq!(
+            (r.packets, r.est_quantile, r.true_quantile),
+            (10, None, None)
+        );
+        assert_eq!(t.tail_counts(), (0, 0, 1));
+        // The next flow to graduate takes the freed slot.
+        for i in 0..5 {
+            t.record(fk(2), i as f64, None);
+        }
+        assert_eq!((t.tails.refs[1], t.tails.grown.len()), (GROWN, 1));
+    }
+
+    #[test]
+    fn a_cold_reset_receiver_drops_the_store_with_the_table() {
+        use crate::receiver::{ReceiverConfig, RliReceiver};
+        use rlir_net::packet::{ReferenceInfo, SenderId};
+        use rlir_net::SimTime;
+        let reference = |seq: u32, ns: u64| ReferenceInfo {
+            sender: SenderId(1),
+            seq,
+            tx_timestamp: SimTime::from_nanos(ns),
+        };
+        let mut rx: RliReceiver =
+            RliReceiver::with_quantile(ReceiverConfig::for_sender(SenderId(1)), 0.99);
+        rx.on_reference(SimTime::from_nanos(100), &reference(0, 0));
+        for i in 0..6 {
+            rx.on_regular(SimTime::from_nanos(110 + i), fk(1), None);
+        }
+        rx.on_regular(SimTime::from_nanos(120), fk(2), None);
+        rx.on_reference(SimTime::from_nanos(200), &reference(1, 100));
+        assert_eq!(rx.flows().tail_counts(), (1, 1, 0));
+        assert!(rx.flows().approx_bytes() > 0);
+        rx.reset_cold();
+        assert_eq!(rx.flows().tail_counts(), (0, 0, 0));
+        assert_eq!(rx.flows().approx_bytes(), 0);
+        assert_eq!(rx.flows().quantile_p(), Some(0.99));
     }
 
     #[test]
@@ -507,23 +829,71 @@ mod tests {
         assert_eq!((plain.approx_bytes(), tracked.approx_bytes()), (0, 0));
         let mut last = 0;
         for i in 0..200 {
-            plain.record(fk(i), 1.0, Some(1.0));
-            tracked.record(fk(i), 1.0, Some(1.0));
+            // Every other flow grows, and every fourth of those then loses
+            // its tail: all five vectors of the store come into use.
+            for _ in 0..if i % 2 == 0 { 5 } else { 1 } {
+                plain.record(fk(i), 1.0, Some(1.0));
+                tracked.record(fk(i), 1.0, Some(1.0));
+            }
+            if i % 8 == 0 {
+                let mut conflict: FlowTable = FlowTable::with_quantile(0.99);
+                conflict.record(fk(i), 1.0, None);
+                tracked.merge(conflict);
+                plain.record(fk(i), 1.0, None);
+            }
             let rows = plain.rows.capacity() * size_of::<(FlowKey, FlowAccumulator)>();
             let index = plain.index.capacity() * (size_of::<(FlowKey, u32)>() + 1);
             assert_eq!(plain.approx_bytes(), rows + index);
-            assert!(plain.tails.capacity() == 0, "no quantile, no tail bytes");
+            assert_eq!(plain.tails.approx_bytes(), 0, "no quantile, no tail bytes");
             // Same insertions, same growth: the tracking table is larger by
-            // exactly its tail Vec.
-            assert!(tracked.tails.capacity() >= tracked.rows.len());
-            assert_eq!(
-                tracked.approx_bytes(),
-                plain.approx_bytes() + tracked.tails.capacity() * size_of::<FlowTails>()
-            );
+            // exactly its tail store.
+            let store = &tracked.tails;
+            assert!(store.refs.capacity() >= tracked.rows.len());
+            let tails = 4 * store.refs.capacity()
+                + 64 * store.young.capacity()
+                + 4 * store.young_free.capacity()
+                + 208 * store.grown.capacity()
+                + 4 * store.grown_free.capacity();
+            assert_eq!(tracked.approx_bytes(), plain.approx_bytes() + tails);
             assert!(plain.approx_bytes() >= last, "a table never shrinks");
             last = plain.approx_bytes();
         }
+        assert_eq!(tracked.tail_counts(), (100, 75, 25));
+        let store = &tracked.tails;
+        assert!(store.young_free.capacity() > 0 && store.grown_free.capacity() > 0);
         assert!(last >= 200 * (96 + 21), "200 flows need 200 rows");
+    }
+
+    #[test]
+    fn a_mouse_flow_costs_a_row_a_reference_and_a_young_slot() {
+        let flow = |i: u32| {
+            let [a, b, c, d] = i.to_be_bytes();
+            FlowKey::tcp(Ipv4Addr::new(10, a, b, c), 1000 + d as u16, fk(0).dst, 80)
+        };
+        let mut t: FlowTable = FlowTable::with_quantile(0.99);
+        (0..10_000).for_each(|i| t.record(flow(i), 1.0, Some(1.0)));
+        // Rows, references and young slots grow in step, each `Vec` to less
+        // than twice what its elements need; nothing else is allocated.
+        let slots = t.rows.capacity();
+        assert!(slots < 2 * 10_000);
+        let index = t.index.capacity() * 21;
+        assert_eq!(t.approx_bytes(), slots * (96 + 64 + 4) + index);
+        assert_eq!(t.tail_counts(), (10_000, 0, 0));
+        assert_eq!(
+            t.tails.grown.capacity(),
+            0,
+            "no flow grew, no tracker exists"
+        );
+        // Pushed to five estimates, every flow holds trackers and every
+        // young slot is back on the free list.
+        for _ in 1..5 {
+            (0..10_000).for_each(|i| t.record(flow(i), 1.0, Some(1.0)));
+        }
+        assert_eq!(t.tail_counts(), (0, 10_000, 0));
+        assert_eq!(
+            (t.tails.young.len(), t.tails.young_free.len()),
+            (10_000, 10_000)
+        );
     }
 
     #[test]

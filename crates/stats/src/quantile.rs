@@ -9,10 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// `count` of a tracker whose estimate was given up (see
-/// [`P2Quantile::poison`]).
-const POISONED: u64 = u64::MAX;
-
 /// Streaming estimator of a single quantile using the P² algorithm.
 ///
 /// One tracker per flow per tap makes its size a per-flow cost, so only
@@ -62,21 +58,9 @@ impl P2Quantile {
         self.p
     }
 
-    /// Observations seen (0 once poisoned).
+    /// Observations seen.
     pub fn count(&self) -> u64 {
-        if self.count == POISONED {
-            0
-        } else {
-            self.count
-        }
-    }
-
-    /// Give the estimate up for good: [`estimate`](Self::estimate) reports
-    /// `None` from here on and further observations are ignored. P² markers
-    /// cannot be merged, so this is what a caller folding two trackers'
-    /// streams into one is left with.
-    pub fn poison(&mut self) {
-        self.count = POISONED;
+        self.count
     }
 
     /// Add one observation.
@@ -88,9 +72,6 @@ impl P2Quantile {
             if self.count == 5 {
                 self.q.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
             }
-            return;
-        }
-        if self.count == POISONED {
             return;
         }
         self.count += 1;
@@ -132,21 +113,32 @@ impl P2Quantile {
         adjust((*q2, q3, *q4), (*n2, n3, self.count as f64), self.np[2]);
     }
 
-    /// Current quantile estimate (`None` before any observation, and once
-    /// [poisoned](Self::poison)). With fewer than five observations, falls
-    /// back to the exact order statistic of the buffered values.
+    /// Current quantile estimate (`None` before any observation). With
+    /// fewer than five observations, falls back to the exact order
+    /// statistic of the buffered values ([`nearest_rank_of_few`]).
     pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 || self.count == POISONED {
-            return None;
-        }
         if self.count < 5 {
-            let mut v: Vec<f64> = self.q[..self.count as usize].to_vec();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-            let rank = ((self.p * self.count as f64).ceil() as usize).clamp(1, v.len());
-            return Some(v[rank - 1]);
+            return nearest_rank_of_few(self.p, &self.q[..self.count as usize]);
         }
         Some(self.q[2])
     }
+}
+
+/// The nearest-rank `p`-quantile of at most four samples, in any order
+/// (`None` of none): what a [`P2Quantile`] reports before its fifth
+/// observation, for a caller that holds those first samples itself. Sorts
+/// a copy on the stack; more than four samples is a panic.
+pub fn nearest_rank_of_few(p: f64, samples: &[f64]) -> Option<f64> {
+    let n = samples.len();
+    if n == 0 {
+        return None;
+    }
+    let mut sorted = [0.0; 4];
+    let sorted = &mut sorted[..n];
+    sorted.copy_from_slice(samples);
+    sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
+    let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
+    Some(sorted[rank - 1])
 }
 
 /// One marker's P² adjustment: `(below, this, above)` heights and
@@ -272,16 +264,18 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_tracker_reports_nothing_and_ignores_pushes() {
-        for warm in [0, 3, 50] {
-            let mut q = P2Quantile::p99();
-            for i in 0..warm {
-                q.push(i as f64);
+    fn few_samples_report_their_nearest_rank_in_any_order() {
+        assert_eq!(nearest_rank_of_few(0.5, &[]), None);
+        for p in [0.01, 0.25, 0.5, 0.9, 0.99] {
+            let xs = [30.0, 10.0, 40.0, 20.0];
+            for n in 1..=4 {
+                let want = exact_quantile(xs[..n].to_vec(), p);
+                assert_eq!(nearest_rank_of_few(p, &xs[..n]), Some(want), "p={p} n={n}");
+                // The tracker answers from the same rule below five.
+                let mut q = P2Quantile::new(p);
+                xs[..n].iter().for_each(|&x| q.push(x));
+                assert_eq!(q.estimate(), Some(want));
             }
-            q.poison();
-            assert_eq!((q.estimate(), q.count()), (None, 0));
-            q.push(1.0);
-            assert_eq!((q.estimate(), q.count()), (None, 0));
         }
     }
 
