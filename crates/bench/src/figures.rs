@@ -507,9 +507,8 @@ pub fn sync_ablation(scale: &Scale, runner: &SweepRunner) -> Vec<SyncRow> {
                     .collect(),
             );
             // Mean absolute error from per-flow report rows.
-            let rows = out.flows.report(1);
             let mut abs = rlir_stats::StreamingStats::new();
-            for r in &rows {
+            for r in out.flows.report(1) {
                 if let Some(t) = r.true_mean {
                     abs.push((r.est_mean - t).abs());
                 }

@@ -169,7 +169,6 @@ impl Scenario for AsymmetricSweep<'_> {
         let rev_rows: FxHashMap<FlowKey, (f64, f64)> = rev
             .flows
             .report(self.cfg.min_flow_packets)
-            .into_iter()
             .filter_map(|r| r.true_mean.map(|t| (r.flow, (r.est_mean, t))))
             .collect();
         let mut rtt_errors = Vec::new();

@@ -1488,11 +1488,16 @@ impl<'a> MeasurementPlane<'a> {
         localize_epoch_series(&series, epoch_ns, cfg)
     }
 
-    /// Approximate bytes of plane hot state right now: every tap's flow
-    /// accumulators and window entries, plus the event records those
-    /// entries share. O(taps) — lengths only, the FIFO is never walked.
+    /// Approximate bytes of plane hot state right now, the plane's term of
+    /// the ledger's `peak_state_bytes`: every tap's flow table at its
+    /// *allocated capacity* ([`rlir_rli::FlowTable::approx_bytes`]: rows,
+    /// index and tail store, capacity × element size) plus its window
+    /// entries at their *length*, plus the event records those entries
+    /// share, also at their length. O(taps) — the FIFO is never walked.
     /// Not counted: the receivers' interpolation buffers, the epoch
-    /// series, and `Vec` / `VecDeque` capacity beyond the length.
+    /// series, the window's and the FIFO's capacity beyond their length,
+    /// and anything transient — a [`rlir_rli::FlowTable::report`] in
+    /// progress is no state.
     /// Diagnostic — the fleet harness's sublinearity witness, not an
     /// allocator.
     pub fn approx_state_bytes(&self) -> usize {

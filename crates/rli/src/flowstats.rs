@@ -87,6 +87,13 @@ fn place<T>(slots: &mut Vec<T>, free: &mut Vec<u32>, value: T) -> u32 {
     }
 }
 
+/// The slot of row `index`, as the index and the report's slot list hold
+/// it. A table is bounded at 2³² flows: past that the conversion would wrap
+/// and two flows would share a row.
+fn row_slot(index: usize) -> u32 {
+    u32::try_from(index).expect("a flow table holds at most 2^32 flows")
+}
+
 const _: () = {
     use std::mem::size_of;
     assert!(size_of::<(FlowKey, FlowAccumulator)>() == 96);
@@ -318,7 +325,7 @@ impl<S: BuildHasher + Default> FlowTable<S> {
                 let young = self.tails.add_young([0.0; 2 * YOUNG_SAMPLES]);
                 self.tails.attach(young);
             }
-            (self.rows.len() - 1) as u32
+            row_slot(self.rows.len() - 1)
         }) as usize;
         let acc = &mut self.rows[slot].1;
         if let Some(p) = self.quantile_p {
@@ -371,7 +378,7 @@ impl<S: BuildHasher + Default> FlowTable<S> {
                         };
                         self.tails.attach(tail);
                     }
-                    e.insert((self.rows.len() - 1) as u32);
+                    e.insert(row_slot(self.rows.len() - 1));
                 }
                 std::collections::hash_map::Entry::Occupied(e) => {
                     let slot = *e.get() as usize;
@@ -387,55 +394,62 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         self.estimates += other.estimates;
     }
 
-    /// Build per-flow reports for flows with at least `min_packets`
-    /// estimates, sorted by flow key for determinism.
-    pub fn report(&self, min_packets: u64) -> Vec<FlowReport> {
-        let mut rows: Vec<FlowReport> = self
-            .rows
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, acc))| acc.est.count() >= min_packets.max(1))
-            .map(|(slot, (flow, acc))| {
-                let est_mean = acc.est.mean().expect("count >= 1");
-                let true_mean = acc.truth.mean();
-                let est_std = acc.est.std_dev().filter(|_| acc.est.count() >= 2);
-                let true_std = acc.truth.std_dev().filter(|_| acc.truth.count() >= 2);
-                let (est_quantile, true_quantile) = match self.quantile_p {
-                    Some(p) => {
-                        let held = (acc.est.count(), acc.truth.count());
-                        self.tails.estimates(slot, p, held)
-                    }
-                    None => (None, None),
-                };
-                FlowReport {
-                    flow: *flow,
-                    packets: acc.est.count(),
-                    est_mean,
-                    true_mean,
-                    est_std,
-                    true_std,
-                    mean_rel_err: true_mean.map(|t| relative_error(est_mean, t)),
-                    std_rel_err: match (est_std, true_std) {
-                        (Some(e), Some(t)) => Some(relative_error(e, t)),
-                        _ => None,
-                    },
-                    est_quantile,
-                    true_quantile,
-                    quantile_rel_err: match (est_quantile, true_quantile) {
-                        (Some(e), Some(t)) => Some(relative_error(e, t)),
-                        _ => None,
-                    },
-                }
-            })
-            .collect();
-        rows.sort_by_key(|r| r.flow);
-        rows
+    /// Per-flow reports for flows with at least `min_packets` estimates,
+    /// in flow-key order for determinism. Lazy: the only allocation is the
+    /// list of row slots (4 bytes a flow), sorted by the rows' keys; each
+    /// [`FlowReport`] is built as it is yielded.
+    pub fn report(&self, min_packets: u64) -> impl ExactSizeIterator<Item = FlowReport> + '_ {
+        let min_packets = min_packets.max(1);
+        let mut slots = Vec::with_capacity(self.rows.len());
+        slots.extend(
+            (0..=u32::MAX)
+                .zip(&self.rows)
+                .filter(|(_, (_, acc))| acc.est.count() >= min_packets)
+                .map(|(slot, _)| slot),
+        );
+        // Keys are unique, so an unstable sort has one possible outcome.
+        slots.sort_unstable_by_key(|&slot| self.rows[slot as usize].0);
+        slots.into_iter().map(|slot| self.row_report(slot as usize))
+    }
+
+    /// The report of `rows[slot]`, a row with at least one estimate.
+    fn row_report(&self, slot: usize) -> FlowReport {
+        let (flow, acc) = &self.rows[slot];
+        let est_mean = acc.est.mean().expect("count >= 1");
+        let true_mean = acc.truth.mean();
+        let est_std = acc.est.std_dev().filter(|_| acc.est.count() >= 2);
+        let true_std = acc.truth.std_dev().filter(|_| acc.truth.count() >= 2);
+        let (est_quantile, true_quantile) = match self.quantile_p {
+            Some(p) => {
+                let held = (acc.est.count(), acc.truth.count());
+                self.tails.estimates(slot, p, held)
+            }
+            None => (None, None),
+        };
+        FlowReport {
+            flow: *flow,
+            packets: acc.est.count(),
+            est_mean,
+            true_mean,
+            est_std,
+            true_std,
+            mean_rel_err: true_mean.map(|t| relative_error(est_mean, t)),
+            std_rel_err: match (est_std, true_std) {
+                (Some(e), Some(t)) => Some(relative_error(e, t)),
+                _ => None,
+            },
+            est_quantile,
+            true_quantile,
+            quantile_rel_err: match (est_quantile, true_quantile) {
+                (Some(e), Some(t)) => Some(relative_error(e, t)),
+                _ => None,
+            },
+        }
     }
 
     /// Per-flow relative errors of the *mean* estimate (Fig. 4a/4c input).
     pub fn mean_relative_errors(&self, min_packets: u64) -> Vec<f64> {
         self.report(min_packets)
-            .into_iter()
             .filter_map(|r| r.mean_rel_err)
             .collect()
     }
@@ -444,7 +458,6 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     /// (Fig. 4b input). Requires at least 2 packets per flow.
     pub fn std_relative_errors(&self, min_packets: u64) -> Vec<f64> {
         self.report(min_packets.max(2))
-            .into_iter()
             .filter_map(|r| r.std_rel_err)
             .collect()
     }
@@ -453,7 +466,6 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     /// [`FlowTable::with_quantile`]).
     pub fn quantile_relative_errors(&self, min_packets: u64) -> Vec<f64> {
         self.report(min_packets)
-            .into_iter()
             .filter_map(|r| r.quantile_rel_err)
             .collect()
     }
@@ -546,9 +558,9 @@ mod tests {
     fn report_computes_errors() {
         let mut t: FlowTable = FlowTable::new();
         t.record(fk(1), 110.0, Some(100.0));
-        let rows = t.report(1);
+        let mut rows = t.report(1);
         assert_eq!(rows.len(), 1);
-        let r = rows[0];
+        let r = rows.next().unwrap();
         assert_eq!(r.packets, 1);
         assert!((r.mean_rel_err.unwrap() - 0.10).abs() < 1e-9);
         assert!(r.est_std.is_none(), "std undefined for 1 packet");
@@ -590,8 +602,8 @@ mod tests {
     fn missing_truth_yields_no_error() {
         let mut t: FlowTable = FlowTable::new();
         t.record(fk(1), 100.0, None);
-        let rows = t.report(1);
-        assert!(rows[0].mean_rel_err.is_none());
+        let r = t.report(1).next().unwrap();
+        assert!(r.mean_rel_err.is_none());
         assert!(t.mean_relative_errors(1).is_empty());
     }
 
@@ -628,8 +640,7 @@ mod tests {
             let v = i as f64;
             t.record(fk(1), v, Some(v + 5.0));
         }
-        let rows = t.report(1);
-        let r = rows[0];
+        let r = t.report(1).next().unwrap();
         let eq = r.est_quantile.unwrap();
         let tq = r.true_quantile.unwrap();
         assert!((85.0..=95.0).contains(&eq), "est p90 {eq}");
@@ -642,7 +653,7 @@ mod tests {
     fn quantiles_absent_by_default() {
         let mut t: FlowTable = FlowTable::new();
         t.record(fk(1), 1.0, Some(1.0));
-        let r = t.report(1)[0];
+        let r = t.report(1).next().unwrap();
         assert!(r.est_quantile.is_none());
         assert!(r.quantile_rel_err.is_none());
         assert!(t.quantile_relative_errors(1).is_empty());
@@ -656,15 +667,14 @@ mod tests {
         b.record(fk(1), 2.0, None); // same flow → trackers poisoned
         b.record(fk(2), 3.0, None); // new flow → tracker kept
         a.merge(b);
-        let rows = a.report(1);
-        let r1 = rows.iter().find(|r| r.flow == fk(1)).unwrap();
-        let r2 = rows.iter().find(|r| r.flow == fk(2)).unwrap();
+        let r1 = a.report(1).find(|r| r.flow == fk(1)).unwrap();
+        let r2 = a.report(1).find(|r| r.flow == fk(2)).unwrap();
         assert!(r1.est_quantile.is_none(), "conflicting tracker must drop");
         assert!(r2.est_quantile.is_some(), "unique tracker survives merge");
         assert_eq!(r1.packets, 2, "counts still merge exactly");
         // A poisoned tracker stays poisoned under later estimates.
         a.record(fk(1), 3.0, None);
-        assert!(a.report(1)[0].est_quantile.is_none());
+        assert!(a.report(1).next().unwrap().est_quantile.is_none());
     }
 
     #[test]
@@ -681,16 +691,16 @@ mod tests {
         tracked.merge(other_p.clone());
         assert_eq!(tracked.tails.refs.len(), tracked.rows.len());
         assert_eq!(tracked.tail_counts(), (1, 0, 2));
-        let rows = tracked.report(1);
+        let rows: Vec<FlowReport> = tracked.report(1).collect();
         assert_eq!(rows[0].est_quantile, Some(1.0));
         assert!(rows[1].est_quantile.is_none() && rows[2].est_quantile.is_none());
         tracked.record(fk(4), 4.0, None);
-        assert_eq!(tracked.report(1)[3].est_quantile, Some(4.0));
+        assert_eq!(tracked.report(1).nth(3).unwrap().est_quantile, Some(4.0));
         // Into a plain table: no tail bytes appear.
         plain.merge(other_p);
         assert_eq!(plain.tails.approx_bytes(), 0);
         assert_eq!(plain.tail_counts(), (0, 0, 0));
-        assert!(plain.report(1).iter().all(|r| r.est_quantile.is_none()));
+        assert!(plain.report(1).all(|r| r.est_quantile.is_none()));
     }
 
     #[test]
@@ -726,7 +736,7 @@ mod tests {
                 let (table, dense) = tracked_flow(n, truths);
                 let want = if n < 5 { (1, 0, 0) } else { (0, 1, 0) };
                 assert_eq!(table.tail_counts(), want, "{n} estimates");
-                let r = table.report(1)[0];
+                let r = table.report(1).next().unwrap();
                 assert_eq!(
                     (r.est_quantile, r.true_quantile),
                     (dense.est.estimate(), dense.truth.estimate()),
@@ -755,7 +765,8 @@ mod tests {
         );
         t.record(fk(3), 7.0, None);
         assert_eq!((t.tails.refs[2], t.tails.young.len()), (0, 2));
-        assert_eq!(t.report(1)[2].est_quantile, Some(7.0), "no stale sample");
+        let third = t.report(1).nth(2).unwrap();
+        assert_eq!(third.est_quantile, Some(7.0), "no stale sample");
         // Freed by a merge conflict: flow 2 gives slot 1 up.
         let mut other: FlowTable = FlowTable::with_quantile(0.5);
         other.record(fk(2), 2.0, None);
@@ -782,7 +793,7 @@ mod tests {
         );
         // Lost for good: later estimates reach the moments only.
         t.record(fk(1), 3.0, Some(3.0));
-        let r = t.report(1)[0];
+        let r = t.report(1).next().unwrap();
         assert_eq!(
             (r.packets, r.est_quantile, r.true_quantile),
             (10, None, None)
@@ -902,9 +913,15 @@ mod tests {
         for i in (1..10).rev() {
             t.record(fk(i), 1.0, None);
         }
-        let rows = t.report(1);
-        for w in rows.windows(2) {
-            assert!(w[0].flow < w[1].flow);
-        }
+        let flows: Vec<FlowKey> = t.report(1).map(|r| r.flow).collect();
+        assert_eq!(flows.len(), 9);
+        assert!(flows.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^32 flows")]
+    fn a_row_slot_past_u32_is_refused_not_wrapped() {
+        assert_eq!(row_slot(u32::MAX as usize), u32::MAX);
+        row_slot(u32::MAX as usize + 1); // `as u32` made this slot 0
     }
 }

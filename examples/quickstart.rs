@@ -40,7 +40,7 @@ fn main() {
     );
 
     // Show the ten busiest flows: estimated vs true mean latency.
-    let mut rows = out.flows.report(1);
+    let mut rows: Vec<_> = out.flows.report(1).collect();
     rows.sort_by_key(|r| std::cmp::Reverse(r.packets));
     println!(
         "\n  {:<46} {:>6} {:>12} {:>12} {:>8}",

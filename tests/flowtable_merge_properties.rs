@@ -74,7 +74,7 @@ fn shard_tables(obs: &[(Obs, usize)]) -> Vec<FlowTable> {
 }
 
 fn rows_by_flow(table: &FlowTable) -> HashMap<FlowKey, FlowReport> {
-    table.report(1).into_iter().map(|r| (r.flow, r)).collect()
+    table.report(1).map(|r| (r.flow, r)).collect()
 }
 
 fn close(a: f64, b: f64) -> bool {

@@ -99,7 +99,7 @@ fn reference_loss_degrades_gracefully() {
             }
         }
         let rep = receiver.finish();
-        let row = &rep.flows.report(1)[0];
+        let row = rep.flows.report(1).next().unwrap();
         row.mean_rel_err.unwrap()
     };
     let clean = run(None);
@@ -145,7 +145,7 @@ fn clock_skew_shifts_estimates_by_offset() {
         }
     }
     let rep = receiver.finish();
-    let row = &rep.flows.report(1)[0];
+    let row = rep.flows.report(1).next().unwrap();
     let bias = row.est_mean - row.true_mean.unwrap();
     assert!(
         (bias - offset_ns as f64).abs() < 1.0,

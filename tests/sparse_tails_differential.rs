@@ -13,10 +13,13 @@
 
 #[path = "support/dense_tails_oracle.rs"]
 mod dense_tails_oracle;
+#[path = "support/report_bits.rs"]
+mod report_bits;
 
 use proptest::prelude::*;
+use report_bits::bits;
 use rlir_net::FlowKey;
-use rlir_rli::{FlowReport, FlowTable};
+use rlir_rli::FlowTable;
 use std::net::Ipv4Addr;
 
 const P: f64 = 0.99;
@@ -110,8 +113,8 @@ impl Pair {
         prop_assert_eq!(self.sparse.estimate_count(), self.dense.estimate_count());
         let (sparse, dense) = (self.sparse.report(1), self.dense.report(1));
         prop_assert_eq!(sparse.len(), dense.len());
-        for (s, d) in sparse.iter().zip(&dense) {
-            prop_assert_eq!(bits(s), bits(d), "sparse {:?} vs dense {:?}", s, d);
+        for (s, d) in sparse.zip(&dense) {
+            prop_assert_eq!(bits(&s), bits(d), "sparse {:?} vs dense {:?}", s, d);
         }
         // Every row's tail is somewhere: young, grown or lost.
         let (young, grown, none) = self.sparse.tail_counts();
@@ -123,26 +126,6 @@ impl Pair {
         prop_assert_eq!(young + grown + none, tracked);
         Ok(())
     }
-}
-
-/// A report row with every `f64` as its bit pattern.
-fn bits(r: &FlowReport) -> (FlowKey, u64, u64, [Option<u64>; 8]) {
-    let b = |x: Option<f64>| x.map(f64::to_bits);
-    (
-        r.flow,
-        r.packets,
-        r.est_mean.to_bits(),
-        [
-            b(r.true_mean),
-            b(r.est_std),
-            b(r.true_std),
-            b(r.mean_rel_err),
-            b(r.std_rel_err),
-            b(r.est_quantile),
-            b(r.true_quantile),
-            b(r.quantile_rel_err),
-        ],
-    )
 }
 
 proptest! {
