@@ -1491,9 +1491,11 @@ impl<'a> MeasurementPlane<'a> {
     /// Approximate bytes of plane hot state right now, the plane's term of
     /// the ledger's `peak_state_bytes`: every tap's flow table at its
     /// *allocated capacity* ([`rlir_rli::FlowTable::approx_bytes`]: rows,
-    /// index and tail store, capacity × element size) plus its window
-    /// entries at their *length*, plus the event records those entries
-    /// share, also at their length. O(taps) — the FIFO is never walked.
+    /// index cells, tail references and trackers, capacity × element
+    /// size — what the allocator holds for the table, to the byte) plus
+    /// its window entries at their *length*, plus the event records those
+    /// entries share, also at their length. O(taps) — the FIFO is never
+    /// walked.
     /// Not counted: the receivers' interpolation buffers, the epoch
     /// series, the window's and the FIFO's capacity beyond their length,
     /// and anything transient — a [`rlir_rli::FlowTable::report`] in

@@ -11,13 +11,12 @@
 use rlir_net::fxhash::FxBuildHasher;
 use rlir_net::FlowKey;
 use rlir_stats::quantile::nearest_rank_of_few;
-use rlir_stats::{relative_error, P2Quantile, StreamingStats};
+use rlir_stats::{relative_error, FewStats, P2Quantile, StreamingStats};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::hash::BuildHasher;
 
-/// Estimated and true delay moments for one flow: the row every table
-/// keeps per flow (96 bytes with its key).
+/// Estimated and true delay moments for one flow, as
+/// [`FlowTable::get`] materialises them from the flow's row.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FlowAccumulator {
     /// Interpolated (estimated) per-packet delays.
@@ -27,18 +26,22 @@ pub struct FlowAccumulator {
     pub truth: StreamingStats,
 }
 
-/// Samples a flow's tail holds as they came before it is given trackers.
-const YOUNG_SAMPLES: usize = 4;
-
-/// A flow's tail before its fifth estimate (64 bytes): its first four
-/// estimated delays, then its first four true delays. How many of each are
-/// set is the row's own `est.count()` / `truth.count()`.
-type YoungTail = [f64; 2 * YOUNG_SAMPLES];
+/// What a table keeps per flow (96 bytes): the key and one 40-byte
+/// accumulator per side, each holding its first four delays as they came
+/// and moments from the fifth on.
+#[derive(Debug, Clone)]
+struct Row {
+    key: FlowKey,
+    /// Interpolated (estimated) per-packet delays.
+    est: FewStats,
+    /// Ground-truth per-packet delays; never more of them than estimates.
+    truth: FewStats,
+}
 
 /// A flow's tail from its fifth estimate on (208 bytes): one P² tracker
-/// per side, made by replaying the [`YoungTail`] — P² only stores its first
-/// five observations, so the trackers are the ones the flow would have had
-/// from its first packet.
+/// per side, made by replaying the row's four samples — P² only stores its
+/// first five observations, so the trackers are the ones the flow would
+/// have had from its first packet.
 #[derive(Debug, Clone)]
 struct FlowTails {
     /// Tracker over estimated delays.
@@ -51,81 +54,57 @@ struct FlowTails {
 /// a flow two merged tables both observed has none): it holds no storage,
 /// reports `None` and ignores what is pushed.
 const NO_TAIL: u32 = u32::MAX;
-/// Set in a reference into [`TailStore::grown`], clear in one into
-/// [`TailStore::young`].
-const GROWN: u32 = 1 << 31;
+/// Reference of a row that is its own tail: both of its sides still hold
+/// their delays as they came ([`FewStats::few`]), at most four estimates.
+const YOUNG: u32 = u32::MAX - 1;
 
-/// A reference, decoded.
-enum Tail {
-    Young(usize),
-    Grown(usize),
-    Lost,
+/// `index` as a 32-bit reference, unless it is one of the two sentinels or
+/// past them.
+fn reference(index: usize) -> Option<u32> {
+    u32::try_from(index).ok().filter(|&r| r < YOUNG)
 }
 
-fn tail_at(r: u32) -> Tail {
-    if r & GROWN == 0 {
-        Tail::Young(r as usize)
-    } else if r != NO_TAIL {
-        Tail::Grown((r & !GROWN) as usize)
-    } else {
-        Tail::Lost
-    }
-}
-
-/// Store `value` in a free slot of `slots` — the one freed last — or in a
-/// new one, and return its index.
-fn place<T>(slots: &mut Vec<T>, free: &mut Vec<u32>, value: T) -> u32 {
-    match free.pop() {
-        Some(i) => {
-            slots[i as usize] = value;
-            i
-        }
-        None => {
-            slots.push(value);
-            (slots.len() - 1) as u32
-        }
-    }
-}
-
-/// The slot of row `index`, as the index and the report's slot list hold
-/// it. A table is bounded at 2³² flows: past that the conversion would wrap
-/// and two flows would share a row.
+/// The slot of row `index`, as the index cells and the report's slot list
+/// hold it. A table is bounded at 2³² − 2 flows: past that a slot would
+/// read as a sentinel, or wrap and share a row with another flow.
 fn row_slot(index: usize) -> u32 {
-    u32::try_from(index).expect("a flow table holds at most 2^32 flows")
+    reference(index).expect("a flow table holds at most 2^32 - 2 flows")
 }
 
 const _: () = {
     use std::mem::size_of;
-    assert!(size_of::<(FlowKey, FlowAccumulator)>() == 96);
-    assert!(size_of::<YoungTail>() == 64);
+    assert!(size_of::<Row>() == 96);
     assert!(size_of::<FlowTails>() == 208);
 };
 
 /// The tails of a table built [`with_quantile`](FlowTable::with_quantile):
-/// one 32-bit reference per row into one of two size classes, each with a
-/// LIFO free list. Empty in any other table.
+/// one 32-bit reference per row. Empty in any other table.
 #[derive(Debug, Clone, Default)]
 struct TailStore {
-    /// `refs[slot]` names the tail of `rows[slot]`: a `young` index, a
-    /// `grown` index with [`GROWN`] set, or [`NO_TAIL`].
+    /// `refs[slot]` names the tail of `rows[slot]`: a `grown` index,
+    /// [`YOUNG`] or [`NO_TAIL`].
     refs: Vec<u32>,
-    young: Vec<YoungTail>,
-    young_free: Vec<u32>,
     grown: Vec<FlowTails>,
+    /// Indices of `grown` given up to a merge conflict, reused last first.
     grown_free: Vec<u32>,
     /// Rows whose reference is [`NO_TAIL`].
     lost: usize,
 }
 
 impl TailStore {
-    fn add_young(&mut self, samples: YoungTail) -> u32 {
-        place(&mut self.young, &mut self.young_free, samples)
-    }
-
+    /// Store `tails` in the slot freed last, or a new one; its reference.
     fn add_grown(&mut self, tails: FlowTails) -> u32 {
-        let i = place(&mut self.grown, &mut self.grown_free, tails);
-        assert!(i < GROWN, "grown index runs into the class bit");
-        i | GROWN
+        match self.grown_free.pop() {
+            Some(i) => {
+                self.grown[i as usize] = tails;
+                i
+            }
+            None => {
+                let i = reference(self.grown.len()).expect("more tails than a table has rows");
+                self.grown.push(tails);
+                i
+            }
+        }
     }
 
     /// Give a new row the tail `r` refers to.
@@ -134,103 +113,151 @@ impl TailStore {
         self.lost += usize::from(r == NO_TAIL);
     }
 
-    /// Copy the tail of `from`'s row `slot` into this store.
+    /// The reference, in this store, of the tail of `from`'s row `slot`.
     fn adopt(&mut self, from: &TailStore, slot: usize) -> u32 {
-        match tail_at(from.refs[slot]) {
-            Tail::Young(i) => self.add_young(from.young[i]),
-            Tail::Grown(i) => self.add_grown(from.grown[i].clone()),
-            Tail::Lost => NO_TAIL,
+        match from.refs[slot] {
+            r @ (YOUNG | NO_TAIL) => r,
+            i => self.add_grown(from.grown[i as usize].clone()),
         }
     }
 
-    /// Give up the tail of `rows[slot]`: its storage goes back to its free
-    /// list.
+    /// Give up the tail of `rows[slot]`: trackers go back to the free list.
     fn lose(&mut self, slot: usize) {
-        match tail_at(std::mem::replace(&mut self.refs[slot], NO_TAIL)) {
-            Tail::Young(i) => self.young_free.push(i as u32),
-            Tail::Grown(i) => self.grown_free.push(i as u32),
-            Tail::Lost => return,
+        match std::mem::replace(&mut self.refs[slot], NO_TAIL) {
+            NO_TAIL => return,
+            YOUNG => {}
+            i => self.grown_free.push(i),
         }
         self.lost += 1;
     }
 
     /// Push one estimate (and its truth) onto the tail of `rows[slot]`,
-    /// a row that held `n_est` estimates and `n_truth` truths before it.
+    /// *before* `row` itself takes them. A young row needs nothing until
+    /// its fifth estimate, which seeds the trackers from its samples.
     #[inline]
-    fn push(
-        &mut self,
-        slot: usize,
-        p: f64,
-        (n_est, n_truth): (u64, u64),
-        est: f64,
-        truth: Option<f64>,
-    ) {
-        match tail_at(self.refs[slot]) {
-            Tail::Grown(i) => {
-                let tails = &mut self.grown[i];
-                tails.est.push(est);
-                if let Some(t) = truth {
-                    tails.truth.push(t);
+    fn push(&mut self, slot: usize, p: f64, row: &Row, est: f64, truth: Option<f64>) {
+        match self.refs[slot] {
+            NO_TAIL => {}
+            // The row itself takes the sample.
+            YOUNG if row.est.count() < FewStats::FEW as u64 => {}
+            YOUNG => {
+                fn few(side: &FewStats) -> &[f64] {
+                    side.few().expect("a young row holds its samples")
                 }
-            }
-            Tail::Young(i) if (n_est as usize) < YOUNG_SAMPLES => {
-                // `n_truth <= n_est`: no row has more truths than estimates.
-                let samples = &mut self.young[i];
-                samples[n_est as usize] = est;
-                if let Some(t) = truth {
-                    samples[YOUNG_SAMPLES + n_truth as usize] = t;
-                }
-            }
-            Tail::Young(i) => {
-                // The fifth estimate: replay the stored samples into fresh
-                // trackers and hand the young slot back.
-                let samples = self.young[i];
-                self.young_free.push(i as u32);
-                let (ests, truths) = samples.split_at(YOUNG_SAMPLES);
                 let mut tails = FlowTails {
                     est: P2Quantile::new(p),
                     truth: P2Quantile::new(p),
                 };
-                ests.iter().chain(&[est]).for_each(|&x| tails.est.push(x));
-                truths[..n_truth as usize]
+                few(&row.est)
+                    .iter()
+                    .chain(&[est])
+                    .for_each(|&x| tails.est.push(x));
+                few(&row.truth)
                     .iter()
                     .chain(truth.as_ref())
                     .for_each(|&x| tails.truth.push(x));
                 self.refs[slot] = self.add_grown(tails);
             }
-            Tail::Lost => {}
+            i => {
+                let tails = &mut self.grown[i as usize];
+                tails.est.push(est);
+                if let Some(t) = truth {
+                    tails.truth.push(t);
+                }
+            }
         }
     }
 
-    /// The `(estimated, true)` `p`-quantiles of `rows[slot]`, a row of
-    /// `n_est` estimates and `n_truth` truths: a young flow answers from
-    /// its samples by the rule a tracker applies below five.
-    fn estimates(
-        &self,
-        slot: usize,
-        p: f64,
-        (n_est, n_truth): (u64, u64),
-    ) -> (Option<f64>, Option<f64>) {
-        match tail_at(self.refs[slot]) {
-            Tail::Young(i) => {
-                let (ests, truths) = self.young[i].split_at(YOUNG_SAMPLES);
-                (
-                    nearest_rank_of_few(p, &ests[..n_est as usize]),
-                    nearest_rank_of_few(p, &truths[..n_truth as usize]),
-                )
+    /// The `(estimated, true)` `p`-quantiles of `rows[slot]`: a young row
+    /// answers from its samples by the rule a tracker applies below five.
+    fn estimates(&self, slot: usize, p: f64, row: &Row) -> (Option<f64>, Option<f64>) {
+        let of_few = |side: &FewStats| nearest_rank_of_few(p, side.few()?);
+        match self.refs[slot] {
+            NO_TAIL => (None, None),
+            YOUNG => (of_few(&row.est), of_few(&row.truth)),
+            i => {
+                let tails = &self.grown[i as usize];
+                (tails.est.estimate(), tails.truth.estimate())
             }
-            Tail::Grown(i) => (self.grown[i].est.estimate(), self.grown[i].truth.estimate()),
-            Tail::Lost => (None, None),
         }
     }
 
     /// Allocated capacity × element size over every vector of the store.
     fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.refs.capacity() + self.young_free.capacity() + self.grown_free.capacity())
-            * size_of::<u32>()
-            + self.young.capacity() * size_of::<YoungTail>()
+        (self.refs.capacity() + self.grown_free.capacity()) * size_of::<u32>()
             + self.grown.capacity() * size_of::<FlowTails>()
+    }
+}
+
+/// A cell no row is in: no slot is `u32::MAX` ([`row_slot`]).
+const EMPTY: u64 = u64::MAX;
+/// Cells of the smallest index that is not empty.
+const MIN_CELLS: usize = 8;
+
+/// Which row holds a key, without the key: open addressing over 8-byte
+/// cells of `hash32 << 32 | slot`, probed linearly from the cell the top
+/// bits of `hash32` name. A look-up compares the 32 stored hash bits first
+/// and asks its caller about the row only where they match; growing
+/// re-places the cells by their own hash bits, so it touches no row.
+#[derive(Debug, Clone, Default)]
+struct SlotIndex {
+    /// Empty, or a power of two of cells, at most three quarters in use.
+    cells: Vec<u64>,
+    /// Cells in use.
+    len: usize,
+}
+
+impl SlotIndex {
+    /// Where the probe for `hash32` starts.
+    #[inline]
+    fn home(&self, hash32: u32) -> usize {
+        let bits = self.cells.len().trailing_zeros();
+        (hash32 >> 32u32.saturating_sub(bits)) as usize
+    }
+
+    /// The slot stored under `hash32` for which `is_row` holds.
+    #[inline]
+    fn find(&self, hash32: u32, mut is_row: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.cells.is_empty() {
+            return None;
+        }
+        let mask = self.cells.len() - 1;
+        let mut at = self.home(hash32);
+        loop {
+            let cell = self.cells[at];
+            if cell == EMPTY {
+                return None;
+            }
+            // Truncations: a cell's halves.
+            if (cell >> 32) as u32 == hash32 && is_row(cell as u32) {
+                return Some(cell as u32);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Store `slot` under `hash32`; the caller found no such row.
+    fn insert(&mut self, hash32: u32, slot: u32) {
+        if (self.len + 1) * 4 > self.cells.len() * 3 {
+            let cells = (self.cells.len() * 2).max(MIN_CELLS);
+            let old = std::mem::replace(&mut self.cells, vec![EMPTY; cells]);
+            old.into_iter()
+                .filter(|&cell| cell != EMPTY)
+                .for_each(|cell| self.place(cell));
+        }
+        self.place(u64::from(hash32) << 32 | u64::from(slot));
+        self.len += 1;
+    }
+
+    /// Put `cell` in the first empty cell of its probe sequence.
+    fn place(&mut self, cell: u64) {
+        let mask = self.cells.len() - 1;
+        let mut at = self.home((cell >> 32) as u32);
+        while self.cells[at] != EMPTY {
+            at = (at + 1) & mask;
+        }
+        self.cells[at] = cell;
     }
 }
 
@@ -263,19 +290,17 @@ pub struct FlowReport {
 
 /// Aggregates per-packet estimates by flow key.
 ///
-/// Layout is a dense index map: the hash table holds only compact
-/// `key → u32` slots and the 96-byte `(key, moments)` rows live
-/// contiguously in a `Vec`. A table that tracks a quantile adds a sparse
-/// tail store: one 32-bit reference per row into one of two size classes —
-/// a 64-byte *young* slot holding the flow's first four samples of each
-/// side as they came, taken from a free list when the flow is created, and
-/// the 208-byte *grown* pair of P² trackers made at the flow's fifth
-/// estimate by replaying those samples (the young slot goes back to its
-/// free list) — so a mouse flow never pays for trackers it cannot use, and
-/// a flow whose tail is lost to a merge conflict holds no tail storage.
-/// Hot-path `record` calls therefore probe small buckets and write two
-/// cache lines of row (plus the tail where one exists); a table without a
-/// quantile pays no tail bytes at all.
+/// A flow is stored once: a 96-byte row — its key and, per side, a
+/// [`FewStats`] that *is* the flow's first four delays and becomes Welford
+/// moments at the fifth — in a `Vec`, found through a keyless index of
+/// 8-byte `(hash bits, slot)` cells; the key compared on a probe is the
+/// row's own, on the line `record` writes next. A table that tracks a
+/// quantile adds one 32-bit reference per row: a flow under five estimates
+/// is its own tail (its quantile is read off the row's samples), the fifth
+/// estimate replays those samples into a 208-byte pair of P² trackers, and
+/// a flow whose tail is lost to a merge conflict holds no tail storage. So
+/// a mouse flow pays for neither moments nor trackers it cannot use, and a
+/// table without a quantile pays no tail bytes at all.
 ///
 /// Generic over the table's hash builder, defaulting to FxHash — the
 /// fastest choice for the simulated hot path. Instantiate as
@@ -283,8 +308,9 @@ pub struct FlowReport {
 /// (what a deployment facing adversarial flow keys would pick).
 #[derive(Debug, Clone, Default)]
 pub struct FlowTable<S: BuildHasher = FxBuildHasher> {
-    index: HashMap<FlowKey, u32, S>,
-    rows: Vec<(FlowKey, FlowAccumulator)>,
+    hasher: S,
+    index: SlotIndex,
+    rows: Vec<Row>,
     /// Empty unless `quantile_p` is set.
     tails: TailStore,
     estimates: u64,
@@ -316,25 +342,53 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         self.quantile_p
     }
 
+    /// The index's share of `flow`'s hash: the top half, the better mixed
+    /// one of a multiplicative hasher.
+    #[inline]
+    fn hash32(&self, flow: &FlowKey) -> u32 {
+        (self.hasher.hash_one(flow) >> 32) as u32
+    }
+
+    /// The slot of `flow`'s row, if it has one.
+    #[inline]
+    fn slot_of(&self, hash32: u32, flow: &FlowKey) -> Option<usize> {
+        let slot = self
+            .index
+            .find(hash32, |slot| self.rows[slot as usize].key == *flow)?;
+        Some(slot as usize)
+    }
+
+    /// Append `row`, a flow the table does not hold, with the tail `tail`
+    /// refers to (ignored by a table that tracks no quantile); its slot.
+    fn insert(&mut self, hash32: u32, row: Row, tail: u32) -> usize {
+        let slot = self.rows.len();
+        self.index.insert(hash32, row_slot(slot));
+        self.rows.push(row);
+        if self.quantile_p.is_some() {
+            self.tails.attach(tail);
+        }
+        slot
+    }
+
     /// Record one per-packet estimate (and optionally its ground truth).
     #[inline]
     pub fn record(&mut self, flow: FlowKey, est_ns: f64, truth_ns: Option<f64>) {
-        let slot = *self.index.entry(flow).or_insert_with(|| {
-            self.rows.push((flow, FlowAccumulator::default()));
-            if self.quantile_p.is_some() {
-                let young = self.tails.add_young([0.0; 2 * YOUNG_SAMPLES]);
-                self.tails.attach(young);
-            }
-            row_slot(self.rows.len() - 1)
-        }) as usize;
-        let acc = &mut self.rows[slot].1;
+        let hash32 = self.hash32(&flow);
+        let slot = self.slot_of(hash32, &flow).unwrap_or_else(|| {
+            let row = Row {
+                key: flow,
+                est: FewStats::new(),
+                truth: FewStats::new(),
+            };
+            self.insert(hash32, row, YOUNG)
+        });
+        let row = &mut self.rows[slot];
         if let Some(p) = self.quantile_p {
-            let held = (acc.est.count(), acc.truth.count());
-            self.tails.push(slot, p, held, est_ns, truth_ns);
+            self.tails.push(slot, p, row, est_ns, truth_ns);
         }
-        acc.est.push(est_ns);
+        row.est.push(est_ns);
         if let Some(t) = truth_ns {
-            acc.truth.push(t);
+            row.truth.push(t);
         }
         self.estimates += 1;
     }
@@ -349,42 +403,42 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         self.estimates
     }
 
-    /// Access one flow's accumulator.
-    pub fn get(&self, flow: &FlowKey) -> Option<&FlowAccumulator> {
-        self.index.get(flow).map(|&i| &self.rows[i as usize].1)
+    /// One flow's accumulators, materialised from its row.
+    pub fn get(&self, flow: &FlowKey) -> Option<FlowAccumulator> {
+        let row = &self.rows[self.slot_of(self.hash32(flow), flow)?];
+        Some(FlowAccumulator {
+            est: row.est.stats(),
+            truth: row.truth.stats(),
+        })
     }
 
     /// Merge another table into this one (parallel experiment shards).
     ///
     /// Counts, means and variances merge exactly; P² quantile trackers are
     /// *not* mergeable, so when both sides contributed observations to a
-    /// flow its tail is given up — the flow reports `None` and its tail
-    /// storage is freed (use per-shard tables if you need sharded
-    /// quantiles). Tails are only ever kept by a table that tracks a
-    /// quantile itself, and a flow arriving from a table that tracks none,
-    /// or another one, arrives without a tail.
+    /// flow its tail is given up — the flow reports `None`, its row holds
+    /// moments from then on and its trackers are freed (use per-shard
+    /// tables if you need sharded quantiles). Tails are only ever kept by a
+    /// table that tracks a quantile itself, and a flow arriving from a
+    /// table that tracks none, or another one, arrives without a tail.
     pub fn merge(&mut self, other: FlowTable<S>) {
         let tracking = self.quantile_p.is_some();
         let same_quantile = other.quantile_p == self.quantile_p;
-        for (theirs, (k, v)) in other.rows.into_iter().enumerate() {
-            match self.index.entry(k) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    self.rows.push((k, v));
-                    if tracking {
-                        let tail = if same_quantile {
-                            self.tails.adopt(&other.tails, theirs)
-                        } else {
-                            NO_TAIL
-                        };
-                        self.tails.attach(tail);
-                    }
-                    e.insert(row_slot(self.rows.len() - 1));
+        for (theirs, row) in other.rows.into_iter().enumerate() {
+            let hash32 = self.hash32(&row.key);
+            match self.slot_of(hash32, &row.key) {
+                None => {
+                    let tail = if tracking && same_quantile {
+                        self.tails.adopt(&other.tails, theirs)
+                    } else {
+                        NO_TAIL
+                    };
+                    self.insert(hash32, row, tail);
                 }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let slot = *e.get() as usize;
-                    let acc = &mut self.rows[slot].1;
-                    acc.est.merge(&v.est);
-                    acc.truth.merge(&v.truth);
+                Some(slot) => {
+                    let ours = &mut self.rows[slot];
+                    ours.est.merge(&row.est);
+                    ours.truth.merge(&row.truth);
                     if tracking {
                         self.tails.lose(slot);
                     }
@@ -404,31 +458,29 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         slots.extend(
             (0..=u32::MAX)
                 .zip(&self.rows)
-                .filter(|(_, (_, acc))| acc.est.count() >= min_packets)
+                .filter(|(_, row)| row.est.count() >= min_packets)
                 .map(|(slot, _)| slot),
         );
         // Keys are unique, so an unstable sort has one possible outcome.
-        slots.sort_unstable_by_key(|&slot| self.rows[slot as usize].0);
+        slots.sort_unstable_by_key(|&slot| self.rows[slot as usize].key);
         slots.into_iter().map(|slot| self.row_report(slot as usize))
     }
 
     /// The report of `rows[slot]`, a row with at least one estimate.
     fn row_report(&self, slot: usize) -> FlowReport {
-        let (flow, acc) = &self.rows[slot];
-        let est_mean = acc.est.mean().expect("count >= 1");
-        let true_mean = acc.truth.mean();
-        let est_std = acc.est.std_dev().filter(|_| acc.est.count() >= 2);
-        let true_std = acc.truth.std_dev().filter(|_| acc.truth.count() >= 2);
+        let row = &self.rows[slot];
+        let (est, truth) = (row.est.stats(), row.truth.stats());
+        let est_mean = est.mean().expect("count >= 1");
+        let true_mean = truth.mean();
+        let est_std = est.std_dev().filter(|_| est.count() >= 2);
+        let true_std = truth.std_dev().filter(|_| truth.count() >= 2);
         let (est_quantile, true_quantile) = match self.quantile_p {
-            Some(p) => {
-                let held = (acc.est.count(), acc.truth.count());
-                self.tails.estimates(slot, p, held)
-            }
+            Some(p) => self.tails.estimates(slot, p, row),
             None => (None, None),
         };
         FlowReport {
-            flow: *flow,
-            packets: acc.est.count(),
+            flow: row.key,
+            packets: est.count(),
             est_mean,
             true_mean,
             est_std,
@@ -474,8 +526,8 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     /// "we observed the average latencies as 3.0µs and 83µs").
     pub fn average_true_delay_ns(&self) -> Option<f64> {
         let mut all = StreamingStats::new();
-        for (_, acc) in &self.rows {
-            if let Some(m) = acc.truth.mean() {
+        for row in &self.rows {
+            if let Some(m) = row.truth.stats().mean() {
                 all.push(m);
             }
         }
@@ -485,44 +537,44 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     /// Packet-weighted mean of all *estimated* delays across every flow
     /// (segment-level aggregate used by the localization reports).
     pub fn aggregate_est_mean(&self) -> Option<f64> {
-        let (sum, count) = self.rows.iter().fold((0.0, 0u64), |(s, c), (_, acc)| {
-            (s + acc.est.sum(), c + acc.est.count())
-        });
-        (count > 0).then(|| sum / count as f64)
+        Self::aggregate_mean(self.rows.iter().map(|row| &row.est))
     }
 
     /// Packet-weighted mean of all *true* delays across every flow.
     pub fn aggregate_true_mean(&self) -> Option<f64> {
-        let (sum, count) = self.rows.iter().fold((0.0, 0u64), |(s, c), (_, acc)| {
-            (s + acc.truth.sum(), c + acc.truth.count())
+        Self::aggregate_mean(self.rows.iter().map(|row| &row.truth))
+    }
+
+    fn aggregate_mean<'a>(sides: impl Iterator<Item = &'a FewStats>) -> Option<f64> {
+        let (sum, count) = sides.fold((0.0, 0u64), |(s, c), side| {
+            let stats = side.stats();
+            (s + stats.sum(), c + stats.count())
         });
         (count > 0).then(|| sum / count as f64)
     }
 
-    /// How many flows hold a young tail, a grown tail, and none (lost to
-    /// a merge conflict): `(young, grown, none)`. All zero in a table that
-    /// tracks no quantile; O(1), kept as the store changes.
+    /// How many flows are their own tail, hold trackers, and have no tail
+    /// (lost to a merge conflict): `(young, grown, none)`. All zero in a
+    /// table that tracks no quantile; O(1), kept as the store changes.
     pub fn tail_counts(&self) -> (usize, usize, usize) {
         let tails = &self.tails;
-        (
-            tails.young.len() - tails.young_free.len(),
-            tails.grown.len() - tails.grown_free.len(),
-            tails.lost,
-        )
+        let grown = tails.grown.len() - tails.grown_free.len();
+        (tails.refs.len() - grown - tails.lost, grown, tails.lost)
     }
 
-    /// Approximate heap footprint of this table in bytes: allocated
-    /// capacity × element size of the rows, the index and every vector of
-    /// the tail store — references, young slots, grown trackers and both
-    /// free lists, live or recycled alike. Diagnostic only — feeds the
-    /// plane's state estimate, not allocation decisions.
+    /// Heap footprint of this table in bytes: allocated capacity × element
+    /// size of the rows, the index cells, the tail references, the grown
+    /// trackers and their free list — everything the table allocates. A
+    /// flow costs a 96-byte row and an 8-byte cell at a load of 3/8 to 3/4
+    /// (so 11–21 bytes), in a table that tracks a quantile a 4-byte
+    /// reference too and, from its fifth estimate on, 208 bytes of
+    /// trackers; each `Vec` adds what doubling left unused. Diagnostic
+    /// only — feeds the plane's state estimate, not allocation decisions.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        // Hashbrown stores key+value+1 control byte per slot.
-        let slot = size_of::<(FlowKey, u32)>() + 1;
-        self.rows.capacity() * size_of::<(FlowKey, FlowAccumulator)>()
+        self.rows.capacity() * size_of::<Row>()
+            + self.index.cells.capacity() * size_of::<u64>()
             + self.tails.approx_bytes()
-            + self.index.capacity() * slot
     }
 }
 
@@ -672,9 +724,15 @@ mod tests {
         assert!(r1.est_quantile.is_none(), "conflicting tracker must drop");
         assert!(r2.est_quantile.is_some(), "unique tracker survives merge");
         assert_eq!(r1.packets, 2, "counts still merge exactly");
-        // A poisoned tracker stays poisoned under later estimates.
-        a.record(fk(1), 3.0, None);
-        assert!(a.report(1).next().unwrap().est_quantile.is_none());
+        // A poisoned tail stays poisoned under later estimates — past the
+        // fifth too, which finds moments in the row and seeds nothing.
+        for i in 0..4 {
+            a.record(fk(1), f64::from(i), None);
+        }
+        let r1 = a.report(1).next().unwrap();
+        assert_eq!((r1.packets, r1.est_quantile), (6, None));
+        assert_eq!(a.tail_counts(), (1, 0, 1));
+        assert_eq!(a.tails.grown.capacity(), 0);
     }
 
     #[test]
@@ -701,12 +759,6 @@ mod tests {
         assert_eq!(plain.tails.approx_bytes(), 0);
         assert_eq!(plain.tail_counts(), (0, 0, 0));
         assert!(plain.report(1).all(|r| r.est_quantile.is_none()));
-    }
-
-    #[test]
-    fn row_fits_in_96_bytes() {
-        assert!(std::mem::size_of::<(FlowKey, FlowAccumulator)>() <= 96);
-        assert!(std::mem::size_of::<FlowTails>() <= 208);
     }
 
     /// The first `n` estimates of a flow, the first `truths` of them with a
@@ -742,42 +794,8 @@ mod tests {
                     (dense.est.estimate(), dense.truth.estimate()),
                     "{n} estimates, {truths} truths"
                 );
-                if n >= 5 {
-                    assert_eq!(table.tails.young_free, [0], "the young slot is free again");
-                }
             }
         }
-    }
-
-    #[test]
-    fn a_freed_young_slot_is_the_next_one_handed_out() {
-        // Freed by graduation: flow 1 took slot 0, flow 2 slot 1.
-        let mut t: FlowTable = FlowTable::with_quantile(0.5);
-        for i in 0..4 {
-            t.record(fk(1), i as f64, None);
-        }
-        t.record(fk(2), 1.0, None);
-        assert_eq!(t.tails.refs, [0, 1]);
-        t.record(fk(1), 4.0, None);
-        assert_eq!(
-            (t.tails.refs[0], &t.tails.young_free[..]),
-            (GROWN, &[0][..])
-        );
-        t.record(fk(3), 7.0, None);
-        assert_eq!((t.tails.refs[2], t.tails.young.len()), (0, 2));
-        let third = t.report(1).nth(2).unwrap();
-        assert_eq!(third.est_quantile, Some(7.0), "no stale sample");
-        // Freed by a merge conflict: flow 2 gives slot 1 up.
-        let mut other: FlowTable = FlowTable::with_quantile(0.5);
-        other.record(fk(2), 2.0, None);
-        t.merge(other);
-        assert_eq!(
-            (t.tails.refs[1], &t.tails.young_free[..]),
-            (NO_TAIL, &[1][..])
-        );
-        t.record(fk(4), 9.0, None);
-        assert_eq!((t.tails.refs[3], t.tails.young.len()), (1, 2));
-        assert_eq!(t.tail_counts(), (2, 1, 1));
     }
 
     #[test]
@@ -803,7 +821,7 @@ mod tests {
         for i in 0..5 {
             t.record(fk(2), i as f64, None);
         }
-        assert_eq!((t.tails.refs[1], t.tails.grown.len()), (GROWN, 1));
+        assert_eq!((t.tails.refs[1], t.tails.grown.len()), (0, 1));
     }
 
     #[test]
@@ -834,14 +852,13 @@ mod tests {
 
     #[test]
     fn approx_bytes_counts_the_capacity_of_every_vec() {
-        use std::mem::size_of;
         let mut plain: FlowTable = FlowTable::new();
         let mut tracked: FlowTable = FlowTable::with_quantile(0.99);
         assert_eq!((plain.approx_bytes(), tracked.approx_bytes()), (0, 0));
         let mut last = 0;
         for i in 0..200 {
             // Every other flow grows, and every fourth of those then loses
-            // its tail: all five vectors of the store come into use.
+            // its tail: all three vectors of the store come into use.
             for _ in 0..if i % 2 == 0 { 5 } else { 1 } {
                 plain.record(fk(i), 1.0, Some(1.0));
                 tracked.record(fk(i), 1.0, Some(1.0));
@@ -852,17 +869,19 @@ mod tests {
                 tracked.merge(conflict);
                 plain.record(fk(i), 1.0, None);
             }
-            let rows = plain.rows.capacity() * size_of::<(FlowKey, FlowAccumulator)>();
-            let index = plain.index.capacity() * (size_of::<(FlowKey, u32)>() + 1);
-            assert_eq!(plain.approx_bytes(), rows + index);
+            let cells = plain.index.cells.capacity();
+            assert_eq!(
+                cells,
+                plain.index.cells.len(),
+                "no cell beyond the probed ones"
+            );
+            assert_eq!(plain.approx_bytes(), 96 * plain.rows.capacity() + 8 * cells);
             assert_eq!(plain.tails.approx_bytes(), 0, "no quantile, no tail bytes");
             // Same insertions, same growth: the tracking table is larger by
             // exactly its tail store.
             let store = &tracked.tails;
             assert!(store.refs.capacity() >= tracked.rows.len());
             let tails = 4 * store.refs.capacity()
-                + 64 * store.young.capacity()
-                + 4 * store.young_free.capacity()
                 + 208 * store.grown.capacity()
                 + 4 * store.grown_free.capacity();
             assert_eq!(tracked.approx_bytes(), plain.approx_bytes() + tails);
@@ -870,41 +889,122 @@ mod tests {
             last = plain.approx_bytes();
         }
         assert_eq!(tracked.tail_counts(), (100, 75, 25));
-        let store = &tracked.tails;
-        assert!(store.young_free.capacity() > 0 && store.grown_free.capacity() > 0);
-        assert!(last >= 200 * (96 + 21), "200 flows need 200 rows");
+        assert!(tracked.tails.grown_free.capacity() > 0);
+        assert!(last >= 200 * (96 + 8), "200 flows need 200 rows and cells");
+    }
+
+    fn flow(i: u32) -> FlowKey {
+        let [a, b, c, d] = i.to_be_bytes();
+        FlowKey::tcp(Ipv4Addr::new(10, a, b, c), 1000 + d as u16, fk(0).dst, 80)
     }
 
     #[test]
-    fn a_mouse_flow_costs_a_row_a_reference_and_a_young_slot() {
-        let flow = |i: u32| {
-            let [a, b, c, d] = i.to_be_bytes();
-            FlowKey::tcp(Ipv4Addr::new(10, a, b, c), 1000 + d as u16, fk(0).dst, 80)
-        };
+    fn a_mouse_flow_costs_a_row_a_reference_and_a_cell() {
         let mut t: FlowTable = FlowTable::with_quantile(0.99);
         (0..10_000).for_each(|i| t.record(flow(i), 1.0, Some(1.0)));
-        // Rows, references and young slots grow in step, each `Vec` to less
-        // than twice what its elements need; nothing else is allocated.
+        // Rows and references grow in step, each `Vec` to less than twice
+        // what its elements need; the index is between 3/8 and 3/4 full;
+        // nothing else is allocated.
         let slots = t.rows.capacity();
         assert!(slots < 2 * 10_000);
-        let index = t.index.capacity() * 21;
-        assert_eq!(t.approx_bytes(), slots * (96 + 64 + 4) + index);
+        let cells = t.index.cells.len();
+        assert!(
+            cells * 3 / 8 <= 10_000 && 10_000 <= cells * 3 / 4,
+            "{cells} cells"
+        );
+        assert_eq!(t.approx_bytes(), slots * (96 + 4) + cells * 8);
         assert_eq!(t.tail_counts(), (10_000, 0, 0));
         assert_eq!(
             t.tails.grown.capacity(),
             0,
             "no flow grew, no tracker exists"
         );
-        // Pushed to five estimates, every flow holds trackers and every
-        // young slot is back on the free list.
+        // Pushed to five estimates, every flow holds trackers.
         for _ in 1..5 {
             (0..10_000).for_each(|i| t.record(flow(i), 1.0, Some(1.0)));
         }
         assert_eq!(t.tail_counts(), (0, 10_000, 0));
+        assert_eq!(t.rows.capacity(), slots, "a row is reused, not replaced");
+    }
+
+    /// Sends every key to one of four hash values: the two ends of the
+    /// cell array and the two cells around its middle.
+    #[derive(Debug, Clone, Default)]
+    struct Colliding;
+
+    struct CollidingHasher(u64);
+
+    impl std::hash::Hasher for CollidingHasher {
+        fn write(&mut self, bytes: &[u8]) {
+            self.0 = bytes.iter().fold(self.0, |h, &b| h.wrapping_add(b.into()));
+        }
+        fn finish(&self) -> u64 {
+            [0, u64::MAX, 1 << 63, (1 << 63) - 1][(self.0 % 4) as usize]
+        }
+    }
+
+    impl BuildHasher for Colliding {
+        type Hasher = CollidingHasher;
+        fn build_hasher(&self) -> CollidingHasher {
+            CollidingHasher(0)
+        }
+    }
+
+    #[test]
+    fn the_keyless_index_agrees_with_a_hash_map_under_collisions() {
+        use std::collections::HashMap;
+        let mut table: FlowTable<Colliding> = FlowTable::new();
+        let mut model: HashMap<FlowKey, u32> = HashMap::new();
+        let slot_of = |table: &FlowTable<Colliding>, key: FlowKey| {
+            table.slot_of(table.hash32(&key), &key).map(row_slot)
+        };
+        let mut state = 7u64;
+        let mut growths = 0;
+        for _ in 0..3000 {
+            // Keys from a pool of 1 500: about as many look-ups as inserts.
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = flow((state >> 33) as u32 % 1500);
+            let cells = table.index.cells.len();
+            assert_eq!(slot_of(&table, key), model.get(&key).copied());
+            table.record(key, 1.0, None);
+            let next = row_slot(model.len());
+            assert_eq!(
+                slot_of(&table, key),
+                Some(*model.entry(key).or_insert(next))
+            );
+            growths += usize::from(table.index.cells.len() != cells);
+        }
+        assert!(growths >= 8, "{growths} growths");
         assert_eq!(
-            (t.tails.young.len(), t.tails.young_free.len()),
-            (10_000, 10_000)
+            (table.index.len, table.flow_count()),
+            (model.len(), model.len())
         );
+        for i in 0..3000 {
+            assert_eq!(
+                slot_of(&table, flow(i)),
+                model.get(&flow(i)).copied(),
+                "flow {i}"
+            );
+        }
+        // The run of cells hashed to the last cell wraps to the first ones.
+        let cells = &table.index.cells;
+        let homed_last = |cell: &u64| cell >> 32 == u64::from(u32::MAX) && *cell != EMPTY;
+        assert!(homed_last(&cells[cells.len() - 1]));
+        assert!(cells[..cells.len() / 4].iter().any(homed_last));
+        assert!(cells.iter().filter(|&&cell| cell != EMPTY).count() == model.len());
+        assert!(
+            model.len() * 4 <= cells.len() * 3,
+            "at most three quarters full"
+        );
+    }
+
+    #[test]
+    fn an_empty_index_finds_nothing() {
+        let t: FlowTable = FlowTable::new();
+        assert!(t.get(&fk(1)).is_none());
+        assert_eq!(t.approx_bytes(), 0);
     }
 
     #[test]
@@ -919,9 +1019,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at most 2^32 flows")]
-    fn a_row_slot_past_u32_is_refused_not_wrapped() {
-        assert_eq!(row_slot(u32::MAX as usize), u32::MAX);
-        row_slot(u32::MAX as usize + 1); // `as u32` made this slot 0
+    fn references_stop_short_of_the_sentinels() {
+        let last = YOUNG as usize - 1;
+        assert_eq!(reference(last), Some(YOUNG - 1));
+        assert_eq!(row_slot(last), YOUNG - 1);
+        for past in [YOUNG as usize, NO_TAIL as usize, NO_TAIL as usize + 1] {
+            assert_eq!(reference(past), None, "{past}"); // `as u32` made the last one 0
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^32 - 2 flows")]
+    fn a_row_slot_that_reads_as_a_sentinel_is_refused() {
+        row_slot(YOUNG as usize);
     }
 }

@@ -3,7 +3,8 @@
 //! Statistical building blocks for the RLIR reproduction:
 //!
 //! * [`streaming`] — Welford mean/variance accumulators (per-flow latency
-//!   stats, Figs. 4a/4b of the paper).
+//!   stats, Figs. 4a/4b of the paper), and the 40-byte form that holds a
+//!   short stream as its samples.
 //! * [`cdf`] — empirical CDFs and the downsampled step series written to the
 //!   figure CSVs.
 //! * [`error`] — relative/absolute error metrics and paper-style summaries.
@@ -30,5 +31,5 @@ pub use error::{absolute_error, relative_error, signed_relative_error, ErrorSumm
 pub use ewma::{Ewma, UtilizationEstimator};
 pub use histogram::LogHistogram;
 pub use quantile::P2Quantile;
-pub use streaming::StreamingStats;
+pub use streaming::{FewStats, StreamingStats};
 pub use timeseries::BinnedSeries;

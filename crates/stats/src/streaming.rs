@@ -116,6 +116,100 @@ impl StreamingStats {
     }
 }
 
+/// Set in [`FewStats::tag_count`] once `w` holds moments.
+const MOMENTS: u64 = 1 << 63;
+/// A [`StreamingStats`] that starts as the stream itself (40 bytes): its
+/// first four observations are kept as they came, and the fifth replays
+/// them through [`StreamingStats::push`], so every bit of every answer is
+/// the one streaming produced. Most flows of a data-center trace never see
+/// a fifth packet; for them this is both the moments and the samples a
+/// tail quantile is read from ([`few`](FewStats::few)).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FewStats {
+    /// The count, with [`MOMENTS`] set once `w` is
+    /// `[mean, m2, min, max]`; until then `w[..count]` are the
+    /// observations in arrival order.
+    tag_count: u64,
+    w: [f64; Self::FEW],
+}
+
+const _: () = assert!(std::mem::size_of::<FewStats>() == 40);
+
+impl FewStats {
+    /// Observations held as they came; the next one turns them into moments.
+    pub const FEW: usize = 4;
+
+    /// An empty accumulator.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Add one observation.
+    #[inline]
+    pub fn push(&mut self, x: f64) {
+        if self.tag_count < Self::FEW as u64 {
+            self.w[self.tag_count as usize] = x;
+            self.tag_count += 1;
+        } else {
+            // The fifth observation, or moments already (`MOMENTS` makes
+            // `tag_count` huge).
+            let mut stats = self.stats();
+            stats.push(x);
+            self.set_moments(stats);
+        }
+    }
+
+    /// Number of observations.
+    #[inline]
+    pub fn count(&self) -> u64 {
+        self.tag_count & !MOMENTS
+    }
+
+    /// The observations as they came, while there are at most four of them
+    /// and nothing was merged in.
+    #[inline]
+    pub fn few(&self) -> Option<&[f64]> {
+        // `MOMENTS` makes `tag_count` larger than any count of samples.
+        (self.tag_count <= Self::FEW as u64).then(|| &self.w[..self.tag_count as usize])
+    }
+
+    /// The accumulator streaming the same observations would have built.
+    #[inline]
+    pub fn stats(&self) -> StreamingStats {
+        match self.few() {
+            Some(observations) => {
+                let mut stats = StreamingStats::new();
+                observations.iter().for_each(|&x| stats.push(x));
+                stats
+            }
+            None => {
+                let [mean, m2, min, max] = self.w;
+                StreamingStats {
+                    count: self.count(),
+                    mean,
+                    m2,
+                    min,
+                    max,
+                }
+            }
+        }
+    }
+
+    /// Merge another accumulator into this one
+    /// ([`StreamingStats::merge`]). The result holds moments whatever its
+    /// count: the order two streams' observations came in is not known.
+    pub fn merge(&mut self, other: &FewStats) {
+        let mut stats = self.stats();
+        stats.merge(&other.stats());
+        self.set_moments(stats);
+    }
+
+    fn set_moments(&mut self, stats: StreamingStats) {
+        self.tag_count = stats.count | MOMENTS;
+        self.w = [stats.mean, stats.m2, stats.min, stats.max];
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,6 +28,9 @@ thread_local! {
     /// Bytes this thread has asked the allocator for (a `realloc` counts
     /// its whole new size). Per thread: the harness runs tests in parallel.
     static REQUESTED: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread has given back (a `realloc` gives back its whole
+    /// old size): `REQUESTED - FREED` is what the thread holds.
+    static FREED: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -37,9 +40,18 @@ fn count(bytes: usize) {
     let _ = REQUESTED.try_with(|n| n.set(n.get() + bytes));
 }
 
-// SAFETY: every call is forwarded unchanged to `System`; the counter is a
-// const-initialised `Cell` without a destructor, so touching it allocates
-// nothing.
+fn count_freed(bytes: usize) {
+    let _ = FREED.try_with(|n| n.set(n.get() + bytes));
+}
+
+/// Bytes this thread holds: requested and not yet given back.
+fn live_bytes() -> usize {
+    REQUESTED.with(Cell::get) - FREED.with(Cell::get)
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// const-initialised `Cell`s without a destructor, so touching them
+// allocates nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
@@ -47,11 +59,13 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_freed(layout.size());
         // SAFETY: the caller's contract, passed on.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        count_freed(layout.size());
         // SAFETY: the caller's contract, passed on.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -170,5 +184,33 @@ fn a_report_allocates_its_slot_list_and_nothing_else() {
         requested <= 16 * FLOWS as usize,
         "report(1) over {FLOWS} flows requested {requested} B ({} B a flow)",
         requested / FLOWS as usize
+    );
+}
+
+#[test]
+fn a_mouse_flow_costs_what_approx_bytes_says_and_under_170_bytes() {
+    const FLOWS: u32 = 50_000;
+    let before = live_bytes();
+    let mut table: FlowTable = FlowTable::with_quantile(0.99);
+    for i in 0..FLOWS {
+        table.record(flow(i), f64::from(i % 1000), Some(f64::from(i % 1000)));
+    }
+    let held = live_bytes() - before;
+    assert_eq!(table.tail_counts(), (FLOWS as usize, 0, 0));
+    // A 96-byte row, a 4-byte reference and an 8-byte index cell, each at
+    // what `Vec` doubling and the index's load factor leave unused. With
+    // the samples in a 64-byte slot beside the row's moments and the key a
+    // second time in the index, the same table was ≈ 239 B a flow.
+    let approx = table.approx_bytes();
+    assert!(
+        approx <= 170 * FLOWS as usize,
+        "{} B a flow",
+        approx / FLOWS as usize
+    );
+    // The accounting is the allocator's: capacity × element size, nothing
+    // the table allocates left out.
+    assert!(
+        held.abs_diff(approx) * 100 <= approx,
+        "the allocator holds {held} B for a table that reports {approx} B"
     );
 }
