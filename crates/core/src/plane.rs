@@ -18,20 +18,18 @@
 //! regular packets it meters ([`TapSpec::meter`]), and — simulation only —
 //! which ground-truth span to score against ([`TruthRef`]).
 //!
-//! ## One reorder window: a sorted run per tap
+//! ## One reorder window: a run per tap, one block pool for all of them
 //!
 //! Receivers require time-ordered input, but taps reconstructing upstream
 //! crossings from [`HopKind::Deliver`] events see observations *out of*
 //! observation-time order (a packet delivered late may have crossed the tap
 //! early). Every unordered tap therefore owns one append-only **run** of
 //! pending observations, each keyed `(observation time, tie, packet id)` —
-//! unique per tap. Observing is a `Vec::push`. When the engine's
-//! event-time **watermark** ([`HopSink::on_watermark`]) has advanced half
-//! a window past the last flush, each run is sorted (what the previous
-//! flush left behind is already in order, so this is about one merge
-//! pass), split at `watermark − window`, and the prefix is fed to the
-//! tap's own [`RliReceiver`] — and through it the tap's own
-//! [`FlowTable`](rlir_rli::FlowTable) — as one batch. Because an
+//! unique per tap. When the engine's event-time **watermark**
+//! ([`HopSink::on_watermark`]) has advanced half a window past the last
+//! flush, each run is sorted, split at `watermark − window`, and the
+//! prefix is fed to the tap's own [`RliReceiver`] — and through it the
+//! tap's own [`FlowTable`](rlir_rli::FlowTable) — as one batch. Because an
 //! observation's lag behind the watermark is bounded by the packet's
 //! residence time downstream of the tap (see the watermark contract in
 //! `rlir-sim`), a window wider than the worst-case downstream residence
@@ -41,16 +39,39 @@
 //! for the workload) are counted in [`TapReport::late`], never fed out of
 //! order.
 //!
-//! That run is the plane's only reorder structure. The plane-wide
-//! [`PlaneConfig::pending_budget`], the tenant shares and the per-tap
-//! [`TapSpec::max_buffer`] all count run lengths; a crashed tap's run is
-//! simply cleared. (Earlier revisions kept a per-tap binary heap, then a
-//! plane-wide calendar wheel over a shared flow arena whose geometry only
-//! [`MeasurementPlane::with_config`] sized — `MeasurementPlane::new()` got
-//! an un-sized 1 ms wheel under a 4 ms window. Both are gone, and the
-//! mis-sizing with them.)
+//! A run is not a `Vec` of its own: every run lives in one plane-wide
+//! **block pool** (`Runs`). A **block** is `BLOCK` (128) consecutive entries
+//! of the pool's one entry array; blocks chain through a parallel `next`
+//! array and come from a LIFO free list before the pool ever grows. A tap
+//! holds a 12-byte handle `{head, tail, len}` whose entries fill its chain
+//! front to back, so a run of `len` entries holds exactly ⌈len / BLOCK⌉
+//! blocks. The slack lives in the tail blocks — at most `BLOCK − 1`
+//! entries a tap — and in the one flush scratch. A burst at one tap takes
+//! the blocks another tap's flush just freed, so the pool holds the peak
+//! of the *sum* of the runs, where a `Vec` per tap kept its own all-time
+//! peak, rounded up to a power of two, long after its burst had passed.
 //!
-//! [`DrainMode::BufferedSort`] is the same run never flushed before
+//! Observing appends to the tail block. A flush **gathers** the run block
+//! by block into the shared scratch `Vec`, frees the blocks, stable-sorts
+//! the scratch by `(at, tie, id)`, feeds the prefix below the bound and
+//! **refills** a fresh chain with the suffix. Gathering in chain order
+//! keeps the run's own order — the sorted suffix the previous flush left,
+//! then arrivals in near-order — so the sort's run detection still
+//! finishes in about one merge pass, and since keys are unique per tap
+//! the order it feeds is the one total order whatever the layout. (A
+//! plane-wide run sorted once per flush fed the same, but interleaving
+//! the taps broke the runs the sort detects: ≈ 3× the flush time.)
+//!
+//! That pool is the plane's only reorder structure. The plane-wide
+//! [`PlaneConfig::pending_budget`], the tenant shares and the per-tap
+//! [`TapSpec::max_buffer`] all count run lengths; a crashed tap's blocks
+//! simply go back to the free list. (Earlier revisions kept a per-tap
+//! binary heap, then a plane-wide calendar wheel over a shared flow arena
+//! whose geometry only [`MeasurementPlane::with_config`] sized —
+//! `MeasurementPlane::new()` got an un-sized 1 ms wheel under a 4 ms
+//! window. Both are gone, and the mis-sizing with them.)
+//!
+//! [`DrainMode::BufferedSort`] is the same pooled run never flushed before
 //! [`MeasurementPlane::finish`]: the differential oracle
 //! `tests/epoch_streaming_differential.rs` and
 //! `tests/reorder_window_properties.rs` pin the streaming drain against,
@@ -62,16 +83,17 @@
 //!
 //! ## What an observation touches
 //!
-//! A tap is stored as two records. The **hot** one (`HotTap`, at most two
-//! cache lines, all taps contiguous) holds exactly what admitting an
-//! observation reads and writes: the point (the routing indices already
-//! tell live from delivered-gated), the `ordered` / `down` flags, which
-//! truth to compute, whether a meter or a reference map exists, the tenant
-//! slot, the `flushed_to` / `resume_at` bounds, the buffer cap, the pending
-//! peak and the run itself. The **cold** one (`ColdTap`: the [`TapSpec`]
-//! with its strings and closures, the [`RliReceiver`], the loss / outage
-//! counters, the per-epoch drop map) is reached only by closures, sheds,
-//! faults, flushes, ordered feeds and [`MeasurementPlane::finish`].
+//! A tap is stored as two records. The **hot** one (`HotTap`, 80 bytes,
+//! all taps contiguous) holds exactly what admitting an observation reads
+//! and writes: the point (the routing indices already tell live from
+//! delivered-gated), the `ordered` / `down` flags, which truth to compute,
+//! whether a meter or a reference map exists, the tenant slot, the
+//! `flushed_to` / `resume_at` bounds, the buffer cap, the pending peak and
+//! the run's handle into the pool. The **cold** one (`ColdTap`: the
+//! [`TapSpec`] with its strings and closures, the [`RliReceiver`], the
+//! loss / outage counters, the per-epoch drop map) is reached only by
+//! closures, sheds, faults, flushes, ordered feeds and
+//! [`MeasurementPlane::finish`].
 //!
 //! ## One record per event, one entry per tap
 //!
@@ -458,7 +480,7 @@ impl EventRecord {
 /// long it had taken, and which [`EventRecord`] says what it was. Fed in
 /// ascending `(at, tie, packet id)` order — unique per tap, and the exact
 /// total order the buffered-sort oracle produces.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct WindowEntry {
     at: u64,
     /// With [`ENTRY_HAS_TRUTH`]: the truth, ns. Otherwise zero.
@@ -472,6 +494,137 @@ impl WindowEntry {
     #[inline]
     fn truth(&self) -> Option<SimDuration> {
         (self.rec & ENTRY_HAS_TRUTH != 0).then(|| SimDuration::from_nanos(self.truth))
+    }
+}
+
+/// Entries per pool block (see the module docs): what a burst takes from
+/// the pool at a time, and the most a tap's tail block leaves unused.
+const BLOCK: usize = 128;
+
+/// One tap's reorder run in the pool: entry `i` is entry `i % BLOCK` of
+/// the chain's `i / BLOCK`-th block. An empty run holds no block, and its
+/// `head` / `tail` mean nothing.
+#[derive(Clone, Copy, Default)]
+struct Run {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl Run {
+    #[inline]
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+}
+
+/// The plane-wide block pool every tap's [`Run`] lives in (see the module
+/// docs).
+#[derive(Default)]
+struct Runs {
+    /// Block `b` is `entries[b * BLOCK..][..BLOCK]`.
+    entries: Vec<WindowEntry>,
+    /// The block after block `b` in its run's chain (stale once `b` is a
+    /// run's tail or free: a run's length says where its chain ends).
+    next: Vec<u32>,
+    /// Blocks no run holds, most recently freed last.
+    free: Vec<u32>,
+    /// A flush's run, gathered out of its blocks and sorted.
+    scratch: Vec<WindowEntry>,
+}
+
+/// `index` as a tap's 32-bit routing handle. Past 2³² a handle would wrap
+/// and route another tap's observations to tap 0.
+fn tap_index(index: usize) -> u32 {
+    u32::try_from(index).expect("a plane routes at most 2^32 taps")
+}
+
+/// `index` as a 32-bit block handle, checked like [`tap_index`].
+fn block_index(index: usize) -> u32 {
+    u32::try_from(index).expect("a window pool holds at most 2^32 blocks")
+}
+
+/// `len` as a run's 32-bit length, checked like [`tap_index`].
+fn run_len(len: usize) -> u32 {
+    u32::try_from(len).expect("a reorder run holds at most 2^32 - 1 entries")
+}
+
+impl Runs {
+    /// Chain a block onto `run`'s tail — a free one if there is any — and
+    /// return where its first entry goes.
+    #[inline]
+    fn chain(&mut self, run: &mut Run) -> usize {
+        let block = match self.free.pop() {
+            Some(b) => b,
+            None => {
+                let b = block_index(self.next.len());
+                self.next.push(0);
+                self.entries
+                    .resize(self.entries.len() + BLOCK, WindowEntry::default());
+                b
+            }
+        };
+        if run.len == 0 {
+            run.head = block;
+        } else {
+            self.next[run.tail as usize] = block;
+        }
+        run.tail = block;
+        block as usize * BLOCK
+    }
+
+    /// Append `entry` to `run`.
+    #[inline]
+    fn push(&mut self, run: &mut Run, entry: WindowEntry) {
+        let len = run_len(run.len() + 1);
+        let at = run.len() % BLOCK;
+        let base = if at == 0 {
+            self.chain(run)
+        } else {
+            run.tail as usize * BLOCK
+        };
+        self.entries[base + at] = entry;
+        run.len = len;
+    }
+
+    /// Empty `run`, handing each of its blocks' entries to `each` in run
+    /// order before the block goes back to the free list.
+    #[inline]
+    fn release(&mut self, run: &mut Run, mut each: impl FnMut(&[WindowEntry])) {
+        let mut left = run.len();
+        let mut block = run.head;
+        while left > 0 {
+            let n = left.min(BLOCK);
+            let base = block as usize * BLOCK;
+            each(&self.entries[base..base + n]);
+            self.free.push(block);
+            left -= n;
+            block = self.next[block as usize];
+        }
+        run.len = 0;
+    }
+
+    /// Move `run`'s entries into the scratch, in run order, and free its
+    /// blocks.
+    fn gather(&mut self, run: &mut Run) -> &mut [WindowEntry] {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        self.release(run, |entries| scratch.extend_from_slice(entries));
+        self.scratch = scratch;
+        &mut self.scratch
+    }
+
+    /// Give the empty `run` the scratch from `from` on, block by block.
+    fn refill(&mut self, run: &mut Run, from: usize) {
+        debug_assert_eq!(run.len, 0);
+        let mut at = from;
+        while at < self.scratch.len() {
+            let n = (self.scratch.len() - at).min(BLOCK);
+            let base = self.chain(run);
+            self.entries[base..base + n].copy_from_slice(&self.scratch[at..at + n]);
+            at += n;
+            run.len = run_len(at - from);
+        }
     }
 }
 
@@ -619,11 +772,11 @@ enum TruthKind {
 /// the flags and bounds are copies of the [`TapSpec`] fields, fixed at
 /// attach.
 struct HotTap {
-    /// The reorder run: observations in arrival order behind the sorted
-    /// tail the last flush retained. Bounded by the window under
-    /// [`DrainMode::Streaming`]; the whole run under the oracle, which
-    /// never flushes before [`MeasurementPlane::finish`].
-    window: Vec<WindowEntry>,
+    /// The reorder run, in the plane's [`Runs`]: observations in arrival
+    /// order behind the sorted tail the last flush retained. Bounded by
+    /// the window under [`DrainMode::Streaming`]; the whole run under the
+    /// oracle, which never flushes before [`MeasurementPlane::finish`].
+    run: Run,
     point: TapPoint,
     /// Observations with `at` below this are late (window too small).
     flushed_to: SimTime,
@@ -647,9 +800,9 @@ struct HotTap {
 
 impl HotTap {
     #[inline]
-    fn push(&mut self, entry: WindowEntry) {
-        self.window.push(entry);
-        self.peak_pending = self.peak_pending.max(self.window.len());
+    fn push(&mut self, runs: &mut Runs, entry: WindowEntry) {
+        runs.push(&mut self.run, entry);
+        self.peak_pending = self.peak_pending.max(self.run.len());
     }
 }
 
@@ -832,6 +985,20 @@ pub struct TenantReport {
     pub peak_pending: usize,
 }
 
+/// The reorder runs' block pool at one instant
+/// ([`MeasurementPlane::window_pool`]). Blocks in use are `blocks − free`,
+/// and equal Σ ⌈[`MeasurementPlane::pending`] / `block_entries`⌉ over the
+/// taps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowPool {
+    /// Entries per block.
+    pub block_entries: usize,
+    /// Blocks the pool has made — it never gives one back.
+    pub blocks: usize,
+    /// Of those, blocks no run holds.
+    pub free: usize,
+}
+
 /// Everything the plane measured, in tap-attachment order.
 pub struct PlaneReport {
     /// Per-tap reports.
@@ -982,6 +1149,8 @@ pub struct MeasurementPlane<'a> {
     totals: PendingTotals,
     /// What the taps' window entries point into.
     records: Records,
+    /// Where the taps' reorder runs live.
+    runs: Runs,
     /// Per-tenant budget state, in first-seen order (see [`TenantId`]).
     tenants: Vec<TenantState>,
     /// Routing indices: which taps observe each point. Built at attach
@@ -1071,7 +1240,7 @@ impl<'a> MeasurementPlane<'a> {
             }
         };
         self.has_live_taps |= !spec.delivered_only;
-        let idx = self.taps.len() as u32;
+        let idx = tap_index(self.taps.len());
         // Route the tap: which event lookups reach it (mirrors the match
         // arms in `on_hop` exactly; `Delivery` taps observe deliveries at
         // their node regardless of the delivered_only flag).
@@ -1088,7 +1257,7 @@ impl<'a> MeasurementPlane<'a> {
         }
         let tenant_slot = self.tenant_slot(spec.tenant) as u32;
         self.taps.push(HotTap {
-            window: Vec::new(),
+            run: Run::default(),
             point: spec.point,
             flushed_to: SimTime::ZERO,
             resume_at: SimTime::ZERO,
@@ -1187,6 +1356,7 @@ impl<'a> MeasurementPlane<'a> {
         totals: &mut PendingTotals,
         tenants: &mut [TenantState],
         records: &mut Records,
+        runs: &mut Runs,
         at: SimTime,
         slot: &mut EventSlot,
         ev: &HopEvent<'_>,
@@ -1212,7 +1382,7 @@ impl<'a> MeasurementPlane<'a> {
                         } else {
                             slot.shared(records, |tie| EventRecord::reference(tie, id, &info))
                         };
-                        tap.push(records.entry(at, None, rec))
+                        tap.push(runs, records.entry(at, None, rec))
                     }
                 }
             }
@@ -1238,7 +1408,7 @@ impl<'a> MeasurementPlane<'a> {
                     Admission::Ordered => cold.rx.on_regular(at, *flow, truth),
                     Admission::Buffered => {
                         let rec = slot.shared(records, |tie| EventRecord::regular(tie, id, flow));
-                        tap.push(records.entry(at, truth, rec))
+                        tap.push(runs, records.entry(at, truth, rec))
                     }
                 }
             }
@@ -1304,7 +1474,7 @@ impl<'a> MeasurementPlane<'a> {
                         totals.pending + reserved >= cap
                     }
                 });
-                if tap.window.len() >= tap.max_buffer || over_budget {
+                if tap.run.len() >= tap.max_buffer || over_budget {
                     // Per-window cap or exhausted budget share: shed the
                     // observation but keep the books honest — it was seen
                     // at the point and will never be estimated. References
@@ -1325,39 +1495,43 @@ impl<'a> MeasurementPlane<'a> {
         Admission::Buffered
     }
 
-    /// Sort the tap's run into `(at, tie, id)` order and feed its receiver
-    /// everything strictly below `bound` (`None`: everything) as one
-    /// batch; what stays behind is the sorted tail the next flush extends.
+    /// Gather the tap's run out of the pool, sort it into `(at, tie, id)`
+    /// order and feed its receiver everything strictly below `bound`
+    /// (`None`: everything) as one batch; what stays behind goes back to
+    /// the pool as the sorted tail the next flush extends.
     fn flush_tap(
         tap: &mut HotTap,
         cold: &mut ColdTap<'a>,
         totals: &mut PendingTotals,
         tenants: &mut [TenantState],
         records: &Records,
+        runs: &mut Runs,
         bound: Option<SimTime>,
     ) {
-        if !tap.window.is_empty() {
+        if tap.run.len > 0 {
+            let run = runs.gather(&mut tap.run);
             // Stable on purpose, though keys are unique: the run is a
             // sorted tail plus arrivals in near-order, which the merge
             // sort's run detection finishes in about one pass. Only an
             // `at` tie reads the records.
-            tap.window.sort_by(|a, b| {
+            run.sort_by(|a, b| {
                 a.at.cmp(&b.at).then_with(|| {
                     let (ra, rb) = (records.get(a), records.get(b));
                     (ra.tie, ra.id).cmp(&(rb.tie, rb.id))
                 })
             });
             let n = match bound {
-                Some(b) => tap.window.partition_point(|obs| obs.at < b.as_nanos()),
-                None => tap.window.len(),
+                Some(b) => run.partition_point(|obs| obs.at < b.as_nanos()),
+                None => run.len(),
             };
-            for obs in tap.window.drain(..n) {
+            for obs in &run[..n] {
                 let at = SimTime::from_nanos(obs.at);
-                match records.get(&obs).payload(obs.truth()) {
+                match records.get(obs).payload(obs.truth()) {
                     Payload::Reference(info) => cold.rx.on_reference(at, &info),
                     Payload::Regular { flow, truth } => cold.rx.on_regular(at, flow, truth),
                 }
             }
+            runs.refill(&mut tap.run, n);
             totals.pending = totals.pending.saturating_sub(n);
             let t = &mut tenants[tap.tenant_slot as usize];
             t.pending = t.pending.saturating_sub(n);
@@ -1387,6 +1561,7 @@ impl<'a> MeasurementPlane<'a> {
                     &mut self.totals,
                     &mut self.tenants,
                     &self.records,
+                    &mut self.runs,
                     Some(bound),
                 );
             }
@@ -1404,7 +1579,7 @@ impl<'a> MeasurementPlane<'a> {
         }
     }
 
-    /// Crash every tap at `node`: its reorder run is cleared and its
+    /// Crash every tap at `node`: its reorder run's blocks are freed and its
     /// receiver cold-reset (flow table included) — everything destroyed is
     /// accounted in [`TapReport::lost_window_obs`], and the state is gone
     /// from [`approx_state_bytes`](MeasurementPlane::approx_state_bytes)
@@ -1422,8 +1597,8 @@ impl<'a> MeasurementPlane<'a> {
             }
             tap.down = true;
             cold.outages += 1;
-            let freed = tap.window.len();
-            tap.window.clear();
+            let freed = tap.run.len();
+            self.runs.release(&mut tap.run, |_| {});
             let destroyed = cold.rx.reset_cold();
             cold.lost_window_obs += freed as u64 + destroyed;
             // Saturating: the oracle keeps no plane-wide books to debit.
@@ -1493,13 +1668,15 @@ impl<'a> MeasurementPlane<'a> {
     /// *allocated capacity* ([`rlir_rli::FlowTable::approx_bytes`]: rows,
     /// index cells, tail references and trackers, capacity × element
     /// size — what the allocator holds for the table, to the byte) plus
-    /// its window entries at their *length*, plus the event records those
-    /// entries share, also at their length. O(taps) — the FIFO is never
-    /// walked.
-    /// Not counted: the receivers' interpolation buffers, the epoch
-    /// series, the window's and the FIFO's capacity beyond their length,
-    /// and anything transient — a [`rlir_rli::FlowTable::report`] in
-    /// progress is no state.
+    /// its run's window entries at their *length*, plus the event records
+    /// those entries share, also at their length. O(taps) — neither the
+    /// pool nor the FIFO is walked.
+    /// Not counted: the pool's block slack (the unused end of each run's
+    /// tail block, at most taps × `BLOCK` entries, and the free blocks),
+    /// the flush scratch, the receivers' interpolation buffers, the epoch
+    /// series, the FIFO's capacity beyond its length, and anything
+    /// transient — a [`rlir_rli::FlowTable::report`] in progress is no
+    /// state.
     /// Diagnostic — the fleet harness's sublinearity witness, not an
     /// allocator.
     pub fn approx_state_bytes(&self) -> usize {
@@ -1508,9 +1685,25 @@ impl<'a> MeasurementPlane<'a> {
             .taps
             .iter()
             .zip(&self.cold)
-            .map(|(t, c)| c.rx.flows().approx_bytes() + t.window.len() * entry)
+            .map(|(t, c)| c.rx.flows().approx_bytes() + t.run.len() * entry)
             .sum();
         windows + self.records.fifo.len() * std::mem::size_of::<EventRecord>()
+    }
+
+    /// Observations tap `idx` holds in its reorder run right now.
+    pub fn pending(&self, idx: usize) -> usize {
+        self.taps[idx].run.len()
+    }
+
+    /// How the reorder runs' block pool stands right now (see the module
+    /// docs). Diagnostic, like
+    /// [`approx_state_bytes`](MeasurementPlane::approx_state_bytes).
+    pub fn window_pool(&self) -> WindowPool {
+        WindowPool {
+            block_entries: BLOCK,
+            blocks: self.runs.next.len(),
+            free: self.runs.free.len(),
+        }
     }
 
     /// Drain every tap (deterministic order) and finish every receiver.
@@ -1524,6 +1717,7 @@ impl<'a> MeasurementPlane<'a> {
                 &mut self.totals,
                 &mut self.tenants,
                 &self.records,
+                &mut self.runs,
                 None,
             );
         }
@@ -1638,6 +1832,7 @@ impl HopSink for MeasurementPlane<'_> {
                             &mut self.totals,
                             &mut self.tenants,
                             &mut self.records,
+                            &mut self.runs,
                             ev.at,
                             &mut slot,
                             ev,
@@ -1660,6 +1855,7 @@ impl HopSink for MeasurementPlane<'_> {
                             &mut self.totals,
                             &mut self.tenants,
                             &mut self.records,
+                            &mut self.runs,
                             ev.at,
                             &mut slot,
                             ev,
@@ -1698,6 +1894,7 @@ impl HopSink for MeasurementPlane<'_> {
                         &mut self.totals,
                         &mut self.tenants,
                         &mut self.records,
+                        &mut self.runs,
                         at,
                         &mut slot,
                         ev,
@@ -2553,7 +2750,7 @@ mod tests {
         assert_eq!(plane.records.made(), RECLAIM_GRAIN + 1);
         // Flushed to 1 200: past everything but the last tap's entry.
         plane.on_watermark(SimTime::from_nanos(1_300));
-        assert_eq!(plane.taps[2].window.len(), 1);
+        assert_eq!(plane.pending(2), 1);
         plane.on_watermark(SimTime::from_nanos(2_000));
         let rep = plane.finish();
         for tap in &rep.taps {
@@ -2574,11 +2771,74 @@ mod tests {
 
     #[test]
     fn hot_tap_record_fits_two_cache_lines() {
-        assert!(
-            std::mem::size_of::<HotTap>() <= 128,
-            "HotTap grew to {} bytes",
-            std::mem::size_of::<HotTap>()
+        // Exact, not a ceiling: the run is a 12-byte pool handle where a
+        // per-tap `Vec` took 24 (96 → 80 bytes), and an entry is three
+        // words wherever it lives.
+        assert_eq!(std::mem::size_of::<Run>(), 12);
+        assert_eq!(std::mem::size_of::<HotTap>(), 80);
+        assert_eq!(std::mem::size_of::<WindowEntry>(), 24);
+    }
+
+    #[test]
+    fn handles_convert_checked_up_to_u32_max() {
+        let max = u32::MAX as usize;
+        assert_eq!(
+            (tap_index(max), block_index(max), run_len(max)),
+            (u32::MAX, u32::MAX, u32::MAX)
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "a plane routes at most 2^32 taps")]
+    fn a_tap_index_past_u32_does_not_alias_tap_0() {
+        tap_index(1 << 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "a window pool holds at most 2^32 blocks")]
+    fn a_block_index_past_u32_does_not_wrap() {
+        block_index(1 << 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "a reorder run holds at most 2^32 - 1 entries")]
+    fn a_run_cannot_outgrow_its_length() {
+        let mut run = Run {
+            len: u32::MAX,
+            ..Run::default()
+        };
+        Runs::default().push(&mut run, WindowEntry::default());
+    }
+
+    #[test]
+    fn a_burst_takes_the_blocks_another_taps_flush_freed() {
+        // Two taps burst in turn, each a window's worth of deliveries at a
+        // time: the second burst reuses the first's blocks, so the pool is
+        // one burst big, not two.
+        let mut plane = MeasurementPlane::with_config(streaming(1_000));
+        plane.attach(gated_tap("a", 1));
+        plane.attach(gated_tap("b", 2));
+        let burst = 3 * BLOCK as u64 + 5;
+        let mut id = 0;
+        for round in 0..4u64 {
+            let now = 10_000 * (round + 1);
+            let tap = round as usize % 2;
+            plane.on_watermark(SimTime::from_nanos(now));
+            for k in 0..burst {
+                // Arrivals in reverse: the flush must sort them.
+                let p = Packet::regular(id, fk(1), 700, SimTime::ZERO);
+                id += 1;
+                let hop = [crossed(1 + tap, now - 1 - k % 500)];
+                plane.on_hop(&deliver_ev(&p, &hop, 9, now));
+            }
+            let pool = plane.window_pool();
+            assert_eq!(plane.pending(tap), burst as usize);
+            // Both in use and made: the other tap's blocks were reused.
+            assert_eq!((pool.blocks, pool.free), (4, 0), "round {round}");
+        }
+        let rep = plane.finish();
+        assert_eq!(rep.taps[0].late + rep.taps[1].late, 0);
+        assert_eq!(rep.peak_pending_total, burst as usize);
     }
 
     /// Store `rec` behind `reclaimed` earlier records and one entry for

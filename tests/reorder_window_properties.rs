@@ -36,10 +36,19 @@
 //! both gated taps buffer share the plane's event records, and each tap
 //! must still report what a plane of its own reports when fed that tap's
 //! observations already in `(at, tie, id)` order.
+//!
+//! A third property holds the block pool every run lives in to its
+//! bookkeeping: eight taps, deliveries crossing random subsets of them
+//! often enough between flushes that runs outgrow a block, random
+//! watermarks and crashes of random taps. After
+//! every event, in both drain modes, the blocks in use are exactly
+//! Σ ⌈run length / block⌉ and the pool grew only by what its free list
+//! could not supply; at the end every tap reports bit for bit what the
+//! same events report under [`DrainMode::BufferedSort`].
 
 use proptest::prelude::*;
 use rlir::plane::{
-    DrainMode, MeasurementPlane, PlaneConfig, PlaneReport, TapPoint, TapSpec, TruthRef,
+    DrainMode, MeasurementPlane, PlaneConfig, PlaneReport, TapPoint, TapSpec, TruthRef, WindowPool,
 };
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
@@ -634,7 +643,243 @@ fn check_mixed(raw: &[(u8, u64, u64)], window: u64, epoch: u64) -> Result<(), Te
     Ok(())
 }
 
+/// Taps of the pool case, tap `i` at [`tap_node`]`(i)`.
+const POOL_TAPS: usize = 8;
+
+/// One event of the pool case.
+#[derive(Debug, Clone, Copy)]
+enum PoolStep {
+    /// A delivery that crossed tap `i` at `crossed[i]` for every bit `i`
+    /// of `mask`.
+    Delivery {
+        mask: u8,
+        crossed: [u64; POOL_TAPS],
+        delivered: u64,
+        id: u64,
+        flow: u8,
+    },
+    Watermark(u64),
+    Down(u64, usize),
+    Up(u64, usize),
+}
+
+/// Mostly deliveries, so runs outgrow a block between flushes; every
+/// crossing inside the window, so the streaming plane refuses nothing the
+/// oracle admits.
+fn pool_schedule(raw: &[(u8, u64, u64)], window: u64) -> Vec<PoolStep> {
+    let mut clock = 2 * window;
+    let mut down = [false; POOL_TAPS];
+    let mut steps = Vec::with_capacity(raw.len());
+    for (i, &(op, x, y)) in raw.iter().enumerate() {
+        steps.push(match op {
+            0..=93 => PoolStep::Delivery {
+                mask: y as u8 | 1 << (x % 8),
+                // Quantized, so equal times are common; still inside the
+                // window after rounding down.
+                crossed: std::array::from_fn(|tap| {
+                    let back = (x ^ y.rotate_left(9 * tap as u32)) % (window - 8);
+                    (clock - back) & !7
+                }),
+                delivered: clock,
+                // Smaller ids later, against the order records are made in.
+                id: (raw.len() - i) as u64,
+                flow: (y % 4) as u8,
+            },
+            94..=97 => {
+                clock += x % (window / 16) + 1;
+                PoolStep::Watermark(clock)
+            }
+            98 => {
+                clock += 2 * window + x % window;
+                PoolStep::Watermark(clock)
+            }
+            _ => {
+                clock += 1;
+                let tap = (y % POOL_TAPS as u64) as usize;
+                down[tap] = !down[tap];
+                if down[tap] {
+                    PoolStep::Down(clock, tap)
+                } else {
+                    PoolStep::Up(clock, tap)
+                }
+            }
+        });
+    }
+    steps
+}
+
+fn pool_plane<'a>(drain: DrainMode, epoch: u64) -> MeasurementPlane<'a> {
+    let mut plane = MeasurementPlane::with_config(PlaneConfig {
+        drain,
+        epoch: Some(SimDuration::from_nanos(epoch)),
+        pending_budget: None,
+    });
+    for tap in 0..POOL_TAPS {
+        let point = TapPoint::NodeArrival(tap_node(tap));
+        let mut spec = TapSpec::new(format!("t{tap}"), point, SenderId(1));
+        spec.delivered_only = true;
+        spec.track_quantile = (tap % 2 == 1).then_some(0.9);
+        plane.attach(spec);
+    }
+    plane
+}
+
+fn offer_pool(plane: &mut MeasurementPlane<'_>, step: &PoolStep) {
+    match *step {
+        PoolStep::Delivery {
+            mask,
+            crossed,
+            delivered,
+            id,
+            flow: flow_id,
+        } => {
+            let hops: Vec<Hop> = (0..POOL_TAPS)
+                .filter(|tap| mask >> tap & 1 == 1)
+                .map(|tap| Hop {
+                    node: tap_node(tap),
+                    port: 0,
+                    arrived: SimTime::from_nanos(crossed[tap]),
+                    departed: SimTime::from_nanos(crossed[tap] + 1),
+                })
+                .collect();
+            let first = hops
+                .iter()
+                .map(|h| h.arrived)
+                .min()
+                .expect("a tap bit is set");
+            let sent = SimTime::from_nanos(first.as_nanos().saturating_sub(40 + id % 50));
+            let packet = if id.is_multiple_of(5) {
+                Packet::reference(id, flow(9), SenderId(1), id as u32, sent)
+            } else {
+                Packet::regular(id, flow(flow_id), 700, sent)
+            };
+            plane.on_hop(&HopEvent {
+                kind: HopKind::Deliver,
+                node: HOST,
+                at: SimTime::from_nanos(delivered),
+                packet: &packet,
+                injected_node: ENTRY,
+                injected_at: sent,
+                hops: &hops,
+            });
+        }
+        PoolStep::Watermark(t) => plane.on_watermark(SimTime::from_nanos(t)),
+        PoolStep::Down(t, tap) => plane.tap_down(SimTime::from_nanos(t), tap_node(tap)),
+        PoolStep::Up(t, tap) => plane.tap_up(SimTime::from_nanos(t), tap_node(tap)),
+    }
+}
+
+/// The pool's books after `step`, given how it stood before: every block
+/// in use belongs to a run that needs it, and only a delivery — whose
+/// entries only ever take blocks — may grow the pool, by what the free
+/// list could not supply.
+fn pool_books(
+    plane: &MeasurementPlane<'_>,
+    before: WindowPool,
+    step: &PoolStep,
+) -> Result<WindowPool, TestCaseError> {
+    let pool = plane.window_pool();
+    let needed: usize = (0..POOL_TAPS)
+        .map(|tap| plane.pending(tap).div_ceil(pool.block_entries))
+        .sum();
+    prop_assert_eq!(
+        pool.blocks - pool.free,
+        needed,
+        "blocks in use vs Σ ⌈len / block⌉ after {:?}",
+        step
+    );
+    prop_assert!(pool.blocks >= before.blocks, "the pool shrank");
+    let grew = pool.blocks - before.blocks;
+    let taken = needed.saturating_sub(before.blocks - before.free);
+    let may_grow = match step {
+        PoolStep::Delivery { .. } => taken.saturating_sub(before.free),
+        _ => 0,
+    };
+    prop_assert_eq!(
+        grew,
+        may_grow,
+        "the pool grew with {} blocks free: {:?}",
+        before.free,
+        step
+    );
+    Ok(pool)
+}
+
+fn check_pool(raw: &[(u8, u64, u64)], window: u64, epoch: u64) -> Result<(), TestCaseError> {
+    let steps = pool_schedule(raw, window);
+    let streaming = DrainMode::Streaming {
+        reorder_window: SimDuration::from_nanos(window),
+    };
+    let mut planes = [
+        pool_plane(streaming, epoch),
+        pool_plane(DrainMode::BufferedSort, epoch),
+    ];
+    let mut pools = planes.each_ref().map(|p| p.window_pool());
+    for step in &steps {
+        for (plane, pool) in planes.iter_mut().zip(&mut pools) {
+            offer_pool(plane, step);
+            *pool = pool_books(plane, *pool, step)?;
+        }
+    }
+    let [got, want] = planes.map(MeasurementPlane::finish);
+
+    for (tap, (g, w)) in got.taps.iter().zip(&want.taps).enumerate() {
+        prop_assert_eq!(g.late + g.shed, 0, "tap {}: refused in-window input", tap);
+        prop_assert_eq!(
+            flow_bits(&g.report.flows),
+            flow_bits(&w.report.flows),
+            "tap {}: flow rows drifted from the buffered-sort oracle",
+            tap
+        );
+        prop_assert_eq!(g.outages, w.outages);
+        // A crashed tap restarts cold in both modes: compare from its last
+        // resume boundary on, unless it ended down.
+        let last = steps.iter().rev().find_map(|s| match *s {
+            PoolStep::Down(_, t) if t == tap => Some(None),
+            PoolStep::Up(at, t) if t == tap => Some(Some(at.div_ceil(epoch))),
+            _ => None,
+        });
+        match last {
+            None => {
+                prop_assert_eq!(epoch_bits(g.epochs(), 0), epoch_bits(w.epochs(), 0));
+                let (gc, wc) = (g.report.counters, w.report.counters);
+                prop_assert_eq!(
+                    (
+                        gc.regulars_seen,
+                        gc.refs_accepted,
+                        gc.estimated,
+                        gc.unestimated
+                    ),
+                    (
+                        wc.regulars_seen,
+                        wc.refs_accepted,
+                        wc.estimated,
+                        wc.unestimated
+                    )
+                );
+            }
+            Some(Some(resume)) => prop_assert_eq!(
+                epoch_bits(g.epochs(), resume),
+                epoch_bits(w.epochs(), resume),
+                "tap {}: post-recovery epochs drifted",
+                tap
+            ),
+            Some(None) => {}
+        }
+    }
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn every_run_holds_the_blocks_it_needs_and_feeds_what_the_oracle_feeds(
+        raw in proptest::collection::vec((0u8..100, 0u64..100_000, any::<u64>()), 200..2_500),
+        window in 256u64..4_000,
+        epoch in 500u64..5_000,
+    ) {
+        check_pool(&raw, window, epoch)?;
+    }
+
     #[test]
     fn live_and_gated_taps_share_one_planes_records(
         raw in proptest::collection::vec((0u8..100, 0u64..100_000, 0u64..100_000), 60..500),
