@@ -21,10 +21,10 @@
 //!
 //! `--threads N` sizes the sweep worker pool (default: `RLIR_THREADS`, else
 //! available parallelism); `--shards N` runs the fat-tree scenarios
-//! (`fattree`, `faults`, `incast`, `localize`, `demux`) on the
-//! pod-sharded engine (default:
-//! `RLIR_SHARDS`, else the sequential engine). Results are byte-identical
-//! for any thread or shard count. Scale via
+//! (`fattree`, `faults`, `incast`, `localize`, `demux`) on N pod shards
+//! (default: `RLIR_SHARDS`, else 1; a value that is not a positive integer
+//! exits 2 either way). Results are byte-identical for any thread or
+//! shard count. Scale via
 //! `RLIR_SCALE={quick,default,full}`, `RLIR_DURATION_MS`, `RLIR_SEEDS`,
 //! `RLIR_SEED`; output directory via `RLIR_RESULTS_DIR` (default
 //! `results/`). CSV series are written per curve.
@@ -40,7 +40,7 @@ use rlir_exec::SweepRunner;
 const HELP: &str = "experiments <list|run <name>|fig4a|fig4b|fig4c|fig5|placement|demux|interp|sync|baselines|quantiles|localize|all> [--threads N] [--shards N] [--trace <file>] [--entry-map <spec>] [--tenants w1,w2] [--chaos-seed N] [--lenient]
 Scale: RLIR_SCALE={quick,default,full} RLIR_DURATION_MS=<ms> RLIR_SEEDS=<n> RLIR_SEED=<n>
 Threads: --threads N (default RLIR_THREADS, else available parallelism)
-Shards: --shards N pod-sharded fat-tree engine (default RLIR_SHARDS, else sequential; byte-identical for any N)
+Shards: --shards N pod-sharded fat-tree engine (default RLIR_SHARDS, else 1; byte-identical for any N)
 Replay: --trace <pcap> capture to stream through `run replay` (default: generated);
         --entry-map fixed:<node>|hash:<n0,n1,...> entry-node demux (tandem nodes are 0 and 1);
         --lenient skip-and-count pcap ingest (damaged records resynced, regressions clamped)
@@ -396,9 +396,15 @@ fn main() -> std::io::Result<()> {
     }
 
     let mut scale = Scale::from_env();
-    if shards.is_some() {
-        scale.shards = shards;
-    }
+    scale.shards = match shards {
+        Some(n) => n,
+        None => rlir_exec::shards_from_env()
+            .unwrap_or_else(|e| {
+                eprintln!("{e}: --shards needs a positive integer\n{HELP}");
+                std::process::exit(2);
+            })
+            .unwrap_or(1),
+    };
     let out = OutputDir::from_env()?;
     eprintln!(
         "scale: accuracy {} | interference {} | fat-tree {} | seeds {} | base seed {} | threads {} | shards {}",
@@ -408,7 +414,7 @@ fn main() -> std::io::Result<()> {
         scale.seeds,
         scale.base_seed,
         runner.threads(),
-        scale.shards.map_or("seq".to_string(), |n| n.to_string()),
+        scale.shards,
     );
 
     if cmd == "run" {

@@ -3,14 +3,11 @@
 //! Runs the `fattree` experiment workload (measured + background traffic
 //! from the experiment's own generators, boosted by duration so the event
 //! count is ~10× the scenario's quick scale) through
-//! [`run_network_sharded`] at shards ∈ {1, 2, 4} and reports best-of-N
-//! wall-clock, events/sec, safe-horizon window count and stall count per
-//! shard point as JSON on stdout; `scripts/shard_bench.sh` captures it
-//! into `BENCH_shard.json`. A `"sequential"` row times the same workload
-//! through [`run_network_streamed_opts`], so what the keyed core costs at
-//! one shard is a committed number (its tie order differs, so its stream
-//! is not compared). An order-*sensitive* digest of the merged
-//! hop/watermark/delivery stream asserts in-run that every shard count
+//! [`run_network_sharded_source`] at shards ∈ {1, 2, 4} and reports
+//! best-of-N wall-clock, events/sec, safe-horizon window count and stall
+//! count per shard point as JSON on stdout; `scripts/shard_bench.sh`
+//! captures it into `BENCH_shard.json`. An order-*sensitive* digest of the
+//! merged hop/watermark/delivery stream asserts in-run that every shard count
 //! reproduced the 1-shard stream byte for byte — the property
 //! `tests/shard_determinism.rs` proves under proptest, re-checked here on
 //! the exact workload being timed.
@@ -30,8 +27,8 @@ use rlir::fabric::{build_network, FatTreeFabric};
 use rlir_net::packet::Packet;
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_sim::{
-    run_network_sharded, run_network_streamed_opts, HopEvent, HopSink, RunOptions, ShardPlan,
-    ShardRunStats, StreamedDelivery,
+    run_network_sharded_source, HopEvent, HopSink, RunOptions, ShardPlan, ShardRunStats,
+    SortedVecSource, StreamedDelivery,
 };
 use rlir_topo::{FatTree, TopoId};
 use std::time::Instant;
@@ -101,20 +98,6 @@ fn main() {
     injections.extend(background_injections(&cfg, &tree));
     let plan = ShardPlan::new(tree.pod_partition());
 
-    // The baseline: the same injections through the sequential engine.
-    let mut sequential_ns = u128::MAX;
-    let mut sequential_events = 0;
-    for _ in 0..reps {
-        let net = build_network(&tree, cfg.queue, cfg.link_delay, &[]);
-        let inj = injections.clone();
-        let mut sink = Digest::default();
-        let start = Instant::now();
-        let stats =
-            run_network_streamed_opts(net, &fabric, inj, &mut sink, RunOptions::default(), |_| {});
-        sequential_ns = sequential_ns.min(start.elapsed().as_nanos());
-        sequential_events = stats.events;
-    }
-
     let mut points: Vec<Point> = Vec::new();
     for shards in [1usize, 2, 4] {
         let mut best_ns = u128::MAX;
@@ -124,10 +107,10 @@ fn main() {
             let inj = injections.clone();
             let mut sink = Digest::default();
             let start = Instant::now();
-            let out = run_network_sharded(
+            let out = run_network_sharded_source(
                 net,
                 &fabric,
-                inj,
+                SortedVecSource::new(inj),
                 &mut sink,
                 RunOptions::default(),
                 &plan,
@@ -181,11 +164,6 @@ fn main() {
     println!(
         "  \"cpus\": {},",
         std::thread::available_parallelism().map_or(0, |n| n.get())
-    );
-    println!(
-        "  \"sequential\": {{ \"wall_ms\": {:.3}, \"events_per_sec\": {:.0} }},",
-        sequential_ns as f64 / 1e6,
-        sequential_events as f64 / (sequential_ns as f64 / 1e9)
     );
     println!("  \"points\": [");
     for (i, p) in points.iter().enumerate() {

@@ -43,8 +43,8 @@ use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
 use rlir_rli::{PolicyKind, RliSender};
 use rlir_sim::{
-    run_network_streamed, run_network_streamed_source, Forwarder, InjectionSource, Network, NodeId,
-    Port, RouteDecision, RunOptions, StreamDigest, TeeSink,
+    run_network_streamed_source, Forwarder, InjectionSource, Network, NodeId, Port, RouteDecision,
+    RunOptions, SortedVecSource, StreamDigest, TeeSink,
 };
 use rlir_trace::{generate, EntryMap, PcapReplaySource, PcapWriter, TraceConfig};
 use std::io::{BufWriter, Write};
@@ -236,10 +236,17 @@ fn vec_run(cfg: &ReplayConfig, path: &Path) -> RunRow {
     let stats = {
         let mut observers = TeeSink::new(&mut stack.plane, &mut stack.pair);
         let mut sink = TeeSink::new(&mut stack.digest, &mut observers);
-        run_network_streamed(build_net(cfg), &Line, injections, &mut sink, |d| {
-            delivery_digest.fold(d.packet.id.0);
-            delivery_digest.fold(d.delivered_at.as_nanos());
-        })
+        run_network_streamed_source(
+            build_net(cfg),
+            &Line,
+            SortedVecSource::new(injections),
+            &mut sink,
+            RunOptions::default(),
+            |d| {
+                delivery_digest.fold(d.packet.id.0);
+                delivery_digest.fold(d.delivered_at.as_nanos());
+            },
+        )
     };
     stack.digest.fold(delivery_digest.value());
     let wall_s = start.elapsed().as_secs_f64();

@@ -767,7 +767,7 @@ mod tests {
                 fattree_duration: rlir_net::time::SimDuration::from_millis(10),
                 seeds: 1,
                 base_seed: 42,
-                shards: None,
+                shards: 1,
             },
             out: OutputDir::at(&dir).unwrap(),
             trace: None,

@@ -10,8 +10,6 @@
 //! * `RLIR_DURATION_MS` — explicit trace duration in milliseconds
 //! * `RLIR_SEEDS` — number of seeds averaged where noise matters (Fig. 5)
 //! * `RLIR_SEED` — base seed
-//! * `RLIR_SHARDS` — pod-shard count for the fat-tree engine (the
-//!   `--shards` CLI flag overrides it; unset keeps the sequential engine)
 
 use rlir_net::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -30,9 +28,10 @@ pub struct Scale {
     pub seeds: u64,
     /// Base seed.
     pub base_seed: u64,
-    /// Pod-shard count for the fat-tree engine (`None` → sequential).
+    /// Pod-shard count for the fat-tree engine (1 unless the CLI sets it
+    /// from `--shards` or `RLIR_SHARDS`).
     #[serde(default)]
-    pub shards: Option<usize>,
+    pub shards: usize,
 }
 
 impl Scale {
@@ -60,7 +59,6 @@ impl Scale {
                 s.base_seed = n;
             }
         }
-        s.shards = rlir_exec::shards_from_env();
         s
     }
 
@@ -72,7 +70,7 @@ impl Scale {
             fattree_duration: SimDuration::from_millis(25),
             seeds: 1,
             base_seed: 42,
-            shards: None,
+            shards: 1,
         }
     }
 
@@ -84,7 +82,7 @@ impl Scale {
             fattree_duration: SimDuration::from_millis(60),
             seeds: 3,
             base_seed: 42,
-            shards: None,
+            shards: 1,
         }
     }
 
@@ -96,7 +94,7 @@ impl Scale {
             fattree_duration: SimDuration::from_millis(150),
             seeds: 5,
             base_seed: 42,
-            shards: None,
+            shards: 1,
         }
     }
 }

@@ -244,8 +244,8 @@ impl HopSink for CapturePair {
 mod tests {
     use super::*;
     use rlir_net::packet::Packet;
-    use rlir_sim::{run_network_streamed, Forwarder, Network, NodeId, Port, RouteDecision};
-    use rlir_sim::{QueueConfig, TeeSink};
+    use rlir_sim::{run_network_streamed_source, Forwarder, Network, NodeId, Port, RouteDecision};
+    use rlir_sim::{QueueConfig, RunOptions, SortedVecSource, TeeSink};
     use std::net::Ipv4Addr;
 
     fn qcfg() -> QueueConfig {
@@ -298,10 +298,17 @@ mod tests {
         let mut pair = CapturePair::new(TapPoint::NodeArrival(0), TapPoint::Delivery(1));
         let mut truth_sum = 0u64;
         let mut truth_n = 0u64;
-        let stats = run_network_streamed(tandem(), &Line { last: 1 }, inj, &mut pair, |d| {
-            truth_sum += d.true_delay().as_nanos();
-            truth_n += 1;
-        });
+        let stats = run_network_streamed_source(
+            tandem(),
+            &Line { last: 1 },
+            SortedVecSource::new(inj),
+            &mut pair,
+            RunOptions::default(),
+            |d| {
+                truth_sum += d.true_delay().as_nanos();
+                truth_n += 1;
+            },
+        );
         assert_eq!(stats.delivered, 200);
         let report = pair.finish();
         assert_eq!(report.matched, 200);
@@ -335,7 +342,14 @@ mod tests {
             TapPoint::Delivery(1),
             SimDuration::from_nanos(20_000),
         );
-        run_network_streamed(tandem(), &DropAll, inj, &mut pair, |_| {});
+        run_network_streamed_source(
+            tandem(),
+            &DropAll,
+            SortedVecSource::new(inj),
+            &mut pair,
+            RunOptions::default(),
+            |_| {},
+        );
         let report = pair.finish();
         assert_eq!(report.matched, 0);
         assert!(report.expired > 400, "stamps must expire: {report:?}");
@@ -354,7 +368,14 @@ mod tests {
         let mut counter = |_: &rlir_sim::HopEvent<'_>| events += 1;
         {
             let mut tee = TeeSink::new(&mut pair, &mut counter);
-            run_network_streamed(tandem(), &Line { last: 1 }, inj, &mut tee, |_| {});
+            run_network_streamed_source(
+                tandem(),
+                &Line { last: 1 },
+                SortedVecSource::new(inj),
+                &mut tee,
+                RunOptions::default(),
+                |_| {},
+            );
         }
         assert_eq!(pair.finish().matched, 50);
         assert!(events > 0, "second sink starved");

@@ -36,7 +36,8 @@ use rlir_net::time::SimDuration;
 use rlir_net::FlowKey;
 use rlir_rli::{EpochSnapshot, PolicyKind, RliSender};
 use rlir_sim::{
-    run_network_streamed, Forwarder, Network, NodeId, Port, QueueConfig, RouteDecision,
+    run_network_streamed_source, Forwarder, Network, NodeId, Port, QueueConfig, RouteDecision,
+    RunOptions, SortedVecSource,
 };
 use rlir_trace::{generate, TraceConfig};
 use serde::{Deserialize, Serialize};
@@ -226,7 +227,14 @@ impl Scenario for DropAwareSweep<'_> {
         // Plane-only scenario: the plane *is* the consumer, so run in
         // streamed-delivery mode — no `Vec<NetDelivery>` is materialised
         // and engine memory stays O(in-flight) even at overload.
-        let stats = run_network_streamed(net, &Line, injections, &mut plane, |_| {});
+        let stats = run_network_streamed_source(
+            net,
+            &Line,
+            SortedVecSource::new(injections),
+            &mut plane,
+            RunOptions::default(),
+            |_| {},
+        );
         let offered = trace.packets.len() as u64;
         // Loss rates are *regular-packet* rates (matching the documented
         // fields and `dropped_after_metering`'s scope): read the per-class

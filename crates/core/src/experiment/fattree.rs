@@ -32,16 +32,15 @@ use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::{FlowKey, HashAlgo};
 use rlir_rli::{merge_epoch_series, EpochSnapshot, FlowTable, PolicyKind, RliSender};
 use rlir_sim::{
-    run_network_sharded, run_network_streamed_opts, FaultScript, HopSink, Network, NetworkRunStats,
-    NullSink, QueueConfig, RunOptions, ShardPlan, StopFlag, StreamedDelivery,
+    run_network_sharded_source, FaultScript, HopSink, Network, NetworkRunStats, NullSink,
+    QueueConfig, RunOptions, ShardPlan, SortedVecSource, StopFlag, StreamedDelivery,
 };
 use rlir_topo::{FatTree, Role, TopoId};
 use serde::{Deserialize, Serialize};
 
-/// Dispatch one engine phase per [`FatTreeExpConfig::shards`]: the
-/// sequential engine when `None`, the pod-sharded engine (pods + core
-/// group from [`FatTree::pod_partition`]) when `Some(n)` — `n` is capped
-/// by the partition's group count and floored at 1.
+/// One engine phase on [`FatTreeExpConfig::shards`] shards of the pod
+/// partition ([`FatTree::pod_partition`]: pods + core group) — the count
+/// is capped by the partition's group count and floored at 1.
 #[allow(clippy::too_many_arguments)]
 fn run_phase(
     cfg: &FatTreeExpConfig,
@@ -53,23 +52,20 @@ fn run_phase(
     opts: RunOptions<'_>,
     on_delivery: &mut impl FnMut(&StreamedDelivery<'_>),
 ) -> NetworkRunStats {
-    match cfg.shards {
-        Some(n) => {
-            let plan = ShardPlan::new(tree.pod_partition());
-            run_network_sharded(
-                network,
-                fabric,
-                injections,
-                sink,
-                opts,
-                &plan,
-                n.max(1),
-                on_delivery,
-            )
-            .stats
-        }
-        None => run_network_streamed_opts(network, fabric, injections, sink, opts, on_delivery),
-    }
+    let plan = ShardPlan::new(tree.pod_partition());
+    let source = SortedVecSource::new(injections);
+    let shards = cfg.shards;
+    run_network_sharded_source(
+        network,
+        fabric,
+        source,
+        sink,
+        opts,
+        &plan,
+        shards,
+        on_delivery,
+    )
+    .stats
 }
 
 /// A deliberate latency fault injected at one core (for localization).
@@ -142,15 +138,12 @@ pub struct FatTreeExpConfig {
     /// leaves only the per-tap caps.
     #[serde(default)]
     pub plane_budget: Option<usize>,
-    /// Shard count for the pod-sharded engine (`rlir_sim::shard`):
-    /// `Some(n)` routes both engine phases through
-    /// [`run_network_sharded`] over the fat-tree's pod partition —
-    /// byte-identical for every `n`, including `Some(1)`, which is the
-    /// identity baseline. `None` (the default) keeps the sequential
-    /// engine, whose same-time tie order differs; existing pinned digests
-    /// are untouched.
+    /// Shards both engine phases run on ([`run_network_sharded_source`]
+    /// over the fat-tree's pod partition) — byte-identical for every
+    /// count; 1 (the default) runs inline on the calling thread, and so
+    /// does 0 (what a config without the field deserializes to).
     #[serde(default)]
-    pub shards: Option<usize>,
+    pub shards: usize,
     /// Tenant assignment for the plane's taps: `Some((w1, w2))` places the
     /// segment-1 taps in tenant 0 with weight `w1` and the segment-2 taps
     /// in tenant 1 with weight `w2` — weighted guaranteed shares of
@@ -185,7 +178,7 @@ impl FatTreeExpConfig {
             epoch: Some(SimDuration::from_millis(5)),
             buffered_oracle: false,
             plane_budget: None,
-            shards: None,
+            shards: 1,
             tenant_split: None,
         }
     }
@@ -297,8 +290,7 @@ fn measured_trace_cfg(
 
 /// The measured traffic of a configuration: one trace per source ToR
 /// towards the destination block, with the burst envelope applied when
-/// configured. Shared by [`run_fattree`] and the engine benchmarks (so
-/// `BENCH_network.json` times exactly this workload).
+/// configured. Shared by [`run_fattree`] and the engine benchmarks.
 pub fn measured_traces(cfg: &FatTreeExpConfig, tree: &FatTree) -> Vec<(TopoId, rlir_trace::Trace)> {
     let dst_tor = cfg.dst_tor(tree);
     cfg.src_tors(tree)
@@ -547,7 +539,6 @@ pub fn run_fattree_faulted(
     let opts = RunOptions {
         faults,
         stop: detector.is_some().then_some(&stop),
-        ..RunOptions::default()
     };
     let (stats, detection) = match detector {
         Some(dc) => {

@@ -35,7 +35,9 @@ use rlir_net::clock::ClockModel;
 use rlir_net::packet::{Packet, ReferenceInfo, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_rli::{PolicyKind, RliSender};
-use rlir_sim::{run_network_streamed_opts, HopEvent, HopSink, RunOptions, StreamedDelivery};
+use rlir_sim::{
+    run_network_streamed_source, HopEvent, HopSink, RunOptions, SortedVecSource, StreamedDelivery,
+};
 use rlir_topo::{FatTree, TopoId};
 use serde::{Deserialize, Serialize};
 
@@ -255,10 +257,10 @@ pub fn run_plane_scale(cfg: &PlaneScaleConfig) -> PlaneScaleOutcome {
         next: SimTime::ZERO + cfg.sample_every,
         samples: Vec::new(),
     };
-    let stats = run_network_streamed_opts(
+    let stats = run_network_streamed_source(
         network,
         &fabric,
-        injections,
+        SortedVecSource::new(injections),
         &mut sink,
         RunOptions::default(),
         &mut |_: &StreamedDelivery<'_>| {},

@@ -34,8 +34,8 @@ use rlir_net::time::SimDuration;
 use rlir_net::FlowKey;
 use rlir_rli::{EpochSnapshot, PolicyKind, RliSender};
 use rlir_sim::{
-    run_network_streamed, run_network_streamed_source, Forwarder, InjectionSource, Network,
-    NetworkRunStats, NodeId, Port, QueueConfig, RouteDecision, RunOptions, StreamDigest, TeeSink,
+    run_network_streamed_source, Forwarder, InjectionSource, Network, NetworkRunStats, NodeId,
+    Port, QueueConfig, RouteDecision, RunOptions, SortedVecSource, StreamDigest, TeeSink,
 };
 use rlir_trace::{generate, EntryMap, PcapRecords, PcapReplaySource, PcapWriter, TraceConfig};
 use std::collections::VecDeque;
@@ -383,10 +383,17 @@ fn replay_vec<R: Read>(cfg: &ReplayConfig, records: PcapRecords<R>, entry: Entry
     }
     let mut digest = StreamDigest::default();
     let mut delivery_digest = StreamDigest::default();
-    run_network_streamed(build_net(cfg), &Line, injections, &mut digest, |d| {
-        delivery_digest.fold(d.packet.id.0);
-        delivery_digest.fold(d.delivered_at.as_nanos());
-    });
+    run_network_streamed_source(
+        build_net(cfg),
+        &Line,
+        SortedVecSource::new(injections),
+        &mut digest,
+        RunOptions::default(),
+        |d| {
+            delivery_digest.fold(d.packet.id.0);
+            delivery_digest.fold(d.delivered_at.as_nanos());
+        },
+    );
     digest.fold(delivery_digest.value());
     digest.value()
 }

@@ -112,7 +112,7 @@ mod tests {
     use super::*;
     use rlir_net::time::SimTime;
     use rlir_net::{FlowKey, HashAlgo};
-    use rlir_sim::run_network;
+    use rlir_sim::{run_network_with, NullSink};
 
     fn tree() -> FatTree {
         FatTree::new(4, HashAlgo::default())
@@ -150,7 +150,7 @@ mod tests {
         let f = flow(&t, src, dst, 777);
         let expected = t.path(&f).unwrap();
         let p = Packet::regular(1, f, 1000, SimTime::ZERO);
-        let run = run_network(net, &fabric, vec![(src, p)]);
+        let run = run_network_with(net, &fabric, vec![(src, p)], &mut NullSink);
         assert_eq!(run.deliveries.len(), 1);
         let hops: Vec<_> = run.deliveries[0].hops.iter().map(|h| h.node).collect();
         assert_eq!(hops, expected, "sim path must equal topology path");
@@ -167,7 +167,7 @@ mod tests {
             let net = build_network(&t, qcfg(), SimDuration::ZERO, &[]);
             let fabric = FatTreeFabric::new(&t, enabled);
             let p = Packet::regular(1, f, 1000, SimTime::ZERO);
-            let run = run_network(net, &fabric, vec![(src, p)]);
+            let run = run_network_with(net, &fabric, vec![(src, p)], &mut NullSink);
             assert_eq!(
                 run.deliveries[0].packet.mark, want_mark,
                 "enabled={enabled}"
@@ -186,15 +186,17 @@ mod tests {
             ..qcfg()
         };
         let fabric = FatTreeFabric::new(&t, false);
-        let base = run_network(
+        let base = run_network_with(
             build_network(&t, qcfg(), SimDuration::ZERO, &[]),
             &fabric,
             vec![(src, Packet::regular(1, f, 1000, SimTime::ZERO))],
+            &mut NullSink,
         );
-        let slowed = run_network(
+        let slowed = run_network_with(
             build_network(&t, qcfg(), SimDuration::ZERO, &[(core, slow)]),
             &fabric,
             vec![(src, Packet::regular(1, f, 1000, SimTime::ZERO))],
+            &mut NullSink,
         );
         let d0 = base.deliveries[0].true_delay().as_nanos();
         let d1 = slowed.deliveries[0].true_delay().as_nanos();
@@ -204,7 +206,7 @@ mod tests {
     #[test]
     fn dead_tor_uplink_reroutes_over_ecmp_sibling() {
         use rlir_sim::fault::{FaultEvent, FaultKind, FaultScript};
-        use rlir_sim::{run_network_streamed_opts, NullSink, RunOptions};
+        use rlir_sim::{run_network_streamed_source, RunOptions, SortedVecSource};
         let t = tree();
         let (src, dst) = (t.tor(0, 0), t.tor(3, 1));
         // Find a flow whose first upward choice is ToR port 0, then kill
@@ -227,10 +229,10 @@ mod tests {
         }]);
         let fabric = FatTreeFabric::new(&t, false);
         let mut first_aggs: Vec<usize> = Vec::new();
-        let stats = run_network_streamed_opts(
+        let stats = run_network_streamed_source(
             build_network(&t, qcfg(), SimDuration::from_nanos(100), &[]),
             &fabric,
-            inj,
+            SortedVecSource::new(inj),
             &mut NullSink,
             RunOptions {
                 faults: Some(&script),
@@ -247,7 +249,7 @@ mod tests {
     #[test]
     fn dead_downlink_blackholes_with_drop_accounting() {
         use rlir_sim::fault::{FaultEvent, FaultKind, FaultScript};
-        use rlir_sim::{run_network_streamed_opts, NullSink, RunOptions};
+        use rlir_sim::{run_network_streamed_source, RunOptions, SortedVecSource};
         let t = tree();
         let (src, dst) = (t.tor(0, 0), t.tor(3, 1));
         let f = flow(&t, src, dst, 777);
@@ -269,10 +271,10 @@ mod tests {
             })
             .collect();
         let fabric = FatTreeFabric::new(&t, false);
-        let stats = run_network_streamed_opts(
+        let stats = run_network_streamed_source(
             build_network(&t, qcfg(), SimDuration::from_nanos(100), &[]),
             &fabric,
-            inj,
+            SortedVecSource::new(inj),
             &mut NullSink,
             RunOptions {
                 faults: Some(&script),
@@ -296,10 +298,11 @@ mod tests {
             "8.8.8.8".parse().unwrap(),
             53,
         );
-        let run = run_network(
+        let run = run_network_with(
             net,
             &fabric,
             vec![(t.tor(0, 0), Packet::regular(1, f, 100, SimTime::ZERO))],
+            &mut NullSink,
         );
         assert!(run.deliveries.is_empty());
         assert_eq!(run.route_drops[t.tor(0, 0)], 1);

@@ -26,6 +26,6 @@ pub mod scenario;
 pub mod seed;
 
 pub use registry::{RegistryError, ScenarioRegistry};
-pub use runner::{shards_from_env, SweepRunner};
+pub use runner::{shards_from_env, ShardsEnvError, SweepRunner};
 pub use scenario::{PointContext, Scenario};
 pub use seed::derive_seed;

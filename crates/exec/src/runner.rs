@@ -107,21 +107,54 @@ impl Default for SweepRunner {
 }
 
 /// Shard count for the in-run pod-sharded engine from the `RLIR_SHARDS`
-/// environment variable: `Some(n)` for a positive integer, `None` when
-/// unset or unparsable (scenarios then keep the sequential engine). The
-/// CLI's `--shards` flag overrides this, mirroring `--threads` vs
-/// [`SweepRunner::from_env`]'s `RLIR_THREADS`.
-pub fn shards_from_env() -> Option<usize> {
-    std::env::var("RLIR_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
+/// environment variable: `Ok(Some(n))` for a positive integer, `Ok(None)`
+/// when unset (scenarios then run on one shard), an error for anything
+/// else — exactly what the CLI's `--shards` flag, which overrides this,
+/// accepts and rejects.
+pub fn shards_from_env() -> Result<Option<usize>, ShardsEnvError> {
+    parse_shards(std::env::var_os("RLIR_SHARDS"))
 }
+
+fn parse_shards(raw: Option<std::ffi::OsString>) -> Result<Option<usize>, ShardsEnvError> {
+    let Some(raw) = raw else { return Ok(None) };
+    let value = raw.to_string_lossy().into_owned();
+    match value.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(Some(n)),
+        _ => Err(ShardsEnvError { value }),
+    }
+}
+
+/// `RLIR_SHARDS` is set to something other than a positive integer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardsEnvError {
+    /// The rejected value.
+    pub value: String,
+}
+
+impl std::fmt::Display for ShardsEnvError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "RLIR_SHARDS={:?} is not a positive integer", self.value)
+    }
+}
+
+impl std::error::Error for ShardsEnvError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::seed::derive_seed;
+
+    #[test]
+    fn shards_env_is_unset_a_count_or_an_error() {
+        let parse = |v: Option<&str>| parse_shards(v.map(Into::into));
+        assert_eq!(parse(None), Ok(None));
+        assert_eq!(parse(Some("3")), Ok(Some(3)));
+        for bad in ["0", "abc"] {
+            let err = parse(Some(bad)).expect_err(bad);
+            assert_eq!(err.value, bad);
+            assert!(err.to_string().contains("RLIR_SHARDS"), "{err}");
+        }
+    }
 
     /// Each point hashes its derived seed a few thousand times — enough
     /// work to interleave threads, fully seed-determined.

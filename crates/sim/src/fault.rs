@@ -178,9 +178,6 @@ pub(crate) struct FaultState<'a> {
     /// Per-port baseline processing delays of currently-degraded switches,
     /// saved at the first uncleared onset.
     slowed: BTreeMap<NodeId, Vec<SimDuration>>,
-    /// Packets dropped *because of* a fault: loss-burst deaths plus
-    /// dead-link blackholes (also counted in the per-node route drops).
-    pub(crate) fault_drops: u64,
 }
 
 impl<'a> FaultState<'a> {
@@ -191,19 +188,15 @@ impl<'a> FaultState<'a> {
             dead: BTreeSet::new(),
             lossy: BTreeSet::new(),
             slowed: BTreeMap::new(),
-            fault_drops: 0,
         }
     }
 
     /// Apply every transition due at or before `at`. Transitions between
     /// two packet events apply lazily at the later event — equivalent,
-    /// since fault state is only *read* when packets are processed.
-    ///
-    /// Returns the range of script indices applied by this call so the
-    /// engine can deliver them to the sink (see
-    /// [`HopSink::on_fault`](crate::network::HopSink::on_fault)).
-    pub(crate) fn advance(&mut self, at: SimTime, network: &mut Network) -> std::ops::Range<usize> {
-        let first = self.next;
+    /// since fault state is only *read* when packets are processed. (The
+    /// sink hears of them from the engine's emitter, see
+    /// [`HopSink::on_fault`](crate::network::HopSink::on_fault).)
+    pub(crate) fn advance(&mut self, at: SimTime, network: &mut Network) {
         while let Some(ev) = self.script.get(self.next) {
             if ev.at > at {
                 break;
@@ -243,19 +236,10 @@ impl<'a> FaultState<'a> {
                 FaultKind::LossBurstEnd { node } => {
                     self.lossy.remove(&node);
                 }
-                // Measurement-plane transitions: no network effect. They are
-                // surfaced to the sink via the applied-index range.
+                // Measurement-plane transitions: no network effect.
                 FaultKind::TapDown { .. } | FaultKind::TapUp { .. } => {}
             }
         }
-        first..self.next
-    }
-
-    /// The script transition at index `i` (as returned by [`advance`]).
-    ///
-    /// [`advance`]: FaultState::advance
-    pub(crate) fn event(&self, i: usize) -> FaultEvent {
-        self.script[i]
     }
 
     /// True while `node` is inside a loss burst.

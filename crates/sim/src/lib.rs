@@ -11,18 +11,21 @@
 //!   sorted merge (no event heap, no intermediate buffering) with full
 //!   per-packet ground truth; the seed's two-pass variant is kept as a
 //!   differential-testing oracle and benchmark baseline.
-//! * [`network`] — a general event-driven engine for arbitrary topologies
-//!   (used for the fat-tree RLIR experiments), with pluggable forwarding,
-//!   ToS-marking hooks, hop-by-hop ground truth and a typed per-hop
+//! * [`network`] — arbitrary switch topologies with pluggable forwarding
+//!   and ToS-marking hooks, hop-by-hop ground truth, and the typed per-hop
 //!   observation stream ([`HopEvent`]/[`HopSink`]) the measurement plane
 //!   taps into.
-//! * [`sched`] — the engine's event schedulers: the default bucketed
-//!   calendar queue and the original binary heap kept as differential
-//!   oracle.
+//! * [`shard`] — the engine: one keyed per-hop step, one `(time, ordinal,
+//!   progress)` order, one loop. [`run_network_streamed_source`] runs it
+//!   on one shard; [`run_network_sharded_source`] splits it by a
+//!   topology-supplied node partition into conservative-lookahead
+//!   windows, byte-identical for any shard count;
+//!   [`run_network_with`] buffers its deliveries.
+//! * [`sched`] — the engine's one event queue, a calendar queue at the
+//!   fabric's grain.
 //! * [`slab`] — the free-list arena holding in-flight packet state, so the
-//!   schedulers move 8-byte `Copy` handles instead of full packets and
-//!   engine memory is O(max in-flight) (the pre-slab engine is retained as
-//!   [`EngineKind::MovingOracle`]).
+//!   queue moves 8-byte `Copy` handles instead of full packets and engine
+//!   memory is O(max in-flight).
 //! * [`chaos`] — seeded chaos-campaign generation: composes random
 //!   fault scripts (correlated link flaps, gray-loss ramps, tap outages)
 //!   from a single `u64` seed via a self-contained splitmix64 stream.
@@ -31,18 +34,10 @@
 //!   the cooperative [`StopFlag`] termination hook closed-loop detectors
 //!   raise; an empty [`FaultScript`] is byte-identical to a fault-free
 //!   run.
-//! * [`shard`] — the pod-sharded engine: conservative-lookahead windows
-//!   over a topology-supplied node partition, each shard owning its own
-//!   scheduler/slab/fault cursor, with cross-shard packets handed off at
-//!   window barriers and the merged stream byte-identical for any shard
-//!   count. One per-hop cascade: a single shard emits in place, several
-//!   log their windows for the coordinator to merge; ingest is pulled
-//!   from an [`InjectionSource`] a window at a time.
-//! * [`source`] — pull-based [`InjectionSource`]s: the engine's streaming
-//!   ingest path (O(source buffer), not O(run)), with the sorted-Vec
-//!   adapter kept byte-identical to the old collect-then-sort ingest as
-//!   its differential oracle. `rlir_trace`'s pcap replay source streams
-//!   captures off disk through this trait.
+//! * [`source`] — pull-based [`InjectionSource`]s: the engine's one
+//!   ingest path (O(source buffer), not O(run)); [`SortedVecSource`]
+//!   wraps a list. `rlir_trace`'s pcap replay source streams captures off
+//!   disk through this trait.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -62,18 +57,18 @@ pub use chaos::ChaosConfig;
 pub use crosstraffic::{calibrate_keep_prob, CrossInjector, CrossModel};
 pub use fault::{DeadPorts, FaultEvent, FaultKind, FaultScript, StopFlag};
 pub use network::{
-    run_network, run_network_engine, run_network_sched, run_network_streamed,
-    run_network_streamed_opts, run_network_streamed_sched, run_network_streamed_source,
-    run_network_with, EngineKind, Forwarder, Hop, HopEvent, HopKind, HopSink, NetDelivery, Network,
-    NetworkRun, NetworkRunStats, NodeId, NullSink, Port, PortId, RouteDecision, RunOptions,
-    SchedulerKind, StreamDigest, StreamedDelivery, SwitchNode, TeeSink,
+    run_network_with, Forwarder, Hop, HopEvent, HopKind, HopSink, NetDelivery, Network, NetworkRun,
+    NetworkRunStats, NodeId, NullSink, Port, PortId, RouteDecision, RunOptions, StreamDigest,
+    StreamedDelivery, SwitchNode, TeeSink,
 };
 pub use pipeline::{
     run_tandem, run_tandem_two_pass, run_tandem_with, Delivery, TandemConfig, TandemResult,
     TandemStats,
 };
 pub use queue::{ClassCounters, FifoQueue, QueueConfig, Verdict};
-pub use sched::{CalendarQueue, EventSchedule, HeapSchedule};
-pub use shard::{run_network_sharded, run_network_sharded_source, ShardPlan, ShardRunStats};
+pub use sched::{CalendarQueue, EventSchedule};
+pub use shard::{
+    run_network_sharded_source, run_network_streamed_source, ShardPlan, ShardRunStats,
+};
 pub use slab::{FlightState, PacketSlab, SlotId};
 pub use source::{InjectionSource, SortedVecSource};

@@ -1,57 +1,32 @@
-//! Event-driven simulation of arbitrary switch topologies.
+//! Arbitrary switch topologies and the observation surface of a run.
 //!
 //! The tandem pipeline covers the paper's Fig. 3 evaluation; the RLIR
 //! architecture itself (§3) lives on a *fat-tree*, where packets traverse
 //! ToR → edge → core → edge → ToR with ECMP choosing among equal-cost ports.
-//! This module provides the general engine: switches with per-output-port
-//! [`FifoQueue`]s, links with propagation delay, a pluggable [`Forwarder`]
-//! (implemented by `rlir-topo`), and per-packet hop-by-hop ground truth.
-//!
-//! Events are drained in (time, sequence) order from a
-//! [`CalendarQueue`](crate::sched::CalendarQueue) sized at the fabric's
-//! grain (the original `BinaryHeap` is kept behind
-//! [`SchedulerKind::Heap`] as the differential oracle), so the simulation is
-//! deterministic and every queue sees time-ordered arrivals.
+//! This module describes what the engine ([`crate::shard`]) runs and what
+//! it reports: switches with per-output-port [`FifoQueue`]s, links with
+//! propagation delay, a pluggable [`Forwarder`] (implemented by
+//! `rlir-topo`), per-packet hop-by-hop ground truth, and
+//! [`run_network_with`], the buffered entry that collects every delivery.
 //!
 //! ## The hop-event stream
 //!
-//! [`run_network_with`] additionally emits a typed, allocation-free stream
-//! of [`HopEvent`]s to a [`HopSink`] — every switch arrival, queue
-//! enqueue/dequeue, drop and delivery, each carrying the packet by
-//! reference plus the hop record accumulated so far. This is the
-//! measurement plane's observation point: an RLI instance "deployed at a
-//! router" is a sink that watches one `(node, port)` tap of this stream
-//! (see `rlir::plane::MeasurementPlane`). Sink callbacks are invoked in
-//! engine processing order: [`HopKind::Arrive`] events are therefore
-//! globally time-ordered, while dequeue/delivery timestamps may run ahead
-//! of the engine clock (the analytic queues decide departure at offer
-//! time) — consumers that need strict delivery-time order sort per tap, as
-//! [`NetworkRun::deliveries`] itself is sorted.
-//!
-//! ## The arena-backed engine
-//!
-//! In-flight packet state (packet, injection provenance, hop record)
-//! lives in a free-list [`PacketSlab`](crate::slab::PacketSlab); the
-//! scheduler moves only an 8-byte `Copy` handle (slot + node), and slots
-//! are recycled the moment a packet delivers or drops. Engine memory is
-//! therefore O(max in-flight), and hop-record storage is amortized across
-//! the run (recycled slots keep their vectors' capacity). The pre-slab
-//! engine — full packet + `Vec<Hop>` moved through every scheduler
-//! push/pop — is retained behind [`EngineKind::MovingOracle`] as the
-//! differential oracle; the two are pinned byte-identical (deliveries,
-//! drop counters, hop records, full `HopEvent` + watermark sequence) by
-//! `tests/slab_engine_differential.rs`.
-//!
-//! [`run_network_streamed`] exposes the slab's memory bound end-to-end: a
-//! delivery callback replaces the buffered `Vec<NetDelivery>`, so a
-//! plane-driven run holds *no* per-delivery state at all and returns a
-//! bounded [`NetworkRunStats`].
+//! Every run emits a typed, allocation-free stream of [`HopEvent`]s to a
+//! [`HopSink`] — every switch arrival, queue enqueue/dequeue, drop and
+//! delivery, each carrying the packet by reference plus the hop record
+//! accumulated so far. This is the measurement plane's observation point:
+//! an RLI instance "deployed at a router" is a sink that watches one
+//! `(node, port)` tap of this stream (see `rlir::plane::MeasurementPlane`).
+//! Sink callbacks are invoked in engine processing order: [`HopKind::Arrive`]
+//! events are therefore globally time-ordered, while dequeue/delivery
+//! timestamps may run ahead of the engine clock (the analytic queues decide
+//! departure at offer time) — consumers that need strict delivery-time
+//! order sort per tap, as [`NetworkRun::deliveries`] itself is sorted.
 
-use crate::fault::{DeadPorts, FaultScript, FaultState, StopFlag};
-use crate::queue::{FifoQueue, QueueConfig, Verdict};
-use crate::sched::{fabric_geometry, CalendarQueue, EventSchedule, HeapSchedule, SchedStats};
-use crate::slab::{PacketSlab, SlotId};
-use crate::source::{InjectionSource, SortedVecSource};
+use crate::fault::{DeadPorts, FaultScript, StopFlag};
+use crate::queue::{FifoQueue, QueueConfig};
+use crate::sched::{fabric_geometry, SchedStats};
+use crate::source::SortedVecSource;
 use rlir_net::packet::Packet;
 use rlir_net::time::{SimDuration, SimTime};
 
@@ -131,6 +106,21 @@ impl Network {
             let ports = node.ports.iter();
             ports.filter_map(move |p| Some((from, p.link_to?, p)))
         })
+    }
+
+    /// The geometry of the engine's calendar queue on this fabric (see
+    /// [`fabric_geometry`]): bucket width from the minimum switch-to-switch
+    /// link delay, wheel span from the longest per-hop residence —
+    /// processing, a full buffer's drain, the link (a fault script that
+    /// slows a switch mid-run only sends more pushes to the overflow heap).
+    pub fn calendar_geometry(&self) -> (u32, u32) {
+        let residence = |(_, _, p): (_, _, &Port)| {
+            let cfg = p.queue.config();
+            let buffer = u32::try_from(cfg.capacity_bytes).unwrap_or(u32::MAX);
+            (cfg.processing_delay + cfg.transmission(buffer) + p.link_delay).as_nanos()
+        };
+        let lookahead = self.links().map(|(_, _, p)| p.link_delay.as_nanos()).min();
+        fabric_geometry(lookahead, self.links().map(residence).max().unwrap_or(0))
     }
 
     /// Look up a node id by name.
@@ -258,10 +248,10 @@ pub trait HopSink {
 
     /// The engine's **event-time watermark** advanced to `watermark`.
     ///
-    /// Called by [`run_network_with`] each time the scheduler's clock moves
-    /// forward (strictly increasing across calls), *before* the events at
-    /// that time are emitted. The contract, which streaming consumers build
-    /// bounded reorder windows on:
+    /// Called by the engine each time its clock moves forward (strictly
+    /// increasing across calls), *before* the events at that time are
+    /// emitted. The contract, which streaming consumers build bounded
+    /// reorder windows on:
     ///
     /// * every subsequent [`HopEvent`] — of any [`HopKind`] — carries
     ///   `ev.at >= watermark` (departure/delivery timestamps are computed
@@ -298,7 +288,7 @@ impl<F: FnMut(&HopEvent<'_>)> HopSink for F {
     }
 }
 
-/// The no-op sink used by [`run_network`]; its callbacks compile away.
+/// The no-op sink: its callbacks compile away.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 
@@ -348,8 +338,7 @@ impl<A: HopSink, B: HopSink> HopSink for TeeSink<'_, A, B> {
 ///
 /// Two runs produced the same observable stream iff their digests match —
 /// the differential tests and the trace-replay bench use this to pin
-/// streamed ingest ([`run_network_streamed_source`]) to the sorted-Vec
-/// oracle, event for event. [`fold`](Self::fold) is public so callers can
+/// streamed ingest to the sorted-Vec oracle, event for event. [`fold`](Self::fold) is public so callers can
 /// mix in anything else order-sensitive (delivery records, counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamDigest(u64);
@@ -429,108 +418,7 @@ pub struct NetworkRun {
     pub network: Network,
 }
 
-/// Which event scheduler drives the run (see [`crate::sched`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Calendar queue at the fabric's grain (the default): bucket width
-    /// from the network's minimum switch-to-switch link delay, wheel span
-    /// from its longest per-hop residence; see [`fabric_geometry`].
-    #[default]
-    Calendar,
-    /// Calendar queue with an explicit geometry — any geometry drains in
-    /// the same order; one that ignores the fabric only costs speed.
-    CalendarFixed {
-        /// `log2` of the bucket width in nanoseconds.
-        bucket_ns_log2: u32,
-        /// `log2` of the bucket count of the wheel.
-        buckets_log2: u32,
-    },
-    /// The original binary heap — differential oracle / benchmark baseline.
-    Heap,
-}
-
-impl SchedulerKind {
-    /// `(bucket_ns_log2, buckets_log2)` of the calendar this kind runs on
-    /// `network`; `None` is the heap.
-    pub(crate) fn geometry(self, network: &Network) -> Option<(u32, u32)> {
-        match self {
-            SchedulerKind::Calendar => {
-                // Residence at a port: processing, a full buffer's drain,
-                // the link (a fault script that slows a switch mid-run only
-                // sends more pushes to the overflow heap).
-                let residence = |(_, _, p): (_, _, &Port)| {
-                    let cfg = p.queue.config();
-                    let buffer = u32::try_from(cfg.capacity_bytes).unwrap_or(u32::MAX);
-                    (cfg.processing_delay + cfg.transmission(buffer) + p.link_delay).as_nanos()
-                };
-                let lookahead = network.links().map(|(_, _, p)| p.link_delay.as_nanos());
-                let residence = network.links().map(residence).max();
-                Some(fabric_geometry(lookahead.min(), residence.unwrap_or(0)))
-            }
-            SchedulerKind::CalendarFixed {
-                bucket_ns_log2,
-                buckets_log2,
-            } => Some((bucket_ns_log2, buckets_log2)),
-            SchedulerKind::Heap => None,
-        }
-    }
-}
-
-/// Evaluate `$run` with `$queue` bound to a constructor of the scheduler
-/// `$kind` asks for on `$network` — once per implementation, so the engine
-/// loops are monomorphic in their queue.
-macro_rules! with_scheduler {
-    ($kind:expr, $network:expr, |$queue:ident| $run:expr) => {
-        if let Some((width, buckets)) = $kind.geometry($network) {
-            let $queue = || CalendarQueue::with_geometry(width, buckets);
-            $run
-        } else {
-            let $queue = HeapSchedule::new;
-            $run
-        }
-    };
-}
-pub(crate) use with_scheduler;
-
-/// Which in-flight representation drives the run (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// The arena-backed engine (the default): packet state pinned in a
-    /// free-list slab, 8-byte `Copy` handles through the scheduler, slots
-    /// recycled at deliver/drop — engine memory O(max in-flight).
-    #[default]
-    Slab,
-    /// The pre-slab engine moving the full event (packet + hop vector, ~130
-    /// bytes) through every scheduler push/pop — the differential oracle
-    /// and benchmark baseline.
-    MovingOracle,
-}
-
-/// What the scheduler moves under the slab engine: a slot handle plus the
-/// switch the packet arrives at next. 8 bytes, `Copy` — calendar-queue
-/// rotations and heap sift-downs shuffle this instead of the ~130-byte
-/// moving-engine event.
-#[derive(Debug, Clone, Copy)]
-struct SlotEvent {
-    node: u32,
-    slot: SlotId,
-}
-
-const _: () = assert!(std::mem::size_of::<SlotEvent>() == 8);
-// … which makes the scheduler entry around it three words.
-const _: () = assert!(std::mem::size_of::<crate::sched::Entry<SlotEvent>>() == 24);
-
-/// The moving oracle's event: everything a packet is, carried by value.
-#[derive(Debug)]
-struct Event {
-    node: NodeId,
-    packet: Packet,
-    injected_node: NodeId,
-    injected_at: SimTime,
-    hops: Vec<Hop>,
-}
-
-/// One delivery handed to [`run_network_streamed`]'s callback: the same
+/// One delivery handed to a run's delivery callback: the same
 /// ground truth a [`NetDelivery`] carries, borrowed from the engine's slab
 /// — no per-delivery allocation. The slot is recycled as soon as the
 /// callback returns; copy out what must outlive it ([`Self::to_owned`]).
@@ -579,7 +467,7 @@ impl StreamedDelivery<'_> {
 ///
 /// # Per-shard vs fused semantics
 ///
-/// The pod-sharded engine ([`crate::shard::run_network_sharded`]) returns
+/// The pod-sharded engine ([`crate::shard::run_network_sharded_source`]) returns
 /// one *fused* value of this struct. Every field a consumer can observe
 /// through the merged event stream is **shard-count invariant** — counted
 /// at emission, so `delivered`, `queue_drops`, `route_drops`, `injected`,
@@ -605,7 +493,7 @@ pub struct NetworkRunStats {
     pub route_drops: Vec<u64>,
     /// Packets injected.
     pub injected: u64,
-    /// Scheduler events processed (arrivals, including the injections).
+    /// Engine units processed (arrivals, including the injections).
     pub events: u64,
     /// High-water mark of concurrently in-flight packets — the engine's
     /// memory bound, independent of [`Self::injected`]. Sharded runs fuse
@@ -616,9 +504,9 @@ pub struct NetworkRunStats {
     /// in-flight) thanks to slot recycling. Sharded runs fuse this as the
     /// sum over shards; see [`crate::shard::ShardRunStats::merged`].
     pub hop_allocations: u64,
-    /// Scheduler traffic counters, summed over the shards' queues — a
-    /// diagnostic like the two above: it varies with the scheduler kind and
-    /// the shard count and is excluded from the determinism digests.
+    /// Queue traffic counters, summed over the shards' queues — a
+    /// diagnostic like the two above: it varies with the shard count and is
+    /// excluded from the determinism digests.
     pub sched: SchedStats,
     /// Packets dropped *because of* an injected fault (loss-burst deaths
     /// and dead-link blackholes) — a subset of the route drops. Zero for
@@ -628,622 +516,55 @@ pub struct NetworkRunStats {
     pub network: Network,
 }
 
-/// Run packets through the network.
-///
-/// `injections` is a list of `(entry_node, packet)`; each packet enters the
-/// network at `packet.created_at`. Returns deliveries plus per-node drop
-/// counts; final per-port queue counters are available in the returned
-/// network.
-pub fn run_network(
-    network: Network,
-    forwarder: &impl Forwarder,
-    injections: impl IntoIterator<Item = (NodeId, Packet)>,
-) -> NetworkRun {
-    run_network_with(network, forwarder, injections, &mut NullSink)
-}
-
-/// Run packets through the network, streaming every per-hop observation to
-/// `sink` (see [`HopEvent`]). Identical simulation semantics to
-/// [`run_network`]; the sink is purely observational.
-pub fn run_network_with(
-    network: Network,
-    forwarder: &impl Forwarder,
-    injections: impl IntoIterator<Item = (NodeId, Packet)>,
-    sink: &mut impl HopSink,
-) -> NetworkRun {
-    run_network_sched(
-        network,
-        forwarder,
-        injections,
-        sink,
-        SchedulerKind::default(),
-    )
-}
-
-/// [`run_network_with`] with an explicit scheduler choice — the two
-/// schedulers produce byte-identical runs (pinned by the scheduler property
-/// tests); `Heap` exists for differential testing and benchmarking.
-pub fn run_network_sched(
-    network: Network,
-    forwarder: &impl Forwarder,
-    injections: impl IntoIterator<Item = (NodeId, Packet)>,
-    sink: &mut impl HopSink,
-    scheduler: SchedulerKind,
-) -> NetworkRun {
-    run_network_engine(
-        network,
-        forwarder,
-        injections,
-        sink,
-        scheduler,
-        EngineKind::default(),
-    )
-}
-
-/// [`run_network_sched`] with an explicit engine choice. The two engines
-/// produce byte-identical runs — deliveries, drop counters, hop records
-/// and the full `HopEvent`/watermark sequence — pinned by
-/// `tests/slab_engine_differential.rs`; [`EngineKind::MovingOracle`]
-/// exists for differential testing and benchmarking.
-pub fn run_network_engine(
-    network: Network,
-    forwarder: &impl Forwarder,
-    injections: impl IntoIterator<Item = (NodeId, Packet)>,
-    sink: &mut impl HopSink,
-    scheduler: SchedulerKind,
-    engine: EngineKind,
-) -> NetworkRun {
-    match engine {
-        EngineKind::MovingOracle => with_scheduler!(scheduler, &network, |queue| {
-            run_core(network, forwarder, injections, sink, queue())
-        }),
-        EngineKind::Slab => {
-            let mut deliveries: Vec<NetDelivery> = Vec::new();
-            let stats = run_network_streamed_source(
-                network,
-                forwarder,
-                SortedVecSource::new(injections),
-                sink,
-                RunOptions {
-                    scheduler,
-                    ..RunOptions::default()
-                },
-                |d| deliveries.push(d.to_owned()),
-            );
-            deliveries.sort_by_key(|d| (d.delivered_at, d.packet.id));
-            NetworkRun {
-                deliveries,
-                queue_drops: stats.queue_drops,
-                route_drops: stats.route_drops,
-                network: stats.network,
-            }
-        }
-    }
-}
-
-/// Run packets through the network **without buffering deliveries**: each
-/// delivery is handed to `on_delivery` as it happens (borrowed from the
-/// slab, see [`StreamedDelivery`]) and its slot recycled immediately, so
-/// whole-run engine memory is O(max in-flight) — the mode plane-driven
-/// scenarios use. Simulation semantics, the hop-event stream and the drop
-/// accounting are identical to [`run_network_with`]; only the delivery
-/// presentation differs (processing order, not time-sorted).
-pub fn run_network_streamed(
-    network: Network,
-    forwarder: &impl Forwarder,
-    injections: impl IntoIterator<Item = (NodeId, Packet)>,
-    sink: &mut impl HopSink,
-    on_delivery: impl FnMut(&StreamedDelivery<'_>),
-) -> NetworkRunStats {
-    run_network_streamed_sched(
-        network,
-        forwarder,
-        injections,
-        sink,
-        SchedulerKind::default(),
-        on_delivery,
-    )
-}
-
-/// [`run_network_streamed`] with an explicit scheduler choice.
-pub fn run_network_streamed_sched(
-    network: Network,
-    forwarder: &impl Forwarder,
-    injections: impl IntoIterator<Item = (NodeId, Packet)>,
-    sink: &mut impl HopSink,
-    scheduler: SchedulerKind,
-    on_delivery: impl FnMut(&StreamedDelivery<'_>),
-) -> NetworkRunStats {
-    let opts = RunOptions {
-        scheduler,
-        ..RunOptions::default()
-    };
-    run_network_streamed_opts(network, forwarder, injections, sink, opts, on_delivery)
-}
-
-/// Run-shaping options for [`run_network_streamed_opts`] — the
-/// full-featured slab-engine entry the robustness scenarios use.
+/// Run-shaping options for a run (see
+/// [`run_network_streamed_source`](crate::shard::run_network_streamed_source)).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions<'a> {
-    /// Event scheduler (see [`SchedulerKind`]).
-    pub scheduler: SchedulerKind,
     /// Timed fault script applied as the clock advances. `None` — and an
-    /// empty script — are byte-identical to today's fault-free runs.
+    /// empty script — are byte-identical to a fault-free run.
     pub faults: Option<&'a FaultScript>,
     /// Cooperative termination hook: when raised (typically by an online
     /// detector inside `sink`), the loop stops before its next event.
     pub stop: Option<&'a StopFlag>,
 }
 
-/// [`run_network_streamed`] with explicit [`RunOptions`]: scheduler
-/// choice, mid-run fault injection and an early-termination hook. With
-/// default options this is exactly [`run_network_streamed`]. Fault
-/// injection is a slab-engine feature; the retained
-/// [`EngineKind::MovingOracle`] stays fault-free.
-pub fn run_network_streamed_opts(
+/// Run packets through the network and return every delivery, sorted by
+/// `(delivery time, packet id)`, with the per-node drop counts and the
+/// final per-port queue counters; `sink` sees the hop-event stream (see
+/// [`HopEvent`]). `injections` is a list of `(entry_node, packet)`; each
+/// packet enters the network at `packet.created_at`.
+///
+/// The buffered convenience over
+/// [`run_network_streamed_source`](crate::shard::run_network_streamed_source),
+/// whose memory is O(max in-flight): this one holds every delivery.
+pub fn run_network_with(
     network: Network,
     forwarder: &impl Forwarder,
     injections: impl IntoIterator<Item = (NodeId, Packet)>,
     sink: &mut impl HopSink,
-    opts: RunOptions<'_>,
-    on_delivery: impl FnMut(&StreamedDelivery<'_>),
-) -> NetworkRunStats {
-    let source = SortedVecSource::new(injections);
-    run_network_streamed_source(network, forwarder, source, sink, opts, on_delivery)
-}
-
-/// [`run_network_streamed_opts`] over a pull-based [`InjectionSource`]
-/// instead of a materialized injection list — the O(buffer)-ingest entry
-/// trace replay uses. The engine pulls injections lazily and merges them
-/// against the scheduler head, so ingest-side memory is whatever the
-/// source buffers (a fixed reorder window for the pcap replay source),
-/// not O(run). Passing `&mut SortedVecSource::new(injections)` here is
-/// byte-identical — deliveries, drop counters, the full
-/// `HopEvent`/watermark sequence — to handing the same `injections` to
-/// [`run_network_streamed_opts`]; `tests/trace_replay.rs` pins that.
-///
-/// Pass the source by `&mut` reference to keep it (and any counters it
-/// carries, e.g. peak buffer occupancy) after the run.
-pub fn run_network_streamed_source(
-    network: Network,
-    forwarder: &impl Forwarder,
-    mut source: impl InjectionSource,
-    sink: &mut impl HopSink,
-    opts: RunOptions<'_>,
-    mut on_delivery: impl FnMut(&StreamedDelivery<'_>),
-) -> NetworkRunStats {
-    with_scheduler!(opts.scheduler, &network, |queue| {
-        let (source, on_delivery) = (&mut source, &mut on_delivery);
-        drive_slab(network, forwarder, source, sink, queue(), opts, on_delivery)
-    })
-}
-
-/// Mutable engine state shared by the injection and scheduled-arrival
-/// paths of the slab loop.
-struct SlabEngine<'a, F, S, D> {
-    network: Network,
-    forwarder: &'a F,
-    slab: PacketSlab,
-    sink: &'a mut S,
-    on_delivery: &'a mut D,
-    queue_drops: Vec<u64>,
-    route_drops: Vec<u64>,
-    delivered: u64,
-    events: u64,
-    watermark: Option<SimTime>,
-    /// Live fault state; `None` for fault-free runs, whose per-event cost
-    /// is a skipped `Option` check (pinned byte-identical to the
-    /// pre-fault engine).
-    faults: Option<FaultState<'a>>,
-}
-
-impl<F: Forwarder, S: HopSink, D: FnMut(&StreamedDelivery<'_>)> SlabEngine<'_, F, S, D> {
-    /// Emit one hop event for the packet in `slot` (which must be live).
-    #[inline]
-    fn emit(&mut self, kind: HopKind, node: usize, at: SimTime, slot: SlotId) {
-        let st = self.slab.get(slot);
-        self.sink.on_hop(&HopEvent {
-            kind,
-            node,
-            at,
-            packet: &st.packet,
-            injected_node: st.injected_node,
-            injected_at: st.injected_at,
-            hops: st.hops(),
-        });
-    }
-
-    /// Process one packet arrival at `node` — the entire per-event body of
-    /// the engine, identical whether the packet was just injected or popped
-    /// off the schedule. Mirrors the moving oracle event for event: same
-    /// processing order, same `HopEvent`/watermark sequence.
-    fn arrive(
-        &mut self,
-        at: SimTime,
-        node: usize,
-        slot: SlotId,
-        schedule: &mut impl EventSchedule<SlotEvent>,
-    ) {
-        self.events += 1;
-        if let Some(fs) = self.faults.as_mut() {
-            let applied = fs.advance(at, &mut self.network);
-            for i in applied {
-                let ev = self.faults.as_ref().expect("faults present").event(i);
-                self.sink.on_fault(&ev);
-            }
-        }
-        if self.watermark.is_none_or(|w| at > w) {
-            self.sink.on_watermark(at);
-            self.watermark = Some(at);
-        }
-        self.emit(HopKind::Arrive, node, at, slot);
-        if self.faults.as_ref().is_some_and(|f| f.lossy(node)) {
-            // Loss burst: the packet dies here, accounted exactly like a
-            // route drop so drop-aware taps see it.
-            if let Some(fs) = self.faults.as_mut() {
-                fs.fault_drops += 1;
-            }
-            self.route_drops[node] += 1;
-            self.emit(HopKind::RouteDrop, node, at, slot);
-            self.slab.release(slot);
-            return;
-        }
-        let mut decision = self.forwarder.route(node, &self.slab.get(slot).packet);
-        let mut blackholed = false;
-        if let (RouteDecision::Forward(chosen), Some(fs)) = (decision, self.faults.as_ref()) {
-            if fs.is_dead(node, chosen) {
-                let dead = fs.dead_ports(node);
-                decision =
-                    match self
-                        .forwarder
-                        .reroute(node, &self.slab.get(slot).packet, chosen, &dead)
-                    {
-                        RouteDecision::Forward(alt) if !fs.is_dead(node, alt) => {
-                            RouteDecision::Forward(alt)
-                        }
-                        RouteDecision::Deliver => RouteDecision::Deliver,
-                        _ => {
-                            blackholed = true;
-                            RouteDecision::Drop
-                        }
-                    };
-            }
-        }
-        if blackholed {
-            if let Some(fs) = self.faults.as_mut() {
-                fs.fault_drops += 1;
-            }
-        }
-        match decision {
-            RouteDecision::Drop => {
-                self.route_drops[node] += 1;
-                self.emit(HopKind::RouteDrop, node, at, slot);
-                self.slab.release(slot);
-            }
-            RouteDecision::Deliver => self.deliver(at, node, slot),
-            RouteDecision::Forward(port_id) => {
-                self.forwarder
-                    .on_forward(node, port_id, self.slab.packet_mut(slot));
-                let verdict = {
-                    let port = &mut self.network.nodes[node].ports[port_id];
-                    port.queue.offer(at, &self.slab.get(slot).packet)
-                };
-                match verdict {
-                    Verdict::Dropped => {
-                        self.queue_drops[node] += 1;
-                        self.emit(HopKind::QueueDrop { port: port_id }, node, at, slot);
-                        self.slab.release(slot);
-                    }
-                    Verdict::Departs(departed) => {
-                        self.emit(HopKind::Enqueue { port: port_id }, node, at, slot);
-                        self.slab.push_hop(
-                            slot,
-                            Hop {
-                                node,
-                                port: port_id,
-                                arrived: at,
-                                departed,
-                            },
-                        );
-                        self.emit(
-                            HopKind::Dequeue {
-                                port: port_id,
-                                arrived: at,
-                            },
-                            node,
-                            departed,
-                            slot,
-                        );
-                        let port = &self.network.nodes[node].ports[port_id];
-                        let (link_to, link_delay) = (port.link_to, port.link_delay);
-                        match link_to {
-                            Some(next) => {
-                                schedule.push(
-                                    departed + link_delay,
-                                    SlotEvent {
-                                        node: next as u32,
-                                        slot,
-                                    },
-                                );
-                            }
-                            None => self.deliver(departed + link_delay, node, slot),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Emit the `Deliver` hop event and the streamed delivery, then
-    /// recycle the slot.
-    fn deliver(&mut self, delivered_at: SimTime, node: usize, slot: SlotId) {
-        self.emit(HopKind::Deliver, node, delivered_at, slot);
-        {
-            let st = self.slab.get(slot);
-            (self.on_delivery)(&StreamedDelivery {
-                packet: &st.packet,
-                injected_node: st.injected_node,
-                injected_at: st.injected_at,
-                delivered_node: node,
-                delivered_at,
-                hops: st.hops(),
-            });
-        }
-        self.delivered += 1;
-        self.slab.release(slot);
-    }
-}
-
-/// The slab engine's event loop: merge the time-ordered injection source
-/// against the scheduler head — an injection due no later than the next
-/// scheduled event wins the tie, exactly as its lower sequence number did
-/// when the moving oracle pushed all injections up front. Each pull is
-/// checked against the source contract (valid entry node, non-decreasing
-/// injection time): a misordered source would emit `Arrive` events behind
-/// the watermark and silently break every streaming consumer, so the
-/// engine fails loudly instead.
-fn drive_slab<F: Forwarder, S: HopSink, D: FnMut(&StreamedDelivery<'_>)>(
-    network: Network,
-    forwarder: &F,
-    source: &mut impl InjectionSource,
-    sink: &mut S,
-    mut schedule: impl EventSchedule<SlotEvent>,
-    opts: RunOptions<'_>,
-    on_delivery: &mut D,
-) -> NetworkRunStats {
-    let n = network.nodes.len();
-    let mut eng = SlabEngine {
+) -> NetworkRun {
+    let mut deliveries: Vec<NetDelivery> = Vec::new();
+    let stats = crate::shard::run_network_streamed_source(
         network,
         forwarder,
-        slab: PacketSlab::new(),
+        SortedVecSource::new(injections),
         sink,
-        on_delivery,
-        queue_drops: vec![0u64; n],
-        route_drops: vec![0u64; n],
-        delivered: 0,
-        events: 0,
-        watermark: None,
-        faults: opts.faults.map(FaultState::new),
-    };
-    let mut injected = 0u64;
-    let mut last_injected_at = SimTime::ZERO;
-    loop {
-        if opts.stop.is_some_and(StopFlag::is_set) {
-            break;
-        }
-        // Only an entry due by the injection's time is looked at, so the
-        // calendar's cursor never passes the clock.
-        let due = match source.peek() {
-            Some(t) => schedule.peek_due(t).is_none_or(|(head, _)| t <= head),
-            None if schedule.is_empty() => break,
-            None => false,
-        };
-        if due {
-            let (node, packet) = source.next_injection().expect("source peeked non-empty");
-            assert!(node < n, "injection at unknown node {node}");
-            let at = packet.created_at;
-            assert!(
-                at >= last_injected_at,
-                "injection source went backwards: {} after {}",
-                at.as_nanos(),
-                last_injected_at.as_nanos()
-            );
-            last_injected_at = at;
-            injected += 1;
-            let slot = eng.slab.insert(packet, node, at);
-            eng.arrive(at, node, slot, &mut schedule);
-        } else {
-            let (at, se) = schedule.pop().expect("peeked non-empty");
-            eng.arrive(at, se.node as usize, se.slot, &mut schedule);
-        }
-    }
-
-    NetworkRunStats {
-        delivered: eng.delivered,
-        queue_drops: eng.queue_drops,
-        route_drops: eng.route_drops,
-        injected,
-        events: eng.events,
-        peak_live_slots: eng.slab.peak_live(),
-        hop_allocations: eng.slab.hop_allocations(),
-        sched: schedule.stats(),
-        fault_drops: eng.faults.map_or(0, |f| f.fault_drops),
-        network: eng.network,
-    }
-}
-
-/// The retained pre-slab engine (see [`EngineKind::MovingOracle`]), the
-/// PR 4 implementation: every injection is pushed up front.
-fn run_core(
-    mut network: Network,
-    forwarder: &impl Forwarder,
-    injections: impl IntoIterator<Item = (NodeId, Packet)>,
-    sink: &mut impl HopSink,
-    mut schedule: impl EventSchedule<Event>,
-) -> NetworkRun {
-    let n = network.nodes.len();
-    for (node, packet) in injections {
-        assert!(node < n, "injection at unknown node {node}");
-        schedule.push(
-            packet.created_at,
-            Event {
-                node,
-                injected_node: node,
-                injected_at: packet.created_at,
-                packet,
-                hops: Vec::new(),
-            },
-        );
-    }
-
-    let mut deliveries = Vec::new();
-    let mut queue_drops = vec![0u64; n];
-    let mut route_drops = vec![0u64; n];
-
-    let mut watermark: Option<SimTime> = None;
-    while let Some((at, mut ev)) = schedule.pop() {
-        if watermark.is_none_or(|w| at > w) {
-            sink.on_watermark(at);
-            watermark = Some(at);
-        }
-        sink.on_hop(&HopEvent {
-            kind: HopKind::Arrive,
-            node: ev.node,
-            at,
-            packet: &ev.packet,
-            injected_node: ev.injected_node,
-            injected_at: ev.injected_at,
-            hops: &ev.hops,
-        });
-        match forwarder.route(ev.node, &ev.packet) {
-            RouteDecision::Drop => {
-                route_drops[ev.node] += 1;
-                sink.on_hop(&HopEvent {
-                    kind: HopKind::RouteDrop,
-                    node: ev.node,
-                    at,
-                    packet: &ev.packet,
-                    injected_node: ev.injected_node,
-                    injected_at: ev.injected_at,
-                    hops: &ev.hops,
-                });
-            }
-            RouteDecision::Deliver => {
-                sink.on_hop(&HopEvent {
-                    kind: HopKind::Deliver,
-                    node: ev.node,
-                    at,
-                    packet: &ev.packet,
-                    injected_node: ev.injected_node,
-                    injected_at: ev.injected_at,
-                    hops: &ev.hops,
-                });
-                deliveries.push(NetDelivery {
-                    packet: ev.packet,
-                    injected_node: ev.injected_node,
-                    injected_at: ev.injected_at,
-                    delivered_node: ev.node,
-                    delivered_at: at,
-                    hops: ev.hops,
-                });
-            }
-            RouteDecision::Forward(port_id) => {
-                forwarder.on_forward(ev.node, port_id, &mut ev.packet);
-                let port = &mut network.nodes[ev.node].ports[port_id];
-                match port.queue.offer(at, &ev.packet) {
-                    Verdict::Dropped => {
-                        queue_drops[ev.node] += 1;
-                        sink.on_hop(&HopEvent {
-                            kind: HopKind::QueueDrop { port: port_id },
-                            node: ev.node,
-                            at,
-                            packet: &ev.packet,
-                            injected_node: ev.injected_node,
-                            injected_at: ev.injected_at,
-                            hops: &ev.hops,
-                        });
-                    }
-                    Verdict::Departs(departed) => {
-                        sink.on_hop(&HopEvent {
-                            kind: HopKind::Enqueue { port: port_id },
-                            node: ev.node,
-                            at,
-                            packet: &ev.packet,
-                            injected_node: ev.injected_node,
-                            injected_at: ev.injected_at,
-                            hops: &ev.hops,
-                        });
-                        ev.hops.push(Hop {
-                            node: ev.node,
-                            port: port_id,
-                            arrived: at,
-                            departed,
-                        });
-                        sink.on_hop(&HopEvent {
-                            kind: HopKind::Dequeue {
-                                port: port_id,
-                                arrived: at,
-                            },
-                            node: ev.node,
-                            at: departed,
-                            packet: &ev.packet,
-                            injected_node: ev.injected_node,
-                            injected_at: ev.injected_at,
-                            hops: &ev.hops,
-                        });
-                        let (link_to, link_delay) = (port.link_to, port.link_delay);
-                        match link_to {
-                            Some(next) => {
-                                schedule.push(
-                                    departed + link_delay,
-                                    Event {
-                                        node: next,
-                                        packet: ev.packet,
-                                        injected_node: ev.injected_node,
-                                        injected_at: ev.injected_at,
-                                        hops: ev.hops,
-                                    },
-                                );
-                            }
-                            None => {
-                                let delivered_at = departed + link_delay;
-                                sink.on_hop(&HopEvent {
-                                    kind: HopKind::Deliver,
-                                    node: ev.node,
-                                    at: delivered_at,
-                                    packet: &ev.packet,
-                                    injected_node: ev.injected_node,
-                                    injected_at: ev.injected_at,
-                                    hops: &ev.hops,
-                                });
-                                deliveries.push(NetDelivery {
-                                    packet: ev.packet,
-                                    injected_node: ev.injected_node,
-                                    injected_at: ev.injected_at,
-                                    delivered_node: ev.node,
-                                    delivered_at,
-                                    hops: ev.hops,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
+        RunOptions::default(),
+        |d| deliveries.push(d.to_owned()),
+    );
     deliveries.sort_by_key(|d| (d.delivered_at, d.packet.id));
     NetworkRun {
         deliveries,
-        queue_drops,
-        route_drops,
-        network,
+        queue_drops: stats.queue_drops,
+        route_drops: stats.route_drops,
+        network: stats.network,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::run_network_streamed_source;
     use rlir_net::FlowKey;
     use std::net::Ipv4Addr;
 
@@ -1297,6 +618,14 @@ mod tests {
             );
         }
         net
+    }
+
+    fn run_network(
+        network: Network,
+        forwarder: &impl Forwarder,
+        injections: Vec<(NodeId, Packet)>,
+    ) -> NetworkRun {
+        run_network_with(network, forwarder, injections, &mut NullSink)
     }
 
     #[test]
@@ -1406,24 +735,18 @@ mod tests {
 
     #[test]
     fn deterministic_tie_breaking() {
-        let run_once = |sched: SchedulerKind| {
+        let run_once = || {
             let net = line(2, 10);
             let inj: Vec<(NodeId, Packet)> = (0..50).map(|i| (0usize, pkt(i, 0, 80))).collect(); // all at t=0
-            run_network_sched(net, &LineForwarder { last: 1 }, inj, &mut NullSink, sched)
+            run_network(net, &LineForwarder { last: 1 }, inj)
                 .deliveries
                 .iter()
                 .map(|d| d.packet.id.0)
                 .collect::<Vec<_>>()
         };
-        assert_eq!(
-            run_once(SchedulerKind::Calendar),
-            run_once(SchedulerKind::Calendar)
-        );
-        // Heap and calendar schedulers break ties identically.
-        assert_eq!(
-            run_once(SchedulerKind::Calendar),
-            run_once(SchedulerKind::Heap)
-        );
+        assert_eq!(run_once(), run_once());
+        // Same-instant injections are served in injection order.
+        assert_eq!(run_once(), (0..50).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1543,111 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn calendar_fixed_override_matches_default_run() {
-        let run_once = |sched: SchedulerKind| {
-            let net = line(3, 100);
-            let inj: Vec<(NodeId, Packet)> =
-                (0..80).map(|i| (0usize, pkt(i, i * 53, 80))).collect();
-            run_network_sched(net, &LineForwarder { last: 2 }, inj, &mut NullSink, sched)
-                .deliveries
-                .iter()
-                .map(|d| (d.delivered_at.as_nanos(), d.packet.id.0))
-                .collect::<Vec<_>>()
-        };
-        let adaptive = run_once(SchedulerKind::Calendar);
-        assert_eq!(adaptive, run_once(SchedulerKind::Heap));
-        // Deliberately pathological override: still byte-identical.
-        assert_eq!(
-            adaptive,
-            run_once(SchedulerKind::CalendarFixed {
-                bucket_ns_log2: 1,
-                buckets_log2: 2
-            })
-        );
-    }
-
-    /// One flattened delivery: id, time, node, hop tuples.
-    type DeliveryPrint = (u64, u64, usize, Vec<(usize, usize, u64, u64)>);
-
-    /// Deliveries, drop counters and hop records of a run, flattened for
-    /// equality checks across engines.
-    fn run_fingerprint(run: &NetworkRun) -> (Vec<DeliveryPrint>, Vec<u64>, Vec<u64>) {
-        (
-            run.deliveries
-                .iter()
-                .map(|d| {
-                    (
-                        d.packet.id.0,
-                        d.delivered_at.as_nanos(),
-                        d.delivered_node,
-                        d.hops
-                            .iter()
-                            .map(|h| (h.node, h.port, h.arrived.as_nanos(), h.departed.as_nanos()))
-                            .collect(),
-                    )
-                })
-                .collect(),
-            run.queue_drops.clone(),
-            run.route_drops.clone(),
-        )
-    }
-
-    #[test]
-    fn slab_engine_matches_moving_oracle() {
-        // Ties (all at t=0) + a shallow queue forcing drops: the regimes
-        // where event order and slot recycling could diverge.
-        let build = || {
-            let mut net = Network::default();
-            let a = net.add_node("a");
-            let b = net.add_node("b");
-            let mut cfg = qcfg();
-            cfg.capacity_bytes = 4_000; // 4 packets deep
-            net.add_port(a, Port::to_switch(cfg, b, SimDuration::from_nanos(10)));
-            net.add_port(b, Port::to_host(cfg, SimDuration::from_nanos(10)));
-            net
-        };
-        struct F;
-        impl Forwarder for F {
-            fn route(&self, _n: NodeId, p: &Packet) -> RouteDecision {
-                if p.flow.dport == 666 {
-                    RouteDecision::Drop
-                } else {
-                    RouteDecision::Forward(0)
-                }
-            }
-        }
-        let inj: Vec<(NodeId, Packet)> = (0..200)
-            .map(|i| {
-                (
-                    0usize,
-                    pkt(i, (i / 10) * 500, if i % 17 == 0 { 666 } else { 80 }),
-                )
-            })
-            .collect();
-        for sched in [SchedulerKind::Calendar, SchedulerKind::Heap] {
-            let slab = run_network_engine(
-                build(),
-                &F,
-                inj.clone(),
-                &mut NullSink,
-                sched,
-                EngineKind::Slab,
-            );
-            let oracle = run_network_engine(
-                build(),
-                &F,
-                inj.clone(),
-                &mut NullSink,
-                sched,
-                EngineKind::MovingOracle,
-            );
-            assert_eq!(run_fingerprint(&slab), run_fingerprint(&oracle));
-            assert!(slab.queue_drops.iter().sum::<u64>() > 0, "drops exercised");
-            assert!(slab.route_drops[0] > 0, "route drops exercised");
-        }
-    }
-
-    #[test]
     fn streamed_mode_matches_buffered_and_recycles_slots() {
         // 5000 packets spread over a long span through a 3-switch line:
         // only a handful are ever concurrently in flight, and the streamed
@@ -1657,11 +875,12 @@ mod tests {
             .collect();
         let buffered = run_network(line(3, 100), &LineForwarder { last: 2 }, inj.clone());
         let mut streamed: Vec<(u64, u64, usize)> = Vec::new();
-        let stats = run_network_streamed(
+        let stats = run_network_streamed_source(
             line(3, 100),
             &LineForwarder { last: 2 },
-            inj,
+            SortedVecSource::new(inj),
             &mut NullSink,
+            RunOptions::default(),
             |d| {
                 assert_eq!(
                     d.true_delay(),
@@ -1743,10 +962,10 @@ mod tests {
         let plain = run_network(line(3, 100), &LineForwarder { last: 2 }, inj.clone());
         let script = FaultScript::empty();
         let mut deliveries: Vec<NetDelivery> = Vec::new();
-        let stats = run_network_streamed_opts(
+        let stats = run_network_streamed_source(
             line(3, 100),
             &LineForwarder { last: 2 },
-            inj,
+            SortedVecSource::new(inj),
             &mut NullSink,
             RunOptions {
                 faults: Some(&script),
@@ -1755,7 +974,7 @@ mod tests {
             |d| deliveries.push(d.to_owned()),
         );
         deliveries.sort_by_key(|d| (d.delivered_at, d.packet.id));
-        assert_eq!(run_fingerprint(&plain).0.len(), deliveries.len());
+        assert_eq!(plain.deliveries.len(), deliveries.len());
         for (a, b) in plain.deliveries.iter().zip(&deliveries) {
             assert_eq!(a.packet.id, b.packet.id);
             assert_eq!(a.delivered_at, b.delivered_at);
@@ -1783,10 +1002,10 @@ mod tests {
         ]);
         let mut sink = WatermarkCheck::new();
         let mut delivered_ids: Vec<u64> = Vec::new();
-        let stats = run_network_streamed_opts(
+        let stats = run_network_streamed_source(
             line(3, 100),
             &LineForwarder { last: 2 },
-            inj,
+            SortedVecSource::new(inj),
             &mut sink,
             RunOptions {
                 faults: Some(&script),
@@ -1827,10 +1046,10 @@ mod tests {
         ]);
         let mut sink = WatermarkCheck::new();
         let mut delivered = 0u64;
-        let stats = run_network_streamed_opts(
+        let stats = run_network_streamed_source(
             line(3, 100),
             &LineForwarder { last: 2 },
-            inj,
+            SortedVecSource::new(inj),
             &mut sink,
             RunOptions {
                 faults: Some(&script),
@@ -1892,10 +1111,10 @@ mod tests {
             kind: FaultKind::LinkDown { node: 0, port: 0 },
         }]);
         let mut via: Vec<usize> = Vec::new();
-        let stats = run_network_streamed_opts(
+        let stats = run_network_streamed_source(
             build(),
             &Ecmp,
-            inj,
+            SortedVecSource::new(inj),
             &mut NullSink,
             RunOptions {
                 faults: Some(&script),
@@ -1932,10 +1151,10 @@ mod tests {
             },
         ]);
         let mut delays: Vec<u64> = Vec::new();
-        run_network_streamed_opts(
+        run_network_streamed_source(
             line(3, 100),
             &LineForwarder { last: 2 },
-            inj,
+            SortedVecSource::new(inj),
             &mut NullSink,
             RunOptions {
                 faults: Some(&script),
@@ -1964,10 +1183,10 @@ mod tests {
                 handle.request_stop();
             }
         };
-        let stats = run_network_streamed_opts(
+        let stats = run_network_streamed_source(
             line(3, 100),
             &LineForwarder { last: 2 },
-            inj,
+            SortedVecSource::new(inj),
             &mut sink,
             RunOptions {
                 stop: Some(&stop),

@@ -1,36 +1,32 @@
-//! Event schedulers for the network engine.
+//! The engine's event queue.
 //!
 //! The engine needs one operation pair — `push(at, tie, item)` /
 //! `pop() → min by (at, tie)` — over one 24-byte entry whose `(at, tie)` is
-//! compared as a single `u128`. The `tie` makes equal timestamps a total
-//! order: the sequential engine uses the push sequence
-//! ([`EventSchedule::push`], FIFO among equal times); the keyed core
-//! (`crate::shard`) packs `(packet ordinal, hop progress)` into it, a
-//! *partition-independent* order, so N shards draining their own queues
-//! reproduce exactly the one-shard drain. Entries with equal `at` carry
-//! distinct ties. Two implementations share the contract:
+//! compared as a single `u128`. The engine packs `(packet ordinal, hop
+//! progress)` into the `tie` (`crate::shard`), a *partition-independent*
+//! total order, so N shards draining their own queues reproduce exactly the
+//! one-shard drain. Entries with equal `at` carry distinct ties.
 //!
-//! * [`HeapSchedule`] — the original `BinaryHeap<Reverse<…>>`, kept as the
-//!   differential oracle and benchmark baseline.
-//! * [`CalendarQueue`] — a calendar queue at the fabric's grain
-//!   ([`fabric_geometry`]): buckets no wider than the network's lookahead,
-//!   a wheel that spans its longest residence. The cursor follows the
-//!   engine's clock ([`EventSchedule::peek_due`]), so nothing handled in a
-//!   bucket schedules into it: opening one swaps its `Vec` in, sorts it
-//!   once and pops from the end. A push at or behind the open bucket anyway
-//!   (zero-latency link, coarse `CalendarFixed` geometry) goes to a side
-//!   heap, so correctness never rests on the bound; [`SchedStats`] counts
-//!   how often each path ran.
-//!
-//! `tests` + `tests/scheduler_equivalence.rs` pin the two implementations
-//! to identical `(time, tie)` drain orders, including same-timestamp ties.
+//! [`CalendarQueue`] is the one implementation: a calendar queue at the
+//! fabric's grain ([`fabric_geometry`]) — buckets no wider than the
+//! network's lookahead, a wheel that spans its longest residence. The
+//! cursor follows the engine's clock ([`EventSchedule::peek_due`]), so
+//! nothing handled in a bucket schedules into it: opening one swaps its
+//! `Vec` in, sorts it once and pops from the end. A push at or behind the
+//! open bucket anyway (a zero-latency link, a geometry too coarse for the
+//! fabric) goes to a side heap, so correctness never rests on the bound;
+//! [`SchedStats`] counts how often each path ran. [`EventSchedule`] is the
+//! contract a test substitutes its oracle through:
+//! `tests/scheduler_equivalence.rs` pins the calendar to a binary heap
+//! (`tests/support/heap_oracle.rs`) on identical `(time, tie)` drain
+//! orders, same-timestamp ties included.
 
 use rlir_net::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// One scheduled entry — 24 bytes around an 8-byte item (pinned where the
-/// engines define theirs) — ordered by `(at, tie)`.
+/// engine defines its item) — ordered by `(at, tie)`.
 pub(crate) struct Entry<T> {
     at: u64,
     tie: u64,
@@ -66,10 +62,9 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// Deterministic scheduler traffic counters — what the calendar's geometry
-/// is judged by. A diagnostic like `hop_allocations`: it varies with the
-/// scheduler kind and the shard count and is excluded from determinism
-/// digests. [`HeapSchedule`] counts pushes and pops only.
+/// Deterministic queue traffic counters — what the calendar's geometry is
+/// judged by. A diagnostic like `hop_allocations`: it varies with the
+/// shard count and is excluded from determinism digests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Entries pushed.
@@ -99,7 +94,7 @@ impl SchedStats {
     }
 }
 
-/// The scheduler contract of the event engine.
+/// The queue contract of the event engine.
 pub trait EventSchedule<T> {
     /// Schedule `item` at `at`, tied by push order: equal timestamps drain
     /// FIFO. One queue uses either this or [`Self::push_keyed`], not both.
@@ -117,9 +112,9 @@ pub trait EventSchedule<T> {
     fn pop_keyed(&mut self) -> Option<(SimTime, u64, T)>;
     /// Time and tie of the earliest entry if it is due at or before `now`,
     /// the time of the unit the caller handles next if nothing is (`&mut`:
-    /// the calendar moves its cursor up to `now`, no further). The engines
-    /// merge their time-sorted injection stream against this, so pending
-    /// injections occupy no scheduler or slab space.
+    /// the calendar moves its cursor up to `now`, no further). The engine
+    /// merges its time-sorted injection stream against this, so pending
+    /// injections occupy no queue or slab space.
     fn peek_due(&mut self, now: SimTime) -> Option<(SimTime, u64)>;
     /// Number of scheduled entries.
     fn len(&self) -> usize;
@@ -129,58 +124,6 @@ pub trait EventSchedule<T> {
     }
     /// Traffic counters so far.
     fn stats(&self) -> SchedStats;
-}
-
-/// The original binary-heap scheduler (differential oracle / benchmark
-/// baseline).
-pub struct HeapSchedule<T> {
-    heap: BinaryHeap<Reverse<Entry<T>>>,
-    pushes: u64,
-}
-
-impl<T> HeapSchedule<T> {
-    /// An empty schedule.
-    pub fn new() -> Self {
-        HeapSchedule {
-            heap: BinaryHeap::new(),
-            pushes: 0,
-        }
-    }
-}
-
-impl<T> Default for HeapSchedule<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> EventSchedule<T> for HeapSchedule<T> {
-    fn push_keyed(&mut self, at: SimTime, tie: u64, item: T) {
-        let at = at.as_nanos();
-        self.heap.push(Reverse(Entry { at, tie, item }));
-        self.pushes += 1;
-    }
-
-    fn pop_keyed(&mut self) -> Option<(SimTime, u64, T)> {
-        self.heap.pop().map(|Reverse(e)| e.unpack())
-    }
-
-    fn peek_due(&mut self, now: SimTime) -> Option<(SimTime, u64)> {
-        let Reverse(e) = self.heap.peek()?;
-        (e.at <= now.as_nanos()).then_some((SimTime::from_nanos(e.at), e.tie))
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn stats(&self) -> SchedStats {
-        SchedStats {
-            pushes: self.pushes,
-            pops: self.pushes - self.heap.len() as u64,
-            ..SchedStats::default()
-        }
-    }
 }
 
 /// Bucket width for a fabric that offers no lookahead to size it by:
@@ -366,6 +309,10 @@ impl<T> EventSchedule<T> for CalendarQueue<T> {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/heap_oracle.rs"]
+mod heap_oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -386,7 +333,7 @@ mod tests {
 
     /// The same pushes through the heap and through `cal`, both drained.
     fn both_with(mut cal: CalendarQueue<u32>, pushes: &[(u64, u32)]) -> (Drained, Drained) {
-        let mut heap = HeapSchedule::new();
+        let mut heap = heap_oracle::new();
         for &(t, v) in pushes {
             heap.push(ns(t), v);
             cal.push(ns(t), v);
@@ -421,7 +368,7 @@ mod tests {
             (2_500_000, 1 << 20 | 3, 7),
             (10, 3, 8),
         ];
-        let mut heap: HeapSchedule<u32> = HeapSchedule::new();
+        let mut heap = heap_oracle::new::<u32>();
         let mut cal: CalendarQueue<u32> = CalendarQueue::with_geometry(10, 10);
         let mut h = Vec::new();
         let mut c = Vec::new();
@@ -458,7 +405,7 @@ mod tests {
     #[test]
     fn interleaved_push_pop_stays_ordered() {
         let mut cal: CalendarQueue<u32> = CalendarQueue::with_geometry(10, 10);
-        let mut heap: HeapSchedule<u32> = HeapSchedule::new();
+        let mut heap = heap_oracle::new::<u32>();
         // Seed both, then pop one / push two in lockstep (event-driven shape:
         // new events never precede the one just popped).
         for t in [5u64, 3, 9] {
@@ -490,7 +437,7 @@ mod tests {
     #[test]
     fn peek_matches_next_pop() {
         let mut cal: CalendarQueue<u32> = CalendarQueue::with_geometry(10, 10);
-        let mut heap: HeapSchedule<u32> = HeapSchedule::new();
+        let mut heap = heap_oracle::new::<u32>();
         let end = ns(u64::MAX);
         assert_eq!(cal.peek_due(end), None);
         assert_eq!(heap.peek_due(end), None);

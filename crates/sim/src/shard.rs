@@ -1,73 +1,60 @@
-//! Pod-sharded deterministic engine: conservative-lookahead parallelism
-//! *inside* one simulation.
+//! The engine: one keyed per-hop step, run on one shard or several.
 //!
-//! Sweep-level parallelism (`rlir-exec`) cannot speed up one large run;
-//! this module shards [`run_network_streamed_opts`]-shaped runs by a
-//! topology-supplied partition (for the fat-tree: one group per pod plus
-//! one core group, see `FatTree::pod_partition` in `rlir-topo`). Each
-//! shard owns its own calendar queue, free-list slab and fault-script
-//! cursor, and advances only to the **global safe horizon**
-//! `min(pending event time) + L`, where the lookahead `L` is the minimum
-//! link latency on any inter-group edge — conservative-window PDES with
-//! the window width the topology guarantees. Packets crossing a shard
-//! boundary are posted to the destination shard's mailbox at the window
-//! barrier (their arrival is provably `≥` the horizon, so they never
-//! belong to the window that produced them).
+//! Every simulation — [`run_network_streamed_source`], the buffered
+//! [`run_network_with`](crate::network::run_network_with) and the
+//! pod-sharded [`run_network_sharded_source`] — goes through one
+//! cascade, [`ShardWorker::unit`]: a packet arrives at a switch, is routed
+//! (rerouted around a dead port, killed by a loss burst), marked, queued
+//! and scheduled onward. Each switch's ports are
+//! [`FifoQueue`](crate::queue::FifoQueue)s, in-flight packet state lives
+//! in a free-list [`PacketSlab`] (memory O(max in-flight)), ingest is
+//! pulled from an [`InjectionSource`], and the only queue is a
+//! [`CalendarQueue`] at the fabric's grain
+//! ([`Network::calendar_geometry`]).
 //!
-//! # Byte-identical for any shard count
+//! # One order
 //!
-//! The sequential engine breaks same-time ties by global push order
-//! (`seq`), which is unreproducible under partitioning: a shard cannot
-//! know how its pushes interleave with another's. The keyed core instead
-//! ties every scheduler entry by `(ordinal, progress)` — the packet's
-//! position in the time-ordered injection stream and its hop counter,
-//! packed into the scheduler's one `u64` tie (`pack_key`) — a
-//! **partition-independent** total order `(time, tie)`. Per-shard pops
-//! therefore drain in globally keyed order restricted to the shard, and a
-//! k-way merge of the per-window unit streams *is* the global keyed order.
-//! Every shard's queue has the whole fabric's geometry
-//! (`sched::fabric_geometry`); a source's hints play no part.
+//! Units drain by `(time, tie)`. The tie is `(ordinal, progress)` — the
+//! packet's position in the time-ordered injection stream and its hop
+//! counter, packed into the queue's one `u64` tie (`pack_key`) — a total
+//! order no partition can perturb: at one instant, the earlier-injected
+//! packet goes first, and a scheduled arrival goes before an injection.
+//! Ordinals are a pull counter, so ingest streams.
 //!
-//! # One unit, two outputs; ordinals are a pull counter
+//! # Shards
 //!
-//! There is one per-hop cascade, [`ShardWorker::unit`], written against
-//! [`UnitOut`]. With one effective shard the output is the run's
-//! [`Emitter`]: events, watermarks, deliveries and counters reach `sink`,
-//! `on_delivery` and the stats as the unit runs, borrowed from the live
-//! slab slot, and the run is one loop (`ShardWorker::run_alone`) that
-//! only *counts* the windows a coordinator would have opened — a unit at
-//! or past the horizon opens the next. With several, each worker fills a
-//! [`WindowLog`] and the coordinator replays the logs, merged by key, into
-//! the same `Emitter` at the barrier. Everything observable is emitted and
-//! counted there — including fault notifications and [`StopFlag`]
-//! truncation — and the window sequence is computed alike at every shard
-//! count, so an N-shard run is byte-identical to the 1-shard run (pinned
-//! by `tests/shard_determinism.rs`, asserted in-run by `shard_bench`).
-//! Only the diagnostics (`peak_live_slots`, `hop_allocations`, the `sched`
+//! A topology-supplied partition (for the fat-tree one group per pod plus
+//! one core group, `FatTree::pod_partition` in `rlir-topo`) splits the run
+//! across worker threads. Each shard owns a clone of the network, its own
+//! calendar queue, slab and fault cursor, and advances only to the
+//! **global safe horizon** `min(pending event time) + L`, where the
+//! lookahead `L` is the minimum link latency on any inter-group edge —
+//! conservative-window PDES. Packets crossing a shard boundary are posted
+//! to the destination's mailbox at the window barrier (their arrival is
+//! provably `≥` the horizon), injections earlier than the horizon are
+//! pulled and posted by the coordinator before each window.
+//!
+//! One unit, two outputs, written against [`UnitOut`]: with one effective
+//! shard the output is the run's [`Emitter`], and everything reaches
+//! `sink`, `on_delivery` and the stats as the unit runs, borrowed from the
+//! live slab slot. With several, each worker fills a [`WindowLog`] and the
+//! coordinator replays the logs, merged by key, into the same `Emitter` at
+//! the barrier — a k-way merge of keyed streams *is* the keyed stream, so
+//! an N-shard run is byte-identical to the one-shard run (pinned by
+//! `tests/shard_determinism.rs`, asserted in-run by `shard_bench`),
+//! including fault notifications and [`StopFlag`] truncation. Only the
+//! diagnostics (`peak_live_slots`, `hop_allocations`, the `sched`
 //! counters) are per-shard quantities; see [`NetworkRunStats`].
-//!
-//! A packet's ordinal is the number of injections pulled from the
-//! [`InjectionSource`] before it, so ingest streams: one shard pulls an
-//! injection when it is due against its scheduler head; the N-shard
-//! coordinator pulls, before each window, the injections earlier than its
-//! horizon and posts them to the owning shards.
-//!
-//! Same-time arrivals at one node from *different* upstream queues are
-//! real in fat-tree workloads, and there the keyed order genuinely
-//! differs from the sequential engine's push order — so scenarios opt in
-//! explicitly (`shards: Some(n)`) and the 1-shard keyed run is the
-//! identity baseline. On tie-free workloads the keyed and sequential
-//! engines coincide exactly (differentially pinned in the test suite).
 
 use crate::fault::{FaultEvent, FaultScript, FaultState, StopFlag};
 use crate::network::{
-    with_scheduler, Forwarder, Hop, HopEvent, HopKind, HopSink, Network, NetworkRunStats, NodeId,
-    RouteDecision, RunOptions, StreamedDelivery,
+    Forwarder, Hop, HopEvent, HopKind, HopSink, Network, NetworkRunStats, NodeId, RouteDecision,
+    RunOptions, StreamedDelivery,
 };
 use crate::queue::Verdict;
-use crate::sched::{CalendarQueue, EventSchedule, HeapSchedule, SchedStats};
-use crate::slab::{FlightState, PacketSlab, SlotId};
-use crate::source::{InjectionSource, SortedVecSource};
+use crate::sched::{CalendarQueue, EventSchedule, SchedStats};
+use crate::slab::{PacketSlab, SlotId};
+use crate::source::InjectionSource;
 use rlir_net::packet::Packet;
 use rlir_net::time::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,6 +63,7 @@ use std::sync::{Barrier, Mutex, MutexGuard};
 /// Low bits of the packed tie that hold the hop progress; the ordinal
 /// takes the 44 above them (1.7 · 10¹³ injections, a million hops each).
 const PROGRESS_BITS: u32 = 20;
+const PROGRESS_MASK: u64 = (1 << PROGRESS_BITS) - 1;
 
 /// Partition-independent scheduler tie: `(packet ordinal, hop progress)`
 /// packed into one word, ordinal above progress, so ties compare as the
@@ -90,7 +78,7 @@ fn pack_key(ordinal: u64, progress: u32) -> u64 {
         "packet ordinal {ordinal} overflows the packed scheduler key"
     );
     assert!(
-        progress >> PROGRESS_BITS == 0,
+        u64::from(progress) <= PROGRESS_MASK,
         "hop progress {progress} overflows the packed scheduler key (forwarding loop?)"
     );
     ordinal << PROGRESS_BITS | u64::from(progress)
@@ -98,17 +86,30 @@ fn pack_key(ordinal: u64, progress: u32) -> u64 {
 
 /// The `(ordinal, progress)` a tie was packed from.
 fn unpack_key(tie: u64) -> (u64, u32) {
-    let progress = tie & ((1 << PROGRESS_BITS) - 1);
-    (tie >> PROGRESS_BITS, progress as u32)
+    (tie >> PROGRESS_BITS, (tie & PROGRESS_MASK) as u32)
 }
 
-/// What a shard's scheduler moves: slot handle + next node, like the
-/// sequential engine's event, private to this shard's slab.
+/// The tie of the same packet's next unit: one hop more progress, checked
+/// like [`pack_key`] so it never carries into the ordinal.
+fn next_hop(tie: u64) -> u64 {
+    assert!(
+        tie & PROGRESS_MASK != PROGRESS_MASK,
+        "hop progress overflows the packed scheduler key (forwarding loop?)"
+    );
+    tie + 1
+}
+
+/// What a shard's queue moves: slot handle + next node, 8 bytes, `Copy`,
+/// private to the shard's slab.
 #[derive(Debug, Clone, Copy)]
 struct ShardEvent {
     node: u32,
     slot: SlotId,
 }
+
+const _: () = assert!(std::mem::size_of::<ShardEvent>() == 8);
+// … which makes the queue entry around it three words.
+const _: () = assert!(std::mem::size_of::<crate::sched::Entry<ShardEvent>>() == 24);
 
 /// A node-to-group partition of the network, the shard boundary.
 ///
@@ -138,7 +139,7 @@ impl ShardPlan {
     }
 
     /// The degenerate plan: every node in one group (no parallelism, one
-    /// unbounded window — still exercises the keyed engine).
+    /// unbounded window).
     pub fn single(n_nodes: usize) -> Self {
         ShardPlan {
             groups: vec![0; n_nodes],
@@ -229,13 +230,14 @@ trait UnitOut {
     fn hop(&mut self, ev: &HopEvent<'_>);
     /// The packet dies in this unit *because of* an injected fault.
     fn fault_drop(&mut self);
-    /// The unit is over; `st` is about to be recycled or rescheduled.
-    fn end(&mut self, st: &FlightState);
+    /// The unit is over; the packet in `slot` is about to be recycled or
+    /// rescheduled.
+    fn end(&mut self, slab: &PacketSlab, slot: SlotId);
 }
 
 /// Emit now — the run's one observable output. Everything `sink`,
-/// `on_delivery` and the fused stats ever see passes through here in
-/// keyed order, from the only shard as it runs or replayed from the window
+/// `on_delivery` and the stats ever see passes through here in keyed
+/// order, from the only shard as it runs or replayed from the window
 /// logs, so it is shard-count invariant. Never leaves the calling thread.
 struct Emitter<'a, S, D> {
     sink: &'a mut S,
@@ -243,11 +245,28 @@ struct Emitter<'a, S, D> {
     stop: Option<&'a StopFlag>,
     /// Scripted transitions still to be shown to the sink. Every shard
     /// advances its own replicated `FaultState` for the network effects;
-    /// the notification happens once, here, where the sequential engine
-    /// delivers it: before the callbacks of the first unit that reached it.
+    /// the notification happens once, here: before the callbacks of the
+    /// first unit that reached it.
     script: &'a [FaultEvent],
     watermark: Option<SimTime>,
     stats: NetworkRunStats,
+}
+
+impl<'a, S, D> Emitter<'a, S, D> {
+    fn new(sink: &'a mut S, on_delivery: &'a mut D, opts: RunOptions<'a>, n_nodes: usize) -> Self {
+        Emitter {
+            sink,
+            on_delivery,
+            stop: opts.stop,
+            script: opts.faults.map_or(&[][..], FaultScript::events),
+            watermark: None,
+            stats: NetworkRunStats {
+                queue_drops: vec![0; n_nodes],
+                route_drops: vec![0; n_nodes],
+                ..NetworkRunStats::default()
+            },
+        }
+    }
 }
 
 impl<S: HopSink, D: FnMut(&StreamedDelivery<'_>)> UnitOut for Emitter<'_, S, D> {
@@ -268,6 +287,9 @@ impl<S: HopSink, D: FnMut(&StreamedDelivery<'_>)> UnitOut for Emitter<'_, S, D> 
         self.stats.injected += u64::from(unpack_key(tie).1 == 0);
     }
 
+    // Inlined, so the match below folds away at each of the unit's call
+    // sites, whose kinds are constants.
+    #[inline(always)]
     fn hop(&mut self, ev: &HopEvent<'_>) {
         self.sink.on_hop(ev);
         match ev.kind {
@@ -292,7 +314,7 @@ impl<S: HopSink, D: FnMut(&StreamedDelivery<'_>)> UnitOut for Emitter<'_, S, D> 
         self.stats.fault_drops += 1;
     }
 
-    fn end(&mut self, _st: &FlightState) {}
+    fn end(&mut self, _slab: &PacketSlab, _slot: SlotId) {}
 }
 
 /// One logged hop event, a deferred [`HopEvent`]: the packet snapshot at
@@ -398,7 +420,8 @@ impl UnitOut for WindowLog {
         self.open().fault_drop = true;
     }
 
-    fn end(&mut self, st: &FlightState) {
+    fn end(&mut self, slab: &PacketSlab, slot: SlotId) {
+        let st = slab.get(slot);
         self.arena.extend_from_slice(st.hops());
         let (ev_end, hop_end) = (self.events.len() as u32, self.arena.len() as u32);
         let u = self.open();
@@ -409,8 +432,9 @@ impl UnitOut for WindowLog {
 
 /// The injection stream with its ordinals: a packet's ordinal is the count
 /// of injections pulled before it. Each pull is checked against the source
-/// contract as the sequential engine checks it — a misordered source would
-/// put `Arrive` events behind the watermark, so it fails loudly instead.
+/// contract — a misordered source would put `Arrive` events behind the
+/// watermark and silently break every streaming consumer, so the engine
+/// fails loudly instead.
 struct Ingest<I> {
     source: I,
     /// Ordinal of the next injection.
@@ -420,6 +444,15 @@ struct Ingest<I> {
 }
 
 impl<I: InjectionSource> Ingest<I> {
+    fn new(source: I, n_nodes: usize) -> Self {
+        Ingest {
+            source,
+            next_ord: 0,
+            last_at: SimTime::ZERO,
+            n_nodes,
+        }
+    }
+
     fn peek(&mut self) -> Option<u64> {
         self.source.peek().map(SimTime::as_nanos)
     }
@@ -444,19 +477,21 @@ impl<I: InjectionSource> Ingest<I> {
 
 /// One shard: a full clone of the network (it only *reads and writes*
 /// the queues of nodes it owns; fault transitions are replicated so every
-/// clone's owned nodes carry the right state), its own slab, keyed
-/// scheduler and fault cursor. Its units write to whatever [`UnitOut`]
-/// the caller passes in.
-struct ShardWorker<'a, F, Q> {
+/// clone's owned nodes carry the right state), its own slab, keyed queue
+/// and fault cursor. Its units write to whatever [`UnitOut`] the caller
+/// passes in.
+struct ShardWorker<'a, F> {
     shard: usize,
     network: Network,
     forwarder: &'a F,
+    /// Node → shard; empty when this is the run's only shard, so a forward
+    /// costs no lookup.
     shard_of: &'a [usize],
     slab: PacketSlab,
-    schedule: Q,
+    schedule: CalendarQueue<ShardEvent>,
     faults: Option<FaultState<'a>>,
     /// Units posted to this shard since its last window, seeded into the
-    /// slab + scheduler at the next window start.
+    /// slab + queue at the next window start.
     inbox: Vec<Handoff>,
     /// Earliest `at` in `inbox`, kept at push.
     inbox_min: Option<u64>,
@@ -464,13 +499,46 @@ struct ShardWorker<'a, F, Q> {
     outbox: Vec<Handoff>,
 }
 
-impl<F: Forwarder, Q: EventSchedule<ShardEvent>> ShardWorker<'_, F, Q> {
+impl<'a, F: Forwarder> ShardWorker<'a, F> {
+    fn new(
+        shard: usize,
+        network: Network,
+        forwarder: &'a F,
+        shard_of: &'a [usize],
+        faults: Option<&'a FaultScript>,
+    ) -> Self {
+        // Every shard's queue has the same geometry, the whole fabric's.
+        let (width, buckets) = network.calendar_geometry();
+        ShardWorker {
+            shard,
+            network,
+            forwarder,
+            shard_of,
+            slab: PacketSlab::new(),
+            schedule: CalendarQueue::with_geometry(width, buckets),
+            faults: faults.map(FaultState::new),
+            inbox: Vec::new(),
+            inbox_min: None,
+            outbox: Vec::new(),
+        }
+    }
+
+    /// `(peak_live_slots, hop_allocations, queue counters)`.
+    fn diagnostics(&self) -> (usize, u64, SchedStats) {
+        let slab = &self.slab;
+        (
+            slab.peak_live(),
+            slab.hop_allocations(),
+            self.schedule.stats(),
+        )
+    }
+
     fn post(&mut self, h: Handoff) {
         self.inbox_min = Some(self.inbox_min.map_or(h.at, |m| m.min(h.at)));
         self.inbox.push(h);
     }
 
-    /// Earliest pending unit time in this shard (scheduler or un-seeded
+    /// Earliest pending unit time in this shard (queue or un-seeded
     /// inbox) — min-reduced with the source head into the window start.
     fn next_time(&mut self) -> Option<u64> {
         let head = self.schedule.peek_due(SimTime::from_nanos(u64::MAX));
@@ -502,48 +570,32 @@ impl<F: Forwarder, Q: EventSchedule<ShardEvent>> ShardWorker<'_, F, Q> {
         }
     }
 
-    /// The whole run at one shard, as one loop: pull an injection when it
-    /// is due against the scheduler head by full key — injections carry
-    /// progress 0, scheduled events of the same packet progress ≥ 1, so
-    /// keys never collide — until both run dry or `out` says stop. The
-    /// windows the N-shard coordinator would have opened are only counted
-    /// (and returned): a unit at or past the horizon opens the next one.
-    fn run_alone<I: InjectionSource>(
-        &mut self,
-        out: &mut impl UnitOut,
-        ingest: &mut Ingest<I>,
-        lookahead: Option<u64>,
-    ) -> u64 {
-        let mut windows = 0u64;
-        let mut horizon = Some(0u64);
+    /// The whole run at one shard, as one loop: pull an injection when
+    /// nothing in the queue is due by its time, until both run dry or
+    /// `out` says stop. Every queued unit belongs to a packet pulled
+    /// earlier (a smaller ordinal), so at an equal time it wins the keyed
+    /// tie against the injection.
+    fn run_alone<I: InjectionSource>(&mut self, out: &mut impl UnitOut, ingest: &mut Ingest<I>) {
         while !out.stopped() {
             let inject = match ingest.peek() {
-                Some(t) => {
-                    let head = self.schedule.peek_due(SimTime::from_nanos(t));
-                    let inj = (t, pack_key(ingest.next_ord, 0));
-                    head.is_none_or(|(at, tie)| inj <= (at.as_nanos(), tie))
-                }
+                Some(t) => self.schedule.peek_due(SimTime::from_nanos(t)).is_none(),
                 None if self.schedule.is_empty() => break,
                 None => false,
             };
-            let (at, tie, node, slot) = if inject {
+            if inject {
                 let (node, packet, tie) = ingest.pull();
                 let at = packet.created_at;
-                (at, tie, node, self.slab.insert(packet, node, at))
+                let slot = self.slab.insert(packet, node, at);
+                self.unit(out, at, tie, node, slot);
             } else {
                 let (at, tie, ev) = self.schedule.pop_keyed().expect("non-empty");
-                (at, tie, ev.node as usize, ev.slot)
-            };
-            if horizon.is_some_and(|h| at.as_nanos() >= h) {
-                windows += 1;
-                horizon = window_horizon(at.as_nanos(), lookahead);
+                self.unit(out, at, tie, ev.node as usize, ev.slot);
             }
-            self.unit(out, at, tie, node, slot);
         }
-        windows
     }
 
     /// Hand `out` one hop event for the live packet in `slot`.
+    #[inline(always)]
     fn hop(&self, out: &mut impl UnitOut, kind: HopKind, node: usize, at: SimTime, slot: SlotId) {
         let st = self.slab.get(slot);
         out.hop(&HopEvent {
@@ -557,9 +609,9 @@ impl<F: Forwarder, Q: EventSchedule<ShardEvent>> ShardWorker<'_, F, Q> {
         });
     }
 
-    /// One engine unit: the exact `SlabEngine::arrive` cascade, keyed,
-    /// with everything observable written to `out` and cross-shard forwards
-    /// turned into handoffs.
+    /// One engine unit — the packet in `slot` arrives at `node` at `at` —
+    /// with everything observable written to `out` and cross-shard
+    /// forwards turned into handoffs.
     fn unit(&mut self, out: &mut impl UnitOut, at: SimTime, tie: u64, node: usize, slot: SlotId) {
         if let Some(fs) = self.faults.as_mut() {
             fs.advance(at, &mut self.network);
@@ -569,6 +621,8 @@ impl<F: Forwarder, Q: EventSchedule<ShardEvent>> ShardWorker<'_, F, Q> {
         // Whether the packet leaves this shard's slab with this unit.
         let mut done = true;
         if self.faults.as_ref().is_some_and(|f| f.lossy(node)) {
+            // Loss burst: the packet dies here, accounted exactly like a
+            // route drop so drop-aware taps see it.
             out.fault_drop();
             self.hop(out, HopKind::RouteDrop, node, at, slot);
         } else {
@@ -616,15 +670,16 @@ impl<F: Forwarder, Q: EventSchedule<ShardEvent>> ShardWorker<'_, F, Q> {
                             };
                             self.hop(out, dequeue, node, departed, slot);
                             let arrives = departed + link_delay;
-                            let (ord, prog) = unpack_key(tie);
-                            let next_tie = pack_key(ord, prog + 1);
                             match link_to {
-                                Some(next) if self.shard_of[next] == self.shard => {
+                                Some(next)
+                                    if self.shard_of.is_empty()
+                                        || self.shard_of[next] == self.shard =>
+                                {
                                     let event = ShardEvent {
                                         node: next as u32,
                                         slot,
                                     };
-                                    self.schedule.push_keyed(arrives, next_tie, event);
+                                    self.schedule.push_keyed(arrives, next_hop(tie), event);
                                     done = false;
                                 }
                                 Some(next) => {
@@ -634,7 +689,7 @@ impl<F: Forwarder, Q: EventSchedule<ShardEvent>> ShardWorker<'_, F, Q> {
                                     let st = self.slab.get(slot);
                                     self.outbox.push(Handoff {
                                         at: arrives.as_nanos(),
-                                        tie: next_tie,
+                                        tie: next_hop(tie),
                                         node: next as u32,
                                         packet: st.packet,
                                         injected_node: st.injected_node as u32,
@@ -649,15 +704,48 @@ impl<F: Forwarder, Q: EventSchedule<ShardEvent>> ShardWorker<'_, F, Q> {
                 }
             }
         }
-        out.end(self.slab.get(slot));
+        out.end(&self.slab, slot);
         if done {
             self.slab.release(slot);
         }
     }
 }
 
+/// Run packets through the network, pulling injections from `source` as
+/// the run reaches them: every hop event and watermark goes to `sink`,
+/// every delivery to `on_delivery` (borrowed from the slab, its slot
+/// recycled when the callback returns), and the run returns bounded
+/// [`NetworkRunStats`] — whole-run engine memory is O(max in-flight), and
+/// ingest memory is whatever the source buffers. [`RunOptions`] adds a
+/// mid-run fault script and a cooperative stop. Wrap a list in
+/// [`SortedVecSource::new`](crate::source::SortedVecSource::new); pass a
+/// source by `&mut` to keep it (and its counters) after the run.
+///
+/// The source contract — known entry node, non-decreasing time — is
+/// asserted per pull. Deliveries stream in processing order (see
+/// [`StreamedDelivery`]). This is the one-shard loop of the engine (the
+/// module docs); nothing here needs `Send` or `Sync`.
+pub fn run_network_streamed_source(
+    network: Network,
+    forwarder: &impl Forwarder,
+    source: impl InjectionSource,
+    sink: &mut impl HopSink,
+    opts: RunOptions<'_>,
+    mut on_delivery: impl FnMut(&StreamedDelivery<'_>),
+) -> NetworkRunStats {
+    let n = network.nodes.len();
+    let mut ingest = Ingest::new(source, n);
+    let mut out = Emitter::new(sink, &mut on_delivery, opts, n);
+    let mut worker = ShardWorker::new(0, network, forwarder, &[], opts.faults);
+    worker.run_alone(&mut out, &mut ingest);
+    let mut stats = out.stats;
+    (stats.peak_live_slots, stats.hop_allocations, stats.sched) = worker.diagnostics();
+    stats.network = worker.network;
+    stats
+}
+
 /// A worker thread's shard and the log its windows fill.
-type Logged<'a, F, Q> = Mutex<(ShardWorker<'a, F, Q>, WindowLog)>;
+type Logged<'a, F> = Mutex<(ShardWorker<'a, F>, WindowLog)>;
 
 /// Horizon mailbox of the worker threads: a finite horizon is its own
 /// value, below these two; `UNBOUNDED` is `None`, `SHUTDOWN` ends the loops.
@@ -673,6 +761,36 @@ fn window_horizon(t0: u64, lookahead: Option<u64>) -> Option<u64> {
     t0.checked_add(lookahead?).filter(|&h| h < UNBOUNDED)
 }
 
+/// The one-shard run's window count: the windows the N-shard coordinator
+/// would have opened, read off the watermark stream on its way to the
+/// sink. A unit at or past the horizon opens the next window, and it is
+/// always a new watermark — every earlier unit lies below that horizon.
+struct WindowCount<'a, S> {
+    sink: &'a mut S,
+    lookahead: Option<u64>,
+    horizon: Option<u64>,
+    windows: u64,
+}
+
+impl<S: HopSink> HopSink for WindowCount<'_, S> {
+    fn on_hop(&mut self, ev: &HopEvent<'_>) {
+        self.sink.on_hop(ev);
+    }
+
+    fn on_watermark(&mut self, watermark: SimTime) {
+        let t = watermark.as_nanos();
+        if self.horizon.is_some_and(|h| t >= h) {
+            self.windows += 1;
+            self.horizon = window_horizon(t, self.lookahead);
+        }
+        self.sink.on_watermark(watermark);
+    }
+
+    fn on_fault(&mut self, ev: &FaultEvent) {
+        self.sink.on_fault(ev);
+    }
+}
+
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().expect("a shard worker panicked")
 }
@@ -683,8 +801,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// the per-shard window logs merged in `(time, ordinal, progress)` order
 /// into `out`, and route the produced handoffs for the next window.
 /// Returns `(windows, stalls)`.
-fn drive_windows<F: Forwarder, Q: EventSchedule<ShardEvent>, I: InjectionSource>(
-    workers: &[Logged<'_, F, Q>],
+fn drive_windows<F: Forwarder, I: InjectionSource>(
+    workers: &[Logged<'_, F>],
     shard_of: &[usize],
     lookahead: Option<u64>,
     ingest: &mut Ingest<I>,
@@ -751,56 +869,24 @@ fn drive_windows<F: Forwarder, Q: EventSchedule<ShardEvent>, I: InjectionSource>
     (windows, stalls)
 }
 
-/// Run the network sharded by `plan` over an iterator of injections:
-/// [`run_network_sharded_source`] behind a [`SortedVecSource`] (stable
-/// sort by injection time, same-time injections keep their list order),
-/// as the sequential engine's iterator entries wrap its source core.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_sharded<F: Forwarder + Sync>(
-    network: Network,
-    forwarder: &F,
-    injections: impl IntoIterator<Item = (NodeId, Packet)>,
-    sink: &mut impl HopSink,
-    opts: RunOptions<'_>,
-    plan: &ShardPlan,
-    shards: usize,
-    on_delivery: impl FnMut(&StreamedDelivery<'_>),
-) -> ShardRunStats {
-    let source = SortedVecSource::new(injections);
-    run_network_sharded_source(
-        network,
-        forwarder,
-        source,
-        sink,
-        opts,
-        plan,
-        shards,
-        on_delivery,
-    )
-}
-
 /// Run the network sharded by `plan`, pulling injections from `source` as
 /// the run reaches them — byte-identical to the same call with
-/// `shards == 1`; see the module docs for the determinism argument and
+/// `shards == 1`, which is [`run_network_streamed_source`] plus a window
+/// count; see the module docs for the determinism argument and
 /// [`NetworkRunStats`] for which fused fields are shard-count invariant.
-///
-/// Ordinals are a pull counter, so nothing is materialized: with one
-/// effective shard an injection is pulled when it is due and its events
-/// reach `sink` as they happen; with several, each window first pulls the
-/// injections earlier than its horizon. A raised [`StopFlag`] leaves the
-/// rest of the source unpulled (pass it by `&mut` to keep it). The source
-/// contract — known entry node, non-decreasing time — is asserted per pull.
 ///
 /// The effective shard count is `shards` capped by the plan's group
 /// count; if any inter-group link has zero latency the partition admits
 /// no conservative lookahead and the run collapses to one shard (one
 /// unbounded window). With one effective shard everything runs inline on
 /// the calling thread; otherwise persistent worker threads process
-/// windows between barriers while the caller's thread pulls, merges and
-/// emits — `source`, `sink`, `on_delivery` and `stop` never leave it.
-/// After a truncation the returned `network`'s queue counters cover what
-/// the shards had processed: up to the stop at one shard, to the end of
-/// the stopped window at several.
+/// windows between barriers while the caller's thread pulls (the
+/// injections earlier than each window's horizon), merges and emits —
+/// `source`, `sink`, `on_delivery` and `stop` never leave it. A raised
+/// [`StopFlag`] leaves the rest of the source unpulled. After a
+/// truncation the returned `network`'s queue counters cover what the
+/// shards had processed: up to the stop at one shard, to the end of the
+/// stopped window at several.
 #[allow(clippy::too_many_arguments)]
 pub fn run_network_sharded_source<F: Forwarder + Sync>(
     network: Network,
@@ -810,37 +896,7 @@ pub fn run_network_sharded_source<F: Forwarder + Sync>(
     opts: RunOptions<'_>,
     plan: &ShardPlan,
     shards: usize,
-    on_delivery: impl FnMut(&StreamedDelivery<'_>),
-) -> ShardRunStats {
-    // Every shard's queue gets the same geometry, the whole fabric's.
-    with_scheduler!(opts.scheduler, &network, |queue| {
-        run_keyed(
-            network,
-            forwarder,
-            source,
-            sink,
-            opts,
-            plan,
-            shards,
-            on_delivery,
-            queue,
-        )
-    })
-}
-
-/// [`run_network_sharded_source`] over the scheduler `queue` builds, one
-/// per shard.
-#[allow(clippy::too_many_arguments)]
-fn run_keyed<F: Forwarder + Sync, Q: EventSchedule<ShardEvent> + Send>(
-    network: Network,
-    forwarder: &F,
-    source: impl InjectionSource,
-    sink: &mut impl HopSink,
-    opts: RunOptions<'_>,
-    plan: &ShardPlan,
-    shards: usize,
     mut on_delivery: impl FnMut(&StreamedDelivery<'_>),
-    queue: impl Fn() -> Q,
 ) -> ShardRunStats {
     let n = network.nodes.len();
     let groups = plan.groups();
@@ -855,93 +911,83 @@ fn run_keyed<F: Forwarder + Sync, Q: EventSchedule<ShardEvent> + Send>(
         Some(0) => (1, None),
         l => (shards.max(1).min(n_groups), l),
     };
+
+    if s == 1 {
+        let mut counted = WindowCount {
+            sink,
+            lookahead,
+            horizon: Some(0),
+            windows: 0,
+        };
+        let stats = run_network_streamed_source(
+            network,
+            forwarder,
+            source,
+            &mut counted,
+            opts,
+            on_delivery,
+        );
+        return ShardRunStats {
+            stats,
+            shards: 1,
+            windows: counted.windows,
+            shard_stalls: 0,
+        };
+    }
+
     let shard_of: Vec<usize> = groups.iter().map(|&g| g % s).collect();
-
-    let worker = |shard: usize, network: Network| ShardWorker {
-        shard,
-        network,
-        forwarder,
-        shard_of: &shard_of,
-        slab: PacketSlab::new(),
-        schedule: queue(),
-        faults: opts.faults.map(FaultState::new),
-        inbox: Vec::new(),
-        inbox_min: None,
-        outbox: Vec::new(),
-    };
-    let mut ingest = Ingest {
-        source,
-        next_ord: 0,
-        last_at: SimTime::ZERO,
-        n_nodes: n,
-    };
-    let mut out = Emitter {
-        sink,
-        on_delivery: &mut on_delivery,
-        stop: opts.stop,
-        script: opts.faults.map_or(&[][..], FaultScript::events),
-        watermark: None,
-        stats: NetworkRunStats {
-            queue_drops: vec![0; n],
-            route_drops: vec![0; n],
-            ..NetworkRunStats::default()
-        },
-    };
-
-    let (mut ran, windows, shard_stalls) = if s == 1 {
-        let mut w = worker(0, network);
-        let windows = w.run_alone(&mut out, &mut ingest, lookahead);
-        (vec![w], windows, 0)
-    } else {
-        let workers: Vec<Logged<'_, F, Q>> = (0..s)
-            .map(|i| Mutex::new((worker(i, network.clone()), WindowLog::default())))
-            .collect();
-        let (start, done) = (Barrier::new(s + 1), Barrier::new(s + 1));
-        let horizon = AtomicU64::new(0);
-        /// Releases the parked workers when the coordinator is done — or
-        /// unwinds: a sink or source that panics must not hang the run.
-        struct Shutdown<'a>(&'a AtomicU64, &'a Barrier);
-        impl Drop for Shutdown<'_> {
-            fn drop(&mut self) {
-                self.0.store(SHUTDOWN, Ordering::Release);
-                self.1.wait();
-            }
+    let mut ingest = Ingest::new(source, n);
+    let mut out = Emitter::new(sink, &mut on_delivery, opts, n);
+    let workers: Vec<Logged<'_, F>> = (0..s)
+        .map(|i| {
+            let w = ShardWorker::new(i, network.clone(), forwarder, &shard_of, opts.faults);
+            Mutex::new((w, WindowLog::default()))
+        })
+        .collect();
+    let (start, done) = (Barrier::new(s + 1), Barrier::new(s + 1));
+    let horizon = AtomicU64::new(0);
+    /// Releases the parked workers when the coordinator is done — or
+    /// unwinds: a sink or source that panics must not hang the run.
+    struct Shutdown<'a>(&'a AtomicU64, &'a Barrier);
+    impl Drop for Shutdown<'_> {
+        fn drop(&mut self) {
+            self.0.store(SHUTDOWN, Ordering::Release);
+            self.1.wait();
         }
-        let (windows, shard_stalls) = std::thread::scope(|scope| {
-            for w in &workers {
-                scope.spawn(|| loop {
-                    start.wait();
-                    let h = horizon.load(Ordering::Acquire);
-                    if h == SHUTDOWN {
-                        break;
-                    }
-                    {
-                        let (worker, log) = &mut *lock(w);
-                        log.clear();
-                        worker.run_window(log, (h != UNBOUNDED).then_some(h));
-                    }
-                    done.wait();
-                });
-            }
-            let _shutdown = Shutdown(&horizon, &start);
-            let mut run_all = |h: Option<u64>| {
-                horizon.store(h.unwrap_or(UNBOUNDED), Ordering::Release);
+    }
+    let (windows, shard_stalls) = std::thread::scope(|scope| {
+        for w in &workers {
+            scope.spawn(|| loop {
                 start.wait();
+                let h = horizon.load(Ordering::Acquire);
+                if h == SHUTDOWN {
+                    break;
+                }
+                {
+                    let (worker, log) = &mut *lock(w);
+                    log.clear();
+                    worker.run_window(log, (h != UNBOUNDED).then_some(h));
+                }
                 done.wait();
-            };
-            drive_windows(
-                &workers,
-                &shard_of,
-                lookahead,
-                &mut ingest,
-                &mut out,
-                &mut run_all,
-            )
-        });
-        let unwrap = |m: Mutex<_>| m.into_inner().expect("a shard worker panicked");
-        let ran = workers.into_iter().map(|m| unwrap(m).0).collect();
-        (ran, windows, shard_stalls)
-    };
+            });
+        }
+        let _shutdown = Shutdown(&horizon, &start);
+        let mut run_all = |h: Option<u64>| {
+            horizon.store(h.unwrap_or(UNBOUNDED), Ordering::Release);
+            start.wait();
+            done.wait();
+        };
+        drive_windows(
+            &workers,
+            &shard_of,
+            lookahead,
+            &mut ingest,
+            &mut out,
+            &mut run_all,
+        )
+    });
+    let unwrap = |m: Mutex<_>| m.into_inner().expect("a shard worker panicked");
+    let mut ran: Vec<ShardWorker<'_, F>> = workers.into_iter().map(|m| unwrap(m).0).collect();
 
     let mut run = ShardRunStats {
         stats: out.stats,
@@ -949,10 +995,7 @@ fn run_keyed<F: Forwarder + Sync, Q: EventSchedule<ShardEvent> + Send>(
         windows,
         shard_stalls,
     }
-    .merged(ran.iter().map(|w| {
-        let slab = &w.slab;
-        (slab.peak_live(), slab.hop_allocations(), w.schedule.stats())
-    }));
+    .merged(ran.iter().map(ShardWorker::diagnostics));
     // Fused final network: each switch's queue state from the shard that
     // owned (and therefore exclusively mutated) it.
     let mut fused = std::mem::take(&mut ran[0].network);
@@ -968,8 +1011,9 @@ fn run_keyed<F: Forwarder + Sync, Q: EventSchedule<ShardEvent> + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{run_network_streamed_opts, Port};
+    use crate::network::{Port, StreamDigest};
     use crate::queue::QueueConfig;
+    use crate::source::SortedVecSource;
     use rlir_net::flow::FlowKey;
     use rlir_net::time::SimDuration;
     use std::net::Ipv4Addr;
@@ -1006,99 +1050,65 @@ mod tests {
         )
     }
 
-    /// Order-sensitive digest sink over the full hop + watermark stream.
-    #[derive(Default)]
-    struct Digest(u64);
-    impl Digest {
-        fn fold(&mut self, x: u64) {
-            let mut h = self.0 ^ x;
-            h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            h ^= h >> 29;
-            self.0 = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        }
-    }
-    impl HopSink for Digest {
-        fn on_hop(&mut self, ev: &HopEvent<'_>) {
-            self.fold(match ev.kind {
-                HopKind::Arrive => 1,
-                HopKind::Enqueue { port } => 2 + ((port as u64) << 8),
-                HopKind::Dequeue { port, arrived } => {
-                    (3 + ((port as u64) << 8)) ^ arrived.as_nanos()
-                }
-                HopKind::QueueDrop { port } => 4 + ((port as u64) << 8),
-                HopKind::RouteDrop => 5,
-                HopKind::Deliver => 6,
-            });
-            self.fold(ev.node as u64);
-            self.fold(ev.at.as_nanos());
-            self.fold(ev.packet.id.0);
-            self.fold(ev.hops.len() as u64);
-        }
-        fn on_watermark(&mut self, watermark: SimTime) {
-            self.fold(0xFFFF_0000 ^ watermark.as_nanos());
-        }
-    }
-
     fn sharded_digest(shards: usize, injections: &[(NodeId, Packet)]) -> (u64, ShardRunStats) {
         planned_digest(&ShardPlan::new(vec![0, 1]), shards, injections)
     }
 
+    /// The hop + watermark stream, then the deliveries, as one digest.
     fn planned_digest(
         plan: &ShardPlan,
         shards: usize,
         injections: &[(NodeId, Packet)],
     ) -> (u64, ShardRunStats) {
-        let mut sink = Digest::default();
+        let mut digest = StreamDigest::default();
         let mut deliveries = Vec::new();
-        let out = run_network_sharded(
+        let out = run_network_sharded_source(
             tandem(),
             &Chain,
-            injections.iter().copied(),
-            &mut sink,
+            SortedVecSource::new(injections.iter().copied()),
+            &mut digest,
             RunOptions::default(),
             plan,
             shards,
             |d| deliveries.push((d.packet.id.0, d.delivered_at.as_nanos())),
         );
-        let mut digest = sink;
         for (id, at) in deliveries {
             digest.fold(id);
             digest.fold(at);
         }
-        (digest.0, out)
+        (digest.value(), out)
     }
 
     #[test]
     fn streamed_source_entry_is_byte_identical_for_any_shard_count() {
-        // The iterator entry is the source entry behind a sorted Vec: same
-        // digest through either, for every shard count.
+        // The one-shard entry is the sharded entry without its window
+        // count: same digest as either shard count.
         let injections: Vec<(NodeId, Packet)> = (0..600)
             .map(|i| (i as usize % 2, pkt(i, (i % 7) * 900)))
             .collect();
+        let mut digest = StreamDigest::default();
+        let mut deliveries = Vec::new();
+        let stats = run_network_streamed_source(
+            tandem(),
+            &Chain,
+            SortedVecSource::new(injections.iter().copied()),
+            &mut digest,
+            RunOptions::default(),
+            |d| deliveries.push((d.packet.id.0, d.delivered_at.as_nanos())),
+        );
+        for (id, at) in deliveries {
+            digest.fold(id);
+            digest.fold(at);
+        }
+        assert_eq!(stats.injected, injections.len() as u64);
         for shards in [1, 2] {
-            let (expect, _) = sharded_digest(shards, &injections);
-            let mut sink = Digest::default();
-            let mut deliveries = Vec::new();
-            let out = run_network_sharded_source(
-                tandem(),
-                &Chain,
-                crate::source::SortedVecSource::new(injections.iter().copied()),
-                &mut sink,
-                RunOptions::default(),
-                &ShardPlan::new(vec![0, 1]),
-                shards,
-                |d| deliveries.push((d.packet.id.0, d.delivered_at.as_nanos())),
-            );
-            let mut digest = sink;
-            for (id, at) in deliveries {
-                digest.fold(id);
-                digest.fold(at);
-            }
+            let (expect, out) = sharded_digest(shards, &injections);
             assert_eq!(
-                digest.0, expect,
-                "source entry diverged at {shards} shard(s)"
+                digest.value(),
+                expect,
+                "sharded entry diverged at {shards} shard(s)"
             );
-            assert_eq!(out.stats.injected, injections.len() as u64);
+            assert_eq!(out.stats.events, stats.events);
         }
     }
 
@@ -1149,39 +1159,6 @@ mod tests {
         );
         assert_eq!(s2.shards, 2);
         assert!(s1.stats.delivered > 0);
-    }
-
-    #[test]
-    fn tie_free_single_shard_matches_sequential_engine() {
-        // One packet in flight at a time ⇒ no same-time ties anywhere ⇒
-        // the keyed order coincides with the sequential push order.
-        let injections: Vec<(NodeId, Packet)> =
-            (0..20).map(|i| (0usize, pkt(i, i * 1_000_000))).collect();
-        let mut seq_sink = Digest::default();
-        let seq = run_network_streamed_opts(
-            tandem(),
-            &Chain,
-            injections.iter().copied(),
-            &mut seq_sink,
-            RunOptions::default(),
-            |_| {},
-        );
-        let (_, sharded) = sharded_digest(2, &injections);
-        let mut sh_sink = Digest::default();
-        let plan = ShardPlan::new(vec![0, 1]);
-        run_network_sharded(
-            tandem(),
-            &Chain,
-            injections.iter().copied(),
-            &mut sh_sink,
-            RunOptions::default(),
-            &plan,
-            2,
-            |_| {},
-        );
-        assert_eq!(seq_sink.0, sh_sink.0, "tie-free streams must coincide");
-        assert_eq!(seq.delivered, sharded.stats.delivered);
-        assert_eq!(seq.events, sharded.stats.events);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! *inside* the scheduler: every push/pop moved a ~130-byte event carrying
 //! the `Packet` by value plus a heap-allocated `Vec<Hop>`, and every
 //! injected packet paid for a fresh hop vector. The slab pins the state in
-//! place and lets the scheduler move an 8-byte `Copy` handle instead
-//! (see `network::SlotEvent`).
+//! place and lets the queue move an 8-byte `Copy` handle instead
+//! (see `shard::ShardEvent`).
 //!
 //! Slots are recycled through a free list the moment a packet leaves the
 //! network (deliver or drop), so:
@@ -19,9 +19,9 @@
 //!   long run allocates no more than a short one at the same concurrency.
 //!
 //! The slab counts its own behaviour ([`PacketSlab::peak_live`],
-//! [`PacketSlab::hop_allocations`]); `BENCH_network.json` reports both.
+//! [`PacketSlab::hop_allocations`]); every run's stats report both.
 //! Liveness is tracked per slot: freeing a dead slot panics, and the
-//! free-list property tests (`tests/slab_engine_differential.rs`) drive
+//! free-list property test (`tests/properties.rs`) drives
 //! interleaved insert/free/push-hop sequences against a mirror to prove
 //! recycling never aliases two live packets.
 

@@ -1,4 +1,4 @@
-//! Pull-based injection sources for the slab engine.
+//! Pull-based injection sources for the engine.
 //!
 //! Before this module the engine's only ingest path collected **every**
 //! injection into a time-sorted `Vec<(NodeId, Packet)>` — O(run) memory
@@ -21,13 +21,13 @@
 //!   `peek` returns `Some(t)`, `next_injection` must return a packet with
 //!   `created_at == t`.
 //! * Emission order is **non-decreasing** in `created_at`; ties keep the
-//!   source's own order (for `SortedVecSource`, the input list order —
-//!   exactly the moving oracle's sequence-number tie-breaking). The
-//!   engine asserts monotonicity (debug builds assert per pull).
+//!   source's own order (for `SortedVecSource`, the input list order),
+//!   which is the engine's ordinal order. The engine asserts monotonicity
+//!   per pull.
 //! * [`span_hint`](InjectionSource::span_hint) /
 //!   [`len_hint`](InjectionSource::len_hint) are vestigial: they fed the
 //!   calendar's old injection-spacing geometry, which now comes from the
-//!   fabric (`sched::fabric_geometry`), and no engine reads them. They stay
+//!   fabric (`sched::fabric_geometry`), and the engine does not read them. They stay
 //!   because the ledger's adapters implement and forward them: delete them
 //!   with the next `[benchmark]` PR, the only kind that may edit `ledger/`.
 
@@ -35,8 +35,8 @@ use crate::network::NodeId;
 use rlir_net::packet::Packet;
 use rlir_net::time::SimTime;
 
-/// A time-ordered stream of `(entry_node, packet)` injections the slab
-/// engine pulls from (see the module docs for the ordering contract).
+/// A time-ordered stream of `(entry_node, packet)` injections the engine
+/// pulls from (see the module docs for the ordering contract).
 pub trait InjectionSource {
     /// Injection time of the next packet, without consuming it. `None`
     /// means the source is exhausted (a source must never "recover" after
@@ -49,13 +49,13 @@ pub trait InjectionSource {
     fn next_injection(&mut self) -> Option<(NodeId, Packet)>;
 
     /// Total number of injections, if known up front. Unused by the
-    /// engines (see the module docs); never used for control flow.
+    /// engine (see the module docs); never used for control flow.
     fn len_hint(&self) -> Option<usize> {
         None
     }
 
     /// `last.created_at - first.created_at` in nanoseconds, if known up
-    /// front. Unused by the engines (see the module docs).
+    /// front. Unused by the engine (see the module docs).
     fn span_hint(&self) -> Option<u64> {
         None
     }

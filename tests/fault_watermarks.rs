@@ -16,8 +16,9 @@ use rlir_net::packet::Packet;
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
 use rlir_sim::{
-    run_network_streamed_opts, DeadPorts, FaultEvent, FaultKind, FaultScript, Forwarder, HopEvent,
-    HopSink, Network, NodeId, Port, QueueConfig, RouteDecision, RunOptions, StreamedDelivery,
+    run_network_streamed_source, DeadPorts, FaultEvent, FaultKind, FaultScript, Forwarder,
+    HopEvent, HopSink, Network, NodeId, Port, QueueConfig, RouteDecision, RunOptions,
+    SortedVecSource, StreamedDelivery,
 };
 use std::net::Ipv4Addr;
 
@@ -147,14 +148,7 @@ proptest! {
         let injected = injections.len() as u64;
 
         let mut sink = Contract::default();
-        let stats = run_network_streamed_opts(
-            diamond(),
-            &DiamondForwarder,
-            injections,
-            &mut sink,
-            RunOptions { faults: Some(&script), ..RunOptions::default() },
-            &mut |_d: &StreamedDelivery<'_>| {},
-        );
+        let stats = run_network_streamed_source(diamond(), &DiamondForwarder, SortedVecSource::new(injections), &mut sink, RunOptions { faults: Some(&script), ..RunOptions::default() }, &mut |_d: &StreamedDelivery<'_>| {});
 
         // Watermarks strictly increase …
         for w in sink.marks.windows(2) {

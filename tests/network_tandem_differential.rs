@@ -1,8 +1,8 @@
 //! Differential test: the event-driven `Network` engine on a degenerate
 //! 2-switch topology reproduces the streaming tandem
 //! ([`rlir_sim::run_tandem_with`]) **byte-identically** — same deliveries,
-//! same queue counters — which pins the new `HopSink`/calendar-queue engine
-//! path against the long-standing tandem oracle.
+//! same queue counters — which pins the keyed engine against the
+//! long-standing tandem oracle.
 //!
 //! Mapping: node 0 = switch 1 (one port to node 1 with the tandem's link
 //! delay), node 1 = switch 2 (host-facing port with zero link delay, so the
@@ -11,19 +11,18 @@
 //! tandem's wiring.
 //!
 //! Tie-breaking caveat (checked here with deliberate collisions): at equal
-//! switch-2 arrival instants the engine serves the earlier-scheduled event
-//! (cross injections precede in-flight upstream arrivals), while the tandem
-//! merge compares packet ids — the two agree whenever cross ids sort below
-//! upstream ids, which is how this suite (and any caller that wants
-//! engine-equivalence) numbers them.
+//! switch-2 arrival instants the engine serves the earlier-injected packet
+//! first (an in-flight upstream packet precedes a cross injection), while
+//! the tandem merge compares packet ids — the two agree whenever upstream
+//! ids sort below cross ids, which is how this suite (and any caller that
+//! wants engine-equivalence) numbers them.
 
 use rlir_net::packet::Packet;
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::{FlowKey, SenderId};
 use rlir_sim::{
-    run_network_sched, run_tandem_two_pass, run_tandem_with, Delivery, Forwarder, HopEvent,
-    HopKind, Network, NodeId, NullSink, Port, QueueConfig, RouteDecision, SchedulerKind,
-    TandemConfig,
+    run_network_with, run_tandem_two_pass, run_tandem_with, Delivery, Forwarder, HopEvent, HopKind,
+    Network, NodeId, NullSink, Port, QueueConfig, RouteDecision, TandemConfig,
 };
 use std::net::Ipv4Addr;
 
@@ -62,7 +61,7 @@ fn tandem_network(cfg: &TandemConfig) -> Network {
     net
 }
 
-/// Deterministic pseudo-random mix. Cross ids sort below upstream ids so
+/// Deterministic pseudo-random mix. Upstream ids sort below cross ids so
 /// both implementations break switch-2 arrival ties identically (see
 /// module docs); timestamps are multiples of 50 ns so ties actually occur.
 fn mix(seed: u64, n: usize) -> (Vec<Packet>, Vec<Packet>) {
@@ -86,9 +85,9 @@ fn mix(seed: u64, n: usize) -> (Vec<Packet>, Vec<Packet>) {
             let at = SimTime::from_nanos((rng() % 40_000) / 50 * 50);
             let size = 200 + (rng() % 1200) as u32;
             if i % 17 == 0 {
-                Packet::reference(100_000 + i, flow(i), SenderId(1), i as u32, at)
+                Packet::reference(i, flow(i), SenderId(1), i as u32, at)
             } else {
-                Packet::regular(100_000 + i, flow(i), size, at)
+                Packet::regular(i, flow(i), size, at)
             }
         })
         .collect();
@@ -97,7 +96,7 @@ fn mix(seed: u64, n: usize) -> (Vec<Packet>, Vec<Packet>) {
         .map(|i| {
             let at = SimTime::from_nanos((rng() % 40_000) / 50 * 50);
             let size = 300 + (rng() % 900) as u32;
-            Packet::cross(i, flow(i + 3), size, at)
+            Packet::cross(100_000 + i, flow(i + 3), size, at)
         })
         .collect();
     cross.sort_by_key(|p| (p.created_at, p.id));
@@ -109,20 +108,13 @@ fn network_deliveries(
     cfg: &TandemConfig,
     upstream: &[Packet],
     cross: &[Packet],
-    scheduler: SchedulerKind,
 ) -> (Vec<Delivery>, [u64; 4]) {
     let injections: Vec<(NodeId, Packet)> = upstream
         .iter()
         .map(|p| (0usize, *p))
         .chain(cross.iter().map(|p| (1usize, *p)))
         .collect();
-    let run = run_network_sched(
-        tandem_network(cfg),
-        &Chain,
-        injections,
-        &mut NullSink,
-        scheduler,
-    );
+    let run = run_network_with(tandem_network(cfg), &Chain, injections, &mut NullSink);
     let deliveries = run
         .deliveries
         .iter()
@@ -151,17 +143,15 @@ fn assert_equivalent(cfg: &TandemConfig, upstream: Vec<Packet>, cross: Vec<Packe
     });
     assert_eq!(streaming, two_pass.deliveries, "tandem self-check");
 
-    for scheduler in [SchedulerKind::Calendar, SchedulerKind::Heap] {
-        let (net, counters) = network_deliveries(cfg, &upstream, &cross, scheduler);
-        assert_eq!(
-            net, streaming,
-            "network deliveries diverge from the tandem oracle ({scheduler:?})"
-        );
-        assert_eq!(counters[0], stats.sw1.total_arrivals(), "sw1 arrivals");
-        assert_eq!(counters[1], stats.sw1.total_drops(), "sw1 drops");
-        assert_eq!(counters[2], stats.sw2.total_arrivals(), "sw2 arrivals");
-        assert_eq!(counters[3], stats.sw2.total_drops(), "sw2 drops");
-    }
+    let (net, counters) = network_deliveries(cfg, &upstream, &cross);
+    assert_eq!(
+        net, streaming,
+        "network deliveries diverge from the tandem oracle"
+    );
+    assert_eq!(counters[0], stats.sw1.total_arrivals(), "sw1 arrivals");
+    assert_eq!(counters[1], stats.sw1.total_drops(), "sw1 drops");
+    assert_eq!(counters[2], stats.sw2.total_arrivals(), "sw2 arrivals");
+    assert_eq!(counters[3], stats.sw2.total_drops(), "sw2 drops");
 }
 
 #[test]
@@ -193,10 +183,10 @@ fn network_reproduces_tandem_with_synchronized_ties() {
         80,
     );
     let upstream: Vec<Packet> = (0..200u64)
-        .map(|i| Packet::regular(100_000 + i, flow, 1000, SimTime::from_nanos(i / 4 * 1_000)))
+        .map(|i| Packet::regular(i, flow, 1000, SimTime::from_nanos(i / 4 * 1_000)))
         .collect();
     let cross: Vec<Packet> = (0..200u64)
-        .map(|i| Packet::cross(i, flow, 650, SimTime::from_nanos(i / 2 * 1_000)))
+        .map(|i| Packet::cross(100_000 + i, flow, 650, SimTime::from_nanos(i / 2 * 1_000)))
         .collect();
     assert_equivalent(&tandem_cfg(8_000), upstream, cross);
 }
@@ -216,7 +206,7 @@ fn hop_sink_deliver_events_match_returned_deliveries() {
             seen.push((ev.at.as_nanos(), ev.packet.id.0));
         }
     };
-    let run = rlir_sim::run_network_with(tandem_network(&cfg), &Chain, injections, &mut sink);
+    let run = run_network_with(tandem_network(&cfg), &Chain, injections, &mut sink);
     let mut expected: Vec<(u64, u64)> = run
         .deliveries
         .iter()

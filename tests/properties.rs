@@ -8,7 +8,11 @@ use rlir_net::wire::{decode_reference_packet, encode_reference_packet};
 use rlir_net::{FlowKey, HashAlgo, Ipv4Prefix, PrefixTrie, Protocol};
 use rlir_rli::{DelaySample, Interpolator};
 use rlir_sim::queue::baseline::SeedFifoQueue;
-use rlir_sim::{FifoQueue, QueueConfig, Verdict};
+use rlir_sim::{
+    run_network_streamed_source, run_network_with, FifoQueue, Forwarder, Hop, Network, NetworkRun,
+    NodeId, NullSink, PacketSlab, Port, PortId, QueueConfig, RouteDecision, RunOptions,
+    SortedVecSource, Verdict,
+};
 use rlir_stats::{Ecdf, StreamingStats};
 use rlir_topo::{FatTree, Role};
 use std::net::Ipv4Addr;
@@ -289,5 +293,325 @@ proptest! {
         }
         prop_assert_eq!(*ranks.first().unwrap(), 0);
         prop_assert_eq!(*ranks.last().unwrap(), 0);
+    }
+}
+
+// ---- rlir-sim engine: the slab's memory bound and free list ------------
+
+fn qcfg(capacity_bytes: u64) -> QueueConfig {
+    QueueConfig {
+        rate_bps: 8_000_000_000, // 1 B/ns
+        capacity_bytes,
+        processing_delay: SimDuration::from_nanos(50),
+    }
+}
+
+fn pkt(id: u64, at_ns: u64, dport: u16) -> Packet {
+    Packet::regular(
+        id,
+        FlowKey::tcp(
+            Ipv4Addr::new(10, 0, 0, (id % 250) as u8 + 1),
+            1000 + (id % 7) as u16,
+            Ipv4Addr::new(10, 1, 0, 1),
+            dport,
+        ),
+        400 + (id % 5) as u32 * 300,
+        SimTime::from_nanos(at_ns),
+    )
+}
+
+/// A 4-switch diamond: 0 fans out to 1 or 2 by dport parity, both feed 3,
+/// which delivers via a host port. Port 666 is unroutable at node 0, and a
+/// marking hook stamps the first forwarding switch.
+fn diamond(capacity_bytes: u64) -> Network {
+    let mut net = Network::default();
+    let s0 = net.add_node("s0");
+    let s1 = net.add_node("s1");
+    let s2 = net.add_node("s2");
+    let s3 = net.add_node("s3");
+    net.add_port(
+        s0,
+        Port::to_switch(qcfg(capacity_bytes), s1, SimDuration::from_nanos(100)),
+    );
+    net.add_port(
+        s0,
+        Port::to_switch(qcfg(capacity_bytes), s2, SimDuration::from_nanos(150)),
+    );
+    net.add_port(
+        s1,
+        Port::to_switch(qcfg(capacity_bytes), s3, SimDuration::from_nanos(100)),
+    );
+    net.add_port(
+        s2,
+        Port::to_switch(qcfg(capacity_bytes), s3, SimDuration::from_nanos(100)),
+    );
+    net.add_port(
+        s3,
+        Port::to_host(qcfg(capacity_bytes), SimDuration::from_nanos(50)),
+    );
+    net
+}
+
+struct DiamondForwarder;
+
+impl Forwarder for DiamondForwarder {
+    fn route(&self, node: NodeId, p: &Packet) -> RouteDecision {
+        match node {
+            0 if p.flow.dport == 666 => RouteDecision::Drop,
+            0 => RouteDecision::Forward((p.flow.dport % 2) as usize),
+            1 | 2 => RouteDecision::Forward(0),
+            _ => RouteDecision::Forward(0), // node 3: host port
+        }
+    }
+
+    fn on_forward(&self, node: NodeId, _port: PortId, p: &mut Packet) {
+        if p.mark == 0 {
+            p.mark = node as u8 + 1;
+        }
+    }
+}
+
+/// Everything a run produced, flattened for byte-for-byte comparison.
+fn fingerprint(run: &NetworkRun) -> Vec<u64> {
+    let mut v = Vec::new();
+    for d in &run.deliveries {
+        v.extend([
+            d.packet.id.0,
+            d.packet.size as u64,
+            d.packet.mark as u64,
+            d.packet.created_at.as_nanos(),
+            d.injected_node as u64,
+            d.injected_at.as_nanos(),
+            d.delivered_node as u64,
+            d.delivered_at.as_nanos(),
+            d.hops.len() as u64,
+        ]);
+        for h in &d.hops {
+            v.extend([
+                h.node as u64,
+                h.port as u64,
+                h.arrived.as_nanos(),
+                h.departed.as_nanos(),
+            ]);
+        }
+    }
+    v.extend(run.queue_drops.iter().copied());
+    v.extend(run.route_drops.iter().copied());
+    for node in &run.network.nodes {
+        for port in &node.ports {
+            for c in [
+                port.queue.regular(),
+                port.queue.cross(),
+                port.queue.reference(),
+            ] {
+                v.extend([c.arrivals, c.drops, c.bytes]);
+            }
+        }
+    }
+    v
+}
+
+/// One test regime: name, queue capacity, injections.
+type Regime = (&'static str, u64, Vec<(NodeId, Packet)>);
+
+/// Three regimes: calm (spread injections), tie-heavy (bursts sharing one
+/// timestamp), drop-heavy (overload against a shallow buffer + unroutable
+/// flows).
+fn regimes() -> Vec<Regime> {
+    let calm: Vec<(NodeId, Packet)> = (0..400)
+        .map(|i| (0usize, pkt(i, i * 2_000, 80 + (i % 3) as u16)))
+        .collect();
+    let ties: Vec<(NodeId, Packet)> = (0..400)
+        .map(|i| (0usize, pkt(i, (i / 40) * 1_000, 80 + (i % 3) as u16)))
+        .collect();
+    let droppy: Vec<(NodeId, Packet)> = (0..600)
+        .map(|i| {
+            let dport = if i % 13 == 0 {
+                666
+            } else {
+                80 + (i % 3) as u16
+            };
+            (0usize, pkt(i, (i / 20) * 900, dport))
+        })
+        .collect();
+    vec![
+        ("calm", 1 << 20, calm),
+        ("ties", 1 << 20, ties),
+        ("drops", 3_000, droppy),
+    ]
+}
+
+#[test]
+fn streamed_mode_matches_buffered_mode_in_every_regime() {
+    for (name, cap, inj) in regimes() {
+        let buffered =
+            run_network_with(diamond(cap), &DiamondForwarder, inj.clone(), &mut NullSink);
+        let mut streamed: Vec<rlir_sim::NetDelivery> = Vec::new();
+        let stats = run_network_streamed_source(
+            diamond(cap),
+            &DiamondForwarder,
+            SortedVecSource::new(inj),
+            &mut NullSink,
+            RunOptions::default(),
+            |d| streamed.push(d.to_owned()),
+        );
+        streamed.sort_by_key(|d| (d.delivered_at, d.packet.id));
+        let as_run = NetworkRun {
+            deliveries: streamed,
+            queue_drops: stats.queue_drops.clone(),
+            route_drops: stats.route_drops.clone(),
+            network: stats.network.clone(),
+        };
+        assert_eq!(
+            fingerprint(&as_run),
+            fingerprint(&buffered),
+            "{name}: streamed deliveries diverged from the buffered mode"
+        );
+        assert_eq!(stats.delivered, buffered.deliveries.len() as u64, "{name}");
+    }
+}
+
+#[test]
+fn streamed_peak_slots_are_in_flight_bounded_not_run_bounded() {
+    // The engine-side mirror of PR 4's peak-pending assertion: a run 100×
+    // longer must not occupy more slots, because slots recycle at
+    // deliver/drop. Injections spaced wider than the end-to-end residence
+    // (~2.5 µs) keep only a handful of packets concurrently in flight.
+    let peak_of = |packets: u64| {
+        let inj: Vec<(NodeId, Packet)> = (0..packets)
+            .map(|i| (0usize, pkt(i, i * 5_000, 80 + (i % 3) as u16)))
+            .collect();
+        let stats = run_network_streamed_source(
+            diamond(1 << 20),
+            &DiamondForwarder,
+            SortedVecSource::new(inj),
+            &mut NullSink,
+            RunOptions::default(),
+            |_| {},
+        );
+        assert_eq!(stats.delivered, packets);
+        (stats.peak_live_slots, stats.hop_allocations)
+    };
+    let (peak_short, allocs_short) = peak_of(100);
+    let (peak_long, allocs_long) = peak_of(10_000);
+    assert!(
+        peak_long <= peak_short.max(4),
+        "peak slots grew with run length: {peak_short} → {peak_long}"
+    );
+    assert!(
+        peak_long < 100,
+        "peak {peak_long} not bounded by concurrency"
+    );
+    // Hop storage is recycled with the slots: a 100× longer run performs
+    // no more hop allocations than the concurrency bound implies.
+    assert!(
+        allocs_long <= allocs_short.max(4 * peak_long as u64),
+        "hop allocations grew with run length: {allocs_short} → {allocs_long}"
+    );
+}
+
+#[test]
+fn streamed_overload_keeps_slots_bounded_under_drops() {
+    // Sustained 2× overload against a shallow buffer: drops recycle slots
+    // just like deliveries, so even at overload the peak tracks the
+    // (buffer-bounded) in-flight population, not the injected count.
+    let inj: Vec<(NodeId, Packet)> = (0..20_000u64)
+        .map(|i| (0usize, pkt(i, i * 350, 80 + (i % 3) as u16)))
+        .collect();
+    let stats = run_network_streamed_source(
+        diamond(16_000),
+        &DiamondForwarder,
+        SortedVecSource::new(inj),
+        &mut NullSink,
+        RunOptions::default(),
+        |_| {},
+    );
+    assert!(
+        stats.queue_drops.iter().sum::<u64>() > 1_000,
+        "not overloaded: {:?}",
+        stats.queue_drops
+    );
+    assert!(
+        stats.peak_live_slots < 2_000,
+        "peak {} slots for 20000 injected under overload",
+        stats.peak_live_slots
+    );
+}
+
+#[derive(Debug, Clone)]
+enum SlabOp {
+    Insert(u64),
+    /// Release the k-th live slot (mod live count).
+    Release(usize),
+    /// Push a hop onto the k-th live slot (mod live count).
+    PushHop(usize),
+}
+
+fn arb_op() -> impl Strategy<Value = SlabOp> {
+    (0u8..4, 0u64..1 << 40, 0usize..64).prop_map(|(tag, id, k)| match tag {
+        0 | 1 => SlabOp::Insert(id), // insert-biased so sequences grow
+        2 => SlabOp::Release(k),
+        _ => SlabOp::PushHop(k),
+    })
+}
+
+proptest! {
+    /// Interleaved insert/release/push-hop against a mirror model: the
+    /// slab must never hand out a slot that is still live (no aliasing),
+    /// must preserve every live slot's packet and hop record verbatim, and
+    /// its peak must equal the mirror's high-water mark.
+    #[test]
+    fn slot_recycling_never_aliases_live_packets(
+        ops in proptest::collection::vec(arb_op(), 1..300),
+    ) {
+        let mut slab = PacketSlab::new();
+        // Mirror: (slot, packet id, expected hop count), insertion-ordered.
+        let mut live: Vec<(u32, u64, usize)> = Vec::new();
+        let mut peak = 0usize;
+        for op in ops {
+            match op {
+                SlabOp::Insert(id) => {
+                    let slot = slab.insert(pkt(id, id % 9_999, 80), 0, SimTime::from_nanos(id));
+                    prop_assert!(
+                        !live.iter().any(|&(s, _, _)| s == slot),
+                        "slot {slot} handed out while still live"
+                    );
+                    prop_assert!(slab.get(slot).hops().is_empty(), "recycled slot kept hops");
+                    live.push((slot, id, 0));
+                    peak = peak.max(live.len());
+                }
+                SlabOp::Release(k) => {
+                    if live.is_empty() { continue; }
+                    let (slot, _, _) = live.remove(k % live.len());
+                    slab.release(slot);
+                    prop_assert!(!slab.is_live(slot));
+                }
+                SlabOp::PushHop(k) => {
+                    if live.is_empty() { continue; }
+                    let idx = k % live.len();
+                    let entry = &mut live[idx];
+                    slab.push_hop(entry.0, Hop {
+                        node: entry.2,
+                        port: 0,
+                        arrived: SimTime::from_nanos(entry.2 as u64),
+                        departed: SimTime::from_nanos(entry.2 as u64 + 1),
+                    });
+                    entry.2 += 1;
+                }
+            }
+            // Every live slot still holds exactly its own packet and hops.
+            for &(slot, id, hops) in &live {
+                prop_assert!(slab.is_live(slot));
+                let st = slab.get(slot);
+                prop_assert_eq!(st.packet.id.0, id, "live packet clobbered");
+                prop_assert_eq!(st.hops().len(), hops, "live hop record clobbered");
+                for (i, h) in st.hops().iter().enumerate() {
+                    prop_assert_eq!(h.node, i, "hop record reordered");
+                }
+            }
+            prop_assert_eq!(slab.live(), live.len());
+        }
+        prop_assert_eq!(slab.peak_live(), peak);
+        prop_assert!(slab.capacity() <= peak.max(1), "slab grew beyond its peak");
     }
 }

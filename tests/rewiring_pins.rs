@@ -13,6 +13,26 @@
 //! PR 3 digests above double as the slab-engine pins. The `localize` and
 //! `drop_aware` digests below were captured at commit 7b636b0 (the PR 4
 //! buffered engine) immediately before the swap.
+//!
+//! PR 26 (one engine, this commit's): the keyed core became the only
+//! per-hop step, so the fat-tree scenarios run its same-instant order — a
+//! queued arrival before an injection, queued arrivals by (injection
+//! ordinal, hop) — instead of the sequential engine's (injection first,
+//! then push sequence). That order is the only cause of the re-pin:
+//! `fattree` 0xd787dd9172def65c / 0x913711e18efc6cb3 → 0xa1b6431af78ff6e5 /
+//! 0x8297d70c7a20ee46, `incast` 0x93cab3421c902f82 → 0x423607e23afa1da2,
+//! `localize` 0x590db8fa9b2c21a4 → 0xa5a1a6e3d2f87e49; `asymmetric` and
+//! `drop_aware` do not move. Checked on scratch copies of the parent and
+//! this commit: (1) this commit with the sequential tie rule swapped back
+//! in reproduces all five old digests bit for bit; (2) with every
+//! injection's timestamp jittered by 1–977 ns (hashed from its id, both
+//! copies alike), which takes the structural same-switch ties — core
+//! references injected at the exact instant of the arrival they follow —
+//! from 1 081 to 66 per `fattree` run, parent and change agree on
+//! `fattree` and `localize`, and at a 1 ms duration on all three; at
+//! 300 µs `fattree` has no two units at one switch at one instant. (The
+//! jittered 20 ms `incast` keeps ≈ 400 nanosecond-level coincidences at a
+//! switch, and those are enough to move it.)
 
 use rlir::experiment::{
     run_asymmetric, run_drop_aware, run_fattree, run_incast, run_localize_full, AsymmetricConfig,
@@ -65,14 +85,14 @@ fn fattree_digest(demux: CoreDemux) -> u64 {
 fn fattree_outputs_match_pre_rewiring_pins() {
     assert_eq!(
         fattree_digest(CoreDemux::ReverseEcmp),
-        0xd787dd9172def65c,
+        0xa1b6431af78ff6e5,
         "reverse-ECMP fat-tree output drifted from the pre-rewiring pin"
     );
     // Marking demuxes perfectly too, so it feeds the receivers identically.
-    assert_eq!(fattree_digest(CoreDemux::Marking), 0xd787dd9172def65c);
+    assert_eq!(fattree_digest(CoreDemux::Marking), 0xa1b6431af78ff6e5);
     assert_eq!(
         fattree_digest(CoreDemux::Naive),
-        0x913711e18efc6cb3,
+        0x8297d70c7a20ee46,
         "naive-demux fat-tree output drifted from the pre-rewiring pin"
     );
 }
@@ -178,7 +198,7 @@ fn localize_outputs_match_pre_slab_engine_pin() {
         h = digest_epochs(h, &t.victim_epochs);
     }
     assert_eq!(
-        h, 0x590db8fa9b2c21a4,
+        h, 0xa5a1a6e3d2f87e49,
         "localize output drifted across the slab-engine rewiring"
     );
 }
@@ -204,5 +224,5 @@ fn incast_outputs_match_pre_rewiring_pin() {
         h = fold(h, p.measured_delivered);
         h = fold(h, p.refs_emitted);
     }
-    assert_eq!(h, 0x93cab3421c902f82, "incast output drifted");
+    assert_eq!(h, 0x423607e23afa1da2, "incast output drifted");
 }

@@ -1,9 +1,9 @@
 //! Property tests: the [`CalendarQueue`] drains events in an identical
 //! `(time, tie)` order to the original `BinaryHeap` scheduler
-//! ([`HeapSchedule`]) — under random event mixes, dense same-timestamp
-//! ties, event-driven interleaved push/pop, the engines' own
-//! merge-against-a-clock loop with caller-chosen ties, and geometries from
-//! the fabric-derived one down to degenerate wheels that force the side
+//! (`tests/support/heap_oracle.rs`) — under random event mixes, dense
+//! same-timestamp ties, event-driven interleaved push/pop, the engine's
+//! own merge-against-a-clock loop with caller-chosen ties, and geometries
+//! from the fabrics' own down to degenerate wheels that force the side
 //! heap, the overflow heap and the cursor jumps.
 //!
 //! CI also runs this file in release: the edge-of-time bug it guards
@@ -11,8 +11,11 @@
 
 use proptest::prelude::*;
 use rlir_net::time::SimTime;
-use rlir_sim::sched::fabric_geometry;
-use rlir_sim::{CalendarQueue, EventSchedule, HeapSchedule};
+use rlir_sim::sched::{fabric_geometry, EventSchedule, SchedStats};
+use rlir_sim::CalendarQueue;
+
+#[path = "support/heap_oracle.rs"]
+mod heap_oracle;
 
 fn drain<S: EventSchedule<u32>>(s: &mut S) -> Vec<(u64, u32)> {
     let mut out = Vec::new();
@@ -35,7 +38,7 @@ proptest! {
     fn calendar_matches_heap_on_random_mixes(
         times in proptest::collection::vec(0u64..50_000_000, 1..500),
     ) {
-        let mut heap = HeapSchedule::new();
+        let mut heap = heap_oracle::new();
         let mut cal = CalendarQueue::with_geometry(10, 10);
         fill(&mut heap, &times);
         fill(&mut cal, &times);
@@ -48,7 +51,7 @@ proptest! {
     fn calendar_matches_heap_under_dense_ties(
         times in proptest::collection::vec(0u64..40, 1..400),
     ) {
-        let mut heap = HeapSchedule::new();
+        let mut heap = heap_oracle::new();
         let mut cal = CalendarQueue::with_geometry(10, 10);
         fill(&mut heap, &times);
         fill(&mut cal, &times);
@@ -63,7 +66,7 @@ proptest! {
         seeds in proptest::collection::vec(0u64..2_000_000, 1..60),
         deltas in proptest::collection::vec(0u64..3_000_000, 3..120),
     ) {
-        let mut heap = HeapSchedule::new();
+        let mut heap = heap_oracle::new();
         let mut cal = CalendarQueue::with_geometry(10, 10);
         fill(&mut heap, &seeds);
         fill(&mut cal, &seeds);
@@ -96,7 +99,7 @@ proptest! {
         bucket_log2 in 1u32..8,
         wheel_log2 in 1u32..6,
     ) {
-        let mut heap = HeapSchedule::new();
+        let mut heap = heap_oracle::new();
         let mut cal = CalendarQueue::with_geometry(bucket_log2, wheel_log2);
         fill(&mut heap, &times);
         fill(&mut cal, &times);
@@ -116,7 +119,7 @@ proptest! {
     ) {
         for lookahead in [Some(lookahead), None] {
             let (width, buckets) = fabric_geometry(lookahead, residence);
-            let mut heap = HeapSchedule::new();
+            let mut heap = heap_oracle::new();
             let mut cal = CalendarQueue::with_geometry(width, buckets);
             fill(&mut heap, &times);
             fill(&mut cal, &times);
@@ -124,7 +127,7 @@ proptest! {
         }
     }
 
-    /// The engines' loop: a sorted outside stream merged against the
+    /// The engine's loop: a sorted outside stream merged against the
     /// schedule with `peek_due` (so the calendar's cursor follows the
     /// clock), each handled unit scheduling children under caller-chosen
     /// ties. Deltas of zero and below a bucket width are same-bucket
@@ -142,12 +145,12 @@ proptest! {
     ) {
         let mut injections = injections;
         injections.sort_unstable();
-        let expect = engine_loop(HeapSchedule::new(), &injections, &deltas);
+        let (expect, _) = engine_loop(heap_oracle::new(), &injections, &deltas);
         let fabric = fabric_geometry(Some(1_000), 423_400);
         prop_assert_eq!(fabric, (9, 10));
         for (width, buckets) in [fabric, (10, 10), (1, 2), (30, 1)] {
             let cal = CalendarQueue::with_geometry(width, buckets);
-            let got = engine_loop(cal, &injections, &deltas);
+            let (got, _) = engine_loop(cal, &injections, &deltas);
             prop_assert_eq!(&expect, &got, "geometry ({}, {})", width, buckets);
         }
     }
@@ -161,7 +164,7 @@ proptest! {
 fn the_edge_of_time_neither_overflows_nor_spins() {
     let times = [10, u64::MAX - 5, u64::MAX, u64::MAX];
     for (width, buckets) in [(10, 10), (9, 10), (1, 2), (0, 1), (39, 20)] {
-        let mut heap = HeapSchedule::new();
+        let mut heap = heap_oracle::new();
         let mut cal = CalendarQueue::with_geometry(width, buckets);
         fill(&mut heap, &times);
         fill(&mut cal, &times);
@@ -174,9 +177,13 @@ fn the_edge_of_time_neither_overflows_nor_spins() {
 /// One handled unit: `(at, tie, item)`; injections carry item `u32::MAX`.
 type Handled = Vec<(u64, u64, u32)>;
 
-/// Drive `s` the way both engines do and return what was handled, in
-/// order, followed by the queue's push/pop counts.
-fn engine_loop<S: EventSchedule<u32>>(mut s: S, injections: &[u64], deltas: &[u64]) -> Handled {
+/// Drive `s` the way the engine does and return what was handled, in
+/// order, followed by the queue's push/pop counts — and its counters.
+fn engine_loop<S: EventSchedule<u32>>(
+    mut s: S,
+    injections: &[u64],
+    deltas: &[u64],
+) -> (Handled, SchedStats) {
     let mut handled = Handled::new();
     let mut injections = injections.iter().copied().peekable();
     let mut deltas = deltas.iter().copied().cycle();
@@ -188,11 +195,9 @@ fn engine_loop<S: EventSchedule<u32>>(mut s: S, injections: &[u64], deltas: &[u6
     };
     let mut budget = 300u32;
     loop {
-        // An injection wins an equal timestamp, as in the sequential engine.
+        // A queued unit wins an equal timestamp, as in the engine.
         let inject = match injections.peek() {
-            Some(&t) => s
-                .peek_due(SimTime::from_nanos(t))
-                .is_none_or(|(at, _)| t <= at.as_nanos()),
+            Some(&t) => s.peek_due(SimTime::from_nanos(t)).is_none(),
             None if s.is_empty() => break,
             None => false,
         };
@@ -217,22 +222,21 @@ fn engine_loop<S: EventSchedule<u32>>(mut s: S, injections: &[u64], deltas: &[u6
     }
     let stats = s.stats();
     handled.push((stats.pushes, stats.pops, 0));
-    handled
+    (handled, stats)
 }
 
-// ---- Through the engines: the counters say which path the pushes took ----
+// ---- The fabrics: order at queue level, counters through the engine ----
 
 mod fabrics {
+    use super::{engine_loop, heap_oracle, Handled};
     use rlir::experiment::{
         background_injections, measured_traces, FatTreeExpConfig, IncastConfig,
     };
     use rlir::{build_network, FatTreeFabric};
-    use rlir_net::packet::Packet;
     use rlir_net::time::SimDuration;
-    use rlir_sim::sched::SchedStats;
+    use rlir_sim::sched::{fabric_geometry, SchedStats};
     use rlir_sim::{
-        run_network_sharded, run_network_streamed_opts, HopSink, NetworkRunStats, RunOptions,
-        SchedulerKind, ShardPlan, StreamDigest, StreamedDelivery,
+        run_network_streamed_source, CalendarQueue, Network, NullSink, RunOptions, SortedVecSource,
     };
     use rlir_topo::FatTree;
 
@@ -256,99 +260,79 @@ mod fabrics {
         }
     }
 
-    fn injections(cfg: &FatTreeExpConfig, tree: &FatTree) -> Vec<(usize, Packet)> {
-        let measured = measured_traces(cfg, tree);
+    fn network(cfg: &FatTreeExpConfig, tree: &FatTree) -> Network {
+        build_network(tree, cfg.queue, cfg.link_delay, &[])
+    }
+
+    /// The queue counters of one engine run of `cfg`'s mix.
+    fn engine_counters(cfg: &FatTreeExpConfig) -> SchedStats {
+        let tree = FatTree::new(cfg.k, cfg.hash);
+        let measured = measured_traces(cfg, &tree);
         let measured = measured
             .iter()
             .flat_map(|(tor, trace)| trace.packets.iter().map(|p| (*tor, *p)));
-        measured.chain(background_injections(cfg, tree)).collect()
+        let injections = measured.chain(background_injections(cfg, &tree));
+        let stats = run_network_streamed_source(
+            network(cfg, &tree),
+            &FatTreeFabric::new(&tree, false),
+            SortedVecSource::new(injections),
+            &mut NullSink,
+            RunOptions::default(),
+            |_| {},
+        )
+        .sched;
+        assert_eq!(stats.pushes, stats.pops, "the run drained its queue");
+        assert!(stats.pushes > 10_000, "the run is too small to judge");
+        stats
     }
 
-    /// Everything a run exposes — hop events, watermarks, deliveries and
-    /// the stream counters — as one digest, beside the queue's counters.
-    fn outcome(mut digest: StreamDigest, stats: &NetworkRunStats) -> (u64, SchedStats) {
-        for v in [stats.delivered, stats.injected, stats.events] {
-            digest.fold(v);
-        }
-        for drops in [&stats.queue_drops, &stats.route_drops] {
-            drops.iter().for_each(|&d| digest.fold(d));
-        }
-        (digest.value(), stats.sched)
-    }
-
-    /// One run of `cfg`'s mix on each engine — sequential, keyed at one
-    /// shard — under `scheduler`.
-    fn run(cfg: &FatTreeExpConfig, scheduler: SchedulerKind) -> [(u64, SchedStats); 2] {
-        let tree = FatTree::new(cfg.k, cfg.hash);
-        let fabric = FatTreeFabric::new(&tree, false);
-        let injections = injections(cfg, &tree);
-        let network = || build_network(&tree, cfg.queue, cfg.link_delay, &[]);
-        let opts = || RunOptions {
-            scheduler,
-            ..RunOptions::default()
+    /// `cfg`'s fabric in the engine loop's terms: injections spread over
+    /// the run, each handled unit scheduling its successor one link plus
+    /// a log-spread wait of up to one full buffer's drain later.
+    fn fabric_stream(cfg: &FatTreeExpConfig) -> (Vec<u64>, Vec<u64>) {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
         };
-        fn fold(digest: &mut StreamDigest, d: &StreamedDelivery<'_>) {
-            digest.on_watermark(d.delivered_at);
-            digest.fold(d.packet.id.0);
-            digest.fold(d.delivered_node as u64);
-        }
-
-        let (mut sink, mut deliveries) = (StreamDigest::default(), StreamDigest::default());
-        let stats = run_network_streamed_opts(
-            network(),
-            &fabric,
-            injections.iter().copied(),
-            &mut sink,
-            opts(),
-            |d| fold(&mut deliveries, d),
-        );
-        sink.fold(deliveries.value());
-        let sequential = outcome(sink, &stats);
-
-        let (mut sink, mut deliveries) = (StreamDigest::default(), StreamDigest::default());
-        let keyed = run_network_sharded(
-            network(),
-            &fabric,
-            injections.iter().copied(),
-            &mut sink,
-            opts(),
-            &ShardPlan::new(tree.pod_partition()),
-            1,
-            |d| fold(&mut deliveries, d),
-        );
-        sink.fold(deliveries.value());
-        [sequential, outcome(sink, &keyed.stats)]
+        let drain = cfg.queue.transmission(u32::MAX).as_nanos().min(1 << 20);
+        let span = cfg.duration.as_nanos();
+        let mut injections: Vec<u64> = (0..60).map(|_| next() % span).collect();
+        injections.sort_unstable();
+        let link = cfg.link_delay.as_nanos() + cfg.queue.processing_delay.as_nanos();
+        let deltas = (0..120)
+            .map(|_| link + ((next() % drain) >> (next() % 16)))
+            .collect();
+        (injections, deltas)
     }
 
-    /// `scheduler`'s runs of `cfg`, checked byte for byte against the heap's.
-    fn run_like_the_heap(cfg: &FatTreeExpConfig, scheduler: SchedulerKind) -> [SchedStats; 2] {
-        let (got, expect) = (run(cfg, scheduler), run(cfg, SchedulerKind::Heap));
-        for (engine, ((digest, sched), (heap_digest, heap_sched))) in
-            got.iter().zip(&expect).enumerate()
-        {
-            assert_eq!(
-                digest, heap_digest,
-                "engine {engine} diverged from the heap"
-            );
-            assert_eq!(sched.pushes, heap_sched.pushes);
-            assert_eq!(sched.pushes, sched.pops, "the run drained its queue");
-            assert!(sched.pushes > 10_000, "the run is too small to judge");
-        }
-        got.map(|(_, sched)| sched)
+    /// `cfg`'s stream through the heap and through a calendar of
+    /// `geometry`: the same units in the same order, and the calendar's
+    /// counters.
+    fn drain_like_the_heap(cfg: &FatTreeExpConfig, geometry: (u32, u32)) -> SchedStats {
+        let (injections, deltas) = fabric_stream(cfg);
+        let (expect, _): (Handled, _) = engine_loop(heap_oracle::new(), &injections, &deltas);
+        let cal = CalendarQueue::with_geometry(geometry.0, geometry.1);
+        let (got, stats) = engine_loop(cal, &injections, &deltas);
+        assert_eq!(expect, got, "geometry {geometry:?} diverged from the heap");
+        stats
     }
 
     #[test]
     fn at_the_fabrics_grain_no_push_lands_in_the_open_bucket() {
         for cfg in [incast(), fleet()] {
-            for sched in run_like_the_heap(&cfg, SchedulerKind::Calendar) {
-                assert_eq!(sched.same_bucket_pushes, 0, "k = {}: {sched:?}", cfg.k);
-                assert!(
-                    sched.overflow_pushes * 100 < sched.pushes,
-                    "k = {}: {sched:?}",
-                    cfg.k
-                );
-                assert!(sched.buckets_opened > 0 && sched.longest_bucket > 0);
-            }
+            let tree = FatTree::new(cfg.k, cfg.hash);
+            drain_like_the_heap(&cfg, network(&cfg, &tree).calendar_geometry());
+            let sched = engine_counters(&cfg);
+            assert_eq!(sched.same_bucket_pushes, 0, "k = {}: {sched:?}", cfg.k);
+            assert!(
+                sched.overflow_pushes * 100 < sched.pushes,
+                "k = {}: {sched:?}",
+                cfg.k
+            );
+            assert!(sched.buckets_opened > 0 && sched.longest_bucket > 0);
         }
     }
 
@@ -359,10 +343,14 @@ mod fabrics {
         let mut cfg = incast();
         cfg.link_delay = SimDuration::ZERO;
         cfg.queue.processing_delay = SimDuration::ZERO;
-        for sched in run_like_the_heap(&cfg, SchedulerKind::Calendar) {
-            assert!(sched.same_bucket_pushes > 0, "{sched:?}");
-            assert!(sched.same_bucket_pushes < sched.pushes, "{sched:?}");
-        }
+        let tree = FatTree::new(cfg.k, cfg.hash);
+        let geometry = network(&cfg, &tree).calendar_geometry();
+        assert_eq!(geometry.0, fabric_geometry(None, 0).0, "no lookahead");
+        let sched = drain_like_the_heap(&cfg, geometry);
+        assert!(sched.same_bucket_pushes > 0, "{sched:?}");
+        let sched = engine_counters(&cfg);
+        assert!(sched.same_bucket_pushes > 0, "{sched:?}");
+        assert!(sched.same_bucket_pushes < sched.pushes, "{sched:?}");
     }
 
     #[test]
@@ -370,13 +358,8 @@ mod fabrics {
         // 2³⁹ ns ≈ 9 min a bucket: bucket 0 never closes, so every push is
         // a heap push — no sorted insert anywhere, however wrong the
         // geometry is for the fabric.
-        let one_bucket = SchedulerKind::CalendarFixed {
-            bucket_ns_log2: 39,
-            buckets_log2: 1,
-        };
-        for sched in run_like_the_heap(&incast(), one_bucket) {
-            assert_eq!(sched.same_bucket_pushes, sched.pushes, "{sched:?}");
-            assert_eq!((sched.buckets_opened, sched.overflow_pushes), (0, 0));
-        }
+        let sched = drain_like_the_heap(&incast(), (39, 1));
+        assert_eq!(sched.same_bucket_pushes, sched.pushes, "{sched:?}");
+        assert_eq!((sched.buckets_opened, sched.overflow_pushes), (0, 0));
     }
 }

@@ -31,8 +31,8 @@ use rlir_net::packet::Packet;
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
 use rlir_sim::{
-    run_network_sharded, run_network_sharded_source, FaultEvent, FaultKind, FaultScript, Hop,
-    HopEvent, HopKind, HopSink, InjectionSource, QueueConfig, RunOptions, ShardPlan, StopFlag,
+    run_network_sharded_source, FaultEvent, FaultKind, FaultScript, Hop, HopEvent, HopKind,
+    HopSink, InjectionSource, QueueConfig, RunOptions, ShardPlan, SortedVecSource, StopFlag,
     StreamedDelivery,
 };
 use rlir_topo::FatTree;
@@ -227,14 +227,14 @@ struct RunOutput {
 /// lookahead.
 const LINK_NS: u64 = 1_000;
 
-/// The fabric a run goes through and the entry point it is handed to.
+/// The fabric a run goes through and the source it pulls from.
 struct Fabric {
     queue: QueueConfig,
     link_delay: SimDuration,
     /// `None`: the fat-tree's pod partition.
     plan: Option<ShardPlan>,
-    /// Pull from a [`CountingSource`] through the source entry instead of
-    /// handing the list to the iterator entry.
+    /// Pull from a [`CountingSource`] instead of the list wrapped in a
+    /// [`SortedVecSource`].
     streamed: bool,
 }
 
@@ -281,7 +281,6 @@ impl Fabric {
         let opts = RunOptions {
             faults: script,
             stop: Some(&stop),
-            ..RunOptions::default()
         };
         let mut dd = 0u64;
         let mut seen = 0u64;
@@ -311,10 +310,10 @@ impl Fabric {
                 on_delivery,
             )
         } else {
-            run_network_sharded(
+            run_network_sharded_source(
                 network,
                 &fabric,
-                injections.iter().copied(),
+                SortedVecSource::new(injections.iter().copied()),
                 &mut sink,
                 opts,
                 &plan,
@@ -468,10 +467,11 @@ proptest! {
 }
 
 proptest! {
-    /// The two entry points are one engine: a tie-heavy list (every
-    /// injection collides with others in time) handed to the iterator
-    /// entry and pulled through the source entry digests identically, at
-    /// one shard (emitted in place) and at several (logged and replayed).
+    /// The list adapter and a streaming source feed one engine: a
+    /// tie-heavy list (every injection collides with others in time)
+    /// wrapped in a `SortedVecSource` and pulled through a `CountingSource`
+    /// digests identically, at one shard (emitted in place) and at several
+    /// (logged and replayed).
     #[test]
     fn iterator_and_source_entries_agree_on_ties(
         seed in 0u64..1_000,
@@ -631,10 +631,10 @@ fn faulted_experiment_is_shard_count_invariant() {
     }]);
     let detector = DetectorConfig::default();
 
-    cfg.shards = Some(1);
+    cfg.shards = 1;
     let one = run_fattree_faulted(&cfg, Some(&script), Some(&detector));
     for shards in [2usize, 4] {
-        cfg.shards = Some(shards);
+        cfg.shards = shards;
         let many = run_fattree_faulted(&cfg, Some(&script), Some(&detector));
         assert_eq!(many.delivered, one.delivered, "shards={shards}");
         assert_eq!(many.events, one.events, "shards={shards}");

@@ -165,16 +165,14 @@ fn faults_sweep_is_thread_count_invariant() {
 
 #[test]
 fn incast_sweep_is_shard_count_invariant() {
-    // `--shards` now reaches the incast scenario; the pod-sharded keyed
-    // engine's 1-shard run is the identity baseline (the keyed tie order
-    // is the contract, not the sequential push order), so a 2-shard run
-    // must reproduce every point bit-for-bit.
+    // `--shards` reaches the incast scenario; a 2-shard run must
+    // reproduce every point of the 1-shard run bit-for-bit.
     let mut cfg = IncastConfig::paper(17, SimDuration::from_millis(10));
     cfg.base.policy = PolicyKind::Static { n: 30 };
     cfg.fan_in = vec![2, 4];
-    cfg.base.shards = Some(1);
+    cfg.base.shards = 1;
     let one = run_incast(&cfg, &SweepRunner::single());
-    cfg.base.shards = Some(2);
+    cfg.base.shards = 2;
     let two = run_incast(&cfg, &SweepRunner::single());
     assert_eq!(one.len(), two.len());
     for (x, y) in one.iter().zip(&two) {
@@ -208,9 +206,9 @@ fn localize_sweep_is_shard_count_invariant() {
     cfg.base.policy = PolicyKind::Static { n: 30 };
     cfg.utilizations = vec![0.1];
     cfg.trials = 2;
-    cfg.base.shards = Some(1);
+    cfg.base.shards = 1;
     let one = run_localize(&cfg, &SweepRunner::single());
-    cfg.base.shards = Some(2);
+    cfg.base.shards = 2;
     let two = run_localize(&cfg, &SweepRunner::single());
     assert_eq!(one.len(), two.len());
     for (x, y) in one.iter().zip(&two) {
