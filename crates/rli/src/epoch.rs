@@ -116,9 +116,18 @@ pub fn snapshot_at(series: &[EpochSnapshot], epoch: u64) -> Option<&EpochSnapsho
     series.get(i).filter(|s| s.epoch == epoch)
 }
 
+/// How many slots a buffer of `len` elements reserves when it needs `need`
+/// more than it has room for — the measurement plane's one growth rule, for
+/// the epoch series and the event-record FIFO. Geometric, so a long run
+/// copies each element O(1) times, with at most `len / 8` (or 8) spare.
+pub fn growth(len: usize, need: usize) -> usize {
+    need.max(len / 8).max(8)
+}
+
 /// The receiver-internal epoch accumulator: a dense window of snapshots
-/// indexed by epoch, grown on demand as observation times advance and
-/// held contiguously so mid-run queries borrow the series as a slice.
+/// indexed by epoch, grown on demand as observation times advance (by
+/// [`growth`]) and held contiguously so mid-run queries borrow the series
+/// as a slice.
 #[derive(Debug, Clone)]
 pub(crate) struct EpochTracker {
     epoch_ns: u64,
@@ -182,6 +191,7 @@ impl EpochTracker {
         let epoch_ns = self.epoch_ns;
         if self.snaps.is_empty() {
             self.first = e;
+            self.reserve(1);
             self.snaps.push(EpochSnapshot::empty(e, epoch_ns));
         }
         let last = self.first + (self.snaps.len() as u64 - 1);
@@ -192,6 +202,7 @@ impl EpochTracker {
             }
             // Observation times only run backwards by a reorder window,
             // so front growth is rare and short.
+            self.reserve(fill as usize);
             self.snaps.splice(
                 0..0,
                 (e..self.first).map(|i| EpochSnapshot::empty(i, epoch_ns)),
@@ -202,10 +213,18 @@ impl EpochTracker {
             if e - last > MAX_EPOCH_GAP {
                 return None;
             }
+            self.reserve((e - last) as usize);
             self.snaps
                 .extend((last + 1..=e).map(|i| EpochSnapshot::empty(i, epoch_ns)));
         }
         Some((e - self.first) as usize)
+    }
+
+    /// Room for `need` more snapshots, by [`growth`].
+    fn reserve(&mut self, need: usize) {
+        if self.snaps.capacity() - self.snaps.len() < need {
+            self.snaps.reserve_exact(growth(self.snaps.len(), need));
+        }
     }
 
     /// Snapshots accumulated so far, in epoch order.

@@ -268,6 +268,24 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
         self.count_unestimated(at, in_epochs);
     }
 
+    /// Book a packet observed at `at` that died downstream of the
+    /// observation point, in `at`'s epoch — a receiver cannot see the death
+    /// itself, its caller can. Nothing to book without epochs, or when `at`
+    /// lies outside the series bound.
+    pub fn on_downstream_drop(&mut self, at: SimTime) {
+        if let Some(snap) = self.epochs.as_mut().and_then(|t| t.snap(at)) {
+            snap.dropped_after_metering += 1;
+        }
+    }
+
+    /// Give back interpolation-buffer capacity beyond its length. The
+    /// buffer peaks inside a batch of observations; a caller feeding many
+    /// receivers in batches calls this after each, so no receiver keeps
+    /// its own all-time peak.
+    pub fn trim_buffer(&mut self) {
+        self.buffer.shrink_to_fit();
+    }
+
     fn count_unestimated(&mut self, at: SimTime, in_epochs: bool) {
         self.counters.unestimated += 1;
         if let Some(snap) = snap_of(&mut self.epochs, at, in_epochs) {

@@ -8,9 +8,11 @@
 //! body, kept verbatim in `tests/support/dense_tails_oracle.rs`; both tables
 //! are driven through the same records and merges (so the product holds
 //! young, grown and lost tails) and compared bit for bit for every
-//! `min_packets` a caller uses. The allocation bound runs under a counting
-//! `#[global_allocator]` local to this test binary.
+//! `min_packets` a caller uses. The allocation bound runs under the counting
+//! `#[global_allocator]` of `tests/support/counting_alloc.rs`.
 
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 #[path = "support/dense_tails_oracle.rs"]
 mod dense_tails_oracle;
 #[path = "support/report_bits.rs"]
@@ -20,59 +22,7 @@ use proptest::prelude::*;
 use report_bits::bits;
 use rlir_net::FlowKey;
 use rlir_rli::FlowTable;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::net::Ipv4Addr;
-
-thread_local! {
-    /// Bytes this thread has asked the allocator for (a `realloc` counts
-    /// its whole new size). Per thread: the harness runs tests in parallel.
-    static REQUESTED: Cell<usize> = const { Cell::new(0) };
-    /// Bytes this thread has given back (a `realloc` gives back its whole
-    /// old size): `REQUESTED - FREED` is what the thread holds.
-    static FREED: Cell<usize> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn count(bytes: usize) {
-    // A thread being torn down has no counter left; nothing measured runs there.
-    let _ = REQUESTED.try_with(|n| n.set(n.get() + bytes));
-}
-
-fn count_freed(bytes: usize) {
-    let _ = FREED.try_with(|n| n.set(n.get() + bytes));
-}
-
-/// Bytes this thread holds: requested and not yet given back.
-fn live_bytes() -> usize {
-    REQUESTED.with(Cell::get) - FREED.with(Cell::get)
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the counters are
-// const-initialised `Cell`s without a destructor, so touching them
-// allocates nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count_freed(layout.size());
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        count_freed(layout.size());
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 fn flow(idx: u32) -> FlowKey {
     // Multiplied by an odd constant: key order is not insertion order.
@@ -171,13 +121,13 @@ fn a_report_allocates_its_slot_list_and_nothing_else() {
     let (young, grown, _) = table.tail_counts();
     assert!(young > 0 && grown > 0, "{young} young, {grown} grown");
 
-    let before = REQUESTED.with(Cell::get);
+    let before = counting_alloc::requested();
     let mut yielded = 0;
     for row in table.report(1) {
         std::hint::black_box(row);
         yielded += 1;
     }
-    let requested = REQUESTED.with(Cell::get) - before;
+    let requested = counting_alloc::requested() - before;
     assert_eq!(yielded, FLOWS);
     // The old body asked for 160 bytes a flow before its sort's scratch.
     assert!(
@@ -190,12 +140,12 @@ fn a_report_allocates_its_slot_list_and_nothing_else() {
 #[test]
 fn a_mouse_flow_costs_what_approx_bytes_says_and_under_170_bytes() {
     const FLOWS: u32 = 50_000;
-    let before = live_bytes();
+    let before = counting_alloc::live();
     let mut table: FlowTable = FlowTable::with_quantile(0.99);
     for i in 0..FLOWS {
         table.record(flow(i), f64::from(i % 1000), Some(f64::from(i % 1000)));
     }
-    let held = live_bytes() - before;
+    let held = counting_alloc::live() - before;
     assert_eq!(table.tail_counts(), (FLOWS as usize, 0, 0));
     // A 96-byte row, a 4-byte reference and an 8-byte index cell, each at
     // what `Vec` doubling and the index's load factor leave unused. With

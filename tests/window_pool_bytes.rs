@@ -8,73 +8,19 @@
 //! burst's flush freed, so the plane pays the peak of the *sum* — what
 //! `PlaneReport::peak_pending_total` counts — plus at most a block a tap.
 //!
-//! The bound runs under a counting `#[global_allocator]` local to this test
-//! binary (the pattern of `tests/flow_report_streaming.rs`), tracking the
-//! high-water mark of the bytes this thread holds.
+//! The bound runs under the counting `#[global_allocator]` of
+//! `tests/support/counting_alloc.rs`, tracking the high-water mark of the
+//! bytes this thread holds.
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 use rlir::plane::{DrainMode, MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
 use rlir_sim::{Hop, HopEvent, HopKind, HopSink};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::net::Ipv4Addr;
-
-thread_local! {
-    /// Bytes this thread holds: asked for and not yet given back (a
-    /// `realloc` asks for its whole new size before giving back the old).
-    /// Per thread: the harness runs tests in parallel.
-    static LIVE: Cell<usize> = const { Cell::new(0) };
-    /// High-water mark of `LIVE` since the last [`reset_peak`].
-    static PEAK: Cell<usize> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn count(bytes: usize) {
-    // A thread being torn down has no counter left; nothing measured runs there.
-    let _ = LIVE.try_with(|live| {
-        live.set(live.get() + bytes);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
-    });
-}
-
-fn count_freed(bytes: usize) {
-    let _ = LIVE.try_with(|live| live.set(live.get().saturating_sub(bytes)));
-}
-
-/// Start a new high-water mark at what the thread holds now; returns that.
-fn reset_peak() -> usize {
-    let live = LIVE.with(Cell::get);
-    PEAK.with(|peak| peak.set(live));
-    live
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the counters are
-// const-initialised `Cell`s without a destructor, so touching them
-// allocates nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count_freed(layout.size());
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        count_freed(layout.size());
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 const TAPS: usize = 64;
 /// Observations in one tap's burst.
@@ -83,8 +29,10 @@ const BURST: u64 = 4_096;
 /// not read here so the test also runs against the plane before the pool).
 const BLOCK: usize = 128;
 const WINDOW_NS: u64 = 1_000_000;
-/// Bytes of a window entry, pinned in the plane's unit tests.
-const ENTRY: usize = 24;
+/// Bytes of a window entry and of an event record, pinned at compile time
+/// in the plane.
+const ENTRY: usize = 16;
+const RECORD: usize = 40;
 
 fn flow(tap: usize) -> FlowKey {
     FlowKey::tcp(
@@ -112,7 +60,7 @@ fn taps_that_burst_in_turn_cost_the_peak_of_the_sum_not_the_sum_of_the_peaks() {
 
     // Public API only, none of it new: the same test runs against a plane
     // with a `Vec` per tap.
-    let before = reset_peak();
+    let before = counting_alloc::reset_peak();
     let mut id = 0;
     for tap in 0..TAPS {
         // Tap `tap`'s slot: the watermark flushes the previous burst, then a
@@ -146,17 +94,20 @@ fn taps_that_burst_in_turn_cost_the_peak_of_the_sum_not_the_sum_of_the_peaks() {
             });
         }
     }
-    let high_water = PEAK.with(Cell::get) - before;
+    let high_water = counting_alloc::peak() - before;
 
     let rep = plane.finish();
     let estimated: u64 = rep.taps.iter().map(|t| t.report.counters.estimated).sum();
     assert!(estimated > 0 && rep.taps.iter().all(|t| t.late == 0));
     let pending_total = rep.peak_pending_total;
     assert_eq!(pending_total, BURST as usize, "one burst at a time");
-    // Entry, record and sort scratch of every pending observation, each at
-    // up to twice its length, plus a tail block a tap and what the receivers
-    // and flow tables hold. A `Vec` per tap holds TAPS × BURST entries.
-    let bound = 4 * pending_total * ENTRY + TAPS * BLOCK * ENTRY + 256 * 1024;
+    // Every pending observation's entry in the pool and its copy in the
+    // sort scratch, each up to twice its length while its `Vec` grows, and
+    // its event record; plus what the receivers and flow tables hold. The
+    // taps burst in turn, so only one run's tail block is partly empty at a
+    // time. A `Vec` per tap holds TAPS × BURST entries; a 24-byte entry
+    // takes the plane over the bound.
+    let bound = pending_total * (4 * ENTRY + RECORD) + BLOCK * ENTRY + TAPS * 256;
     assert!(
         high_water <= bound,
         "the plane's live bytes peaked at {high_water} B over {bound} B \
