@@ -718,8 +718,8 @@ pub struct QuantileRow {
 }
 
 /// A7: per-flow p90 tail-latency accuracy at 93% utilization — the RLI line
-/// of work's extension beyond means and standard deviations, using P²
-/// streaming quantile trackers (O(1) memory per flow).
+/// of work's extension beyond means and standard deviations, read off each
+/// flow's four largest delays (exact below 40 packets, an upper bound past).
 pub fn quantile_accuracy(scale: &Scale, runner: &SweepRunner) -> Vec<QuantileRow> {
     let (regular, cross) = base_traces(scale, scale.accuracy_duration);
     let points = paper_policies()

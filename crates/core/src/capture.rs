@@ -129,7 +129,10 @@ pub struct CapturePair {
     /// observation order (approximately time-ordered; eviction only needs
     /// the watermark bound, not exactness).
     fifo: VecDeque<(u64, CaptureKey)>,
-    flows: FxHashMap<FlowKey, FlowCapture>,
+    /// Which row of `flows` holds a flow.
+    index: FxHashMap<FlowKey, u32>,
+    /// Per-flow latency, one row a flow in order of its first match.
+    flows: Vec<(FlowKey, FlowCapture)>,
     matched: u64,
     unmatched_b: u64,
     ambiguous: u64,
@@ -155,7 +158,8 @@ impl CapturePair {
             timeout_ns: timeout.as_nanos(),
             pending: FxHashMap::default(),
             fifo: VecDeque::new(),
-            flows: FxHashMap::default(),
+            index: FxHashMap::default(),
+            flows: Vec::new(),
             matched: 0,
             unmatched_b: 0,
             ambiguous: 0,
@@ -169,7 +173,14 @@ impl CapturePair {
     }
 
     fn record(&mut self, flow: FlowKey, delta_ns: u64) {
-        let f = self.flows.entry(flow).or_default();
+        let next = self.flows.len();
+        let slot = *self.index.entry(flow).or_insert_with(|| {
+            u32::try_from(next).expect("a capture pair holds at most 2^32 flows")
+        }) as usize;
+        if slot == next {
+            self.flows.push((flow, FlowCapture::default()));
+        }
+        let f = &mut self.flows[slot].1;
         if f.count == 0 {
             f.min_ns = delta_ns;
             f.max_ns = delta_ns;
@@ -182,10 +193,14 @@ impl CapturePair {
     }
 
     /// Finish: fold residual pending stamps into the counters and emit
-    /// the per-flow table (sorted for deterministic output).
-    pub fn finish(self) -> CaptureReport {
-        let mut flows: Vec<(FlowKey, FlowCapture)> = self.flows.into_iter().collect();
-        flows.sort_by_key(|(k, _)| *k);
+    /// the per-flow table (sorted for deterministic output). The index goes
+    /// first and the rows sort in place, so no second copy of the table is
+    /// ever held.
+    pub fn finish(mut self) -> CaptureReport {
+        self.index = FxHashMap::default();
+        let mut flows = self.flows;
+        // Keys are unique, so an unstable sort has one possible outcome.
+        flows.sort_unstable_by_key(|&(key, _)| key);
         CaptureReport {
             matched: self.matched,
             unmatched_b: self.unmatched_b,

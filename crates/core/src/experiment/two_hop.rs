@@ -87,8 +87,8 @@ pub struct TwoHopConfig {
     /// Flows with fewer estimated packets than this are excluded from the
     /// error CDFs.
     pub min_flow_packets: u64,
-    /// Additionally track this per-flow delay quantile with P² estimators
-    /// (e.g. `Some(0.9)` for per-flow p90 tail latency).
+    /// Additionally report this per-flow delay quantile from each flow's
+    /// four largest delays (e.g. `Some(0.9)` for per-flow p90 tail latency).
     pub track_quantile: Option<f64>,
     /// Epoch width of the measurement plane: the receiver streams one
     /// bounded [`EpochSnapshot`] per epoch ([`TwoHopOutcome::epochs`]).

@@ -275,7 +275,8 @@ pub struct TapSpec<'a> {
     /// [`TapReport::shed`]; references are always admitted (they are the
     /// estimation substrate and a vanishing fraction of traffic).
     pub max_buffer: usize,
-    /// Track a per-flow delay quantile (P² estimator), e.g. `Some(0.9)`.
+    /// Report a per-flow delay quantile from each flow's four largest
+    /// delays ([`rlir_rli::FlowTable::with_quantile`]), e.g. `Some(0.9)`.
     pub track_quantile: Option<f64>,
     /// Regular-packet admission rule.
     pub meter: Option<MeterFn<'a>>,

@@ -6,12 +6,14 @@
 //! by interpolation and the *true* delays from simulator ground truth, and
 //! derives exactly the two per-flow quantities the paper evaluates: mean
 //! (Fig. 4a/4c) and standard deviation (Fig. 4b), each with its relative
-//! error.
+//! error. A table built [`with_quantile`](FlowTable::with_quantile) also
+//! reports each flow's nearest-rank tail quantile from its four largest
+//! delays a side: exact while the flow has fewer than `4 / (1 − p)` delays
+//! (399 for p99), the fourth largest — an upper bound — after.
 
 use rlir_net::fxhash::FxBuildHasher;
 use rlir_net::FlowKey;
-use rlir_stats::quantile::nearest_rank_of_few;
-use rlir_stats::{relative_error, FewStats, P2Quantile, StreamingStats};
+use rlir_stats::{relative_error, FewStats, LargestFour, StreamingStats};
 use serde::{Deserialize, Serialize};
 use std::hash::BuildHasher;
 
@@ -38,155 +40,145 @@ struct Row {
     truth: FewStats,
 }
 
-/// A flow's tail from its fifth estimate on (208 bytes): one P² tracker
-/// per side, made by replaying the row's four samples — P² only stores its
-/// first five observations, so the trackers are the ones the flow would
-/// have had from its first packet.
-#[derive(Debug, Clone)]
+/// A flow's tail from its fifth estimate on (64 bytes): its four largest
+/// delays a side, which answer the nearest-rank `p`-quantile exactly while
+/// the flow has fewer than `4 / (1 − p)` of them and bound it from above
+/// after ([`LargestFour::nearest_rank`]).
+#[derive(Debug, Clone, Copy, Default)]
 struct FlowTails {
-    /// Tracker over estimated delays.
-    est: P2Quantile,
-    /// Matching tracker over true delays.
-    truth: P2Quantile,
+    /// Largest estimated delays.
+    est: LargestFour,
+    /// Largest true delays.
+    truth: LargestFour,
 }
 
-/// Reference of a row whose tail is lost (P² markers cannot be merged, so
-/// a flow two merged tables both observed has none): it holds no storage,
-/// reports `None` and ignores what is pushed.
-const NO_TAIL: u32 = u32::MAX;
+impl FlowTails {
+    /// The tail of a young row: its samples.
+    fn of_young(row: &Row) -> FlowTails {
+        fn fed(side: &FewStats) -> LargestFour {
+            let mut top = LargestFour::new();
+            let few = side.few().expect("a young row holds its samples");
+            few.iter().for_each(|&x| top.push(x));
+            top
+        }
+        FlowTails {
+            est: fed(&row.est),
+            truth: fed(&row.truth),
+        }
+    }
+
+    fn push(&mut self, est: f64, truth: Option<f64>) {
+        self.est.push(est);
+        if let Some(t) = truth {
+            self.truth.push(t);
+        }
+    }
+}
+
 /// Reference of a row that is its own tail: both of its sides still hold
 /// their delays as they came ([`FewStats::few`]), at most four estimates.
-const YOUNG: u32 = u32::MAX - 1;
+const YOUNG: u32 = u32::MAX;
 
-/// `index` as a 32-bit reference, unless it is one of the two sentinels or
-/// past them.
+/// `index` as a 32-bit reference, unless it is the sentinel or past it.
 fn reference(index: usize) -> Option<u32> {
     u32::try_from(index).ok().filter(|&r| r < YOUNG)
 }
 
 /// The slot of row `index`, as the index cells and the report's slot list
-/// hold it. A table is bounded at 2³² − 2 flows: past that a slot would
-/// read as a sentinel, or wrap and share a row with another flow.
+/// hold it. A table is bounded at 2³² − 1 flows: past that a slot would
+/// read as the sentinel, or wrap and share a row with another flow.
 fn row_slot(index: usize) -> u32 {
-    reference(index).expect("a flow table holds at most 2^32 - 2 flows")
+    reference(index).expect("a flow table holds at most 2^32 - 1 flows")
 }
 
 const _: () = {
     use std::mem::size_of;
     assert!(size_of::<Row>() == 96);
-    assert!(size_of::<FlowTails>() == 208);
+    assert!(size_of::<FlowTails>() == 64);
 };
 
 /// The tails of a table built [`with_quantile`](FlowTable::with_quantile):
 /// one 32-bit reference per row. Empty in any other table.
 #[derive(Debug, Clone, Default)]
 struct TailStore {
-    /// `refs[slot]` names the tail of `rows[slot]`: a `grown` index,
-    /// [`YOUNG`] or [`NO_TAIL`].
+    /// `refs[slot]` names the tail of `rows[slot]`: a `grown` index or
+    /// [`YOUNG`]. A row is young exactly while it has at most four
+    /// estimates.
     refs: Vec<u32>,
     grown: Vec<FlowTails>,
-    /// Indices of `grown` given up to a merge conflict, reused last first.
-    grown_free: Vec<u32>,
-    /// Rows whose reference is [`NO_TAIL`].
-    lost: usize,
 }
 
 impl TailStore {
-    /// Store `tails` in the slot freed last, or a new one; its reference.
+    /// Store `tails`; its reference.
     fn add_grown(&mut self, tails: FlowTails) -> u32 {
-        match self.grown_free.pop() {
-            Some(i) => {
-                self.grown[i as usize] = tails;
-                i
-            }
-            None => {
-                let i = reference(self.grown.len()).expect("more tails than a table has rows");
-                self.grown.push(tails);
-                i
-            }
+        let i = reference(self.grown.len()).expect("more tails than a table has rows");
+        self.grown.push(tails);
+        i
+    }
+
+    /// The 64-byte tail of `rows[slot]`, unless the row is its own (or the
+    /// table keeps no tails).
+    fn grown(&self, slot: usize) -> Option<FlowTails> {
+        match self.refs.get(slot) {
+            Some(&i) if i != YOUNG => Some(self.grown[i as usize]),
+            _ => None,
         }
     }
 
-    /// Give a new row the tail `r` refers to.
-    fn attach(&mut self, r: u32) {
-        self.refs.push(r);
-        self.lost += usize::from(r == NO_TAIL);
-    }
-
-    /// The reference, in this store, of the tail of `from`'s row `slot`.
-    fn adopt(&mut self, from: &TailStore, slot: usize) -> u32 {
-        match from.refs[slot] {
-            r @ (YOUNG | NO_TAIL) => r,
-            i => self.add_grown(from.grown[i as usize].clone()),
-        }
-    }
-
-    /// Give up the tail of `rows[slot]`: trackers go back to the free list.
-    fn lose(&mut self, slot: usize) {
-        match std::mem::replace(&mut self.refs[slot], NO_TAIL) {
-            NO_TAIL => return,
-            YOUNG => {}
-            i => self.grown_free.push(i),
-        }
-        self.lost += 1;
+    /// The tail of `rows[slot]`.
+    fn tails(&self, slot: usize, row: &Row) -> FlowTails {
+        self.grown(slot).unwrap_or_else(|| FlowTails::of_young(row))
     }
 
     /// Push one estimate (and its truth) onto the tail of `rows[slot]`,
     /// *before* `row` itself takes them. A young row needs nothing until
-    /// its fifth estimate, which seeds the trackers from its samples.
+    /// its fifth estimate, which seeds the tail from its samples.
     #[inline]
-    fn push(&mut self, slot: usize, p: f64, row: &Row, est: f64, truth: Option<f64>) {
+    fn push(&mut self, slot: usize, row: &Row, est: f64, truth: Option<f64>) {
         match self.refs[slot] {
-            NO_TAIL => {}
             // The row itself takes the sample.
             YOUNG if row.est.count() < FewStats::FEW as u64 => {}
             YOUNG => {
-                fn few(side: &FewStats) -> &[f64] {
-                    side.few().expect("a young row holds its samples")
-                }
-                let mut tails = FlowTails {
-                    est: P2Quantile::new(p),
-                    truth: P2Quantile::new(p),
-                };
-                few(&row.est)
-                    .iter()
-                    .chain(&[est])
-                    .for_each(|&x| tails.est.push(x));
-                few(&row.truth)
-                    .iter()
-                    .chain(truth.as_ref())
-                    .for_each(|&x| tails.truth.push(x));
+                let mut tails = FlowTails::of_young(row);
+                tails.push(est, truth);
                 self.refs[slot] = self.add_grown(tails);
             }
-            i => {
-                let tails = &mut self.grown[i as usize];
-                tails.est.push(est);
-                if let Some(t) = truth {
-                    tails.truth.push(t);
-                }
-            }
+            i => self.grown[i as usize].push(est, truth),
         }
     }
 
-    /// The `(estimated, true)` `p`-quantiles of `rows[slot]`: a young row
-    /// answers from its samples by the rule a tracker applies below five.
-    fn estimates(&self, slot: usize, p: f64, row: &Row) -> (Option<f64>, Option<f64>) {
-        let of_few = |side: &FewStats| nearest_rank_of_few(p, side.few()?);
-        match self.refs[slot] {
-            NO_TAIL => (None, None),
-            YOUNG => (of_few(&row.est), of_few(&row.truth)),
-            i => {
-                let tails = &self.grown[i as usize];
-                (tails.est.estimate(), tails.truth.estimate())
-            }
+    /// Fold the tail of the same flow's row `other` — `theirs`, or its
+    /// samples — into the tail of `rows[slot]`, *before* the rows
+    /// themselves merge. Two young rows that stay within four estimates
+    /// together merge their samples, and stay young.
+    fn merge(&mut self, slot: usize, ours: &Row, other: &Row, theirs: Option<FlowTails>) {
+        if ours.est.count() + other.est.count() <= FewStats::FEW as u64 {
+            return;
         }
+        let theirs = theirs.unwrap_or_else(|| FlowTails::of_young(other));
+        let mut tails = self.tails(slot, ours);
+        tails.est.merge(&theirs.est);
+        tails.truth.merge(&theirs.truth);
+        match self.refs[slot] {
+            YOUNG => self.refs[slot] = self.add_grown(tails),
+            i => self.grown[i as usize] = tails,
+        }
+    }
+
+    /// The `(estimated, true)` `p`-quantiles of `rows[slot]`, and whether
+    /// either is only an upper bound.
+    fn estimates(&self, slot: usize, p: f64, row: &Row) -> (Option<f64>, Option<f64>, bool) {
+        let tails = self.tails(slot, row);
+        let est = tails.est.nearest_rank(p, row.est.count());
+        let truth = tails.truth.nearest_rank(p, row.truth.count());
+        let bound = [est, truth].iter().flatten().any(|&(_, exact)| !exact);
+        (est.map(|(x, _)| x), truth.map(|(x, _)| x), bound)
     }
 
     /// Allocated capacity × element size over every vector of the store.
     fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.refs.capacity() + self.grown_free.capacity()) * size_of::<u32>()
-            + self.grown.capacity() * size_of::<FlowTails>()
+        self.refs.capacity() * size_of::<u32>() + self.grown.capacity() * size_of::<FlowTails>()
     }
 }
 
@@ -280,12 +272,18 @@ pub struct FlowReport {
     pub mean_rel_err: Option<f64>,
     /// Relative error of the standard deviation.
     pub std_rel_err: Option<f64>,
-    /// Estimated tail quantile (when quantile tracking is enabled).
+    /// Estimated tail quantile (when quantile tracking is enabled): the
+    /// nearest-rank quantile of the flow's estimates, or their fourth
+    /// largest when that is not one of the four largest.
     pub est_quantile: Option<f64>,
-    /// True tail quantile.
+    /// True tail quantile, by the same rule.
     pub true_quantile: Option<f64>,
     /// Relative error of the tail-quantile estimate.
     pub quantile_rel_err: Option<f64>,
+    /// Whether `est_quantile` or `true_quantile` is the fourth-largest
+    /// delay, an upper bound on the quantile, rather than the quantile
+    /// itself: the flow has at least `4 / (1 − p)` estimates.
+    pub quantile_is_bound: bool,
 }
 
 /// Aggregates per-packet estimates by flow key.
@@ -296,11 +294,15 @@ pub struct FlowReport {
 /// 8-byte `(hash bits, slot)` cells; the key compared on a probe is the
 /// row's own, on the line `record` writes next. A table that tracks a
 /// quantile adds one 32-bit reference per row: a flow under five estimates
-/// is its own tail (its quantile is read off the row's samples), the fifth
-/// estimate replays those samples into a 208-byte pair of P² trackers, and
-/// a flow whose tail is lost to a merge conflict holds no tail storage. So
-/// a mouse flow pays for neither moments nor trackers it cannot use, and a
-/// table without a quantile pays no tail bytes at all.
+/// is its own tail (its quantile is read off the row's samples), and the
+/// fifth estimate seeds a 64-byte tail from them, the flow's four largest
+/// delays a side. The nearest-rank `p`-quantile of `n` delays is the
+/// `k`-th largest, `k = n − ⌈p·n⌉ + 1`, so the tail answers it exactly
+/// while `k ≤ 4` — fewer than `4 / (1 − p)` delays, 399 for p99 — and with
+/// the fourth largest, an upper bound, after ([`FlowReport::quantile_is_bound`]).
+/// Tails merge exactly, whatever `p`. So a mouse flow pays for neither
+/// moments nor a tail it cannot use, and a table without a quantile pays no
+/// tail bytes at all.
 ///
 /// Generic over the table's hash builder, defaulting to FxHash — the
 /// fastest choice for the simulated hot path. Instantiate as
@@ -326,9 +328,9 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         Self::default()
     }
 
-    /// An empty table that additionally tracks the `p`-quantile of each
-    /// flow's delays with P² trackers (the RLI line of work also reports
-    /// per-flow tail latency).
+    /// An empty table that additionally reports the `p`-quantile of each
+    /// flow's delays from its four largest (the RLI line of work also
+    /// reports per-flow tail latency).
     pub fn with_quantile(p: f64) -> Self {
         assert!(p > 0.0 && p < 1.0, "quantile must be in (0,1)");
         FlowTable {
@@ -358,14 +360,15 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         Some(slot as usize)
     }
 
-    /// Append `row`, a flow the table does not hold, with the tail `tail`
-    /// refers to (ignored by a table that tracks no quantile); its slot.
-    fn insert(&mut self, hash32: u32, row: Row, tail: u32) -> usize {
+    /// Append `row`, a flow the table does not hold, with its tail
+    /// (ignored by a table that tracks no quantile); its slot.
+    fn insert(&mut self, hash32: u32, row: Row, tail: Option<FlowTails>) -> usize {
         let slot = self.rows.len();
         self.index.insert(hash32, row_slot(slot));
         self.rows.push(row);
         if self.quantile_p.is_some() {
-            self.tails.attach(tail);
+            let r = tail.map_or(YOUNG, |tails| self.tails.add_grown(tails));
+            self.tails.refs.push(r);
         }
         slot
     }
@@ -380,11 +383,11 @@ impl<S: BuildHasher + Default> FlowTable<S> {
                 est: FewStats::new(),
                 truth: FewStats::new(),
             };
-            self.insert(hash32, row, YOUNG)
+            self.insert(hash32, row, None)
         });
         let row = &mut self.rows[slot];
-        if let Some(p) = self.quantile_p {
-            self.tails.push(slot, p, row, est_ns, truth_ns);
+        if self.quantile_p.is_some() {
+            self.tails.push(slot, row, est_ns, truth_ns);
         }
         row.est.push(est_ns);
         if let Some(t) = truth_ns {
@@ -414,34 +417,31 @@ impl<S: BuildHasher + Default> FlowTable<S> {
 
     /// Merge another table into this one (parallel experiment shards).
     ///
-    /// Counts, means and variances merge exactly; P² quantile trackers are
-    /// *not* mergeable, so when both sides contributed observations to a
-    /// flow its tail is given up — the flow reports `None`, its row holds
-    /// moments from then on and its trackers are freed (use per-shard
-    /// tables if you need sharded quantiles). Tails are only ever kept by a
-    /// table that tracks a quantile itself, and a flow arriving from a
-    /// table that tracks none, or another one, arrives without a tail.
+    /// Counts merge exactly, means and variances as
+    /// [`FewStats::merge`] does, and tails exactly: the four largest delays
+    /// of a union lie among the two sides' four largest, whatever `p` either
+    /// table reports. A table that tracks a quantile only absorbs one that
+    /// keeps tails too (a panic otherwise); one that tracks none drops them.
     pub fn merge(&mut self, other: FlowTable<S>) {
         let tracking = self.quantile_p.is_some();
-        let same_quantile = other.quantile_p == self.quantile_p;
+        assert!(
+            !tracking || other.quantile_p.is_some(),
+            "a table that keeps tails cannot absorb one that keeps none"
+        );
         for (theirs, row) in other.rows.into_iter().enumerate() {
+            let grown = other.tails.grown(theirs);
             let hash32 = self.hash32(&row.key);
             match self.slot_of(hash32, &row.key) {
                 None => {
-                    let tail = if tracking && same_quantile {
-                        self.tails.adopt(&other.tails, theirs)
-                    } else {
-                        NO_TAIL
-                    };
-                    self.insert(hash32, row, tail);
+                    self.insert(hash32, row, grown);
                 }
                 Some(slot) => {
+                    if tracking {
+                        self.tails.merge(slot, &self.rows[slot], &row, grown);
+                    }
                     let ours = &mut self.rows[slot];
                     ours.est.merge(&row.est);
                     ours.truth.merge(&row.truth);
-                    if tracking {
-                        self.tails.lose(slot);
-                    }
                 }
             }
         }
@@ -474,9 +474,9 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         let true_mean = truth.mean();
         let est_std = est.std_dev().filter(|_| est.count() >= 2);
         let true_std = truth.std_dev().filter(|_| truth.count() >= 2);
-        let (est_quantile, true_quantile) = match self.quantile_p {
+        let (est_quantile, true_quantile, quantile_is_bound) = match self.quantile_p {
             Some(p) => self.tails.estimates(slot, p, row),
-            None => (None, None),
+            None => (None, None, false),
         };
         FlowReport {
             flow: row.key,
@@ -496,6 +496,7 @@ impl<S: BuildHasher + Default> FlowTable<S> {
                 (Some(e), Some(t)) => Some(relative_error(e, t)),
                 _ => None,
             },
+            quantile_is_bound,
         }
     }
 
@@ -553,23 +554,22 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         (count > 0).then(|| sum / count as f64)
     }
 
-    /// How many flows are their own tail, hold trackers, and have no tail
-    /// (lost to a merge conflict): `(young, grown, none)`. All zero in a
-    /// table that tracks no quantile; O(1), kept as the store changes.
-    pub fn tail_counts(&self) -> (usize, usize, usize) {
+    /// How many flows are their own tail (at most four estimates) and hold
+    /// a 64-byte one: `(young, grown)`. Both zero in a table that tracks no
+    /// quantile; O(1).
+    pub fn tail_counts(&self) -> (usize, usize) {
         let tails = &self.tails;
-        let grown = tails.grown.len() - tails.grown_free.len();
-        (tails.refs.len() - grown - tails.lost, grown, tails.lost)
+        (tails.refs.len() - tails.grown.len(), tails.grown.len())
     }
 
     /// Heap footprint of this table in bytes: allocated capacity × element
-    /// size of the rows, the index cells, the tail references, the grown
-    /// trackers and their free list — everything the table allocates. A
-    /// flow costs a 96-byte row and an 8-byte cell at a load of 3/8 to 3/4
-    /// (so 11–21 bytes), in a table that tracks a quantile a 4-byte
-    /// reference too and, from its fifth estimate on, 208 bytes of
-    /// trackers; each `Vec` adds what doubling left unused. Diagnostic
-    /// only — feeds the plane's state estimate, not allocation decisions.
+    /// size of the rows, the index cells, the tail references and the grown
+    /// tails — everything the table allocates. A flow costs a 96-byte row
+    /// and an 8-byte cell at a load of 3/8 to 3/4 (so 11–21 bytes), in a
+    /// table that tracks a quantile a 4-byte reference too and, from its
+    /// fifth estimate on, a 64-byte tail; each `Vec` adds what doubling left
+    /// unused. Diagnostic only — feeds the plane's state estimate, not
+    /// allocation decisions.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         self.rows.capacity() * size_of::<Row>()
@@ -688,17 +688,24 @@ mod tests {
     fn quantile_tracking_when_enabled() {
         let mut t: FlowTable = FlowTable::with_quantile(0.9);
         assert_eq!(t.quantile_p(), Some(0.9));
-        for i in 1..=100 {
+        // 30 delays: rank 27 is the fourth largest, so the p90 is exact.
+        for i in 1..=30 {
             let v = i as f64;
             t.record(fk(1), v, Some(v + 5.0));
         }
         let r = t.report(1).next().unwrap();
-        let eq = r.est_quantile.unwrap();
-        let tq = r.true_quantile.unwrap();
-        assert!((85.0..=95.0).contains(&eq), "est p90 {eq}");
-        assert!((90.0..=100.0).contains(&tq), "true p90 {tq}");
-        assert!(r.quantile_rel_err.unwrap() < 0.2);
+        assert_eq!((r.est_quantile, r.true_quantile), (Some(27.0), Some(32.0)));
+        assert!(!r.quantile_is_bound);
+        assert!((r.quantile_rel_err.unwrap() - 5.0 / 32.0).abs() < 1e-12);
         assert_eq!(t.quantile_relative_errors(1).len(), 1);
+        // At 100 the p90 is the eleventh largest: the fourth bounds it.
+        for i in 31..=100 {
+            let v = i as f64;
+            t.record(fk(1), v, Some(v + 5.0));
+        }
+        let r = t.report(1).next().unwrap();
+        assert_eq!((r.est_quantile, r.true_quantile), (Some(97.0), Some(102.0)));
+        assert!(r.quantile_is_bound);
     }
 
     #[test]
@@ -711,73 +718,29 @@ mod tests {
         assert!(t.quantile_relative_errors(1).is_empty());
     }
 
-    #[test]
-    fn merge_drops_conflicting_quantiles_only() {
-        let mut a: FlowTable = FlowTable::with_quantile(0.5);
-        let mut b: FlowTable = FlowTable::with_quantile(0.5);
-        a.record(fk(1), 1.0, None);
-        b.record(fk(1), 2.0, None); // same flow → trackers poisoned
-        b.record(fk(2), 3.0, None); // new flow → tracker kept
-        a.merge(b);
-        let r1 = a.report(1).find(|r| r.flow == fk(1)).unwrap();
-        let r2 = a.report(1).find(|r| r.flow == fk(2)).unwrap();
-        assert!(r1.est_quantile.is_none(), "conflicting tracker must drop");
-        assert!(r2.est_quantile.is_some(), "unique tracker survives merge");
-        assert_eq!(r1.packets, 2, "counts still merge exactly");
-        // A poisoned tail stays poisoned under later estimates — past the
-        // fifth too, which finds moments in the row and seeds nothing.
-        for i in 0..4 {
-            a.record(fk(1), f64::from(i), None);
-        }
-        let r1 = a.report(1).next().unwrap();
-        assert_eq!((r1.packets, r1.est_quantile), (6, None));
-        assert_eq!(a.tail_counts(), (1, 0, 1));
-        assert_eq!(a.tails.grown.capacity(), 0);
-    }
-
-    #[test]
-    fn merge_keeps_tails_only_between_tables_tracking_the_same_quantile() {
-        let mut tracked: FlowTable = FlowTable::with_quantile(0.5);
-        let mut plain: FlowTable = FlowTable::new();
-        let mut other_p: FlowTable = FlowTable::with_quantile(0.9);
-        tracked.record(fk(1), 1.0, None);
-        plain.record(fk(2), 2.0, None);
-        other_p.record(fk(3), 3.0, None);
-        // Into a tracking table: foreign flows arrive with lost tails, and
-        // every row still has its reference.
-        tracked.merge(plain.clone());
-        tracked.merge(other_p.clone());
-        assert_eq!(tracked.tails.refs.len(), tracked.rows.len());
-        assert_eq!(tracked.tail_counts(), (1, 0, 2));
-        let rows: Vec<FlowReport> = tracked.report(1).collect();
-        assert_eq!(rows[0].est_quantile, Some(1.0));
-        assert!(rows[1].est_quantile.is_none() && rows[2].est_quantile.is_none());
-        tracked.record(fk(4), 4.0, None);
-        assert_eq!(tracked.report(1).nth(3).unwrap().est_quantile, Some(4.0));
-        // Into a plain table: no tail bytes appear.
-        plain.merge(other_p);
-        assert_eq!(plain.tails.approx_bytes(), 0);
-        assert_eq!(plain.tail_counts(), (0, 0, 0));
-        assert!(plain.report(1).all(|r| r.est_quantile.is_none()));
+    /// Every delay of one flow, kept, and its nearest-rank `p`-quantile:
+    /// what a 64-byte tail must report exactly while `k ≤ 4`.
+    fn exact(p: f64, delays: &[f64]) -> Option<f64> {
+        let mut sorted = delays.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let n = sorted.len();
+        let rank = ((p * n as f64).ceil() as usize).clamp(1, n.max(1));
+        sorted.get(rank - 1).copied()
     }
 
     /// The first `n` estimates of a flow, the first `truths` of them with a
-    /// truth — recorded into a tracking table, and pushed into the pair of
-    /// trackers a dense table would have held from the first packet.
-    fn tracked_flow(n: usize, truths: usize) -> (FlowTable, FlowTails) {
+    /// truth: recorded into a tracking table, and kept.
+    fn tracked_flow(n: usize, truths: usize) -> (FlowTable, Vec<f64>, Vec<f64>) {
         let mut table: FlowTable = FlowTable::with_quantile(0.9);
-        let mut dense = FlowTails {
-            est: P2Quantile::new(0.9),
-            truth: P2Quantile::new(0.9),
-        };
+        let (mut ests, mut trues) = (Vec::new(), Vec::new());
         for i in 0..n {
             let est = ((i * 37) % 11) as f64;
             let truth = (i < truths).then_some(est + 0.5);
             table.record(fk(1), est, truth);
-            dense.est.push(est);
-            truth.into_iter().for_each(|t| dense.truth.push(t));
+            ests.push(est);
+            trues.extend(truth);
         }
-        (table, dense)
+        (table, ests, trues)
     }
 
     #[test]
@@ -785,13 +748,13 @@ mod tests {
         // Fewer truths than estimates is the case an index slip gets wrong.
         for truths in [0, 2, 4] {
             for n in 1..=12 {
-                let (table, dense) = tracked_flow(n, truths);
-                let want = if n < 5 { (1, 0, 0) } else { (0, 1, 0) };
+                let (table, ests, trues) = tracked_flow(n, truths);
+                let want = if n < 5 { (1, 0) } else { (0, 1) };
                 assert_eq!(table.tail_counts(), want, "{n} estimates");
                 let r = table.report(1).next().unwrap();
                 assert_eq!(
-                    (r.est_quantile, r.true_quantile),
-                    (dense.est.estimate(), dense.truth.estimate()),
+                    (r.est_quantile, r.true_quantile, r.quantile_is_bound),
+                    (exact(0.9, &ests), exact(0.9, &trues), false),
                     "{n} estimates, {truths} truths"
                 );
             }
@@ -799,29 +762,47 @@ mod tests {
     }
 
     #[test]
-    fn a_conflict_on_a_grown_flow_returns_its_slot() {
-        let (mut t, _) = tracked_flow(8, 8);
-        let (other, _) = tracked_flow(1, 1);
-        assert_eq!(t.tail_counts(), (0, 1, 0));
-        t.merge(other);
-        assert_eq!(t.tail_counts(), (0, 0, 1));
-        assert_eq!(
-            (t.tails.refs[0], &t.tails.grown_free[..]),
-            (NO_TAIL, &[0][..])
-        );
-        // Lost for good: later estimates reach the moments only.
-        t.record(fk(1), 3.0, Some(3.0));
-        let r = t.report(1).next().unwrap();
-        assert_eq!(
-            (r.packets, r.est_quantile, r.true_quantile),
-            (10, None, None)
-        );
-        assert_eq!(t.tail_counts(), (0, 0, 1));
-        // The next flow to graduate takes the freed slot.
-        for i in 0..5 {
-            t.record(fk(2), i as f64, None);
+    fn merge_keeps_every_tail_exactly() {
+        // One flow split over two tables at every cut, each side tracking
+        // its own `p`: the merge reports what the whole stream reports.
+        let delays: Vec<f64> = (0..9).map(|i| ((i * 5) % 9) as f64).collect();
+        for n in 1..=delays.len() {
+            for cut in 0..=n {
+                let mut a: FlowTable = FlowTable::with_quantile(0.9);
+                let mut b: FlowTable = FlowTable::with_quantile(0.5);
+                delays[..cut]
+                    .iter()
+                    .for_each(|&d| a.record(fk(1), d, Some(d)));
+                delays[cut..n]
+                    .iter()
+                    .for_each(|&d| b.record(fk(1), d, None));
+                b.record(fk(2), 1.0, None);
+                a.merge(b);
+                let r = a.report(1).next().unwrap();
+                // Nine delays or fewer: the p90 is one of the four largest.
+                let want = (n as u64, exact(0.9, &delays[..n]), false);
+                assert_eq!((r.packets, r.est_quantile, r.quantile_is_bound), want);
+                assert_eq!(r.true_quantile, exact(0.9, &delays[..cut]));
+                let young = usize::from(n <= 4);
+                assert_eq!(a.tail_counts(), (young + 1, 1 - young), "{cut} of {n}");
+            }
         }
-        assert_eq!((t.tails.refs[1], t.tails.grown.len()), (0, 1));
+        // A table that tracks none takes rows and leaves tails behind.
+        let (tracked, _, _) = tracked_flow(7, 7);
+        let mut plain: FlowTable = FlowTable::new();
+        plain.merge(tracked);
+        assert_eq!(
+            (plain.tail_counts(), plain.tails.approx_bytes()),
+            ((0, 0), 0)
+        );
+        assert!(plain.report(1).all(|r| r.est_quantile.is_none()));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot absorb one that keeps none")]
+    fn a_table_that_keeps_tails_refuses_one_that_keeps_none() {
+        let mut tracked: FlowTable = FlowTable::with_quantile(0.99);
+        tracked.merge(FlowTable::new());
     }
 
     #[test]
@@ -842,10 +823,10 @@ mod tests {
         }
         rx.on_regular(SimTime::from_nanos(120), fk(2), None);
         rx.on_reference(SimTime::from_nanos(200), &reference(1, 100));
-        assert_eq!(rx.flows().tail_counts(), (1, 1, 0));
+        assert_eq!(rx.flows().tail_counts(), (1, 1));
         assert!(rx.flows().approx_bytes() > 0);
         rx.reset_cold();
-        assert_eq!(rx.flows().tail_counts(), (0, 0, 0));
+        assert_eq!(rx.flows().tail_counts(), (0, 0));
         assert_eq!(rx.flows().approx_bytes(), 0);
         assert_eq!(rx.flows().quantile_p(), Some(0.99));
     }
@@ -857,16 +838,16 @@ mod tests {
         assert_eq!((plain.approx_bytes(), tracked.approx_bytes()), (0, 0));
         let mut last = 0;
         for i in 0..200 {
-            // Every other flow grows, and every fourth of those then loses
-            // its tail: all three vectors of the store come into use.
+            // Every other flow grows, and every fourth of those then takes
+            // a merge: both vectors of the store come into use.
             for _ in 0..if i % 2 == 0 { 5 } else { 1 } {
                 plain.record(fk(i), 1.0, Some(1.0));
                 tracked.record(fk(i), 1.0, Some(1.0));
             }
             if i % 8 == 0 {
-                let mut conflict: FlowTable = FlowTable::with_quantile(0.99);
-                conflict.record(fk(i), 1.0, None);
-                tracked.merge(conflict);
+                let mut more: FlowTable = FlowTable::with_quantile(0.99);
+                more.record(fk(i), 1.0, None);
+                tracked.merge(more);
                 plain.record(fk(i), 1.0, None);
             }
             let cells = plain.index.cells.capacity();
@@ -881,15 +862,12 @@ mod tests {
             // exactly its tail store.
             let store = &tracked.tails;
             assert!(store.refs.capacity() >= tracked.rows.len());
-            let tails = 4 * store.refs.capacity()
-                + 208 * store.grown.capacity()
-                + 4 * store.grown_free.capacity();
+            let tails = 4 * store.refs.capacity() + 64 * store.grown.capacity();
             assert_eq!(tracked.approx_bytes(), plain.approx_bytes() + tails);
             assert!(plain.approx_bytes() >= last, "a table never shrinks");
             last = plain.approx_bytes();
         }
-        assert_eq!(tracked.tail_counts(), (100, 75, 25));
-        assert!(tracked.tails.grown_free.capacity() > 0);
+        assert_eq!(tracked.tail_counts(), (100, 100));
         assert!(last >= 200 * (96 + 8), "200 flows need 200 rows and cells");
     }
 
@@ -913,17 +891,13 @@ mod tests {
             "{cells} cells"
         );
         assert_eq!(t.approx_bytes(), slots * (96 + 4) + cells * 8);
-        assert_eq!(t.tail_counts(), (10_000, 0, 0));
-        assert_eq!(
-            t.tails.grown.capacity(),
-            0,
-            "no flow grew, no tracker exists"
-        );
-        // Pushed to five estimates, every flow holds trackers.
+        assert_eq!(t.tail_counts(), (10_000, 0));
+        assert_eq!(t.tails.grown.capacity(), 0, "no flow grew, no tail exists");
+        // Pushed to five estimates, every flow holds a tail.
         for _ in 1..5 {
             (0..10_000).for_each(|i| t.record(flow(i), 1.0, Some(1.0)));
         }
-        assert_eq!(t.tail_counts(), (0, 10_000, 0));
+        assert_eq!(t.tail_counts(), (0, 10_000));
         assert_eq!(t.rows.capacity(), slots, "a row is reused, not replaced");
     }
 
@@ -1023,13 +997,13 @@ mod tests {
         let last = YOUNG as usize - 1;
         assert_eq!(reference(last), Some(YOUNG - 1));
         assert_eq!(row_slot(last), YOUNG - 1);
-        for past in [YOUNG as usize, NO_TAIL as usize, NO_TAIL as usize + 1] {
+        for past in [YOUNG as usize, YOUNG as usize + 1] {
             assert_eq!(reference(past), None, "{past}"); // `as u32` made the last one 0
         }
     }
 
     #[test]
-    #[should_panic(expected = "at most 2^32 - 2 flows")]
+    #[should_panic(expected = "at most 2^32 - 1 flows")]
     fn a_row_slot_that_reads_as_a_sentinel_is_refused() {
         row_slot(YOUNG as usize);
     }

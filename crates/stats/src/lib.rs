@@ -11,8 +11,9 @@
 //! * [`ewma`] — EWMA and the windowed link-utilization estimator driving
 //!   RLI's adaptive injection policy.
 //! * [`histogram`] — log-scale histograms for latency/error sketches.
-//! * [`quantile`] — the P² streaming quantile estimator (per-flow tail
-//!   latency in O(1) memory).
+//! * [`quantile`] — a flow's four largest delays, its exact nearest-rank
+//!   tail quantile below `4 / (1 − p)` samples and an upper bound past it,
+//!   in 32 bytes that merge exactly.
 //! * [`timeseries`] — fixed-width time bins (offered load, utilization).
 
 #![warn(missing_docs)]
@@ -30,6 +31,6 @@ pub use cdf::{CdfSeries, Ecdf};
 pub use error::{absolute_error, relative_error, signed_relative_error, ErrorSummary};
 pub use ewma::{Ewma, UtilizationEstimator};
 pub use histogram::LogHistogram;
-pub use quantile::P2Quantile;
+pub use quantile::LargestFour;
 pub use streaming::{FewStats, StreamingStats};
 pub use timeseries::BinnedSeries;

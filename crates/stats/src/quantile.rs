@@ -1,166 +1,78 @@
-//! Streaming quantile estimation (the P² algorithm).
+//! Per-flow tail quantiles from a flow's four largest delays.
 //!
 //! The original RLI work estimates not only per-flow means and standard
 //! deviations but also tail quantiles; storing every per-packet delay per
-//! flow is exactly what switch implementations cannot afford. The P²
-//! algorithm (Jain & Chlamtac, CACM 1985) tracks one quantile with five
-//! markers in O(1) memory and O(1) per observation — the right shape for a
-//! per-flow accumulator.
+//! flow is exactly what switch implementations cannot afford. A tail does
+//! not need every delay, though: the nearest-rank `p`-quantile of `n`
+//! samples is the `k`-th largest, `k = n − ⌈p·n⌉ + 1`, so while `n` stays
+//! under `4 / (1 − p)` (399 samples for p99, 39 for p90) it is one of the
+//! four largest. [`LargestFour`] keeps those in 32 bytes; past that bound its
+//! fourth largest is an upper bound on the quantile. Unlike a sketch of the
+//! whole distribution, four largest merge exactly: the four largest of a
+//! union lie among the two sides' four largest.
 
-use serde::{Deserialize, Serialize};
+/// The four largest of a stream of samples, largest first (32 bytes).
+/// Slots no sample reached hold `-∞`; a sample equal to the fourth largest
+/// changes nothing, so the values held do not depend on the order the
+/// samples came in, nor on how they were split and [merged](Self::merge).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LargestFour([f64; 4]);
 
-/// Streaming estimator of a single quantile using the P² algorithm.
-///
-/// One tracker per flow per tap makes its size a per-flow cost, so only
-/// what the algorithm cannot recompute is stored (104 bytes): the five
-/// marker heights, the three *middle* marker positions and desired
-/// positions, the count and `p`. The outer markers sit at ranks 1 and
-/// `count` by construction, their desired positions are never read, and
-/// the per-observation increments are a function of `p`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct P2Quantile {
-    p: f64,
-    // Marker heights (estimates of the quantile positions).
-    q: [f64; 5],
-    // Positions of markers 1..=3 (1-based observation ranks); marker 0 is
-    // at rank 1 and marker 4 at rank `count`.
-    n: [f64; 3],
-    // Desired positions of markers 1..=3.
-    np: [f64; 3],
-    count: u64,
+impl Default for LargestFour {
+    fn default() -> Self {
+        LargestFour([f64::NEG_INFINITY; 4])
+    }
 }
 
-impl P2Quantile {
-    /// Track the `p`-quantile, `p` in `(0, 1)`.
-    pub fn new(p: f64) -> Self {
-        assert!(p > 0.0 && p < 1.0, "quantile must be in (0,1)");
-        P2Quantile {
-            p,
-            q: [0.0; 5],
-            n: [2.0, 3.0, 4.0],
-            np: [1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p],
-            count: 0,
-        }
+impl LargestFour {
+    /// Nothing seen yet.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Convenience: median tracker.
-    pub fn median() -> Self {
-        Self::new(0.5)
-    }
-
-    /// Convenience: 99th-percentile tracker.
-    pub fn p99() -> Self {
-        Self::new(0.99)
-    }
-
-    /// The tracked quantile parameter.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// Observations seen.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Add one observation.
+    /// Add one sample.
+    #[inline]
     pub fn push(&mut self, x: f64) {
         debug_assert!(!x.is_nan(), "NaN observation");
-        if self.count < 5 {
-            self.q[self.count as usize] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.q.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-            }
+        let top = &mut self.0;
+        if x <= top[3] {
             return;
         }
-        self.count += 1;
-
-        // Find the cell k such that q[k] <= x < q[k+1], adjusting extremes.
-        let k = if x < self.q[0] {
-            self.q[0] = x;
-            0
-        } else if x >= self.q[4] {
-            self.q[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            for i in 0..4 {
-                if self.q[i] <= x && x < self.q[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-
-        // Increment positions of the middle markers above the cell.
-        self.n[0] += f64::from(k < 1);
-        self.n[1] += f64::from(k < 2);
-        self.n[2] += f64::from(k < 3);
-        let p = self.p;
-        self.np[0] += p / 2.0;
-        self.np[1] += p;
-        self.np[2] += (1.0 + p) / 2.0;
-
-        // Adjust the three middle markers, in order, if they are off their
-        // desired positions by at least one. The outer markers sit at
-        // ranks 1 and `count`.
-        let [q0, q1, q2, q3, q4] = &mut self.q;
-        let [n1, n2, n3] = &mut self.n;
-        adjust((*q0, q1, *q2), (1.0, n1, *n2), self.np[0]);
-        adjust((*q1, q2, *q3), (*n1, n2, *n3), self.np[1]);
-        adjust((*q2, q3, *q4), (*n2, n3, self.count as f64), self.np[2]);
+        let mut at = 3;
+        while at > 0 && top[at - 1] < x {
+            top[at] = top[at - 1];
+            at -= 1;
+        }
+        top[at] = x;
     }
 
-    /// Current quantile estimate (`None` before any observation). With
-    /// fewer than five observations, falls back to the exact order
-    /// statistic of the buffered values ([`nearest_rank_of_few`]).
-    pub fn estimate(&self) -> Option<f64> {
-        if self.count < 5 {
-            return nearest_rank_of_few(self.p, &self.q[..self.count as usize]);
-        }
-        Some(self.q[2])
+    /// Fold in the four largest of another stream.
+    pub fn merge(&mut self, other: &LargestFour) {
+        other.0.iter().for_each(|&x| self.push(x));
+    }
+
+    /// The nearest-rank `p`-quantile of the `n` samples pushed and merged
+    /// in, and whether it is exact: the `k`-th largest while `k ≤ 4`, else
+    /// the fourth largest, an upper bound (`false`). `None` of no sample.
+    pub fn nearest_rank(&self, p: f64, n: u64) -> Option<(f64, bool)> {
+        assert!(p > 0.0 && p < 1.0, "quantile must be in (0,1)");
+        let n = usize::try_from(n).ok().filter(|&n| n > 0)?;
+        let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
+        let k = n - rank + 1;
+        Some(match self.0.get(k - 1) {
+            Some(&x) => (x, true),
+            None => (self.0[3], false),
+        })
     }
 }
 
 /// The nearest-rank `p`-quantile of at most four samples, in any order
-/// (`None` of none): what a [`P2Quantile`] reports before its fifth
-/// observation, for a caller that holds those first samples itself. Sorts
-/// a copy on the stack; more than four samples is a panic.
+/// (`None` of none) — always exact. More than four samples is a panic.
 pub fn nearest_rank_of_few(p: f64, samples: &[f64]) -> Option<f64> {
-    let n = samples.len();
-    if n == 0 {
-        return None;
-    }
-    let mut sorted = [0.0; 4];
-    let sorted = &mut sorted[..n];
-    sorted.copy_from_slice(samples);
-    sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-    let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
-    Some(sorted[rank - 1])
-}
-
-/// One marker's P² adjustment: `(below, this, above)` heights and
-/// positions, and the position this marker should be at.
-#[inline(always)]
-fn adjust((qm, qi, qp): (f64, &mut f64, f64), (nm, ni, np): (f64, &mut f64, f64), desired: f64) {
-    let d = desired - *ni;
-    if (d >= 1.0 && np - *ni > 1.0) || (d <= -1.0 && nm - *ni < -1.0) {
-        let d = d.signum();
-        let parabolic = *qi
-            + d / (np - nm)
-                * ((*ni - nm + d) * (qp - *qi) / (np - *ni)
-                    + (np - *ni - d) * (*qi - qm) / (*ni - nm));
-        *qi = if qm < parabolic && parabolic < qp {
-            parabolic
-        } else {
-            // Linear towards the neighbour on `d`'s side.
-            let (qj, nj) = if d > 0.0 { (qp, np) } else { (qm, nm) };
-            *qi + d * (qj - *qi) / (nj - *ni)
-        };
-        *ni += d;
-    }
+    assert!(samples.len() <= 4, "more than four samples");
+    let mut top = LargestFour::new();
+    samples.iter().for_each(|&x| top.push(x));
+    top.nearest_rank(p, samples.len() as u64).map(|(x, _)| x)
 }
 
 #[cfg(test)]
@@ -175,92 +87,87 @@ mod tests {
         xs[rank - 1]
     }
 
+    fn fed(xs: &[f64]) -> LargestFour {
+        let mut top = LargestFour::new();
+        xs.iter().for_each(|&x| top.push(x));
+        top
+    }
+
     #[test]
     fn empty_and_small_inputs() {
-        let mut q = P2Quantile::median();
-        assert_eq!(q.estimate(), None);
-        q.push(10.0);
-        assert_eq!(q.estimate(), Some(10.0));
-        q.push(20.0);
-        assert_eq!(q.estimate(), Some(10.0)); // nearest-rank median of 2
-        q.push(30.0);
-        assert_eq!(q.estimate(), Some(20.0));
-        assert_eq!(q.count(), 3);
-    }
-
-    #[test]
-    fn median_of_uniform_converges() {
-        let mut q = P2Quantile::median();
-        let mut rng = StdRng::seed_from_u64(1);
-        let xs: Vec<f64> = (0..50_000).map(|_| rng.random::<f64>()).collect();
-        for &x in &xs {
-            q.push(x);
+        let mut xs = Vec::new();
+        assert_eq!(fed(&xs).nearest_rank(0.5, 0), None);
+        for (x, median) in [(10.0, 10.0), (20.0, 10.0), (30.0, 20.0)] {
+            xs.push(x);
+            let n = xs.len() as u64;
+            assert_eq!(fed(&xs).nearest_rank(0.5, n), Some((median, true)));
         }
-        let est = q.estimate().unwrap();
-        assert!((est - 0.5).abs() < 0.01, "median estimate {est}");
-    }
-
-    #[test]
-    fn p99_of_exponential_converges() {
-        // Exponential(1): p99 = ln(100) ≈ 4.605.
-        let mut q = P2Quantile::p99();
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..200_000 {
-            let u: f64 = 1.0 - rng.random::<f64>();
-            q.push(-u.ln());
-        }
-        let est = q.estimate().unwrap();
-        let truth = 100.0f64.ln();
-        assert!(
-            (est - truth).abs() / truth < 0.05,
-            "p99 estimate {est} vs {truth}"
-        );
     }
 
     #[test]
     fn tracks_exact_quantile_on_skewed_data() {
-        // Log-normal-ish: squares of normals via sum of uniforms.
+        // Log-normal-ish: squares of normals via sum of uniforms. Every
+        // length below 4 / (1 − p) answers exactly, in any arrival order.
         let mut rng = StdRng::seed_from_u64(3);
-        let xs: Vec<f64> = (0..100_000)
+        let xs: Vec<f64> = (0..5_000)
             .map(|_| {
                 let s: f64 = (0..12).map(|_| rng.random::<f64>()).sum::<f64>() - 6.0;
                 (s * 0.8).exp()
             })
             .collect();
-        for p in [0.25, 0.5, 0.9] {
-            let mut q = P2Quantile::new(p);
-            for &x in &xs {
-                q.push(x);
+        for p in [0.9f64, 0.99, 0.999] {
+            let exact_below = (4.0 / (1.0 - p)).round() as usize - 1;
+            for n in [1, 7, exact_below / 2, exact_below] {
+                let want = exact_quantile(xs[..n].to_vec(), p);
+                assert_eq!(fed(&xs[..n]).nearest_rank(p, n as u64), Some((want, true)));
+                let mut reversed = xs[..n].to_vec();
+                reversed.reverse();
+                assert_eq!(fed(&reversed).nearest_rank(p, n as u64), Some((want, true)));
             }
-            let est = q.estimate().unwrap();
-            let truth = exact_quantile(xs.clone(), p);
-            let rel = (est - truth).abs() / truth;
-            assert!(rel < 0.05, "p={p}: {est} vs {truth} (rel {rel})");
+            let n = exact_below + 1;
+            let (bound, exact) = fed(&xs[..n]).nearest_rank(p, n as u64).unwrap();
+            assert!(
+                !exact && bound >= exact_quantile(xs[..n].to_vec(), p),
+                "p={p}"
+            );
         }
     }
 
     #[test]
     fn monotone_input_is_fine() {
-        let mut q = P2Quantile::new(0.9);
-        for i in 0..10_000 {
-            q.push(i as f64);
+        let rising: Vec<f64> = (0..300).map(f64::from).collect();
+        let falling: Vec<f64> = rising.iter().rev().copied().collect();
+        for xs in [rising, falling] {
+            // Rank 297 of 300 is the fourth largest, 296.
+            assert_eq!(fed(&xs).nearest_rank(0.99, 300), Some((296.0, true)));
         }
-        let est = q.estimate().unwrap();
-        assert!((est - 9000.0).abs() < 200.0, "p90 of 0..10000: {est}");
     }
 
     #[test]
     fn constant_input() {
-        let mut q = P2Quantile::median();
-        for _ in 0..1000 {
-            q.push(7.5);
-        }
-        assert_eq!(q.estimate(), Some(7.5));
+        let top = fed(&[7.5; 1000]);
+        assert_eq!(top.nearest_rank(0.99, 1000), Some((7.5, false)));
+        assert_eq!(top.nearest_rank(0.999, 1000), Some((7.5, true)));
     }
 
     #[test]
     fn tracker_fits_in_104_bytes() {
-        assert!(std::mem::size_of::<P2Quantile>() <= 104);
+        // Pinned at its own size: per flow and side, this is the tail.
+        assert_eq!(std::mem::size_of::<LargestFour>(), 32);
+    }
+
+    #[test]
+    fn merged_streams_hold_the_four_largest_of_their_union() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..200 {
+            let xs: Vec<f64> = (0..rng.random_range(0..12))
+                .map(|_| f64::from(rng.random_range(0..6u8)))
+                .collect();
+            let cut = rng.random_range(0..=xs.len());
+            let mut merged = fed(&xs[cut..]);
+            merged.merge(&fed(&xs[..cut]));
+            assert_eq!(merged, fed(&xs), "{xs:?} cut at {cut}");
+        }
     }
 
     #[test]
@@ -271,10 +178,6 @@ mod tests {
             for n in 1..=4 {
                 let want = exact_quantile(xs[..n].to_vec(), p);
                 assert_eq!(nearest_rank_of_few(p, &xs[..n]), Some(want), "p={p} n={n}");
-                // The tracker answers from the same rule below five.
-                let mut q = P2Quantile::new(p);
-                xs[..n].iter().for_each(|&x| q.push(x));
-                assert_eq!(q.estimate(), Some(want));
             }
         }
     }
@@ -282,22 +185,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "quantile must be in (0,1)")]
     fn rejects_invalid_p() {
-        P2Quantile::new(1.0);
+        LargestFour::new().nearest_rank(1.0, 1);
     }
 
     #[test]
     fn estimate_between_extremes() {
-        let mut q = P2Quantile::median();
+        // Past the exact bound the answer is still one of the samples: at
+        // least the exact quantile, at most the largest.
         let mut rng = StdRng::seed_from_u64(4);
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for _ in 0..5000 {
-            let x = rng.random::<f64>() * 100.0 - 50.0;
-            lo = lo.min(x);
-            hi = hi.max(x);
-            q.push(x);
-        }
-        let est = q.estimate().unwrap();
-        assert!(est >= lo && est <= hi);
+        let xs: Vec<f64> = (0..5000)
+            .map(|_| rng.random::<f64>() * 100.0 - 50.0)
+            .collect();
+        let (est, exact) = fed(&xs).nearest_rank(0.5, 5000).unwrap();
+        let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        assert!(!exact && est >= exact_quantile(xs.clone(), 0.5) && est <= hi);
+        assert!(xs.contains(&est));
     }
 }

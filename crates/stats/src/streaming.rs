@@ -166,7 +166,7 @@ impl FewStats {
     }
 
     /// The observations as they came, while there are at most four of them
-    /// and nothing was merged in.
+    /// (merges of such lists included).
     #[inline]
     pub fn few(&self) -> Option<&[f64]> {
         // `MOMENTS` makes `tag_count` larger than any count of samples.
@@ -195,10 +195,19 @@ impl FewStats {
         }
     }
 
-    /// Merge another accumulator into this one
-    /// ([`StreamingStats::merge`]). The result holds moments whatever its
-    /// count: the order two streams' observations came in is not known.
+    /// Merge another accumulator into this one. Two sample lists of at
+    /// most four observations together concatenate, ours first: the result
+    /// is what pushing them in that order builds. Anything else merges
+    /// moments ([`StreamingStats::merge`]) and holds moments from then on.
     pub fn merge(&mut self, other: &FewStats) {
+        // `MOMENTS` makes either tag larger than any count of samples.
+        let total = self.tag_count.saturating_add(other.tag_count);
+        if total <= Self::FEW as u64 {
+            let (ours, theirs) = (self.tag_count as usize, other.tag_count as usize);
+            self.w[ours..total as usize].copy_from_slice(&other.w[..theirs]);
+            self.tag_count = total;
+            return;
+        }
         let mut stats = self.stats();
         stats.merge(&other.stats());
         self.set_moments(stats);

@@ -3,7 +3,9 @@
 //! A `FewStats` holds its first four observations as they came and replays
 //! them through `StreamingStats::push` at the fifth, so after every push —
 //! and after a merge — each answer must equal, bit for bit, the one a
-//! `StreamingStats` fed the same stream gives.
+//! `StreamingStats` fed the same stream gives. Two sample lists of four or
+//! fewer together merge into one: the stream is then both of them pushed in
+//! turn, not a merge of moments.
 
 use proptest::prelude::*;
 use rlir_stats::{FewStats, StreamingStats};
@@ -67,15 +69,24 @@ proptest! {
         let (mut few, mut streaming) = fed(&left)?;
         let (other_few, other_streaming) = fed(&right)?;
         few.merge(&other_few);
-        streaming.merge(&other_streaming);
+        // Young + young stays the samples, the same as pushing `right` after
+        // `left`; anything else merges moments, whatever the count.
+        let mut joined: Option<Vec<f64>> = (left.len() + right.len() <= FewStats::FEW)
+            .then(|| left.iter().chain(&right).copied().collect());
+        match &joined {
+            Some(stream) => streaming = fed(stream)?.1,
+            None => streaming.merge(&other_streaming),
+        }
         prop_assert_eq!(bits(&few.stats()), bits(&streaming), "merged");
-        prop_assert_eq!(few.few(), None, "merged streams have no order");
-        // Moments whatever the count: later pushes stream on from them.
+        prop_assert_eq!(few.few(), joined.as_deref());
+        // Later pushes stream on from either.
         for &x in &after {
             few.push(x);
             streaming.push(x);
             prop_assert_eq!(bits(&few.stats()), bits(&streaming), "pushed after a merge");
-            prop_assert_eq!(few.few(), None);
+            joined.iter_mut().for_each(|stream| stream.push(x));
+            let held = joined.as_deref().filter(|stream| stream.len() <= FewStats::FEW);
+            prop_assert_eq!(few.few(), held);
         }
     }
 }

@@ -1,25 +1,22 @@
-//! `rlir_rli::FlowTable::report` as a lazy iterator against the body it
-//! replaced, and against what it may allocate.
+//! `rlir_rli::FlowTable::report` as a lazy iterator against a sorted table
+//! that keeps every delay, and the table against what it may allocate.
 //!
-//! The old `report` materialised a `Vec` of 160-byte rows for every flow
-//! and stable-sorted it by flow key — a second copy of the table that set
-//! the process's high-water mark. The new one sorts a list of 32-bit row
-//! slots and builds each row as it is yielded. The oracle here is the old
-//! body, kept verbatim in `tests/support/dense_tails_oracle.rs`; both tables
-//! are driven through the same records and merges (so the product holds
-//! young, grown and lost tails) and compared bit for bit for every
-//! `min_packets` a caller uses. The allocation bound runs under the counting
-//! `#[global_allocator]` of `tests/support/counting_alloc.rs`.
+//! A `report` that materialised a `Vec` of 160-byte rows for every flow and
+//! sorted it by flow key would hold a second copy of the table; this one
+//! sorts a list of 32-bit row slots and builds each row as it is yielded.
+//! The oracle is `tests/support/exact_tails_oracle.rs`, a `BTreeMap` of every
+//! flow's delays; both tables are driven through the same records and
+//! merges (so the product holds young and grown tails) and compared for
+//! every `min_packets` a caller uses. The allocation bounds run under the
+//! counting `#[global_allocator]` of `tests/support/counting_alloc.rs`.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
-#[path = "support/dense_tails_oracle.rs"]
-mod dense_tails_oracle;
-#[path = "support/report_bits.rs"]
-mod report_bits;
+#[path = "support/exact_tails_oracle.rs"]
+mod exact_tails_oracle;
 
+use exact_tails_oracle::ExactTails;
 use proptest::prelude::*;
-use report_bits::bits;
 use rlir_net::FlowKey;
 use rlir_rli::FlowTable;
 use std::net::Ipv4Addr;
@@ -38,10 +35,10 @@ fn flow(idx: u32) -> FlowKey {
 /// One observation: (flow pool index, est delay, optional truth).
 type Obs = (u8, u32, Option<u32>);
 
-/// The table under test and the old body, driven in lockstep.
+/// The table under test and the oracle, driven in lockstep.
 struct Pair {
     lazy: FlowTable,
-    old: dense_tails_oracle::FlowTable,
+    old: ExactTails,
 }
 
 impl Pair {
@@ -49,10 +46,7 @@ impl Pair {
     fn of(p: Option<f64>, obs: &[Obs]) -> Pair {
         let mut pair = Pair {
             lazy: p.map_or_else(FlowTable::new, FlowTable::with_quantile),
-            old: p.map_or_else(
-                dense_tails_oracle::FlowTable::new,
-                dense_tails_oracle::FlowTable::with_quantile,
-            ),
+            old: ExactTails::new(p),
         };
         for &(idx, est, truth) in obs {
             let (flow, est, truth) = (flow(idx.into()), f64::from(est), truth.map(f64::from));
@@ -82,24 +76,23 @@ proptest! {
         tracked in any::<bool>(),
         main in arb_obs(),
         // Each side table tracks the main table's quantile or another one;
-        // a flow both sides saw loses its tail.
+        // a flow both sides saw merges its tail.
         sides in proptest::collection::vec((any::<bool>(), arb_obs()), 0..3),
     ) {
-        let p = tracked.then_some(0.99);
+        // Eight delays or more put a p90 past the four largest.
+        let p = tracked.then_some(0.9);
         let mut pair = Pair::of(p, &main);
         for (same, obs) in &sides {
             pair.merge(Pair::of(if *same { p } else { Some(0.5) }, obs));
         }
         for min_packets in [0, 1, 2, 10] {
-            let want = pair.old.report(min_packets);
             let rows = pair.lazy.report(min_packets);
-            prop_assert_eq!(rows.len(), want.len(), "len() at min_packets {}", min_packets);
-            let mut got = Vec::new();
-            got.extend(rows);
-            prop_assert_eq!(got.len(), want.len(), "rows yielded at min_packets {}", min_packets);
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert_eq!(bits(g), bits(w), "lazy {:?} vs old {:?}", g, w);
-            }
+            let len = rows.len();
+            let got: Vec<_> = rows.collect();
+            prop_assert_eq!(got.len(), len, "rows yielded at min_packets {}", min_packets);
+            pair.old
+                .check(got.into_iter(), min_packets)
+                .map_err(|e| TestCaseError::Fail(format!("min_packets {min_packets}: {e}")))?;
         }
     }
 }
@@ -118,7 +111,7 @@ fn a_report_allocates_its_slot_list_and_nothing_else() {
             );
         }
     }
-    let (young, grown, _) = table.tail_counts();
+    let (young, grown) = table.tail_counts();
     assert!(young > 0 && grown > 0, "{young} young, {grown} grown");
 
     let before = counting_alloc::requested();
@@ -146,7 +139,7 @@ fn a_mouse_flow_costs_what_approx_bytes_says_and_under_170_bytes() {
         table.record(flow(i), f64::from(i % 1000), Some(f64::from(i % 1000)));
     }
     let held = counting_alloc::live() - before;
-    assert_eq!(table.tail_counts(), (FLOWS as usize, 0, 0));
+    assert_eq!(table.tail_counts(), (FLOWS as usize, 0));
     // A 96-byte row, a 4-byte reference and an 8-byte index cell, each at
     // what `Vec` doubling and the index's load factor leave unused. With
     // the samples in a 64-byte slot beside the row's moments and the key a
@@ -163,4 +156,30 @@ fn a_mouse_flow_costs_what_approx_bytes_says_and_under_170_bytes() {
         held.abs_diff(approx) * 100 <= approx,
         "the allocator holds {held} B for a table that reports {approx} B"
     );
+}
+
+#[test]
+fn a_grown_flow_costs_a_row_a_reference_a_tail_and_a_cell() {
+    // A power of two of flows: every `Vec` is full, the index half full.
+    const FLOWS: u32 = 1 << 15;
+    let before = counting_alloc::live();
+    let mut table: FlowTable = FlowTable::with_quantile(0.99);
+    for round in 0..5 {
+        for i in 0..FLOWS {
+            let delay = f64::from(i % 1000 + round);
+            table.record(flow(i), delay, Some(delay));
+        }
+    }
+    let held = counting_alloc::live() - before;
+    assert_eq!(table.tail_counts(), (0, FLOWS as usize));
+    // A 96-byte row, a 4-byte reference and a 64-byte tail, plus two
+    // 8-byte index cells.
+    let bound = (96 + 4 + 64 + 2 * 8) * FLOWS as usize;
+    assert!(
+        held <= bound,
+        "{} B a grown flow, bound {} B",
+        held / FLOWS as usize,
+        bound / FLOWS as usize
+    );
+    assert_eq!(held, table.approx_bytes());
 }

@@ -16,9 +16,9 @@
 //! sort that did nothing would otherwise go unnoticed):
 //!
 //! * a tap that never crashed must report bit-for-bit what the oracle
-//!   reports for its admitted observations (flow rows incl. the
-//!   order-sensitive P² tail, per-epoch moments), so nothing late or shed
-//!   was ever fed and what was fed arrived in `(at, tie, id)` order;
+//!   reports for its admitted observations (flow rows incl. the tail,
+//!   per-epoch moments — order-sensitive Welford sums), so nothing late or
+//!   shed was ever fed and what was fed arrived in `(at, tie, id)` order;
 //! * a crashed tap restarts cold, so its flow table and its epochs from
 //!   the resume boundary on equal the oracle's over the survivors admitted
 //!   since its last crash;
@@ -190,7 +190,7 @@ fn plane<'a>(drain: DrainMode, k: &Knobs, budget: Option<usize>) -> MeasurementP
         spec.delivered_only = true;
         spec.tenant = (tap % 2) as u32;
         spec.max_buffer = k.max_buffer;
-        // P² is order-sensitive: equal tails mean equal feed order.
+        // A tap that reports a tail, beside three that do not.
         spec.track_quantile = (tap == 1).then_some(0.9);
         if k.cold_fields && tap == 2 {
             spec.truth = TruthRef::SinceArrivalAt(vec![ENTRY]);
