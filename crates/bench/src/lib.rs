@@ -1,8 +1,8 @@
 //! # rlir-bench — figure regeneration harness
 //!
-//! Shared machinery between the `experiments` binary (which regenerates
-//! every table and figure of the paper's evaluation as CSV + terminal
-//! summaries) and the Criterion benchmarks. Each `fig*` function runs the
+//! The machinery behind the `experiments` binary, which regenerates every
+//! table and figure of the paper's evaluation as CSV + terminal summaries
+//! (the repo's benchmark is the ledger, `ledger/`). Each `fig*` function runs the
 //! corresponding experiment at a configurable scale and returns structured
 //! rows; the `output` helpers persist them under `results/`.
 

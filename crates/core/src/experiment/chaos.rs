@@ -557,29 +557,37 @@ mod tests {
 
     #[test]
     fn campaign_recovers_taps_and_stays_honest() {
-        let rep = run_chaos(&quick_cfg());
-        assert_eq!(rep.campaigns.len(), 1);
-        let c = &rep.campaigns[0];
-        assert!(c.events > 0, "campaign generated no faults");
-        // The acceptance property: outages absorbed, state lost while
-        // down is accounted, and recovery produced fresh epochs.
-        assert!(rep.total_tap_outages > 0, "no tap outage was delivered");
-        assert!(rep.total_lost_window_obs > 0, "outage lost nothing?");
-        assert!(
-            rep.total_recovered_epochs > 0,
-            "no epochs recovered after tap restart"
-        );
-        // Baseline silence: zero false positives at baseline load.
-        assert!(!rep.baseline_false_positive);
-        // Isolation: flood in tenant 1 must not move tenant 0's estimates.
-        assert_eq!(rep.cross_talk_max_abs_ns, 0.0, "tenant cross-talk");
-        // Hostile ingest: the oracle agreed, the damage was counted.
-        assert!(rep.ingest.strict_matches_lenient_on_clean);
-        assert!(rep.ingest.emitted > 0);
-        assert!(
-            rep.ingest.skipped_records + rep.ingest.clamped_regressions + rep.ingest.resyncs > 0,
-            "corruption left no trace in the counters"
-        );
+        // The quick configuration, then the defaults at master seed
+        // 0xC405: two 30 ms campaigns.
+        let mut defaults = ChaosCampaignConfig::paper(0xC405, SimDuration::from_millis(30));
+        defaults.campaigns = 2;
+        for cfg in [quick_cfg(), defaults] {
+            let rep = run_chaos(&cfg);
+            assert_eq!(rep.campaigns.len(), cfg.campaigns);
+            for c in &rep.campaigns {
+                assert!(c.events > 0, "campaign {} generated no faults", c.campaign);
+            }
+            // The acceptance property: outages absorbed, state lost while
+            // down is accounted, and recovery produced fresh epochs.
+            assert!(rep.total_tap_outages > 0, "no tap outage was delivered");
+            assert!(rep.total_lost_window_obs > 0, "outage lost nothing?");
+            assert!(
+                rep.total_recovered_epochs > 0,
+                "no epochs recovered after tap restart"
+            );
+            // Baseline silence: zero false positives at baseline load.
+            assert!(!rep.baseline_false_positive);
+            // Isolation: flood in tenant 1 must not move tenant 0's estimates.
+            assert_eq!(rep.cross_talk_max_abs_ns, 0.0, "tenant cross-talk");
+            // Hostile ingest: the oracle agreed, the damage was counted.
+            assert!(rep.ingest.strict_matches_lenient_on_clean);
+            assert!(rep.ingest.emitted > 0);
+            assert!(
+                rep.ingest.skipped_records + rep.ingest.clamped_regressions + rep.ingest.resyncs
+                    > 0,
+                "corruption left no trace in the counters"
+            );
+        }
     }
 
     #[test]

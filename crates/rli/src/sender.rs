@@ -140,14 +140,6 @@ impl RliSender {
         &self.scratch
     }
 
-    /// Allocating variant of [`RliSender::observe`], preserved as the
-    /// seed's batched API: returns a fresh `Vec` per call. Used by the
-    /// baseline benchmarks and the streaming-vs-batched equivalence tests;
-    /// prefer `observe` everywhere else.
-    pub fn observe_alloc(&mut self, pkt: &Packet) -> Vec<Packet> {
-        self.observe(pkt).to_vec()
-    }
-
     /// Wrap a time-ordered packet stream, interleaving generated reference
     /// packets immediately after the regular packets that trigger them.
     pub fn instrument<I>(self, stream: I) -> InstrumentedStream<Self, I>

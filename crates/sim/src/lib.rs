@@ -9,8 +9,8 @@
 //!   calibrator for utilization targets.
 //! * [`pipeline`] — the two-switch tandem of Fig. 3, run as one streaming
 //!   sorted merge (no event heap, no intermediate buffering) with full
-//!   per-packet ground truth; the seed's two-pass variant is kept as a
-//!   differential-testing oracle and benchmark baseline.
+//!   per-packet ground truth (its seed-era two-pass oracle lives in
+//!   `tests/support/two_pass_tandem.rs`).
 //! * [`network`] — arbitrary switch topologies with pluggable forwarding
 //!   and ToS-marking hooks, hop-by-hop ground truth, and the typed per-hop
 //!   observation stream ([`HopEvent`]/[`HopSink`]) the measurement plane
@@ -62,8 +62,7 @@ pub use network::{
     StreamedDelivery, SwitchNode, TeeSink,
 };
 pub use pipeline::{
-    run_tandem, run_tandem_two_pass, run_tandem_with, Delivery, TandemConfig, TandemResult,
-    TandemStats,
+    run_tandem, run_tandem_with, Delivery, TandemConfig, TandemResult, TandemStats,
 };
 pub use queue::{ClassCounters, FifoQueue, QueueConfig, Verdict};
 pub use sched::{CalendarQueue, EventSchedule};

@@ -17,9 +17,8 @@
 //! *and* allocation-free per packet.
 //!
 //! The seed's two-pass implementation (buffer all switch-1 survivors, then
-//! merge) is preserved as [`run_tandem_two_pass`]: it is the reference
-//! implementation the streaming path is differentially tested against, and
-//! the baseline the performance benchmarks compare with.
+//! merge) is the oracle the streaming path is differentially tested
+//! against; it lives with the tests, in `tests/support/two_pass_tandem.rs`.
 //!
 //! Per-packet ground truth (ingress, switch-1 egress, delivery) is recorded
 //! so the measurement plane can be evaluated against true delays.
@@ -130,8 +129,7 @@ impl TandemStats {
     }
 }
 
-/// Output of a buffering tandem run ([`run_tandem`] /
-/// [`run_tandem_two_pass`]).
+/// Output of a buffering tandem run ([`run_tandem`]).
 #[derive(Debug, Clone)]
 pub struct TandemResult {
     /// Deliveries in delivery-time order.
@@ -307,86 +305,13 @@ pub fn run_tandem(
     TandemResult { deliveries, stats }
 }
 
-/// The seed's two-pass tandem: buffer every switch-1 survivor, then merge
-/// the buffer with the cross stream into switch 2.
-///
-/// Kept verbatim as the differential-testing oracle for
-/// [`run_tandem_with`] (see the streaming-equivalence property tests) and
-/// as the pre-optimization baseline the benchmarks measure against. Do not
-/// use on hot paths: it allocates a whole-trace buffer.
-pub fn run_tandem_two_pass(
-    cfg: &TandemConfig,
-    upstream: impl Iterator<Item = Packet>,
-    cross: impl Iterator<Item = Packet>,
-) -> TandemResult {
-    let mut sw1 = FifoQueue::new(cfg.switch1);
-    let mut sw2 = FifoQueue::new(cfg.switch2);
-
-    // Pass 1: upstream through switch 1. Survivors arrive at switch 2 after
-    // the link delay; FIFO order is preserved so the output stays sorted.
-    let mut from_sw1: Vec<(Packet, SimTime, SimTime)> = Vec::new();
-    for p in upstream {
-        match sw1.offer(p.created_at, &p) {
-            Verdict::Departs(egress) => {
-                from_sw1.push((p, egress, egress + cfg.link_delay));
-            }
-            Verdict::Dropped => {}
-        }
-    }
-
-    // Pass 2: merge switch-1 output with cross arrivals (both sorted) into
-    // switch 2, recording deliveries.
-    let mut deliveries = Vec::with_capacity(from_sw1.len());
-    let mut cross = cross.peekable();
-    let mut sw1_out = from_sw1.into_iter().peekable();
-    loop {
-        let take_cross = match (sw1_out.peek(), cross.peek()) {
-            (None, None) => break,
-            (Some(_), None) => false,
-            (None, Some(_)) => true,
-            (Some((u, _, ua)), Some(c)) => {
-                // Deterministic tie-break on (time, id).
-                (c.created_at, c.id) < (*ua, u.id)
-            }
-        };
-        if take_cross {
-            let p = cross.next().expect("peeked");
-            let at = p.created_at;
-            if let Verdict::Departs(out) = sw2.offer(at, &p) {
-                if cfg.record_cross {
-                    deliveries.push(Delivery {
-                        packet: p,
-                        sent_at: at,
-                        sw1_egress: None,
-                        delivered_at: out,
-                    });
-                }
-            }
-        } else {
-            let (p, egress1, at2) = sw1_out.next().expect("peeked");
-            if let Verdict::Departs(out) = sw2.offer(at2, &p) {
-                deliveries.push(Delivery {
-                    packet: p,
-                    sent_at: p.created_at,
-                    sw1_egress: Some(egress1),
-                    delivered_at: out,
-                });
-            }
-        }
-    }
-
-    TandemResult {
-        deliveries,
-        stats: TandemStats {
-            sw1,
-            sw2,
-            horizon: cfg.horizon,
-        },
-    }
-}
+#[cfg(test)]
+#[path = "../../../tests/support/two_pass_tandem.rs"]
+mod two_pass_tandem;
 
 #[cfg(test)]
 mod tests {
+    use super::two_pass_tandem::run_tandem_two_pass;
     use super::*;
     use rlir_net::FlowKey;
     use std::net::Ipv4Addr;

@@ -106,8 +106,8 @@ const TX_U64_SIZES: u32 = 1 << 30;
 /// computed a `u128` one per packet) and backlog conversion runs in 64-bit
 /// arithmetic whenever it cannot overflow (always, for sub-second
 /// backlogs). Every returned value is bit-identical to the seed
-/// implementation — see [`baseline::SeedFifoQueue`], the frozen original
-/// the differential tests compare against.
+/// implementation, which `tests/support/seed_fifo_oracle.rs` keeps as the
+/// differential tests' oracle.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FifoQueue {
     cfg: QueueConfig,
@@ -268,98 +268,6 @@ impl FifoQueue {
     }
 }
 
-/// The seed repository's queue implementation, frozen verbatim.
-///
-/// [`SeedFifoQueue`] recomputes a `u128` `div_ceil` transmission time and a
-/// `u128` backlog conversion on every offer — the per-packet arithmetic
-/// [`FifoQueue`] does in 64 bits. It produces bit-identical verdicts and
-/// departure times (asserted by the differential test below and the
-/// edge-size proptest in `tests/properties.rs`) and exists so the
-/// benchmarks can measure the pre-optimization pipeline without checking
-/// out an old commit.
-pub mod baseline {
-    use super::{class_index, ClassCounters, QueueConfig, Verdict};
-    use rlir_net::packet::Packet;
-    use rlir_net::time::{SimDuration, SimTime};
-
-    /// Frozen copy of the seed's analytic drop-tail FIFO.
-    #[derive(Debug, Clone)]
-    pub struct SeedFifoQueue {
-        cfg: QueueConfig,
-        next_free: SimTime,
-        last_arrival: SimTime,
-        busy: SimDuration,
-        classes: [ClassCounters; 3],
-    }
-
-    impl SeedFifoQueue {
-        /// Build from configuration.
-        pub fn new(cfg: QueueConfig) -> Self {
-            assert!(cfg.rate_bps > 0, "queue rate must be positive");
-            SeedFifoQueue {
-                cfg,
-                next_free: SimTime::ZERO,
-                last_arrival: SimTime::ZERO,
-                busy: SimDuration::ZERO,
-                classes: [ClassCounters::default(); 3],
-            }
-        }
-
-        /// Bytes of backlog at time `at` (seed arithmetic: u128 throughout).
-        pub fn backlog_bytes(&self, at: SimTime) -> u64 {
-            let remaining = self.next_free.saturating_since(at);
-            (remaining.as_nanos() as u128 * self.cfg.rate_bps as u128 / 8 / 1_000_000_000) as u64
-        }
-
-        /// Offer a packet (seed arithmetic: per-packet u128 div_ceil).
-        pub fn offer(&mut self, at: SimTime, packet: &Packet) -> Verdict {
-            debug_assert!(
-                at >= self.last_arrival,
-                "FIFO arrivals must be time-ordered"
-            );
-            self.last_arrival = at;
-            let class = class_index(&packet.kind);
-            self.classes[class].arrivals += 1;
-            let enq_at = at + self.cfg.processing_delay;
-            let backlog = self.backlog_bytes(enq_at);
-            if backlog + packet.size as u64 > self.cfg.capacity_bytes {
-                self.classes[class].drops += 1;
-                return Verdict::Dropped;
-            }
-            let tx = self.cfg.transmission(packet.size);
-            let start = self.next_free.max(enq_at);
-            let depart = start + tx;
-            self.next_free = depart;
-            self.busy += tx;
-            self.classes[class].bytes += packet.size as u64;
-            Verdict::Departs(depart)
-        }
-
-        /// Counters for regular traffic.
-        pub fn regular(&self) -> &ClassCounters {
-            &self.classes[0]
-        }
-
-        /// Counters for reference packets.
-        pub fn reference(&self) -> &ClassCounters {
-            &self.classes[2]
-        }
-
-        /// Link utilization over `[0, horizon]`.
-        pub fn utilization(&self, horizon: SimDuration) -> f64 {
-            if horizon == SimDuration::ZERO {
-                return 0.0;
-            }
-            (self.busy.as_nanos() as f64 / horizon.as_nanos() as f64).min(1.0)
-        }
-
-        /// Total time the server has spent transmitting.
-        pub fn busy(&self) -> SimDuration {
-            self.busy
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,45 +416,6 @@ mod tests {
     fn queue_is_two_cache_lines() {
         // One per port of a fabric, touched on every hop.
         assert_eq!(std::mem::size_of::<FifoQueue>(), 128);
-    }
-
-    #[test]
-    fn optimized_queue_matches_seed_baseline_exactly() {
-        // Differential check: 64-bit arithmetic must reproduce the seed's
-        // u128 math bit for bit, across rates that stress rounding.
-        let flow = FlowKey::udp(Ipv4Addr::new(1, 1, 1, 1), 1, Ipv4Addr::new(2, 2, 2, 2), 2);
-        for rate in [1_000_000u64, 9_953_000_000, 8_000_000_000, 123_456_789] {
-            let qc = QueueConfig {
-                rate_bps: rate,
-                capacity_bytes: 20_000,
-                processing_delay: SimDuration::from_nanos(300),
-            };
-            let mut fast = FifoQueue::new(qc);
-            let mut seed = baseline::SeedFifoQueue::new(qc);
-            let mut at = 0u64;
-            for i in 0..2000u64 {
-                at += (i * 37) % 1500;
-                let size = 40 + ((i * 131) % 1461) as u32;
-                let p = Packet::regular(i, flow, size, SimTime::from_nanos(at));
-                let t = SimTime::from_nanos(at);
-                assert_eq!(
-                    fast.offer(t, &p),
-                    seed.offer(t, &p),
-                    "offer {i} rate {rate}"
-                );
-                assert_eq!(
-                    fast.backlog_bytes(t),
-                    seed.backlog_bytes(t),
-                    "backlog {i} rate {rate}"
-                );
-            }
-            assert_eq!(fast.regular().drops, seed.regular().drops);
-            assert_eq!(fast.regular().bytes, seed.regular().bytes);
-            assert_eq!(
-                fast.utilization(SimDuration::from_millis(10)),
-                seed.utilization(SimDuration::from_millis(10))
-            );
-        }
     }
 
     #[test]

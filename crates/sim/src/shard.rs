@@ -41,7 +41,7 @@
 //! coordinator replays the logs, merged by key, into the same `Emitter` at
 //! the barrier — a k-way merge of keyed streams *is* the keyed stream, so
 //! an N-shard run is byte-identical to the one-shard run (pinned by
-//! `tests/shard_determinism.rs`, asserted in-run by `shard_bench`),
+//! `tests/shard_determinism.rs` and the ledger's `incast_keyed` law),
 //! including fault notifications and [`StopFlag`] truncation. Only the
 //! diagnostics (`peak_live_slots`, `hop_allocations`, the `sched`
 //! counters) are per-shard quantities; see [`NetworkRunStats`].

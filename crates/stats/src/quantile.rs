@@ -66,15 +66,6 @@ impl LargestFour {
     }
 }
 
-/// The nearest-rank `p`-quantile of at most four samples, in any order
-/// (`None` of none) — always exact. More than four samples is a panic.
-pub fn nearest_rank_of_few(p: f64, samples: &[f64]) -> Option<f64> {
-    assert!(samples.len() <= 4, "more than four samples");
-    let mut top = LargestFour::new();
-    samples.iter().for_each(|&x| top.push(x));
-    top.nearest_rank(p, samples.len() as u64).map(|(x, _)| x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,7 +142,7 @@ mod tests {
     }
 
     #[test]
-    fn tracker_fits_in_104_bytes() {
+    fn largest_four_is_32_bytes() {
         // Pinned at its own size: per flow and side, this is the tail.
         assert_eq!(std::mem::size_of::<LargestFour>(), 32);
     }
@@ -172,12 +163,15 @@ mod tests {
 
     #[test]
     fn few_samples_report_their_nearest_rank_in_any_order() {
-        assert_eq!(nearest_rank_of_few(0.5, &[]), None);
+        // Up to four samples every rank is among the four largest: exact
+        // for any p, however low.
         for p in [0.01, 0.25, 0.5, 0.9, 0.99] {
+            assert_eq!(fed(&[]).nearest_rank(p, 0), None);
             let xs = [30.0, 10.0, 40.0, 20.0];
             for n in 1..=4 {
                 let want = exact_quantile(xs[..n].to_vec(), p);
-                assert_eq!(nearest_rank_of_few(p, &xs[..n]), Some(want), "p={p} n={n}");
+                let got = fed(&xs[..n]).nearest_rank(p, n as u64);
+                assert_eq!(got, Some((want, true)), "p={p} n={n}");
             }
         }
     }

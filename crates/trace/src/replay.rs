@@ -7,8 +7,9 @@
 //! re-orders records through a **bounded** min-heap window — total ingest
 //! memory is O(reorder buffer), never O(capture). This is what lets a
 //! multi-million-packet replay run with flat ingest-side memory
-//! (`scripts/trace_bench.sh` gates on it) where the old collect-then-sort
-//! ingest materialized the whole capture.
+//! (`peak_buffered()` stays within the window, asserted by this module's
+//! tests) where the old collect-then-sort ingest materialized the whole
+//! capture.
 //!
 //! ## Ordering and the reorder window
 //!

@@ -21,10 +21,16 @@ use rlir_net::packet::Packet;
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::{FlowKey, SenderId};
 use rlir_sim::{
-    run_network_with, run_tandem_two_pass, run_tandem_with, Delivery, Forwarder, HopEvent, HopKind,
-    Network, NodeId, NullSink, Port, QueueConfig, RouteDecision, TandemConfig,
+    run_network_with, run_tandem_with, Delivery, FifoQueue, Forwarder, HopEvent, HopKind, Network,
+    NodeId, NullSink, Port, QueueConfig, RouteDecision, TandemConfig, TandemResult, TandemStats,
+    Verdict,
 };
 use std::net::Ipv4Addr;
+
+#[path = "support/two_pass_tandem.rs"]
+mod two_pass_tandem;
+
+use two_pass_tandem::run_tandem_two_pass;
 
 struct Chain;
 impl Forwarder for Chain {

@@ -2,11 +2,11 @@
 //! observationally identical to the seed's batched implementations.
 //!
 //! * [`rlir_sim::run_tandem_with`] (streaming merge, callback deliveries)
-//!   vs [`rlir_sim::run_tandem_two_pass`] (the seed's buffer-then-merge):
+//!   vs the seed's buffer-then-merge (`tests/support/two_pass_tandem.rs`):
 //!   byte-identical `Delivery` sequences and queue counters on random
 //!   traces, including drop-heavy and tie-heavy regimes.
-//! * [`rlir_rli::RliSender::observe`] (borrowed scratch slice) vs the
-//!   preserved allocating API `observe_alloc`: identical reference streams.
+//! * [`rlir_rli::RliSender::instrument`] (owning) vs `instrument_by_ref`
+//!   (borrowing): the same interleaved stream.
 
 use proptest::prelude::*;
 use rlir_net::clock::ClockModel;
@@ -14,8 +14,16 @@ use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
 use rlir_rli::{RliSender, StaticPolicy};
-use rlir_sim::{run_tandem, run_tandem_two_pass, run_tandem_with, QueueConfig, TandemConfig};
+use rlir_sim::{
+    run_tandem, run_tandem_with, Delivery, FifoQueue, QueueConfig, TandemConfig, TandemResult,
+    TandemStats, Verdict,
+};
 use std::net::Ipv4Addr;
+
+#[path = "support/two_pass_tandem.rs"]
+mod two_pass_tandem;
+
+use two_pass_tandem::run_tandem_two_pass;
 
 fn flow(i: u8) -> FlowKey {
     FlowKey::tcp(
@@ -120,34 +128,6 @@ proptest! {
         let streaming = run_tandem(&cfg, up.iter().copied(), cr.iter().copied());
         let two_pass = run_tandem_two_pass(&cfg, up.into_iter(), cr.into_iter());
         prop_assert_eq!(streaming.deliveries, two_pass.deliveries);
-    }
-
-    /// The scratch-slice `observe` emits exactly the reference stream the
-    /// allocating API does, packet for packet.
-    #[test]
-    fn sender_scratch_equals_allocating(
-        sizes in proptest::collection::vec(40u32..1500, 1..300),
-        n in 1u32..40
-    ) {
-        let mk = |targets: Vec<FlowKey>| {
-            RliSender::new(
-                SenderId(7),
-                ClockModel::perfect(),
-                StaticPolicy::one_in(n),
-                targets,
-            )
-        };
-        let targets = vec![flow(100), flow(101)];
-        let mut scratch_sender = mk(targets.clone());
-        let mut alloc_sender = mk(targets);
-        for (i, size) in sizes.iter().enumerate() {
-            let p = Packet::regular(i as u64, flow(1), *size, SimTime::from_nanos(i as u64 * 1000));
-            let from_scratch: Vec<Packet> = scratch_sender.observe(&p).to_vec();
-            let from_alloc = alloc_sender.observe_alloc(&p);
-            prop_assert_eq!(from_scratch, from_alloc, "packet {}", i);
-        }
-        prop_assert_eq!(scratch_sender.refs_emitted(), alloc_sender.refs_emitted());
-        prop_assert_eq!(scratch_sender.regulars_seen(), alloc_sender.regulars_seen());
     }
 }
 

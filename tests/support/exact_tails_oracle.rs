@@ -2,10 +2,13 @@
 //! keeps four largest a side, so its quantile must be the nearest rank — the
 //! `k`-th largest — when `k ≤ 4`, else the fourth largest with
 //! `quantile_is_bound` set, bit for bit. Counts and flows must agree exactly,
-//! moments within 1e-9 relative (the table merges Welford moments).
+//! moments within 1e-9 relative (the table merges Welford moments), and each
+//! relative error is `relative_error` of the row's own estimate and truth,
+//! bit for bit, `None` wherever either side is.
 
 use rlir_net::FlowKey;
 use rlir_rli::FlowReport;
+use rlir_stats::relative_error;
 use std::collections::BTreeMap;
 
 /// A flow table that keeps every delay.
@@ -82,10 +85,14 @@ impl ExactTails {
             let ((est_q, est_bound), (true_q, true_bound)) =
                 (tail(self.p, &ests), tail(self.p, &truths));
             let bits = |x: Option<f64>| x.map(f64::to_bits);
+            let rel =
+                |e: Option<f64>, t: Option<f64>| bits(e.zip(t).map(|(e, t)| relative_error(e, t)));
             let exact = (row.flow, row.packets, row.quantile_is_bound)
                 == (*flow, ests.len() as u64, est_bound || true_bound)
                 && (bits(row.est_quantile), bits(row.true_quantile)) == (est_q, true_q)
-                && row.quantile_rel_err.is_some() == (est_q.is_some() && true_q.is_some());
+                && bits(row.mean_rel_err) == rel(Some(row.est_mean), row.true_mean)
+                && bits(row.std_rel_err) == rel(row.est_std, row.true_std)
+                && bits(row.quantile_rel_err) == rel(row.est_quantile, row.true_quantile);
             let near = close(Some(row.est_mean), est_mean)
                 && close(row.est_std, est_std)
                 && close(row.true_mean, true_mean)
