@@ -26,7 +26,8 @@
 //! exits 2 either way). Results are byte-identical for any thread or
 //! shard count. Scale via
 //! `RLIR_SCALE={quick,default,full}`, `RLIR_DURATION_MS`, `RLIR_SEEDS`,
-//! `RLIR_SEED`; output directory via `RLIR_RESULTS_DIR` (default
+//! `RLIR_SEED` (a value that does not parse, or a zero duration or seed
+//! count, exits 2); output directory via `RLIR_RESULTS_DIR` (default
 //! `results/`). CSV series are written per curve.
 
 use rlir_bench::{
@@ -395,7 +396,10 @@ fn main() -> std::io::Result<()> {
         return Ok(());
     }
 
-    let mut scale = Scale::from_env();
+    let mut scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}\n{HELP}");
+        std::process::exit(2);
+    });
     scale.shards = match shards {
         Some(n) => n,
         None => rlir_exec::shards_from_env()

@@ -3,9 +3,9 @@
 
 use crate::scale::Scale;
 use rlir::experiment::{
-    run_fattree, run_fattree_sweep, run_loss_sweep_on, run_two_hop_on, run_two_hop_sweep,
-    CoreAnomaly, CrossSpec, FatTreeExpConfig, FatTreeSweep, LossSweepConfig, TwoHopConfig,
-    TwoHopOutcome, TwoHopPoint, TwoHopSweep,
+    cross_stream, run_fattree, run_fattree_sweep, run_loss_sweep_on, run_two_hop_on,
+    run_two_hop_sweep, CoreAnomaly, CrossSpec, FatTreeExpConfig, FatTreeSweep, LossSweepConfig,
+    TwoHopConfig, TwoHopOutcome, TwoHopPoint, TwoHopSweep,
 };
 use rlir::localization::{localize, LocalizerConfig};
 use rlir::CoreDemux;
@@ -18,6 +18,7 @@ use rlir_net::fxhash::FxHashMap;
 use rlir_net::time::SimDuration;
 use rlir_net::FlowKey;
 use rlir_rli::{Interpolator, PolicyKind};
+use rlir_sim::{run_network_with, NullSink, TandemConfig};
 use rlir_stats::Ecdf;
 use rlir_trace::{generate, FlowMeter, FlowMeterConfig, Trace};
 use serde::{Deserialize, Serialize};
@@ -537,8 +538,7 @@ pub struct BaselineRow {
 
 /// RLI vs LDA vs Multiflow on an identical 93%-utilization tandem run.
 pub fn baselines_comparison(scale: &Scale) -> Vec<BaselineRow> {
-    let mut cfg = TwoHopConfig::paper(scale.base_seed, scale.accuracy_duration);
-    cfg.tandem.record_cross = false;
+    let cfg = TwoHopConfig::paper(scale.base_seed, scale.accuracy_duration);
     let regular = generate(&cfg.regular_trace());
     let cross = generate(&cfg.cross_trace());
 
@@ -548,27 +548,13 @@ pub fn baselines_comparison(scale: &Scale) -> Vec<BaselineRow> {
 
     // The baselines need per-packet delivery times, which the two-hop
     // harness does not expose, so re-run the tandem directly (without
-    // references — LDA and Multiflow measure the undisturbed path) using the
-    // same calibration as the harness.
-    let sim_cfg = cfg.clone();
-    let regular_util = regular.offered_utilization();
-    let cross_util = cross.offered_utilization();
-    let keep_prob = rlir_sim::calibrate_keep_prob(0.93, regular_util, cross_util, 1.0);
-    let mut injector = rlir_sim::CrossInjector::new(
-        rlir_sim::CrossModel::Uniform { keep_prob },
-        sim_cfg.seed ^ 0xC505_11EC,
-    );
-    let cross_packets: Vec<rlir_net::Packet> = cross
-        .packets
-        .iter()
-        .copied()
-        .filter(|p| injector.select(p))
-        .collect();
-    let result = rlir_sim::run_tandem(
-        &sim_cfg.tandem,
-        regular.packets.iter().copied(),
-        cross_packets.into_iter(),
-    );
+    // references — LDA and Multiflow measure the undisturbed path) on the
+    // harness's own cross stream.
+    let (sw1, sw2) = (TandemConfig::SW1, TandemConfig::SW2);
+    let injections = (regular.packets.iter().map(|p| (sw1, *p)))
+        .chain(cross_stream(&cfg, &regular, &cross).map(|p| (sw2, p)));
+    let mut result = run_network_with(cfg.tandem.network(), &cfg.tandem, injections, &mut NullSink);
+    result.deliveries.retain(|d| d.packet.is_regular());
 
     // Ground truth per flow and aggregate.
     let mut truth_by_flow: FxHashMap<FlowKey, rlir_stats::StreamingStats> = FxHashMap::default();
@@ -587,9 +573,7 @@ pub fn baselines_comparison(scale: &Scale) -> Vec<BaselineRow> {
         tx.record(p.id.0, p.created_at);
     }
     for d in &result.deliveries {
-        if d.packet.is_regular() {
-            rx.record(d.packet.id.0, d.delivered_at);
-        }
+        rx.record(d.packet.id.0, d.delivered_at);
     }
     let lda_est = Lda::estimate(&tx, &rx);
     let lda_err = lda_est
@@ -603,9 +587,7 @@ pub fn baselines_comparison(scale: &Scale) -> Vec<BaselineRow> {
         up.observe(p);
     }
     for d in &result.deliveries {
-        if d.packet.is_regular() {
-            down.observe_at(d.packet.flow, d.delivered_at, d.packet.size);
-        }
+        down.observe_at(d.packet.flow, d.delivered_at, d.packet.size);
     }
     let mf = estimate_all(&up.finish(), &down.finish());
     let mf_errors: Vec<f64> = mf

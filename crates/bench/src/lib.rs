@@ -19,4 +19,4 @@ pub use emit::*;
 pub use figures::*;
 pub use output::{write_csv, OutputDir};
 pub use registry::{build_registry, RunContext};
-pub use scale::Scale;
+pub use scale::{Scale, ScaleEnvError};

@@ -10,9 +10,35 @@
 //! * `RLIR_DURATION_MS` — explicit trace duration in milliseconds
 //! * `RLIR_SEEDS` — number of seeds averaged where noise matters (Fig. 5)
 //! * `RLIR_SEED` — base seed
+//!
+//! A variable that is set but does not parse is refused ([`Scale::parse`]).
 
 use rlir_net::time::SimDuration;
 use serde::{Deserialize, Serialize};
+
+/// A scale variable set to a value [`Scale::parse`] refuses.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScaleEnvError {
+    /// The variable.
+    pub var: &'static str,
+    /// Its rejected value.
+    pub value: String,
+    /// What it accepts.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for ScaleEnvError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ScaleEnvError {
+            var,
+            value,
+            expected,
+        } = self;
+        write!(f, "{var}={value:?}: expected {expected}")
+    }
+}
+
+impl std::error::Error for ScaleEnvError {}
 
 /// Scale knobs derived from the environment.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -35,31 +61,51 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Read the scale from the environment.
-    pub fn from_env() -> Scale {
-        let mut s = match std::env::var("RLIR_SCALE").as_deref() {
-            Ok("quick") => Scale::quick(),
-            Ok("full") => Scale::full(),
-            _ => Scale::default_scale(),
+    /// Read the scale from the environment (see [`Scale::parse`]).
+    pub fn from_env() -> Result<Scale, ScaleEnvError> {
+        Scale::parse(|var| std::env::var(var).ok())
+    }
+
+    /// The scale the variables `lookup` returns describe: a preset from
+    /// `RLIR_SCALE`, then the overrides. A variable that is set must parse —
+    /// `RLIR_DURATION_MS` and `RLIR_SEEDS` as positive integers, `RLIR_SEED`
+    /// as any `u64` — or the scale is refused, naming it.
+    pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Scale, ScaleEnvError> {
+        let err = |var, value: String, expected| ScaleEnvError {
+            var,
+            value,
+            expected,
         };
-        if let Ok(ms) = std::env::var("RLIR_DURATION_MS") {
-            if let Ok(ms) = ms.parse::<u64>() {
-                s.accuracy_duration = SimDuration::from_millis(ms);
-                s.interference_duration = SimDuration::from_millis(ms);
-                s.fattree_duration = SimDuration::from_millis(ms.min(200));
-            }
+        let mut s = match lookup("RLIR_SCALE") {
+            None => Scale::default_scale(),
+            Some(v) => match v.as_str() {
+                "quick" => Scale::quick(),
+                "default" => Scale::default_scale(),
+                "full" => Scale::full(),
+                _ => return Err(err("RLIR_SCALE", v, "quick, default or full")),
+            },
+        };
+        let positive = |var| match lookup(var) {
+            None => Ok(None),
+            Some(v) => match v.parse::<u64>() {
+                Ok(n) if n > 0 => Ok(Some(n)),
+                _ => Err(err(var, v, "a positive integer")),
+            },
+        };
+        if let Some(ms) = positive("RLIR_DURATION_MS")? {
+            s.accuracy_duration = SimDuration::from_millis(ms);
+            s.interference_duration = SimDuration::from_millis(ms);
+            s.fattree_duration = SimDuration::from_millis(ms.min(200));
         }
-        if let Ok(n) = std::env::var("RLIR_SEEDS") {
-            if let Ok(n) = n.parse::<u64>() {
-                s.seeds = n.max(1);
-            }
+        if let Some(n) = positive("RLIR_SEEDS")? {
+            s.seeds = n;
         }
-        if let Ok(n) = std::env::var("RLIR_SEED") {
-            if let Ok(n) = n.parse::<u64>() {
-                s.base_seed = n;
-            }
+        if let Some(v) = lookup("RLIR_SEED") {
+            s.base_seed = v
+                .parse()
+                .map_err(|_| err("RLIR_SEED", v, "an unsigned 64-bit integer"))?;
         }
-        s
+        Ok(s)
     }
 
     /// CI-sized: seconds of wall clock.
@@ -116,8 +162,46 @@ mod tests {
     #[test]
     fn env_parsing_is_resilient() {
         // No env vars set in tests → default scale.
-        let s = Scale::from_env();
+        let s = Scale::from_env().expect("tests set no scale variables");
         assert!(s.seeds >= 1);
         assert!(s.accuracy_duration.as_nanos() > 0);
+    }
+
+    fn env<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |var| {
+            let hit = pairs.iter().find(|(k, _)| *k == var);
+            hit.map(|(_, v)| v.to_string())
+        }
+    }
+
+    #[test]
+    fn parse_takes_valid_values_and_names_bad_ones() {
+        let d = Scale::parse(env(&[])).unwrap();
+        assert_eq!(
+            d.accuracy_duration,
+            Scale::default_scale().accuracy_duration
+        );
+        let s = Scale::parse(env(&[
+            ("RLIR_SCALE", "quick"),
+            ("RLIR_DURATION_MS", "300"),
+            ("RLIR_SEEDS", "2"),
+            ("RLIR_SEED", "0"),
+        ]))
+        .unwrap();
+        assert_eq!(s.accuracy_duration, SimDuration::from_millis(300));
+        assert_eq!(s.fattree_duration, SimDuration::from_millis(200));
+        assert_eq!((s.seeds, s.base_seed), (2, 0));
+        for (var, bad) in [
+            ("RLIR_DURATION_MS", "0"),
+            ("RLIR_DURATION_MS", "5ms"),
+            ("RLIR_SEEDS", "0"),
+            ("RLIR_SEEDS", "many"),
+            ("RLIR_SEED", "-1"),
+            ("RLIR_SCALE", "huge"),
+        ] {
+            let e = Scale::parse(env(&[(var, bad)])).unwrap_err();
+            assert_eq!((e.var, e.value.as_str()), (var, bad));
+            assert!(e.to_string().starts_with(var), "{e}");
+        }
     }
 }

@@ -59,8 +59,8 @@ impl AsymmetricConfig {
             interpolator: Interpolator::Linear,
             forward_utilization: 0.50,
             reverse_utilizations: vec![0.50, 0.67, 0.80, 0.93],
-            forward_tandem: TandemConfig::paper(duration),
-            reverse_tandem: TandemConfig::paper(duration),
+            forward_tandem: TandemConfig::paper(),
+            reverse_tandem: TandemConfig::paper(),
             min_flow_packets: 1,
         }
     }

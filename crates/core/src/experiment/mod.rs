@@ -67,6 +67,6 @@ pub use loss_sweep::{run_loss_sweep, run_loss_sweep_on, LossPoint, LossSweep, Lo
 pub use plane_scale::{run_plane_scale, PlaneScaleConfig, PlaneScaleOutcome, StateSample};
 pub use replay::{run_replay, synth_capture, RefInterleave, ReplayConfig, ReplayOutcome};
 pub use two_hop::{
-    run_two_hop, run_two_hop_on, run_two_hop_sweep, CrossSpec, TwoHopConfig, TwoHopOutcome,
-    TwoHopPoint, TwoHopSweep,
+    cross_stream, run_two_hop, run_two_hop_on, run_two_hop_sweep, tandem_loss_rate, CrossSpec,
+    TwoHopConfig, TwoHopOutcome, TwoHopPoint, TwoHopSweep,
 };

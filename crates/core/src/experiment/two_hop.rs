@@ -3,24 +3,26 @@
 //! One run wires together: synthetic regular + cross traces (`rlir-trace`),
 //! the RLI sender instrumenting the regular stream at switch 1
 //! (`rlir-rli`), the calibrated cross-traffic injector and the two-switch
-//! tandem (`rlir-sim`), and the RLI receiver at switch 2's egress — then
-//! reports per-flow estimation errors, realised bottleneck utilization,
-//! loss rates and average true latency. Figures 4(a)–(c) and 5 are sweeps
-//! over these runs.
+//! tandem, run by the engine as a two-node network (`rlir-sim`), and the
+//! RLI receiver at switch 2's egress — then reports per-flow estimation
+//! errors, realised bottleneck utilization, loss rates and average true
+//! latency. Figures 4(a)–(c) and 5 are sweeps over these runs.
 
-use crate::plane::{
-    DrainMode, MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef, TANDEM_SW2,
-};
+use crate::plane::{DrainMode, MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
 use rlir_exec::{PointContext, Scenario, SweepRunner};
 use rlir_net::clock::ClockPair;
 use rlir_net::packet::Packet;
-use rlir_net::time::SimDuration;
+use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::{FlowKey, SenderId};
 use rlir_rli::EpochSnapshot;
 use rlir_rli::{FlowTable, Interpolator, PolicyKind, ReceiverCounters, RliSender};
-use rlir_sim::{calibrate_keep_prob, run_tandem_with, CrossInjector, CrossModel, TandemConfig};
+use rlir_sim::{
+    calibrate_keep_prob, run_network_streamed_source, ClassCounters, CrossInjector, CrossModel,
+    FifoQueue, InjectionSource, Network, NodeId, RunOptions, TandemConfig,
+};
 use rlir_trace::{generate, Trace, TraceConfig};
 use serde::{Deserialize, Serialize};
+use std::iter::Peekable;
 
 /// Cross-traffic specification in terms of the *target bottleneck
 /// utilization*; the keep-probability is calibrated from the base traces.
@@ -121,7 +123,7 @@ impl TwoHopConfig {
             track_quantile: None,
             epoch: Some(SimDuration::from_millis(5)),
             buffered_oracle: false,
-            tandem: TandemConfig::paper(duration),
+            tandem: TandemConfig::paper(),
         }
     }
 
@@ -190,39 +192,14 @@ pub fn run_two_hop(cfg: &TwoHopConfig) -> TwoHopOutcome {
     run_two_hop_on(cfg, &regular, &cross)
 }
 
-/// Static-dispatch "either" iterator so the four upstream/cross stream
-/// shapes below avoid boxing on the per-packet hot path.
-enum EitherIter<L, R> {
-    /// First shape.
-    L(L),
-    /// Second shape.
-    R(R),
-}
-
-impl<T, L: Iterator<Item = T>, R: Iterator<Item = T>> Iterator for EitherIter<L, R> {
-    type Item = T;
-
-    #[inline]
-    fn next(&mut self) -> Option<T> {
-        match self {
-            EitherIter::L(l) => l.next(),
-            EitherIter::R(r) => r.next(),
-        }
-    }
-}
-
-/// Run a two-hop experiment on pre-generated traces (sweeps share the same
-/// base traces across points, like the paper reusing its two CAIDA traces).
-///
-/// The whole pipeline is streaming: the regular trace is instrumented by
-/// the RLI sender, merged with the filtered cross stream through the
-/// tandem, and every delivery is fed straight into the receiver — no
-/// intermediate per-run packet buffers, no per-packet allocation. The seed
-/// materialised three whole-trace `Vec`s here (filtered cross, instrumented
-/// upstream, deliveries); on the Fig. 4 utilization sweep that was the
-/// dominant cost.
-pub fn run_two_hop_on(cfg: &TwoHopConfig, regular: &Trace, cross: &Trace) -> TwoHopOutcome {
-    // Calibrate the injector for the requested bottleneck utilization.
+/// The cross stream a run injects at switch 2: `cross` thinned by an
+/// injector calibrated so that it and `regular` load the bottleneck to the
+/// config's target utilization — empty for [`CrossSpec::None`].
+pub fn cross_stream<'a>(
+    cfg: &TwoHopConfig,
+    regular: &Trace,
+    cross: &'a Trace,
+) -> impl Iterator<Item = Packet> + 'a {
     let regular_util = regular.offered_utilization();
     let cross_util = cross.offered_utilization();
     let model = match cfg.cross {
@@ -243,17 +220,72 @@ pub fn run_two_hop_on(cfg: &TwoHopConfig, regular: &Trace, cross: &Trace) -> Two
             })
         }
     };
+    let seed = cfg.seed ^ 0xC505_11EC;
+    model.into_iter().flat_map(move |m| {
+        let mut injector = CrossInjector::new(m, seed);
+        cross
+            .packets
+            .iter()
+            .copied()
+            .filter(move |p| injector.select(p))
+    })
+}
 
-    // Cross stream: lazily filtered by the injector (no materialised Vec).
-    let mut injector = model.map(|m| CrossInjector::new(m, cfg.seed ^ 0xC505_11EC));
-    let cross_iter = match injector.as_mut() {
-        Some(inj) => EitherIter::L(inj.filter(cross.packets.iter().copied())),
-        None => EitherIter::R(std::iter::empty::<Packet>()),
-    };
+/// A two-hop run's injections as one engine source: the upstream stream
+/// into switch 1 merged with the cross stream into switch 2, upstream
+/// first on equal times. Holds one packet of each.
+struct TwoHopSource<U: Iterator<Item = Packet>, C: Iterator<Item = Packet>> {
+    upstream: Peekable<U>,
+    cross: Peekable<C>,
+}
 
-    // Upstream stream: the regular trace instrumented in-line by the RLI
-    // sender (or passed through untouched for the interference baseline).
-    // The sender stays owned here so its counters survive the run.
+impl<U: Iterator<Item = Packet>, C: Iterator<Item = Packet>> InjectionSource
+    for TwoHopSource<U, C>
+{
+    fn peek(&mut self) -> Option<SimTime> {
+        let up = self.upstream.peek().map(|p| p.created_at);
+        let cross = self.cross.peek().map(|p| p.created_at);
+        up.into_iter().chain(cross).min()
+    }
+
+    fn next_injection(&mut self) -> Option<(NodeId, Packet)> {
+        let upstream_first = match (self.upstream.peek(), self.cross.peek()) {
+            (Some(u), Some(c)) => u.created_at <= c.created_at,
+            (u, _) => u.is_some(),
+        };
+        if upstream_first {
+            self.upstream.next().map(|p| (TandemConfig::SW1, p))
+        } else {
+            self.cross.next().map(|p| (TandemConfig::SW2, p))
+        }
+    }
+}
+
+/// End-to-end loss rate of one traffic class across a finished tandem
+/// ([`TandemConfig::network`]): the share of the class's packets offered
+/// to switch 1 that never left switch 2.
+pub fn tandem_loss_rate(network: &Network, class: fn(&FifoQueue) -> &ClassCounters) -> f64 {
+    let [sw1, sw2] =
+        [TandemConfig::SW1, TandemConfig::SW2].map(|n| class(&network.nodes[n].ports[0].queue));
+    if sw1.arrivals == 0 {
+        return 0.0;
+    }
+    let delivered = sw1.arrivals - sw1.drops - sw2.drops;
+    1.0 - delivered as f64 / sw1.arrivals as f64
+}
+
+/// Run a two-hop experiment on pre-generated traces (sweeps share the same
+/// base traces across points, like the paper reusing its two CAIDA traces).
+///
+/// The whole pipeline is streaming: the regular trace is instrumented by
+/// the RLI sender, merged with the filtered cross stream into the engine
+/// running [`TandemConfig::network`], and the measurement plane taps the
+/// engine's hop stream — no per-run packet buffers; engine memory is
+/// O(in-flight).
+pub fn run_two_hop_on(cfg: &TwoHopConfig, regular: &Trace, cross: &Trace) -> TwoHopOutcome {
+    // Upstream: the regular trace instrumented in-line by the RLI sender
+    // (or passed through untouched for the interference baseline). The
+    // sender stays owned here so its counters survive the run.
     let regular_iter = regular.packets.iter().copied();
     let mut sender = cfg.inject_references.then(|| {
         RliSender::new(
@@ -263,16 +295,19 @@ pub fn run_two_hop_on(cfg: &TwoHopConfig, regular: &Trace, cross: &Trace) -> Two
             vec![tandem_ref_key()],
         )
     });
-    let upstream = match sender.as_mut() {
-        Some(s) => EitherIter::L(s.instrument_by_ref(regular_iter)),
-        None => EitherIter::R(regular_iter),
+    let upstream: Box<dyn Iterator<Item = Packet>> = match sender.as_mut() {
+        Some(s) => Box::new(s.instrument_by_ref(regular_iter)),
+        None => Box::new(regular_iter),
+    };
+    let source = TwoHopSource {
+        upstream: upstream.peekable(),
+        cross: cross_stream(cfg, regular, cross).peekable(),
     };
 
-    // The measurement plane with one tap at switch 2's host-facing egress,
-    // fed directly from the streaming tandem merge in delivery order (so
-    // the tap streams — no buffering on this hot path). The buffered-sort
-    // oracle instead routes the same feed through the plane's unordered
-    // drain, for the differential tests.
+    // The measurement plane with one tap at switch 2's host-facing egress.
+    // Switch 2's one FIFO port delivers in time order, so the tap streams
+    // with no buffering. The buffered-sort oracle instead routes the same
+    // feed through the plane's unordered drain, for the differential tests.
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
         drain: if cfg.buffered_oracle {
             DrainMode::BufferedSort
@@ -282,28 +317,37 @@ pub fn run_two_hop_on(cfg: &TwoHopConfig, regular: &Trace, cross: &Trace) -> Two
         epoch: cfg.epoch,
         ..PlaneConfig::default()
     });
-    let mut tap = TapSpec::new("sw2-egress", TapPoint::Delivery(TANDEM_SW2), SenderId(1));
+    let point = TapPoint::Delivery(TandemConfig::SW2);
+    let mut tap = TapSpec::new("sw2-egress", point, SenderId(1));
     tap.truth = TruthRef::SinceInjection;
     tap.ordered = !cfg.buffered_oracle;
     tap.clock = cfg.clocks.receiver;
     tap.interpolator = cfg.interpolator;
     tap.track_quantile = cfg.track_quantile;
     plane.attach(tap);
-    let result = run_tandem_with(&cfg.tandem, upstream, cross_iter, |d| {
-        plane.observe_tandem(d);
-    });
+    let stats = run_network_streamed_source(
+        cfg.tandem.network(),
+        &cfg.tandem,
+        source,
+        &mut plane,
+        RunOptions::default(),
+        |_| {},
+    );
     let refs_emitted = sender.map(|s| s.refs_emitted()).unwrap_or(0);
     let tap_report = plane.finish().taps.pop().expect("one tap");
     let peak_pending = tap_report.peak_pending;
     let report = tap_report.report;
 
+    let net = &stats.network;
     let mean_errors = report.flows.mean_relative_errors(cfg.min_flow_packets);
     let std_errors = report.flows.std_relative_errors(cfg.min_flow_packets);
     let quantile_errors = report.flows.quantile_relative_errors(cfg.min_flow_packets);
     TwoHopOutcome {
-        utilization: result.bottleneck_utilization(),
-        regular_loss: result.regular_loss_rate(),
-        reference_loss: result.reference_loss_rate(),
+        utilization: net.nodes[TandemConfig::SW2].ports[0]
+            .queue
+            .utilization(cfg.duration),
+        regular_loss: tandem_loss_rate(net, FifoQueue::regular),
+        reference_loss: tandem_loss_rate(net, FifoQueue::reference),
         refs_emitted,
         regulars_offered: regular.packets.len() as u64,
         avg_true_delay_ns: report.flows.average_true_delay_ns().unwrap_or(0.0),

@@ -63,6 +63,6 @@ pub use fabric::{build_network, FatTreeFabric};
 pub use localization::{localize, AnomalyFinding, LocalizerConfig, SegmentObservation};
 pub use plane::{
     localize_epoch_series, DrainMode, EpochFindings, MeasurementPlane, PlaneConfig, PlaneReport,
-    TapPoint, TapReport, TapSpec, TruthRef, DEFAULT_REORDER_WINDOW, TANDEM_SW1, TANDEM_SW2,
+    TapPoint, TapReport, TapSpec, TruthRef, DEFAULT_REORDER_WINDOW,
 };
 pub use windowed::{localize_windows, SegmentWindows, WindowFinding, WindowedConfig};

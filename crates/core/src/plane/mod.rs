@@ -109,8 +109,7 @@ use rlir_net::fxhash::FxHashMap;
 use rlir_net::packet::{ReferenceInfo, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_rli::{Interpolator, ReceiverConfig, RliReceiver};
-use rlir_sim::pipeline::Delivery;
-use rlir_sim::{FaultEvent, FaultKind, Hop, HopEvent, HopKind, HopSink, NodeId, PortId};
+use rlir_sim::{FaultEvent, FaultKind, HopEvent, HopKind, HopSink, NodeId, PortId};
 use window::{Run, Runs, WindowEntry};
 
 /// Where on the hop-event stream a tap sits.
@@ -392,12 +391,6 @@ struct ColdTap<'a> {
 /// itself, not at one of its recorded hops. Sorts before every hop.
 const AT_EVENT: u32 = 0;
 
-/// Synthetic node ids for the two-switch tandem feed
-/// ([`MeasurementPlane::observe_tandem`]).
-pub const TANDEM_SW1: NodeId = 0;
-/// Second (bottleneck) tandem switch — where tandem deliveries happen.
-pub const TANDEM_SW2: NodeId = 1;
-
 /// Routing indices of one kind of tap (live or delivered-gated): which
 /// taps observe each node's arrivals and each port's departures. Built at
 /// attach time so an event consults only its matching taps — O(matches),
@@ -554,45 +547,6 @@ impl<'a> MeasurementPlane<'a> {
             outages: 0,
         });
         self.taps.len() - 1
-    }
-
-    /// Feed one tandem-pipeline delivery (the two-switch topology of
-    /// Fig. 3) as a hop event: switch 1 is [`TANDEM_SW1`], deliveries
-    /// happen at [`TANDEM_SW2`]. Deliveries arrive in delivery-time order,
-    /// so this feed self-advances the watermark, and a single
-    /// [`TapPoint::Delivery`]`(TANDEM_SW2)` tap may set
-    /// [`TapSpec::ordered`] and stream with no buffering at all.
-    pub fn observe_tandem(&mut self, d: &Delivery) {
-        if d.delivered_at > self.watermark {
-            self.on_watermark(d.delivered_at);
-        }
-        let hop_buf;
-        let hops: &[Hop] = match d.sw1_egress {
-            Some(egress) => {
-                hop_buf = [Hop {
-                    node: TANDEM_SW1,
-                    port: 0,
-                    arrived: d.sent_at,
-                    departed: egress,
-                }];
-                &hop_buf
-            }
-            None => &[],
-        };
-        let injected_node = if d.sw1_egress.is_some() {
-            TANDEM_SW1
-        } else {
-            TANDEM_SW2
-        };
-        self.on_hop(&HopEvent {
-            kind: HopKind::Deliver,
-            node: TANDEM_SW2,
-            at: d.delivered_at,
-            packet: &d.packet,
-            injected_node,
-            injected_at: d.sent_at,
-            hops,
-        });
     }
 
     /// Route one observation into a tap at observation time `at` with

@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use rlir_net::packet::Packet;
 use rlir_net::{FlowKey, Protocol};
 use rlir_rli::EpochSnapshot;
+use rlir_sim::Hop;
 use std::net::Ipv4Addr;
 
 pub(super) fn fk(i: u8) -> FlowKey {

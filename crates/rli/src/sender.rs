@@ -324,6 +324,18 @@ mod tests {
         assert!(kinds[2], "ref follows the 2nd regular");
     }
 
+    /// The owning and borrowing adapters produce the same stream, and the
+    /// borrowed sender keeps the count.
+    #[test]
+    fn instrument_owning_equals_by_ref() {
+        let stream: Vec<Packet> = (0..500).map(|i| regular(i, i * 900)).collect();
+        let owned: Vec<Packet> = sender(7).instrument(stream.iter().copied()).collect();
+        let mut s = sender(7);
+        let by_ref: Vec<Packet> = s.instrument_by_ref(stream.iter().copied()).collect();
+        assert_eq!(owned, by_ref);
+        assert_eq!(s.refs_emitted(), 500 / 7);
+    }
+
     #[test]
     fn adaptive_policy_integrates() {
         let mut s = RliSender::new(

@@ -7,10 +7,8 @@
 //! * [`crosstraffic`] — the cross-traffic injector with the paper's two
 //!   selection models (uniform/"random" and bursty) plus the keep-probability
 //!   calibrator for utilization targets.
-//! * [`pipeline`] — the two-switch tandem of Fig. 3, run as one streaming
-//!   sorted merge (no event heap, no intermediate buffering) with full
-//!   per-packet ground truth (its seed-era two-pass oracle lives in
-//!   `tests/support/two_pass_tandem.rs`).
+//! * [`pipeline`] — the two-switch tandem of Fig. 3: a [`TandemConfig`]
+//!   builds it as a two-node [`Network`] for the engine and routes it.
 //! * [`network`] — arbitrary switch topologies with pluggable forwarding
 //!   and ToS-marking hooks, hop-by-hop ground truth, and the typed per-hop
 //!   observation stream ([`HopEvent`]/[`HopSink`]) the measurement plane
@@ -61,9 +59,7 @@ pub use network::{
     NetworkRunStats, NodeId, NullSink, Port, PortId, RouteDecision, RunOptions, StreamDigest,
     StreamedDelivery, SwitchNode, TeeSink,
 };
-pub use pipeline::{
-    run_tandem, run_tandem_with, Delivery, TandemConfig, TandemResult, TandemStats,
-};
+pub use pipeline::TandemConfig;
 pub use queue::{ClassCounters, FifoQueue, QueueConfig, Verdict};
 pub use sched::{CalendarQueue, EventSchedule};
 pub use shard::{

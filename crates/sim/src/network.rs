@@ -1,8 +1,9 @@
 //! Arbitrary switch topologies and the observation surface of a run.
 //!
-//! The tandem pipeline covers the paper's Fig. 3 evaluation; the RLIR
-//! architecture itself (§3) lives on a *fat-tree*, where packets traverse
-//! ToR → edge → core → edge → ToR with ECMP choosing among equal-cost ports.
+//! The paper's Fig. 3 evaluation runs on a two-switch network
+//! ([`crate::pipeline`]); the RLIR architecture itself (§3) lives on a
+//! *fat-tree*, where packets traverse ToR → edge → core → edge → ToR with
+//! ECMP choosing among equal-cost ports.
 //! This module describes what the engine ([`crate::shard`]) runs and what
 //! it reports: switches with per-output-port [`FifoQueue`]s, links with
 //! propagation delay, a pluggable [`Forwarder`] (implemented by

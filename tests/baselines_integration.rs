@@ -2,20 +2,28 @@
 //! their qualitative relationship to RLI (experiment A6's invariants).
 
 use rlir_baselines::{estimate_all, Lda, LdaConfig};
+use rlir_net::packet::Packet;
 use rlir_net::time::SimDuration;
-use rlir_sim::{run_tandem, TandemConfig};
+use rlir_sim::{run_network_with, NetDelivery, NullSink, TandemConfig};
 use rlir_stats::{relative_error, StreamingStats};
 use rlir_trace::{generate, FlowMeter, FlowMeterConfig, TraceConfig};
+
+/// Regular deliveries of `regular` through the paper tandem, `cross`
+/// entering the bottleneck.
+fn regular_deliveries(regular: &[Packet], cross: &[Packet]) -> Vec<NetDelivery> {
+    let tandem = TandemConfig::paper();
+    let injections = (regular.iter().map(|p| (TandemConfig::SW1, *p)))
+        .chain(cross.iter().map(|p| (TandemConfig::SW2, *p)));
+    let mut run = run_network_with(tandem.network(), &tandem, injections, &mut NullSink);
+    run.deliveries.retain(|d| d.packet.is_regular());
+    run.deliveries
+}
 
 #[test]
 fn lda_measures_tandem_aggregate_latency() {
     let duration = SimDuration::from_millis(30);
     let trace = generate(&TraceConfig::paper_regular(11, duration));
-    let result = run_tandem(
-        &TandemConfig::paper(duration),
-        trace.packets.iter().copied(),
-        std::iter::empty(),
-    );
+    let deliveries = regular_deliveries(&trace.packets, &[]);
 
     let cfg = LdaConfig::default();
     let (mut tx, mut rx) = (Lda::new(cfg), Lda::new(cfg));
@@ -23,7 +31,7 @@ fn lda_measures_tandem_aggregate_latency() {
     for p in &trace.packets {
         tx.record(p.id.0, p.created_at);
     }
-    for d in &result.deliveries {
+    for d in &deliveries {
         rx.record(d.packet.id.0, d.delivered_at);
         truth.push(d.true_delay().as_nanos() as f64);
     }
@@ -31,7 +39,7 @@ fn lda_measures_tandem_aggregate_latency() {
     let err = relative_error(est.mean_delay_ns, truth.mean().unwrap());
     // No loss → every bucket usable → exact aggregate.
     assert!(err < 1e-9, "LDA aggregate error {err}");
-    assert_eq!(est.usable_packets, result.deliveries.len() as u64);
+    assert_eq!(est.usable_packets, deliveries.len() as u64);
 }
 
 #[test]
@@ -39,22 +47,17 @@ fn lda_survives_real_drop_tail_loss() {
     let duration = SimDuration::from_millis(30);
     let trace = generate(&TraceConfig::paper_regular(12, duration));
     let cross = generate(&TraceConfig::paper_cross(12, duration));
-    let result = run_tandem(
-        &TandemConfig::paper(duration),
-        trace.packets.iter().copied(),
-        cross.packets.iter().copied(), // full cross: ~93% load, some loss
-    );
+    // Full cross: ~93% load, some loss.
+    let deliveries = regular_deliveries(&trace.packets, &cross.packets);
     let cfg = LdaConfig::default();
     let (mut tx, mut rx) = (Lda::new(cfg), Lda::new(cfg));
     let mut truth = StreamingStats::new();
     for p in &trace.packets {
         tx.record(p.id.0, p.created_at);
     }
-    for d in &result.deliveries {
-        if d.packet.is_regular() {
-            rx.record(d.packet.id.0, d.delivered_at);
-            truth.push(d.true_delay().as_nanos() as f64);
-        }
+    for d in &deliveries {
+        rx.record(d.packet.id.0, d.delivered_at);
+        truth.push(d.true_delay().as_nanos() as f64);
     }
     let est = Lda::estimate(&tx, &rx).expect("banks must survive real loss");
     let err = relative_error(est.mean_delay_ns, truth.mean().unwrap());
@@ -70,11 +73,7 @@ fn multiflow_is_per_flow_but_blind_to_midflow_congestion() {
     let duration = SimDuration::from_millis(30);
     let trace = generate(&TraceConfig::paper_regular(13, duration));
     let cross = generate(&TraceConfig::paper_cross(13, duration));
-    let result = run_tandem(
-        &TandemConfig::paper(duration),
-        trace.packets.iter().copied(),
-        cross.packets.iter().copied(),
-    );
+    let deliveries = regular_deliveries(&trace.packets, &cross.packets);
 
     let mut up = FlowMeter::new(FlowMeterConfig::default());
     let mut down = FlowMeter::new(FlowMeterConfig::default());
@@ -82,14 +81,12 @@ fn multiflow_is_per_flow_but_blind_to_midflow_congestion() {
     for p in &trace.packets {
         up.observe(p);
     }
-    for d in &result.deliveries {
-        if d.packet.is_regular() {
-            down.observe_at(d.packet.flow, d.delivered_at, d.packet.size);
-            truth
-                .entry(d.packet.flow)
-                .or_default()
-                .push(d.true_delay().as_nanos() as f64);
-        }
+    for d in &deliveries {
+        down.observe_at(d.packet.flow, d.delivered_at, d.packet.size);
+        truth
+            .entry(d.packet.flow)
+            .or_default()
+            .push(d.true_delay().as_nanos() as f64);
     }
     let ests = estimate_all(&up.finish(), &down.finish());
     assert!(ests.len() > 200, "expected many per-flow estimates");
