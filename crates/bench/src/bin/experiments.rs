@@ -336,7 +336,9 @@ fn main() -> std::io::Result<()> {
                     );
                     std::process::exit(2);
                 });
-                if let Err(e) = rlir_trace::EntryMap::parse(&spec) {
+                let checked = rlir_trace::EntryMap::parse(&spec)
+                    .and_then(|entry| entry.check(rlir::experiment::ReplayConfig::NODES));
+                if let Err(e) = checked {
                     eprintln!("--entry-map: {e}\n{HELP}");
                     std::process::exit(2);
                 }

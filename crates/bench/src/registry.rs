@@ -413,18 +413,25 @@ pub fn build_registry() -> ScenarioRegistry<RunContext> {
                 o.delivered,
                 o.source_peak_buffered
             );
-            println!(
-                "  capture pair: matched {} expired {} mean {:.1} µs (vs engine truth err {:.3}%)",
-                o.capture_matched,
-                o.capture_expired,
-                o.capture_mean_ns / 1e3,
-                o.capture_vs_truth_rel_err * 100.0
-            );
-            println!(
-                "  RLI estimate {:.1} µs — {:.2}% off the capture-pair truth",
-                o.rli_est_mean_ns / 1e3,
-                o.rli_vs_capture_rel_err * 100.0
-            );
+            if o.capture_mean_ns.is_nan() {
+                println!(
+                    "  capture pair: matched {} expired {}, no regular packet among them (an entry past S0 bypasses the pair's first point)\n  RLI estimate {:.1} µs — no capture-pair truth to score it against",
+                    o.capture_matched, o.capture_expired, o.rli_est_mean_ns / 1e3
+                );
+            } else {
+                println!(
+                    "  capture pair: matched {} expired {} mean {:.1} µs (vs engine truth err {:.3}%)",
+                    o.capture_matched,
+                    o.capture_expired,
+                    o.capture_mean_ns / 1e3,
+                    o.capture_vs_truth_rel_err * 100.0
+                );
+                println!(
+                    "  RLI estimate {:.1} µs — {:.2}% off the capture-pair truth",
+                    o.rli_est_mean_ns / 1e3,
+                    o.rli_vs_capture_rel_err * 100.0
+                );
+            }
             match o.ingest_identical {
                 Some(true) => println!("  streamed ingest byte-identical to Vec ingest: OK"),
                 Some(false) => println!("  streamed ingest DIVERGED from Vec ingest"),

@@ -273,9 +273,26 @@ mod tests {
         )
     }
 
+    fn cfg() -> DetectorConfig {
+        DetectorConfig {
+            min_packets: 1,
+            min_segments: 3,
+            warmup_epochs: 1,
+            ..DetectorConfig::default()
+        }
+    }
+
     /// Three delivery taps fed synthetic reference brackets; the "bad"
-    /// segment's reference delays jump at `onset_ns`.
-    fn drive(onset_ns: u64, total_ns: u64) -> (Option<Detection>, bool) {
+    /// segment's reference delays jump at `onset_ns` and fall back at
+    /// `end_ns`. The feed runs to `total_ns` whether or not the closed
+    /// loop raised its stop flag. Returns the closed loop's alarm, whether
+    /// it raised the flag, and every alarm of a detector that keeps
+    /// polling past the first.
+    fn drive(
+        onset_ns: u64,
+        end_ns: u64,
+        total_ns: u64,
+    ) -> (Option<Detection>, bool, Vec<Detection>) {
         let mut plane = MeasurementPlane::with_config(PlaneConfig {
             drain: DrainMode::Streaming {
                 reorder_window: SimDuration::from_nanos(2_000),
@@ -289,28 +306,15 @@ mod tests {
             plane.attach(spec);
         }
         let stop = StopFlag::new();
-        let mut sink = ClosedLoopSink::new(
-            &mut plane,
-            DetectorConfig {
-                min_packets: 1,
-                min_segments: 3,
-                warmup_epochs: 1,
-                ..DetectorConfig::default()
-            },
-            stop.clone(),
-        );
+        let mut sink = ClosedLoopSink::new(&mut plane, cfg(), stop.clone());
         let hops: [Hop; 0] = [];
         let mut id = 0u64;
-        let mut t = 0u64;
-        while t < total_ns {
-            if stop.is_set() {
-                break;
-            }
+        for t in (0..total_ns).step_by(1_000) {
             sink.on_watermark(SimTime::from_nanos(t));
             for node in [2usize, 3, 4] {
                 // Reference delay: 1 µs baseline; the bad segment jumps to
-                // 10 µs from the onset. tx_timestamp = at − delay.
-                let delay = if node == 4 && t >= onset_ns {
+                // 10 µs during the burst. tx_timestamp = at − delay.
+                let delay = if node == 4 && (onset_ns..end_ns).contains(&t) {
                     10_000
                 } else {
                     1_000
@@ -344,14 +348,20 @@ mod tests {
                     hops: &hops,
                 });
             }
-            t += 1_000;
         }
-        (sink.into_detection(), stop.is_set())
+        let first = sink.into_detection();
+        // A settled epoch's snapshots are final, so a fresh detector polled
+        // at the last watermark raises exactly the alarms one polled all
+        // along would have.
+        let mut det = EpochDetector::new(cfg());
+        let end = SimTime::from_nanos(total_ns);
+        let alarms = std::iter::from_fn(|| det.poll(&plane, end)).collect();
+        (first, stop.is_set(), alarms)
     }
 
     #[test]
     fn detects_the_degraded_segment_and_raises_the_stop_flag() {
-        let (det, stopped) = drive(40_000, 400_000);
+        let (det, stopped, _) = drive(40_000, u64::MAX, 400_000);
         let det = det.expect("10× latency jump must be detected");
         assert!(stopped, "detection must raise the stop flag");
         assert_eq!(det.name, "bad");
@@ -366,9 +376,29 @@ mod tests {
     #[test]
     fn healthy_feed_never_fires() {
         // Onset beyond the horizon: all segments stay at the baseline.
-        let (det, stopped) = drive(u64::MAX, 400_000);
+        let (det, stopped, alarms) = drive(u64::MAX, u64::MAX, 400_000);
         assert!(det.is_none(), "false positive: {det:?}");
         assert!(!stopped);
+        assert!(alarms.is_empty(), "false positives: {alarms:?}");
+    }
+
+    #[test]
+    fn transient_burst_is_pinned_in_time_and_place() {
+        // A 12-epoch burst (epochs 40..52) inside a 100-epoch run.
+        let (det, stopped, alarms) = drive(400_000, 520_000, 1_000_000);
+        let det = det.expect("10× burst must be detected");
+        assert!(stopped);
+        assert_eq!(det.name, "bad");
+        assert!((40..=42).contains(&det.epoch), "epoch {}", det.epoch);
+        // Polling on past the burst: the first alarm is the closed loop's,
+        // none precedes the onset, and the quiet segments stay silent. The
+        // bad segment's CUSUM carries the burst for dozens of epochs after
+        // it ends, so later alarms still name it.
+        assert_eq!((alarms[0].epoch, alarms[0].tap), (det.epoch, det.tap));
+        for a in &alarms {
+            assert_eq!(a.name, "bad", "quiet segment alarmed: {a:?}");
+            assert!(a.epoch >= 40, "alarm before the onset: {a:?}");
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub struct ReplayConfig {
     pub trace_path: Option<PathBuf>,
     /// Entry-node demux spec, [`EntryMap::parse`] syntax. The tandem has
     /// nodes `0` (ingress) and `1` (bottleneck); mapped nodes must be one
-    /// of those.
+    /// of those ([`ReplayConfig::NODES`]).
     pub entry_spec: String,
     /// Replay reorder window in nanoseconds (0 suffices for captures this
     /// workspace wrote; raise it for captures with timestamping jitter).
@@ -143,7 +143,8 @@ pub struct ReplayOutcome {
     /// Capture pair: pending-table high-water mark.
     pub capture_peak_pending: usize,
     /// Capture pair: mean latency over regular-traffic flows, ns — the
-    /// external ground truth.
+    /// external ground truth. NaN when the pair matched no regular packet
+    /// (the entry map bypasses `S0`), and so are the two errors against it.
     pub capture_mean_ns: f64,
     /// Engine-internal mean true delay of delivered regulars, ns.
     pub truth_mean_ns: f64,
@@ -174,6 +175,12 @@ impl Forwarder for Line {
 
 const S0: NodeId = 0;
 const S1: NodeId = 1;
+
+impl ReplayConfig {
+    /// Nodes of the replay tandem, `S0` and `S1`: the bound
+    /// [`EntryMap::check`] holds an entry spec to.
+    pub const NODES: usize = 2;
+}
 
 fn ref_key() -> FlowKey {
     FlowKey::udp(
@@ -443,6 +450,7 @@ impl Scenario for ReplayScenario<'_> {
     fn run_point(&self, _ctx: &PointContext, _point: &u64) -> ReplayOutcome {
         let cfg = self.cfg;
         let entry = EntryMap::parse(&cfg.entry_spec)
+            .and_then(|entry| entry.check(ReplayConfig::NODES).map(|()| entry))
             .unwrap_or_else(|e| panic!("invalid entry-map spec: {e}"));
 
         let open_file = |path: &PathBuf| {
@@ -482,6 +490,15 @@ impl Scenario for ReplayScenario<'_> {
             run.truth_sum as f64 / run.truth_n as f64
         };
         let capture_mean_ns = capture_mean_regular_ns(&run.capture);
+        // An entry past S0 bypasses the pair's first point: nothing regular
+        // is matched, and there is no truth to score against.
+        let rel_err = |est: f64, truth: f64| {
+            if est.is_nan() || truth.is_nan() {
+                f64::NAN
+            } else {
+                rlir_stats::relative_error(est, truth)
+            }
+        };
         ReplayOutcome {
             generated_fallback: cfg.trace_path.is_none(),
             records_read: run.records_read,
@@ -497,9 +514,9 @@ impl Scenario for ReplayScenario<'_> {
             capture_peak_pending: run.capture.peak_pending,
             capture_mean_ns,
             truth_mean_ns,
-            capture_vs_truth_rel_err: rlir_stats::relative_error(capture_mean_ns, truth_mean_ns),
+            capture_vs_truth_rel_err: rel_err(capture_mean_ns, truth_mean_ns),
             rli_est_mean_ns: run.est_mean_ns,
-            rli_vs_capture_rel_err: rlir_stats::relative_error(run.est_mean_ns, capture_mean_ns),
+            rli_vs_capture_rel_err: rel_err(run.est_mean_ns, capture_mean_ns),
             ingest_identical: vec_digest.map(|d| d == run.digest),
             epochs: run.epochs,
         }
@@ -511,6 +528,11 @@ impl Scenario for ReplayScenario<'_> {
 }
 
 /// Run a replay through the shared executor.
+///
+/// # Panics
+///
+/// If the entry spec does not parse or names a node past
+/// [`ReplayConfig::NODES`], or the trace file cannot be opened.
 pub fn run_replay(cfg: &ReplayConfig, runner: &SweepRunner) -> ReplayOutcome {
     runner.run(&ReplayScenario::new(cfg))
 }

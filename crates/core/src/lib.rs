@@ -25,8 +25,6 @@
 //! * [`plane`] — the per-hop measurement plane: attachable RLI taps over
 //!   the simulator's hop-event stream, one estimator instance per
 //!   `(node, port)` observation point, with fabric-wide localization.
-//! * [`windowed`] — time-windowed anomaly detection over per-packet
-//!   estimate logs (transient microbursts, not just run-level means).
 //! * [`experiment`] — the evaluation harnesses (two-hop pipeline for
 //!   Figs. 4–5, full fat-tree for the demux/localization studies).
 //!
@@ -53,16 +51,13 @@ pub mod experiment;
 pub mod fabric;
 pub mod localization;
 pub mod plane;
-pub mod windowed;
 
-pub use capture::{CapturePair, CaptureReport, FlowCapture, DEFAULT_CAPTURE_TIMEOUT};
-pub use demux::{core_from_mark, core_mark, CoreDemux, RlirDemux};
-pub use deployment::{engineer_ref_key, CoreSenderSpec, Deployment, TorSenderSpec};
-pub use detect::{ClosedLoopSink, Detection, DetectorConfig, EpochDetector};
+pub use capture::CapturePair;
+pub use demux::CoreDemux;
+pub use deployment::Deployment;
+pub use detect::{Detection, DetectorConfig, EpochDetector};
 pub use fabric::{build_network, FatTreeFabric};
-pub use localization::{localize, AnomalyFinding, LocalizerConfig, SegmentObservation};
+pub use localization::LocalizerConfig;
 pub use plane::{
-    localize_epoch_series, DrainMode, EpochFindings, MeasurementPlane, PlaneConfig, PlaneReport,
-    TapPoint, TapReport, TapSpec, TruthRef, DEFAULT_REORDER_WINDOW,
+    MeasurementPlane, PlaneConfig, PlaneReport, TapPoint, TapReport, TapSpec, TruthRef,
 };
-pub use windowed::{localize_windows, SegmentWindows, WindowFinding, WindowedConfig};

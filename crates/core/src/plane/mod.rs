@@ -494,7 +494,6 @@ impl<'a> MeasurementPlane<'a> {
                 clock: spec.clock,
                 interpolator: spec.interpolator,
                 max_buffer: spec.max_buffer,
-                record_estimates: false,
                 epoch_ns: self.cfg.epoch_ns(),
             };
             match spec.track_quantile {

@@ -18,8 +18,7 @@ pub struct TapReport {
     pub point: TapPoint,
     /// The reference stream it was bound to.
     pub sender: SenderId,
-    /// Receiver output: dense per-flow table, counters, per-epoch series,
-    /// optional per-packet log.
+    /// Receiver output: dense per-flow table, counters, per-epoch series.
     pub report: ReceiverReport,
     /// High-water mark of observations buffered for this tap — O(reorder
     /// window) under [`DrainMode::Streaming`](super::DrainMode::Streaming),

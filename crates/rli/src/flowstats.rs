@@ -305,9 +305,9 @@ pub struct FlowReport {
 /// tail bytes at all.
 ///
 /// Generic over the table's hash builder, defaulting to FxHash — the
-/// fastest choice for the simulated hot path. Instantiate as
-/// [`SipFlowTable`] to get the standard library's DoS-resistant SipHash
-/// (what a deployment facing adversarial flow keys would pick).
+/// fastest choice for the simulated hot path. Instantiate with the standard
+/// library's `RandomState` to get its DoS-resistant SipHash (what a
+/// deployment facing adversarial flow keys would pick).
 #[derive(Debug, Clone, Default)]
 pub struct FlowTable<S: BuildHasher = FxBuildHasher> {
     hasher: S,
@@ -318,9 +318,6 @@ pub struct FlowTable<S: BuildHasher = FxBuildHasher> {
     estimates: u64,
     quantile_p: Option<f64>,
 }
-
-/// [`FlowTable`] hashed with the standard library's SipHash.
-pub type SipFlowTable = FlowTable<std::collections::hash_map::RandomState>;
 
 impl<S: BuildHasher + Default> FlowTable<S> {
     /// An empty table.

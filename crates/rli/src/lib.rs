@@ -29,11 +29,9 @@ pub mod policy;
 pub mod receiver;
 pub mod sender;
 
-pub use epoch::{growth, merge_epoch_series, snapshot_at, EpochSnapshot, MAX_EPOCH_GAP};
-pub use flowstats::{FlowAccumulator, FlowReport, FlowTable, SipFlowTable};
-pub use interpolate::{DelaySample, Interpolator, Segment};
-pub use policy::{
-    AdaptiveConfig, AdaptivePolicy, InjectionPolicy, Policy, PolicyKind, StaticPolicy,
-};
-pub use receiver::{EstimateRecord, ReceiverConfig, ReceiverCounters, ReceiverReport, RliReceiver};
-pub use sender::{InstrumentedStream, RliSender, REF_ID_BASE};
+pub use epoch::{growth, merge_epoch_series, snapshot_at, EpochSnapshot};
+pub use flowstats::{FlowReport, FlowTable};
+pub use interpolate::{DelaySample, Interpolator};
+pub use policy::{AdaptiveConfig, PolicyKind, StaticPolicy};
+pub use receiver::{ReceiverConfig, ReceiverCounters, ReceiverReport, RliReceiver};
+pub use sender::{RliSender, REF_ID_BASE};

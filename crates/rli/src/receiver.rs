@@ -35,10 +35,6 @@ pub struct ReceiverConfig {
     /// as unestimated rather than growing memory without bound (e.g. if the
     /// reference stream dies).
     pub max_buffer: usize,
-    /// Keep a per-packet log of `(time, flow, estimate, truth)` records in
-    /// addition to the per-flow aggregation. Costs memory proportional to
-    /// traffic; enables per-packet error CDFs and time-windowed analyses.
-    pub record_estimates: bool,
     /// Width of the epoch window in nanoseconds: the receiver additionally
     /// aggregates into per-epoch [`EpochSnapshot`]s keyed by observation
     /// time, the bounded-size export a deployed instance would stream off
@@ -50,31 +46,16 @@ pub struct ReceiverConfig {
 
 impl ReceiverConfig {
     /// Standard configuration for a sender id: perfect clock, linear
-    /// interpolation, 1M-packet buffer cap, no per-packet log.
+    /// interpolation, 1M-packet buffer cap, no epochs.
     pub fn for_sender(sender: SenderId) -> Self {
         ReceiverConfig {
             sender,
             clock: ClockModel::perfect(),
             interpolator: Interpolator::Linear,
             max_buffer: 1 << 20,
-            record_estimates: false,
             epoch_ns: None,
         }
     }
-}
-
-/// One per-packet estimate, logged when
-/// [`ReceiverConfig::record_estimates`] is set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EstimateRecord {
-    /// Arrival time of the packet at the receiver.
-    pub at: SimTime,
-    /// The packet's flow.
-    pub flow: rlir_net::FlowKey,
-    /// Interpolated delay estimate, ns.
-    pub est_ns: f64,
-    /// Ground-truth delay, ns (simulation only).
-    pub truth_ns: Option<f64>,
 }
 
 /// Receiver-side counters.
@@ -92,7 +73,7 @@ pub struct ReceiverCounters {
     /// reference, after the last, or over the buffer cap).
     pub unestimated: u64,
     /// Packets (regular, shed or reference) observed more than
-    /// [`MAX_EPOCH_GAP`](crate::MAX_EPOCH_GAP) epochs outside the epoch
+    /// [`MAX_EPOCH_GAP`](crate::epoch::MAX_EPOCH_GAP) epochs outside the epoch
     /// series — one wild timestamp must not size a dense series. They count
     /// in every other counter and in the per-flow table as usual, and
     /// appear in no [`EpochSnapshot`]. Always zero without epochs.
@@ -120,7 +101,6 @@ pub struct RliReceiver<S: BuildHasher = FxBuildHasher> {
     buffer: Vec<Pending>,
     flows: FlowTable<S>,
     counters: ReceiverCounters,
-    estimates: Vec<EstimateRecord>,
     epochs: Option<EpochTracker>,
 }
 
@@ -133,7 +113,6 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
             buffer: Vec::new(),
             flows: FlowTable::new(),
             counters: ReceiverCounters::default(),
-            estimates: Vec::new(),
             epochs: cfg.epoch_ns.map(EpochTracker::new),
         }
     }
@@ -241,14 +220,6 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
                     }
                     snap.estimated += 1;
                 }
-                if self.cfg.record_estimates {
-                    self.estimates.push(EstimateRecord {
-                        at: p.at,
-                        flow: p.flow,
-                        est_ns: est,
-                        truth_ns: p.truth_ns,
-                    });
-                }
                 self.counters.estimated += 1;
             }
         } else {
@@ -298,12 +269,12 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
     ///
     /// Estimator *state* is discarded: the open interpolation bracket, the
     /// pending buffer (each buffered packet is counted seen-but-unestimated
-    /// in its own epoch, so the books stay balanced), the per-flow table
-    /// (rebuilt empty with the same quantile configuration) and the
-    /// per-packet estimate log. The *accounting* — cumulative counters and
-    /// the epoch series — survives, because it is the external record of
-    /// what happened, not the crashed instance's memory. Returns how many
-    /// buffered observations the crash destroyed.
+    /// in its own epoch, so the books stay balanced) and the per-flow table
+    /// (rebuilt empty with the same quantile configuration). The
+    /// *accounting* — cumulative counters and the epoch series — survives,
+    /// because it is the external record of what happened, not the crashed
+    /// instance's memory. Returns how many buffered observations the crash
+    /// destroyed.
     pub fn reset_cold(&mut self) -> u64 {
         let dropped = self.buffer.len() as u64;
         for p in std::mem::take(&mut self.buffer) {
@@ -314,7 +285,6 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
             Some(p) => FlowTable::with_quantile(p),
             None => FlowTable::new(),
         };
-        self.estimates.clear();
         dropped
     }
 
@@ -327,7 +297,6 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
         ReceiverReport {
             flows: self.flows,
             counters: self.counters,
-            estimates: self.estimates,
             epochs: self.epochs.map(EpochTracker::into_vec).unwrap_or_default(),
         }
     }
@@ -365,9 +334,6 @@ pub struct ReceiverReport<S: BuildHasher = FxBuildHasher> {
     pub flows: FlowTable<S>,
     /// Counters.
     pub counters: ReceiverCounters,
-    /// Per-packet estimate log (empty unless
-    /// [`ReceiverConfig::record_estimates`] was set).
-    pub estimates: Vec<EstimateRecord>,
     /// Per-epoch snapshot series in epoch order (empty unless
     /// [`ReceiverConfig::epoch_ns`] was set).
     pub epochs: Vec<EpochSnapshot>,
@@ -597,9 +563,9 @@ mod tests {
         r.on_regular(wild, fk(2), None);
         // One that is refused on arrival and would fit once the series has
         // grown stays out of the epochs for good.
-        let far = ms(5 * (crate::MAX_EPOCH_GAP + 2));
+        let far = ms(5 * (crate::epoch::MAX_EPOCH_GAP + 2));
         r.on_regular(far, fk(3), None);
-        r.on_regular(ms(5 * crate::MAX_EPOCH_GAP), fk(3), None);
+        r.on_regular(ms(5 * crate::epoch::MAX_EPOCH_GAP), fk(3), None);
         r.on_shed(wild);
         r.on_reference(wild, &ref_info(1, 500_000));
         r.on_regular(wild, fk(1), None); // stranded after the last reference
@@ -608,7 +574,7 @@ mod tests {
         assert_eq!(rep.counters.estimated, 4);
         assert_eq!(rep.counters.unestimated, 2);
         assert_eq!(rep.flows.flow_count(), 3, "every estimate reaches its flow");
-        assert_eq!(rep.epochs.len() as u64, crate::MAX_EPOCH_GAP + 1);
+        assert_eq!(rep.epochs.len() as u64, crate::epoch::MAX_EPOCH_GAP + 1);
         for e in &rep.epochs {
             assert_eq!(e.regulars_seen, e.estimated + e.unestimated);
         }

@@ -59,7 +59,7 @@ impl RliSender {
     /// * `id` — this instance's identity, embedded in every reference packet.
     /// * `clock` — the local (possibly imperfect) timestamping clock.
     /// * `policy` — static or adaptive injection: a [`Policy`], a concrete
-    ///   [`crate::StaticPolicy`]/[`crate::AdaptivePolicy`], or a boxed
+    ///   [`crate::StaticPolicy`]/[`crate::policy::AdaptivePolicy`], or a boxed
     ///   custom [`InjectionPolicy`] (anything `Into<Policy>`).
     /// * `targets` — one flow key per reference stream (per downstream
     ///   receiver/path). Must be non-empty.

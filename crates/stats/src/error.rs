@@ -27,27 +27,6 @@ pub fn relative_error(estimate: f64, truth: f64) -> f64 {
     }
 }
 
-/// Signed relative error `(estimate - truth) / truth` (positive =
-/// overestimate). Same zero-truth conventions as [`relative_error`].
-pub fn signed_relative_error(estimate: f64, truth: f64) -> f64 {
-    if truth == 0.0 {
-        if estimate.abs() < 1e-12 {
-            0.0
-        } else if estimate > 0.0 {
-            f64::INFINITY
-        } else {
-            f64::NEG_INFINITY
-        }
-    } else {
-        (estimate - truth) / truth.abs()
-    }
-}
-
-/// Absolute error `|estimate - truth|`.
-pub fn absolute_error(estimate: f64, truth: f64) -> f64 {
-    (estimate - truth).abs()
-}
-
 /// Summary of an error distribution, as quoted in the paper's prose
 /// ("median relative error of 4.5%", "70% of flows have less than 10%
 /// relative errors").
@@ -117,21 +96,6 @@ mod tests {
         assert_eq!(relative_error(0.0, 0.0), 0.0);
         assert_eq!(relative_error(1e-15, 0.0), 0.0);
         assert_eq!(relative_error(0.5, 0.0), f64::INFINITY);
-        assert_eq!(signed_relative_error(0.5, 0.0), f64::INFINITY);
-        assert_eq!(signed_relative_error(-0.5, 0.0), f64::NEG_INFINITY);
-        assert_eq!(signed_relative_error(0.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn signed_error_keeps_direction() {
-        assert_eq!(signed_relative_error(110.0, 100.0), 0.1);
-        assert!((signed_relative_error(90.0, 100.0) - -0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn absolute_error_basics() {
-        assert_eq!(absolute_error(3.0, 5.0), 2.0);
-        assert_eq!(absolute_error(5.0, 3.0), 2.0);
     }
 
     #[test]

@@ -7,14 +7,12 @@
 //!   short stream as its samples.
 //! * [`cdf`] — empirical CDFs and the downsampled step series written to the
 //!   figure CSVs.
-//! * [`error`] — relative/absolute error metrics and paper-style summaries.
+//! * [`error`] — the relative error metric and paper-style summaries.
 //! * [`ewma`] — EWMA and the windowed link-utilization estimator driving
 //!   RLI's adaptive injection policy.
-//! * [`histogram`] — log-scale histograms for latency/error sketches.
 //! * [`quantile`] — a flow's four largest delays, its exact nearest-rank
 //!   tail quantile below `4 / (1 − p)` samples and an upper bound past it,
 //!   in 32 bytes that merge exactly.
-//! * [`timeseries`] — fixed-width time bins (offered load, utilization).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -22,15 +20,11 @@
 pub mod cdf;
 pub mod error;
 pub mod ewma;
-pub mod histogram;
 pub mod quantile;
 pub mod streaming;
-pub mod timeseries;
 
-pub use cdf::{CdfSeries, Ecdf};
-pub use error::{absolute_error, relative_error, signed_relative_error, ErrorSummary};
-pub use ewma::{Ewma, UtilizationEstimator};
-pub use histogram::LogHistogram;
+pub use cdf::Ecdf;
+pub use error::{relative_error, ErrorSummary};
+pub use ewma::UtilizationEstimator;
 pub use quantile::LargestFour;
 pub use streaming::{FewStats, StreamingStats};
-pub use timeseries::BinnedSeries;

@@ -75,11 +75,6 @@ impl StreamingStats {
         self.variance().map(f64::sqrt)
     }
 
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> Option<f64> {
-        self.sample_variance().map(f64::sqrt)
-    }
-
     /// Smallest observation.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)

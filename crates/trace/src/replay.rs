@@ -82,6 +82,22 @@ impl EntryMap {
         ))
     }
 
+    /// Check that every node the map names exists in a network of
+    /// `n_nodes` nodes (ids `0..n_nodes`). An unknown entry node would
+    /// otherwise fail only when the engine meets its first injection.
+    pub fn check(&self, n_nodes: usize) -> Result<(), String> {
+        let nodes = match self {
+            EntryMap::Fixed(node) => std::slice::from_ref(node),
+            EntryMap::SrcHash(nodes) => nodes.as_slice(),
+        };
+        match nodes.iter().find(|&&n| n >= n_nodes) {
+            Some(n) => Err(format!(
+                "entry-map node {n} is out of range: the network has {n_nodes} nodes"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// The entry node for one record.
     pub fn node_for(&self, rec: &PcapRecord) -> NodeId {
         match self {
@@ -562,6 +578,15 @@ mod tests {
         assert!(EntryMap::parse("hash:").is_err());
         assert!(EntryMap::parse("nonsense").is_err());
         assert!(EntryMap::parse("hash:1,,2").is_err());
+    }
+
+    #[test]
+    fn entry_map_check_bounds_every_node() {
+        assert_eq!(EntryMap::Fixed(1).check(2), Ok(()));
+        assert_eq!(EntryMap::SrcHash(vec![0, 1]).check(2), Ok(()));
+        assert!(EntryMap::Fixed(2).check(2).is_err(), "fixed past the end");
+        let bad = EntryMap::SrcHash(vec![0, 5]).check(2).unwrap_err();
+        assert!(bad.contains("node 5"), "{bad}");
     }
 
     #[test]

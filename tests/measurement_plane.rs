@@ -132,7 +132,6 @@ fn clock_skew_shifts_estimates_by_offset() {
         clock: clocks.receiver,
         interpolator: Interpolator::Linear,
         max_buffer: 1 << 16,
-        record_estimates: false,
         epoch_ns: None,
     });
     let true_delay = SimDuration::from_micros(30);
