@@ -2,9 +2,9 @@
 //! `experiments run <name> [--threads N]`.
 //!
 //! Each entry wraps one harness in a closure that runs it at the ambient
-//! [`Scale`] on the caller's [`SweepRunner`], prints the terminal summary
-//! and persists the CSV series — so adding a workload to the binary is one
-//! `register` call, not a new subcommand.
+//! [`Scale`] on the caller's [`SweepRunner`](rlir_exec::SweepRunner),
+//! prints the terminal summary and persists the CSV series — so adding a
+//! workload to the binary is one `register` call, not a new subcommand.
 
 use crate::emit::{
     emit_demux, emit_fig5, emit_interp, emit_quantiles, emit_sync, print_shape_checks,

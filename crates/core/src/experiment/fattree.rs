@@ -512,7 +512,7 @@ pub fn run_fattree_faulted(
     let mut demux_unassociated = 0u64;
     let mut measured_delivered = 0u64;
     let mut on_delivery = |d: &StreamedDelivery<'_>| {
-        if d.packet.reference_info().is_some()
+        if d.packet.is_reference()
             || !d.packet.is_regular()
             || d.delivered_node != dst_tor
             || measured_src(&demux, &deployment, &d.packet.flow).is_none()

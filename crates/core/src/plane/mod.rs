@@ -568,9 +568,9 @@ impl<'a> MeasurementPlane<'a> {
             Some(info) => {
                 // The flag first: a tap without a map never reads `cold`.
                 let mapped = if tap.has_ref_map {
-                    cold.spec.ref_map.as_ref().and_then(|f| f(info))
+                    cold.spec.ref_map.as_ref().and_then(|f| f(&info))
                 } else {
-                    Some(*info)
+                    Some(info)
                 };
                 let Some(info) = mapped else { return };
                 match Self::admit(tap, cold, cfg, totals, tenants, at, false) {

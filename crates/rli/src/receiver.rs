@@ -141,7 +141,7 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
     /// (`None` in deployment). Dispatches on packet kind.
     pub fn on_packet(&mut self, at: SimTime, pkt: &Packet, truth: Option<SimDuration>) {
         match pkt.reference_info() {
-            Some(info) => self.on_reference(at, info),
+            Some(info) => self.on_reference(at, &info),
             None => {
                 if pkt.is_regular() {
                     self.on_regular(at, pkt.flow, truth);

@@ -267,7 +267,8 @@ pub trait HopSink {
         let _ = watermark;
     }
 
-    /// A scripted [`FaultEvent`] was applied by the engine.
+    /// A scripted [`FaultEvent`](crate::FaultEvent) was applied by the
+    /// engine.
     ///
     /// Called once per applied transition, in script order, at the moment
     /// the engine lazily applies it — i.e. immediately before the

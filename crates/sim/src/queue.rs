@@ -81,7 +81,7 @@ fn class_index(kind: &PacketKind) -> usize {
     match kind {
         PacketKind::Regular => 0,
         PacketKind::Cross => 1,
-        PacketKind::Reference(_) => 2,
+        PacketKind::Reference { .. } => 2,
     }
 }
 

@@ -3,7 +3,7 @@
 //! Every simulation — [`run_network_streamed_source`], the buffered
 //! [`run_network_with`](crate::network::run_network_with) and the
 //! pod-sharded [`run_network_sharded_source`] — goes through one
-//! cascade, [`ShardWorker::unit`]: a packet arrives at a switch, is routed
+//! cascade, `ShardWorker::unit`: a packet arrives at a switch, is routed
 //! (rerouted around a dead port, killed by a loss burst), marked, queued
 //! and scheduled onward. Each switch's ports are
 //! [`FifoQueue`](crate::queue::FifoQueue)s, in-flight packet state lives
@@ -34,10 +34,10 @@
 //! provably `≥` the horizon), injections earlier than the horizon are
 //! pulled and posted by the coordinator before each window.
 //!
-//! One unit, two outputs, written against [`UnitOut`]: with one effective
-//! shard the output is the run's [`Emitter`], and everything reaches
+//! One unit, two outputs, written against `UnitOut`: with one effective
+//! shard the output is the run's `Emitter`, and everything reaches
 //! `sink`, `on_delivery` and the stats as the unit runs, borrowed from the
-//! live slab slot. With several, each worker fills a [`WindowLog`] and the
+//! live slab slot. With several, each worker fills a `WindowLog` and the
 //! coordinator replays the logs, merged by key, into the same `Emitter` at
 //! the barrier — a k-way merge of keyed streams *is* the keyed stream, so
 //! an N-shard run is byte-identical to the one-shard run (pinned by

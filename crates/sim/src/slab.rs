@@ -48,6 +48,11 @@ pub struct FlightState {
     live: bool,
 }
 
+// One injection (what every bulk source holds per packet) and one slab
+// slot: a byte here is a byte per record or per peak in-flight packet.
+const _: () = assert!(std::mem::size_of::<(NodeId, Packet)>() == 64);
+const _: () = assert!(std::mem::size_of::<FlightState>() == 104);
+
 impl FlightState {
     /// The hop record accumulated so far.
     #[inline]

@@ -16,10 +16,10 @@
 //! ## Contract
 //!
 //! * [`peek`](InjectionSource::peek) returns the injection time of the
-//!   next packet without consuming it; [`next_injection`]
-//!   (InjectionSource::next_injection) consumes and returns it. After
-//!   `peek` returns `Some(t)`, `next_injection` must return a packet with
-//!   `created_at == t`.
+//!   next packet without consuming it;
+//!   [`next_injection`](InjectionSource::next_injection) consumes and
+//!   returns it. After `peek` returns `Some(t)`, `next_injection` must
+//!   return a packet with `created_at == t`.
 //! * Emission order is **non-decreasing** in `created_at`; ties keep the
 //!   source's own order (for `SortedVecSource`, the input list order),
 //!   which is the engine's ordinal order. The engine asserts monotonicity

@@ -79,7 +79,7 @@ fn encode_record(p: &Packet, out: &mut [u8; RECORD_LEN]) -> Result<(), TraceIoEr
     let kind = match p.kind {
         PacketKind::Regular => 0u8,
         PacketKind::Cross => 1u8,
-        PacketKind::Reference(_) => return Err(TraceIoError::ReferenceNotSerialisable),
+        PacketKind::Reference { .. } => return Err(TraceIoError::ReferenceNotSerialisable),
     };
     out[0..8].copy_from_slice(&p.id.0.to_le_bytes());
     out[8..16].copy_from_slice(&p.created_at.as_nanos().to_le_bytes());

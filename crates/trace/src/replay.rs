@@ -32,7 +32,7 @@
 //! original capture's IPv4 ident field exactly.
 
 use crate::pcap::{open_pcap, PcapError, PcapRecord, PcapRecords};
-use rlir_net::packet::Packet;
+use rlir_net::packet::{Packet, PacketId};
 use rlir_net::time::SimTime;
 use rlir_net::FlowKey;
 use rlir_sim::{InjectionSource, NodeId};
@@ -82,12 +82,17 @@ impl EntryMap {
         ))
     }
 
-    /// Check that every node the map names exists in a network of
-    /// `n_nodes` nodes (ids `0..n_nodes`). An unknown entry node would
-    /// otherwise fail only when the engine meets its first injection.
+    /// Check that the map names at least one node and that every node it
+    /// names exists in a network of `n_nodes` nodes (ids `0..n_nodes`). An
+    /// unknown entry node would otherwise fail only when the engine meets
+    /// its first injection, and an empty hash list when the first record
+    /// is mapped.
     pub fn check(&self, n_nodes: usize) -> Result<(), String> {
         let nodes = match self {
             EntryMap::Fixed(node) => std::slice::from_ref(node),
+            EntryMap::SrcHash(nodes) if nodes.is_empty() => {
+                return Err("entry-map node list is empty".to_string());
+            }
             EntryMap::SrcHash(nodes) => nodes.as_slice(),
         };
         match nodes.iter().find(|&&n| n >= n_nodes) {
@@ -111,19 +116,28 @@ impl EntryMap {
     }
 }
 
-/// One buffered injection; heap order is `(at, seq)` so same-timestamp
-/// records keep file order.
+/// One buffered injection, exactly what the engine pulls. The heap orders
+/// on `(created_at, id)`: a replayed id is `(seq << 16) | ident` with `seq`
+/// the record's place in the file, so same-timestamp records keep file
+/// order whatever their idents.
 #[derive(Debug, Clone, Copy)]
-struct Buffered {
-    at_ns: u64,
-    seq: u64,
-    node: NodeId,
-    packet: Packet,
+struct Buffered(NodeId, Packet);
+
+const _: () = assert!(std::mem::size_of::<Reverse<Buffered>>() == 64);
+
+impl Buffered {
+    fn at_ns(&self) -> u64 {
+        self.1.created_at.as_nanos()
+    }
+
+    fn key(&self) -> (SimTime, PacketId) {
+        (self.1.created_at, self.1.id)
+    }
 }
 
 impl PartialEq for Buffered {
     fn eq(&self, other: &Self) -> bool {
-        (self.at_ns, self.seq) == (other.at_ns, other.seq)
+        self.key() == other.key()
     }
 }
 impl Eq for Buffered {}
@@ -134,7 +148,7 @@ impl PartialOrd for Buffered {
 }
 impl Ord for Buffered {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at_ns, self.seq).cmp(&(other.at_ns, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
@@ -153,6 +167,9 @@ pub struct PcapReplaySource<R: Read> {
     /// Timestamp of the last emitted injection (late-record cutoff).
     last_emitted: u64,
     seq: u64,
+    /// The last `peek` returned `Some` and nothing has been popped since:
+    /// the heap minimum is releasable and not late.
+    ready: bool,
     emitted: u64,
     late_dropped: u64,
     peak_buffered: usize,
@@ -189,6 +206,7 @@ impl<R: Read> PcapReplaySource<R> {
             newest_read: 0,
             last_emitted: 0,
             seq: 0,
+            ready: false,
             emitted: 0,
             late_dropped: 0,
             peak_buffered: 0,
@@ -207,9 +225,10 @@ impl<R: Read> PcapReplaySource<R> {
     /// Hostile-ingest mode (builder style): switches the record decoder to
     /// [`crate::pcap::IngestMode::Lenient`], clamps time regressions
     /// beyond the reorder window to the last emitted timestamp instead of
-    /// dropping them (counted in [`clamped_regressions`]
-    /// (Self::clamped_regressions)), and caps duplicate wire identities
-    /// per reorder window (counted in [`dup_capped`](Self::dup_capped)).
+    /// dropping them (counted in
+    /// [`clamped_regressions`](Self::clamped_regressions)), and caps
+    /// duplicate wire identities per reorder window (counted in
+    /// [`dup_capped`](Self::dup_capped)).
     /// On a clean capture, output is byte-identical to strict mode.
     pub fn lenient(mut self) -> Self {
         self.lenient = true;
@@ -239,12 +258,7 @@ impl<R: Read> PcapReplaySource<R> {
             rec.at,
         );
         p.mark = rec.tos;
-        Buffered {
-            at_ns: rec.at.as_nanos(),
-            seq,
-            node: self.entry.node_for(rec),
-            packet: p,
-        }
+        Buffered(self.entry.node_for(rec), p)
     }
 
     /// Whether a buffered record at `at_ns` can be released: nothing still
@@ -262,7 +276,7 @@ impl<R: Read> PcapReplaySource<R> {
             if self
                 .heap
                 .peek()
-                .is_some_and(|Reverse(min)| self.releasable(min.at_ns))
+                .is_some_and(|Reverse(min)| self.releasable(min.at_ns()))
             {
                 break;
             }
@@ -272,7 +286,7 @@ impl<R: Read> PcapReplaySource<R> {
                         continue;
                     }
                     let buf = self.admit(&rec);
-                    self.newest_read = self.newest_read.max(buf.at_ns);
+                    self.newest_read = self.newest_read.max(buf.at_ns());
                     self.heap.push(Reverse(buf));
                     self.peak_buffered = self.peak_buffered.max(self.heap.len());
                 }
@@ -314,13 +328,14 @@ impl<R: Read> PcapReplaySource<R> {
     /// holds.
     fn shed_late(&mut self) {
         while let Some(Reverse(min)) = self.heap.peek() {
-            if min.at_ns >= self.last_emitted {
+            if min.at_ns() >= self.last_emitted {
                 break;
             }
             if self.lenient {
+                // The clamp keeps the record's id, hence its file-order
+                // place among records at the clamp time.
                 let Reverse(mut b) = self.heap.pop().expect("peeked");
-                b.at_ns = self.last_emitted;
-                b.packet.created_at = SimTime::from_nanos(self.last_emitted);
+                b.1.created_at = SimTime::from_nanos(self.last_emitted);
                 self.heap.push(Reverse(b));
                 self.clamped_regressions += 1;
                 continue;
@@ -385,28 +400,28 @@ impl<R: Read> PcapReplaySource<R> {
 
 impl<R: Read> InjectionSource for PcapReplaySource<R> {
     fn peek(&mut self) -> Option<SimTime> {
-        loop {
+        while !self.ready {
             self.refill();
             self.shed_late();
             match self.heap.peek() {
-                Some(Reverse(b)) if self.releasable(b.at_ns) => {
-                    return Some(SimTime::from_nanos(b.at_ns));
-                }
+                Some(Reverse(b)) if self.releasable(b.at_ns()) => self.ready = true,
+                None if self.exhausted => return None,
                 // Shedding exposed a not-yet-releasable minimum, or the
                 // whole buffer was late: read further.
-                Some(_) => continue,
-                None if self.exhausted => return None,
-                None => continue,
+                _ => {}
             }
         }
+        self.heap.peek().map(|Reverse(b)| b.1.created_at)
     }
 
     fn next_injection(&mut self) -> Option<(NodeId, Packet)> {
+        // After a `peek` that returned `Some` this refills nothing.
         self.peek()?;
-        let Reverse(min) = self.heap.pop()?;
-        self.last_emitted = min.at_ns;
+        self.ready = false;
+        let Reverse(Buffered(node, packet)) = self.heap.pop()?;
+        self.last_emitted = packet.created_at.as_nanos();
         self.emitted += 1;
-        Some((min.node, min.packet))
+        Some((node, packet))
     }
 
     fn len_hint(&self) -> Option<usize> {
@@ -590,6 +605,13 @@ mod tests {
     }
 
     #[test]
+    fn entry_map_check_refuses_an_empty_hash_list() {
+        // Built in code, not parsed: `node_for` would divide by zero.
+        let err = EntryMap::SrcHash(vec![]).check(4).unwrap_err();
+        assert!(err.contains("empty"), "{err}");
+    }
+
+    #[test]
     fn lenient_replay_identical_to_strict_on_clean_capture() {
         let mut packets = Vec::new();
         for i in 0..50u64 {
@@ -648,6 +670,54 @@ mod tests {
         assert_eq!(src.clamped_regressions(), 1);
         assert_eq!(src.late_dropped(), 0);
         assert_eq!(src.emitted(), 4);
+    }
+
+    #[test]
+    fn equal_timestamps_leave_in_file_order_when_idents_wrap() {
+        // Idents 0xFFFF then 0x0000 at one timestamp, twice over, and a
+        // hopelessly late record between the pairs. The heap orders on the
+        // replay's own ids, whose high bits are the file position, so the
+        // wrap does not reorder a pair; a lenient clamp moves the late
+        // record's time, not its place among records at that time.
+        let packets = vec![
+            pkt(0xFFFF, 10_000, 1),
+            pkt(0x1_0000, 10_000, 1),
+            pkt(2, 10_100, 1),
+            pkt(0x3_FFFF, 100, 1), // late
+            pkt(0x4_0000, 10_100, 1),
+            pkt(5, 10_200, 1),
+        ];
+        let bytes = capture(&packets);
+        let replay = |lenient: bool| {
+            let src = PcapReplaySource::new(
+                PcapRecords::new(bytes.as_slice()).unwrap(),
+                EntryMap::Fixed(0),
+                50,
+            );
+            let mut src = if lenient { src.lenient() } else { src };
+            let out: Vec<(u64, u64)> = drain(&mut src)
+                .into_iter()
+                .map(|(_, ident, at)| (ident, at))
+                .collect();
+            (out, src.clamped_regressions(), src.late_dropped())
+        };
+        let strict = vec![
+            (0xFFFF, 10_000),
+            (0x0000, 10_000),
+            (2, 10_100),
+            (0x0000, 10_100),
+            (5, 10_200),
+        ];
+        assert_eq!(replay(false), (strict, 0, 1));
+        let lenient = vec![
+            (0xFFFF, 10_000),
+            (0x0000, 10_000),
+            (0xFFFF, 10_000), // clamped
+            (2, 10_100),
+            (0x0000, 10_100),
+            (5, 10_200),
+        ];
+        assert_eq!(replay(true), (lenient, 1, 0));
     }
 
     #[test]

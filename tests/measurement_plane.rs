@@ -2,12 +2,16 @@
 //! sender instrumentation through wire encoding to receiver estimation —
 //! including clock-skew behaviour and reference-loss resilience.
 
+use rlir::plane::{MeasurementPlane, TapPoint, TapSpec, TruthRef};
 use rlir_net::clock::{ClockModel, ClockPair};
-use rlir_net::packet::{Packet, SenderId};
+use rlir_net::packet::{Packet, ReferenceInfo, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::wire::{decode_reference_packet, encode_reference_packet};
 use rlir_net::FlowKey;
-use rlir_rli::{Interpolator, ReceiverConfig, RliReceiver, RliSender, StaticPolicy};
+use rlir_rli::{FlowReport, Interpolator, ReceiverConfig, RliReceiver, RliSender, StaticPolicy};
+use rlir_sim::{
+    run_network_streamed_source, QueueConfig, RunOptions, SortedVecSource, TandemConfig,
+};
 use std::net::Ipv4Addr;
 
 fn flow(i: u8) -> FlowKey {
@@ -164,7 +168,7 @@ fn wire_encoding_is_transparent_to_the_receiver() {
     );
     let p = Packet::regular(1, flow(1), 700, SimTime::from_micros(5));
     let r = sender.observe(&p).last().copied().expect("1-in-1 fires");
-    let info = *r.reference_info().unwrap();
+    let info = r.reference_info().unwrap();
 
     // Serialise to bytes and back, as a software receiver would.
     let bytes = encode_reference_packet(&r.flow, &info, 0);
@@ -180,5 +184,103 @@ fn wire_encoding_is_transparent_to_the_receiver() {
     assert_eq!(
         rx_mem.counters().refs_accepted,
         rx_wire.counters().refs_accepted
+    );
+}
+
+/// A reference as the engine delivered it: its header, when it was
+/// injected, and the `created_at` it still carries.
+type DeliveredRef = (ReferenceInfo, SimTime, SimTime);
+
+/// Regulars every 10 µs through the two-switch tandem, a reference after
+/// every fourth stamped by a sender whose clock runs `offset_ns` ahead,
+/// and one plane tap at switch 2's delivery. Returns the injected
+/// references, the references as delivered, and the tap's row for the flow.
+fn skewed_tandem(offset_ns: i64) -> (Vec<Packet>, Vec<DeliveredRef>, FlowReport) {
+    let mut sender = RliSender::new(
+        SenderId(1),
+        ClockModel::with_offset(offset_ns),
+        StaticPolicy::one_in(4),
+        vec![ref_target()],
+    );
+    let mut injections = Vec::new();
+    for i in 0..200u64 {
+        let p = Packet::regular(i, flow(1), 700, SimTime::from_nanos(10_000 * (i + 1)));
+        injections.push((TandemConfig::SW1, p));
+        injections.extend(sender.observe(&p).iter().map(|r| (TandemConfig::SW1, *r)));
+    }
+    let refs: Vec<Packet> = injections
+        .iter()
+        .map(|&(_, p)| p)
+        .filter(Packet::is_reference)
+        .collect();
+
+    let queue = QueueConfig {
+        rate_bps: 8_000_000_000,
+        capacity_bytes: 1_000_000,
+        processing_delay: SimDuration::ZERO,
+    };
+    let tandem = TandemConfig {
+        switch1: queue,
+        switch2: queue,
+        link_delay: SimDuration::from_nanos(100),
+    };
+    let mut plane = MeasurementPlane::new();
+    let mut tap = TapSpec::new("sw2", TapPoint::Delivery(TandemConfig::SW2), SenderId(1));
+    tap.truth = TruthRef::SinceInjection;
+    tap.ordered = true;
+    plane.attach(tap);
+    let mut delivered = Vec::new();
+    run_network_streamed_source(
+        tandem.network(),
+        &tandem,
+        SortedVecSource::new(injections),
+        &mut plane,
+        RunOptions::default(),
+        |d| {
+            if let Some(info) = d.packet.reference_info() {
+                delivered.push((info, d.injected_at, d.packet.created_at));
+            }
+        },
+    );
+    let report = plane.finish().taps.pop().expect("one tap").report;
+    let row = report
+        .flows
+        .report(1)
+        .next()
+        .expect("the flow is estimated");
+    (refs, delivered, row)
+}
+
+/// A skewed sender's reference carries two times: `created_at`, when it
+/// entered the network, and `tx_timestamp`, its clock's reading. The
+/// engine must deliver the header untouched and inject at `created_at`,
+/// and the tap must measure from `tx_timestamp`.
+#[test]
+fn a_skewed_reference_keeps_its_stamp_through_the_tandem() {
+    const OFFSET_NS: i64 = 700;
+    let (refs, delivered, skewed) = skewed_tandem(OFFSET_NS);
+    assert_eq!(refs.len(), 50);
+    assert_eq!(delivered.len(), refs.len(), "no reference is lost");
+    for (r, &(info, injected_at, created_at)) in refs.iter().zip(&delivered) {
+        let sent = r.reference_info().expect("a reference");
+        assert_eq!(info, sent, "the header arrives field for field");
+        assert_eq!(injected_at, r.created_at);
+        assert_eq!(created_at, r.created_at);
+        assert_eq!(
+            sent.tx_timestamp,
+            r.created_at + SimDuration::from_nanos(OFFSET_NS as u64)
+        );
+    }
+
+    // The same run on a true clock: the truth is unchanged and every
+    // estimate sits exactly the offset higher.
+    let (_, _, exact) = skewed_tandem(0);
+    assert_eq!(skewed.packets, exact.packets);
+    assert_eq!(skewed.true_mean, exact.true_mean);
+    assert!(
+        (exact.est_mean - skewed.est_mean - OFFSET_NS as f64).abs() < 1e-6,
+        "estimate {} on the skewed clock, {} on the true one",
+        skewed.est_mean,
+        exact.est_mean
     );
 }

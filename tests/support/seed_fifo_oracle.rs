@@ -46,7 +46,7 @@ impl SeedFifoQueue {
         let class = match packet.kind {
             PacketKind::Regular => 0,
             PacketKind::Cross => 1,
-            PacketKind::Reference(_) => 2,
+            PacketKind::Reference { .. } => 2,
         };
         self.classes[class].arrivals += 1;
         let enq_at = at + self.cfg.processing_delay;
