@@ -1,14 +1,7 @@
-//! Shared terminal-table + CSV emitters.
-//!
-//! The `experiments` binary's legacy figure subcommands (`experiments
-//! fig5`, `experiments interp`, …) and the scenario registry entries
-//! (`experiments run interference`, `experiments run interp`, …) print the
-//! same tables and persist the same series. These helpers are the single
-//! source of truth for both paths, so the two cannot drift apart; only the
-//! title and CSV file name stay caller-chosen (registry files are prefixed
-//! `scenario_`).
+//! Emitters several registry scenarios share: the per-epoch companion
+//! series and the shape-check verdict lines.
 
-use crate::figures::{DemuxRow, Fig5Point, InterpRow, QuantileRow, ShapeCheck, SyncRow};
+use crate::figures::ShapeCheck;
 use crate::output::{write_csv, OutputDir};
 use rlir_rli::EpochSnapshot;
 
@@ -53,194 +46,17 @@ pub fn print_shape_checks(checks: &[ShapeCheck]) {
     }
 }
 
-/// Fig. 5 interference table + shape checks + CSV.
-pub fn emit_fig5(
-    title: &str,
-    points: &[Fig5Point],
-    checks: &[ShapeCheck],
-    csv_name: &str,
-    out: &OutputDir,
-) -> std::io::Result<()> {
-    println!("== {title} ==");
-    println!(
-        "  {:<10} {:>8} {:>10} {:>16} {:>12}",
-        "policy", "target", "realised", "loss diff", "base loss"
-    );
-    for p in points {
-        println!(
-            "  {:<10} {:>7.0}% {:>9.1}% {:>15.6}% {:>11.4}%",
-            p.policy,
-            p.target * 100.0,
-            p.utilization * 100.0,
-            p.loss_difference * 100.0,
-            p.base_loss * 100.0
-        );
-    }
-    print_shape_checks(checks);
-    let csv = write_csv(
-        "policy,target_utilization,utilization,loss_difference,base_loss",
-        points.iter().map(|p| {
-            format!(
-                "{},{},{},{},{}",
-                p.policy, p.target, p.utilization, p.loss_difference, p.base_loss
-            )
-        }),
-    );
-    out.write(csv_name, &csv).map(|_| ())
-}
-
-/// Demultiplexing-ablation table + CSV.
-pub fn emit_demux(
-    title: &str,
-    rows: &[DemuxRow],
-    csv_name: &str,
-    out: &OutputDir,
-) -> std::io::Result<()> {
-    println!("== {title} ==");
-    println!(
-        "  {:<14} {:>10} {:>16} {:>16} {:>12} {:>6} {:>6} {:>8}",
-        "mode",
-        "assoc acc",
-        "seg1 median err",
-        "seg2 median err",
-        "estimates",
-        "late",
-        "shed",
-        "pending"
-    );
-    for r in rows {
-        println!(
-            "  {:<14} {:>9.1}% {:>15.2}% {:>15.2}% {:>12} {:>6} {:>6} {:>8}",
-            r.mode,
-            r.accuracy * 100.0,
-            r.seg1_median_error * 100.0,
-            r.seg2_median_error * 100.0,
-            r.seg2_estimates,
-            r.late,
-            r.shed,
-            r.peak_pending
-        );
-    }
-    let csv = write_csv(
-        "mode,accuracy,seg1_median_error,seg2_median_error,seg2_estimates,late,shed,peak_pending",
-        rows.iter().map(|r| {
-            format!(
-                "{},{},{},{},{},{},{},{}",
-                r.mode,
-                r.accuracy,
-                r.seg1_median_error,
-                r.seg2_median_error,
-                r.seg2_estimates,
-                r.late,
-                r.shed,
-                r.peak_pending
-            )
-        }),
-    );
-    out.write(csv_name, &csv)?;
-    // The per-epoch segment-2 series of every mode, as a companion file.
-    let labeled: Vec<(String, &[EpochSnapshot])> = rows
-        .iter()
-        .map(|r| (r.mode.clone(), r.seg2_epochs.as_slice()))
-        .collect();
-    write_epoch_companion(out, csv_name, &labeled)
-}
-
-/// `foo.csv` → `foo_epochs.csv` (companion per-epoch series file).
-pub fn epoch_csv_name(csv_name: &str) -> String {
-    match csv_name.strip_suffix(".csv") {
-        Some(base) => format!("{base}_epochs.csv"),
-        None => format!("{csv_name}_epochs.csv"),
-    }
-}
-
 /// Write a scenario's per-epoch companion file next to its main CSV: the
-/// labeled series rendered as [`epoch_series_csv`] into
-/// [`epoch_csv_name`]`(csv_name)`. The single path every registry entry
-/// uses, so the companion convention cannot drift per scenario.
+/// labeled series rendered as [`epoch_series_csv`] into `foo_epochs.csv`
+/// for `foo.csv`. The single path every registry entry uses, so the
+/// companion convention cannot drift per scenario.
 pub fn write_epoch_companion(
     out: &OutputDir,
     csv_name: &str,
     labeled: &[(String, &[EpochSnapshot])],
 ) -> std::io::Result<()> {
     let series = epoch_series_csv(labeled.iter().map(|(l, s)| (l.as_str(), *s)));
-    out.write(&epoch_csv_name(csv_name), &series).map(|_| ())
-}
-
-/// Interpolation-ablation table + CSV.
-pub fn emit_interp(
-    title: &str,
-    rows: &[InterpRow],
-    csv_name: &str,
-    out: &OutputDir,
-) -> std::io::Result<()> {
-    println!("== {title} ==");
-    for r in rows {
-        println!(
-            "  {:<16} median {:>6.2}%   p90 {:>7.2}%",
-            r.interpolator,
-            r.median_error * 100.0,
-            r.p90_error * 100.0
-        );
-    }
-    let csv = write_csv(
-        "interpolator,median_error,p90_error",
-        rows.iter()
-            .map(|r| format!("{},{},{}", r.interpolator, r.median_error, r.p90_error)),
-    );
-    out.write(csv_name, &csv).map(|_| ())
-}
-
-/// Clock-sensitivity table + CSV.
-pub fn emit_sync(
-    title: &str,
-    rows: &[SyncRow],
-    csv_name: &str,
-    out: &OutputDir,
-) -> std::io::Result<()> {
-    println!("== {title} ==");
-    for r in rows {
-        println!(
-            "  {:<34} median {:>7.2}%   mean |err| {:>9.1} ns",
-            r.scenario,
-            r.median_error * 100.0,
-            r.mean_abs_error_ns
-        );
-    }
-    let csv = write_csv(
-        "scenario,median_error,mean_abs_error_ns",
-        rows.iter()
-            .map(|r| format!("{},{},{}", r.scenario, r.median_error, r.mean_abs_error_ns)),
-    );
-    out.write(csv_name, &csv).map(|_| ())
-}
-
-/// Tail-quantile accuracy table + CSV.
-pub fn emit_quantiles(
-    title: &str,
-    rows: &[QuantileRow],
-    csv_name: &str,
-    out: &OutputDir,
-) -> std::io::Result<()> {
-    println!("== {title} ==");
-    for r in rows {
-        println!(
-            "  {:<10} p{:.0} median err {:>6.2}%   (mean-est median {:>6.2}%)   flows {:>7}",
-            r.policy,
-            r.p * 100.0,
-            r.median_error * 100.0,
-            r.mean_median_error * 100.0,
-            r.flows
-        );
-    }
-    let csv = write_csv(
-        "policy,p,median_error,mean_median_error,flows",
-        rows.iter().map(|r| {
-            format!(
-                "{},{},{},{},{}",
-                r.policy, r.p, r.median_error, r.mean_median_error, r.flows
-            )
-        }),
-    );
-    out.write(csv_name, &csv).map(|_| ())
+    let base = csv_name.strip_suffix(".csv").unwrap_or(csv_name);
+    out.write(&format!("{base}_epochs.csv"), &series)
+        .map(|_| ())
 }

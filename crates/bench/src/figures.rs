@@ -1,13 +1,12 @@
 //! Runners for every table and figure in the paper's evaluation, plus the
-//! repo's ablation studies (see DESIGN.md §4 for the index).
+//! repo's ablation studies; `experiments list` names the scenario that
+//! runs each.
 
 use crate::scale::Scale;
 use rlir::experiment::{
-    cross_stream, run_fattree, run_fattree_sweep, run_loss_sweep_on, run_two_hop_on,
-    run_two_hop_sweep, CoreAnomaly, CrossSpec, FatTreeExpConfig, FatTreeSweep, LossSweepConfig,
-    TwoHopConfig, TwoHopOutcome, TwoHopPoint, TwoHopSweep,
+    cross_stream, run_fattree, run_loss_sweep_on, run_two_hop_on, CoreAnomaly, CrossSpec,
+    FatTreeExpConfig, LossSweepConfig, TwoHopConfig, TwoHopOutcome,
 };
-use rlir::localization::{localize, LocalizerConfig};
 use rlir::CoreDemux;
 use rlir_baselines::{
     estimate_all, trajectory_join, Lda, LdaConfig, TrajectoryConfig, TrajectoryPoint,
@@ -98,79 +97,48 @@ pub fn base_traces(scale: &Scale, duration: SimDuration) -> (Trace, Trace) {
     (generate(&cfg.regular_trace()), generate(&cfg.cross_trace()))
 }
 
-/// The grid point every accuracy figure builds on.
-fn accuracy_point(
-    scale: &Scale,
-    label: String,
-    target: f64,
-    policy: PolicyKind,
-    cross_spec: CrossSpec,
-    cross: usize,
-) -> TwoHopPoint {
+/// The run configuration every accuracy figure builds on.
+fn accuracy_cfg(scale: &Scale, policy: PolicyKind, cross: CrossSpec) -> TwoHopConfig {
     let mut cfg = TwoHopConfig::paper(scale.base_seed, scale.accuracy_duration);
     cfg.policy = policy;
-    cfg.cross = cross_spec;
-    TwoHopPoint {
-        label,
-        target,
-        cfg,
-        cross,
-    }
+    cfg.cross = cross;
+    cfg
 }
 
-/// Figures 4(a) and 4(b): {Adaptive, Static} × {67%, 93%} under the random
-/// cross-traffic model. Returns the four outcomes with labels; 4(a) reads
-/// `mean_errors`, 4(b) reads `std_errors` from the same runs.
-pub fn fig4_runs(scale: &Scale, runner: &SweepRunner) -> Vec<(String, f64, TwoHopOutcome)> {
+/// Figures 4(a) and 4(b) from one sweep: {Adaptive, Static} × {67%, 93%}
+/// under the random cross-traffic model. Returns the CDFs of per-flow
+/// *mean* relative error (4a) and of per-flow *standard deviation*
+/// relative error (4b), both read off the same four runs.
+pub fn fig4ab(scale: &Scale, runner: &SweepRunner) -> (Vec<AccuracyCurve>, Vec<AccuracyCurve>) {
     let (regular, cross) = base_traces(scale, scale.accuracy_duration);
-    let points: Vec<TwoHopPoint> = paper_policies()
+    let points: Vec<(String, f64, TwoHopConfig)> = paper_policies()
         .into_iter()
         .flat_map(|(name, policy)| {
             [0.93f64, 0.67].map(|u| {
-                accuracy_point(
-                    scale,
-                    format!("{name}, {:.0}%", u * 100.0),
-                    u,
-                    policy.clone(),
-                    CrossSpec::Uniform {
-                        target_utilization: u,
-                    },
-                    0,
-                )
+                let spec = CrossSpec::Uniform {
+                    target_utilization: u,
+                };
+                let label = format!("{name}, {:.0}%", u * 100.0);
+                (label, u, accuracy_cfg(scale, policy.clone(), spec))
             })
         })
         .collect();
-    let sweep = TwoHopSweep {
-        seed: scale.base_seed,
-        points,
-        regular: &regular,
-        crosses: vec![&cross],
+    let mut runs = runner.map(scale.base_seed, &points, |_, (label, target, cfg)| {
+        (
+            label.clone(),
+            *target,
+            run_two_hop_on(cfg, &regular, &cross),
+        )
+    });
+    runs.sort_by(|a, b| a.0.cmp(&b.0));
+    let curves = |errors: fn(&TwoHopOutcome) -> &Vec<f64>| -> Vec<AccuracyCurve> {
+        runs.iter()
+            .map(|(label, target, out)| {
+                AccuracyCurve::from_errors(label.clone(), *target, out, errors(out).clone())
+            })
+            .collect()
     };
-    let mut v = run_two_hop_sweep(&sweep, runner);
-    v.sort_by(|a, b| a.0.cmp(&b.0));
-    v
-}
-
-/// Figure 4(a): CDFs of per-flow *mean* relative error.
-pub fn fig4a(scale: &Scale, runner: &SweepRunner) -> Vec<AccuracyCurve> {
-    fig4_runs(scale, runner)
-        .into_iter()
-        .map(|(label, target, out)| {
-            let errors = out.mean_errors.clone();
-            AccuracyCurve::from_errors(label, target, &out, errors)
-        })
-        .collect()
-}
-
-/// Figure 4(b): CDFs of per-flow *standard deviation* relative error.
-pub fn fig4b(scale: &Scale, runner: &SweepRunner) -> Vec<AccuracyCurve> {
-    fig4_runs(scale, runner)
-        .into_iter()
-        .map(|(label, target, out)| {
-            let errors = out.std_errors.clone();
-            AccuracyCurve::from_errors(label, target, &out, errors)
-        })
-        .collect()
+    (curves(|o| &o.mean_errors), curves(|o| &o.std_errors))
 }
 
 /// Burst shape used for Fig. 4(c): 10 s bursts in the paper's 60 s trace;
@@ -196,49 +164,37 @@ pub fn fig4c(scale: &Scale, runner: &SweepRunner) -> Vec<AccuracyCurve> {
         generate(&tc)
     };
     let (on, off) = burst_shape(scale.accuracy_duration);
-    let points: Vec<TwoHopPoint> = [0.67f64, 0.34]
+    let policy = PolicyKind::Adaptive(rlir_rli::AdaptiveConfig::paper_default());
+    let points: Vec<(String, f64, TwoHopConfig, &Trace)> = [0.67f64, 0.34]
         .into_iter()
         .flat_map(|u| {
-            let policy = PolicyKind::Adaptive(rlir_rli::AdaptiveConfig::paper_default());
+            let bursty = CrossSpec::Bursty {
+                target_utilization: u,
+                on,
+                off,
+            };
+            let random = CrossSpec::Uniform {
+                target_utilization: u,
+            };
             [
-                accuracy_point(
-                    scale,
-                    format!("Bursty, {:.0}%", u * 100.0),
-                    u,
-                    policy.clone(),
-                    CrossSpec::Bursty {
-                        target_utilization: u,
-                        on,
-                        off,
-                    },
-                    1, // the hotter cross trace: on-periods genuinely overload
-                ),
-                accuracy_point(
-                    scale,
-                    format!("Random, {:.0}%", u * 100.0),
-                    u,
-                    policy,
-                    CrossSpec::Uniform {
-                        target_utilization: u,
-                    },
-                    0,
-                ),
+                // The hotter cross trace: on-periods genuinely overload.
+                ("Bursty", bursty, &cross_hot),
+                ("Random", random, &cross),
             ]
+            .map(|(name, spec, cross)| {
+                let label = format!("{name}, {:.0}%", u * 100.0);
+                (label, u, accuracy_cfg(scale, policy.clone(), spec), cross)
+            })
         })
         .collect();
-    let sweep = TwoHopSweep {
-        seed: scale.base_seed,
-        points,
-        regular: &regular,
-        crosses: vec![&cross, &cross_hot],
-    };
-    let mut v: Vec<AccuracyCurve> = run_two_hop_sweep(&sweep, runner)
-        .into_iter()
-        .map(|(label, target, out)| {
-            let errors = out.mean_errors.clone();
-            AccuracyCurve::from_errors(label, target, &out, errors)
-        })
-        .collect();
+    let mut v = runner.map(
+        scale.base_seed,
+        &points,
+        |_, (label, target, cfg, cross)| {
+            let out = run_two_hop_on(cfg, &regular, cross);
+            AccuracyCurve::from_errors(label.clone(), *target, &out, out.mean_errors.clone())
+        },
+    );
     v.sort_by(|a, b| a.label.cmp(&b.label));
     v
 }
@@ -358,43 +314,32 @@ pub struct DemuxRow {
 /// §1). With homogeneous paths even the naive receiver looks fine, which is
 /// precisely why the paper's warning is about multipath *divergence*.
 pub fn demux_ablation(scale: &Scale, runner: &SweepRunner) -> Vec<DemuxRow> {
-    let points = [CoreDemux::Naive, CoreDemux::Marking, CoreDemux::ReverseEcmp]
-        .into_iter()
-        .map(|mode| {
-            let mut cfg = FatTreeExpConfig::paper(scale.base_seed, scale.fattree_duration);
-            cfg.shards = scale.shards;
-            cfg.demux = mode;
-            cfg.anomaly = Some(CoreAnomaly {
-                core_ordinal: 0,
-                extra_processing: SimDuration::from_micros(150),
-            });
-            (mode.label().to_string(), cfg)
-        })
-        .collect();
-    let sweep = FatTreeSweep {
-        seed: scale.base_seed,
-        points,
-    };
-    run_fattree_sweep(&sweep, runner)
-        .into_iter()
-        .map(|(mode, out)| {
-            let med = |v: &[f64]| {
-                let finite: Vec<f64> = v.iter().copied().filter(|x| x.is_finite()).collect();
-                Ecdf::new(finite).median().unwrap_or(f64::NAN)
-            };
-            DemuxRow {
-                mode,
-                accuracy: out.demux_accuracy(),
-                seg1_median_error: med(&out.seg1_errors),
-                seg2_median_error: med(&out.seg2_errors),
-                seg2_estimates: out.seg2_flows.estimate_count(),
-                late: out.late,
-                shed: out.shed,
-                peak_pending: out.peak_pending,
-                seg2_epochs: out.seg2_epochs,
-            }
-        })
-        .collect()
+    let modes = [CoreDemux::Naive, CoreDemux::Marking, CoreDemux::ReverseEcmp];
+    runner.map(scale.base_seed, &modes, |_, &mode| {
+        let mut cfg = FatTreeExpConfig::paper(scale.base_seed, scale.fattree_duration);
+        cfg.shards = scale.shards;
+        cfg.demux = mode;
+        cfg.anomaly = Some(CoreAnomaly {
+            core_ordinal: 0,
+            extra_processing: SimDuration::from_micros(150),
+        });
+        let out = run_fattree(&cfg);
+        let med = |v: &[f64]| {
+            let finite: Vec<f64> = v.iter().copied().filter(|x| x.is_finite()).collect();
+            Ecdf::new(finite).median().unwrap_or(f64::NAN)
+        };
+        DemuxRow {
+            mode: mode.label().to_string(),
+            accuracy: out.demux_accuracy(),
+            seg1_median_error: med(&out.seg1_errors),
+            seg2_median_error: med(&out.seg2_errors),
+            seg2_estimates: out.seg2_flows.estimate_count(),
+            late: out.late,
+            shed: out.shed,
+            peak_pending: out.peak_pending,
+            seg2_epochs: out.seg2_epochs,
+        }
+    })
 }
 
 /// Interpolator-ablation row (experiment A2).
@@ -411,37 +356,23 @@ pub struct InterpRow {
 /// Interpolation-estimator ablation at 93% utilization (static 1-and-100).
 pub fn interp_ablation(scale: &Scale, runner: &SweepRunner) -> Vec<InterpRow> {
     let (regular, cross) = base_traces(scale, scale.accuracy_duration);
-    let points = Interpolator::all()
-        .into_iter()
-        .map(|interp| {
-            let mut cfg = TwoHopConfig::paper(scale.base_seed, scale.accuracy_duration);
-            cfg.interpolator = interp;
-            TwoHopPoint::new(interp.label(), 0.93, cfg)
-        })
-        .collect();
-    let sweep = TwoHopSweep {
-        seed: scale.base_seed,
-        points,
-        regular: &regular,
-        crosses: vec![&cross],
-    };
-    run_two_hop_sweep(&sweep, runner)
-        .into_iter()
-        .map(|(label, _, out)| {
-            let e = Ecdf::new(
-                out.mean_errors
-                    .iter()
-                    .copied()
-                    .filter(|x| x.is_finite())
-                    .collect(),
-            );
-            InterpRow {
-                interpolator: label,
-                median_error: e.median().unwrap_or(f64::NAN),
-                p90_error: e.quantile(0.9).unwrap_or(f64::NAN),
-            }
-        })
-        .collect()
+    runner.map(scale.base_seed, &Interpolator::all(), |_, &interp| {
+        let mut cfg = TwoHopConfig::paper(scale.base_seed, scale.accuracy_duration);
+        cfg.interpolator = interp;
+        let out = run_two_hop_on(&cfg, &regular, &cross);
+        let e = Ecdf::new(
+            out.mean_errors
+                .iter()
+                .copied()
+                .filter(|x| x.is_finite())
+                .collect(),
+        );
+        InterpRow {
+            interpolator: interp.label().to_string(),
+            median_error: e.median().unwrap_or(f64::NAN),
+            p90_error: e.quantile(0.9).unwrap_or(f64::NAN),
+        }
+    })
 }
 
 /// Clock-sync-sensitivity row (experiment A4).
@@ -483,44 +414,30 @@ pub fn sync_ablation(scale: &Scale, runner: &SweepRunner) -> Vec<SyncRow> {
             },
         ),
     ];
-    let points = scenarios
-        .into_iter()
-        .map(|(name, clocks)| {
-            let mut cfg = TwoHopConfig::paper(scale.base_seed, scale.accuracy_duration);
-            cfg.clocks = clocks;
-            TwoHopPoint::new(name, 0.93, cfg)
-        })
-        .collect();
-    let sweep = TwoHopSweep {
-        seed: scale.base_seed,
-        points,
-        regular: &regular,
-        crosses: vec![&cross],
-    };
-    run_two_hop_sweep(&sweep, runner)
-        .into_iter()
-        .map(|(name, _, out)| {
-            let e = Ecdf::new(
-                out.mean_errors
-                    .iter()
-                    .copied()
-                    .filter(|x| x.is_finite())
-                    .collect(),
-            );
-            // Mean absolute error from per-flow report rows.
-            let mut abs = rlir_stats::StreamingStats::new();
-            for r in out.flows.report(1) {
-                if let Some(t) = r.true_mean {
-                    abs.push((r.est_mean - t).abs());
-                }
+    runner.map(scale.base_seed, &scenarios, |_, &(name, clocks)| {
+        let mut cfg = TwoHopConfig::paper(scale.base_seed, scale.accuracy_duration);
+        cfg.clocks = clocks;
+        let out = run_two_hop_on(&cfg, &regular, &cross);
+        let e = Ecdf::new(
+            out.mean_errors
+                .iter()
+                .copied()
+                .filter(|x| x.is_finite())
+                .collect(),
+        );
+        // Mean absolute error from per-flow report rows.
+        let mut abs = rlir_stats::StreamingStats::new();
+        for r in out.flows.report(1) {
+            if let Some(t) = r.true_mean {
+                abs.push((r.est_mean - t).abs());
             }
-            SyncRow {
-                scenario: name,
-                median_error: e.median().unwrap_or(f64::NAN),
-                mean_abs_error_ns: abs.mean().unwrap_or(f64::NAN),
-            }
-        })
-        .collect()
+        }
+        SyncRow {
+            scenario: name.to_string(),
+            median_error: e.median().unwrap_or(f64::NAN),
+            mean_abs_error_ns: abs.mean().unwrap_or(f64::NAN),
+        }
+    })
 }
 
 /// Baseline-comparison row (experiment A6).
@@ -704,83 +621,25 @@ pub struct QuantileRow {
 /// flow's four largest delays (exact below 40 packets, an upper bound past).
 pub fn quantile_accuracy(scale: &Scale, runner: &SweepRunner) -> Vec<QuantileRow> {
     let (regular, cross) = base_traces(scale, scale.accuracy_duration);
-    let points = paper_policies()
-        .into_iter()
-        .map(|(name, policy)| {
-            let mut cfg = TwoHopConfig::paper(scale.base_seed, scale.accuracy_duration);
-            cfg.policy = policy;
-            cfg.track_quantile = Some(0.9);
-            TwoHopPoint::new(name, 0.93, cfg)
-        })
-        .collect();
-    let sweep = TwoHopSweep {
-        seed: scale.base_seed,
-        points,
-        regular: &regular,
-        crosses: vec![&cross],
-    };
-    run_two_hop_sweep(&sweep, runner)
-        .into_iter()
-        .map(|(name, _, out)| {
-            let finite =
-                |v: &[f64]| -> Vec<f64> { v.iter().copied().filter(|x| x.is_finite()).collect() };
-            QuantileRow {
-                policy: name,
-                p: 0.9,
-                median_error: Ecdf::new(finite(&out.quantile_errors))
-                    .median()
-                    .unwrap_or(f64::NAN),
-                flows: out.quantile_errors.len(),
-                mean_median_error: Ecdf::new(finite(&out.mean_errors))
-                    .median()
-                    .unwrap_or(f64::NAN),
-            }
-        })
-        .collect()
-}
-
-/// Localization-demo output (experiment A5).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LocalizeOutcome {
-    /// Name of the faulty core injected.
-    pub injected: String,
-    /// Names of segments flagged, best first.
-    pub flagged: Vec<String>,
-    /// Whether the top finding matches the injected fault.
-    pub correct: bool,
-    /// All segment observations (name, est µs, true µs).
-    pub segments: Vec<(String, f64, f64)>,
-}
-
-/// Inject a 400 µs processing fault at one core and ask the localizer.
-pub fn localization_demo(scale: &Scale) -> LocalizeOutcome {
-    let mut cfg = FatTreeExpConfig::paper(scale.base_seed, scale.fattree_duration);
-    cfg.anomaly = Some(CoreAnomaly {
-        core_ordinal: 1,
-        extra_processing: SimDuration::from_micros(400),
-    });
-    let out = run_fattree(&cfg);
-    let tree = rlir_topo::FatTree::new(cfg.k, cfg.hash);
-    let injected = tree
-        .node(tree.cores().nth(1).expect("core 1 exists"))
-        .name
-        .clone();
-    let findings = localize(&out.segments, &LocalizerConfig::default());
-    let flagged: Vec<String> = findings.iter().map(|f| f.name.clone()).collect();
-    let correct = flagged
-        .first()
-        .map(|n| n.starts_with(&injected))
-        .unwrap_or(false);
-    LocalizeOutcome {
-        injected,
-        flagged,
-        correct,
-        segments: out
-            .segments
-            .iter()
-            .map(|s| (s.name.clone(), s.est_mean_ns / 1e3, s.true_mean_ns / 1e3))
-            .collect(),
-    }
+    runner.map(scale.base_seed, &paper_policies(), |_, (name, policy)| {
+        let mut cfg = TwoHopConfig::paper(scale.base_seed, scale.accuracy_duration);
+        cfg.policy = policy.clone();
+        cfg.track_quantile = Some(0.9);
+        let out = run_two_hop_on(&cfg, &regular, &cross);
+        let finite =
+            |v: &[f64]| -> Vec<f64> { v.iter().copied().filter(|x| x.is_finite()).collect() };
+        QuantileRow {
+            policy: name.to_string(),
+            p: 0.9,
+            median_error: Ecdf::new(finite(&out.quantile_errors))
+                .median()
+                .unwrap_or(f64::NAN),
+            flows: out.quantile_errors.len(),
+            mean_median_error: Ecdf::new(finite(&out.mean_errors))
+                .median()
+                .unwrap_or(f64::NAN),
+        }
+    })
 }
 
 /// The §3.1 placement table for a range of arities.
@@ -788,8 +647,8 @@ pub fn placement_rows() -> Vec<rlir_topo::PlacementRow> {
     rlir_topo::placement_table(&[4, 6, 8, 16, 32, 48, 64])
 }
 
-/// Paper-vs-measured shape checks used by `experiments all` to print the
-/// verdicts recorded in EXPERIMENTS.md.
+/// A paper-vs-measured shape check: the `[PASS]`/`[MISS]` verdicts the
+/// `two_hop`, `bursty` and `interference` scenarios print.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShapeCheck {
     /// What is being checked.

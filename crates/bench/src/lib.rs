@@ -2,9 +2,10 @@
 //!
 //! The machinery behind the `experiments` binary, which regenerates every
 //! table and figure of the paper's evaluation as CSV + terminal summaries
-//! (the repo's benchmark is the ledger, `ledger/`). Each `fig*` function runs the
-//! corresponding experiment at a configurable scale and returns structured
-//! rows; the `output` helpers persist them under `results/`.
+//! (the repo's benchmark is the ledger, `ledger/`). Every experiment is a
+//! scenario in [`build_registry`]; the `figures` functions run the paper's
+//! figures and ablations at a configurable scale and return structured
+//! rows, and the `output` helpers persist them under `results/`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

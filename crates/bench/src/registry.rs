@@ -1,23 +1,22 @@
 //! The concrete scenario registrations behind `experiments list` /
-//! `experiments run <name> [--threads N]`.
+//! `experiments run <name> [--threads N]` / `experiments all`.
 //!
 //! Each entry wraps one harness in a closure that runs it at the ambient
 //! [`Scale`] on the caller's [`SweepRunner`](rlir_exec::SweepRunner),
-//! prints the terminal summary and persists the CSV series — so adding a
-//! workload to the binary is one `register` call, not a new subcommand.
+//! prints the terminal summary and persists the CSV series as
+//! `scenario_<name>*.csv` — so adding a workload to the binary is one
+//! `register` call, not a new subcommand.
 
-use crate::emit::{
-    emit_demux, emit_fig5, emit_interp, emit_quantiles, emit_sync, print_shape_checks,
-    write_epoch_companion,
-};
+use crate::emit::{print_shape_checks, write_epoch_companion};
 use crate::figures::{
-    demux_ablation, fig4a, fig4a_shape_checks, fig5, fig5_shape_checks, interference_base,
-    interp_ablation, quantile_accuracy, sync_ablation,
+    baselines_comparison, demux_ablation, fig4a_shape_checks, fig4ab, fig4c, fig4c_shape_checks,
+    fig5, fig5_shape_checks, interference_base, interp_ablation, placement_rows, quantile_accuracy,
+    sync_ablation, AccuracyCurve,
 };
 use crate::output::{write_csv, OutputDir};
 use crate::scale::Scale;
 use rlir::experiment::{
-    run_asymmetric, run_chaos, run_drop_aware, run_faults, run_incast, run_localize_full,
+    run_asymmetric, run_chaos, run_drop_aware, run_faults, run_incast, run_localize,
     run_plane_scale, run_replay, AsymmetricConfig, ChaosCampaignConfig, DropAwareConfig,
     FaultsConfig, IncastConfig, LocalizeConfig, LossSweepConfig, PlaneScaleConfig, ReplayConfig,
 };
@@ -46,23 +45,40 @@ pub struct RunContext {
     pub lenient: bool,
 }
 
+/// One `scenario_<stem>_<label>.csv` per accuracy curve: its downsampled
+/// relative-error CDF.
+fn write_cdfs(out: &OutputDir, stem: &str, curves: &[AccuracyCurve]) -> std::io::Result<()> {
+    for c in curves {
+        let label = c.label.to_lowercase().replace([',', ' ', '%'], "");
+        let csv = format!("relative_error,cdf\n{}", c.cdf_csv());
+        out.write(&format!("scenario_{stem}_{label}.csv"), &csv)?;
+    }
+    Ok(())
+}
+
 /// Build the registry of runnable scenarios.
 pub fn build_registry() -> ScenarioRegistry<RunContext> {
     let mut reg: ScenarioRegistry<RunContext> = ScenarioRegistry::new();
 
     reg.register(
         "two_hop",
-        "Fig. 4(a) accuracy grid: {Adaptive, Static} x {67%, 93%} on the two-hop tandem",
+        "Fig. 4(a)/(b) accuracy grid: {Adaptive, Static} x {67%, 93%} on the two-hop tandem, mean- and std-error CDFs",
         |ctx, runner| {
-            let curves = fig4a(&ctx.scale, runner);
+            let (mean, std) = fig4ab(&ctx.scale, runner);
             println!("== two_hop: per-flow mean-error CDFs (random cross traffic) ==");
-            for c in &curves {
+            for c in &mean {
                 println!("  {}", c.summary());
             }
-            print_shape_checks(&fig4a_shape_checks(&curves));
+            print_shape_checks(&fig4a_shape_checks(&mean));
+            println!("== two_hop: per-flow std-dev-error CDFs (same runs) ==");
+            for c in &std {
+                println!("  {}", c.summary());
+            }
+            write_cdfs(&ctx.out, "two_hop_mean", &mean)?;
+            write_cdfs(&ctx.out, "two_hop_std", &std)?;
             let csv = write_csv(
                 "label,target_utilization,utilization,median_error,frac_below_10pct,flows",
-                curves.iter().map(|c| {
+                mean.iter().map(|c| {
                     format!(
                         "{},{},{},{},{},{}",
                         c.label,
@@ -75,12 +91,26 @@ pub fn build_registry() -> ScenarioRegistry<RunContext> {
                 }),
             );
             ctx.out.write("scenario_two_hop.csv", &csv)?;
-            let labeled: Vec<(String, &[rlir_rli::EpochSnapshot])> = curves
+            let labeled: Vec<(String, &[rlir_rli::EpochSnapshot])> = mean
                 .iter()
                 .map(|c| (c.label.clone(), c.epochs.as_slice()))
                 .collect();
             write_epoch_companion(&ctx.out, "scenario_two_hop.csv", &labeled)?;
             Ok(())
+        },
+    );
+
+    reg.register(
+        "bursty",
+        "Fig. 4(c): mean-error CDFs, bursty vs random cross traffic at 34% and 67%",
+        |ctx, runner| {
+            let curves = fig4c(&ctx.scale, runner);
+            println!("== bursty: mean-error CDFs, bursty vs random cross traffic ==");
+            for c in &curves {
+                println!("  {}", c.summary());
+            }
+            print_shape_checks(&fig4c_shape_checks(&curves));
+            write_cdfs(&ctx.out, "bursty", &curves)
         },
     );
 
@@ -134,12 +164,55 @@ pub fn build_registry() -> ScenarioRegistry<RunContext> {
         "fattree",
         "S3 RLIR fat-tree demux ablation: naive vs marking vs reverse-ECMP",
         |ctx, runner| {
-            emit_demux(
-                "fattree: demultiplexing ablation (k = 4)",
-                &demux_ablation(&ctx.scale, runner),
-                "scenario_fattree.csv",
-                &ctx.out,
-            )
+            let rows = demux_ablation(&ctx.scale, runner);
+            println!("== fattree: demultiplexing ablation (k = 4) ==");
+            println!(
+                "  {:<14} {:>10} {:>16} {:>16} {:>12} {:>6} {:>6} {:>8}",
+                "mode",
+                "assoc acc",
+                "seg1 median err",
+                "seg2 median err",
+                "estimates",
+                "late",
+                "shed",
+                "pending"
+            );
+            for r in &rows {
+                println!(
+                    "  {:<14} {:>9.1}% {:>15.2}% {:>15.2}% {:>12} {:>6} {:>6} {:>8}",
+                    r.mode,
+                    r.accuracy * 100.0,
+                    r.seg1_median_error * 100.0,
+                    r.seg2_median_error * 100.0,
+                    r.seg2_estimates,
+                    r.late,
+                    r.shed,
+                    r.peak_pending
+                );
+            }
+            let csv = write_csv(
+                "mode,accuracy,seg1_median_error,seg2_median_error,seg2_estimates,late,shed,peak_pending",
+                rows.iter().map(|r| {
+                    format!(
+                        "{},{},{},{},{},{},{},{}",
+                        r.mode,
+                        r.accuracy,
+                        r.seg1_median_error,
+                        r.seg2_median_error,
+                        r.seg2_estimates,
+                        r.late,
+                        r.shed,
+                        r.peak_pending
+                    )
+                }),
+            );
+            ctx.out.write("scenario_fattree.csv", &csv)?;
+            // The per-epoch segment-2 series of every mode.
+            let labeled: Vec<(String, &[rlir_rli::EpochSnapshot])> = rows
+                .iter()
+                .map(|r| (r.mode.clone(), r.seg2_epochs.as_slice()))
+                .collect();
+            write_epoch_companion(&ctx.out, "scenario_fattree.csv", &labeled)
         },
     );
 
@@ -253,7 +326,7 @@ pub fn build_registry() -> ScenarioRegistry<RunContext> {
         |ctx, runner| {
             let mut cfg = LocalizeConfig::paper(ctx.scale.base_seed, ctx.scale.fattree_duration);
             cfg.base.shards = ctx.scale.shards;
-            let report = run_localize_full(&cfg, runner);
+            let report = run_localize(&cfg, runner);
             println!(
                 "== localize: {} fault at one random core/edge switch per trial ==",
                 cfg.extra_processing
@@ -388,14 +461,14 @@ pub fn build_registry() -> ScenarioRegistry<RunContext> {
     reg.register(
         "replay",
         "NEW: streaming pcap trace replay (--trace <file>, else generated) vs two-capture-point external ground truth",
-        |ctx, runner| {
+        |ctx, _| {
             let mut cfg = ReplayConfig::paper(ctx.scale.base_seed, ctx.scale.accuracy_duration);
             cfg.trace_path = ctx.trace.clone();
             cfg.lenient = ctx.lenient;
             if let Some(spec) = &ctx.entry_map {
                 cfg.entry_spec = spec.clone();
             }
-            let o = run_replay(&cfg, runner);
+            let o = run_replay(&cfg);
             println!(
                 "== replay: {} streamed through the tandem ({} ingest) ==",
                 match &cfg.trace_path {
@@ -437,6 +510,9 @@ pub fn build_registry() -> ScenarioRegistry<RunContext> {
                 Some(false) => println!("  streamed ingest DIVERGED from Vec ingest"),
                 None => {}
             }
+            if let Some(e) = &o.ingest_error {
+                println!("  ingest STOPPED after {} records: {e}", o.records_read);
+            }
             let csv = write_csv(
                 "records_read,replayed,late_dropped,source_peak_buffered,refs_emitted,delivered,capture_matched,capture_expired,capture_mean_ns,truth_mean_ns,capture_vs_truth_rel_err,rli_est_mean_ns,rli_vs_capture_rel_err,ingest_identical",
                 std::iter::once(format!(
@@ -466,7 +542,13 @@ pub fn build_registry() -> ScenarioRegistry<RunContext> {
                     "streamed ingest diverged from the Vec-ingest oracle",
                 ));
             }
-            Ok(())
+            match o.ingest_error {
+                Some(e) => Err(std::io::Error::other(format!(
+                    "capture ingest stopped after {} records: {e}",
+                    o.records_read
+                ))),
+                None => Ok(()),
+            }
         },
     );
 
@@ -520,7 +602,7 @@ pub fn build_registry() -> ScenarioRegistry<RunContext> {
     reg.register(
         "chaos",
         "NEW: seeded chaos campaigns — flaps, gray loss, tap crash/recovery, tenant cross-talk probe, hostile-ingest leg",
-        |ctx, _runner| {
+        |ctx, _| {
             let seed = ctx.chaos_seed.unwrap_or(ctx.scale.base_seed);
             let mut cfg = ChaosCampaignConfig::paper(seed, ctx.scale.fattree_duration);
             cfg.base.tenant_split = ctx.tenants;
@@ -610,7 +692,7 @@ pub fn build_registry() -> ScenarioRegistry<RunContext> {
     reg.register(
         "plane_scale",
         "NEW: fleet-scale plane — every (switch, port) of the k=8 fat-tree tapped under one plane-wide budget",
-        |ctx, _runner| {
+        |ctx, _| {
             let base = PlaneScaleConfig::fleet(ctx.scale.base_seed, ctx.scale.fattree_duration);
             let all = base.all_ports();
             println!(
@@ -670,16 +752,35 @@ pub fn build_registry() -> ScenarioRegistry<RunContext> {
         "Fig. 5 with seed averaging and both policies (the full figure)",
         |ctx, runner| {
             let points = fig5(&ctx.scale, runner);
-            emit_fig5(
-                &format!(
-                    "interference: Fig. 5, both policies, {} seed(s)",
-                    ctx.scale.seeds
-                ),
-                &points,
-                &fig5_shape_checks(&points),
-                "scenario_interference.csv",
-                &ctx.out,
-            )
+            println!(
+                "== interference: Fig. 5, both policies, {} seed(s) ==",
+                ctx.scale.seeds
+            );
+            println!(
+                "  {:<10} {:>8} {:>10} {:>16} {:>12}",
+                "policy", "target", "realised", "loss diff", "base loss"
+            );
+            for p in &points {
+                println!(
+                    "  {:<10} {:>7.0}% {:>9.1}% {:>15.6}% {:>11.4}%",
+                    p.policy,
+                    p.target * 100.0,
+                    p.utilization * 100.0,
+                    p.loss_difference * 100.0,
+                    p.base_loss * 100.0
+                );
+            }
+            print_shape_checks(&fig5_shape_checks(&points));
+            let csv = write_csv(
+                "policy,target_utilization,utilization,loss_difference,base_loss",
+                points.iter().map(|p| {
+                    format!(
+                        "{},{},{},{},{}",
+                        p.policy, p.target, p.utilization, p.loss_difference, p.base_loss
+                    )
+                }),
+            );
+            ctx.out.write("scenario_interference.csv", &csv).map(|_| ())
         },
     );
 
@@ -687,12 +788,22 @@ pub fn build_registry() -> ScenarioRegistry<RunContext> {
         "interp",
         "A2: interpolation-estimator ablation at 93% utilization",
         |ctx, runner| {
-            emit_interp(
-                "interp: estimator ablation",
-                &interp_ablation(&ctx.scale, runner),
-                "scenario_interp.csv",
-                &ctx.out,
-            )
+            let rows = interp_ablation(&ctx.scale, runner);
+            println!("== interp: estimator ablation ==");
+            for r in &rows {
+                println!(
+                    "  {:<16} median {:>6.2}%   p90 {:>7.2}%",
+                    r.interpolator,
+                    r.median_error * 100.0,
+                    r.p90_error * 100.0
+                );
+            }
+            let csv = write_csv(
+                "interpolator,median_error,p90_error",
+                rows.iter()
+                    .map(|r| format!("{},{},{}", r.interpolator, r.median_error, r.p90_error)),
+            );
+            ctx.out.write("scenario_interp.csv", &csv).map(|_| ())
         },
     );
 
@@ -700,12 +811,22 @@ pub fn build_registry() -> ScenarioRegistry<RunContext> {
         "sync",
         "A4: clock-synchronisation-error sensitivity at 93% utilization",
         |ctx, runner| {
-            emit_sync(
-                "sync: clock sensitivity",
-                &sync_ablation(&ctx.scale, runner),
-                "scenario_sync.csv",
-                &ctx.out,
-            )
+            let rows = sync_ablation(&ctx.scale, runner);
+            println!("== sync: clock sensitivity ==");
+            for r in &rows {
+                println!(
+                    "  {:<34} median {:>7.2}%   mean |err| {:>9.1} ns",
+                    r.scenario,
+                    r.median_error * 100.0,
+                    r.mean_abs_error_ns
+                );
+            }
+            let csv = write_csv(
+                "scenario,median_error,mean_abs_error_ns",
+                rows.iter()
+                    .map(|r| format!("{},{},{}", r.scenario, r.median_error, r.mean_abs_error_ns)),
+            );
+            ctx.out.write("scenario_sync.csv", &csv).map(|_| ())
         },
     );
 
@@ -713,12 +834,106 @@ pub fn build_registry() -> ScenarioRegistry<RunContext> {
         "quantiles",
         "A7: per-flow p90 tail-latency accuracy at 93% utilization",
         |ctx, runner| {
-            emit_quantiles(
-                "quantiles: per-flow p90 accuracy",
-                &quantile_accuracy(&ctx.scale, runner),
-                "scenario_quantiles.csv",
-                &ctx.out,
-            )
+            let rows = quantile_accuracy(&ctx.scale, runner);
+            println!("== quantiles: per-flow p90 accuracy ==");
+            for r in &rows {
+                println!(
+                    "  {:<10} p{:.0} median err {:>6.2}%   (mean-est median {:>6.2}%)   flows {:>7}",
+                    r.policy,
+                    r.p * 100.0,
+                    r.median_error * 100.0,
+                    r.mean_median_error * 100.0,
+                    r.flows
+                );
+            }
+            let csv = write_csv(
+                "policy,p,median_error,mean_median_error,flows",
+                rows.iter().map(|r| {
+                    format!(
+                        "{},{},{},{},{}",
+                        r.policy, r.p, r.median_error, r.mean_median_error, r.flows
+                    )
+                }),
+            );
+            ctx.out.write("scenario_quantiles.csv", &csv).map(|_| ())
+        },
+    );
+
+    reg.register(
+        "baselines",
+        "A6: RLI vs LDA vs Multiflow vs trajectory sampling on an identical 93% run",
+        |ctx, _| {
+            let rows = baselines_comparison(&ctx.scale);
+            println!("== baselines: RLI vs LDA vs Multiflow (identical 93% run) ==");
+            for r in &rows {
+                let per_flow = if r.per_flow_median_error.is_nan() {
+                    "      n/a".to_string()
+                } else {
+                    format!("{:>8.2}%", r.per_flow_median_error * 100.0)
+                };
+                println!(
+                    "  {:<32} per-flow median {per_flow}   aggregate err {:>7.2}%   flows {:>7}",
+                    r.estimator,
+                    r.aggregate_error * 100.0,
+                    r.flows_covered
+                );
+            }
+            let csv = write_csv(
+                "estimator,per_flow_median_error,aggregate_error,flows_covered",
+                rows.iter().map(|r| {
+                    format!(
+                        "{},{},{},{}",
+                        r.estimator, r.per_flow_median_error, r.aggregate_error, r.flows_covered
+                    )
+                }),
+            );
+            ctx.out.write("scenario_baselines.csv", &csv).map(|_| ())
+        },
+    );
+
+    reg.register(
+        "placement",
+        "S3.1 partial-placement complexity table on k-ary fat-trees (closed form, no simulation)",
+        |ctx, _| {
+            println!("== placement: partial-placement complexity on k-ary fat-trees ==");
+            println!(
+                "  {:>4} {:>10} {:>10} {:>14} {:>14} {:>16} {:>10}",
+                "k",
+                "iface-pair",
+                "tor-pair",
+                "all-pairs",
+                "(enumerated)",
+                "full deploy",
+                "reduction"
+            );
+            let rows = placement_rows();
+            for r in &rows {
+                println!(
+                    "  {:>4} {:>10} {:>10} {:>14} {:>14} {:>16} {:>9.1}x",
+                    r.k,
+                    r.interface_pair,
+                    r.tor_pair,
+                    r.all_tor_pairs_paper,
+                    r.all_tor_pairs_enumerated,
+                    r.full_deployment,
+                    r.reduction()
+                );
+            }
+            let csv = write_csv(
+                "k,interface_pair,tor_pair,all_tor_pairs_paper,all_tor_pairs_enumerated,full_deployment",
+                rows.iter().map(|r| {
+                    format!(
+                        "{},{},{},{},{},{}",
+                        r.k,
+                        r.interface_pair,
+                        r.tor_pair,
+                        r.all_tor_pairs_paper,
+                        r.all_tor_pairs_enumerated,
+                        r.full_deployment
+                    )
+                }),
+            );
+            ctx.out.write("scenario_placement.csv", &csv).map(|_| ())
         },
     );
 
@@ -766,12 +981,14 @@ mod tests {
 
     #[test]
     fn loss_sweep_scenario_runs_end_to_end() {
-        let dir = std::env::temp_dir().join("rlir-registry-smoke");
+        let dir = std::env::temp_dir().join(format!("rlir-registry-smoke-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let ms = rlir_net::time::SimDuration::from_millis(10);
         let ctx = RunContext {
             scale: Scale {
-                accuracy_duration: rlir_net::time::SimDuration::from_millis(10),
-                interference_duration: rlir_net::time::SimDuration::from_millis(10),
-                fattree_duration: rlir_net::time::SimDuration::from_millis(10),
+                accuracy_duration: ms,
+                interference_duration: ms,
+                fattree_duration: ms,
                 seeds: 1,
                 base_seed: 42,
                 shards: 1,
@@ -783,9 +1000,35 @@ mod tests {
             chaos_seed: None,
             lenient: false,
         };
-        build_registry()
-            .run("loss_sweep", &ctx, &SweepRunner::new(2))
-            .unwrap();
-        assert!(dir.join("scenario_loss_sweep.csv").exists());
+        let cdfs = |stem: &str, labels: [&str; 4]| -> Vec<String> {
+            labels
+                .iter()
+                .map(|l| format!("scenario_{stem}_{l}.csv"))
+                .collect()
+        };
+        let grid = ["adaptive67", "adaptive93", "static67", "static93"];
+        let mut two_hop = cdfs("two_hop_mean", grid);
+        two_hop.extend(cdfs("two_hop_std", grid));
+        two_hop.push("scenario_two_hop.csv".into());
+        let table: [(&str, Vec<String>); 5] = [
+            ("loss_sweep", vec!["scenario_loss_sweep.csv".into()]),
+            (
+                "bursty",
+                cdfs("bursty", ["bursty34", "bursty67", "random34", "random67"]),
+            ),
+            ("placement", vec!["scenario_placement.csv".into()]),
+            ("baselines", vec!["scenario_baselines.csv".into()]),
+            ("two_hop", two_hop),
+        ];
+        let reg = build_registry();
+        for (name, files) in table {
+            reg.run(name, &ctx, &SweepRunner::new(2)).unwrap();
+            for f in files {
+                let body = std::fs::read_to_string(dir.join(&f))
+                    .unwrap_or_else(|e| panic!("{name} did not write {f}: {e}"));
+                assert!(body.lines().count() > 1, "{name}: {f} has no rows");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -14,14 +14,14 @@
 //! blames for the latency is the direction that is actually slow.
 
 use super::two_hop::{run_two_hop_on, CrossSpec, TwoHopConfig};
-use rlir_exec::{PointContext, Scenario, SweepRunner};
+use rlir_exec::SweepRunner;
 use rlir_net::fxhash::FxHashMap;
 use rlir_net::time::SimDuration;
 use rlir_net::FlowKey;
 use rlir_rli::{Interpolator, PolicyKind};
 use rlir_sim::TandemConfig;
 use rlir_stats::Ecdf;
-use rlir_trace::{generate, reverse, reverse_flow, Trace};
+use rlir_trace::{generate, reverse, reverse_flow};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the asymmetric-routing sweep.
@@ -94,158 +94,98 @@ pub struct AsymmetricPoint {
     pub reverse_epochs: Vec<rlir_rli::EpochSnapshot>,
 }
 
-/// The sweep as a [`Scenario`] over pre-generated base traces.
-pub struct AsymmetricSweep<'a> {
-    cfg: &'a AsymmetricConfig,
-    forward_regular: &'a Trace,
-    reverse_regular: &'a Trace,
-    forward_cross: &'a Trace,
-    reverse_cross: &'a Trace,
-}
-
-impl<'a> AsymmetricSweep<'a> {
-    /// Build over explicit base traces (the reverse regular trace is
-    /// usually [`reverse`]`(forward_regular, …)` so flows pair up).
-    pub fn new(
-        cfg: &'a AsymmetricConfig,
-        forward_regular: &'a Trace,
-        reverse_regular: &'a Trace,
-        forward_cross: &'a Trace,
-        reverse_cross: &'a Trace,
-    ) -> Self {
-        AsymmetricSweep {
-            cfg,
-            forward_regular,
-            reverse_regular,
-            forward_cross,
-            reverse_cross,
-        }
-    }
-
-    fn direction_cfg(&self, seed: u64, target: f64, tandem: TandemConfig) -> TwoHopConfig {
-        let mut cfg = TwoHopConfig::paper(seed, self.cfg.duration);
-        cfg.policy = self.cfg.policy.clone();
-        cfg.interpolator = self.cfg.interpolator;
-        cfg.cross = CrossSpec::Uniform {
-            target_utilization: target,
-        };
-        cfg.min_flow_packets = self.cfg.min_flow_packets;
-        cfg.tandem = tandem;
-        cfg
-    }
-}
-
-impl Scenario for AsymmetricSweep<'_> {
-    type Point = f64;
-    type Outcome = AsymmetricPoint;
-    type Aggregate = Vec<AsymmetricPoint>;
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn points(&self) -> Vec<f64> {
-        self.cfg.reverse_utilizations.clone()
-    }
-
-    fn run_point(&self, ctx: &PointContext, &reverse_target: &f64) -> AsymmetricPoint {
-        // Two independent pipelines — different queues per direction. Each
-        // direction's injector draws from its own derived stream.
-        let fwd_cfg = self.direction_cfg(
-            ctx.seed,
-            self.cfg.forward_utilization,
-            self.cfg.forward_tandem,
-        );
-        let rev_cfg = self.direction_cfg(
-            ctx.seed ^ 0x0E5E_D0F0_0E5E_D0F0,
-            reverse_target,
-            self.cfg.reverse_tandem,
-        );
-        let fwd = run_two_hop_on(&fwd_cfg, self.forward_regular, self.forward_cross);
-        let rev = run_two_hop_on(&rev_cfg, self.reverse_regular, self.reverse_cross);
-
-        // Pair flows across directions via key reversal and judge the RTT
-        // estimate and per-direction attribution.
-        let rev_rows: FxHashMap<FlowKey, (f64, f64)> = rev
-            .flows
-            .report(self.cfg.min_flow_packets)
-            .filter_map(|r| r.true_mean.map(|t| (r.flow, (r.est_mean, t))))
-            .collect();
-        let mut rtt_errors = Vec::new();
-        let mut attributed = 0usize;
-        let mut paired = 0usize;
-        for row in fwd.flows.report(self.cfg.min_flow_packets) {
-            let Some(t_fwd) = row.true_mean else { continue };
-            let Some(&(e_rev, t_rev)) = rev_rows.get(&reverse_flow(&row.flow)) else {
-                continue;
-            };
-            paired += 1;
-            let est_rtt = row.est_mean + e_rev;
-            let true_rtt = t_fwd + t_rev;
-            let err = rlir_stats::relative_error(est_rtt, true_rtt);
-            if err.is_finite() {
-                rtt_errors.push(err);
-            }
-            if (e_rev > row.est_mean) == (t_rev > t_fwd) {
-                attributed += 1;
-            }
-        }
-        let median = |v: Vec<f64>| {
-            Ecdf::new(v.into_iter().filter(|x| x.is_finite()).collect())
-                .median()
-                .unwrap_or(f64::NAN)
-        };
-        AsymmetricPoint {
-            target_reverse_utilization: reverse_target,
-            forward_utilization: fwd.utilization,
-            reverse_utilization: rev.utilization,
-            forward_median_error: median(fwd.mean_errors),
-            reverse_median_error: median(rev.mean_errors),
-            rtt_median_error: median(rtt_errors),
-            attribution_accuracy: if paired == 0 {
-                f64::NAN
-            } else {
-                attributed as f64 / paired as f64
-            },
-            paired_flows: paired,
-            forward_epochs: fwd.epochs,
-            reverse_epochs: rev.epochs,
-        }
-    }
-
-    fn aggregate(&self, outcomes: impl Iterator<Item = AsymmetricPoint>) -> Vec<AsymmetricPoint> {
-        outcomes.collect()
-    }
-}
-
 /// Base id of the reverse-trace packet-id namespace (disjoint from forward
 /// trace ids and from cross-trace ids at `1 << 40`).
 const REVERSE_ID_BASE: u64 = 1 << 39;
 
-/// Generate the four base traces of an asymmetric sweep: forward regular,
-/// its reversed mirror, and one cross trace per direction.
-pub fn asymmetric_traces(cfg: &AsymmetricConfig) -> (Trace, Trace, Trace, Trace) {
-    let fwd_cfg = TwoHopConfig::paper(cfg.seed, cfg.duration);
-    let forward_regular = generate(&fwd_cfg.regular_trace());
+/// Run the asymmetric sweep over four base traces generated from the
+/// config: forward regular, its reversed mirror (so flows pair up), and
+/// one cross trace per direction.
+pub fn run_asymmetric(cfg: &AsymmetricConfig, runner: &SweepRunner) -> Vec<AsymmetricPoint> {
+    let base = TwoHopConfig::paper(cfg.seed, cfg.duration);
+    let forward_regular = generate(&base.regular_trace());
     let reverse_regular = reverse(&forward_regular, REVERSE_ID_BASE);
-    let forward_cross = generate(&fwd_cfg.cross_trace());
+    let forward_cross = generate(&base.cross_trace());
     let reverse_cross = {
-        let mut tc = fwd_cfg.cross_trace();
+        let mut tc = base.cross_trace();
         tc.seed ^= 0x4153_594D; // "ASYM": an independent reverse-path workload
         generate(&tc)
     };
-    (
-        forward_regular,
-        reverse_regular,
-        forward_cross,
-        reverse_cross,
-    )
-}
+    let direction_cfg = |seed: u64, target: f64, tandem: TandemConfig| {
+        let mut two_hop = TwoHopConfig::paper(seed, cfg.duration);
+        two_hop.policy = cfg.policy.clone();
+        two_hop.interpolator = cfg.interpolator;
+        two_hop.cross = CrossSpec::Uniform {
+            target_utilization: target,
+        };
+        two_hop.min_flow_packets = cfg.min_flow_packets;
+        two_hop.tandem = tandem;
+        two_hop
+    };
+    runner.map(
+        cfg.seed,
+        &cfg.reverse_utilizations,
+        |ctx, &reverse_target| {
+            // Two independent pipelines — different queues per direction. Each
+            // direction's injector draws from its own derived stream.
+            let fwd_cfg = direction_cfg(ctx.seed, cfg.forward_utilization, cfg.forward_tandem);
+            let rev_cfg = direction_cfg(
+                ctx.seed ^ 0x0E5E_D0F0_0E5E_D0F0,
+                reverse_target,
+                cfg.reverse_tandem,
+            );
+            let fwd = run_two_hop_on(&fwd_cfg, &forward_regular, &forward_cross);
+            let rev = run_two_hop_on(&rev_cfg, &reverse_regular, &reverse_cross);
 
-/// Run the asymmetric sweep, generating traces from the config.
-pub fn run_asymmetric(cfg: &AsymmetricConfig, runner: &SweepRunner) -> Vec<AsymmetricPoint> {
-    let (fr, rr, fc, rc) = asymmetric_traces(cfg);
-    runner.run(&AsymmetricSweep::new(cfg, &fr, &rr, &fc, &rc))
+            // Pair flows across directions via key reversal and judge the RTT
+            // estimate and per-direction attribution.
+            let rev_rows: FxHashMap<FlowKey, (f64, f64)> = rev
+                .flows
+                .report(cfg.min_flow_packets)
+                .filter_map(|r| r.true_mean.map(|t| (r.flow, (r.est_mean, t))))
+                .collect();
+            let mut rtt_errors = Vec::new();
+            let mut attributed = 0usize;
+            let mut paired = 0usize;
+            for row in fwd.flows.report(cfg.min_flow_packets) {
+                let Some(t_fwd) = row.true_mean else { continue };
+                let Some(&(e_rev, t_rev)) = rev_rows.get(&reverse_flow(&row.flow)) else {
+                    continue;
+                };
+                paired += 1;
+                let est_rtt = row.est_mean + e_rev;
+                let true_rtt = t_fwd + t_rev;
+                let err = rlir_stats::relative_error(est_rtt, true_rtt);
+                if err.is_finite() {
+                    rtt_errors.push(err);
+                }
+                if (e_rev > row.est_mean) == (t_rev > t_fwd) {
+                    attributed += 1;
+                }
+            }
+            let median = |v: Vec<f64>| {
+                Ecdf::new(v.into_iter().filter(|x| x.is_finite()).collect())
+                    .median()
+                    .unwrap_or(f64::NAN)
+            };
+            AsymmetricPoint {
+                target_reverse_utilization: reverse_target,
+                forward_utilization: fwd.utilization,
+                reverse_utilization: rev.utilization,
+                forward_median_error: median(fwd.mean_errors),
+                reverse_median_error: median(rev.mean_errors),
+                rtt_median_error: median(rtt_errors),
+                attribution_accuracy: if paired == 0 {
+                    f64::NAN
+                } else {
+                    attributed as f64 / paired as f64
+                },
+                paired_flows: paired,
+                forward_epochs: fwd.epochs,
+                reverse_epochs: rev.epochs,
+            }
+        },
+    )
 }
 
 #[cfg(test)]

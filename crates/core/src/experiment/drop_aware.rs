@@ -29,7 +29,7 @@
 //! downstream.
 
 use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
-use rlir_exec::{PointContext, Scenario, SweepRunner};
+use rlir_exec::SweepRunner;
 use rlir_net::clock::ClockModel;
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::SimDuration;
@@ -150,42 +150,20 @@ fn ref_key() -> FlowKey {
     )
 }
 
-/// The sweep as a [`Scenario`]: one offered load per point.
-pub struct DropAwareSweep<'a> {
-    cfg: &'a DropAwareConfig,
-}
-
-impl<'a> DropAwareSweep<'a> {
-    /// Build from configuration.
-    pub fn new(cfg: &'a DropAwareConfig) -> Self {
-        DropAwareSweep { cfg }
-    }
-}
-
-impl Scenario for DropAwareSweep<'_> {
-    type Point = f64;
-    type Outcome = DropAwarePoint;
-    type Aggregate = Vec<DropAwarePoint>;
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn points(&self) -> Vec<f64> {
-        self.cfg.offered_loads.clone()
-    }
-
-    fn run_point(&self, ctx: &PointContext, &offered_load: &f64) -> DropAwarePoint {
+/// Run the drop-aware sweep through the shared executor: one offered load
+/// per point.
+pub fn run_drop_aware(cfg: &DropAwareConfig, runner: &SweepRunner) -> Vec<DropAwarePoint> {
+    runner.map(cfg.seed, &cfg.offered_loads, |ctx, &offered_load| {
         // Workload: one trace aimed at the bottleneck's rate fraction.
-        let mut tc = TraceConfig::paper_regular(ctx.seed, self.cfg.duration);
-        tc.link_rate_bps = self.cfg.bottleneck_queue.rate_bps;
+        let mut tc = TraceConfig::paper_regular(ctx.seed, cfg.duration);
+        tc.link_rate_bps = cfg.bottleneck_queue.rate_bps;
         tc.target_utilization = offered_load;
         let trace = generate(&tc);
 
         let mut sender = RliSender::new(
             SenderId(1),
             ClockModel::perfect(),
-            self.cfg.policy.build(),
+            cfg.policy.build(),
             vec![ref_key()],
         );
         let mut injections: Vec<(NodeId, Packet)> = Vec::new();
@@ -199,17 +177,11 @@ impl Scenario for DropAwareSweep<'_> {
         let mut net = Network::default();
         net.add_node("S0");
         net.add_node("S1");
-        net.add_port(
-            S0,
-            Port::to_switch(self.cfg.ingress_queue, S1, self.cfg.link_delay),
-        );
-        net.add_port(
-            S1,
-            Port::to_host(self.cfg.bottleneck_queue, self.cfg.link_delay),
-        );
+        net.add_port(S0, Port::to_switch(cfg.ingress_queue, S1, cfg.link_delay));
+        net.add_port(S1, Port::to_host(cfg.bottleneck_queue, cfg.link_delay));
 
         let mut plane = MeasurementPlane::with_config(PlaneConfig {
-            epoch: self.cfg.epoch,
+            epoch: cfg.epoch,
             ..PlaneConfig::default()
         });
         // Live tap at S0's egress: dequeue events leave one FIFO in
@@ -283,16 +255,7 @@ impl Scenario for DropAwareSweep<'_> {
             epochs: live_rep.report.epochs,
             peak_pending: delivered_rep.peak_pending,
         }
-    }
-
-    fn aggregate(&self, outcomes: impl Iterator<Item = DropAwarePoint>) -> Vec<DropAwarePoint> {
-        outcomes.collect()
-    }
-}
-
-/// Run the drop-aware sweep through the shared executor.
-pub fn run_drop_aware(cfg: &DropAwareConfig, runner: &SweepRunner) -> Vec<DropAwarePoint> {
-    runner.run(&DropAwareSweep::new(cfg))
+    })
 }
 
 #[cfg(test)]

@@ -807,53 +807,6 @@ fn attach_rlir_taps<'a>(
     (plane, seg1_taps)
 }
 
-/// A labeled batch of fat-tree runs (demux ablations, incast fan-in
-/// sweeps, …) executed by the shared [`rlir_exec::SweepRunner`]. Each point
-/// is a self-contained config; runs are independent and seed-deterministic.
-pub struct FatTreeSweep {
-    /// Master seed for point-context derivation.
-    pub seed: u64,
-    /// `(label, config)` per point.
-    pub points: Vec<(String, FatTreeExpConfig)>,
-}
-
-impl rlir_exec::Scenario for FatTreeSweep {
-    type Point = (String, FatTreeExpConfig);
-    type Outcome = (String, FatTreeOutcome);
-    type Aggregate = Vec<(String, FatTreeOutcome)>;
-
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn points(&self) -> Vec<(String, FatTreeExpConfig)> {
-        self.points.clone()
-    }
-
-    fn run_point(
-        &self,
-        _ctx: &rlir_exec::PointContext,
-        (label, cfg): &(String, FatTreeExpConfig),
-    ) -> (String, FatTreeOutcome) {
-        (label.clone(), run_fattree(cfg))
-    }
-
-    fn aggregate(
-        &self,
-        outcomes: impl Iterator<Item = (String, FatTreeOutcome)>,
-    ) -> Vec<(String, FatTreeOutcome)> {
-        outcomes.collect()
-    }
-}
-
-/// Run a labeled fat-tree batch through the shared executor.
-pub fn run_fattree_sweep(
-    sweep: &FatTreeSweep,
-    runner: &rlir_exec::SweepRunner,
-) -> Vec<(String, FatTreeOutcome)> {
-    runner.run(sweep)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,7 +19,7 @@
 use super::fattree::{run_fattree_faulted, FatTreeExpConfig};
 use super::localize::{expected_segments, victim_pool};
 use crate::detect::DetectorConfig;
-use rlir_exec::{PointContext, Scenario, SweepRunner};
+use rlir_exec::SweepRunner;
 use rlir_net::time::SimDuration;
 use rlir_sim::{FaultEvent, FaultKind, FaultScript};
 use rlir_topo::FatTree;
@@ -107,52 +107,26 @@ pub struct FaultsPoint {
     pub mean_ttl_ns: f64,
 }
 
-/// The sweep as a [`Scenario`]: `utilizations × onsets × trials` points,
-/// victim drawn per point from the derived seed (thread-count invariant,
-/// like every sweep here).
-pub struct FaultsSweep<'a> {
-    cfg: &'a FaultsConfig,
-}
-
-impl<'a> FaultsSweep<'a> {
-    /// Build from configuration.
-    pub fn new(cfg: &'a FaultsConfig) -> Self {
-        FaultsSweep { cfg }
-    }
-}
-
-impl Scenario for FaultsSweep<'_> {
-    type Point = (f64, u64, usize);
-    type Outcome = FaultsTrial;
-    type Aggregate = Vec<FaultsPoint>;
-
-    fn seed(&self) -> u64 {
-        self.cfg.base.seed
-    }
-
-    fn points(&self) -> Vec<(f64, u64, usize)> {
-        self.cfg
-            .utilizations
-            .iter()
-            .flat_map(|&u| {
-                self.cfg
-                    .onsets
-                    .iter()
-                    .flat_map(move |&o| (0..self.cfg.trials).map(move |t| (u, o.as_nanos(), t)))
-            })
-            .collect()
-    }
-
-    fn run_point(
-        &self,
-        ctx: &PointContext,
-        &(utilization, onset_ns, _trial): &(f64, u64, usize),
-    ) -> FaultsTrial {
-        let mut cfg = self.cfg.base.clone();
-        cfg.seed = ctx.seed; // fresh workload per trial, seed-derived
-        cfg.background_load = utilization;
-        let tree = FatTree::new(cfg.k, cfg.hash);
-        let pool = victim_pool(&cfg, &tree);
+/// Run the closed-loop fault sweep through the shared executor:
+/// `utilizations × onsets × trials` points, victim drawn per point from the
+/// derived seed (thread-count invariant, like every sweep here), trials
+/// folded per `(utilization, onset)` cell.
+pub fn run_faults(cfg: &FaultsConfig, runner: &SweepRunner) -> Vec<FaultsPoint> {
+    let grid: Vec<(f64, u64)> = cfg
+        .utilizations
+        .iter()
+        .flat_map(|&u| {
+            cfg.onsets
+                .iter()
+                .flat_map(move |o| std::iter::repeat_n((u, o.as_nanos()), cfg.trials))
+        })
+        .collect();
+    let trials = runner.map(cfg.base.seed, &grid, |ctx, &(utilization, onset_ns)| {
+        let mut run_cfg = cfg.base.clone();
+        run_cfg.seed = ctx.seed; // fresh workload per trial, seed-derived
+        run_cfg.background_load = utilization;
+        let tree = FatTree::new(run_cfg.k, run_cfg.hash);
+        let pool = victim_pool(&run_cfg, &tree);
         // Victim draw: one multiplicative hash step of the derived seed —
         // deterministic in (config, point index), independent of threads.
         let draw = (ctx.seed.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as usize;
@@ -162,12 +136,12 @@ impl Scenario for FaultsSweep<'_> {
             at: onset,
             kind: FaultKind::SlowSwitch {
                 node: victim,
-                extra: self.cfg.extra_processing,
+                extra: cfg.extra_processing,
             },
         }]);
 
-        let run = run_fattree_faulted(&cfg, Some(&script), Some(&self.cfg.detector));
-        let expected = expected_segments(&cfg, &tree, victim);
+        let run = run_fattree_faulted(&run_cfg, Some(&script), Some(&cfg.detector));
+        let expected = expected_segments(&run_cfg, &tree, victim);
         let detection = run.detection;
         let false_positive = detection
             .as_ref()
@@ -184,50 +158,42 @@ impl Scenario for FaultsSweep<'_> {
             score: detection.as_ref().map_or(f64::NAN, |d| d.score),
             events: run.events,
         }
-    }
-
-    fn aggregate(&self, outcomes: impl Iterator<Item = FaultsTrial>) -> Vec<FaultsPoint> {
-        let mut points: Vec<FaultsPoint> = Vec::new();
-        let mut ttl_sum = 0.0f64;
-        for trial in outcomes {
-            // Outcomes arrive in point order: trials of one
-            // (utilization, onset) cell are contiguous.
-            let same = points.last().is_some_and(|p| {
-                p.utilization == trial.utilization && p.onset_ns == trial.onset_ns
+    });
+    let mut points: Vec<FaultsPoint> = Vec::new();
+    let mut ttl_sum = 0.0f64;
+    for trial in trials {
+        // Outcomes arrive in point order: trials of one
+        // (utilization, onset) cell are contiguous.
+        let same = points
+            .last()
+            .is_some_and(|p| p.utilization == trial.utilization && p.onset_ns == trial.onset_ns);
+        if !same {
+            ttl_sum = 0.0;
+            points.push(FaultsPoint {
+                utilization: trial.utilization,
+                onset_ns: trial.onset_ns,
+                trials: 0,
+                detected: 0,
+                correct: 0,
+                false_positives: 0,
+                mean_ttl_ns: f64::NAN,
             });
-            if !same {
-                ttl_sum = 0.0;
-                points.push(FaultsPoint {
-                    utilization: trial.utilization,
-                    onset_ns: trial.onset_ns,
-                    trials: 0,
-                    detected: 0,
-                    correct: 0,
-                    false_positives: 0,
-                    mean_ttl_ns: f64::NAN,
-                });
-            }
-            let p = points.last_mut().expect("just ensured");
-            p.trials += 1;
-            if trial.false_positive {
-                p.false_positives += 1;
-            }
-            if let Some(ttl) = trial.ttl_ns {
-                p.detected += 1;
-                ttl_sum += ttl as f64;
-                p.mean_ttl_ns = ttl_sum / p.detected as f64;
-            }
-            if trial.correct {
-                p.correct += 1;
-            }
         }
-        points
+        let p = points.last_mut().expect("just ensured");
+        p.trials += 1;
+        if trial.false_positive {
+            p.false_positives += 1;
+        }
+        if let Some(ttl) = trial.ttl_ns {
+            p.detected += 1;
+            ttl_sum += ttl as f64;
+            p.mean_ttl_ns = ttl_sum / p.detected as f64;
+        }
+        if trial.correct {
+            p.correct += 1;
+        }
     }
-}
-
-/// Run the closed-loop fault sweep through the shared executor.
-pub fn run_faults(cfg: &FaultsConfig, runner: &SweepRunner) -> Vec<FaultsPoint> {
-    runner.run(&FaultsSweep::new(cfg))
+    points
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! reporting per-flow estimate accuracy per segment as the bursts steepen.
 
 use super::fattree::{run_fattree, FatTreeExpConfig, FatTreeOutcome};
-use rlir_exec::{PointContext, Scenario, SweepRunner};
+use rlir_exec::SweepRunner;
 use rlir_net::time::SimDuration;
 use rlir_rli::EpochSnapshot;
 use rlir_stats::Ecdf;
@@ -91,51 +91,20 @@ impl IncastPoint {
     }
 }
 
-/// The incast sweep as a [`Scenario`]: one fan-in degree per point.
-pub struct IncastSweep<'a> {
-    cfg: &'a IncastConfig,
-}
-
-impl<'a> IncastSweep<'a> {
-    /// Build from configuration.
-    pub fn new(cfg: &'a IncastConfig) -> Self {
-        IncastSweep { cfg }
-    }
-}
-
-impl Scenario for IncastSweep<'_> {
-    type Point = usize;
-    type Outcome = IncastPoint;
-    type Aggregate = Vec<IncastPoint>;
-
-    fn seed(&self) -> u64 {
-        self.cfg.base.seed
-    }
-
-    fn points(&self) -> Vec<usize> {
-        self.cfg.fan_in.clone()
-    }
-
-    fn run_point(&self, _ctx: &PointContext, &fan_in: &usize) -> IncastPoint {
+/// Run the incast sweep through the shared executor: one fan-in degree per
+/// point.
+pub fn run_incast(cfg: &IncastConfig, runner: &SweepRunner) -> Vec<IncastPoint> {
+    runner.map(cfg.base.seed, &cfg.fan_in, |_, &fan_in| {
         // The seed is deliberately held fixed across points (like the demux
         // ablation): the fan-in degree is the only variable, so adjacent
         // points differ by burst pressure alone, not trace-regeneration
         // noise. Determinism does not need per-point seeds here — the
         // config already differs per point.
-        let mut cfg = self.cfg.base.clone();
-        cfg.n_src_tors = fan_in;
-        cfg.burst = Some(self.cfg.burst);
-        IncastPoint::from_outcome(fan_in, run_fattree(&cfg))
-    }
-
-    fn aggregate(&self, outcomes: impl Iterator<Item = IncastPoint>) -> Vec<IncastPoint> {
-        outcomes.collect()
-    }
-}
-
-/// Run the incast sweep through the shared executor.
-pub fn run_incast(cfg: &IncastConfig, runner: &SweepRunner) -> Vec<IncastPoint> {
-    runner.run(&IncastSweep::new(cfg))
+        let mut run_cfg = cfg.base.clone();
+        run_cfg.n_src_tors = fan_in;
+        run_cfg.burst = Some(cfg.burst);
+        IncastPoint::from_outcome(fan_in, run_fattree(&run_cfg))
+    })
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 use super::fattree::{run_fattree, FatTreeExpConfig, SwitchAnomaly};
 use crate::localization::{localize, LocalizerConfig};
 use crate::plane::localize_epoch_series;
-use rlir_exec::{PointContext, Scenario, SweepRunner};
+use rlir_exec::SweepRunner;
 use rlir_net::time::SimDuration;
 use rlir_rli::{merge_epoch_series, EpochSnapshot};
 use rlir_topo::{FatTree, Role, TopoId};
@@ -169,19 +169,6 @@ pub(crate) fn expected_segments(
     }
 }
 
-/// The sweep as a [`Scenario`]: `utilizations × trials` points, victim
-/// drawn per point from the derived seed.
-pub struct LocalizeSweep<'a> {
-    cfg: &'a LocalizeConfig,
-}
-
-impl<'a> LocalizeSweep<'a> {
-    /// Build from configuration.
-    pub fn new(cfg: &'a LocalizeConfig) -> Self {
-        LocalizeSweep { cfg }
-    }
-}
-
 /// Full output of the localization sweep: the per-utilization aggregates
 /// plus every trial (the registry's per-epoch series export reads the
 /// trials).
@@ -193,45 +180,34 @@ pub struct LocalizeReport {
     pub trials: Vec<LocalizeTrial>,
 }
 
-impl Scenario for LocalizeSweep<'_> {
-    type Point = (f64, usize);
-    type Outcome = LocalizeTrial;
-    type Aggregate = LocalizeReport;
-
-    fn seed(&self) -> u64 {
-        self.cfg.base.seed
-    }
-
-    fn points(&self) -> Vec<(f64, usize)> {
-        self.cfg
-            .utilizations
-            .iter()
-            .flat_map(|&u| (0..self.cfg.trials).map(move |t| (u, t)))
-            .collect()
-    }
-
-    fn run_point(
-        &self,
-        ctx: &PointContext,
-        &(utilization, _trial): &(f64, usize),
-    ) -> LocalizeTrial {
-        let mut cfg = self.cfg.base.clone();
-        cfg.seed = ctx.seed; // fresh workload per trial, seed-derived
-        cfg.background_load = utilization;
-        let tree = FatTree::new(cfg.k, cfg.hash);
-        let pool = victim_pool(&cfg, &tree);
+/// Run the localization sweep through the shared executor:
+/// `utilizations × trials` points, victim drawn per point from the derived
+/// seed. Returns the per-utilization aggregates *and* the trials (they
+/// carry the per-epoch victim series and onset times).
+pub fn run_localize(cfg: &LocalizeConfig, runner: &SweepRunner) -> LocalizeReport {
+    let grid: Vec<f64> = cfg
+        .utilizations
+        .iter()
+        .flat_map(|&u| std::iter::repeat_n(u, cfg.trials))
+        .collect();
+    let trials = runner.map(cfg.base.seed, &grid, |ctx, &utilization| {
+        let mut run_cfg = cfg.base.clone();
+        run_cfg.seed = ctx.seed; // fresh workload per trial, seed-derived
+        run_cfg.background_load = utilization;
+        let tree = FatTree::new(run_cfg.k, run_cfg.hash);
+        let pool = victim_pool(&run_cfg, &tree);
         // Victim draw: one multiplicative hash step of the derived seed —
         // deterministic in (config, point index), independent of threads.
         let draw = (ctx.seed.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as usize;
         let victim = pool[draw % pool.len()];
-        cfg.switch_anomaly = Some(SwitchAnomaly {
+        run_cfg.switch_anomaly = Some(SwitchAnomaly {
             node: victim,
-            extra_processing: self.cfg.extra_processing,
+            extra_processing: cfg.extra_processing,
         });
 
-        let out = run_fattree(&cfg);
-        let findings = localize(&out.segments, &self.cfg.localizer);
-        let expected = expected_segments(&cfg, &tree, victim);
+        let out = run_fattree(&run_cfg);
+        let findings = localize(&out.segments, &cfg.localizer);
+        let expected = expected_segments(&run_cfg, &tree, victim);
         let top = findings.first();
         // The epoch dimension: rank segments per epoch and record when the
         // victim first stood out, plus its merged time-series.
@@ -242,7 +218,7 @@ impl Scenario for LocalizeSweep<'_> {
                     .iter()
                     .map(|(n, s)| (n.as_str(), s.as_slice()))
                     .collect();
-                let per_epoch = localize_epoch_series(&series, epoch_ns, &self.cfg.localizer);
+                let per_epoch = localize_epoch_series(&series, epoch_ns, &cfg.localizer);
                 let onset = per_epoch
                     .iter()
                     .find(|ef| ef.findings.iter().any(|f| expected.contains(&f.name)))
@@ -267,65 +243,48 @@ impl Scenario for LocalizeSweep<'_> {
             onset_ns,
             victim_epochs,
         }
-    }
-
-    fn aggregate(&self, outcomes: impl Iterator<Item = LocalizeTrial>) -> LocalizeReport {
-        let mut points: Vec<LocalizePoint> = Vec::with_capacity(self.cfg.utilizations.len());
-        let mut trials: Vec<LocalizeTrial> = Vec::new();
-        let mut severity_sum = 0.0f64;
-        let mut onset_sum = 0.0f64;
-        for trial in outcomes {
-            // Outcomes arrive in point order: trials of one utilization are
-            // contiguous.
-            let same = points
-                .last()
-                .is_some_and(|p| p.utilization == trial.utilization);
-            if !same {
-                severity_sum = 0.0;
-                onset_sum = 0.0;
-                points.push(LocalizePoint {
-                    utilization: trial.utilization,
-                    trials: 0,
-                    correct: 0,
-                    flagged: 0,
-                    accuracy: 0.0,
-                    mean_severity: f64::NAN,
-                    onsets: 0,
-                    mean_onset_ns: f64::NAN,
-                });
-            }
-            let p = points.last_mut().expect("just ensured");
-            p.trials += 1;
-            if trial.correct {
-                p.correct += 1;
-            }
-            if trial.severity.is_finite() {
-                p.flagged += 1;
-                severity_sum += trial.severity;
-                p.mean_severity = severity_sum / p.flagged as f64;
-            }
-            if let Some(onset) = trial.onset_ns {
-                p.onsets += 1;
-                onset_sum += onset as f64;
-                p.mean_onset_ns = onset_sum / p.onsets as f64;
-            }
-            p.accuracy = p.correct as f64 / p.trials as f64;
-            trials.push(trial);
+    });
+    let mut points: Vec<LocalizePoint> = Vec::with_capacity(cfg.utilizations.len());
+    let mut severity_sum = 0.0f64;
+    let mut onset_sum = 0.0f64;
+    for trial in &trials {
+        // Trials arrive in point order: trials of one utilization are
+        // contiguous.
+        let same = points
+            .last()
+            .is_some_and(|p| p.utilization == trial.utilization);
+        if !same {
+            severity_sum = 0.0;
+            onset_sum = 0.0;
+            points.push(LocalizePoint {
+                utilization: trial.utilization,
+                trials: 0,
+                correct: 0,
+                flagged: 0,
+                accuracy: 0.0,
+                mean_severity: f64::NAN,
+                onsets: 0,
+                mean_onset_ns: f64::NAN,
+            });
         }
-        LocalizeReport { points, trials }
+        let p = points.last_mut().expect("just ensured");
+        p.trials += 1;
+        if trial.correct {
+            p.correct += 1;
+        }
+        if trial.severity.is_finite() {
+            p.flagged += 1;
+            severity_sum += trial.severity;
+            p.mean_severity = severity_sum / p.flagged as f64;
+        }
+        if let Some(onset) = trial.onset_ns {
+            p.onsets += 1;
+            onset_sum += onset as f64;
+            p.mean_onset_ns = onset_sum / p.onsets as f64;
+        }
+        p.accuracy = p.correct as f64 / p.trials as f64;
     }
-}
-
-/// Run the localization sweep through the shared executor, returning the
-/// per-utilization aggregates.
-pub fn run_localize(cfg: &LocalizeConfig, runner: &SweepRunner) -> Vec<LocalizePoint> {
-    run_localize_full(cfg, runner).points
-}
-
-/// Run the localization sweep and return aggregates *and* trials (the
-/// trials carry the per-epoch victim series and onset times).
-pub fn run_localize_full(cfg: &LocalizeConfig, runner: &SweepRunner) -> LocalizeReport {
-    runner.run(&LocalizeSweep::new(cfg))
+    LocalizeReport { points, trials }
 }
 
 #[cfg(test)]
@@ -343,7 +302,7 @@ mod tests {
 
     #[test]
     fn localizes_random_victims_at_low_load() {
-        let rep = run_localize_full(&quick_cfg(), &SweepRunner::single());
+        let rep = run_localize(&quick_cfg(), &SweepRunner::single());
         let pts = &rep.points;
         assert_eq!(pts.len(), 2);
         for p in pts {
@@ -418,8 +377,8 @@ mod tests {
             c.utilizations = vec![0.1];
             c
         };
-        let a = run_localize(&cfg, &SweepRunner::single());
-        let b = run_localize(&cfg, &SweepRunner::new(2));
+        let a = run_localize(&cfg, &SweepRunner::single()).points;
+        let b = run_localize(&cfg, &SweepRunner::new(2)).points;
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.utilization.to_bits(), y.utilization.to_bits());

@@ -4,15 +4,15 @@
 //! packets." For each bottleneck-utilization point the sweep runs the
 //! two-hop pipeline twice with identical seeds — once with reference
 //! injection, once without — and reports the difference in end-to-end
-//! regular-packet loss rate. The sweep is a [`Scenario`] executed by the
-//! shared [`SweepRunner`]; each pair shares the same base traces (mirroring
+//! regular-packet loss rate. The sweep runs on the shared
+//! [`SweepRunner`]; each pair shares the same base traces (mirroring
 //! the paper's reuse of one trace across utilization settings) while the
 //! cross-traffic injector of each point draws from its own derived seed.
 
 use super::two_hop::{run_two_hop_on, CrossSpec, TwoHopConfig};
-use rlir_exec::{PointContext, Scenario, SweepRunner};
+use rlir_exec::SweepRunner;
 use rlir_rli::PolicyKind;
-use rlir_trace::{generate, Trace};
+use rlir_trace::Trace;
 use serde::{Deserialize, Serialize};
 
 /// One point of the Fig. 5 series.
@@ -62,43 +62,19 @@ impl LossSweepConfig {
     }
 }
 
-/// The Fig. 5 sweep as a [`Scenario`]: one target-utilization point per
-/// sweep point, a with/without-references pair per `run_point`.
-pub struct LossSweep<'a> {
-    cfg: &'a LossSweepConfig,
-    regular: &'a Trace,
-    cross: &'a Trace,
-}
-
-impl<'a> LossSweep<'a> {
-    /// A sweep over pre-generated base traces.
-    pub fn new(cfg: &'a LossSweepConfig, regular: &'a Trace, cross: &'a Trace) -> Self {
-        LossSweep {
-            cfg,
-            regular,
-            cross,
-        }
-    }
-}
-
-impl Scenario for LossSweep<'_> {
-    type Point = f64;
-    type Outcome = LossPoint;
-    type Aggregate = Vec<LossPoint>;
-
-    fn seed(&self) -> u64 {
-        self.cfg.base.seed
-    }
-
-    fn points(&self) -> Vec<f64> {
-        self.cfg.targets.clone()
-    }
-
-    fn run_point(&self, ctx: &PointContext, &target: &f64) -> LossPoint {
+/// Run the sweep over pre-generated base traces: one [`LossPoint`] per
+/// target utilization, in order, each a with/without-references pair.
+pub fn run_loss_sweep_on(
+    cfg: &LossSweepConfig,
+    regular: &Trace,
+    cross: &Trace,
+    runner: &SweepRunner,
+) -> Vec<LossPoint> {
+    runner.map(cfg.base.seed, &cfg.targets, |ctx, &target| {
         // Both arms of the pair share the point's derived seed, so the
         // cross-traffic injector drops the *same* packets — the measured
         // difference isolates the reference packets.
-        let mut with_cfg = self.cfg.base.clone();
+        let mut with_cfg = cfg.base.clone();
         with_cfg.seed = ctx.seed;
         with_cfg.cross = CrossSpec::Uniform {
             target_utilization: target,
@@ -107,8 +83,8 @@ impl Scenario for LossSweep<'_> {
         let mut without_cfg = with_cfg.clone();
         without_cfg.inject_references = false;
 
-        let with = run_two_hop_on(&with_cfg, self.regular, self.cross);
-        let without = run_two_hop_on(&without_cfg, self.regular, self.cross);
+        let with = run_two_hop_on(&with_cfg, regular, cross);
+        let without = run_two_hop_on(&without_cfg, regular, cross);
         LossPoint {
             target_utilization: target,
             utilization: with.utilization,
@@ -116,44 +92,24 @@ impl Scenario for LossSweep<'_> {
             loss_without_refs: without.regular_loss,
             refs_emitted: with.refs_emitted,
         }
-    }
-
-    fn aggregate(&self, outcomes: impl Iterator<Item = LossPoint>) -> Vec<LossPoint> {
-        outcomes.collect()
-    }
-}
-
-/// Run the sweep; one `LossPoint` per target utilization, in order. Traces
-/// are generated from the config; the worker count comes from the
-/// environment ([`SweepRunner::from_env`]).
-pub fn run_loss_sweep(cfg: &LossSweepConfig) -> Vec<LossPoint> {
-    // Base traces shared by all points and both arms of each pair.
-    let regular = generate(&cfg.base.regular_trace());
-    let cross = generate(&cfg.base.cross_trace());
-    run_loss_sweep_on(cfg, &regular, &cross, &SweepRunner::from_env())
-}
-
-/// Sweep over pre-generated traces on an explicit [`SweepRunner`].
-pub fn run_loss_sweep_on(
-    cfg: &LossSweepConfig,
-    regular: &Trace,
-    cross: &Trace,
-    runner: &SweepRunner,
-) -> Vec<LossPoint> {
-    runner.run(&LossSweep::new(cfg, regular, cross))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rlir_net::time::SimDuration;
+    use rlir_trace::generate;
 
     fn small_sweep(policy: PolicyKind, targets: Vec<f64>) -> Vec<LossPoint> {
         let base = TwoHopConfig {
             policy: policy.clone(),
             ..TwoHopConfig::paper(3, SimDuration::from_millis(40))
         };
-        run_loss_sweep(&LossSweepConfig { base, targets })
+        let regular = generate(&base.regular_trace());
+        let cross = generate(&base.cross_trace());
+        let cfg = LossSweepConfig { base, targets };
+        run_loss_sweep_on(&cfg, &regular, &cross, &SweepRunner::single())
     }
 
     #[test]

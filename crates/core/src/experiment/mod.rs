@@ -1,17 +1,17 @@
 //! Ready-made experiment harnesses reproducing the paper's evaluation.
 //!
-//! Every harness is a [`rlir_exec::Scenario`] executed by the shared
-//! [`rlir_exec::SweepRunner`] — one worker pool, deterministic point order,
-//! derived per-point seeds, thread-count-invariant results.
+//! Every sweep maps its points through the shared
+//! [`rlir_exec::SweepRunner::map`] — one worker pool, deterministic point
+//! order, derived per-point seeds, thread-count-invariant results.
 //!
 //! * [`two_hop`] — the Fig. 3 controlled environment behind Figs. 4(a)–(c)
 //!   (per-flow accuracy under cross traffic) and Fig. 5 (reference-packet
-//!   interference); [`two_hop::TwoHopSweep`] runs labeled config grids.
+//!   interference).
 //! * [`loss_sweep`] — the paired with/without-references utilization sweep
 //!   of Fig. 5.
 //! * [`fattree`] — the §3 RLIR architecture on a k-ary fat-tree: partial
 //!   deployment, reference-stream engineering, demultiplexing ablations and
-//!   anomaly localization; [`fattree::FatTreeSweep`] runs labeled batches.
+//!   anomaly localization.
 //! * [`asymmetric`] — round-trip measurement when forward and reverse
 //!   traverse different queues: per-direction RLI attribution under
 //!   progressively asymmetric load.
@@ -48,25 +48,22 @@ pub mod plane_scale;
 pub mod replay;
 pub mod two_hop;
 
-pub use asymmetric::{
-    asymmetric_traces, run_asymmetric, AsymmetricConfig, AsymmetricPoint, AsymmetricSweep,
-};
+pub use asymmetric::{run_asymmetric, AsymmetricConfig, AsymmetricPoint};
 pub use chaos::{run_chaos, ChaosCampaign, ChaosCampaignConfig, ChaosReport, IngestLeg};
-pub use drop_aware::{run_drop_aware, DropAwareConfig, DropAwarePoint, DropAwareSweep};
+pub use drop_aware::{run_drop_aware, DropAwareConfig, DropAwarePoint};
 pub use fattree::{
-    background_injections, measured_traces, run_fattree, run_fattree_faulted, run_fattree_sweep,
-    ClosedLoopOutcome, CoreAnomaly, FatTreeExpConfig, FatTreeOutcome, FatTreeSweep, SwitchAnomaly,
+    background_injections, measured_traces, run_fattree, run_fattree_faulted, ClosedLoopOutcome,
+    CoreAnomaly, FatTreeExpConfig, FatTreeOutcome, SwitchAnomaly,
 };
-pub use faults::{run_faults, FaultsConfig, FaultsPoint, FaultsSweep, FaultsTrial};
-pub use incast::{run_incast, IncastConfig, IncastPoint, IncastSweep};
+pub use faults::{run_faults, FaultsConfig, FaultsPoint, FaultsTrial};
+pub use incast::{run_incast, IncastConfig, IncastPoint};
 pub use localize::{
-    run_localize, run_localize_full, victim_pool, LocalizeConfig, LocalizePoint, LocalizeReport,
-    LocalizeSweep, LocalizeTrial,
+    run_localize, victim_pool, LocalizeConfig, LocalizePoint, LocalizeReport, LocalizeTrial,
 };
-pub use loss_sweep::{run_loss_sweep, run_loss_sweep_on, LossPoint, LossSweep, LossSweepConfig};
+pub use loss_sweep::{run_loss_sweep_on, LossPoint, LossSweepConfig};
 pub use plane_scale::{run_plane_scale, PlaneScaleConfig, PlaneScaleOutcome, StateSample};
 pub use replay::{run_replay, synth_capture, RefInterleave, ReplayConfig, ReplayOutcome};
 pub use two_hop::{
-    cross_stream, run_two_hop, run_two_hop_on, run_two_hop_sweep, tandem_loss_rate, CrossSpec,
-    TwoHopConfig, TwoHopOutcome, TwoHopPoint, TwoHopSweep,
+    cross_stream, run_two_hop, run_two_hop_on, tandem_loss_rate, CrossSpec, TwoHopConfig,
+    TwoHopOutcome,
 };

@@ -27,7 +27,6 @@
 
 use crate::capture::{CapturePair, CaptureReport};
 use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
-use rlir_exec::{PointContext, Scenario, SweepRunner};
 use rlir_net::clock::ClockModel;
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::SimDuration;
@@ -160,6 +159,11 @@ pub struct ReplayOutcome {
     /// bit-identical event/watermark/delivery stream; `None` when the
     /// verification pass was disabled.
     pub ingest_identical: Option<bool>,
+    /// The decode error that ended a strict replay early, if any: the
+    /// stream stopped after [`records_read`](Self::records_read) records,
+    /// and everything above describes only that prefix. Lenient ingest
+    /// ends a damaged capture cleanly instead.
+    pub ingest_error: Option<String>,
     /// RLI tap per-epoch series.
     pub epochs: Vec<EpochSnapshot>,
 }
@@ -308,6 +312,7 @@ struct StreamedRun {
     late_dropped: u64,
     peak_buffered: usize,
     refs_emitted: u64,
+    ingest_error: Option<String>,
 }
 
 /// One streamed replay with the full observer stack.
@@ -374,6 +379,7 @@ fn replay_streamed<R: Read>(
         late_dropped: source.inner().late_dropped(),
         peak_buffered: source.inner().peak_buffered(),
         refs_emitted: source.sender().refs_emitted(),
+        ingest_error: source.inner().error().map(|e| e.to_string()),
     }
 }
 
@@ -422,119 +428,85 @@ fn capture_mean_regular_ns(report: &CaptureReport) -> f64 {
     }
 }
 
-/// The replay as a [`Scenario`]: a single point (the capture).
-pub struct ReplayScenario<'a> {
-    cfg: &'a ReplayConfig,
-}
-
-impl<'a> ReplayScenario<'a> {
-    /// Build from configuration.
-    pub fn new(cfg: &'a ReplayConfig) -> Self {
-        ReplayScenario { cfg }
-    }
-}
-
-impl Scenario for ReplayScenario<'_> {
-    type Point = u64;
-    type Outcome = ReplayOutcome;
-    type Aggregate = ReplayOutcome;
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn points(&self) -> Vec<u64> {
-        vec![0]
-    }
-
-    fn run_point(&self, _ctx: &PointContext, _point: &u64) -> ReplayOutcome {
-        let cfg = self.cfg;
-        let entry = EntryMap::parse(&cfg.entry_spec)
-            .and_then(|entry| entry.check(ReplayConfig::NODES).map(|()| entry))
-            .unwrap_or_else(|e| panic!("invalid entry-map spec: {e}"));
-
-        let open_file = |path: &PathBuf| {
-            rlir_trace::open_pcap(path)
-                .unwrap_or_else(|e| panic!("cannot open trace {}: {e:?}", path.display()))
-        };
-
-        let (run, vec_digest) = match &cfg.trace_path {
-            Some(path) => {
-                let run = replay_streamed(cfg, open_file(path), entry.clone());
-                let vec_digest = cfg
-                    .verify_vs_vec
-                    .then(|| replay_vec(cfg, open_file(path), entry));
-                (run, vec_digest)
-            }
-            None => {
-                let bytes = synth_capture(cfg);
-                let run = replay_streamed(
-                    cfg,
-                    PcapRecords::new(bytes.as_slice()).expect("fresh capture"),
-                    entry.clone(),
-                );
-                let vec_digest = cfg.verify_vs_vec.then(|| {
-                    replay_vec(
-                        cfg,
-                        PcapRecords::new(bytes.as_slice()).expect("fresh capture"),
-                        entry,
-                    )
-                });
-                (run, vec_digest)
-            }
-        };
-
-        let truth_mean_ns = if run.truth_n == 0 {
-            f64::NAN
-        } else {
-            run.truth_sum as f64 / run.truth_n as f64
-        };
-        let capture_mean_ns = capture_mean_regular_ns(&run.capture);
-        // An entry past S0 bypasses the pair's first point: nothing regular
-        // is matched, and there is no truth to score against.
-        let rel_err = |est: f64, truth: f64| {
-            if est.is_nan() || truth.is_nan() {
-                f64::NAN
-            } else {
-                rlir_stats::relative_error(est, truth)
-            }
-        };
-        ReplayOutcome {
-            generated_fallback: cfg.trace_path.is_none(),
-            records_read: run.records_read,
-            replayed: run.replayed,
-            late_dropped: run.late_dropped,
-            source_peak_buffered: run.peak_buffered,
-            refs_emitted: run.refs_emitted,
-            delivered: run.stats.delivered,
-            events: run.stats.events,
-            peak_live_slots: run.stats.peak_live_slots,
-            capture_matched: run.capture.matched,
-            capture_expired: run.capture.expired,
-            capture_peak_pending: run.capture.peak_pending,
-            capture_mean_ns,
-            truth_mean_ns,
-            capture_vs_truth_rel_err: rel_err(capture_mean_ns, truth_mean_ns),
-            rli_est_mean_ns: run.est_mean_ns,
-            rli_vs_capture_rel_err: rel_err(run.est_mean_ns, capture_mean_ns),
-            ingest_identical: vec_digest.map(|d| d == run.digest),
-            epochs: run.epochs,
-        }
-    }
-
-    fn aggregate(&self, mut outcomes: impl Iterator<Item = ReplayOutcome>) -> ReplayOutcome {
-        outcomes.next().expect("single-point scenario")
-    }
-}
-
-/// Run a replay through the shared executor.
+/// Run a replay: one capture through the tandem and its observers.
 ///
 /// # Panics
 ///
 /// If the entry spec does not parse or names a node past
 /// [`ReplayConfig::NODES`], or the trace file cannot be opened.
-pub fn run_replay(cfg: &ReplayConfig, runner: &SweepRunner) -> ReplayOutcome {
-    runner.run(&ReplayScenario::new(cfg))
+pub fn run_replay(cfg: &ReplayConfig) -> ReplayOutcome {
+    let entry = EntryMap::parse(&cfg.entry_spec)
+        .and_then(|entry| entry.check(ReplayConfig::NODES).map(|()| entry))
+        .unwrap_or_else(|e| panic!("invalid entry-map spec: {e}"));
+
+    let open_file = |path: &PathBuf| {
+        rlir_trace::open_pcap(path)
+            .unwrap_or_else(|e| panic!("cannot open trace {}: {e:?}", path.display()))
+    };
+
+    let (run, vec_digest) = match &cfg.trace_path {
+        Some(path) => {
+            let run = replay_streamed(cfg, open_file(path), entry.clone());
+            let vec_digest = cfg
+                .verify_vs_vec
+                .then(|| replay_vec(cfg, open_file(path), entry));
+            (run, vec_digest)
+        }
+        None => {
+            let bytes = synth_capture(cfg);
+            let run = replay_streamed(
+                cfg,
+                PcapRecords::new(bytes.as_slice()).expect("fresh capture"),
+                entry.clone(),
+            );
+            let vec_digest = cfg.verify_vs_vec.then(|| {
+                replay_vec(
+                    cfg,
+                    PcapRecords::new(bytes.as_slice()).expect("fresh capture"),
+                    entry,
+                )
+            });
+            (run, vec_digest)
+        }
+    };
+
+    let truth_mean_ns = if run.truth_n == 0 {
+        f64::NAN
+    } else {
+        run.truth_sum as f64 / run.truth_n as f64
+    };
+    let capture_mean_ns = capture_mean_regular_ns(&run.capture);
+    // An entry past S0 bypasses the pair's first point: nothing regular
+    // is matched, and there is no truth to score against.
+    let rel_err = |est: f64, truth: f64| {
+        if est.is_nan() || truth.is_nan() {
+            f64::NAN
+        } else {
+            rlir_stats::relative_error(est, truth)
+        }
+    };
+    ReplayOutcome {
+        generated_fallback: cfg.trace_path.is_none(),
+        records_read: run.records_read,
+        replayed: run.replayed,
+        late_dropped: run.late_dropped,
+        source_peak_buffered: run.peak_buffered,
+        refs_emitted: run.refs_emitted,
+        delivered: run.stats.delivered,
+        events: run.stats.events,
+        peak_live_slots: run.stats.peak_live_slots,
+        capture_matched: run.capture.matched,
+        capture_expired: run.capture.expired,
+        capture_peak_pending: run.capture.peak_pending,
+        capture_mean_ns,
+        truth_mean_ns,
+        capture_vs_truth_rel_err: rel_err(capture_mean_ns, truth_mean_ns),
+        rli_est_mean_ns: run.est_mean_ns,
+        rli_vs_capture_rel_err: rel_err(run.est_mean_ns, capture_mean_ns),
+        ingest_identical: vec_digest.map(|d| d == run.digest),
+        ingest_error: run.ingest_error,
+        epochs: run.epochs,
+    }
 }
 
 #[cfg(test)]
@@ -547,7 +519,7 @@ mod tests {
 
     #[test]
     fn fallback_replay_streams_and_matches_the_vec_oracle() {
-        let out = run_replay(&quick_cfg(), &SweepRunner::single());
+        let out = run_replay(&quick_cfg());
         assert!(out.generated_fallback);
         assert!(out.records_read > 1_000, "records {}", out.records_read);
         assert_eq!(out.replayed, out.records_read, "sorted capture sheds none");
@@ -569,7 +541,7 @@ mod tests {
 
     #[test]
     fn capture_pair_is_faithful_and_rli_tracks_it() {
-        let out = run_replay(&quick_cfg(), &SweepRunner::single());
+        let out = run_replay(&quick_cfg());
         // The external instrument agrees with the engine's internal truth
         // on the tandem (same packets, same endpoints).
         assert!(
@@ -597,8 +569,8 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let mut cfg2 = cfg.clone();
         cfg2.trace_path = Some(path.clone());
-        let from_file = run_replay(&cfg2, &SweepRunner::single());
-        let fallback = run_replay(&cfg, &SweepRunner::single());
+        let from_file = run_replay(&cfg2);
+        let fallback = run_replay(&cfg);
         std::fs::remove_file(&path).ok();
         assert!(!from_file.generated_fallback);
         // Same capture bytes, same scenario: identical replay.
@@ -609,6 +581,37 @@ mod tests {
             fallback.capture_mean_ns.to_bits()
         );
         assert_eq!(from_file.ingest_identical, Some(true));
+    }
+
+    #[test]
+    fn truncated_capture_surfaces_the_ingest_error() {
+        let cfg = quick_cfg();
+        let bytes = synth_capture(&cfg);
+        let full = run_replay(&cfg);
+        assert_eq!(full.ingest_error, None);
+        let path =
+            std::env::temp_dir().join(format!("rlir-replay-truncated-{}.pcap", std::process::id()));
+        // Half the capture: the cut lands inside a record.
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let mut strict = cfg.clone();
+        strict.trace_path = Some(path.clone());
+        let cut = run_replay(&strict);
+        let mut lenient = strict.clone();
+        lenient.lenient = true;
+        let tolerated = run_replay(&lenient);
+        std::fs::remove_file(&path).ok();
+
+        let err = cut.ingest_error.expect("a strict replay reports the cut");
+        assert!(err.contains("truncated record"), "{err}");
+        assert!(
+            cut.records_read > 0 && cut.records_read < full.records_read,
+            "stopped at {} of {}",
+            cut.records_read,
+            full.records_read
+        );
+        // Lenient ingest ends the damaged capture cleanly, as before.
+        assert_eq!(tolerated.ingest_error, None);
+        assert_eq!(tolerated.records_read, cut.records_read);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! latency. Figures 4(a)–(c) and 5 are sweeps over these runs.
 
 use crate::plane::{DrainMode, MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
-use rlir_exec::{PointContext, Scenario, SweepRunner};
 use rlir_net::clock::ClockPair;
 use rlir_net::packet::Packet;
 use rlir_net::time::{SimDuration, SimTime};
@@ -361,87 +360,6 @@ pub fn run_two_hop_on(cfg: &TwoHopConfig, regular: &Trace, cross: &Trace) -> Two
     }
 }
 
-/// One labeled run of a [`TwoHopSweep`]: a legend label, the target
-/// utilization it represents, the full run configuration, and which of the
-/// sweep's shared cross traces feeds it.
-#[derive(Debug, Clone)]
-pub struct TwoHopPoint {
-    /// Figure-legend label, e.g. `"Adaptive, 93%"`.
-    pub label: String,
-    /// Target bottleneck utilization this point aims for.
-    pub target: f64,
-    /// The full run configuration.
-    pub cfg: TwoHopConfig,
-    /// Index into [`TwoHopSweep::crosses`] selecting the base cross trace
-    /// (figures mix normally- and hot-generated cross traces).
-    pub cross: usize,
-}
-
-impl TwoHopPoint {
-    /// A point using the sweep's first (usually only) cross trace.
-    pub fn new(label: impl Into<String>, target: f64, cfg: TwoHopConfig) -> Self {
-        TwoHopPoint {
-            label: label.into(),
-            target,
-            cfg,
-            cross: 0,
-        }
-    }
-}
-
-/// A labeled grid of two-hop runs sharing base traces — the shape of every
-/// accuracy figure and ablation (policy × utilization, interpolators, clock
-/// scenarios, …), executed by the shared [`SweepRunner`].
-///
-/// Each point's config is explicit and self-contained, so the sweep is
-/// deterministic for any thread count without per-point seed rewriting
-/// (sweeps that *want* derived per-point seeds embed them when building
-/// their points).
-pub struct TwoHopSweep<'a> {
-    /// Master seed (used only for point-context derivation; the runs
-    /// themselves are seeded by their configs).
-    pub seed: u64,
-    /// The labeled grid.
-    pub points: Vec<TwoHopPoint>,
-    /// Shared regular base trace.
-    pub regular: &'a Trace,
-    /// Shared cross base traces, indexed by [`TwoHopPoint::cross`].
-    pub crosses: Vec<&'a Trace>,
-}
-
-impl Scenario for TwoHopSweep<'_> {
-    type Point = TwoHopPoint;
-    type Outcome = (String, f64, TwoHopOutcome);
-    type Aggregate = Vec<(String, f64, TwoHopOutcome)>;
-
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn points(&self) -> Vec<TwoHopPoint> {
-        self.points.clone()
-    }
-
-    fn run_point(&self, _ctx: &PointContext, point: &TwoHopPoint) -> Self::Outcome {
-        let cross = self.crosses[point.cross];
-        let out = run_two_hop_on(&point.cfg, self.regular, cross);
-        (point.label.clone(), point.target, out)
-    }
-
-    fn aggregate(&self, outcomes: impl Iterator<Item = Self::Outcome>) -> Self::Aggregate {
-        outcomes.collect()
-    }
-}
-
-/// Run a labeled two-hop grid through the shared executor, returning
-/// `(label, target, outcome)` rows in point order.
-pub fn run_two_hop_sweep(
-    sweep: &TwoHopSweep<'_>,
-    runner: &SweepRunner,
-) -> Vec<(String, f64, TwoHopOutcome)> {
-    runner.run(sweep)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,23 +438,21 @@ mod tests {
     fn sweep_runs_labeled_grid_in_point_order() {
         let regular = generate(&quick_cfg(0.7).regular_trace());
         let cross = generate(&quick_cfg(0.7).cross_trace());
-        let sweep = TwoHopSweep {
-            seed: 7,
-            points: vec![
-                TwoHopPoint::new("lo", 0.55, quick_cfg(0.55)),
-                TwoHopPoint::new("hi", 0.93, quick_cfg(0.93)),
-            ],
-            regular: &regular,
-            crosses: vec![&cross],
+        let grid = [("lo", quick_cfg(0.55)), ("hi", quick_cfg(0.93))];
+        let sweep = |runner: rlir_exec::SweepRunner| {
+            runner.map(7, &grid, |ctx, (label, cfg)| {
+                assert_eq!(ctx.seed, rlir_exec::derive_seed(7, ctx.index as u64));
+                (*label, run_two_hop_on(cfg, &regular, &cross))
+            })
         };
-        let rows = run_two_hop_sweep(&sweep, &rlir_exec::SweepRunner::new(2));
+        let rows = sweep(rlir_exec::SweepRunner::new(2));
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].0, "lo");
         assert_eq!(rows[1].0, "hi");
-        assert!(rows[0].2.utilization < rows[1].2.utilization);
+        assert!(rows[0].1.utilization < rows[1].1.utilization);
         // Same grid, one thread: identical outcomes.
-        let seq = run_two_hop_sweep(&sweep, &rlir_exec::SweepRunner::single());
-        assert_eq!(seq[1].2.mean_errors, rows[1].2.mean_errors);
+        let seq = sweep(rlir_exec::SweepRunner::single());
+        assert_eq!(seq[1].1.mean_errors, rows[1].1.mean_errors);
     }
 
     #[test]

@@ -1,23 +1,47 @@
 //! The shared parallel sweep executor.
 //!
 //! This module owns the sweep layer's only `std::thread::scope` call
-//! site. Every harness that previously hand-rolled a scoped worker pool
-//! (`loss_sweep`, the two copies in `figures.rs`) now routes through
-//! [`SweepRunner::run`]. (The one other scoped pool in the workspace is
-//! orthogonal: `rlir_sim::shard` parallelises *within* one simulation,
-//! this runner *across* independent runs; [`shards_from_env`] reads its
-//! `RLIR_SHARDS` knob next to this module's `RLIR_THREADS`.)
+//! site: every experiment maps its points through [`SweepRunner::map`].
+//! (The one other scoped pool in the workspace is orthogonal:
+//! `rlir_sim::shard` parallelises *within* one simulation, this runner
+//! *across* independent runs; [`shards_from_env`] reads its `RLIR_SHARDS`
+//! knob next to this module's `RLIR_THREADS`.)
 
-use crate::scenario::{PointContext, Scenario};
+use crate::seed::derive_seed;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Executes a [`Scenario`]'s points on a scoped worker pool.
+/// Everything a sweep point needs besides the point itself: its position in
+/// the deterministic point order and its derived RNG seed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PointContext {
+    /// Index of this point in the sweep's point order.
+    pub index: usize,
+    /// Total number of points in the sweep.
+    pub total: usize,
+    /// Per-point RNG seed, [`derive_seed`]`(seed, index)` — a pure function
+    /// of the configuration, never of scheduling.
+    pub seed: u64,
+}
+
+impl PointContext {
+    /// Build the context for point `index` of a `total`-point sweep seeded
+    /// by `master`.
+    pub fn new(master: u64, index: usize, total: usize) -> Self {
+        PointContext {
+            index,
+            total,
+            seed: derive_seed(master, index as u64),
+        }
+    }
+}
+
+/// Maps a sweep's points through a per-point run on a scoped worker pool.
 ///
 /// Work distribution is an atomic index counter (no `Mutex<IntoIter>` work
-/// queues); outcomes are re-ordered to point order before aggregation, and
-/// every point's RNG seed is derived from the scenario seed — so the result
-/// is byte-identical for any thread count.
+/// queues); outcomes are re-ordered to point order before they are
+/// returned, and every point's RNG seed is derived from the sweep seed — so
+/// the result is byte-identical for any thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepRunner {
     threads: usize,
@@ -36,18 +60,16 @@ impl SweepRunner {
         Self::new(1)
     }
 
-    /// Thread count from the environment: `RLIR_THREADS` if set, else the
-    /// host's available parallelism (falling back to 4).
-    pub fn from_env() -> Self {
-        let threads = std::env::var("RLIR_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            });
-        Self::new(threads)
+    /// Thread count from the environment: `RLIR_THREADS` if set (it must be
+    /// a positive integer), else the host's available parallelism (falling
+    /// back to 4).
+    pub fn from_env() -> Result<Self, CountEnvError> {
+        let threads = count_from_env("RLIR_THREADS")?.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+        });
+        Ok(Self::new(threads))
     }
 
     /// The configured worker count.
@@ -55,54 +77,49 @@ impl SweepRunner {
         self.threads
     }
 
-    /// Run every point of `scenario` and aggregate the outcomes in point
-    /// order. With one thread (or one point) everything runs inline on the
-    /// calling thread.
-    pub fn run<S: Scenario>(&self, scenario: &S) -> S::Aggregate {
-        let points = scenario.points();
+    /// Run `f` on every point and return the outcomes in point order.
+    ///
+    /// The contract that makes the result thread-count-invariant: `f`
+    /// depends only on `(ctx, point)` and immutable shared state, with all
+    /// randomness taken from `ctx.seed` (= [`derive_seed`]`(seed, index)`)
+    /// or fixed in the point. With one thread (or one point) everything
+    /// runs inline on the calling thread.
+    pub fn map<P: Sync, O: Send>(
+        &self,
+        seed: u64,
+        points: &[P],
+        f: impl Fn(&PointContext, &P) -> O + Sync,
+    ) -> Vec<O> {
         let n = points.len();
-        let master = scenario.seed();
+        let run = |i: usize| f(&PointContext::new(seed, i, n), &points[i]);
         let workers = self.threads.min(n.max(1));
-
-        let mut outcomes: Vec<(usize, S::Outcome)> = Vec::with_capacity(n);
         if workers <= 1 {
-            for (i, point) in points.iter().enumerate() {
-                let ctx = PointContext::new(master, i, n);
-                outcomes.push((i, scenario.run_point(&ctx, point)));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let collected: Mutex<Vec<(usize, S::Outcome)>> = Mutex::new(Vec::with_capacity(n));
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let ctx = PointContext::new(master, i, n);
-                            local.push((i, scenario.run_point(&ctx, &points[i])));
-                        }
-                        collected
-                            .lock()
-                            .expect("sweep outcomes poisoned")
-                            .extend(local);
-                    });
-                }
-            });
-            outcomes = collected.into_inner().expect("sweep outcomes poisoned");
-            // Completion order depends on scheduling; point order does not.
-            outcomes.sort_by_key(|(i, _)| *i);
+            return (0..n).map(run).collect();
         }
-        scenario.aggregate(outcomes.into_iter().map(|(_, o)| o))
-    }
-}
-
-impl Default for SweepRunner {
-    fn default() -> Self {
-        Self::from_env()
+        let next = AtomicUsize::new(0);
+        let collected: Mutex<Vec<(usize, O)>> = Mutex::new(Vec::with_capacity(n));
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        local.push((i, run(i)));
+                    }
+                    collected
+                        .lock()
+                        .expect("sweep outcomes poisoned")
+                        .extend(local);
+                });
+            }
+        });
+        let mut outcomes = collected.into_inner().expect("sweep outcomes poisoned");
+        // Completion order depends on scheduling; point order does not.
+        outcomes.sort_by_key(|(i, _)| *i);
+        outcomes.into_iter().map(|(_, o)| o).collect()
     }
 }
 
@@ -111,116 +128,106 @@ impl Default for SweepRunner {
 /// when unset (scenarios then run on one shard), an error for anything
 /// else — exactly what the CLI's `--shards` flag, which overrides this,
 /// accepts and rejects.
-pub fn shards_from_env() -> Result<Option<usize>, ShardsEnvError> {
-    parse_shards(std::env::var_os("RLIR_SHARDS"))
+pub fn shards_from_env() -> Result<Option<usize>, CountEnvError> {
+    count_from_env("RLIR_SHARDS")
 }
 
-fn parse_shards(raw: Option<std::ffi::OsString>) -> Result<Option<usize>, ShardsEnvError> {
+fn count_from_env(var: &'static str) -> Result<Option<usize>, CountEnvError> {
+    parse_count(var, std::env::var_os(var))
+}
+
+fn parse_count(
+    var: &'static str,
+    raw: Option<std::ffi::OsString>,
+) -> Result<Option<usize>, CountEnvError> {
     let Some(raw) = raw else { return Ok(None) };
     let value = raw.to_string_lossy().into_owned();
     match value.parse::<usize>() {
         Ok(n) if n >= 1 => Ok(Some(n)),
-        _ => Err(ShardsEnvError { value }),
+        _ => Err(CountEnvError { var, value }),
     }
 }
 
-/// `RLIR_SHARDS` is set to something other than a positive integer.
+/// A count variable (`RLIR_THREADS`, `RLIR_SHARDS`) is set to something
+/// other than a positive integer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardsEnvError {
+pub struct CountEnvError {
+    /// The variable.
+    pub var: &'static str,
     /// The rejected value.
     pub value: String,
 }
 
-impl std::fmt::Display for ShardsEnvError {
+impl std::fmt::Display for CountEnvError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RLIR_SHARDS={:?} is not a positive integer", self.value)
+        write!(f, "{}={:?} is not a positive integer", self.var, self.value)
     }
 }
 
-impl std::error::Error for ShardsEnvError {}
+impl std::error::Error for CountEnvError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seed::derive_seed;
 
     #[test]
     fn shards_env_is_unset_a_count_or_an_error() {
-        let parse = |v: Option<&str>| parse_shards(v.map(Into::into));
-        assert_eq!(parse(None), Ok(None));
-        assert_eq!(parse(Some("3")), Ok(Some(3)));
-        for bad in ["0", "abc"] {
-            let err = parse(Some(bad)).expect_err(bad);
-            assert_eq!(err.value, bad);
-            assert!(err.to_string().contains("RLIR_SHARDS"), "{err}");
+        for var in ["RLIR_SHARDS", "RLIR_THREADS"] {
+            let parse = |v: Option<&str>| parse_count(var, v.map(Into::into));
+            assert_eq!(parse(None), Ok(None));
+            assert_eq!(parse(Some("3")), Ok(Some(3)));
+            for bad in ["0", "abc"] {
+                let err = parse(Some(bad)).expect_err(bad);
+                assert_eq!(err.value, bad);
+                assert!(err.to_string().contains(var), "{err}");
+            }
         }
     }
 
     /// Each point hashes its derived seed a few thousand times — enough
     /// work to interleave threads, fully seed-determined.
-    struct HashSweep {
-        master: u64,
-        n: usize,
+    fn hash_point(ctx: &PointContext, &point: &usize, n: usize) -> u64 {
+        assert_eq!(ctx.index, point);
+        assert_eq!(ctx.total, n);
+        let mut x = ctx.seed;
+        for _ in 0..4096 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+        }
+        x
     }
 
-    impl Scenario for HashSweep {
-        type Point = usize;
-        type Outcome = u64;
-        type Aggregate = Vec<u64>;
-
-        fn seed(&self) -> u64 {
-            self.master
-        }
-
-        fn points(&self) -> Vec<usize> {
-            (0..self.n).collect()
-        }
-
-        fn run_point(&self, ctx: &PointContext, point: &usize) -> u64 {
-            assert_eq!(ctx.index, *point);
-            assert_eq!(ctx.total, self.n);
-            let mut x = ctx.seed;
-            for _ in 0..4096 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            }
-            x
-        }
-
-        fn aggregate(&self, outcomes: impl Iterator<Item = u64>) -> Vec<u64> {
-            outcomes.collect()
-        }
+    fn hash_sweep(runner: SweepRunner, master: u64, n: usize) -> Vec<u64> {
+        let points: Vec<usize> = (0..n).collect();
+        runner.map(master, &points, |ctx, p| hash_point(ctx, p, n))
     }
 
     #[test]
     fn one_thread_and_many_threads_agree() {
-        let s = HashSweep { master: 99, n: 23 };
-        let one = SweepRunner::single().run(&s);
-        let four = SweepRunner::new(4).run(&s);
-        let eight = SweepRunner::new(8).run(&s);
+        let one = hash_sweep(SweepRunner::single(), 99, 23);
         assert_eq!(one.len(), 23);
-        assert_eq!(one, four);
-        assert_eq!(one, eight);
+        assert_eq!(one, hash_sweep(SweepRunner::new(4), 99, 23));
+        assert_eq!(one, hash_sweep(SweepRunner::new(8), 99, 23));
     }
 
     #[test]
     fn outcomes_arrive_in_point_order() {
-        let s = HashSweep { master: 5, n: 40 };
         let expected: Vec<u64> = (0..40)
-            .map(|i| s.run_point(&PointContext::new(5, i, 40), &i))
+            .map(|i| hash_point(&PointContext::new(5, i, 40), &i, 40))
             .collect();
-        assert_eq!(SweepRunner::new(6).run(&s), expected);
+        assert_eq!(hash_sweep(SweepRunner::new(6), 5, 40), expected);
     }
 
     #[test]
     fn empty_sweep_aggregates_nothing() {
-        let s = HashSweep { master: 1, n: 0 };
-        assert!(SweepRunner::new(4).run(&s).is_empty());
+        assert!(hash_sweep(SweepRunner::new(4), 1, 0).is_empty());
     }
 
     #[test]
     fn more_threads_than_points_is_fine() {
-        let s = HashSweep { master: 3, n: 2 };
-        assert_eq!(SweepRunner::new(16).run(&s), SweepRunner::single().run(&s));
+        assert_eq!(
+            hash_sweep(SweepRunner::new(16), 3, 2),
+            hash_sweep(SweepRunner::single(), 3, 2)
+        );
     }
 
     #[test]
@@ -231,28 +238,18 @@ mod tests {
 
     #[test]
     fn point_seeds_match_public_derivation() {
-        struct SeedProbe;
-        impl Scenario for SeedProbe {
-            type Point = usize;
-            type Outcome = u64;
-            type Aggregate = Vec<u64>;
-            fn seed(&self) -> u64 {
-                77
-            }
-            fn points(&self) -> Vec<usize> {
-                vec![0, 1, 2]
-            }
-            fn run_point(&self, ctx: &PointContext, _p: &usize) -> u64 {
-                ctx.seed
-            }
-            fn aggregate(&self, o: impl Iterator<Item = u64>) -> Vec<u64> {
-                o.collect()
-            }
-        }
-        let seeds = SweepRunner::new(3).run(&SeedProbe);
+        let seeds = SweepRunner::new(3).map(77, &[0, 1, 2], |ctx, _| ctx.seed);
         assert_eq!(
             seeds,
             vec![derive_seed(77, 0), derive_seed(77, 1), derive_seed(77, 2)]
         );
+    }
+
+    #[test]
+    fn context_seed_is_derived_not_positional() {
+        let a = PointContext::new(42, 3, 9);
+        assert_eq!(a.seed, derive_seed(42, 3));
+        assert_ne!(a.seed, PointContext::new(42, 4, 9).seed);
+        assert_ne!(a.seed, PointContext::new(43, 3, 9).seed);
     }
 }

@@ -5,7 +5,7 @@
 //! simulator keeps one true timeline; each measurement instance *observes* it
 //! through a [`ClockModel`] with configurable offset, drift and jitter, which
 //! lets experiments quantify how much synchronisation error RLI/RLIR
-//! tolerates (ablation A4 in DESIGN.md).
+//! tolerates (ablation A4, the `sync` scenario of `experiments`).
 //!
 //! Jitter is *stateless*: it is derived by hashing the true time with the
 //! model's seed, so observing the same instant twice yields the same reading

@@ -5,7 +5,7 @@
 //! interpolation to estimate per-packet latency." The linear estimator is
 //! the paper's; the constant/midpoint variants are ablation baselines that
 //! quantify how much the *slope* of the interpolation actually buys
-//! (experiment A2 in DESIGN.md).
+//! (ablation A2, the `interp` scenario of `experiments`).
 
 use rlir_net::time::SimTime;
 use serde::{Deserialize, Serialize};

@@ -5,7 +5,7 @@
 //! exponential inter-arrivals, bounded Pareto flow sizes, geometric mice,
 //! log-uniform rates and an empirical packet-size mix — implemented directly
 //! on top of `rand::Rng` so the workspace needs no extra distribution crate
-//! (see DESIGN.md's dependency policy).
+//! (it builds offline against the stubs under `vendor/`).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};

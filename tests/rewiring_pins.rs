@@ -44,7 +44,7 @@
 //! gives the new digest bit for bit.
 
 use rlir::experiment::{
-    run_asymmetric, run_drop_aware, run_fattree, run_incast, run_localize_full, AsymmetricConfig,
+    run_asymmetric, run_drop_aware, run_fattree, run_incast, run_localize, AsymmetricConfig,
     DropAwareConfig, FatTreeExpConfig, IncastConfig, LocalizeConfig,
 };
 use rlir::CoreDemux;
@@ -180,7 +180,7 @@ fn localize_outputs_match_pre_slab_engine_pin() {
     cfg.base.policy = PolicyKind::Static { n: 30 };
     cfg.utilizations = vec![0.05, 0.30];
     cfg.trials = 2;
-    let rep = run_localize_full(&cfg, &SweepRunner::single());
+    let rep = run_localize(&cfg, &SweepRunner::single());
     let mut h = 0u64;
     for p in &rep.points {
         h = fold(h, p.trials as u64);

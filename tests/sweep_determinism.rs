@@ -207,9 +207,9 @@ fn localize_sweep_is_shard_count_invariant() {
     cfg.utilizations = vec![0.1];
     cfg.trials = 2;
     cfg.base.shards = 1;
-    let one = run_localize(&cfg, &SweepRunner::single());
+    let one = run_localize(&cfg, &SweepRunner::single()).points;
     cfg.base.shards = 2;
-    let two = run_localize(&cfg, &SweepRunner::single());
+    let two = run_localize(&cfg, &SweepRunner::single()).points;
     assert_eq!(one.len(), two.len());
     for (x, y) in one.iter().zip(&two) {
         assert_eq!(x.utilization.to_bits(), y.utilization.to_bits());
@@ -231,9 +231,9 @@ fn localize_sweep_is_thread_count_invariant() {
     cfg.base.policy = PolicyKind::Static { n: 30 };
     cfg.utilizations = vec![0.05, 0.2];
     cfg.trials = 2;
-    let one = run_localize(&cfg, &SweepRunner::single());
+    let one = run_localize(&cfg, &SweepRunner::single()).points;
     for threads in [2, 4] {
-        let many = run_localize(&cfg, &SweepRunner::new(threads));
+        let many = run_localize(&cfg, &SweepRunner::new(threads)).points;
         assert_eq!(one.len(), many.len());
         for (x, y) in one.iter().zip(&many) {
             assert_eq!(x.utilization.to_bits(), y.utilization.to_bits());
