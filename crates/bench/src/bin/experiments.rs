@@ -1,38 +1,55 @@
 //! Regenerate the tables and figures of the paper's evaluation and the
-//! repo's ablations: every experiment is a registered scenario.
-//!
-//! ```text
-//! experiments <command> [--threads N] [--shards N]
-//!
-//!   list        list the registered scenarios
-//!   run <name>  run one registered scenario through the shared SweepRunner
-//!   all         every registered scenario, in `list` order (the default)
-//! ```
-//!
-//! `--threads N` sizes the sweep worker pool (default: `RLIR_THREADS`, else
-//! available parallelism); `--shards N` runs the fat-tree scenarios
-//! (`fattree`, `faults`, `incast`, `localize`) on N pod shards (default:
-//! `RLIR_SHARDS`, else 1). A count that is not a positive integer exits 2,
-//! from the flag or the variable alike. Results are byte-identical for any
-//! thread or shard count. Scale via
-//! `RLIR_SCALE={quick,default,full}`, `RLIR_DURATION_MS`, `RLIR_SEEDS`,
-//! `RLIR_SEED` (a value that does not parse, or a zero duration or seed
-//! count, exits 2); output directory via `RLIR_RESULTS_DIR` (default
-//! `results/`). Each scenario writes `scenario_<name>*.csv`.
+//! repo's ablations: `experiments <list|run <name>|all> [flags]`. Every
+//! experiment is an entry of the static scenario list, and every result is
+//! one table, printed column-aligned (floats rounded) and written to
+//! `scenario_<name>*.csv` with the same cells. `HELP` (`--help`) is the usage: the
+//! flags, which scenarios read each (a scenario flag is refused with exit 2
+//! unless the command is `all` or a scenario that reads it), and the
+//! `RLIR_*` variables (`RLIR_SEED` is every scenario's master seed, `chaos`'s
+//! campaigns included). A count, scale variable or spec that does not parse
+//! exits 2; results are byte-identical for any thread or shard count.
 
-use rlir_bench::{build_registry, OutputDir, RunContext, Scale};
-use rlir_exec::{RegistryError, SweepRunner};
+use rlir_bench::{list, scenario, OutputDir, RunContext, Scale, SCENARIOS};
+use rlir_exec::{parse_count, SweepRunner};
 
-const HELP: &str = "experiments <list|run <name>|all> [--threads N] [--shards N] [--trace <file>] [--entry-map <spec>] [--tenants w1,w2] [--chaos-seed N] [--lenient]
-Scale: RLIR_SCALE={quick,default,full} RLIR_DURATION_MS=<ms> RLIR_SEEDS=<n> RLIR_SEED=<n>
+const HELP: &str = "experiments <list|run <name>|all> [--threads N] [--shards N] [--trace <file>] [--entry-map <spec>] [--tenants w1,w2] [--lenient]
+Scale: RLIR_SCALE={quick,default,full} RLIR_DURATION_MS=<ms> RLIR_SEEDS=<n> RLIR_SEED=<n> (every scenario's master seed)
 Threads: --threads N (default RLIR_THREADS, else available parallelism)
-Shards: --shards N pod-sharded fat-tree engine (default RLIR_SHARDS, else 1; byte-identical for any N)
+Shards: --shards N pod-sharded fat-tree engine for fattree, incast, localize, faults (default RLIR_SHARDS, else 1; byte-identical for any N)
 Replay: --trace <pcap> capture to stream through `run replay` (default: generated);
         --entry-map fixed:<node>|hash:<n0,n1,...> entry-node demux (tandem nodes are 0 and 1);
         --lenient skip-and-count pcap ingest (damaged records resynced, regressions clamped)
-Chaos:  --chaos-seed <u64> master campaign seed for `run chaos` (default RLIR_SEED);
-        --tenants w1,w2 positive tenant weights — segment-1 taps tenant 0, segment-2 tenant 1
+Chaos:  --tenants w1,w2 positive tenant weights for `run chaos` — segment-1 taps tenant 0, segment-2 tenant 1
+A scenario flag is refused unless the command is `all` or a scenario that reads it.
 Output: RLIR_RESULTS_DIR=<dir> (default results/)";
+
+/// Every scenario flag, and the scenarios that read it.
+const READERS: [(&str, &[&str]); 5] = [
+    ("--shards", &["fattree", "incast", "localize", "faults"]),
+    ("--trace", &["replay"]),
+    ("--entry-map", &["replay"]),
+    ("--lenient", &["replay"]),
+    ("--tenants", &["chaos"]),
+];
+
+/// Why `flags` do not fit the command: `None` for `all` or a scenario that
+/// reads every one of them, else the first flag it would silently ignore.
+fn unread_flag(cmd: &str, name: Option<&str>, flags: &[&str]) -> Option<String> {
+    if cmd == "all" {
+        return None;
+    }
+    flags.iter().find_map(|&flag| {
+        let (_, readers) = READERS.iter().find(|(f, _)| *f == flag)?;
+        let reads = name.is_some_and(|n| readers.contains(&n));
+        let target = name.map_or(format!("`{cmd}`"), |n| format!("scenario {n:?}"));
+        (!reads).then(|| {
+            format!(
+                "{flag} is read only by {}, not by {target}",
+                readers.join(", ")
+            )
+        })
+    })
+}
 
 /// Exit 2 with `msg` and the usage.
 fn refuse(msg: impl std::fmt::Display) -> ! {
@@ -42,31 +59,23 @@ fn refuse(msg: impl std::fmt::Display) -> ! {
 
 /// The value of a count flag (`--threads`, `--shards`): a positive integer.
 fn positive(value: Option<String>, flag: &str) -> usize {
-    value
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
+    (parse_count(value).ok().flatten())
         .unwrap_or_else(|| refuse(format!("{flag} needs a positive integer")))
 }
 
 /// Parse a `--tenants` spec: exactly two positive integer weights,
 /// comma-separated.
 fn parse_tenants(spec: &str) -> Result<(u64, u64), String> {
-    let parts: Vec<&str> = spec.split(',').collect();
-    if parts.len() != 2 {
-        return Err(format!(
-            "expected exactly two comma-separated weights, got {:?}",
-            spec
-        ));
-    }
-    let w: Vec<u64> = parts
-        .iter()
-        .map(|p| p.trim().parse::<u64>())
+    let weights: Vec<u64> = (spec.split(',').map(|w| w.trim().parse::<u64>()))
         .collect::<Result<_, _>>()
         .map_err(|e| format!("bad weight in {spec:?}: {e}"))?;
-    if w[0] == 0 || w[1] == 0 {
-        return Err(format!("tenant weights must be positive, got {spec:?}"));
+    match weights[..] {
+        [a, b] if a > 0 && b > 0 => Ok((a, b)),
+        [_, _] => Err(format!("tenant weights must be positive, got {spec:?}")),
+        _ => Err(format!(
+            "expected exactly two comma-separated weights, got {spec:?}"
+        )),
     }
-    Ok((w[0], w[1]))
 }
 
 fn main() -> std::io::Result<()> {
@@ -77,10 +86,13 @@ fn main() -> std::io::Result<()> {
     let mut trace: Option<std::path::PathBuf> = None;
     let mut entry_map: Option<String> = None;
     let mut tenants: Option<(u64, u64)> = None;
-    let mut chaos_seed: Option<u64> = None;
     let mut lenient = false;
+    let mut given: Vec<&str> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        if let Some((flag, _)) = READERS.iter().find(|(f, _)| *f == a) {
+            given.push(flag);
+        }
         match a.as_str() {
             "--tenants" => {
                 let spec = args
@@ -89,13 +101,6 @@ fn main() -> std::io::Result<()> {
                 tenants = Some(
                     parse_tenants(&spec).unwrap_or_else(|e| refuse(format!("--tenants: {e}"))),
                 );
-            }
-            "--chaos-seed" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .unwrap_or_else(|| refuse("--chaos-seed needs an unsigned 64-bit integer"));
-                chaos_seed = Some(n);
             }
             "--lenient" => lenient = true,
             "--trace" => {
@@ -145,36 +150,23 @@ fn main() -> std::io::Result<()> {
     if positional.len() > expected {
         refuse(format!("unexpected argument {:?}", positional[expected]));
     }
-    let reg = build_registry();
-
+    let scenarios = match positional.get(1) {
+        Some(name) => vec![scenario(name).unwrap_or_else(|e| refuse(e))],
+        None if cmd == "run" => refuse("run needs a scenario name; try `experiments list`"),
+        None => SCENARIOS.iter().collect(),
+    };
+    if let Some(e) = unread_flag(cmd, positional.get(1).map(String::as_str), &given) {
+        refuse(e);
+    }
     if cmd == "list" {
-        println!("registered scenarios ({}):", reg.len());
-        for e in reg.entries() {
-            println!("  {:<14} {}", e.name(), e.summary());
-        }
-        println!(
-            "\nrun one with: experiments run <name> [--threads N]; all of them: experiments all"
-        );
+        println!("{}", list());
         return Ok(());
     }
-    let names = match positional.get(1) {
-        Some(name) => vec![name.as_str()],
-        None if cmd == "run" => refuse("run needs a scenario name; try `experiments list`"),
-        None => reg.names(),
-    };
 
-    let runner = match threads {
-        Some(n) => SweepRunner::new(n),
-        None => SweepRunner::from_env()
-            .unwrap_or_else(|e| refuse(format!("{e}: --threads needs a positive integer"))),
-    };
     let mut scale = Scale::from_env().unwrap_or_else(|e| refuse(e));
-    scale.shards = match shards {
-        Some(n) => n,
-        None => rlir_exec::shards_from_env()
-            .unwrap_or_else(|e| refuse(format!("{e}: --shards needs a positive integer")))
-            .unwrap_or(1),
-    };
+    scale.threads = threads.unwrap_or(scale.threads);
+    scale.shards = shards.unwrap_or(scale.shards);
+    let runner = SweepRunner::new(scale.threads);
     let out = OutputDir::from_env()?;
     eprintln!(
         "scale: accuracy {} | interference {} | fat-tree {} | seeds {} | base seed {} | threads {} | shards {}",
@@ -193,25 +185,43 @@ fn main() -> std::io::Result<()> {
         trace,
         entry_map,
         tenants,
-        chaos_seed,
         lenient,
     };
-    for (i, name) in names.into_iter().enumerate() {
+    for (i, s) in scenarios.into_iter().enumerate() {
         if i > 0 {
             println!();
         }
-        match reg.run(name, &ctx, &runner) {
-            Ok(()) => {}
-            Err(RegistryError::Io(e)) => return Err(e),
-            Err(e @ RegistryError::Unknown { .. }) => refuse(e),
-        }
+        println!("== {}: {} ==", s.name, s.summary);
+        (s.run)(&ctx, &runner)?;
     }
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::parse_tenants;
+    use super::{parse_tenants, unread_flag};
+
+    #[test]
+    fn a_scenario_flag_fits_all_and_its_readers_only() {
+        assert_eq!(unread_flag("all", None, &["--lenient", "--tenants"]), None);
+        assert_eq!(
+            unread_flag("run", Some("replay"), &["--trace", "--lenient"]),
+            None
+        );
+        assert_eq!(unread_flag("run", Some("faults"), &["--shards"]), None);
+        assert_eq!(unread_flag("run", Some("two_hop"), &[]), None);
+        for (name, flag) in [
+            (Some("two_hop"), "--lenient"),
+            (Some("fattree"), "--trace"),
+            (Some("loss_sweep"), "--tenants"),
+            (Some("replay"), "--shards"),
+            (None, "--entry-map"),
+        ] {
+            let cmd = if name.is_some() { "run" } else { "list" };
+            let e = unread_flag(cmd, name, &[flag]).expect(flag);
+            assert!(e.starts_with(flag), "{e}");
+        }
+    }
 
     #[test]
     fn tenants_spec_accepts_two_positive_weights() {

@@ -1,8 +1,11 @@
 //! Runners for every table and figure in the paper's evaluation, plus the
 //! repo's ablation studies; `experiments list` names the scenario that
-//! runs each.
+//! runs each. A runner whose rows only the terminal and the CSV read
+//! returns its [`Table`]; the Fig. 4 curves and Fig. 5 points stay typed
+//! for their shape checks.
 
 use crate::scale::Scale;
+use crate::table::{row, Table};
 use rlir::experiment::{
     cross_stream, run_fattree, run_loss_sweep_on, run_two_hop_on, CoreAnomaly, CrossSpec,
     FatTreeExpConfig, LossSweepConfig, TwoHopConfig, TwoHopOutcome,
@@ -20,10 +23,9 @@ use rlir_rli::{Interpolator, PolicyKind};
 use rlir_sim::{run_network_with, NullSink, TandemConfig};
 use rlir_stats::Ecdf;
 use rlir_trace::{generate, FlowMeter, FlowMeterConfig, Trace};
-use serde::{Deserialize, Serialize};
 
 /// One curve of an accuracy CDF figure (4a/4b/4c).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AccuracyCurve {
     /// Legend label, e.g. `"Adaptive, 93%"`.
     pub label: String,
@@ -48,7 +50,7 @@ pub struct AccuracyCurve {
 
 impl AccuracyCurve {
     fn from_errors(label: String, target: f64, out: &TwoHopOutcome, errors: Vec<f64>) -> Self {
-        let e = Ecdf::new(errors.iter().copied().filter(|x| x.is_finite()).collect());
+        let e = finite_ecdf(&errors);
         AccuracyCurve {
             label,
             target_utilization: target,
@@ -66,19 +68,34 @@ impl AccuracyCurve {
     pub fn cdf_csv(&self) -> String {
         Ecdf::new(self.errors.clone()).series(400).to_csv()
     }
+}
 
-    /// One summary line, paper style.
-    pub fn summary(&self) -> String {
-        format!(
-            "{:<16} util {:>5.1}% | avg true delay {:>8.1} µs | median err {:>6.2}% | <10% err: {:>5.1}% of {} flows",
-            self.label,
-            self.utilization * 100.0,
-            self.avg_true_delay_us,
-            self.median_error * 100.0,
-            self.frac_below_10pct * 100.0,
-            self.flows
-        )
-    }
+/// The accuracy curves' table: one row per curve (its CDF goes to its own
+/// file).
+pub fn curve_table(curves: &[AccuracyCurve]) -> Table {
+    let rows = curves.iter().map(|c| {
+        row![
+            c.label.as_str(),
+            c.target_utilization,
+            c.utilization,
+            c.median_error,
+            c.frac_below_10pct,
+            c.flows,
+        ]
+    });
+    Table::new(
+        "label,target_utilization,utilization,median_error,frac_below_10pct,flows",
+        rows,
+    )
+}
+
+/// The median of the finite values of `v` (`NaN` when there are none).
+fn finite_median(v: &[f64]) -> f64 {
+    finite_ecdf(v).median().unwrap_or(f64::NAN)
+}
+
+fn finite_ecdf(v: &[f64]) -> Ecdf {
+    Ecdf::new(v.iter().copied().filter(|x| x.is_finite()).collect())
 }
 
 fn paper_policies() -> [(&'static str, PolicyKind); 2] {
@@ -141,13 +158,6 @@ pub fn fig4ab(scale: &Scale, runner: &SweepRunner) -> (Vec<AccuracyCurve>, Vec<A
     (curves(|o| &o.mean_errors), curves(|o| &o.std_errors))
 }
 
-/// Burst shape used for Fig. 4(c): 10 s bursts in the paper's 60 s trace;
-/// scaled to 1/6 of the trace duration here, 50% duty cycle.
-fn burst_shape(duration: SimDuration) -> (SimDuration, SimDuration) {
-    let on = SimDuration::from_nanos((duration.as_nanos() / 6).max(1_000_000));
-    (on, on)
-}
-
 /// Figure 4(c): mean-error CDFs comparing bursty vs random cross traffic at
 /// 34% and 67% utilization (adaptive injection, as in the paper's §4.2
 /// which contrasts the models at matched utilization).
@@ -163,7 +173,8 @@ pub fn fig4c(scale: &Scale, runner: &SweepRunner) -> Vec<AccuracyCurve> {
         tc.target_utilization = 1.05;
         generate(&tc)
     };
-    let (on, off) = burst_shape(scale.accuracy_duration);
+    // 10 s bursts in the paper's 60 s trace: 1/6 of the trace here, 50% duty.
+    let on = SimDuration::from_nanos((scale.accuracy_duration.as_nanos() / 6).max(1_000_000));
     let policy = PolicyKind::Adaptive(rlir_rli::AdaptiveConfig::paper_default());
     let points: Vec<(String, f64, TwoHopConfig, &Trace)> = [0.67f64, 0.34]
         .into_iter()
@@ -171,7 +182,7 @@ pub fn fig4c(scale: &Scale, runner: &SweepRunner) -> Vec<AccuracyCurve> {
             let bursty = CrossSpec::Bursty {
                 target_utilization: u,
                 on,
-                off,
+                off: on,
             };
             let random = CrossSpec::Uniform {
                 target_utilization: u,
@@ -200,7 +211,7 @@ pub fn fig4c(scale: &Scale, runner: &SweepRunner) -> Vec<AccuracyCurve> {
 }
 
 /// One Fig. 5 series point, averaged over seeds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Point {
     /// Policy label.
     pub policy: String,
@@ -281,31 +292,9 @@ pub fn fig5(scale: &Scale, runner: &SweepRunner) -> Vec<Fig5Point> {
     out
 }
 
-/// Demux-ablation row (experiments A1/A3).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DemuxRow {
-    /// Strategy label.
-    pub mode: String,
-    /// Fraction of measured packets associated with the correct core.
-    pub accuracy: f64,
-    /// Median per-flow error on segment 1.
-    pub seg1_median_error: f64,
-    /// Median per-flow error on segment 2.
-    pub seg2_median_error: f64,
-    /// Per-packet estimates produced on segment 2.
-    pub seg2_estimates: u64,
-    /// Observations arriving after their reorder window flushed, all taps.
-    pub late: u64,
-    /// Regular observations shed by tap buffer caps / the plane budget.
-    pub shed: u64,
-    /// Highest per-tap buffered-observation high-water mark.
-    pub peak_pending: usize,
-    /// Segment-2 per-epoch series (merged across receivers).
-    pub seg2_epochs: Vec<rlir_rli::EpochSnapshot>,
-}
-
 /// The demultiplexing ablation on the fat-tree: naive vs marking vs
-/// reverse-ECMP, identical workload.
+/// reverse-ECMP, identical workload, with each mode's segment-2 per-epoch
+/// series (merged across receivers).
 ///
 /// One core carries a 150 µs processing fault so that equal-cost paths have
 /// genuinely different delays — the regime in which association matters
@@ -313,9 +302,9 @@ pub struct DemuxRow {
 /// correlation with the delay of a packet that traverses a different path",
 /// §1). With homogeneous paths even the naive receiver looks fine, which is
 /// precisely why the paper's warning is about multipath *divergence*.
-pub fn demux_ablation(scale: &Scale, runner: &SweepRunner) -> Vec<DemuxRow> {
+pub fn demux_ablation(scale: &Scale, runner: &SweepRunner) -> Table {
     let modes = [CoreDemux::Naive, CoreDemux::Marking, CoreDemux::ReverseEcmp];
-    runner.map(scale.base_seed, &modes, |_, &mode| {
+    let runs = runner.map(scale.base_seed, &modes, |_, &mode| {
         let mut cfg = FatTreeExpConfig::paper(scale.base_seed, scale.fattree_duration);
         cfg.shards = scale.shards;
         cfg.demux = mode;
@@ -324,137 +313,93 @@ pub fn demux_ablation(scale: &Scale, runner: &SweepRunner) -> Vec<DemuxRow> {
             extra_processing: SimDuration::from_micros(150),
         });
         let out = run_fattree(&cfg);
-        let med = |v: &[f64]| {
-            let finite: Vec<f64> = v.iter().copied().filter(|x| x.is_finite()).collect();
-            Ecdf::new(finite).median().unwrap_or(f64::NAN)
-        };
-        DemuxRow {
-            mode: mode.label().to_string(),
-            accuracy: out.demux_accuracy(),
-            seg1_median_error: med(&out.seg1_errors),
-            seg2_median_error: med(&out.seg2_errors),
-            seg2_estimates: out.seg2_flows.estimate_count(),
-            late: out.late,
-            shed: out.shed,
-            peak_pending: out.peak_pending,
-            seg2_epochs: out.seg2_epochs,
-        }
-    })
+        // `late` and `shed` count every tap; `peak_pending` is the highest
+        // per-tap high-water mark.
+        let cells = row![
+            mode.label(),
+            out.demux_accuracy(),
+            finite_median(&out.seg1_errors),
+            finite_median(&out.seg2_errors),
+            out.seg2_flows.estimate_count(),
+            out.late,
+            out.shed,
+            out.peak_pending,
+        ];
+        ((mode.label().to_string(), out.seg2_epochs), cells)
+    });
+    let (epochs, rows): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
+    Table::new(
+        "mode,accuracy,seg1_median_error,seg2_median_error,seg2_estimates,late,shed,peak_pending",
+        rows,
+    )
+    .with_epochs(epochs)
 }
 
-/// Interpolator-ablation row (experiment A2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct InterpRow {
-    /// Estimator label.
-    pub interpolator: String,
-    /// Median per-flow mean-error.
-    pub median_error: f64,
-    /// 90th percentile error.
-    pub p90_error: f64,
-}
-
-/// Interpolation-estimator ablation at 93% utilization (static 1-and-100).
-pub fn interp_ablation(scale: &Scale, runner: &SweepRunner) -> Vec<InterpRow> {
+/// Interpolation-estimator ablation at 93% utilization (static 1-and-100):
+/// the median and p90 of the per-flow mean error.
+pub fn interp_ablation(scale: &Scale, runner: &SweepRunner) -> Table {
     let (regular, cross) = base_traces(scale, scale.accuracy_duration);
-    runner.map(scale.base_seed, &Interpolator::all(), |_, &interp| {
+    let rows = runner.map(scale.base_seed, &Interpolator::all(), |_, &interp| {
         let mut cfg = TwoHopConfig::paper(scale.base_seed, scale.accuracy_duration);
         cfg.interpolator = interp;
-        let out = run_two_hop_on(&cfg, &regular, &cross);
-        let e = Ecdf::new(
-            out.mean_errors
-                .iter()
-                .copied()
-                .filter(|x| x.is_finite())
-                .collect(),
-        );
-        InterpRow {
-            interpolator: interp.label().to_string(),
-            median_error: e.median().unwrap_or(f64::NAN),
-            p90_error: e.quantile(0.9).unwrap_or(f64::NAN),
-        }
-    })
+        let e = finite_ecdf(&run_two_hop_on(&cfg, &regular, &cross).mean_errors);
+        row![
+            interp.label(),
+            e.median().unwrap_or(f64::NAN),
+            e.quantile(0.9).unwrap_or(f64::NAN),
+        ]
+    });
+    Table::new("interpolator,median_error,p90_error", rows)
 }
 
-/// Clock-sync-sensitivity row (experiment A4).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SyncRow {
-    /// Clock scenario label.
-    pub scenario: String,
-    /// Median per-flow mean-error.
-    pub median_error: f64,
-    /// Mean absolute per-flow mean-error in ns (absolute errors matter when
-    /// skew biases everything).
-    pub mean_abs_error_ns: f64,
-}
-
-/// Clock-synchronisation-error sensitivity at 93% utilization.
-pub fn sync_ablation(scale: &Scale, runner: &SweepRunner) -> Vec<SyncRow> {
+/// Clock-synchronisation-error sensitivity at 93% utilization: the median
+/// per-flow mean error, and the mean absolute per-flow error in ns
+/// (absolute errors matter when skew biases everything).
+pub fn sync_ablation(scale: &Scale, runner: &SweepRunner) -> Table {
     let (regular, cross) = base_traces(scale, scale.accuracy_duration);
-    let scenarios: Vec<(&str, ClockPair)> = vec![
+    let receiver = |receiver| ClockPair {
+        sender: ClockModel::perfect(),
+        receiver,
+    };
+    let scenarios = [
         ("perfect", ClockPair::perfect()),
         (
             "ptp (200ns offset, 50ns jitter)",
-            ClockPair {
-                sender: ClockModel::perfect(),
-                receiver: ClockModel::ptp(scale.base_seed),
-            },
+            receiver(ClockModel::ptp(scale.base_seed)),
         ),
         (
             "1µs receiver offset",
-            ClockPair {
-                sender: ClockModel::perfect(),
-                receiver: ClockModel::with_offset(1_000),
-            },
+            receiver(ClockModel::with_offset(1_000)),
         ),
         (
             "10µs receiver offset",
-            ClockPair {
-                sender: ClockModel::perfect(),
-                receiver: ClockModel::with_offset(10_000),
-            },
+            receiver(ClockModel::with_offset(10_000)),
         ),
     ];
-    runner.map(scale.base_seed, &scenarios, |_, &(name, clocks)| {
+    let rows = runner.map(scale.base_seed, &scenarios, |_, &(name, clocks)| {
         let mut cfg = TwoHopConfig::paper(scale.base_seed, scale.accuracy_duration);
         cfg.clocks = clocks;
         let out = run_two_hop_on(&cfg, &regular, &cross);
-        let e = Ecdf::new(
-            out.mean_errors
-                .iter()
-                .copied()
-                .filter(|x| x.is_finite())
-                .collect(),
-        );
-        // Mean absolute error from per-flow report rows.
         let mut abs = rlir_stats::StreamingStats::new();
         for r in out.flows.report(1) {
             if let Some(t) = r.true_mean {
                 abs.push((r.est_mean - t).abs());
             }
         }
-        SyncRow {
-            scenario: name.to_string(),
-            median_error: e.median().unwrap_or(f64::NAN),
-            mean_abs_error_ns: abs.mean().unwrap_or(f64::NAN),
-        }
-    })
+        row![
+            name,
+            finite_median(&out.mean_errors),
+            abs.mean().unwrap_or(f64::NAN),
+        ]
+    });
+    Table::new("scenario,median_error,mean_abs_error_ns", rows)
 }
 
-/// Baseline-comparison row (experiment A6).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BaselineRow {
-    /// Estimator label.
-    pub estimator: String,
-    /// Median per-flow relative error (`NaN` for aggregate-only LDA).
-    pub per_flow_median_error: f64,
-    /// Relative error of the *aggregate* mean-latency estimate.
-    pub aggregate_error: f64,
-    /// Flows the estimator could cover (0 for LDA).
-    pub flows_covered: usize,
-}
-
-/// RLI vs LDA vs Multiflow on an identical 93%-utilization tandem run.
-pub fn baselines_comparison(scale: &Scale) -> Vec<BaselineRow> {
+/// RLI vs LDA vs Multiflow vs trajectory sampling on an identical
+/// 93%-utilization tandem run: each estimator's median per-flow relative
+/// error (`NaN` for aggregate-only LDA), the relative error of its
+/// *aggregate* mean-latency estimate, and the flows it covers.
+pub fn baselines_comparison(scale: &Scale) -> Table {
     let cfg = TwoHopConfig::paper(scale.base_seed, scale.accuracy_duration);
     let regular = generate(&cfg.regular_trace());
     let cross = generate(&cfg.cross_trace());
@@ -482,6 +427,12 @@ pub fn baselines_comparison(scale: &Scale) -> Vec<BaselineRow> {
         truth_all.push(ns);
     }
     let true_aggregate = truth_all.mean().unwrap_or(f64::NAN);
+    let vs_aggregate =
+        |est: Option<f64>| est.map_or(f64::NAN, |m| rlir_stats::relative_error(m, true_aggregate));
+    let vs_flow = |flow: &FlowKey, est: f64| {
+        let t = truth_by_flow.get(flow).and_then(|s| s.mean())?;
+        Some(rlir_stats::relative_error(est, t))
+    };
 
     // --- LDA -------------------------------------------------------------
     let lda_cfg = LdaConfig::default();
@@ -492,10 +443,7 @@ pub fn baselines_comparison(scale: &Scale) -> Vec<BaselineRow> {
     for d in &result.deliveries {
         rx.record(d.packet.id.0, d.delivered_at);
     }
-    let lda_est = Lda::estimate(&tx, &rx);
-    let lda_err = lda_est
-        .map(|e| rlir_stats::relative_error(e.mean_delay_ns, true_aggregate))
-        .unwrap_or(f64::NAN);
+    let lda_err = vs_aggregate(Lda::estimate(&tx, &rx).map(|e| e.mean_delay_ns));
 
     // --- Multiflow ---------------------------------------------------------
     let mut up = FlowMeter::new(FlowMeterConfig::default());
@@ -507,35 +455,14 @@ pub fn baselines_comparison(scale: &Scale) -> Vec<BaselineRow> {
         down.observe_at(d.packet.flow, d.delivered_at, d.packet.size);
     }
     let mf = estimate_all(&up.finish(), &down.finish());
-    let mf_errors: Vec<f64> = mf
-        .iter()
-        .filter_map(|e| {
-            truth_by_flow
-                .get(&e.flow)
-                .and_then(|s| s.mean())
-                .map(|t| rlir_stats::relative_error(e.mean_delay_ns, t))
-        })
-        .filter(|x| x.is_finite())
+    let mf_errors: Vec<f64> = (mf.iter())
+        .filter_map(|e| vs_flow(&e.flow, e.mean_delay_ns))
         .collect();
-    let mf_median = Ecdf::new(mf_errors.clone()).median().unwrap_or(f64::NAN);
-    let mf_agg: f64 = {
-        let mut s = rlir_stats::StreamingStats::new();
-        for e in &mf {
-            s.push(e.mean_delay_ns);
-        }
-        s.mean()
-            .map(|m| rlir_stats::relative_error(m, true_aggregate))
-            .unwrap_or(f64::NAN)
-    };
+    let mut mf_mean = rlir_stats::StreamingStats::new();
+    mf.iter().for_each(|e| mf_mean.push(e.mean_delay_ns));
 
     // --- RLI ---------------------------------------------------------------
-    let rli_errors: Vec<f64> = out
-        .mean_errors
-        .iter()
-        .copied()
-        .filter(|x| x.is_finite())
-        .collect();
-    let rli_median = Ecdf::new(rli_errors).median().unwrap_or(f64::NAN);
+    let rli_median = finite_median(&out.mean_errors);
     let rli_agg = {
         let est = out.flows.aggregate_est_mean().unwrap_or(f64::NAN);
         let truth = out.flows.aggregate_true_mean().unwrap_or(f64::NAN);
@@ -550,106 +477,85 @@ pub fn baselines_comparison(scale: &Scale) -> Vec<BaselineRow> {
         t_up.observe(p.id.0, p.flow, p.created_at);
     }
     for d in &result.deliveries {
-        if d.packet.is_regular() {
-            t_down.observe(d.packet.id.0, d.packet.flow, d.delivered_at);
-        }
+        t_down.observe(d.packet.id.0, d.packet.flow, d.delivered_at);
     }
     let tj = trajectory_join(&t_up, &t_down);
-    let traj_errors: Vec<f64> = tj
-        .flows
-        .iter()
-        .filter_map(|f| {
-            let est = f.delays.mean()?;
-            let t = truth_by_flow.get(&f.flow).and_then(|s| s.mean())?;
-            let e = rlir_stats::relative_error(est, t);
-            e.is_finite().then_some(e)
-        })
+    let traj_errors: Vec<f64> = (tj.flows.iter())
+        .filter_map(|f| vs_flow(&f.flow, f.delays.mean()?))
         .collect();
-    let traj_median = Ecdf::new(traj_errors).median().unwrap_or(f64::NAN);
-    let traj_agg = tj
-        .aggregate
-        .mean()
-        .map(|m| rlir_stats::relative_error(m, true_aggregate))
-        .unwrap_or(f64::NAN);
 
-    vec![
-        BaselineRow {
-            estimator: "RLI (this paper's substrate)".into(),
-            per_flow_median_error: rli_median,
-            aggregate_error: rli_agg,
-            flows_covered: out.flows.flow_count(),
-        },
-        BaselineRow {
-            estimator: "LDA (aggregate only)".into(),
-            per_flow_median_error: f64::NAN,
-            aggregate_error: lda_err,
-            flows_covered: 0,
-        },
-        BaselineRow {
-            estimator: "Multiflow (NetFlow 2-sample)".into(),
-            per_flow_median_error: mf_median,
-            aggregate_error: mf_agg,
-            flows_covered: mf.len(),
-        },
-        BaselineRow {
-            estimator: "Trajectory sampling (1%)".into(),
-            per_flow_median_error: traj_median,
-            aggregate_error: traj_agg,
-            flows_covered: tj.flows.len(),
-        },
-    ]
-}
-
-/// Per-flow tail-quantile (p90) accuracy row (experiment A7).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QuantileRow {
-    /// Policy label.
-    pub policy: String,
-    /// The tracked quantile.
-    pub p: f64,
-    /// Median per-flow relative error of the quantile estimate.
-    pub median_error: f64,
-    /// Flows with a quantile estimate.
-    pub flows: usize,
-    /// Median per-flow relative error of the *mean* estimate on the same
-    /// run (for contrast).
-    pub mean_median_error: f64,
+    let rows = vec![
+        row![
+            "RLI (this paper's substrate)",
+            rli_median,
+            rli_agg,
+            out.flows.flow_count(),
+        ],
+        row!["LDA (aggregate only)", f64::NAN, lda_err, 0usize],
+        row![
+            "Multiflow (NetFlow 2-sample)",
+            finite_median(&mf_errors),
+            vs_aggregate(mf_mean.mean()),
+            mf.len(),
+        ],
+        row![
+            "Trajectory sampling (1%)",
+            finite_median(&traj_errors),
+            vs_aggregate(tj.aggregate.mean()),
+            tj.flows.len(),
+        ],
+    ];
+    Table::new(
+        "estimator,per_flow_median_error,aggregate_error,flows_covered",
+        rows,
+    )
 }
 
 /// A7: per-flow p90 tail-latency accuracy at 93% utilization — the RLI line
 /// of work's extension beyond means and standard deviations, read off each
 /// flow's four largest delays (exact below 40 packets, an upper bound past).
-pub fn quantile_accuracy(scale: &Scale, runner: &SweepRunner) -> Vec<QuantileRow> {
+/// Each policy's row holds the median per-flow error of the p90 estimate,
+/// that of the *mean* estimate on the same run (for contrast), and the
+/// flows with a p90 estimate.
+pub fn quantile_accuracy(scale: &Scale, runner: &SweepRunner) -> Table {
     let (regular, cross) = base_traces(scale, scale.accuracy_duration);
-    runner.map(scale.base_seed, &paper_policies(), |_, (name, policy)| {
+    let rows = runner.map(scale.base_seed, &paper_policies(), |_, (name, policy)| {
         let mut cfg = TwoHopConfig::paper(scale.base_seed, scale.accuracy_duration);
         cfg.policy = policy.clone();
         cfg.track_quantile = Some(0.9);
         let out = run_two_hop_on(&cfg, &regular, &cross);
-        let finite =
-            |v: &[f64]| -> Vec<f64> { v.iter().copied().filter(|x| x.is_finite()).collect() };
-        QuantileRow {
-            policy: name.to_string(),
-            p: 0.9,
-            median_error: Ecdf::new(finite(&out.quantile_errors))
-                .median()
-                .unwrap_or(f64::NAN),
-            flows: out.quantile_errors.len(),
-            mean_median_error: Ecdf::new(finite(&out.mean_errors))
-                .median()
-                .unwrap_or(f64::NAN),
-        }
-    })
+        row![
+            *name,
+            0.9,
+            finite_median(&out.quantile_errors),
+            finite_median(&out.mean_errors),
+            out.quantile_errors.len(),
+        ]
+    });
+    Table::new("policy,p,median_error,mean_median_error,flows", rows)
 }
 
-/// The §3.1 placement table for a range of arities.
-pub fn placement_rows() -> Vec<rlir_topo::PlacementRow> {
-    rlir_topo::placement_table(&[4, 6, 8, 16, 32, 48, 64])
+/// The §3.1 placement table for a range of arities (closed form).
+pub fn placement_table() -> Table {
+    let rows = rlir_topo::placement_table(&[4, 6, 8, 16, 32, 48, 64]);
+    Table::new(
+        "k,interface_pair,tor_pair,all_tor_pairs_paper,all_tor_pairs_enumerated,full_deployment",
+        rows.iter().map(|r| {
+            row![
+                r.k,
+                r.interface_pair,
+                r.tor_pair,
+                r.all_tor_pairs_paper,
+                r.all_tor_pairs_enumerated,
+                r.full_deployment,
+            ]
+        }),
+    )
 }
 
 /// A paper-vs-measured shape check: the `[PASS]`/`[MISS]` verdicts the
 /// `two_hop`, `bursty` and `interference` scenarios print.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShapeCheck {
     /// What is being checked.
     pub claim: String,
@@ -657,6 +563,14 @@ pub struct ShapeCheck {
     pub holds: bool,
     /// Supporting detail.
     pub detail: String,
+}
+
+/// Print `[PASS]`/`[MISS]` shape-check lines.
+pub fn print_shape_checks(checks: &[ShapeCheck]) {
+    for c in checks {
+        let verdict = if c.holds { "PASS" } else { "MISS" };
+        println!("  [{verdict}] {} — {}", c.claim, c.detail);
+    }
 }
 
 /// Evaluate the headline shape claims on Fig. 4(a) curves.

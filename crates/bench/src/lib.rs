@@ -1,23 +1,24 @@
 //! # rlir-bench — figure regeneration harness
 //!
 //! The machinery behind the `experiments` binary, which regenerates every
-//! table and figure of the paper's evaluation as CSV + terminal summaries
-//! (the repo's benchmark is the ledger, `ledger/`). Every experiment is a
-//! scenario in [`build_registry`]; the `figures` functions run the paper's
-//! figures and ablations at a configurable scale and return structured
-//! rows, and the `output` helpers persist them under `results/`.
+//! table and figure of the paper's evaluation as CSV + terminal tables
+//! (the repo's benchmark is the ledger, `ledger/`). Every experiment is an
+//! entry of [`SCENARIOS`]; the `figures` functions run the paper's figures
+//! and ablations at a configurable scale, each result is one [`Table`]
+//! printed and written under `results/` by one call, and the `output`
+//! helpers own the directory.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod emit;
 pub mod figures;
 pub mod output;
 pub mod registry;
 pub mod scale;
+pub mod table;
 
-pub use emit::*;
 pub use figures::*;
 pub use output::{write_csv, OutputDir};
-pub use registry::{build_registry, RunContext};
+pub use registry::{list, scenario, RunContext, Scenario, SCENARIOS};
 pub use scale::{Scale, ScaleEnvError};
+pub use table::{Cell, Table};

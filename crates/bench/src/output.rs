@@ -5,7 +5,6 @@
 //! curve, so external plotting tools can regenerate the paper's plots.
 
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// The directory results are written into.
@@ -29,16 +28,10 @@ impl OutputDir {
         })
     }
 
-    /// The root path.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// Write `content` to `<root>/<name>`, returning the full path.
     pub fn write(&self, name: &str, content: &str) -> std::io::Result<PathBuf> {
         let path = self.root.join(name);
-        let mut f = fs::File::create(&path)?;
-        f.write_all(content.as_bytes())?;
+        fs::write(&path, content)?;
         Ok(path)
     }
 }

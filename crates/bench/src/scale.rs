@@ -10,11 +10,13 @@
 //! * `RLIR_DURATION_MS` — explicit trace duration in milliseconds
 //! * `RLIR_SEEDS` — number of seeds averaged where noise matters (Fig. 5)
 //! * `RLIR_SEED` — base seed
+//! * `RLIR_THREADS` — sweep worker threads (default: available parallelism)
+//! * `RLIR_SHARDS` — pod shards of the fat-tree engine (default 1)
 //!
-//! A variable that is set but does not parse is refused ([`Scale::parse`]).
+//! The CLI's `--threads` and `--shards` override the last two. A variable that is set but does not parse is refused ([`Scale::parse`]).
 
+use rlir_exec::parse_count;
 use rlir_net::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A scale variable set to a value [`Scale::parse`] refuses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,7 +43,7 @@ impl std::fmt::Display for ScaleEnvError {
 impl std::error::Error for ScaleEnvError {}
 
 /// Scale knobs derived from the environment.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Scale {
     /// Trace duration for accuracy figures (4a–4c).
     pub accuracy_duration: SimDuration,
@@ -54,22 +56,25 @@ pub struct Scale {
     pub seeds: u64,
     /// Base seed.
     pub base_seed: u64,
-    /// Pod-shard count for the fat-tree engine (1 unless the CLI sets it
-    /// from `--shards` or `RLIR_SHARDS`).
-    #[serde(default)]
+    /// Pod-shard count for the fat-tree engine (1 unless `RLIR_SHARDS` or
+    /// the CLI's `--shards` sets it).
     pub shards: usize,
+    /// Sweep worker threads (`RLIR_THREADS`, else the host's available
+    /// parallelism; the CLI's `--threads` overrides it).
+    pub threads: usize,
 }
 
 impl Scale {
     /// Read the scale from the environment (see [`Scale::parse`]).
     pub fn from_env() -> Result<Scale, ScaleEnvError> {
-        Scale::parse(|var| std::env::var(var).ok())
+        Scale::parse(|var| std::env::var_os(var).map(|v| v.to_string_lossy().into_owned()))
     }
 
     /// The scale the variables `lookup` returns describe: a preset from
     /// `RLIR_SCALE`, then the overrides. A variable that is set must parse —
-    /// `RLIR_DURATION_MS` and `RLIR_SEEDS` as positive integers, `RLIR_SEED`
-    /// as any `u64` — or the scale is refused, naming it.
+    /// `RLIR_DURATION_MS`, `RLIR_SEEDS`, `RLIR_THREADS` and `RLIR_SHARDS` as
+    /// positive integers, `RLIR_SEED` as any `u64` — or the scale is
+    /// refused, naming it.
     pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Scale, ScaleEnvError> {
         let err = |var, value: String, expected| ScaleEnvError {
             var,
@@ -85,21 +90,21 @@ impl Scale {
                 _ => return Err(err("RLIR_SCALE", v, "quick, default or full")),
             },
         };
-        let positive = |var| match lookup(var) {
-            None => Ok(None),
-            Some(v) => match v.parse::<u64>() {
-                Ok(n) if n > 0 => Ok(Some(n)),
-                _ => Err(err(var, v, "a positive integer")),
-            },
-        };
-        if let Some(ms) = positive("RLIR_DURATION_MS")? {
+        let positive =
+            |var| parse_count(lookup(var)).map_err(|v| err(var, v, "a positive integer"));
+        if let Some(ms) = positive("RLIR_DURATION_MS")?.map(|ms| ms as u64) {
             s.accuracy_duration = SimDuration::from_millis(ms);
             s.interference_duration = SimDuration::from_millis(ms);
             s.fattree_duration = SimDuration::from_millis(ms.min(200));
         }
         if let Some(n) = positive("RLIR_SEEDS")? {
-            s.seeds = n;
+            s.seeds = n as u64;
         }
+        s.shards = positive("RLIR_SHARDS")?.unwrap_or(1);
+        s.threads = match positive("RLIR_THREADS")? {
+            Some(n) => n,
+            None => std::thread::available_parallelism().map_or(4, |n| n.get()),
+        };
         if let Some(v) = lookup("RLIR_SEED") {
             s.base_seed = v
                 .parse()
@@ -117,6 +122,7 @@ impl Scale {
             seeds: 1,
             base_seed: 42,
             shards: 1,
+            threads: 1,
         }
     }
 
@@ -127,8 +133,7 @@ impl Scale {
             interference_duration: SimDuration::from_millis(600),
             fattree_duration: SimDuration::from_millis(60),
             seeds: 3,
-            base_seed: 42,
-            shards: 1,
+            ..Scale::quick()
         }
     }
 
@@ -139,8 +144,7 @@ impl Scale {
             interference_duration: SimDuration::from_secs(3),
             fattree_duration: SimDuration::from_millis(150),
             seeds: 5,
-            base_seed: 42,
-            shards: 1,
+            ..Scale::quick()
         }
     }
 }
@@ -186,11 +190,15 @@ mod tests {
             ("RLIR_DURATION_MS", "300"),
             ("RLIR_SEEDS", "2"),
             ("RLIR_SEED", "0"),
+            ("RLIR_THREADS", "3"),
+            ("RLIR_SHARDS", "2"),
         ]))
         .unwrap();
         assert_eq!(s.accuracy_duration, SimDuration::from_millis(300));
         assert_eq!(s.fattree_duration, SimDuration::from_millis(200));
         assert_eq!((s.seeds, s.base_seed), (2, 0));
+        assert_eq!((s.threads, s.shards, d.shards), (3, 2, 1));
+        assert!(d.threads >= 1);
         for (var, bad) in [
             ("RLIR_DURATION_MS", "0"),
             ("RLIR_DURATION_MS", "5ms"),
@@ -198,6 +206,10 @@ mod tests {
             ("RLIR_SEEDS", "many"),
             ("RLIR_SEED", "-1"),
             ("RLIR_SCALE", "huge"),
+            ("RLIR_THREADS", "0"),
+            ("RLIR_THREADS", "abc"),
+            ("RLIR_SHARDS", "0"),
+            ("RLIR_SHARDS", "abc"),
         ] {
             let e = Scale::parse(env(&[(var, bad)])).unwrap_err();
             assert_eq!((e.var, e.value.as_str()), (var, bad));

@@ -1,4 +1,4 @@
-//! # rlir-exec — the scenario engine
+//! # rlir-exec — the sweep runner
 //!
 //! Every experiment in this repository is a *sweep*: a list of points
 //! (utilization targets, policy × load grids, demux modes, fan-in degrees…)
@@ -11,16 +11,14 @@
 //!   N-thread run is byte-identical to a 1-thread run.
 //! * [`seed`] — [`derive_seed`], the splitmix64 stream every scenario uses
 //!   to give each point an independent, reproducible RNG seed.
-//! * [`registry`] — the string-keyed [`ScenarioRegistry`] behind
-//!   `experiments run <name>`.
+//!
+//! The scenarios themselves are a static list in `rlir-bench`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod registry;
 pub mod runner;
 pub mod seed;
 
-pub use registry::{RegistryError, ScenarioRegistry};
-pub use runner::{shards_from_env, CountEnvError, PointContext, SweepRunner};
+pub use runner::{parse_count, PointContext, SweepRunner};
 pub use seed::derive_seed;

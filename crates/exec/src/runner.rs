@@ -4,8 +4,9 @@
 //! site: every experiment maps its points through [`SweepRunner::map`].
 //! (The one other scoped pool in the workspace is orthogonal:
 //! `rlir_sim::shard` parallelises *within* one simulation, this runner
-//! *across* independent runs; [`shards_from_env`] reads its `RLIR_SHARDS`
-//! knob next to this module's `RLIR_THREADS`.)
+//! *across* independent runs.) [`parse_count`] reads the counts that size
+//! both, `RLIR_THREADS` and `RLIR_SHARDS`, and every other positive-integer
+//! knob of the CLI.
 
 use crate::seed::derive_seed;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,18 +61,6 @@ impl SweepRunner {
         Self::new(1)
     }
 
-    /// Thread count from the environment: `RLIR_THREADS` if set (it must be
-    /// a positive integer), else the host's available parallelism (falling
-    /// back to 4).
-    pub fn from_env() -> Result<Self, CountEnvError> {
-        let threads = count_from_env("RLIR_THREADS")?.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
-        Ok(Self::new(threads))
-    }
-
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
@@ -123,48 +112,13 @@ impl SweepRunner {
     }
 }
 
-/// Shard count for the in-run pod-sharded engine from the `RLIR_SHARDS`
-/// environment variable: `Ok(Some(n))` for a positive integer, `Ok(None)`
-/// when unset (scenarios then run on one shard), an error for anything
-/// else — exactly what the CLI's `--shards` flag, which overrides this,
-/// accepts and rejects.
-pub fn shards_from_env() -> Result<Option<usize>, CountEnvError> {
-    count_from_env("RLIR_SHARDS")
+/// A count as the environment or the command line gives it: unset is
+/// `Ok(None)`, a positive integer is its count, anything else is refused as
+/// `Err(value)`.
+pub fn parse_count(raw: Option<String>) -> Result<Option<usize>, String> {
+    raw.map(|v| v.parse().ok().filter(|&n| n >= 1).ok_or(v))
+        .transpose()
 }
-
-fn count_from_env(var: &'static str) -> Result<Option<usize>, CountEnvError> {
-    parse_count(var, std::env::var_os(var))
-}
-
-fn parse_count(
-    var: &'static str,
-    raw: Option<std::ffi::OsString>,
-) -> Result<Option<usize>, CountEnvError> {
-    let Some(raw) = raw else { return Ok(None) };
-    let value = raw.to_string_lossy().into_owned();
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(Some(n)),
-        _ => Err(CountEnvError { var, value }),
-    }
-}
-
-/// A count variable (`RLIR_THREADS`, `RLIR_SHARDS`) is set to something
-/// other than a positive integer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CountEnvError {
-    /// The variable.
-    pub var: &'static str,
-    /// The rejected value.
-    pub value: String,
-}
-
-impl std::fmt::Display for CountEnvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}={:?} is not a positive integer", self.var, self.value)
-    }
-}
-
-impl std::error::Error for CountEnvError {}
 
 #[cfg(test)]
 mod tests {
@@ -172,15 +126,10 @@ mod tests {
 
     #[test]
     fn shards_env_is_unset_a_count_or_an_error() {
-        for var in ["RLIR_SHARDS", "RLIR_THREADS"] {
-            let parse = |v: Option<&str>| parse_count(var, v.map(Into::into));
-            assert_eq!(parse(None), Ok(None));
-            assert_eq!(parse(Some("3")), Ok(Some(3)));
-            for bad in ["0", "abc"] {
-                let err = parse(Some(bad)).expect_err(bad);
-                assert_eq!(err.value, bad);
-                assert!(err.to_string().contains(var), "{err}");
-            }
+        assert_eq!(parse_count(None), Ok(None));
+        assert_eq!(parse_count(Some("3".into())), Ok(Some(3)));
+        for bad in ["0", "abc", "-1", ""] {
+            assert_eq!(parse_count(Some(bad.into())), Err(bad.to_string()));
         }
     }
 

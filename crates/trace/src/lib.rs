@@ -13,7 +13,6 @@
 //!   traffic by source prefix.
 //! * [`flowmeter`] — YAF/NetFlow-style flow metering (feeds the Multiflow
 //!   baseline).
-//! * [`io`] — binary trace files for write-once/replay-many workloads.
 //! * [`pcap`] — libpcap export/import (inspect workloads in Wireshark),
 //!   including the streaming [`pcap::PcapRecords`] reader and
 //!   [`pcap::PcapWriter`] (O(1)-memory either direction).
@@ -28,7 +27,6 @@
 pub mod distributions;
 pub mod divider;
 pub mod flowmeter;
-pub mod io;
 pub mod pcap;
 pub mod replay;
 pub mod stats;

@@ -2,7 +2,7 @@
 //!
 //! Demonstrates the substrate that replaces the paper's CAIDA traces and
 //! YAF toolchain: the synthetic generator with the paper's two trace
-//! presets, the binary trace format, the traffic divider from Fig. 3, the
+//! presets, the pcap export, the traffic divider from Fig. 3, the
 //! NetFlow-style flow meter, and the Multiflow baseline estimator built on
 //! its records.
 //!
@@ -12,8 +12,9 @@
 
 use rlir_baselines::estimate_all;
 use rlir_net::time::{SimDuration, SimTime};
+use rlir_trace::pcap::save_pcap;
 use rlir_trace::{
-    generate, io, FlowMeter, FlowMeterConfig, TraceConfig, TraceStats, TrafficClass,
+    generate, open_pcap, FlowMeter, FlowMeterConfig, TraceConfig, TraceStats, TrafficClass,
     TrafficDivider, UnmatchedPolicy,
 };
 
@@ -27,19 +28,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("regular trace: {}", TraceStats::compute(&regular));
     println!("cross   trace: {}", TraceStats::compute(&cross));
 
-    // 2. Persist and reload through the binary trace format.
+    // 2. Persist as a nanosecond pcap and stream it back: every record
+    //    keeps its packet's timestamp and flow key.
     let dir = std::env::temp_dir().join("rlir-example-traces");
     std::fs::create_dir_all(&dir)?;
-    let path = dir.join("regular.rltr");
-    io::save_trace(&regular, &path)?;
-    let reloaded = io::load_trace(&path)?;
+    let path = dir.join("regular.pcap");
+    save_pcap(&regular, &path)?;
+    let reloaded = open_pcap(&path)?.collect::<Result<Vec<_>, _>>()?;
     println!(
         "\nsaved + reloaded {} packets via {} ({} bytes on disk)",
-        reloaded.packets.len(),
+        reloaded.len(),
         path.display(),
         std::fs::metadata(&path)?.len()
     );
-    assert_eq!(reloaded.packets, regular.packets);
+    assert_eq!(reloaded.len(), regular.packets.len());
+    for (r, p) in reloaded.iter().zip(&regular.packets) {
+        assert_eq!((r.at, r.flow), (p.created_at, p.flow));
+    }
 
     // 3. Divide a merged stream back into classes by source prefix (Fig. 3's
     //    traffic divider).
