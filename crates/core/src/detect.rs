@@ -20,7 +20,7 @@
 //! **time-to-localize** (detection watermark − fault onset) is an honest
 //! online metric, not a post-hoc replay.
 
-use crate::plane::{DrainMode, MeasurementPlane};
+use crate::plane::MeasurementPlane;
 use rlir_net::time::SimTime;
 use rlir_rli::snapshot_at;
 use rlir_sim::{FaultEvent, HopEvent, HopSink, StopFlag};
@@ -118,23 +118,19 @@ impl EpochDetector {
     }
 
     /// Score every newly-settled epoch against `watermark` and return the
-    /// first alarm, if any. Requires the plane to run with epochs and the
-    /// streaming drain (otherwise there is nothing to consume online and
-    /// the poll is a no-op).
+    /// first alarm, if any — never on a plane without epochs.
     ///
     /// An epoch is *settled* once the watermark has advanced two reorder
     /// windows past its end: every observation inside it has cleared the
     /// plane's flush bound (one window) including the half-window flush
-    /// granularity, so its snapshots are final.
+    /// granularity, so its snapshots are final. Under a window wider than
+    /// the run, none is before [`MeasurementPlane::finish`].
     pub fn poll(&mut self, plane: &MeasurementPlane<'_>, watermark: SimTime) -> Option<Detection> {
         let cfg = plane.config();
         let epoch_ns = cfg.epoch_ns()?;
-        let DrainMode::Streaming { reorder_window } = cfg.drain else {
-            return None;
-        };
         let settled = watermark
             .as_nanos()
-            .saturating_sub(2 * reorder_window.as_nanos());
+            .saturating_sub(cfg.reorder_window.as_nanos().saturating_mul(2));
         if self.state.len() < plane.tap_count() {
             self.state.resize(plane.tap_count(), SegState::default());
         }
@@ -294,9 +290,7 @@ mod tests {
         total_ns: u64,
     ) -> (Option<Detection>, bool, Vec<Detection>) {
         let mut plane = MeasurementPlane::with_config(PlaneConfig {
-            drain: DrainMode::Streaming {
-                reorder_window: SimDuration::from_nanos(2_000),
-            },
+            reorder_window: SimDuration::from_nanos(2_000),
             epoch: Some(SimDuration::from_nanos(10_000)),
             ..PlaneConfig::default()
         });
@@ -409,5 +403,16 @@ mod tests {
         assert!(det
             .poll(&plane, SimTime::from_nanos(1_000_000_000))
             .is_none());
+    }
+
+    #[test]
+    fn poll_under_a_window_wider_than_the_run_finds_nothing_settled() {
+        let plane = MeasurementPlane::with_config(PlaneConfig {
+            reorder_window: SimDuration::MAX,
+            epoch: Some(SimDuration::from_nanos(1_000)),
+            ..PlaneConfig::default()
+        });
+        let mut det = EpochDetector::new(DetectorConfig::default());
+        assert!(det.poll(&plane, SimTime::MAX).is_none());
     }
 }

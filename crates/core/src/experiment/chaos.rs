@@ -23,7 +23,7 @@
 
 use super::fattree::{run_fattree_faulted, FatTreeExpConfig};
 use crate::detect::DetectorConfig;
-use crate::plane::{DrainMode, MeasurementPlane, PlaneConfig, TapPoint, TapSpec};
+use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec};
 use rlir_net::clock::ClockModel;
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
@@ -80,7 +80,7 @@ impl ChaosCampaignConfig {
     /// after its outage.
     pub fn paper(seed: u64, duration: SimDuration) -> Self {
         let mut base = FatTreeExpConfig::paper(seed, duration);
-        base.epoch = Some(SimDuration::from_millis(1));
+        base.plane.epoch = Some(SimDuration::from_millis(1));
         let quarter = SimDuration::from_nanos(duration.as_nanos() / 4);
         ChaosCampaignConfig {
             base,
@@ -405,9 +405,7 @@ fn probe_run(with_flood: bool) -> Vec<(u64, u64)> {
     }
 
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        drain: DrainMode::Streaming {
-            reorder_window: SimDuration::from_micros(10),
-        },
+        reorder_window: SimDuration::from_micros(10),
         epoch: Some(SimDuration::from_micros(500)),
         pending_budget: Some(128),
     });

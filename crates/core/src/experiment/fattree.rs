@@ -22,9 +22,7 @@ use crate::deployment::{Deployment, CORE_SENDER_BASE};
 use crate::detect::{ClosedLoopSink, Detection, DetectorConfig};
 use crate::fabric::{build_network, FatTreeFabric};
 use crate::localization::SegmentObservation;
-use crate::plane::{
-    DrainMode, MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TenantReport, TruthRef,
-};
+use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TenantReport, TruthRef};
 use rlir_net::clock::ClockModel;
 use rlir_net::fxhash::FxHashMap;
 use rlir_net::packet::{Packet, ReferenceInfo, SenderId};
@@ -124,20 +122,11 @@ pub struct FatTreeExpConfig {
     pub burst: Option<rlir_trace::BurstShape>,
     /// Flow filter for error CDFs.
     pub min_flow_packets: u64,
-    /// Epoch width of the measurement plane: every tap additionally
-    /// exports per-epoch [`EpochSnapshot`]s
-    /// ([`FatTreeOutcome::segment_epochs`]). `None` keeps whole-run
-    /// aggregates only. Never perturbs the per-flow statistics.
-    pub epoch: Option<SimDuration>,
-    /// Run the plane's pre-streaming buffered-sort drain (the differential
-    /// oracle) instead of the default streaming path. Testing only.
-    pub buffered_oracle: bool,
-    /// Global plane pending-observation budget
-    /// ([`PlaneConfig::pending_budget`]): graceful degradation under
-    /// memory pressure for continuous operation. `None` (the default)
-    /// leaves only the per-tap caps.
+    /// The measurement plane's reorder window, epoch width and budget.
+    /// With [`PlaneConfig::epoch`] set every tap also exports per-epoch
+    /// [`EpochSnapshot`]s ([`FatTreeOutcome::segment_epochs`]).
     #[serde(default)]
-    pub plane_budget: Option<usize>,
+    pub plane: PlaneConfig,
     /// Shards both engine phases run on ([`run_network_sharded_source`]
     /// over the fat-tree's pod partition) — byte-identical for every
     /// count; 1 (the default) runs inline on the calling thread, and so
@@ -146,9 +135,9 @@ pub struct FatTreeExpConfig {
     pub shards: usize,
     /// Tenant assignment for the plane's taps: `Some((w1, w2))` places the
     /// segment-1 taps in tenant 0 with weight `w1` and the segment-2 taps
-    /// in tenant 1 with weight `w2` — weighted guaranteed shares of
-    /// [`FatTreeExpConfig::plane_budget`], with work-conserving borrowing
-    /// (see [`crate::plane::TenantId`]). `None` (the default) keeps every
+    /// in tenant 1 with weight `w2` — weighted guaranteed shares of the
+    /// plane's [`PlaneConfig::pending_budget`], with work-conserving
+    /// borrowing (see [`crate::plane::TenantId`]). `None` (the default) keeps every
     /// tap in the single default tenant, byte-identical to the pre-tenant
     /// plane.
     #[serde(default)]
@@ -175,9 +164,10 @@ impl FatTreeExpConfig {
             switch_anomaly: None,
             burst: None,
             min_flow_packets: 1,
-            epoch: Some(SimDuration::from_millis(5)),
-            buffered_oracle: false,
-            plane_budget: None,
+            plane: PlaneConfig {
+                epoch: Some(SimDuration::from_millis(5)),
+                ..PlaneConfig::default()
+            },
             shards: 1,
             tenant_split: None,
         }
@@ -224,7 +214,7 @@ pub struct FatTreeOutcome {
     pub refs_emitted: (u64, u64),
     /// Per-segment (per-tap) epoch series, `(segment name, snapshots)`, in
     /// tap attachment order — segment 1 first. Empty unless
-    /// [`FatTreeExpConfig::epoch`] was set.
+    /// [`PlaneConfig::epoch`] was set.
     pub segment_epochs: Vec<(String, Vec<EpochSnapshot>)>,
     /// Segment-1 series merged across receivers.
     pub seg1_epochs: Vec<EpochSnapshot>,
@@ -233,13 +223,13 @@ pub struct FatTreeOutcome {
     /// The epoch width the run used, ns.
     pub epoch_ns: Option<u64>,
     /// Highest per-tap buffered-observation high-water mark — O(reorder
-    /// window) on the default streaming path, O(run) under the oracle.
+    /// window); O(run) under a window wider than the run.
     pub peak_pending: usize,
     /// Observations that arrived after their reorder window was flushed
     /// (0 when the window covers the workload's reordering, as it must).
     pub late: u64,
     /// Regular observations shed across every tap (per-tap caps plus the
-    /// global [`FatTreeExpConfig::plane_budget`]).
+    /// global [`PlaneConfig::pending_budget`]).
     pub shed: u64,
     /// High-water mark of pending observations summed across all taps —
     /// the quantity the plane budget bounds.
@@ -679,15 +669,7 @@ fn attach_rlir_taps<'a>(
     let naive = matches!(cfg.demux, CoreDemux::Naive);
     let dst_tor = deployment.dst_tor;
     let cores: Vec<TopoId> = tree.cores().collect();
-    let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        drain: if cfg.buffered_oracle {
-            DrainMode::BufferedSort
-        } else {
-            DrainMode::default()
-        },
-        epoch: cfg.epoch,
-        pending_budget: cfg.plane_budget,
-    });
+    let mut plane = MeasurementPlane::with_config(cfg.plane);
     if let Some((w1, w2)) = cfg.tenant_split {
         plane.set_tenant_weight(0, w1);
         plane.set_tenant_weight(1, w2);

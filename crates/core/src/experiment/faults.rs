@@ -51,7 +51,7 @@ impl FaultsConfig {
         let mut base = FatTreeExpConfig::paper(seed, duration);
         // Online detection wants epochs much shorter than the run; 1 ms
         // keeps several settled epochs ahead of every swept onset.
-        base.epoch = Some(SimDuration::from_millis(1));
+        base.plane.epoch = Some(SimDuration::from_millis(1));
         FaultsConfig {
             base,
             utilizations: vec![0.05, 0.25],

@@ -5,9 +5,9 @@
 //! question: what does the *measurement plane itself* cost when an
 //! operator taps **every `(switch, port)` of a k-ary fat-tree** under one
 //! fixed memory budget? Every tap owns its flow table and reorder run,
-//! and [`PlaneConfig::pending_budget`] is the single allocation authority
-//! across all of them — so fixed traffic must cost about the same state
-//! however many taps watch it.
+//! and [`PlaneConfig::pending_budget`](crate::plane::PlaneConfig::pending_budget)
+//! is the single allocation authority across all of them — so fixed
+//! traffic must cost about the same state however many taps watch it.
 //!
 //! The harness reuses the fat-tree workload generators
 //! ([`measured_traces`] / [`background_injections`]) plus the ToR-uplink
@@ -30,7 +30,7 @@
 
 use crate::deployment::Deployment;
 use crate::fabric::{build_network, FatTreeFabric};
-use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
+use crate::plane::{MeasurementPlane, TapPoint, TapSpec, TruthRef};
 use rlir_net::clock::ClockModel;
 use rlir_net::packet::{Packet, ReferenceInfo, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
@@ -72,7 +72,7 @@ impl PlaneScaleConfig {
         base.k = 8;
         base.n_src_tors = 4;
         base.policy = PolicyKind::Static { n: 50 };
-        base.plane_budget = Some(1 << 16);
+        base.plane.pending_budget = Some(1 << 16);
         PlaneScaleConfig {
             base,
             taps: None,
@@ -224,11 +224,7 @@ pub fn run_plane_scale(cfg: &PlaneScaleConfig) -> PlaneScaleOutcome {
 
     // The plane: one delivered-gated tap per selected port, all under
     // one budget.
-    let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        epoch: base.epoch,
-        pending_budget: base.plane_budget,
-        ..PlaneConfig::default()
-    });
+    let mut plane = MeasurementPlane::with_config(base.plane);
     let points = tap_points(&tree, cfg.taps);
     let taps = points.len();
     for (node, port) in points {
@@ -331,7 +327,7 @@ mod tests {
         let mut cfg = PlaneScaleConfig::fleet(seed, SimDuration::from_millis(10));
         cfg.base.k = 4;
         cfg.base.n_src_tors = 2;
-        cfg.base.plane_budget = Some(4096);
+        cfg.base.plane.pending_budget = Some(4096);
         cfg
     }
 
@@ -396,7 +392,7 @@ mod tests {
         // The budget holds at fleet width: regular pending is capped, so
         // the total (references ride above it) stays in its vicinity
         // instead of scaling with tap count.
-        let budget = quick(47).base.plane_budget.expect("quick sets one");
+        let budget = quick(47).base.plane.pending_budget.expect("quick sets one");
         assert!(
             dense.peak_pending_total < budget * 2,
             "peak pending {} vs budget {budget}",

@@ -8,7 +8,7 @@
 //! errors, realised bottleneck utilization, loss rates and average true
 //! latency. Figures 4(a)–(c) and 5 are sweeps over these runs.
 
-use crate::plane::{DrainMode, MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
+use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
 use rlir_net::clock::ClockPair;
 use rlir_net::packet::Packet;
 use rlir_net::time::{SimDuration, SimTime};
@@ -96,10 +96,6 @@ pub struct TwoHopConfig {
     /// `None` keeps whole-run aggregates only. Never perturbs the per-flow
     /// statistics.
     pub epoch: Option<SimDuration>,
-    /// Run the measurement plane's pre-streaming buffered-sort drain (the
-    /// differential oracle) instead of the default streaming path. For
-    /// testing/benchmarking only: O(run) memory, unordered tap.
-    pub buffered_oracle: bool,
     /// Queue/link parameters of the tandem.
     pub tandem: TandemConfig,
 }
@@ -121,7 +117,6 @@ impl TwoHopConfig {
             min_flow_packets: 1,
             track_quantile: None,
             epoch: Some(SimDuration::from_millis(5)),
-            buffered_oracle: false,
             tandem: TandemConfig::paper(),
         }
     }
@@ -167,10 +162,9 @@ pub struct TwoHopOutcome {
     /// Per-epoch latency time-series (present when [`TwoHopConfig::epoch`]
     /// was set): estimate/truth moments and counter deltas per epoch.
     pub epochs: Vec<EpochSnapshot>,
-    /// High-water mark of observations buffered by the plane for this run
-    /// (0 for the default ordered streaming tap; O(run) under the
-    /// buffered-sort oracle).
-    pub peak_pending: usize,
+    /// Observations the ordered tap refused as late — zero, as switch 2's
+    /// one FIFO port delivers in time order.
+    pub late: u64,
 }
 
 /// The synthetic reference-stream flow key for the tandem (single path, so
@@ -305,21 +299,15 @@ pub fn run_two_hop_on(cfg: &TwoHopConfig, regular: &Trace, cross: &Trace) -> Two
 
     // The measurement plane with one tap at switch 2's host-facing egress.
     // Switch 2's one FIFO port delivers in time order, so the tap streams
-    // with no buffering. The buffered-sort oracle instead routes the same
-    // feed through the plane's unordered drain, for the differential tests.
+    // with no buffering.
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        drain: if cfg.buffered_oracle {
-            DrainMode::BufferedSort
-        } else {
-            DrainMode::default()
-        },
         epoch: cfg.epoch,
         ..PlaneConfig::default()
     });
     let point = TapPoint::Delivery(TandemConfig::SW2);
     let mut tap = TapSpec::new("sw2-egress", point, SenderId(1));
     tap.truth = TruthRef::SinceInjection;
-    tap.ordered = !cfg.buffered_oracle;
+    tap.ordered = true;
     tap.clock = cfg.clocks.receiver;
     tap.interpolator = cfg.interpolator;
     tap.track_quantile = cfg.track_quantile;
@@ -334,7 +322,7 @@ pub fn run_two_hop_on(cfg: &TwoHopConfig, regular: &Trace, cross: &Trace) -> Two
     );
     let refs_emitted = sender.map(|s| s.refs_emitted()).unwrap_or(0);
     let tap_report = plane.finish().taps.pop().expect("one tap");
-    let peak_pending = tap_report.peak_pending;
+    let late = tap_report.late;
     let report = tap_report.report;
 
     let net = &stats.network;
@@ -355,7 +343,7 @@ pub fn run_two_hop_on(cfg: &TwoHopConfig, regular: &Trace, cross: &Trace) -> Two
         std_errors,
         quantile_errors,
         epochs: report.epochs,
-        peak_pending,
+        late,
         flows: report.flows,
     }
 }
@@ -463,7 +451,7 @@ mod tests {
         assert_eq!(est, out.receiver.estimated, "epochs must tally");
         let seen: u64 = out.epochs.iter().map(|e| e.regulars_seen).sum();
         assert_eq!(seen, out.receiver.regulars_seen);
-        assert_eq!(out.peak_pending, 0, "ordered tap buffers nothing");
+        assert_eq!(out.late, 0, "switch 2 delivers in time order");
         // Delay rises under load mid-run: the series is a real time-series,
         // not a constant replicated per epoch.
         let means: Vec<f64> = out.epochs.iter().filter_map(|e| e.est_mean()).collect();

@@ -1,7 +1,7 @@
 //! Admission: the per-tap buffer cap, the plane-wide pending budget and
 //! its per-tenant shares, and the books of whatever is refused.
 
-use super::{ColdTap, DrainMode, HotTap, MeasurementPlane, PlaneConfig};
+use super::{ColdTap, HotTap, MeasurementPlane, PlaneConfig};
 use rlir_net::time::SimTime;
 
 /// Which tenant a tap belongs to (an operator-assigned opaque id).
@@ -32,9 +32,9 @@ pub(super) enum Admission {
     Buffered,
 }
 
-/// Plane-wide pending-observation accounting (streaming drain only): the
-/// live total across every tap's reorder window, and its high-water mark —
-/// what the global [`PlaneConfig::pending_budget`] bounds.
+/// Plane-wide pending-observation accounting: the live total across every
+/// tap's reorder window, and its high-water mark — what the global
+/// [`PlaneConfig::pending_budget`] bounds.
 #[derive(Debug, Clone, Copy, Default)]
 pub(super) struct PendingTotals {
     pub(super) pending: usize,
@@ -166,57 +166,53 @@ impl<'a> MeasurementPlane<'a> {
             cold.lost_window_obs += 1;
             return Admission::Refused;
         }
+        if at < tap.flushed_to {
+            // Behind what was already fed (a buffered tap's closed window,
+            // an ordered tap's last observation): feeding it would hand the
+            // receiver time-travelling input. Count it and move on.
+            cold.late += 1;
+            return Admission::Refused;
+        }
         if tap.ordered {
+            tap.flushed_to = at;
             return Admission::Ordered;
         }
-        // Admission is the streaming drain's business: the oracle is
-        // O(run) by design, never flushes (so nothing is ever late) and
-        // keeps no plane-wide books.
-        if let DrainMode::Streaming { .. } = cfg.drain {
-            if at < tap.flushed_to {
-                // The window for this observation time already closed:
-                // feeding it would hand the receiver time-travelling
-                // input. Count it and move on.
-                cold.late += 1;
+        let slot = tap.tenant_slot as usize;
+        if regular {
+            tenants[slot].offered += 1;
+            // Hierarchical budget: a tenant under its guaranteed share is
+            // always admitted; one at-or-over its share may borrow free
+            // headroom only while every other tenant's unused share stays
+            // reserved — so Σ(admissions) never exceeds the cap and no
+            // flood can displace a guaranteed share. With one tenant,
+            // share == cap and the rule is bit-identical to the flat
+            // `pending >= budget` check.
+            let over_budget = cfg.pending_budget.is_some_and(|cap| {
+                tenants[slot].pending >= tenants[slot].share && {
+                    let reserved: usize = tenants
+                        .iter()
+                        .map(|t| t.share.saturating_sub(t.pending))
+                        .sum();
+                    totals.pending + reserved >= cap
+                }
+            });
+            if tap.run.len() >= tap.max_buffer || over_budget {
+                // Per-window cap or exhausted budget share: shed the
+                // observation but keep the books honest — it was seen at
+                // the point and will never be estimated. References are
+                // always admitted (see TapSpec docs).
+                cold.shed += 1;
+                tenants[slot].shed += 1;
+                cold.rx.on_shed(at);
                 return Admission::Refused;
             }
-            let slot = tap.tenant_slot as usize;
-            if regular {
-                tenants[slot].offered += 1;
-                // Hierarchical budget: a tenant under its guaranteed
-                // share is always admitted; one at-or-over its share may
-                // borrow free headroom only while every other tenant's
-                // unused share stays reserved — so Σ(admissions) never
-                // exceeds the cap and no flood can displace a guaranteed
-                // share. With one tenant, share == cap and the rule is
-                // bit-identical to the flat `pending >= budget` check.
-                let over_budget = cfg.pending_budget.is_some_and(|cap| {
-                    tenants[slot].pending >= tenants[slot].share && {
-                        let reserved: usize = tenants
-                            .iter()
-                            .map(|t| t.share.saturating_sub(t.pending))
-                            .sum();
-                        totals.pending + reserved >= cap
-                    }
-                });
-                if tap.run.len() >= tap.max_buffer || over_budget {
-                    // Per-window cap or exhausted budget share: shed the
-                    // observation but keep the books honest — it was seen
-                    // at the point and will never be estimated. References
-                    // are always admitted (see TapSpec docs).
-                    cold.shed += 1;
-                    tenants[slot].shed += 1;
-                    cold.rx.on_shed(at);
-                    return Admission::Refused;
-                }
-                tenants[slot].admitted += 1;
-            }
-            totals.pending += 1;
-            totals.peak = totals.peak.max(totals.pending);
-            let t = &mut tenants[slot];
-            t.pending += 1;
-            t.peak_pending = t.peak_pending.max(t.pending);
+            tenants[slot].admitted += 1;
         }
+        totals.pending += 1;
+        totals.peak = totals.peak.max(totals.pending);
+        let t = &mut tenants[slot];
+        t.pending += 1;
+        t.peak_pending = t.peak_pending.max(t.pending);
         Admission::Buffered
     }
 }

@@ -28,15 +28,17 @@
 //! O(window) memory and while the simulation runs; what still arrives
 //! late is counted in [`TapReport::late`], never fed out of order.
 //!
+//! The whole-run sort is a window wider than the run: at
+//! [`SimDuration::MAX`], or with no watermark, every run waits for
+//! [`MeasurementPlane::finish`] to sort it once, through the same
+//! admission and books.
+//!
 //! Every run lives in one plane-wide pool of 128-entry blocks (module
 //! `window`): a burst at one tap takes the blocks another tap's flush just
 //! freed. [`PlaneConfig::pending_budget`], its tenant shares (module
 //! `admit`) and [`TapSpec::max_buffer`] count run lengths.
-//! [`DrainMode::BufferedSort`] — the same run, never flushed before
-//! [`MeasurementPlane::finish`] — is the differential oracle
-//! `tests/epoch_streaming_differential.rs` and
-//! `tests/reorder_window_properties.rs` pin the streaming drain against.
-//! [`TapSpec::ordered`] taps stream straight into the receiver.
+//! [`TapSpec::ordered`] taps stream straight into the receiver, held to
+//! the same lateness rule: an observation before one already fed is late.
 //!
 //! A tap is stored twice. Its **hot** half (`HotTap`, 80 bytes, all taps
 //! contiguous) holds what admitting an observation reads and writes: the
@@ -170,47 +172,21 @@ pub type MeterFn<'a> = Box<dyn Fn(&HopEvent<'_>) -> bool + 'a>;
 /// unchanged (the receiver still ignores senders it is not bound to).
 pub type RefMapFn<'a> = Box<dyn Fn(&ReferenceInfo) -> Option<ReferenceInfo> + 'a>;
 
-/// How buffered (non-[`TapSpec::ordered`]) taps hand observations to their
-/// receivers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DrainMode {
-    /// Bounded reorder window driven by the engine watermark (the
-    /// default): observations are fed online, in observation-time order,
-    /// as soon as the watermark clears them; peak memory is O(window).
-    Streaming {
-        /// Width of the reorder window. Must exceed the worst-case
-        /// residence time between any tap and the event that reports its
-        /// observation (for delivered-gated taps: the downstream path
-        /// delay — queue drain caps + processing + links). Too-small
-        /// windows surface as [`TapReport::late`], never as reordered
-        /// input.
-        reorder_window: SimDuration,
-    },
-    /// The differential oracle: the same per-tap run, never flushed
-    /// before [`MeasurementPlane::finish`] — buffer every observation, sort
-    /// once. O(run) memory, no admission control, nothing is ever late.
-    BufferedSort,
-}
-
 /// Default reorder window: the evaluation topologies bound any tap's
 /// observation lag by a few queue residences (512 KiB @ OC-192 drains in
 /// ≈ 420 µs, plus per-hop processing and µs links), so 4 ms covers the
 /// worst case — including the 400 µs localization faults — with headroom.
 pub const DEFAULT_REORDER_WINDOW: SimDuration = SimDuration::from_micros(4_000);
 
-impl Default for DrainMode {
-    fn default() -> Self {
-        DrainMode::Streaming {
-            reorder_window: DEFAULT_REORDER_WINDOW,
-        }
-    }
-}
-
 /// Plane-wide configuration shared by every attached tap.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct PlaneConfig {
-    /// Drain strategy for buffered taps.
-    pub drain: DrainMode,
+    /// Width of the reorder window. Must exceed the worst-case residence
+    /// time between any tap and the event that reports its observation
+    /// (for delivered-gated taps: the downstream path delay). Too small a
+    /// window surfaces as [`TapReport::late`], never as reordered input;
+    /// [`SimDuration::MAX`] feeds nothing before [`MeasurementPlane::finish`].
+    pub reorder_window: SimDuration,
     /// Epoch width: when set, every tap's receiver additionally aggregates
     /// per-epoch [`EpochSnapshot`](rlir_rli::EpochSnapshot)s and the report
     /// carries per-tap latency time-series. `None` keeps whole-run
@@ -223,9 +199,9 @@ pub struct PlaneConfig {
     /// [`TapReport::shed`] and as unestimated in the receiver's books,
     /// exactly like the per-tap [`TapSpec::max_buffer`] cap); references
     /// are still admitted, so estimation quality degrades instead of
-    /// collapsing. `None` (the default) leaves only the per-tap caps.
-    /// Applies to [`DrainMode::Streaming`]; the buffered-sort oracle is
-    /// O(run) by design and ignores it.
+    /// collapsing. `None` (the default) leaves only the per-tap caps —
+    /// what a window wider than the run needs, since its runs hold
+    /// everything until [`MeasurementPlane::finish`].
     ///
     /// With more than one [`TenantId`] attached the budget is
     /// *hierarchical*: the cap is divided into per-tenant weighted shares
@@ -233,6 +209,16 @@ pub struct PlaneConfig {
     /// [`MeasurementPlane::set_tenant_weight`]). With every tap in the
     /// default tenant this reduces exactly to the flat cap.
     pub pending_budget: Option<usize>,
+}
+
+impl Default for PlaneConfig {
+    fn default() -> Self {
+        PlaneConfig {
+            reorder_window: DEFAULT_REORDER_WINDOW,
+            epoch: None,
+            pending_budget: None,
+        }
+    }
 }
 
 impl PlaneConfig {
@@ -331,11 +317,11 @@ enum TruthKind {
 struct HotTap {
     /// The reorder run, in the plane's [`Runs`]: observations in arrival
     /// order behind the sorted tail the last flush retained. Bounded by
-    /// the window under [`DrainMode::Streaming`]; the whole run under the
-    /// oracle, which never flushes before [`MeasurementPlane::finish`].
+    /// the reorder window; the whole run under a window wider than the run.
     run: Run,
     point: TapPoint,
-    /// Observations with `at` below this are late (window too small).
+    /// Observations with `at` below this are late: the last flush bound
+    /// of a buffered tap, the last observation fed to an ordered one.
     flushed_to: SimTime,
     /// After a recovery, observations before this time are discarded
     /// (cold restart resumes on a clean epoch boundary). `ZERO` for taps
@@ -441,9 +427,7 @@ pub struct MeasurementPlane<'a> {
     /// dominate the engine's stream; when every tap is delivered-gated
     /// (the evaluation default) they short-circuit without scanning taps.
     has_live_taps: bool,
-    /// Last watermark seen from the engine.
-    watermark: SimTime,
-    /// Next watermark at which the streaming drain scans the taps
+    /// Next watermark at which the window scans the taps
     /// (half-window granularity: keeps the per-event cost at one branch
     /// while bounding pending growth to 1.5 windows).
     next_flush: SimTime,
@@ -466,8 +450,8 @@ pub struct MeasurementPlane<'a> {
 }
 
 impl<'a> MeasurementPlane<'a> {
-    /// An empty plane with the default configuration (streaming drain,
-    /// default reorder window, no epochs).
+    /// An empty plane with the default configuration (default reorder
+    /// window, no epochs, no budget).
     pub fn new() -> Self {
         Self::default()
     }
@@ -671,22 +655,24 @@ impl<'a> MeasurementPlane<'a> {
             }
             cold.rx.trim_buffer();
             runs.refill(&mut tap.run, n);
-            totals.pending = totals.pending.saturating_sub(n);
             let t = &mut tenants[tap.tenant_slot as usize];
-            t.pending = t.pending.saturating_sub(n);
+            debug_assert!(n <= totals.pending && n <= t.pending, "unbooked entries");
+            totals.pending -= n;
+            t.pending -= n;
         }
         if let Some(b) = bound {
             tap.flushed_to = tap.flushed_to.max(b);
         }
     }
 
-    /// The streaming drain's scan, every half window of watermark: flush
+    /// The window's scan, every half window of watermark: flush
     /// every unordered tap to `watermark − window`, then free the event
     /// records nothing names any more. Out of line: the engine calls
     /// [`HopSink::on_watermark`] per event, and all but one call in
     /// thousands is the two compares in front of this.
     #[inline(never)]
-    fn flush_windows(&mut self, watermark: SimTime, reorder_window: SimDuration) {
+    fn flush_windows(&mut self, watermark: SimTime) {
+        let reorder_window = self.cfg.reorder_window;
         let bound = SimTime::from_nanos(
             watermark
                 .as_nanos()
@@ -731,10 +717,13 @@ impl<'a> MeasurementPlane<'a> {
             self.runs.release(&mut tap.run, |_| {});
             let destroyed = cold.rx.reset_cold();
             cold.lost_window_obs += freed as u64 + destroyed;
-            // Saturating: the oracle keeps no plane-wide books to debit.
-            self.totals.pending = self.totals.pending.saturating_sub(freed);
             let t = &mut self.tenants[tap.tenant_slot as usize];
-            t.pending = t.pending.saturating_sub(freed);
+            debug_assert!(
+                freed <= self.totals.pending && freed <= t.pending,
+                "unbooked entries"
+            );
+            self.totals.pending -= freed;
+            t.pending -= freed;
         }
     }
 
@@ -780,12 +769,8 @@ fn crossing_time(point: TapPoint, crossing: u32, ev: &HopEvent<'_>) -> SimTime {
 impl HopSink for MeasurementPlane<'_> {
     #[inline]
     fn on_watermark(&mut self, watermark: SimTime) {
-        self.watermark = watermark;
-        let DrainMode::Streaming { reorder_window } = self.cfg.drain else {
-            return;
-        };
         if watermark >= self.next_flush {
-            self.flush_windows(watermark, reorder_window);
+            self.flush_windows(watermark);
         }
     }
 

@@ -9,7 +9,7 @@
 //! entries do — one to one and a half windows — and a live egress tap,
 //! whose `Dequeue` events run ahead of the watermark, merely holds the
 //! front back until it catches up. A crashed tap's records go with the
-//! next flush past them; the buffered-sort oracle keeps them all.
+//! next flush past them; a window wider than the run keeps them all.
 
 use super::window::{WindowEntry, ENTRY_HAS_TRUTH};
 use rlir_net::packet::{ReferenceInfo, SenderId};

@@ -21,12 +21,12 @@ pub struct TapReport {
     /// Receiver output: dense per-flow table, counters, per-epoch series.
     pub report: ReceiverReport,
     /// High-water mark of observations buffered for this tap — O(reorder
-    /// window) under [`DrainMode::Streaming`](super::DrainMode::Streaming),
-    /// O(run) under the oracle.
+    /// window); O(run) under a window wider than the run; zero for an
+    /// [`ordered`](super::TapSpec::ordered) tap.
     pub peak_pending: usize,
-    /// Observations that arrived after their reorder window was already
-    /// flushed (counted, never fed out of order). Nonzero means the
-    /// configured window is narrower than the workload's real reordering.
+    /// Observations that arrived after their reorder window was flushed —
+    /// on an ordered tap, before the last one fed (counted, never fed).
+    /// Nonzero means the window is narrower than the workload's reordering.
     pub late: u64,
     /// Regular observations shed by the per-window buffer cap
     /// ([`TapSpec::max_buffer`](super::TapSpec::max_buffer)); also counted
@@ -100,9 +100,8 @@ pub struct PlaneReport {
     pub tenants: Vec<TenantReport>,
     /// The epoch width the plane ran with, ns.
     pub epoch_ns: Option<u64>,
-    /// High-water mark of pending observations summed across **all** taps
-    /// (streaming drain only; zero under the buffered-sort oracle) — the
-    /// quantity [`PlaneConfig::pending_budget`](super::PlaneConfig::pending_budget)
+    /// High-water mark of pending observations summed across **all** taps —
+    /// the quantity [`PlaneConfig::pending_budget`](super::PlaneConfig::pending_budget)
     /// bounds, and the soak harness's flat-memory witness alongside the
     /// engine's `peak_live_slots`.
     pub peak_pending_total: usize,
@@ -112,11 +111,10 @@ pub struct PlaneReport {
     /// references, a [`TruthRef::SinceArrivalAt`](super::TruthRef::SinceArrivalAt)
     /// tap's scored regulars). Buffered observations ÷ this is how many taps
     /// shared a record — what the record / entry split of the window pays
-    /// off by. Diagnostic, in both drain modes.
+    /// off by. Diagnostic.
     pub records_made: u64,
-    /// High-water mark of event records held at once — O(reorder window)
-    /// under [`DrainMode::Streaming`](super::DrainMode::Streaming),
-    /// `records_made` under the oracle.
+    /// High-water mark of event records held at once — O(reorder window);
+    /// `records_made` under a window wider than the run.
     pub peak_records: usize,
 }
 
@@ -331,7 +329,7 @@ impl MeasurementPlane<'_> {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{arrive_ev, crossed, fk};
-    use super::super::{DrainMode, MeasurementPlane, PlaneConfig, TapPoint, TapSpec};
+    use super::super::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec};
     use rlir_net::packet::{Packet, SenderId};
     use rlir_net::time::{SimDuration, SimTime};
     use rlir_rli::{snapshot_at, EpochSnapshot};
@@ -340,9 +338,7 @@ mod tests {
     #[test]
     fn mid_run_epoch_queries_see_downstream_deaths() {
         let mut plane = MeasurementPlane::with_config(PlaneConfig {
-            drain: DrainMode::Streaming {
-                reorder_window: SimDuration::from_nanos(500),
-            },
+            reorder_window: SimDuration::from_nanos(500),
             epoch: Some(SimDuration::from_nanos(1_000)),
             ..PlaneConfig::default()
         });

@@ -65,38 +65,13 @@ fn delivered_only_node_tap_reconstructs_hop_crossings() {
     spec.delivered_only = true;
     plane.attach(spec);
     // Packet injected at t=0, arrives node 1 at t=500, delivered 900.
-    let hops = [
-        Hop {
-            node: 0,
-            port: 0,
-            arrived: SimTime::ZERO,
-            departed: SimTime::from_nanos(400),
-        },
-        Hop {
-            node: 1,
-            port: 0,
-            arrived: SimTime::from_nanos(500),
-            departed: SimTime::from_nanos(800),
-        },
-    ];
+    let hops = [crossed(0, 0), crossed(1, 500)];
     let r0 = Packet::reference(1, fk(9), SenderId(1), 0, SimTime::ZERO);
-    let rhops = [Hop {
-        node: 1,
-        port: 0,
-        arrived: SimTime::from_nanos(100),
-        departed: SimTime::from_nanos(150),
-    }];
-    plane.on_hop(&deliver_ev(&r0, &rhops, 2, 400)); // seen at node1 @100, delay 100
+    plane.on_hop(&deliver_ev(&r0, &[crossed(1, 100)], 2, 400)); // seen at node1 @100, delay 100
     let p = Packet::regular(2, fk(1), 700, SimTime::ZERO);
     plane.on_hop(&deliver_ev(&p, &hops, 2, 900)); // seen at node1 @500, truth 500
     let r1 = Packet::reference(3, fk(9), SenderId(1), 1, SimTime::from_nanos(500));
-    let rhops1 = [Hop {
-        node: 1,
-        port: 0,
-        arrived: SimTime::from_nanos(700),
-        departed: SimTime::from_nanos(750),
-    }];
-    plane.on_hop(&deliver_ev(&r1, &rhops1, 2, 1000)); // seen @700, delay 200
+    plane.on_hop(&deliver_ev(&r1, &[crossed(1, 700)], 2, 1000)); // seen @700, delay 200
     let rep = plane.finish();
     let acc = rep.taps[0].report.flows.get(&fk(1)).expect("metered");
     // left 100@100, right 200@700 → at 500: 100 + 100·(400/600) ≈ 166.67
@@ -138,45 +113,28 @@ fn meter_and_ref_map_gate_the_tap() {
 #[test]
 fn buffered_taps_sort_by_time_then_delivery_order() {
     // Observations arrive out of delivery order (as Deliver events do);
-    // the drain must reorder by (at, delivered, id) — in both modes.
-    for drain in [DrainMode::default(), DrainMode::BufferedSort] {
-        let mut plane = MeasurementPlane::with_config(PlaneConfig {
-            drain,
-            ..PlaneConfig::default()
-        });
-        let mut spec = TapSpec::new("mid", TapPoint::NodeArrival(1), SenderId(1));
-        spec.truth = TruthRef::NoTruth;
-        spec.delivered_only = true;
-        plane.attach(spec);
-        let hop_at = |ns: u64| {
-            [Hop {
-                node: 1,
-                port: 0,
-                arrived: SimTime::from_nanos(ns),
-                departed: SimTime::from_nanos(ns + 10),
-            }]
-        };
-        // Regular seen at node1 @150 but delivered late (at 900).
-        let p = Packet::regular(5, fk(1), 700, SimTime::ZERO);
-        let h = hop_at(150);
-        let late = deliver_ev(&p, &h, 2, 900);
-        // References bracket it, delivered earlier.
-        let r0 = Packet::reference(1, fk(9), SenderId(1), 0, SimTime::ZERO);
-        let h0 = hop_at(100);
-        let r1 = Packet::reference(2, fk(9), SenderId(1), 1, SimTime::from_nanos(60));
-        let h1 = hop_at(200);
-        // Feed in "wrong" order: closing ref first.
-        plane.on_hop(&deliver_ev(&r1, &h1, 2, 300));
-        plane.on_hop(&late);
-        plane.on_hop(&deliver_ev(&r0, &h0, 2, 250));
-        let rep = plane.finish();
-        let report = &rep.taps[0].report;
-        assert_eq!(report.counters.estimated, 1, "packet bracketed after sort");
-        // left delay 100@100, right delay 140@200 → at 150: 120.
-        let acc = report.flows.get(&fk(1)).expect("metered");
-        assert_eq!(acc.est.mean(), Some(120.0));
-        assert_eq!(rep.taps[0].late, 0);
-    }
+    // the drain must reorder by (at, delivered, id).
+    let mut plane = MeasurementPlane::new();
+    let mut spec = TapSpec::new("mid", TapPoint::NodeArrival(1), SenderId(1));
+    spec.truth = TruthRef::NoTruth;
+    spec.delivered_only = true;
+    plane.attach(spec);
+    // Regular seen at node1 @150 but delivered late (at 900).
+    let p = Packet::regular(5, fk(1), 700, SimTime::ZERO);
+    // References bracket it, delivered earlier.
+    let r0 = Packet::reference(1, fk(9), SenderId(1), 0, SimTime::ZERO);
+    let r1 = Packet::reference(2, fk(9), SenderId(1), 1, SimTime::from_nanos(60));
+    // Feed in "wrong" order: closing ref first.
+    plane.on_hop(&deliver_ev(&r1, &[crossed(1, 200)], 2, 300));
+    plane.on_hop(&deliver_ev(&p, &[crossed(1, 150)], 2, 900));
+    plane.on_hop(&deliver_ev(&r0, &[crossed(1, 100)], 2, 250));
+    let rep = plane.finish();
+    let report = &rep.taps[0].report;
+    assert_eq!(report.counters.estimated, 1, "packet bracketed after sort");
+    // left delay 100@100, right delay 140@200 → at 150: 120.
+    let acc = report.flows.get(&fk(1)).expect("metered");
+    assert_eq!(acc.est.mean(), Some(120.0));
+    assert_eq!(rep.taps[0].late, 0);
 }
 
 #[test]
@@ -188,31 +146,41 @@ fn two_live_taps_see_different_hops_of_one_event_stream() {
         spec.truth = TruthRef::SinceInjection;
         plane.attach(spec);
     }
-    fn arrive(packet: &Packet, node: NodeId, at_ns: u64) -> HopEvent<'_> {
-        HopEvent {
-            kind: HopKind::Arrive,
-            node,
-            at: SimTime::from_nanos(at_ns),
-            packet,
-            injected_node: 0,
-            injected_at: packet.created_at,
-            hops: &[],
-        }
-    }
     let r0 = Packet::reference(1, fk(9), SenderId(1), 0, SimTime::ZERO);
     let p = Packet::regular(2, fk(1), 700, SimTime::ZERO);
     let r1 = Packet::reference(3, fk(9), SenderId(1), 1, SimTime::from_nanos(100));
     // Node 0 sees everything early, node 1 sees it all 500 ns later.
     for (node, shift) in [(0usize, 0u64), (1, 500)] {
-        plane.on_hop(&arrive(&r0, node, 10 + shift));
-        plane.on_hop(&arrive(&p, node, 20 + shift));
-        plane.on_hop(&arrive(&r1, node, 110 + shift));
+        plane.on_hop(&arrive_ev(&r0, node, 10 + shift));
+        plane.on_hop(&arrive_ev(&p, node, 20 + shift));
+        plane.on_hop(&arrive_ev(&r1, node, 110 + shift));
     }
     let rep = plane.finish();
     assert_eq!(rep.taps.len(), 2);
     let m0 = rep.taps[0].report.flows.get(&fk(1)).unwrap().est.mean();
     let m1 = rep.taps[1].report.flows.get(&fk(1)).unwrap().est.mean();
     assert!(m1.unwrap() > m0.unwrap() + 400.0, "{m0:?} vs {m1:?}");
+}
+
+#[test]
+fn an_ordered_tap_refuses_what_comes_before_its_last_observation() {
+    // The feed runs backwards once: a regular at 200 after the one at 300
+    // was fed is late, like an observation behind a flush bound.
+    let mut plane = MeasurementPlane::new();
+    let mut spec = TapSpec::new("in-order", TapPoint::NodeArrival(0), SenderId(1));
+    spec.ordered = true;
+    plane.attach(spec);
+    let r0 = Packet::reference(1, fk(9), SenderId(1), 0, SimTime::ZERO);
+    let p = Packet::regular(2, fk(1), 700, SimTime::ZERO);
+    let behind = Packet::regular(3, fk(1), 700, SimTime::ZERO);
+    let r1 = Packet::reference(4, fk(9), SenderId(1), 1, SimTime::from_nanos(300));
+    for (packet, at) in [(&r0, 100), (&p, 300), (&behind, 200), (&r1, 400)] {
+        plane.on_hop(&arrive_ev(packet, 0, at));
+    }
+    let rep = plane.finish();
+    let c = rep.taps[0].report.counters;
+    // Never fed: the late regular is not even seen.
+    assert_eq!((rep.taps[0].late, c.estimated, c.regulars_seen), (1, 1, 1));
 }
 
 /// Build an Arrive event at `node`.
@@ -233,9 +201,7 @@ fn watermark_streams_estimates_before_finish() {
     // The tentpole behaviour: with the watermark advancing, a live tap
     // produces per-epoch results *during* the run, bounded memory.
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        drain: DrainMode::Streaming {
-            reorder_window: SimDuration::from_nanos(500),
-        },
+        reorder_window: SimDuration::from_nanos(500),
         epoch: Some(SimDuration::from_nanos(1_000)),
         ..PlaneConfig::default()
     });
@@ -261,25 +227,17 @@ fn watermark_streams_estimates_before_finish() {
 #[test]
 fn late_observations_are_counted_not_fed() {
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        drain: DrainMode::Streaming {
-            reorder_window: SimDuration::from_nanos(10),
-        },
+        reorder_window: SimDuration::from_nanos(10),
         epoch: None,
         ..PlaneConfig::default()
     });
     let mut spec = TapSpec::new("mid", TapPoint::NodeArrival(1), SenderId(1));
     spec.delivered_only = true;
     plane.attach(spec);
-    let hop = [Hop {
-        node: 1,
-        port: 0,
-        arrived: SimTime::from_nanos(100),
-        departed: SimTime::from_nanos(110),
-    }];
     // Watermark sprints ahead: window for t=100 closes at 110.
     plane.on_watermark(SimTime::from_nanos(10_000));
     let p = Packet::regular(5, fk(1), 700, SimTime::ZERO);
-    plane.on_hop(&deliver_ev(&p, &hop, 2, 10_000)); // seen @100: late
+    plane.on_hop(&deliver_ev(&p, &[crossed(1, 100)], 2, 10_000)); // seen @100: late
     let rep = plane.finish();
     assert_eq!(rep.taps[0].late, 1);
     assert_eq!(rep.taps[0].report.counters.regulars_seen, 0);
@@ -288,7 +246,6 @@ fn late_observations_are_counted_not_fed() {
 #[test]
 fn window_cap_sheds_regulars_but_admits_references() {
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        drain: DrainMode::default(),
         epoch: Some(SimDuration::from_nanos(100)),
         ..PlaneConfig::default()
     });
@@ -322,7 +279,6 @@ fn window_cap_sheds_regulars_but_admits_references() {
 #[test]
 fn live_tap_counts_downstream_deaths_per_epoch() {
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        drain: DrainMode::default(),
         epoch: Some(SimDuration::from_nanos(1_000)),
         ..PlaneConfig::default()
     });
@@ -336,12 +292,6 @@ fn live_tap_counts_downstream_deaths_per_epoch() {
     plane.on_hop(&arrive_ev(&p2, 0, 160));
     plane.on_hop(&arrive_ev(&r1, 0, 300));
     // p2 dies downstream at node 1, having crossed node 0 at t=160.
-    let crossed = [Hop {
-        node: 0,
-        port: 0,
-        arrived: SimTime::from_nanos(160),
-        departed: SimTime::from_nanos(170),
-    }];
     plane.on_hop(&HopEvent {
         kind: HopKind::QueueDrop { port: 0 },
         node: 1,
@@ -349,7 +299,7 @@ fn live_tap_counts_downstream_deaths_per_epoch() {
         packet: &p2,
         injected_node: 0,
         injected_at: SimTime::ZERO,
-        hops: &crossed,
+        hops: &[crossed(0, 160)],
     });
     let rep = plane.finish();
     let tap = &rep.taps[0];
@@ -371,7 +321,6 @@ fn epoch_localization_ranks_segments_per_epoch() {
     // Three delivery taps; tap "bad" spikes only in epoch 1 (so the
     // per-epoch median stays anchored by the two healthy segments).
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        drain: DrainMode::default(),
         epoch: Some(SimDuration::from_nanos(10_000)),
         ..PlaneConfig::default()
     });
@@ -488,9 +437,7 @@ pub(super) fn crossed(node: NodeId, at_ns: u64) -> Hop {
 
 pub(super) fn streaming(window_ns: u64) -> PlaneConfig {
     PlaneConfig {
-        drain: DrainMode::Streaming {
-            reorder_window: SimDuration::from_nanos(window_ns),
-        },
+        reorder_window: SimDuration::from_nanos(window_ns),
         ..PlaneConfig::default()
     }
 }
@@ -502,34 +449,29 @@ fn equal_time_equal_delivery_ties_feed_in_packet_id_order() {
     // The receiver interpolates from the one fed last, so the estimate
     // tells which that was — and must not depend on which delivery the
     // engine happened to report first (the order their records land in).
-    for drain in [DrainMode::default(), DrainMode::BufferedSort] {
-        for first_reported in [3u64, 9] {
-            let mut plane = MeasurementPlane::with_config(PlaneConfig {
-                drain,
-                ..PlaneConfig::default()
-            });
-            plane.attach(gated_tap("mid", 1));
-            // id 3 took 200 ns to the tap, id 9 took 100 ns.
-            let tx = |id: u64| SimTime::from_nanos(if id == 3 { 0 } else { 100 });
-            let both_at = [crossed(1, 200)];
-            for id in [first_reported, 12 - first_reported] {
-                let r = Packet::reference(id, fk(9), SenderId(1), id as u32, tx(id));
-                plane.on_hop(&deliver_ev(&r, &both_at, 2, 500));
-            }
-            let p = Packet::regular(20, fk(1), 700, SimTime::ZERO);
-            plane.on_hop(&deliver_ev(&p, &[crossed(1, 250)], 2, 600));
-            let close = Packet::reference(21, fk(9), SenderId(1), 30, SimTime::from_nanos(200));
-            plane.on_hop(&deliver_ev(&close, &[crossed(1, 300)], 2, 700));
-            let rep = plane.finish();
-            let acc = rep.taps[0].report.flows.get(&fk(1)).expect("metered");
-            // Fed 3 then 9: left is 9's 100 ns @200, right 100 ns @300.
-            assert_eq!(
-                acc.est.mean(),
-                Some(100.0),
-                "{drain:?}, id {first_reported} reported first"
-            );
-            assert_eq!(rep.records_made, 4);
+    for first_reported in [3u64, 9] {
+        let mut plane = MeasurementPlane::new();
+        plane.attach(gated_tap("mid", 1));
+        // id 3 took 200 ns to the tap, id 9 took 100 ns.
+        let tx = |id: u64| SimTime::from_nanos(if id == 3 { 0 } else { 100 });
+        let both_at = [crossed(1, 200)];
+        for id in [first_reported, 12 - first_reported] {
+            let r = Packet::reference(id, fk(9), SenderId(1), id as u32, tx(id));
+            plane.on_hop(&deliver_ev(&r, &both_at, 2, 500));
         }
+        let p = Packet::regular(20, fk(1), 700, SimTime::ZERO);
+        plane.on_hop(&deliver_ev(&p, &[crossed(1, 250)], 2, 600));
+        let close = Packet::reference(21, fk(9), SenderId(1), 30, SimTime::from_nanos(200));
+        plane.on_hop(&deliver_ev(&close, &[crossed(1, 300)], 2, 700));
+        let rep = plane.finish();
+        let acc = rep.taps[0].report.flows.get(&fk(1)).expect("metered");
+        // Fed 3 then 9: left is 9's 100 ns @200, right 100 ns @300.
+        assert_eq!(
+            acc.est.mean(),
+            Some(100.0),
+            "id {first_reported} reported first"
+        );
+        assert_eq!(rep.records_made, 4);
     }
 }
 
@@ -673,9 +615,9 @@ fn departures_ahead_of_the_watermark_hold_their_records() {
     // to 3 windows past the watermark here, so flushes come and go
     // while the entry waits. Its record must wait with it — and the
     // records of the gated tap's deliveries queued behind it.
-    let outcome = |drain: DrainMode| {
+    let outcome = |reorder_window: SimDuration| {
         let mut plane = MeasurementPlane::with_config(PlaneConfig {
-            drain,
+            reorder_window,
             ..PlaneConfig::default()
         });
         let mut live = TapSpec::new("egress", TapPoint::PortDeparture(1, 0), SenderId(1));
@@ -717,11 +659,9 @@ fn departures_ahead_of_the_watermark_hold_their_records() {
             .collect();
         (taps, rep.records_made, rep.peak_records)
     };
-    let window = DrainMode::Streaming {
-        reorder_window: SimDuration::from_nanos(400),
-    };
-    let (streamed, made, peak) = outcome(window);
-    let (oracle, oracle_made, oracle_peak) = outcome(DrainMode::BufferedSort);
+    let (streamed, made, peak) = outcome(SimDuration::from_nanos(400));
+    // A window wider than the run: one sort at `finish()`.
+    let (oracle, oracle_made, oracle_peak) = outcome(SimDuration::MAX);
     assert_eq!(streamed, oracle);
     assert_eq!(streamed[0].3 + streamed[1].3, 0, "nothing may be late");
     assert_eq!((made, oracle_made, oracle_peak), (1_200, 1_200, 1_200));
@@ -950,5 +890,60 @@ proptest! {
         let (at, tie, id) = key;
         let got = round_trip(reclaimed, EventRecord::reference(tie, id, &info), at, false);
         prop_assert_eq!(got, (key, Payload::Reference(info)));
+    }
+
+    #[test]
+    fn the_pending_books_are_the_run_lengths_after_every_step(
+        raw in proptest::collection::vec((0u8..100, 0u64..10_000, any::<u64>()), 50..600),
+        budget in 0usize..80,
+        max_buffer in 1usize..48,
+    ) {
+        // Four delivered-gated taps in two tenants, capped on both axes
+        // (a fifth of the cases without a budget); deliveries crossing
+        // random subsets of them, some behind the flush bound; watermarks;
+        // crashes and recoveries.
+        let window = 1_000u64;
+        let mut plane = MeasurementPlane::with_config(PlaneConfig {
+            pending_budget: (budget >= 16).then(|| budget - 15),
+            ..streaming(window)
+        });
+        plane.set_tenant_weight(1, 2);
+        for node in 1..=4 {
+            let mut spec = gated_tap("t", node);
+            (spec.tenant, spec.max_buffer) = ((node % 2) as u32, max_buffer);
+            plane.attach(spec);
+        }
+        let mut clock = 2 * window;
+        for (i, &(op, x, y)) in raw.iter().enumerate() {
+            let (at, node) = (SimTime::from_nanos(clock), 1 + (y % 4) as usize);
+            match op {
+                0..=79 => {
+                    let hops: Vec<Hop> = (1..=4)
+                        .filter(|n| y >> n & 1 == 1)
+                        .map(|n| crossed(n, clock - (x ^ y >> (8 * n)) % (window + window / 4)))
+                        .collect();
+                    let p = if y % 5 == 0 {
+                        Packet::reference(i as u64, fk(9), SenderId(1), i as u32, SimTime::ZERO)
+                    } else {
+                        Packet::regular(i as u64, fk((y % 3) as u8), 700, SimTime::ZERO)
+                    };
+                    plane.on_hop(&deliver_ev(&p, &hops, 9, clock));
+                }
+                80..=91 => {
+                    clock += x % window;
+                    plane.on_watermark(SimTime::from_nanos(clock));
+                }
+                92..=95 => plane.tap_down(at, node),
+                _ => plane.tap_up(at, node),
+            }
+            let mut own = vec![0; plane.tenants.len()];
+            for t in &plane.taps {
+                own[t.tenant_slot as usize] += t.run.len();
+            }
+            let books: Vec<usize> = plane.tenants.iter().map(|t| t.pending).collect();
+            let want = (own.iter().sum::<usize>(), own);
+            prop_assert_eq!((plane.totals.pending, books), want, "after step {}", i);
+        }
+        plane.finish();
     }
 }

@@ -22,7 +22,7 @@ pub(super) const ENTRY_HAS_TRUTH: u64 = 1 << 63;
 /// which [`EventRecord`](super::records::EventRecord) says what it was and
 /// since when its truth runs. Two words: fed in ascending
 /// `(at, tie, packet id)` order — unique per tap, and the exact total
-/// order the buffered-sort oracle produces.
+/// order a whole-run sort produces.
 #[derive(Clone, Copy, Default)]
 pub(super) struct WindowEntry {
     pub(super) at: u64,

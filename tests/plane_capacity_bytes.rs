@@ -19,7 +19,7 @@
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
-use rlir::plane::{DrainMode, MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
+use rlir::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
@@ -80,9 +80,7 @@ fn allowed(len: usize, size: usize) -> usize {
 #[test]
 fn epoch_series_and_interpolation_buffers_hold_what_they_use() {
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        drain: DrainMode::Streaming {
-            reorder_window: SimDuration::from_micros(10),
-        },
+        reorder_window: SimDuration::from_micros(10),
         epoch: Some(SimDuration::from_nanos(EPOCH_NS)),
         ..PlaneConfig::default()
     });

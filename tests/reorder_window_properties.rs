@@ -10,10 +10,12 @@
 //! [`MeasurementPlane::approx_state_bytes`] grows by one buffered
 //! observation exactly when a reorder run does.
 //!
-//! The oracle is [`DrainMode::BufferedSort`] — same run, never flushed
-//! before `finish()` — fed only the survivors, which the test sorts by
-//! `(at, tie, id)` itself first (the oracle shares the run's sort, so a
-//! sort that did nothing would otherwise go unnoticed):
+//! The oracle is the same plane with every tap [`TapSpec::ordered`], fed
+//! only the survivors, which the test sorts by `(at, tie, id)` itself: they
+//! go straight into receivers with the same caps, past no run and no sort,
+//! so the window's sort is held to the test's. (A plane no watermark
+//! reaches would share the run's sort, and its run would have to go
+//! uncapped — which uncaps its receivers' interpolation buffers too.)
 //!
 //! * a tap that never crashed must report bit-for-bit what the oracle
 //!   reports for its admitted observations (flow rows incl. the tail,
@@ -34,21 +36,22 @@
 //! A second property puts a live egress tap and two delivered-gated taps on
 //! one plane: departures stamped ahead of the watermark and deliveries that
 //! both gated taps buffer share the plane's event records, and each tap
-//! must still report what a plane of its own reports when fed that tap's
-//! observations already in `(at, tie, id)` order.
+//! must still report what a plane of its own, never sent a watermark,
+//! reports when fed that tap's observations already in `(at, tie, id)`
+//! order.
 //!
 //! A third property holds the block pool every run lives in to its
 //! bookkeeping: eight taps, deliveries crossing random subsets of them
 //! often enough between flushes that runs outgrow a block, random
-//! watermarks and crashes of random taps. After
-//! every event, in both drain modes, the blocks in use are exactly
-//! Σ ⌈run length / block⌉ and the pool grew only by what its free list
-//! could not supply; at the end every tap reports bit for bit what the
-//! same events report under [`DrainMode::BufferedSort`].
+//! watermarks and crashes of random taps. After every event, under the
+//! drawn window and under one wider than the run (`SimDuration::MAX`),
+//! the blocks in use are exactly Σ ⌈run length / block⌉ and the pool grew
+//! only by what its free list could not supply; at the end every tap
+//! reports bit for bit what the same events report under the wide window.
 
 use proptest::prelude::*;
 use rlir::plane::{
-    DrainMode, MeasurementPlane, PlaneConfig, PlaneReport, TapPoint, TapSpec, TruthRef, WindowPool,
+    MeasurementPlane, PlaneConfig, PlaneReport, TapPoint, TapSpec, TruthRef, WindowPool,
 };
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
@@ -173,11 +176,14 @@ fn schedule(raw: &[(u8, u64, u64, u8)], window: u64) -> Vec<Step> {
     steps
 }
 
-fn plane<'a>(drain: DrainMode, k: &Knobs, budget: Option<usize>) -> MeasurementPlane<'a> {
+/// The plane under test, or with `ordered` taps the oracle: the same
+/// caps, but nothing buffered, so neither the run's cap nor the budget
+/// ever applies.
+fn plane<'a>(k: &Knobs, ordered: bool) -> MeasurementPlane<'a> {
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        drain,
+        reorder_window: SimDuration::from_nanos(k.window),
         epoch: Some(SimDuration::from_nanos(k.epoch)),
-        pending_budget: budget,
+        pending_budget: k.budget,
     });
     plane.set_tenant_weight(0, k.weights.0);
     plane.set_tenant_weight(1, k.weights.1);
@@ -190,6 +196,7 @@ fn plane<'a>(drain: DrainMode, k: &Knobs, budget: Option<usize>) -> MeasurementP
         spec.delivered_only = true;
         spec.tenant = (tap % 2) as u32;
         spec.max_buffer = k.max_buffer;
+        spec.ordered = ordered;
         // A tap that reports a tail, beside three that do not.
         spec.track_quantile = (tap == 1).then_some(0.9);
         if k.cold_fields && tap == 2 {
@@ -270,13 +277,7 @@ fn epoch_bits(epochs: &[EpochSnapshot], from: u64) -> Vec<u64> {
 }
 
 fn check(steps: &[Step], k: &Knobs) -> Result<(), TestCaseError> {
-    let mut streaming = plane(
-        DrainMode::Streaming {
-            reorder_window: SimDuration::from_nanos(k.window),
-        },
-        k,
-        k.budget,
-    );
+    let mut streaming = plane(k, false);
     // Admitted observations, stamped with how often their tap had crashed.
     let mut admitted: Vec<(Obs, u32)> = Vec::new();
     let mut offered = [0u64; TAPS];
@@ -339,7 +340,7 @@ fn check(steps: &[Step], k: &Knobs) -> Result<(), TestCaseError> {
 
     // The oracle sees only survivors: what was admitted, and on the
     // crashed tap only since its last crash.
-    let mut oracle = plane(DrainMode::BufferedSort, k, None);
+    let mut oracle = plane(k, true);
     admitted.sort_by_key(|(o, _)| (o.at, o.delivered, o.id));
     for (o, stamp) in &admitted {
         if o.tap != 0 || *stamp == crashes {
@@ -349,10 +350,11 @@ fn check(steps: &[Step], k: &Knobs) -> Result<(), TestCaseError> {
     let want = oracle.finish();
 
     for (tap, (g, w)) in got.taps.iter().zip(&want.taps).enumerate() {
+        prop_assert_eq!(w.late, 0, "tap {}: the test's sort left disorder", tap);
         prop_assert_eq!(
             flow_bits(&g.report.flows),
             flow_bits(&w.report.flows),
-            "tap {}: flow rows drifted from the buffered-sort oracle",
+            "tap {}: flow rows drifted from the sorted survivors",
             tap
         );
         let n_admitted = admitted.iter().filter(|(o, _)| o.tap == tap).count() as u64;
@@ -520,9 +522,13 @@ fn offer_mixed(plane: &mut MeasurementPlane<'_>, ev: &Mixed) {
 }
 
 /// A plane holding the mixed case's taps `which` (0: the live egress tap).
-fn mixed_plane<'a>(drain: DrainMode, epoch: u64, which: &[usize]) -> MeasurementPlane<'a> {
+fn mixed_plane<'a>(
+    reorder_window: SimDuration,
+    epoch: u64,
+    which: &[usize],
+) -> MeasurementPlane<'a> {
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        drain,
+        reorder_window,
         epoch: Some(SimDuration::from_nanos(epoch)),
         pending_budget: None,
     });
@@ -572,13 +578,7 @@ fn check_mixed(raw: &[(u8, u64, u64)], window: u64, epoch: u64) -> Result<(), Te
         });
     }
 
-    let mut streaming = mixed_plane(
-        DrainMode::Streaming {
-            reorder_window: SimDuration::from_nanos(window),
-        },
-        epoch,
-        &[0, 1, 2],
-    );
+    let mut streaming = mixed_plane(SimDuration::from_nanos(window), epoch, &[0, 1, 2]);
     let mut made = 0u64;
     for ev in &events {
         let before = streaming.approx_state_bytes();
@@ -614,7 +614,8 @@ fn check_mixed(raw: &[(u8, u64, u64)], window: u64, epoch: u64) -> Result<(), Te
             })
             .collect();
         own.sort_by_key(|&(at, tie, id, _)| (at, tie, id));
-        let mut oracle = mixed_plane(DrainMode::BufferedSort, epoch, &[tap]);
+        // Never sent a watermark: the whole run, sorted at `finish()`.
+        let mut oracle = mixed_plane(SimDuration::from_nanos(window), epoch, &[tap]);
         for (_, _, _, ev) in &own {
             offer_mixed(&mut oracle, ev);
         }
@@ -708,9 +709,9 @@ fn pool_schedule(raw: &[(u8, u64, u64)], window: u64) -> Vec<PoolStep> {
     steps
 }
 
-fn pool_plane<'a>(drain: DrainMode, epoch: u64) -> MeasurementPlane<'a> {
+fn pool_plane<'a>(reorder_window: SimDuration, epoch: u64) -> MeasurementPlane<'a> {
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        drain,
+        reorder_window,
         epoch: Some(SimDuration::from_nanos(epoch)),
         pending_budget: None,
     });
@@ -807,12 +808,9 @@ fn pool_books(
 
 fn check_pool(raw: &[(u8, u64, u64)], window: u64, epoch: u64) -> Result<(), TestCaseError> {
     let steps = pool_schedule(raw, window);
-    let streaming = DrainMode::Streaming {
-        reorder_window: SimDuration::from_nanos(window),
-    };
     let mut planes = [
-        pool_plane(streaming, epoch),
-        pool_plane(DrainMode::BufferedSort, epoch),
+        pool_plane(SimDuration::from_nanos(window), epoch),
+        pool_plane(SimDuration::MAX, epoch),
     ];
     let mut pools = planes.each_ref().map(|p| p.window_pool());
     for step in &steps {
@@ -828,11 +826,11 @@ fn check_pool(raw: &[(u8, u64, u64)], window: u64, epoch: u64) -> Result<(), Tes
         prop_assert_eq!(
             flow_bits(&g.report.flows),
             flow_bits(&w.report.flows),
-            "tap {}: flow rows drifted from the buffered-sort oracle",
+            "tap {}: flow rows drifted from the whole-run window",
             tap
         );
         prop_assert_eq!(g.outages, w.outages);
-        // A crashed tap restarts cold in both modes: compare from its last
+        // A crashed tap restarts cold at both widths: compare from its last
         // resume boundary on, unless it ended down.
         let last = steps.iter().rev().find_map(|s| match *s {
             PoolStep::Down(_, t) if t == tap => Some(None),

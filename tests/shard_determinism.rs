@@ -621,7 +621,7 @@ fn a_source_naming_an_unknown_node_fails_loudly() {
 #[test]
 fn faulted_experiment_is_shard_count_invariant() {
     let mut cfg = FatTreeExpConfig::paper(7, SimDuration::from_millis(3));
-    cfg.epoch = Some(SimDuration::from_millis(1));
+    cfg.plane.epoch = Some(SimDuration::from_millis(1));
     let script = FaultScript::new(vec![FaultEvent {
         at: SimTime::from_nanos(400_000),
         kind: FaultKind::SlowSwitch {

@@ -23,8 +23,8 @@ use rlir_topo::FatTree;
 /// `(peak_live_slots, peak_pending_total, tap_outages)` of one run of `ms`.
 fn soak(ms: u64) -> (usize, usize, u64) {
     let mut cfg = FatTreeExpConfig::paper(0x50AC, SimDuration::from_millis(ms));
-    cfg.epoch = None;
-    cfg.plane_budget = Some(8_192);
+    cfg.plane.epoch = None;
+    cfg.plane.pending_budget = Some(8_192);
     let tree = FatTree::new(cfg.k, cfg.hash);
     let node = cfg.dst_tor(&tree);
     let ns = SimDuration::from_millis(ms).as_nanos();

@@ -6,11 +6,11 @@
 //! crossing while down) is accounted in `lost_window_obs`, and after
 //! `TapUp` estimation resumes at the next epoch boundary so the restarted
 //! instance produces clean whole-epoch snapshots. These tests pin the
-//! accounting, the cross-drain agreement (the streaming window and the
-//! buffered-sort oracle absorb the same outages and recover the same
-//! epochs; the oracle's O(run) backlog loses more), the sharded-engine digest
-//! match under tap faults, and that an outage leaves no state behind
-//! (peaks no worse than the fault-free run).
+//! accounting, the cross-window agreement (the default reorder window and
+//! a window wider than the run absorb the same outages and recover the
+//! same epochs; the wide window's O(run) backlog loses more), the
+//! sharded-engine digest match under tap faults, and that an outage leaves
+//! no state behind (peaks no worse than the fault-free run).
 
 use rlir::experiment::{run_fattree_faulted, FatTreeExpConfig, FatTreeOutcome};
 use rlir_net::time::{SimDuration, SimTime};
@@ -21,7 +21,7 @@ use rlir_topo::FatTree;
 fn cfg(seed: u64) -> FatTreeExpConfig {
     let mut cfg = FatTreeExpConfig::paper(seed, SimDuration::from_millis(30));
     cfg.policy = PolicyKind::Static { n: 30 };
-    cfg.epoch = Some(SimDuration::from_millis(1));
+    cfg.plane.epoch = Some(SimDuration::from_millis(1));
     cfg
 }
 
@@ -104,17 +104,17 @@ fn drains_agree_on_what_an_outage_destroys() {
     let (script, _) = outage_script(&base);
     let streaming = run_fattree_faulted(&base, Some(&script), None).outcome;
     let mut oracle_cfg = base.clone();
-    oracle_cfg.buffered_oracle = true;
+    oracle_cfg.plane.reorder_window = SimDuration::MAX;
     let oracle = run_fattree_faulted(&oracle_cfg, Some(&script), None).outcome;
 
-    // One reorder run, drained two ways: both see the same outages and
-    // the same recoveries.
+    // One reorder run, drained at two widths: both see the same outages
+    // and the same recoveries.
     assert_eq!(streaming.late, 0, "window must cover the lag");
     assert_eq!(streaming.tap_outages, oracle.tap_outages);
     assert_eq!(streaming.recovered_epochs, oracle.recovered_epochs);
     // Both lose every crossing while down and before the resume
-    // boundary; at the crash itself the oracle's run holds everything
-    // since t = 0 where the streaming window holds only its tail.
+    // boundary; at the crash itself the wide window's run holds
+    // everything since t = 0 where the default window holds only its tail.
     assert!(
         oracle.lost_window_obs > streaming.lost_window_obs,
         "oracle lost {} <= streaming {}",

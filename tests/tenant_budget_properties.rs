@@ -12,9 +12,7 @@
 //!   its share is never shed, no matter what its neighbour offered.
 
 use proptest::prelude::*;
-use rlir::plane::{
-    DrainMode, MeasurementPlane, PlaneConfig, PlaneReport, TapPoint, TapSpec, TruthRef,
-};
+use rlir::plane::{MeasurementPlane, PlaneConfig, PlaneReport, TapPoint, TapSpec, TruthRef};
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
@@ -90,9 +88,7 @@ fn storm(
     }
 
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        drain: DrainMode::Streaming {
-            reorder_window: SimDuration::from_micros(window_us),
-        },
+        reorder_window: SimDuration::from_micros(window_us),
         epoch: Some(SimDuration::from_micros(500)),
         pending_budget: Some(budget),
     });

@@ -16,9 +16,7 @@
 //! with no budget at all the tenant dimension is pure accounting.
 
 use rlir::experiment::{run_fattree, FatTreeExpConfig};
-use rlir::plane::{
-    DrainMode, MeasurementPlane, PlaneConfig, PlaneReport, TapPoint, TapSpec, TruthRef,
-};
+use rlir::plane::{MeasurementPlane, PlaneConfig, PlaneReport, TapPoint, TapSpec, TruthRef};
 use rlir_net::clock::ClockModel;
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
@@ -106,9 +104,7 @@ fn run(with_flood: bool, budget: Option<usize>, w0: u64, w1: u64) -> PlaneReport
     }
 
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        drain: DrainMode::Streaming {
-            reorder_window: SimDuration::from_micros(10),
-        },
+        reorder_window: SimDuration::from_micros(10),
         epoch: Some(SimDuration::from_micros(500)),
         pending_budget: budget,
     });
@@ -189,9 +185,7 @@ fn sole_tenants_weight_is_inert() {
     // the weight — the hierarchy must reduce to the flat check.
     let digest = |w: u64| {
         let mut plane = MeasurementPlane::with_config(PlaneConfig {
-            drain: DrainMode::Streaming {
-                reorder_window: SimDuration::from_micros(10),
-            },
+            reorder_window: SimDuration::from_micros(10),
             epoch: Some(SimDuration::from_micros(500)),
             pending_budget: Some(64),
         });
@@ -229,7 +223,7 @@ fn sole_tenants_weight_is_inert() {
 
 #[test]
 fn tenant_split_is_pure_accounting_without_a_budget() {
-    // No `plane_budget` ⇒ no admission checks anywhere, so splitting the
+    // No `pending_budget` ⇒ no budget checks anywhere, so splitting the
     // fat-tree taps across two tenants must not move a single output bit.
     let digest = |split: Option<(u64, u64)>| {
         let mut cfg = FatTreeExpConfig::paper(11, SimDuration::from_millis(20));

@@ -15,7 +15,7 @@
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
-use rlir::plane::{DrainMode, MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
+use rlir::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
@@ -46,9 +46,7 @@ fn flow(tap: usize) -> FlowKey {
 #[test]
 fn taps_that_burst_in_turn_cost_the_peak_of_the_sum_not_the_sum_of_the_peaks() {
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        drain: DrainMode::Streaming {
-            reorder_window: SimDuration::from_nanos(WINDOW_NS),
-        },
+        reorder_window: SimDuration::from_nanos(WINDOW_NS),
         ..PlaneConfig::default()
     });
     for tap in 0..TAPS {
