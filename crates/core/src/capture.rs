@@ -19,17 +19,22 @@
 //! per-packet deltas must coincide exactly with the engine's
 //! `true_delay()`; `tests/trace_replay.rs` pins that.
 //!
-//! Memory is bounded: pending A-stamps are evicted once the engine
-//! watermark passes `stamp + timeout` (packets that died between the
-//! points, or identities that never reach B), so the pair holds
-//! O(in-flight between A and B), not O(run).
+//! A packet costs two probes of one table — its identity's stamp goes in
+//! at A and comes out at B — and a keyless row look-up when it matches; a
+//! flow costs one row and one index cell. A stamp times out
+//! once the engine watermark passes `stamp + timeout` (a packet that died
+//! between the points, or an identity that never reaches B): from then on
+//! a B sighting or a re-stamp that finds it books it `expired`, and a sweep
+//! once the watermark has moved another timeout removes the rest. So the
+//! pair holds the packets in flight between A and B and the drops of at
+//! most two timeouts, not O(run) and not timeout × rate.
 
 use crate::plane::TapPoint;
-use rlir_net::fxhash::FxHashMap;
+use rlir_net::fxhash::{FxBuildHasher, FxHashMap};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
+use rlir_rli::{push_grown, slots, SlotIndex};
 use rlir_sim::{HopEvent, HopKind, HopSink};
-use std::collections::VecDeque;
 
 /// Wire-visible packet identity: 5-tuple + IPv4 ident. Everything a real
 /// capture point can key on from the headers alone.
@@ -81,12 +86,15 @@ pub struct CaptureReport {
     /// ident reuse inside one A→B flight window; the newer stamp wins and
     /// the older is discarded, as a real matcher would.
     pub ambiguous: u64,
-    /// Pending stamps evicted by the timeout (packets presumed lost
-    /// between the points).
+    /// Pending stamps that timed out (packets presumed lost between the
+    /// points).
     pub expired: u64,
-    /// Stamps still pending when the run ended.
+    /// Stamps still pending, and not timed out, when the run ended.
     pub residual: u64,
     /// High-water mark of the pending table — the pair's memory bound.
+    /// It counts every stamp the table held, including stamps past the
+    /// timeout horizon that stay in the table until the next sweep (at
+    /// most one timeout of watermark later).
     pub peak_pending: usize,
     /// Per-flow latency, sorted by flow key for deterministic output.
     pub flows: Vec<(FlowKey, FlowCapture)>,
@@ -124,13 +132,16 @@ pub struct CapturePair {
     a: TapPoint,
     b: TapPoint,
     timeout_ns: u64,
+    /// Stamps below this have timed out: the last watermark less the
+    /// timeout.
+    horizon: u64,
+    /// The horizon of the last sweep.
+    swept: u64,
+    /// The point-A stamp of every identity awaiting point B — the pair's
+    /// only per-packet state.
     pending: FxHashMap<CaptureKey, u64>,
-    /// Stamp order for timeout eviction: `(stamp_ns, key)` in point-A
-    /// observation order (approximately time-ordered; eviction only needs
-    /// the watermark bound, not exactness).
-    fifo: VecDeque<(u64, CaptureKey)>,
     /// Which row of `flows` holds a flow.
-    index: FxHashMap<FlowKey, u32>,
+    index: SlotIndex,
     /// Per-flow latency, one row a flow in order of its first match.
     flows: Vec<(FlowKey, FlowCapture)>,
     matched: u64,
@@ -151,14 +162,15 @@ impl CapturePair {
     }
 
     /// Capture with an explicit pending-stamp timeout.
-    pub fn with_timeout(a: TapPoint, b: TapPoint, timeout: SimDuration) -> Self {
+    pub(crate) fn with_timeout(a: TapPoint, b: TapPoint, timeout: SimDuration) -> Self {
         CapturePair {
             a,
             b,
             timeout_ns: timeout.as_nanos(),
+            horizon: 0,
+            swept: 0,
             pending: FxHashMap::default(),
-            fifo: VecDeque::new(),
-            index: FxHashMap::default(),
+            index: SlotIndex::default(),
             flows: Vec::new(),
             matched: 0,
             unmatched_b: 0,
@@ -173,13 +185,22 @@ impl CapturePair {
     }
 
     fn record(&mut self, flow: FlowKey, delta_ns: u64) {
-        let next = self.flows.len();
-        let slot = *self.index.entry(flow).or_insert_with(|| {
-            u32::try_from(next).expect("a capture pair holds at most 2^32 flows")
-        }) as usize;
-        if slot == next {
-            self.flows.push((flow, FlowCapture::default()));
-        }
+        let hash32 = slots::hash32(&FxBuildHasher::default(), &flow);
+        let rows = &self.flows;
+        let slot = match self
+            .index
+            .find(hash32, |slot| rows[slot as usize].0 == flow)
+        {
+            Some(slot) => slot as usize,
+            None => {
+                let slot = self.flows.len();
+                let cell =
+                    u32::try_from(slot).expect("a capture pair holds at most 2^32 - 1 flows");
+                self.index.insert(hash32, cell);
+                push_grown(&mut self.flows, (flow, FlowCapture::default()));
+                slot
+            }
+        };
         let f = &mut self.flows[slot].1;
         if f.count == 0 {
             f.min_ns = delta_ns;
@@ -192,12 +213,23 @@ impl CapturePair {
         f.sum_ns += delta_ns;
     }
 
-    /// Finish: fold residual pending stamps into the counters and emit
-    /// the per-flow table (sorted for deterministic output). The index goes
-    /// first and the rows sort in place, so no second copy of the table is
-    /// ever held.
+    /// Remove every timed-out stamp and book it `expired`.
+    fn sweep(&mut self) {
+        let (horizon, before) = (self.horizon, self.pending.len());
+        self.pending.retain(|_, &mut stamp| stamp >= horizon);
+        self.expired += (before - self.pending.len()) as u64;
+        self.swept = horizon;
+    }
+
+    /// Finish: book the timed-out stamps, count the rest as residual and
+    /// emit the per-flow table (sorted for deterministic output). The
+    /// pending table and the index go first and the rows sort in place, so
+    /// no second copy of the table is ever held.
     pub fn finish(mut self) -> CaptureReport {
-        self.index = FxHashMap::default();
+        self.sweep();
+        let residual = self.pending.len() as u64;
+        self.pending = FxHashMap::default();
+        self.index = SlotIndex::default();
         let mut flows = self.flows;
         // Keys are unique, so an unstable sort has one possible outcome.
         flows.sort_unstable_by_key(|&(key, _)| key);
@@ -206,7 +238,7 @@ impl CapturePair {
             unmatched_b: self.unmatched_b,
             ambiguous: self.ambiguous,
             expired: self.expired,
-            residual: self.pending.len() as u64,
+            residual,
             peak_pending: self.peak_pending,
             flows,
         }
@@ -219,18 +251,26 @@ impl HopSink for CapturePair {
         // and immediately matches at zero delta on the next sighting —
         // not this one.
         if observes(self.a, ev) {
-            let key = Self::key(ev);
-            if self.pending.insert(key, ev.at.as_nanos()).is_some() {
-                self.ambiguous += 1;
+            if let Some(old) = self.pending.insert(Self::key(ev), ev.at.as_nanos()) {
+                // The newer stamp wins; the older one had either timed out
+                // or shares its identity with a packet still in flight.
+                if old < self.horizon {
+                    self.expired += 1;
+                } else {
+                    self.ambiguous += 1;
+                }
             }
-            self.fifo.push_back((ev.at.as_nanos(), key));
             self.peak_pending = self.peak_pending.max(self.pending.len());
         } else if observes(self.b, ev) {
             let key = Self::key(ev);
             match self.pending.remove(&key) {
-                Some(t_a) => {
+                Some(t_a) if t_a >= self.horizon => {
                     self.matched += 1;
                     self.record(key.0, ev.at.as_nanos().saturating_sub(t_a));
+                }
+                Some(_) => {
+                    self.expired += 1;
+                    self.unmatched_b += 1;
                 }
                 None => self.unmatched_b += 1,
             }
@@ -239,18 +279,9 @@ impl HopSink for CapturePair {
 
     fn on_watermark(&mut self, watermark: SimTime) {
         let horizon = watermark.as_nanos().saturating_sub(self.timeout_ns);
-        while let Some(&(stamp, key)) = self.fifo.front() {
-            if stamp >= horizon {
-                break;
-            }
-            self.fifo.pop_front();
-            // Only evict if the pending stamp is still the one this fifo
-            // entry queued (the identity may have matched and been
-            // re-stamped since).
-            if self.pending.get(&key) == Some(&stamp) {
-                self.pending.remove(&key);
-                self.expired += 1;
-            }
+        self.horizon = self.horizon.max(horizon);
+        if self.horizon - self.swept >= self.timeout_ns.max(1) {
+            self.sweep();
         }
     }
 }

@@ -118,10 +118,22 @@ pub fn snapshot_at(series: &[EpochSnapshot], epoch: u64) -> Option<&EpochSnapsho
 
 /// How many slots a buffer of `len` elements reserves when it needs `need`
 /// more than it has room for — the measurement plane's one growth rule, for
-/// the epoch series and the event-record FIFO. Geometric, so a long run
-/// copies each element O(1) times, with at most `len / 8` (or 8) spare.
+/// the epoch series, the event-record FIFO and the per-flow rows.
+/// Geometric, so a long run copies each element O(1) times, with at most
+/// `len / 8` (or 8) spare.
 pub fn growth(len: usize, need: usize) -> usize {
     need.max(len / 8).max(8)
+}
+
+/// Push `x` onto `v`, reserving by [`growth`] when it is full instead of
+/// doubling — the rule for per-flow row vectors, which live as long as the
+/// run and are never trimmed.
+#[inline]
+pub fn push_grown<T>(v: &mut Vec<T>, x: T) {
+    if v.len() == v.capacity() {
+        v.reserve_exact(growth(v.len(), 1));
+    }
+    v.push(x);
 }
 
 /// The receiver-internal epoch accumulator: a dense window of snapshots

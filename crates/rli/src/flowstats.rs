@@ -11,6 +11,8 @@
 //! delays a side: exact while the flow has fewer than `4 / (1 − p)` delays
 //! (399 for p99), the fourth largest — an upper bound — after.
 
+use crate::epoch::push_grown;
+use crate::slots::{hash32, SlotIndex};
 use rlir_net::fxhash::FxBuildHasher;
 use rlir_net::FlowKey;
 use rlir_stats::{relative_error, FewStats, LargestFour, StreamingStats};
@@ -112,7 +114,7 @@ impl TailStore {
     /// Store `tails`; its reference.
     fn add_grown(&mut self, tails: FlowTails) -> u32 {
         let i = reference(self.grown.len()).expect("more tails than a table has rows");
-        self.grown.push(tails);
+        push_grown(&mut self.grown, tails);
         i
     }
 
@@ -182,77 +184,6 @@ impl TailStore {
     }
 }
 
-/// A cell no row is in: no slot is `u32::MAX` ([`row_slot`]).
-const EMPTY: u64 = u64::MAX;
-/// Cells of the smallest index that is not empty.
-const MIN_CELLS: usize = 8;
-
-/// Which row holds a key, without the key: open addressing over 8-byte
-/// cells of `hash32 << 32 | slot`, probed linearly from the cell the top
-/// bits of `hash32` name. A look-up compares the 32 stored hash bits first
-/// and asks its caller about the row only where they match; growing
-/// re-places the cells by their own hash bits, so it touches no row.
-#[derive(Debug, Clone, Default)]
-struct SlotIndex {
-    /// Empty, or a power of two of cells, at most three quarters in use.
-    cells: Vec<u64>,
-    /// Cells in use.
-    len: usize,
-}
-
-impl SlotIndex {
-    /// Where the probe for `hash32` starts.
-    #[inline]
-    fn home(&self, hash32: u32) -> usize {
-        let bits = self.cells.len().trailing_zeros();
-        (hash32 >> 32u32.saturating_sub(bits)) as usize
-    }
-
-    /// The slot stored under `hash32` for which `is_row` holds.
-    #[inline]
-    fn find(&self, hash32: u32, mut is_row: impl FnMut(u32) -> bool) -> Option<u32> {
-        if self.cells.is_empty() {
-            return None;
-        }
-        let mask = self.cells.len() - 1;
-        let mut at = self.home(hash32);
-        loop {
-            let cell = self.cells[at];
-            if cell == EMPTY {
-                return None;
-            }
-            // Truncations: a cell's halves.
-            if (cell >> 32) as u32 == hash32 && is_row(cell as u32) {
-                return Some(cell as u32);
-            }
-            at = (at + 1) & mask;
-        }
-    }
-
-    /// Store `slot` under `hash32`; the caller found no such row.
-    fn insert(&mut self, hash32: u32, slot: u32) {
-        if (self.len + 1) * 4 > self.cells.len() * 3 {
-            let cells = (self.cells.len() * 2).max(MIN_CELLS);
-            let old = std::mem::replace(&mut self.cells, vec![EMPTY; cells]);
-            old.into_iter()
-                .filter(|&cell| cell != EMPTY)
-                .for_each(|cell| self.place(cell));
-        }
-        self.place(u64::from(hash32) << 32 | u64::from(slot));
-        self.len += 1;
-    }
-
-    /// Put `cell` in the first empty cell of its probe sequence.
-    fn place(&mut self, cell: u64) {
-        let mask = self.cells.len() - 1;
-        let mut at = self.home((cell >> 32) as u32);
-        while self.cells[at] != EMPTY {
-            at = (at + 1) & mask;
-        }
-        self.cells[at] = cell;
-    }
-}
-
 /// Per-flow report row.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct FlowReport {
@@ -290,9 +221,9 @@ pub struct FlowReport {
 ///
 /// A flow is stored once: a 96-byte row — its key and, per side, a
 /// [`FewStats`] that *is* the flow's first four delays and becomes Welford
-/// moments at the fifth — in a `Vec`, found through a keyless index of
-/// 8-byte `(hash bits, slot)` cells; the key compared on a probe is the
-/// row's own, on the line `record` writes next. A table that tracks a
+/// moments at the fifth — in a `Vec`, found through a keyless
+/// [`SlotIndex`] of 8-byte `(hash bits, slot)` cells; the key compared on a
+/// probe is the row's own, on the line `record` writes next. A table that tracks a
 /// quantile adds one 32-bit reference per row: a flow under five estimates
 /// is its own tail (its quantile is read off the row's samples), and the
 /// fifth estimate seeds a 64-byte tail from them, the flow's four largest
@@ -341,11 +272,10 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         self.quantile_p
     }
 
-    /// The index's share of `flow`'s hash: the top half, the better mixed
-    /// one of a multiplicative hasher.
+    /// The index's share of `flow`'s hash ([`hash32`]).
     #[inline]
     fn hash32(&self, flow: &FlowKey) -> u32 {
-        (self.hasher.hash_one(flow) >> 32) as u32
+        hash32(&self.hasher, flow)
     }
 
     /// The slot of `flow`'s row, if it has one.
@@ -362,10 +292,10 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     fn insert(&mut self, hash32: u32, row: Row, tail: Option<FlowTails>) -> usize {
         let slot = self.rows.len();
         self.index.insert(hash32, row_slot(slot));
-        self.rows.push(row);
+        push_grown(&mut self.rows, row);
         if self.quantile_p.is_some() {
             let r = tail.map_or(YOUNG, |tails| self.tails.add_grown(tails));
-            self.tails.refs.push(r);
+            push_grown(&mut self.tails.refs, r);
         }
         slot
     }
@@ -564,13 +494,14 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     /// tails — everything the table allocates. A flow costs a 96-byte row
     /// and an 8-byte cell at a load of 3/8 to 3/4 (so 11–21 bytes), in a
     /// table that tracks a quantile a 4-byte reference too and, from its
-    /// fifth estimate on, a 64-byte tail; each `Vec` adds what doubling left
-    /// unused. Diagnostic only — feeds the plane's state estimate, not
-    /// allocation decisions.
+    /// fifth estimate on, a 64-byte tail; each `Vec` grows by
+    /// [`growth`](crate::growth), so at most an eighth of it (or eight
+    /// elements) is unused. Diagnostic only — feeds the plane's state
+    /// estimate, not allocation decisions.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         self.rows.capacity() * size_of::<Row>()
-            + self.index.cells.capacity() * size_of::<u64>()
+            + self.index.approx_bytes()
             + self.tails.approx_bytes()
     }
 }
@@ -578,6 +509,7 @@ impl<S: BuildHasher + Default> FlowTable<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slots::EMPTY;
     use std::net::Ipv4Addr;
 
     fn fk(i: u8) -> FlowKey {
@@ -877,11 +809,12 @@ mod tests {
     fn a_mouse_flow_costs_a_row_a_reference_and_a_cell() {
         let mut t: FlowTable = FlowTable::with_quantile(0.99);
         (0..10_000).for_each(|i| t.record(flow(i), 1.0, Some(1.0)));
-        // Rows and references grow in step, each `Vec` to less than twice
-        // what its elements need; the index is between 3/8 and 3/4 full;
-        // nothing else is allocated.
+        // Rows and references grow in step, each `Vec` by `growth` to at
+        // most an eighth more than its elements need; the index is between
+        // 3/8 and 3/4 full; nothing else is allocated.
         let slots = t.rows.capacity();
-        assert!(slots < 2 * 10_000);
+        assert!(slots <= 10_000 + 10_000 / 8, "{slots} slots");
+        assert_eq!(t.tails.refs.capacity(), slots);
         let cells = t.index.cells.len();
         assert!(
             cells * 3 / 8 <= 10_000 && 10_000 <= cells * 3 / 4,

@@ -18,6 +18,8 @@
 //! * [`epoch`] — epoch-windowed snapshots: the bounded-size per-epoch
 //!   export a deployed receiver streams off the router, mergeable across
 //!   instances into segment-level latency time-series.
+//! * [`slots`] — the keyless index from a flow's hash to its row, shared by
+//!   every per-flow table.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,10 +30,12 @@ pub mod interpolate;
 pub mod policy;
 pub mod receiver;
 pub mod sender;
+pub mod slots;
 
-pub use epoch::{growth, merge_epoch_series, snapshot_at, EpochSnapshot};
+pub use epoch::{growth, merge_epoch_series, push_grown, snapshot_at, EpochSnapshot};
 pub use flowstats::{FlowReport, FlowTable};
 pub use interpolate::{DelaySample, Interpolator};
 pub use policy::{AdaptiveConfig, PolicyKind, StaticPolicy};
 pub use receiver::{ReceiverConfig, ReceiverCounters, ReceiverReport, RliReceiver};
 pub use sender::{RliSender, REF_ID_BASE};
+pub use slots::SlotIndex;
