@@ -9,7 +9,6 @@
 //! it is exact only for two-packet flows with no loss or reordering.
 
 use rlir_net::fxhash::FxHashMap;
-use rlir_net::time::SimDuration;
 use rlir_net::FlowKey;
 use rlir_trace::FlowRecord;
 use serde::{Deserialize, Serialize};
@@ -78,15 +77,10 @@ pub fn estimate_all(up: &[FlowRecord], down: &[FlowRecord]) -> Vec<MultiflowEsti
     out
 }
 
-/// Compare a Multiflow estimate against ground truth mean delay.
-pub fn relative_error_vs_truth(est: &MultiflowEstimate, true_mean: SimDuration) -> f64 {
-    rlir_stats::relative_error(est.mean_delay_ns, true_mean.as_nanos() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rlir_net::time::SimTime;
+    use rlir_net::time::{SimDuration, SimTime};
     use rlir_trace::{FlowMeter, FlowMeterConfig};
     use std::net::Ipv4Addr;
 
@@ -160,10 +154,8 @@ mod tests {
         let ests = estimate_all(&up.finish(), &down.finish());
         assert_eq!(ests.len(), 1);
         assert_eq!(ests[0].mean_delay_ns, 250.0);
-        assert_eq!(
-            relative_error_vs_truth(&ests[0], SimDuration::from_nanos(250)),
-            0.0
-        );
+        let err = rlir_stats::relative_error(ests[0].mean_delay_ns, 250.0);
+        assert_eq!(err, 0.0);
     }
 
     #[test]
@@ -176,7 +168,7 @@ mod tests {
         let e = estimate_flow(&up, &down).unwrap();
         assert_eq!(e.mean_delay_ns, 100.0);
         // True mean including the congested middle was, say, 2 µs:
-        let err = relative_error_vs_truth(&e, SimDuration::from_nanos(2000));
+        let err = rlir_stats::relative_error(e.mean_delay_ns, 2000.0);
         assert!(err > 0.9, "Multiflow should look crude here, err {err}");
     }
 }

@@ -57,7 +57,6 @@ pub struct TrajectoryPoint {
     cfg: TrajectoryConfig,
     threshold: u64,
     samples: Vec<TrajectorySample>,
-    observed: u64,
 }
 
 #[inline]
@@ -80,7 +79,6 @@ impl TrajectoryPoint {
             cfg,
             threshold: (cfg.probability * u64::MAX as f64) as u64,
             samples: Vec::new(),
-            observed: 0,
         }
     }
 
@@ -88,7 +86,6 @@ impl TrajectoryPoint {
     /// Returns whether it was sampled. Consistency guarantee: every point
     /// with the same config samples the same packets.
     pub fn observe(&mut self, packet_id: u64, flow: FlowKey, at: SimTime) -> bool {
-        self.observed += 1;
         let h = label_hash(self.cfg.seed, packet_id);
         if h > self.threshold {
             return false;
@@ -97,23 +94,9 @@ impl TrajectoryPoint {
         true
     }
 
-    /// Packets observed (sampled or not).
-    pub fn observed(&self) -> u64 {
-        self.observed
-    }
-
     /// Samples collected.
     pub fn samples(&self) -> &[TrajectorySample] {
         &self.samples
-    }
-
-    /// Realised sampling fraction.
-    pub fn sampling_fraction(&self) -> f64 {
-        if self.observed == 0 {
-            0.0
-        } else {
-            self.samples.len() as f64 / self.observed as f64
-        }
     }
 }
 
@@ -216,7 +199,7 @@ mod tests {
             let sb = b.observe(id, flow(1), SimTime::from_nanos(id + 500));
             assert_eq!(sa, sb, "inconsistent sampling for id {id}");
         }
-        assert!((a.sampling_fraction() - 0.3).abs() < 0.02);
+        assert!((a.samples().len() as f64 / 1e4 - 0.3).abs() < 0.02);
     }
 
     #[test]

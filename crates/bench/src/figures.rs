@@ -45,7 +45,7 @@ pub struct AccuracyCurve {
     /// The raw error samples (CDF input).
     pub errors: Vec<f64>,
     /// The run's per-epoch latency series (see `TwoHopOutcome::epochs`).
-    pub epochs: Vec<rlir_rli::EpochSnapshot>,
+    pub epochs: rlir_rli::EpochSeries,
 }
 
 impl AccuracyCurve {

@@ -93,7 +93,7 @@ pub static SCENARIOS: &[Scenario] = &[
             let (mean, std) = fig4ab(&ctx.scale, runner);
             write_cdfs(&ctx.out, "two_hop_mean", &mean)?;
             write_cdfs(&ctx.out, "two_hop_std", &std)?;
-            let epochs = mean.iter().map(|c| (c.label.clone(), c.epochs.as_slice()));
+            let epochs = mean.iter().map(|c| (c.label.clone(), &c.epochs));
             curve_table(&mean)
                 .with_epochs(epochs)
                 .write(&ctx.out, "two_hop")?;
@@ -154,8 +154,8 @@ pub static SCENARIOS: &[Scenario] = &[
             let epochs = points.iter().flat_map(|p| {
                 let tag = (p.target_reverse_utilization * 100.0).round() as u64;
                 [
-                    (format!("fwd@{tag}"), p.forward_epochs.as_slice()),
-                    (format!("rev@{tag}"), p.reverse_epochs.as_slice()),
+                    (format!("fwd@{tag}"), &p.forward_epochs),
+                    (format!("rev@{tag}"), &p.reverse_epochs),
                 ]
             });
             Table::new(
@@ -184,7 +184,7 @@ pub static SCENARIOS: &[Scenario] = &[
             let points = run_incast(&cfg, runner);
             let epochs = points
                 .iter()
-                .map(|p| (format!("fanin{}", p.fan_in), p.seg2_epochs.as_slice()));
+                .map(|p| (format!("fanin{}", p.fan_in), &p.seg2_epochs));
             Table::new(
                 "fan_in,seg1_median_error,seg2_median_error,seg2_true_delay_us,demux_accuracy,measured_delivered,refs_emitted",
                 points.iter().map(|p| row![
@@ -213,7 +213,7 @@ pub static SCENARIOS: &[Scenario] = &[
             let epochs = report.trials.iter().enumerate().map(|(i, t)| {
                 let tag = (t.utilization * 100.0).round() as u64;
                 let label = format!("u{tag}/t{i}/{}", t.victim);
-                (label, t.victim_epochs.as_slice())
+                (label, &t.victim_epochs)
             });
             Table::new(
                 "utilization,trials,flagged,correct,accuracy,mean_severity,onsets,mean_onset_ns",
@@ -240,7 +240,7 @@ pub static SCENARIOS: &[Scenario] = &[
             let points = run_drop_aware(&cfg, runner);
             let epochs = points.iter().map(|p| {
                 let tag = (p.offered_load * 100.0).round() as u64;
-                (format!("load{tag}"), p.epochs.as_slice())
+                (format!("load{tag}"), &p.epochs)
             });
             Table::new(
                 "offered_load,offered,downstream_loss,upstream_loss,live_metered,dropped_after_metering,live_est_mean_ns,live_true_mean_ns,delivered_est_mean_ns,delivered_true_mean_ns,survivor_bias,live_rel_err,peak_pending",
@@ -297,7 +297,7 @@ pub static SCENARIOS: &[Scenario] = &[
                     o.ingest_identical.map_or(-1i64, i64::from),
                 ]],
             )
-            .with_epochs([("replay".to_string(), o.epochs.as_slice())])
+            .with_epochs([("replay".to_string(), &o.epochs)])
             .write(&ctx.out, "replay")?;
             if o.ingest_identical == Some(false) {
                 return Err(io::Error::other(

@@ -3,7 +3,8 @@
 //! column-aligned terminal lines with the floats rounded.
 
 use crate::output::{write_csv, OutputDir};
-use rlir_rli::EpochSnapshot;
+use rlir_rli::EpochSeries;
+use std::borrow::Borrow;
 
 /// CSV header of every per-epoch time-series companion.
 const EPOCH_SERIES_HEADER: &str = "label,epoch,start_ns,regulars_seen,estimated,unestimated,\
@@ -91,13 +92,13 @@ impl Table {
 
     /// Attach labeled per-epoch series: one companion row per
     /// `(label, epoch)`.
-    pub fn with_epochs<S: AsRef<[EpochSnapshot]>>(
+    pub fn with_epochs<S: Borrow<EpochSeries>>(
         mut self,
         labeled: impl IntoIterator<Item = (String, S)>,
     ) -> Table {
         let mut rows = Vec::new();
         for (label, series) in labeled {
-            for e in series.as_ref() {
+            for e in series.borrow() {
                 rows.push(row![
                     label.as_str(),
                     e.epoch,

@@ -63,17 +63,6 @@ pub struct FlowCapture {
     pub max_ns: u64,
 }
 
-impl FlowCapture {
-    /// Mean latency between the capture points in nanoseconds.
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-}
-
 /// Counters and per-flow results of a finished capture pair.
 #[derive(Debug, Clone)]
 pub struct CaptureReport {
@@ -101,19 +90,6 @@ pub struct CaptureReport {
 }
 
 impl CaptureReport {
-    /// Mean latency over every matched packet, in nanoseconds.
-    pub fn mean_ns(&self) -> f64 {
-        let (count, sum) = self
-            .flows
-            .iter()
-            .fold((0u64, 0u64), |(c, s), (_, f)| (c + f.count, s + f.sum_ns));
-        if count == 0 {
-            0.0
-        } else {
-            sum as f64 / count as f64
-        }
-    }
-
     /// Look up one flow's capture.
     pub fn flow(&self, key: &FlowKey) -> Option<&FlowCapture> {
         self.flows
@@ -361,8 +337,12 @@ mod tests {
         assert_eq!(report.unmatched_b, 0);
         assert_eq!(report.residual, 0);
         let truth_mean = truth_sum as f64 / truth_n as f64;
+        let (count, sum) = report
+            .flows
+            .iter()
+            .fold((0, 0), |(c, s), (_, f)| (c + f.count, s + f.sum_ns));
         assert_eq!(
-            report.mean_ns(),
+            sum as f64 / count as f64,
             truth_mean,
             "identity-matched capture must equal simulator truth exactly"
         );

@@ -172,13 +172,6 @@ impl Deployment {
     pub fn core_sender(&self, core: TopoId) -> Option<&CoreSenderSpec> {
         self.core_senders.iter().find(|s| s.core == core)
     }
-
-    /// Total measurement instances this deployment uses (each sender
-    /// instance doubles as a receiver, per §3.1's dual-role assumption),
-    /// plus the receiver at the destination ToR.
-    pub fn instance_count(&self) -> usize {
-        self.tor_senders.len() + self.core_senders.len() + 1
-    }
 }
 
 fn pod_of(tree: &FatTree, tor: TopoId) -> usize {
@@ -329,7 +322,8 @@ mod tests {
     fn instance_count_sane() {
         let t = tree();
         let d = deployment(&t);
-        // 4 tor senders + 4 core senders + 1 dst receiver.
-        assert_eq!(d.instance_count(), 9);
+        // 4 tor senders + 4 core senders (each doubling as a receiver, per
+        // §3.1's dual-role assumption) + 1 dst receiver.
+        assert_eq!(d.tor_senders.len() + d.core_senders.len() + 1, 9);
     }
 }

@@ -22,7 +22,6 @@
 
 use crate::plane::MeasurementPlane;
 use rlir_net::time::SimTime;
-use rlir_rli::snapshot_at;
 use rlir_sim::{FaultEvent, HopEvent, HopSink, StopFlag};
 use serde::{Deserialize, Serialize};
 
@@ -152,7 +151,9 @@ impl EpochDetector {
     ) -> Option<Detection> {
         let mut eligible: Vec<(usize, f64)> = Vec::new();
         for idx in 0..plane.tap_count() {
-            let snap = snapshot_at(plane.epoch_series(idx), epoch)
+            let snap = plane
+                .epoch_series(idx)
+                .get(epoch)
                 .filter(|s| s.estimated >= self.cfg.min_packets);
             if let Some(mean) = snap.and_then(|s| s.est_mean()) {
                 eligible.push((idx, mean));

@@ -88,10 +88,10 @@ pub struct AsymmetricPoint {
     /// Flows measured in both directions.
     pub paired_flows: usize,
     /// Forward-direction per-epoch series.
-    pub forward_epochs: Vec<rlir_rli::EpochSnapshot>,
+    pub forward_epochs: rlir_rli::EpochSeries,
     /// Reverse-direction per-epoch series — the live view of *which half*
     /// of the round trip degrades, and when.
-    pub reverse_epochs: Vec<rlir_rli::EpochSnapshot>,
+    pub reverse_epochs: rlir_rli::EpochSeries,
 }
 
 /// Base id of the reverse-trace packet-id namespace (disjoint from forward

@@ -34,7 +34,7 @@ use rlir_net::clock::ClockModel;
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::SimDuration;
 use rlir_net::FlowKey;
-use rlir_rli::{EpochSnapshot, PolicyKind, RliSender};
+use rlir_rli::{EpochSeries, PolicyKind, RliSender};
 use rlir_sim::{
     run_network_streamed_source, Forwarder, Network, NodeId, Port, QueueConfig, RouteDecision,
     RunOptions, SortedVecSource,
@@ -123,7 +123,7 @@ pub struct DropAwarePoint {
     /// Live estimator's relative error against its own complete truth.
     pub live_rel_err: f64,
     /// Live tap per-epoch series, downstream deaths included per epoch.
-    pub epochs: Vec<EpochSnapshot>,
+    pub epochs: EpochSeries,
     /// Plane reorder high-water mark of the delivered-gated tap.
     pub peak_pending: usize,
 }

@@ -28,7 +28,7 @@ use rlir_net::fxhash::FxHashMap;
 use rlir_net::packet::{Packet, ReferenceInfo, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::{FlowKey, HashAlgo};
-use rlir_rli::{merge_epoch_series, EpochSnapshot, FlowTable, PolicyKind, RliSender};
+use rlir_rli::{EpochSeries, FlowTable, PolicyKind, RliSender};
 use rlir_sim::{
     run_network_sharded_source, FaultScript, HopSink, Network, NetworkRunStats, NullSink,
     QueueConfig, RunOptions, ShardPlan, SortedVecSource, StopFlag, StreamedDelivery,
@@ -123,8 +123,8 @@ pub struct FatTreeExpConfig {
     /// Flow filter for error CDFs.
     pub min_flow_packets: u64,
     /// The measurement plane's reorder window, epoch width and budget.
-    /// With [`PlaneConfig::epoch`] set every tap also exports per-epoch
-    /// [`EpochSnapshot`]s ([`FatTreeOutcome::segment_epochs`]).
+    /// With [`PlaneConfig::epoch`] set every tap also exports an
+    /// [`EpochSeries`] ([`FatTreeOutcome::segment_epochs`]).
     #[serde(default)]
     pub plane: PlaneConfig,
     /// Shards both engine phases run on ([`run_network_sharded_source`]
@@ -212,14 +212,14 @@ pub struct FatTreeOutcome {
     pub measured_delivered: u64,
     /// References emitted by ToR senders / core senders.
     pub refs_emitted: (u64, u64),
-    /// Per-segment (per-tap) epoch series, `(segment name, snapshots)`, in
+    /// Per-segment (per-tap) epoch series, `(segment name, series)`, in
     /// tap attachment order — segment 1 first. Empty unless
     /// [`PlaneConfig::epoch`] was set.
-    pub segment_epochs: Vec<(String, Vec<EpochSnapshot>)>,
+    pub segment_epochs: Vec<(String, EpochSeries)>,
     /// Segment-1 series merged across receivers.
-    pub seg1_epochs: Vec<EpochSnapshot>,
+    pub seg1_epochs: EpochSeries,
     /// Segment-2 series merged across receivers.
-    pub seg2_epochs: Vec<EpochSnapshot>,
+    pub seg2_epochs: EpochSeries,
     /// The epoch width the run used, ns.
     pub epoch_ns: Option<u64>,
     /// Highest per-tap buffered-observation high-water mark — O(reorder
@@ -594,15 +594,11 @@ pub fn run_fattree_faulted(
         }
     }
     let (seg1_epochs, seg2_epochs) = match epoch_ns {
-        Some(e) => {
-            let series: Vec<&[EpochSnapshot]> =
-                segment_epochs.iter().map(|(_, s)| s.as_slice()).collect();
-            (
-                merge_epoch_series(&series[..seg1_taps], e),
-                merge_epoch_series(&series[seg1_taps..], e),
-            )
-        }
-        None => (Vec::new(), Vec::new()),
+        Some(e) => (
+            EpochSeries::union(e, segment_epochs[..seg1_taps].iter().map(|(_, s)| s)),
+            EpochSeries::union(e, segment_epochs[seg1_taps..].iter().map(|(_, s)| s)),
+        ),
+        None => Default::default(),
     };
 
     let seg1_errors = seg1_flows.mean_relative_errors(cfg.min_flow_packets);

@@ -13,7 +13,7 @@
 use super::fattree::{run_fattree, FatTreeExpConfig, FatTreeOutcome};
 use rlir_exec::SweepRunner;
 use rlir_net::time::SimDuration;
-use rlir_rli::EpochSnapshot;
+use rlir_rli::EpochSeries;
 use rlir_stats::Ecdf;
 use rlir_trace::BurstShape;
 use serde::{Deserialize, Serialize};
@@ -69,7 +69,7 @@ pub struct IncastPoint {
     pub refs_emitted: u64,
     /// Segment-2 per-epoch series (merged across receivers): the
     /// burst-resolved latency time-series at the shared downlink.
-    pub seg2_epochs: Vec<EpochSnapshot>,
+    pub seg2_epochs: EpochSeries,
 }
 
 impl IncastPoint {

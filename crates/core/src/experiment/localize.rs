@@ -23,7 +23,7 @@ use crate::localization::{localize, LocalizerConfig};
 use crate::plane::localize_epoch_series;
 use rlir_exec::SweepRunner;
 use rlir_net::time::SimDuration;
-use rlir_rli::{merge_epoch_series, EpochSnapshot};
+use rlir_rli::EpochSeries;
 use rlir_topo::{FatTree, Role, TopoId};
 use serde::{Deserialize, Serialize};
 
@@ -79,7 +79,7 @@ pub struct LocalizeTrial {
     pub onset_ns: Option<u64>,
     /// The victim's merged per-epoch series (union over the segments that
     /// traverse it) — the registry's time-series export.
-    pub victim_epochs: Vec<EpochSnapshot>,
+    pub victim_epochs: EpochSeries,
 }
 
 /// Per-utilization aggregate of the sweep.
@@ -213,25 +213,24 @@ pub fn run_localize(cfg: &LocalizeConfig, runner: &SweepRunner) -> LocalizeRepor
         // victim first stood out, plus its merged time-series.
         let (onset_ns, victim_epochs) = match out.epoch_ns {
             Some(epoch_ns) => {
-                let series: Vec<(&str, &[EpochSnapshot])> = out
+                let series: Vec<(&str, &EpochSeries)> = out
                     .segment_epochs
                     .iter()
-                    .map(|(n, s)| (n.as_str(), s.as_slice()))
+                    .map(|(n, s)| (n.as_str(), s))
                     .collect();
                 let per_epoch = localize_epoch_series(&series, epoch_ns, &cfg.localizer);
                 let onset = per_epoch
                     .iter()
                     .find(|ef| ef.findings.iter().any(|f| expected.contains(&f.name)))
                     .map(|ef| ef.start.as_nanos());
-                let victim_series: Vec<&[EpochSnapshot]> = out
+                let victim_series = out
                     .segment_epochs
                     .iter()
                     .filter(|(n, _)| expected.contains(n))
-                    .map(|(_, s)| s.as_slice())
-                    .collect();
-                (onset, merge_epoch_series(&victim_series, epoch_ns))
+                    .map(|(_, s)| s);
+                (onset, EpochSeries::union(epoch_ns, victim_series))
             }
-            None => (None, Vec::new()),
+            None => (None, EpochSeries::default()),
         };
         LocalizeTrial {
             utilization,

@@ -31,7 +31,7 @@ use rlir_net::clock::ClockModel;
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::SimDuration;
 use rlir_net::FlowKey;
-use rlir_rli::{EpochSnapshot, PolicyKind, RliSender};
+use rlir_rli::{EpochSeries, PolicyKind, RliSender};
 use rlir_sim::{
     run_network_streamed_source, Forwarder, InjectionSource, Network, NetworkRunStats, NodeId,
     Port, QueueConfig, RouteDecision, RunOptions, SortedVecSource, StreamDigest, TeeSink,
@@ -165,7 +165,7 @@ pub struct ReplayOutcome {
     /// ends a damaged capture cleanly instead.
     pub ingest_error: Option<String>,
     /// RLI tap per-epoch series.
-    pub epochs: Vec<EpochSnapshot>,
+    pub epochs: EpochSeries,
 }
 
 /// `S0 → S1 → host`: forward out port 0 everywhere; S1's only port is
@@ -306,7 +306,7 @@ struct StreamedRun {
     truth_n: u64,
     capture: CaptureReport,
     est_mean_ns: f64,
-    epochs: Vec<EpochSnapshot>,
+    epochs: EpochSeries,
     records_read: u64,
     replayed: u64,
     late_dropped: u64,

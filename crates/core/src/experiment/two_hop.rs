@@ -13,7 +13,7 @@ use rlir_net::clock::ClockPair;
 use rlir_net::packet::Packet;
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::{FlowKey, SenderId};
-use rlir_rli::EpochSnapshot;
+use rlir_rli::EpochSeries;
 use rlir_rli::{FlowTable, Interpolator, PolicyKind, ReceiverCounters, RliSender};
 use rlir_sim::{
     calibrate_keep_prob, run_network_streamed_source, ClassCounters, CrossInjector, CrossModel,
@@ -92,7 +92,7 @@ pub struct TwoHopConfig {
     /// four largest delays (e.g. `Some(0.9)` for per-flow p90 tail latency).
     pub track_quantile: Option<f64>,
     /// Epoch width of the measurement plane: the receiver streams one
-    /// bounded [`EpochSnapshot`] per epoch ([`TwoHopOutcome::epochs`]).
+    /// bounded snapshot per epoch ([`TwoHopOutcome::epochs`]).
     /// `None` keeps whole-run aggregates only. Never perturbs the per-flow
     /// statistics.
     pub epoch: Option<SimDuration>,
@@ -161,7 +161,7 @@ pub struct TwoHopOutcome {
     pub quantile_errors: Vec<f64>,
     /// Per-epoch latency time-series (present when [`TwoHopConfig::epoch`]
     /// was set): estimate/truth moments and counter deltas per epoch.
-    pub epochs: Vec<EpochSnapshot>,
+    pub epochs: EpochSeries,
     /// Observations the ordered tap refused as late — zero, as switch 2's
     /// one FIFO port delivers in time order.
     pub late: u64,

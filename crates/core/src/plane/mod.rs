@@ -188,7 +188,7 @@ pub struct PlaneConfig {
     /// [`SimDuration::MAX`] feeds nothing before [`MeasurementPlane::finish`].
     pub reorder_window: SimDuration,
     /// Epoch width: when set, every tap's receiver additionally aggregates
-    /// per-epoch [`EpochSnapshot`](rlir_rli::EpochSnapshot)s and the report
+    /// an [`EpochSeries`](rlir_rli::EpochSeries) and the report
     /// carries per-tap latency time-series. `None` keeps whole-run
     /// aggregates only.
     pub epoch: Option<SimDuration>,
@@ -731,7 +731,7 @@ impl<'a> MeasurementPlane<'a> {
     /// the next epoch boundary at-or-after `at` (at `at` itself when the
     /// plane runs without epochs), so the restarted instance produces
     /// clean whole-epoch snapshots that merge into its pre-crash series
-    /// via the ordinary [`EpochSnapshot`](rlir_rli::EpochSnapshot)
+    /// via the ordinary [`EpochSeries`](rlir_rli::EpochSeries)
     /// machinery. Observations between `at` and the boundary are counted in
     /// [`TapReport::lost_window_obs`]. The counterpart of
     /// [`tap_down`](MeasurementPlane::tap_down).

@@ -8,7 +8,7 @@ use super::{MeasurementPlane, TapPoint};
 use crate::localization::{localize, AnomalyFinding, LocalizerConfig, SegmentObservation};
 use rlir_net::packet::SenderId;
 use rlir_net::time::SimTime;
-use rlir_rli::{merge_epoch_series, snapshot_at, EpochSnapshot, ReceiverReport};
+use rlir_rli::{EpochSeries, ReceiverReport};
 
 /// Final output of one tap.
 pub struct TapReport {
@@ -74,7 +74,7 @@ impl TapReport {
 
     /// The tap's per-epoch latency time-series (empty unless
     /// [`PlaneConfig::epoch`](super::PlaneConfig::epoch) was set).
-    pub fn epochs(&self) -> &[EpochSnapshot] {
+    pub fn epochs(&self) -> &EpochSeries {
         &self.report.epochs
     }
 }
@@ -132,7 +132,7 @@ impl PlaneReport {
         let Some(epoch_ns) = self.epoch_ns else {
             return Vec::new();
         };
-        let series: Vec<(&str, &[EpochSnapshot])> = self
+        let series: Vec<(&str, &EpochSeries)> = self
             .taps
             .iter()
             .map(|t| (t.name.as_str(), t.epochs()))
@@ -147,18 +147,18 @@ impl PlaneReport {
 /// outcomes. Epochs with fewer than two estimating segments produce no
 /// findings (no baseline to compare against).
 pub fn localize_epoch_series(
-    series: &[(&str, &[EpochSnapshot])],
+    series: &[(&str, &EpochSeries)],
     epoch_ns: u64,
     cfg: &LocalizerConfig,
 ) -> Vec<EpochFindings> {
-    let lo = series
-        .iter()
-        .filter_map(|(_, s)| s.first().map(|e| e.epoch))
-        .min();
-    let hi = series
-        .iter()
-        .filter_map(|(_, s)| s.last().map(|e| e.epoch))
-        .max();
+    let spans = || {
+        series
+            .iter()
+            .map(|(_, s)| s.epochs())
+            .filter(|r| !r.is_empty())
+    };
+    let lo = spans().map(|r| r.start).min();
+    let hi = spans().map(|r| r.end - 1).max();
     let (Some(lo), Some(hi)) = (lo, hi) else {
         return Vec::new();
     };
@@ -167,7 +167,7 @@ pub fn localize_epoch_series(
             let segs: Vec<SegmentObservation> = series
                 .iter()
                 .filter_map(|(name, s)| {
-                    let snap = snapshot_at(s, epoch).filter(|e| e.estimated > 0)?;
+                    let snap = s.get(epoch).filter(|e| e.estimated > 0)?;
                     Some(SegmentObservation {
                         name: (*name).to_string(),
                         est_mean_ns: snap.est_mean()?,
@@ -204,7 +204,7 @@ impl MeasurementPlane<'_> {
     /// The per-epoch snapshots tap `idx` has produced *so far*, downstream
     /// deaths included — a streaming consumer can read the series mid-run,
     /// before [`MeasurementPlane::finish`].
-    pub fn epoch_series(&self, idx: usize) -> &[EpochSnapshot] {
+    pub fn epoch_series(&self, idx: usize) -> &EpochSeries {
         self.cold[idx].rx.epoch_snapshots()
     }
 
@@ -213,13 +213,11 @@ impl MeasurementPlane<'_> {
     /// epoch ranges), without stopping the run — the snapshot-query a
     /// collector polls against a live fabric. Empty unless
     /// [`PlaneConfig::epoch`](super::PlaneConfig::epoch) is set.
-    pub fn snapshot_epochs(&self) -> Vec<EpochSnapshot> {
+    pub fn snapshot_epochs(&self) -> EpochSeries {
         let Some(epoch_ns) = self.cfg.epoch_ns() else {
-            return Vec::new();
+            return EpochSeries::default();
         };
-        let slices: Vec<&[EpochSnapshot]> =
-            self.cold.iter().map(|t| t.rx.epoch_snapshots()).collect();
-        merge_epoch_series(&slices, epoch_ns)
+        EpochSeries::union(epoch_ns, self.cold.iter().map(|t| t.rx.epoch_snapshots()))
     }
 
     /// Mid-run per-epoch localization over the snapshots produced so far
@@ -229,7 +227,7 @@ impl MeasurementPlane<'_> {
         let Some(epoch_ns) = self.cfg.epoch_ns() else {
             return Vec::new();
         };
-        let series: Vec<(&str, &[EpochSnapshot])> = self
+        let series: Vec<(&str, &EpochSeries)> = self
             .cold
             .iter()
             .map(|t| (t.spec.name.as_str(), t.rx.epoch_snapshots()))
@@ -244,7 +242,8 @@ impl MeasurementPlane<'_> {
     /// 40-byte event records they name, at their length. O(taps).
     /// Not counted: the pool's block slack (at most 128 entries a tap, and
     /// the free blocks), the flush scratch, the receivers' interpolation
-    /// buffers and epoch series, the FIFO's spare capacity — the last three
+    /// buffers and epoch series (40 bytes an epoch, plus 80 for an epoch
+    /// with an estimate), the FIFO's spare capacity — the last three
     /// bounded by the growth rule in the module docs — and anything
     /// transient. A diagnostic, not an allocator.
     pub fn approx_state_bytes(&self) -> usize {
@@ -332,7 +331,7 @@ mod tests {
     use super::super::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec};
     use rlir_net::packet::{Packet, SenderId};
     use rlir_net::time::{SimDuration, SimTime};
-    use rlir_rli::{snapshot_at, EpochSnapshot};
+    use rlir_rli::EpochSeries;
     use rlir_sim::{HopEvent, HopKind, HopSink};
 
     #[test]
@@ -363,8 +362,10 @@ mod tests {
         });
         // Two windows past the end of epoch 0: it has settled.
         plane.on_watermark(SimTime::from_nanos(2_000));
-        let deaths = |series: &[EpochSnapshot]| {
-            snapshot_at(series, 0).map(|e| (e.estimated, e.dropped_after_metering))
+        let deaths = |series: &EpochSeries| {
+            series
+                .get(0)
+                .map(|e| (e.estimated, e.dropped_after_metering))
         };
         let mid_run = (
             deaths(plane.epoch_series(0)),

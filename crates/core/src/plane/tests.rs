@@ -5,7 +5,7 @@ use crate::localization::{localize, LocalizerConfig, SegmentObservation};
 use proptest::prelude::*;
 use rlir_net::packet::Packet;
 use rlir_net::{FlowKey, Protocol};
-use rlir_rli::EpochSnapshot;
+use rlir_rli::EpochSeries;
 use rlir_sim::Hop;
 use std::net::Ipv4Addr;
 
@@ -271,7 +271,7 @@ fn window_cap_sheds_regulars_but_admits_references() {
     // Shed observations are honest per-epoch unestimated counts.
     assert_eq!(tap.report.counters.regulars_seen, 4);
     assert_eq!(tap.report.counters.unestimated, 3);
-    let epoch1 = &tap.report.epochs[0];
+    let epoch1 = tap.report.epochs.iter().next().expect("epoch 1 exists");
     assert_eq!(epoch1.epoch, 1);
     assert_eq!(epoch1.unestimated, 3);
 }
@@ -375,18 +375,20 @@ fn epoch_localization_ranks_segments_per_epoch() {
 fn epoch_localization_on_offset_and_gapped_series_matches_a_linear_scan() {
     // Series that start at different epochs and skip some: the lookup
     // must find exactly the snapshots a per-epoch linear scan finds.
-    let snap = |epoch: u64, est: f64| {
-        let mut s = EpochSnapshot::empty(epoch, 1_000);
-        for _ in 0..10 {
-            s.est.push(est);
+    let series_of = |epochs: &[(u64, f64)]| {
+        let mut s = EpochSeries::new(1_000);
+        for &(epoch, est) in epochs {
+            for _ in 0..10 {
+                s.estimate(SimTime::from_nanos(epoch * 1_000), est, None);
+            }
         }
-        s.estimated = 10;
         s
     };
-    let a = vec![snap(3, 100.0), snap(4, 100.0), snap(7, 100.0)];
-    let b = vec![snap(4, 110.0), snap(5, 90.0), snap(7, 105.0)];
-    let c = vec![snap(5, 95.0), snap(6, 100.0), snap(7, 2_000.0)];
-    let series: Vec<(&str, &[EpochSnapshot])> = vec![("a", &a), ("b", &b), ("c", &c), ("d", &[])];
+    let a = series_of(&[(3, 100.0), (4, 100.0), (7, 100.0)]);
+    let b = series_of(&[(4, 110.0), (5, 90.0), (7, 105.0)]);
+    let c = series_of(&[(5, 95.0), (6, 100.0), (7, 2_000.0)]);
+    let none = EpochSeries::default();
+    let series: Vec<(&str, &EpochSeries)> = vec![("a", &a), ("b", &b), ("c", &c), ("d", &none)];
     let cfg = LocalizerConfig {
         factor: 3.0,
         min_packets: 5,

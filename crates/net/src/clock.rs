@@ -63,11 +63,6 @@ impl ClockModel {
         }
     }
 
-    /// Is this clock exactly synchronised to true time?
-    pub fn is_perfect(&self) -> bool {
-        self.offset_ns == 0 && self.drift_ppm == 0.0 && self.jitter_ns == 0
-    }
-
     /// The local reading this clock produces when true time is `t`.
     ///
     /// Saturates at zero: a clock cannot report a negative timestamp.
@@ -83,13 +78,6 @@ impl ClockModel {
         };
         let reading = true_ns as i64 + self.offset_ns + drift + jitter;
         SimTime::from_nanos(reading.max(0) as u64)
-    }
-
-    /// The worst-case absolute error of a reading taken at true time `t`
-    /// (useful for test bounds).
-    pub fn max_error_at(&self, t: SimTime) -> u64 {
-        let drift = (t.as_nanos() as f64 * self.drift_ppm.abs() * 1e-6).ceil() as u64;
-        self.offset_ns.unsigned_abs() + drift + self.jitter_ns
     }
 }
 
@@ -122,19 +110,19 @@ impl ClockPair {
             receiver: ClockModel::perfect(),
         }
     }
-
-    /// The one-way delay as *measured* by this clock pair, in signed
-    /// nanoseconds (clock skew can drive the measurement negative).
-    pub fn measured_delay_ns(&self, tx_true: SimTime, rx_true: SimTime) -> i64 {
-        let tx = self.sender.observe(tx_true);
-        let rx = self.receiver.observe(rx_true);
-        rx.signed_delta_nanos(tx)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one-way delay `pair` measures, in signed nanoseconds (clock skew
+    /// can drive the measurement negative).
+    fn measured_delay_ns(pair: &ClockPair, tx: SimTime, rx: SimTime) -> i64 {
+        pair.receiver
+            .observe(rx)
+            .signed_delta_nanos(pair.sender.observe(tx))
+    }
 
     #[test]
     fn perfect_clock_is_identity() {
@@ -142,7 +130,6 @@ mod tests {
         for ns in [0u64, 1, 1_000_000, u64::MAX / 2] {
             assert_eq!(c.observe(SimTime::from_nanos(ns)).as_nanos(), ns);
         }
-        assert!(c.is_perfect());
     }
 
     #[test]
@@ -192,14 +179,16 @@ mod tests {
         for i in 0..200u64 {
             let t = SimTime::from_millis(i * 17);
             let err = c.observe(t).signed_delta_nanos(t).unsigned_abs();
-            assert!(err <= c.max_error_at(t), "error {err} over bound");
+            let drift = (t.as_nanos() as f64 * c.drift_ppm.abs() * 1e-6).ceil() as u64;
+            let bound = c.offset_ns.unsigned_abs() + drift + c.jitter_ns;
+            assert!(err <= bound, "error {err} over bound");
         }
     }
 
     #[test]
     fn clock_pair_measures_true_delay_when_perfect() {
         let pair = ClockPair::perfect();
-        let d = pair.measured_delay_ns(SimTime::from_nanos(100), SimTime::from_nanos(350));
+        let d = measured_delay_ns(&pair, SimTime::from_nanos(100), SimTime::from_nanos(350));
         assert_eq!(d, 250);
     }
 
@@ -209,13 +198,13 @@ mod tests {
             sender: ClockModel::with_offset(0),
             receiver: ClockModel::with_offset(-1000),
         };
-        let d = pair.measured_delay_ns(SimTime::from_micros(10), SimTime::from_micros(11));
+        let d = measured_delay_ns(&pair, SimTime::from_micros(10), SimTime::from_micros(11));
         assert_eq!(d, 0); // true 1 µs delay erased by 1 µs receiver lag
         let pair = ClockPair {
             sender: ClockModel::with_offset(2000),
             receiver: ClockModel::with_offset(0),
         };
-        let d = pair.measured_delay_ns(SimTime::from_micros(10), SimTime::from_micros(11));
+        let d = measured_delay_ns(&pair, SimTime::from_micros(10), SimTime::from_micros(11));
         assert_eq!(d, -1000); // negative measured delay is representable
     }
 }

@@ -79,12 +79,6 @@ impl Ipv4Prefix {
         self.len
     }
 
-    /// True for the zero-length (default) prefix.
-    #[inline]
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// Does `addr` fall inside this prefix?
     #[inline]
     pub fn contains(&self, addr: Ipv4Addr) -> bool {
@@ -95,12 +89,6 @@ impl Ipv4Prefix {
     /// or equal to `other`)?
     pub fn covers(&self, other: &Ipv4Prefix) -> bool {
         self.len <= other.len && (other.addr & mask(self.len)) == self.addr
-    }
-
-    /// The raw network address as a `u32` (useful for tries and hashing).
-    #[inline]
-    pub fn raw(&self) -> u32 {
-        self.addr
     }
 
     /// The first `self.len` bits as an iterator of booleans, most significant

@@ -72,12 +72,6 @@ impl SimTime {
         self.0
     }
 
-    /// This instant expressed in fractional microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// This instant expressed in fractional seconds.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -96,12 +90,6 @@ impl SimTime {
     #[inline]
     pub fn signed_delta_nanos(self, other: SimTime) -> i64 {
         self.0 as i64 - other.0 as i64
-    }
-
-    /// Checked subtraction producing a duration.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
     }
 }
 
@@ -146,12 +134,6 @@ impl SimDuration {
     #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// This duration in fractional microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
     }
 
     /// This duration in fractional seconds.
@@ -283,8 +265,6 @@ mod tests {
     fn fractional_seconds() {
         assert_eq!(SimTime::from_secs_f64(1.5).as_nanos(), 1_500_000_000);
         assert_eq!(SimDuration::from_secs_f64(0.25).as_nanos(), 250_000_000);
-        let t = SimTime::from_nanos(83_000);
-        assert!((t.as_micros_f64() - 83.0).abs() < 1e-9);
     }
 
     #[test]
@@ -305,8 +285,6 @@ mod tests {
         let late = SimTime::from_nanos(50);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early).as_nanos(), 40);
-        assert_eq!(early.checked_since(late), None);
-        assert_eq!(late.checked_since(early), Some(SimDuration::from_nanos(40)));
         assert_eq!(SimTime::MAX + SimDuration::from_nanos(1), SimTime::MAX);
     }
 

@@ -37,9 +37,9 @@ impl<T> Node<T> {
 /// let mut t = PrefixTrie::new();
 /// t.insert("10.0.0.0/8".parse().unwrap(), "pod");
 /// t.insert("10.1.0.0/16".parse().unwrap(), "tor-1");
-/// assert_eq!(t.longest_match(Ipv4Addr::new(10, 1, 2, 3)), Some((&"tor-1", "10.1.0.0/16".parse().unwrap())));
-/// assert_eq!(t.longest_match(Ipv4Addr::new(10, 9, 2, 3)).unwrap().0, &"pod");
-/// assert_eq!(t.longest_match(Ipv4Addr::new(11, 0, 0, 1)), None);
+/// assert_eq!(t.lookup(Ipv4Addr::new(10, 1, 2, 3)), Some(&"tor-1"));
+/// assert_eq!(t.lookup(Ipv4Addr::new(10, 9, 2, 3)), Some(&"pod"));
+/// assert_eq!(t.lookup(Ipv4Addr::new(11, 0, 0, 1)), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PrefixTrie<T> {
@@ -126,12 +126,12 @@ impl<T> PrefixTrie<T> {
         old
     }
 
-    /// Longest-prefix match: the most specific stored prefix containing
-    /// `addr`, together with that prefix.
-    pub fn longest_match(&self, addr: Ipv4Addr) -> Option<(&T, Ipv4Prefix)> {
+    /// Longest-prefix match: the value of the most specific stored prefix
+    /// containing `addr`.
+    pub fn lookup(&self, addr: Ipv4Addr) -> Option<&T> {
         let raw = u32::from(addr);
         let mut idx = 0usize;
-        let mut best: Option<(&T, u8)> = self.nodes[0].value.as_ref().map(|v| (v, 0));
+        let mut best = self.nodes[0].value.as_ref();
         for depth in 0..32u8 {
             let bit = ((raw >> (31 - depth)) & 1) as usize;
             let child = self.nodes[idx].children[bit];
@@ -139,19 +139,9 @@ impl<T> PrefixTrie<T> {
                 break;
             }
             idx = child as usize;
-            if let Some(v) = self.nodes[idx].value.as_ref() {
-                best = Some((v, depth + 1));
-            }
+            best = self.nodes[idx].value.as_ref().or(best);
         }
-        best.map(|(v, len)| {
-            let pfx = Ipv4Prefix::new(addr, len).expect("len <= 32");
-            (v, pfx)
-        })
-    }
-
-    /// Longest-prefix match returning only the value.
-    pub fn lookup(&self, addr: Ipv4Addr) -> Option<&T> {
-        self.longest_match(addr).map(|(v, _)| v)
+        best
     }
 
     /// Visit every stored `(prefix, value)` pair in unspecified order.
@@ -237,24 +227,15 @@ mod tests {
             (Ipv4Addr::new(172, 16, 0, 1), "default"),
         ];
         for (addr, want) in cases {
-            let (got, _) = t.longest_match(addr).unwrap();
-            assert_eq!(*got, want, "addr {addr}");
+            assert_eq!(t.lookup(addr), Some(&want), "addr {addr}");
         }
-    }
-
-    #[test]
-    fn longest_match_reports_matched_prefix() {
-        let mut t = PrefixTrie::new();
-        t.insert(p("10.2.0.0/16"), ());
-        let (_, matched) = t.longest_match(Ipv4Addr::new(10, 2, 200, 1)).unwrap();
-        assert_eq!(matched, p("10.2.0.0/16"));
     }
 
     #[test]
     fn no_default_means_misses() {
         let mut t = PrefixTrie::new();
         t.insert(p("10.0.0.0/8"), ());
-        assert!(t.longest_match(Ipv4Addr::new(11, 0, 0, 1)).is_none());
+        assert!(t.lookup(Ipv4Addr::new(11, 0, 0, 1)).is_none());
         assert!(t.lookup(Ipv4Addr::new(9, 255, 255, 255)).is_none());
     }
 

@@ -32,7 +32,7 @@ pub mod receiver;
 pub mod sender;
 pub mod slots;
 
-pub use epoch::{growth, merge_epoch_series, push_grown, snapshot_at, EpochSnapshot};
+pub use epoch::{growth, push_grown, EpochCounter, EpochSeries, EpochSnapshot};
 pub use flowstats::{FlowReport, FlowTable};
 pub use interpolate::{DelaySample, Interpolator};
 pub use policy::{AdaptiveConfig, PolicyKind, StaticPolicy};

@@ -131,8 +131,8 @@ impl AdaptivePolicy {
         self.util.utilization()
     }
 
-    /// Spacing for a given utilization (exposed for tests/plots).
-    pub fn n_for_utilization(cfg: &AdaptiveConfig, u: f64) -> u32 {
+    /// Spacing for a given utilization.
+    fn n_for_utilization(cfg: &AdaptiveConfig, u: f64) -> u32 {
         let span = cfg.high_util - cfg.low_util;
         let x = ((u - cfg.low_util) / span).clamp(0.0, 1.0);
         let ratio = cfg.max_n as f64 / cfg.min_n as f64;

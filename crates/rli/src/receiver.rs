@@ -12,7 +12,7 @@
 //! (RLIR's full demultiplexer in the `rlir` crate decides which *regular*
 //! packets to hand to which receiver instance).
 
-use crate::epoch::{EpochSnapshot, EpochTracker};
+use crate::epoch::{EpochCounter, EpochSeries};
 use crate::flowstats::FlowTable;
 use crate::interpolate::{DelaySample, Interpolator};
 use rlir_net::clock::ClockModel;
@@ -36,7 +36,7 @@ pub struct ReceiverConfig {
     /// reference stream dies).
     pub max_buffer: usize,
     /// Width of the epoch window in nanoseconds: the receiver additionally
-    /// aggregates into per-epoch [`EpochSnapshot`]s keyed by observation
+    /// aggregates into an [`EpochSeries`] keyed by observation
     /// time, the bounded-size export a deployed instance would stream off
     /// the router each epoch. `None` (the default) disables the epoch
     /// dimension. Enabling it never perturbs the cumulative per-flow table
@@ -76,7 +76,7 @@ pub struct ReceiverCounters {
     /// [`MAX_EPOCH_GAP`](crate::epoch::MAX_EPOCH_GAP) epochs outside the epoch
     /// series — one wild timestamp must not size a dense series. They count
     /// in every other counter and in the per-flow table as usual, and
-    /// appear in no [`EpochSnapshot`]. Always zero without epochs.
+    /// appear in no epoch. Always zero without epochs.
     pub outside_epochs: u64,
 }
 
@@ -84,7 +84,7 @@ pub struct ReceiverCounters {
 struct Pending {
     at: SimTime,
     flow: rlir_net::FlowKey,
-    /// Whether `at` has a snapshot in the epoch series (decided once, on
+    /// Whether `at` has an epoch in the epoch series (decided once, on
     /// arrival, so an epoch's `regulars_seen` and `estimated` agree).
     in_epochs: bool,
     truth_ns: Option<f64>,
@@ -101,7 +101,8 @@ pub struct RliReceiver<S: BuildHasher = FxBuildHasher> {
     buffer: Vec<Pending>,
     flows: FlowTable<S>,
     counters: ReceiverCounters,
-    epochs: Option<EpochTracker>,
+    /// Empty and never written without [`ReceiverConfig::epoch_ns`].
+    epochs: EpochSeries,
 }
 
 impl<S: BuildHasher + Default> RliReceiver<S> {
@@ -113,7 +114,7 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
             buffer: Vec::new(),
             flows: FlowTable::new(),
             counters: ReceiverCounters::default(),
-            epochs: cfg.epoch_ns.map(EpochTracker::new),
+            epochs: cfg.epoch_ns.map(EpochSeries::new).unwrap_or_default(),
         }
     }
 
@@ -154,7 +155,7 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
     /// A regular packet arrived: buffer it for interpolation.
     pub fn on_regular(&mut self, at: SimTime, flow: rlir_net::FlowKey, truth: Option<SimDuration>) {
         self.counters.regulars_seen += 1;
-        let in_epochs = self.arrive(at, |snap| snap.regulars_seen += 1);
+        let in_epochs = self.arrive(at, EpochCounter::RegularSeen);
         if self.left.is_none() {
             // Before the first reference there is no bracket; RLI cannot
             // estimate these packets.
@@ -173,24 +174,17 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
         });
     }
 
-    /// First touch of a packet observed at `at`: apply `count` to its
-    /// epoch's snapshot, or book the packet as outside the series. Returns
-    /// whether it has a snapshot (never, without epochs).
+    /// First touch of a packet observed at `at`: bump `counter` in its
+    /// epoch, or book the packet as outside the series. Returns whether it
+    /// has an epoch (never, without epochs).
     #[inline]
-    fn arrive(&mut self, at: SimTime, count: impl FnOnce(&mut EpochSnapshot)) -> bool {
-        let Some(tracker) = self.epochs.as_mut() else {
+    fn arrive(&mut self, at: SimTime, counter: EpochCounter) -> bool {
+        if self.cfg.epoch_ns.is_none() {
             return false;
-        };
-        match tracker.snap(at) {
-            Some(snap) => {
-                count(snap);
-                true
-            }
-            None => {
-                self.counters.outside_epochs += 1;
-                false
-            }
         }
+        let inside = self.epochs.count(at, counter);
+        self.counters.outside_epochs += u64::from(!inside);
+        inside
     }
 
     /// A reference packet arrived: if it is ours, close the current
@@ -201,7 +195,7 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
             return;
         }
         self.counters.refs_accepted += 1;
-        self.arrive(at, |snap| snap.refs_accepted += 1);
+        self.arrive(at, EpochCounter::RefAccepted);
         let rx_local = self.cfg.clock.observe(at);
         let delay_ns = rx_local.signed_delta_nanos(info.tx_timestamp) as f64;
         let right = DelaySample::new(at, delay_ns);
@@ -213,12 +207,8 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
                 self.flows.record(p.flow, est, p.truth_ns);
                 // The estimate belongs to the epoch the packet crossed
                 // the observation point in, not the closing ref's.
-                if let Some(snap) = snap_of(&mut self.epochs, p.at, p.in_epochs) {
-                    snap.est.push(est);
-                    if let Some(truth) = p.truth_ns {
-                        snap.truth.push(truth);
-                    }
-                    snap.estimated += 1;
+                if p.in_epochs {
+                    self.epochs.estimate(p.at, est, p.truth_ns);
                 }
                 self.counters.estimated += 1;
             }
@@ -235,7 +225,7 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
     /// when memory pressure drops observations.
     pub fn on_shed(&mut self, at: SimTime) {
         self.counters.regulars_seen += 1;
-        let in_epochs = self.arrive(at, |snap| snap.regulars_seen += 1);
+        let in_epochs = self.arrive(at, EpochCounter::RegularSeen);
         self.count_unestimated(at, in_epochs);
     }
 
@@ -244,8 +234,8 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
     /// itself, its caller can. Nothing to book without epochs, or when `at`
     /// lies outside the series bound.
     pub fn on_downstream_drop(&mut self, at: SimTime) {
-        if let Some(snap) = self.epochs.as_mut().and_then(|t| t.snap(at)) {
-            snap.dropped_after_metering += 1;
+        if self.cfg.epoch_ns.is_some() {
+            self.epochs.count(at, EpochCounter::DroppedAfterMetering);
         }
     }
 
@@ -259,8 +249,8 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
 
     fn count_unestimated(&mut self, at: SimTime, in_epochs: bool) {
         self.counters.unestimated += 1;
-        if let Some(snap) = snap_of(&mut self.epochs, at, in_epochs) {
-            snap.unestimated += 1;
+        if in_epochs {
+            self.epochs.count(at, EpochCounter::Unestimated);
         }
     }
 
@@ -297,7 +287,7 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
         ReceiverReport {
             flows: self.flows,
             counters: self.counters,
-            epochs: self.epochs.map(EpochTracker::into_vec).unwrap_or_default(),
+            epochs: self.epochs,
         }
     }
 
@@ -306,25 +296,12 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
         &self.flows
     }
 
-    /// The per-epoch snapshots accumulated so far (empty unless
+    /// The epoch series accumulated so far (empty unless
     /// [`ReceiverConfig::epoch_ns`] is set) — a streaming consumer can read
     /// the series mid-run, before [`RliReceiver::finish`].
-    pub fn epoch_snapshots(&self) -> &[EpochSnapshot] {
-        self.epochs.as_ref().map_or(&[], EpochTracker::as_slice)
+    pub fn epoch_snapshots(&self) -> &EpochSeries {
+        &self.epochs
     }
-}
-
-/// The snapshot of a packet that [arrived](RliReceiver::arrive) at `at`.
-#[inline]
-fn snap_of(
-    epochs: &mut Option<EpochTracker>,
-    at: SimTime,
-    in_epochs: bool,
-) -> Option<&mut EpochSnapshot> {
-    if !in_epochs {
-        return None;
-    }
-    epochs.as_mut()?.snap(at)
 }
 
 /// Final output of a receiver.
@@ -334,9 +311,9 @@ pub struct ReceiverReport<S: BuildHasher = FxBuildHasher> {
     pub flows: FlowTable<S>,
     /// Counters.
     pub counters: ReceiverCounters,
-    /// Per-epoch snapshot series in epoch order (empty unless
-    /// [`ReceiverConfig::epoch_ns`] was set).
-    pub epochs: Vec<EpochSnapshot>,
+    /// Per-epoch series (empty unless [`ReceiverConfig::epoch_ns`] was
+    /// set).
+    pub epochs: EpochSeries,
 }
 
 #[cfg(test)]
@@ -507,13 +484,14 @@ mod tests {
             2
         );
         let rep = r.finish();
-        assert_eq!(rep.epochs.len(), 5); // dense epochs 1..=5
-        assert_eq!(rep.epochs[0].epoch, 1);
-        assert_eq!(rep.epochs[0].estimated, 1);
-        assert_eq!(rep.epochs[0].est_mean(), Some(100.0));
-        assert_eq!(rep.epochs[1].estimated, 1);
-        assert!(rep.epochs[2].is_empty() && rep.epochs[3].is_empty());
-        assert_eq!(rep.epochs[4].refs_accepted, 1);
+        let epochs: Vec<_> = rep.epochs.iter().collect();
+        assert_eq!(epochs.len(), 5); // dense epochs 1..=5
+        assert_eq!(epochs[0].epoch, 1);
+        assert_eq!(epochs[0].estimated, 1);
+        assert_eq!(epochs[0].est_mean(), Some(100.0));
+        assert_eq!(epochs[1].estimated, 1);
+        assert!(epochs[2].is_empty() && epochs[3].is_empty());
+        assert_eq!(epochs[4].refs_accepted, 1);
         // The cumulative view is untouched by the epoch dimension.
         assert_eq!(rep.counters.estimated, 2);
         assert_eq!(rep.flows.get(&fk(1)).unwrap().est.mean(), Some(100.0));
@@ -537,15 +515,16 @@ mod tests {
         let rep = r.finish();
         assert_eq!(rep.counters.estimated, 2);
         assert_eq!(rep.counters.unestimated, 4);
+        let epochs: Vec<_> = rep.epochs.iter().collect();
         // Epoch 0: the pre-first-ref packet.
-        assert_eq!(rep.epochs[0].unestimated, 1);
+        assert_eq!(epochs[0].unestimated, 1);
         // Epoch 1: 130 shed by the cap (buffer held 110 and 120).
-        assert_eq!(rep.epochs[1].unestimated, 1);
-        assert_eq!(rep.epochs[1].estimated, 2);
+        assert_eq!(epochs[1].unestimated, 1);
+        assert_eq!(epochs[1].estimated, 2);
         // Epoch 2: 240 shed by the cap too (buffer not yet drained).
-        assert_eq!(rep.epochs[2].unestimated, 1);
+        assert_eq!(epochs[2].unestimated, 1);
         // Epoch 3: 350 stranded after the last reference.
-        assert_eq!(rep.epochs[3].unestimated, 1);
+        assert_eq!(epochs[3].unestimated, 1);
         let per_epoch: u64 = rep.epochs.iter().map(|e| e.unestimated).sum();
         assert_eq!(per_epoch, rep.counters.unestimated, "epochs must tally");
     }

@@ -123,11 +123,6 @@ impl Network {
         let lookahead = self.links().map(|(_, _, p)| p.link_delay.as_nanos()).min();
         fabric_geometry(lookahead, self.links().map(residence).max().unwrap_or(0))
     }
-
-    /// Look up a node id by name.
-    pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.nodes.iter().position(|n| n.name == name)
-    }
 }
 
 /// Forwarding decision for one packet at one switch.
@@ -754,8 +749,9 @@ mod tests {
     #[test]
     fn node_lookup_by_name() {
         let net = line(3, 1);
-        assert_eq!(net.node_by_name("S1"), Some(1));
-        assert_eq!(net.node_by_name("nope"), None);
+        let by_name = |name| net.nodes.iter().position(|n| n.name == name);
+        assert_eq!(by_name("S1"), Some(1));
+        assert_eq!(by_name("nope"), None);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl SortedVecSource {
         items.sort_by_key(|(_, p)| p.created_at);
         SortedVecSource { items, next: 0 }
     }
-
-    /// Injections not yet pulled.
-    pub fn remaining(&self) -> usize {
-        self.items.len() - self.next
-    }
 }
 
 impl InjectionSource for SortedVecSource {
@@ -178,7 +173,6 @@ mod tests {
             "stable sort must keep the t=5 tie in input order"
         );
         assert!(src.next_injection().is_none());
-        assert_eq!(src.remaining(), 0);
     }
 
     #[test]

@@ -79,7 +79,6 @@ pub struct FlowMeter {
     cfg: FlowMeterConfig,
     active: FxHashMap<FlowKey, FlowRecord>,
     exported: Vec<FlowRecord>,
-    packets_seen: u64,
 }
 
 impl FlowMeter {
@@ -89,7 +88,6 @@ impl FlowMeter {
             cfg,
             active: FxHashMap::default(),
             exported: Vec::new(),
-            packets_seen: 0,
         }
     }
 
@@ -104,7 +102,6 @@ impl FlowMeter {
 
     /// Observe a (key, time, bytes) triple directly.
     pub fn observe_at(&mut self, key: FlowKey, at: SimTime, bytes: u32) {
-        self.packets_seen += 1;
         match self.active.get_mut(&key) {
             Some(rec) => {
                 let idle = at.saturating_since(rec.last);
@@ -121,21 +118,6 @@ impl FlowMeter {
                 self.active.insert(key, FlowRecord::open(key, at, bytes));
             }
         }
-    }
-
-    /// Number of packets metered.
-    pub fn packets_seen(&self) -> u64 {
-        self.packets_seen
-    }
-
-    /// Number of currently active (unexpired) flows.
-    pub fn active_flows(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Records exported by timeouts so far (excludes active flows).
-    pub fn exported(&self) -> &[FlowRecord] {
-        &self.exported
     }
 
     /// Flush all remaining active flows and return the complete record set,
@@ -188,7 +170,7 @@ mod tests {
         let mut m = FlowMeter::default();
         m.observe_at(key(1), SimTime::ZERO, 10);
         m.observe_at(key(2), SimTime::ZERO, 10);
-        assert_eq!(m.active_flows(), 2);
+        assert_eq!(m.active.len(), 2);
         assert_eq!(m.finish().len(), 2);
     }
 
@@ -201,7 +183,7 @@ mod tests {
         let mut m = FlowMeter::new(cfg);
         m.observe_at(key(1), SimTime::ZERO, 10);
         m.observe_at(key(1), SimTime::from_millis(5), 10); // > idle timeout
-        assert_eq!(m.exported().len(), 1);
+        assert_eq!(m.exported.len(), 1);
         let recs = m.finish();
         assert_eq!(recs.len(), 2);
         assert!(recs.iter().all(|r| r.packets == 1));
@@ -229,7 +211,6 @@ mod tests {
         let mut m = FlowMeter::default();
         let p = Packet::reference(1, key(1), rlir_net::SenderId(0), 0, SimTime::ZERO);
         m.observe(&p);
-        assert_eq!(m.packets_seen(), 0);
         assert!(m.finish().is_empty());
     }
 
@@ -250,8 +231,7 @@ mod tests {
         let mut m = FlowMeter::default();
         let p = Packet::regular(1, key(3), 120, SimTime::from_micros(5));
         m.observe(&p);
-        assert_eq!(m.packets_seen(), 1);
         let recs = m.finish();
-        assert_eq!(recs[0].bytes, 120);
+        assert_eq!((recs[0].packets, recs[0].bytes), (1, 120));
     }
 }

@@ -17,7 +17,7 @@
 
 use rlir::experiment::{run_fattree, run_two_hop, FatTreeExpConfig, FatTreeOutcome, TwoHopConfig};
 use rlir_net::time::SimDuration;
-use rlir_rli::{EpochSnapshot, FlowTable, PolicyKind};
+use rlir_rli::{EpochSeries, FlowTable, PolicyKind};
 use rlir_trace::BurstShape;
 
 fn fold(h: u64, bits: u64) -> u64 {
@@ -40,7 +40,7 @@ fn digest_flows(mut h: u64, flows: &FlowTable) -> u64 {
 }
 
 /// Digest an epoch series: counters and moments per epoch.
-fn digest_epochs(mut h: u64, epochs: &[EpochSnapshot]) -> u64 {
+fn digest_epochs(mut h: u64, epochs: &EpochSeries) -> u64 {
     h = fold(h, epochs.len() as u64);
     for e in epochs {
         h = fold(h, e.epoch);

@@ -1,14 +1,15 @@
 //! What a measurement plane's per-tap buffers hold beyond their length at
 //! the end of a run.
 //!
-//! Each tap's receiver keeps two growing buffers: its per-epoch snapshot
-//! series and its interpolation buffer (the regulars waiting for their
-//! closing reference). Grown by doubling and never given back, each kept
-//! up to twice its length — the interpolation buffer its all-time peak,
-//! long after the burst that set it. The plane grows the series by at most
-//! an eighth of its length (or 8 snapshots) at a time, and after every
-//! flush batch has each receiver give back its interpolation buffer's spare
-//! capacity, so both hold at most 9/8 of their length plus a constant.
+//! Each tap's receiver keeps two growing buffers: its per-epoch series and
+//! its interpolation buffer (the regulars waiting for their closing
+//! reference). Grown by doubling and never given back, each kept up to
+//! twice its length — the interpolation buffer its all-time peak, long
+//! after the burst that set it. The series grows its 40-byte epoch rows and
+//! its 80-byte moments (one per epoch with an estimate) by at most an
+//! eighth of their length (or 8) at a time, and after every flush batch
+//! each receiver gives back its interpolation buffer's spare capacity, so
+//! all three hold at most 9/8 of their length plus a constant.
 //!
 //! Measured under the counting `#[global_allocator]` of
 //! `tests/support/counting_alloc.rs`, through the public API only: a tap's
@@ -23,7 +24,6 @@ use rlir::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
-use rlir_rli::EpochSnapshot;
 use rlir_sim::{Hop, HopEvent, HopKind, HopSink};
 use std::net::Ipv4Addr;
 
@@ -40,6 +40,10 @@ const TRAILING: u64 = 3;
 /// An upper bound on a pending regular in the receiver: observation time,
 /// 5-tuple, epoch flag and truth.
 const PENDING_MAX: usize = 48;
+/// An epoch's row of counters, and the estimate/truth moments of an epoch
+/// with an estimate.
+const EPOCH_ROW: usize = 40;
+const EPOCH_MOMENTS: usize = 80;
 
 fn flow(tap: usize) -> FlowKey {
     FlowKey::tcp(
@@ -143,14 +147,25 @@ fn epoch_series_and_interpolation_buffers_hold_what_they_use() {
 
     let snapshots: usize = rep.taps.iter().map(|t| t.report.epochs.len()).sum();
     assert_eq!(snapshots, TAPS * (EPOCHS as usize + 1));
+    let estimated: usize = rep
+        .taps
+        .iter()
+        .map(|t| t.report.epochs.iter().filter(|e| e.estimated > 0).count())
+        .sum();
+    assert_eq!(
+        estimated,
+        TAPS * EPOCHS as usize,
+        "the trailing epoch has none"
+    );
     let before = counting_alloc::live();
     for tap in &mut rep.taps {
         drop(std::mem::take(&mut tap.report.epochs));
     }
     let series = before - counting_alloc::live();
-    let allowed_series = allowed(snapshots, std::mem::size_of::<EpochSnapshot>());
+    let allowed_series = allowed(snapshots, EPOCH_ROW) + allowed(estimated, EPOCH_MOMENTS);
     assert!(
         series <= allowed_series,
-        "epoch series hold {series} B for {snapshots} snapshots, over {allowed_series} B"
+        "epoch series hold {series} B for {snapshots} epochs ({estimated} estimated), \
+         over {allowed_series} B"
     );
 }

@@ -56,7 +56,7 @@ use rlir::plane::{
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
-use rlir_rli::{EpochSnapshot, FlowTable};
+use rlir_rli::{EpochSeries, FlowTable};
 use rlir_sim::{Hop, HopEvent, HopKind, HopSink, NodeId};
 use std::net::Ipv4Addr;
 
@@ -260,7 +260,7 @@ fn flow_bits(flows: &FlowTable) -> Vec<u64> {
 
 /// What feeding decides, per epoch from `from` on (shed observations only
 /// ever add to `regulars_seen` / `unestimated`, which the oracle never saw).
-fn epoch_bits(epochs: &[EpochSnapshot], from: u64) -> Vec<u64> {
+fn epoch_bits(epochs: &EpochSeries, from: u64) -> Vec<u64> {
     epochs
         .iter()
         .filter(|e| e.epoch >= from && (e.estimated > 0 || e.refs_accepted > 0))

@@ -50,7 +50,7 @@ use rlir::experiment::{
 use rlir::CoreDemux;
 use rlir_exec::SweepRunner;
 use rlir_net::time::SimDuration;
-use rlir_rli::{EpochSnapshot, PolicyKind};
+use rlir_rli::{EpochSeries, PolicyKind};
 
 fn fold(h: u64, bits: u64) -> u64 {
     h.rotate_left(7) ^ bits.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -131,7 +131,7 @@ fn asymmetric_outputs_match_pre_rewiring_pin() {
     assert_eq!(h, 0x1a02788ff8ff564b, "asymmetric output drifted");
 }
 
-fn digest_epochs(h: u64, epochs: &[EpochSnapshot]) -> u64 {
+fn digest_epochs(h: u64, epochs: &EpochSeries) -> u64 {
     epochs.iter().fold(h, |h, e| {
         let h = fold(h, e.epoch);
         let h = fold(h, e.estimated);

@@ -14,7 +14,7 @@
 
 use rlir::experiment::{run_fattree_faulted, FatTreeExpConfig, FatTreeOutcome};
 use rlir_net::time::{SimDuration, SimTime};
-use rlir_rli::{EpochSnapshot, PolicyKind};
+use rlir_rli::{EpochSeries, PolicyKind};
 use rlir_sim::{FaultEvent, FaultKind, FaultScript};
 use rlir_topo::FatTree;
 
@@ -124,7 +124,7 @@ fn drains_agree_on_what_an_outage_destroys() {
     // From the recovery boundary on (TapUp at 20 ms = epoch 20) the two
     // cold-restarted instances are fed the identical sequence: every
     // tap's epoch series agrees bit for bit, crashed or not.
-    let tail = |series: &[EpochSnapshot]| {
+    let tail = |series: &EpochSeries| {
         series
             .iter()
             .filter(|e| e.epoch >= 20)
