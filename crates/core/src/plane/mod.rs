@@ -47,24 +47,25 @@
 //! **cold** half (`ColdTap`: the [`TapSpec`], the receiver, the loss
 //! counters) is reached only by closures, sheds, faults and flushes.
 //!
-//! ## One record per event, one two-word entry per tap
+//! ## One record per event, one 8-byte entry per tap
 //!
 //! A delivery is observed by every tap on its path — about five on a
 //! fat-tree with all ports tapped — and what they share is stored once:
 //! the first tap that buffers an event appends an **event record** (module
 //! `records`: tie, packet id, packed 5-tuple or [`ReferenceInfo`], a tag
 //! word and the event's injection time; 40 bytes) to a plane-wide FIFO,
-//! and each tap's run holds a 16-byte **entry**: its observation time, and
-//! the record's position with a truth-present bit. A flush computes a
-//! scored regular's truth as `at − injection`, saturating — no entry
-//! carries a truth word. A tap whose span starts elsewhere — a
+//! and each tap's run holds an 8-byte **entry**: its observation time as
+//! an offset in its pool block, and the record's position with a
+//! truth-present bit. A flush computes a scored regular's truth as
+//! `at − injection`, saturating — no entry carries a truth word. A tap
+//! whose span starts elsewhere — a
 //! [`TruthRef::SinceArrivalAt`] tap, at its own hop arrival — keeps a record
 //! of its own per scored regular, as a [`TapSpec::ref_map`] tap does per
 //! mapped reference. An event no tap buffers makes no record. A flush reads
 //! a record only to break an `at` tie by `(tie, id)` and to decode what it
 //! feeds. Records are reclaimed from the front once every tap has been
-//! flushed past them. A lone tap pays 56 bytes an observation; at the
-//! ≈ 4.85 taps a record of an all-ports fat-tree, about 24.
+//! flushed past them. A lone tap pays 48 bytes an observation; at the
+//! ≈ 4.85 taps a record of an all-ports fat-tree, about 16.
 //!
 //! ## Capacity follows length
 //!
@@ -344,7 +345,7 @@ struct HotTap {
 impl HotTap {
     #[inline]
     fn push(&mut self, runs: &mut Runs, entry: WindowEntry) {
-        runs.push(&mut self.run, entry);
+        runs.push(&mut self.run, self.flushed_to.as_nanos(), entry);
         self.peak_pending = self.peak_pending.max(self.run.len());
     }
 }
@@ -630,6 +631,9 @@ impl<'a> MeasurementPlane<'a> {
         runs: &mut Runs,
         bound: Option<SimTime>,
     ) {
+        if let Some(b) = bound {
+            tap.flushed_to = tap.flushed_to.max(b);
+        }
         if tap.run.len > 0 {
             let run = runs.gather(&mut tap.run);
             // Stable on purpose, though keys are unique: the run is a
@@ -654,14 +658,11 @@ impl<'a> MeasurementPlane<'a> {
                 }
             }
             cold.rx.trim_buffer();
-            runs.refill(&mut tap.run, n);
+            runs.refill(&mut tap.run, n, tap.flushed_to.as_nanos());
             let t = &mut tenants[tap.tenant_slot as usize];
             debug_assert!(n <= totals.pending && n <= t.pending, "unbooked entries");
             totals.pending -= n;
             t.pending -= n;
-        }
-        if let Some(b) = bound {
-            tap.flushed_to = tap.flushed_to.max(b);
         }
     }
 
@@ -714,7 +715,7 @@ impl<'a> MeasurementPlane<'a> {
             tap.down = true;
             cold.outages += 1;
             let freed = tap.run.len();
-            self.runs.release(&mut tap.run, |_| {});
+            self.runs.release(&mut tap.run, |_, _| {});
             let destroyed = cold.rx.reset_cold();
             cold.lost_window_obs += freed as u64 + destroyed;
             let t = &mut self.tenants[tap.tenant_slot as usize];

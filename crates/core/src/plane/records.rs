@@ -157,6 +157,8 @@ impl Records {
     #[inline]
     pub(super) fn push_own(&mut self, rec: EventRecord) -> u64 {
         let pos = self.made();
+        // Past 2³¹ live records, entries' 31-bit references would alias.
+        assert!(self.fifo.len() < (1 << 31) - 1, "2^31 live event records");
         if self.fifo.len() == self.fifo.capacity() {
             self.fifo
                 .reserve_exact(rlir_rli::growth(self.fifo.len(), 1));
@@ -185,20 +187,22 @@ impl Records {
     #[inline]
     pub(super) fn entry(&mut self, at: SimTime, scored: bool, rec: u64) -> WindowEntry {
         self.max_at = self.max_at.max(at.as_nanos());
+        let rec = rec as u32 & !ENTRY_HAS_TRUTH;
         WindowEntry {
             at: at.as_nanos(),
             rec: if scored { rec | ENTRY_HAS_TRUTH } else { rec },
         }
     }
 
-    /// The record `entry` names. An entry outliving its record is a bug in
-    /// the reclamation rule, and panics here rather than read a neighbour.
+    /// The record `entry` names, its 31-bit reference resolved against
+    /// `base`. An entry outliving its record is a bug in the reclamation
+    /// rule, and panics here rather than read a neighbour.
     #[inline]
     pub(super) fn get(&self, entry: &WindowEntry) -> &EventRecord {
-        let i = (entry.rec & !ENTRY_HAS_TRUTH)
-            .checked_sub(self.base)
-            .expect("window entry names a reclaimed record");
-        &self.fifo[i as usize]
+        let i = entry.rec.wrapping_sub(self.base as u32) & !ENTRY_HAS_TRUTH;
+        self.fifo
+            .get(i as usize)
+            .expect("window entry names a reclaimed record")
     }
 
     /// Called with every unordered tap flushed to `bound`, between events:

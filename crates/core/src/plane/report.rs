@@ -3,7 +3,7 @@
 
 use super::admit::{TenantId, TenantReport};
 use super::records::EventRecord;
-use super::window::{WindowEntry, WindowPool};
+use super::window::{PoolEntry, WindowPool};
 use super::{MeasurementPlane, TapPoint};
 use crate::localization::{localize, AnomalyFinding, LocalizerConfig, SegmentObservation};
 use rlir_net::packet::SenderId;
@@ -238,16 +238,16 @@ impl MeasurementPlane<'_> {
     /// Approximate bytes of plane hot state right now, the plane's term of
     /// the ledger's `peak_state_bytes`: every tap's flow table at its
     /// *allocated capacity* ([`rlir_rli::FlowTable::approx_bytes`], to the
-    /// byte), its run's 16-byte window entries at their *length*, and the
+    /// byte), its run's 8-byte pool entries at their *length*, and the
     /// 40-byte event records they name, at their length. O(taps).
-    /// Not counted: the pool's block slack (at most 128 entries a tap, and
-    /// the free blocks), the flush scratch, the receivers' interpolation
-    /// buffers and epoch series (40 bytes an epoch, plus 80 for an epoch
-    /// with an estimate), the FIFO's spare capacity — the last three
-    /// bounded by the growth rule in the module docs — and anything
-    /// transient. A diagnostic, not an allocator.
+    /// Not counted: the pool's block slack (at most 128 entries a tap, the
+    /// blocks closed early and the free blocks), the flush scratch, the
+    /// receivers' interpolation buffers and epoch series (40 bytes an
+    /// epoch, plus 80 for an epoch with an estimate), the FIFO's spare
+    /// capacity — the last three bounded by the growth rule in the module
+    /// docs — and anything transient. A diagnostic, not an allocator.
     pub fn approx_state_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<WindowEntry>();
+        let entry = std::mem::size_of::<PoolEntry>();
         let windows: usize = self
             .taps
             .iter()

@@ -1,5 +1,5 @@
 use super::records::RECLAIM_GRAIN;
-use super::window::{block_index, run_len, BLOCK};
+use super::window::{block_index, run_len, PoolEntry, BLOCK};
 use super::*;
 use crate::localization::{localize, LocalizerConfig, SegmentObservation};
 use proptest::prelude::*;
@@ -487,7 +487,7 @@ fn several_taps_share_one_record_and_a_mapped_reference_gets_its_own() {
     mapped.ref_map = Some(Box::new(|info| Some(*info)));
     plane.attach(mapped);
     let path = [crossed(1, 100), crossed(2, 200), crossed(3, 300)];
-    let entry = std::mem::size_of::<WindowEntry>();
+    let entry = std::mem::size_of::<PoolEntry>();
     let record = std::mem::size_of::<EventRecord>();
     let empty = plane.approx_state_bytes();
 
@@ -676,7 +676,7 @@ fn a_crashed_taps_records_go_with_the_next_flush_past_them() {
     plane.attach(gated_tap("crashes", 1));
     plane.attach(gated_tap("survives", 2));
     let empty = plane.approx_state_bytes();
-    let entry = std::mem::size_of::<WindowEntry>();
+    let entry = std::mem::size_of::<PoolEntry>();
     let record = std::mem::size_of::<EventRecord>();
     plane.on_watermark(SimTime::from_nanos(1_000));
     for i in 0..5u64 {
@@ -772,7 +772,7 @@ fn a_run_cannot_outgrow_its_length() {
         len: u32::MAX,
         ..Run::default()
     };
-    Runs::default().push(&mut run, WindowEntry::default());
+    Runs::default().push(&mut run, 0, WindowEntry::default());
 }
 
 #[test]

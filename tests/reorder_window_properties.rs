@@ -48,6 +48,13 @@
 //! the blocks in use are exactly Σ ⌈run length / block⌉ and the pool grew
 //! only by what its free list could not supply; at the end every tap
 //! reports bit for bit what the same events report under the wide window.
+//!
+//! A fourth runs the same schedule with every time and window scaled by
+//! 2²² ns, so runs span more than the 2³² ns a pool entry's offset from its
+//! block's base reaches: entries that miss their tail block close it early.
+//! The blocks in use then lie between Σ ⌈run length / block⌉ and that plus
+//! the blocks closed early, and every tap still reports bit for bit what
+//! the whole-run window reports.
 
 use proptest::prelude::*;
 use rlir::plane::{
@@ -709,6 +716,30 @@ fn pool_schedule(raw: &[(u8, u64, u64)], window: u64) -> Vec<PoolStep> {
     steps
 }
 
+/// `steps` with every time multiplied by 2^`shift`.
+fn scaled(steps: Vec<PoolStep>, shift: u32) -> Vec<PoolStep> {
+    let up = |t: u64| t << shift;
+    let step = |s| match s {
+        PoolStep::Delivery {
+            mask,
+            crossed,
+            delivered,
+            id,
+            flow,
+        } => PoolStep::Delivery {
+            mask,
+            crossed: crossed.map(up),
+            delivered: up(delivered),
+            id,
+            flow,
+        },
+        PoolStep::Watermark(t) => PoolStep::Watermark(up(t)),
+        PoolStep::Down(t, tap) => PoolStep::Down(up(t), tap),
+        PoolStep::Up(t, tap) => PoolStep::Up(up(t), tap),
+    };
+    steps.into_iter().map(step).collect()
+}
+
 fn pool_plane<'a>(reorder_window: SimDuration, epoch: u64) -> MeasurementPlane<'a> {
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
         reorder_window,
@@ -806,17 +837,49 @@ fn pool_books(
     Ok(pool)
 }
 
-fn check_pool(raw: &[(u8, u64, u64)], window: u64, epoch: u64) -> Result<(), TestCaseError> {
-    let steps = pool_schedule(raw, window);
+/// The pool's books after `step` once runs span more than 2³² ns: a block
+/// closed early holds less than a block, so the blocks in use lie between
+/// what the runs need and that plus the blocks closed early.
+fn wide_pool_books(plane: &MeasurementPlane<'_>, step: &PoolStep) -> Result<(), TestCaseError> {
+    let pool = plane.window_pool();
+    let needed: usize = (0..POOL_TAPS)
+        .map(|tap| plane.pending(tap).div_ceil(pool.block_entries))
+        .sum();
+    let in_use = pool.blocks - pool.free;
+    prop_assert!(
+        needed <= in_use && in_use <= needed + pool.closed_early,
+        "{} blocks in use, {} needed: {:?} after {:?}",
+        in_use,
+        needed,
+        pool,
+        step
+    );
+    Ok(())
+}
+
+/// The pool case with every time and the window and epoch scaled by
+/// 2^`shift` ns.
+fn check_pool(
+    raw: &[(u8, u64, u64)],
+    window: u64,
+    epoch: u64,
+    shift: u32,
+) -> Result<(), TestCaseError> {
+    let steps = scaled(pool_schedule(raw, window), shift);
+    let epoch = epoch << shift;
     let mut planes = [
-        pool_plane(SimDuration::from_nanos(window), epoch),
+        pool_plane(SimDuration::from_nanos(window << shift), epoch),
         pool_plane(SimDuration::MAX, epoch),
     ];
     let mut pools = planes.each_ref().map(|p| p.window_pool());
     for step in &steps {
         for (plane, pool) in planes.iter_mut().zip(&mut pools) {
             offer_pool(plane, step);
-            *pool = pool_books(plane, *pool, step)?;
+            if shift == 0 {
+                *pool = pool_books(plane, *pool, step)?;
+            } else {
+                wide_pool_books(plane, step)?;
+            }
         }
     }
     let [got, want] = planes.map(MeasurementPlane::finish);
@@ -875,7 +938,16 @@ proptest! {
         window in 256u64..4_000,
         epoch in 500u64..5_000,
     ) {
-        check_pool(&raw, window, epoch)?;
+        check_pool(&raw, window, epoch, 0)?;
+    }
+
+    #[test]
+    fn runs_wider_than_an_entrys_offset_close_blocks_early_and_feed_alike(
+        raw in proptest::collection::vec((0u8..100, 0u64..100_000, any::<u64>()), 200..2_500),
+        window in 256u64..4_000,
+        epoch in 500u64..5_000,
+    ) {
+        check_pool(&raw, window, epoch, 22)?;
     }
 
     #[test]

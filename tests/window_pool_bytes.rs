@@ -29,9 +29,10 @@ const BURST: u64 = 4_096;
 /// not read here so the test also runs against the plane before the pool).
 const BLOCK: usize = 128;
 const WINDOW_NS: u64 = 1_000_000;
-/// Bytes of a window entry and of an event record, pinned at compile time
-/// in the plane.
-const ENTRY: usize = 16;
+/// Bytes of a pool entry, of its decoded copy in the flush's sort scratch
+/// and of an event record, pinned at compile time in the plane.
+const ENTRY: usize = 8;
+const SCRATCH: usize = 16;
 const RECORD: usize = 40;
 
 fn flow(tap: usize) -> FlowKey {
@@ -99,13 +100,15 @@ fn taps_that_burst_in_turn_cost_the_peak_of_the_sum_not_the_sum_of_the_peaks() {
     assert!(estimated > 0 && rep.taps.iter().all(|t| t.late == 0));
     let pending_total = rep.peak_pending_total;
     assert_eq!(pending_total, BURST as usize, "one burst at a time");
-    // Every pending observation's entry in the pool and its copy in the
-    // sort scratch, each up to twice its length while its `Vec` grows, and
-    // its event record; plus what the receivers and flow tables hold. The
-    // taps burst in turn, so only one run's tail block is partly empty at a
-    // time. A `Vec` per tap holds TAPS × BURST entries; a 24-byte entry
-    // takes the plane over the bound.
-    let bound = pending_total * (4 * ENTRY + RECORD) + BLOCK * ENTRY + TAPS * 256;
+    // Every pending observation's 8-byte entry in the pool and its 16-byte
+    // copy in the sort scratch, each up to twice its length while its `Vec`
+    // grows, and its event record with the FIFO's eighth of growth spare;
+    // plus what the receivers and flow tables hold. The taps burst in turn,
+    // so only one run's tail block is partly empty at a time. A `Vec` per
+    // tap holds TAPS × BURST entries; a 16-byte pool entry takes the plane
+    // over the bound (420 016 B against 398 336 B; 387 536 B with 8 bytes).
+    let bound =
+        pending_total * (2 * ENTRY + 2 * SCRATCH + RECORD * 9 / 8) + BLOCK * ENTRY + TAPS * 256;
     assert!(
         high_water <= bound,
         "the plane's live bytes peaked at {high_water} B over {bound} B \
