@@ -7,15 +7,14 @@
 //! unless the command is `all` or a scenario that reads it), and the
 //! `RLIR_*` variables (`RLIR_SEED` is every scenario's master seed, `chaos`'s
 //! campaigns included). A count, scale variable or spec that does not parse
-//! exits 2; results are byte-identical for any thread or shard count.
+//! exits 2; results are byte-identical for any thread count.
 
 use rlir_bench::{list, scenario, OutputDir, RunContext, Scale, SCENARIOS};
 use rlir_exec::{parse_count, SweepRunner};
 
-const HELP: &str = "experiments <list|run <name>|all> [--threads N] [--shards N] [--trace <file>] [--entry-map <spec>] [--tenants w1,w2] [--lenient]
+const HELP: &str = "experiments <list|run <name>|all> [--threads N] [--trace <file>] [--entry-map <spec>] [--tenants w1,w2] [--lenient]
 Scale: RLIR_SCALE={quick,default,full} RLIR_DURATION_MS=<ms> RLIR_SEEDS=<n> RLIR_SEED=<n> (every scenario's master seed)
 Threads: --threads N (default RLIR_THREADS, else available parallelism)
-Shards: --shards N pod-sharded fat-tree engine for fattree, incast, localize, faults (default RLIR_SHARDS, else 1; byte-identical for any N)
 Replay: --trace <pcap> capture to stream through `run replay` (default: generated);
         --entry-map fixed:<node>|hash:<n0,n1,...> entry-node demux (tandem nodes are 0 and 1);
         --lenient skip-and-count pcap ingest (damaged records resynced, regressions clamped)
@@ -24,8 +23,7 @@ A scenario flag is refused unless the command is `all` or a scenario that reads 
 Output: RLIR_RESULTS_DIR=<dir> (default results/)";
 
 /// Every scenario flag, and the scenarios that read it.
-const READERS: [(&str, &[&str]); 5] = [
-    ("--shards", &["fattree", "incast", "localize", "faults"]),
+const READERS: [(&str, &[&str]); 4] = [
     ("--trace", &["replay"]),
     ("--entry-map", &["replay"]),
     ("--lenient", &["replay"]),
@@ -57,7 +55,7 @@ fn refuse(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
-/// The value of a count flag (`--threads`, `--shards`): a positive integer.
+/// The value of a count flag (`--threads`): a positive integer.
 fn positive(value: Option<String>, flag: &str) -> usize {
     (parse_count(value).ok().flatten())
         .unwrap_or_else(|| refuse(format!("{flag} needs a positive integer")))
@@ -82,7 +80,6 @@ fn main() -> std::io::Result<()> {
     // Split the flags out of the positional arguments.
     let mut positional: Vec<String> = Vec::new();
     let mut threads: Option<usize> = None;
-    let mut shards: Option<usize> = None;
     let mut trace: Option<std::path::PathBuf> = None;
     let mut entry_map: Option<String> = None;
     let mut tenants: Option<(u64, u64)> = None;
@@ -128,7 +125,6 @@ fn main() -> std::io::Result<()> {
                 entry_map = Some(spec);
             }
             "--threads" => threads = Some(positive(args.next(), "--threads")),
-            "--shards" => shards = Some(positive(args.next(), "--shards")),
             "--help" | "-h" => {
                 println!("{HELP}");
                 return Ok(());
@@ -165,18 +161,16 @@ fn main() -> std::io::Result<()> {
 
     let mut scale = Scale::from_env().unwrap_or_else(|e| refuse(e));
     scale.threads = threads.unwrap_or(scale.threads);
-    scale.shards = shards.unwrap_or(scale.shards);
     let runner = SweepRunner::new(scale.threads);
     let out = OutputDir::from_env()?;
     eprintln!(
-        "scale: accuracy {} | interference {} | fat-tree {} | seeds {} | base seed {} | threads {} | shards {}",
+        "scale: accuracy {} | interference {} | fat-tree {} | seeds {} | base seed {} | threads {}",
         scale.accuracy_duration,
         scale.interference_duration,
         scale.fattree_duration,
         scale.seeds,
         scale.base_seed,
         runner.threads(),
-        scale.shards,
     );
 
     let ctx = RunContext {
@@ -208,13 +202,13 @@ mod tests {
             unread_flag("run", Some("replay"), &["--trace", "--lenient"]),
             None
         );
-        assert_eq!(unread_flag("run", Some("faults"), &["--shards"]), None);
+        assert_eq!(unread_flag("run", Some("chaos"), &["--tenants"]), None);
         assert_eq!(unread_flag("run", Some("two_hop"), &[]), None);
         for (name, flag) in [
             (Some("two_hop"), "--lenient"),
             (Some("fattree"), "--trace"),
             (Some("loss_sweep"), "--tenants"),
-            (Some("replay"), "--shards"),
+            (Some("replay"), "--tenants"),
             (None, "--entry-map"),
         ] {
             let cmd = if name.is_some() { "run" } else { "list" };

@@ -306,7 +306,6 @@ pub fn demux_ablation(scale: &Scale, runner: &SweepRunner) -> Table {
     let modes = [CoreDemux::Naive, CoreDemux::Marking, CoreDemux::ReverseEcmp];
     let runs = runner.map(scale.base_seed, &modes, |_, &mode| {
         let mut cfg = FatTreeExpConfig::paper(scale.base_seed, scale.fattree_duration);
-        cfg.shards = scale.shards;
         cfg.demux = mode;
         cfg.anomaly = Some(CoreAnomaly {
             core_ordinal: 0,

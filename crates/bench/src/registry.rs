@@ -26,7 +26,7 @@ use std::io;
 
 /// Everything a scenario needs besides the runner.
 pub struct RunContext {
-    /// Scale knobs (durations, seeds, threads, shards).
+    /// Scale knobs (durations, seeds, threads).
     pub scale: Scale,
     /// Where CSV series land.
     pub out: OutputDir,
@@ -179,8 +179,7 @@ pub static SCENARIOS: &[Scenario] = &[
         name: "incast",
         summary: "NEW: synchronized burst fan-in on the fat-tree (per-flow accuracy vs fan-in)",
         run: |ctx, runner| {
-            let mut cfg = IncastConfig::paper(ctx.scale.base_seed, ctx.scale.fattree_duration);
-            cfg.base.shards = ctx.scale.shards;
+            let cfg = IncastConfig::paper(ctx.scale.base_seed, ctx.scale.fattree_duration);
             let points = run_incast(&cfg, runner);
             let epochs = points
                 .iter()
@@ -205,8 +204,7 @@ pub static SCENARIOS: &[Scenario] = &[
         name: "localize",
         summary: "NEW: fabric-wide anomaly localization (random core/edge victim per point, accuracy + onset vs background load)",
         run: |ctx, runner| {
-            let mut cfg = LocalizeConfig::paper(ctx.scale.base_seed, ctx.scale.fattree_duration);
-            cfg.base.shards = ctx.scale.shards;
+            let cfg = LocalizeConfig::paper(ctx.scale.base_seed, ctx.scale.fattree_duration);
             let report = run_localize(&cfg, runner);
             // The per-epoch victim time-series of every trial — the "when
             // did it start" view behind the onset column.
@@ -317,8 +315,7 @@ pub static SCENARIOS: &[Scenario] = &[
         name: "faults",
         summary: "NEW: closed-loop robustness sweep — mid-run switch degradation, online detection, time-to-localize + false positives",
         run: |ctx, runner| {
-            let mut cfg = FaultsConfig::paper(ctx.scale.base_seed, ctx.scale.fattree_duration);
-            cfg.base.shards = ctx.scale.shards;
+            let cfg = FaultsConfig::paper(ctx.scale.base_seed, ctx.scale.fattree_duration);
             let points = run_faults(&cfg, runner);
             Table::new(
                 "utilization,onset_ns,trials,detected,correct,false_positives,mean_ttl_ns",

@@ -11,9 +11,8 @@
 //! * `RLIR_SEEDS` — number of seeds averaged where noise matters (Fig. 5)
 //! * `RLIR_SEED` — base seed
 //! * `RLIR_THREADS` — sweep worker threads (default: available parallelism)
-//! * `RLIR_SHARDS` — pod shards of the fat-tree engine (default 1)
 //!
-//! The CLI's `--threads` and `--shards` override the last two. A variable that is set but does not parse is refused ([`Scale::parse`]).
+//! The CLI's `--threads` overrides the last. A variable that is set but does not parse is refused ([`Scale::parse`]).
 
 use rlir_exec::parse_count;
 use rlir_net::time::SimDuration;
@@ -56,9 +55,6 @@ pub struct Scale {
     pub seeds: u64,
     /// Base seed.
     pub base_seed: u64,
-    /// Pod-shard count for the fat-tree engine (1 unless `RLIR_SHARDS` or
-    /// the CLI's `--shards` sets it).
-    pub shards: usize,
     /// Sweep worker threads (`RLIR_THREADS`, else the host's available
     /// parallelism; the CLI's `--threads` overrides it).
     pub threads: usize,
@@ -72,9 +68,9 @@ impl Scale {
 
     /// The scale the variables `lookup` returns describe: a preset from
     /// `RLIR_SCALE`, then the overrides. A variable that is set must parse —
-    /// `RLIR_DURATION_MS`, `RLIR_SEEDS`, `RLIR_THREADS` and `RLIR_SHARDS` as
-    /// positive integers, `RLIR_SEED` as any `u64` — or the scale is
-    /// refused, naming it.
+    /// `RLIR_DURATION_MS`, `RLIR_SEEDS` and `RLIR_THREADS` as positive
+    /// integers, `RLIR_SEED` as any `u64` — or the scale is refused, naming
+    /// it.
     pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Scale, ScaleEnvError> {
         let err = |var, value: String, expected| ScaleEnvError {
             var,
@@ -100,7 +96,6 @@ impl Scale {
         if let Some(n) = positive("RLIR_SEEDS")? {
             s.seeds = n as u64;
         }
-        s.shards = positive("RLIR_SHARDS")?.unwrap_or(1);
         s.threads = match positive("RLIR_THREADS")? {
             Some(n) => n,
             None => std::thread::available_parallelism().map_or(4, |n| n.get()),
@@ -121,7 +116,6 @@ impl Scale {
             fattree_duration: SimDuration::from_millis(25),
             seeds: 1,
             base_seed: 42,
-            shards: 1,
             threads: 1,
         }
     }
@@ -191,13 +185,12 @@ mod tests {
             ("RLIR_SEEDS", "2"),
             ("RLIR_SEED", "0"),
             ("RLIR_THREADS", "3"),
-            ("RLIR_SHARDS", "2"),
         ]))
         .unwrap();
         assert_eq!(s.accuracy_duration, SimDuration::from_millis(300));
         assert_eq!(s.fattree_duration, SimDuration::from_millis(200));
         assert_eq!((s.seeds, s.base_seed), (2, 0));
-        assert_eq!((s.threads, s.shards, d.shards), (3, 2, 1));
+        assert_eq!(s.threads, 3);
         assert!(d.threads >= 1);
         for (var, bad) in [
             ("RLIR_DURATION_MS", "0"),
@@ -208,8 +201,6 @@ mod tests {
             ("RLIR_SCALE", "huge"),
             ("RLIR_THREADS", "0"),
             ("RLIR_THREADS", "abc"),
-            ("RLIR_SHARDS", "0"),
-            ("RLIR_SHARDS", "abc"),
         ] {
             let e = Scale::parse(env(&[(var, bad)])).unwrap_err();
             assert_eq!((e.var, e.value.as_str()), (var, bad));

@@ -30,41 +30,11 @@ use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::{FlowKey, HashAlgo};
 use rlir_rli::{EpochSeries, FlowTable, PolicyKind, RliSender};
 use rlir_sim::{
-    run_network_sharded_source, FaultScript, HopSink, Network, NetworkRunStats, NullSink,
-    QueueConfig, RunOptions, ShardPlan, SortedVecSource, StopFlag, StreamedDelivery,
+    run_network_streamed_source, FaultScript, NullSink, QueueConfig, RunOptions, SortedVecSource,
+    StopFlag, StreamedDelivery,
 };
 use rlir_topo::{FatTree, Role, TopoId};
 use serde::{Deserialize, Serialize};
-
-/// One engine phase on [`FatTreeExpConfig::shards`] shards of the pod
-/// partition ([`FatTree::pod_partition`]: pods + core group) — the count
-/// is capped by the partition's group count and floored at 1.
-#[allow(clippy::too_many_arguments)]
-fn run_phase(
-    cfg: &FatTreeExpConfig,
-    tree: &FatTree,
-    network: Network,
-    fabric: &FatTreeFabric<'_>,
-    injections: Vec<(TopoId, Packet)>,
-    sink: &mut impl HopSink,
-    opts: RunOptions<'_>,
-    on_delivery: &mut impl FnMut(&StreamedDelivery<'_>),
-) -> NetworkRunStats {
-    let plan = ShardPlan::new(tree.pod_partition());
-    let source = SortedVecSource::new(injections);
-    let shards = cfg.shards;
-    run_network_sharded_source(
-        network,
-        fabric,
-        source,
-        sink,
-        opts,
-        &plan,
-        shards,
-        on_delivery,
-    )
-    .stats
-}
 
 /// A deliberate latency fault injected at one core (for localization).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -127,12 +97,6 @@ pub struct FatTreeExpConfig {
     /// [`EpochSeries`] ([`FatTreeOutcome::segment_epochs`]).
     #[serde(default)]
     pub plane: PlaneConfig,
-    /// Shards both engine phases run on ([`run_network_sharded_source`]
-    /// over the fat-tree's pod partition) — byte-identical for every
-    /// count; 1 (the default) runs inline on the calling thread, and so
-    /// does 0 (what a config without the field deserializes to).
-    #[serde(default)]
-    pub shards: usize,
     /// Tenant assignment for the plane's taps: `Some((w1, w2))` places the
     /// segment-1 taps in tenant 0 with weight `w1` and the segment-2 taps
     /// in tenant 1 with weight `w2` — weighted guaranteed shares of the
@@ -168,7 +132,6 @@ impl FatTreeExpConfig {
                 epoch: Some(SimDuration::from_millis(5)),
                 ..PlaneConfig::default()
             },
-            shards: 1,
             tenant_split: None,
         }
     }
@@ -441,18 +404,16 @@ pub fn run_fattree_faulted(
     // are sorted before use below, so the callback's processing order
     // (vs the buffered run's delivery-time order) is immaterial.
     let mut crossings: FxHashMap<TopoId, Vec<(SimTime, u32)>> = FxHashMap::default();
-    run_phase(
-        cfg,
-        &tree,
+    run_network_streamed_source(
         build_network(&tree, cfg.queue, cfg.link_delay, &overrides),
         &fabric,
-        injections.clone(),
+        SortedVecSource::new(injections.clone()),
         &mut NullSink,
         RunOptions {
             faults,
             ..RunOptions::default()
         },
-        &mut |d| {
+        |d| {
             if !d.packet.is_regular() {
                 return;
             }
@@ -533,12 +494,10 @@ pub fn run_fattree_faulted(
     let (stats, detection) = match detector {
         Some(dc) => {
             let mut sink = ClosedLoopSink::new(&mut plane, *dc, stop.clone());
-            let stats = run_phase(
-                cfg,
-                &tree,
+            let stats = run_network_streamed_source(
                 phase2_net,
                 &fabric,
-                injections,
+                SortedVecSource::new(injections),
                 &mut sink,
                 opts,
                 &mut on_delivery,
@@ -546,12 +505,10 @@ pub fn run_fattree_faulted(
             (stats, sink.into_detection())
         }
         None => {
-            let stats = run_phase(
-                cfg,
-                &tree,
+            let stats = run_network_streamed_source(
                 phase2_net,
                 &fabric,
-                injections,
+                SortedVecSource::new(injections),
                 &mut plane,
                 opts,
                 &mut on_delivery,

@@ -1,12 +1,10 @@
 //! The shared parallel sweep executor.
 //!
-//! This module owns the sweep layer's only `std::thread::scope` call
-//! site: every experiment maps its points through [`SweepRunner::map`].
-//! (The one other scoped pool in the workspace is orthogonal:
-//! `rlir_sim::shard` parallelises *within* one simulation, this runner
-//! *across* independent runs.) [`parse_count`] reads the counts that size
-//! both, `RLIR_THREADS` and `RLIR_SHARDS`, and every other positive-integer
-//! knob of the CLI.
+//! This module owns the workspace's only `std::thread::scope` call site:
+//! every experiment maps its points through [`SweepRunner::map`], which
+//! runs independent simulations in parallel (each one runs on one thread).
+//! [`parse_count`] reads the count that sizes it, `RLIR_THREADS`, and every
+//! other positive-integer knob of the CLI.
 
 use crate::seed::derive_seed;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -125,7 +123,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shards_env_is_unset_a_count_or_an_error() {
+    fn count_env_is_unset_a_count_or_an_error() {
         assert_eq!(parse_count(None), Ok(None));
         assert_eq!(parse_count(Some("3".into())), Ok(Some(3)));
         for bad in ["0", "abc", "-1", ""] {

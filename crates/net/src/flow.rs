@@ -106,18 +106,6 @@ impl FlowKey {
         }
     }
 
-    /// The key with source and destination (address and port) swapped —
-    /// the key of the reverse direction of the same conversation.
-    pub fn reversed(self) -> Self {
-        FlowKey {
-            src: self.dst,
-            dst: self.src,
-            proto: self.proto,
-            sport: self.dport,
-            dport: self.sport,
-        }
-    }
-
     /// Serialise the key into the 13-byte canonical layout used by the ECMP
     /// hash functions and the wire format:
     /// `src(4) | dst(4) | proto(1) | sport(2) | dport(2)`.
@@ -198,15 +186,6 @@ mod tests {
         // Spot-check the layout: sport big-endian at offset 9.
         assert_eq!(u16::from_be_bytes([b[9], b[10]]), 43120);
         assert_eq!(b[8], 6);
-    }
-
-    #[test]
-    fn reversal_is_involutive() {
-        let k = key();
-        assert_ne!(k.reversed(), k);
-        assert_eq!(k.reversed().reversed(), k);
-        assert_eq!(k.reversed().sport, k.dport);
-        assert_eq!(k.reversed().src, k.dst);
     }
 
     #[test]

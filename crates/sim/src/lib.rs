@@ -14,11 +14,10 @@
 //!   observation stream ([`HopEvent`]/[`HopSink`]) the measurement plane
 //!   taps into.
 //! * [`shard`] — the engine: one keyed per-hop step, one `(time, ordinal,
-//!   progress)` order, one loop. [`run_network_streamed_source`] runs it
-//!   on one shard; [`run_network_sharded_source`] splits it by a
-//!   topology-supplied node partition into conservative-lookahead
-//!   windows, byte-identical for any shard count;
-//!   [`run_network_with`] buffers its deliveries.
+//!   progress)` order, one loop on one thread, run by
+//!   [`run_network_streamed_source`]; [`run_network_with`] buffers its
+//!   deliveries, and [`run_network_sharded_source`] adds a count of the
+//!   lookahead windows a node partition admits.
 //! * [`sched`] — the engine's one event queue, a calendar queue at the
 //!   fabric's grain.
 //! * [`slab`] — the free-list arena holding in-flight packet state, so the

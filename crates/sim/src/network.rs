@@ -462,24 +462,7 @@ impl StreamedDelivery<'_> {
 /// Bounded aggregate of a streamed run — everything [`NetworkRun`] carries
 /// except the unbounded delivery buffer, plus the slab's own accounting.
 ///
-/// # Per-shard vs fused semantics
-///
-/// The pod-sharded engine ([`crate::shard::run_network_sharded_source`]) returns
-/// one *fused* value of this struct. Every field a consumer can observe
-/// through the merged event stream is **shard-count invariant** — counted
-/// at emission, so `delivered`, `queue_drops`, `route_drops`, `injected`,
-/// `events` and `fault_drops` are byte-identical for any shard count,
-/// including under a mid-run [`StopFlag`] truncation; so is the final
-/// `network` (each switch taken from the shard that owned it) of a run
-/// that was not truncated — after a stop, several shards have finished
-/// the stopped window where one shard stopped on the spot. The two capacity
-/// diagnostics are genuinely per-shard quantities and fuse differently:
-/// `peak_live_slots` is the **max** over the shards' peaks (each shard owns
-/// its own slab, so the fleet-wide bound is the largest single arena) and
-/// `hop_allocations` is the **sum** (every shard's allocations are real
-/// work done); `sched` sums the shards' queue counters the same way. All
-/// three legitimately vary with the shard count and are excluded from the
-/// determinism digests.
+/// Every field is an exact property of the run, pinned like its output.
 #[derive(Debug, Clone, Default)]
 pub struct NetworkRunStats {
     /// Packets delivered (each was handed to the callback exactly once).
@@ -493,17 +476,12 @@ pub struct NetworkRunStats {
     /// Engine units processed (arrivals, including the injections).
     pub events: u64,
     /// High-water mark of concurrently in-flight packets — the engine's
-    /// memory bound, independent of [`Self::injected`]. Sharded runs fuse
-    /// this as the max of the per-shard peaks; see
-    /// [`crate::shard::ShardRunStats::merged`] for the rationale.
+    /// memory bound, independent of [`Self::injected`].
     pub peak_live_slots: usize,
     /// Hop-storage (re)allocations over the whole run; amortized O(max
-    /// in-flight) thanks to slot recycling. Sharded runs fuse this as the
-    /// sum over shards; see [`crate::shard::ShardRunStats::merged`].
+    /// in-flight) thanks to slot recycling.
     pub hop_allocations: u64,
-    /// Queue traffic counters, summed over the shards' queues — a
-    /// diagnostic like the two above: it varies with the shard count and is
-    /// excluded from the determinism digests.
+    /// The event queue's traffic counters.
     pub sched: SchedStats,
     /// Packets dropped *because of* an injected fault (loss-burst deaths
     /// and dead-link blackholes) — a subset of the route drops. Zero for

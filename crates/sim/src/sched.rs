@@ -3,9 +3,8 @@
 //! The engine needs one operation pair — `push(at, tie, item)` /
 //! `pop() → min by (at, tie)` — over one 24-byte entry whose `(at, tie)` is
 //! compared as a single `u128`. The engine packs `(packet ordinal, hop
-//! progress)` into the `tie` (`crate::shard`), a *partition-independent*
-//! total order, so N shards draining their own queues reproduce exactly the
-//! one-shard drain. Entries with equal `at` carry distinct ties.
+//! progress)` into the `tie` (`crate::shard`), a total order: entries with
+//! equal `at` carry distinct ties.
 //!
 //! [`CalendarQueue`] is the one implementation: a calendar queue at the
 //! fabric's grain ([`fabric_geometry`]) — buckets no wider than the
@@ -63,8 +62,7 @@ impl<T> Ord for Entry<T> {
 }
 
 /// Deterministic queue traffic counters — what the calendar's geometry is
-/// judged by. A diagnostic like `hop_allocations`: it varies with the
-/// shard count and is excluded from determinism digests.
+/// judged by.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Entries pushed.
@@ -80,18 +78,6 @@ pub struct SchedStats {
     pub buckets_opened: u64,
     /// Most entries any bucket held when it was opened.
     pub longest_bucket: u64,
-}
-
-impl SchedStats {
-    /// Fold another queue's counters in: counts add, `longest_bucket` maxes.
-    pub fn absorb(&mut self, other: &SchedStats) {
-        self.pushes += other.pushes;
-        self.pops += other.pops;
-        self.same_bucket_pushes += other.same_bucket_pushes;
-        self.overflow_pushes += other.overflow_pushes;
-        self.buckets_opened += other.buckets_opened;
-        self.longest_bucket = self.longest_bucket.max(other.longest_bucket);
-    }
 }
 
 /// The queue contract of the event engine.
@@ -551,28 +537,5 @@ mod tests {
         assert_eq!(stats.buckets_opened, 2);
         assert_eq!(stats.longest_bucket, 1);
         assert_eq!(stats.overflow_pushes, 0);
-    }
-
-    #[test]
-    fn absorbed_counters_add_and_the_longest_bucket_is_a_max() {
-        let mut a = SchedStats {
-            pushes: 5,
-            pops: 4,
-            same_bucket_pushes: 1,
-            overflow_pushes: 2,
-            buckets_opened: 3,
-            longest_bucket: 7,
-        };
-        a.absorb(&SchedStats {
-            pushes: 10,
-            pops: 10,
-            same_bucket_pushes: 0,
-            overflow_pushes: 1,
-            buckets_opened: 6,
-            longest_bucket: 4,
-        });
-        let sums = (a.pushes, a.pops, a.same_bucket_pushes, a.overflow_pushes);
-        assert_eq!(sums, (15, 14, 1, 3));
-        assert_eq!((a.buckets_opened, a.longest_bucket), (9, 7));
     }
 }

@@ -2,12 +2,10 @@
 //!
 //! The event engine keeps one [`FlightState`] per packet currently inside
 //! the network — the packet itself, its injection provenance, and the
-//! hop-by-hop ground-truth record. Before the slab, all of that travelled
-//! *inside* the scheduler: every push/pop moved a ~130-byte event carrying
-//! the `Packet` by value plus a heap-allocated `Vec<Hop>`, and every
-//! injected packet paid for a fresh hop vector. The slab pins the state in
-//! place and lets the queue move an 8-byte `Copy` handle instead
-//! (see `shard::ShardEvent`).
+//! hop-by-hop ground-truth record. The slab pins that state in place, so
+//! the queue moves an 8-byte `Copy` handle (`shard::ShardEvent`) instead of
+//! the packet and a heap-allocated `Vec<Hop>`, and an injected packet does
+//! not pay for a fresh hop vector.
 //!
 //! Slots are recycled through a free list the moment a packet leaves the
 //! network (deliver or drop), so:
@@ -112,27 +110,6 @@ impl PacketSlab {
                 (self.slots.len() - 1) as SlotId
             }
         }
-    }
-
-    /// Store a packet handed off from another shard of the pod-sharded
-    /// engine, seeding its hop record with the hops it accumulated there.
-    /// Same recycling discipline as [`PacketSlab::insert`]: the slice is
-    /// copied into the recycled vector, counting a hop allocation only when
-    /// the seed outgrows the recycled capacity.
-    pub fn insert_with_hops(
-        &mut self,
-        packet: Packet,
-        injected_node: NodeId,
-        injected_at: SimTime,
-        hops: &[Hop],
-    ) -> SlotId {
-        let slot = self.insert(packet, injected_node, injected_at);
-        let st = &mut self.slots[slot as usize];
-        if st.hops.capacity() < hops.len() {
-            self.hop_allocations += 1;
-        }
-        st.hops.extend_from_slice(hops);
-        slot
     }
 
     /// The state of a live slot.

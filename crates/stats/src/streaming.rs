@@ -64,12 +64,6 @@ impl StreamingStats {
         (self.count > 0).then(|| (self.m2 / self.count as f64).max(0.0))
     }
 
-    /// Sample variance (divide by n-1), or `None` with fewer than two
-    /// observations.
-    pub fn sample_variance(&self) -> Option<f64> {
-        (self.count > 1).then(|| (self.m2 / (self.count - 1) as f64).max(0.0))
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
@@ -242,7 +236,6 @@ mod tests {
         s.push(42.0);
         assert_eq!(s.mean(), Some(42.0));
         assert_eq!(s.variance(), Some(0.0));
-        assert!(s.sample_variance().is_none());
         assert_eq!(s.min(), Some(42.0));
         assert_eq!(s.max(), Some(42.0));
     }
@@ -272,16 +265,6 @@ mod tests {
         }
         let (_, var) = naive(&xs);
         assert!((s.variance().unwrap() - var).abs() / var < 1e-6);
-    }
-
-    #[test]
-    fn sample_variance_uses_n_minus_1() {
-        let mut s = StreamingStats::new();
-        for x in [1.0, 2.0, 3.0] {
-            s.push(x);
-        }
-        assert!((s.variance().unwrap() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((s.sample_variance().unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]

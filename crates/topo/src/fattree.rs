@@ -208,10 +208,10 @@ impl FatTree {
 
     /// Pod-partition group of every switch, indexed by topology id: ToRs
     /// and aggregations of pod `p` map to group `p`, every core switch to
-    /// group `k` (one shared core group). This is the shard boundary the
-    /// pod-sharded engine uses — every ToR–Agg link stays inside a group,
-    /// so the only inter-group edges are Agg–Core links, whose fixed
-    /// latency bounds the conservative lookahead window.
+    /// group `k` (one shared core group). Every ToR–Agg link stays inside a
+    /// group, so the only inter-group edges are Agg–Core links, whose fixed
+    /// latency is the lookahead `rlir_sim::run_network_sharded_source`
+    /// counts windows by.
     pub fn pod_partition(&self) -> Vec<usize> {
         self.nodes
             .iter()

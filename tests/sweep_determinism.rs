@@ -9,9 +9,8 @@
 //! `to_bits`, so even a ULP of scheduling-dependent drift fails.
 
 use rlir::experiment::{
-    run_asymmetric, run_drop_aware, run_faults, run_incast, run_localize, run_loss_sweep_on,
-    AsymmetricConfig, DropAwareConfig, FaultsConfig, IncastConfig, LocalizeConfig, LossPoint,
-    LossSweepConfig, TwoHopConfig,
+    run_asymmetric, run_drop_aware, run_faults, run_localize, run_loss_sweep_on, AsymmetricConfig,
+    DropAwareConfig, FaultsConfig, LocalizeConfig, LossPoint, LossSweepConfig, TwoHopConfig,
 };
 use rlir_exec::SweepRunner;
 use rlir_net::time::SimDuration;
@@ -160,65 +159,6 @@ fn faults_sweep_is_thread_count_invariant() {
             );
             assert_eq!(x.mean_ttl_ns.to_bits(), y.mean_ttl_ns.to_bits());
         }
-    }
-}
-
-#[test]
-fn incast_sweep_is_shard_count_invariant() {
-    // `--shards` reaches the incast scenario; a 2-shard run must
-    // reproduce every point of the 1-shard run bit-for-bit.
-    let mut cfg = IncastConfig::paper(17, SimDuration::from_millis(10));
-    cfg.base.policy = PolicyKind::Static { n: 30 };
-    cfg.fan_in = vec![2, 4];
-    cfg.base.shards = 1;
-    let one = run_incast(&cfg, &SweepRunner::single());
-    cfg.base.shards = 2;
-    let two = run_incast(&cfg, &SweepRunner::single());
-    assert_eq!(one.len(), two.len());
-    for (x, y) in one.iter().zip(&two) {
-        assert_eq!(x.fan_in, y.fan_in);
-        assert_eq!(x.seg1_median_error.to_bits(), y.seg1_median_error.to_bits());
-        assert_eq!(x.seg2_median_error.to_bits(), y.seg2_median_error.to_bits());
-        assert_eq!(
-            x.seg2_true_delay_us.to_bits(),
-            y.seg2_true_delay_us.to_bits()
-        );
-        assert_eq!(x.demux_accuracy.to_bits(), y.demux_accuracy.to_bits());
-        assert_eq!(x.measured_delivered, y.measured_delivered);
-        assert_eq!(x.refs_emitted, y.refs_emitted);
-        assert_eq!(x.seg2_epochs.len(), y.seg2_epochs.len());
-        for (a, b) in x.seg2_epochs.iter().zip(&y.seg2_epochs) {
-            assert_eq!(a.estimated, b.estimated);
-            assert_eq!(
-                a.est_mean().unwrap_or(f64::NAN).to_bits(),
-                b.est_mean().unwrap_or(f64::NAN).to_bits()
-            );
-        }
-    }
-}
-
-#[test]
-fn localize_sweep_is_shard_count_invariant() {
-    // Same contract for the localization sweep: victim draws, detector
-    // state and flagged segments all downstream of the engine stream, so
-    // shards ∈ {1, 2} must agree bit-for-bit.
-    let mut cfg = LocalizeConfig::paper(23, SimDuration::from_millis(10));
-    cfg.base.policy = PolicyKind::Static { n: 30 };
-    cfg.utilizations = vec![0.1];
-    cfg.trials = 2;
-    cfg.base.shards = 1;
-    let one = run_localize(&cfg, &SweepRunner::single()).points;
-    cfg.base.shards = 2;
-    let two = run_localize(&cfg, &SweepRunner::single()).points;
-    assert_eq!(one.len(), two.len());
-    for (x, y) in one.iter().zip(&two) {
-        assert_eq!(x.utilization.to_bits(), y.utilization.to_bits());
-        assert_eq!(
-            (x.trials, x.correct, x.flagged),
-            (y.trials, y.correct, y.flagged)
-        );
-        assert_eq!(x.accuracy.to_bits(), y.accuracy.to_bits());
-        assert_eq!(x.mean_severity.to_bits(), y.mean_severity.to_bits());
     }
 }
 
