@@ -234,25 +234,36 @@ proptest! {
     }
 }
 
-/// Ingest streams, at a link latency and at none: when the sink sees its
-/// first delivery, the source has been pulled no further than the clock.
+/// When the sink sees its first delivery over links of `link_ns`, the
+/// source has been pulled no further than the clock, and the run still
+/// drains it.
+fn assert_pulled_no_further_than_the_clock(link_ns: u64) {
+    let injections = workload(400, 700, 1, 11);
+    let fabric = (QueueConfig::oc192(), link_ns);
+    let (out, (total, first)) = run(fabric, &injections, None, true, None);
+    let (pulled, watermark) = first.expect("the run delivers");
+    let due = (injections.iter()).filter(|(_, p)| p.created_at.as_nanos() <= watermark);
+    let due = due.count();
+    assert!(
+        pulled <= due && pulled < injections.len(),
+        "link {link_ns} ns: {pulled} of {} pulled at the first delivery, {due} due",
+        injections.len()
+    );
+    assert_eq!(total, injections.len(), "the run drains the source");
+    assert_eq!(out.counts[0], injections.len() as u64, "link {link_ns} ns");
+}
+
+/// Ingest streams over links with a latency.
 #[test]
 fn source_is_pulled_no_further_than_the_clock() {
-    let injections = workload(400, 700, 1, 11);
-    for link_ns in [LINK_NS, 0] {
-        let fabric = (QueueConfig::oc192(), link_ns);
-        let (out, (total, first)) = run(fabric, &injections, None, true, None);
-        let (pulled, watermark) = first.expect("the run delivers");
-        let due = (injections.iter()).filter(|(_, p)| p.created_at.as_nanos() <= watermark);
-        let due = due.count();
-        assert!(
-            pulled <= due && pulled < injections.len(),
-            "link {link_ns} ns: {pulled} of {} pulled at the first delivery, {due} due",
-            injections.len()
-        );
-        assert_eq!(total, injections.len(), "the run drains the source");
-        assert_eq!(out.counts[0], injections.len() as u64, "link {link_ns} ns");
-    }
+    assert_pulled_no_further_than_the_clock(LINK_NS);
+}
+
+/// Zero-latency links are no reason to buffer the run: the first delivery
+/// still reaches the sink before the source is exhausted.
+#[test]
+fn zero_latency_links_still_stream() {
+    assert_pulled_no_further_than_the_clock(0);
 }
 
 /// A raised [`StopFlag`] stops the pulling too.
