@@ -11,10 +11,9 @@
 //! buckets touched by loss are discarded.
 
 use rlir_net::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// LDA configuration (must be identical at sender and receiver).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LdaConfig {
     /// Number of banks with sampling probabilities 1, 1/2, 1/4, …
     pub banks: usize,
@@ -36,14 +35,14 @@ impl Default for LdaConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Bucket {
     sum_ns: u128,
     count: u64,
 }
 
 /// One side (sender or receiver) of an LDA pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Lda {
     cfg: LdaConfig,
     buckets: Vec<Bucket>, // banks × buckets_per_bank, row-major
@@ -138,7 +137,7 @@ impl Lda {
 }
 
 /// Result of collecting an LDA pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LdaEstimate {
     /// Estimated mean one-way delay, ns.
     pub mean_delay_ns: f64,

@@ -11,10 +11,9 @@
 use rlir_net::fxhash::FxHashMap;
 use rlir_net::FlowKey;
 use rlir_trace::FlowRecord;
-use serde::{Deserialize, Serialize};
 
 /// Per-flow Multiflow estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiflowEstimate {
     /// The flow.
     pub flow: FlowKey,

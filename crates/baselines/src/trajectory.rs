@@ -18,10 +18,9 @@ use rlir_net::fxhash::FxHashMap;
 use rlir_net::time::SimTime;
 use rlir_net::FlowKey;
 use rlir_stats::StreamingStats;
-use serde::{Deserialize, Serialize};
 
 /// Sampling configuration — identical at every measurement point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryConfig {
     /// Sampling probability in `[0, 1]` (threshold on the label hash).
     pub probability: f64,
@@ -41,7 +40,7 @@ impl TrajectoryConfig {
 
 /// A sampled observation: the packet's invariant label, its flow key, and
 /// the local timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectorySample {
     /// Hash-derived packet label (consistent across points).
     pub label: u64,
@@ -101,7 +100,7 @@ impl TrajectoryPoint {
 }
 
 /// Per-flow delay statistics recovered from a joined pair of points.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrajectoryFlowEstimate {
     /// The flow.
     pub flow: FlowKey,

@@ -20,7 +20,7 @@ use rlir_net::fxhash::FxHashMap;
 use rlir_net::time::SimDuration;
 use rlir_net::FlowKey;
 use rlir_rli::{Interpolator, PolicyKind};
-use rlir_sim::{run_network_with, NullSink, TandemConfig};
+use rlir_sim::{run_network_streamed_source, NullSink, RunOptions, SortedVecSource, TandemConfig};
 use rlir_stats::Ecdf;
 use rlir_trace::{generate, FlowMeter, FlowMeterConfig, Trace};
 
@@ -410,19 +410,33 @@ pub fn baselines_comparison(scale: &Scale) -> Table {
     // The baselines need per-packet delivery times, which the two-hop
     // harness does not expose, so re-run the tandem directly (without
     // references — LDA and Multiflow measure the undisturbed path) on the
-    // harness's own cross stream.
+    // harness's own cross stream. Each regular delivery keeps `(delivered
+    // at, id, flow, size, created at)`, in delivery-time-then-id order.
     let (sw1, sw2) = (TandemConfig::SW1, TandemConfig::SW2);
     let injections = (regular.packets.iter().map(|p| (sw1, *p)))
         .chain(cross_stream(&cfg, &regular, &cross).map(|p| (sw2, p)));
-    let mut result = run_network_with(cfg.tandem.network(), &cfg.tandem, injections, &mut NullSink);
-    result.deliveries.retain(|d| d.packet.is_regular());
+    let mut deliveries = Vec::new();
+    run_network_streamed_source(
+        cfg.tandem.network(),
+        &cfg.tandem,
+        SortedVecSource::new(injections),
+        &mut NullSink,
+        RunOptions::default(),
+        |d| {
+            let p = d.packet;
+            if p.is_regular() {
+                deliveries.push((d.delivered_at, p.id, p.flow, p.size, p.created_at));
+            }
+        },
+    );
+    deliveries.sort_by_key(|&(at, id, ..)| (at, id));
 
     // Ground truth per flow and aggregate.
     let mut truth_by_flow: FxHashMap<FlowKey, rlir_stats::StreamingStats> = FxHashMap::default();
     let mut truth_all = rlir_stats::StreamingStats::new();
-    for d in &result.deliveries {
-        let ns = d.true_delay().as_nanos() as f64;
-        truth_by_flow.entry(d.packet.flow).or_default().push(ns);
+    for &(at, _, flow, _, created) in &deliveries {
+        let ns = at.saturating_since(created).as_nanos() as f64;
+        truth_by_flow.entry(flow).or_default().push(ns);
         truth_all.push(ns);
     }
     let true_aggregate = truth_all.mean().unwrap_or(f64::NAN);
@@ -439,8 +453,8 @@ pub fn baselines_comparison(scale: &Scale) -> Table {
     for p in &regular.packets {
         tx.record(p.id.0, p.created_at);
     }
-    for d in &result.deliveries {
-        rx.record(d.packet.id.0, d.delivered_at);
+    for &(at, id, ..) in &deliveries {
+        rx.record(id.0, at);
     }
     let lda_err = vs_aggregate(Lda::estimate(&tx, &rx).map(|e| e.mean_delay_ns));
 
@@ -450,8 +464,8 @@ pub fn baselines_comparison(scale: &Scale) -> Table {
     for p in &regular.packets {
         up.observe(p);
     }
-    for d in &result.deliveries {
-        down.observe_at(d.packet.flow, d.delivered_at, d.packet.size);
+    for &(at, _, flow, size, _) in &deliveries {
+        down.observe_at(flow, at, size);
     }
     let mf = estimate_all(&up.finish(), &down.finish());
     let mf_errors: Vec<f64> = (mf.iter())
@@ -475,8 +489,8 @@ pub fn baselines_comparison(scale: &Scale) -> Table {
     for p in &regular.packets {
         t_up.observe(p.id.0, p.flow, p.created_at);
     }
-    for d in &result.deliveries {
-        t_down.observe(d.packet.id.0, d.packet.flow, d.delivered_at);
+    for &(at, id, flow, ..) in &deliveries {
+        t_down.observe(id.0, flow, at);
     }
     let tj = trajectory_join(&t_up, &t_down);
     let traj_errors: Vec<f64> = (tj.flows.iter())

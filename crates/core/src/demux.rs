@@ -23,11 +23,10 @@ use rlir_net::packet::Packet;
 use rlir_net::trie::PrefixTrie;
 use rlir_net::FlowKey;
 use rlir_topo::{FatTree, Role, TopoId};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// Strategy for the downstream (which-core) association.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreDemux {
     /// No association at all (ablation baseline; plain RLI across routers).
     Naive,

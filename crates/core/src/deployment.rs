@@ -22,7 +22,6 @@
 
 use rlir_net::{FlowKey, SenderId};
 use rlir_topo::{FatTree, Role, TopoId};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Reserved host index for measurement instances inside a ToR's `/24`
@@ -30,7 +29,7 @@ use std::net::Ipv4Addr;
 pub const INSTANCE_HOST: u64 = 248; // .250 = .2 + 248
 
 /// A sender on one ToR uplink interface.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TorSenderSpec {
     /// The ToR hosting the instance.
     pub tor: TopoId,
@@ -44,7 +43,7 @@ pub struct TorSenderSpec {
 }
 
 /// A sender at a core router (downstream segment).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoreSenderSpec {
     /// The core hosting the instance.
     pub core: TopoId,
@@ -60,7 +59,7 @@ pub struct CoreSenderSpec {
 pub const CORE_SENDER_BASE: u16 = 10_000;
 
 /// A complete RLIR deployment for one measured destination ToR.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Deployment {
     /// The destination ToR (hosting the paper's R3 receiver).
     pub dst_tor: TopoId,

@@ -23,10 +23,9 @@
 use crate::plane::MeasurementPlane;
 use rlir_net::time::SimTime;
 use rlir_sim::{FaultEvent, HopEvent, HopSink, StopFlag};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the online epoch detector.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DetectorConfig {
     /// CUSUM firing threshold: cumulative drift-adjusted excess ratio a
     /// segment must accumulate before an alarm. Higher = fewer false
@@ -66,7 +65,7 @@ impl Default for DetectorConfig {
 }
 
 /// An online alarm: the first segment whose CUSUM crossed the threshold.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Detection {
     /// Index of the flagged tap (plane attachment order).
     pub tap: usize,

@@ -22,10 +22,9 @@ use rlir_rli::{Interpolator, PolicyKind};
 use rlir_sim::TandemConfig;
 use rlir_stats::Ecdf;
 use rlir_trace::{generate, reverse, reverse_flow};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the asymmetric-routing sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AsymmetricConfig {
     /// Master seed (traces; per-point injector seeds are derived).
     pub seed: u64,
@@ -67,7 +66,7 @@ impl AsymmetricConfig {
 }
 
 /// One point of the asymmetric sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AsymmetricPoint {
     /// Target utilization of the reverse path at this point.
     pub target_reverse_utilization: f64,

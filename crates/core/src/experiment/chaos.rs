@@ -30,16 +30,15 @@ use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
 use rlir_rli::{RliSender, StaticPolicy};
 use rlir_sim::{
-    run_network_with, ChaosConfig, FaultEvent, FaultKind, Forwarder, Network, NodeId, Port,
-    QueueConfig, RouteDecision,
+    run_network_streamed_source, ChaosConfig, FaultEvent, FaultKind, Forwarder, Network, NodeId,
+    Port, QueueConfig, RouteDecision, RunOptions, SortedVecSource,
 };
 use rlir_topo::FatTree;
 use rlir_trace::{EntryMap, PcapRecords, PcapReplaySource, PcapWriter};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Configuration of the chaos-campaign harness.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosCampaignConfig {
     /// Base fat-tree experiment every campaign runs on.
     pub base: FatTreeExpConfig,
@@ -102,7 +101,7 @@ impl ChaosCampaignConfig {
 }
 
 /// Outcome of one seeded campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosCampaign {
     /// Campaign ordinal.
     pub campaign: usize,
@@ -136,7 +135,7 @@ pub struct ChaosCampaign {
 }
 
 /// The hostile-ingest leg: lenient replay of a seed-corrupted capture.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IngestLeg {
     /// Records in the clean synthetic capture.
     pub records: u64,
@@ -160,7 +159,7 @@ pub struct IngestLeg {
 }
 
 /// Aggregate of the whole harness.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosReport {
     /// Per-campaign outcomes.
     pub campaigns: Vec<ChaosCampaign>,
@@ -421,7 +420,15 @@ fn probe_run(with_flood: bool) -> Vec<(u64, u64)> {
     flood.tenant = 1;
     plane.attach(flood);
 
-    run_network_with(net, &Chain, injections, &mut plane);
+    let source = SortedVecSource::new(injections);
+    run_network_streamed_source(
+        net,
+        &Chain,
+        source,
+        &mut plane,
+        RunOptions::default(),
+        |_| {},
+    );
     let report = plane.finish();
     report.taps[0]
         .report

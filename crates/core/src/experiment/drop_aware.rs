@@ -40,10 +40,9 @@ use rlir_sim::{
     RunOptions, SortedVecSource,
 };
 use rlir_trace::{generate, TraceConfig};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the drop-aware sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DropAwareConfig {
     /// Master seed (per-point trace seeds are derived).
     pub seed: u64,
@@ -93,7 +92,7 @@ impl DropAwareConfig {
 }
 
 /// One point of the drop-aware sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DropAwarePoint {
     /// Offered load, as a fraction of the bottleneck rate.
     pub offered_load: f64,
@@ -196,9 +195,8 @@ pub fn run_drop_aware(cfg: &DropAwareConfig, runner: &SweepRunner) -> Vec<DropAw
         delivered.truth = TruthRef::SinceInjection;
         plane.attach(delivered);
 
-        // Plane-only scenario: the plane *is* the consumer, so run in
-        // streamed-delivery mode — no `Vec<NetDelivery>` is materialised
-        // and engine memory stays O(in-flight) even at overload.
+        // Plane-only scenario: the plane *is* the consumer, and engine
+        // memory stays O(in-flight) even at overload.
         let stats = run_network_streamed_source(
             net,
             &Line,

@@ -34,10 +34,9 @@ use rlir_sim::{
     StopFlag, StreamedDelivery,
 };
 use rlir_topo::{FatTree, Role, TopoId};
-use serde::{Deserialize, Serialize};
 
 /// A deliberate latency fault injected at one core (for localization).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CoreAnomaly {
     /// Which core, as an ordinal into [`FatTree::cores`].
     pub core_ordinal: usize,
@@ -47,7 +46,7 @@ pub struct CoreAnomaly {
 
 /// A latency fault at an *arbitrary* switch (cores and edge/aggregation
 /// switches alike) — the `localize` scenario's victim injection.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SwitchAnomaly {
     /// The afflicted switch.
     pub node: TopoId,
@@ -56,7 +55,7 @@ pub struct SwitchAnomaly {
 }
 
 /// Fat-tree experiment configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FatTreeExpConfig {
     /// Fat-tree arity (the paper's Fig. 1 is k = 4).
     pub k: usize,
@@ -95,7 +94,6 @@ pub struct FatTreeExpConfig {
     /// The measurement plane's reorder window, epoch width and budget.
     /// With [`PlaneConfig::epoch`] set every tap also exports an
     /// [`EpochSeries`] ([`FatTreeOutcome::segment_epochs`]).
-    #[serde(default)]
     pub plane: PlaneConfig,
     /// Tenant assignment for the plane's taps: `Some((w1, w2))` places the
     /// segment-1 taps in tenant 0 with weight `w1` and the segment-2 taps
@@ -104,7 +102,6 @@ pub struct FatTreeExpConfig {
     /// borrowing (see [`crate::plane::TenantId`]). `None` (the default) keeps every
     /// tap in the single default tenant, byte-identical to the pre-tenant
     /// plane.
-    #[serde(default)]
     pub tenant_split: Option<(u64, u64)>,
 }
 
@@ -398,11 +395,10 @@ pub fn run_fattree_faulted(
 
     // Phase 1: derive core-crossing schedules (regular + background only,
     // ToR references included so the load matches phase 2 closely).
-    // Streamed deliveries: the crossing tables are built straight from the
-    // delivery callback — no `Vec<NetDelivery>` is ever materialised, so
-    // this phase runs in O(in-flight) engine memory. Per-core sequences
-    // are sorted before use below, so the callback's processing order
-    // (vs the buffered run's delivery-time order) is immaterial.
+    // The crossing tables are built straight from the delivery callback,
+    // so this phase runs in O(in-flight) engine memory. Per-core sequences
+    // are sorted before use below, so the callback's processing order is
+    // immaterial.
     let mut crossings: FxHashMap<TopoId, Vec<(SimTime, u32)>> = FxHashMap::default();
     run_network_streamed_source(
         build_network(&tree, cfg.queue, cfg.link_delay, &overrides),

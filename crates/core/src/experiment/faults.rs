@@ -23,10 +23,9 @@ use rlir_exec::SweepRunner;
 use rlir_net::time::SimDuration;
 use rlir_sim::{FaultEvent, FaultKind, FaultScript};
 use rlir_topo::FatTree;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the closed-loop fault sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultsConfig {
     /// Base fat-tree experiment; `seed` and `background_load` are
     /// overridden per point.
@@ -64,7 +63,7 @@ impl FaultsConfig {
 }
 
 /// Outcome of one victim trial.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultsTrial {
     /// Background utilization of this trial's point.
     pub utilization: f64,
@@ -89,7 +88,7 @@ pub struct FaultsTrial {
 }
 
 /// Per-(utilization, onset) aggregate of the sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultsPoint {
     /// Background utilization.
     pub utilization: f64,

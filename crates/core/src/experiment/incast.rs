@@ -16,10 +16,9 @@ use rlir_net::time::SimDuration;
 use rlir_rli::EpochSeries;
 use rlir_stats::Ecdf;
 use rlir_trace::BurstShape;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the incast sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IncastConfig {
     /// Base fat-tree experiment; `n_src_tors`, `seed` and `burst` are
     /// overridden per point.
@@ -51,7 +50,7 @@ impl IncastConfig {
 }
 
 /// One point of the incast sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IncastPoint {
     /// Number of synchronized sources at this point.
     pub fan_in: usize,

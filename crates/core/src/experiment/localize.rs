@@ -25,10 +25,9 @@ use rlir_exec::SweepRunner;
 use rlir_net::time::SimDuration;
 use rlir_rli::EpochSeries;
 use rlir_topo::{FatTree, Role, TopoId};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the localization sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LocalizeConfig {
     /// Base fat-tree experiment; `seed`, `background_load` and
     /// `switch_anomaly` are overridden per point.
@@ -58,7 +57,7 @@ impl LocalizeConfig {
 }
 
 /// Outcome of one victim trial.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LocalizeTrial {
     /// Background utilization of this trial's point.
     pub utilization: f64,
@@ -83,7 +82,7 @@ pub struct LocalizeTrial {
 }
 
 /// Per-utilization aggregate of the sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LocalizePoint {
     /// Background utilization.
     pub utilization: f64,
@@ -172,7 +171,7 @@ pub(crate) fn expected_segments(
 /// Full output of the localization sweep: the per-utilization aggregates
 /// plus every trial (the registry's per-epoch series export reads the
 /// trials).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LocalizeReport {
     /// Per-utilization aggregates, in sweep order.
     pub points: Vec<LocalizePoint>,

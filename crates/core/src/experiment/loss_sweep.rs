@@ -13,10 +13,9 @@ use super::two_hop::{run_two_hop_on, CrossSpec, TwoHopConfig};
 use rlir_exec::SweepRunner;
 use rlir_rli::PolicyKind;
 use rlir_trace::Trace;
-use serde::{Deserialize, Serialize};
 
 /// One point of the Fig. 5 series.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LossPoint {
     /// Target bottleneck utilization of this point.
     pub target_utilization: f64,
@@ -38,7 +37,7 @@ impl LossPoint {
 }
 
 /// Sweep configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LossSweepConfig {
     /// The base run configuration (policy is per-sweep; the cross spec's
     /// target is overridden per point).

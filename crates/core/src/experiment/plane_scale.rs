@@ -39,7 +39,6 @@ use rlir_sim::{
     run_network_streamed_source, HopEvent, HopSink, RunOptions, SortedVecSource, StreamedDelivery,
 };
 use rlir_topo::{FatTree, TopoId};
-use serde::{Deserialize, Serialize};
 
 use super::fattree::{background_injections, measured_traces, FatTreeExpConfig};
 
@@ -48,7 +47,7 @@ use super::fattree::{background_injections, measured_traces, FatTreeExpConfig};
 const MIXED: SenderId = SenderId(u16::MAX);
 
 /// Configuration of one fleet-scale plane run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlaneScaleConfig {
     /// Fabric, workload and plane budget. The harness runs
     /// a single simulation phase on this fabric; the RLIR deployment
@@ -88,7 +87,7 @@ impl PlaneScaleConfig {
 }
 
 /// One mid-run probe of the plane's introspection APIs.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StateSample {
     /// Engine watermark at the probe, ns.
     pub at_ns: u64,
@@ -100,7 +99,7 @@ pub struct StateSample {
 }
 
 /// Outcome of one fleet-scale plane run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlaneScaleOutcome {
     /// Taps attached.
     pub taps: usize,

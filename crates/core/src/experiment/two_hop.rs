@@ -20,12 +20,11 @@ use rlir_sim::{
     FifoQueue, InjectionSource, Network, NodeId, RunOptions, TandemConfig,
 };
 use rlir_trace::{generate, Trace, TraceConfig};
-use serde::{Deserialize, Serialize};
 use std::iter::Peekable;
 
 /// Cross-traffic specification in terms of the *target bottleneck
 /// utilization*; the keep-probability is calibrated from the base traces.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CrossSpec {
     /// No cross traffic at all.
     None,
@@ -68,7 +67,7 @@ impl CrossSpec {
 }
 
 /// Full configuration of one two-hop run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TwoHopConfig {
     /// Master seed (traces, injector).
     pub seed: u64,

@@ -112,7 +112,9 @@ mod tests {
     use super::*;
     use rlir_net::time::SimTime;
     use rlir_net::{FlowKey, HashAlgo};
-    use rlir_sim::{run_network_with, NullSink};
+    use rlir_sim::{
+        run_network_streamed_source, NetworkRunStats, NullSink, RunOptions, SortedVecSource,
+    };
 
     fn tree() -> FatTree {
         FatTree::new(4, HashAlgo::default())
@@ -128,6 +130,40 @@ mod tests {
 
     fn flow(t: &FatTree, s: TopoId, d: TopoId, sport: u16) -> FlowKey {
         FlowKey::tcp(t.host_addr(s, 0), sport, t.host_addr(d, 0), 80)
+    }
+
+    /// What the delivery callback saw of a one-packet run's packet.
+    struct Delivered {
+        node: TopoId,
+        packet: Packet,
+        path: Vec<TopoId>,
+        delay_ns: u64,
+    }
+
+    /// Stream `p`, entering at `src`, through `net`.
+    fn run_one(
+        net: Network,
+        fabric: &FatTreeFabric<'_>,
+        src: TopoId,
+        p: Packet,
+    ) -> (Option<Delivered>, NetworkRunStats) {
+        let mut seen = None;
+        let stats = run_network_streamed_source(
+            net,
+            fabric,
+            SortedVecSource::new([(src, p)]),
+            &mut NullSink,
+            RunOptions::default(),
+            |d| {
+                seen = Some(Delivered {
+                    node: d.delivered_node,
+                    packet: *d.packet,
+                    path: d.hops.iter().map(|h| h.node).collect(),
+                    delay_ns: d.true_delay().as_nanos(),
+                })
+            },
+        );
+        (seen, stats)
     }
 
     #[test]
@@ -150,11 +186,11 @@ mod tests {
         let f = flow(&t, src, dst, 777);
         let expected = t.path(&f).unwrap();
         let p = Packet::regular(1, f, 1000, SimTime::ZERO);
-        let run = run_network_with(net, &fabric, vec![(src, p)], &mut NullSink);
-        assert_eq!(run.deliveries.len(), 1);
-        let hops: Vec<_> = run.deliveries[0].hops.iter().map(|h| h.node).collect();
-        assert_eq!(hops, expected, "sim path must equal topology path");
-        assert_eq!(run.deliveries[0].delivered_node, dst);
+        let (d, stats) = run_one(net, &fabric, src, p);
+        assert_eq!(stats.delivered, 1);
+        let d = d.unwrap();
+        assert_eq!(d.path, expected, "sim path must equal topology path");
+        assert_eq!(d.node, dst);
     }
 
     #[test]
@@ -167,11 +203,8 @@ mod tests {
             let net = build_network(&t, qcfg(), SimDuration::ZERO, &[]);
             let fabric = FatTreeFabric::new(&t, enabled);
             let p = Packet::regular(1, f, 1000, SimTime::ZERO);
-            let run = run_network_with(net, &fabric, vec![(src, p)], &mut NullSink);
-            assert_eq!(
-                run.deliveries[0].packet.mark, want_mark,
-                "enabled={enabled}"
-            );
+            let d = run_one(net, &fabric, src, p).0.unwrap();
+            assert_eq!(d.packet.mark, want_mark, "enabled={enabled}");
         }
     }
 
@@ -186,27 +219,18 @@ mod tests {
             ..qcfg()
         };
         let fabric = FatTreeFabric::new(&t, false);
-        let base = run_network_with(
-            build_network(&t, qcfg(), SimDuration::ZERO, &[]),
-            &fabric,
-            vec![(src, Packet::regular(1, f, 1000, SimTime::ZERO))],
-            &mut NullSink,
-        );
-        let slowed = run_network_with(
-            build_network(&t, qcfg(), SimDuration::ZERO, &[(core, slow)]),
-            &fabric,
-            vec![(src, Packet::regular(1, f, 1000, SimTime::ZERO))],
-            &mut NullSink,
-        );
-        let d0 = base.deliveries[0].true_delay().as_nanos();
-        let d1 = slowed.deliveries[0].true_delay().as_nanos();
+        let p = Packet::regular(1, f, 1000, SimTime::ZERO);
+        let delay = |overrides: &[(TopoId, QueueConfig)]| {
+            let net = build_network(&t, qcfg(), SimDuration::ZERO, overrides);
+            run_one(net, &fabric, src, p).0.unwrap().delay_ns
+        };
+        let (d0, d1) = (delay(&[]), delay(&[(core, slow)]));
         assert_eq!(d1 - d0, 500_000, "anomaly must add exactly 500 µs");
     }
 
     #[test]
     fn dead_tor_uplink_reroutes_over_ecmp_sibling() {
         use rlir_sim::fault::{FaultEvent, FaultKind, FaultScript};
-        use rlir_sim::{run_network_streamed_source, RunOptions, SortedVecSource};
         let t = tree();
         let (src, dst) = (t.tor(0, 0), t.tor(3, 1));
         // Find a flow whose first upward choice is ToR port 0, then kill
@@ -249,7 +273,6 @@ mod tests {
     #[test]
     fn dead_downlink_blackholes_with_drop_accounting() {
         use rlir_sim::fault::{FaultEvent, FaultKind, FaultScript};
-        use rlir_sim::{run_network_streamed_source, RunOptions, SortedVecSource};
         let t = tree();
         let (src, dst) = (t.tor(0, 0), t.tor(3, 1));
         let f = flow(&t, src, dst, 777);
@@ -298,13 +321,9 @@ mod tests {
             "8.8.8.8".parse().unwrap(),
             53,
         );
-        let run = run_network_with(
-            net,
-            &fabric,
-            vec![(t.tor(0, 0), Packet::regular(1, f, 100, SimTime::ZERO))],
-            &mut NullSink,
-        );
-        assert!(run.deliveries.is_empty());
-        assert_eq!(run.route_drops[t.tor(0, 0)], 1);
+        let p = Packet::regular(1, f, 100, SimTime::ZERO);
+        let (d, stats) = run_one(net, &fabric, t.tor(0, 0), p);
+        assert!(d.is_none());
+        assert_eq!(stats.route_drops[t.tor(0, 0)], 1);
     }
 }

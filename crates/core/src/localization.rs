@@ -12,10 +12,8 @@
 //! operator workflow the paper targets: the per-segment estimates isolate
 //! *which* upgraded-router-to-upgraded-router hop misbehaves.
 
-use serde::{Deserialize, Serialize};
-
 /// One measured segment's aggregate latency.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SegmentObservation {
     /// Printable segment name, e.g. `"T[0.0]→C[1.0]"`.
     pub name: String,
@@ -28,7 +26,7 @@ pub struct SegmentObservation {
 }
 
 /// An anomaly verdict.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnomalyFinding {
     /// Index into the observation slice.
     pub segment: usize,
@@ -39,7 +37,7 @@ pub struct AnomalyFinding {
 }
 
 /// Detector configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LocalizerConfig {
     /// A segment is anomalous when `est_mean > factor × median(est_means)`.
     pub factor: f64,

@@ -180,7 +180,7 @@ pub type RefMapFn<'a> = Box<dyn Fn(&ReferenceInfo) -> Option<ReferenceInfo> + 'a
 pub const DEFAULT_REORDER_WINDOW: SimDuration = SimDuration::from_micros(4_000);
 
 /// Plane-wide configuration shared by every attached tap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlaneConfig {
     /// Width of the reorder window. Must exceed the worst-case residence
     /// time between any tap and the event that reports its observation
@@ -415,7 +415,7 @@ impl Routes {
 
 /// Attachable RLI taps over the engine's hop-event stream. Implements
 /// [`HopSink`], so a plane *is* the sink argument of
-/// [`rlir_sim::run_network_with`].
+/// [`rlir_sim::run_network_streamed_source`].
 #[derive(Default)]
 pub struct MeasurementPlane<'a> {
     cfg: PlaneConfig,

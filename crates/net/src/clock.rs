@@ -12,10 +12,9 @@
 //! and simulations stay reproducible regardless of call order.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A model of an imperfect local clock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockModel {
     /// Constant offset from true time, in nanoseconds (positive = fast).
     pub offset_ns: i64,
@@ -94,7 +93,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// received at `rx` (receiver clock) is `receiver.observe(rx) -
 /// sender.observe(tx)`, which equals the true delay when both clocks are
 /// perfect.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ClockPair {
     /// The sender-side clock.
     pub sender: ClockModel,

@@ -6,11 +6,10 @@
 //! packets, so the key is designed to be a compact, hashable value type.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Transport protocol carried in the IPv4 header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Protocol {
     /// Transmission Control Protocol (IP protocol 6).
@@ -55,7 +54,7 @@ impl fmt::Display for Protocol {
 
 /// The 5-tuple flow key used for per-flow latency aggregation and for ECMP
 /// hashing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FlowKey {
     /// Source IPv4 address.
     pub src: Ipv4Addr,
@@ -145,8 +144,7 @@ impl fmt::Display for FlowKey {
 ///
 /// Mapping 5-tuples to dense ids once and then working with `FlowId` keeps
 /// per-flow state in flat vectors instead of hash maps on hot paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowId(pub u32);
 
 impl fmt::Display for FlowId {

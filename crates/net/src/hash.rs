@@ -13,7 +13,6 @@
 //! (real deployments salt per-switch to avoid traffic polarisation).
 
 use crate::flow::FlowKey;
-use serde::{Deserialize, Serialize};
 
 /// A deterministic flow-key hash used for ECMP next-hop selection.
 pub trait EcmpHasher {
@@ -190,7 +189,7 @@ impl EcmpHasher for XorFoldHasher {
 
 /// Serialisable descriptor of a hash algorithm + seed, from which a concrete
 /// hasher is built. This is what topology configurations store per switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HashAlgo {
     /// CRC-32 with a 32-bit seed.
     Crc32 {

@@ -10,12 +10,10 @@
 use crate::flow::FlowKey;
 use crate::time::SimTime;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Globally unique packet identifier, assigned at trace-generation or
 /// injection time. Used to join simulator ground truth with estimates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PacketId(pub u64);
 
 impl fmt::Display for PacketId {
@@ -25,8 +23,7 @@ impl fmt::Display for PacketId {
 }
 
 /// Identifier of an RLI sender instance (an interface hosting a sender).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SenderId(pub u16);
 
 impl fmt::Display for SenderId {
@@ -38,7 +35,7 @@ impl fmt::Display for SenderId {
 /// The RLI header embedded in a reference packet: which sender emitted it,
 /// its sequence number in that sender's stream, and the hardware timestamp
 /// taken at the sender's egress.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReferenceInfo {
     /// Emitting sender instance.
     pub sender: SenderId,
@@ -54,7 +51,7 @@ pub struct ReferenceInfo {
 /// The reference variant spells out [`ReferenceInfo`]'s three fields rather
 /// than wrapping the struct: the tag then sits in the header's padding and
 /// the kind is 16 bytes, not 24, which takes 8 bytes off every [`Packet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketKind {
     /// Regular (measured) traffic: traverses the full sender→receiver path.
     Regular,
@@ -88,7 +85,7 @@ impl PacketKind {
 pub const REFERENCE_PACKET_BYTES: u32 = 64;
 
 /// A packet moving through the simulated network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Packet {
     /// Unique id for ground-truth bookkeeping.
     pub id: PacketId,

@@ -8,12 +8,11 @@
 //! matching over sets of them.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 use std::str::FromStr;
 
 /// An IPv4 CIDR prefix, stored in canonical form (host bits zeroed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ipv4Prefix {
     addr: u32,
     len: u8,

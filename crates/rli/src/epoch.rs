@@ -23,11 +23,10 @@
 
 use rlir_net::time::SimTime;
 use rlir_stats::StreamingStats;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// One epoch's aggregate: estimate/truth moments plus counter deltas.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EpochSnapshot {
     /// Epoch index (`observation time / epoch_ns`).
     pub epoch: u64,

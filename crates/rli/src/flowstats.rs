@@ -16,12 +16,11 @@ use crate::slots::{hash32, SlotIndex};
 use rlir_net::fxhash::FxBuildHasher;
 use rlir_net::FlowKey;
 use rlir_stats::{relative_error, FewStats, LargestFour, StreamingStats};
-use serde::{Deserialize, Serialize};
 use std::hash::BuildHasher;
 
 /// Estimated and true delay moments for one flow, as
 /// [`FlowTable::get`] materialises them from the flow's row.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FlowAccumulator {
     /// Interpolated (estimated) per-packet delays.
     pub est: StreamingStats,
@@ -185,7 +184,7 @@ impl TailStore {
 }
 
 /// Per-flow report row.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FlowReport {
     /// The flow.
     pub flow: FlowKey,

@@ -8,12 +8,11 @@
 //! (ablation A2, the `interp` scenario of `experiments`).
 
 use rlir_net::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A known (arrival time, one-way delay) sample from a reference packet.
 /// Delay is in signed nanoseconds — clock skew can produce negative
 /// measured delays, which the estimator must propagate rather than hide.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelaySample {
     /// Arrival time at the receiver (receiver clock).
     pub at: SimTime,
@@ -30,7 +29,7 @@ impl DelaySample {
 
 /// Estimator choice for delays of regular packets between two reference
 /// samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Interpolator {
     /// The paper's estimator: linear interpolation between the bracketing
     /// reference delays, evaluated at the regular packet's arrival time.

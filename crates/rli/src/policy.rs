@@ -12,7 +12,6 @@
 //! worst-case-safe rate (1-and-100 in the paper's experiments).
 
 use rlir_stats::UtilizationEstimator;
-use serde::{Deserialize, Serialize};
 
 /// Decides, for every regular packet the sender observes, whether to inject
 /// a reference packet after it.
@@ -26,7 +25,7 @@ pub trait InjectionPolicy {
 }
 
 /// The paper's static *1-and-n* scheme.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StaticPolicy {
     n: u32,
     since_last: u32,
@@ -62,7 +61,7 @@ impl InjectionPolicy for StaticPolicy {
 }
 
 /// Knobs of the adaptive policy.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AdaptiveConfig {
     /// Densest spacing (paper: 10 → 1-and-10).
     pub min_n: u32,
@@ -99,7 +98,7 @@ impl AdaptiveConfig {
 /// link utilization rises from `low_util` to `high_util` (injection rate is
 /// a *decreasing* function of utilization). The geometric interpolation
 /// keeps the rate transition smooth across the order-of-magnitude span.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdaptivePolicy {
     cfg: AdaptiveConfig,
     util: UtilizationEstimator,
@@ -226,7 +225,7 @@ impl From<Box<dyn InjectionPolicy + Send>> for Policy {
 }
 
 /// Serialisable policy selector used by experiment configs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum PolicyKind {
     /// Static 1-and-n.
     Static {

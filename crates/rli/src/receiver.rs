@@ -19,11 +19,10 @@ use rlir_net::clock::ClockModel;
 use rlir_net::fxhash::FxBuildHasher;
 use rlir_net::packet::{Packet, ReferenceInfo, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::hash::BuildHasher;
 
 /// Receiver configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ReceiverConfig {
     /// Accept reference packets only from this sender.
     pub sender: SenderId,
@@ -59,7 +58,7 @@ impl ReceiverConfig {
 }
 
 /// Receiver-side counters.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ReceiverCounters {
     /// Reference packets accepted from the bound sender.
     pub refs_accepted: u64,

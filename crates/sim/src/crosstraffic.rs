@@ -22,10 +22,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rlir_net::packet::Packet;
 use rlir_net::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Cross-traffic selection model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CrossModel {
     /// Keep each packet with probability `keep_prob` (the paper's "random"
     /// model).

@@ -14,10 +14,10 @@
 //!   observation stream ([`HopEvent`]/[`HopSink`]) the measurement plane
 //!   taps into.
 //! * [`shard`] — the engine: one keyed per-hop step, one `(time, ordinal,
-//!   progress)` order, one loop on one thread, run by
-//!   [`run_network_streamed_source`]; [`run_network_with`] buffers its
-//!   deliveries, and [`run_network_sharded_source`] adds a count of the
-//!   lookahead windows a node partition admits.
+//!   progress)` order, one loop on one thread, entered only through
+//!   [`run_network_streamed_source`], which streams every delivery to a
+//!   callback and keeps none; [`run_network_sharded_source`] is the same
+//!   run plus a count of the lookahead windows a node partition admits.
 //! * [`sched`] — the engine's one event queue, a calendar queue at the
 //!   fabric's grain.
 //! * [`slab`] — the free-list arena holding in-flight packet state, so the
@@ -54,9 +54,8 @@ pub use chaos::ChaosConfig;
 pub use crosstraffic::{calibrate_keep_prob, CrossInjector, CrossModel};
 pub use fault::{DeadPorts, FaultEvent, FaultKind, FaultScript, StopFlag};
 pub use network::{
-    run_network_with, Forwarder, Hop, HopEvent, HopKind, HopSink, NetDelivery, Network, NetworkRun,
-    NetworkRunStats, NodeId, NullSink, Port, PortId, RouteDecision, RunOptions, StreamDigest,
-    StreamedDelivery, SwitchNode, TeeSink,
+    Forwarder, Hop, HopEvent, HopKind, HopSink, Network, NetworkRunStats, NodeId, NullSink, Port,
+    PortId, RouteDecision, RunOptions, StreamDigest, StreamedDelivery, SwitchNode, TeeSink,
 };
 pub use pipeline::TandemConfig;
 pub use queue::{ClassCounters, FifoQueue, QueueConfig, Verdict};

@@ -7,8 +7,9 @@
 //! This module describes what the engine ([`crate::shard`]) runs and what
 //! it reports: switches with per-output-port [`FifoQueue`]s, links with
 //! propagation delay, a pluggable [`Forwarder`] (implemented by
-//! `rlir-topo`), per-packet hop-by-hop ground truth, and
-//! [`run_network_with`], the buffered entry that collects every delivery.
+//! `rlir-topo`), per-packet hop-by-hop ground truth handed to the run's
+//! delivery callback ([`StreamedDelivery`]), and the run's aggregate
+//! ([`NetworkRunStats`]).
 //!
 //! ## The hop-event stream
 //!
@@ -22,12 +23,11 @@
 //! events are therefore globally time-ordered, while dequeue/delivery
 //! timestamps may run ahead of the engine clock (the analytic queues decide
 //! departure at offer time) — consumers that need strict delivery-time
-//! order sort per tap, as [`NetworkRun::deliveries`] itself is sorted.
+//! order sort per tap.
 
 use crate::fault::{DeadPorts, FaultScript, StopFlag};
 use crate::queue::{FifoQueue, QueueConfig};
 use crate::sched::{fabric_geometry, SchedStats};
-use crate::source::SortedVecSource;
 use rlir_net::packet::Packet;
 use rlir_net::time::{SimDuration, SimTime};
 
@@ -378,52 +378,14 @@ impl HopSink for StreamDigest {
     }
 }
 
-/// Ground-truth record of a packet that exited the network.
-#[derive(Debug, Clone)]
-pub struct NetDelivery {
-    /// The packet as delivered (marks applied).
-    pub packet: Packet,
-    /// Where it was injected.
-    pub injected_node: NodeId,
-    /// When it was injected.
-    pub injected_at: SimTime,
-    /// The switch at which it was delivered.
-    pub delivered_node: NodeId,
-    /// Delivery time.
-    pub delivered_at: SimTime,
-    /// Every switch traversal, in order.
-    pub hops: Vec<Hop>,
-}
-
-impl NetDelivery {
-    /// True end-to-end delay.
-    pub fn true_delay(&self) -> SimDuration {
-        self.delivered_at.saturating_since(self.injected_at)
-    }
-}
-
-/// Aggregate result of a network run.
-#[derive(Debug, Clone)]
-pub struct NetworkRun {
-    /// Deliveries in delivery-time order.
-    pub deliveries: Vec<NetDelivery>,
-    /// Packets dropped by queues, per node.
-    pub queue_drops: Vec<u64>,
-    /// Packets dropped for lack of a route, per node.
-    pub route_drops: Vec<u64>,
-    /// The network with final queue states (counters).
-    pub network: Network,
-}
-
-/// One delivery handed to a run's delivery callback: the same
-/// ground truth a [`NetDelivery`] carries, borrowed from the engine's slab
-/// — no per-delivery allocation. The slot is recycled as soon as the
-/// callback returns; copy out what must outlive it ([`Self::to_owned`]).
+/// One delivery handed to a run's delivery callback: the packet's
+/// ground truth, borrowed from the engine's slab — no per-delivery
+/// allocation. The slot is recycled as soon as the callback returns; copy
+/// out what must outlive it.
 ///
 /// Deliveries stream in engine **processing** order: timestamps may
-/// interleave (exactly like [`HopKind::Deliver`] events), unlike the
-/// sorted [`NetworkRun::deliveries`]. Order-sensitive consumers sort what
-/// they keep.
+/// interleave (exactly like [`HopKind::Deliver`] events). A consumer that
+/// needs delivery-time order sorts what it keeps.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamedDelivery<'a> {
     /// The packet as delivered (marks applied).
@@ -445,22 +407,10 @@ impl StreamedDelivery<'_> {
     pub fn true_delay(&self) -> SimDuration {
         self.delivered_at.saturating_since(self.injected_at)
     }
-
-    /// Clone into an owned [`NetDelivery`] (allocates the hop record).
-    pub fn to_owned(&self) -> NetDelivery {
-        NetDelivery {
-            packet: *self.packet,
-            injected_node: self.injected_node,
-            injected_at: self.injected_at,
-            delivered_node: self.delivered_node,
-            delivered_at: self.delivered_at,
-            hops: self.hops.to_vec(),
-        }
-    }
 }
 
-/// Bounded aggregate of a streamed run — everything [`NetworkRun`] carries
-/// except the unbounded delivery buffer, plus the slab's own accounting.
+/// Bounded aggregate of a run: drop counts, final queue counters and the
+/// slab's and event queue's own accounting — no delivery buffer.
 ///
 /// Every field is an exact property of the run, pinned like its output.
 #[derive(Debug, Clone, Default)]
@@ -491,8 +441,8 @@ pub struct NetworkRunStats {
     pub network: Network,
 }
 
-/// Run-shaping options for a run (see
-/// [`run_network_streamed_source`](crate::shard::run_network_streamed_source)).
+/// Run-shaping options for the engine's one entry,
+/// [`run_network_streamed_source`](crate::shard::run_network_streamed_source).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions<'a> {
     /// Timed fault script applied as the clock advances. `None` — and an
@@ -503,43 +453,11 @@ pub struct RunOptions<'a> {
     pub stop: Option<&'a StopFlag>,
 }
 
-/// Run packets through the network and return every delivery, sorted by
-/// `(delivery time, packet id)`, with the per-node drop counts and the
-/// final per-port queue counters; `sink` sees the hop-event stream (see
-/// [`HopEvent`]). `injections` is a list of `(entry_node, packet)`; each
-/// packet enters the network at `packet.created_at`.
-///
-/// The buffered convenience over
-/// [`run_network_streamed_source`](crate::shard::run_network_streamed_source),
-/// whose memory is O(max in-flight): this one holds every delivery.
-pub fn run_network_with(
-    network: Network,
-    forwarder: &impl Forwarder,
-    injections: impl IntoIterator<Item = (NodeId, Packet)>,
-    sink: &mut impl HopSink,
-) -> NetworkRun {
-    let mut deliveries: Vec<NetDelivery> = Vec::new();
-    let stats = crate::shard::run_network_streamed_source(
-        network,
-        forwarder,
-        SortedVecSource::new(injections),
-        sink,
-        RunOptions::default(),
-        |d| deliveries.push(d.to_owned()),
-    );
-    deliveries.sort_by_key(|d| (d.delivered_at, d.packet.id));
-    NetworkRun {
-        deliveries,
-        queue_drops: stats.queue_drops,
-        route_drops: stats.route_drops,
-        network: stats.network,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::shard::run_network_streamed_source;
+    use crate::source::SortedVecSource;
     use rlir_net::FlowKey;
     use std::net::Ipv4Addr;
 
@@ -595,35 +513,77 @@ mod tests {
         net
     }
 
+    /// A delivery copied out of the stream, hop record included.
+    #[derive(Debug, PartialEq)]
+    struct Kept {
+        packet: Packet,
+        delivered_node: NodeId,
+        delivered_at: SimTime,
+        delay: SimDuration,
+        hops: Vec<Hop>,
+    }
+
+    /// Stream a run and keep every delivery, sorted by `(delivery time,
+    /// packet id)`.
+    fn run_with(
+        network: Network,
+        forwarder: &impl Forwarder,
+        injections: Vec<(NodeId, Packet)>,
+        sink: &mut impl HopSink,
+        opts: RunOptions<'_>,
+    ) -> (Vec<Kept>, NetworkRunStats) {
+        let mut kept = Vec::new();
+        let source = SortedVecSource::new(injections);
+        let stats = run_network_streamed_source(network, forwarder, source, sink, opts, |d| {
+            kept.push(Kept {
+                packet: *d.packet,
+                delivered_node: d.delivered_node,
+                delivered_at: d.delivered_at,
+                delay: d.true_delay(),
+                hops: d.hops.to_vec(),
+            })
+        });
+        kept.sort_by_key(|d| (d.delivered_at, d.packet.id));
+        (kept, stats)
+    }
+
+    /// [`run_with`] without a sink or options.
     fn run_network(
         network: Network,
         forwarder: &impl Forwarder,
         injections: Vec<(NodeId, Packet)>,
-    ) -> NetworkRun {
-        run_network_with(network, forwarder, injections, &mut NullSink)
+    ) -> (Vec<Kept>, NetworkRunStats) {
+        run_with(
+            network,
+            forwarder,
+            injections,
+            &mut NullSink,
+            RunOptions::default(),
+        )
     }
 
     #[test]
     fn single_hop_line_delay() {
         let net = line(3, 100);
-        let run = run_network(net, &LineForwarder { last: 2 }, vec![(0, pkt(1, 0, 80))]);
-        assert_eq!(run.deliveries.len(), 1);
-        let d = &run.deliveries[0];
+        let (deliveries, _) =
+            run_network(net, &LineForwarder { last: 2 }, vec![(0, pkt(1, 0, 80))]);
+        assert_eq!(deliveries.len(), 1);
+        let d = &deliveries[0];
         // 2 queues × 1000 ns tx + 2 links × 100 ns = 2200 ns.
         assert_eq!(d.delivered_at.as_nanos(), 2200);
         assert_eq!(d.hops.len(), 2);
         assert_eq!(d.hops[0].node, 0);
         assert_eq!(d.hops[1].node, 1);
-        assert_eq!(d.true_delay().as_nanos(), 2200);
+        assert_eq!(d.delay.as_nanos(), 2200);
     }
 
     #[test]
     fn fifo_order_preserved_across_hops() {
         let net = line(2, 10);
         let inj: Vec<(NodeId, Packet)> = (0..100).map(|i| (0usize, pkt(i, i * 13, 80))).collect();
-        let run = run_network(net, &LineForwarder { last: 1 }, inj);
-        assert_eq!(run.deliveries.len(), 100);
-        for w in run.deliveries.windows(2) {
+        let (deliveries, _) = run_network(net, &LineForwarder { last: 1 }, inj);
+        assert_eq!(deliveries.len(), 100);
+        for w in deliveries.windows(2) {
             assert!(w[0].delivered_at <= w[1].delivered_at);
             assert!(w[0].packet.id < w[1].packet.id, "FIFO order violated");
         }
@@ -640,11 +600,11 @@ mod tests {
                 RouteDecision::Forward(0)
             }
         }
-        let run = run_network(net, &F, vec![(s, pkt(1, 0, 80))]);
-        assert_eq!(run.deliveries.len(), 1);
+        let (deliveries, _) = run_network(net, &F, vec![(s, pkt(1, 0, 80))]);
+        assert_eq!(deliveries.len(), 1);
         // 1000 ns tx + 50 ns host link.
-        assert_eq!(run.deliveries[0].delivered_at.as_nanos(), 1050);
-        assert_eq!(run.deliveries[0].hops.len(), 1);
+        assert_eq!(deliveries[0].delivered_at.as_nanos(), 1050);
+        assert_eq!(deliveries[0].hops.len(), 1);
     }
 
     #[test]
@@ -660,9 +620,10 @@ mod tests {
                 }
             }
         }
-        let run = run_network(net, &F, vec![(0, pkt(1, 0, 666)), (0, pkt(2, 5, 80))]);
-        assert_eq!(run.route_drops[0], 1);
-        assert_eq!(run.deliveries.len(), 1);
+        let (deliveries, stats) =
+            run_network(net, &F, vec![(0, pkt(1, 0, 666)), (0, pkt(2, 5, 80))]);
+        assert_eq!(stats.route_drops[0], 1);
+        assert_eq!(deliveries.len(), 1);
     }
 
     #[test]
@@ -678,14 +639,14 @@ mod tests {
                 RouteDecision::Forward(0)
             }
         }
-        let run = run_network(
+        let (deliveries, stats) = run_network(
             net,
             &F,
             vec![(s, pkt(1, 0, 80)), (s, pkt(2, 0, 80)), (s, pkt(3, 0, 80))],
         );
-        assert_eq!(run.deliveries.len(), 1, "only the first fits");
-        assert_eq!(run.queue_drops[s], 2);
-        assert_eq!(run.network.nodes[s].ports[0].queue.regular().drops, 2);
+        assert_eq!(deliveries.len(), 1, "only the first fits");
+        assert_eq!(stats.queue_drops[s], 2);
+        assert_eq!(stats.network.nodes[s].ports[0].queue.regular().drops, 2);
     }
 
     #[test]
@@ -704,8 +665,8 @@ mod tests {
                 p.mark = node as u8 + 7;
             }
         }
-        let run = run_network(net, &Marking, vec![(0, pkt(1, 0, 80))]);
-        assert_eq!(run.deliveries[0].packet.mark, 7);
+        let (deliveries, _) = run_network(net, &Marking, vec![(0, pkt(1, 0, 80))]);
+        assert_eq!(deliveries[0].packet.mark, 7);
     }
 
     #[test]
@@ -714,7 +675,7 @@ mod tests {
             let net = line(2, 10);
             let inj: Vec<(NodeId, Packet)> = (0..50).map(|i| (0usize, pkt(i, 0, 80))).collect(); // all at t=0
             run_network(net, &LineForwarder { last: 1 }, inj)
-                .deliveries
+                .0
                 .iter()
                 .map(|d| d.packet.id.0)
                 .collect::<Vec<_>>()
@@ -737,13 +698,14 @@ mod tests {
         let net = line(3, 100);
         let mut log: Vec<(HopKind, NodeId, u64)> = Vec::new();
         let mut sink = |ev: &HopEvent<'_>| log.push((ev.kind, ev.node, ev.at.as_nanos()));
-        let run = run_network_with(
+        let (deliveries, _) = run_with(
             net,
             &LineForwarder { last: 2 },
             vec![(0, pkt(1, 0, 80))],
             &mut sink,
+            RunOptions::default(),
         );
-        assert_eq!(run.deliveries.len(), 1);
+        assert_eq!(deliveries.len(), 1);
         let kinds: Vec<HopKind> = log.iter().map(|(k, _, _)| *k).collect();
         assert_eq!(
             kinds,
@@ -796,11 +758,12 @@ mod tests {
                 drops.push((ev.kind, ev.packet.id.0));
             }
         };
-        run_network_with(
+        run_with(
             net,
             &F,
             vec![(0, pkt(1, 0, 666)), (0, pkt(2, 5, 80))],
             &mut sink,
+            RunOptions::default(),
         );
         assert_eq!(drops, vec![(HopKind::RouteDrop, 1)]);
     }
@@ -810,72 +773,36 @@ mod tests {
         // The watermark contract streaming sinks rely on: strictly
         // increasing, and no event emitted after a watermark carries an
         // earlier `at`.
-        struct W {
-            marks: Vec<u64>,
-            current: u64,
-            violations: usize,
-        }
-        impl HopSink for W {
-            fn on_hop(&mut self, ev: &HopEvent<'_>) {
-                if ev.at.as_nanos() < self.current {
-                    self.violations += 1;
-                }
-            }
-            fn on_watermark(&mut self, watermark: SimTime) {
-                self.marks.push(watermark.as_nanos());
-                self.current = watermark.as_nanos();
-            }
-        }
-        let mut sink = W {
-            marks: Vec::new(),
-            current: 0,
-            violations: 0,
-        };
-        let net = line(3, 100);
+        let mut sink = WatermarkCheck::new();
         let inj: Vec<(NodeId, Packet)> = (0..50).map(|i| (0usize, pkt(i, i * 37, 80))).collect();
-        run_network_with(net, &LineForwarder { last: 2 }, inj, &mut sink);
-        assert!(!sink.marks.is_empty());
-        for w in sink.marks.windows(2) {
-            assert!(w[0] < w[1], "watermark not strictly increasing: {w:?}");
-        }
-        assert_eq!(sink.violations, 0, "events ran behind the watermark");
+        let opts = RunOptions::default();
+        run_with(
+            line(3, 100),
+            &LineForwarder { last: 2 },
+            inj,
+            &mut sink,
+            opts,
+        );
+        sink.assert_contract();
     }
 
     #[test]
-    fn streamed_mode_matches_buffered_and_recycles_slots() {
+    fn streamed_run_recycles_slots() {
         // 5000 packets spread over a long span through a 3-switch line:
-        // only a handful are ever concurrently in flight, and the streamed
-        // stats must reflect that — not the injected count.
+        // only a handful are ever concurrently in flight, and the stats
+        // must reflect that — not the injected count.
         let inj: Vec<(NodeId, Packet)> = (0..5_000)
             .map(|i| (0usize, pkt(i, i * 2_500, 80)))
             .collect();
-        let buffered = run_network(line(3, 100), &LineForwarder { last: 2 }, inj.clone());
-        let mut streamed: Vec<(u64, u64, usize)> = Vec::new();
-        let stats = run_network_streamed_source(
-            line(3, 100),
-            &LineForwarder { last: 2 },
-            SortedVecSource::new(inj),
-            &mut NullSink,
-            RunOptions::default(),
-            |d| {
-                assert_eq!(
-                    d.true_delay(),
-                    d.delivered_at.saturating_since(d.injected_at)
-                );
-                streamed.push((d.packet.id.0, d.delivered_at.as_nanos(), d.delivered_node));
-            },
-        );
-        streamed.sort_by_key(|&(id, at, _)| (at, id));
-        let expect: Vec<(u64, u64, usize)> = buffered
-            .deliveries
-            .iter()
-            .map(|d| (d.packet.id.0, d.delivered_at.as_nanos(), d.delivered_node))
-            .collect();
-        assert_eq!(streamed, expect);
+        let (deliveries, stats) = run_network(line(3, 100), &LineForwarder { last: 2 }, inj);
+        assert!(deliveries.iter().all(|d| d.delivered_node == 2));
+        assert_eq!(deliveries.len(), 5_000);
         assert_eq!(stats.delivered, 5_000);
         assert_eq!(stats.injected, 5_000);
-        assert_eq!(stats.queue_drops, buffered.queue_drops);
-        assert_eq!(stats.route_drops, buffered.route_drops);
+        assert_eq!(
+            (stats.queue_drops, stats.route_drops),
+            (vec![0; 3], vec![0; 3])
+        );
         // The memory bound the slab exists for: O(in-flight), not O(run).
         assert!(
             stats.peak_live_slots < 50,
@@ -892,8 +819,8 @@ mod tests {
 
     use crate::fault::{FaultEvent, FaultKind};
 
-    /// The watermark-contract sink shared by the fault-regime tests:
-    /// strictly increasing marks, no event behind the current mark.
+    /// The watermark-contract sink shared by the watermark tests: strictly
+    /// increasing marks, no event behind the current mark.
     struct WatermarkCheck {
         marks: Vec<u64>,
         current: u64,
@@ -935,29 +862,23 @@ mod tests {
         let inj: Vec<(NodeId, Packet)> = (0..300)
             .map(|i| (0usize, pkt(i, (i / 5) * 700, 80)))
             .collect();
-        let plain = run_network(line(3, 100), &LineForwarder { last: 2 }, inj.clone());
+        let (plain, plain_stats) =
+            run_network(line(3, 100), &LineForwarder { last: 2 }, inj.clone());
         let script = FaultScript::empty();
-        let mut deliveries: Vec<NetDelivery> = Vec::new();
-        let stats = run_network_streamed_source(
+        let faults = RunOptions {
+            faults: Some(&script),
+            ..RunOptions::default()
+        };
+        let (deliveries, stats) = run_with(
             line(3, 100),
             &LineForwarder { last: 2 },
-            SortedVecSource::new(inj),
+            inj,
             &mut NullSink,
-            RunOptions {
-                faults: Some(&script),
-                ..RunOptions::default()
-            },
-            |d| deliveries.push(d.to_owned()),
+            faults,
         );
-        deliveries.sort_by_key(|d| (d.delivered_at, d.packet.id));
-        assert_eq!(plain.deliveries.len(), deliveries.len());
-        for (a, b) in plain.deliveries.iter().zip(&deliveries) {
-            assert_eq!(a.packet.id, b.packet.id);
-            assert_eq!(a.delivered_at, b.delivered_at);
-            assert_eq!(a.hops, b.hops);
-        }
-        assert_eq!(stats.queue_drops, plain.queue_drops);
-        assert_eq!(stats.route_drops, plain.route_drops);
+        assert_eq!(plain, deliveries);
+        assert_eq!(stats.queue_drops, plain_stats.queue_drops);
+        assert_eq!(stats.route_drops, plain_stats.route_drops);
         assert_eq!(stats.fault_drops, 0);
     }
 
@@ -1190,9 +1111,9 @@ mod tests {
                 ));
             }
         };
-        let run = run_network_with(net, &LineForwarder { last: 2 }, inj, &mut sink);
-        let mut from_truth: Vec<(u64, NodeId, u64, u64)> = run
-            .deliveries
+        let opts = RunOptions::default();
+        let (deliveries, _) = run_with(net, &LineForwarder { last: 2 }, inj, &mut sink, opts);
+        let mut from_truth: Vec<(u64, NodeId, u64, u64)> = deliveries
             .iter()
             .flat_map(|d| {
                 d.hops.iter().map(|h| {

@@ -9,10 +9,9 @@ use crate::network::{Forwarder, Network, NodeId, Port, RouteDecision};
 use crate::queue::QueueConfig;
 use rlir_net::packet::Packet;
 use rlir_net::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Tandem configuration — and the tandem's forwarder.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TandemConfig {
     /// First (sender-side) switch.
     pub switch1: QueueConfig,

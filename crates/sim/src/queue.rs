@@ -24,10 +24,9 @@
 
 use rlir_net::packet::{Packet, PacketKind};
 use rlir_net::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of one queue/port.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct QueueConfig {
     /// Drain (link) rate in bits per second.
     pub rate_bps: u64,
@@ -55,7 +54,7 @@ impl QueueConfig {
 }
 
 /// Per-traffic-class counters.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ClassCounters {
     /// Packets offered.
     pub arrivals: u64,
@@ -97,7 +96,7 @@ const TX_U64_SIZES: u32 = 1 << 30;
 /// backlogs). Every returned value is bit-identical to the seed
 /// implementation, which `tests/support/seed_fifo_oracle.rs` keeps as the
 /// differential tests' oracle.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FifoQueue {
     cfg: QueueConfig,
     next_free: SimTime,

@@ -1,10 +1,9 @@
 //! The engine: one keyed per-hop step on one thread.
 //!
-//! Every simulation — [`run_network_streamed_source`] and the buffered
-//! [`run_network_with`](crate::network::run_network_with) over it — goes
+//! Every simulation enters through [`run_network_streamed_source`] and goes
 //! through one cascade, `ShardWorker::unit`: a packet arrives at a switch,
-//! is routed (rerouted around a dead port, killed by a loss burst),
-//! marked, queued and scheduled onward. Each switch's ports are
+//! is routed (rerouted around a dead port, killed by a loss burst), marked,
+//! queued and scheduled onward. Each switch's ports are
 //! [`FifoQueue`](crate::queue::FifoQueue)s, in-flight packet state lives
 //! in a free-list [`PacketSlab`] (memory O(max in-flight)), ingest is
 //! pulled from an [`InjectionSource`], and the only queue is a

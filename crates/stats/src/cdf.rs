@@ -5,10 +5,8 @@
 //! and fraction-below queries; [`CdfSeries`] renders the exact step points
 //! the experiment harness writes to CSV.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical cumulative distribution function over `f64` samples.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -109,7 +107,7 @@ impl Ecdf {
 }
 
 /// A downsampled CDF as `(value, cumulative_fraction)` step points.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CdfSeries {
     /// Step points, ascending in both coordinates.
     pub points: Vec<(f64, f64)>,

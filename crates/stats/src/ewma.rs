@@ -5,10 +5,8 @@
 //! an EWMA over fixed windows of observed bytes — the same structure the
 //! original RLI paper uses — implemented here as a small reusable component.
 
-use serde::{Deserialize, Serialize};
-
 /// A plain EWMA over scalar observations: `v ← α·x + (1-α)·v`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Ewma {
     alpha: f64,
     value: Option<f64>,
@@ -46,7 +44,7 @@ impl Ewma {
 /// Windowed link-utilization estimator: accumulates bytes sent in fixed
 /// nanosecond windows, converts each full window into a utilization fraction
 /// of the configured link rate, and smooths across windows with an EWMA.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UtilizationEstimator {
     link_rate_bps: u64,
     window_ns: u64,

@@ -5,10 +5,8 @@
 //! Welford's online algorithm: numerically stable, O(1) memory per flow, and
 //! mergeable so parallel experiment shards can combine partial results.
 
-use serde::{Deserialize, Serialize};
-
 /// Online mean/variance/min/max accumulator (Welford).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StreamingStats {
     count: u64,
     mean: f64,

@@ -16,14 +16,13 @@
 
 use rlir_net::hash::HashAlgo;
 use rlir_net::prefix::Ipv4Prefix;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Index of a switch within a [`FatTree`].
 pub type TopoId = usize;
 
 /// What a switch port connects to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortTarget {
     /// Another switch.
     Switch(TopoId),
@@ -32,7 +31,7 @@ pub enum PortTarget {
 }
 
 /// Role of a switch in the tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// Top-of-rack switch `i` in pod `p`.
     Tor {
@@ -59,7 +58,7 @@ pub enum Role {
 }
 
 /// One switch of the fat-tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopoNode {
     /// Printable name (`T[p.i]`, `E[p.i]`, `C[g.j]`).
     pub name: String,
@@ -72,7 +71,7 @@ pub struct TopoNode {
 }
 
 /// A complete k-ary fat-tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FatTree {
     k: usize,
     nodes: Vec<TopoNode>,

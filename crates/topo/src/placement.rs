@@ -21,7 +21,6 @@
 
 use crate::fattree::{FatTree, Role, TopoId};
 use rlir_net::FlowKey;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// `k + 2`: instances to measure one specific ToR-uplink-interface pair.
@@ -63,7 +62,7 @@ pub fn formula_full_deployment(k: usize) -> u64 {
 }
 
 /// One RLIR deployment row for a given `k`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PlacementRow {
     /// Fat-tree arity.
     pub k: usize,

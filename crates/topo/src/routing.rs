@@ -14,10 +14,9 @@
 
 use crate::fattree::{FatTree, Role, TopoId};
 use rlir_net::FlowKey;
-use serde::{Deserialize, Serialize};
 
 /// A forwarding decision at one switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NextHop {
     /// Forward out this port index (per the fat-tree port conventions).
     Port(usize),
@@ -136,7 +135,7 @@ impl FatTree {
 }
 
 /// Result of [`FatTree::reverse_ecmp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReversedPath {
     /// The origin ToR (from the source prefix).
     pub src_tor: TopoId,

@@ -8,7 +8,6 @@
 //! (it builds offline against the stubs under `vendor/`).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Exponential distribution with the given rate (events per unit).
 /// Sampled by inversion: `-ln(U)/λ`.
@@ -145,7 +144,7 @@ impl LogUniform {
 /// plus a uniform spread. Weights are configurable; the default approximates
 /// the ~730 B average packet size implied by the paper's trace statistics
 /// (22.4 M packets ≈ 22% of a 9.953 Gb/s link over 60 s).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PacketSizeMix {
     // (cumulative weight, mode) — mode None means "uniform spread".
     modes: Vec<(f64, Option<u32>)>,

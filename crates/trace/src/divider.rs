@@ -10,10 +10,9 @@
 use rlir_net::packet::{Packet, PacketKind};
 use rlir_net::prefix::Ipv4Prefix;
 use rlir_net::trie::PrefixTrie;
-use serde::{Deserialize, Serialize};
 
 /// Classification verdict for one packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrafficClass {
     /// Regular (measured) traffic.
     Regular,
@@ -22,7 +21,7 @@ pub enum TrafficClass {
 }
 
 /// Policy for packets whose source matches no configured prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnmatchedPolicy {
     /// Drop the packet from the divided output.
     Drop,

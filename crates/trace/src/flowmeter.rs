@@ -13,10 +13,9 @@ use rlir_net::fxhash::FxHashMap;
 use rlir_net::packet::Packet;
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
-use serde::{Deserialize, Serialize};
 
 /// One NetFlow-style record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowRecord {
     /// The 5-tuple.
     pub key: FlowKey,
@@ -54,7 +53,7 @@ impl FlowRecord {
 }
 
 /// Flow meter configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FlowMeterConfig {
     /// A flow idle for longer than this is expired (NetFlow default 15 s;
     /// YAF default 300 s — short traces rarely trigger it).

@@ -9,10 +9,9 @@ use rlir_net::fxhash::FxHashMap;
 use rlir_net::time::SimTime;
 use rlir_net::FlowKey;
 use rlir_stats::StreamingStats;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceStats {
     /// Total packets.
     pub packets: u64,

@@ -21,10 +21,9 @@ use rlir_net::packet::Packet;
 use rlir_net::prefix::Ipv4Prefix;
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
-use serde::{Deserialize, Serialize};
 
 /// Which traffic class the generated packets belong to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceClass {
     /// Regular (measured) traffic.
     Regular,
@@ -33,7 +32,7 @@ pub enum TraceClass {
 }
 
 /// Configuration for [`generate`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// RNG seed; equal seeds yield byte-identical traces.
     pub seed: u64,
@@ -278,7 +277,7 @@ pub fn generate(cfg: &TraceConfig) -> Trace {
 
 /// An on/off burst envelope: every `period`, transmission is squeezed into
 /// the leading `duty` fraction.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BurstShape {
     /// Burst repetition period.
     pub period: SimDuration,

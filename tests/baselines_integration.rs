@@ -4,17 +4,22 @@
 use rlir_baselines::{estimate_all, Lda, LdaConfig};
 use rlir_net::packet::Packet;
 use rlir_net::time::SimDuration;
-use rlir_sim::{run_network_with, NetDelivery, NullSink, TandemConfig};
+use rlir_sim::{NullSink, TandemConfig};
 use rlir_stats::{relative_error, StreamingStats};
 use rlir_trace::{generate, FlowMeter, FlowMeterConfig, TraceConfig};
 
+#[path = "support/buffered_run.rs"]
+mod buffered_run;
+
+use buffered_run::{run_buffered, Delivered};
+
 /// Regular deliveries of `regular` through the paper tandem, `cross`
 /// entering the bottleneck.
-fn regular_deliveries(regular: &[Packet], cross: &[Packet]) -> Vec<NetDelivery> {
+fn regular_deliveries(regular: &[Packet], cross: &[Packet]) -> Vec<Delivered> {
     let tandem = TandemConfig::paper();
     let injections = (regular.iter().map(|p| (TandemConfig::SW1, *p)))
         .chain(cross.iter().map(|p| (TandemConfig::SW2, *p)));
-    let mut run = run_network_with(tandem.network(), &tandem, injections, &mut NullSink);
+    let mut run = run_buffered(tandem.network(), &tandem, injections, &mut NullSink);
     run.deliveries.retain(|d| d.packet.is_regular());
     run.deliveries
 }

@@ -16,7 +16,10 @@ use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
 use rlir_rli::{RliSender, StaticPolicy};
-use rlir_sim::{run_network_with, Forwarder, Network, NodeId, Port, QueueConfig, RouteDecision};
+use rlir_sim::{
+    run_network_streamed_source, Forwarder, Network, NodeId, Port, QueueConfig, RouteDecision,
+    RunOptions, SortedVecSource,
+};
 use std::net::Ipv4Addr;
 
 struct Chain;
@@ -106,8 +109,16 @@ fn two_taps_on_different_hops_recover_per_hop_truth() {
     tap_b.truth = TruthRef::SinceArrivalAt(vec![s1]);
     plane.attach(tap_b);
 
-    let run = run_network_with(net, &Chain, injections, &mut plane);
-    assert!(run.deliveries.len() > 1300, "{}", run.deliveries.len());
+    let source = SortedVecSource::new(injections);
+    let stats = run_network_streamed_source(
+        net,
+        &Chain,
+        source,
+        &mut plane,
+        RunOptions::default(),
+        |_| {},
+    );
+    assert!(stats.delivered > 1300, "{}", stats.delivered);
     let report = plane.finish();
 
     // Per-hop ground truth (no queueing at this load): one hop costs

@@ -8,9 +8,8 @@ use rlir_net::wire::{decode_reference_packet, encode_reference_packet};
 use rlir_net::{FlowKey, HashAlgo, Ipv4Prefix, PrefixTrie, Protocol};
 use rlir_rli::{DelaySample, Interpolator};
 use rlir_sim::{
-    run_network_streamed_source, run_network_with, FifoQueue, Forwarder, Hop, Network, NetworkRun,
-    NodeId, NullSink, PacketSlab, Port, PortId, QueueConfig, RouteDecision, RunOptions,
-    SortedVecSource, Verdict,
+    run_network_streamed_source, FifoQueue, Forwarder, Hop, Network, NodeId, NullSink, PacketSlab,
+    Port, PortId, QueueConfig, RouteDecision, RunOptions, SortedVecSource, Verdict,
 };
 use rlir_stats::{Ecdf, StreamingStats};
 use rlir_topo::{FatTree, Role};
@@ -409,106 +408,6 @@ impl Forwarder for DiamondForwarder {
         if p.mark == 0 {
             p.mark = node as u8 + 1;
         }
-    }
-}
-
-/// Everything a run produced, flattened for byte-for-byte comparison.
-fn fingerprint(run: &NetworkRun) -> Vec<u64> {
-    let mut v = Vec::new();
-    for d in &run.deliveries {
-        v.extend([
-            d.packet.id.0,
-            d.packet.size as u64,
-            d.packet.mark as u64,
-            d.packet.created_at.as_nanos(),
-            d.injected_node as u64,
-            d.injected_at.as_nanos(),
-            d.delivered_node as u64,
-            d.delivered_at.as_nanos(),
-            d.hops.len() as u64,
-        ]);
-        for h in &d.hops {
-            v.extend([
-                h.node as u64,
-                h.port as u64,
-                h.arrived.as_nanos(),
-                h.departed.as_nanos(),
-            ]);
-        }
-    }
-    v.extend(run.queue_drops.iter().copied());
-    v.extend(run.route_drops.iter().copied());
-    for node in &run.network.nodes {
-        for port in &node.ports {
-            for c in [
-                port.queue.regular(),
-                port.queue.cross(),
-                port.queue.reference(),
-            ] {
-                v.extend([c.arrivals, c.drops, c.bytes]);
-            }
-        }
-    }
-    v
-}
-
-/// One test regime: name, queue capacity, injections.
-type Regime = (&'static str, u64, Vec<(NodeId, Packet)>);
-
-/// Three regimes: calm (spread injections), tie-heavy (bursts sharing one
-/// timestamp), drop-heavy (overload against a shallow buffer + unroutable
-/// flows).
-fn regimes() -> Vec<Regime> {
-    let calm: Vec<(NodeId, Packet)> = (0..400)
-        .map(|i| (0usize, pkt(i, i * 2_000, 80 + (i % 3) as u16)))
-        .collect();
-    let ties: Vec<(NodeId, Packet)> = (0..400)
-        .map(|i| (0usize, pkt(i, (i / 40) * 1_000, 80 + (i % 3) as u16)))
-        .collect();
-    let droppy: Vec<(NodeId, Packet)> = (0..600)
-        .map(|i| {
-            let dport = if i % 13 == 0 {
-                666
-            } else {
-                80 + (i % 3) as u16
-            };
-            (0usize, pkt(i, (i / 20) * 900, dport))
-        })
-        .collect();
-    vec![
-        ("calm", 1 << 20, calm),
-        ("ties", 1 << 20, ties),
-        ("drops", 3_000, droppy),
-    ]
-}
-
-#[test]
-fn streamed_mode_matches_buffered_mode_in_every_regime() {
-    for (name, cap, inj) in regimes() {
-        let buffered =
-            run_network_with(diamond(cap), &DiamondForwarder, inj.clone(), &mut NullSink);
-        let mut streamed: Vec<rlir_sim::NetDelivery> = Vec::new();
-        let stats = run_network_streamed_source(
-            diamond(cap),
-            &DiamondForwarder,
-            SortedVecSource::new(inj),
-            &mut NullSink,
-            RunOptions::default(),
-            |d| streamed.push(d.to_owned()),
-        );
-        streamed.sort_by_key(|d| (d.delivered_at, d.packet.id));
-        let as_run = NetworkRun {
-            deliveries: streamed,
-            queue_drops: stats.queue_drops.clone(),
-            route_drops: stats.route_drops.clone(),
-            network: stats.network.clone(),
-        };
-        assert_eq!(
-            fingerprint(&as_run),
-            fingerprint(&buffered),
-            "{name}: streamed deliveries diverged from the buffered mode"
-        );
-        assert_eq!(stats.delivered, buffered.deliveries.len() as u64, "{name}");
     }
 }
 

@@ -14,11 +14,15 @@ use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::{FlowKey, SenderId};
 use rlir_rli::REF_ID_BASE;
 use rlir_sim::{
-    run_network_streamed_source, run_network_with, FifoQueue, HopEvent, HopKind, Network,
-    NetworkRun, NetworkRunStats, NodeId, NullSink, QueueConfig, RunOptions, SortedVecSource,
-    TandemConfig,
+    run_network_streamed_source, FifoQueue, HopEvent, HopKind, Network, NetworkRunStats, NodeId,
+    NullSink, QueueConfig, RunOptions, SortedVecSource, TandemConfig,
 };
 use std::net::Ipv4Addr;
+
+#[path = "support/buffered_run.rs"]
+mod buffered_run;
+
+use buffered_run::{run_buffered, BufferedRun};
 
 const SW1: NodeId = TandemConfig::SW1;
 const SW2: NodeId = TandemConfig::SW2;
@@ -67,8 +71,8 @@ fn injections(upstream: &[Packet], cross: &[Packet]) -> Vec<(NodeId, Packet)> {
         .collect()
 }
 
-fn run(cfg: &TandemConfig, upstream: &[Packet], cross: &[Packet]) -> NetworkRun {
-    run_network_with(
+fn run(cfg: &TandemConfig, upstream: &[Packet], cross: &[Packet]) -> BufferedRun {
+    run_buffered(
         cfg.network(),
         cfg,
         injections(upstream, cross),
@@ -109,7 +113,7 @@ fn cross_bypasses_switch1() {
     let d = &r.deliveries[0];
     assert_eq!(d.delivered_at.as_nanos(), 550);
     assert!(d.hops.iter().all(|h| h.node == SW2));
-    assert_eq!(queue(&r.network, SW1).total_arrivals(), 0);
+    assert_eq!(queue(&r.stats.network, SW1).total_arrivals(), 0);
 }
 
 /// The plane's ordered delivery tap relies on this: switch 2's one FIFO
@@ -126,7 +130,7 @@ fn deliveries_sorted_by_delivery_time() {
     };
     let tandem = cfg();
     let injections = injections(&upstream, &cross);
-    let r = run_network_with(tandem.network(), &tandem, injections, &mut sink);
+    let r = run_buffered(tandem.network(), &tandem, injections, &mut sink);
     assert_eq!(delivered.len(), 400);
     assert_eq!(r.deliveries.len(), 400);
     assert!(delivered.windows(2).all(|w| w[0] <= w[1]));
@@ -144,8 +148,12 @@ fn loss_accounting_end_to_end() {
     // backlog when regular 1 arrives → regular 1 is tail-dropped; by the
     // time regular 2 arrives the buffer has drained.
     let r = run(&c, &upstream, &[crs(3, 1550, 1500)]);
-    assert!(tandem_loss_rate(&r.network, FifoQueue::regular) > 0.0);
-    assert_eq!(queue(&r.network, SW2).regular().drops, 1, "one drop at sw2");
+    assert!(tandem_loss_rate(&r.stats.network, FifoQueue::regular) > 0.0);
+    assert_eq!(
+        queue(&r.stats.network, SW2).regular().drops,
+        1,
+        "one drop at sw2"
+    );
     let regular = r.deliveries.iter().filter(|d| d.packet.is_regular());
     assert_eq!(regular.count(), 1);
 }
@@ -160,8 +168,11 @@ fn reference_loss_rate_separate() {
         Packet::reference(2, flow, SenderId(0), 0, SimTime::from_nanos(1)),
     ];
     let r = run(&c, &upstream, &[]);
-    assert_eq!(tandem_loss_rate(&r.network, FifoQueue::reference), 1.0);
-    assert_eq!(tandem_loss_rate(&r.network, FifoQueue::regular), 0.0);
+    assert_eq!(
+        tandem_loss_rate(&r.stats.network, FifoQueue::reference),
+        1.0
+    );
+    assert_eq!(tandem_loss_rate(&r.stats.network, FifoQueue::regular), 0.0);
 }
 
 #[test]
@@ -169,7 +180,7 @@ fn utilization_reflects_cross_injection() {
     // 1 ms horizon; cross only: 500 packets × 1000 B × 1 ns/B = 0.5 ms busy.
     let cross: Vec<Packet> = (0..500).map(|i| crs(i, i * 2000, 1000)).collect();
     let r = run(&cfg(), &[], &cross);
-    let u = queue(&r.network, SW2).utilization(SimDuration::from_millis(1));
+    let u = queue(&r.stats.network, SW2).utilization(SimDuration::from_millis(1));
     assert!((u - 0.5).abs() < 0.01, "utilization {u}");
 }
 
@@ -177,8 +188,8 @@ fn utilization_reflects_cross_injection() {
 fn empty_inputs() {
     let r = run(&cfg(), &[], &[]);
     assert!(r.deliveries.is_empty());
-    assert_eq!(tandem_loss_rate(&r.network, FifoQueue::regular), 0.0);
-    let u = queue(&r.network, SW2).utilization(SimDuration::from_millis(1));
+    assert_eq!(tandem_loss_rate(&r.stats.network, FifoQueue::regular), 0.0);
+    let u = queue(&r.stats.network, SW2).utilization(SimDuration::from_millis(1));
     assert_eq!(u, 0.0);
 }
 
@@ -382,6 +393,8 @@ fn keyed_ties_on_contended_mix() {
     assert!(drops > 0, "switch 2 dropped nothing");
 }
 
+/// The sink's `Deliver` events and the delivery callback narrate the same
+/// deliveries in the same order, event for event.
 #[test]
 fn hop_sink_deliver_events_match_returned_deliveries() {
     let cfg = tie_cfg(4_000);
@@ -389,19 +402,24 @@ fn hop_sink_deliver_events_match_returned_deliveries() {
     let mut seen = Vec::new();
     let mut sink = |ev: &HopEvent<'_>| {
         if ev.kind == HopKind::Deliver {
-            seen.push((ev.at, ev.packet.id));
+            seen.push((ev.at, ev.node, ev.packet.id, ev.hops.len()));
         }
     };
-    let injections = injections(&upstream, &cross);
-    let r = run_network_with(cfg.network(), &cfg, injections, &mut sink);
-    let mut expected: Vec<_> = r
-        .deliveries
-        .iter()
-        .map(|d| (d.delivered_at, d.packet.id))
-        .collect();
-    seen.sort_unstable();
-    expected.sort_unstable();
-    assert_eq!(seen, expected, "sink saw a different delivery set");
+    let mut delivered = Vec::new();
+    let stats = run_network_streamed_source(
+        cfg.network(),
+        &cfg,
+        SortedVecSource::new(injections(&upstream, &cross)),
+        &mut sink,
+        RunOptions::default(),
+        |d| delivered.push((d.delivered_at, d.delivered_node, d.packet.id, d.hops.len())),
+    );
+    assert_eq!(delivered.len() as u64, stats.delivered);
+    assert!(stats.queue_drops[SW2] > 0, "switch 2 dropped nothing");
+    assert_eq!(
+        seen, delivered,
+        "sink and callback saw different deliveries"
+    );
 }
 
 /// Both switches add 500 ns of processing; switch 2's buffer is `cap2`.

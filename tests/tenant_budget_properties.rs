@@ -16,7 +16,10 @@ use rlir::plane::{MeasurementPlane, PlaneConfig, PlaneReport, TapPoint, TapSpec,
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
-use rlir_sim::{run_network_with, Forwarder, Network, NodeId, Port, QueueConfig, RouteDecision};
+use rlir_sim::{
+    run_network_streamed_source, Forwarder, Network, NodeId, Port, QueueConfig, RouteDecision,
+    RunOptions, SortedVecSource,
+};
 use std::net::Ipv4Addr;
 
 struct Chain;
@@ -103,7 +106,15 @@ fn storm(
     t1.tenant = 1;
     plane.attach(t1);
 
-    run_network_with(net, &Chain, injections, &mut plane);
+    let source = SortedVecSource::new(injections);
+    run_network_streamed_source(
+        net,
+        &Chain,
+        source,
+        &mut plane,
+        RunOptions::default(),
+        |_| {},
+    );
     plane.finish()
 }
 

@@ -22,7 +22,10 @@ use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
 use rlir_rli::{PolicyKind, RliSender, StaticPolicy};
-use rlir_sim::{run_network_with, Forwarder, Network, NodeId, Port, QueueConfig, RouteDecision};
+use rlir_sim::{
+    run_network_streamed_source, Forwarder, Network, NodeId, Port, QueueConfig, RouteDecision,
+    RunOptions, SortedVecSource,
+};
 use std::net::Ipv4Addr;
 
 struct Chain;
@@ -120,7 +123,15 @@ fn run(with_flood: bool, budget: Option<usize>, w0: u64, w1: u64) -> PlaneReport
     flood.tenant = 1;
     plane.attach(flood);
 
-    run_network_with(net, &Chain, injections, &mut plane);
+    let source = SortedVecSource::new(injections);
+    run_network_streamed_source(
+        net,
+        &Chain,
+        source,
+        &mut plane,
+        RunOptions::default(),
+        |_| {},
+    );
     plane.finish()
 }
 
@@ -209,7 +220,15 @@ fn sole_tenants_weight_is_inert() {
         let mut tap = TapSpec::new("sole", TapPoint::NodeArrival(a1), SenderId(1));
         tap.truth = TruthRef::SinceInjection;
         plane.attach(tap);
-        run_network_with(net, &Chain, injections, &mut plane);
+        let source = SortedVecSource::new(injections);
+        run_network_streamed_source(
+            net,
+            &Chain,
+            source,
+            &mut plane,
+            RunOptions::default(),
+            |_| {},
+        );
         let report = plane.finish();
         assert!(report.taps[0].shed > 0, "budget never engaged");
         (digest_tap_epochs(&report, 0), report.taps[0].shed)

@@ -12,7 +12,7 @@ use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::{wire::RLI_UDP_PORT, FlowKey};
 use rlir_rli::{EpochSnapshot, ReceiverReport, RliSender, StaticPolicy};
-use rlir_sim::{run_network_with, QueueConfig};
+use rlir_sim::{run_network_streamed_source, QueueConfig, RunOptions, SortedVecSource};
 use rlir_topo::FatTree;
 
 const EPOCH_NS: u64 = 100_000;
@@ -67,11 +67,13 @@ fn run(seed: u64, shift: u64) -> PlaneReport {
         SimDuration::from_nanos(500),
         &[],
     );
-    run_network_with(
+    run_network_streamed_source(
         net,
         &FatTreeFabric::new(&tree, true),
-        injections,
+        SortedVecSource::new(injections),
         &mut plane,
+        RunOptions::default(),
+        |_| {},
     );
     plane.finish()
 }

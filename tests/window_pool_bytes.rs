@@ -10,7 +10,10 @@
 //!
 //! The bound runs under the counting `#[global_allocator]` of
 //! `tests/support/counting_alloc.rs`, tracking the high-water mark of the
-//! bytes this thread holds.
+//! bytes this thread holds. Each of its terms is what one structure holds
+//! at the peak, which is the last flush's sort: the pool, the flush's
+//! scratch and its sort buffer, the record FIFO and its checkpoints, the
+//! receivers' flow tables and the event's candidate buffer.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -25,8 +28,7 @@ use std::net::Ipv4Addr;
 const TAPS: usize = 64;
 /// Observations in one tap's burst.
 const BURST: u64 = 4_096;
-/// Entries a pool block holds (the plane's `window_pool().block_entries`,
-/// not read here so the test also runs against the plane before the pool).
+/// Entries a pool block holds (the plane's `window_pool().block_entries`).
 const BLOCK: usize = 128;
 const WINDOW_NS: u64 = 1_000_000;
 /// Bytes of a pool entry, of its decoded copy in the flush's sort scratch
@@ -34,6 +36,27 @@ const WINDOW_NS: u64 = 1_000_000;
 const ENTRY: usize = 8;
 const SCRATCH: usize = 16;
 const RECORD: usize = 40;
+/// Bytes a pool block keeps besides its entries: the next block in its
+/// chain (`u32`), its base (`u64`), its fill (`u8`) and its place on the
+/// free list (`u32`).
+const BLOCK_BOOKS: usize = 4 + 8 + 1 + 4;
+/// Records per reclamation checkpoint, and a checkpoint's bytes: a
+/// `(time, stream position)` pair.
+const RECLAIM_GRAIN: usize = 256;
+const CHECKPOINT: usize = 16;
+/// The per-event candidate buffer: a `Vec` of `(tap, crossing)` pairs at
+/// its first capacity, four, since an event here matches one tap.
+const CANDIDATES: usize = 4 * 8;
+
+/// Capacity of a `Vec` grown by `rlir_rli::growth` (an eighth of its
+/// length, at least eight) until it holds `len`.
+fn grown_by_eighths(len: usize) -> usize {
+    let mut cap = 0;
+    while cap < len {
+        cap += rlir_rli::growth(cap, 1);
+    }
+    cap
+}
 
 fn flow(tap: usize) -> FlowKey {
     FlowKey::tcp(
@@ -94,24 +117,39 @@ fn taps_that_burst_in_turn_cost_the_peak_of_the_sum_not_the_sum_of_the_peaks() {
         }
     }
     let high_water = counting_alloc::peak() - before;
+    let blocks = plane.window_pool().blocks;
 
     let rep = plane.finish();
     let estimated: u64 = rep.taps.iter().map(|t| t.report.counters.estimated).sum();
     assert!(estimated > 0 && rep.taps.iter().all(|t| t.late == 0));
-    let pending_total = rep.peak_pending_total;
-    assert_eq!(pending_total, BURST as usize, "one burst at a time");
-    // Every pending observation's 8-byte entry in the pool and its 16-byte
-    // copy in the sort scratch, each up to twice its length while its `Vec`
-    // grows, and its event record with the FIFO's eighth of growth spare;
-    // plus what the receivers and flow tables hold. The taps burst in turn,
-    // so only one run's tail block is partly empty at a time. A `Vec` per
-    // tap holds TAPS × BURST entries; a 16-byte pool entry takes the plane
-    // over the bound (420 016 B against 398 336 B; 387 536 B with 8 bytes).
-    let bound =
-        pending_total * (2 * ENTRY + 2 * SCRATCH + RECORD * 9 / 8) + BLOCK * ENTRY + TAPS * 256;
+    let pending = rep.peak_pending_total;
+    assert_eq!(pending, BURST as usize, "one burst at a time");
+    // The taps burst in turn and each flush empties the previous run, so
+    // the pool holds one burst's blocks. Its per-block arrays double, so
+    // their capacity is that many blocks rounded up to a power of two.
+    assert_eq!(blocks, pending.div_ceil(BLOCK), "one burst's blocks");
+    let pool = blocks.next_power_of_two() * (BLOCK * ENTRY + BLOCK_BOOKS);
+    // A flush gathers a run into a scratch that doubles a block at a time,
+    // and its stable sort borrows a buffer as long as the run.
+    let (scratch, sort) = (pending.next_power_of_two() * SCRATCH, pending * SCRATCH);
+    // One record an observation, in a FIFO grown an eighth at a time, and
+    // a checkpoint every `RECLAIM_GRAIN` records plus one a flush, in a
+    // deque that doubles.
+    let fifo = grown_by_eighths(pending) * RECORD;
+    let checkpoints = (pending / RECLAIM_GRAIN + 1).next_power_of_two() * CHECKPOINT;
+    // A receiver gives its interpolation buffer back after every flush, so
+    // what it keeps is its flow table.
+    let flows: usize = rep.taps.iter().map(|t| t.report.flows.approx_bytes()).sum();
+    // Printed against the plane's structures: 33 312 + 65 536 + 65 536 +
+    // 171 280 + 256 (of the 512 allowed) + 53 248 + 32 B, a 389 456 B
+    // bound; the peak is the last flush's sort, 387 536 B. The first burst's growth, where the
+    // FIFO briefly holds its old and new buffers, peaks lower (356 968 B),
+    // so no term pays for a `Vec` twice. A `Vec` per tap holds TAPS × BURST
+    // entries; an entry padded to 16 bytes takes the plane to 420 304 B.
+    let bound = pool + scratch + sort + fifo + checkpoints + flows + CANDIDATES;
     assert!(
         high_water <= bound,
         "the plane's live bytes peaked at {high_water} B over {bound} B \
-         ({pending_total} observations pending at most)"
+         ({pending} observations pending at most)"
     );
 }
