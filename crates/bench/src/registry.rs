@@ -274,10 +274,9 @@ pub static SCENARIOS: &[Scenario] = &[
             }
             let o = run_replay(&cfg);
             // `capture_mean_ns` is NaN when no regular packet crossed the
-            // capture pair (an entry past S0 bypasses its first point);
-            // `ingest_identical` is -1 when no Vec-ingest oracle ran.
+            // capture pair (an entry past S0 bypasses its first point).
             Table::new(
-                "records_read,replayed,late_dropped,source_peak_buffered,refs_emitted,delivered,capture_matched,capture_expired,capture_mean_ns,truth_mean_ns,capture_vs_truth_rel_err,rli_est_mean_ns,rli_vs_capture_rel_err,ingest_identical",
+                "records_read,replayed,late_dropped,source_peak_buffered,refs_emitted,delivered,capture_matched,capture_expired,capture_mean_ns,truth_mean_ns,capture_vs_truth_rel_err,rli_est_mean_ns,rli_vs_capture_rel_err",
                 [row![
                     o.records_read,
                     o.replayed,
@@ -292,16 +291,10 @@ pub static SCENARIOS: &[Scenario] = &[
                     o.capture_vs_truth_rel_err,
                     o.rli_est_mean_ns,
                     o.rli_vs_capture_rel_err,
-                    o.ingest_identical.map_or(-1i64, i64::from),
                 ]],
             )
             .with_epochs([("replay".to_string(), &o.epochs)])
             .write(&ctx.out, "replay")?;
-            if o.ingest_identical == Some(false) {
-                return Err(io::Error::other(
-                    "streamed ingest diverged from the Vec-ingest oracle",
-                ));
-            }
             match o.ingest_error {
                 Some(e) => Err(io::Error::other(format!(
                     "capture ingest stopped after {} records: {e}",

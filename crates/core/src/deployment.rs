@@ -20,8 +20,11 @@
 //! ([`engineer_ref_key`]) — the same same-hash-knowledge assumption that
 //! reverse-ECMP demultiplexing makes.
 
-use rlir_net::{FlowKey, SenderId};
+use rlir_net::clock::ClockModel;
+use rlir_net::{FlowKey, Packet, SenderId};
+use rlir_rli::{PolicyKind, RliSender};
 use rlir_topo::{FatTree, Role, TopoId};
+use rlir_trace::Trace;
 use std::net::Ipv4Addr;
 
 /// Reserved host index for measurement instances inside a ToR's `/24`
@@ -165,6 +168,39 @@ impl Deployment {
             return None;
         };
         self.tor_sender(origin_tor, group).map(|s| s.id)
+    }
+
+    /// The references every ToR-uplink sender emits while metering the
+    /// measured `traces` (`(source ToR, trace)`, as the experiment injects
+    /// them), each at its ToR. Computable offline: the uplink a packet takes
+    /// is a pure function of its flow key. Traces in order, each trace's
+    /// references in emission order.
+    pub fn tor_references(
+        &self,
+        tree: &FatTree,
+        traces: &[(TopoId, Trace)],
+        policy: &PolicyKind,
+    ) -> Vec<(TopoId, Packet)> {
+        let half = tree.half();
+        let mut refs = Vec::new();
+        for (src, trace) in traces {
+            let mut senders: Vec<RliSender> = (0..half)
+                .map(|u| {
+                    let spec = self.tor_sender(*src, u).expect("deployed");
+                    RliSender::new(
+                        spec.id,
+                        ClockModel::perfect(),
+                        policy.build(),
+                        spec.targets.iter().map(|(_, k)| *k).collect(),
+                    )
+                })
+                .collect();
+            for p in &trace.packets {
+                let uplink = tree.node(*src).hash.select(&p.flow, half);
+                refs.extend(senders[uplink].observe(p).iter().map(|r| (*src, *r)));
+            }
+        }
+        refs
     }
 
     /// The sender at `core`, if deployed.

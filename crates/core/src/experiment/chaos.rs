@@ -384,10 +384,8 @@ fn probe_run(with_flood: bool) -> Vec<(u64, u64)> {
             700,
             SimTime::from_nanos(i * 2_000),
         );
-        for r in sender1.observe(&p) {
-            injections.push((a0, *r));
-        }
         injections.push((a0, p));
+        injections.extend(sender1.observe(&p).iter().map(|r| (a0, *r)));
     }
     // Flood workload: 10× the victim's rate, squeezed into the same span —
     // far beyond tenant 1's share of the plane budget.

@@ -28,6 +28,7 @@
 //! its own (complete) truth shows RLI keeps working while packets die
 //! downstream.
 
+use super::replay::RefInterleave;
 use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
 use rlir_exec::SweepRunner;
 use rlir_net::clock::ClockModel;
@@ -159,19 +160,14 @@ pub fn run_drop_aware(cfg: &DropAwareConfig, runner: &SweepRunner) -> Vec<DropAw
         tc.target_utilization = offered_load;
         let trace = generate(&tc);
 
-        let mut sender = RliSender::new(
+        let sender = RliSender::new(
             SenderId(1),
             ClockModel::perfect(),
             cfg.policy.build(),
             vec![ref_key()],
         );
-        let mut injections: Vec<(NodeId, Packet)> = Vec::new();
-        for p in &trace.packets {
-            for r in sender.observe(p) {
-                injections.push((S0, *r));
-            }
-            injections.push((S0, *p));
-        }
+        let regulars = SortedVecSource::new(trace.packets.iter().map(|p| (S0, *p)));
+        let source = RefInterleave::new(regulars, sender, S0);
 
         let mut net = Network::default();
         net.add_node("S0");
@@ -200,7 +196,7 @@ pub fn run_drop_aware(cfg: &DropAwareConfig, runner: &SweepRunner) -> Vec<DropAw
         let stats = run_network_streamed_source(
             net,
             &Line,
-            SortedVecSource::new(injections),
+            source,
             &mut plane,
             RunOptions::default(),
             |_| {},
@@ -316,6 +312,23 @@ mod tests {
             hot.live_rel_err
         );
         assert!(hot.survivor_bias.is_finite());
+    }
+
+    /// References follow their trigger into S0's queue, so the live
+    /// estimate stays close to its own complete truth at every load.
+    #[test]
+    fn live_estimate_tracks_its_truth_at_every_load() {
+        for (seed, ms) in [(1, 20), (31, 40)] {
+            let cfg = DropAwareConfig::paper(seed, SimDuration::from_millis(ms));
+            for p in run_drop_aware(&cfg, &SweepRunner::single()) {
+                assert!(
+                    p.live_rel_err <= 0.08,
+                    "seed {seed}, load {}: live error {}",
+                    p.offered_load,
+                    p.live_rel_err
+                );
+            }
+        }
     }
 
     #[test]

@@ -331,7 +331,6 @@ pub fn run_fattree_faulted(
     detector: Option<&DetectorConfig>,
 ) -> ClosedLoopOutcome {
     let tree = FatTree::new(cfg.k, cfg.hash);
-    let half = tree.half();
     let dst_tor = cfg.dst_tor(&tree);
 
     // Measured sources: round-robin over pods other than the destination's.
@@ -347,30 +346,10 @@ pub fn run_fattree_faulted(
     }
     injections.extend(background_injections(cfg, &tree));
 
-    // ---- ToR-uplink senders (computable offline: the uplink a packet
-    // takes is a pure function of its flow key) --------------------------
-    let mut refs_tor = 0u64;
-    for (i, (src, trace)) in measured_traces.iter().enumerate() {
-        let mut senders: Vec<RliSender> = (0..half)
-            .map(|u| {
-                let spec = deployment.tor_sender(*src, u).expect("deployed");
-                RliSender::new(
-                    spec.id,
-                    ClockModel::perfect(),
-                    cfg.policy.build(),
-                    spec.targets.iter().map(|(_, k)| *k).collect(),
-                )
-            })
-            .collect();
-        let _ = i;
-        for p in &trace.packets {
-            let uplink = tree.node(*src).hash.select(&p.flow, half);
-            for r in senders[uplink].observe(p) {
-                refs_tor += 1;
-                injections.push((*src, *r));
-            }
-        }
-    }
+    // ---- ToR-uplink senders ---------------------------------------------
+    let tor_refs = deployment.tor_references(&tree, &measured_traces, &cfg.policy);
+    let refs_tor = tor_refs.len() as u64;
+    injections.extend(tor_refs);
 
     // ---- Simulation phases ---------------------------------------------
     let slowed = |extra: SimDuration| QueueConfig {

@@ -31,10 +31,9 @@
 use crate::deployment::Deployment;
 use crate::fabric::{build_network, FatTreeFabric};
 use crate::plane::{MeasurementPlane, TapPoint, TapSpec, TruthRef};
-use rlir_net::clock::ClockModel;
 use rlir_net::packet::{Packet, ReferenceInfo, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
-use rlir_rli::{PolicyKind, RliSender};
+use rlir_rli::PolicyKind;
 use rlir_sim::{
     run_network_streamed_source, HopEvent, HopSink, RunOptions, SortedVecSource, StreamedDelivery,
 };
@@ -187,7 +186,6 @@ impl HopSink for SamplingSink<'_, '_> {
 pub fn run_plane_scale(cfg: &PlaneScaleConfig) -> PlaneScaleOutcome {
     let base = &cfg.base;
     let tree = FatTree::new(base.k, base.hash);
-    let half = tree.half();
     let dst_tor = base.dst_tor(&tree);
     let src_tors = base.src_tors(&tree);
     let deployment = Deployment::for_destination(&tree, &src_tors, dst_tor);
@@ -201,25 +199,7 @@ pub fn run_plane_scale(cfg: &PlaneScaleConfig) -> PlaneScaleOutcome {
         injections.extend(trace.packets.iter().map(|p| (*src, *p)));
     }
     injections.extend(background_injections(base, &tree));
-    for (src, trace) in &traces {
-        let mut senders: Vec<RliSender> = (0..half)
-            .map(|u| {
-                let spec = deployment.tor_sender(*src, u).expect("deployed");
-                RliSender::new(
-                    spec.id,
-                    ClockModel::perfect(),
-                    base.policy.build(),
-                    spec.targets.iter().map(|(_, k)| *k).collect(),
-                )
-            })
-            .collect();
-        for p in &trace.packets {
-            let uplink = tree.node(*src).hash.select(&p.flow, half);
-            for r in senders[uplink].observe(p) {
-                injections.push((*src, *r));
-            }
-        }
-    }
+    injections.extend(deployment.tor_references(&tree, &traces, &base.policy));
 
     // The plane: one delivered-gated tap per selected port, all under
     // one budget.

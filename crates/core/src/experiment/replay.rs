@@ -7,9 +7,8 @@
 //! line, or a synthetic capture generated and round-tripped through the
 //! pcap encoder when none is — streams off disk as a pull-based
 //! [`PcapReplaySource`], gets the RLI reference stream interleaved on the
-//! fly ([`RefInterleave`], byte-identical to the old
-//! materialize-then-sort interleave), and drives the tandem
-//! `S0 → S1 → host` with three observers teed onto one hop-event stream:
+//! fly ([`RefInterleave`]), and drives the tandem `S0 → S1 → host` with
+//! three observers teed onto one hop-event stream:
 //!
 //! * an RLI tap at the delivery point (the estimate under test);
 //! * a [`CapturePair`] stamping every packet at `S0`'s ingress and
@@ -17,13 +16,7 @@
 //!   (RFC 1242), the measurement a pair of real capture points would
 //!   make, independent of simulator-internal truth state;
 //! * a [`StreamDigest`] over the full event + watermark + delivery
-//!   stream.
-//!
-//! When [`ReplayConfig::verify_vs_vec`] is set (the default) the same
-//! capture is replayed a second time through the legacy Vec ingest and
-//! the two digests are compared in-run — every replay re-proves the
-//! streaming path is byte-identical to its oracle on the exact workload
-//! it just measured, not just on the test-suite workloads.
+//!   stream ([`ReplayOutcome::digest`]).
 
 use crate::capture::{CapturePair, CaptureReport};
 use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
@@ -34,7 +27,7 @@ use rlir_net::FlowKey;
 use rlir_rli::{EpochSeries, PolicyKind, RliSender};
 use rlir_sim::{
     run_network_streamed_source, Forwarder, InjectionSource, Network, NetworkRunStats, NodeId,
-    Port, QueueConfig, RouteDecision, RunOptions, SortedVecSource, StreamDigest, TeeSink,
+    Port, QueueConfig, RouteDecision, RunOptions, StreamDigest, TeeSink,
 };
 use rlir_trace::{generate, EntryMap, PcapRecords, PcapReplaySource, PcapWriter, TraceConfig};
 use std::collections::VecDeque;
@@ -71,10 +64,6 @@ pub struct ReplayConfig {
     pub link_delay: SimDuration,
     /// Epoch width of the measurement plane.
     pub epoch: Option<SimDuration>,
-    /// Replay the capture a second time through the legacy Vec ingest and
-    /// compare full-stream digests (sets
-    /// [`ReplayOutcome::ingest_identical`]).
-    pub verify_vs_vec: bool,
     /// Run the pcap path in lenient (skip-and-count) mode: damaged
     /// records are skipped with resync, time regressions clamped,
     /// duplicate wire identities capped. Strict mode (the default) fails
@@ -106,7 +95,6 @@ impl ReplayConfig {
             },
             link_delay: SimDuration::from_micros(1),
             epoch: Some(SimDuration::from_millis(5)),
-            verify_vs_vec: true,
             lenient: false,
         }
     }
@@ -155,10 +143,8 @@ pub struct ReplayOutcome {
     /// RLI estimate scored against the **capture pair's** truth — the
     /// paper's accuracy claim, judged by an external instrument.
     pub rli_vs_capture_rel_err: f64,
-    /// `Some(true)` when the Vec-ingest oracle replay produced a
-    /// bit-identical event/watermark/delivery stream; `None` when the
-    /// verification pass was disabled.
-    pub ingest_identical: Option<bool>,
+    /// Digest of the full event + watermark + delivery stream.
+    pub digest: u64,
     /// The decode error that ended a strict replay early, if any: the
     /// stream stopped after [`records_read`](Self::records_read) records,
     /// and everything above describes only that prefix. Lenient ingest
@@ -196,12 +182,12 @@ fn ref_key() -> FlowKey {
 }
 
 /// Interleave an [`RliSender`]'s reference stream into any
-/// [`InjectionSource`], references first at each injection instant —
-/// exactly the order the materialized idiom produces (`for r in
-/// sender.observe(p) { push(r) } push(p)` followed by a stable sort by
-/// injection time). References enter at the sender's attach node; the
-/// triggering packet keeps its own entry node. Emission stays monotone
-/// because references carry the triggering packet's injection time.
+/// [`InjectionSource`]: every packet the sender observes is followed
+/// straight away by the references it triggers, so both share the FIFO
+/// queues from the same instant on, the trigger ahead. References enter at
+/// the sender's attach node; the triggering packet keeps its own entry
+/// node. Emission stays monotone because references carry the triggering
+/// packet's injection time.
 pub struct RefInterleave<S: InjectionSource> {
     inner: S,
     sender: RliSender,
@@ -235,10 +221,10 @@ impl<S: InjectionSource> RefInterleave<S> {
             return;
         }
         if let Some((node, p)) = self.inner.next_injection() {
+            self.queue.push_back((node, p));
             for r in self.sender.observe(&p) {
                 self.queue.push_back((self.ref_node, *r));
             }
-            self.queue.push_back((node, p));
         }
     }
 }
@@ -383,34 +369,6 @@ fn replay_streamed<R: Read>(
     }
 }
 
-/// The oracle replay: drain the same source through the same interleave
-/// into a `Vec`, hand it to the legacy collect-then-sort ingest, digest
-/// the identical observable stream.
-fn replay_vec<R: Read>(cfg: &ReplayConfig, records: PcapRecords<R>, entry: EntryMap) -> u64 {
-    let pcap = PcapReplaySource::new(records, entry, cfg.reorder_ns);
-    let pcap = if cfg.lenient { pcap.lenient() } else { pcap };
-    let mut source = RefInterleave::new(pcap, mk_sender(cfg), S0);
-    let mut injections: Vec<(NodeId, Packet)> = Vec::new();
-    while source.peek().is_some() {
-        injections.push(source.next_injection().expect("peeked non-empty"));
-    }
-    let mut digest = StreamDigest::default();
-    let mut delivery_digest = StreamDigest::default();
-    run_network_streamed_source(
-        build_net(cfg),
-        &Line,
-        SortedVecSource::new(injections),
-        &mut digest,
-        RunOptions::default(),
-        |d| {
-            delivery_digest.fold(d.packet.id.0);
-            delivery_digest.fold(d.delivered_at.as_nanos());
-        },
-    );
-    digest.fold(delivery_digest.value());
-    digest.value()
-}
-
 /// Mean capture latency over regular-traffic flows (the reference flow is
 /// also matched by the pair; it is not part of the workload under
 /// measurement).
@@ -439,34 +397,16 @@ pub fn run_replay(cfg: &ReplayConfig) -> ReplayOutcome {
         .and_then(|entry| entry.check(ReplayConfig::NODES).map(|()| entry))
         .unwrap_or_else(|e| panic!("invalid entry-map spec: {e}"));
 
-    let open_file = |path: &PathBuf| {
-        rlir_trace::open_pcap(path)
-            .unwrap_or_else(|e| panic!("cannot open trace {}: {e:?}", path.display()))
-    };
-
-    let (run, vec_digest) = match &cfg.trace_path {
+    let run = match &cfg.trace_path {
         Some(path) => {
-            let run = replay_streamed(cfg, open_file(path), entry.clone());
-            let vec_digest = cfg
-                .verify_vs_vec
-                .then(|| replay_vec(cfg, open_file(path), entry));
-            (run, vec_digest)
+            let records = rlir_trace::open_pcap(path)
+                .unwrap_or_else(|e| panic!("cannot open trace {}: {e:?}", path.display()));
+            replay_streamed(cfg, records, entry)
         }
         None => {
             let bytes = synth_capture(cfg);
-            let run = replay_streamed(
-                cfg,
-                PcapRecords::new(bytes.as_slice()).expect("fresh capture"),
-                entry.clone(),
-            );
-            let vec_digest = cfg.verify_vs_vec.then(|| {
-                replay_vec(
-                    cfg,
-                    PcapRecords::new(bytes.as_slice()).expect("fresh capture"),
-                    entry,
-                )
-            });
-            (run, vec_digest)
+            let records = PcapRecords::new(bytes.as_slice()).expect("fresh capture");
+            replay_streamed(cfg, records, entry)
         }
     };
 
@@ -503,7 +443,7 @@ pub fn run_replay(cfg: &ReplayConfig) -> ReplayOutcome {
         capture_vs_truth_rel_err: rel_err(capture_mean_ns, truth_mean_ns),
         rli_est_mean_ns: run.est_mean_ns,
         rli_vs_capture_rel_err: rel_err(run.est_mean_ns, capture_mean_ns),
-        ingest_identical: vec_digest.map(|d| d == run.digest),
+        digest: run.digest,
         ingest_error: run.ingest_error,
         epochs: run.epochs,
     }
@@ -512,9 +452,36 @@ pub fn run_replay(cfg: &ReplayConfig) -> ReplayOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rlir_net::time::SimTime;
+    use rlir_rli::StaticPolicy;
+    use rlir_sim::SortedVecSource;
 
     fn quick_cfg() -> ReplayConfig {
         ReplayConfig::paper(47, SimDuration::from_millis(20))
+    }
+
+    /// The oracle replay of `capture` at `S0`: drain the same source through
+    /// the same interleave into a `Vec`, hand it to the collect-then-sort
+    /// ingest, digest the identical observable stream.
+    fn replay_vec(cfg: &ReplayConfig, capture: &[u8]) -> u64 {
+        let records = PcapRecords::new(capture).unwrap();
+        let pcap = PcapReplaySource::new(records, EntryMap::Fixed(S0), cfg.reorder_ns);
+        let mut source = RefInterleave::new(pcap, mk_sender(cfg), S0);
+        let mut digest = StreamDigest::default();
+        let mut delivery_digest = StreamDigest::default();
+        run_network_streamed_source(
+            build_net(cfg),
+            &Line,
+            SortedVecSource::new(std::iter::from_fn(|| source.next_injection())),
+            &mut digest,
+            RunOptions::default(),
+            |d| {
+                delivery_digest.fold(d.packet.id.0);
+                delivery_digest.fold(d.delivered_at.as_nanos());
+            },
+        );
+        digest.fold(delivery_digest.value());
+        digest.value()
     }
 
     #[test]
@@ -526,8 +493,8 @@ mod tests {
         assert_eq!(out.late_dropped, 0);
         assert!(out.refs_emitted > 0);
         assert_eq!(
-            out.ingest_identical,
-            Some(true),
+            out.digest,
+            replay_vec(&quick_cfg(), &synth_capture(&quick_cfg())),
             "streamed ingest must be byte-identical to the Vec oracle"
         );
         // The whole capture streamed through a buffer of a couple of
@@ -580,7 +547,8 @@ mod tests {
             from_file.capture_mean_ns.to_bits(),
             fallback.capture_mean_ns.to_bits()
         );
-        assert_eq!(from_file.ingest_identical, Some(true));
+        assert_eq!(from_file.digest, fallback.digest);
+        assert_eq!(from_file.digest, replay_vec(&cfg, &bytes));
     }
 
     #[test]
@@ -636,10 +604,10 @@ mod tests {
             0,
         );
         while let Some((node, p)) = pcap2.next_injection() {
+            materialized.push((node, p));
             for r in sender.observe(&p) {
                 materialized.push((S0, *r));
             }
-            materialized.push((node, p));
         }
         assert_eq!(streamed.len(), materialized.len());
         for (a, b) in streamed.iter().zip(&materialized) {
@@ -648,5 +616,57 @@ mod tests {
             assert_eq!(a.1.created_at, b.1.created_at);
             assert_eq!(a.1.kind, b.1.kind);
         }
+    }
+
+    /// Regulars enter at node 1 every 100 ns, and a cross packet and a
+    /// foreign reference at node 2 every third instant. The sender (one in
+    /// two, two targets) attaches at node 0.
+    #[test]
+    fn ref_interleave_puts_references_right_after_their_trigger() {
+        let flow = FlowKey::tcp([10, 1, 0, 1].into(), 1_000, [10, 200, 0, 1].into(), 80);
+        let mut inner = Vec::new();
+        for i in 0..30u64 {
+            let at = SimTime::from_nanos(i * 100);
+            inner.push((1, Packet::regular(i, flow, 500, at)));
+            if i % 3 == 0 {
+                inner.push((2, Packet::cross(1_000 + i, flow, 500, at)));
+                inner.push((2, Packet::reference(2_000 + i, flow, SenderId(9), 0, at)));
+            }
+        }
+        let policy = StaticPolicy::one_in(2);
+        let sender = RliSender::new(
+            SenderId(1),
+            ClockModel::perfect(),
+            policy,
+            vec![ref_key(); 2],
+        );
+        let mut source = RefInterleave::new(SortedVecSource::new(inner), sender, 0);
+        let out: Vec<_> = std::iter::from_fn(|| source.next_injection()).collect();
+
+        assert!(out
+            .windows(2)
+            .all(|w| w[0].1.created_at <= w[1].1.created_at));
+        let ours = |p: &Packet| p.reference_info().is_some_and(|r| r.sender == SenderId(1));
+        let (mut triggers, mut refs) = (0, 0);
+        for (i, (node, p)) in out.iter().enumerate() {
+            if ours(p) {
+                assert_eq!(*node, 0, "references enter at the sender's node");
+                refs += 1;
+                continue;
+            }
+            // Every other packet keeps its own entry node.
+            assert_eq!(*node, if p.is_regular() { 1 } else { 2 });
+            let after: Vec<_> = out[i + 1..].iter().take_while(|(_, r)| ours(r)).collect();
+            if !after.is_empty() {
+                // Only regulars trigger: cross packets and references never do.
+                assert!(p.is_regular(), "{:?} triggered references", p.kind);
+                assert_eq!(after.len(), 2, "one reference per target");
+                assert!(after.iter().all(|(_, r)| r.created_at == p.created_at));
+                triggers += 1;
+            }
+        }
+        assert_eq!(triggers, 15, "one in two of 30 regulars");
+        assert_eq!(source.sender().refs_emitted(), refs);
+        assert_eq!(out.len(), 30 + 2 * 10 + 30);
     }
 }

@@ -8,6 +8,7 @@
 //! errors, realised bottleneck utilization, loss rates and average true
 //! latency. Figures 4(a)–(c) and 5 are sweeps over these runs.
 
+use super::replay::RefInterleave;
 use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
 use rlir_net::clock::ClockPair;
 use rlir_net::packet::Packet;
@@ -17,7 +18,7 @@ use rlir_rli::EpochSeries;
 use rlir_rli::{FlowTable, Interpolator, PolicyKind, ReceiverCounters, RliSender};
 use rlir_sim::{
     calibrate_keep_prob, run_network_streamed_source, ClassCounters, CrossInjector, CrossModel,
-    FifoQueue, InjectionSource, Network, NodeId, RunOptions, TandemConfig,
+    FifoQueue, InjectionSource, Network, NetworkRunStats, NodeId, RunOptions, TandemConfig,
 };
 use rlir_trace::{generate, Trace, TraceConfig};
 use std::iter::Peekable;
@@ -266,33 +267,33 @@ pub fn tandem_loss_rate(network: &Network, class: fn(&FifoQueue) -> &ClassCounte
     1.0 - delivered as f64 / sw1.arrivals as f64
 }
 
+fn run_tandem(
+    cfg: &TwoHopConfig,
+    source: impl InjectionSource,
+    plane: &mut MeasurementPlane,
+) -> NetworkRunStats {
+    let net = cfg.tandem.network();
+    run_network_streamed_source(
+        net,
+        &cfg.tandem,
+        source,
+        plane,
+        RunOptions::default(),
+        |_| {},
+    )
+}
+
 /// Run a two-hop experiment on pre-generated traces (sweeps share the same
 /// base traces across points, like the paper reusing its two CAIDA traces).
 ///
-/// The whole pipeline is streaming: the regular trace is instrumented by
-/// the RLI sender, merged with the filtered cross stream into the engine
-/// running [`TandemConfig::network`], and the measurement plane taps the
-/// engine's hop stream — no per-run packet buffers; engine memory is
-/// O(in-flight).
+/// The whole pipeline is streaming: the regular trace, merged with the
+/// filtered cross stream, gets the RLI sender's references at switch 1
+/// through [`RefInterleave`] and drives the engine running
+/// [`TandemConfig::network`], and the measurement plane taps the engine's
+/// hop stream — no per-run packet buffers; engine memory is O(in-flight).
 pub fn run_two_hop_on(cfg: &TwoHopConfig, regular: &Trace, cross: &Trace) -> TwoHopOutcome {
-    // Upstream: the regular trace instrumented in-line by the RLI sender
-    // (or passed through untouched for the interference baseline). The
-    // sender stays owned here so its counters survive the run.
-    let regular_iter = regular.packets.iter().copied();
-    let mut sender = cfg.inject_references.then(|| {
-        RliSender::new(
-            SenderId(1),
-            cfg.clocks.sender,
-            cfg.policy.build(),
-            vec![tandem_ref_key()],
-        )
-    });
-    let upstream: Box<dyn Iterator<Item = Packet>> = match sender.as_mut() {
-        Some(s) => Box::new(s.instrument_by_ref(regular_iter)),
-        None => Box::new(regular_iter),
-    };
     let source = TwoHopSource {
-        upstream: upstream.peekable(),
+        upstream: regular.packets.iter().copied().peekable(),
         cross: cross_stream(cfg, regular, cross).peekable(),
     };
 
@@ -311,15 +312,20 @@ pub fn run_two_hop_on(cfg: &TwoHopConfig, regular: &Trace, cross: &Trace) -> Two
     tap.interpolator = cfg.interpolator;
     tap.track_quantile = cfg.track_quantile;
     plane.attach(tap);
-    let stats = run_network_streamed_source(
-        cfg.tandem.network(),
-        &cfg.tandem,
-        source,
-        &mut plane,
-        RunOptions::default(),
-        |_| {},
-    );
-    let refs_emitted = sender.map(|s| s.refs_emitted()).unwrap_or(0);
+    // The interference baseline runs the bare source, without references.
+    let (stats, refs_emitted) = if cfg.inject_references {
+        let sender = RliSender::new(
+            SenderId(1),
+            cfg.clocks.sender,
+            cfg.policy.build(),
+            vec![tandem_ref_key()],
+        );
+        let mut source = RefInterleave::new(source, sender, TandemConfig::SW1);
+        let stats = run_tandem(cfg, &mut source, &mut plane);
+        (stats, source.sender().refs_emitted())
+    } else {
+        (run_tandem(cfg, source, &mut plane), 0)
+    };
     let tap_report = plane.finish().taps.pop().expect("one tap");
     let late = tap_report.late;
     let report = tap_report.report;

@@ -7,8 +7,8 @@
 //!   and the adaptive scheme (1-and-10 … 1-and-300, driven by a windowed
 //!   utilization estimate of the sender's own link).
 //! * [`sender`] — the sender instance: watches regular traffic, stamps and
-//!   emits reference packets (one stream per downstream receiver/path), and
-//!   an iterator adapter that instruments a trace in-line.
+//!   emits reference packets (one stream per downstream receiver/path) to
+//!   inject right after the packet that triggered them.
 //! * [`interpolate`] — the linear-interpolation delay estimator plus
 //!   ablation variants.
 //! * [`receiver`] — the receiver instance: reference-delay measurement,

@@ -16,8 +16,6 @@ use crate::policy::{InjectionPolicy, Policy};
 use rlir_net::clock::ClockModel;
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::FlowKey;
-use std::borrow::BorrowMut;
-use std::collections::VecDeque;
 
 /// Base of the packet-id namespace reserved for reference packets, far above
 /// any trace packet id.
@@ -139,63 +137,6 @@ impl RliSender {
         self.refs_emitted += self.scratch.len() as u64;
         &self.scratch
     }
-
-    /// Wrap a time-ordered packet stream, interleaving generated reference
-    /// packets immediately after the regular packets that trigger them.
-    pub fn instrument<I>(self, stream: I) -> InstrumentedStream<Self, I>
-    where
-        I: Iterator<Item = Packet>,
-    {
-        InstrumentedStream {
-            sender: self,
-            inner: stream,
-            pending: VecDeque::new(),
-        }
-    }
-
-    /// Borrowing variant of [`RliSender::instrument`]: the sender stays
-    /// owned by the caller, so its counters remain readable after the
-    /// stream is exhausted — the shape streaming pipelines need.
-    pub fn instrument_by_ref<I>(&mut self, stream: I) -> InstrumentedStream<&mut Self, I>
-    where
-        I: Iterator<Item = Packet>,
-    {
-        InstrumentedStream {
-            sender: self,
-            inner: stream,
-            pending: VecDeque::new(),
-        }
-    }
-}
-
-/// Iterator adapter produced by [`RliSender::instrument`] /
-/// [`RliSender::instrument_by_ref`]. The pending queue is reused across
-/// packets, so steady-state iteration allocates nothing.
-pub struct InstrumentedStream<S: BorrowMut<RliSender>, I: Iterator<Item = Packet>> {
-    sender: S,
-    inner: I,
-    pending: VecDeque<Packet>,
-}
-
-impl<S: BorrowMut<RliSender>, I: Iterator<Item = Packet>> InstrumentedStream<S, I> {
-    /// Access the wrapped sender (e.g. for its counters after the run).
-    pub fn sender(&self) -> &RliSender {
-        self.sender.borrow()
-    }
-}
-
-impl<S: BorrowMut<RliSender>, I: Iterator<Item = Packet>> Iterator for InstrumentedStream<S, I> {
-    type Item = Packet;
-
-    fn next(&mut self) -> Option<Packet> {
-        if let Some(p) = self.pending.pop_front() {
-            return Some(p);
-        }
-        let pkt = self.inner.next()?;
-        self.pending
-            .extend(self.sender.borrow_mut().observe(&pkt).iter().copied());
-        Some(pkt)
-    }
 }
 
 #[cfg(test)]
@@ -307,16 +248,31 @@ mod tests {
         assert_ne!(refs[0].id, refs[1].id);
     }
 
+    /// The trigger-first idiom every caller builds from `observe`: the
+    /// regular packet, then the references it triggered.
+    fn interleave(s: &mut RliSender, stream: &[Packet]) -> Vec<Packet> {
+        let mut out = Vec::new();
+        for p in stream {
+            out.push(*p);
+            out.extend_from_slice(s.observe(p));
+        }
+        out
+    }
+
     #[test]
     fn instrument_interleaves_in_order() {
         let stream: Vec<Packet> = (0..10).map(|i| regular(i, i * 100)).collect();
-        let out: Vec<Packet> = sender(2).instrument(stream.into_iter()).collect();
+        let out = interleave(&mut sender(2), &stream);
         // 10 regulars + 5 refs.
         assert_eq!(out.len(), 15);
         // Each ref appears immediately after its triggering regular and
         // shares its created_at; the overall stream stays time-ordered.
         for w in out.windows(2) {
             assert!(w[0].created_at <= w[1].created_at);
+            if w[1].is_reference() {
+                assert!(w[0].is_regular(), "a reference follows its trigger");
+                assert_eq!(w[0].created_at, w[1].created_at);
+            }
         }
         let kinds: Vec<bool> = out.iter().map(|p| p.is_reference()).collect();
         assert_eq!(kinds.iter().filter(|r| **r).count(), 5);
@@ -324,14 +280,22 @@ mod tests {
         assert!(kinds[2], "ref follows the 2nd regular");
     }
 
-    /// The owning and borrowing adapters produce the same stream, and the
-    /// borrowed sender keeps the count.
+    /// A sender moved into an iterator adapter and one borrowed through
+    /// `&mut` produce the same stream, and the borrowed sender keeps the
+    /// count.
     #[test]
     fn instrument_owning_equals_by_ref() {
         let stream: Vec<Packet> = (0..500).map(|i| regular(i, i * 900)).collect();
-        let owned: Vec<Packet> = sender(7).instrument(stream.iter().copied()).collect();
+        let mut owned_sender = sender(7);
+        let owned: Vec<Packet> = stream
+            .iter()
+            .flat_map(move |p| {
+                let refs = owned_sender.observe(p).to_vec();
+                std::iter::once(*p).chain(refs)
+            })
+            .collect();
         let mut s = sender(7);
-        let by_ref: Vec<Packet> = s.instrument_by_ref(stream.iter().copied()).collect();
+        let by_ref = interleave(&mut s, &stream);
         assert_eq!(owned, by_ref);
         assert_eq!(s.refs_emitted(), 500 / 7);
     }

@@ -42,6 +42,16 @@
 //! `asymmetric` 0xa8f1446e86042460 → 0x1a02788ff8ff564b — the old tandem
 //! with its merge changed to serve in-flight packets first on equal times
 //! gives the new digest bit for bit.
+//!
+//! `drop_aware` then moved its references from ahead of their trigger to
+//! right after it: an RLI sender stamps a reference after the n-th regular
+//! packet, and every sender now interleaves through one adapter,
+//! `RefInterleave`, that puts the trigger first. That order is the only
+//! cause of the re-pin: `drop_aware` 0x33c74fa91f53967e →
+//! 0xc46da423978bfd3a. `fattree`, `incast` and `localize` append their
+//! ToR references after every same-instant injection, which was trigger
+//! first already, and `asymmetric` (the two-hop run) was trigger first
+//! through the sender's own adapter; none of them moves.
 
 use rlir::experiment::{
     run_asymmetric, run_drop_aware, run_fattree, run_incast, run_localize, AsymmetricConfig,
@@ -169,7 +179,7 @@ fn drop_aware_outputs_match_pre_slab_engine_pin() {
         h = digest_epochs(h, &p.epochs);
     }
     assert_eq!(
-        h, 0x33c74fa91f53967e,
+        h, 0xc46da423978bfd3a,
         "drop_aware output drifted across the slab-engine/streamed-delivery rewiring"
     );
 }
