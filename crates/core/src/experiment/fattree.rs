@@ -249,7 +249,7 @@ pub fn measured_traces(cfg: &FatTreeExpConfig, tree: &FatTree) -> Vec<(TopoId, r
         .map(|(i, src)| {
             let mut trace = rlir_trace::generate(&measured_trace_cfg(cfg, tree, i, src, dst_tor));
             if let Some(shape) = cfg.burst {
-                trace = rlir_trace::compress_into_bursts(&trace, shape);
+                trace = rlir_trace::compress_into_bursts(trace, shape);
             }
             (src, trace)
         })

@@ -6,9 +6,9 @@
 //! queues swing between empty and overloaded within milliseconds — the
 //! hardest regime for reference-based latency estimation, because delay
 //! changes fastest exactly where samples are sparsest. This scenario drives
-//! the §3 RLIR fat-tree with synchronized-burst measured traffic
-//! ([`rlir_trace::compress_into_bursts`]) and sweeps the fan-in degree,
-//! reporting per-flow estimate accuracy per segment as the bursts steepen.
+//! the §3 RLIR fat-tree with measured traces squeezed in place into
+//! synchronized bursts ([`rlir_trace::compress_into_bursts`]), sweeps the
+//! fan-in degree and reports per-flow accuracy per segment as bursts steepen.
 
 use super::fattree::{run_fattree, FatTreeExpConfig, FatTreeOutcome};
 use rlir_exec::SweepRunner;

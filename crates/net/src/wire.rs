@@ -154,6 +154,13 @@ impl Ipv4Header {
     /// Encode into `buf`, computing the header checksum.
     pub fn encode<B: BufMut>(&self, buf: &mut B) {
         let mut hdr = [0u8; IPV4_HEADER_LEN];
+        self.encode_into(&mut hdr);
+        buf.put_slice(&hdr);
+    }
+
+    /// Encode into a fixed 20-byte slot, computing the header checksum.
+    pub fn encode_into(&self, hdr: &mut [u8; IPV4_HEADER_LEN]) {
+        *hdr = [0; IPV4_HEADER_LEN];
         hdr[0] = 0x45; // version 4, IHL 5
         hdr[1] = self.tos;
         hdr[2..4].copy_from_slice(&self.total_len.to_be_bytes());
@@ -164,9 +171,8 @@ impl Ipv4Header {
         // checksum at [10..12] computed over header with zero placeholder
         hdr[12..16].copy_from_slice(&self.src.octets());
         hdr[16..20].copy_from_slice(&self.dst.octets());
-        let csum = internet_checksum(&hdr);
+        let csum = internet_checksum(hdr);
         hdr[10..12].copy_from_slice(&csum.to_be_bytes());
-        buf.put_slice(&hdr);
     }
 
     /// Decode and verify the checksum.

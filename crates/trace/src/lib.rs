@@ -41,6 +41,6 @@ pub use pcap::{
 pub use replay::{EntryMap, PcapReplaySource};
 pub use stats::TraceStats;
 pub use synthetic::{
-    compress_into_bursts, generate, merge, reverse, reverse_flow, BurstShape, Trace, TraceClass,
+    compress_into_bursts, generate, reverse, reverse_flow, BurstShape, Trace, TraceClass,
     TraceConfig,
 };

@@ -104,50 +104,14 @@ impl core::fmt::Display for PcapError {
 
 impl std::error::Error for PcapError {}
 
-/// Append the transport header for `flow` to `out` (TCP for anything
-/// that isn't UDP — "TCP-like for inspection").
-fn encode_transport(flow: &FlowKey, payload_len: u16, out: &mut Vec<u8>) {
-    match flow.proto {
-        Protocol::Udp => {
-            out.extend_from_slice(&flow.sport.to_be_bytes());
-            out.extend_from_slice(&flow.dport.to_be_bytes());
-            out.extend_from_slice(&(UDP_HEADER_LEN as u16 + payload_len).to_be_bytes());
-            out.extend_from_slice(&0u16.to_be_bytes()); // checksum optional
-        }
-        _ => {
-            let start = out.len();
-            out.resize(start + TCP_HEADER_LEN, 0);
-            let h = &mut out[start..];
-            h[0..2].copy_from_slice(&flow.sport.to_be_bytes());
-            h[2..4].copy_from_slice(&flow.dport.to_be_bytes());
-            h[12] = (5 << 4) as u8; // data offset: 5 words
-            h[13] = 0x10; // ACK
-            h[14..16].copy_from_slice(&65_535u16.to_be_bytes());
-            let csum = internet_checksum(&out[start..]);
-            out[start + 16..start + 18].copy_from_slice(&csum.to_be_bytes());
-        }
-    }
-}
-
-fn transport_len(flow: &FlowKey) -> usize {
-    match flow.proto {
-        Protocol::Udp => UDP_HEADER_LEN,
-        _ => TCP_HEADER_LEN,
-    }
-}
-
 /// Incremental nanosecond-pcap writer: the global header goes out at
-/// construction, each [`write`](Self::write) appends one record through a
-/// single reused scratch buffer. This is the streaming counterpart of
-/// [`write_pcap`] (which is now a thin loop over it): a capture of any
-/// length is produced in O(1) memory, so bench harnesses can generate
-/// multi-million-packet files chunk by chunk without ever materializing a
-/// whole [`Trace`].
+/// construction, each [`write`](Self::write) fills one fixed-size record on
+/// the stack and makes one `write_all`. The streaming counterpart of
+/// [`write_pcap`] (a thin loop over it): a capture of any length is made
+/// in O(1) memory, without ever materializing a whole [`Trace`].
 #[derive(Debug)]
 pub struct PcapWriter<W: Write> {
     w: W,
-    scratch: Vec<u8>,
-    records: u64,
 }
 
 impl<W: Write> PcapWriter<W> {
@@ -160,27 +124,27 @@ impl<W: Write> PcapWriter<W> {
         w.write_all(&0u32.to_le_bytes())?; // sigfigs
         w.write_all(&SNAPLEN.to_le_bytes())?;
         w.write_all(&LINKTYPE_RAW.to_le_bytes())?;
-        Ok(PcapWriter {
-            w,
-            scratch: Vec::with_capacity(SNAPLEN as usize + 16),
-            records: 0,
-        })
+        Ok(PcapWriter { w })
     }
 
     /// Append one packet as a header-only record (timestamp from
-    /// `packet.created_at`, identity as the 16-bit IP ident, mark as ToS).
+    /// `packet.created_at`, identity as the 16-bit IP ident, mark as ToS;
+    /// a TCP header for anything that isn't UDP — "TCP-like for
+    /// inspection").
     pub fn write(&mut self, p: &Packet) -> Result<(), PcapError> {
-        let captured = IPV4_HEADER_LEN + transport_len(&p.flow);
+        let mut rec = [0u8; 16 + IPV4_HEADER_LEN + TCP_HEADER_LEN];
+        let transport = match p.flow.proto {
+            Protocol::Udp => UDP_HEADER_LEN,
+            _ => TCP_HEADER_LEN,
+        };
+        let captured = IPV4_HEADER_LEN + transport;
         let orig = (p.size as usize).max(captured);
         let ns = p.created_at.as_nanos();
-        self.scratch.clear();
-        self.scratch
-            .extend_from_slice(&((ns / 1_000_000_000) as u32).to_le_bytes());
-        self.scratch
-            .extend_from_slice(&((ns % 1_000_000_000) as u32).to_le_bytes());
-        self.scratch
-            .extend_from_slice(&(captured as u32).to_le_bytes());
-        self.scratch.extend_from_slice(&(orig as u32).to_le_bytes());
+        rec[0..4].copy_from_slice(&((ns / 1_000_000_000) as u32).to_le_bytes());
+        rec[4..8].copy_from_slice(&((ns % 1_000_000_000) as u32).to_le_bytes());
+        rec[8..12].copy_from_slice(&(captured as u32).to_le_bytes());
+        rec[12..16].copy_from_slice(&(orig as u32).to_le_bytes());
+        let (ip, l4) = rec[16..].split_at_mut(IPV4_HEADER_LEN);
         Ipv4Header {
             tos: p.mark,
             total_len: orig.min(u16::MAX as usize) as u16,
@@ -190,16 +154,20 @@ impl<W: Write> PcapWriter<W> {
             src: p.flow.src,
             dst: p.flow.dst,
         }
-        .encode(&mut self.scratch);
-        encode_transport(&p.flow, 0, &mut self.scratch);
-        self.w.write_all(&self.scratch)?;
-        self.records += 1;
-        Ok(())
-    }
-
-    /// Records written so far.
-    pub fn records(&self) -> u64 {
-        self.records
+        .encode_into(ip.try_into().expect("20 bytes"));
+        l4[0..2].copy_from_slice(&p.flow.sport.to_be_bytes());
+        l4[2..4].copy_from_slice(&p.flow.dport.to_be_bytes());
+        if transport == UDP_HEADER_LEN {
+            // Length of a payload-free datagram; the checksum is optional.
+            l4[4..6].copy_from_slice(&(UDP_HEADER_LEN as u16).to_be_bytes());
+        } else {
+            l4[12] = 5 << 4; // data offset: 5 words
+            l4[13] = 0x10; // ACK
+            l4[14..16].copy_from_slice(&65_535u16.to_be_bytes());
+            let csum = internet_checksum(l4);
+            l4[16..18].copy_from_slice(&csum.to_be_bytes());
+        }
+        Ok(self.w.write_all(&rec[..16 + captured])?)
     }
 
     /// Flush and return the underlying writer.
@@ -254,12 +222,17 @@ pub enum IngestMode {
     Lenient,
 }
 
+/// Bytes [`PcapRecords`] reads ahead of its cursor: `BufReader`'s size.
+const READ_AHEAD: usize = 8 * 1024;
+/// Body bytes a record's decode reads: the IPv4 header and both ports.
+const DECODE_LEN: usize = IPV4_HEADER_LEN + 4;
+
 /// Streaming record iterator over a nanosecond raw-IP pcap: validates the
-/// global header up front, then decodes one record per [`Iterator::next`]
-/// through a single reused scratch buffer — O(snaplen) memory for a
-/// capture of any length, and the decode path [`read_pcap`] itself now
-/// runs on (its old implementation allocated a fresh body `Vec` per
-/// record).
+/// global header up front, then parses one record per [`Iterator::next`]
+/// in place in a fixed read-ahead buffer — O(1) memory for a capture of
+/// any length, whatever lengths its record headers declare, and the
+/// decode path [`read_pcap`] itself runs on. Body bytes past the IPv4
+/// header and ports are consumed, never buffered.
 ///
 /// In the default [`IngestMode::Strict`], truncation is an error, not an
 /// end: a file that stops mid-record header or mid-body yields
@@ -270,15 +243,19 @@ pub enum IngestMode {
 #[derive(Debug)]
 pub struct PcapRecords<R: Read> {
     r: R,
-    scratch: Vec<u8>,
+    /// Read-ahead; `buf[pos..end]` are the bytes not yet consumed. It holds
+    /// [`READ_AHEAD`] bytes and grows, to at most a record header plus
+    /// 64 KiB, only to hold a lenient resync candidate whole.
+    buf: Vec<u8>,
+    pos: usize,
+    end: usize,
+    /// The reader has reported end of input.
+    eof: bool,
     done: bool,
     mode: IngestMode,
-    /// Absolute offset of the next unconsumed byte (starts at 24, past
-    /// the global header).
+    /// Absolute offset of `buf[pos]`, the next unconsumed byte (starts at
+    /// 24, past the global header).
     offset: u64,
-    /// Bytes read ahead and given back during a lenient resync scan;
-    /// always empty in strict mode.
-    lookahead: std::collections::VecDeque<u8>,
     skipped_records: u64,
     skipped_bytes: u64,
     resyncs: u64,
@@ -299,11 +276,13 @@ impl<R: Read> PcapRecords<R> {
         }
         Ok(PcapRecords {
             r,
-            scratch: Vec::with_capacity(SNAPLEN as usize),
+            buf: vec![0; READ_AHEAD],
+            pos: 0,
+            end: 0,
+            eof: false,
             done: false,
             mode: IngestMode::default(),
             offset: 24,
-            lookahead: std::collections::VecDeque::new(),
             skipped_records: 0,
             skipped_bytes: 0,
             resyncs: 0,
@@ -332,29 +311,39 @@ impl<R: Read> PcapRecords<R> {
         self.resyncs
     }
 
-    /// Fill the scratch buffer with up to `len` bytes (lookahead bytes
-    /// first, then the reader) and return how many arrived; fewer than
-    /// `len` means EOF. Advances the byte offset.
-    fn read_fully(&mut self, len: usize) -> Result<usize, PcapError> {
-        self.scratch.clear();
-        self.scratch.resize(len, 0);
-        let mut got = 0usize;
-        while got < len {
-            if let Some(b) = self.lookahead.pop_front() {
-                self.scratch[got] = b;
-                got += 1;
-                continue;
-            }
-            match self.r.read(&mut self.scratch[got..]) {
-                Ok(0) => break,
-                Ok(n) => got += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
+    /// Make `need` bytes readable at the cursor unless the input ends
+    /// first, and return how many are: fewer than `need` means EOF.
+    fn fill(&mut self, need: usize) -> Result<usize, PcapError> {
+        if self.end - self.pos < need && !self.eof {
+            self.buf.copy_within(self.pos..self.end, 0);
+            (self.pos, self.end) = (0, self.end - self.pos);
+            self.buf.resize(self.buf.len().max(need), 0);
+            while self.end < need && !self.eof {
+                match self.r.read(&mut self.buf[self.end..]) {
+                    Ok(n) => (self.end, self.eof) = (self.end + n, n == 0),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e.into()),
+                }
             }
         }
-        self.scratch.truncate(got);
-        self.offset += got as u64;
-        Ok(got)
+        Ok(self.end - self.pos)
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.pos += n;
+        self.offset += n as u64;
+    }
+
+    /// Consume up to `n` bytes without keeping them; returns how many the
+    /// input held.
+    fn skip(&mut self, n: usize) -> Result<usize, PcapError> {
+        let mut done = 0;
+        while done < n && self.fill(1)? > 0 {
+            let step = (self.end - self.pos).min(n - done);
+            self.consume(step);
+            done += step;
+        }
+        Ok(done)
     }
 
     /// Could these 16 bytes be a record header of this capture? The
@@ -365,7 +354,7 @@ impl<R: Read> PcapRecords<R> {
         (IPV4_HEADER_LEN..=65_535).contains(&incl) && orig as usize >= incl
     }
 
-    /// Decode a record body (scratch) under an already-parsed header.
+    /// Decode a record body (or its head) under an already-parsed header.
     fn decode_body(body: &[u8], sec: u64, nsec: u64, orig: u32) -> Option<PcapRecord> {
         let (ip, ip_len) = Ipv4Header::decode(body).ok()?;
         let (sport, dport) = match ip.proto {
@@ -390,24 +379,23 @@ impl<R: Read> PcapRecords<R> {
         })
     }
 
-    fn parse_header(h: &[u8]) -> (u64, u64, usize, u32) {
-        (
-            u32::from_le_bytes(h[0..4].try_into().expect("4")) as u64,
-            u32::from_le_bytes(h[4..8].try_into().expect("4")) as u64,
-            u32::from_le_bytes(h[8..12].try_into().expect("4")) as usize,
-            u32::from_le_bytes(h[12..16].try_into().expect("4")),
-        )
+    /// The record header at the cursor: `(sec, nsec, incl, orig)`.
+    fn header(&self) -> (u64, u64, usize, u32) {
+        let h = &self.buf[self.pos..self.pos + 16];
+        let word = |at: usize| u32::from_le_bytes(h[at..at + 4].try_into().expect("4"));
+        (word(0) as u64, word(4) as u64, word(8) as usize, word(12))
     }
 
     fn next_record(&mut self) -> Result<Option<PcapRecord>, PcapError> {
+        let lenient = self.mode == IngestMode::Lenient;
         loop {
             let header_off = self.offset;
-            let got = self.read_fully(16)?;
+            let got = self.fill(16)?;
             if got == 0 {
                 return Ok(None);
             }
             if got < 16 {
-                if self.mode == IngestMode::Lenient {
+                if lenient {
                     // Partial trailing header: a torn capture ends here.
                     self.skipped_bytes += got as u64;
                     return Ok(None);
@@ -416,14 +404,23 @@ impl<R: Read> PcapRecords<R> {
                     offset: header_off,
                 }));
             }
-            let (sec, nsec, incl, orig) = Self::parse_header(&self.scratch);
-            if self.mode == IngestMode::Lenient && !Self::plausible_header(incl, orig) {
+            let (sec, nsec, incl, orig) = self.header();
+            if lenient && !Self::plausible_header(incl, orig) {
                 // Corrupt framing: scan forward for the next record.
                 return self.resync();
             }
-            let got_b = self.read_fully(incl)?;
+            // Decode the head of the body in place, then consume the rest.
+            let head = incl.min(DECODE_LEN);
+            let (rec, got_b) = if self.fill(16 + head)? < 16 + head {
+                (None, self.end - self.pos - 16)
+            } else {
+                let at = self.pos + 16;
+                let rec = Self::decode_body(&self.buf[at..at + head], sec, nsec, orig);
+                self.consume(16 + head);
+                (rec, head + self.skip(incl - head)?)
+            };
             if got_b < incl {
-                if self.mode == IngestMode::Lenient {
+                if lenient {
                     // Torn final record.
                     self.skipped_records += 1;
                     self.skipped_bytes += 16 + got_b as u64;
@@ -435,9 +432,9 @@ impl<R: Read> PcapRecords<R> {
                     got: got_b as u32,
                 }));
             }
-            match Self::decode_body(&self.scratch, sec, nsec, orig) {
+            match rec {
                 Some(rec) => return Ok(Some(rec)),
-                None if self.mode == IngestMode::Lenient => {
+                None if lenient => {
                     // Plausible framing, rotten body: skip this record
                     // (its bytes are consumed) and keep going.
                     self.skipped_records += 1;
@@ -456,40 +453,31 @@ impl<R: Read> PcapRecords<R> {
     /// parses as a plausible record header whose body decodes as IPv4 —
     /// the "magic" this raw-IP format has (version/IHL nibble, length
     /// consistency) — counting every discarded byte. The implausible
-    /// header that triggered the scan is in scratch on entry.
+    /// header that triggered the scan is at the cursor on entry. A
+    /// candidate that fails (its body short of the claimed length, or not
+    /// IPv4) is given back, not consumed: the window slides on over its
+    /// bytes, so a fake length field cannot swallow the genuine records
+    /// behind it.
     fn resync(&mut self) -> Result<Option<PcapRecord>, PcapError> {
         self.resyncs += 1;
         self.skipped_records += 1;
-        let mut win: std::collections::VecDeque<u8> = self.scratch.drain(..).collect();
         loop {
-            win.pop_front();
+            self.consume(1);
             self.skipped_bytes += 1;
-            while win.len() < 16 {
-                if self.read_fully(1)? == 0 {
-                    // EOF mid-scan: whatever is left can't be a record.
-                    self.skipped_bytes += win.len() as u64;
-                    return Ok(None);
-                }
-                win.push_back(self.scratch[0]);
+            let got = self.fill(16)?;
+            if got < 16 {
+                // EOF mid-scan: whatever is left can't be a record.
+                self.skipped_bytes += got as u64;
+                return Ok(None);
             }
-            let h: Vec<u8> = win.iter().copied().collect();
-            let (sec, nsec, incl, orig) = Self::parse_header(&h);
-            if !Self::plausible_header(incl, orig) {
+            let (sec, nsec, incl, orig) = self.header();
+            if !Self::plausible_header(incl, orig) || self.fill(16 + incl)? < 16 + incl {
                 continue;
             }
-            let got = self.read_fully(incl)?;
-            if got == incl {
-                if let Some(rec) = Self::decode_body(&self.scratch, sec, nsec, orig) {
-                    return Ok(Some(rec));
-                }
-            }
-            // Not a record after all (body short of the claimed length,
-            // or not IPv4): give the body bytes back and keep sliding —
-            // a fake length field must not swallow the genuine records
-            // behind it.
-            self.offset -= got as u64;
-            for b in self.scratch.drain(..).rev() {
-                self.lookahead.push_front(b);
+            let at = self.pos + 16;
+            if let Some(rec) = Self::decode_body(&self.buf[at..at + incl], sec, nsec, orig) {
+                self.consume(16 + incl);
+                return Ok(Some(rec));
             }
         }
     }
@@ -518,7 +506,7 @@ impl<R: Read> Iterator for PcapRecords<R> {
 
 /// Read a nanosecond raw-IP pcap written by [`write_pcap`] (or any capture
 /// with the same framing) all at once. Runs on [`PcapRecords`], so decode
-/// reuses one scratch buffer; only the output `Vec` grows with the file.
+/// parses in place; only the output `Vec` grows with the file.
 pub fn read_pcap<R: Read>(r: &mut R) -> Result<Vec<PcapRecord>, PcapError> {
     PcapRecords::new(r)?.collect()
 }

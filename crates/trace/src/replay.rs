@@ -2,7 +2,7 @@
 //!
 //! [`PcapReplaySource`] implements `rlir_sim`'s pull-based
 //! [`InjectionSource`]: it decodes nanosecond-pcap records incrementally
-//! through [`PcapRecords`]' reused scratch buffer, maps each record to a
+//! through [`PcapRecords`]' fixed read-ahead buffer, maps each record to a
 //! `(NodeId, Packet)` injection via a configurable [`EntryMap`] demux, and
 //! re-orders records through a **bounded** min-heap window — total ingest
 //! memory is O(reorder buffer), never O(capture). This is what lets a

@@ -178,6 +178,48 @@ impl Trace {
     }
 }
 
+/// A drawn packet before ordering: time in ns, index into the trace's flow
+/// table, size — 16 bytes where a `(SimTime, FlowKey, u32)` row takes 32.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Row {
+    at: u64,
+    flow: u32,
+    size: u32,
+}
+
+/// Order `rows` stably by `(time, flows[row.flow])`: a stable LSD radix sort
+/// on time, 11 bits a pass (skipping passes whose digit all rows share),
+/// then a stable sort by flow inside each run of equal times.
+fn order_rows(rows: &mut Vec<Row>, flows: &[FlowKey]) {
+    const BITS: usize = 11;
+    const MASK: u64 = (1 << BITS) - 1;
+    let mut counts = [[0usize; 1 << BITS]; u64::BITS.div_ceil(BITS as u32) as usize];
+    for r in rows.iter() {
+        for (pass, c) in counts.iter_mut().enumerate() {
+            c[(r.at >> (pass * BITS) & MASK) as usize] += 1;
+        }
+    }
+    let mut spare = rows.clone();
+    for (pass, c) in counts.iter_mut().enumerate() {
+        if c.contains(&rows.len()) {
+            continue;
+        }
+        let mut start = 0;
+        for slot in c.iter_mut() {
+            (*slot, start) = (start, start + *slot);
+        }
+        for r in rows.iter() {
+            let slot = &mut c[(r.at >> (pass * BITS) & MASK) as usize];
+            spare[*slot] = *r;
+            *slot += 1;
+        }
+        std::mem::swap(rows, &mut spare);
+    }
+    for run in rows.chunk_by_mut(|a, b| a.at == b.at) {
+        run.sort_by_key(|r| flows[r.flow as usize]);
+    }
+}
+
 /// Generate a trace from `cfg`. Deterministic in `cfg.seed`.
 pub fn generate(cfg: &TraceConfig) -> Trace {
     assert!(
@@ -204,8 +246,8 @@ pub fn generate(cfg: &TraceConfig) -> Trace {
     let target_bytes = cfg.target_utilization * cfg.link_rate_bps as f64 / 8.0 * duration_s;
     let bytes_per_flow = cfg.mean_flow_pkts() * cfg.size_mix.mean();
 
-    // (time, flow, size); ids are assigned after the global sort so they are
-    // monotone in time, which makes ground-truth joins cache-friendly.
+    // (time, flow index, size) rows; ids are assigned after ordering so they
+    // are monotone in time, which makes ground-truth joins cache-friendly.
     //
     // Flows whose trains outlive the trace are truncated (like any fixed
     // -length capture), which systematically under-delivers bytes for short
@@ -213,7 +255,8 @@ pub fn generate(cfg: &TraceConfig) -> Trace {
     // Poisson flow arrivals until the byte target is met — a superposition
     // of Poisson processes is still Poisson, so the arrival model is
     // preserved while the load calibration becomes exact.
-    let mut raw: Vec<(SimTime, FlowKey, u32)> = Vec::new();
+    let mut flows: Vec<FlowKey> = Vec::new();
+    let mut rows = Vec::with_capacity((target_bytes / cfg.size_mix.mean() * 1.125) as usize);
     let mut produced_bytes = 0.0f64;
     for _round in 0..12 {
         let deficit = target_bytes - produced_bytes;
@@ -228,14 +271,15 @@ pub fn generate(cfg: &TraceConfig) -> Trace {
             if t >= duration_s {
                 break;
             }
-            let flow = FlowKey::tcp(
+            let flow = flows.len() as u32;
+            flows.push(FlowKey::tcp(
                 cfg.src_prefix.nth(rng.random_range(0..src_pool)),
                 rng.random_range(1024..=u16::MAX),
                 cfg.dst_prefix.nth(rng.random_range(0..dst_pool)),
                 *[80u16, 443, 8080, 25, 53]
                     .get(rng.random_range(0..5usize))
                     .expect("in range"),
-            );
+            ));
             let pkts = if rng.random::<f64>() < cfg.mice_fraction {
                 mice.sample(&mut rng)
             } else {
@@ -250,21 +294,23 @@ pub fn generate(cfg: &TraceConfig) -> Trace {
                 }
                 let size = cfg.size_mix.sample(&mut rng);
                 produced_bytes += size as f64;
-                raw.push((SimTime::from_secs_f64(pt), flow, size));
+                let at = SimTime::from_secs_f64(pt).as_nanos();
+                rows.push(Row { at, flow, size });
                 pt += gap.sample(&mut rng);
             }
         }
     }
 
-    raw.sort_by_key(|(t, flow, _)| (*t, *flow));
-    let packets = raw
-        .into_iter()
+    order_rows(&mut rows, &flows);
+    let packets = rows
+        .iter()
         .enumerate()
-        .map(|(i, (at, flow, size))| {
+        .map(|(i, r)| {
             let id = cfg.first_packet_id + i as u64;
+            let (flow, at) = (flows[r.flow as usize], SimTime::from_nanos(r.at));
             match cfg.class {
-                TraceClass::Regular => Packet::regular(id, flow, size, at),
-                TraceClass::Cross => Packet::cross(id, flow, size, at),
+                TraceClass::Regular => Packet::regular(id, flow, r.size, at),
+                TraceClass::Cross => Packet::cross(id, flow, r.size, at),
             }
         })
         .collect();
@@ -285,37 +331,27 @@ pub struct BurstShape {
     pub duty: f64,
 }
 
-/// Compress a trace into synchronized bursts: each packet keeps its period
-/// but its offset within the period is scaled by `duty`, so all sources
-/// sharing the same shape transmit in the same windows (the incast regime —
-/// the long-run average load is unchanged while the instantaneous rate is
-/// multiplied by `1/duty`).
-pub fn compress_into_bursts(trace: &Trace, shape: BurstShape) -> Trace {
+/// Compress a trace into synchronized bursts, in place: each packet keeps
+/// its period but its offset within the period is scaled by `duty`, so all
+/// sources sharing the same shape transmit in the same windows (the incast
+/// regime — the long-run average load is unchanged while the instantaneous
+/// rate is multiplied by `1/duty`).
+pub fn compress_into_bursts(mut trace: Trace, shape: BurstShape) -> Trace {
     assert!(
         shape.duty > 0.0 && shape.duty <= 1.0,
         "burst duty {} out of (0, 1]",
         shape.duty
     );
     let period = shape.period.as_nanos().max(1);
-    let mut packets: Vec<Packet> = trace
-        .packets
-        .iter()
-        .map(|p| {
-            let t = p.created_at.as_nanos();
-            let offset = (t % period) as f64 * shape.duty;
-            let mut q = *p;
-            q.created_at = SimTime::from_nanos(t - t % period + offset as u64);
-            q
-        })
-        .collect();
+    for p in &mut trace.packets {
+        let t = p.created_at.as_nanos();
+        let offset = (t % period) as f64 * shape.duty;
+        p.created_at = SimTime::from_nanos(t - t % period + offset as u64);
+    }
     // Compression preserves order within a period up to rounding; restore
     // the (time, id) invariant every consumer relies on.
-    packets.sort_by_key(|p| (p.created_at, p.id));
-    Trace {
-        packets,
-        link_rate_bps: trace.link_rate_bps,
-        duration: trace.duration,
-    }
+    trace.packets.sort_by_key(|p| (p.created_at, p.id));
+    trace
 }
 
 /// Mirror a trace into the reverse direction: every flow key is reversed
@@ -349,21 +385,6 @@ pub fn reverse_flow(flow: &FlowKey) -> FlowKey {
         proto: flow.proto,
         sport: flow.dport,
         dport: flow.sport,
-    }
-}
-
-/// Merge two traces (e.g. regular + cross) into a single time-ordered trace,
-/// as the paper's single input trace file contains both classes.
-pub fn merge(a: &Trace, b: &Trace) -> Trace {
-    debug_assert_eq!(a.link_rate_bps, b.link_rate_bps, "merging unlike traces");
-    let mut packets = Vec::with_capacity(a.packets.len() + b.packets.len());
-    packets.extend_from_slice(&a.packets);
-    packets.extend_from_slice(&b.packets);
-    packets.sort_by_key(|p| (p.created_at, p.id));
-    Trace {
-        packets,
-        link_rate_bps: a.link_rate_bps,
-        duration: a.duration.max(b.duration),
     }
 }
 
@@ -469,14 +490,24 @@ mod tests {
     }
 
     #[test]
-    fn merge_interleaves_sorted() {
-        let reg = generate(&TraceConfig::paper_regular(1, SimDuration::from_millis(20)));
-        let cross = generate(&TraceConfig::paper_cross(1, SimDuration::from_millis(20)));
-        let m = merge(&reg, &cross);
-        assert_eq!(m.packets.len(), reg.packets.len() + cross.packets.len());
-        for w in m.packets.windows(2) {
-            assert!(w[0].created_at <= w[1].created_at);
+    fn radix_order_is_the_stable_sort_by_time_then_flow() {
+        let ip = |i| std::net::Ipv4Addr::new(10, 0, 0, i);
+        // Flows 0 and 3 share a key: equal flows under different indices.
+        let flows = [0, 1, 2, 0].map(|i| FlowKey::tcp(ip(i), 9, ip(9), 80));
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rows = Vec::new();
+        for size in 0..5_000 {
+            x = (x ^ x >> 31).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            // Equal-time runs, one-record runs, all 64 bits; distinct sizes show instability.
+            let at = [x % 8, x, u64::MAX - x % 3, x >> (x % 64)][size as usize % 4];
+            let flow = (x >> 7) as u32 % 4;
+            rows.push(Row { at, flow, size });
         }
+        let mut expected = rows.clone();
+        expected.sort_by_key(|r| (r.at, flows[r.flow as usize]));
+        order_rows(&mut rows, &flows);
+        assert_eq!(rows, expected);
+        order_rows(&mut Vec::new(), &flows);
     }
 
     #[test]
@@ -486,7 +517,7 @@ mod tests {
             period: SimDuration::from_millis(5),
             duty: 0.2,
         };
-        let b = compress_into_bursts(&t, shape);
+        let b = compress_into_bursts(t.clone(), shape);
         assert_eq!(b.packets.len(), t.packets.len());
         assert_eq!(b.total_bytes(), t.total_bytes());
         for w in b.packets.windows(2) {
@@ -507,7 +538,7 @@ mod tests {
             period: SimDuration::from_millis(10),
             duty: 0.25,
         };
-        let b = compress_into_bursts(&t, shape);
+        let b = compress_into_bursts(t, shape);
         // Count packets in the first on-window vs the rest of the period.
         let period = shape.period.as_nanos();
         let on = (period as f64 * shape.duty) as u64;

@@ -48,7 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Divide a merged stream back into classes by source prefix (Fig. 3's
     //    traffic divider).
-    let merged = rlir_trace::merge(&regular, &cross);
+    let mut merged = [regular.packets.as_slice(), &cross.packets].concat();
+    merged.sort_by_key(|p| (p.created_at, p.id));
     let mut divider = TrafficDivider::new(
         &[
             ("10.1.0.0/16".parse()?, TrafficClass::Regular),
@@ -56,12 +57,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ],
         UnmatchedPolicy::Drop,
     );
-    let divided = divider.divide_all(merged.packets.iter().copied());
+    let divided = divider.divide_all(merged.iter().copied());
     let regulars = divided.iter().filter(|p| p.is_regular()).count();
     let crosses = divided.iter().filter(|p| p.is_cross()).count();
     println!(
         "\ntraffic divider: {} packets in → {} regular + {} cross ({} unmatched dropped)",
-        merged.packets.len(),
+        merged.len(),
         regulars,
         crosses,
         divider.dropped()

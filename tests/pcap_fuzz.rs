@@ -12,13 +12,22 @@
 //! * **Replay stays monotone.** A lenient [`PcapReplaySource`] must emit
 //!   non-decreasing injection times no matter how the capture is mangled
 //!   (time regressions are clamped, not emitted out of order).
+//! * **The in-place decoder is its predecessor.** Clean or damaged, strict
+//!   or lenient, read whole or a few bytes a call, [`PcapRecords`] gives
+//!   the records, the first error (offsets included) and the skip and
+//!   resync counts of the copying decoder in `tests/support/pcap_oracle.rs`.
 
+#[path = "support/pcap_oracle.rs"]
+mod pcap_oracle;
+
+use pcap_oracle::OracleRecords;
 use proptest::prelude::*;
 use rlir_net::packet::Packet;
 use rlir_net::time::SimTime;
 use rlir_net::FlowKey;
 use rlir_sim::InjectionSource;
-use rlir_trace::{EntryMap, PcapRecords, PcapReplaySource, PcapWriter};
+use rlir_trace::{EntryMap, PcapError, PcapRecord, PcapRecords, PcapReplaySource, PcapWriter};
+use std::io::Read;
 use std::net::Ipv4Addr;
 
 /// A clean capture of `n` TCP header-only records (56 bytes each after
@@ -89,7 +98,68 @@ fn drain_lenient(bytes: &[u8]) -> (usize, u64, u64, u64) {
     (n, it.skipped_records(), it.skipped_bytes(), it.resyncs())
 }
 
+/// A reader that hands out at most `chunk` bytes a call, so record
+/// headers and bodies straddle the decoder's reads.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    chunk: usize,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.chunk.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// What a decoder made of a capture: the records before its first error,
+/// that error, and its skipped records, skipped bytes and resyncs.
+type Outcome = (Vec<PcapRecord>, Option<String>, [u64; 3]);
+
+fn split(
+    it: impl Iterator<Item = Result<PcapRecord, PcapError>>,
+) -> (Vec<PcapRecord>, Option<String>) {
+    let mut records = Vec::new();
+    for r in it {
+        match r {
+            Ok(rec) => records.push(rec),
+            Err(e) => return (records, Some(format!("{e:?}"))),
+        }
+    }
+    (records, None)
+}
+
+/// `bytes` through the in-place decoder (read `chunk` bytes at a time)
+/// and through the oracle.
+fn both(bytes: &[u8], chunk: usize, lenient: bool) -> (Outcome, Outcome) {
+    let mut new = PcapRecords::new(Trickle { bytes, chunk }).expect("global header untouched");
+    let mut old = OracleRecords::new(bytes).expect("global header untouched");
+    if lenient {
+        (new, old) = (new.lenient(), old.lenient());
+    }
+    let (records, error) = split(&mut new);
+    let counts = [new.skipped_records(), new.skipped_bytes(), new.resyncs()];
+    let new = (records, error, counts);
+    let (records, error) = split(&mut old);
+    let counts = [old.skipped_records(), old.skipped_bytes(), old.resyncs()];
+    (new, (records, error, counts))
+}
+
 proptest! {
+    #[test]
+    fn decoder_matches_its_predecessor_on_clean_and_damaged_captures(
+        records in 0u64..160,
+        ops in proptest::collection::vec(arb_mutation(), 0..10),
+        chunk in prop_oneof![Just(1usize), Just(3), Just(16), Just(57), Just(1000), Just(usize::MAX)],
+        lenient in any::<bool>(),
+    ) {
+        let bytes = mutate(clean_capture(records), &ops);
+        let (new, old) = both(&bytes, chunk, lenient);
+        prop_assert_eq!(new, old);
+    }
+
     #[test]
     fn lenient_decoder_survives_arbitrary_damage(
         records in 1u64..24,

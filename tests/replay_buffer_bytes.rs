@@ -1,12 +1,14 @@
-//! What the pcap replay's ingest costs the allocator once it is warm.
+//! What the pcap replay's ingest costs the allocator once it is warm, and
+//! what a hostile record header can make the decoder ask for.
 //!
-//! `PcapReplaySource` decodes every record into one reused scratch buffer
-//! and holds one 64-byte `(node, packet)` entry per buffered record in its
-//! reorder heap. Once the heap has grown to the window's depth, a replay
-//! asks the allocator for nothing more: what it may still ask for is the
-//! heap's own capacity doublings, should the disorder deepen later in the
-//! capture. Runs under the counting `#[global_allocator]` of
-//! `tests/support/counting_alloc.rs`.
+//! `PcapReplaySource` parses every record in place in its decoder's
+//! read-ahead buffer and holds one 64-byte `(node, packet)` entry per
+//! buffered record in its reorder heap. Once the heap has grown to the
+//! window's depth, a replay asks the allocator for nothing more: what it
+//! may still ask for is the heap's own capacity doublings, should the
+//! disorder deepen later in the capture. The read-ahead itself is bounded,
+//! whatever length a record header declares. Runs under the counting
+//! `#[global_allocator]` of `tests/support/counting_alloc.rs`.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -15,7 +17,7 @@ use rlir_net::packet::Packet;
 use rlir_net::time::SimTime;
 use rlir_net::FlowKey;
 use rlir_sim::InjectionSource;
-use rlir_trace::{EntryMap, PcapRecords, PcapReplaySource, PcapWriter};
+use rlir_trace::{BadRecord, EntryMap, PcapError, PcapRecords, PcapReplaySource, PcapWriter};
 use std::net::Ipv4Addr;
 
 const RECORDS: u64 = 100_000;
@@ -102,5 +104,44 @@ fn a_warm_replay_allocates_only_heap_doublings() {
         "{asked} B asked for after {WARM} records; heap doublings allow {doublings} B \
          (peak {warm_peak} → {})",
         src.peak_buffered()
+    );
+}
+
+/// The most the decoder's read-ahead ever holds: a lenient resync
+/// candidate of the largest plausible captured length behind its 16-byte
+/// record header.
+const READ_AHEAD_CAP: usize = 64 * 1024 + 16;
+
+#[test]
+fn a_declared_length_costs_nothing_the_input_does_not_hold() {
+    // One record header declaring u32::MAX captured bytes, then 8 bytes.
+    let mut bytes = PcapWriter::new(Vec::new())
+        .expect("header")
+        .finish()
+        .expect("flush");
+    for word in [0, 0, u32::MAX, u32::MAX] {
+        bytes.extend_from_slice(&word.to_le_bytes());
+    }
+    bytes.extend_from_slice(&[0x45; 8]);
+    assert_eq!(bytes.len(), 48);
+
+    let before = counting_alloc::requested();
+    let first = PcapRecords::new(bytes.as_slice()).expect("header").next();
+    let asked = counting_alloc::requested() - before;
+    match first {
+        Some(Err(PcapError::BadRecord(bad))) => assert_eq!(
+            bad,
+            BadRecord::TruncatedBody {
+                offset: 24,
+                expected: u32::MAX,
+                got: 8
+            }
+        ),
+        other => panic!("strict decode must report the torn body: {other:?}"),
+    }
+    assert!(
+        asked <= READ_AHEAD_CAP,
+        "{asked} B asked for to decode a {} B capture",
+        bytes.len()
     );
 }
