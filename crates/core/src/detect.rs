@@ -102,6 +102,9 @@ pub struct EpochDetector {
     scored: u64,
     /// Per-tap state, lazily sized to the plane's tap count.
     state: Vec<SegState>,
+    /// No epoch settles at a watermark below this (ns): `poll` returns at
+    /// once until then. Zero until the first poll of a plane with epochs.
+    settles_at: u64,
 }
 
 impl EpochDetector {
@@ -112,6 +115,7 @@ impl EpochDetector {
             next_epoch: 0,
             scored: 0,
             state: Vec::new(),
+            settles_at: 0,
         }
     }
 
@@ -123,23 +127,38 @@ impl EpochDetector {
     /// plane's flush bound (one window) including the half-window flush
     /// granularity, so its snapshots are final. Under a window wider than
     /// the run, none is before [`MeasurementPlane::finish`].
+    #[inline]
     pub fn poll(&mut self, plane: &MeasurementPlane<'_>, watermark: SimTime) -> Option<Detection> {
+        if watermark.as_nanos() < self.settles_at {
+            return None;
+        }
+        self.score_settled(plane, watermark)
+    }
+
+    /// [`poll`](EpochDetector::poll) once an epoch may have settled.
+    #[inline(never)]
+    fn score_settled(
+        &mut self,
+        plane: &MeasurementPlane<'_>,
+        watermark: SimTime,
+    ) -> Option<Detection> {
         let cfg = plane.config();
         let epoch_ns = cfg.epoch_ns()?;
-        let settled = watermark
-            .as_nanos()
-            .saturating_sub(cfg.reorder_window.as_nanos().saturating_mul(2));
+        let lag = cfg.reorder_window.as_nanos().saturating_mul(2);
+        let settled = watermark.as_nanos().saturating_sub(lag);
         if self.state.len() < plane.tap_count() {
             self.state.resize(plane.tap_count(), SegState::default());
         }
-        while (self.next_epoch + 1).saturating_mul(epoch_ns) <= settled {
+        let mut found = None;
+        while found.is_none() && (self.next_epoch + 1).saturating_mul(epoch_ns) <= settled {
             let epoch = self.next_epoch;
             self.next_epoch += 1;
-            if let Some(d) = self.score_epoch(plane, epoch, watermark) {
-                return Some(d);
-            }
+            found = self.score_epoch(plane, epoch, watermark);
         }
-        None
+        self.settles_at = (self.next_epoch + 1)
+            .saturating_mul(epoch_ns)
+            .saturating_add(lag);
+        found
     }
 
     fn score_epoch(

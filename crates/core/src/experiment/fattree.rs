@@ -259,12 +259,14 @@ pub fn measured_traces(cfg: &FatTreeExpConfig, tree: &FatTree) -> Vec<(TopoId, r
 /// The background traffic of a configuration: every non-measured ToR sends
 /// to a rotated partner (never the destination ToR, never a measured
 /// source as origin). Shared by [`run_fattree`] and the engine benchmarks.
+/// The per-ToR traces are generated first, so the injections fill one
+/// exactly sized `Vec`.
 pub fn background_injections(cfg: &FatTreeExpConfig, tree: &FatTree) -> Vec<(TopoId, Packet)> {
     let half = tree.half();
     let dst_tor = cfg.dst_tor(tree);
     let src_tors = cfg.src_tors(tree);
     let all_tors: Vec<TopoId> = tree.tors().collect();
-    let mut injections = Vec::new();
+    let mut traces = Vec::new();
     for (bi, &tor) in all_tors.iter().enumerate() {
         if tor == dst_tor || src_tors.contains(&tor) || cfg.background_load <= 0.0 {
             continue;
@@ -285,7 +287,10 @@ pub fn background_injections(cfg: &FatTreeExpConfig, tree: &FatTree) -> Vec<(Top
         tc.src_prefix = tree.host_prefix(tor);
         tc.dst_prefix = tree.host_prefix(partner);
         tc.first_packet_id = (0x100 + bi as u64) << 34;
-        let trace = rlir_trace::generate(&tc);
+        traces.push((tor, rlir_trace::generate(&tc)));
+    }
+    let mut injections = Vec::with_capacity(traces.iter().map(|(_, t)| t.packets.len()).sum());
+    for (tor, trace) in traces {
         injections.extend(trace.packets.iter().map(|p| (tor, *p)));
     }
     injections

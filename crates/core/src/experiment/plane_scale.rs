@@ -30,7 +30,7 @@
 
 use crate::deployment::Deployment;
 use crate::fabric::{build_network, FatTreeFabric};
-use crate::plane::{MeasurementPlane, TapPoint, TapSpec, TruthRef};
+use crate::plane::{MeasurementPlane, TapPoint, TapSpec, TruthRef, WindowPool};
 use rlir_net::packet::{Packet, ReferenceInfo, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_rli::PolicyKind;
@@ -129,6 +129,9 @@ pub struct PlaneScaleOutcome {
     pub report_digest: u64,
     /// The mid-run probes, in time order.
     pub samples: Vec<StateSample>,
+    /// The reorder runs' pool after the final drain
+    /// ([`PlaneReport::window_pool`](crate::plane::PlaneReport::window_pool)).
+    pub window_pool: WindowPool,
 }
 
 fn fold(h: u64, bits: u64) -> u64 {
@@ -267,6 +270,7 @@ pub fn run_plane_scale(cfg: &PlaneScaleConfig) -> PlaneScaleOutcome {
         peak_state_bytes,
         report_digest: 0,
         samples,
+        window_pool: report.window_pool,
     };
     let mut h = 0u64;
     for tap in &report.taps {
@@ -330,6 +334,28 @@ mod tests {
             "mid-run snapshot query must see merged epochs"
         );
         assert!(out.peak_state_bytes > 0);
+    }
+
+    /// The plane's flush work on the quick all-ports run, uncapped so every
+    /// observation is buffered, pinned like the engine's work counters:
+    /// every buffered observation is fed once, and a flush takes it out of
+    /// the pool to sort it about once — the sorted tails a half-window
+    /// flush keeps are merged where they lie, and only the few last-hop
+    /// departures that run ahead of the watermark are gathered twice
+    /// (about three gathers a feed when every flush gathered its whole
+    /// run).
+    #[test]
+    fn flush_work_counters_are_pinned_on_the_all_ports_run() {
+        let mut cfg = quick(41);
+        cfg.base.plane.pending_budget = None;
+        let out = run_plane_scale(&cfg);
+        assert_eq!(
+            (out.delivered, out.metered, out.estimated),
+            (16_046, 79_540, 25_165)
+        );
+        let pool = out.window_pool;
+        assert_eq!((pool.gathered, pool.flushed), (80_241, 80_230));
+        assert_eq!((pool.blocks, pool.free, pool.closed_early), (866, 866, 0));
     }
 
     #[test]

@@ -203,7 +203,7 @@ impl<'a> MeasurementPlane<'a> {
                 // always admitted (see TapSpec docs).
                 cold.shed += 1;
                 tenants[slot].shed += 1;
-                cold.rx.on_shed(at);
+                cold.rx.book_unestimable(at);
                 return Admission::Refused;
             }
             tenants[slot].admitted += 1;

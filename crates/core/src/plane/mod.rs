@@ -20,27 +20,43 @@
 //! unordered tap therefore owns an append-only **run** of pending
 //! observations keyed `(observation time, tie, packet id)`, unique per
 //! tap. Each time the engine's event-time **watermark**
-//! ([`HopSink::on_watermark`]) advances half a window, every run is sorted
-//! and its prefix below `watermark − window` fed to the receiver as one
-//! batch. An observation lags the watermark by at most the packet's
-//! downstream residence (the watermark contract in `rlir-sim`), so a wide
-//! enough window feeds exactly the order a whole-run sort would, in
-//! O(window) memory and while the simulation runs; what still arrives
+//! ([`HopSink::on_watermark`]) advances half a window, every run feeds its
+//! receiver, as one batch and in key order, everything below
+//! `watermark − window`. An observation lags the watermark by at most the
+//! packet's downstream residence (the watermark contract in `rlir-sim`),
+//! so a wide enough window feeds exactly the order a whole-run sort would,
+//! in O(window) memory and while the simulation runs; what still arrives
 //! late is counted in [`TapReport::late`], never fed out of order.
+//!
+//! A flush handles each observation about once. It sorts only what
+//! arrived since the last flush; what earlier flushes sorted and kept
+//! stays where it lies, as two sorted segments, and the batch is a
+//! three-way merge of the three (module `window`). A batch feeds a regular
+//! that reaches a receiver with no reference yet — most of them, on a
+//! fabric whose references are sparse — from its entry alone: it books
+//! what [`RliReceiver::on_regular`] would
+//! ([`RliReceiver::book_unestimable`]) without reading or decoding its
+//! record.
 //!
 //! The whole-run sort is a window wider than the run: at
 //! [`SimDuration::MAX`], or with no watermark, every run waits for
 //! [`MeasurementPlane::finish`] to sort it once, through the same
 //! admission and books.
 //!
-//! Every run lives in one plane-wide pool of 128-entry blocks (module
+//! Every run lives in one plane-wide pool of 64-entry blocks (module
 //! `window`): a burst at one tap takes the blocks another tap's flush just
 //! freed. [`PlaneConfig::pending_budget`], its tenant shares (module
 //! `admit`) and [`TapSpec::max_buffer`] count run lengths.
 //! [`TapSpec::ordered`] taps stream straight into the receiver, held to
 //! the same lateness rule: an observation before one already fed is late.
 //!
-//! A tap is stored twice. Its **hot** half (`HotTap`, 80 bytes, all taps
+//! An event reaches only the taps routed at its points (`Routes`: flat
+//! per-node tables indexed by the dense node and port ids). What no
+//! attached tap can observe returns from the inlined
+//! [`HopSink::on_hop`] before any lookup: an `Enqueue` always, crossings
+//! and drops when every tap is delivered-gated.
+//!
+//! A tap is stored twice. Its **hot** half (`HotTap`, 104 bytes, all taps
 //! contiguous) holds what admitting an observation reads and writes: the
 //! point, the flags, the truth kind, the tenant slot, the `flushed_to` /
 //! `resume_at` bounds, the cap, the pending peak and the run handle. Its
@@ -55,15 +71,16 @@
 //! `records`: tie, packet id, packed 5-tuple or [`ReferenceInfo`], a tag
 //! word and the event's injection time; 40 bytes) to a plane-wide FIFO,
 //! and each tap's run holds an 8-byte **entry**: its observation time as
-//! an offset in its pool block, and the record's position with a
-//! truth-present bit. A flush computes a scored regular's truth as
+//! an offset in its pool block, and the record's position (modulo 2³⁰)
+//! with a reference bit and a truth-present bit. A flush computes a scored regular's truth as
 //! `at − injection`, saturating — no entry carries a truth word. A tap
 //! whose span starts elsewhere — a
 //! [`TruthRef::SinceArrivalAt`] tap, at its own hop arrival — keeps a record
 //! of its own per scored regular, as a [`TapSpec::ref_map`] tap does per
 //! mapped reference. An event no tap buffers makes no record. A flush reads
 //! a record only to break an `at` tie by `(tie, id)` and to decode what it
-//! feeds. Records are reclaimed from the front once every tap has been
+//! feeds to a bracketed receiver, loading a chunk's records ahead of
+//! feeding it. Records are reclaimed from the front once every tap has been
 //! flushed past them. A lone tap pays 48 bytes an observation; at the
 //! ≈ 4.85 taps a record of an all-ports fat-tree, about 16.
 //!
@@ -108,12 +125,11 @@ pub use window::WindowPool;
 use admit::{Admission, PendingTotals, TenantState};
 use records::{EventRecord, EventSlot, Payload, Records};
 use rlir_net::clock::ClockModel;
-use rlir_net::fxhash::FxHashMap;
 use rlir_net::packet::{ReferenceInfo, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_rli::{Interpolator, ReceiverConfig, RliReceiver};
 use rlir_sim::{FaultEvent, FaultKind, HopEvent, HopKind, HopSink, NodeId, PortId};
-use window::{Run, Runs, WindowEntry};
+use window::{Run, Runs, WindowEntry, ENTRY_HAS_TRUTH, ENTRY_IS_REFERENCE};
 
 /// Where on the hop-event stream a tap sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -378,38 +394,116 @@ struct ColdTap<'a> {
 /// itself, not at one of its recorded hops. Sorts before every hop.
 const AT_EVENT: u32 = 0;
 
-/// Routing indices of one kind of tap (live or delivered-gated): which
-/// taps observe each node's arrivals and each port's departures. Built at
-/// attach time so an event consults only its matching taps — O(matches),
-/// not O(taps) — which is what lets an all-ports deployment scale.
+/// Routing tables of one kind of tap (live or delivered-gated, or the
+/// delivery points): which taps observe each node's arrivals and each
+/// port's departures. Built at attach time so an event consults only its
+/// matching taps — O(matches), not O(taps) — which is what lets an
+/// all-ports deployment scale. Dense: node `n` owns the slots
+/// `first[n]..first[n + 1]`, the first for its arrivals and one per port
+/// after it, and slot `s` routes to `taps[bounds[s]..bounds[s + 1]]`, in
+/// attachment order. A lookup is two bounds checks into three flat arrays,
+/// no hash; a node or port past every tap's has no slot and routes
+/// nowhere.
 #[derive(Default)]
 struct Routes {
-    arrival: FxHashMap<NodeId, Vec<u32>>,
-    departure: FxHashMap<(NodeId, PortId), Vec<u32>>,
+    /// Every routed `(node, slot within the node, tap)`, in attachment
+    /// order: what the tables are rebuilt from at each attach.
+    points: Vec<(NodeId, usize, u32)>,
+    first: Vec<u32>,
+    bounds: Vec<u32>,
+    taps: Vec<u32>,
+}
+
+/// A node's slot for its arrivals; port `p`'s departures are `p + 1`.
+const ARRIVAL_SLOT: usize = 0;
+
+/// `n` as a 32-bit route table offset, checked like [`tap_index`].
+fn route_offset(n: usize) -> u32 {
+    u32::try_from(n).expect("a plane routes at most 2^32 points")
 }
 
 impl Routes {
+    /// Route tap `idx` at `node`'s slot `slot` and rebuild the tables.
+    fn add(&mut self, node: NodeId, slot: usize, idx: u32) {
+        self.points.push((node, slot, idx));
+        let nodes = self.points.iter().map(|p| p.0 + 1).max().unwrap_or(0);
+        let mut width = vec![0; nodes];
+        for &(n, s, _) in &self.points {
+            width[n] = width[n].max(s + 1);
+        }
+        self.first = std::iter::once(0)
+            .chain(width.iter().scan(0, |end, w| {
+                *end += w;
+                Some(*end)
+            }))
+            .map(route_offset)
+            .collect();
+        let slot_of = |n: NodeId, s: usize| self.first[n] as usize + s;
+        let mut bounds = vec![0u32; self.first[nodes] as usize + 1];
+        for &(n, s, _) in &self.points {
+            bounds[slot_of(n, s) + 1] += 1;
+        }
+        for i in 1..bounds.len() {
+            bounds[i] += bounds[i - 1];
+        }
+        let mut fill = bounds.clone();
+        let mut taps = vec![0; self.points.len()];
+        for &(n, s, tap) in &self.points {
+            let at = &mut fill[slot_of(n, s)];
+            taps[*at as usize] = tap;
+            *at += 1;
+        }
+        (self.bounds, self.taps) = (bounds, taps);
+    }
+
+    /// Node `node`'s slots, `lo..hi` (none past every tapped node).
+    #[inline]
+    fn slots(&self, node: NodeId) -> Option<(usize, usize)> {
+        match self.first.get(node..node.wrapping_add(2)) {
+            Some(&[lo, hi]) => Some((lo as usize, hi as usize)),
+            _ => None,
+        }
+    }
+
+    /// The taps routed at slot `s`.
+    #[inline]
+    fn slot(&self, s: usize) -> &[u32] {
+        &self.taps[self.bounds[s] as usize..self.bounds[s + 1] as usize]
+    }
+
+    /// The taps routed at `node`'s slot `slot`.
+    #[inline]
+    fn at(&self, node: NodeId, slot: usize) -> &[u32] {
+        match self.slots(node) {
+            Some((lo, hi)) if lo + slot < hi => self.slot(lo + slot),
+            _ => &[],
+        }
+    }
+
     /// The taps that observed `ev`'s packet upstream — at one of its
     /// recorded hops — or, for `at_event`, at the event itself, as
-    /// `(tap, crossing)` in attachment order with each tap's first
+    /// `tap << 32 | crossing` in attachment order with each tap's first
     /// matching crossing: [`AT_EVENT`], or one more than the hop's index.
-    fn gather(&self, cand: &mut Vec<(u32, u32)>, ev: &HopEvent<'_>, at_event: Option<&Vec<u32>>) {
+    fn gather(&self, cand: &mut Vec<u64>, ev: &HopEvent<'_>, at_event: &[u32]) {
+        let candidate = |tap: u32, crossing: u32| (tap as u64) << 32 | crossing as u64;
         cand.clear();
-        if let Some(v) = at_event {
-            cand.extend(v.iter().map(|&t| (t, AT_EVENT)));
-        }
+        cand.extend(at_event.iter().map(|&t| candidate(t, AT_EVENT)));
         for (h, crossing) in ev.hops.iter().zip(AT_EVENT + 1..) {
-            if let Some(v) = self.arrival.get(&h.node) {
-                cand.extend(v.iter().map(|&t| (t, crossing)));
-            }
-            if let Some(v) = self.departure.get(&(h.node, h.port)) {
-                cand.extend(v.iter().map(|&t| (t, crossing)));
+            let Some((lo, hi)) = self.slots(h.node) else {
+                continue;
+            };
+            let row = |s: usize| if s < hi { self.slot(s) } else { &[] };
+            for &t in [row(lo + ARRIVAL_SLOT), row(lo + 1 + h.port)]
+                .into_iter()
+                .flatten()
+            {
+                cand.push(candidate(t, crossing));
             }
         }
         // Sorted by tap id and deduplicated on it: attachment order, the
         // first matching crossing of each.
         cand.sort_unstable();
-        cand.dedup_by_key(|c| c.0);
+        cand.dedup_by_key(|c| *c >> 32);
     }
 }
 
@@ -444,10 +538,11 @@ pub struct MeasurementPlane<'a> {
     live: Routes,
     /// Delivered-gated taps by the hop a delivery reports.
     gated: Routes,
-    /// [`TapPoint::Delivery`] taps by node, live or not.
-    deliver_at: FxHashMap<NodeId, Vec<u32>>,
+    /// [`TapPoint::Delivery`] taps by node (in its arrival slot), live or
+    /// not.
+    deliver_at: Routes,
     /// Reused candidate buffer of [`Routes::gather`].
-    scratch: Vec<(u32, u32)>,
+    scratch: Vec<u64>,
 }
 
 impl<'a> MeasurementPlane<'a> {
@@ -497,9 +592,9 @@ impl<'a> MeasurementPlane<'a> {
             &mut self.live
         };
         match spec.point {
-            TapPoint::Delivery(n) => self.deliver_at.entry(n).or_default().push(idx),
-            TapPoint::NodeArrival(n) => routes.arrival.entry(n).or_default().push(idx),
-            TapPoint::PortDeparture(n, p) => routes.departure.entry((n, p)).or_default().push(idx),
+            TapPoint::Delivery(n) => self.deliver_at.add(n, ARRIVAL_SLOT, idx),
+            TapPoint::NodeArrival(n) => routes.add(n, ARRIVAL_SLOT, idx),
+            TapPoint::PortDeparture(n, p) => routes.add(n, p + 1, idx),
         }
         let tenant_slot = self.tenant_slot(spec.tenant) as u32;
         self.taps.push(HotTap {
@@ -534,8 +629,10 @@ impl<'a> MeasurementPlane<'a> {
     }
 
     /// Route one observation into a tap at observation time `at` with
-    /// tie-break key `(slot.tie, id)`.
+    /// tie-break key `(slot.tie, id)`. Inlined into the two event loops
+    /// that call it once per candidate tap.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn observe(
         tap: &mut HotTap,
         cold: &mut ColdTap<'a>,
@@ -569,7 +666,7 @@ impl<'a> MeasurementPlane<'a> {
                         } else {
                             slot.shared(records, |tie| EventRecord::reference(tie, id, &info))
                         };
-                        tap.push(runs, records.entry(at, false, rec))
+                        tap.push(runs, records.entry(at, ENTRY_IS_REFERENCE, rec))
                     }
                 }
             }
@@ -608,7 +705,8 @@ impl<'a> MeasurementPlane<'a> {
                                 EventRecord::regular(tie, id, flow, ev.injected_at)
                             }),
                         };
-                        tap.push(runs, records.entry(at, since.is_some(), rec))
+                        let flags = if since.is_some() { ENTRY_HAS_TRUTH } else { 0 };
+                        tap.push(runs, records.entry(at, flags, rec))
                     }
                 }
             }
@@ -617,11 +715,13 @@ impl<'a> MeasurementPlane<'a> {
         }
     }
 
-    /// Gather the tap's run out of the pool, sort it into `(at, tie, id)`
-    /// order and feed its receiver everything strictly below `bound`
-    /// (`None`: everything) as one batch, after which the receiver gives
-    /// back its interpolation buffer's spare capacity; what stays behind
-    /// goes back to the pool as the sorted tail the next flush extends.
+    /// Feed the tap's receiver everything in its run strictly below
+    /// `bound` (`None`: everything) in `(at, tie, id)` order as one batch,
+    /// after which the receiver gives back its interpolation buffer's
+    /// spare capacity; the rest stays in the run (module `window`). Only an
+    /// `at` tie reads the records to order; a regular fed while the
+    /// receiver has no left reference is booked from its entry alone,
+    /// without reading or decoding its record.
     fn flush_tap(
         tap: &mut HotTap,
         cold: &mut ColdTap<'a>,
@@ -635,30 +735,45 @@ impl<'a> MeasurementPlane<'a> {
             tap.flushed_to = tap.flushed_to.max(b);
         }
         if tap.run.len > 0 {
-            let run = runs.gather(&mut tap.run);
-            // Stable on purpose, though keys are unique: the run is a
-            // sorted tail plus arrivals in near-order, which the merge
-            // sort's run detection finishes in about one pass. Only an
-            // `at` tie reads the records.
-            run.sort_by(|a, b| {
-                a.at.cmp(&b.at).then_with(|| {
-                    let (ra, rb) = (records.get(a), records.get(b));
-                    (ra.tie, ra.id).cmp(&(rb.tie, rb.id))
-                })
-            });
-            let n = match bound {
-                Some(b) => run.partition_point(|obs| obs.at < b.as_nanos()),
-                None => run.len(),
-            };
-            for obs in &run[..n] {
-                let at = SimTime::from_nanos(obs.at);
-                match records.get(obs).payload(obs) {
-                    Payload::Reference(info) => cold.rx.on_reference(at, &info),
-                    Payload::Regular { flow, truth } => cold.rx.on_regular(at, flow, truth),
-                }
-            }
-            cold.rx.trim_buffer();
-            runs.refill(&mut tap.run, n, tap.flushed_to.as_nanos());
+            let rx = &mut cold.rx;
+            let n = runs.flush(
+                &mut tap.run,
+                tap.flushed_to.as_nanos(),
+                bound.map(SimTime::as_nanos),
+                |a, b| {
+                    a.at.cmp(&b.at).then_with(|| {
+                        let (ra, rb) = (records.get(a), records.get(b));
+                        (ra.tie, ra.id).cmp(&(rb.tie, rb.id))
+                    })
+                },
+                |chunk| {
+                    // Load ahead the records this chunk will decode — its
+                    // references and, once the receiver is or may be
+                    // bracketed, its regulars: a tap's entries name records
+                    // far apart, and independent loads overlap their misses.
+                    let mut decodes = rx.bracketed();
+                    let mut touched = 0;
+                    for obs in chunk {
+                        decodes |= obs.is_reference();
+                        if decodes {
+                            touched ^= records.get(obs).id;
+                        }
+                    }
+                    std::hint::black_box(touched);
+                    for obs in chunk {
+                        let at = SimTime::from_nanos(obs.at);
+                        if !obs.is_reference() && !rx.bracketed() {
+                            rx.book_unestimable(at);
+                            continue;
+                        }
+                        match records.get(obs).payload(obs) {
+                            Payload::Reference(info) => rx.on_reference(at, &info),
+                            Payload::Regular { flow, truth } => rx.on_regular(at, flow, truth),
+                        }
+                    }
+                },
+            );
+            rx.trim_buffer();
             let t = &mut tenants[tap.tenant_slot as usize];
             debug_assert!(n <= totals.pending && n <= t.pending, "unbooked entries");
             totals.pending -= n;
@@ -715,7 +830,7 @@ impl<'a> MeasurementPlane<'a> {
             tap.down = true;
             cold.outages += 1;
             let freed = tap.run.len();
-            self.runs.release(&mut tap.run, |_, _| {});
+            self.runs.clear(&mut tap.run);
             let destroyed = cold.rx.reset_cold();
             cold.lost_window_obs += freed as u64 + destroyed;
             let t = &mut self.tenants[tap.tenant_slot as usize];
@@ -755,6 +870,85 @@ impl<'a> MeasurementPlane<'a> {
     }
 }
 
+impl MeasurementPlane<'_> {
+    /// A crossing the live taps at its point observe as it happens.
+    #[inline(never)]
+    fn on_crossing(&mut self, ev: &HopEvent<'_>) {
+        self.live_seq += 1;
+        let mut slot = EventSlot::new(self.live_seq);
+        let taps = match ev.kind {
+            HopKind::Dequeue { port, .. } => self.live.at(ev.node, port + 1),
+            _ => self.live.at(ev.node, ARRIVAL_SLOT),
+        };
+        for &i in taps {
+            Self::observe(
+                &mut self.taps[i as usize],
+                &mut self.cold[i as usize],
+                self.cfg,
+                &mut self.totals,
+                &mut self.tenants,
+                &mut self.records,
+                &mut self.runs,
+                ev.at,
+                &mut slot,
+                ev,
+            );
+        }
+    }
+
+    /// A delivery: the delivery taps at its node observe it, and the
+    /// delivered-gated taps its hops crossed.
+    #[inline(never)]
+    fn on_delivery(&mut self, ev: &HopEvent<'_>) {
+        let mut slot = EventSlot::new(ev.at.as_nanos());
+        let at_event = self.deliver_at.at(ev.node, ARRIVAL_SLOT);
+        self.gated.gather(&mut self.scratch, ev, at_event);
+        for &c in &self.scratch {
+            let (i, crossing) = ((c >> 32) as usize, c as u32);
+            let at = crossing_time(self.taps[i].point, crossing, ev);
+            Self::observe(
+                &mut self.taps[i],
+                &mut self.cold[i],
+                self.cfg,
+                &mut self.totals,
+                &mut self.tenants,
+                &mut self.records,
+                &mut self.runs,
+                at,
+                &mut slot,
+                ev,
+            );
+        }
+    }
+
+    /// Drop events carry the live taps' drop-awareness: a packet that dies
+    /// here was already *observed* by every live tap it crossed upstream —
+    /// those estimates must be accounted, not silently folded into
+    /// delivered-only statistics.
+    #[inline(never)]
+    fn on_drop(&mut self, ev: &HopEvent<'_>) {
+        if !ev.packet.is_regular() {
+            return;
+        }
+        // The drop node itself counts: arrival there precedes the fatal
+        // queue. Upstream crossings come from the hops.
+        let at_event = self.live.at(ev.node, ARRIVAL_SLOT);
+        self.live.gather(&mut self.scratch, ev, at_event);
+        for &c in &self.scratch {
+            let (i, crossing) = ((c >> 32) as usize, c as u32);
+            let (tap, cold) = (&self.taps[i], &mut self.cold[i]);
+            // A crashed instance never observed the crossing; there is no
+            // estimate to attribute the death to.
+            if tap.down || (tap.has_meter && !cold.spec.meter.as_ref().is_some_and(|m| m(ev))) {
+                continue;
+            }
+            cold.dropped_metered += 1;
+            cold.rx
+                .on_downstream_drop(crossing_time(tap.point, crossing, ev));
+        }
+    }
+}
+
 /// When a candidate tap observed the event's packet: at the event itself
 /// ([`AT_EVENT`]: a delivery tap, or an arrival tap at the drop node), or at
 /// hop `crossing − 1` — on arrival, or for an egress tap on departure.
@@ -775,84 +969,20 @@ impl HopSink for MeasurementPlane<'_> {
         }
     }
 
+    /// Returns at once for what no attached tap can observe — `Enqueue`
+    /// always, crossings and drops without a live tap — so the engine's
+    /// most frequent calls cost a branch; the rest goes out of line.
+    #[inline]
     fn on_hop(&mut self, ev: &HopEvent<'_>) {
         match ev.kind {
-            // A crossing the live taps at its point observe as it happens.
-            HopKind::Arrive | HopKind::Dequeue { .. } => {
-                if !self.has_live_taps {
-                    return; // every tap is delivered-gated: nothing to do
-                }
-                self.live_seq += 1;
-                let mut slot = EventSlot::new(self.live_seq);
-                let taps = match ev.kind {
-                    HopKind::Dequeue { port, .. } => self.live.departure.get(&(ev.node, port)),
-                    _ => self.live.arrival.get(&ev.node),
-                };
-                for &i in taps.into_iter().flatten() {
-                    Self::observe(
-                        &mut self.taps[i as usize],
-                        &mut self.cold[i as usize],
-                        self.cfg,
-                        &mut self.totals,
-                        &mut self.tenants,
-                        &mut self.records,
-                        &mut self.runs,
-                        ev.at,
-                        &mut slot,
-                        ev,
-                    );
-                }
-            }
-            HopKind::Deliver => {
-                let mut slot = EventSlot::new(ev.at.as_nanos());
-                let at_event = self.deliver_at.get(&ev.node);
-                self.gated.gather(&mut self.scratch, ev, at_event);
-                for &(i, crossing) in &self.scratch {
-                    let i = i as usize;
-                    let at = crossing_time(self.taps[i].point, crossing, ev);
-                    Self::observe(
-                        &mut self.taps[i],
-                        &mut self.cold[i],
-                        self.cfg,
-                        &mut self.totals,
-                        &mut self.tenants,
-                        &mut self.records,
-                        &mut self.runs,
-                        at,
-                        &mut slot,
-                        ev,
-                    );
-                }
-            }
-            // Drop events carry the live taps' drop-awareness: a packet
-            // that dies here was already *observed* by every live tap it
-            // crossed upstream — those estimates must be accounted, not
-            // silently folded into delivered-only statistics.
-            HopKind::QueueDrop { .. } | HopKind::RouteDrop => {
-                if !self.has_live_taps || !ev.packet.is_regular() {
-                    return;
-                }
-                // The drop node itself counts: arrival there precedes the
-                // fatal queue. Upstream crossings come from the hops.
-                let at_event = self.live.arrival.get(&ev.node);
-                self.live.gather(&mut self.scratch, ev, at_event);
-                for &(i, crossing) in &self.scratch {
-                    let (tap, cold) = (&self.taps[i as usize], &mut self.cold[i as usize]);
-                    // A crashed instance never observed the crossing; there
-                    // is no estimate to attribute the death to.
-                    if tap.down
-                        || (tap.has_meter && !cold.spec.meter.as_ref().is_some_and(|m| m(ev)))
-                    {
-                        continue;
-                    }
-                    cold.dropped_metered += 1;
-                    cold.rx
-                        .on_downstream_drop(crossing_time(tap.point, crossing, ev));
-                }
-            }
+            HopKind::Deliver => self.on_delivery(ev),
             // Enqueue events carry no measurement semantics: RLI meters
             // what crosses a point, not what waits at it.
             HopKind::Enqueue { .. } => {}
+            // Every tap is delivered-gated: nothing else to do.
+            _ if !self.has_live_taps => {}
+            HopKind::Arrive | HopKind::Dequeue { .. } => self.on_crossing(ev),
+            HopKind::QueueDrop { .. } | HopKind::RouteDrop => self.on_drop(ev),
         }
     }
 

@@ -11,7 +11,7 @@
 //! front back until it catches up. A crashed tap's records go with the
 //! next flush past them; a window wider than the run keeps them all.
 
-use super::window::{WindowEntry, ENTRY_HAS_TRUTH};
+use super::window::{WindowEntry, ENTRY_HAS_TRUTH, ENTRY_POSITION};
 use rlir_net::packet::{ReferenceInfo, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::{FlowKey, Protocol};
@@ -84,12 +84,18 @@ impl EventRecord {
         }
     }
 
+    /// Whether this is a reference's record (else a regular's).
+    #[inline]
+    pub(super) fn is_reference(&self) -> bool {
+        self.tag & TAG_REFERENCE != 0
+    }
+
     /// What `entry`, naming this record, feeds its tap's receiver. A scored
     /// regular's truth is `entry.at − since`, saturating — the span the tap
     /// would have computed when it observed the event.
     #[inline]
     pub(super) fn payload(&self, entry: &WindowEntry) -> Payload {
-        if self.tag & TAG_REFERENCE != 0 {
+        if self.is_reference() {
             return Payload::Reference(ReferenceInfo {
                 sender: SenderId((self.tag >> 32) as u16),
                 seq: self.tag as u32,
@@ -157,8 +163,11 @@ impl Records {
     #[inline]
     pub(super) fn push_own(&mut self, rec: EventRecord) -> u64 {
         let pos = self.made();
-        // Past 2³¹ live records, entries' 31-bit references would alias.
-        assert!(self.fifo.len() < (1 << 31) - 1, "2^31 live event records");
+        // Past 2³⁰ live records, entries' 30-bit references would alias.
+        assert!(
+            self.fifo.len() < ENTRY_POSITION as usize,
+            "2^30 live event records"
+        );
         if self.fifo.len() == self.fifo.capacity() {
             self.fifo
                 .reserve_exact(rlir_rli::growth(self.fifo.len(), 1));
@@ -182,24 +191,26 @@ impl Records {
         self.push_own(rec)
     }
 
-    /// An entry observing record `rec` at `at`, scored or not. Every entry
-    /// is made here, which is what lets `max_at` vouch for all of them.
+    /// An entry observing record `rec` at `at`, with the entry bits
+    /// `flags`: [`ENTRY_HAS_TRUTH`](super::window::ENTRY_HAS_TRUTH) for a
+    /// scored regular, [`ENTRY_IS_REFERENCE`](super::window::ENTRY_IS_REFERENCE)
+    /// for a reference. Every entry is made here, which is what lets
+    /// `max_at` vouch for all of them.
     #[inline]
-    pub(super) fn entry(&mut self, at: SimTime, scored: bool, rec: u64) -> WindowEntry {
+    pub(super) fn entry(&mut self, at: SimTime, flags: u32, rec: u64) -> WindowEntry {
         self.max_at = self.max_at.max(at.as_nanos());
-        let rec = rec as u32 & !ENTRY_HAS_TRUTH;
         WindowEntry {
             at: at.as_nanos(),
-            rec: if scored { rec | ENTRY_HAS_TRUTH } else { rec },
+            rec: rec as u32 & ENTRY_POSITION | flags,
         }
     }
 
-    /// The record `entry` names, its 31-bit reference resolved against
+    /// The record `entry` names, its 30-bit reference resolved against
     /// `base`. An entry outliving its record is a bug in the reclamation
     /// rule, and panics here rather than read a neighbour.
     #[inline]
     pub(super) fn get(&self, entry: &WindowEntry) -> &EventRecord {
-        let i = entry.rec.wrapping_sub(self.base as u32) & !ENTRY_HAS_TRUTH;
+        let i = entry.rec.wrapping_sub(self.base as u32) & ENTRY_POSITION;
         self.fifo
             .get(i as usize)
             .expect("window entry names a reclaimed record")

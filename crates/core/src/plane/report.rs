@@ -116,6 +116,11 @@ pub struct PlaneReport {
     /// High-water mark of event records held at once — O(reorder window);
     /// `records_made` under a window wider than the run.
     pub peak_records: usize,
+    /// The reorder runs' block pool after the final drain: its
+    /// [`gathered`](WindowPool::gathered) ÷ [`flushed`](WindowPool::flushed)
+    /// is how many times a flush took the average pending observation out
+    /// of the pool to sort it. Diagnostic.
+    pub window_pool: WindowPool,
 }
 
 impl PlaneReport {
@@ -240,8 +245,9 @@ impl MeasurementPlane<'_> {
     /// *allocated capacity* ([`rlir_rli::FlowTable::approx_bytes`], to the
     /// byte), its run's 8-byte pool entries at their *length*, and the
     /// 40-byte event records they name, at their length. O(taps).
-    /// Not counted: the pool's block slack (at most 128 entries a tap, the
-    /// blocks closed early and the free blocks), the flush scratch, the
+    /// Not counted: the pool's block slack (at most 64 entries a tap at
+    /// its tail and 63 fed slots at its head, the blocks closed early and
+    /// the free blocks), the flush scratch, the
     /// receivers' interpolation buffers and epoch series (40 bytes an
     /// epoch, plus 80 for an epoch with an estimate), the FIFO's spare
     /// capacity — the last three bounded by the growth rule in the module
@@ -260,6 +266,14 @@ impl MeasurementPlane<'_> {
     /// Observations tap `idx` holds in its reorder run right now.
     pub fn pending(&self, idx: usize) -> usize {
         self.taps[idx].run.len()
+    }
+
+    /// Pool blocks tap `idx`'s run holds right now, counted along its
+    /// chain: its pending entries and the fed slots at the front of its
+    /// head block, a block at a time, plus the blocks it closed early.
+    /// Diagnostic, like [`window_pool`](MeasurementPlane::window_pool).
+    pub fn run_blocks(&self, idx: usize) -> usize {
+        self.runs.blocks(&self.taps[idx].run)
     }
 
     /// How the reorder runs' block pool stands right now. Diagnostic, like
@@ -321,6 +335,7 @@ impl MeasurementPlane<'_> {
             peak_pending_total,
             records_made: self.records.made(),
             peak_records: self.records.peak,
+            window_pool: self.runs.stats(),
         }
     }
 }

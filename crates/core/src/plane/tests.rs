@@ -738,10 +738,12 @@ fn a_mapped_reference_between_two_sharers_does_not_free_their_record() {
 
 #[test]
 fn hot_tap_record_fits_two_cache_lines() {
-    // Exact, not a ceiling: the run is a 12-byte pool handle where a
-    // per-tap `Vec` took 24 (96 → 80 bytes).
-    assert_eq!(std::mem::size_of::<Run>(), 12);
-    assert_eq!(std::mem::size_of::<HotTap>(), 80);
+    // Exact, not a ceiling: the run is a 32-byte pool handle — head, tail
+    // and length, its two sorted segments' lengths, the head block's fed
+    // slots and the tail block's fill and base (a 12-byte handle without
+    // the segments and the tail made 80 bytes).
+    assert_eq!(std::mem::size_of::<Run>(), 32);
+    assert_eq!(std::mem::size_of::<HotTap>(), 104);
 }
 
 #[test]
@@ -820,9 +822,19 @@ fn round_trip(
         ..Records::default()
     };
     let pos = records.push_shared(rec);
-    let entry = records.entry(SimTime::from_nanos(at), scored, pos);
+    let flags = match (rec.is_reference(), scored) {
+        (true, _) => ENTRY_IS_REFERENCE,
+        (false, true) => ENTRY_HAS_TRUTH,
+        (false, false) => 0,
+    };
+    let entry = records.entry(SimTime::from_nanos(at), flags, pos);
     let stored = records.get(&entry);
-    ((entry.at, stored.tie, stored.id), stored.payload(&entry))
+    let payload = stored.payload(&entry);
+    assert_eq!(
+        entry.is_reference(),
+        matches!(payload, Payload::Reference(_))
+    );
+    ((entry.at, stored.tie, stored.id), payload)
 }
 
 proptest! {
@@ -948,4 +960,228 @@ proptest! {
         }
         plane.finish();
     }
+}
+
+/// Everything a finished plane reports, as one comparable string: every
+/// tap's receiver report (flow rows, counters, epoch rows) and books, the
+/// record counts and the pool.
+fn report_books(rep: &PlaneReport) -> String {
+    let taps: Vec<String> = (rep.taps.iter())
+        .map(|t| {
+            format!(
+                "{:?} late {} shed {} dropped {} lost {} peak {}",
+                t.report, t.late, t.shed, t.dropped_metered, t.lost_window_obs, t.peak_pending
+            )
+        })
+        .collect();
+    format!(
+        "{taps:?} records {} {} pending {} {:?}",
+        rep.records_made, rep.peak_records, rep.peak_pending_total, rep.window_pool
+    )
+}
+
+#[test]
+fn events_no_gated_tap_observes_leave_the_plane_as_it_was() {
+    // Delivered-gated taps at an arrival, an egress and a delivery point,
+    // holding pending observations: the crossing, queueing and drop events
+    // at those very points change nothing a query or the report can see.
+    let build = || {
+        let mut plane = MeasurementPlane::with_config(PlaneConfig {
+            epoch: Some(SimDuration::from_nanos(1_000)),
+            ..streaming(500)
+        });
+        for point in [
+            TapPoint::NodeArrival(1),
+            TapPoint::PortDeparture(1, 0),
+            TapPoint::Delivery(2),
+        ] {
+            let mut spec = TapSpec::new("gated", point, SenderId(1));
+            spec.delivered_only = true;
+            plane.attach(spec);
+        }
+        plane
+    };
+    let r0 = Packet::reference(1, fk(9), SenderId(1), 0, SimTime::ZERO);
+    let p = Packet::regular(2, fk(1), 700, SimTime::from_nanos(10));
+    let r1 = Packet::reference(3, fk(9), SenderId(1), 1, SimTime::from_nanos(100));
+    let packets = [&r0, &p, &r1];
+    let (mut quiet, mut busy) = (build(), build());
+    for plane in [&mut quiet, &mut busy] {
+        plane.on_watermark(SimTime::from_nanos(100));
+        for (k, packet) in packets.iter().enumerate() {
+            let at = 200 + 100 * k as u64;
+            plane.on_hop(&deliver_ev(packet, &[crossed(1, at - 50)], 2, at));
+        }
+    }
+    let looks = |plane: &MeasurementPlane<'_>| {
+        let pending: Vec<usize> = (0..3).map(|t| plane.pending(t)).collect();
+        (plane.approx_state_bytes(), plane.window_pool(), pending)
+    };
+    let before = looks(&busy);
+    assert!(before.2.iter().all(|&n| n == 3), "{before:?}");
+    let hops = [crossed(1, 600)];
+    let arrived = SimTime::from_nanos(600);
+    let kinds = [
+        HopKind::Arrive,
+        HopKind::Enqueue { port: 0 },
+        HopKind::Dequeue { port: 0, arrived },
+        HopKind::QueueDrop { port: 0 },
+        HopKind::RouteDrop,
+    ];
+    for (k, kind) in kinds.into_iter().enumerate() {
+        for node in [1, 2] {
+            for packet in packets {
+                busy.on_hop(&HopEvent {
+                    kind,
+                    node,
+                    at: SimTime::from_nanos(600 + k as u64),
+                    packet,
+                    injected_node: 0,
+                    injected_at: packet.created_at,
+                    hops: &hops,
+                });
+            }
+        }
+    }
+    assert_eq!(looks(&busy), before);
+    assert_eq!(report_books(&busy.finish()), report_books(&quiet.finish()));
+}
+
+#[test]
+fn dense_routes_reach_the_highest_node_and_port_and_share_a_point() {
+    let mut plane = MeasurementPlane::with_config(streaming(1_000));
+    let gated = |point| {
+        let mut spec = TapSpec::new("gated", point, SenderId(1));
+        (spec.delivered_only, spec.truth) = (true, TruthRef::NoTruth);
+        spec
+    };
+    plane.attach(gated(TapPoint::PortDeparture(3, 0)));
+    // The highest node and port, tapped twice, and that node's arrivals.
+    plane.attach(gated(TapPoint::PortDeparture(7, 5)));
+    plane.attach(gated(TapPoint::PortDeparture(7, 5)));
+    plane.attach(gated(TapPoint::NodeArrival(7)));
+    // Live taps at the same points.
+    plane.attach(TapSpec::new(
+        "live",
+        TapPoint::PortDeparture(7, 5),
+        SenderId(1),
+    ));
+    plane.attach(TapSpec::new("live", TapPoint::NodeArrival(7), SenderId(1)));
+    let hop = |node, port, at| Hop {
+        node,
+        port,
+        arrived: SimTime::from_nanos(at),
+        departed: SimTime::from_nanos(at + 1),
+    };
+    // Over both tapped ports; over the next port of each node; over an
+    // untapped node between them and past every tapped node.
+    let paths = [
+        vec![hop(3, 0, 100), hop(7, 5, 200)],
+        vec![hop(3, 1, 110), hop(7, 6, 210)],
+        vec![hop(5, 0, 115), hop(9, 5, 120), hop(1 << 20, 0, 220)],
+    ];
+    for (id, path) in paths.iter().enumerate() {
+        let p = Packet::regular(id as u64, fk(1), 700, SimTime::ZERO);
+        plane.on_hop(&deliver_ev(&p, path, 99, 300 + id as u64));
+    }
+    // Live crossings at the tapped points and past them.
+    let dequeue = |port| HopKind::Dequeue {
+        port,
+        arrived: SimTime::ZERO,
+    };
+    let live = [
+        (HopKind::Arrive, 7),
+        (HopKind::Arrive, 5),
+        (HopKind::Arrive, 9),
+        (HopKind::Arrive, 1 << 20),
+        (dequeue(5), 7),
+        (dequeue(6), 7),
+        (dequeue(5), 9),
+        (dequeue(0), 5),
+    ];
+    for (k, (kind, node)) in live.into_iter().enumerate() {
+        let p = Packet::regular(10 + k as u64, fk(1), 700, SimTime::ZERO);
+        plane.on_hop(&HopEvent {
+            kind,
+            node,
+            at: SimTime::from_nanos(400 + k as u64),
+            packet: &p,
+            injected_node: 0,
+            injected_at: SimTime::ZERO,
+            hops: &[],
+        });
+    }
+    let seen: Vec<u64> = (plane.finish().taps.iter())
+        .map(|t| t.report.counters.regulars_seen)
+        .collect();
+    assert_eq!(seen, [1, 1, 1, 2, 1, 1]);
+}
+
+#[test]
+fn booked_regulars_keep_the_books_on_regular_keeps() {
+    // One buffered tap, its observations delivered out of order and fed in
+    // batches, against an ordered tap fed the same observations through
+    // `on_regular` as they happen. Regulars before the first reference —
+    // a foreign one does not bracket — are booked from their entries; the
+    // first batch's first own reference lands mid-batch, after six
+    // regulars and before two, and the second batch is bracketed
+    // throughout.
+    let cfg = PlaneConfig {
+        epoch: Some(SimDuration::from_nanos(100)),
+        ..streaming(400)
+    };
+    let (mut buffered, mut ordered) = (
+        MeasurementPlane::with_config(cfg),
+        MeasurementPlane::with_config(cfg),
+    );
+    buffered.attach(gated_tap("buffered", 1));
+    let mut spec = TapSpec::new("ordered", TapPoint::NodeArrival(1), SenderId(1));
+    (spec.ordered, spec.truth) = (true, TruthRef::NoTruth);
+    ordered.attach(spec);
+    // (crossing time, packet): 0–5 regulars, then a foreign reference, own
+    // references at 350 and 720, and regulars between and after.
+    let mut obs: Vec<(u64, Packet)> = Vec::new();
+    for (k, at) in [
+        20u64, 90, 150, 160, 230, 310, 380, 420, 510, 640, 700, 800, 850,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        obs.push((
+            at,
+            Packet::regular(k as u64, fk(k as u8 % 3), 700, SimTime::ZERO),
+        ));
+    }
+    obs.push((
+        250,
+        Packet::reference(50, fk(9), SenderId(2), 0, SimTime::ZERO),
+    ));
+    obs.push((
+        350,
+        Packet::reference(51, fk(9), SenderId(1), 0, SimTime::from_nanos(300)),
+    ));
+    obs.push((
+        720,
+        Packet::reference(52, fk(9), SenderId(1), 1, SimTime::from_nanos(690)),
+    ));
+    obs.sort_by_key(|o| o.0);
+    for (at, packet) in &obs {
+        ordered.on_hop(&arrive_ev(packet, 1, *at));
+    }
+    // Delivered in reverse within each 500 ns, then flushed to its end.
+    for half in obs.chunk_by(|a, b| a.0 / 500 == b.0 / 500) {
+        let end = 500 * (half[0].0 / 500 + 1);
+        for (at, packet) in half.iter().rev() {
+            buffered.on_hop(&deliver_ev(packet, &[crossed(1, *at)], 9, end));
+        }
+        buffered.on_watermark(SimTime::from_nanos(end + 400));
+        assert_eq!(buffered.pending(0), 0);
+    }
+    let (b, o) = (buffered.finish(), ordered.finish());
+    let c = b.taps[0].report.counters;
+    assert_eq!((c.regulars_seen, c.estimated, c.refs_foreign), (13, 5, 1));
+    assert_eq!(
+        format!("{:?}", b.taps[0].report),
+        format!("{:?}", o.taps[0].report)
+    );
 }

@@ -153,14 +153,14 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
 
     /// A regular packet arrived: buffer it for interpolation.
     pub fn on_regular(&mut self, at: SimTime, flow: rlir_net::FlowKey, truth: Option<SimDuration>) {
-        self.counters.regulars_seen += 1;
-        let in_epochs = self.arrive(at, EpochCounter::RegularSeen);
-        if self.left.is_none() {
+        if !self.bracketed() {
             // Before the first reference there is no bracket; RLI cannot
             // estimate these packets.
-            self.count_unestimated(at, in_epochs);
+            self.book_unestimable(at);
             return;
         }
+        self.counters.regulars_seen += 1;
+        let in_epochs = self.arrive(at, EpochCounter::RegularSeen);
         if self.buffer.len() >= self.cfg.max_buffer {
             self.count_unestimated(at, in_epochs);
             return;
@@ -171,6 +171,14 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
             in_epochs,
             truth_ns: truth.map(|d| d.as_nanos() as f64),
         });
+    }
+
+    /// Whether a reference from the bound sender has opened a bracket: until
+    /// one has, [`on_regular`](Self::on_regular) books a packet exactly as
+    /// [`book_unestimable`](Self::book_unestimable) does.
+    #[inline]
+    pub fn bracketed(&self) -> bool {
+        self.left.is_some()
     }
 
     /// First touch of a packet observed at `at`: bump `counter` in its
@@ -217,12 +225,15 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
         self.left = Some(right);
     }
 
-    /// Record a regular packet the *caller* observed at the point but shed
+    /// Book a regular packet observed at `at` that will never be estimated
+    /// as seen-but-unestimated, in `at`'s epoch: one the *caller* shed
     /// before the receiver could buffer it (e.g. a bounded reorder window
-    /// overflowing upstream of the receiver). Counted as
-    /// seen-but-unestimated, in `at`'s epoch — the books stay honest even
-    /// when memory pressure drops observations.
-    pub fn on_shed(&mut self, at: SimTime) {
+    /// overflowing upstream of the receiver) — the books stay honest even
+    /// when memory pressure drops observations — or one offered before
+    /// the receiver is [`bracketed`](Self::bracketed), which a caller can
+    /// book this way without decoding its flow key and truth.
+    #[inline]
+    pub fn book_unestimable(&mut self, at: SimTime) {
         self.counters.regulars_seen += 1;
         let in_epochs = self.arrive(at, EpochCounter::RegularSeen);
         self.count_unestimated(at, in_epochs);
@@ -544,7 +555,7 @@ mod tests {
         let far = ms(5 * (crate::epoch::MAX_EPOCH_GAP + 2));
         r.on_regular(far, fk(3), None);
         r.on_regular(ms(5 * crate::epoch::MAX_EPOCH_GAP), fk(3), None);
-        r.on_shed(wild);
+        r.book_unestimable(wild);
         r.on_reference(wild, &ref_info(1, 500_000));
         r.on_regular(wild, fk(1), None); // stranded after the last reference
         let rep = r.finish();

@@ -162,13 +162,23 @@ pub struct PcapReplaySource<R: Read> {
     entry: EntryMap,
     reorder_ns: u64,
     heap: BinaryHeap<Reverse<Buffered>>,
+    /// A record read into an empty heap that was releasable and not late
+    /// on arrival: the next injection, held here instead of pushed and
+    /// popped — every record of a sorted capture at window 0. Booked as a
+    /// buffered record of its own (`peak_buffered` ≥ 1).
+    staged: Option<Buffered>,
+    /// Tests only: push every record through the heap, the path `staged`
+    /// stands in for.
+    #[cfg(test)]
+    heap_only: bool,
     /// Timestamp of the newest record read off disk (release horizon).
     newest_read: u64,
     /// Timestamp of the last emitted injection (late-record cutoff).
     last_emitted: u64,
     seq: u64,
     /// The last `peek` returned `Some` and nothing has been popped since:
-    /// the heap minimum is releasable and not late.
+    /// the staged record, or else the heap minimum, is releasable and not
+    /// late.
     ready: bool,
     emitted: u64,
     late_dropped: u64,
@@ -203,6 +213,9 @@ impl<R: Read> PcapReplaySource<R> {
             entry,
             reorder_ns,
             heap: BinaryHeap::new(),
+            staged: None,
+            #[cfg(test)]
+            heap_only: false,
             newest_read: 0,
             last_emitted: 0,
             seq: 0,
@@ -269,10 +282,11 @@ impl<R: Read> PcapReplaySource<R> {
         self.exhausted || at_ns.saturating_add(self.reorder_ns) <= self.newest_read
     }
 
-    /// Read records until the heap minimum is safe to release (every
-    /// record that could still precede it has been read) or the file ends.
+    /// Read records until the next injection is staged or the heap minimum
+    /// is safe to release (every record that could still precede it has
+    /// been read), or the file ends.
     fn refill(&mut self) {
-        while !self.exhausted {
+        while !self.exhausted && self.staged.is_none() {
             if self
                 .heap
                 .peek()
@@ -287,8 +301,18 @@ impl<R: Read> PcapReplaySource<R> {
                     }
                     let buf = self.admit(&rec);
                     self.newest_read = self.newest_read.max(buf.at_ns());
-                    self.heap.push(Reverse(buf));
-                    self.peak_buffered = self.peak_buffered.max(self.heap.len());
+                    self.peak_buffered = self.peak_buffered.max(self.heap.len() + 1);
+                    // Alone, releasable and in order: it would be pushed
+                    // as the heap minimum and popped straight back.
+                    if self.heap.is_empty()
+                        && buf.at_ns() >= self.last_emitted
+                        && self.releasable(buf.at_ns())
+                        && !self.heap_only()
+                    {
+                        self.staged = Some(buf);
+                    } else {
+                        self.heap.push(Reverse(buf));
+                    }
                 }
                 Some(Err(e)) => {
                     self.error = Some(e);
@@ -297,6 +321,16 @@ impl<R: Read> PcapReplaySource<R> {
                 None => self.exhausted = true,
             }
         }
+    }
+
+    #[cfg(test)]
+    fn heap_only(&self) -> bool {
+        self.heap_only
+    }
+
+    #[cfg(not(test))]
+    fn heap_only(&self) -> bool {
+        false
     }
 
     /// Lenient duplicate-identity cap: true (and counted) when this
@@ -402,6 +436,10 @@ impl<R: Read> InjectionSource for PcapReplaySource<R> {
     fn peek(&mut self) -> Option<SimTime> {
         while !self.ready {
             self.refill();
+            if self.staged.is_some() {
+                self.ready = true;
+                break;
+            }
             self.shed_late();
             match self.heap.peek() {
                 Some(Reverse(b)) if self.releasable(b.at_ns()) => self.ready = true,
@@ -411,14 +449,20 @@ impl<R: Read> InjectionSource for PcapReplaySource<R> {
                 _ => {}
             }
         }
-        self.heap.peek().map(|Reverse(b)| b.1.created_at)
+        match &self.staged {
+            Some(b) => Some(b.1.created_at),
+            None => self.heap.peek().map(|Reverse(b)| b.1.created_at),
+        }
     }
 
     fn next_injection(&mut self) -> Option<(NodeId, Packet)> {
         // After a `peek` that returned `Some` this refills nothing.
         self.peek()?;
         self.ready = false;
-        let Reverse(Buffered(node, packet)) = self.heap.pop()?;
+        let Buffered(node, packet) = match self.staged.take() {
+            Some(b) => b,
+            None => self.heap.pop()?.0,
+        };
         self.last_emitted = packet.created_at.as_nanos();
         self.emitted += 1;
         Some((node, packet))
@@ -742,6 +786,64 @@ mod tests {
             1_000,
         );
         assert_eq!(drain(&mut strict).len(), 12);
+    }
+
+    /// The emitted stream and every counter of one replay: records read,
+    /// emitted, late-dropped, peak buffered, lenient clamps and duplicate
+    /// caps.
+    fn replay_books(bytes: &[u8], window: u64, lenient: bool, heap_only: bool) -> String {
+        let src =
+            PcapReplaySource::new(PcapRecords::new(bytes).unwrap(), EntryMap::Fixed(0), window);
+        let mut src = if lenient { src.lenient() } else { src };
+        src.heap_only = heap_only;
+        let out = drain(&mut src);
+        format!(
+            "{out:?} read {} emitted {} late {} peak {} clamped {} capped {}",
+            src.records_read(),
+            src.emitted(),
+            src.late_dropped(),
+            src.peak_buffered(),
+            src.clamped_regressions(),
+            src.dup_capped()
+        )
+    }
+
+    #[test]
+    fn staged_records_replay_what_the_heap_replays() {
+        // Sorted with ties; jittered with hopeless stragglers; repeated
+        // wire identities and time regressions for the lenient cap and
+        // clamp.
+        let sorted: Vec<Packet> = (0..200).map(|i| pkt(i, i / 3 * 40, 1)).collect();
+        let disordered: Vec<Packet> = (0..200u64)
+            .map(|i| match i % 17 {
+                0 => pkt(i, (i * 100).saturating_sub(5_000), 1),
+                _ if i % 2 == 0 => pkt(i, i * 100 + 150, 1),
+                _ => pkt(i, i * 100, 1),
+            })
+            .collect();
+        let hostile: Vec<Packet> = (0..200u64)
+            .map(|i| match i % 11 {
+                0 => pkt(i, (i * 50).saturating_sub(2_000), 2),
+                1..=4 => pkt(7, i * 50, 1),
+                _ => pkt(i, i * 50, 3),
+            })
+            .collect();
+        for (name, packets) in [
+            ("sorted", sorted),
+            ("disordered", disordered),
+            ("hostile", hostile),
+        ] {
+            let bytes = capture(&packets);
+            for window in [0, 1, 50, 300, u64::MAX] {
+                for lenient in [false, true] {
+                    assert_eq!(
+                        replay_books(&bytes, window, lenient, false),
+                        replay_books(&bytes, window, lenient, true),
+                        "{name} capture, window {window}, lenient {lenient}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

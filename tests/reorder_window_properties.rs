@@ -45,16 +45,19 @@
 //! often enough between flushes that runs outgrow a block, random
 //! watermarks and crashes of random taps. After every event, under the
 //! drawn window and under one wider than the run (`SimDuration::MAX`),
-//! the blocks in use are exactly Σ ⌈run length / block⌉ and the pool grew
-//! only by what its free list could not supply; at the end every tap
-//! reports bit for bit what the same events report under the wide window.
+//! the blocks in use are exactly the blocks the runs' chains hold, each
+//! run holds ⌈run length / block⌉ of them or one more (the fed front of
+//! its head block), and the pool grew only by what its free list could
+//! not supply; at the end every tap reports bit for bit what the same
+//! events report under the wide window.
 //!
 //! A fourth runs the same schedule with every time and window scaled by
 //! 2²² ns, so runs span more than the 2³² ns a pool entry's offset from its
 //! block's base reaches: entries that miss their tail block close it early.
-//! The blocks in use then lie between Σ ⌈run length / block⌉ and that plus
-//! the blocks closed early, and every tap still reports bit for bit what
-//! the whole-run window reports.
+//! The blocks in use are still what the chains hold, between Σ ⌈run
+//! length / block⌉ and that plus a block a run and the blocks closed
+//! early, and every tap still reports bit for bit what the whole-run
+//! window reports.
 
 use proptest::prelude::*;
 use rlir::plane::{
@@ -801,28 +804,51 @@ fn offer_pool(plane: &mut MeasurementPlane<'_>, step: &PoolStep) {
     }
 }
 
+/// Σ ⌈run length / block⌉ over the taps, the blocks their chains hold
+/// counted along them, and how many runs are not empty.
+fn run_books(plane: &MeasurementPlane<'_>, pool: WindowPool) -> (usize, usize, usize) {
+    let needed = (0..POOL_TAPS)
+        .map(|tap| plane.pending(tap).div_ceil(pool.block_entries))
+        .sum();
+    let held = (0..POOL_TAPS).map(|tap| plane.run_blocks(tap)).sum();
+    let runs = (0..POOL_TAPS).filter(|&tap| plane.pending(tap) > 0).count();
+    (needed, held, runs)
+}
+
 /// The pool's books after `step`, given how it stood before: every block
-/// in use belongs to a run that needs it, and only a delivery — whose
-/// entries only ever take blocks — may grow the pool, by what the free
-/// list could not supply.
+/// in use is one a run's chain holds, each run holds what its length needs
+/// and at most one block more — the fed front of its head block — and only
+/// a delivery — whose entries only ever take blocks — may grow the pool,
+/// by what the free list could not supply.
 fn pool_books(
     plane: &MeasurementPlane<'_>,
     before: WindowPool,
     step: &PoolStep,
 ) -> Result<WindowPool, TestCaseError> {
     let pool = plane.window_pool();
-    let needed: usize = (0..POOL_TAPS)
-        .map(|tap| plane.pending(tap).div_ceil(pool.block_entries))
-        .sum();
+    let (_, held, _) = run_books(plane, pool);
     prop_assert_eq!(
         pool.blocks - pool.free,
-        needed,
-        "blocks in use vs Σ ⌈len / block⌉ after {:?}",
+        held,
+        "blocks in use vs the chains' after {:?}",
         step
     );
+    for tap in 0..POOL_TAPS {
+        let need = plane.pending(tap).div_ceil(pool.block_entries);
+        let blocks = plane.run_blocks(tap);
+        prop_assert!(
+            need <= blocks && blocks <= need + usize::from(need > 0),
+            "tap {} holds {} blocks for {} entries after {:?}",
+            tap,
+            blocks,
+            plane.pending(tap),
+            step
+        );
+    }
+    prop_assert_eq!(pool.closed_early, 0);
     prop_assert!(pool.blocks >= before.blocks, "the pool shrank");
     let grew = pool.blocks - before.blocks;
-    let taken = needed.saturating_sub(before.blocks - before.free);
+    let taken = held.saturating_sub(before.blocks - before.free);
     let may_grow = match step {
         PoolStep::Delivery { .. } => taken.saturating_sub(before.free),
         _ => 0,
@@ -838,18 +864,18 @@ fn pool_books(
 }
 
 /// The pool's books after `step` once runs span more than 2³² ns: a block
-/// closed early holds less than a block, so the blocks in use lie between
-/// what the runs need and that plus the blocks closed early.
+/// closed early holds less than a block, so the blocks in use — still
+/// exactly what the chains hold — lie between what the runs need and that
+/// plus a fed head block a run and the blocks closed early.
 fn wide_pool_books(plane: &MeasurementPlane<'_>, step: &PoolStep) -> Result<(), TestCaseError> {
     let pool = plane.window_pool();
-    let needed: usize = (0..POOL_TAPS)
-        .map(|tap| plane.pending(tap).div_ceil(pool.block_entries))
-        .sum();
+    let (needed, held, runs) = run_books(plane, pool);
     let in_use = pool.blocks - pool.free;
     prop_assert!(
-        needed <= in_use && in_use <= needed + pool.closed_early,
-        "{} blocks in use, {} needed: {:?} after {:?}",
+        in_use == held && needed <= in_use && in_use <= needed + runs + pool.closed_early,
+        "{} blocks in use, {} held, {} needed: {:?} after {:?}",
         in_use,
+        held,
         needed,
         pool,
         step

@@ -29,7 +29,7 @@ const TAPS: usize = 64;
 /// Observations in one tap's burst.
 const BURST: u64 = 4_096;
 /// Entries a pool block holds (the plane's `window_pool().block_entries`).
-const BLOCK: usize = 128;
+const BLOCK: usize = 64;
 const WINDOW_NS: u64 = 1_000_000;
 /// Bytes of a pool entry, of its decoded copy in the flush's sort scratch
 /// and of an event record, pinned at compile time in the plane.
@@ -140,12 +140,14 @@ fn taps_that_burst_in_turn_cost_the_peak_of_the_sum_not_the_sum_of_the_peaks() {
     // A receiver gives its interpolation buffer back after every flush, so
     // what it keeps is its flow table.
     let flows: usize = rep.taps.iter().map(|t| t.report.flows.approx_bytes()).sum();
-    // Printed against the plane's structures: 33 312 + 65 536 + 65 536 +
-    // 171 280 + 256 (of the 512 allowed) + 53 248 + 32 B, a 389 456 B
-    // bound; the peak is the last flush's sort, 387 536 B. The first burst's growth, where the
-    // FIFO briefly holds its old and new buffers, peaks lower (356 968 B),
-    // so no term pays for a `Vec` twice. A `Vec` per tap holds TAPS × BURST
-    // entries; an entry padded to 16 bytes takes the plane to 420 304 B.
+    // Printed against the plane's structures: 33 856 + 65 536 + 65 536 +
+    // 171 280 + 256 (of the 512 allowed) + 53 248 + 32 B, a 390 000 B
+    // bound; the peak is the last flush's sort, 388 080 B (387 536 B of a
+    // 389 456 B bound with 128-entry blocks). At 128-entry blocks the
+    // first burst's growth, where the FIFO briefly holds its old and new
+    // buffers, peaked lower (356 968 B), so no term pays for a `Vec` twice;
+    // a `Vec` per tap holds TAPS × BURST entries, and an entry padded to 16
+    // bytes took the plane to 420 304 B.
     let bound = pool + scratch + sort + fifo + checkpoints + flows + CANDIDATES;
     assert!(
         high_water <= bound,
