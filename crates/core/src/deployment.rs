@@ -15,16 +15,21 @@
 //!   (segment 2) — receivers are instantiated by the experiment, keyed by
 //!   the sender ids assigned here.
 //!
+//! [`Deployment::senders`] builds the senders as one [`SenderSet`], which
+//! the engine runs in-band: each sees the regular packets leave its
+//! interface and puts its references right behind the trigger.
+//!
 //! Reference streams must actually *traverse* the intended path, so their
 //! flow keys are engineered against the fabric's ECMP hashes
 //! ([`engineer_ref_key`]) — the same same-hash-knowledge assumption that
 //! reverse-ECMP demultiplexing makes.
 
 use rlir_net::clock::ClockModel;
+use rlir_net::time::SimTime;
 use rlir_net::{FlowKey, Packet, SenderId};
 use rlir_rli::{PolicyKind, RliSender};
+use rlir_sim::{NodeId, PortId, RefSenders};
 use rlir_topo::{FatTree, Role, TopoId};
-use rlir_trace::Trace;
 use std::net::Ipv4Addr;
 
 /// Reserved host index for measurement instances inside a ToR's `/24`
@@ -61,7 +66,8 @@ pub struct CoreSenderSpec {
 /// start here.
 pub const CORE_SENDER_BASE: u16 = 10_000;
 
-/// A complete RLIR deployment for one measured destination ToR.
+/// A complete RLIR deployment for one measured destination ToR; it builds
+/// the run's in-band [`SenderSet`] ([`Deployment::senders`]).
 #[derive(Debug, Clone)]
 pub struct Deployment {
     /// The destination ToR (hosting the paper's R3 receiver).
@@ -170,42 +176,85 @@ impl Deployment {
         self.tor_sender(origin_tor, group).map(|s| s.id)
     }
 
-    /// The references every ToR-uplink sender emits while metering the
-    /// measured `traces` (`(source ToR, trace)`, as the experiment injects
-    /// them), each at its ToR. Computable offline: the uplink a packet takes
-    /// is a pure function of its flow key. Traces in order, each trace's
-    /// references in emission order.
-    pub fn tor_references(
-        &self,
-        tree: &FatTree,
-        traces: &[(TopoId, Trace)],
-        policy: &PolicyKind,
-    ) -> Vec<(TopoId, Packet)> {
-        let half = tree.half();
-        let mut refs = Vec::new();
-        for (src, trace) in traces {
-            let mut senders: Vec<RliSender> = (0..half)
-                .map(|u| {
-                    let spec = self.tor_sender(*src, u).expect("deployed");
-                    RliSender::new(
-                        spec.id,
-                        ClockModel::perfect(),
-                        policy.build(),
-                        spec.targets.iter().map(|(_, k)| *k).collect(),
-                    )
-                })
-                .collect();
-            for p in &trace.packets {
-                let uplink = tree.node(*src).hash.select(&p.flow, half);
-                refs.extend(senders[uplink].observe(p).iter().map(|r| (*src, *r)));
-            }
+    /// The deployment's in-band senders, all under `policy`: one on each
+    /// ToR uplink, which meters what leaves by that port (ToR uplink `u` is
+    /// port `u`), and one at each core, which meters every regular packet
+    /// the core forwards.
+    pub fn senders(&self, policy: &PolicyKind) -> SenderSet {
+        let mut set = SenderSet::default();
+        for s in &self.tor_senders {
+            let targets = s.targets.iter().map(|(_, k)| *k).collect();
+            let sender = RliSender::new(s.id, ClockModel::perfect(), policy.build(), targets);
+            set.add(s.tor, Some(s.uplink), sender);
         }
-        refs
+        for s in &self.core_senders {
+            let sender =
+                RliSender::new(s.id, ClockModel::perfect(), policy.build(), vec![s.target]);
+            set.add(s.core, None, sender);
+        }
+        set
     }
 
     /// The sender at `core`, if deployed.
     pub fn core_sender(&self, core: TopoId) -> Option<&CoreSenderSpec> {
         self.core_senders.iter().find(|s| s.core == core)
+    }
+}
+
+/// A run's in-band RLI senders: each sits on a node and meters the regular
+/// packets that leave it by the ports its filter admits (`None`: any port).
+/// The engine runs them through [`RefSenders`]; one node's filters must not
+/// overlap, so a packet meets at most one sender.
+#[derive(Debug, Default)]
+pub struct SenderSet {
+    senders: Vec<(NodeId, Option<PortId>, RliSender)>,
+}
+
+impl SenderSet {
+    /// A set of one sender at `node`, on any port.
+    pub fn one(node: NodeId, sender: RliSender) -> Self {
+        let mut set = SenderSet::default();
+        set.add(node, None, sender);
+        set
+    }
+
+    /// Put `sender` on `node`, on egress `port` or (`None`) on any port.
+    pub fn add(&mut self, node: NodeId, port: Option<PortId>, sender: RliSender) {
+        let overlaps = |f: Option<PortId>| f.is_none() || port.is_none() || f == port;
+        assert!(
+            !self
+                .senders
+                .iter()
+                .any(|(n, f, _)| *n == node && overlaps(*f)),
+            "two senders on node {node} meter one port"
+        );
+        self.senders.push((node, port, sender));
+    }
+
+    /// The senders, in the order they were added.
+    pub fn senders(&self) -> impl Iterator<Item = &RliSender> {
+        self.senders.iter().map(|(.., s)| s)
+    }
+
+    /// References emitted by every sender.
+    pub fn refs_emitted(&self) -> u64 {
+        self.senders().map(RliSender::refs_emitted).sum()
+    }
+}
+
+impl RefSenders for SenderSet {
+    fn hosts(&self, node: NodeId) -> bool {
+        self.senders.iter().any(|(n, ..)| *n == node)
+    }
+
+    fn observe(&mut self, node: NodeId, port: PortId, at: SimTime, packet: &Packet) -> &[Packet] {
+        let admits = |(n, f, _): &&mut (NodeId, Option<PortId>, RliSender)| {
+            *n == node && f.is_none_or(|f| f == port)
+        };
+        match self.senders.iter_mut().find(admits) {
+            Some((.., sender)) => sender.observe_at(at, packet),
+            None => &[],
+        }
     }
 }
 

@@ -3,9 +3,9 @@
 //! One `u64` seed names an entire reproducible campaign of correlated
 //! failures — link flaps, gray-loss ramps, tap crash/recovery pairs and a
 //! mid-run latency degradation — generated by [`rlir_sim::ChaosConfig`]
-//! and applied to the fat-tree experiment's both simulation phases. The
-//! online [`EpochDetector`](crate::detect::EpochDetector) watches every
-//! campaign; the report carries the operator's survivability quantities:
+//! and applied to the fat-tree experiment's run. The online
+//! [`EpochDetector`](crate::detect::EpochDetector) watches every campaign;
+//! the report carries the operator's survivability quantities:
 //!
 //! * detection rate, time-to-localize (vs the degradation onset), and
 //!   false positives — including a fault-free **baseline leg** that must
@@ -22,6 +22,7 @@
 //!   the clean capture first.
 
 use super::fattree::{run_fattree_faulted, FatTreeExpConfig};
+use crate::deployment::SenderSet;
 use crate::detect::DetectorConfig;
 use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec};
 use rlir_net::clock::ClockModel;
@@ -370,22 +371,19 @@ fn probe_run(with_flood: bool) -> Vec<(u64, u64)> {
     net.add_port(b1, Port::to_host(probe_qcfg(), link));
 
     let mut injections: Vec<(NodeId, Packet)> = Vec::new();
-    // Victim workload: modest, always under its guaranteed share.
-    let mut sender1 = RliSender::new(
+    // Victim workload: modest, always under its guaranteed share, metered
+    // by an in-band sender at its chain's head.
+    let sender = RliSender::new(
         SenderId(1),
         ClockModel::perfect(),
         StaticPolicy::one_in(10),
         vec![probe_ref_key(40_000)],
     );
+    let mut senders = SenderSet::one(a0, sender);
     for i in 0..2_000u64 {
-        let p = Packet::regular(
-            i,
-            probe_flow((i % 3) as u8),
-            700,
-            SimTime::from_nanos(i * 2_000),
-        );
+        let at = SimTime::from_nanos(i * 2_000);
+        let p = Packet::regular(i, probe_flow((i % 3) as u8), 700, at);
         injections.push((a0, p));
-        injections.extend(sender1.observe(&p).iter().map(|r| (a0, *r)));
     }
     // Flood workload: 10× the victim's rate, squeezed into the same span —
     // far beyond tenant 1's share of the plane budget.
@@ -424,7 +422,10 @@ fn probe_run(with_flood: bool) -> Vec<(u64, u64)> {
         &Chain,
         source,
         &mut plane,
-        RunOptions::default(),
+        RunOptions {
+            senders: Some(&mut senders),
+            ..RunOptions::default()
+        },
         |_| {},
     );
     let report = plane.finish();

@@ -28,14 +28,14 @@
 //! its own (complete) truth shows RLI keeps working while packets die
 //! downstream.
 
-use super::replay::RefInterleave;
+use crate::deployment::SenderSet;
 use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
 use rlir_exec::SweepRunner;
 use rlir_net::clock::ClockModel;
 use rlir_net::packet::{Packet, SenderId};
 use rlir_net::time::SimDuration;
 use rlir_net::FlowKey;
-use rlir_rli::{EpochSeries, PolicyKind, RliSender};
+use rlir_rli::{EpochSeries, PolicyKind, ReceiverCounters, RliSender};
 use rlir_sim::{
     run_network_streamed_source, Forwarder, Network, NodeId, Port, QueueConfig, RouteDecision,
     RunOptions, SortedVecSource,
@@ -126,6 +126,8 @@ pub struct DropAwarePoint {
     pub epochs: EpochSeries,
     /// Plane reorder high-water mark of the delivered-gated tap.
     pub peak_pending: usize,
+    /// The live and the delivered-gated tap's receiver counters.
+    pub tap_counters: [ReceiverCounters; 2],
 }
 
 /// `S0 → S1 → host`: forward out port 0 everywhere; S1's port is
@@ -166,8 +168,8 @@ pub fn run_drop_aware(cfg: &DropAwareConfig, runner: &SweepRunner) -> Vec<DropAw
             cfg.policy.build(),
             vec![ref_key()],
         );
-        let regulars = SortedVecSource::new(trace.packets.iter().map(|p| (S0, *p)));
-        let source = RefInterleave::new(regulars, sender, S0);
+        let source = SortedVecSource::new(trace.packets.iter().map(|p| (S0, *p)));
+        let mut senders = SenderSet::one(S0, sender);
 
         let mut net = Network::default();
         net.add_node("S0");
@@ -198,7 +200,10 @@ pub fn run_drop_aware(cfg: &DropAwareConfig, runner: &SweepRunner) -> Vec<DropAw
             &Line,
             source,
             &mut plane,
-            RunOptions::default(),
+            RunOptions {
+                senders: Some(&mut senders),
+                ..RunOptions::default()
+            },
             |_| {},
         );
         let offered = trace.packets.len() as u64;
@@ -248,6 +253,7 @@ pub fn run_drop_aware(cfg: &DropAwareConfig, runner: &SweepRunner) -> Vec<DropAw
             live_rel_err: rlir_stats::relative_error(live_est, live_true),
             epochs: live_rep.report.epochs,
             peak_pending: delivered_rep.peak_pending,
+            tap_counters: [live_rep.report.counters, delivered_rep.report.counters],
         }
     })
 }

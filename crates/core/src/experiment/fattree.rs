@@ -7,11 +7,11 @@
 //! `core → ToR`, each measured by its own sender/receiver pairs with the
 //! receiver-side demultiplexing of §3.1.
 //!
-//! The experiment runs in two simulation phases: phase 1 (no references)
-//! yields every core's regular-packet crossing times, from which the core
-//! senders' 1-and-n injection schedules are derived; phase 2 runs the full
-//! workload with all reference streams and feeds the measurement plane from
-//! the delivered ground truth.
+//! The experiment is one simulation. The deployment's senders run in-band
+//! ([`Deployment::senders`]): a ToR-uplink sender meters the measured
+//! packets leaving by its uplink, a core sender every regular packet its
+//! core forwards, and each puts its references right behind the trigger.
+//! The measurement plane taps the same run's hop stream.
 //!
 //! Outputs cover the demux ablation (A1/A3: naive vs marking vs
 //! reverse-ECMP association accuracy and the resulting estimation error)
@@ -23,15 +23,13 @@ use crate::detect::{ClosedLoopSink, Detection, DetectorConfig};
 use crate::fabric::{build_network, FatTreeFabric};
 use crate::localization::SegmentObservation;
 use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TenantReport, TruthRef};
-use rlir_net::clock::ClockModel;
-use rlir_net::fxhash::FxHashMap;
 use rlir_net::packet::{Packet, ReferenceInfo, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::{FlowKey, HashAlgo};
-use rlir_rli::{EpochSeries, FlowTable, PolicyKind, RliSender};
+use rlir_rli::{EpochSeries, FlowTable, PolicyKind, ReceiverCounters, RliSender};
 use rlir_sim::{
-    run_network_streamed_source, FaultScript, NullSink, QueueConfig, RunOptions, SortedVecSource,
-    StopFlag, StreamedDelivery,
+    run_network_streamed_source, FaultScript, QueueConfig, RunOptions, SortedVecSource, StopFlag,
+    StreamedDelivery,
 };
 use rlir_topo::{FatTree, Role, TopoId};
 
@@ -172,6 +170,9 @@ pub struct FatTreeOutcome {
     pub measured_delivered: u64,
     /// References emitted by ToR senders / core senders.
     pub refs_emitted: (u64, u64),
+    /// Every receiver's counters, in tap attachment order — segment 1
+    /// first.
+    pub tap_counters: Vec<ReceiverCounters>,
     /// Per-segment (per-tap) epoch series, `(segment name, series)`, in
     /// tap attachment order — segment 1 first. Empty unless
     /// [`PlaneConfig::epoch`] was set.
@@ -298,7 +299,7 @@ pub fn background_injections(cfg: &FatTreeExpConfig, tree: &FatTree) -> Vec<(Top
 
 /// Outcome of a closed-loop (fault-bearing) fat-tree run: the usual
 /// outcome plus the online detector's verdict and the engine's
-/// fault/memory accounting from phase 2.
+/// fault/memory accounting.
 #[derive(Debug, Clone)]
 pub struct ClosedLoopOutcome {
     /// The measurement outcome — truncated at the detection point when the
@@ -306,15 +307,14 @@ pub struct ClosedLoopOutcome {
     pub outcome: FatTreeOutcome,
     /// The online alarm, if one fired.
     pub detection: Option<Detection>,
-    /// Packets killed by the fault script in phase 2 (loss bursts +
-    /// blackholes).
+    /// Packets killed by the fault script (loss bursts + blackholes).
     pub fault_drops: u64,
-    /// Engine in-flight high-water mark of phase 2 — the soak harness's
-    /// flat-memory witness.
+    /// Engine in-flight high-water mark — the soak harness's flat-memory
+    /// witness.
     pub peak_live_slots: usize,
-    /// Scheduler events processed in phase 2.
+    /// Engine units the run processed, references' included.
     pub events: u64,
-    /// Packets delivered in phase 2.
+    /// Packets delivered, references included.
     pub delivered: u64,
 }
 
@@ -323,13 +323,13 @@ pub fn run_fattree(cfg: &FatTreeExpConfig) -> FatTreeOutcome {
     run_fattree_faulted(cfg, None, None).outcome
 }
 
-/// [`run_fattree`] with a mid-run [`FaultScript`] applied inside **both**
-/// simulation phases (the fabric is faulted, so the phase-1 crossing
-/// schedules see the same network the measurement phase does) and an
-/// optional closed-loop online detector watching phase 2. When the
-/// detector fires it raises the engine's stop flag, so the run halts at
-/// the detection watermark — time-to-localize is measured online, not by
-/// post-hoc replay. With `None`/`None` this is exactly [`run_fattree`].
+/// [`run_fattree`] with a mid-run [`FaultScript`] applied to the run (a
+/// rerouted trigger's references follow it, since its sender sees the port
+/// it leaves by) and an optional closed-loop online detector watching it.
+/// When the detector fires it raises the engine's stop flag, so the run
+/// halts at the detection watermark — time-to-localize is measured online,
+/// not by post-hoc replay. With `None`/`None` this is exactly
+/// [`run_fattree`].
 pub fn run_fattree_faulted(
     cfg: &FatTreeExpConfig,
     faults: Option<&FaultScript>,
@@ -344,19 +344,13 @@ pub fn run_fattree_faulted(
     let demux = RlirDemux::new(&tree, cfg.demux);
 
     // ---- Workload -------------------------------------------------------
-    let measured_traces = measured_traces(cfg, &tree);
     let mut injections: Vec<(usize, Packet)> = Vec::new();
-    for (src, trace) in &measured_traces {
+    for (src, trace) in &measured_traces(cfg, &tree) {
         injections.extend(trace.packets.iter().map(|p| (*src, *p)));
     }
     injections.extend(background_injections(cfg, &tree));
+    let mut senders = deployment.senders(&cfg.policy);
 
-    // ---- ToR-uplink senders ---------------------------------------------
-    let tor_refs = deployment.tor_references(&tree, &measured_traces, &cfg.policy);
-    let refs_tor = tor_refs.len() as u64;
-    injections.extend(tor_refs);
-
-    // ---- Simulation phases ---------------------------------------------
     let slowed = |extra: SimDuration| QueueConfig {
         processing_delay: cfg.queue.processing_delay + extra,
         ..cfg.queue
@@ -377,65 +371,12 @@ pub fn run_fattree_faulted(
         .collect();
     let fabric = FatTreeFabric::new(&tree, matches!(cfg.demux, CoreDemux::Marking));
 
-    // Phase 1: derive core-crossing schedules (regular + background only,
-    // ToR references included so the load matches phase 2 closely).
-    // The crossing tables are built straight from the delivery callback,
-    // so this phase runs in O(in-flight) engine memory. Per-core sequences
-    // are sorted before use below, so the callback's processing order is
-    // immaterial.
-    let mut crossings: FxHashMap<TopoId, Vec<(SimTime, u32)>> = FxHashMap::default();
-    run_network_streamed_source(
-        build_network(&tree, cfg.queue, cfg.link_delay, &overrides),
-        &fabric,
-        SortedVecSource::new(injections.clone()),
-        &mut NullSink,
-        RunOptions {
-            faults,
-            ..RunOptions::default()
-        },
-        |d| {
-            if !d.packet.is_regular() {
-                return;
-            }
-            for h in d.hops {
-                if matches!(tree.node(h.node).role, Role::Core { .. }) {
-                    crossings
-                        .entry(h.node)
-                        .or_default()
-                        .push((h.arrived, d.packet.size));
-                }
-            }
-        },
-    );
-
-    // Core senders: replay each core's crossing sequence through the policy.
-    let mut refs_core = 0u64;
-    for spec in &deployment.core_senders {
-        let mut sender = RliSender::new(
-            spec.id,
-            ClockModel::perfect(),
-            cfg.policy.build(),
-            vec![spec.target],
-        );
-        let Some(seq) = crossings.get_mut(&spec.core) else {
-            continue;
-        };
-        seq.sort_unstable();
-        for &(at, size) in seq.iter() {
-            let proxy = Packet::regular(0, spec.target, size, at);
-            for r in sender.observe(&proxy) {
-                refs_core += 1;
-                injections.push((spec.core, *r));
-            }
-        }
-    }
-
-    // Phase 2: the full run, observed live by the measurement plane — the
-    // paper's router-level deployment expressed as hop-event taps instead
-    // of post-hoc event-queue plumbing. The workload accounting (not a
+    // The run, observed live by the measurement plane — the paper's
+    // router-level deployment expressed as hop-event taps instead of
+    // post-hoc event-queue plumbing. The workload accounting (not a
     // measurement-plane concern — how well the downstream demux associated
     // measured packets, from ground truth) rides on the same streamed
-    // delivery callback, so phase 2 never buffers deliveries either.
+    // delivery callback, so the run never buffers deliveries either.
     let (mut plane, seg1_taps) = attach_rlir_taps(cfg, &tree, &deployment, &demux);
     let dst_tor = deployment.dst_tor;
     let mut demux_total = 0u64;
@@ -465,17 +406,18 @@ pub fn run_fattree_faulted(
             None => demux_unassociated += 1,
         }
     };
-    let phase2_net = build_network(&tree, cfg.queue, cfg.link_delay, &overrides);
+    let network = build_network(&tree, cfg.queue, cfg.link_delay, &overrides);
     let stop = StopFlag::new();
     let opts = RunOptions {
         faults,
         stop: detector.is_some().then_some(&stop),
+        senders: Some(&mut senders),
     };
     let (stats, detection) = match detector {
         Some(dc) => {
             let mut sink = ClosedLoopSink::new(&mut plane, *dc, stop.clone());
             let stats = run_network_streamed_source(
-                phase2_net,
+                network,
                 &fabric,
                 SortedVecSource::new(injections),
                 &mut sink,
@@ -486,7 +428,7 @@ pub fn run_fattree_faulted(
         }
         None => {
             let stats = run_network_streamed_source(
-                phase2_net,
+                network,
                 &fabric,
                 SortedVecSource::new(injections),
                 &mut plane,
@@ -496,6 +438,12 @@ pub fn run_fattree_faulted(
             (stats, None)
         }
     };
+
+    let refs_tor = (senders.senders())
+        .filter(|s| s.id().0 < CORE_SENDER_BASE)
+        .map(RliSender::refs_emitted)
+        .sum();
+    let refs_core = senders.refs_emitted() - refs_tor;
 
     // Fold tap reports into the per-segment outcome.
     let report = plane.finish();
@@ -511,6 +459,7 @@ pub fn run_fattree_faulted(
     let mut lost_window_obs = 0u64;
     let mut recovered_epochs = 0u64;
     let mut tap_outages = 0u64;
+    let mut tap_counters = Vec::new();
     for (i, tap) in report.taps.into_iter().enumerate() {
         if let Some(seg) = tap.segment() {
             segments.push(seg);
@@ -521,6 +470,7 @@ pub fn run_fattree_faulted(
         lost_window_obs += tap.lost_window_obs;
         recovered_epochs += tap.recovered_epochs;
         tap_outages += u64::from(tap.outages);
+        tap_counters.push(tap.report.counters);
         if epoch_ns.is_some() {
             segment_epochs.push((tap.name, tap.report.epochs));
         }
@@ -552,6 +502,7 @@ pub fn run_fattree_faulted(
             segments,
             measured_delivered,
             refs_emitted: (refs_tor, refs_core),
+            tap_counters,
             segment_epochs,
             seg1_epochs,
             seg2_epochs,

@@ -62,7 +62,7 @@ pub use localize::{
 };
 pub use loss_sweep::{run_loss_sweep_on, LossPoint, LossSweepConfig};
 pub use plane_scale::{run_plane_scale, PlaneScaleConfig, PlaneScaleOutcome, StateSample};
-pub use replay::{run_replay, synth_capture, RefInterleave, ReplayConfig, ReplayOutcome};
+pub use replay::{run_replay, synth_capture, ReplayConfig, ReplayOutcome};
 pub use two_hop::{
     cross_stream, run_two_hop, run_two_hop_on, tandem_loss_rate, CrossSpec, TwoHopConfig,
     TwoHopOutcome,

@@ -49,7 +49,7 @@ const MIXED: SenderId = SenderId(u16::MAX);
 #[derive(Debug, Clone)]
 pub struct PlaneScaleConfig {
     /// Fabric, workload and plane budget. The harness runs
-    /// a single simulation phase on this fabric; the RLIR deployment
+    /// one simulation on this fabric; the RLIR deployment
     /// fields (`demux`, `anomaly`, …) are ignored.
     pub base: FatTreeExpConfig,
     /// How many `(switch, port)` taps to attach, spread evenly (by
@@ -191,18 +191,18 @@ pub fn run_plane_scale(cfg: &PlaneScaleConfig) -> PlaneScaleOutcome {
     let tree = FatTree::new(base.k, base.hash);
     let dst_tor = base.dst_tor(&tree);
     let src_tors = base.src_tors(&tree);
-    let deployment = Deployment::for_destination(&tree, &src_tors, dst_tor);
+    let mut deployment = Deployment::for_destination(&tree, &src_tors, dst_tor);
 
-    // Workload: measured traces + background + ToR-uplink references —
-    // the exact fat-tree recipe, minus the phase-1 core-sender derivation
-    // (no core receivers here; every tap listens to the mixed stream).
-    let traces = measured_traces(base, &tree);
+    // Workload: measured traces + background, and the deployment's in-band
+    // ToR-uplink senders — the fat-tree recipe without core senders (no
+    // core receivers here; every tap listens to the mixed stream).
     let mut injections: Vec<(TopoId, Packet)> = Vec::new();
-    for (src, trace) in &traces {
+    for (src, trace) in &measured_traces(base, &tree) {
         injections.extend(trace.packets.iter().map(|p| (*src, *p)));
     }
     injections.extend(background_injections(base, &tree));
-    injections.extend(deployment.tor_references(&tree, &traces, &base.policy));
+    deployment.core_senders.clear();
+    let mut senders = deployment.senders(&base.policy);
 
     // The plane: one delivered-gated tap per selected port, all under
     // one budget.
@@ -240,7 +240,10 @@ pub fn run_plane_scale(cfg: &PlaneScaleConfig) -> PlaneScaleOutcome {
         &fabric,
         SortedVecSource::new(injections),
         &mut sink,
-        RunOptions::default(),
+        RunOptions {
+            senders: Some(&mut senders),
+            ..RunOptions::default()
+        },
         &mut |_: &StreamedDelivery<'_>| {},
     );
     let samples = std::mem::take(&mut sink.samples);

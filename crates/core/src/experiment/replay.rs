@@ -6,8 +6,8 @@
 //! O(buffer)-ingest path: a nanosecond pcap — a file given on the command
 //! line, or a synthetic capture generated and round-tripped through the
 //! pcap encoder when none is — streams off disk as a pull-based
-//! [`PcapReplaySource`], gets the RLI reference stream interleaved on the
-//! fly ([`RefInterleave`]), and drives the tandem `S0 → S1 → host` with
+//! [`PcapReplaySource`] and drives the tandem `S0 → S1 → host`, whose RLI
+//! sender at `S0` puts its references in-band behind their triggers, with
 //! three observers teed onto one hop-event stream:
 //!
 //! * an RLI tap at the delivery point (the estimate under test);
@@ -19,6 +19,7 @@
 //!   stream ([`ReplayOutcome::digest`]).
 
 use crate::capture::{CapturePair, CaptureReport};
+use crate::deployment::SenderSet;
 use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
 use rlir_net::clock::ClockModel;
 use rlir_net::packet::{Packet, SenderId};
@@ -26,11 +27,10 @@ use rlir_net::time::SimDuration;
 use rlir_net::FlowKey;
 use rlir_rli::{EpochSeries, PolicyKind, RliSender};
 use rlir_sim::{
-    run_network_streamed_source, Forwarder, InjectionSource, Network, NetworkRunStats, NodeId,
-    Port, QueueConfig, RouteDecision, RunOptions, StreamDigest, TeeSink,
+    run_network_streamed_source, Forwarder, Network, NetworkRunStats, NodeId, Port, QueueConfig,
+    RouteDecision, RunOptions, StreamDigest, TeeSink,
 };
 use rlir_trace::{generate, EntryMap, PcapRecords, PcapReplaySource, PcapWriter, TraceConfig};
-use std::collections::VecDeque;
 use std::io::Read;
 use std::path::PathBuf;
 
@@ -181,77 +181,6 @@ fn ref_key() -> FlowKey {
     )
 }
 
-/// Interleave an [`RliSender`]'s reference stream into any
-/// [`InjectionSource`]: every packet the sender observes is followed
-/// straight away by the references it triggers, so both share the FIFO
-/// queues from the same instant on, the trigger ahead. References enter at
-/// the sender's attach node; the triggering packet keeps its own entry
-/// node. Emission stays monotone because references carry the triggering
-/// packet's injection time.
-pub struct RefInterleave<S: InjectionSource> {
-    inner: S,
-    sender: RliSender,
-    ref_node: NodeId,
-    queue: VecDeque<(NodeId, Packet)>,
-}
-
-impl<S: InjectionSource> RefInterleave<S> {
-    /// Wrap `inner`, injecting `sender`'s references at `ref_node`.
-    pub fn new(inner: S, sender: RliSender, ref_node: NodeId) -> Self {
-        RefInterleave {
-            inner,
-            sender,
-            ref_node,
-            queue: VecDeque::new(),
-        }
-    }
-
-    /// The wrapped source (for its counters after the run).
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// The sender (for [`RliSender::refs_emitted`] after the run).
-    pub fn sender(&self) -> &RliSender {
-        &self.sender
-    }
-
-    fn fill(&mut self) {
-        if !self.queue.is_empty() {
-            return;
-        }
-        if let Some((node, p)) = self.inner.next_injection() {
-            self.queue.push_back((node, p));
-            for r in self.sender.observe(&p) {
-                self.queue.push_back((self.ref_node, *r));
-            }
-        }
-    }
-}
-
-impl<S: InjectionSource> InjectionSource for RefInterleave<S> {
-    fn peek(&mut self) -> Option<rlir_net::time::SimTime> {
-        self.fill();
-        self.queue.front().map(|(_, p)| p.created_at)
-    }
-
-    fn next_injection(&mut self) -> Option<(NodeId, Packet)> {
-        self.fill();
-        self.queue.pop_front()
-    }
-
-    // Hints are scheduler geometry only (drain order is
-    // geometry-independent); the inner counts undercount by the
-    // references, which is fine for a hint.
-    fn len_hint(&self) -> Option<usize> {
-        self.inner.len_hint()
-    }
-
-    fn span_hint(&self) -> Option<u64> {
-        self.inner.span_hint()
-    }
-}
-
 fn build_net(cfg: &ReplayConfig) -> Network {
     let mut net = Network::default();
     net.add_node("S0");
@@ -307,9 +236,13 @@ fn replay_streamed<R: Read>(
     records: PcapRecords<R>,
     entry: EntryMap,
 ) -> StreamedRun {
-    let pcap = PcapReplaySource::new(records, entry, cfg.reorder_ns);
-    let pcap = if cfg.lenient { pcap.lenient() } else { pcap };
-    let mut source = RefInterleave::new(pcap, mk_sender(cfg), S0);
+    let source = PcapReplaySource::new(records, entry, cfg.reorder_ns);
+    let mut source = if cfg.lenient {
+        source.lenient()
+    } else {
+        source
+    };
+    let mut senders = SenderSet::one(S0, mk_sender(cfg));
 
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
         epoch: cfg.epoch,
@@ -335,7 +268,10 @@ fn replay_streamed<R: Read>(
             &Line,
             &mut source,
             &mut sink,
-            RunOptions::default(),
+            RunOptions {
+                senders: Some(&mut senders),
+                ..RunOptions::default()
+            },
             |d| {
                 delivery_digest.fold(d.packet.id.0);
                 delivery_digest.fold(d.delivered_at.as_nanos());
@@ -360,12 +296,12 @@ fn replay_streamed<R: Read>(
         capture: pair.finish(),
         est_mean_ns,
         epochs: tap.report.epochs,
-        records_read: source.inner().records_read(),
-        replayed: source.inner().emitted(),
-        late_dropped: source.inner().late_dropped(),
-        peak_buffered: source.inner().peak_buffered(),
-        refs_emitted: source.sender().refs_emitted(),
-        ingest_error: source.inner().error().map(|e| e.to_string()),
+        records_read: source.records_read(),
+        replayed: source.emitted(),
+        late_dropped: source.late_dropped(),
+        peak_buffered: source.peak_buffered(),
+        refs_emitted: senders.refs_emitted(),
+        ingest_error: source.error().map(|e| e.to_string()),
     }
 }
 
@@ -452,27 +388,30 @@ pub fn run_replay(cfg: &ReplayConfig) -> ReplayOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rlir_net::time::SimTime;
-    use rlir_rli::StaticPolicy;
-    use rlir_sim::SortedVecSource;
+    use rlir_sim::{InjectionSource, SortedVecSource};
 
     fn quick_cfg() -> ReplayConfig {
         ReplayConfig::paper(47, SimDuration::from_millis(20))
     }
 
-    /// The oracle replay of `capture` at `S0`: drain the same source through
-    /// the same interleave into a `Vec`, hand it to the collect-then-sort
-    /// ingest, digest the identical observable stream.
+    /// The oracle replay of `capture` at `S0`: drain the same source into a
+    /// `Vec`, each packet followed by the references the sender emits on
+    /// observing it, hand it to the collect-then-sort ingest with no
+    /// in-band sender, digest the identical observable stream.
     fn replay_vec(cfg: &ReplayConfig, capture: &[u8]) -> u64 {
         let records = PcapRecords::new(capture).unwrap();
-        let pcap = PcapReplaySource::new(records, EntryMap::Fixed(S0), cfg.reorder_ns);
-        let mut source = RefInterleave::new(pcap, mk_sender(cfg), S0);
+        let mut pcap = PcapReplaySource::new(records, EntryMap::Fixed(S0), cfg.reorder_ns);
+        let (mut sender, mut injections) = (mk_sender(cfg), Vec::new());
+        while let Some((node, p)) = pcap.next_injection() {
+            injections.push((node, p));
+            injections.extend(sender.observe(&p).iter().map(|r| (S0, *r)));
+        }
         let mut digest = StreamDigest::default();
         let mut delivery_digest = StreamDigest::default();
         run_network_streamed_source(
             build_net(cfg),
             &Line,
-            SortedVecSource::new(std::iter::from_fn(|| source.next_injection())),
+            SortedVecSource::new(injections),
             &mut digest,
             RunOptions::default(),
             |d| {
@@ -580,93 +519,5 @@ mod tests {
         // Lenient ingest ends the damaged capture cleanly, as before.
         assert_eq!(tolerated.ingest_error, None);
         assert_eq!(tolerated.records_read, cut.records_read);
-    }
-
-    #[test]
-    fn ref_interleave_matches_materialized_idiom() {
-        // Drain the wrapper and rebuild the same stream the Vec idiom
-        // produces; they must agree element for element.
-        let cfg = quick_cfg();
-        let bytes = synth_capture(&cfg);
-        let entry = EntryMap::Fixed(S0);
-        let pcap = PcapReplaySource::new(PcapRecords::new(bytes.as_slice()).unwrap(), entry, 0);
-        let mut wrapped = RefInterleave::new(pcap, mk_sender(&cfg), S0);
-        let mut streamed = Vec::new();
-        while wrapped.peek().is_some() {
-            streamed.push(wrapped.next_injection().unwrap());
-        }
-
-        let mut materialized = Vec::new();
-        let mut sender = mk_sender(&cfg);
-        let mut pcap2 = PcapReplaySource::new(
-            PcapRecords::new(bytes.as_slice()).unwrap(),
-            EntryMap::Fixed(S0),
-            0,
-        );
-        while let Some((node, p)) = pcap2.next_injection() {
-            materialized.push((node, p));
-            for r in sender.observe(&p) {
-                materialized.push((S0, *r));
-            }
-        }
-        assert_eq!(streamed.len(), materialized.len());
-        for (a, b) in streamed.iter().zip(&materialized) {
-            assert_eq!(a.0, b.0);
-            assert_eq!(a.1.id, b.1.id);
-            assert_eq!(a.1.created_at, b.1.created_at);
-            assert_eq!(a.1.kind, b.1.kind);
-        }
-    }
-
-    /// Regulars enter at node 1 every 100 ns, and a cross packet and a
-    /// foreign reference at node 2 every third instant. The sender (one in
-    /// two, two targets) attaches at node 0.
-    #[test]
-    fn ref_interleave_puts_references_right_after_their_trigger() {
-        let flow = FlowKey::tcp([10, 1, 0, 1].into(), 1_000, [10, 200, 0, 1].into(), 80);
-        let mut inner = Vec::new();
-        for i in 0..30u64 {
-            let at = SimTime::from_nanos(i * 100);
-            inner.push((1, Packet::regular(i, flow, 500, at)));
-            if i % 3 == 0 {
-                inner.push((2, Packet::cross(1_000 + i, flow, 500, at)));
-                inner.push((2, Packet::reference(2_000 + i, flow, SenderId(9), 0, at)));
-            }
-        }
-        let policy = StaticPolicy::one_in(2);
-        let sender = RliSender::new(
-            SenderId(1),
-            ClockModel::perfect(),
-            policy,
-            vec![ref_key(); 2],
-        );
-        let mut source = RefInterleave::new(SortedVecSource::new(inner), sender, 0);
-        let out: Vec<_> = std::iter::from_fn(|| source.next_injection()).collect();
-
-        assert!(out
-            .windows(2)
-            .all(|w| w[0].1.created_at <= w[1].1.created_at));
-        let ours = |p: &Packet| p.reference_info().is_some_and(|r| r.sender == SenderId(1));
-        let (mut triggers, mut refs) = (0, 0);
-        for (i, (node, p)) in out.iter().enumerate() {
-            if ours(p) {
-                assert_eq!(*node, 0, "references enter at the sender's node");
-                refs += 1;
-                continue;
-            }
-            // Every other packet keeps its own entry node.
-            assert_eq!(*node, if p.is_regular() { 1 } else { 2 });
-            let after: Vec<_> = out[i + 1..].iter().take_while(|(_, r)| ours(r)).collect();
-            if !after.is_empty() {
-                // Only regulars trigger: cross packets and references never do.
-                assert!(p.is_regular(), "{:?} triggered references", p.kind);
-                assert_eq!(after.len(), 2, "one reference per target");
-                assert!(after.iter().all(|(_, r)| r.created_at == p.created_at));
-                triggers += 1;
-            }
-        }
-        assert_eq!(triggers, 15, "one in two of 30 regulars");
-        assert_eq!(source.sender().refs_emitted(), refs);
-        assert_eq!(out.len(), 30 + 2 * 10 + 30);
     }
 }

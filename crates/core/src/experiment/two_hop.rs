@@ -8,7 +8,7 @@
 //! errors, realised bottleneck utilization, loss rates and average true
 //! latency. Figures 4(a)–(c) and 5 are sweeps over these runs.
 
-use super::replay::RefInterleave;
+use crate::deployment::SenderSet;
 use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
 use rlir_net::clock::ClockPair;
 use rlir_net::packet::Packet;
@@ -18,7 +18,7 @@ use rlir_rli::EpochSeries;
 use rlir_rli::{FlowTable, Interpolator, PolicyKind, ReceiverCounters, RliSender};
 use rlir_sim::{
     calibrate_keep_prob, run_network_streamed_source, ClassCounters, CrossInjector, CrossModel,
-    FifoQueue, InjectionSource, Network, NetworkRunStats, NodeId, RunOptions, TandemConfig,
+    FifoQueue, InjectionSource, Network, NodeId, RunOptions, TandemConfig,
 };
 use rlir_trace::{generate, Trace, TraceConfig};
 use std::iter::Peekable;
@@ -267,30 +267,15 @@ pub fn tandem_loss_rate(network: &Network, class: fn(&FifoQueue) -> &ClassCounte
     1.0 - delivered as f64 / sw1.arrivals as f64
 }
 
-fn run_tandem(
-    cfg: &TwoHopConfig,
-    source: impl InjectionSource,
-    plane: &mut MeasurementPlane,
-) -> NetworkRunStats {
-    let net = cfg.tandem.network();
-    run_network_streamed_source(
-        net,
-        &cfg.tandem,
-        source,
-        plane,
-        RunOptions::default(),
-        |_| {},
-    )
-}
-
 /// Run a two-hop experiment on pre-generated traces (sweeps share the same
 /// base traces across points, like the paper reusing its two CAIDA traces).
 ///
 /// The whole pipeline is streaming: the regular trace, merged with the
-/// filtered cross stream, gets the RLI sender's references at switch 1
-/// through [`RefInterleave`] and drives the engine running
-/// [`TandemConfig::network`], and the measurement plane taps the engine's
-/// hop stream — no per-run packet buffers; engine memory is O(in-flight).
+/// filtered cross stream, drives the engine running
+/// [`TandemConfig::network`], the RLI sender at switch 1 puts its
+/// references in-band behind their triggers, and the measurement plane
+/// taps the engine's hop stream — no per-run packet buffers; engine memory
+/// is O(in-flight).
 pub fn run_two_hop_on(cfg: &TwoHopConfig, regular: &Trace, cross: &Trace) -> TwoHopOutcome {
     let source = TwoHopSource {
         upstream: regular.packets.iter().copied().peekable(),
@@ -312,20 +297,21 @@ pub fn run_two_hop_on(cfg: &TwoHopConfig, regular: &Trace, cross: &Trace) -> Two
     tap.interpolator = cfg.interpolator;
     tap.track_quantile = cfg.track_quantile;
     plane.attach(tap);
-    // The interference baseline runs the bare source, without references.
-    let (stats, refs_emitted) = if cfg.inject_references {
-        let sender = RliSender::new(
-            SenderId(1),
-            cfg.clocks.sender,
-            cfg.policy.build(),
-            vec![tandem_ref_key()],
-        );
-        let mut source = RefInterleave::new(source, sender, TandemConfig::SW1);
-        let stats = run_tandem(cfg, &mut source, &mut plane);
-        (stats, source.sender().refs_emitted())
-    } else {
-        (run_tandem(cfg, source, &mut plane), 0)
+    let sender = RliSender::new(
+        SenderId(1),
+        cfg.clocks.sender,
+        cfg.policy.build(),
+        vec![tandem_ref_key()],
+    );
+    let mut senders = SenderSet::one(TandemConfig::SW1, sender);
+    // The interference baseline runs without a sender.
+    let opts = RunOptions {
+        senders: cfg.inject_references.then_some(&mut senders as _),
+        ..RunOptions::default()
     };
+    let net = cfg.tandem.network();
+    let stats = run_network_streamed_source(net, &cfg.tandem, source, &mut plane, opts, |_| {});
+    let refs_emitted = senders.refs_emitted();
     let tap_report = plane.finish().taps.pop().expect("one tap");
     let late = tap_report.late;
     let report = tap_report.report;

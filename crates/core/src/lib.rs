@@ -54,7 +54,7 @@ pub mod plane;
 
 pub use capture::CapturePair;
 pub use demux::CoreDemux;
-pub use deployment::Deployment;
+pub use deployment::{Deployment, SenderSet};
 pub use detect::{Detection, DetectorConfig, EpochDetector};
 pub use fabric::{build_network, FatTreeFabric};
 pub use localization::LocalizerConfig;

@@ -77,6 +77,14 @@ pub struct ReceiverCounters {
     /// in every other counter and in the per-flow table as usual, and
     /// appear in no epoch. Always zero without epochs.
     pub outside_epochs: u64,
+    /// Accepted references `r` that break the FIFO pair law against the
+    /// one before, `l`: `D_r − D_l > a_r − a_l`, arrivals on the receiver's
+    /// clock (so only sender-clock jitter is slack). References sharing
+    /// every FIFO queue of a segment never do; a count means
+    /// mis-association, a path change or queues the two do not share.
+    pub ref_inversions: u64,
+    /// The largest `(D_r − D_l) − (a_r − a_l)` of an inversion, ns.
+    pub max_inversion_ns: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -207,6 +215,14 @@ impl<S: BuildHasher + Default> RliReceiver<S> {
         let delay_ns = rx_local.signed_delta_nanos(info.tx_timestamp) as f64;
         let right = DelaySample::new(at, delay_ns);
         if let Some(left) = self.left {
+            // The pair law, both arrivals read on the receiver's clock.
+            let gap = rx_local.signed_delta_nanos(self.cfg.clock.observe(left.at));
+            let excess = right.delay_ns - left.delay_ns - gap as f64;
+            if excess > 0.0 {
+                self.counters.ref_inversions += 1;
+                let excess = excess as u64;
+                self.counters.max_inversion_ns = self.counters.max_inversion_ns.max(excess);
+            }
             // One slope division per interval; one multiply-add per packet.
             let segment = self.cfg.interpolator.segment(left, right);
             for p in self.buffer.drain(..) {

@@ -15,6 +15,7 @@
 use crate::policy::{InjectionPolicy, Policy};
 use rlir_net::clock::ClockModel;
 use rlir_net::packet::{Packet, SenderId};
+use rlir_net::time::SimTime;
 use rlir_net::FlowKey;
 
 /// Base of the packet-id namespace reserved for reference packets, far above
@@ -101,26 +102,33 @@ impl RliSender {
         self.policy.current_n()
     }
 
-    /// Observe one packet crossing the sender's interface. Returns the
-    /// reference packets (one per target) to inject immediately after it —
-    /// empty unless the policy fires. Reference and cross packets never
-    /// trigger injection (the sender meters *regular* traffic).
+    /// [`observe_at`](Self::observe_at) the packet's own `created_at`: a
+    /// sender on the packet's entry interface.
+    pub fn observe(&mut self, pkt: &Packet) -> &[Packet] {
+        self.observe_at(pkt.created_at, pkt)
+    }
+
+    /// Observe one packet crossing the sender's interface at `at`. Returns
+    /// the reference packets (one per target) to inject immediately after
+    /// it — empty unless the policy fires — stamped and created at `at`.
+    /// Reference and cross packets never trigger injection (the sender
+    /// meters *regular* traffic).
     ///
     /// The returned slice borrows an internal scratch buffer that is
     /// overwritten by the next call: copy the packets out (they are `Copy`)
     /// before observing again. This keeps the per-packet hot path
     /// allocation-free; the seed implementation allocated a fresh
     /// `Vec<Packet>` per observed packet.
-    pub fn observe(&mut self, pkt: &Packet) -> &[Packet] {
+    pub fn observe_at(&mut self, at: SimTime, pkt: &Packet) -> &[Packet] {
         self.scratch.clear();
         if !pkt.is_regular() {
             return &self.scratch;
         }
         self.regulars_seen += 1;
-        if !self.policy.on_regular(pkt.created_at.as_nanos(), pkt.size) {
+        if !self.policy.on_regular(at.as_nanos(), pkt.size) {
             return &self.scratch;
         }
-        let stamp = self.clock.observe(pkt.created_at);
+        let stamp = self.clock.observe(at);
         let seq = self.seq;
         self.seq = self.seq.wrapping_add(1);
         for flow in &self.targets {
@@ -131,7 +139,7 @@ impl RliSender {
             // regular packet it follows; `created_at` drives simulation
             // arrival order while `tx_timestamp` is the (possibly skewed)
             // clock reading.
-            r.created_at = pkt.created_at;
+            r.created_at = at;
             self.scratch.push(r);
         }
         self.refs_emitted += self.scratch.len() as u64;

@@ -55,7 +55,8 @@ pub use crosstraffic::{calibrate_keep_prob, CrossInjector, CrossModel};
 pub use fault::{DeadPorts, FaultEvent, FaultKind, FaultScript, StopFlag};
 pub use network::{
     Forwarder, Hop, HopEvent, HopKind, HopSink, Network, NetworkRunStats, NodeId, NullSink, Port,
-    PortId, RouteDecision, RunOptions, StreamDigest, StreamedDelivery, SwitchNode, TeeSink,
+    PortId, RefSenders, RouteDecision, RunOptions, StreamDigest, StreamedDelivery, SwitchNode,
+    TeeSink,
 };
 pub use pipeline::TandemConfig;
 pub use queue::{ClassCounters, FifoQueue, QueueConfig, Verdict};

@@ -441,9 +441,26 @@ pub struct NetworkRunStats {
     pub network: Network,
 }
 
+/// In-band reference senders: RLI senders that sit on switches, watch the
+/// regular packets leave them and put references right behind the one
+/// that triggers them (paper §2–3.1). The engine injects what
+/// [`observe`](RefSenders::observe) returns at the trigger's node and
+/// instant, keyed right behind it (the ordinal rule is in [`crate::shard`]).
+pub trait RefSenders {
+    /// Whether a sender sits on `node`; asked once per node as a run starts.
+    fn hosts(&self, node: NodeId) -> bool;
+
+    /// The regular `packet` at a hosting `node`, arrived at `at` and leaving
+    /// by egress `port` (the final one, after any reroute): the references
+    /// to inject behind it. The engine asks after the route decision and
+    /// before the egress queue's verdict, so a trigger the queue drops was
+    /// still seen; cross packets and references never reach it.
+    fn observe(&mut self, node: NodeId, port: PortId, at: SimTime, packet: &Packet) -> &[Packet];
+}
+
 /// Run-shaping options for the engine's one entry,
 /// [`run_network_streamed_source`](crate::shard::run_network_streamed_source).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Default)]
 pub struct RunOptions<'a> {
     /// Timed fault script applied as the clock advances. `None` — and an
     /// empty script — are byte-identical to a fault-free run.
@@ -451,6 +468,9 @@ pub struct RunOptions<'a> {
     /// Cooperative termination hook: when raised (typically by an online
     /// detector inside `sink`), the loop stops before its next event.
     pub stop: Option<&'a StopFlag>,
+    /// In-band reference senders. `None` hosts none, and a forwarded
+    /// packet pays one per-node flag test for the hook.
+    pub senders: Option<&'a mut dyn RefSenders>,
 }
 
 #[cfg(test)]

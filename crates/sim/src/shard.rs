@@ -19,6 +19,13 @@
 //! scheduled arrival goes before an injection. Ordinals are a pull
 //! counter, so ingest streams.
 //!
+//! A reference an in-band sender ([`RefSenders`]) puts behind its trigger
+//! is born mid-run: it enters the slab at the trigger's node and instant
+//! and the queue as `(instant, (ordinal, 0))`, its ordinal drawn at birth
+//! from the same counter that numbers pulls. So it follows its trigger and
+//! every unit already queued for that instant, and precedes every later
+//! pull — where a reference pulled right after its trigger would stand.
+//!
 //! Everything a unit produces reaches `sink`, `on_delivery` and the stats
 //! as the unit runs, through the run's `Emitter`, borrowed from the live
 //! slab slot. [`run_network_sharded_source`] is the same loop plus a count
@@ -26,8 +33,8 @@
 
 use crate::fault::{FaultEvent, FaultScript, FaultState, StopFlag};
 use crate::network::{
-    Forwarder, Hop, HopEvent, HopKind, HopSink, Network, NetworkRunStats, NodeId, RouteDecision,
-    RunOptions, StreamedDelivery,
+    Forwarder, Hop, HopEvent, HopKind, HopSink, Network, NetworkRunStats, NodeId, PortId,
+    RefSenders, RouteDecision, RunOptions, StreamedDelivery,
 };
 use crate::queue::Verdict;
 use crate::sched::{CalendarQueue, EventSchedule};
@@ -72,6 +79,14 @@ fn next_hop(tie: u64) -> u64 {
         "hop progress overflows the packed scheduler key (forwarding loop?)"
     );
     tie + 1
+}
+
+/// The tie of the next packet to enter the run — pulled or born — from the
+/// run's ordinal counter `next_ord` (progress 0).
+fn next_entry(next_ord: &mut u64) -> u64 {
+    let tie = pack_key(*next_ord, 0);
+    *next_ord += 1;
+    tie
 }
 
 /// What the queue moves: slot handle + next node, 8 bytes, `Copy`, private
@@ -146,12 +161,18 @@ struct Emitter<'a, S, D> {
 }
 
 impl<'a, S, D> Emitter<'a, S, D> {
-    fn new(sink: &'a mut S, on_delivery: &'a mut D, opts: RunOptions<'a>, n_nodes: usize) -> Self {
+    fn new(
+        sink: &'a mut S,
+        on_delivery: &'a mut D,
+        faults: Option<&'a FaultScript>,
+        stop: Option<&'a StopFlag>,
+        n_nodes: usize,
+    ) -> Self {
         Emitter {
             sink,
             on_delivery,
-            stop: opts.stop,
-            script: opts.faults.map_or(&[][..], FaultScript::events),
+            stop,
+            script: faults.map_or(&[][..], FaultScript::events),
             watermark: None,
             stats: NetworkRunStats {
                 queue_drops: vec![0; n_nodes],
@@ -211,15 +232,12 @@ impl<S: HopSink, D: FnMut(&StreamedDelivery<'_>)> Emitter<'_, S, D> {
     }
 }
 
-/// The injection stream with its ordinals: a packet's ordinal is the count
-/// of injections pulled before it. Each pull is checked against the source
+/// The injection stream. Each pull is checked against the source
 /// contract — a misordered source would put `Arrive` events behind the
 /// watermark and silently break every streaming consumer, so the engine
 /// fails loudly instead.
 struct Ingest<I> {
     source: I,
-    /// Ordinal of the next injection.
-    next_ord: u64,
     last_at: SimTime,
     n_nodes: usize,
 }
@@ -228,7 +246,6 @@ impl<I: InjectionSource> Ingest<I> {
     fn new(source: I, n_nodes: usize) -> Self {
         Ingest {
             source,
-            next_ord: 0,
             last_at: SimTime::ZERO,
             n_nodes,
         }
@@ -238,8 +255,8 @@ impl<I: InjectionSource> Ingest<I> {
         self.source.peek().map(SimTime::as_nanos)
     }
 
-    /// The next injection and its tie (progress 0).
-    fn pull(&mut self) -> (NodeId, Packet, u64) {
+    /// The next injection.
+    fn pull(&mut self) -> (NodeId, Packet) {
         let (node, packet) = self.source.next_injection().expect("peeked non-empty");
         assert!(node < self.n_nodes, "injection at unknown node {node}");
         let at = packet.created_at;
@@ -250,31 +267,45 @@ impl<I: InjectionSource> Ingest<I> {
             self.last_at.as_nanos()
         );
         self.last_at = at;
-        let tie = pack_key(self.next_ord, 0);
-        self.next_ord += 1;
-        (node, packet, tie)
+        (node, packet)
     }
 }
 
 /// The run's state: the network (its queues and fault effects), the
-/// forwarder, the slab, the keyed queue and the fault cursor.
-struct ShardWorker<'a, F> {
+/// forwarder, the slab, the keyed queue, the fault cursor, the ordinal
+/// counter and the in-band senders.
+struct ShardWorker<'a, 's, F> {
     network: Network,
     forwarder: &'a F,
     slab: PacketSlab,
     schedule: CalendarQueue<ShardEvent>,
     faults: Option<FaultState<'a>>,
+    /// Ordinal of the next pull or reference birth.
+    next_ord: u64,
+    senders: Option<&'s mut dyn RefSenders>,
+    /// Whether each node hosts a sender: all `false` without senders.
+    hosts: Vec<bool>,
 }
 
-impl<'a, F: Forwarder> ShardWorker<'a, F> {
-    fn new(network: Network, forwarder: &'a F, faults: Option<&'a FaultScript>) -> Self {
+impl<'a, 's, F: Forwarder> ShardWorker<'a, 's, F> {
+    fn new(
+        network: Network,
+        forwarder: &'a F,
+        faults: Option<&'a FaultScript>,
+        senders: Option<&'s mut dyn RefSenders>,
+    ) -> Self {
         let (width, buckets) = network.calendar_geometry();
+        let nodes = 0..network.nodes.len();
+        let hosts = nodes.map(|n| senders.as_ref().is_some_and(|s| s.hosts(n)));
         ShardWorker {
+            hosts: hosts.collect(),
             network,
             forwarder,
             slab: PacketSlab::new(),
             schedule: CalendarQueue::with_geometry(width, buckets),
             faults: faults.map(FaultState::new),
+            next_ord: 0,
+            senders,
         }
     }
 
@@ -296,7 +327,8 @@ impl<'a, F: Forwarder> ShardWorker<'a, F> {
                 None => false,
             };
             if inject {
-                let (node, packet, tie) = ingest.pull();
+                let (node, packet) = ingest.pull();
+                let tie = next_entry(&mut self.next_ord);
                 let at = packet.created_at;
                 let slot = self.slab.insert(packet, node, at);
                 self.unit(out, at, tie, node, slot);
@@ -330,6 +362,27 @@ impl<'a, F: Forwarder> ShardWorker<'a, F> {
             injected_at: st.injected_at,
             hops: st.hops(),
         });
+    }
+
+    /// The references the sender at `node` puts behind the packet in `slot`,
+    /// which arrived at `at` and leaves by `port`: each enters the slab at
+    /// that node and instant and is keyed by its birth ordinal.
+    #[inline(never)]
+    fn send_references(&mut self, node: usize, port: PortId, at: SimTime, slot: SlotId) {
+        let trigger = self.slab.get(slot).packet;
+        if !trigger.is_regular() {
+            return;
+        }
+        let senders = self.senders.as_deref_mut().expect("a hosting node");
+        for r in senders.observe(node, port, at, &trigger) {
+            let tie = next_entry(&mut self.next_ord);
+            let slot = self.slab.insert(*r, node, at);
+            let event = ShardEvent {
+                node: node as u32,
+                slot,
+            };
+            self.schedule.push_keyed(at, tie, event);
+        }
     }
 
     /// One engine unit — the packet in `slot` arrives at `node` at `at` —
@@ -381,6 +434,9 @@ impl<'a, F: Forwarder> ShardWorker<'a, F> {
                 RouteDecision::Forward(port_id) => {
                     self.forwarder
                         .on_forward(node, port_id, self.slab.packet_mut(slot));
+                    if self.hosts[node] {
+                        self.send_references(node, port_id, at, slot);
+                    }
                     let port = &mut self.network.nodes[node].ports[port_id];
                     let (link_to, link_delay) = (port.link_to, port.link_delay);
                     match port.queue.offer(at, &self.slab.get(slot).packet) {
@@ -430,7 +486,8 @@ impl<'a, F: Forwarder> ShardWorker<'a, F> {
 /// recycled when the callback returns), and the run returns bounded
 /// [`NetworkRunStats`] — whole-run engine memory is O(max in-flight), and
 /// ingest memory is whatever the source buffers. [`RunOptions`] adds a
-/// mid-run fault script and a cooperative stop. Wrap a list in
+/// mid-run fault script, a cooperative stop and in-band reference senders,
+/// whose references count as injected. Wrap a list in
 /// [`SortedVecSource::new`](crate::source::SortedVecSource::new); pass a
 /// source by `&mut` to keep it (and its counters) after the run.
 ///
@@ -446,10 +503,15 @@ pub fn run_network_streamed_source(
     opts: RunOptions<'_>,
     mut on_delivery: impl FnMut(&StreamedDelivery<'_>),
 ) -> NetworkRunStats {
+    let RunOptions {
+        faults,
+        stop,
+        senders,
+    } = opts;
     let n = network.nodes.len();
     let mut ingest = Ingest::new(source, n);
-    let mut out = Emitter::new(sink, &mut on_delivery, opts, n);
-    let mut worker = ShardWorker::new(network, forwarder, opts.faults);
+    let mut out = Emitter::new(sink, &mut on_delivery, faults, stop, n);
+    let mut worker = ShardWorker::new(network, forwarder, faults, senders);
     worker.run_alone(&mut out, &mut ingest);
     let mut stats = out.stats;
     stats.peak_live_slots = worker.slab.peak_live();

@@ -13,10 +13,14 @@
 //! * the calendar's buckets: every wheel slot and the open bucket hold at
 //!   most `longest_bucket` entries.
 //!
-//! Each injection list, its source and the network are built before the
-//! counter starts: what is counted is the engine's run alone. The bounds
-//! are checked to be tight enough that one hop record cloned per delivery
-//! would break the law on both fabrics.
+//! Each injection list, its source, its in-band senders and the network
+//! are built before the counter starts: what is counted is the engine's run
+//! alone. A reference an in-band sender puts behind its trigger takes a
+//! slab slot and, when its birth instant lies in the open bucket, a push
+//! into that bucket's side heap, which holds one trigger's references at a
+//! time: no allocation of its own. The bounds are
+//! checked to be tight enough that one hop record cloned per delivery would
+//! break the law on every fabric.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -24,8 +28,10 @@ mod counting_alloc;
 use rlir::experiment::{
     background_injections, cross_stream, measured_traces, FatTreeExpConfig, TwoHopConfig,
 };
-use rlir::{build_network, FatTreeFabric};
+use rlir::{build_network, FatTreeFabric, SenderSet};
 use rlir_net::time::SimDuration;
+use rlir_net::{FlowKey, SenderId};
+use rlir_rli::RliSender;
 use rlir_sim::{
     run_network_streamed_source, Forwarder, Network, NetworkRunStats, NullSink, RunOptions,
     SortedVecSource, TandemConfig,
@@ -52,23 +58,34 @@ fn grown(len: usize, size: usize) -> usize {
     }
 }
 
-/// One run: its stats, its calendar's wheel size and what it requested.
+/// One run: its stats, its calendar's wheel size, what it requested and
+/// the references its senders emitted.
 struct Measured {
     stats: NetworkRunStats,
     wheel: usize,
     requested: usize,
+    refs: u64,
 }
 
-fn measure(net: Network, forwarder: &impl Forwarder, source: SortedVecSource) -> Measured {
+fn measure(
+    net: Network,
+    forwarder: &impl Forwarder,
+    source: SortedVecSource,
+    mut senders: Option<SenderSet>,
+) -> Measured {
     let wheel = 1 << net.calendar_geometry().1;
     let before = counting_alloc::requested();
-    let opts = RunOptions::default();
+    let opts = RunOptions {
+        senders: senders.as_mut().map(|s| s as _),
+        ..RunOptions::default()
+    };
     let stats = run_network_streamed_source(net, forwarder, source, &mut NullSink, opts, |_| {});
     let requested = counting_alloc::requested() - before;
     Measured {
         stats,
         wheel,
         requested,
+        refs: senders.map_or(0, |s| s.refs_emitted()),
     }
 }
 
@@ -80,12 +97,13 @@ fn assert_only_capacity_grew(name: &str, short: &Measured, long: &Measured, max_
         l.delivered > 3 * s.delivered,
         "{name}: the long run is short"
     );
-    for r in [s, l] {
-        // The side and overflow heaps grow with their pushes: none here.
-        assert_eq!(
-            (r.sched.same_bucket_pushes, r.sched.overflow_pushes),
-            (0, 0)
-        );
+    for m in [short, long] {
+        // The side and overflow heaps grow with their pushes: none here
+        // but references pushed at their birth instant, where it lies in
+        // the open bucket.
+        let sched = &m.stats.sched;
+        assert!(sched.same_bucket_pushes <= m.refs, "{name}: {sched:?}");
+        assert_eq!(sched.overflow_pushes, 0, "{name}");
     }
     // The slab: slots and free list are a function of the peak; a hop
     // vector's (re)allocation asks for 4 up to `max_hops` rounded up to a
@@ -123,21 +141,41 @@ fn a_longer_fat_tree_run_requests_more_only_where_capacity_grew() {
         let measured = (measured.iter()).flat_map(|(tor, t)| t.packets.iter().map(|p| (*tor, *p)));
         let source = SortedVecSource::new(measured.chain(background_injections(&cfg, &tree)));
         let net = build_network(&tree, cfg.queue, cfg.link_delay, &[]);
-        measure(net, &FatTreeFabric::new(&tree, false), source)
+        measure(net, &FatTreeFabric::new(&tree, false), source, None)
     };
     // ToR, aggregation, core, aggregation, ToR.
     assert_only_capacity_grew("fat-tree", &run(3), &run(12), 5);
 }
 
+/// The paper tandem over `ms`, with the RLI sender at switch 1 in-band
+/// or without one.
+fn tandem(ms: u64, in_band: bool) -> Measured {
+    let cfg = TwoHopConfig::paper(7, SimDuration::from_millis(ms));
+    let (regular, cross) = (generate(&cfg.regular_trace()), generate(&cfg.cross_trace()));
+    let upstream = regular.packets.iter().map(|p| (TandemConfig::SW1, *p));
+    let cross = cross_stream(&cfg, &regular, &cross).map(|p| (TandemConfig::SW2, p));
+    let source = SortedVecSource::new(upstream.chain(cross));
+    let senders = in_band.then(|| {
+        let key = FlowKey::udp([10, 1, 0, 250].into(), 4_000, [10, 2, 0, 250].into(), 9_000);
+        let sender = RliSender::new(
+            SenderId(1),
+            cfg.clocks.sender,
+            cfg.policy.build(),
+            vec![key],
+        );
+        SenderSet::one(TandemConfig::SW1, sender)
+    });
+    measure(cfg.tandem.network(), &cfg.tandem, source, senders)
+}
+
 #[test]
 fn a_longer_tandem_run_requests_more_only_where_capacity_grew() {
-    let run = |ms| {
-        let cfg = TwoHopConfig::paper(7, SimDuration::from_millis(ms));
-        let (regular, cross) = (generate(&cfg.regular_trace()), generate(&cfg.cross_trace()));
-        let upstream = regular.packets.iter().map(|p| (TandemConfig::SW1, *p));
-        let cross = cross_stream(&cfg, &regular, &cross).map(|p| (TandemConfig::SW2, p));
-        let source = SortedVecSource::new(upstream.chain(cross));
-        measure(cfg.tandem.network(), &cfg.tandem, source)
-    };
-    assert_only_capacity_grew("tandem", &run(20), &run(80), 2);
+    assert_only_capacity_grew("tandem", &tandem(20, false), &tandem(80, false), 2);
+}
+
+#[test]
+fn an_in_band_sender_allocates_nothing_per_reference() {
+    let (short, long) = (tandem(20, true), tandem(80, true));
+    assert!(long.refs > 3 * short.refs && short.refs > 0);
+    assert_only_capacity_grew("tandem with a sender", &short, &long, 2);
 }

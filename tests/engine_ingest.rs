@@ -6,19 +6,31 @@
 //! and delivery, hop records included — on tie-heavy streams under
 //! arbitrary mid-run [`FaultScript`]s. A run pulls its source no further
 //! than its clock, a raised [`StopFlag`] stops the pulling, and a
-//! misordered source fails loudly. The last test pins one run's work
-//! counters on the fat-tree mix: every field of
-//! [`rlir_sim::NetworkRunStats`] is an exact property of the run.
+//! misordered source fails loudly. A test pins one run's work counters on
+//! the fat-tree mix: every field of [`rlir_sim::NetworkRunStats`] is an
+//! exact property of the run.
+//!
+//! References are ingest born mid-run: the last tests hold an in-band
+//! sender ([`RunOptions::senders`]) to its contract — a reference enters at
+//! its sender's node and its trigger's instant, right behind the trigger;
+//! only regulars trigger; the filter sees a rerouted packet's final port;
+//! and a tandem run with an in-band sender equals the run over the
+//! trigger-first list a test builds with `RliSender::observe`.
 
 use proptest::prelude::*;
 use rlir::experiment::{background_injections, measured_traces, FatTreeExpConfig};
-use rlir::{build_network, FatTreeFabric};
+use rlir::experiment::{cross_stream, CrossSpec, TwoHopConfig};
+use rlir::{build_network, FatTreeFabric, SenderSet};
+use rlir_net::clock::ClockModel;
 use rlir_net::time::{SimDuration, SimTime};
-use rlir_net::{hash::HashAlgo, packet::Packet, FlowKey};
+use rlir_net::{hash::HashAlgo, packet::Packet, FlowKey, SenderId};
+use rlir_rli::{PolicyKind, RliSender, StaticPolicy};
 use rlir_sim::{run_network_streamed_source, FaultEvent, FaultKind, FaultScript, HopEvent};
+use rlir_sim::{Forwarder, Network, NullSink, Port, RouteDecision, TandemConfig};
 use rlir_sim::{HopKind, HopSink, InjectionSource, QueueConfig, RunOptions, SortedVecSource};
 use rlir_sim::{StopFlag, StreamDigest, StreamedDelivery};
 use rlir_topo::FatTree;
+use rlir_trace::generate;
 use std::cell::Cell;
 
 /// Link latency of the fabric a run goes through, unless a test zeroes it.
@@ -165,6 +177,7 @@ fn run(
     let opts = RunOptions {
         faults,
         stop: Some(&stop),
+        ..RunOptions::default()
     };
     let (mut dd, mut seen) = (StreamDigest::default(), 0);
     let on_delivery = |d: &StreamedDelivery<'_>| {
@@ -332,4 +345,269 @@ fn engine_work_counters_are_pinned_on_the_fat_tree_mix() {
     let queue = [s.pushes, s.pops, s.same_bucket_pushes, s.overflow_pushes];
     assert_eq!(queue, [21_332, 21_332, 0, 0]);
     assert_eq!((s.buckets_opened, s.longest_bucket), (5_518, 14));
+}
+
+/// One arrival as a sink saw it: node, instant, packet, entry node and
+/// instant.
+type Arrival = (usize, u64, Packet, usize, u64);
+
+/// The `Arrive` events of a run, in processing order.
+#[derive(Default)]
+struct Arrivals(Vec<Arrival>);
+
+impl HopSink for Arrivals {
+    fn on_hop(&mut self, ev: &HopEvent<'_>) {
+        if ev.kind == HopKind::Arrive {
+            let (at, from) = (ev.at.as_nanos(), ev.injected_at.as_nanos());
+            self.0
+                .push((ev.node, at, *ev.packet, ev.injected_node, from));
+        }
+    }
+}
+
+/// Forward by port 0 everywhere.
+struct Chain;
+impl Forwarder for Chain {
+    fn route(&self, _node: usize, _packet: &Packet) -> RouteDecision {
+        RouteDecision::Forward(0)
+    }
+}
+
+/// `0 → 1 → 2 → host`, 1 B/ns ports, 1 µs links.
+fn chain() -> Network {
+    let mut net = Network::default();
+    let queue = QueueConfig {
+        rate_bps: 8_000_000_000,
+        capacity_bytes: 1 << 20,
+        processing_delay: SimDuration::ZERO,
+    };
+    let link = SimDuration::from_nanos(LINK_NS);
+    for n in 0..3 {
+        net.add_node(format!("S{n}"));
+    }
+    net.add_port(0, Port::to_switch(queue, 1, link));
+    net.add_port(1, Port::to_switch(queue, 2, link));
+    net.add_port(2, Port::to_host(queue, link));
+    net
+}
+
+fn ref_key(port: u16) -> FlowKey {
+    FlowKey::udp([10, 0, 0, 250].into(), port, [10, 9, 0, 250].into(), 9_000)
+}
+
+/// An in-band sender at switch 1 (one in two, two targets) meters regulars
+/// that entered at switch 0, mid-run. At the very instant each regular
+/// arrives at switch 1, a packet pulled after it reaches switch 2, and a
+/// cross packet and a foreign reference enter at switch 1. A reference
+/// enters at the sender's node and its trigger's instant, keyed by an
+/// ordinal drawn at birth: behind the trigger and the unit already queued
+/// for that instant, ahead of the same-instant injections. Only regulars
+/// trigger; the run counts the references as injected and every packet
+/// meets one fate.
+#[test]
+fn references_are_born_at_their_sender_right_behind_the_trigger() {
+    let flow = FlowKey::tcp([10, 1, 0, 1].into(), 1_000, [10, 2, 0, 1].into(), 80);
+    let mut injections = Vec::new();
+    for i in 0..40u64 {
+        let at = |ns| SimTime::from_nanos(i * 5_000 + ns);
+        // 1 000 B: serialised in 1 µs, plus the 1 µs link to switch 1.
+        injections.push((0, Packet::regular(i, flow, 1_000, at(0))));
+        // 500 B from switch 1 at +500 ns: at switch 2 at +2 µs as well.
+        injections.push((1, Packet::cross(1_000 + i, flow, 500, at(500))));
+        injections.push((1, Packet::cross(2_000 + i, flow, 500, at(2_000))));
+        let foreign = Packet::reference(3_000 + i, ref_key(1), SenderId(9), 0, at(2_000));
+        injections.push((1, foreign));
+    }
+    let policy = StaticPolicy::one_in(2);
+    let sender = RliSender::new(
+        SenderId(1),
+        ClockModel::perfect(),
+        policy,
+        vec![ref_key(2); 2],
+    );
+    let mut senders = SenderSet::one(1, sender);
+    let mut arrivals = Arrivals::default();
+    let opts = RunOptions {
+        senders: Some(&mut senders),
+        ..RunOptions::default()
+    };
+    let source = SortedVecSource::new(injections.iter().copied());
+    let stats = run_network_streamed_source(chain(), &Chain, source, &mut arrivals, opts, |_| {});
+
+    let ours = |p: &Packet| p.reference_info().is_some_and(|r| r.sender == SenderId(1));
+    // What each same-instant arrival is: (node, entry node, kind).
+    let what = |&(node, _, p, from_node, _): &Arrival| {
+        let kind = if ours(&p) {
+            "ours"
+        } else if p.is_cross() {
+            "cross"
+        } else {
+            "other"
+        };
+        (node, from_node, kind)
+    };
+    let (mut triggers, mut births) = (0, 0);
+    let arrivals = &arrivals.0;
+    for (i, a @ &(node, at, p, ..)) in arrivals.iter().enumerate() {
+        if ours(&p) && node == 1 {
+            // The reference's own first unit: at the sender, at birth.
+            assert_eq!(
+                (a.3, a.4, p.reference_info().unwrap().tx_timestamp),
+                (1, at, SimTime::from_nanos(at))
+            );
+            births += 1;
+        }
+        if !(p.is_regular() && node == 1) {
+            continue;
+        }
+        let same: Vec<_> = arrivals[i + 1..]
+            .iter()
+            .take_while(|b| b.1 == at)
+            .map(what)
+            .collect();
+        let queued = (2, 1, "cross");
+        let pulled = [(1, 1, "cross"), (1, 1, "other")];
+        if same.len() == 5 {
+            assert_eq!(
+                same[..3],
+                [queued, (1, 1, "ours"), (1, 1, "ours")],
+                "at {at}"
+            );
+            triggers += 1;
+        } else {
+            assert_eq!(same[..1], [queued], "at {at}");
+        }
+        assert_eq!(same[same.len() - 2..], pulled, "at {at}");
+    }
+    assert_eq!((triggers, births), (20, 40), "one in two of 40 regulars");
+    assert_eq!(senders.refs_emitted(), 40);
+    let regulars_seen: u64 = senders.senders().map(RliSender::regulars_seen).sum();
+    assert_eq!(regulars_seen, 40, "only regulars reach the sender");
+    assert_eq!(stats.injected, 4 * 40 + 40, "references count as injected");
+    let [queue, route] = [&stats.queue_drops, &stats.route_drops].map(|v| v.iter().sum::<u64>());
+    assert_eq!(stats.delivered + queue + route, stats.injected);
+}
+
+/// A sender's port filter sees the port a packet finally leaves by: with
+/// ToR uplink 0 dead from the start, every packet the ECMP hash puts on it
+/// is rerouted to uplink 1, and uplink 1's sender meters it.
+#[test]
+fn a_senders_filter_sees_the_rerouted_port() {
+    let tree = tree();
+    let (tor, dst) = (tree.tor(0, 0), tree.tor(2, 0));
+    let packet = |i: u64| {
+        let src = tree.host_addr(tor, (i % 4) as usize);
+        let flow = FlowKey::tcp(src, 1_000 + i as u16, tree.host_addr(dst, 0), 80);
+        (
+            tor,
+            Packet::regular(i, flow, 500, SimTime::from_nanos(i * 1_000)),
+        )
+    };
+    let injections: Vec<_> = (0..200).map(packet).collect();
+    let on_zero = (injections.iter())
+        .filter(|(_, p)| tree.node(tor).hash.select(&p.flow, tree.half()) == 0)
+        .count() as u64;
+    assert!(
+        on_zero > 50 && on_zero < 150,
+        "{on_zero} of 200 hash to uplink 0"
+    );
+    let metered = |faults: Option<&FaultScript>| {
+        let mut senders = SenderSet::default();
+        for uplink in 0..tree.half() {
+            let policy = StaticPolicy::one_in(1);
+            let id = SenderId(uplink as u16);
+            let sender = RliSender::new(id, ClockModel::perfect(), policy, vec![ref_key(3)]);
+            senders.add(tor, Some(uplink), sender);
+        }
+        let opts = RunOptions {
+            faults,
+            senders: Some(&mut senders),
+            ..RunOptions::default()
+        };
+        let network = build_network(
+            &tree,
+            QueueConfig::oc192(),
+            SimDuration::from_micros(1),
+            &[],
+        );
+        let fabric = FatTreeFabric::new(&tree, false);
+        let source = SortedVecSource::new(injections.iter().copied());
+        run_network_streamed_source(network, &fabric, source, &mut NullSink, opts, |_| {});
+        let seen: Vec<u64> = senders.senders().map(RliSender::regulars_seen).collect();
+        seen
+    };
+    assert_eq!(metered(None), [on_zero, 200 - on_zero]);
+    let down = FaultKind::LinkDown { node: tor, port: 0 };
+    let script = FaultScript::new(vec![FaultEvent {
+        at: SimTime::ZERO,
+        kind: down,
+    }]);
+    assert_eq!(metered(Some(&script)), [0, 200]);
+}
+
+/// Digest of a run's hop stream, watermarks and deliveries, and its
+/// `(events, injected, delivered, drops at switch 1)`.
+fn tandem_digest(
+    cfg: &TwoHopConfig,
+    source: SortedVecSource,
+    senders: Option<&mut SenderSet>,
+) -> (u64, [u64; 4]) {
+    let mut digest = StreamDigest::default();
+    let mut deliveries = StreamDigest::default();
+    let opts = RunOptions {
+        senders: senders.map(|s| s as _),
+        ..RunOptions::default()
+    };
+    let net = cfg.tandem.network();
+    let stats = run_network_streamed_source(net, &cfg.tandem, source, &mut digest, opts, |d| {
+        deliveries.fold(d.packet.id.0);
+        deliveries.fold(d.delivered_at.as_nanos());
+    });
+    digest.fold(deliveries.value());
+    let drops = stats.queue_drops[TandemConfig::SW1];
+    let counts = [stats.events, stats.injected, stats.delivered, drops];
+    (digest.value(), counts)
+}
+
+/// The tandem with an in-band sender at switch 1 is the run over the list a
+/// test builds by hand, each regular followed by the references `observe`
+/// returns for it: digest for digest, calm, and past both switches' rates,
+/// where switch 1 drops triggers its sender has seen.
+#[test]
+fn an_in_band_sender_equals_the_trigger_first_list() {
+    for (target_utilization, sw1_bps) in [(0.67, None), (1.2, Some(1_000_000_000))] {
+        let mut cfg = TwoHopConfig::paper(7, SimDuration::from_millis(20));
+        cfg.cross = CrossSpec::Uniform { target_utilization };
+        if let Some(rate_bps) = sw1_bps {
+            cfg.tandem.switch1.rate_bps = rate_bps;
+            cfg.tandem.switch1.capacity_bytes = 64 * 1024;
+        }
+        cfg.policy = PolicyKind::Static { n: 10 };
+        let (regular, cross) = (generate(&cfg.regular_trace()), generate(&cfg.cross_trace()));
+        let sender = || {
+            let targets = vec![ref_key(4)];
+            RliSender::new(SenderId(1), cfg.clocks.sender, cfg.policy.build(), targets)
+        };
+        let cross: Vec<_> = cross_stream(&cfg, &regular, &cross)
+            .map(|p| (TandemConfig::SW2, p))
+            .collect();
+        let upstream = regular.packets.iter().map(|p| (TandemConfig::SW1, *p));
+
+        let mut senders = SenderSet::one(TandemConfig::SW1, sender());
+        let source = SortedVecSource::new(upstream.clone().chain(cross.iter().copied()));
+        let in_band = tandem_digest(&cfg, source, Some(&mut senders));
+
+        let (mut by_hand, mut listed) = (sender(), Vec::new());
+        for (node, p) in upstream {
+            listed.push((node, p));
+            listed.extend(by_hand.observe(&p).iter().map(|r| (node, *r)));
+        }
+        let refs = listed.len() - regular.packets.len();
+        let source = SortedVecSource::new(listed.into_iter().chain(cross));
+        let offline = tandem_digest(&cfg, source, None);
+        assert_eq!(in_band, offline, "target {target_utilization}");
+        assert_eq!(in_band.1[3] > 0, sw1_bps.is_some(), "{:?}", in_band.1);
+        assert!(refs > 500, "{refs} references");
+        assert_eq!(senders.refs_emitted(), refs as u64);
+    }
 }
