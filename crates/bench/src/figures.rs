@@ -7,8 +7,8 @@
 use crate::scale::Scale;
 use crate::table::{row, Table};
 use rlir::experiment::{
-    cross_stream, run_fattree, run_loss_sweep_on, run_two_hop_on, CoreAnomaly, CrossSpec,
-    FatTreeExpConfig, LossSweepConfig, TwoHopConfig, TwoHopOutcome,
+    cross_stream, run_fattree, run_loss_sweep_on, run_two_hop_on, CrossSpec, FatTreeExpConfig,
+    LossSweepConfig, SwitchAnomaly, TwoHopConfig, TwoHopOutcome,
 };
 use rlir::CoreDemux;
 use rlir_baselines::{
@@ -22,6 +22,7 @@ use rlir_net::FlowKey;
 use rlir_rli::{Interpolator, PolicyKind};
 use rlir_sim::{run_network_streamed_source, NullSink, RunOptions, SortedVecSource, TandemConfig};
 use rlir_stats::Ecdf;
+use rlir_topo::FatTree;
 use rlir_trace::{generate, FlowMeter, FlowMeterConfig, Trace};
 
 /// One curve of an accuracy CDF figure (4a/4b/4c).
@@ -307,8 +308,9 @@ pub fn demux_ablation(scale: &Scale, runner: &SweepRunner) -> Table {
     let runs = runner.map(scale.base_seed, &modes, |_, &mode| {
         let mut cfg = FatTreeExpConfig::paper(scale.base_seed, scale.fattree_duration);
         cfg.demux = mode;
-        cfg.anomaly = Some(CoreAnomaly {
-            core_ordinal: 0,
+        let tree = FatTree::new(cfg.k, cfg.hash);
+        cfg.anomaly = Some(SwitchAnomaly {
+            node: tree.cores().next().expect("a fat-tree has cores"),
             extra_processing: SimDuration::from_micros(150),
         });
         let out = run_fattree(&cfg);

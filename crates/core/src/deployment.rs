@@ -1,5 +1,7 @@
 //! RLIR instance placement ("we deploy RLI instances in every other
-//! switch", §1/§3).
+//! switch", §1/§3). This module owns the layout of a measured deployment —
+//! its senders, its receivers and the segments between them — and the
+//! fat-tree experiments read everything off it.
 //!
 //! For a measured destination ToR, the deployment instantiates:
 //!
@@ -11,24 +13,31 @@
 //! * a **sender per core router** (S3, S4) whose references cover the
 //!   downstream segment core → destination ToR (deterministic, so a single
 //!   stream suffices);
-//! * receiver roles at the cores (segment 1) and the destination ToR
-//!   (segment 2) — receivers are instantiated by the experiment, keyed by
-//!   the sender ids assigned here.
+//! * a **receiver** ([`Receiver`]) per stream: at each core, one per
+//!   ToR-uplink sender whose references reach it (segment 1), and at the
+//!   destination ToR one per core sender (segment 2). Each row records the
+//!   switches whose queues its segment spans, so the segments a faulty
+//!   switch shows up in ([`Deployment::segments_through`]) and the switches
+//!   a localization sweep may afflict ([`Deployment::victim_pool`]) are
+//!   read off the rows.
 //!
 //! [`Deployment::senders`] builds the senders as one [`SenderSet`], which
 //! the engine runs in-band: each sees the regular packets leave its
 //! interface and puts its references right behind the trigger.
+//! [`Deployment::attach`] puts the receivers on a measurement plane.
 //!
 //! Reference streams must actually *traverse* the intended path, so their
 //! flow keys are engineered against the fabric's ECMP hashes
 //! ([`engineer_ref_key`]) — the same same-hash-knowledge assumption that
 //! reverse-ECMP demultiplexing makes.
 
+use crate::demux::{CoreDemux, RlirDemux};
+use crate::plane::{MeasurementPlane, TapPoint, TapSpec, TruthRef};
 use rlir_net::clock::ClockModel;
 use rlir_net::time::SimTime;
-use rlir_net::{FlowKey, Packet, SenderId};
+use rlir_net::{FlowKey, Packet, ReferenceInfo, SenderId};
 use rlir_rli::{PolicyKind, RliSender};
-use rlir_sim::{NodeId, PortId, RefSenders};
+use rlir_sim::{Hop, HopEvent, NodeId, PortId, RefSenders};
 use rlir_topo::{FatTree, Role, TopoId};
 use std::net::Ipv4Addr;
 
@@ -50,24 +59,46 @@ pub struct TorSenderSpec {
     pub targets: Vec<(TopoId, FlowKey)>,
 }
 
-/// A sender at a core router (downstream segment).
+/// A sender at a core router: one stream towards the destination ToR (the
+/// downward path is deterministic).
 #[derive(Debug, Clone)]
-pub struct CoreSenderSpec {
-    /// The core hosting the instance.
-    pub core: TopoId,
-    /// Assigned sender id.
-    pub id: SenderId,
-    /// Reference stream towards the destination ToR (downward path is
-    /// deterministic, one stream suffices).
-    pub target: FlowKey,
+struct CoreSenderSpec {
+    core: TopoId,
+    id: SenderId,
+    target: FlowKey,
 }
 
 /// Sender-id arithmetic: ToR senders occupy the low id space, core senders
 /// start here.
-pub const CORE_SENDER_BASE: u16 = 10_000;
+const CORE_SENDER_BASE: u16 = 10_000;
 
-/// A complete RLIR deployment for one measured destination ToR; it builds
-/// the run's in-band [`SenderSet`] ([`Deployment::senders`]).
+/// The sender id a "mixed" receiver reads every stream of its segment as.
+const MIXED: SenderId = SenderId(u16::MAX);
+
+/// One receiver of the deployment: the far end of one sender's segment.
+#[derive(Debug, Clone)]
+pub struct Receiver {
+    /// 1: source ToR → core; 2: core → destination ToR.
+    pub segment: u8,
+    /// Where it observes: the core's arrival (segment 1) or the
+    /// destination ToR's delivery point (segment 2).
+    pub tap: TapPoint,
+    /// The sender whose references it reads.
+    pub sender: SenderId,
+    /// The sender's switch: the source ToR or the core.
+    pub from: TopoId,
+    /// `"T[0.0]→C[1.0]"` / `"C[1.0]→T[3.0]"`.
+    pub name: String,
+    /// The switches whose queues the segment spans. Segment 1 crosses the
+    /// source ToR and the aggregation switch behind its uplink, not the
+    /// core (the tap sits at the core's arrival); segment 2 crosses the
+    /// core, the destination pod's aggregation switch of the core's group
+    /// and the destination ToR.
+    pub crosses: Vec<TopoId>,
+}
+
+/// A complete RLIR deployment for one measured destination ToR: its
+/// senders ([`Deployment::senders`]) and receivers ([`Deployment::attach`]).
 #[derive(Debug, Clone)]
 pub struct Deployment {
     /// The destination ToR (hosting the paper's R3 receiver).
@@ -76,8 +107,10 @@ pub struct Deployment {
     pub src_tors: Vec<TopoId>,
     /// All ToR-uplink senders.
     pub tor_senders: Vec<TorSenderSpec>,
-    /// All core senders.
-    pub core_senders: Vec<CoreSenderSpec>,
+    core_senders: Vec<CoreSenderSpec>,
+    /// Segment 1 core by core, senders in id order at each; then segment
+    /// 2 in core order.
+    receivers: Vec<Receiver>,
 }
 
 impl Deployment {
@@ -90,8 +123,11 @@ impl Deployment {
         let dst_pod = pod_of(tree, dst_tor);
         let half = tree.half();
         let dst_addr = tree.host_addr(dst_tor, INSTANCE_HOST as usize);
+        let name =
+            |from: TopoId, to: TopoId| format!("{}→{}", tree.node(from).name, tree.node(to).name);
 
         let mut tor_senders = Vec::new();
+        let mut receivers = Vec::new();
         for (ti, &tor) in src_tors.iter().enumerate() {
             assert_ne!(
                 pod_of(tree, tor),
@@ -101,6 +137,7 @@ impl Deployment {
             );
             for uplink in 0..half {
                 let id = SenderId((ti * half + uplink) as u16);
+                let agg = tree.agg(pod_of(tree, tor), uplink);
                 let targets = (0..half)
                     .map(|member| {
                         let core = tree.core(uplink, member);
@@ -111,6 +148,14 @@ impl Deployment {
                                     tree.node(tor).name
                                 )
                             });
+                        receivers.push(Receiver {
+                            segment: 1,
+                            tap: TapPoint::NodeArrival(core),
+                            sender: id,
+                            from: tor,
+                            name: name(tor, core),
+                            crosses: vec![tor, agg],
+                        });
                         (core, key)
                     })
                     .collect();
@@ -122,35 +167,36 @@ impl Deployment {
                 });
             }
         }
+        receivers.sort_by_key(|r| (r.tap.node(), r.sender));
 
-        let core_senders = tree
-            .cores()
-            .map(|core| {
-                let Role::Core { group, member } = tree.node(core).role else {
-                    unreachable!("cores() yields cores")
-                };
-                // Synthetic non-fabric source distinguishes instance traffic;
-                // the downward route keys on the destination only.
-                let src = Ipv4Addr::new(10, 255, group as u8, member as u8);
-                let ordinal = core - tree.cores().next().expect("has cores");
-                CoreSenderSpec {
-                    core,
-                    id: SenderId(CORE_SENDER_BASE + ordinal as u16),
-                    target: FlowKey::udp(
-                        src,
-                        41_000 + ordinal as u16,
-                        dst_addr,
-                        rlir_net::wire::RLI_UDP_PORT,
-                    ),
-                }
-            })
-            .collect();
+        let mut core_senders = Vec::new();
+        for (ordinal, core) in tree.cores().enumerate() {
+            let Role::Core { group, member } = tree.node(core).role else {
+                unreachable!("cores() yields cores")
+            };
+            // Synthetic non-fabric source distinguishes instance traffic;
+            // the downward route keys on the destination only.
+            let src = Ipv4Addr::new(10, 255, group as u8, member as u8);
+            let id = SenderId(CORE_SENDER_BASE + ordinal as u16);
+            let port = 41_000 + ordinal as u16;
+            let target = FlowKey::udp(src, port, dst_addr, rlir_net::wire::RLI_UDP_PORT);
+            core_senders.push(CoreSenderSpec { core, id, target });
+            receivers.push(Receiver {
+                segment: 2,
+                tap: TapPoint::Delivery(dst_tor),
+                sender: id,
+                from: core,
+                name: name(core, dst_tor),
+                crosses: vec![core, tree.agg(dst_pod, group), dst_tor],
+            });
+        }
 
         Deployment {
             dst_tor,
             src_tors: src_tors.to_vec(),
             tor_senders,
             core_senders,
+            receivers,
         }
     }
 
@@ -161,32 +207,28 @@ impl Deployment {
             .find(|s| s.tor == tor && s.uplink == uplink)
     }
 
-    /// The sender id whose segment-1 reference stream covers packets from
-    /// `origin_tor` through `core`: the uplink is determined by the core's
-    /// group, completing the upstream demultiplexing of §3.1.
-    pub fn tor_sender_for(
-        &self,
-        tree: &FatTree,
-        origin_tor: TopoId,
-        core: TopoId,
-    ) -> Option<SenderId> {
-        let Role::Core { group, .. } = tree.node(core).role else {
-            return None;
-        };
-        self.tor_sender(origin_tor, group).map(|s| s.id)
+    /// The receivers, segment 1 first.
+    pub fn receivers(&self) -> &[Receiver] {
+        &self.receivers
     }
 
-    /// The deployment's in-band senders, all under `policy`: one on each
-    /// ToR uplink, which meters what leaves by that port (ToR uplink `u` is
-    /// port `u`), and one at each core, which meters every regular packet
-    /// the core forwards.
-    pub fn senders(&self, policy: &PolicyKind) -> SenderSet {
+    /// The ToR-uplink senders alone, under `policy`: each meters what
+    /// leaves by its uplink (ToR uplink `u` is port `u`).
+    pub fn uplink_senders(&self, policy: &PolicyKind) -> SenderSet {
         let mut set = SenderSet::default();
         for s in &self.tor_senders {
             let targets = s.targets.iter().map(|(_, k)| *k).collect();
             let sender = RliSender::new(s.id, ClockModel::perfect(), policy.build(), targets);
             set.add(s.tor, Some(s.uplink), sender);
         }
+        set
+    }
+
+    /// The deployment's in-band senders, all under `policy`: the
+    /// [uplink senders](Deployment::uplink_senders), then one at each core,
+    /// which meters every regular packet the core forwards.
+    pub fn senders(&self, policy: &PolicyKind) -> SenderSet {
+        let mut set = self.uplink_senders(policy);
         for s in &self.core_senders {
             let sender =
                 RliSender::new(s.id, ClockModel::perfect(), policy.build(), vec![s.target]);
@@ -195,9 +237,117 @@ impl Deployment {
         set
     }
 
-    /// The sender at `core`, if deployed.
-    pub fn core_sender(&self, core: TopoId) -> Option<&CoreSenderSpec> {
-        self.core_senders.iter().find(|s| s.core == core)
+    /// References emitted by `set`'s ToR-uplink senders and by its core
+    /// senders.
+    pub fn refs_emitted(&self, set: &SenderSet) -> (u64, u64) {
+        let tor: u64 = (set.senders())
+            .filter(|s| s.id().0 < CORE_SENDER_BASE)
+            .map(RliSender::refs_emitted)
+            .sum();
+        (tor, set.refs_emitted() - tor)
+    }
+
+    /// Whether `packet` belongs to a measured flow: its source lies in a
+    /// measured source ToR's block (upstream demultiplexing by IP-prefix
+    /// matching, §3.1).
+    pub fn measures(&self, demux: &RlirDemux<'_>, packet: &Packet) -> bool {
+        demux
+            .origin_tor(packet)
+            .is_some_and(|t| self.src_tors.contains(&t))
+    }
+
+    /// Names of the segments whose span crosses `victim`'s queues, in row
+    /// order: where a fault at `victim` can show up.
+    pub fn segments_through(&self, victim: TopoId) -> Vec<&str> {
+        (self.receivers.iter())
+            .filter(|r| r.crosses.contains(&victim))
+            .map(|r| r.name.as_str())
+            .collect()
+    }
+
+    /// The switches a localization sweep may afflict: every switch some
+    /// segment crosses except the ToRs, cores first, then aggregation
+    /// switches, each in tree order. Switches off every measured path
+    /// would be invisible to the deployment (the partial-deployment
+    /// trade-off, not a detector failure), so they are not in it.
+    pub fn victim_pool(&self, tree: &FatTree) -> Vec<TopoId> {
+        (tree.cores().chain(tree.aggs()))
+            .filter(|n| self.receivers.iter().any(|r| r.crosses.contains(n)))
+            .collect()
+    }
+
+    /// Put the receivers on `plane` as taps, in row order, and return
+    /// segment 1's tap count. Every tap scores only measured packets
+    /// delivered at the destination ToR (the paper's evaluation
+    /// methodology) against the truth of its segment: since injection for
+    /// segment 1, since the core for segment 2. A segment-1 receiver meters
+    /// its sender's ToR's packets, since the core's group fixes the
+    /// uplink; a segment-2 receiver those the downstream demux (marking /
+    /// reverse ECMP) places on its core. Under [`CoreDemux::Naive`] each
+    /// observation point is one `"mixed→…"` receiver that reads every
+    /// stream of its segment. With `tenant_split = Some((w1, w2))` segment
+    /// `s` draws on tenant `s − 1` at weight `w_s`.
+    pub fn attach<'a>(
+        &'a self,
+        plane: &mut MeasurementPlane<'a>,
+        tree: &'a FatTree,
+        demux: &'a RlirDemux<'a>,
+        tenant_split: Option<(u64, u64)>,
+    ) -> usize {
+        let naive = matches!(demux.mode(), CoreDemux::Naive);
+        if let Some((w1, w2)) = tenant_split {
+            plane.set_tenant_weight(0, w1);
+            plane.set_tenant_weight(1, w2);
+        }
+        let mut rows: Vec<&Receiver> = self.receivers.iter().collect();
+        if naive {
+            rows.dedup_by_key(|r| r.tap);
+        }
+        let dst_tor = self.dst_tor;
+        for r in &rows {
+            let (seg1, from) = (r.segment == 1, r.from);
+            let mut tap = if naive {
+                let name = format!("mixed→{}", tree.node(r.tap.node()).name);
+                TapSpec::new(name, r.tap, MIXED)
+            } else {
+                TapSpec::new(r.name.clone(), r.tap, r.sender)
+            };
+            tap.delivered_only = true;
+            if !seg1 {
+                tap.truth = TruthRef::SinceArrivalAt(tree.cores().collect());
+            }
+            if tenant_split.is_some() {
+                tap.tenant = u32::from(r.segment) - 1;
+            }
+            let sender = tap.sender;
+            tap.ref_map = Some(if naive {
+                Box::new(move |info: &ReferenceInfo| {
+                    ((info.sender.0 < CORE_SENDER_BASE) == seg1)
+                        .then_some(ReferenceInfo { sender, ..*info })
+                })
+            } else {
+                Box::new(move |info: &ReferenceInfo| (info.sender == sender).then_some(*info))
+            });
+            tap.meter = Some(if seg1 {
+                Box::new(move |ev: &HopEvent<'_>| {
+                    ev.node == dst_tor
+                        && if naive {
+                            self.measures(demux, ev.packet)
+                        } else {
+                            demux.origin_tor(ev.packet) == Some(from)
+                        }
+                })
+            } else {
+                Box::new(move |ev: &HopEvent<'_>| {
+                    let core = |h: &Hop| matches!(tree.node(h.node).role, Role::Core { .. });
+                    ev.hops.iter().any(core) // not intra-pod
+                        && self.measures(demux, ev.packet)
+                        && (naive || demux.traversed_core(ev.packet) == Some(from))
+                })
+            });
+            plane.attach(tap);
+        }
+        rows.iter().filter(|r| r.segment == 1).count()
     }
 }
 
@@ -386,13 +536,23 @@ mod tests {
     fn demux_lookup_maps_origin_and_core_to_sender() {
         let t = tree();
         let d = deployment(&t);
-        let core = t.core(1, 0); // group 1 → uplink 1
-        let id = d.tor_sender_for(&t, t.tor(0, 0), core).unwrap();
-        assert_eq!(id, d.tor_sender(t.tor(0, 0), 1).unwrap().id);
+        // A core's segment-1 receiver for an origin reads the sender on the
+        // origin's uplink of the core's group (group 1 → uplink 1).
+        let core = t.core(1, 0);
+        let at_core = |origin| {
+            (d.receivers().iter())
+                .filter(|r| r.segment == 1 && r.tap.node() == core && r.from == origin)
+                .map(|r| r.sender)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            at_core(t.tor(0, 0)),
+            [d.tor_sender(t.tor(0, 0), 1).unwrap().id]
+        );
         // Unmeasured ToR → none.
-        assert!(d.tor_sender_for(&t, t.tor(2, 0), core).is_none());
-        // Non-core argument → none.
-        assert!(d.tor_sender_for(&t, t.tor(0, 0), t.agg(0, 0)).is_none());
+        assert!(at_core(t.tor(2, 0)).is_empty());
+        // No receiver at an aggregation switch.
+        assert!(d.receivers().iter().all(|r| r.tap.node() != t.agg(0, 0)));
     }
 
     #[test]

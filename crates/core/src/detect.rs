@@ -216,23 +216,28 @@ impl EpochDetector {
 /// [`HopSink`].
 ///
 /// Forwards every hop event and watermark into the wrapped plane, then
-/// polls the detector on watermark advances. On the first [`Detection`] it
+/// polls the detector, if it has one, on watermark advances (without one it
+/// is the plane alone). On the first [`Detection`] it
 /// raises the [`StopFlag`] handed to the engine via
 /// [`RunOptions::stop`](rlir_sim::RunOptions), so the run halts — and the
 /// detection watermark is a true online detection time.
 pub struct ClosedLoopSink<'p, 'a> {
     plane: &'p mut MeasurementPlane<'a>,
-    detector: EpochDetector,
+    detector: Option<EpochDetector>,
     stop: StopFlag,
     detection: Option<Detection>,
 }
 
 impl<'p, 'a> ClosedLoopSink<'p, 'a> {
     /// Wrap `plane`; `stop` must be the same flag passed to the engine.
-    pub fn new(plane: &'p mut MeasurementPlane<'a>, cfg: DetectorConfig, stop: StopFlag) -> Self {
+    pub fn new(
+        plane: &'p mut MeasurementPlane<'a>,
+        cfg: Option<DetectorConfig>,
+        stop: StopFlag,
+    ) -> Self {
         ClosedLoopSink {
             plane,
-            detector: EpochDetector::new(cfg),
+            detector: cfg.map(EpochDetector::new),
             stop,
             detection: None,
         }
@@ -260,11 +265,13 @@ impl HopSink for ClosedLoopSink<'_, '_> {
 
     fn on_watermark(&mut self, watermark: SimTime) {
         self.plane.on_watermark(watermark);
-        if self.detection.is_none() {
-            if let Some(d) = self.detector.poll(self.plane, watermark) {
-                self.stop.request_stop();
-                self.detection = Some(d);
-            }
+        let fired = match &mut self.detector {
+            Some(detector) if self.detection.is_none() => detector.poll(self.plane, watermark),
+            _ => None,
+        };
+        if let Some(d) = fired {
+            self.stop.request_stop();
+            self.detection = Some(d);
         }
     }
 }
@@ -319,7 +326,7 @@ mod tests {
             plane.attach(spec);
         }
         let stop = StopFlag::new();
-        let mut sink = ClosedLoopSink::new(&mut plane, cfg(), stop.clone());
+        let mut sink = ClosedLoopSink::new(&mut plane, Some(cfg()), stop.clone());
         let hops: [Hop; 0] = [];
         let mut id = 0u64;
         for t in (0..total_ns).step_by(1_000) {

@@ -130,20 +130,44 @@ pub struct DropAwarePoint {
     pub tap_counters: [ReceiverCounters; 2],
 }
 
-/// `S0 → S1 → host`: forward out port 0 everywhere; S1's port is
-/// host-facing, so deliveries happen after its queue (and drop-tail kills
-/// there).
-struct Line;
+/// The tandem `S0 → S1 → host` this sweep and [`super::replay`] run on:
+/// forward out port 0 everywhere; S1's only port is host-facing, so
+/// deliveries happen after its queue (and drop-tail kills there).
+pub(super) struct Line;
 impl Forwarder for Line {
     fn route(&self, _node: NodeId, _p: &Packet) -> RouteDecision {
         RouteDecision::Forward(0)
     }
 }
 
-const S0: NodeId = 0;
-const S1: NodeId = 1;
+pub(super) const S0: NodeId = 0;
+pub(super) const S1: NodeId = 1;
 
-fn ref_key() -> FlowKey {
+impl Line {
+    /// The network: `ingress` queues at S0, `bottleneck` at S1, and
+    /// `link_delay` on both links (S1's host link included).
+    pub(super) fn network(
+        ingress: QueueConfig,
+        bottleneck: QueueConfig,
+        link_delay: SimDuration,
+    ) -> Network {
+        let mut net = Network::default();
+        net.add_node("S0");
+        net.add_node("S1");
+        net.add_port(S0, Port::to_switch(ingress, S1, link_delay));
+        net.add_port(S1, Port::to_host(bottleneck, link_delay));
+        net
+    }
+
+    /// The RLI sender at S0: sender 1, one stream along the line.
+    pub(super) fn sender(policy: &PolicyKind) -> RliSender {
+        let (id, clock) = (SenderId(1), ClockModel::perfect());
+        RliSender::new(id, clock, policy.build(), vec![ref_key()])
+    }
+}
+
+/// The flow key of the line's reference stream.
+pub(super) fn ref_key() -> FlowKey {
     FlowKey::udp(
         "10.3.255.254".parse().expect("static"),
         40_000,
@@ -162,20 +186,9 @@ pub fn run_drop_aware(cfg: &DropAwareConfig, runner: &SweepRunner) -> Vec<DropAw
         tc.target_utilization = offered_load;
         let trace = generate(&tc);
 
-        let sender = RliSender::new(
-            SenderId(1),
-            ClockModel::perfect(),
-            cfg.policy.build(),
-            vec![ref_key()],
-        );
         let source = SortedVecSource::new(trace.packets.iter().map(|p| (S0, *p)));
-        let mut senders = SenderSet::one(S0, sender);
-
-        let mut net = Network::default();
-        net.add_node("S0");
-        net.add_node("S1");
-        net.add_port(S0, Port::to_switch(cfg.ingress_queue, S1, cfg.link_delay));
-        net.add_port(S1, Port::to_host(cfg.bottleneck_queue, cfg.link_delay));
+        let mut senders = SenderSet::one(S0, Line::sender(&cfg.policy));
+        let net = Line::network(cfg.ingress_queue, cfg.bottleneck_queue, cfg.link_delay);
 
         let mut plane = MeasurementPlane::with_config(PlaneConfig {
             epoch: cfg.epoch,

@@ -2,48 +2,39 @@
 //!
 //! Measured traffic flows from several source ToRs to one destination ToR
 //! (the paper's T1 → T7) across a fabric loaded with background traffic.
-//! RLIR instances are deployed per [`crate::deployment::Deployment`]: the
-//! path is split into two segments at the cores, `ToR → core` and
-//! `core → ToR`, each measured by its own sender/receiver pairs with the
-//! receiver-side demultiplexing of §3.1.
+//! The [`Deployment`] lays the RLIR instances out: the path is split into
+//! two segments at the cores, `ToR → core` and `core → ToR`, each measured
+//! by its own sender/receiver pairs with the receiver-side demultiplexing
+//! of §3.1. This module only runs it.
 //!
 //! The experiment is one simulation. The deployment's senders run in-band
 //! ([`Deployment::senders`]): a ToR-uplink sender meters the measured
 //! packets leaving by its uplink, a core sender every regular packet its
 //! core forwards, and each puts its references right behind the trigger.
-//! The measurement plane taps the same run's hop stream.
+//! Its receivers ([`Deployment::attach`]) tap the same run's hop stream.
 //!
 //! Outputs cover the demux ablation (A1/A3: naive vs marking vs
 //! reverse-ECMP association accuracy and the resulting estimation error)
 //! and the per-segment observations consumed by the anomaly localizer (A5).
 
 use crate::demux::{CoreDemux, RlirDemux};
-use crate::deployment::{Deployment, CORE_SENDER_BASE};
+use crate::deployment::Deployment;
 use crate::detect::{ClosedLoopSink, Detection, DetectorConfig};
 use crate::fabric::{build_network, FatTreeFabric};
 use crate::localization::SegmentObservation;
-use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TenantReport, TruthRef};
-use rlir_net::packet::{Packet, ReferenceInfo, SenderId};
-use rlir_net::time::{SimDuration, SimTime};
-use rlir_net::{FlowKey, HashAlgo};
-use rlir_rli::{EpochSeries, FlowTable, PolicyKind, ReceiverCounters, RliSender};
+use crate::plane::{MeasurementPlane, PlaneConfig, TenantReport};
+use rlir_net::packet::Packet;
+use rlir_net::time::SimDuration;
+use rlir_net::HashAlgo;
+use rlir_rli::{EpochSeries, FlowTable, PolicyKind, ReceiverCounters};
 use rlir_sim::{
     run_network_streamed_source, FaultScript, QueueConfig, RunOptions, SortedVecSource, StopFlag,
     StreamedDelivery,
 };
 use rlir_topo::{FatTree, Role, TopoId};
 
-/// A deliberate latency fault injected at one core (for localization).
-#[derive(Debug, Clone, Copy)]
-pub struct CoreAnomaly {
-    /// Which core, as an ordinal into [`FatTree::cores`].
-    pub core_ordinal: usize,
-    /// Extra per-packet processing delay at that core.
-    pub extra_processing: SimDuration,
-}
-
-/// A latency fault at an *arbitrary* switch (cores and edge/aggregation
-/// switches alike) — the `localize` scenario's victim injection.
+/// A deliberate latency fault at one switch (a core, an aggregation or a
+/// ToR switch) — what the localizer must find.
 #[derive(Debug, Clone, Copy)]
 pub struct SwitchAnomaly {
     /// The afflicted switch.
@@ -78,11 +69,8 @@ pub struct FatTreeExpConfig {
     pub queue: QueueConfig,
     /// Link propagation delay.
     pub link_delay: SimDuration,
-    /// Optional core fault.
-    pub anomaly: Option<CoreAnomaly>,
-    /// Optional fault at an arbitrary switch (composes with `anomaly`;
-    /// takes precedence if both name the same switch).
-    pub switch_anomaly: Option<SwitchAnomaly>,
+    /// Optional latency fault.
+    pub anomaly: Option<SwitchAnomaly>,
     /// Optional synchronized burst envelope applied to every *measured*
     /// source trace (the incast regime: all sources transmit in the same
     /// windows, fan-in collides at the destination's downlink).
@@ -120,7 +108,6 @@ impl FatTreeExpConfig {
             queue: QueueConfig::oc192(),
             link_delay: SimDuration::from_micros(1),
             anomaly: None,
-            switch_anomaly: None,
             burst: None,
             min_flow_packets: 1,
             plane: PlaneConfig {
@@ -144,6 +131,22 @@ impl FatTreeExpConfig {
         (0..self.n_src_tors)
             .map(|i| tree.tor(i % (self.k - 1), (i / (self.k - 1)) % half))
             .collect()
+    }
+
+    /// The deployment measuring [`Self::src_tors`] → [`Self::dst_tor`].
+    pub fn deployment(&self, tree: &FatTree) -> Deployment {
+        Deployment::for_destination(tree, &self.src_tors(tree), self.dst_tor(tree))
+    }
+
+    /// The run's injections: the [measured traces](measured_traces), each
+    /// entering at its source ToR, then the [background](background_injections).
+    pub fn injections(&self, tree: &FatTree) -> Vec<(TopoId, Packet)> {
+        let mut injections = Vec::new();
+        for (src, trace) in &measured_traces(self, tree) {
+            injections.extend(trace.packets.iter().map(|p| (*src, *p)));
+        }
+        injections.extend(background_injections(self, tree));
+        injections
     }
 }
 
@@ -218,10 +221,6 @@ impl FatTreeOutcome {
         }
     }
 }
-
-/// Synthetic sender id used by "mixed" (non-demultiplexed) receivers in the
-/// naive ablation.
-const NAIVE_ID: SenderId = SenderId(u16::MAX);
 
 fn measured_trace_cfg(
     cfg: &FatTreeExpConfig,
@@ -336,39 +335,14 @@ pub fn run_fattree_faulted(
     detector: Option<&DetectorConfig>,
 ) -> ClosedLoopOutcome {
     let tree = FatTree::new(cfg.k, cfg.hash);
-    let dst_tor = cfg.dst_tor(&tree);
-
-    // Measured sources: round-robin over pods other than the destination's.
-    let src_tors = cfg.src_tors(&tree);
-    let deployment = Deployment::for_destination(&tree, &src_tors, dst_tor);
+    let deployment = cfg.deployment(&tree);
     let demux = RlirDemux::new(&tree, cfg.demux);
-
-    // ---- Workload -------------------------------------------------------
-    let mut injections: Vec<(usize, Packet)> = Vec::new();
-    for (src, trace) in &measured_traces(cfg, &tree) {
-        injections.extend(trace.packets.iter().map(|p| (*src, *p)));
-    }
-    injections.extend(background_injections(cfg, &tree));
     let mut senders = deployment.senders(&cfg.policy);
-
-    let slowed = |extra: SimDuration| QueueConfig {
-        processing_delay: cfg.queue.processing_delay + extra,
+    let slowed = |a: &SwitchAnomaly| QueueConfig {
+        processing_delay: cfg.queue.processing_delay + a.extra_processing,
         ..cfg.queue
     };
-    // `switch_anomaly` first: `build_network` takes the first matching
-    // override, so it wins over `anomaly` on the same switch.
-    let overrides: Vec<(TopoId, QueueConfig)> = cfg
-        .switch_anomaly
-        .iter()
-        .map(|a| (a.node, slowed(a.extra_processing)))
-        .chain(cfg.anomaly.iter().map(|a| {
-            let core = tree
-                .cores()
-                .nth(a.core_ordinal)
-                .expect("core ordinal in range");
-            (core, slowed(a.extra_processing))
-        }))
-        .collect();
+    let overrides: Vec<_> = cfg.anomaly.iter().map(|a| (a.node, slowed(a))).collect();
     let fabric = FatTreeFabric::new(&tree, matches!(cfg.demux, CoreDemux::Marking));
 
     // The run, observed live by the measurement plane — the paper's
@@ -377,7 +351,8 @@ pub fn run_fattree_faulted(
     // measurement-plane concern — how well the downstream demux associated
     // measured packets, from ground truth) rides on the same streamed
     // delivery callback, so the run never buffers deliveries either.
-    let (mut plane, seg1_taps) = attach_rlir_taps(cfg, &tree, &deployment, &demux);
+    let mut plane = MeasurementPlane::with_config(cfg.plane);
+    let seg1_taps = deployment.attach(&mut plane, &tree, &demux, cfg.tenant_split);
     let dst_tor = deployment.dst_tor;
     let mut demux_total = 0u64;
     let mut demux_correct = 0u64;
@@ -387,7 +362,7 @@ pub fn run_fattree_faulted(
         if d.packet.is_reference()
             || !d.packet.is_regular()
             || d.delivered_node != dst_tor
-            || measured_src(&demux, &deployment, &d.packet.flow).is_none()
+            || !deployment.measures(&demux, d.packet)
         {
             return;
         }
@@ -408,42 +383,21 @@ pub fn run_fattree_faulted(
     };
     let network = build_network(&tree, cfg.queue, cfg.link_delay, &overrides);
     let stop = StopFlag::new();
-    let opts = RunOptions {
-        faults,
-        stop: detector.is_some().then_some(&stop),
-        senders: Some(&mut senders),
-    };
-    let (stats, detection) = match detector {
-        Some(dc) => {
-            let mut sink = ClosedLoopSink::new(&mut plane, *dc, stop.clone());
-            let stats = run_network_streamed_source(
-                network,
-                &fabric,
-                SortedVecSource::new(injections),
-                &mut sink,
-                opts,
-                &mut on_delivery,
-            );
-            (stats, sink.into_detection())
-        }
-        None => {
-            let stats = run_network_streamed_source(
-                network,
-                &fabric,
-                SortedVecSource::new(injections),
-                &mut plane,
-                opts,
-                &mut on_delivery,
-            );
-            (stats, None)
-        }
-    };
-
-    let refs_tor = (senders.senders())
-        .filter(|s| s.id().0 < CORE_SENDER_BASE)
-        .map(RliSender::refs_emitted)
-        .sum();
-    let refs_core = senders.refs_emitted() - refs_tor;
+    let mut sink = ClosedLoopSink::new(&mut plane, detector.copied(), stop.clone());
+    let stats = run_network_streamed_source(
+        network,
+        &fabric,
+        SortedVecSource::new(cfg.injections(&tree)),
+        &mut sink,
+        RunOptions {
+            faults,
+            stop: detector.is_some().then_some(&stop),
+            senders: Some(&mut senders),
+        },
+        &mut on_delivery,
+    );
+    let detection = sink.into_detection();
+    let (refs_tor, refs_core) = deployment.refs_emitted(&senders);
 
     // Fold tap reports into the per-segment outcome.
     let report = plane.finish();
@@ -524,155 +478,6 @@ pub fn run_fattree_faulted(
     }
 }
 
-/// Origin ToR of a measured flow, if it is one of the deployment's sources
-/// (upstream demultiplexing by IP-prefix matching, §3.1).
-fn measured_src(demux: &RlirDemux<'_>, deployment: &Deployment, flow: &FlowKey) -> Option<TopoId> {
-    demux
-        .origin_tor(&Packet::regular(0, *flow, 0, SimTime::ZERO))
-        .filter(|t| deployment.src_tors.contains(t))
-}
-
-/// Instantiate the paper's RLIR deployment as measurement-plane taps.
-///
-/// Segment 1 (ToR → core): one receiver per `(core, ToR-uplink sender)`
-/// pair at the core's ingress, scoring against injection-to-core truth.
-/// Segment 2 (core → destination ToR): one receiver per core sender at the
-/// destination ToR's delivery point, scoring against core-to-delivery
-/// truth; the meter applies the downstream demux (marking / reverse-ECMP)
-/// to decide which receiver a packet belongs to. Under the naive ablation
-/// each point collapses to a single "mixed" receiver ([`NAIVE_ID`]).
-///
-/// Returns the plane plus the number of segment-1 taps (taps are reported
-/// in attachment order: segment 1 first).
-fn attach_rlir_taps<'a>(
-    cfg: &FatTreeExpConfig,
-    tree: &'a FatTree,
-    deployment: &'a Deployment,
-    demux: &'a RlirDemux<'a>,
-) -> (MeasurementPlane<'a>, usize) {
-    let naive = matches!(cfg.demux, CoreDemux::Naive);
-    let dst_tor = deployment.dst_tor;
-    let cores: Vec<TopoId> = tree.cores().collect();
-    let mut plane = MeasurementPlane::with_config(cfg.plane);
-    if let Some((w1, w2)) = cfg.tenant_split {
-        plane.set_tenant_weight(0, w1);
-        plane.set_tenant_weight(1, w2);
-    }
-
-    let seg1_keys: Vec<(TopoId, SenderId)> = if naive {
-        cores.iter().map(|&c| (c, NAIVE_ID)).collect()
-    } else {
-        let mut keys: Vec<_> = deployment
-            .tor_senders
-            .iter()
-            .flat_map(|s| s.targets.iter().map(move |(core, _)| (*core, s.id)))
-            .collect();
-        keys.sort();
-        keys
-    };
-    let seg1_taps = seg1_keys.len();
-    for (core, sender) in seg1_keys {
-        let from = deployment
-            .tor_senders
-            .iter()
-            .find(|s| s.id == sender)
-            .map(|s| tree.node(s.tor).name.clone())
-            .unwrap_or_else(|| "mixed".to_string());
-        let mut tap = TapSpec::new(
-            format!("{from}→{}", tree.node(core).name),
-            TapPoint::NodeArrival(core),
-            sender,
-        );
-        // Evaluation methodology (the paper's): score only packets whose
-        // end-to-end truth exists. Live taps are the plane default now; the
-        // harness opts back into delivered gating explicitly.
-        tap.delivered_only = true;
-        tap.truth = TruthRef::SinceInjection;
-        if cfg.tenant_split.is_some() {
-            tap.tenant = 0;
-        }
-        tap.ref_map = Some(if naive {
-            // The mixed receiver listens to every ToR-sender stream at
-            // once (core-sender references belong to segment 2).
-            Box::new(|info| {
-                (info.sender.0 < CORE_SENDER_BASE).then_some(ReferenceInfo {
-                    sender: NAIVE_ID,
-                    ..*info
-                })
-            })
-        } else {
-            Box::new(move |info: &ReferenceInfo| (info.sender == sender).then_some(*info))
-        });
-        tap.meter = Some(Box::new(move |ev| {
-            if ev.node != dst_tor {
-                return false; // only flows measured end-to-end are judged
-            }
-            let Some(origin) = measured_src(demux, deployment, &ev.packet.flow) else {
-                return false;
-            };
-            naive || deployment.tor_sender_for(tree, origin, core) == Some(sender)
-        }));
-        plane.attach(tap);
-    }
-
-    let seg2_keys: Vec<SenderId> = if naive {
-        vec![NAIVE_ID]
-    } else {
-        deployment.core_senders.iter().map(|s| s.id).collect()
-    };
-    for sender in seg2_keys {
-        let from = deployment
-            .core_senders
-            .iter()
-            .find(|s| s.id == sender)
-            .map(|s| tree.node(s.core).name.clone())
-            .unwrap_or_else(|| "mixed".to_string());
-        let mut tap = TapSpec::new(
-            format!("{from}→{}", tree.node(dst_tor).name),
-            TapPoint::Delivery(dst_tor),
-            sender,
-        );
-        tap.delivered_only = true;
-        tap.truth = TruthRef::SinceArrivalAt(cores.clone());
-        if cfg.tenant_split.is_some() {
-            tap.tenant = 1;
-        }
-        tap.ref_map = Some(if naive {
-            Box::new(|info| {
-                (info.sender.0 >= CORE_SENDER_BASE).then_some(ReferenceInfo {
-                    sender: NAIVE_ID,
-                    ..*info
-                })
-            })
-        } else {
-            Box::new(move |info: &ReferenceInfo| (info.sender == sender).then_some(*info))
-        });
-        tap.meter = Some(Box::new(move |ev| {
-            if !ev
-                .hops
-                .iter()
-                .any(|h| matches!(tree.node(h.node).role, Role::Core { .. }))
-            {
-                return false; // intra-pod
-            }
-            if measured_src(demux, deployment, &ev.packet.flow).is_none() {
-                return false;
-            }
-            // Downstream demultiplexing: *infer* the traversed core and
-            // route the packet to that core's receiver.
-            naive
-                || demux
-                    .traversed_core(ev.packet)
-                    .and_then(|c| deployment.core_sender(c))
-                    .map(|s| s.id)
-                    == Some(sender)
-        }));
-        plane.attach(tap);
-    }
-
-    (plane, seg1_taps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -740,13 +545,13 @@ mod tests {
     #[test]
     fn anomaly_shows_up_in_the_right_segment() {
         let mut cfg = quick(CoreDemux::ReverseEcmp);
-        cfg.anomaly = Some(CoreAnomaly {
-            core_ordinal: 0,
+        let tree = FatTree::new(cfg.k, cfg.hash);
+        let bad_core = tree.cores().next().unwrap();
+        cfg.anomaly = Some(SwitchAnomaly {
+            node: bad_core,
             extra_processing: SimDuration::from_micros(400),
         });
         let out = run_fattree(&cfg);
-        let tree = FatTree::new(cfg.k, cfg.hash);
-        let bad_core = tree.cores().next().unwrap();
         let bad_name = tree.node(bad_core).name.clone();
         // The segment leaving the bad core must be among the slowest seg-2
         // rows (the extra processing delays departures from that core).

@@ -17,7 +17,6 @@
 //! granularity). An alarm that fires before the onset is a false positive.
 
 use super::fattree::{run_fattree_faulted, FatTreeExpConfig};
-use super::localize::{expected_segments, victim_pool};
 use crate::detect::DetectorConfig;
 use rlir_exec::SweepRunner;
 use rlir_net::time::SimDuration;
@@ -125,7 +124,8 @@ pub fn run_faults(cfg: &FaultsConfig, runner: &SweepRunner) -> Vec<FaultsPoint> 
         run_cfg.seed = ctx.seed; // fresh workload per trial, seed-derived
         run_cfg.background_load = utilization;
         let tree = FatTree::new(run_cfg.k, run_cfg.hash);
-        let pool = victim_pool(&run_cfg, &tree);
+        let deployment = run_cfg.deployment(&tree);
+        let pool = deployment.victim_pool(&tree);
         // Victim draw: one multiplicative hash step of the derived seed —
         // deterministic in (config, point index), independent of threads.
         let draw = (ctx.seed.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as usize;
@@ -140,7 +140,7 @@ pub fn run_faults(cfg: &FaultsConfig, runner: &SweepRunner) -> Vec<FaultsPoint> 
         }]);
 
         let run = run_fattree_faulted(&run_cfg, Some(&script), Some(&cfg.detector));
-        let expected = expected_segments(&run_cfg, &tree, victim);
+        let expected = deployment.segments_through(victim);
         let detection = run.detection;
         let false_positive = detection
             .as_ref()
@@ -151,7 +151,7 @@ pub fn run_faults(cfg: &FaultsConfig, runner: &SweepRunner) -> Vec<FaultsPoint> 
             onset_ns,
             victim: tree.node(victim).name.clone(),
             flagged: detection.as_ref().map(|d| d.name.clone()),
-            correct: post_onset.is_some_and(|d| expected.contains(&d.name)),
+            correct: post_onset.is_some_and(|d| expected.contains(&d.name.as_str())),
             false_positive,
             ttl_ns: post_onset.map(|d| d.at.as_nanos() - onset_ns),
             score: detection.as_ref().map_or(f64::NAN, |d| d.score),
@@ -238,7 +238,7 @@ mod tests {
         let mut base = cfg.base.clone();
         base.background_load = 0.05;
         let tree = FatTree::new(base.k, base.hash);
-        let victim = victim_pool(&base, &tree)[0];
+        let victim = base.deployment(&tree).victim_pool(&tree)[0];
         let script = FaultScript::new(vec![FaultEvent {
             at: rlir_net::time::SimTime::from_nanos(5_000_000),
             kind: FaultKind::SlowSwitch {

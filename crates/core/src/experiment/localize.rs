@@ -11,12 +11,16 @@
 //! detection accuracy degrades — exactly the operating envelope an operator
 //! needs to know.
 //!
-//! Localization granularity is the deployment's segment structure: a core
-//! victim is nameable exactly (`C[g.j]→T…`), while an edge victim is
-//! correct when the flagged segment's path traverses it (a source-pod edge
-//! sits on `T→C` segments of its pod; a destination-pod edge sits on the
-//! `C→T` segments of its core group). That is the paper's trade-off of
-//! deployment cost against granularity, made measurable.
+//! Localization granularity is the deployment's segment structure: a
+//! finding is correct when the flagged segment crosses the victim, which
+//! the [`Deployment`](crate::Deployment) answers from its receiver rows
+//! ([`Deployment::segments_through`](crate::Deployment::segments_through)).
+//! A core victim is nameable exactly (`C[g.j]→T…`), while an edge victim
+//! shares its segments (a source-pod edge sits on `T→C` segments of its
+//! pod; a destination-pod edge sits on the `C→T` segments of its core
+//! group). That is the paper's trade-off of deployment cost against
+//! granularity, made measurable. Victims are drawn from
+//! [`Deployment::victim_pool`](crate::Deployment::victim_pool).
 
 use super::fattree::{run_fattree, FatTreeExpConfig, SwitchAnomaly};
 use crate::localization::{localize, LocalizerConfig};
@@ -24,13 +28,13 @@ use crate::plane::localize_epoch_series;
 use rlir_exec::SweepRunner;
 use rlir_net::time::SimDuration;
 use rlir_rli::EpochSeries;
-use rlir_topo::{FatTree, Role, TopoId};
+use rlir_topo::FatTree;
 
 /// Configuration of the localization sweep.
 #[derive(Debug, Clone)]
 pub struct LocalizeConfig {
-    /// Base fat-tree experiment; `seed`, `background_load` and
-    /// `switch_anomaly` are overridden per point.
+    /// Base fat-tree experiment; `seed`, `background_load` and `anomaly`
+    /// are overridden per point.
     pub base: FatTreeExpConfig,
     /// Sweep points: background utilization per non-measured ToR.
     pub utilizations: Vec<f64>,
@@ -102,72 +106,6 @@ pub struct LocalizePoint {
     pub mean_onset_ns: f64,
 }
 
-/// Switches the sweep may afflict: every core, plus every edge
-/// (aggregation) switch on a measured path — source-pod edges carry the
-/// `T→C` segments, destination-pod edges the `C→T` segments. Edges in
-/// purely-background pods would be invisible to the deployment (that is
-/// the partial-deployment trade-off, not a detector failure), so they are
-/// not drawn.
-pub fn victim_pool(cfg: &FatTreeExpConfig, tree: &FatTree) -> Vec<TopoId> {
-    let dst_tor = cfg.dst_tor(tree);
-    let src_tors = cfg.src_tors(tree);
-    let mut measured_pods: Vec<usize> = src_tors
-        .iter()
-        .chain(std::iter::once(&dst_tor))
-        .map(|&t| match tree.node(t).role {
-            Role::Tor { pod, .. } => pod,
-            _ => unreachable!("ToRs have ToR roles"),
-        })
-        .collect();
-    measured_pods.sort_unstable();
-    measured_pods.dedup();
-    tree.cores()
-        .chain(tree.aggs().filter(|&a| match tree.node(a).role {
-            Role::Agg { pod, .. } => measured_pods.contains(&pod),
-            _ => unreachable!("aggs() yields aggs"),
-        }))
-        .collect()
-}
-
-/// Segment names whose path traverses `victim`, for this deployment's
-/// segment structure (see module docs). Shared with the closed-loop
-/// `faults` sweep, which scores its online detections the same way.
-pub(crate) fn expected_segments(
-    cfg: &FatTreeExpConfig,
-    tree: &FatTree,
-    victim: TopoId,
-) -> Vec<String> {
-    let half = tree.half();
-    let dst_tor = cfg.dst_tor(tree);
-    let dst_pod = cfg.k - 1;
-    let dst_name = &tree.node(dst_tor).name;
-    match tree.node(victim).role {
-        // A core's own queue delays departures from the core → its C→T row.
-        Role::Core { .. } => vec![format!("{}→{dst_name}", tree.node(victim).name)],
-        Role::Agg { pod, idx } if pod == dst_pod => {
-            // On the downward path of every core in its group.
-            (0..half)
-                .map(|m| format!("{}→{dst_name}", tree.node(tree.core(idx, m)).name))
-                .collect()
-        }
-        Role::Agg { pod, idx } => {
-            // On the upward path of its pod's measured ToRs via uplink
-            // `idx`, towards every core of group `idx`.
-            cfg.src_tors(tree)
-                .into_iter()
-                .filter(|&t| matches!(tree.node(t).role, Role::Tor { pod: p, .. } if p == pod))
-                .flat_map(|t| {
-                    let tor_name = tree.node(t).name.clone();
-                    (0..half)
-                        .map(move |m| format!("{tor_name}→{}", tree.node(tree.core(idx, m)).name))
-                })
-                .collect()
-        }
-        // ToR victims are not drawn from the pool.
-        Role::Tor { .. } => Vec::new(),
-    }
-}
-
 /// Full output of the localization sweep: the per-utilization aggregates
 /// plus every trial (the registry's per-epoch series export reads the
 /// trials).
@@ -194,19 +132,20 @@ pub fn run_localize(cfg: &LocalizeConfig, runner: &SweepRunner) -> LocalizeRepor
         run_cfg.seed = ctx.seed; // fresh workload per trial, seed-derived
         run_cfg.background_load = utilization;
         let tree = FatTree::new(run_cfg.k, run_cfg.hash);
-        let pool = victim_pool(&run_cfg, &tree);
+        let deployment = run_cfg.deployment(&tree);
+        let pool = deployment.victim_pool(&tree);
         // Victim draw: one multiplicative hash step of the derived seed —
         // deterministic in (config, point index), independent of threads.
         let draw = (ctx.seed.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as usize;
         let victim = pool[draw % pool.len()];
-        run_cfg.switch_anomaly = Some(SwitchAnomaly {
+        run_cfg.anomaly = Some(SwitchAnomaly {
             node: victim,
             extra_processing: cfg.extra_processing,
         });
 
         let out = run_fattree(&run_cfg);
         let findings = localize(&out.segments, &cfg.localizer);
-        let expected = expected_segments(&run_cfg, &tree, victim);
+        let expected = deployment.segments_through(victim);
         let top = findings.first();
         // The epoch dimension: rank segments per epoch and record when the
         // victim first stood out, plus its merged time-series.
@@ -220,12 +159,16 @@ pub fn run_localize(cfg: &LocalizeConfig, runner: &SweepRunner) -> LocalizeRepor
                 let per_epoch = localize_epoch_series(&series, epoch_ns, &cfg.localizer);
                 let onset = per_epoch
                     .iter()
-                    .find(|ef| ef.findings.iter().any(|f| expected.contains(&f.name)))
+                    .find(|ef| {
+                        ef.findings
+                            .iter()
+                            .any(|f| expected.contains(&f.name.as_str()))
+                    })
                     .map(|ef| ef.start.as_nanos());
                 let victim_series = out
                     .segment_epochs
                     .iter()
-                    .filter(|(n, _)| expected.contains(n))
+                    .filter(|(n, _)| expected.contains(&n.as_str()))
                     .map(|(_, s)| s);
                 (onset, EpochSeries::union(epoch_ns, victim_series))
             }
@@ -236,7 +179,7 @@ pub fn run_localize(cfg: &LocalizeConfig, runner: &SweepRunner) -> LocalizeRepor
             victim: tree.node(victim).name.clone(),
             flagged: top.map(|f| f.name.clone()),
             severity: top.map(|f| f.severity).unwrap_or(f64::NAN),
-            correct: top.is_some_and(|f| expected.contains(&f.name)),
+            correct: top.is_some_and(|f| expected.contains(&f.name.as_str())),
             segments: out.segments.len(),
             onset_ns,
             victim_epochs,
@@ -330,42 +273,6 @@ mod tests {
         }
         assert!(pts[0].onsets >= 1);
         assert!(pts[0].mean_onset_ns.is_finite());
-    }
-
-    #[test]
-    fn victim_pool_covers_cores_and_measured_edges() {
-        let cfg = quick_cfg();
-        let tree = FatTree::new(cfg.base.k, cfg.base.hash);
-        let pool = victim_pool(&cfg.base, &tree);
-        // k=4, 2 src ToRs (pods 0 and 1) + dst pod 3: 4 cores + 3 pods × 2 aggs.
-        assert_eq!(pool.len(), 4 + 6);
-        assert!(pool
-            .iter()
-            .all(|&v| !matches!(tree.node(v).role, Role::Tor { .. })));
-        // Background-only pod 2 is excluded.
-        assert!(!pool.contains(&tree.agg(2, 0)));
-    }
-
-    #[test]
-    fn expected_segments_follow_paths() {
-        let cfg = quick_cfg();
-        let tree = FatTree::new(cfg.base.k, cfg.base.hash);
-        // Core victim → exactly its C→T row.
-        let core = tree.core(1, 0);
-        let exp = expected_segments(&cfg.base, &tree, core);
-        assert_eq!(exp, vec!["C[1.0]→T[3.0]".to_string()]);
-        // Destination-pod edge → both cores of its group.
-        let exp = expected_segments(&cfg.base, &tree, tree.agg(3, 0));
-        assert_eq!(
-            exp,
-            vec!["C[0.0]→T[3.0]".to_string(), "C[0.1]→T[3.0]".to_string()]
-        );
-        // Source-pod edge → its pod's measured ToR times its core group.
-        let exp = expected_segments(&cfg.base, &tree, tree.agg(0, 1));
-        assert_eq!(
-            exp,
-            vec!["T[0.0]→C[1.0]".to_string(), "T[0.0]→C[1.1]".to_string()]
-        );
     }
 
     #[test]

@@ -53,13 +53,11 @@ pub use chaos::{run_chaos, ChaosCampaign, ChaosCampaignConfig, ChaosReport, Inge
 pub use drop_aware::{run_drop_aware, DropAwareConfig, DropAwarePoint};
 pub use fattree::{
     background_injections, measured_traces, run_fattree, run_fattree_faulted, ClosedLoopOutcome,
-    CoreAnomaly, FatTreeExpConfig, FatTreeOutcome, SwitchAnomaly,
+    FatTreeExpConfig, FatTreeOutcome, SwitchAnomaly,
 };
 pub use faults::{run_faults, FaultsConfig, FaultsPoint, FaultsTrial};
 pub use incast::{run_incast, IncastConfig, IncastPoint};
-pub use localize::{
-    run_localize, victim_pool, LocalizeConfig, LocalizePoint, LocalizeReport, LocalizeTrial,
-};
+pub use localize::{run_localize, LocalizeConfig, LocalizePoint, LocalizeReport, LocalizeTrial};
 pub use loss_sweep::{run_loss_sweep_on, LossPoint, LossSweepConfig};
 pub use plane_scale::{run_plane_scale, PlaneScaleConfig, PlaneScaleOutcome, StateSample};
 pub use replay::{run_replay, synth_capture, ReplayConfig, ReplayOutcome};

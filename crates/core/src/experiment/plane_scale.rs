@@ -9,9 +9,10 @@
 //! is the single allocation authority across all of them — so fixed
 //! traffic must cost about the same state however many taps watch it.
 //!
-//! The harness reuses the fat-tree workload generators
-//! ([`measured_traces`] / [`background_injections`]) plus the ToR-uplink
-//! reference senders, then attaches `n` delivered-gated
+//! The harness reuses the fat-tree workload
+//! ([`FatTreeExpConfig::injections`]) and the deployment's ToR-uplink
+//! reference senders ([`Deployment::uplink_senders`](crate::Deployment::uplink_senders)),
+//! then attaches `n` delivered-gated
 //! [`TapPoint::PortDeparture`] taps spread evenly across the fabric's
 //! ports (`n = ` all of them for the headline point). Delivered gating is
 //! deliberate: reconstructing upstream crossing times from delivery
@@ -28,10 +29,9 @@
 //! would issue against a live fabric, exercised here without stopping the
 //! run.
 
-use crate::deployment::Deployment;
 use crate::fabric::{build_network, FatTreeFabric};
 use crate::plane::{MeasurementPlane, TapPoint, TapSpec, TruthRef, WindowPool};
-use rlir_net::packet::{Packet, ReferenceInfo, SenderId};
+use rlir_net::packet::{ReferenceInfo, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_rli::PolicyKind;
 use rlir_sim::{
@@ -39,7 +39,7 @@ use rlir_sim::{
 };
 use rlir_topo::{FatTree, TopoId};
 
-use super::fattree::{background_injections, measured_traces, FatTreeExpConfig};
+use super::fattree::FatTreeExpConfig;
 
 /// Synthetic sender id every tap binds to; the ref map rewrites each
 /// ToR-uplink reference stream onto it (mixed-receiver idiom).
@@ -189,20 +189,10 @@ impl HopSink for SamplingSink<'_, '_> {
 pub fn run_plane_scale(cfg: &PlaneScaleConfig) -> PlaneScaleOutcome {
     let base = &cfg.base;
     let tree = FatTree::new(base.k, base.hash);
-    let dst_tor = base.dst_tor(&tree);
-    let src_tors = base.src_tors(&tree);
-    let mut deployment = Deployment::for_destination(&tree, &src_tors, dst_tor);
-
-    // Workload: measured traces + background, and the deployment's in-band
-    // ToR-uplink senders — the fat-tree recipe without core senders (no
-    // core receivers here; every tap listens to the mixed stream).
-    let mut injections: Vec<(TopoId, Packet)> = Vec::new();
-    for (src, trace) in &measured_traces(base, &tree) {
-        injections.extend(trace.packets.iter().map(|p| (*src, *p)));
-    }
-    injections.extend(background_injections(base, &tree));
-    deployment.core_senders.clear();
-    let mut senders = deployment.senders(&base.policy);
+    // The fat-tree workload and the deployment's in-band ToR-uplink
+    // senders, without core senders (no core receivers here; every tap
+    // listens to the mixed stream).
+    let mut senders = base.deployment(&tree).uplink_senders(&base.policy);
 
     // The plane: one delivered-gated tap per selected port, all under
     // one budget.
@@ -238,7 +228,7 @@ pub fn run_plane_scale(cfg: &PlaneScaleConfig) -> PlaneScaleOutcome {
     let stats = run_network_streamed_source(
         network,
         &fabric,
-        SortedVecSource::new(injections),
+        SortedVecSource::new(base.injections(&tree)),
         &mut sink,
         RunOptions {
             senders: Some(&mut senders),

@@ -18,17 +18,16 @@
 //! * a [`StreamDigest`] over the full event + watermark + delivery
 //!   stream ([`ReplayOutcome::digest`]).
 
+use super::drop_aware::{ref_key, Line, S0, S1};
 use crate::capture::{CapturePair, CaptureReport};
 use crate::deployment::SenderSet;
 use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
-use rlir_net::clock::ClockModel;
-use rlir_net::packet::{Packet, SenderId};
+use rlir_net::packet::SenderId;
 use rlir_net::time::SimDuration;
-use rlir_net::FlowKey;
-use rlir_rli::{EpochSeries, PolicyKind, RliSender};
+use rlir_rli::{EpochSeries, PolicyKind};
 use rlir_sim::{
-    run_network_streamed_source, Forwarder, Network, NetworkRunStats, NodeId, Port, QueueConfig,
-    RouteDecision, RunOptions, StreamDigest, TeeSink,
+    run_network_streamed_source, Network, NetworkRunStats, QueueConfig, RunOptions, StreamDigest,
+    TeeSink,
 };
 use rlir_trace::{generate, EntryMap, PcapRecords, PcapReplaySource, PcapWriter, TraceConfig};
 use std::io::Read;
@@ -154,49 +153,14 @@ pub struct ReplayOutcome {
     pub epochs: EpochSeries,
 }
 
-/// `S0 → S1 → host`: forward out port 0 everywhere; S1's only port is
-/// host-facing, so delivery happens after its queue.
-struct Line;
-impl Forwarder for Line {
-    fn route(&self, _node: NodeId, _p: &Packet) -> RouteDecision {
-        RouteDecision::Forward(0)
-    }
-}
-
-const S0: NodeId = 0;
-const S1: NodeId = 1;
-
 impl ReplayConfig {
     /// Nodes of the replay tandem, `S0` and `S1`: the bound
     /// [`EntryMap::check`] holds an entry spec to.
     pub const NODES: usize = 2;
 }
 
-fn ref_key() -> FlowKey {
-    FlowKey::udp(
-        "10.3.255.254".parse().expect("static"),
-        40_000,
-        "10.200.255.254".parse().expect("static"),
-        rlir_net::wire::RLI_UDP_PORT,
-    )
-}
-
 fn build_net(cfg: &ReplayConfig) -> Network {
-    let mut net = Network::default();
-    net.add_node("S0");
-    net.add_node("S1");
-    net.add_port(S0, Port::to_switch(cfg.ingress_queue, S1, cfg.link_delay));
-    net.add_port(S1, Port::to_host(cfg.bottleneck_queue, cfg.link_delay));
-    net
-}
-
-fn mk_sender(cfg: &ReplayConfig) -> RliSender {
-    RliSender::new(
-        SenderId(1),
-        ClockModel::perfect(),
-        cfg.policy.build(),
-        vec![ref_key()],
-    )
+    Line::network(cfg.ingress_queue, cfg.bottleneck_queue, cfg.link_delay)
 }
 
 /// Generate the fallback capture: the synthetic regular trace encoded as
@@ -242,7 +206,7 @@ fn replay_streamed<R: Read>(
     } else {
         source
     };
-    let mut senders = SenderSet::one(S0, mk_sender(cfg));
+    let mut senders = SenderSet::one(S0, Line::sender(&cfg.policy));
 
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
         epoch: cfg.epoch,
@@ -401,7 +365,7 @@ mod tests {
     fn replay_vec(cfg: &ReplayConfig, capture: &[u8]) -> u64 {
         let records = PcapRecords::new(capture).unwrap();
         let mut pcap = PcapReplaySource::new(records, EntryMap::Fixed(S0), cfg.reorder_ns);
-        let (mut sender, mut injections) = (mk_sender(cfg), Vec::new());
+        let (mut sender, mut injections) = (Line::sender(&cfg.policy), Vec::new());
         while let Some((node, p)) = pcap.next_injection() {
             injections.push((node, p));
             injections.extend(sender.observe(&p).iter().map(|r| (S0, *r)));

@@ -65,8 +65,9 @@ fn main() {
     naive_cfg.demux = CoreDemux::Naive;
     // Heterogeneous path delays are what makes association matter; slow one
     // core slightly so the equal-cost paths genuinely differ.
-    naive_cfg.anomaly = Some(rlir::experiment::CoreAnomaly {
-        core_ordinal: 0,
+    let tree = rlir_topo::FatTree::new(cfg.k, cfg.hash);
+    naive_cfg.anomaly = Some(rlir::experiment::SwitchAnomaly {
+        node: tree.cores().next().expect("a fat-tree has cores"),
         extra_processing: SimDuration::from_micros(150),
     });
     let mut demux_cfg = naive_cfg.clone();

@@ -9,24 +9,20 @@
 //! cargo run --release --example localize_anomaly
 //! ```
 
-use rlir::experiment::{run_fattree, CoreAnomaly, FatTreeExpConfig};
+use rlir::experiment::{run_fattree, FatTreeExpConfig, SwitchAnomaly};
 use rlir::localization::{localize, LocalizerConfig};
 use rlir_net::time::SimDuration;
 use rlir_topo::FatTree;
 
 fn main() {
     let mut cfg = FatTreeExpConfig::paper(21, SimDuration::from_millis(30));
-    let faulty_ordinal = 2;
-    cfg.anomaly = Some(CoreAnomaly {
-        core_ordinal: faulty_ordinal,
+    let tree = FatTree::new(cfg.k, cfg.hash);
+    let faulty_core = tree.cores().nth(2).expect("core exists");
+    cfg.anomaly = Some(SwitchAnomaly {
+        node: faulty_core,
         extra_processing: SimDuration::from_micros(350),
     });
-
-    let tree = FatTree::new(cfg.k, cfg.hash);
-    let faulty = tree
-        .node(tree.cores().nth(faulty_ordinal).expect("core exists"))
-        .name
-        .clone();
+    let faulty = tree.node(faulty_core).name.clone();
     println!(
         "injected fault: +350 µs processing delay at core {faulty} (operator does not know this)\n"
     );

@@ -18,21 +18,23 @@
 //! which makes the equal-cost paths' delays differ.
 
 use rlir::experiment::{
-    run_drop_aware, run_fattree, run_two_hop, CoreAnomaly, DropAwareConfig, FatTreeExpConfig,
+    run_drop_aware, run_fattree, run_two_hop, DropAwareConfig, FatTreeExpConfig, SwitchAnomaly,
     TwoHopConfig,
 };
 use rlir::CoreDemux;
 use rlir_exec::SweepRunner;
 use rlir_net::time::SimDuration;
 use rlir_rli::ReceiverCounters;
+use rlir_topo::FatTree;
 
 const SEEDS: [u64; 2] = [42, 7];
 
 fn fattree(seed: u64, demux: CoreDemux) -> Vec<ReceiverCounters> {
     let mut cfg = FatTreeExpConfig::paper(seed, SimDuration::from_millis(25));
     cfg.demux = demux;
-    cfg.anomaly = Some(CoreAnomaly {
-        core_ordinal: 0,
+    let tree = FatTree::new(cfg.k, cfg.hash);
+    cfg.anomaly = Some(SwitchAnomaly {
+        node: tree.cores().next().expect("a fat-tree has cores"),
         extra_processing: SimDuration::from_micros(150),
     });
     run_fattree(&cfg).tap_counters
