@@ -28,12 +28,19 @@
 //! once the watermark has moved another timeout removes the rest. So the
 //! pair holds the packets in flight between A and B and the drops of at
 //! most two timeouts, not O(run) and not timeout × rate.
+//!
+//! The table, the rows and the counters live in a matcher on one helper
+//! thread (`rlir_sim::pipe`). The engine thread decides what the event
+//! alone tells — which point saw it, the timeout horizon, when to sweep —
+//! and ships each sighting with its horizon, in event order, until
+//! [`CapturePair::finish`] joins the matcher back.
 
 use crate::plane::TapPoint;
 use rlir_net::fxhash::{FxBuildHasher, FxHashMap};
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::FlowKey;
 use rlir_rli::{push_grown, slots, SlotIndex};
+use rlir_sim::pipe::{End, Pipe, BATCH};
 use rlir_sim::{HopEvent, HopKind, HopSink};
 
 /// Wire-visible packet identity: 5-tuple + IPv4 ident. Everything a real
@@ -89,16 +96,6 @@ pub struct CaptureReport {
     pub flows: Vec<(FlowKey, FlowCapture)>,
 }
 
-impl CaptureReport {
-    /// Look up one flow's capture.
-    pub fn flow(&self, key: &FlowKey) -> Option<&FlowCapture> {
-        self.flows
-            .binary_search_by(|(k, _)| k.cmp(key))
-            .ok()
-            .map(|i| &self.flows[i].1)
-    }
-}
-
 /// A pair of identity-matching capture points on the hop-event stream
 /// (see the module docs). Attach as the engine sink — or tee it next to a
 /// measurement plane with `rlir_sim::TeeSink` — then call
@@ -113,6 +110,27 @@ pub struct CapturePair {
     horizon: u64,
     /// The horizon of the last sweep.
     swept: u64,
+    /// The matcher's worker, or the matcher itself if no thread started.
+    behind: Result<Pipe<(Sight, u64), Matcher>, Matcher>,
+    /// Sightings bound for the worker, each with the horizon it is judged by.
+    batch: Vec<(Sight, u64)>,
+}
+
+/// What the engine thread tells the matcher, in event order.
+#[derive(Debug, Clone, Copy)]
+enum Sight {
+    /// Point A saw the identity at this time.
+    A(CaptureKey, u64),
+    /// Point B saw it.
+    B(CaptureKey, u64),
+    /// Remove every timed-out stamp.
+    Sweep,
+}
+
+/// The pending table, the flow rows and the counters: everything the pair
+/// holds that nobody reads before [`CapturePair::finish`].
+#[derive(Debug, Default)]
+struct Matcher {
     /// The point-A stamp of every identity awaiting point B — the pair's
     /// only per-packet state.
     pending: FxHashMap<CaptureKey, u64>,
@@ -139,25 +157,110 @@ impl CapturePair {
 
     /// Capture with an explicit pending-stamp timeout.
     pub(crate) fn with_timeout(a: TapPoint, b: TapPoint, timeout: SimDuration) -> Self {
+        let behind = Pipe::spawn(Matcher::default(), match_behind);
+        let batch = match &behind {
+            Ok(pipe) => pipe.take().unwrap_or_default(),
+            Err(_) => Vec::new(),
+        };
         CapturePair {
             a,
             b,
             timeout_ns: timeout.as_nanos(),
             horizon: 0,
             swept: 0,
-            pending: FxHashMap::default(),
-            index: SlotIndex::default(),
-            flows: Vec::new(),
-            matched: 0,
-            unmatched_b: 0,
-            ambiguous: 0,
-            expired: 0,
-            peak_pending: 0,
+            behind,
+            batch,
         }
     }
 
     fn key(ev: &HopEvent<'_>) -> CaptureKey {
         (ev.packet.flow, (ev.packet.id.0 & 0xFFFF) as u16)
+    }
+
+    /// Hand one sighting to the matcher, judged against today's horizon.
+    fn ship(&mut self, sight: Sight) {
+        let pipe = match &mut self.behind {
+            Ok(pipe) => pipe,
+            Err(matcher) => return matcher.apply(sight, self.horizon),
+        };
+        self.batch.push((sight, self.horizon));
+        if self.batch.len() == BATCH {
+            // A matcher that died refuses it; `finish` re-raises its panic.
+            pipe.give(std::mem::take(&mut self.batch));
+            self.batch = pipe.take().unwrap_or_default();
+        }
+    }
+
+    /// Finish: book the timed-out stamps, count the rest as residual and
+    /// emit the per-flow table (sorted for deterministic output). The
+    /// pending table and the index go first and the rows sort in place, so
+    /// no second copy of the table is ever held.
+    pub fn finish(self) -> CaptureReport {
+        let mut matcher = match self.behind {
+            Ok(pipe) => {
+                pipe.give(self.batch);
+                pipe.join()
+            }
+            Err(matcher) => matcher,
+        };
+        matcher.sweep(self.horizon);
+        let residual = matcher.pending.len() as u64;
+        matcher.pending = FxHashMap::default();
+        matcher.index = SlotIndex::default();
+        let mut flows = matcher.flows;
+        // Keys are unique, so an unstable sort has one possible outcome.
+        flows.sort_unstable_by_key(|&(key, _)| key);
+        CaptureReport {
+            matched: matcher.matched,
+            unmatched_b: matcher.unmatched_b,
+            ambiguous: matcher.ambiguous,
+            expired: matcher.expired,
+            residual,
+            peak_pending: matcher.peak_pending,
+            flows,
+        }
+    }
+}
+
+/// The matcher's worker: apply each batch of sightings in order until the
+/// engine thread hangs up.
+fn match_behind(matcher: &mut Matcher, end: &End<(Sight, u64)>) {
+    while let Some(mut batch) = end.take() {
+        for (sight, horizon) in batch.drain(..) {
+            matcher.apply(sight, horizon);
+        }
+        end.give(batch);
+    }
+}
+
+impl Matcher {
+    fn apply(&mut self, sight: Sight, horizon: u64) {
+        match sight {
+            Sight::A(key, at) => {
+                if let Some(old) = self.pending.insert(key, at) {
+                    // The newer stamp wins; the older one had timed out or
+                    // shares its identity with a packet still in flight.
+                    if old < horizon {
+                        self.expired += 1;
+                    } else {
+                        self.ambiguous += 1;
+                    }
+                }
+                self.peak_pending = self.peak_pending.max(self.pending.len());
+            }
+            Sight::B(key, at) => match self.pending.remove(&key) {
+                Some(t_a) if t_a >= horizon => {
+                    self.matched += 1;
+                    self.record(key.0, at.saturating_sub(t_a));
+                }
+                Some(_) => {
+                    self.expired += 1;
+                    self.unmatched_b += 1;
+                }
+                None => self.unmatched_b += 1,
+            },
+            Sight::Sweep => self.sweep(horizon),
+        }
     }
 
     fn record(&mut self, flow: FlowKey, delta_ns: u64) {
@@ -189,35 +292,11 @@ impl CapturePair {
         f.sum_ns += delta_ns;
     }
 
-    /// Remove every timed-out stamp and book it `expired`.
-    fn sweep(&mut self) {
-        let (horizon, before) = (self.horizon, self.pending.len());
+    /// Remove every stamp taken before `horizon` and book it `expired`.
+    fn sweep(&mut self, horizon: u64) {
+        let before = self.pending.len();
         self.pending.retain(|_, &mut stamp| stamp >= horizon);
         self.expired += (before - self.pending.len()) as u64;
-        self.swept = horizon;
-    }
-
-    /// Finish: book the timed-out stamps, count the rest as residual and
-    /// emit the per-flow table (sorted for deterministic output). The
-    /// pending table and the index go first and the rows sort in place, so
-    /// no second copy of the table is ever held.
-    pub fn finish(mut self) -> CaptureReport {
-        self.sweep();
-        let residual = self.pending.len() as u64;
-        self.pending = FxHashMap::default();
-        self.index = SlotIndex::default();
-        let mut flows = self.flows;
-        // Keys are unique, so an unstable sort has one possible outcome.
-        flows.sort_unstable_by_key(|&(key, _)| key);
-        CaptureReport {
-            matched: self.matched,
-            unmatched_b: self.unmatched_b,
-            ambiguous: self.ambiguous,
-            expired: self.expired,
-            residual,
-            peak_pending: self.peak_pending,
-            flows,
-        }
     }
 }
 
@@ -227,29 +306,9 @@ impl HopSink for CapturePair {
         // and immediately matches at zero delta on the next sighting —
         // not this one.
         if observes(self.a, ev) {
-            if let Some(old) = self.pending.insert(Self::key(ev), ev.at.as_nanos()) {
-                // The newer stamp wins; the older one had either timed out
-                // or shares its identity with a packet still in flight.
-                if old < self.horizon {
-                    self.expired += 1;
-                } else {
-                    self.ambiguous += 1;
-                }
-            }
-            self.peak_pending = self.peak_pending.max(self.pending.len());
+            self.ship(Sight::A(Self::key(ev), ev.at.as_nanos()));
         } else if observes(self.b, ev) {
-            let key = Self::key(ev);
-            match self.pending.remove(&key) {
-                Some(t_a) if t_a >= self.horizon => {
-                    self.matched += 1;
-                    self.record(key.0, ev.at.as_nanos().saturating_sub(t_a));
-                }
-                Some(_) => {
-                    self.expired += 1;
-                    self.unmatched_b += 1;
-                }
-                None => self.unmatched_b += 1,
-            }
+            self.ship(Sight::B(Self::key(ev), ev.at.as_nanos()));
         }
     }
 
@@ -257,7 +316,8 @@ impl HopSink for CapturePair {
         let horizon = watermark.as_nanos().saturating_sub(self.timeout_ns);
         self.horizon = self.horizon.max(horizon);
         if self.horizon - self.swept >= self.timeout_ns.max(1) {
-            self.sweep();
+            self.swept = self.horizon;
+            self.ship(Sight::Sweep);
         }
     }
 }

@@ -6,7 +6,8 @@
 //! O(buffer)-ingest path: a nanosecond pcap — a file given on the command
 //! line, or a synthetic capture generated and round-tripped through the
 //! pcap encoder when none is — streams off disk as a pull-based
-//! [`PcapReplaySource`] and drives the tandem `S0 → S1 → host`, whose RLI
+//! [`PcapReplaySource`], read ahead on one helper thread as the ledger's
+//! replay is, and drives the tandem `S0 → S1 → host`, whose RLI
 //! sender at `S0` puts its references in-band behind their triggers, with
 //! three observers teed onto one hop-event stream:
 //!
@@ -14,7 +15,8 @@
 //! * a [`CapturePair`] stamping every packet at `S0`'s ingress and
 //!   matching it again at delivery — per-flow latency by wire identity
 //!   (RFC 1242), the measurement a pair of real capture points would
-//!   make, independent of simulator-internal truth state;
+//!   make, independent of simulator-internal truth state; its matcher
+//!   runs behind the engine on a helper thread of its own;
 //! * a [`StreamDigest`] over the full event + watermark + delivery
 //!   stream ([`ReplayOutcome::digest`]).
 
@@ -30,7 +32,7 @@ use rlir_sim::{
     TeeSink,
 };
 use rlir_trace::{generate, EntryMap, PcapRecords, PcapReplaySource, PcapWriter, TraceConfig};
-use std::io::Read;
+use std::io::{Cursor, Read};
 use std::path::PathBuf;
 
 /// Configuration of a trace replay.
@@ -195,12 +197,12 @@ struct StreamedRun {
 }
 
 /// One streamed replay with the full observer stack.
-fn replay_streamed<R: Read>(
+fn replay_streamed<R: Read + Send + 'static>(
     cfg: &ReplayConfig,
     records: PcapRecords<R>,
     entry: EntryMap,
 ) -> StreamedRun {
-    let source = PcapReplaySource::new(records, entry, cfg.reorder_ns);
+    let source = PcapReplaySource::new(records, entry, cfg.reorder_ns).read_ahead();
     let mut source = if cfg.lenient {
         source.lenient()
     } else {
@@ -304,8 +306,7 @@ pub fn run_replay(cfg: &ReplayConfig) -> ReplayOutcome {
             replay_streamed(cfg, records, entry)
         }
         None => {
-            let bytes = synth_capture(cfg);
-            let records = PcapRecords::new(bytes.as_slice()).expect("fresh capture");
+            let records = PcapRecords::new(Cursor::new(synth_capture(cfg))).expect("fresh capture");
             replay_streamed(cfg, records, entry)
         }
     };

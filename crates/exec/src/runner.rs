@@ -2,7 +2,8 @@
 //!
 //! This module owns the workspace's only `std::thread::scope` call site:
 //! every experiment maps its points through [`SweepRunner::map`], which
-//! runs independent simulations in parallel (each one runs on one thread).
+//! runs independent simulations in parallel: each on one thread, plus one
+//! helper each for a pcap replay's read-ahead or a capture pair's matcher.
 //! [`parse_count`] reads the count that sizes it, `RLIR_THREADS`, and every
 //! other positive-integer knob of the CLI.
 

@@ -15,8 +15,8 @@
 //!   simulated keys).
 //! * [`packet`] — the simulated [`Packet`] record with traffic classes and
 //!   embedded RLI reference headers.
-//! * [`wire`] — real on-the-wire encodings (IPv4 + UDP + RLI payload with
-//!   checksums) for reference packets.
+//! * [`wire`] — the IPv4 header codec with its internet checksum, which
+//!   the pcap front end writes and reads, and the RLI UDP port.
 //! * [`clock`] — imperfect-clock models for studying synchronisation error.
 //!
 //! The crate is dependency-light (only `bytes` and `serde`) and contains no

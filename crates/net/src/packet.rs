@@ -80,8 +80,8 @@ impl PacketKind {
     }
 }
 
-/// Size on the wire of a reference packet: minimum Ethernet-ish frame able to
-/// carry IPv4 + UDP + the 20-byte RLI payload (see [`crate::wire`]).
+/// Size on the wire of a reference packet: the minimum Ethernet-ish frame,
+/// which carries IPv4 + UDP + a 20-byte RLI header.
 pub const REFERENCE_PACKET_BYTES: u32 = 64;
 
 /// A packet moving through the simulated network.

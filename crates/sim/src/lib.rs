@@ -35,6 +35,9 @@
 //!   ingest path (O(source buffer), not O(run)); [`SortedVecSource`]
 //!   wraps a list. `rlir_trace`'s pcap replay source streams captures off
 //!   disk through this trait.
+//! * [`pipe`] — one helper thread behind a bounded batch hand-off, for a
+//!   stage whose state nobody reads until the run ends (the pcap replay's
+//!   read-ahead, the capture pair's matcher).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -43,6 +46,7 @@ pub mod chaos;
 pub mod crosstraffic;
 pub mod fault;
 pub mod network;
+pub mod pipe;
 pub mod pipeline;
 pub mod queue;
 pub mod sched;

@@ -30,11 +30,22 @@
 //! low 16 bits — the simulated wire identity [`crate::pcap::write_pcap`]
 //! would emit, and what capture-point taps match on — reproduce the
 //! original capture's IPv4 ident field exactly.
+//!
+//! ## Threads
+//!
+//! Decode, entry map, reorder heap and shedding are one stage. Over a
+//! reader it owns ([`from_path`](PcapReplaySource::from_path),
+//! [`read_ahead`](PcapReplaySource::read_ahead)) the source runs it on one
+//! helper thread from the first pull, handing injections to the engine
+//! thread in `rlir_sim::pipe` batches; otherwise inline. The stream is the
+//! same, and the stage comes home when the source drains: read the
+//! counters then, and they are the inline ones.
 
 use crate::pcap::{open_pcap, PcapError, PcapRecord, PcapRecords};
 use rlir_net::packet::{Packet, PacketId};
 use rlir_net::time::SimTime;
 use rlir_net::FlowKey;
+use rlir_sim::pipe::{End, Pipe, BATCH, DEPTH};
 use rlir_sim::{InjectionSource, NodeId};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -158,6 +169,25 @@ impl Ord for Buffered {
 /// failures (the source ends early; the engine has no error channel).
 #[derive(Debug)]
 pub struct PcapReplaySource<R: Read> {
+    /// The replay stage; `None` while it runs on the read-ahead worker.
+    stage: Option<Stage<R>>,
+    /// Set by [`read_ahead`](Self::read_ahead) until the first pull.
+    start: Option<fn(Stage<R>) -> Started<R>>,
+    ahead: Option<ReadAhead<R>>,
+    /// The worker's batch being emptied, and the next place in it.
+    batch: Vec<(NodeId, Packet)>,
+    next: usize,
+    /// The worker ran: its batches count as ingest state.
+    batched: bool,
+}
+
+type ReadAhead<R> = Pipe<(NodeId, Packet), Stage<R>>;
+type Started<R> = Result<ReadAhead<R>, Stage<R>>;
+
+/// Decode → entry map → reorder heap → shedding: everything the source
+/// does before it hands an injection over.
+#[derive(Debug)]
+struct Stage<R: Read> {
     records: PcapRecords<R>,
     entry: EntryMap,
     reorder_ns: u64,
@@ -185,8 +215,6 @@ pub struct PcapReplaySource<R: Read> {
     peak_buffered: usize,
     exhausted: bool,
     error: Option<PcapError>,
-    len_hint: Option<usize>,
-    span_hint: Option<u64>,
     /// Lenient replay: clamp time regressions instead of dropping them,
     /// cap duplicate wire identities (the record iterator is switched to
     /// lenient decode separately, by the constructor path).
@@ -199,16 +227,37 @@ pub struct PcapReplaySource<R: Read> {
 }
 
 impl PcapReplaySource<BufReader<std::fs::File>> {
-    /// Open a capture file on disk (buffered reads).
+    /// Open a capture file on disk, read ahead on a helper thread.
     pub fn from_path(path: &Path, entry: EntryMap, reorder_ns: u64) -> Result<Self, PcapError> {
-        Ok(Self::new(open_pcap(path)?, entry, reorder_ns))
+        Ok(Self::new(open_pcap(path)?, entry, reorder_ns).read_ahead())
+    }
+}
+
+impl<R: Read + Send + 'static> PcapReplaySource<R> {
+    /// Run the stage on one helper thread from the first pull (see the
+    /// module docs), or inline if no thread can be started.
+    #[allow(clippy::result_large_err)] // the stage comes back once, if no thread starts
+    pub fn read_ahead(mut self) -> Self {
+        self.start = Some(|stage| Pipe::spawn(stage, fill));
+        self
+    }
+}
+
+/// The read-ahead worker: fill batches until the stage drains or the engine hangs up.
+fn fill<R: Read>(stage: &mut Stage<R>, end: &End<(NodeId, Packet)>) {
+    while let Some(mut batch) = end.take() {
+        batch.extend(std::iter::from_fn(|| stage.next_injection()).take(BATCH));
+        let drained = batch.len() < BATCH;
+        if !end.give(batch) || drained {
+            return;
+        }
     }
 }
 
 impl<R: Read> PcapReplaySource<R> {
-    /// Wrap an already-validated record iterator.
+    /// Wrap an already-validated record iterator; the stage runs inline.
     pub fn new(records: PcapRecords<R>, entry: EntryMap, reorder_ns: u64) -> Self {
-        PcapReplaySource {
+        let stage = Stage {
             records,
             entry,
             reorder_ns,
@@ -225,14 +274,25 @@ impl<R: Read> PcapReplaySource<R> {
             peak_buffered: 0,
             exhausted: false,
             error: None,
-            len_hint: None,
-            span_hint: None,
             lenient: false,
             clamped_regressions: 0,
             dup_capped: 0,
             dup_counts: BTreeMap::new(),
             dup_window_start: 0,
+        };
+        PcapReplaySource {
+            stage: Some(stage),
+            start: None,
+            ahead: None,
+            batch: Vec::new(),
+            next: 0,
+            batched: false,
         }
+    }
+
+    /// The stage, home before the first pull and after the drain.
+    fn stage(&self) -> &Stage<R> {
+        self.stage.as_ref().expect("read after the drain")
     }
 
     /// Hostile-ingest mode (builder style): switches the record decoder to
@@ -244,18 +304,104 @@ impl<R: Read> PcapReplaySource<R> {
     /// [`dup_capped`](Self::dup_capped)).
     /// On a clean capture, output is byte-identical to strict mode.
     pub fn lenient(mut self) -> Self {
-        self.lenient = true;
-        self.records = self.records.lenient();
+        self.stage = self.stage.map(Stage::lenient);
         self
     }
 
-    /// Record count / capture span in nanoseconds known out-of-band, e.g.
-    /// recorded next to the capture. Never affects results — and, since the
-    /// calendar's geometry comes from the fabric, nothing reads them: kept
-    /// for the ledger, which calls this (see `rlir_sim::source`).
-    pub fn with_hints(mut self, len: usize, span_ns: u64) -> Self {
-        self.len_hint = Some(len);
-        self.span_hint = Some(span_ns);
+    /// Record count / capture span known out-of-band. The engine reads no
+    /// injection hints (see `rlir_sim::source`), so this keeps none: it
+    /// stays for the ledger, which calls it.
+    pub fn with_hints(self, _len: usize, _span_ns: u64) -> Self {
+        self
+    }
+
+    /// Decode records read off disk so far (including shed ones).
+    pub fn records_read(&self) -> u64 {
+        self.stage().seq
+    }
+
+    /// Injections handed to the engine so far.
+    pub fn emitted(&self) -> u64 {
+        self.stage().emitted
+    }
+
+    /// Records discarded because they were more disordered than the
+    /// reorder window.
+    pub fn late_dropped(&self) -> u64 {
+        self.stage().late_dropped
+    }
+
+    /// High-water mark of the reorder buffer — the source's whole ingest
+    /// memory bound, independent of capture length.
+    pub fn peak_buffered(&self) -> usize {
+        self.stage().peak_buffered
+    }
+
+    /// Approximate bytes of the ingest buffer at its peak, and of the
+    /// read-ahead batches if the worker ran.
+    pub fn peak_buffered_bytes(&self) -> usize {
+        let batches = DEPTH * BATCH * std::mem::size_of::<(NodeId, Packet)>();
+        self.peak_buffered() * std::mem::size_of::<Reverse<Buffered>>()
+            + if self.batched { batches } else { 0 }
+    }
+
+    /// The decode error that ended the stream early, if any. A source
+    /// that hit one still emits everything buffered before the failure.
+    pub fn error(&self) -> Option<&PcapError> {
+        self.stage().error.as_ref()
+    }
+
+    /// Lenient-mode time regressions clamped to the last emitted
+    /// timestamp (always 0 in strict mode, where such records are late-
+    /// dropped instead).
+    pub fn clamped_regressions(&self) -> u64 {
+        self.stage().clamped_regressions
+    }
+
+    /// Lenient-mode records dropped by the per-window duplicate wire
+    /// identity cap.
+    pub fn dup_capped(&self) -> u64 {
+        self.stage().dup_capped
+    }
+
+    /// The wrapped record decoder, for its lenient-ingest counters
+    /// (skipped records/bytes, resyncs).
+    pub fn decoder(&self) -> &PcapRecords<R> {
+        &self.stage().records
+    }
+
+    /// The next injection in the worker's batches, not taken, starting the
+    /// worker on the first pull: `None` when there is no worker, or once it
+    /// has drained the stage and the stage is home again.
+    fn front(&mut self) -> Option<(NodeId, Packet)> {
+        if let Some(start) = self.start.take() {
+            match start(self.stage.take()?) {
+                Ok(ahead) => (self.ahead, self.batched) = (Some(ahead), true),
+                Err(stage) => self.stage = Some(stage),
+            }
+        }
+        let ahead = self.ahead.as_ref()?;
+        while self.next == self.batch.len() {
+            let mut spent = std::mem::take(&mut self.batch);
+            if spent.capacity() > 0 {
+                spent.clear();
+                ahead.give(spent);
+            }
+            self.next = 0;
+            let Some(batch) = ahead.take() else {
+                self.stage = self.ahead.take().map(Pipe::join);
+                return None;
+            };
+            self.batch = batch;
+        }
+        Some(self.batch[self.next])
+    }
+}
+
+impl<R: Read> Stage<R> {
+    fn lenient(mut self) -> Self {
+        self.lenient = true;
+        self.records = self.records.lenient();
         self
     }
 
@@ -378,61 +524,9 @@ impl<R: Read> PcapReplaySource<R> {
             self.late_dropped += 1;
         }
     }
-
-    /// Decode records read off disk so far (including shed ones).
-    pub fn records_read(&self) -> u64 {
-        self.seq
-    }
-
-    /// Injections handed to the engine so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Records discarded because they were more disordered than the
-    /// reorder window.
-    pub fn late_dropped(&self) -> u64 {
-        self.late_dropped
-    }
-
-    /// High-water mark of the reorder buffer — the source's whole ingest
-    /// memory bound, independent of capture length.
-    pub fn peak_buffered(&self) -> usize {
-        self.peak_buffered
-    }
-
-    /// Approximate bytes of the ingest buffer at its peak.
-    pub fn peak_buffered_bytes(&self) -> usize {
-        self.peak_buffered * std::mem::size_of::<Reverse<Buffered>>()
-    }
-
-    /// The decode error that ended the stream early, if any. A source
-    /// that hit one still emits everything buffered before the failure.
-    pub fn error(&self) -> Option<&PcapError> {
-        self.error.as_ref()
-    }
-
-    /// Lenient-mode time regressions clamped to the last emitted
-    /// timestamp (always 0 in strict mode, where such records are late-
-    /// dropped instead).
-    pub fn clamped_regressions(&self) -> u64 {
-        self.clamped_regressions
-    }
-
-    /// Lenient-mode records dropped by the per-window duplicate wire
-    /// identity cap.
-    pub fn dup_capped(&self) -> u64 {
-        self.dup_capped
-    }
-
-    /// The wrapped record decoder, for its lenient-ingest counters
-    /// (skipped records/bytes, resyncs).
-    pub fn decoder(&self) -> &PcapRecords<R> {
-        &self.records
-    }
 }
 
-impl<R: Read> InjectionSource for PcapReplaySource<R> {
+impl<R: Read> Stage<R> {
     fn peek(&mut self) -> Option<SimTime> {
         while !self.ready {
             self.refill();
@@ -467,13 +561,22 @@ impl<R: Read> InjectionSource for PcapReplaySource<R> {
         self.emitted += 1;
         Some((node, packet))
     }
+}
 
-    fn len_hint(&self) -> Option<usize> {
-        self.len_hint
+impl<R: Read> InjectionSource for PcapReplaySource<R> {
+    fn peek(&mut self) -> Option<SimTime> {
+        match self.front() {
+            Some((_, packet)) => Some(packet.created_at),
+            None => self.stage.as_mut()?.peek(),
+        }
     }
 
-    fn span_hint(&self) -> Option<u64> {
-        self.span_hint
+    fn next_injection(&mut self) -> Option<(NodeId, Packet)> {
+        let Some(item) = self.front() else {
+            return self.stage.as_mut()?.next_injection();
+        };
+        self.next += 1;
+        Some(item)
     }
 }
 
@@ -795,7 +898,7 @@ mod tests {
         let src =
             PcapReplaySource::new(PcapRecords::new(bytes).unwrap(), EntryMap::Fixed(0), window);
         let mut src = if lenient { src.lenient() } else { src };
-        src.heap_only = heap_only;
+        src.stage.as_mut().unwrap().heap_only = heap_only;
         let out = drain(&mut src);
         format!(
             "{out:?} read {} emitted {} late {} peak {} clamped {} capped {}",

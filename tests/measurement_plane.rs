@@ -6,7 +6,6 @@ use rlir::plane::{MeasurementPlane, TapPoint, TapSpec, TruthRef};
 use rlir_net::clock::{ClockModel, ClockPair};
 use rlir_net::packet::{Packet, ReferenceInfo, SenderId};
 use rlir_net::time::{SimDuration, SimTime};
-use rlir_net::wire::{decode_reference_packet, encode_reference_packet};
 use rlir_net::FlowKey;
 use rlir_rli::{FlowReport, Interpolator, ReceiverConfig, RliReceiver, RliSender, StaticPolicy};
 use rlir_sim::{
@@ -153,37 +152,6 @@ fn clock_skew_shifts_estimates_by_offset() {
     assert!(
         (bias - offset_ns as f64).abs() < 1.0,
         "bias {bias} should equal the clock offset {offset_ns}"
-    );
-}
-
-/// The wire format carries exactly what the in-memory reference packet says:
-/// encode at the sender, decode at the receiver, estimates unchanged.
-#[test]
-fn wire_encoding_is_transparent_to_the_receiver() {
-    let mut sender = RliSender::new(
-        SenderId(9),
-        ClockModel::perfect(),
-        StaticPolicy::one_in(1),
-        vec![ref_target()],
-    );
-    let p = Packet::regular(1, flow(1), 700, SimTime::from_micros(5));
-    let r = sender.observe(&p).last().copied().expect("1-in-1 fires");
-    let info = r.reference_info().unwrap();
-
-    // Serialise to bytes and back, as a software receiver would.
-    let bytes = encode_reference_packet(&r.flow, &info, 0);
-    let decoded = decode_reference_packet(&bytes).unwrap();
-    assert_eq!(decoded.info, info);
-
-    // Feed both forms to two receivers: identical results.
-    let mut rx_mem: RliReceiver = RliReceiver::new(ReceiverConfig::for_sender(SenderId(9)));
-    let mut rx_wire: RliReceiver = RliReceiver::new(ReceiverConfig::for_sender(SenderId(9)));
-    let arrival = SimTime::from_micros(35);
-    rx_mem.on_reference(arrival, &info);
-    rx_wire.on_reference(arrival, &decoded.info);
-    assert_eq!(
-        rx_mem.counters().refs_accepted,
-        rx_wire.counters().refs_accepted
     );
 }
 

@@ -2,9 +2,9 @@
 //! spanning crates (proptest).
 
 use proptest::prelude::*;
-use rlir_net::packet::{Packet, ReferenceInfo, SenderId};
+use rlir_net::packet::Packet;
 use rlir_net::time::{SimDuration, SimTime};
-use rlir_net::wire::{decode_reference_packet, encode_reference_packet};
+use rlir_net::wire::{Ipv4Header, IPV4_HEADER_LEN};
 use rlir_net::{FlowKey, HashAlgo, Ipv4Prefix, PrefixTrie, Protocol};
 use rlir_rli::{DelaySample, Interpolator};
 use rlir_sim::{
@@ -47,37 +47,16 @@ proptest! {
     }
 
     #[test]
-    fn wire_reference_round_trip(flow in arb_flow(), sender in any::<u16>(),
-                                 seq in any::<u32>(), ts in any::<u64>(), tos in any::<u8>()) {
-        let info = ReferenceInfo {
-            sender: SenderId(sender),
-            seq,
-            tx_timestamp: SimTime::from_nanos(ts),
-        };
-        let enc = encode_reference_packet(&flow, &info, tos);
-        let dec = decode_reference_packet(&enc).expect("own encoding decodes");
-        prop_assert_eq!(dec.info, info);
-        prop_assert_eq!(dec.ip.tos, tos);
-        prop_assert_eq!(dec.ip.src, flow.src);
-        prop_assert_eq!(dec.ip.dst, flow.dst);
-    }
-
-    #[test]
-    fn wire_detects_any_single_byte_corruption(flow in arb_flow(), byte in 0usize..48, flip in 1u8..=255) {
-        let info = ReferenceInfo { sender: SenderId(1), seq: 7, tx_timestamp: SimTime::from_nanos(99) };
-        let enc = encode_reference_packet(&flow, &info, 0);
-        let mut bad = enc.to_vec();
-        bad[byte] ^= flip;
-        // Either the decode fails, or (checksum-colliding flips are possible
-        // in principle) the decoded header differs from a clean decode. For
-        // single-byte flips both checksums catch everything in practice.
-        match decode_reference_packet(&bad) {
-            Err(_) => {}
-            Ok(dec) => {
-                let clean = decode_reference_packet(&enc).unwrap();
-                prop_assert_eq!(dec.info, clean.info);
-            }
-        }
+    fn wire_detects_any_single_byte_corruption(flow in arb_flow(), ident in any::<u16>(), tos in any::<u8>(),
+                                               byte in 0..IPV4_HEADER_LEN, flip in 1u8..=255) {
+        // A one-byte change moves one 16-bit word by less than 0xFFFF, so
+        // the one's-complement checksum (or the version byte) always sees it.
+        let hdr = Ipv4Header { tos, total_len: 40, ident, ttl: 64, proto: flow.proto, src: flow.src, dst: flow.dst };
+        let mut enc = [0u8; IPV4_HEADER_LEN];
+        hdr.encode_into(&mut enc);
+        prop_assert_eq!(Ipv4Header::decode(&enc).expect("own encoding decodes").0, hdr);
+        enc[byte] ^= flip;
+        prop_assert!(Ipv4Header::decode(&enc).is_err());
     }
 
     #[test]

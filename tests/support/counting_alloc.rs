@@ -1,11 +1,14 @@
 //! A counting `#[global_allocator]` for allocation-bound tests: it forwards
 //! every call to `System` and keeps, per thread (the harness runs tests in
 //! parallel), the bytes asked for, the bytes given back, and the high-water
-//! mark of the difference. Include it with `#[path]`; a test binary has one
-//! global allocator, so one include per binary.
+//! mark of the difference. [`process`] keeps the same three for the whole
+//! process, for code that allocates on a helper thread; tests reading those
+//! must not run beside each other. Include it with `#[path]`; a test binary
+//! has one global allocator, so one include per binary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::Ordering;
 
 thread_local! {
     /// Bytes this thread has asked for (a `realloc` counts its whole new
@@ -21,10 +24,45 @@ fn count(bytes: usize) {
     // A thread being torn down has no counter left; nothing measured runs there.
     let _ = REQUESTED.try_with(|n| n.set(n.get() + bytes));
     let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live())));
+    process::count(bytes);
 }
 
 fn count_freed(bytes: usize) {
     let _ = FREED.try_with(|n| n.set(n.get() + bytes));
+    process::FREED.fetch_add(bytes, Ordering::Relaxed);
+}
+
+/// The same counters over every thread of the process.
+#[allow(dead_code)]
+pub mod process {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    static REQUESTED: AtomicUsize = AtomicUsize::new(0);
+    pub(super) static FREED: AtomicUsize = AtomicUsize::new(0);
+    static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+    pub(super) fn count(bytes: usize) {
+        REQUESTED.fetch_add(bytes, Ordering::Relaxed);
+        PEAK.fetch_max(live(), Ordering::Relaxed);
+    }
+
+    /// Bytes the process holds: asked for and not yet given back.
+    pub fn live() -> usize {
+        let freed = FREED.load(Ordering::Relaxed);
+        REQUESTED.load(Ordering::Relaxed).saturating_sub(freed)
+    }
+
+    /// Start a new high-water mark at what the process holds now; returns that.
+    pub fn reset_peak() -> usize {
+        let live = live();
+        PEAK.store(live, Ordering::Relaxed);
+        live
+    }
+
+    /// The high-water mark of [`live`] since the last [`reset_peak`].
+    pub fn peak() -> usize {
+        PEAK.load(Ordering::Relaxed)
+    }
 }
 
 /// Bytes this thread has asked the allocator for so far.

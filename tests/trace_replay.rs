@@ -393,3 +393,126 @@ fn truncated_capture_is_an_error_not_an_end() {
         assert!(matches!(src.error(), Some(PcapError::BadRecord(_))));
     }
 }
+
+/// Every injection a source emits, pulled the way the engine pulls (a
+/// peek, then the take), and every counter it books once drained.
+fn drain_books<R: std::io::Read>(src: &mut PcapReplaySource<R>) -> (Vec<(NodeId, Packet)>, String) {
+    let mut out = Vec::new();
+    while let Some(t) = src.peek() {
+        let item = src.next_injection().expect("peeked");
+        assert_eq!(item.1.created_at, t);
+        out.push(item);
+    }
+    assert_eq!(src.peek(), None, "a drained source stays drained");
+    let books = format!(
+        "read {} emitted {} late {} peak {} clamped {} capped {} skipped {} error {:?}",
+        src.records_read(),
+        src.emitted(),
+        src.late_dropped(),
+        src.peak_buffered(),
+        src.clamped_regressions(),
+        src.dup_capped(),
+        src.decoder().skipped_records(),
+        src.error(),
+    );
+    (out, books)
+}
+
+/// `bytes` written to a file and read ahead through `from_path` replays
+/// exactly what an inline source over the same bytes replays, and books
+/// the same counters; returns those counters.
+fn read_ahead_equals_inline(name: &str, bytes: &[u8], window: u64, lenient: bool) -> String {
+    let path = std::env::temp_dir().join(format!("rlir_{}_{name}.pcap", std::process::id()));
+    std::fs::write(&path, bytes).expect("temp capture");
+    let ahead = PcapReplaySource::from_path(&path, EntryMap::SrcHash(vec![0, 1]), window);
+    let mut ahead = ahead.expect("capture header");
+    let inline = PcapReplaySource::new(
+        PcapRecords::new(bytes).expect("capture header"),
+        EntryMap::SrcHash(vec![0, 1]),
+        window,
+    );
+    let mut inline = inline;
+    if lenient {
+        (ahead, inline) = (ahead.lenient(), inline.lenient());
+    }
+    let (ahead_out, ahead_books) = drain_books(&mut ahead);
+    let (inline_out, inline_books) = drain_books(&mut inline);
+    std::fs::remove_file(&path).expect("temp capture");
+    assert_eq!(ahead_out.len(), inline_out.len(), "{name}");
+    assert!(ahead_out == inline_out, "{name}: the streams differ");
+    assert_eq!(ahead_books, inline_books, "{name}");
+    // The read-ahead batches are ingest state: 3 × 256 injections of 64 B.
+    assert_eq!(
+        ahead.peak_buffered_bytes(),
+        inline.peak_buffered_bytes() + 3 * 256 * 64,
+        "{name}"
+    );
+    inline_books
+}
+
+/// `n` records 1 µs apart, each moved by `shift(i)` nanoseconds.
+fn shifted_capture(n: u64, shift: impl Fn(u64) -> i64) -> Vec<u8> {
+    let packets: Vec<Packet> = (0..n)
+        .map(|i| {
+            let at = (1_000_000 + i as i64 * 1_000 + shift(i)) as u64;
+            Packet::regular(
+                i,
+                flow((i % 13) as u8),
+                64 + (i % 1400) as u32,
+                SimTime::from_nanos(at),
+            )
+        })
+        .collect();
+    capture(&packets)
+}
+
+#[test]
+fn read_ahead_replays_what_the_inline_stage_replays() {
+    // Sorted at window 0: several batches and a partial last one.
+    let sorted = read_ahead_equals_inline("sorted", &shifted_capture(3_000, |_| 0), 0, false);
+    assert!(
+        sorted.starts_with("read 3000 emitted 3000 late 0"),
+        "{sorted}"
+    );
+    // 50 µs of disorder inside a 100 µs window sheds nothing.
+    let jitter = |i: u64| ((i * 7_919) % 50_000) as i64;
+    let jittered =
+        read_ahead_equals_inline("jitter", &shifted_capture(3_000, jitter), 100_000, false);
+    assert!(jittered.contains("emitted 3000 late 0"), "{jittered}");
+    // A record in 97 half a millisecond behind: past the window, shed.
+    let late = |i: u64| if i.is_multiple_of(97) { -500_000 } else { 0 };
+    let shed = read_ahead_equals_inline("late", &shifted_capture(3_000, late), 100_000, false);
+    assert!(!shed.contains("late 0 "), "{shed}");
+}
+
+#[test]
+fn read_ahead_replays_lenient_and_torn_captures_like_the_inline_stage() {
+    // Late records to clamp, and runs of one wire identity to cap.
+    let packets: Vec<Packet> = (0..2_000u64)
+        .map(|i| {
+            let at = 1_000_000 + i * 1_000 - if i.is_multiple_of(89) { 600_000 } else { 0 };
+            let id = if (500..530).contains(&i) { 7 } else { i };
+            Packet::regular(id, flow(1), 600, SimTime::from_nanos(at))
+        })
+        .collect();
+    let bytes = capture(&packets);
+    let lenient = read_ahead_equals_inline("lenient", &bytes, 50_000, true);
+    assert!(!lenient.contains("clamped 0 "), "{lenient}");
+    assert!(!lenient.contains("capped 0 "), "{lenient}");
+    // Torn mid-record: everything before the tear plays, then the error.
+    let torn = read_ahead_equals_inline("torn", &bytes[..bytes.len() - 7], 50_000, false);
+    assert!(torn.contains("error Some(BadRecord"), "{torn}");
+}
+
+#[test]
+fn a_read_ahead_source_dropped_mid_capture_returns() {
+    let path = std::env::temp_dir().join(format!("rlir_{}_dropped.pcap", std::process::id()));
+    std::fs::write(&path, shifted_capture(5_000, |_| 0)).expect("temp capture");
+    let mut src = PcapReplaySource::from_path(&path, EntryMap::Fixed(0), 0).expect("header");
+    for _ in 0..1_000 {
+        src.next_injection().expect("5 000 records");
+    }
+    // Dropping hangs up on the worker and waits for it to return.
+    drop(src);
+    std::fs::remove_file(&path).expect("temp capture");
+}
