@@ -22,13 +22,15 @@ Chaos:  --tenants w1,w2 positive tenant weights for `run chaos` — segment-1 ta
 A scenario flag is refused unless the command is `all` or a scenario that reads it.
 Output: RLIR_RESULTS_DIR=<dir> (default results/)";
 
-/// Every scenario flag, and the scenarios that read it.
-const READERS: [(&str, &[&str]); 4] = [
-    ("--trace", &["replay"]),
-    ("--entry-map", &["replay"]),
-    ("--lenient", &["replay"]),
-    ("--tenants", &["chaos"]),
-];
+/// `arg` if it is a scenario flag: one that some scenario declares it reads
+/// ([`rlir_bench::Scenario::flags`]).
+fn scenario_flag(arg: &str) -> Option<&'static str> {
+    SCENARIOS
+        .iter()
+        .flat_map(|s| s.flags)
+        .copied()
+        .find(|f| *f == arg)
+}
 
 /// Why `flags` do not fit the command: `None` for `all` or a scenario that
 /// reads every one of them, else the first flag it would silently ignore.
@@ -37,8 +39,11 @@ fn unread_flag(cmd: &str, name: Option<&str>, flags: &[&str]) -> Option<String> 
         return None;
     }
     flags.iter().find_map(|&flag| {
-        let (_, readers) = READERS.iter().find(|(f, _)| *f == flag)?;
-        let reads = name.is_some_and(|n| readers.contains(&n));
+        let readers: Vec<&str> = (SCENARIOS.iter())
+            .filter(|s| s.flags.contains(&flag))
+            .map(|s| s.name)
+            .collect();
+        let reads = readers.is_empty() || name.is_some_and(|n| readers.contains(&n));
         let target = name.map_or(format!("`{cmd}`"), |n| format!("scenario {n:?}"));
         (!reads).then(|| {
             format!(
@@ -87,7 +92,7 @@ fn main() -> std::io::Result<()> {
     let mut given: Vec<&str> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if let Some((flag, _)) = READERS.iter().find(|(f, _)| *f == a) {
+        if let Some(flag) = scenario_flag(&a) {
             given.push(flag);
         }
         match a.as_str() {

@@ -51,6 +51,8 @@ pub struct Scenario {
     pub name: &'static str,
     /// One-line description shown by `list`.
     pub summary: &'static str,
+    /// The scenario flags it reads: `run <name>` refuses any other.
+    pub flags: &'static [&'static str],
     /// Run it, print its table and write its CSV files.
     pub run: fn(&RunContext, &SweepRunner) -> io::Result<()>,
 }
@@ -89,6 +91,7 @@ pub static SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "two_hop",
         summary: "Fig. 4(a)/(b) accuracy grid: {Adaptive, Static} x {67%, 93%} on the two-hop tandem, mean- and std-error CDFs",
+        flags: &[],
         run: |ctx, runner| {
             let (mean, std) = fig4ab(&ctx.scale, runner);
             write_cdfs(&ctx.out, "two_hop_mean", &mean)?;
@@ -106,6 +109,7 @@ pub static SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "bursty",
         summary: "Fig. 4(c): mean-error CDFs, bursty vs random cross traffic at 34% and 67%",
+        flags: &[],
         run: |ctx, runner| {
             let curves = fig4c(&ctx.scale, runner);
             curve_table(&curves).print();
@@ -116,6 +120,7 @@ pub static SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "loss_sweep",
         summary: "Fig. 5 interference sweep: loss-rate difference caused by reference packets",
+        flags: &[],
         run: |ctx, runner| {
             let (base, regular, cross) = interference_base(
                 PolicyKind::Static { n: 100 },
@@ -143,11 +148,13 @@ pub static SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "fattree",
         summary: "S3 RLIR fat-tree demux ablation: naive vs marking vs reverse-ECMP",
+        flags: &[],
         run: |ctx, runner| demux_ablation(&ctx.scale, runner).write(&ctx.out, "fattree"),
     },
     Scenario {
         name: "asymmetric",
         summary: "NEW: round-trip measurement under asymmetric routing (per-direction RLI attribution)",
+        flags: &[],
         run: |ctx, runner| {
             let cfg = AsymmetricConfig::paper(ctx.scale.base_seed, ctx.scale.accuracy_duration);
             let points = run_asymmetric(&cfg, runner);
@@ -178,6 +185,7 @@ pub static SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "incast",
         summary: "NEW: synchronized burst fan-in on the fat-tree (per-flow accuracy vs fan-in)",
+        flags: &[],
         run: |ctx, runner| {
             let cfg = IncastConfig::paper(ctx.scale.base_seed, ctx.scale.fattree_duration);
             let points = run_incast(&cfg, runner);
@@ -203,6 +211,7 @@ pub static SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "localize",
         summary: "NEW: fabric-wide anomaly localization (random core/edge victim per point, accuracy + onset vs background load)",
+        flags: &[],
         run: |ctx, runner| {
             let cfg = LocalizeConfig::paper(ctx.scale.base_seed, ctx.scale.fattree_duration);
             let report = run_localize(&cfg, runner);
@@ -233,6 +242,7 @@ pub static SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "drop_aware",
         summary: "NEW: live taps on a loss-heavy path — estimator bias when metered packets die downstream",
+        flags: &[],
         run: |ctx, runner| {
             let cfg = DropAwareConfig::paper(ctx.scale.base_seed, ctx.scale.accuracy_duration);
             let points = run_drop_aware(&cfg, runner);
@@ -265,6 +275,7 @@ pub static SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "replay",
         summary: "NEW: streaming pcap trace replay (--trace <file>, else generated) vs two-capture-point external ground truth",
+        flags: &["--trace", "--entry-map", "--lenient"],
         run: |ctx, _| {
             let mut cfg = ReplayConfig::paper(ctx.scale.base_seed, ctx.scale.accuracy_duration);
             cfg.trace_path = ctx.trace.clone();
@@ -307,6 +318,7 @@ pub static SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "faults",
         summary: "NEW: closed-loop robustness sweep — mid-run switch degradation, online detection, time-to-localize + false positives",
+        flags: &[],
         run: |ctx, runner| {
             let cfg = FaultsConfig::paper(ctx.scale.base_seed, ctx.scale.fattree_duration);
             let points = run_faults(&cfg, runner);
@@ -328,6 +340,7 @@ pub static SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "chaos",
         summary: "NEW: seeded chaos campaigns — flaps, gray loss, tap crash/recovery, tenant cross-talk probe, hostile-ingest leg",
+        flags: &["--tenants"],
         run: |ctx, _| {
             let mut cfg = ChaosCampaignConfig::paper(ctx.scale.base_seed, ctx.scale.fattree_duration);
             cfg.base.tenant_split = ctx.tenants;
@@ -388,6 +401,7 @@ pub static SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "plane_scale",
         summary: "NEW: fleet-scale plane — every (switch, port) of the k=8 fat-tree tapped under one plane-wide budget",
+        flags: &[],
         run: |ctx, _| {
             let base = PlaneScaleConfig::fleet(ctx.scale.base_seed, ctx.scale.fattree_duration);
             let all = base.all_ports();
@@ -421,6 +435,7 @@ pub static SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "interference",
         summary: "Fig. 5 with seed averaging and both policies (the full figure)",
+        flags: &[],
         run: |ctx, runner| {
             let points = fig5(&ctx.scale, runner);
             Table::new(
@@ -441,26 +456,31 @@ pub static SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "interp",
         summary: "A2: interpolation-estimator ablation at 93% utilization",
+        flags: &[],
         run: |ctx, runner| interp_ablation(&ctx.scale, runner).write(&ctx.out, "interp"),
     },
     Scenario {
         name: "sync",
         summary: "A4: clock-synchronisation-error sensitivity at 93% utilization",
+        flags: &[],
         run: |ctx, runner| sync_ablation(&ctx.scale, runner).write(&ctx.out, "sync"),
     },
     Scenario {
         name: "quantiles",
         summary: "A7: per-flow p90 tail-latency accuracy at 93% utilization",
+        flags: &[],
         run: |ctx, runner| quantile_accuracy(&ctx.scale, runner).write(&ctx.out, "quantiles"),
     },
     Scenario {
         name: "baselines",
         summary: "A6: RLI vs LDA vs Multiflow vs trajectory sampling on an identical 93% run",
+        flags: &[],
         run: |ctx, _| baselines_comparison(&ctx.scale).write(&ctx.out, "baselines"),
     },
     Scenario {
         name: "placement",
         summary: "S3.1 partial-placement complexity table on k-ary fat-trees (closed form, no simulation)",
+        flags: &[],
         run: |ctx, _| placement_table().write(&ctx.out, "placement"),
     },
 ];

@@ -13,13 +13,12 @@
 //! working: the per-flow RTT estimate stays accurate, and the direction RLI
 //! blames for the latency is the direction that is actually slow.
 
-use super::two_hop::{run_two_hop_on, CrossSpec, TwoHopConfig};
+use super::two_hop::{run_two_hop_on, CrossSpec, TwoHopConfig, MIN_FLOW_PACKETS};
 use rlir_exec::SweepRunner;
 use rlir_net::fxhash::FxHashMap;
 use rlir_net::time::SimDuration;
 use rlir_net::FlowKey;
-use rlir_rli::{Interpolator, PolicyKind};
-use rlir_sim::TandemConfig;
+use rlir_rli::PolicyKind;
 use rlir_stats::Ecdf;
 use rlir_trace::{generate, reverse, reverse_flow};
 
@@ -32,19 +31,8 @@ pub struct AsymmetricConfig {
     pub duration: SimDuration,
     /// Injection policy of both directions' senders.
     pub policy: PolicyKind,
-    /// Delay estimator of both directions' receivers.
-    pub interpolator: Interpolator,
-    /// Fixed target utilization of the forward path.
-    pub forward_utilization: f64,
     /// Sweep points: target utilization of the reverse path.
     pub reverse_utilizations: Vec<f64>,
-    /// Queue/link parameters of the forward tandem.
-    pub forward_tandem: TandemConfig,
-    /// Queue/link parameters of the reverse tandem (may differ — the whole
-    /// point is that the two directions see different queues).
-    pub reverse_tandem: TandemConfig,
-    /// Flows with fewer estimated packets are excluded from pairing.
-    pub min_flow_packets: u64,
 }
 
 impl AsymmetricConfig {
@@ -55,15 +43,15 @@ impl AsymmetricConfig {
             seed,
             duration,
             policy: PolicyKind::Static { n: 100 },
-            interpolator: Interpolator::Linear,
-            forward_utilization: 0.50,
             reverse_utilizations: vec![0.50, 0.67, 0.80, 0.93],
-            forward_tandem: TandemConfig::paper(),
-            reverse_tandem: TandemConfig::paper(),
-            min_flow_packets: 1,
         }
     }
 }
+
+/// Fixed target utilization of the forward path. Each direction is the
+/// paper tandem with its default estimator; the two see different queues
+/// because each runs its own.
+const FORWARD_UTILIZATION: f64 = 0.50;
 
 /// One point of the asymmetric sweep.
 #[derive(Debug, Clone)]
@@ -110,15 +98,12 @@ pub fn run_asymmetric(cfg: &AsymmetricConfig, runner: &SweepRunner) -> Vec<Asymm
         tc.seed ^= 0x4153_594D; // "ASYM": an independent reverse-path workload
         generate(&tc)
     };
-    let direction_cfg = |seed: u64, target: f64, tandem: TandemConfig| {
+    let direction_cfg = |seed: u64, target: f64| {
         let mut two_hop = TwoHopConfig::paper(seed, cfg.duration);
         two_hop.policy = cfg.policy.clone();
-        two_hop.interpolator = cfg.interpolator;
         two_hop.cross = CrossSpec::Uniform {
             target_utilization: target,
         };
-        two_hop.min_flow_packets = cfg.min_flow_packets;
-        two_hop.tandem = tandem;
         two_hop
     };
     runner.map(
@@ -127,12 +112,8 @@ pub fn run_asymmetric(cfg: &AsymmetricConfig, runner: &SweepRunner) -> Vec<Asymm
         |ctx, &reverse_target| {
             // Two independent pipelines — different queues per direction. Each
             // direction's injector draws from its own derived stream.
-            let fwd_cfg = direction_cfg(ctx.seed, cfg.forward_utilization, cfg.forward_tandem);
-            let rev_cfg = direction_cfg(
-                ctx.seed ^ 0x0E5E_D0F0_0E5E_D0F0,
-                reverse_target,
-                cfg.reverse_tandem,
-            );
+            let fwd_cfg = direction_cfg(ctx.seed, FORWARD_UTILIZATION);
+            let rev_cfg = direction_cfg(ctx.seed ^ 0x0E5E_D0F0_0E5E_D0F0, reverse_target);
             let fwd = run_two_hop_on(&fwd_cfg, &forward_regular, &forward_cross);
             let rev = run_two_hop_on(&rev_cfg, &reverse_regular, &reverse_cross);
 
@@ -140,13 +121,13 @@ pub fn run_asymmetric(cfg: &AsymmetricConfig, runner: &SweepRunner) -> Vec<Asymm
             // estimate and per-direction attribution.
             let rev_rows: FxHashMap<FlowKey, (f64, f64)> = rev
                 .flows
-                .report(cfg.min_flow_packets)
+                .report(MIN_FLOW_PACKETS)
                 .filter_map(|r| r.true_mean.map(|t| (r.flow, (r.est_mean, t))))
                 .collect();
             let mut rtt_errors = Vec::new();
             let mut attributed = 0usize;
             let mut paired = 0usize;
-            for row in fwd.flows.report(cfg.min_flow_packets) {
+            for row in fwd.flows.report(MIN_FLOW_PACKETS) {
                 let Some(t_fwd) = row.true_mean else { continue };
                 let Some(&(e_rev, t_rev)) = rev_rows.get(&reverse_flow(&row.flow)) else {
                     continue;

@@ -21,7 +21,7 @@
 //!   counter is surfaced, with strict-vs-lenient agreement verified on
 //!   the clean capture first.
 
-use super::fattree::{run_fattree_faulted, FatTreeExpConfig};
+use super::fattree::{run_fattree_faulted, FatTreeExpConfig, ANOMALY};
 use crate::deployment::SenderSet;
 use crate::detect::DetectorConfig;
 use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec};
@@ -47,29 +47,8 @@ pub struct ChaosCampaignConfig {
     pub campaigns: usize,
     /// Master chaos seed; campaign `i` uses a splitmix-derived child.
     pub chaos_seed: u64,
-    /// Online detector watching every campaign (and the baseline leg).
-    pub detector: DetectorConfig,
-    /// Correlated link-flap episodes per campaign.
-    pub flaps: usize,
-    /// Gray-loss ramps per campaign.
-    pub gray_ramps: usize,
-    /// Tap crash/recovery pairs per campaign.
-    pub tap_outages: usize,
-    /// Mid-run switch degradation injected per campaign (the detectable
-    /// anomaly TTL is measured against); `None` runs pure chaos.
-    pub degrade: Option<SimDuration>,
-    /// Campaign onset window start.
-    pub start: SimDuration,
-    /// Campaign onset window width.
-    pub span: SimDuration,
-    /// Shortest fault hold time.
-    pub min_hold: SimDuration,
-    /// Longest fault hold time.
-    pub max_hold: SimDuration,
     /// Records in the hostile-ingest leg's synthetic capture.
     pub ingest_records: u64,
-    /// Corruption splices applied to that capture.
-    pub ingest_corruptions: usize,
 }
 
 impl ChaosCampaignConfig {
@@ -81,25 +60,31 @@ impl ChaosCampaignConfig {
     pub fn paper(seed: u64, duration: SimDuration) -> Self {
         let mut base = FatTreeExpConfig::paper(seed, duration);
         base.plane.epoch = Some(SimDuration::from_millis(1));
-        let quarter = SimDuration::from_nanos(duration.as_nanos() / 4);
         ChaosCampaignConfig {
             base,
             campaigns: 3,
             chaos_seed: seed,
-            detector: DetectorConfig::default(),
-            flaps: 1,
-            gray_ramps: 1,
-            tap_outages: 2,
-            degrade: Some(SimDuration::from_micros(400)),
-            start: quarter,
-            span: quarter,
-            min_hold: SimDuration::from_millis(1),
-            max_hold: SimDuration::from_nanos((duration.as_nanos() / 8).max(2)),
             ingest_records: 2_000,
-            ingest_corruptions: 6,
         }
     }
+
+    /// A quarter of the run: both the start and the width of the campaign
+    /// onset window, so onsets fall in the run's second quarter.
+    fn quarter(&self) -> SimDuration {
+        SimDuration::from_nanos(self.base.duration.as_nanos() / 4)
+    }
 }
+
+/// Correlated link-flap episodes per campaign.
+const FLAPS: usize = 1;
+/// Gray-loss ramps per campaign.
+const GRAY_RAMPS: usize = 1;
+/// Tap crash/recovery pairs per campaign.
+const TAP_OUTAGES: usize = 2;
+/// Shortest fault hold time (the longest is an eighth of the run).
+const MIN_HOLD: SimDuration = SimDuration::from_millis(1);
+/// Corruption splices applied to the hostile-ingest leg's capture.
+const INGEST_CORRUPTIONS: usize = 6;
 
 /// Outcome of one seeded campaign.
 #[derive(Debug, Clone)]
@@ -112,9 +97,8 @@ pub struct ChaosCampaign {
     pub events: usize,
     /// Earliest scripted onset, ns.
     pub first_onset_ns: u64,
-    /// The degradation onset TTL is measured against, ns (`None`: pure
-    /// chaos, no scripted anomaly).
-    pub degrade_onset_ns: Option<u64>,
+    /// The degradation onset TTL is measured against, ns.
+    pub degrade_onset_ns: u64,
     /// The detector fired.
     pub detected: bool,
     /// The alarm fired before *any* scripted onset — a false positive.
@@ -210,13 +194,13 @@ fn chaos_config(cfg: &ChaosCampaignConfig, tree: &FatTree, seed: u64) -> ChaosCo
         .cores()
         .chain(std::iter::once(cfg.base.dst_tor(tree)))
         .collect();
-    c.flaps = cfg.flaps;
-    c.gray_ramps = cfg.gray_ramps;
-    c.tap_outages = cfg.tap_outages;
-    c.start = SimTime::from_nanos(cfg.start.as_nanos());
-    c.span = cfg.span;
-    c.min_hold = cfg.min_hold;
-    c.max_hold = cfg.max_hold;
+    c.flaps = FLAPS;
+    c.gray_ramps = GRAY_RAMPS;
+    c.tap_outages = TAP_OUTAGES;
+    c.start = SimTime::from_nanos(cfg.quarter().as_nanos());
+    c.span = cfg.quarter();
+    c.min_hold = MIN_HOLD;
+    c.max_hold = SimDuration::from_nanos((cfg.base.duration.as_nanos() / 8).max(2));
     c
 }
 
@@ -227,7 +211,8 @@ pub fn run_chaos(cfg: &ChaosCampaignConfig) -> ChaosReport {
 
     // Baseline: fault-free run under the same detector. Any alarm here is
     // a false positive by construction.
-    let baseline = run_fattree_faulted(&cfg.base, None, Some(&cfg.detector));
+    let detector = DetectorConfig::default();
+    let baseline = run_fattree_faulted(&cfg.base, None, Some(&detector));
     let baseline_false_positive = baseline.detection.is_some();
 
     let mut state = cfg.chaos_seed ^ 0xA5A5_5A5A_C3C3_3C3C;
@@ -241,32 +226,29 @@ pub fn run_chaos(cfg: &ChaosCampaignConfig) -> ChaosReport {
         let mut script = chaos.generate();
         // The detectable anomaly: a latency degradation at a seed-drawn
         // core, so TTL is measurable against a known onset.
-        let mut degrade_onset_ns = None;
-        if let Some(extra) = cfg.degrade {
-            let mut s2 = seed ^ 0x0DD0_FEED_BEEF_CAFE;
-            let cores: Vec<NodeId> = tree.cores().collect();
-            let victim = cores[(splitmix(&mut s2) % cores.len() as u64) as usize];
-            let onset = cfg.start.as_nanos() + splitmix(&mut s2) % cfg.span.as_nanos().max(1);
-            degrade_onset_ns = Some(onset);
-            script.push(FaultEvent {
-                at: SimTime::from_nanos(onset),
-                kind: FaultKind::SlowSwitch {
-                    node: victim,
-                    extra,
-                },
-            });
-        }
+        let mut s2 = seed ^ 0x0DD0_FEED_BEEF_CAFE;
+        let cores: Vec<NodeId> = tree.cores().collect();
+        let victim = cores[(splitmix(&mut s2) % cores.len() as u64) as usize];
+        let quarter = cfg.quarter().as_nanos();
+        let degrade_onset_ns = quarter + splitmix(&mut s2) % quarter.max(1);
+        script.push(FaultEvent {
+            at: SimTime::from_nanos(degrade_onset_ns),
+            kind: FaultKind::SlowSwitch {
+                node: victim,
+                extra: ANOMALY,
+            },
+        });
         let first_onset_ns = script.first_onset().map_or(0, |t| t.as_nanos());
 
-        let run = run_fattree_faulted(&cfg.base, Some(&script), Some(&cfg.detector));
+        let run = run_fattree_faulted(&cfg.base, Some(&script), Some(&detector));
         let false_positive = run
             .detection
             .as_ref()
             .is_some_and(|d| d.at.as_nanos() < first_onset_ns);
-        let ttl_ns = match (&run.detection, degrade_onset_ns) {
-            (Some(d), Some(onset)) if d.at.as_nanos() >= onset => Some(d.at.as_nanos() - onset),
-            _ => None,
-        };
+        let ttl_ns = run
+            .detection
+            .as_ref()
+            .and_then(|d| d.at.as_nanos().checked_sub(degrade_onset_ns));
         if let Some(t) = ttl_ns {
             detected += 1;
             ttl_sum += t as f64;
@@ -515,7 +497,7 @@ fn ingest_leg(cfg: &ChaosCampaignConfig) -> IngestLeg {
     // the record area.
     let mut bytes = clean;
     let mut state = cfg.chaos_seed ^ 0x15EC_7ED1_0C0D_EC0D;
-    for _ in 0..cfg.ingest_corruptions {
+    for _ in 0..INGEST_CORRUPTIONS {
         let body = bytes.len() - 24;
         let at = 24 + (splitmix(&mut state) as usize) % body;
         if splitmix(&mut state).is_multiple_of(2) {
@@ -535,7 +517,7 @@ fn ingest_leg(cfg: &ChaosCampaignConfig) -> IngestLeg {
     let emitted = drain_source(&mut src).len() as u64;
     IngestLeg {
         records: cfg.ingest_records,
-        corruptions: cfg.ingest_corruptions,
+        corruptions: INGEST_CORRUPTIONS,
         emitted,
         skipped_records: src.decoder().skipped_records(),
         skipped_bytes: src.decoder().skipped_bytes(),

@@ -54,16 +54,6 @@ pub struct DropAwareConfig {
     /// Sweep points: offered load as a fraction of the *bottleneck* (S1)
     /// rate. Values at and above 1.0 drive sustained loss.
     pub offered_loads: Vec<f64>,
-    /// Ingress switch (S0) queue — the measured segment's delay source.
-    pub ingress_queue: QueueConfig,
-    /// Bottleneck switch (S1) queue — where metered packets die.
-    pub bottleneck_queue: QueueConfig,
-    /// Link delay S0 → S1 and S1 → host.
-    pub link_delay: SimDuration,
-    /// Epoch width of the measurement plane.
-    pub epoch: Option<SimDuration>,
-    /// Flows with fewer estimated packets are excluded from error stats.
-    pub min_flow_packets: u64,
 }
 
 impl DropAwareConfig {
@@ -75,22 +65,16 @@ impl DropAwareConfig {
             duration,
             policy: PolicyKind::Static { n: 100 },
             offered_loads: vec![0.5, 0.8, 0.95, 1.1],
-            ingress_queue: QueueConfig {
-                rate_bps: 10_000_000_000,
-                capacity_bytes: 512 * 1024,
-                processing_delay: SimDuration::from_micros(1),
-            },
-            bottleneck_queue: QueueConfig {
-                rate_bps: 5_000_000_000,
-                capacity_bytes: 64 * 1024,
-                processing_delay: SimDuration::from_micros(1),
-            },
-            link_delay: SimDuration::from_micros(1),
-            epoch: Some(SimDuration::from_millis(5)),
-            min_flow_packets: 1,
         }
     }
 }
+
+/// Bottleneck switch (S1) buffer of this sweep: shallow, so metered
+/// packets die there.
+const BOTTLENECK_BYTES: u64 = 64 * 1024;
+
+/// Epoch width of the measurement plane, here and in [`super::replay`].
+pub(super) const EPOCH: SimDuration = SimDuration::from_millis(5);
 
 /// One point of the drop-aware sweep.
 #[derive(Debug, Clone)]
@@ -143,19 +127,35 @@ impl Forwarder for Line {
 pub(super) const S0: NodeId = 0;
 pub(super) const S1: NodeId = 1;
 
+/// Ingress switch (S0) queue — the measured segment's delay source.
+const INGRESS: QueueConfig = QueueConfig {
+    rate_bps: 10_000_000_000,
+    capacity_bytes: 512 * 1024,
+    processing_delay: SimDuration::from_micros(1),
+};
+
+/// Drain rate of the bottleneck switch S1, half of S0's: the rate the
+/// line's traces aim their load at.
+pub(super) const BOTTLENECK_BPS: u64 = 5_000_000_000;
+
+/// Link delay S0 → S1 and S1 → host.
+const LINK_DELAY: SimDuration = SimDuration::from_micros(1);
+
 impl Line {
-    /// The network: `ingress` queues at S0, `bottleneck` at S1, and
-    /// `link_delay` on both links (S1's host link included).
-    pub(super) fn network(
-        ingress: QueueConfig,
-        bottleneck: QueueConfig,
-        link_delay: SimDuration,
-    ) -> Network {
+    /// The network: [`INGRESS`] at S0, a [`BOTTLENECK_BPS`] queue of
+    /// `bottleneck_bytes` at S1, and [`LINK_DELAY`] on both links (S1's
+    /// host link included).
+    pub(super) fn network(bottleneck_bytes: u64) -> Network {
+        let bottleneck = QueueConfig {
+            rate_bps: BOTTLENECK_BPS,
+            capacity_bytes: bottleneck_bytes,
+            processing_delay: SimDuration::from_micros(1),
+        };
         let mut net = Network::default();
         net.add_node("S0");
         net.add_node("S1");
-        net.add_port(S0, Port::to_switch(ingress, S1, link_delay));
-        net.add_port(S1, Port::to_host(bottleneck, link_delay));
+        net.add_port(S0, Port::to_switch(INGRESS, S1, LINK_DELAY));
+        net.add_port(S1, Port::to_host(bottleneck, LINK_DELAY));
         net
     }
 
@@ -182,16 +182,16 @@ pub fn run_drop_aware(cfg: &DropAwareConfig, runner: &SweepRunner) -> Vec<DropAw
     runner.map(cfg.seed, &cfg.offered_loads, |ctx, &offered_load| {
         // Workload: one trace aimed at the bottleneck's rate fraction.
         let mut tc = TraceConfig::paper_regular(ctx.seed, cfg.duration);
-        tc.link_rate_bps = cfg.bottleneck_queue.rate_bps;
+        tc.link_rate_bps = BOTTLENECK_BPS;
         tc.target_utilization = offered_load;
         let trace = generate(&tc);
 
         let source = SortedVecSource::new(trace.packets.iter().map(|p| (S0, *p)));
         let mut senders = SenderSet::one(S0, Line::sender(&cfg.policy));
-        let net = Line::network(cfg.ingress_queue, cfg.bottleneck_queue, cfg.link_delay);
+        let net = Line::network(BOTTLENECK_BYTES);
 
         let mut plane = MeasurementPlane::with_config(PlaneConfig {
-            epoch: cfg.epoch,
+            epoch: Some(EPOCH),
             ..PlaneConfig::default()
         });
         // Live tap at S0's egress: dequeue events leave one FIFO in

@@ -43,6 +43,11 @@ pub struct SwitchAnomaly {
     pub extra_processing: SimDuration,
 }
 
+/// The extra per-packet processing a victim switch suffers in the
+/// localization, fault and chaos sweeps: the anomaly the detector's
+/// defaults are tuned to.
+pub(super) const ANOMALY: SimDuration = SimDuration::from_micros(400);
+
 /// Fat-tree experiment configuration.
 #[derive(Debug, Clone)]
 pub struct FatTreeExpConfig {

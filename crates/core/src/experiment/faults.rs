@@ -16,7 +16,7 @@
 //! segment's path traverses the victim (the deployment's localization
 //! granularity). An alarm that fires before the onset is a false positive.
 
-use super::fattree::{run_fattree_faulted, FatTreeExpConfig};
+use super::fattree::{run_fattree_faulted, FatTreeExpConfig, ANOMALY};
 use crate::detect::DetectorConfig;
 use rlir_exec::SweepRunner;
 use rlir_net::time::SimDuration;
@@ -35,11 +35,6 @@ pub struct FaultsConfig {
     pub onsets: Vec<SimDuration>,
     /// Victim draws per (utilization, onset) point.
     pub trials: usize,
-    /// Degradation magnitude (extra per-packet processing at the victim
-    /// while the fault is active).
-    pub extra_processing: SimDuration,
-    /// Online detector configuration.
-    pub detector: DetectorConfig,
 }
 
 impl FaultsConfig {
@@ -55,8 +50,6 @@ impl FaultsConfig {
             utilizations: vec![0.05, 0.25],
             onsets: vec![SimDuration::from_millis(4), SimDuration::from_millis(8)],
             trials: 2,
-            extra_processing: SimDuration::from_micros(400),
-            detector: DetectorConfig::default(),
         }
     }
 }
@@ -135,11 +128,11 @@ pub fn run_faults(cfg: &FaultsConfig, runner: &SweepRunner) -> Vec<FaultsPoint> 
             at: onset,
             kind: FaultKind::SlowSwitch {
                 node: victim,
-                extra: cfg.extra_processing,
+                extra: ANOMALY,
             },
         }]);
 
-        let run = run_fattree_faulted(&run_cfg, Some(&script), Some(&cfg.detector));
+        let run = run_fattree_faulted(&run_cfg, Some(&script), Some(&DetectorConfig::default()));
         let expected = deployment.segments_through(victim);
         let detection = run.detection;
         let false_positive = detection
@@ -243,13 +236,13 @@ mod tests {
             at: rlir_net::time::SimTime::from_nanos(5_000_000),
             kind: FaultKind::SlowSwitch {
                 node: victim,
-                extra: cfg.extra_processing,
+                extra: ANOMALY,
             },
         }]);
         // Same faulted run with and without the closed loop: the stop
         // flag must really halt the engine mid-run.
         let open = run_fattree_faulted(&base, Some(&script), None);
-        let closed = run_fattree_faulted(&base, Some(&script), Some(&cfg.detector));
+        let closed = run_fattree_faulted(&base, Some(&script), Some(&DetectorConfig::default()));
         assert!(open.detection.is_none());
         let d = closed.detection.expect("the 400 µs fault must be detected");
         assert!(d.at.as_nanos() >= 5_000_000);

@@ -22,7 +22,7 @@
 //! granularity, made measurable. Victims are drawn from
 //! [`Deployment::victim_pool`](crate::Deployment::victim_pool).
 
-use super::fattree::{run_fattree, FatTreeExpConfig, SwitchAnomaly};
+use super::fattree::{run_fattree, FatTreeExpConfig, SwitchAnomaly, ANOMALY};
 use crate::localization::{localize, LocalizerConfig};
 use crate::plane::localize_epoch_series;
 use rlir_exec::SweepRunner;
@@ -40,10 +40,6 @@ pub struct LocalizeConfig {
     pub utilizations: Vec<f64>,
     /// Victim draws per utilization point.
     pub trials: usize,
-    /// Anomaly magnitude (extra per-packet processing at the victim).
-    pub extra_processing: SimDuration,
-    /// Detector configuration.
-    pub localizer: LocalizerConfig,
 }
 
 impl LocalizeConfig {
@@ -54,8 +50,6 @@ impl LocalizeConfig {
             base: FatTreeExpConfig::paper(seed, duration),
             utilizations: vec![0.05, 0.15, 0.30],
             trials: 3,
-            extra_processing: SimDuration::from_micros(400),
-            localizer: LocalizerConfig::default(),
         }
     }
 }
@@ -127,6 +121,7 @@ pub fn run_localize(cfg: &LocalizeConfig, runner: &SweepRunner) -> LocalizeRepor
         .iter()
         .flat_map(|&u| std::iter::repeat_n(u, cfg.trials))
         .collect();
+    let localizer = LocalizerConfig::default();
     let trials = runner.map(cfg.base.seed, &grid, |ctx, &utilization| {
         let mut run_cfg = cfg.base.clone();
         run_cfg.seed = ctx.seed; // fresh workload per trial, seed-derived
@@ -140,11 +135,11 @@ pub fn run_localize(cfg: &LocalizeConfig, runner: &SweepRunner) -> LocalizeRepor
         let victim = pool[draw % pool.len()];
         run_cfg.anomaly = Some(SwitchAnomaly {
             node: victim,
-            extra_processing: cfg.extra_processing,
+            extra_processing: ANOMALY,
         });
 
         let out = run_fattree(&run_cfg);
-        let findings = localize(&out.segments, &cfg.localizer);
+        let findings = localize(&out.segments, &localizer);
         let expected = deployment.segments_through(victim);
         let top = findings.first();
         // The epoch dimension: rank segments per epoch and record when the
@@ -156,7 +151,7 @@ pub fn run_localize(cfg: &LocalizeConfig, runner: &SweepRunner) -> LocalizeRepor
                     .iter()
                     .map(|(n, s)| (n.as_str(), s))
                     .collect();
-                let per_epoch = localize_epoch_series(&series, epoch_ns, &cfg.localizer);
+                let per_epoch = localize_epoch_series(&series, epoch_ns, &localizer);
                 let onset = per_epoch
                     .iter()
                     .find(|ef| {

@@ -56,9 +56,10 @@ pub struct PlaneScaleConfig {
     /// stride) over the fabric's ports in `(node, port)` order. `None`
     /// taps **all** ports — the headline point.
     pub taps: Option<usize>,
-    /// Cadence of the mid-run state/snapshot probe.
-    pub sample_every: SimDuration,
 }
+
+/// Cadence of the mid-run state/snapshot probe.
+const SAMPLE_EVERY: SimDuration = SimDuration::from_millis(5);
 
 impl PlaneScaleConfig {
     /// The headline configuration: a k=8 fat-tree (544 tappable ports —
@@ -71,11 +72,7 @@ impl PlaneScaleConfig {
         base.n_src_tors = 4;
         base.policy = PolicyKind::Static { n: 50 };
         base.plane.pending_budget = Some(1 << 16);
-        PlaneScaleConfig {
-            base,
-            taps: None,
-            sample_every: SimDuration::from_millis(5),
-        }
+        PlaneScaleConfig { base, taps: None }
     }
 
     /// Total tappable `(switch, port)` points of the configured fabric.
@@ -157,10 +154,9 @@ fn tap_points(tree: &FatTree, n: Option<usize>) -> Vec<(TopoId, usize)> {
 }
 
 /// Forwards into the wrapped plane and probes its point-in-time
-/// introspection APIs on a fixed watermark cadence.
+/// introspection APIs every [`SAMPLE_EVERY`] of watermark.
 struct SamplingSink<'p, 'a> {
     plane: &'p mut MeasurementPlane<'a>,
-    every: SimDuration,
     next: SimTime,
     samples: Vec<StateSample>,
 }
@@ -179,7 +175,7 @@ impl HopSink for SamplingSink<'_, '_> {
                 merged_epochs: self.plane.snapshot_epochs().len(),
             });
             while self.next <= watermark {
-                self.next += self.every;
+                self.next += SAMPLE_EVERY;
             }
         }
     }
@@ -221,8 +217,7 @@ pub fn run_plane_scale(cfg: &PlaneScaleConfig) -> PlaneScaleOutcome {
     let network = build_network(&tree, base.queue, base.link_delay, &[]);
     let mut sink = SamplingSink {
         plane: &mut plane,
-        every: cfg.sample_every,
-        next: SimTime::ZERO + cfg.sample_every,
+        next: SimTime::ZERO + SAMPLE_EVERY,
         samples: Vec::new(),
     };
     let stats = run_network_streamed_source(

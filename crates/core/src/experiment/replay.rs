@@ -19,23 +19,36 @@
 //!   runs behind the engine on a helper thread of its own;
 //! * a [`StreamDigest`] over the full event + watermark + delivery
 //!   stream ([`ReplayOutcome::digest`]).
+//!
+//! ## The reorder window is measured, not configured
+//!
+//! Real captures are almost sorted: interleaved capture points and
+//! timestamping jitter put a record somewhat behind records captured
+//! after it. Before the replay, [`run_replay`] makes one decode pass over
+//! the capture, in the replay's own strict or lenient mode, and takes the
+//! window from it: the largest lag of a record's timestamp behind the
+//! newest timestamp read before it ([`ReplayOutcome::reorder_ns`]). A
+//! record is shed as late only when it is older than the last injection
+//! emitted, and at that window nothing emitted can be newer than a record
+//! still unread, so the replay drops nothing. A sorted capture — the
+//! generated fallback among them — measures 0.
 
-use super::drop_aware::{ref_key, Line, S0, S1};
+use super::drop_aware::{ref_key, Line, BOTTLENECK_BPS, EPOCH, S0, S1};
 use crate::capture::{CapturePair, CaptureReport};
 use crate::deployment::SenderSet;
 use crate::plane::{MeasurementPlane, PlaneConfig, TapPoint, TapSpec, TruthRef};
 use rlir_net::packet::SenderId;
 use rlir_net::time::SimDuration;
 use rlir_rli::{EpochSeries, PolicyKind};
-use rlir_sim::{
-    run_network_streamed_source, Network, NetworkRunStats, QueueConfig, RunOptions, StreamDigest,
-    TeeSink,
-};
+use rlir_sim::{run_network_streamed_source, NetworkRunStats, RunOptions, StreamDigest, TeeSink};
 use rlir_trace::{generate, EntryMap, PcapRecords, PcapReplaySource, PcapWriter, TraceConfig};
 use std::io::{Cursor, Read};
 use std::path::PathBuf;
 
-/// Configuration of a trace replay.
+/// Configuration of a trace replay: what to replay and how to read it.
+/// The tandem is the drop-aware line run calm, so the capture pair
+/// matches nearly every packet; the reorder window is measured from the
+/// capture (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
     /// Seed for the fallback synthetic capture (unused when a trace file
@@ -49,22 +62,6 @@ pub struct ReplayConfig {
     /// nodes `0` (ingress) and `1` (bottleneck); mapped nodes must be one
     /// of those ([`ReplayConfig::NODES`]).
     pub entry_spec: String,
-    /// Replay reorder window in nanoseconds (0 suffices for captures this
-    /// workspace wrote; raise it for captures with timestamping jitter).
-    pub reorder_ns: u64,
-    /// Offered load of the fallback capture, as a fraction of the
-    /// bottleneck rate.
-    pub target_utilization: f64,
-    /// Reference-injection policy of the RLI sender at S0.
-    pub policy: PolicyKind,
-    /// Ingress switch (S0) queue.
-    pub ingress_queue: QueueConfig,
-    /// Bottleneck switch (S1) queue — delivery happens after it.
-    pub bottleneck_queue: QueueConfig,
-    /// Link delay S0 → S1 and S1 → host.
-    pub link_delay: SimDuration,
-    /// Epoch width of the measurement plane.
-    pub epoch: Option<SimDuration>,
     /// Run the pcap path in lenient (skip-and-count) mode: damaged
     /// records are skipped with resync, time regressions clamped,
     /// duplicate wire identities capped. Strict mode (the default) fails
@@ -73,33 +70,28 @@ pub struct ReplayConfig {
 }
 
 impl ReplayConfig {
-    /// Defaults: the drop-aware tandem run calm (70% of the bottleneck),
-    /// so the capture pair matches nearly every packet.
+    /// Defaults: the generated fallback capture, every record entering at
+    /// `S0`, strict ingest.
     pub fn paper(seed: u64, duration: SimDuration) -> Self {
         ReplayConfig {
             seed,
             duration,
             trace_path: None,
             entry_spec: "fixed:0".to_string(),
-            reorder_ns: 0,
-            target_utilization: 0.7,
-            policy: PolicyKind::Static { n: 100 },
-            ingress_queue: QueueConfig {
-                rate_bps: 10_000_000_000,
-                capacity_bytes: 512 * 1024,
-                processing_delay: SimDuration::from_micros(1),
-            },
-            bottleneck_queue: QueueConfig {
-                rate_bps: 5_000_000_000,
-                capacity_bytes: 256 * 1024,
-                processing_delay: SimDuration::from_micros(1),
-            },
-            link_delay: SimDuration::from_micros(1),
-            epoch: Some(SimDuration::from_millis(5)),
             lenient: false,
         }
     }
 }
+
+/// Offered load of the fallback capture, as a fraction of the bottleneck
+/// rate.
+const TARGET_UTILIZATION: f64 = 0.7;
+
+/// Reference-injection policy of the RLI sender at S0.
+const POLICY: PolicyKind = PolicyKind::Static { n: 100 };
+
+/// Bottleneck switch (S1) buffer — delivery happens after it.
+const BOTTLENECK_BYTES: u64 = 256 * 1024;
 
 /// What one replay produced.
 #[derive(Debug, Clone)]
@@ -111,6 +103,9 @@ pub struct ReplayOutcome {
     pub records_read: u64,
     /// Records injected into the engine (read minus shed).
     pub replayed: u64,
+    /// Reorder window the replay ran at, ns: the capture's disorder bound
+    /// (see the module docs).
+    pub reorder_ns: u64,
     /// Records shed for being more disordered than the reorder window.
     pub late_dropped: u64,
     /// High-water mark of the replay reorder buffer — the whole
@@ -161,17 +156,13 @@ impl ReplayConfig {
     pub const NODES: usize = 2;
 }
 
-fn build_net(cfg: &ReplayConfig) -> Network {
-    Line::network(cfg.ingress_queue, cfg.bottleneck_queue, cfg.link_delay)
-}
-
 /// Generate the fallback capture: the synthetic regular trace encoded as
 /// an in-memory nanosecond pcap, so the replay still exercises the full
 /// decode path (record framing, ident round-trip, ToS restoration).
 pub fn synth_capture(cfg: &ReplayConfig) -> Vec<u8> {
     let mut tc = TraceConfig::paper_regular(cfg.seed, cfg.duration);
-    tc.link_rate_bps = cfg.bottleneck_queue.rate_bps;
-    tc.target_utilization = cfg.target_utilization;
+    tc.link_rate_bps = BOTTLENECK_BPS;
+    tc.target_utilization = TARGET_UTILIZATION;
     let trace = generate(&tc);
     let mut w = PcapWriter::new(Vec::new()).expect("in-memory capture");
     for p in &trace.packets {
@@ -196,22 +187,36 @@ struct StreamedRun {
     ingest_error: Option<String>,
 }
 
-/// One streamed replay with the full observer stack.
+/// The capture's disorder bound, ns: the largest lag of a record's
+/// timestamp behind the newest one read before it, over the records a
+/// replay in the same mode decodes (a strict decode error ends both).
+fn disorder_ns<R: Read>(records: PcapRecords<R>, lenient: bool) -> u64 {
+    let records = if lenient { records.lenient() } else { records };
+    let mut newest = 0;
+    records.map_while(Result::ok).fold(0, |bound, rec| {
+        let at = rec.at.as_nanos();
+        newest = newest.max(at);
+        bound.max(newest - at)
+    })
+}
+
+/// One streamed replay at `reorder_ns` with the full observer stack.
 fn replay_streamed<R: Read + Send + 'static>(
     cfg: &ReplayConfig,
     records: PcapRecords<R>,
     entry: EntryMap,
+    reorder_ns: u64,
 ) -> StreamedRun {
-    let source = PcapReplaySource::new(records, entry, cfg.reorder_ns).read_ahead();
+    let source = PcapReplaySource::new(records, entry, reorder_ns).read_ahead();
     let mut source = if cfg.lenient {
         source.lenient()
     } else {
         source
     };
-    let mut senders = SenderSet::one(S0, Line::sender(&cfg.policy));
+    let mut senders = SenderSet::one(S0, Line::sender(&POLICY));
 
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        epoch: cfg.epoch,
+        epoch: Some(EPOCH),
         ..PlaneConfig::default()
     });
     let mut tap = TapSpec::new("replay", TapPoint::Delivery(S1), SenderId(1));
@@ -230,7 +235,7 @@ fn replay_streamed<R: Read + Send + 'static>(
         let mut observers = TeeSink::new(&mut plane, &mut pair);
         let mut sink = TeeSink::new(&mut digest, &mut observers);
         run_network_streamed_source(
-            build_net(cfg),
+            Line::network(BOTTLENECK_BYTES),
             &Line,
             &mut source,
             &mut sink,
@@ -299,15 +304,24 @@ pub fn run_replay(cfg: &ReplayConfig) -> ReplayOutcome {
         .and_then(|entry| entry.check(ReplayConfig::NODES).map(|()| entry))
         .unwrap_or_else(|e| panic!("invalid entry-map spec: {e}"));
 
-    let run = match &cfg.trace_path {
+    // Two passes over the capture: one measures the window, one replays.
+    let (reorder_ns, run) = match &cfg.trace_path {
         Some(path) => {
-            let records = rlir_trace::open_pcap(path)
-                .unwrap_or_else(|e| panic!("cannot open trace {}: {e:?}", path.display()));
-            replay_streamed(cfg, records, entry)
+            let open = || {
+                rlir_trace::open_pcap(path)
+                    .unwrap_or_else(|e| panic!("cannot open trace {}: {e:?}", path.display()))
+            };
+            let reorder_ns = disorder_ns(open(), cfg.lenient);
+            (reorder_ns, replay_streamed(cfg, open(), entry, reorder_ns))
         }
         None => {
-            let records = PcapRecords::new(Cursor::new(synth_capture(cfg))).expect("fresh capture");
-            replay_streamed(cfg, records, entry)
+            let bytes = synth_capture(cfg);
+            let reorder_ns = disorder_ns(
+                PcapRecords::new(&bytes[..]).expect("fresh capture"),
+                cfg.lenient,
+            );
+            let records = PcapRecords::new(Cursor::new(bytes)).expect("fresh capture");
+            (reorder_ns, replay_streamed(cfg, records, entry, reorder_ns))
         }
     };
 
@@ -330,6 +344,7 @@ pub fn run_replay(cfg: &ReplayConfig) -> ReplayOutcome {
         generated_fallback: cfg.trace_path.is_none(),
         records_read: run.records_read,
         replayed: run.replayed,
+        reorder_ns,
         late_dropped: run.late_dropped,
         source_peak_buffered: run.peak_buffered,
         refs_emitted: run.refs_emitted,
@@ -363,10 +378,11 @@ mod tests {
     /// `Vec`, each packet followed by the references the sender emits on
     /// observing it, hand it to the collect-then-sort ingest with no
     /// in-band sender, digest the identical observable stream.
-    fn replay_vec(cfg: &ReplayConfig, capture: &[u8]) -> u64 {
+    fn replay_vec(capture: &[u8]) -> u64 {
         let records = PcapRecords::new(capture).unwrap();
-        let mut pcap = PcapReplaySource::new(records, EntryMap::Fixed(S0), cfg.reorder_ns);
-        let (mut sender, mut injections) = (Line::sender(&cfg.policy), Vec::new());
+        // Captures this module writes are sorted: window 0.
+        let mut pcap = PcapReplaySource::new(records, EntryMap::Fixed(S0), 0);
+        let (mut sender, mut injections) = (Line::sender(&POLICY), Vec::new());
         while let Some((node, p)) = pcap.next_injection() {
             injections.push((node, p));
             injections.extend(sender.observe(&p).iter().map(|r| (S0, *r)));
@@ -374,7 +390,7 @@ mod tests {
         let mut digest = StreamDigest::default();
         let mut delivery_digest = StreamDigest::default();
         run_network_streamed_source(
-            build_net(cfg),
+            Line::network(BOTTLENECK_BYTES),
             &Line,
             SortedVecSource::new(injections),
             &mut digest,
@@ -395,10 +411,11 @@ mod tests {
         assert!(out.records_read > 1_000, "records {}", out.records_read);
         assert_eq!(out.replayed, out.records_read, "sorted capture sheds none");
         assert_eq!(out.late_dropped, 0);
+        assert_eq!(out.reorder_ns, 0, "a sorted capture measures no disorder");
         assert!(out.refs_emitted > 0);
         assert_eq!(
             out.digest,
-            replay_vec(&quick_cfg(), &synth_capture(&quick_cfg())),
+            replay_vec(&synth_capture(&quick_cfg())),
             "streamed ingest must be byte-identical to the Vec oracle"
         );
         // The whole capture streamed through a buffer of a couple of
@@ -408,6 +425,62 @@ mod tests {
             "ingest buffered {} records",
             out.source_peak_buffered
         );
+    }
+
+    /// Bounded record disorder, as interleaved capture points produce it:
+    /// exact timestamps, each record filed at its capture time plus a
+    /// jitter below 50 µs.
+    fn jittered_capture(cfg: &ReplayConfig) -> Vec<u8> {
+        const JITTER_NS: u64 = 50_000;
+        let mut tc = TraceConfig::paper_regular(cfg.seed, cfg.duration);
+        tc.link_rate_bps = BOTTLENECK_BPS;
+        tc.target_utilization = TARGET_UTILIZATION;
+        let mut state = cfg.seed;
+        let mut keyed: Vec<_> = generate(&tc)
+            .packets
+            .into_iter()
+            .map(|p| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                ((p.created_at.as_nanos() + (state >> 33) % JITTER_NS), p)
+            })
+            .collect();
+        keyed.sort_by_key(|(filed, _)| *filed);
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        for (_, p) in &keyed {
+            w.write(p).unwrap();
+        }
+        w.finish().unwrap()
+    }
+
+    #[test]
+    fn a_disordered_capture_replays_whole_at_its_measured_window() {
+        let mut cfg = quick_cfg();
+        let bytes = jittered_capture(&cfg);
+        let path =
+            std::env::temp_dir().join(format!("rlir-replay-jitter-{}.pcap", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        cfg.trace_path = Some(path.clone());
+        let strict = run_replay(&cfg);
+        cfg.lenient = true;
+        let lenient = run_replay(&cfg);
+        std::fs::remove_file(&path).ok();
+
+        for out in [&strict, &lenient] {
+            assert!(out.records_read > 1_000, "records {}", out.records_read);
+            assert_eq!(out.late_dropped, 0, "window {} ns", out.reorder_ns);
+            assert_eq!(out.replayed, out.records_read);
+            assert!(
+                (1..=50_000).contains(&out.reorder_ns),
+                "measured window {} ns",
+                out.reorder_ns
+            );
+            assert!(out.rli_vs_capture_rel_err < 0.25);
+        }
+        // Nothing arrives out of the measured window, so lenient mode has
+        // nothing to clamp and replays the strict stream.
+        assert_eq!(lenient.digest, strict.digest);
     }
 
     #[test]
@@ -452,7 +525,7 @@ mod tests {
             fallback.capture_mean_ns.to_bits()
         );
         assert_eq!(from_file.digest, fallback.digest);
-        assert_eq!(from_file.digest, replay_vec(&cfg, &bytes));
+        assert_eq!(from_file.digest, replay_vec(&bytes));
     }
 
     #[test]

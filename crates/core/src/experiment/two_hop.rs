@@ -85,17 +85,9 @@ pub struct TwoHopConfig {
     /// Inject reference packets at all? (`false` gives the Fig. 5 baseline
     /// runs that isolate reference-packet interference.)
     pub inject_references: bool,
-    /// Flows with fewer estimated packets than this are excluded from the
-    /// error CDFs.
-    pub min_flow_packets: u64,
     /// Additionally report this per-flow delay quantile from each flow's
     /// four largest delays (e.g. `Some(0.9)` for per-flow p90 tail latency).
     pub track_quantile: Option<f64>,
-    /// Epoch width of the measurement plane: the receiver streams one
-    /// bounded snapshot per epoch ([`TwoHopOutcome::epochs`]).
-    /// `None` keeps whole-run aggregates only. Never perturbs the per-flow
-    /// statistics.
-    pub epoch: Option<SimDuration>,
     /// Queue/link parameters of the tandem.
     pub tandem: TandemConfig,
 }
@@ -114,9 +106,7 @@ impl TwoHopConfig {
             interpolator: Interpolator::Linear,
             clocks: ClockPair::perfect(),
             inject_references: true,
-            min_flow_packets: 1,
             track_quantile: None,
-            epoch: Some(SimDuration::from_millis(5)),
             tandem: TandemConfig::paper(),
         }
     }
@@ -131,6 +121,15 @@ impl TwoHopConfig {
         TraceConfig::paper_cross(self.seed, self.duration)
     }
 }
+
+/// Flows with fewer estimated packets than this are excluded from the
+/// error CDFs.
+pub(super) const MIN_FLOW_PACKETS: u64 = 1;
+
+/// Epoch width of the measurement plane: the receiver streams one bounded
+/// snapshot per epoch ([`TwoHopOutcome::epochs`]). Never perturbs the
+/// per-flow statistics.
+const EPOCH: SimDuration = SimDuration::from_millis(5);
 
 /// Everything one run produces.
 #[derive(Debug, Clone)]
@@ -159,8 +158,8 @@ pub struct TwoHopOutcome {
     /// Per-flow relative errors of tail-quantile estimates (present when
     /// `track_quantile` was set).
     pub quantile_errors: Vec<f64>,
-    /// Per-epoch latency time-series (present when [`TwoHopConfig::epoch`]
-    /// was set): estimate/truth moments and counter deltas per epoch.
+    /// Per-epoch latency time-series, one row per 5 ms epoch:
+    /// estimate/truth moments and counter deltas per epoch.
     pub epochs: EpochSeries,
     /// Observations the ordered tap refused as late — zero, as switch 2's
     /// one FIFO port delivers in time order.
@@ -286,7 +285,7 @@ pub fn run_two_hop_on(cfg: &TwoHopConfig, regular: &Trace, cross: &Trace) -> Two
     // Switch 2's one FIFO port delivers in time order, so the tap streams
     // with no buffering.
     let mut plane = MeasurementPlane::with_config(PlaneConfig {
-        epoch: cfg.epoch,
+        epoch: Some(EPOCH),
         ..PlaneConfig::default()
     });
     let point = TapPoint::Delivery(TandemConfig::SW2);
@@ -317,9 +316,9 @@ pub fn run_two_hop_on(cfg: &TwoHopConfig, regular: &Trace, cross: &Trace) -> Two
     let report = tap_report.report;
 
     let net = &stats.network;
-    let mean_errors = report.flows.mean_relative_errors(cfg.min_flow_packets);
-    let std_errors = report.flows.std_relative_errors(cfg.min_flow_packets);
-    let quantile_errors = report.flows.quantile_relative_errors(cfg.min_flow_packets);
+    let mean_errors = report.flows.mean_relative_errors(MIN_FLOW_PACKETS);
+    let std_errors = report.flows.std_relative_errors(MIN_FLOW_PACKETS);
+    let quantile_errors = report.flows.quantile_relative_errors(MIN_FLOW_PACKETS);
     TwoHopOutcome {
         utilization: net.nodes[TandemConfig::SW2].ports[0]
             .queue

@@ -140,19 +140,6 @@ impl fmt::Display for FlowKey {
     }
 }
 
-/// A dense numeric flow identifier handed out by flow tables.
-///
-/// Mapping 5-tuples to dense ids once and then working with `FlowId` keeps
-/// per-flow state in flat vectors instead of hash maps on hot paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FlowId(pub u32);
-
-impl fmt::Display for FlowId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "flow#{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,7 +177,6 @@ mod tests {
     fn display_is_readable() {
         let k = key();
         assert_eq!(k.to_string(), "10.0.1.2:43120 -> 10.3.0.2:80 (tcp)");
-        assert_eq!(FlowId(7).to_string(), "flow#7");
     }
 
     #[test]

@@ -7,55 +7,12 @@
 //! forwarding plane (`rlir-topo`) and in the measurement plane (`rlir`).
 //!
 //! Switch vendors do not publish their hash functions; the paper assumes they
-//! can be obtained. We therefore provide several concrete functions behind
-//! the [`EcmpHasher`] trait plus a serialisable [`HashAlgo`] descriptor, and
-//! a per-switch `seed` so that different switches can hash differently
-//! (real deployments salt per-switch to avoid traffic polarisation).
+//! can be obtained. Every switch here hashes with one function, a seeded
+//! CRC-32 described by [`HashAlgo`], and a per-switch `seed` lets different
+//! switches hash differently (real deployments salt per-switch to avoid
+//! traffic polarisation).
 
 use crate::flow::FlowKey;
-
-/// A deterministic flow-key hash used for ECMP next-hop selection.
-pub trait EcmpHasher {
-    /// Hash the flow key to a 64-bit value. Must be a pure function of the
-    /// key (and the hasher's own configuration).
-    fn hash_flow(&self, key: &FlowKey) -> u64;
-
-    /// Select one of `n` equal-cost next hops for this key.
-    ///
-    /// Panics in debug builds if `n == 0`.
-    fn select(&self, key: &FlowKey, n: usize) -> usize {
-        debug_assert!(n > 0, "ECMP selection over an empty next-hop set");
-        (self.hash_flow(key) % n as u64) as usize
-    }
-}
-
-/// CRC-32 (IEEE 802.3 polynomial) with a seed-keyed non-linear finaliser.
-///
-/// A raw CRC is GF(2)-linear, so two CRC hashers that differ only in an
-/// input salt compute the *same* linear map plus a constant — conditioned on
-/// the first-level ECMP choice, a second CRC level becomes deterministic
-/// (the classic multi-stage *traffic polarisation* pathology). Merchant
-/// silicon avoids this with vendor-specific post-processing of the CRC;
-/// we model that with a SplitMix64 finalisation keyed by the seed, keeping
-/// the per-switch functions genuinely distinct. Use [`crc32`] directly for
-/// the raw checksum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Crc32Hasher {
-    seed: u32,
-}
-
-/// FNV-1a folded over the canonical key bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FnvHasher {
-    seed: u64,
-}
-
-/// A deliberately weak xor-fold hash; useful in tests for *provoking*
-/// polarisation and collision pathologies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct XorFoldHasher {
-    seed: u64,
-}
 
 const CRC32_POLY: u32 = 0xEDB8_8320; // reflected IEEE polynomial
 
@@ -119,25 +76,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-impl Crc32Hasher {
-    /// Build with a per-switch seed that is mixed into the CRC input.
-    pub fn new(seed: u32) -> Self {
-        Crc32Hasher { seed }
-    }
-}
-
-impl EcmpHasher for Crc32Hasher {
-    fn hash_flow(&self, key: &FlowKey) -> u64 {
-        let kb = key.to_bytes();
-        let mut input = [0u8; 17];
-        input[..4].copy_from_slice(&self.seed.to_be_bytes());
-        input[4..].copy_from_slice(&kb);
-        let crc = crc32(&input) as u64;
-        // Seed-keyed non-linear finalisation (see type docs: polarisation).
-        splitmix64(crc ^ ((self.seed as u64) << 32))
-    }
-}
-
 #[inline]
 fn splitmix64(s: u64) -> u64 {
     let mut z = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -146,65 +84,24 @@ fn splitmix64(s: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl FnvHasher {
-    /// Build with a per-switch seed folded into the FNV offset basis.
-    pub fn new(seed: u64) -> Self {
-        FnvHasher { seed }
-    }
-}
-
-impl EcmpHasher for FnvHasher {
-    fn hash_flow(&self, key: &FlowKey) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x1000_0000_01b3;
-        let mut h = FNV_OFFSET ^ self.seed;
-        for b in key.to_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
-    }
-}
-
-impl XorFoldHasher {
-    /// Build with a per-switch seed xored into the fold.
-    pub fn new(seed: u64) -> Self {
-        XorFoldHasher { seed }
-    }
-}
-
-impl EcmpHasher for XorFoldHasher {
-    fn hash_flow(&self, key: &FlowKey) -> u64 {
-        let kb = key.to_bytes();
-        let mut h = self.seed;
-        for chunk in kb.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            h ^= u64::from_be_bytes(word);
-            h = h.rotate_left(13);
-        }
-        h
-    }
-}
-
-/// Serialisable descriptor of a hash algorithm + seed, from which a concrete
-/// hasher is built. This is what topology configurations store per switch.
+/// Serialisable descriptor of a switch's ECMP hash: the one algorithm and
+/// its seed. This is what topology configurations store per switch.
+///
+/// CRC-32 (IEEE 802.3 polynomial) with a seed-keyed non-linear finaliser.
+/// A raw CRC is GF(2)-linear, so two CRC hashers that differ only in an
+/// input salt compute the *same* linear map plus a constant — conditioned on
+/// the first-level ECMP choice, a second CRC level becomes deterministic
+/// (the classic multi-stage *traffic polarisation* pathology). Merchant
+/// silicon avoids this with vendor-specific post-processing of the CRC;
+/// we model that with a SplitMix64 finalisation keyed by the seed, keeping
+/// the per-switch functions genuinely distinct. Use [`crc32`] directly for
+/// the raw checksum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HashAlgo {
     /// CRC-32 with a 32-bit seed.
     Crc32 {
         /// Per-switch salt mixed into the CRC input.
         seed: u32,
-    },
-    /// FNV-1a with a 64-bit seed.
-    Fnv {
-        /// Per-switch salt folded into the FNV offset basis.
-        seed: u64,
-    },
-    /// Weak xor-fold with a 64-bit seed.
-    XorFold {
-        /// Per-switch salt xored into the fold.
-        seed: u64,
     },
 }
 
@@ -215,25 +112,21 @@ impl Default for HashAlgo {
 }
 
 impl HashAlgo {
-    /// Instantiate the described hasher as a boxed trait object.
-    pub fn build(&self) -> Box<dyn EcmpHasher + Send + Sync> {
-        match *self {
-            HashAlgo::Crc32 { seed } => Box::new(Crc32Hasher::new(seed)),
-            HashAlgo::Fnv { seed } => Box::new(FnvHasher::new(seed)),
-            HashAlgo::XorFold { seed } => Box::new(XorFoldHasher::new(seed)),
-        }
-    }
-
-    /// Hash a key directly without boxing (dispatches internally).
+    /// Hash the flow key to a 64-bit value: a pure function of the key and
+    /// the seed.
     pub fn hash_flow(&self, key: &FlowKey) -> u64 {
-        match *self {
-            HashAlgo::Crc32 { seed } => Crc32Hasher::new(seed).hash_flow(key),
-            HashAlgo::Fnv { seed } => FnvHasher::new(seed).hash_flow(key),
-            HashAlgo::XorFold { seed } => XorFoldHasher::new(seed).hash_flow(key),
-        }
+        let HashAlgo::Crc32 { seed } = *self;
+        let mut input = [0u8; 17];
+        input[..4].copy_from_slice(&seed.to_be_bytes());
+        input[4..].copy_from_slice(&key.to_bytes());
+        let crc = crc32(&input) as u64;
+        // Seed-keyed non-linear finalisation (see type docs: polarisation).
+        splitmix64(crc ^ ((seed as u64) << 32))
     }
 
-    /// Select one of `n` next hops for `key` (see [`EcmpHasher::select`]).
+    /// Select one of `n` equal-cost next hops for this key.
+    ///
+    /// Panics in debug builds if `n == 0`.
     pub fn select(&self, key: &FlowKey, n: usize) -> usize {
         debug_assert!(n > 0, "ECMP selection over an empty next-hop set");
         (self.hash_flow(key) % n as u64) as usize
@@ -244,17 +137,9 @@ impl HashAlgo {
     /// algorithm, which is what makes reverse ECMP computation possible.
     pub fn reseeded(&self, switch_index: u64) -> HashAlgo {
         // SplitMix64 step decorrelates per-switch seeds derived from a base.
-        let mix = splitmix64;
-        match *self {
-            HashAlgo::Crc32 { seed } => HashAlgo::Crc32 {
-                seed: mix(seed as u64 ^ switch_index) as u32,
-            },
-            HashAlgo::Fnv { seed } => HashAlgo::Fnv {
-                seed: mix(seed ^ switch_index),
-            },
-            HashAlgo::XorFold { seed } => HashAlgo::XorFold {
-                seed: mix(seed ^ switch_index),
-            },
+        let HashAlgo::Crc32 { seed } = *self;
+        HashAlgo::Crc32 {
+            seed: splitmix64(seed as u64 ^ switch_index) as u32,
         }
     }
 }
@@ -317,15 +202,8 @@ mod tests {
     #[test]
     fn hashing_is_deterministic() {
         let k = key(7);
-        for algo in [
-            HashAlgo::Crc32 { seed: 5 },
-            HashAlgo::Fnv { seed: 5 },
-            HashAlgo::XorFold { seed: 5 },
-        ] {
-            assert_eq!(algo.hash_flow(&k), algo.hash_flow(&k), "{algo:?}");
-            let h = algo.build();
-            assert_eq!(h.hash_flow(&k), algo.hash_flow(&k), "{algo:?}");
-        }
+        let algo = HashAlgo::Crc32 { seed: 5 };
+        assert_eq!(algo.hash_flow(&k), algo.hash_flow(&k));
     }
 
     #[test]
@@ -354,21 +232,17 @@ mod tests {
                 80,
             )
         };
-        for algo in [HashAlgo::Crc32 { seed: 9 }, HashAlgo::Fnv { seed: 9 }] {
-            let n = 4;
-            let mut counts = vec![0usize; n];
-            for i in 0..4000 {
-                let s = algo.select(&diverse_key(i), n);
-                assert!(s < n);
-                counts[s] += 1;
-            }
-            for (hop, &c) in counts.iter().enumerate() {
-                // Expect ~1000 per bucket; allow a wide tolerance.
-                assert!(
-                    (600..=1400).contains(&c),
-                    "{algo:?} bucket {hop} got {c}/4000"
-                );
-            }
+        let algo = HashAlgo::Crc32 { seed: 9 };
+        let n = 4;
+        let mut counts = vec![0usize; n];
+        for i in 0..4000 {
+            let s = algo.select(&diverse_key(i), n);
+            assert!(s < n);
+            counts[s] += 1;
+        }
+        for (hop, &c) in counts.iter().enumerate() {
+            // Expect ~1000 per bucket; allow a wide tolerance.
+            assert!((600..=1400).contains(&c), "bucket {hop} got {c}/4000");
         }
     }
 

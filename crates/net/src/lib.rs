@@ -4,12 +4,13 @@
 //!
 //! * [`time`] — nanosecond-resolution simulated time ([`SimTime`],
 //!   [`SimDuration`]).
-//! * [`flow`] — 5-tuple [`FlowKey`]s and dense [`FlowId`]s.
+//! * [`flow`] — 5-tuple [`FlowKey`]s.
 //! * [`prefix`] / [`trie`] — IPv4 CIDR prefixes and a longest-prefix-match
 //!   trie (the receiver-side "simple IP prefix matching" of RLIR §3.1 and the
 //!   fat-tree routing tables).
-//! * [`hash`] — deterministic ECMP hash functions, shared between the
-//!   forwarding plane and RLIR's reverse-ECMP demultiplexer.
+//! * [`hash`] — the deterministic ECMP hash, a seeded CRC-32 ([`HashAlgo`]),
+//!   shared between the forwarding plane and RLIR's reverse-ECMP
+//!   demultiplexer.
 //! * [`fxhash`] — the FxHash function behind [`FxHashMap`], used by every
 //!   per-flow table on the packet hot path (SipHash is overkill for
 //!   simulated keys).
@@ -36,9 +37,9 @@ pub mod trie;
 pub mod wire;
 
 pub use clock::{ClockModel, ClockPair};
-pub use flow::{FlowId, FlowKey, Protocol};
+pub use flow::{FlowKey, Protocol};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use hash::{EcmpHasher, HashAlgo};
+pub use hash::HashAlgo;
 pub use packet::{Packet, PacketId, PacketKind, ReferenceInfo, SenderId};
 pub use prefix::Ipv4Prefix;
 pub use time::{SimDuration, SimTime};

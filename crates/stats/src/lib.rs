@@ -7,7 +7,7 @@
 //!   short stream as its samples.
 //! * [`cdf`] — empirical CDFs and the downsampled step series written to the
 //!   figure CSVs.
-//! * [`error`] — the relative error metric and paper-style summaries.
+//! * [`error`] — the relative error metric.
 //! * [`ewma`] — EWMA and the windowed link-utilization estimator driving
 //!   RLI's adaptive injection policy.
 //! * [`quantile`] — a flow's four largest delays, its exact nearest-rank
@@ -24,7 +24,7 @@ pub mod quantile;
 pub mod streaming;
 
 pub use cdf::Ecdf;
-pub use error::{relative_error, ErrorSummary};
+pub use error::relative_error;
 pub use ewma::UtilizationEstimator;
 pub use quantile::LargestFour;
 pub use streaming::{FewStats, StreamingStats};

@@ -1,10 +1,9 @@
-//! Workload tooling: generate, persist, reload, divide and meter traces.
+//! Workload tooling: generate, persist, reload and meter traces.
 //!
 //! Demonstrates the substrate that replaces the paper's CAIDA traces and
 //! YAF toolchain: the synthetic generator with the paper's two trace
-//! presets, the pcap export, the traffic divider from Fig. 3, the
-//! NetFlow-style flow meter, and the Multiflow baseline estimator built on
-//! its records.
+//! presets, the pcap export, the NetFlow-style flow meter, and the
+//! Multiflow baseline estimator built on its records.
 //!
 //! ```sh
 //! cargo run --release --example trace_tools
@@ -13,10 +12,20 @@
 use rlir_baselines::estimate_all;
 use rlir_net::time::{SimDuration, SimTime};
 use rlir_trace::pcap::save_pcap;
-use rlir_trace::{
-    generate, open_pcap, FlowMeter, FlowMeterConfig, TraceConfig, TraceStats, TrafficClass,
-    TrafficDivider, UnmatchedPolicy,
-};
+use rlir_trace::{generate, open_pcap, FlowMeter, FlowMeterConfig, Trace, TraceConfig};
+
+/// The summary numbers the paper quotes per trace.
+fn summary(trace: &Trace) -> String {
+    let flows = trace.flow_count();
+    format!(
+        "{} pkts, {} flows ({:.1} pkts/flow), {:.1} MB, {:.1}% util",
+        trace.packets.len(),
+        flows,
+        trace.packets.len() as f64 / flows.max(1) as f64,
+        trace.total_bytes() as f64 / 1e6,
+        trace.offered_utilization() * 100.0
+    )
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let duration = SimDuration::from_millis(40);
@@ -25,8 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    OC-192 link), scaled to 40 ms.
     let regular = generate(&TraceConfig::paper_regular(1, duration));
     let cross = generate(&TraceConfig::paper_cross(1, duration));
-    println!("regular trace: {}", TraceStats::compute(&regular));
-    println!("cross   trace: {}", TraceStats::compute(&cross));
+    println!("regular trace: {}", summary(&regular));
+    println!("cross   trace: {}", summary(&cross));
 
     // 2. Persist as a nanosecond pcap and stream it back: every record
     //    keeps its packet's timestamp and flow key.
@@ -46,29 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!((r.at, r.flow), (p.created_at, p.flow));
     }
 
-    // 3. Divide a merged stream back into classes by source prefix (Fig. 3's
-    //    traffic divider).
-    let mut merged = [regular.packets.as_slice(), &cross.packets].concat();
-    merged.sort_by_key(|p| (p.created_at, p.id));
-    let mut divider = TrafficDivider::new(
-        &[
-            ("10.1.0.0/16".parse()?, TrafficClass::Regular),
-            ("172.16.0.0/14".parse()?, TrafficClass::Cross),
-        ],
-        UnmatchedPolicy::Drop,
-    );
-    let divided = divider.divide_all(merged.iter().copied());
-    let regulars = divided.iter().filter(|p| p.is_regular()).count();
-    let crosses = divided.iter().filter(|p| p.is_cross()).count();
-    println!(
-        "\ntraffic divider: {} packets in → {} regular + {} cross ({} unmatched dropped)",
-        merged.len(),
-        regulars,
-        crosses,
-        divider.dropped()
-    );
-
-    // 4. Meter the regular trace YAF-style and run the Multiflow baseline
+    // 3. Meter the regular trace YAF-style and run the Multiflow baseline
     //    against a copy of the stream shifted by a constant 12 µs "path".
     let mut upstream = FlowMeter::new(FlowMeterConfig::default());
     let mut downstream = FlowMeter::new(FlowMeterConfig::default());
@@ -95,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         exact
     );
 
-    // 5. Show a couple of records.
+    // 4. Show a couple of records.
     println!("\nfirst three flow records:");
     for r in up_records.iter().take(3) {
         println!(
